@@ -4,15 +4,15 @@
 The same :class:`PipelineSpec` used in grid simulations carries real numpy
 callables, so it runs unchanged on the thread runtime.  numpy releases the
 GIL, so replicating the heavy edge-detection stage gives genuine speedup on
-a multicore host.  The adaptive thread pipeline then finds that replication
-on its own between batches.
+a multicore host.  An adaptive streaming session then finds that
+replication on its own, while items flow.
 
 Run:  python examples/image_pipeline_local.py
 """
 
 import time
 
-from repro import AdaptiveThreadPipeline, ThreadPipeline
+from repro import ThreadPipeline, local_config, open_pipeline
 from repro.workloads.apps import image_pipeline, make_images
 from repro.util.tables import render_table
 
@@ -47,16 +47,25 @@ def main() -> None:
         )
     )
 
-    print("\nadaptive thread pipeline (decides replication between batches):")
-    # Real measured stage costs are closer together than the simulated
-    # weights, so accept modest imbalance before adding a worker.
-    atp = AdaptiveThreadPipeline(pipeline, max_workers=3, imbalance_threshold=1.05)
-    batches = [make_images(20, size=256, seed=s) for s in range(4)]
-    atp.run_batches(batches)
-    print(f"  replica history: {atp.adaptations}")
-    print(f"  final replicas per stage: {atp.replicas}")
-    print("\nnote: results depend on core count; the *shape* (stage 1 gets")
-    print("the workers) is the point, not absolute speedups.")
+    print("\nadaptive session (the control loop widens stages while items flow):")
+    # Four back-to-back streams over one warm session; the controller
+    # keeps observing across the stream boundaries.
+    config = local_config(interval=0.05, cooldown=0.1, settle_time=0.05)
+    with open_pipeline(
+        pipeline.stages, backend="threads", adaptive=config, max_replicas=3
+    ) as session:
+        history = [session.backend.replica_counts()]
+        for seed in range(4):
+            batch = make_images(40, size=256, seed=seed)
+            for image in batch:
+                session.submit(image)
+            assert len(session.drain()) == len(batch)
+            history.append(session.backend.replica_counts())
+    print(f"  replica history: {history}")
+    print(f"  final replicas per stage: {history[-1]}")
+    print("\nnote: results depend on core count; the *shape* (the numpy-heavy")
+    print("stages gain workers, the trivial summariser never does) is the point,")
+    print("not absolute speedups.")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ from repro.gridsim import (
     uniform_grid,
 )
 from repro.model import Mapping, ModelContext, StageCost, predict
-from repro.runtime import AdaptiveThreadPipeline, ThreadPipeline
+from repro.runtime import ThreadPipeline
 from repro.skel import (
     farm,
     open_pipeline,
@@ -77,7 +77,6 @@ __all__ = [
     "AdaptationEvent",
     "AdaptationPolicy",
     "AdaptivePipeline",
-    "AdaptiveThreadPipeline",
     "Backend",
     "BackendResult",
     "FixedWork",

@@ -703,6 +703,19 @@ class Session:
         mapped = self._batch_map.get(seq)
         return mapped if mapped is not None else (seq, 1)
 
+    def _emit_items(self, kind: str, seq: int, **fields: Any) -> None:
+        """Emit ``kind`` about executor seq ``seq``, in item space.
+
+        The one place a batch-covering event becomes ``seq`` = first item
+        plus an ``items`` count (omitted for a single item); ``wants()``
+        gated, so hot paths call it unconditionally.
+        """
+        if self.events.wants(kind):
+            first, items = self._event_seq(seq)
+            if items > 1:
+                fields["items"] = items
+            self.events.emit(kind, seq=first, **fields)
+
     # --------------------------------------------------- micro-batch assembly
     def _buffer_item_locked(self, seq: int, gseq: int, item: Any) -> tuple | None:
         """Admit one item into the assembly buffer; cut when a bound trips.

@@ -13,32 +13,34 @@ Topology (a star — every transfer crosses the coordinator)::
 * **Sessions over streams**: worker links, negotiated transports and
   replica placement belong to the *backend* and stay warm for as long as
   it lives; the feeder and router threads belong to a *session*
-  (``backend.open()``) and serve back-to-back streams without tearing any
-  of that down.  Each stream gets its own **epoch**: tasks and results
-  carry the stream's epoch, a result is only accepted while its (epoch,
-  seq) assignment is still live, and sequence numbers are stream-scoped
-  (the routers' :class:`~repro.util.ordering.SequenceReorderer` instances
-  rebase via ``begin_stream`` at each boundary) — so crash re-dispatch
-  stays exactly-once within a stream and a stale duplicate from any
-  earlier stream is dropped on arrival.
+  (``backend.open()``) — they are the routed-stage core shared with the
+  process backend (:mod:`repro.backend.routed`), and this module supplies
+  the lane behind it.  Each stream gets its own **epoch**: tasks and
+  results carry the stream's epoch, a result is only accepted while its
+  (epoch, seq) assignment is still live, and sequence numbers are
+  stream-scoped (the core rebases its reorderers at each boundary) — so
+  crash re-dispatch stays exactly-once within a stream and a stale
+  duplicate from any earlier stream is dropped on arrival.
 * Each stage owns a **replica set** spread across workers.  Dispatch picks
   the least-loaded active replica (in-flight count normalised by the
   worker's effective speed), bounded by ``capacity`` in-flight items per
   replica for end-to-end back-pressure.
-* One **router thread per stage** collects that stage's results, records
-  service/transfer/queue/payload-size measurements, restores sequence
-  order, and forwards each item's encoded :class:`~repro.transport.Frame`
-  to the next stage untouched.  Items travel through the **negotiated
-  transport** (``transport=``): the session's feeder **encodes after
-  worker selection**, so an item routed to a worker that verified the
-  session's shm probe gets descriptor frames while one routed to a
-  non-shm (remote) worker is pickled inline from the start — mixed pools
-  no longer pay segment-write + materialize-copy + unlink for items that
-  never needed a segment.  ``"auto"``'s placement threshold is calibrated
-  at warm-up from a quick encode/decode probe.  The coordinator owns every
-  frame's lifecycle — a task frame is released only when its result is
-  accepted (so a worker death can always re-dispatch), and ``close()``
-  sweeps the session's surviving segments.
+* One **router thread per stage** (the core's) collects that stage's
+  results; this module's ``_accept`` matches each against the in-flight
+  table, feeds the link and clock fits, and hands the core one normalised
+  hop, which it records, reorders and forwards as an encoded
+  :class:`~repro.transport.Frame`, untouched.  Items travel through the
+  **negotiated transport** (``transport=``): :meth:`DistributedBackend.
+  _dispatch` — the one send loop for first dispatch, forwarding and
+  re-dispatch — **encodes after worker selection**, so an item routed to
+  a worker that verified the session's shm probe gets descriptor frames
+  while one routed to a non-shm (remote) worker is pickled inline from
+  the start — mixed pools no longer pay segment-write + materialize-copy
+  + unlink for items that never needed a segment.  ``"auto"``'s placement
+  threshold is calibrated at warm-up from a quick encode/decode probe.
+  The coordinator owns every frame's lifecycle — a task frame is released
+  only when its result is accepted (so a worker death can always
+  re-dispatch), and ``close()`` sweeps the session's surviving segments.
 * **Link cost is measured, not assumed**: a result echoes the dispatch
   timestamp plus the worker-side service and queue-wait durations, so
   ``rtt - service - wait`` is pure wire time.  Each observation is paired
@@ -67,15 +69,19 @@ from multiprocessing import shared_memory
 from typing import Any
 
 from repro import transport as _transport
-from repro.backend.base import Backend, Session, register_backend
+from repro.backend.base import (
+    Backend,
+    Session,
+    register_backend,
+    validate_pipeline_shape,
+)
 from repro.backend.distributed.protocol import ProtocolError, recv_frame, send_frame
 from repro.backend.distributed.worker import WorkerAgent
+from repro.backend.routed import Hop, RoutedSession
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView, fn_view
-from repro.monitor.instrument import PipelineInstrumentation
 from repro.monitor.resource_monitor import load_to_speed
 from repro.obs.clock import ClockSync
-from repro.runtime.threads import StageError
 from repro.transport import (
     Codec,
     Frame,
@@ -84,8 +90,6 @@ from repro.transport import (
     materialize,
     untrack,
 )
-from repro.util.batching import Batch
-from repro.util.ordering import SequenceReorderer
 from repro.util.validation import check_positive
 
 __all__ = ["DistributedBackend"]
@@ -97,8 +101,6 @@ _LOCAL_LINK = (1e-7, 1e9)
 _WIRE_BANDWIDTH = 1e8
 #: Default one-way link estimate before any measurement exists.
 _DEFAULT_LINK_S = 1e-4
-
-_CLOSE = object()  # session-side feeder shutdown marker
 
 
 def _spawn_agent(
@@ -180,61 +182,31 @@ class _Replica:
         self.retired = False
 
 
-class _DistributedSession(Session):
-    """Session-owned feeder/router threads over the warm worker pool."""
+class _DistributedSession(RoutedSession):
+    """The TCP lane of the routed-stage core over the warm worker pool."""
 
-    supports_batching = True
-
-    def __init__(
-        self,
-        backend: "DistributedBackend",
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> None:
-        super().__init__(
-            backend,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
+    def _attach(self) -> None:
+        backend: DistributedBackend = self.backend  # type: ignore[assignment]
         backend.warm()
         backend._ensure_placements()
         if backend._config_errors:
             raise backend._config_errors[0]
-        n = backend.pipeline.n_stages
-        self.instrumentation = PipelineInstrumentation(n, events=self.events)
-        self._metrics_locks = [threading.Lock() for _ in range(n)]
-        self._snapshot_locks = self._metrics_locks
-        self._abort = threading.Event()
-        self._stopping = threading.Event()
-        self._reorder = [SequenceReorderer() for _ in range(n)]
-        self._resq = [thread_queue.Queue() for _ in range(n)]
-        self._feedq: thread_queue.Queue = thread_queue.Queue()
         # Adopt this session as the backend's live plumbing: the recv loops
         # and death handlers feed these very queues/flags.
-        backend._errors = []
+        self._resq = [thread_queue.Queue() for _ in backend._conds]
         backend._abort = self._abort
         backend._resq = self._resq
         backend._running = True
-        backend._t0 = time.perf_counter()
         # Worker-side tracing follows the session's subscriptions: a bus
         # that wants wk.* kinds turns the pool's trace points on (full
         # journal/telemetry); otherwise workers stay silent and only the
         # two always-on result stamps feed the clock fit and span.phases.
         backend._set_trace(self.events.wants("wk.service"))
-        self._threads = [
-            threading.Thread(target=self._feed, name="dist-feeder", daemon=True)
-        ]
-        for i in range(n):
-            self._threads.append(
-                threading.Thread(
-                    target=self._route, args=(i,), name=f"dist-router[{i}]", daemon=True
-                )
-            )
-        for t in self._threads:
-            t.start()
+
+    def _wake_lane(self) -> None:
+        for cond in self.backend._conds:
+            with cond:
+                cond.notify_all()
 
     # ----------------------------------------------------------- port hooks
     def _begin_stream(self, stream: int) -> None:
@@ -243,42 +215,78 @@ class _DistributedSession(Session):
         # their (epoch, seq) assignment is live, so a late duplicate from
         # any earlier stream (or an aborted one) is dropped on arrival.
         backend._epoch += 1
-        for i, cond in enumerate(backend._conds):
-            with cond:
-                # Frames stranded in flight by an aborted earlier stream
-                # will never be decoded: reclaim their segments first.
-                for _replica, stale_frame in backend._inflight[i].values():
-                    backend._codec.release(stale_frame)
-                backend._inflight[i].clear()
-        # drain() emptied the pipeline, so the routers' reorderers are
-        # idle: rebase them onto the new stream's sequence space.
-        for reorder in self._reorder:
-            reorder.begin_stream(0)
-
-    def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
-        self._feedq.put((seq, item))
+        backend._reclaim_inflight()
+        super()._begin_stream(stream)
 
     def _shutdown(self) -> None:
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
-        broken = self.broken or self._submitted > self._delivered
-        if broken:
-            self._abort.set()
-            for cond in backend._conds:
-                with cond:
-                    cond.notify_all()
-        self._stopping.set()
-        self._feedq.put(_CLOSE)
-        for t in self._threads:
-            t.join(timeout=5.0)
+        super()._shutdown()
         backend._running = False
         backend._set_trace(False)  # quiet the pool between sessions
-        # Reclaim whatever an aborted stream stranded in flight (a clean
-        # close finds nothing — drain() is the boundary).
-        for i, cond in enumerate(backend._conds):
-            with cond:
-                for _replica, stale_frame in backend._inflight[i].values():
-                    backend._codec.release(stale_frame)
-                backend._inflight[i].clear()
+        backend._reclaim_inflight()
+
+    # ------------------------------------------------------------ lane hooks
+    def _ingress(self, seq: int, value: Any) -> bool:
+        return self.backend._dispatch(0, seq, None, value)
+
+    def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
+        return self.backend._dispatch(stage, seq, frame)
+
+    def _poll(self, stage: int) -> "tuple | None":
+        try:
+            return self._resq[stage].get(timeout=0.1)
+        except thread_queue.Empty:
+            return None
+
+    def _accept(self, stage: int, msg: tuple) -> "Hop | None":
+        backend: DistributedBackend = self.backend  # type: ignore[assignment]
+        (w, slot, seq, ok, payload, service_s, wait_s, t_sent,
+         err_repr, recv_t, t_recv_w, t_send_w, wk_events) = msg
+        cond = backend._conds[stage]
+        with cond:
+            entry = backend._inflight[stage].get(seq)
+            if entry is None or entry[0].worker is not w or entry[0].slot != slot:
+                # Stale: this item was re-dispatched after its worker was
+                # declared dead; exactly one assignment may deliver it.
+                # The duplicate's result frame will never be read.
+                if isinstance(payload, Frame):
+                    backend._codec.release(payload)
+                return None
+            replica, task_frame = entry
+            del backend._inflight[stage][seq]
+            replica.inflight -= 1
+            if (
+                replica.retired
+                and replica.inflight == 0
+                and replica in backend._replicas[stage]
+            ):
+                backend._replicas[stage].remove(replica)
+            queued = sum(r.inflight for r in backend._replicas[stage])
+            cond.notify_all()
+        if ok == "reject":
+            # Task raced a retire on the worker: send it elsewhere.
+            backend._dispatch(stage, seq, task_frame)
+            return None
+        # The task frame was consumed on the worker; nothing can
+        # re-dispatch it now, so its segments can go.
+        backend._codec.release(task_frame)
+        if not ok:
+            raise RuntimeError(err_repr)
+        # rtt minus worker-side service and queue wait is wire time both
+        # ways; halve it for the one-way transfer estimate, and pair the
+        # full overhead with the bytes that crossed (task out + result
+        # back) to feed the size-stratified latency/bandwidth fit.
+        overhead = max(0.0, (recv_t - t_sent) - service_s - wait_s)
+        w.observe_transfer(task_frame.nbytes + payload.nbytes, overhead)
+        if t_recv_w is not None and t_send_w is not None:
+            self._trace_hop(
+                stage, seq, w, t_sent, recv_t, service_s, wait_s,
+                t_recv_w, t_send_w, wk_events,
+            )
+        backend._ref_bytes += 0.1 * (task_frame.nbytes - backend._ref_bytes)
+        # work_estimate = service x effective speed, so a loaded worker's
+        # slow service still yields the true per-item work.
+        return Hop(seq, payload, service_s, w.speed, w.id, queued, overhead / 2.0)
 
     # ---------------------------------------------------------------- tracing
     def _trace_hop(
@@ -308,8 +316,7 @@ class _DistributedSession(Session):
         """
         w.clock.observe(t_sent, t_recv_w, t_send_w, recv_t)
         if wk_events:
-            backend: DistributedBackend = self.backend  # type: ignore[assignment]
-            backend._emit_worker_trace(w, wk_events)
+            self.backend._emit_worker_trace(w, wk_events)
         bus = self.events
         if bus.wants("clock.sync") and recv_t - w.clock_emit_t >= 1.0:
             w.clock_emit_t = recv_t
@@ -325,14 +332,14 @@ class _DistributedSession(Session):
             )
         if bus.wants("span.phases"):
             to_local = w.clock.fit().to_local
-            # Executor seqs are batch seqs when batching: report the hop in
-            # item space (seq = first item, items = N) with durations
-            # covering the whole batch, so the profiler can fan it out
-            # per item without double-counting.
-            ev_seq, ev_items = self._event_seq(seq)
-            fields = dict(
+            # Durations cover the whole batch when batching (the helper
+            # reports seq = first item, items = N), so the profiler can fan
+            # the hop out per item without double-counting.
+            self._emit_items(
+                "span.phases",
+                seq,
+                at=self.perf_to_session(recv_t),
                 stage=stage,
-                seq=ev_seq,
                 worker=w.id,
                 wire_out=max(0.0, to_local(t_recv_w) - t_sent),
                 worker_queue=wait_s,
@@ -340,135 +347,6 @@ class _DistributedSession(Session):
                 encode=max(0.0, (t_send_w - t_recv_w) - wait_s - service_s),
                 wire_back=max(0.0, recv_t - to_local(t_send_w)),
             )
-            if ev_items > 1:
-                fields["items"] = ev_items
-            bus.emit("span.phases", at=self.perf_to_session(recv_t), **fields)
-
-    # --------------------------------------------------------------- plumbing
-    def _feed(self) -> None:
-        backend: DistributedBackend = self.backend  # type: ignore[assignment]
-        try:
-            while True:
-                msg = self._feedq.get()
-                if msg is _CLOSE:
-                    return
-                if self._abort.is_set():
-                    continue  # drain the feed queue without dispatching
-                seq, value = msg
-                if not backend._dispatch_value(seq, value):
-                    continue
-        except BaseException as err:  # noqa: BLE001 - e.g. unencodable input
-            backend._fail(0, err)
-
-    def _route(self, stage: int) -> None:
-        backend: DistributedBackend = self.backend  # type: ignore[assignment]
-        try:
-            self._route_inner(stage)
-        except BaseException as err:  # noqa: BLE001 - reported via the session
-            backend._fail(stage, err)
-
-    def _route_inner(self, stage: int) -> None:
-        backend: DistributedBackend = self.backend  # type: ignore[assignment]
-        metrics = self.instrumentation.stages[stage]
-        cond = backend._conds[stage]
-        last = stage + 1 >= backend.pipeline.n_stages
-        reorder = self._reorder[stage]
-        resq = self._resq[stage]
-        while True:
-            if self._abort.is_set():
-                return
-            try:
-                msg = resq.get(timeout=0.1)
-            except thread_queue.Empty:
-                if self._stopping.is_set():
-                    return
-                continue
-            (w, slot, seq, ok, payload, service_s, wait_s, t_sent,
-             err_repr, recv_t, t_recv_w, t_send_w, wk_events) = msg
-            with cond:
-                entry = backend._inflight[stage].get(seq)
-                if (
-                    entry is None
-                    or entry[0].worker is not w
-                    or entry[0].slot != slot
-                ):
-                    # Stale: this item was re-dispatched after its worker was
-                    # declared dead; exactly one assignment may deliver it.
-                    # The duplicate's result frame will never be read.
-                    if isinstance(payload, Frame):
-                        backend._codec.release(payload)
-                    continue
-                replica, entry_payload = entry
-                del backend._inflight[stage][seq]
-                replica.inflight -= 1
-                if (
-                    replica.retired
-                    and replica.inflight == 0
-                    and replica in backend._replicas[stage]
-                ):
-                    backend._replicas[stage].remove(replica)
-                queued = sum(r.inflight for r in backend._replicas[stage])
-                cond.notify_all()
-            if ok == "reject":
-                # Task raced a retire on the worker: send it elsewhere.
-                if not backend._dispatch(stage, seq, entry_payload):
-                    return
-                continue
-            if not ok:
-                backend._codec.release(entry_payload)
-                backend._fail(stage, RuntimeError(err_repr))
-                return
-            # The task frame was consumed on the worker; nothing can
-            # re-dispatch it now, so its segments can go.
-            backend._codec.release(entry_payload)
-            # rtt minus worker-side service and queue wait is wire time both
-            # ways; halve it for the one-way transfer estimate, and pair the
-            # full overhead with the bytes that crossed (task out + result
-            # back) to feed the size-stratified latency/bandwidth fit.
-            overhead = max(0.0, (recv_t - t_sent) - service_s - wait_s)
-            crossed = entry_payload.nbytes + payload.nbytes
-            w.observe_transfer(crossed, overhead)
-            if t_recv_w is not None and t_send_w is not None:
-                self._trace_hop(
-                    stage, seq, w, t_sent, recv_t, service_s, wait_s,
-                    t_recv_w, t_send_w, wk_events,
-                )
-            backend._ref_bytes += 0.1 * (entry_payload.nbytes - backend._ref_bytes)
-            ev_seq, ev_items = self._event_seq(seq)
-            with self._metrics_locks[stage]:
-                # work_estimate = service x effective speed, so a loaded
-                # worker's slow service still yields the true per-item work.
-                # Batched hops translate back to item space (seq = first
-                # item, items = N) so attribution stays per-item.
-                metrics.record_service(
-                    service_s, w.speed, seq=ev_seq, worker=w.id, queue=queued,
-                    items=ev_items,
-                )
-                metrics.record_transfer(overhead / 2.0)
-                metrics.record_queue_length(queued)
-                metrics.record_bytes_in(entry_payload.nbytes)
-                metrics.record_bytes_out(payload.nbytes)
-            for ready_seq, ready_payload in reorder.push(seq, payload):
-                if last:
-                    value = backend._codec.decode(ready_payload)
-                    backend._codec.release(ready_payload)
-                    if self.events.wants("frame.release"):
-                        rel_seq, rel_items = self._event_seq(ready_seq)
-                        rel = dict(
-                            stage=stage, seq=rel_seq, nbytes=ready_payload.nbytes
-                        )
-                        if rel_items > 1:
-                            rel["items"] = rel_items
-                        self.events.emit("frame.release", **rel)
-                    with self._metrics_locks[stage]:
-                        self.instrumentation.record_completion(
-                            self.now(),
-                            items=len(value) if isinstance(value, Batch) else 1,
-                        )
-                    self._deliver(value)
-                else:
-                    if not backend._dispatch(stage + 1, ready_seq, ready_payload):
-                        return
 
 
 class DistributedBackend(Backend):
@@ -547,25 +425,10 @@ class DistributedBackend(Backend):
         check_positive(heartbeat_interval, "heartbeat_interval")
         if spawn_workers < 0:
             raise ValueError(f"spawn_workers must be >= 0, got {spawn_workers}")
+        replicas = validate_pipeline_shape(pipeline, replicas, "distributed runtime")
         n = pipeline.n_stages
-        if replicas is None:
-            replicas = [1] * n
-        if len(replicas) != n:
-            raise ValueError(f"replicas must list {n} counts, got {len(replicas)}")
         self._fn_payloads: list[bytes] = []
-        for i, r in enumerate(replicas):
-            spec = pipeline.stage(i)
-            if r < 1:
-                raise ValueError(f"stage {i} replica count must be >= 1, got {r}")
-            if r > 1 and not spec.replicable:
-                raise ValueError(
-                    f"stage {i} ({spec.name!r}) is stateful and cannot be replicated"
-                )
-            if spec.fn is None:
-                raise ValueError(
-                    f"stage {i} ({spec.name!r}) has no fn; the distributed "
-                    "runtime executes real callables"
-                )
+        for i, spec in enumerate(pipeline.stages):
             try:
                 self._fn_payloads.append(
                     pickle.dumps(spec.fn, protocol=pickle.HIGHEST_PROTOCOL)
@@ -641,9 +504,7 @@ class DistributedBackend(Backend):
         self._epoch = 0
         self._running = False
         self._resq: list[thread_queue.Queue] = []
-        self._errors: list[BaseException] = []
         self._abort = threading.Event()
-        self._t0 = 0.0
 
     # ------------------------------------------------------------------ props
     @property
@@ -942,13 +803,6 @@ class DistributedBackend(Backend):
         for w in workers:
             w.send(("trace", on))
 
-    def _item_seq(self, seq: int) -> "tuple[int, int]":
-        """Session's executor-seq → (first item seq, items) translation."""
-        session = self._session
-        if session is None:
-            return seq, 1
-        return session._event_seq(seq)
-
     def _emit_worker_trace(self, w: _WorkerConn, events) -> None:
         """Re-emit batched worker events on the session bus, clock-mapped.
 
@@ -970,37 +824,38 @@ class DistributedBackend(Backend):
         # frame carries several events mapped through the same model.
         to_local = w.clock.fit().to_local
         # Worker events name executor seqs, which are micro-batch seqs
-        # when batching is on: translate to item space (seq = first item,
-        # items = N) so span/profile consumers attribute them per item.
-        batch_map = getattr(session, "_batch_map", None)
+        # when batching is on: the session helper reports them in item
+        # space so span/profile consumers attribute them per item.
         for kind, t_w, fields in events:
             if fields.get("epoch") != epoch:
                 continue
-            mapped = session.perf_to_session(to_local(t_w))
-            out = {k: v for k, v in fields.items() if k != "epoch"}
-            if batch_map and "seq" in out:
-                m = batch_map.get(out["seq"])
-                if m is not None:
-                    out["seq"] = m[0]
-                    if m[1] > 1:
-                        out["items"] = m[1]
-            bus.emit(kind, at=mapped, worker=w.id, **out)
+            out = {k: v for k, v in fields.items() if k not in ("epoch", "seq")}
+            session._emit_items(
+                kind,
+                fields["seq"],
+                at=session.perf_to_session(to_local(t_w)),
+                worker=w.id,
+                **out,
+            )
 
     # --------------------------------------------------------------- failure
     def _fail(self, stage: int, err: BaseException) -> None:
-        failure = (
-            err
-            if isinstance(err, StageError)
-            else StageError(self.pipeline.stage(stage).name, err)
-        )
-        self._errors.append(failure)
-        self._abort.set()
-        for cond in self._conds:
-            with cond:
-                cond.notify_all()
+        """A failure seen off the router threads poisons the live session."""
         session = self._session
         if session is not None and not session.closed:
-            session._deliver_error(failure)
+            session._fail(stage, err)
+
+    def _reclaim_inflight(self) -> None:
+        """Release frames an aborted stream stranded in flight.
+
+        They will never be decoded; a clean boundary finds nothing
+        (``drain()`` empties the pipeline).
+        """
+        for i, cond in enumerate(self._conds):
+            with cond:
+                for _replica, stale_frame in self._inflight[i].values():
+                    self._codec.release(stale_frame)
+                self._inflight[i].clear()
 
     def _on_worker_death(self, w: _WorkerConn) -> None:
         """Remove a dead worker; re-home its replicas and in-flight items."""
@@ -1076,11 +931,7 @@ class DistributedBackend(Backend):
         try:
             for i, lost in enumerate(lost_by_stage):
                 for seq, payload in lost:
-                    ev_seq, ev_items = self._item_seq(seq)
-                    red = dict(stage=i, seq=ev_seq)
-                    if ev_items > 1:
-                        red["items"] = ev_items
-                    self.events.emit("worker.redispatch", **red)
+                    self._session._emit_items("worker.redispatch", seq, stage=i)
                     if not self._dispatch(i, seq, payload):
                         return
         except BaseException as err:  # noqa: BLE001 - reported via the session
@@ -1252,119 +1103,63 @@ class DistributedBackend(Backend):
                     return best
                 cond.wait(timeout=0.1)
 
-    def _acquire_slot(self, stage: int, seq: int, payload: Frame) -> _Replica | None:
-        """Assign ``seq`` to the best replica with capacity; None on abort."""
-        replica = self._reserve_slot(stage)
-        if replica is None:
-            return None
-        with self._conds[stage]:
-            self._inflight[stage][seq] = (replica, payload)
-        return replica
+    def _dispatch(
+        self, stage: int, seq: int, frame: "Frame | None", value: Any = None
+    ) -> bool:
+        """Send one item to ``stage``; survives worker death mid-send.
 
-    def _dispatch_value(self, seq: int, value: Any) -> bool:
-        """Admit one raw item: select the worker *first*, then encode for it.
-
-        Items bound for a shm-verified worker get descriptor frames; items
-        bound for a remote (or not-yet-negotiated) worker are pickled
-        inline from the start — no segment-write + materialize + unlink
-        churn in mixed pools.  Survives worker death mid-send like
-        :meth:`_dispatch`.
+        ``frame=None`` admits the raw ``value`` at stage 0: the worker is
+        selected *first* and the item encoded for it — descriptor frames
+        for a shm-verified worker, inline pickle for a remote (or
+        not-yet-negotiated) one — so mixed pools pay no segment-write +
+        materialize + unlink churn.  Returns False only on abort.
         """
+        cond = self._conds[stage]
         while True:
-            replica = self._reserve_slot(0)
+            replica = self._reserve_slot(stage)
             if replica is None:
                 return False
-            codec = self._codec if replica.worker.shm_ok else self._pickle_codec
-            want_encode = self.events.wants("frame.encode")
-            t_enc = time.perf_counter() if want_encode else 0.0
-            frame = codec.encode(value)
-            if isinstance(value, Batch) and self.events.wants("batch.encode"):
-                self.events.emit(
-                    "batch.encode", stage=0, seq=seq, base=value.base_seq,
-                    items=len(value), nbytes=frame.nbytes,
+            w = replica.worker
+            if frame is None:
+                frame = self._session._encode(
+                    seq, value, self._codec if w.shm_ok else self._pickle_codec
                 )
-            if want_encode:
-                ev_seq, ev_items = self._item_seq(seq)
-                enc = dict(
-                    stage=0, seq=ev_seq, nbytes=frame.nbytes,
-                    inline=frame.inline, seconds=time.perf_counter() - t_enc,
-                )
-                if ev_items > 1:
-                    enc["items"] = ev_items
-                self.events.emit("frame.encode", **enc)
-            with self._conds[0]:
-                self._inflight[0][seq] = (replica, frame)
-            sent = replica.worker.send(
-                ("task", self._epoch, 0, replica.slot, seq, frame,
-                 time.perf_counter())
-            )
-            if sent:
-                if self.events.wants("item.dispatch"):
-                    ev_seq, ev_items = self._item_seq(seq)
-                    disp = dict(stage=0, seq=ev_seq, worker=replica.worker.id)
-                    if ev_items > 1:
-                        disp["items"] = ev_items
-                    self.events.emit("item.dispatch", **disp)
-                return True
-            # Send failed: reclaim the assignment (unless the death handler
-            # got there first and already re-homed it — with this very
-            # frame), then mark the worker dead and retry with a fresh
-            # encode for the next target.
-            with self._conds[0]:
-                entry = self._inflight[0].get(seq)
-                reclaimed = entry is not None and entry[0] is replica
-                if reclaimed:
-                    del self._inflight[0][seq]
-                    replica.inflight -= 1
-            self._on_worker_death(replica.worker)
-            if not reclaimed:
-                return True
-            self._codec.release(frame)
-
-    def _dispatch(self, stage: int, seq: int, payload: Frame) -> bool:
-        """Send one encoded item to ``stage``; survives worker death mid-send."""
-        while True:
-            replica = self._acquire_slot(stage, seq, payload)
-            if replica is None:
-                return False
-            if not payload.inline and not replica.worker.shm_ok:
+            with cond:
+                self._inflight[stage][seq] = (replica, frame)
+            if not frame.inline and not w.shm_ok:
                 # The chosen worker cannot attach this host's segments:
                 # swap the assignment to a self-contained copy.  Copy
                 # first, swap under the lock, release last — a concurrent
                 # worker-death re-dispatch must never find the original's
                 # segments already gone.
-                copy = materialize(payload, release=False)
-                with self._conds[stage]:
+                copy = materialize(frame, release=False)
+                with cond:
                     entry = self._inflight[stage].get(seq)
                     owned = entry is not None and entry[0] is replica
                     if owned:
                         self._inflight[stage][seq] = (replica, copy)
                 if not owned:
                     return True  # a death handler already re-homed the item
-                self._codec.release(payload)
-                payload = copy
-            sent = replica.worker.send(
-                ("task", self._epoch, stage, replica.slot, seq, payload,
+                self._codec.release(frame)
+                frame = copy
+            if w.send(
+                ("task", self._epoch, stage, replica.slot, seq, frame,
                  time.perf_counter())
-            )
-            if sent:
-                if self.events.wants("item.dispatch"):
-                    ev_seq, ev_items = self._item_seq(seq)
-                    disp = dict(stage=stage, seq=ev_seq, worker=replica.worker.id)
-                    if ev_items > 1:
-                        disp["items"] = ev_items
-                    self.events.emit("item.dispatch", **disp)
+            ):
+                self._session._emit_items(
+                    "item.dispatch", seq, stage=stage, worker=w.id
+                )
                 return True
             # Send failed: reclaim the assignment (unless the death handler
-            # got there first and already re-homed it), then mark the worker
-            # dead and retry.
-            with self._conds[stage]:
+            # got there first and already re-homed it — with this very
+            # frame), then mark the worker dead and retry.
+            with cond:
                 entry = self._inflight[stage].get(seq)
                 reclaimed = entry is not None and entry[0] is replica
                 if reclaimed:
                     del self._inflight[stage][seq]
                     replica.inflight -= 1
-            self._on_worker_death(replica.worker)
+            self._on_worker_death(w)
             if not reclaimed:
                 return True
 

@@ -14,12 +14,12 @@ Topology (per stage ``i``)::
                   └──> worker i.R ──┘   (shared)     (session)
 
 * The **pools belong to the backend** and survive across sessions and
-  streams; the **feeder and router threads belong to the session** and run
-  for its whole lifetime, so back-to-back streams reuse the same resident
-  worker processes with no teardown in between.  Sequence numbers are
-  stream-scoped: each router's :class:`~repro.util.ordering.SequenceReorderer`
-  rebases via ``begin_stream`` at every stream boundary (legal because
-  ``drain()`` empties the pipeline before the next stream admits).
+  streams; the **feeder and router threads belong to the session** — they
+  are the routed-stage core shared with the distributed backend
+  (:mod:`repro.backend.routed`), which also owns the reorderers, their
+  per-stream rebase, abort handling, metrics and the egress branch.  This
+  module supplies only the lane: put a frame on a worker's task queue,
+  get a result (or notice a dead worker), account it.
 * Workers are OS processes running :func:`_worker_main`; items and results
   cross process boundaries as :class:`~repro.transport.Frame` objects
   produced by the backend's **transport codec** (``transport=``): inline
@@ -31,12 +31,12 @@ Topology (per stage ``i``)::
   segments are released per item as results retire (task frames in the
   worker that consumed them, result frames in the router), never held to a
   batch end.
-* **Routers** collect a stage's results, record service-time/queue-depth/
-  payload-size samples, restore sequence order, and dispatch in order to
-  the *least-loaded active* worker of the next stage.  Because every stage
-  starts items in input order and the final router delivers in order, the
-  ``Pipeline1for1`` contract holds across processes exactly as it does in
-  the thread runtime.
+* **Routers** collect a stage's results, restore sequence order, and
+  dispatch in order to the *least-loaded active* worker of the next
+  stage; the feeder reorders too, so every stage — the first included —
+  starts items in input order and the final router delivers in order:
+  the ``Pipeline1for1`` contract holds across processes exactly as it
+  does in the thread runtime.
 * Bounded per-worker task queues, a bounded result queue and the session's
   bounded admission window give end-to-end back-pressure.
 
@@ -52,7 +52,6 @@ import pickle
 import queue as thread_queue
 import threading
 import time
-from typing import Any
 
 from repro import transport as _transport
 from repro.backend.base import (
@@ -61,18 +60,15 @@ from repro.backend.base import (
     register_backend,
     validate_pipeline_shape,
 )
+from repro.backend.routed import Hop, RoutedSession
 from repro.core.pipeline import PipelineSpec
-from repro.monitor.instrument import PipelineInstrumentation
-from repro.runtime.threads import StageError
 from repro.transport import Codec, Frame
 from repro.util.batching import Batch, map_batch
-from repro.util.ordering import SequenceReorderer
 from repro.util.validation import check_positive
 
 __all__ = ["ProcessPoolBackend"]
 
 _STOP = None  # poison pill: worker exits (sent only by close())
-_CLOSE = object()  # session-side feeder shutdown marker
 
 
 def _worker_main(stage_index: int, worker_id: int, fn, taskq, resq, codec_spec) -> None:
@@ -164,93 +160,23 @@ class _StagePool:
             ]
 
 
-class _ProcessSession(Session):
-    """Session-owned feeder/router threads over the backend's warm pools."""
+class _ProcessSession(RoutedSession):
+    """The ``mp.Queue`` lane of the routed-stage core over the warm pools."""
 
-    supports_batching = True
-
-    def __init__(
-        self,
-        backend: "ProcessPoolBackend",
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> None:
-        super().__init__(
-            backend,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
-        backend.warm()
-        n = backend.pipeline.n_stages
-        self.instrumentation = PipelineInstrumentation(n, events=self.events)
-        self._stage_locks = [threading.Lock() for _ in range(n)]
-        self._snapshot_locks = self._stage_locks
-        self._errors: list[BaseException] = []
-        self._abort = threading.Event()
-        self._stopping = threading.Event()
-        self._reorder = [SequenceReorderer() for _ in range(n)]
-        self._feedq: thread_queue.Queue = thread_queue.Queue()
-        self._threads = [
-            threading.Thread(target=self._feed, name="pp-feeder", daemon=True)
-        ]
-        for i in range(n):
-            self._threads.append(
-                threading.Thread(
-                    target=self._route, args=(i,), name=f"pp-router[{i}]", daemon=True
-                )
-            )
-        for t in self._threads:
-            t.start()
-
-    # ----------------------------------------------------------- port hooks
-    def _begin_stream(self, stream: int) -> None:
-        # drain() emptied the pipeline, so every router reorderer is idle:
-        # rebase them onto the new stream's sequence space.
-        for reorder in self._reorder:
-            reorder.begin_stream(0)
-
-    def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
-        self._feedq.put((seq, item))
+    def _attach(self) -> None:
+        self.backend.warm()
 
     def _shutdown(self) -> None:
-        backend: ProcessPoolBackend = self.backend  # type: ignore[assignment]
-        broken = self.broken or self._submitted > self._delivered
-        if broken:
-            self._abort.set()
-        self._stopping.set()
-        self._feedq.put(_CLOSE)
-        for t in self._threads:
-            t.join(timeout=5.0)
-        if broken:
+        super()._shutdown()
+        if self._abort.is_set():
             # An aborted stream leaves worker queues in an unknown state: go
             # cold so the next session re-forks clean pools.
-            backend._shutdown_pools(graceful=False)
+            self.backend._shutdown_pools(graceful=False)
 
-    # --------------------------------------------------------------- failure
-    def _fail(self, stage: int, err: BaseException) -> None:
-        backend: ProcessPoolBackend = self.backend  # type: ignore[assignment]
-        failure = (
-            err
-            if isinstance(err, StageError)
-            else StageError(backend.pipeline.stage(stage).name, err)
-        )
-        self._errors.append(failure)
-        self._abort.set()
-        self._deliver_error(failure)
-
-    # --------------------------------------------------------------- plumbing
-    def _record_bytes_in(self, stage: int, nbytes: int) -> None:
-        with self._stage_locks[stage]:
-            self.instrumentation.stages[stage].record_bytes_in(nbytes)
-
-    def _dispatch(self, stage: int, seq: int, frame: Frame) -> bool:
+    # ------------------------------------------------------------ lane hooks
+    def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
         """Send one encoded item to the least-loaded active worker of ``stage``."""
-        backend: ProcessPoolBackend = self.backend  # type: ignore[assignment]
-        assert backend._pools is not None
-        pool = backend._pools[stage]
+        pool = self.backend._pools[stage]
         handle = pool.pick()
         while True:
             try:
@@ -262,142 +188,45 @@ class _ProcessSession(Session):
                         handle.inflight -= 1
                     return False
 
-    def _feed(self) -> None:
-        backend: ProcessPoolBackend = self.backend  # type: ignore[assignment]
+    def _poll(self, stage: int) -> "tuple | None":
+        pool = self.backend._pools[stage]
         try:
-            while True:
-                msg = self._feedq.get()
-                if msg is _CLOSE:
-                    return
-                if self._abort.is_set():
-                    continue  # drain the feed queue without dispatching
-                seq, value = msg
-                t0 = time.perf_counter()
-                frame = backend._codec.encode(value)
-                self._record_bytes_in(0, frame.nbytes)
-                if isinstance(value, Batch) and self.events.wants("batch.encode"):
-                    self.events.emit(
-                        "batch.encode",
-                        stage=0,
-                        seq=seq,
-                        base=value.base_seq,
-                        items=len(value),
-                        nbytes=frame.nbytes,
-                        seconds=time.perf_counter() - t0,
-                    )
-                if self.events.wants("frame.encode"):
-                    ev_seq, ev_items = self._event_seq(seq)
-                    enc = dict(stage=0, seq=ev_seq, nbytes=frame.nbytes)
-                    if ev_items > 1:
-                        enc["items"] = ev_items
-                    self.events.emit("frame.encode", **enc)
-                if not self._dispatch(0, seq, frame):
-                    continue
-        except BaseException as err:  # noqa: BLE001 - e.g. unpicklable input
-            self._fail(0, err)
+            return pool.resq.get(timeout=0.1)
+        except thread_queue.Empty:
+            pass
+        # No worker should die mid-stream (close() is the only sender of
+        # stop pills); a dead one with items in flight means those items are
+        # lost and the drain barrier would never clear — fail, don't hang.
+        # Idle pools are left in peace between streams.
+        dead = pool.dead_workers() if pool.queued() else []
+        if dead and not self._stopping.is_set():
+            wid, code = dead[0]
+            self.events.emit(
+                "worker.death",
+                f"stage {stage} worker {wid} exited",
+                worker=wid,
+                stage=stage,
+                exitcode=code,
+            )
+            raise RuntimeError(
+                f"worker {wid} died mid-run (exitcode {code}); "
+                "its in-flight items are lost"
+            )
+        return None
 
-    def _route(self, stage: int) -> None:
-        """Collect stage results, restore order, dispatch to the next stage.
-
-        Any unexpected failure here (unpicklable payloads, a result whose
-        class explodes on unpickle) must poison the session rather than
-        leave ``drain()`` waiting forever for items that will never arrive.
-        """
-        try:
-            self._route_inner(stage)
-        except BaseException as err:  # noqa: BLE001 - reported via the session
-            self._fail(stage, err)
-
-    def _route_inner(self, stage: int) -> None:
-        backend: ProcessPoolBackend = self.backend  # type: ignore[assignment]
-        assert backend._pools is not None
-        pool = backend._pools[stage]
-        metrics = self.instrumentation.stages[stage]
-        last = stage + 1 >= backend.pipeline.n_stages
-        reorder = self._reorder[stage]
-        while True:
-            if self._abort.is_set():
-                return
-            try:
-                msg = pool.resq.get(timeout=0.1)
-            except thread_queue.Empty:
-                if self._stopping.is_set():
-                    return
-                # No worker should die mid-stream (close() is the only
-                # sender of stop pills); a dead one with items in flight
-                # means those items are lost and the drain barrier would
-                # never clear — fail, don't hang.  Idle pools are left in
-                # peace between streams.
-                if pool.queued():
-                    dead = pool.dead_workers()
-                    if dead:
-                        wid, code = dead[0]
-                        self.events.emit(
-                            "worker.death",
-                            f"stage {stage} worker {wid} exited",
-                            worker=wid,
-                            stage=stage,
-                            exitcode=code,
-                        )
-                        self._fail(
-                            stage,
-                            RuntimeError(
-                                f"worker {wid} died mid-run (exitcode {code}); "
-                                "its in-flight items are lost"
-                            ),
-                        )
-                        return
-                continue
-            kind, seq, worker_id, payload, extra = msg
-            pool.note_done(worker_id)
-            if kind == "err":
-                original: BaseException
-                if payload is not None:
-                    try:
-                        original = pickle.loads(payload)
-                    except Exception:
-                        original = RuntimeError(extra)
-                else:
-                    original = RuntimeError(extra)
-                self._fail(stage, original)
-                return
-            queued = pool.queued()
-            # Executor seqs are batch seqs when batching: translate the
-            # service record back to item space (seq = first item, items=N)
-            # so span attribution and the live top view stay per-item.
-            ev_seq, ev_items = self._event_seq(seq)
-            with self._stage_locks[stage]:
-                metrics.record_service(
-                    extra, 1.0, seq=ev_seq, worker=worker_id, queue=queued,
-                    items=ev_items,
-                )
-                metrics.record_queue_length(queued)
-                metrics.record_bytes_out(payload.nbytes)
-            # Workers already produced encoded frames and the next stage's
-            # workers expect exactly that format — forward each frame
-            # untouched and decode only for final outputs.
-            for ready_seq, ready_frame in reorder.push(seq, payload):
-                if last:
-                    value = backend._codec.decode(ready_frame)
-                    backend._codec.release(ready_frame)
-                    if self.events.wants("frame.release"):
-                        rel_seq, rel_items = self._event_seq(ready_seq)
-                        rel = dict(
-                            stage=stage, seq=rel_seq, nbytes=ready_frame.nbytes
-                        )
-                        if rel_items > 1:
-                            rel["items"] = rel_items
-                        self.events.emit("frame.release", **rel)
-                    with self._stage_locks[stage]:
-                        self.instrumentation.record_completion(
-                            self.now(),
-                            items=len(value) if isinstance(value, Batch) else 1,
-                        )
-                    self._deliver(value)
-                else:
-                    self._record_bytes_in(stage + 1, ready_frame.nbytes)
-                    if not self._dispatch(stage + 1, ready_seq, ready_frame):
-                        return
+    def _accept(self, stage: int, msg: tuple) -> Hop:
+        kind, seq, worker_id, payload, extra = msg
+        pool = self.backend._pools[stage]
+        pool.note_done(worker_id)
+        if kind == "err":
+            original: BaseException = RuntimeError(extra)
+            if payload is not None:
+                try:
+                    original = pickle.loads(payload)
+                except Exception:  # noqa: BLE001 - keep the repr-only stand-in
+                    pass
+            raise original
+        return Hop(seq, payload, extra, 1.0, worker_id, pool.queued())
 
 
 class ProcessPoolBackend(Backend):

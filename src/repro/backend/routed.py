@@ -1,0 +1,272 @@
+"""The routed-stage core shared by the process and distributed executors.
+
+One implementation of the paper's per-stage skeleton — feed → dispatch →
+collect → reorder → forward — for every executor whose workers live behind
+a *lane* (an ``mp.Queue`` pair, a TCP link): something that carries an
+encoded :class:`~repro.transport.Frame` to a worker and brings a result
+back.  The core knows nothing about what the lane is made of::
+
+    submit ──> feeder ──> lane[0] ──> router[0] ──> lane[1] ──> ... ──> deliver
+               reorder    workers     reorder       workers
+
+:class:`RoutedSession` owns the feeder thread, one router thread per stage,
+every :class:`~repro.util.ordering.SequenceReorderer` (ingress included, so
+a non-replicable first stage starts items in input order even when
+concurrent submitters race) and their stream-boundary rebase, the
+abort/stopping flags and ``_fail``, per-stage metrics and byte accounting,
+item-space event emission, and the egress branch (decode → release →
+``record_completion`` → ``_deliver``).  An executor supplies four hooks:
+
+``_ingress(seq, value)``
+    encode one admitted item (through :meth:`RoutedSession._encode`, the
+    one encode-event site) and dispatch it to stage 0 — by default with
+    the session codec through ``_forward``; a lane that picks the codec
+    per target overrides it;
+``_poll(stage)``
+    one raw result of ``stage``, ``None`` after a bounded wait, or raise
+    when a worker died with items in flight;
+``_accept(stage, msg)``
+    the lane's bookkeeping for that result — in-flight accounting, stale
+    drops, re-dispatch — returning one normalised :class:`Hop`, ``None``
+    when the message was consumed, or raising the stage's error;
+``_forward(stage, seq, frame)``
+    send one in-order frame to ``stage``; ``False`` when aborted.
+
+``_attach`` (warm the lane before any thread starts) and ``_wake_lane``
+(wake dispatchers blocked on lane capacity at abort) are optional.
+"""
+
+from __future__ import annotations
+
+import queue as thread_queue
+import threading
+import time
+from typing import Any, NamedTuple
+
+from repro.backend.base import Backend, Session
+from repro.monitor.instrument import PipelineInstrumentation
+from repro.runtime.threads import StageError
+from repro.transport import Codec, Frame
+from repro.util.batching import Batch
+from repro.util.ordering import SequenceReorderer
+
+__all__ = ["Hop", "RoutedSession"]
+
+_CLOSE = object()  # feeder shutdown marker
+
+
+class Hop(NamedTuple):
+    """One accepted stage result, normalised across lanes."""
+
+    seq: int  # executor seq (a batch seq when batching)
+    frame: Frame  # the encoded result
+    service_s: float  # worker-side service time
+    speed: float  # effective speed the item was serviced at
+    worker: "int | str"  # who serviced it (event annotation)
+    queued: int  # items still in flight at this stage
+    transfer_s: "float | None" = None  # measured one-way wire time, if any
+
+
+class RoutedSession(Session):
+    """Feeder + per-stage routers over an executor's lane (see module doc)."""
+
+    supports_batching = True
+
+    def __init__(
+        self,
+        backend: Backend,
+        *,
+        max_inflight: "int | str | None" = None,
+        telemetry=None,
+        batching=None,
+    ) -> None:
+        super().__init__(
+            backend,
+            max_inflight=max_inflight,
+            telemetry=telemetry,
+            batching=batching,
+        )
+        n = backend.pipeline.n_stages
+        self.instrumentation = PipelineInstrumentation(n, events=self.events)
+        self._stage_locks = [threading.Lock() for _ in range(n)]
+        self._snapshot_locks = self._stage_locks
+        self._abort = threading.Event()
+        self._stopping = threading.Event()
+        self._ingress_order = SequenceReorderer()
+        self._reorder = [SequenceReorderer() for _ in range(n)]
+        self._feedq: thread_queue.Queue = thread_queue.Queue()
+        self._codec: Codec = backend._codec  # decodes and releases at egress
+        self._attach()
+        self._threads = [
+            threading.Thread(
+                target=self._feed, name=f"{backend.name}-feeder", daemon=True
+            )
+        ]
+        for i in range(n):
+            self._threads.append(
+                threading.Thread(
+                    target=self._route,
+                    args=(i,),
+                    name=f"{backend.name}-router[{i}]",
+                    daemon=True,
+                )
+            )
+        for t in self._threads:
+            t.start()
+
+    # ------------------------------------------------------------ lane hooks
+    def _attach(self) -> None:
+        """Warm the lane and adopt it (runs before any thread starts)."""
+
+    def _wake_lane(self) -> None:
+        """Wake dispatchers blocked on lane capacity (abort was just set)."""
+
+    def _ingress(self, seq: int, value: Any) -> bool:
+        return self._forward(0, seq, self._encode(seq, value, self._codec))
+
+    def _poll(self, stage: int) -> Any:
+        raise NotImplementedError
+
+    def _accept(self, stage: int, msg: Any) -> "Hop | None":
+        raise NotImplementedError
+
+    def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
+        raise NotImplementedError
+
+    # ----------------------------------------------------------- port hooks
+    def _begin_stream(self, stream: int) -> None:
+        # drain() emptied the pipeline, so every reorderer is idle: rebase
+        # them onto the new stream's sequence space.
+        for reorder in (self._ingress_order, *self._reorder):
+            reorder.begin_stream(0)
+
+    def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
+        self._feedq.put((seq, item))
+
+    def _shutdown(self) -> None:
+        """Stop the feeder and routers; an unfinished stream aborts."""
+        if self.broken or self._submitted > self._delivered:
+            self._abort.set()
+            self._wake_lane()
+        self._stopping.set()
+        self._feedq.put(_CLOSE)
+        for t in self._threads:
+            t.join(timeout=5.0)
+
+    # --------------------------------------------------------------- failure
+    def _fail(self, stage: int, err: BaseException) -> None:
+        """Poison the session with ``err`` as a :class:`StageError` of ``stage``."""
+        if not isinstance(err, StageError):
+            err = StageError(self.backend.pipeline.stage(stage).name, err)
+        self._abort.set()
+        self._wake_lane()
+        self._deliver_error(err)
+
+    # --------------------------------------------------------------- ingress
+    def _feed(self) -> None:
+        try:
+            while True:
+                msg = self._feedq.get()
+                if msg is _CLOSE:
+                    return
+                if self._abort.is_set():
+                    continue  # drain the feed queue without dispatching
+                # Concurrent submitters (and the linger flusher) may enqueue
+                # out of order; stage 0 must still start items in order.
+                for seq, value in self._ingress_order.push(*msg):
+                    if not self._ingress(seq, value):
+                        break
+        except BaseException as err:  # noqa: BLE001 - e.g. unencodable input
+            self._fail(0, err)
+
+    def _encode(self, seq: int, value: Any, codec: Codec) -> Frame:
+        """Encode one admitted item as stage 0's task frame.
+
+        The single emit site of ``frame.encode``/``batch.encode``; the
+        encode is timed only when one of them has a listener.
+        """
+        bus = self.events
+        timed = bus.wants("frame.encode") or bus.wants("batch.encode")
+        t0 = time.perf_counter() if timed else 0.0
+        frame = codec.encode(value)
+        self._record_bytes_in(0, frame.nbytes)
+        if timed:
+            seconds = time.perf_counter() - t0
+            if isinstance(value, Batch):
+                bus.emit(
+                    "batch.encode", stage=0, seq=seq, base=value.base_seq,
+                    items=len(value), nbytes=frame.nbytes, seconds=seconds,
+                )
+            self._emit_items(
+                "frame.encode", seq, stage=0, nbytes=frame.nbytes,
+                inline=frame.inline, seconds=seconds,
+            )
+        return frame
+
+    def _record_bytes_in(self, stage: int, nbytes: int) -> None:
+        with self._stage_locks[stage]:
+            self.instrumentation.stages[stage].record_bytes_in(nbytes)
+
+    # --------------------------------------------------------------- routing
+    def _route(self, stage: int) -> None:
+        """Collect stage results, restore order, forward or deliver.
+
+        Any failure here (a stage error raised by ``_accept``, a dead
+        worker reported by ``_poll``, a result whose class explodes on
+        unpickle) must poison the session rather than leave ``drain()``
+        waiting forever for items that will never arrive.
+        """
+        try:
+            self._route_inner(stage)
+        except BaseException as err:  # noqa: BLE001 - reported via the session
+            self._fail(stage, err)
+
+    def _route_inner(self, stage: int) -> None:
+        metrics = self.instrumentation.stages[stage]
+        lock = self._stage_locks[stage]
+        reorder = self._reorder[stage]
+        nxt = stage + 1
+        last = nxt >= self.backend.pipeline.n_stages
+        while not self._abort.is_set():
+            msg = self._poll(stage)
+            if msg is None:
+                if self._stopping.is_set():
+                    return
+                continue
+            hop = self._accept(stage, msg)
+            if hop is None:
+                continue
+            # Executor seqs are batch seqs when batching: the service
+            # record goes back to item space (seq = first item, items = N)
+            # so span attribution and the live top view stay per-item.
+            ev_seq, ev_items = self._event_seq(hop.seq)
+            with lock:
+                metrics.record_service(
+                    hop.service_s, hop.speed, seq=ev_seq, worker=hop.worker,
+                    queue=hop.queued, items=ev_items,
+                )
+                metrics.record_queue_length(hop.queued)
+                if hop.transfer_s is not None:
+                    metrics.record_transfer(hop.transfer_s)
+                metrics.record_bytes_out(hop.frame.nbytes)
+            # Workers produce encoded frames and the next stage's workers
+            # expect exactly that format: forward each frame untouched and
+            # decode only final outputs.
+            for ready_seq, frame in reorder.push(hop.seq, hop.frame):
+                if last:
+                    self._egress(stage, ready_seq, frame)
+                else:
+                    self._record_bytes_in(nxt, frame.nbytes)
+                    if not self._forward(nxt, ready_seq, frame):
+                        return
+
+    def _egress(self, stage: int, seq: int, frame: Frame) -> None:
+        """Decode one in-order final frame, release it, deliver the value."""
+        value = self._codec.decode(frame)
+        self._codec.release(frame)
+        self._emit_items("frame.release", seq, stage=stage, nbytes=frame.nbytes)
+        with self._stage_locks[stage]:
+            self.instrumentation.record_completion(
+                self.now(), items=len(value) if isinstance(value, Batch) else 1
+            )
+        self._deliver(value)

@@ -48,7 +48,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.backend.base import Backend, Session, make_backend
 from repro.core.events import AdaptationEvent, Decision
@@ -58,13 +58,14 @@ from repro.gridsim.spec import uniform_grid
 from repro.model.cost import MigrationCostModel
 from repro.model.mapping import Mapping
 from repro.model.throughput import ResourceView, snapshot_view
-from repro.runtime.threads import propose_growth
+from repro.util.validation import check_positive
 
 __all__ = [
     "BottleneckGrowthPolicy",
     "RuntimeAdaptiveRunner",
     "RuntimeRunResult",
     "local_config",
+    "propose_growth",
 ]
 
 
@@ -106,17 +107,51 @@ class RuntimeRunResult:
         return self.items / self.elapsed if self.elapsed > 0 else 0.0
 
 
-class BottleneckGrowthPolicy:
-    """The classic batch growth heuristic as a live policy.
+def propose_growth(
+    per_worker_service: Sequence[float],
+    replicas: Sequence[int],
+    replicable: Sequence[bool],
+    *,
+    max_workers: int,
+    imbalance_threshold: float,
+) -> int | None:
+    """The growth decision: which stage (if any) gets a worker.
 
-    Wraps :func:`repro.runtime.threads.propose_growth` — grow the stage
-    with the largest windowed service time per worker, when it dominates
-    the runner-up by ``imbalance_threshold`` and is replicable and under
-    ``max_workers`` — in the runner's ``decide`` signature, replacing the
-    bespoke rebuild-between-batches controller
-    :class:`~repro.runtime.threads.AdaptiveThreadPipeline` used to run.
-    Grow-only and model-free: useful where the model-driven default is too
-    eager, or for parity with the legacy batch-mode behaviour.
+    Picks the stage with the largest mean service time *per worker*; it
+    grows only when it is replicable, under ``max_workers``, and dominates
+    the runner-up by ``imbalance_threshold`` (ties below the threshold are
+    left alone — growing a balanced pipeline just burns threads).  Returns
+    the stage index or ``None``.
+    """
+    if not per_worker_service or max(per_worker_service) <= 0:
+        return None
+    order = sorted(
+        range(len(per_worker_service)),
+        key=lambda i: per_worker_service[i],
+        reverse=True,
+    )
+    worst = order[0]
+    runner_up = per_worker_service[order[1]] if len(order) > 1 else 0.0
+    if (
+        replicable[worst]
+        and replicas[worst] < max_workers
+        and (
+            runner_up == 0.0
+            or per_worker_service[worst] / max(runner_up, 1e-12) >= imbalance_threshold
+        )
+    ):
+        return worst
+    return None
+
+
+class BottleneckGrowthPolicy:
+    """The classic bottleneck-growth heuristic as a live policy.
+
+    Wraps :func:`propose_growth` — grow the stage with the largest windowed
+    service time per worker, when it dominates the runner-up by
+    ``imbalance_threshold`` and is replicable and under ``max_workers`` —
+    in the runner's ``decide`` signature.  Grow-only and model-free: useful
+    where the model-driven default is too eager.
     """
 
     def __init__(
@@ -127,6 +162,11 @@ class BottleneckGrowthPolicy:
         max_workers: int = 4,
         imbalance_threshold: float = 1.5,
     ) -> None:
+        check_positive(max_workers, "max_workers")
+        if imbalance_threshold < 1.0:
+            raise ValueError(
+                f"imbalance_threshold must be >= 1.0, got {imbalance_threshold}"
+            )
         self.pipeline = pipeline
         self.config = config if config is not None else local_config()
         self.max_workers = max_workers

@@ -5,20 +5,24 @@ GIL-releasing (numpy) kernels; pure-Python CPU-bound stages should use the
 process backend instead.
 
 The session owns the whole thread fabric for its lifetime — per-stage
-dispatchers, worker pools, the output collector — wired exactly like
-:class:`~repro.runtime.threads.ThreadPipeline` (whose queue/dispatcher/
-worker building blocks it reuses) but **open-ended**: the submit side is
-the first queue's only producer and finishes only at ``close()``, so the
-sentinel shutdown cascade never fires between streams and back-to-back
+dispatchers, worker pools, the output collector — and is the one place the
+:mod:`repro.runtime.threads` building blocks (counted queues, dispatcher,
+worker) are wired together.  The fabric is **open-ended**: the submit side
+is the first queue's only producer and finishes only at ``close()``, so
+the sentinel shutdown cascade never fires between streams and back-to-back
 streams reuse the same warm worker threads.  Sequence numbers are
 session-global (``gseq``), which lets the per-stage
 :class:`~repro.util.ordering.SequenceReorderer` instances keep one ordering
 space across stream boundaries.
 
-Live reconfiguration maps onto the same wiring as the pipeline runtime's
-``add_replica``/``remove_replica``: growth spawns a worker into the running
-stage (always possible — a session's stage never drains before close),
-shrink retires one lazily via the ``_RETIRE`` pill.
+Live reconfiguration: growth spawns a worker into the running stage
+(always possible — a session's stage never drains before close), shrink
+retires one lazily via the ``_RETIRE`` pill.
+
+This fabric deliberately does not ride the routed-stage core the process
+and distributed executors share (:mod:`repro.backend.routed`): workers
+here share one queue per stage and stop by sentinel cascade, which that
+core would have to special-case.
 """
 
 from __future__ import annotations

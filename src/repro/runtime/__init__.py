@@ -11,6 +11,6 @@ claims for them — all performance experiments use the simulator.  Stage
 functions that release the GIL (numpy, I/O) do pipeline in parallel.
 """
 
-from repro.runtime.threads import AdaptiveThreadPipeline, ThreadPipeline, ThreadRunStats
+from repro.runtime.threads import ThreadPipeline, ThreadRunStats
 
-__all__ = ["AdaptiveThreadPipeline", "ThreadPipeline", "ThreadRunStats"]
+__all__ = ["ThreadPipeline", "ThreadRunStats"]

@@ -1,4 +1,4 @@
-"""Thread-based pipeline executor with optional stage replication.
+"""Building blocks of the thread fabric, plus a batch-style wrapper.
 
 Architecture per stage (mirrors the simulator's wiring)::
 
@@ -14,18 +14,16 @@ Architecture per stage (mirrors the simulator's wiring)::
 * Shutdown cascades with sentinels: each queue knows its producer count;
   when the last producer finishes, consumers receive one sentinel each.
 
-The executor implements the :mod:`repro.backend` port's runtime half:
-``start``/``join`` split the run so a controller thread can observe it
-mid-flight, ``snapshots()`` exposes per-stage service/queue measurements
-through :class:`~repro.monitor.instrument.PipelineInstrumentation`, and
-``add_replica``/``remove_replica`` grow or shrink a replicable stage's
-worker pool *while the run is in progress* (the dispatcher wiring makes
-this safe: order is restored downstream regardless of worker count).
+This module only *defines* the blocks (:class:`_CountedQueue`,
+:class:`_Dispatcher`, :class:`_Worker`); the one place that wires and runs
+them is the session in :mod:`repro.backend.thread_backend`, which also owns
+observation and live ``reconfigure``.  :class:`ThreadPipeline` survives as
+a ``run(inputs) -> outputs`` convenience over such a session.
 
-Exceptions raised by stage functions abort the run and re-raise from
-:meth:`ThreadPipeline.join` with the offending stage named; on abort every
-thread keeps draining its queue (without applying stage functions) so
-shutdown never deadlocks on a full buffer.
+Exceptions raised by stage functions abort the run and surface as
+:class:`StageError` with the offending stage named; on abort every thread
+keeps draining its queue (without applying stage functions) so shutdown
+never deadlocks on a full buffer.
 """
 
 from __future__ import annotations
@@ -37,19 +35,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.pipeline import PipelineSpec
-from repro.monitor.instrument import PipelineInstrumentation, StageMetrics, StageSnapshot
+from repro.monitor.instrument import StageMetrics
 from repro.util.batching import Batch, map_batch
 from repro.util.ordering import SequenceReorderer
 from repro.util.stats import OnlineStats
-from repro.util.validation import check_positive
 
-__all__ = [
-    "ThreadPipeline",
-    "AdaptiveThreadPipeline",
-    "ThreadRunStats",
-    "StageError",
-    "propose_growth",
-]
+__all__ = ["ThreadPipeline", "ThreadRunStats", "StageError"]
 
 _SENTINEL = object()
 _RETIRE = object()  # consumed by exactly one worker, which then exits
@@ -130,12 +121,6 @@ class _CountedQueue:
             if self._producers == 0:
                 for _ in range(self._consumers):
                     self.q.put(_SENTINEL)
-
-    @property
-    def drained(self) -> bool:
-        """True once every producer finished (sentinels are out)."""
-        with self._lock:
-            return self._producers == 0
 
 
 class _Dispatcher(threading.Thread):
@@ -258,7 +243,11 @@ class _Worker(threading.Thread):
 
 
 class ThreadPipeline:
-    """Executes a :class:`PipelineSpec` (with ``fn`` stages) using threads.
+    """Runs a :class:`PipelineSpec` (with ``fn`` stages) over one bounded input.
+
+    A thin batch-style wrapper: each :meth:`run` streams the inputs through
+    a fresh :class:`~repro.backend.thread_backend.ThreadBackend` session
+    (which owns the whole fabric above) and keeps its statistics.
 
     Parameters
     ----------
@@ -269,11 +258,6 @@ class ThreadPipeline:
         requires ``pipeline.stage(i).replicable``.
     capacity:
         Bounded queue capacity between stages (back-pressure).
-
-    ``run`` is ``start`` + ``join``; the split form lets a controller
-    observe ``snapshots()`` and call ``add_replica``/``remove_replica``
-    while items are flowing.  One instance can run repeatedly (adapted
-    replica counts carry over between runs).
     """
 
     def __init__(
@@ -282,399 +266,28 @@ class ThreadPipeline:
         *,
         replicas: Sequence[int] | None = None,
         capacity: int = 8,
-        speed_fn: Callable[[], float] | None = None,
     ) -> None:
-        check_positive(capacity, "capacity")
-        self.pipeline = pipeline
-        # Effective speed items are serviced at (see _Worker.run); the
-        # thread backend wires the host-load sampler in here.
-        self.speed_fn = speed_fn if speed_fn is not None else (lambda: 1.0)
-        n = pipeline.n_stages
-        if replicas is None:
-            replicas = [1] * n
-        if len(replicas) != n:
-            raise ValueError(f"replicas must list {n} counts, got {len(replicas)}")
-        for i, r in enumerate(replicas):
-            if r < 1:
-                raise ValueError(f"stage {i} replica count must be >= 1, got {r}")
-            if r > 1 and not pipeline.stage(i).replicable:
-                raise ValueError(
-                    f"stage {i} ({pipeline.stage(i).name!r}) is stateful and "
-                    "cannot be replicated"
-                )
-            if pipeline.stage(i).fn is None:
-                raise ValueError(
-                    f"stage {i} ({pipeline.stage(i).name!r}) has no fn; the "
-                    "thread runtime executes real callables"
-                )
-        self.replicas = list(replicas)
-        self.capacity = capacity
-        self.last_stats: ThreadRunStats | None = None
-        self.instrumentation: PipelineInstrumentation | None = None
-        self._mutate_lock = threading.Lock()
-        self._running = False
-        self._reset_run_state()
-
-    # ------------------------------------------------------------- lifecycle
-    def _reset_run_state(self) -> None:
-        self._errors: list[BaseException] = []
-        self._abort = threading.Event()
-        self._locks: list[threading.Lock] = []
-        self._in_q: list[_CountedQueue] = []
-        self._work_q: list[_CountedQueue] = []
-        self._collect_q: _CountedQueue | None = None
-        self._threads: list[threading.Thread] = []
-        self._feeder: threading.Thread | None = None
-        self._collector: threading.Thread | None = None
-        self._outputs: list[Any] = []
-        self._t0 = 0.0
-
-    def start(self, inputs: Iterable[Any]) -> int:
-        """Begin processing ``inputs``; returns the item count."""
-        if self._running:
-            raise RuntimeError("pipeline already running; join() it first")
-        self._reset_run_state()
-        items = list(inputs)
-        n = self.pipeline.n_stages
-        self.instrumentation = PipelineInstrumentation(n)
-        self._locks = [threading.Lock() for _ in range(n)]
-
-        # Wiring: in_q[i] (from previous stage workers) -> dispatcher ->
-        # work_q[i] -> workers -> in_q[i+1]; the last "in_q" is the collector
-        # feed, reordered by a final dispatcher into final_q.
-        producers_of_next = 1  # the feeder thread produces for in_q[0]
-        for i in range(n):
-            self._in_q.append(
-                _CountedQueue(self.capacity, producers=producers_of_next, consumers=1)
-            )
-            self._work_q.append(
-                _CountedQueue(self.capacity, producers=1, consumers=self.replicas[i])
-            )
-            producers_of_next = self.replicas[i]
-        self._collect_q = _CountedQueue(
-            self.capacity, producers=producers_of_next, consumers=1
-        )
-        final_q = _CountedQueue(self.capacity, producers=1, consumers=1)
-
-        for i in range(n):
-            self._threads.append(
-                _Dispatcher(
-                    self._in_q[i],
-                    self._work_q[i],
-                    name=f"dispatch[{i}]",
-                    abort=self._abort,
-                    metrics=self.instrumentation.stages[i],
-                    metrics_lock=self._locks[i],
-                )
-            )
-            for r in range(self.replicas[i]):
-                self._threads.append(self._make_worker(i, r))
-        self._threads.append(
-            _Dispatcher(self._collect_q, final_q, name="dispatch[out]", abort=self._abort)
-        )
-
-        self._t0 = time.perf_counter()
-        self._running = True
-        for t in self._threads:
-            t.start()
-
-        def feed() -> None:
-            try:
-                for seq, value in enumerate(items):
-                    if self._abort.is_set():
-                        break
-                    self._in_q[0].put((seq, value), abort=self._abort)
-            finally:
-                self._in_q[0].producer_done()
-
-        def collect() -> None:
-            assert self.instrumentation is not None
-            while True:
-                got = final_q.get()
-                if got is _SENTINEL:
-                    break
-                _seq, value = got
-                self._outputs.append(value)
-                self.instrumentation.record_completion(self.now())
-
-        self._feeder = threading.Thread(target=feed, name="feeder", daemon=True)
-        self._collector = threading.Thread(target=collect, name="collector", daemon=True)
-        self._feeder.start()
-        self._collector.start()
-        return len(items)
-
-    def _worker_out_queue(self, stage: int) -> _CountedQueue:
-        assert self._collect_q is not None
-        return self._in_q[stage + 1] if stage + 1 < self.pipeline.n_stages else self._collect_q
-
-    def _make_worker(self, stage: int, replica_idx: int) -> _Worker:
-        assert self.instrumentation is not None
-        return _Worker(
-            stage,
-            self.pipeline.stage(stage).name,
-            self.pipeline.stage(stage).fn,
-            self._work_q[stage],
-            self._worker_out_queue(stage),
-            self.instrumentation.stages[stage],
-            self._locks[stage],
-            self._errors,
-            self._abort,
-            name=f"stage[{stage}].{replica_idx}",
-            speed_fn=self.speed_fn,
-        )
-
-    def join(self) -> list[Any]:
-        """Wait for the run to finish; returns outputs in input order."""
-        if self._feeder is None or self._collector is None:
-            raise RuntimeError("pipeline not started")
-        self._feeder.join()
-        while True:
-            with self._mutate_lock:
-                alive = [t for t in self._threads if t.is_alive()]
-            if not alive:
-                break
-            for t in alive:
-                t.join(timeout=0.5)
-        self._collector.join()
-        elapsed = time.perf_counter() - self._t0
-        self._running = False
-        assert self.instrumentation is not None
-        self.last_stats = ThreadRunStats(
-            elapsed=elapsed,
-            items=len(self._outputs),
-            # StageMetrics.total is the whole-run accumulator; the windowed
-            # views behind snapshots() share the same samples.
-            stage_service=[m.total for m in self.instrumentation.stages],
-        )
-        if self._errors:
-            raise self._errors[0]
-        return self._outputs
-
-    def run(self, inputs: Iterable[Any]) -> list[Any]:
-        """Process ``inputs``; returns outputs in input order."""
-        self.start(inputs)
-        return self.join()
-
-    def abort(self) -> None:
-        """Ask a running pipeline to stop: threads drain and exit quickly.
-
-        Follow with :meth:`join` to reap them (items not yet processed are
-        dropped, so the output list will be short).
-        """
-        self._abort.set()
-
-    # ----------------------------------------------------------- observation
-    def now(self) -> float:
-        """Wall-clock seconds since the current run started."""
-        return time.perf_counter() - self._t0
-
-    @property
-    def running(self) -> bool:
-        return self._running and self._collector is not None and self._collector.is_alive()
-
-    def items_completed(self) -> int:
-        return self.instrumentation.items_completed if self.instrumentation else 0
-
-    def snapshots(self) -> list[StageSnapshot]:
-        """Windowed per-stage service/queue measurements (thread-safe)."""
-        if self.instrumentation is None:
-            return []
-        return self.instrumentation.snapshots(self._locks)
-
-    # --------------------------------------------------------- reconfiguring
-    def add_replica(self, stage: int) -> bool:
-        """Grow ``stage`` by one worker mid-run; False if the stage drained."""
-        spec = self.pipeline.stage(stage)
-        if not spec.replicable:
-            raise ValueError(f"stage {stage} ({spec.name!r}) is stateful and cannot grow")
-        with self._mutate_lock:
-            if not self._running:
-                self.replicas[stage] += 1
-                return True
-            out_q = self._worker_out_queue(stage)
-            try:
-                out_q.add_producer()
-            except RuntimeError:
-                return False  # stage already finished; growth is pointless
-            self._work_q[stage].add_consumer()
-            worker = self._make_worker(stage, self.replicas[stage])
-            self.replicas[stage] += 1
-            self._threads.append(worker)
-            worker.start()
-            return True
-
-    def remove_replica(self, stage: int) -> bool:
-        """Shrink ``stage`` by one worker (lazily; the pool stays >= 1)."""
-        with self._mutate_lock:
-            if self.replicas[stage] <= 1:
-                return False
-            if self._running:
-                if self._work_q[stage].drained:
-                    # The stage's workers are exiting on sentinels; a retire
-                    # pill would land unread and the "shrink" would be a
-                    # phantom — mirror add_replica and report no-op.
-                    return False
-                self.replicas[stage] -= 1
-                self._work_q[stage].put(_RETIRE, abort=self._abort)
-            else:
-                self.replicas[stage] -= 1
-            return True
-
-    def reconfigure(self, stage: int, n_replicas: int) -> None:
-        """Set ``stage``'s worker count to ``n_replicas`` (grow or shrink)."""
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        while self.replicas[stage] < n_replicas:
-            if not self.add_replica(stage):
-                break
-        while self.replicas[stage] > n_replicas:
-            if not self.remove_replica(stage):
-                break
-
-
-def propose_growth(
-    per_worker_service: Sequence[float],
-    replicas: Sequence[int],
-    replicable: Sequence[bool],
-    *,
-    max_workers: int,
-    imbalance_threshold: float,
-) -> int | None:
-    """The batch-mode growth decision: which stage (if any) gets a worker.
-
-    Picks the stage with the largest mean service time *per worker*; it
-    grows only when it is replicable, under ``max_workers``, and dominates
-    the runner-up by ``imbalance_threshold`` (ties below the threshold are
-    left alone — growing a balanced pipeline just burns threads).  Returns
-    the stage index or ``None``.
-    """
-    if not per_worker_service or max(per_worker_service) <= 0:
-        return None
-    order = sorted(
-        range(len(per_worker_service)),
-        key=lambda i: per_worker_service[i],
-        reverse=True,
-    )
-    worst = order[0]
-    runner_up = per_worker_service[order[1]] if len(order) > 1 else 0.0
-    if (
-        replicable[worst]
-        and replicas[worst] < max_workers
-        and (
-            runner_up == 0.0
-            or per_worker_service[worst] / max(runner_up, 1e-12) >= imbalance_threshold
-        )
-    ):
-        return worst
-    return None
-
-
-class AdaptiveThreadPipeline:
-    """Thread pipeline that grows the bottleneck stage's worker pool.
-
-    A lightweight local analogue of the grid pattern: the controller
-    inspects measured service times, identifies the stage with the largest
-    service-per-worker, and adds a worker there (up to ``max_workers``)
-    when it dominates the next contender by ``imbalance_threshold``.
-
-    .. deprecated:: the bespoke rebuild-between-batches controller loop is
-       gone.  This class is now a thin veneer over the session-driven
-       :class:`repro.backend.runner.RuntimeAdaptiveRunner` running
-       :class:`repro.backend.runner.BottleneckGrowthPolicy` (the same
-       :func:`propose_growth` decision, live): batches stream back-to-back
-       over one warm :class:`~repro.backend.thread_backend.ThreadBackend`
-       session, workers grow *while items flow*, and the measurement
-       window is continuous across batch boundaries.  New code should use
-       ``RuntimeAdaptiveRunner`` directly.
-    """
-
-    def __init__(
-        self,
-        pipeline: PipelineSpec,
-        *,
-        max_workers: int = 4,
-        imbalance_threshold: float = 1.5,
-        capacity: int = 8,
-    ) -> None:
-        check_positive(max_workers, "max_workers")
-        if imbalance_threshold < 1.0:
-            raise ValueError(
-                f"imbalance_threshold must be >= 1.0, got {imbalance_threshold}"
-            )
-        self.pipeline = pipeline
-        self.max_workers = max_workers
-        self.imbalance_threshold = imbalance_threshold
-        self.capacity = capacity
-        self.adaptations: list[tuple[int, int]] = []  # (stage, new count)
-        self._runner = None
-
-    @property
-    def replicas(self) -> list[int]:
-        """Current per-stage worker counts (live view of the warm session)."""
-        if self._runner is None:
-            return [1] * self.pipeline.n_stages
-        return self._runner.backend.replica_counts()
-
-    def _ensure_runner(self):
-        if self._runner is not None:
-            return self._runner
-        # Imported lazily: repro.backend imports this module for the
-        # executor building blocks, so a top-level import would cycle.
-        from repro.backend.runner import (
-            BottleneckGrowthPolicy,
-            RuntimeAdaptiveRunner,
-            local_config,
-        )
+        # Imported lazily: the thread backend builds its fabric from this
+        # module's blocks, so a top-level import would cycle.
         from repro.backend.thread_backend import ThreadBackend
 
-        config = local_config(
-            interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05
-        )
-        self._runner = RuntimeAdaptiveRunner(
-            self.pipeline,
-            ThreadBackend(
-                self.pipeline, capacity=self.capacity, max_replicas=self.max_workers
-            ),
-            policy=BottleneckGrowthPolicy(
-                self.pipeline,
-                config,
-                max_workers=self.max_workers,
-                imbalance_threshold=self.imbalance_threshold,
-            ),
-            rollback=False,
-        )
-        return self._runner
+        self._backend = ThreadBackend(pipeline, replicas=replicas, capacity=capacity)
+        self.replicas = self._backend.replica_counts()
+        self.last_stats: ThreadRunStats | None = None
 
-    def run_batches(self, batches: Sequence[Iterable[Any]]) -> list[list[Any]]:
-        """Stream several batches back-to-back, adapting worker counts live.
+    def run(self, inputs: Iterable[Any]) -> list[Any]:
+        """Process ``inputs``; returns outputs in input order.
 
-        The warm session (and the continuously-adapting controller) spans
-        the batches of one call; on return every worker and controller
-        thread is released — pre-dating callers never had to clean up
-        after this class, and still don't.  Adapted replica counts persist
-        on the backend, so a later call resumes from the adapted shape.
+        A stage exception re-raises as :class:`StageError` naming the stage.
         """
-        runner = self._ensure_runner()
-        results = []
-        try:
-            for batch in batches:
-                res = runner.run(batch)
-                results.append(res.outputs)
-                for event in res.adaptation_events:
-                    for i in range(self.pipeline.n_stages):
-                        before = len(event.mapping_before.replicas(i))
-                        after = len(event.mapping_after.replicas(i))
-                        if after != before:
-                            self.adaptations.append((i, after))
-        finally:
-            runner.detach()
-            session = runner.backend._session
-            if session is not None and not session.closed:
-                session.close()
-        return results
-
-    def close(self) -> None:
-        """Release the backend entirely (run_batches already reaps threads)."""
-        if self._runner is not None:
-            self._runner.close()
-            self._runner = None
+        with self._backend.open() as session:
+            for item in inputs:
+                session.submit(item)
+            outputs = session.drain()
+            self.last_stats = ThreadRunStats(
+                elapsed=session.last_stream_elapsed or 0.0,
+                items=len(outputs),
+                # StageMetrics.total is the whole-run accumulator.
+                stage_service=[m.total for m in session.instrumentation.stages],
+            )
+        return outputs

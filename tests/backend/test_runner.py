@@ -4,14 +4,24 @@ import time
 
 import pytest
 
-from repro.backend import RuntimeAdaptiveRunner, ThreadBackend, local_config
+from repro.backend import (
+    BottleneckGrowthPolicy,
+    RuntimeAdaptiveRunner,
+    ThreadBackend,
+    local_config,
+)
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
+from repro.runtime.threads import StageError
 
 
-def spec(fns):
+def spec(fns, replicable=None):
+    replicable = replicable or [True] * len(fns)
     return PipelineSpec(
-        tuple(StageSpec(name=f"s{i}", work=0.01, fn=f) for i, f in enumerate(fns))
+        tuple(
+            StageSpec(name=f"s{i}", work=0.01, fn=f, replicable=r)
+            for i, (f, r) in enumerate(zip(fns, replicable))
+        )
     )
 
 
@@ -106,6 +116,89 @@ class TestRuntimeAdaptiveRunner:
         assert res.outputs == [x + 2 for x in range(30)]
         assert res.adaptation_events == []
         assert res.final_replicas == [1, 1]
+
+
+def growth_runner(pipe, max_workers, imbalance_threshold=1.5):
+    """A thread-backend runner on the bottleneck-growth policy, fast cadence."""
+    config = local_config(interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05)
+    return RuntimeAdaptiveRunner(
+        pipe,
+        ThreadBackend(pipe, max_replicas=max_workers),
+        policy=BottleneckGrowthPolicy(
+            pipe,
+            config,
+            max_workers=max_workers,
+            imbalance_threshold=imbalance_threshold,
+        ),
+        rollback=False,
+    )
+
+
+def _sleeper(seconds):
+    def heavy(x):
+        time.sleep(seconds)
+        return x
+
+    return heavy
+
+
+class TestBottleneckGrowthPolicy:
+    """Back-to-back ``run()`` calls over one warm session, growing live."""
+
+    def test_grows_bottleneck_stage(self):
+        pipe = spec([lambda x: x, _sleeper(0.004), lambda x: x])
+        grown_stages = []
+        with growth_runner(pipe, max_workers=3) as runner:
+            for _ in range(3):
+                res = runner.run(range(30))
+                assert res.outputs == list(range(30))
+                for event in res.adaptation_events:
+                    grown_stages += [
+                        i
+                        for i in range(pipe.n_stages)
+                        if len(event.mapping_after.replicas(i))
+                        != len(event.mapping_before.replicas(i))
+                    ]
+            # The heavy middle stage must have gained workers.
+            assert runner.backend.replica_counts()[1] > 1
+        assert all(stage == 1 for stage in grown_stages)
+
+    def test_respects_max_workers(self):
+        pipe = spec([_sleeper(0.002)])
+        with growth_runner(pipe, max_workers=2) as runner:
+            for _ in range(5):
+                runner.run(range(10))
+            assert runner.backend.replica_counts()[0] <= 2
+
+    def test_never_replicates_stateful_stage(self):
+        pipe = spec([_sleeper(0.002), lambda x: x], replicable=[False, True])
+        with growth_runner(pipe, max_workers=4) as runner:
+            for _ in range(3):
+                runner.run(range(10))
+            assert runner.backend.replica_counts()[0] == 1
+
+    def test_invalid_params(self):
+        pipe = spec([lambda x: x])
+        with pytest.raises(ValueError):
+            BottleneckGrowthPolicy(pipe, max_workers=0)
+        with pytest.raises(ValueError):
+            BottleneckGrowthPolicy(pipe, imbalance_threshold=0.5)
+
+    def test_adaptive_batches_surface_replicated_stage_error(self):
+        calls = []
+
+        def boom(x):
+            calls.append(x)
+            if len(calls) > 15:
+                raise RuntimeError("dies in batch 2")
+            time.sleep(0.002)
+            return x
+
+        pipe = spec([boom])
+        with growth_runner(pipe, max_workers=3, imbalance_threshold=1.0) as runner:
+            with pytest.raises(StageError, match="s0"):
+                for _ in range(3):
+                    runner.run(range(10))
 
 
 class TestMeasuredResourceView:

@@ -110,3 +110,37 @@ class TestStageBytes:
             assert snaps[1].bytes_out > snaps[1].bytes_in
         finally:
             session.close()
+
+
+class TestFrameEventParity:
+    """The routed executors share one emit site for frame events."""
+
+    KINDS = ("frame.encode", "batch.encode", "frame.release")
+
+    def _field_names(self, backend, batching, **kwargs):
+        session = open_pipeline([_double], backend=backend, batching=batching, **kwargs)
+        seen: dict[str, set] = {}
+        session.events.subscribe(
+            lambda ev: seen.setdefault(ev.kind, set()).update(ev.fields),
+            kinds=self.KINDS,
+        )
+        try:
+            for i in range(8):
+                session.submit(i)
+            assert session.drain() == [2 * i for i in range(8)]
+        finally:
+            session.close()
+        return seen
+
+    @pytest.mark.parametrize("batching", [None, 4], ids=["per-item", "batched"])
+    def test_same_kinds_and_fields_on_both_executors(self, batching):
+        procs = self._field_names("processes", batching)
+        dist = self._field_names("distributed", batching, spawn_workers=1)
+        assert procs == dist
+        assert procs["frame.encode"] >= {"stage", "seq", "nbytes", "inline", "seconds"}
+        assert procs["frame.release"] >= {"stage", "seq", "nbytes"}
+        if batching:
+            assert procs["batch.encode"] >= {"seq", "base", "items", "nbytes", "seconds"}
+            assert "items" in procs["frame.encode"] and "items" in procs["frame.release"]
+        else:
+            assert "batch.encode" not in procs

@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.runtime.threads import (
-    AdaptiveThreadPipeline,
-    StageError,
-    ThreadPipeline,
-    propose_growth,
-)
+from repro.backend.runner import propose_growth
+from repro.runtime.threads import StageError, ThreadPipeline
 
 
 def spec(fns, replicable=None):
@@ -176,24 +172,9 @@ class TestReplicatedStageErrors:
         with pytest.raises(StageError, match="s1"):
             tp.run(range(200))
 
-    def test_adaptive_batches_surface_replicated_stage_error(self):
-        calls = []
-
-        def boom(x):
-            calls.append(x)
-            if len(calls) > 15:
-                raise RuntimeError("dies in batch 2")
-            time.sleep(0.002)
-            return x
-
-        pipe = spec([boom])
-        atp = AdaptiveThreadPipeline(pipe, max_workers=3, imbalance_threshold=1.0)
-        with pytest.raises(StageError, match="s0"):
-            atp.run_batches([range(10), range(10), range(10)])
-
 
 class TestProposeGrowth:
-    """The batch-mode growth decision, isolated from threading."""
+    """The growth decision, isolated from threading."""
 
     def test_picks_bottleneck(self):
         assert (
@@ -303,49 +284,3 @@ class TestProposeGrowth:
             )
             is None
         )
-
-
-class TestAdaptiveThreadPipeline:
-    def test_grows_bottleneck_stage(self):
-        def light(x):
-            return x
-
-        def heavy(x):
-            time.sleep(0.004)
-            return x
-
-        pipe = spec([light, heavy, light])
-        atp = AdaptiveThreadPipeline(pipe, max_workers=3)
-        batches = [range(30)] * 3
-        results = atp.run_batches(batches)
-        assert all(list(r) == list(range(30)) for r in results)
-        # The heavy middle stage must have gained workers.
-        assert atp.replicas[1] > 1
-        assert all(stage == 1 for stage, _ in atp.adaptations)
-
-    def test_respects_max_workers(self):
-        def heavy(x):
-            time.sleep(0.002)
-            return x
-
-        pipe = spec([heavy])
-        atp = AdaptiveThreadPipeline(pipe, max_workers=2)
-        atp.run_batches([range(10)] * 5)
-        assert atp.replicas[0] <= 2
-
-    def test_never_replicates_stateful_stage(self):
-        def heavy(x):
-            time.sleep(0.002)
-            return x
-
-        pipe = spec([heavy, lambda x: x], replicable=[False, True])
-        atp = AdaptiveThreadPipeline(pipe, max_workers=4)
-        atp.run_batches([range(10)] * 3)
-        assert atp.replicas[0] == 1
-
-    def test_invalid_params(self):
-        pipe = spec([lambda x: x])
-        with pytest.raises(ValueError):
-            AdaptiveThreadPipeline(pipe, max_workers=0)
-        with pytest.raises(ValueError):
-            AdaptiveThreadPipeline(pipe, imbalance_threshold=0.5)

@@ -1,0 +1,22 @@
+"""The size of the execution layer is a tracked number (ROADMAP aim 2).
+
+``src/repro/backend`` + ``src/repro/runtime`` may only shrink: a simplicity
+PR lowers ``CEILING`` to its result (rounded up to the next 50); nothing
+raises it silently.  Moving code to another package to get under the line
+is not a reduction — say where the lines went in CHANGES.md.
+"""
+
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+CEILING = 5800  # PR 13: 6,223 -> 5,789
+
+
+def test_backend_and_runtime_stay_under_the_ceiling():
+    files = [*SRC.glob("backend/**/*.py"), *SRC.glob("runtime/**/*.py")]
+    assert files, f"no sources found under {SRC}"
+    total = sum(len(f.read_text().splitlines()) for f in files)
+    assert total <= CEILING, (
+        f"backend/ + runtime/ is {total} lines, over the {CEILING} ceiling: "
+        "delete before you add, or justify raising CEILING in this PR"
+    )
