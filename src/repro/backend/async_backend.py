@@ -18,7 +18,7 @@ port — sessions included — on ``asyncio``:
   loop, and back-to-back streams flow through the same warm graph with
   session-global sequence numbers keeping one ordering space.
 * Each stage is a **coroutine pool bounded by a resizable semaphore**: the
-  stage's dispatcher admits items (in input order) only while fewer than
+  stage's dispatcher admits items only while fewer than
   ``limit`` are in flight, so the semaphore limit *is* the stage's replica
   count.  ``reconfigure(stage, n)`` rewrites that limit in O(1) — growth
   admits more items immediately, shrink takes effect as in-flight items
@@ -27,9 +27,11 @@ port — sessions included — on ``asyncio``:
   or **plain callables**, which are offloaded via ``loop.run_in_executor``
   to a backend-owned thread pool so they cannot stall the loop.
 * **Order restoration** is shared with the other executors through
-  :class:`~repro.util.ordering.SequenceReorderer`: every stage starts items
-  in input order and the collector emits in input order — the
-  ``Pipeline1for1`` contract, replica races notwithstanding.
+  :class:`~repro.util.ordering.SequenceReorderer` and happens only where
+  it is needed: the dispatcher of an ordered (``replicable=False``) stage
+  starts items in input order, every other dispatcher admits them as they
+  arrive, and the collector emits in input order — the ``Pipeline1for1``
+  contract, replica races notwithstanding.
 * **Abort-safe shutdown** mirrors the thread runtime: a failing stage
   records a :class:`~repro.runtime.threads.StageError`, poisons the
   session, in-flight tasks are cancelled, queues drain via sentinels, and
@@ -225,10 +227,16 @@ class _AsyncioSession(Session):
                 sem.release()
 
         async def dispatch(i: int) -> None:
-            """Admit stage ``i``'s items in order, ``sems[i].limit`` at a time."""
+            """Admit stage ``i``'s items ``sems[i].limit`` at a time.
+
+            In input order when the stage is ordered, as they arrive
+            otherwise.
+            """
             in_q, out_q, sem = queues[i], queues[i + 1], self._sems[i]
             metrics = instrumentation.stages[i]
-            reorder = SequenceReorderer()
+            reorder = (
+                SequenceReorderer() if backend.pipeline.stage(i).ordered else None
+            )
             pending: set[asyncio.Task] = set()
             try:
                 while True:
@@ -237,10 +245,11 @@ class _AsyncioSession(Session):
                         break
                     if abort.is_set():
                         continue  # drain without dispatching
-                    seq, value = got
                     with self._stage_locks[i]:
-                        metrics.record_queue_length(in_q.qsize() + len(reorder))
-                    for ready_seq, ready in reorder.push(seq, value):
+                        metrics.record_queue_length(
+                            in_q.qsize() + (len(reorder) if reorder else 0)
+                        )
+                    for ready_seq, ready in (got,) if reorder is None else reorder.push(*got):
                         await sem.acquire()
                         if abort.is_set():
                             sem.release()

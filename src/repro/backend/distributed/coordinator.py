@@ -28,8 +28,9 @@ Topology (a star — every transfer crosses the coordinator)::
 * One **router thread per stage** (the core's) collects that stage's
   results; this module's ``_accept`` matches each against the in-flight
   table, feeds the link and clock fits, and hands the core one normalised
-  hop, which it records, reorders and forwards as an encoded
-  :class:`~repro.transport.Frame`, untouched.  Items travel through the
+  hop, which it records and forwards as an encoded
+  :class:`~repro.transport.Frame`, untouched (re-sequenced first only in
+  front of an ordered stage and before delivery).  Items travel through the
   **negotiated transport** (``transport=``): :meth:`DistributedBackend.
   _dispatch` — the one send loop for first dispatch, forwarding and
   re-dispatch — **encodes after worker selection**, so an item routed to

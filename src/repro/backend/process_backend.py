@@ -31,12 +31,12 @@ Topology (per stage ``i``)::
   segments are released per item as results retire (task frames in the
   worker that consumed them, result frames in the router), never held to a
   batch end.
-* **Routers** collect a stage's results, restore sequence order, and
-  dispatch in order to the *least-loaded active* worker of the next
-  stage; the feeder reorders too, so every stage — the first included —
-  starts items in input order and the final router delivers in order:
-  the ``Pipeline1for1`` contract holds across processes exactly as it
-  does in the thread runtime.
+* **Routers** collect a stage's results and dispatch them to the
+  *least-loaded active* worker of the next stage — as they arrive when
+  that stage is stateless, in sequence order when it is ordered
+  (``replicable=False``; the feeder does the same for stage 0) — and the
+  final router delivers in input order: the ``Pipeline1for1`` contract
+  holds across processes exactly as it does in the thread runtime.
 * Bounded per-worker task queues, a bounded result queue and the session's
   bounded admission window give end-to-end back-pressure.
 

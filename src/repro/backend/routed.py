@@ -7,12 +7,18 @@ encoded :class:`~repro.transport.Frame` to a worker and brings a result
 back.  The core knows nothing about what the lane is made of::
 
     submit ──> feeder ──> lane[0] ──> router[0] ──> lane[1] ──> ... ──> deliver
-               reorder    workers     reorder       workers
+               (reorder)  workers     (reorder)     workers           reorder
+
+Order is restored only where it is needed: a hop pushes through its
+:class:`~repro.util.ordering.SequenceReorderer` when the stage it feeds is
+ordered (``StageSpec.ordered`` — a stateful stage starts items in input
+order, the first one included even when concurrent submitters race) and
+the last router always does, so delivery is in input order; between
+stateless stages results are forwarded as they arrive and a slow item
+never holds its successors back.
 
 :class:`RoutedSession` owns the feeder thread, one router thread per stage,
-every :class:`~repro.util.ordering.SequenceReorderer` (ingress included, so
-a non-replicable first stage starts items in input order even when
-concurrent submitters race) and their stream-boundary rebase, the
+every reorderer and their stream-boundary rebase, the
 abort/stopping flags and ``_fail``, per-stage metrics and byte accounting,
 item-space event emission, and the egress branch (decode → release →
 ``record_completion`` → ``_deliver``).  An executor supplies four hooks:
@@ -30,7 +36,8 @@ item-space event emission, and the egress branch (decode → release →
     drops, re-dispatch — returning one normalised :class:`Hop`, ``None``
     when the message was consumed, or raising the stage's error;
 ``_forward(stage, seq, frame)``
-    send one in-order frame to ``stage``; ``False`` when aborted.
+    send one frame to ``stage`` (in order when it is ordered); ``False``
+    when aborted.
 
 ``_attach`` (warm the lane before any thread starts) and ``_wake_lane``
 (wake dispatchers blocked on lane capacity at abort) are optional.
@@ -92,8 +99,12 @@ class RoutedSession(Session):
         self._snapshot_locks = self._stage_locks
         self._abort = threading.Event()
         self._stopping = threading.Event()
-        self._ingress_order = SequenceReorderer()
-        self._reorder = [SequenceReorderer() for _ in range(n)]
+        # _reorder[i] sits in front of stage i (0 = the feeder's), _reorder[n]
+        # is egress; None where the stage it feeds takes items as they come.
+        self._reorder = [
+            SequenceReorderer() if spec.ordered else None
+            for spec in backend.pipeline.stages
+        ] + [SequenceReorderer()]
         self._feedq: thread_queue.Queue = thread_queue.Queue()
         self._codec: Codec = backend._codec  # decodes and releases at egress
         self._attach()
@@ -137,8 +148,9 @@ class RoutedSession(Session):
     def _begin_stream(self, stream: int) -> None:
         # drain() emptied the pipeline, so every reorderer is idle: rebase
         # them onto the new stream's sequence space.
-        for reorder in (self._ingress_order, *self._reorder):
-            reorder.begin_stream(0)
+        for reorder in self._reorder:
+            if reorder is not None:
+                reorder.begin_stream(0)
 
     def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
         self._feedq.put((seq, item))
@@ -164,6 +176,7 @@ class RoutedSession(Session):
 
     # --------------------------------------------------------------- ingress
     def _feed(self) -> None:
+        reorder = self._reorder[0]
         try:
             while True:
                 msg = self._feedq.get()
@@ -172,8 +185,8 @@ class RoutedSession(Session):
                 if self._abort.is_set():
                     continue  # drain the feed queue without dispatching
                 # Concurrent submitters (and the linger flusher) may enqueue
-                # out of order; stage 0 must still start items in order.
-                for seq, value in self._ingress_order.push(*msg):
+                # out of order; an ordered stage 0 must still start in order.
+                for seq, value in (msg,) if reorder is None else reorder.push(*msg):
                     if not self._ingress(seq, value):
                         break
         except BaseException as err:  # noqa: BLE001 - e.g. unencodable input
@@ -224,8 +237,8 @@ class RoutedSession(Session):
     def _route_inner(self, stage: int) -> None:
         metrics = self.instrumentation.stages[stage]
         lock = self._stage_locks[stage]
-        reorder = self._reorder[stage]
         nxt = stage + 1
+        reorder = self._reorder[nxt]
         last = nxt >= self.backend.pipeline.n_stages
         while not self._abort.is_set():
             msg = self._poll(stage)
@@ -252,7 +265,8 @@ class RoutedSession(Session):
             # Workers produce encoded frames and the next stage's workers
             # expect exactly that format: forward each frame untouched and
             # decode only final outputs.
-            for ready_seq, frame in reorder.push(hop.seq, hop.frame):
+            pair = (hop.seq, hop.frame)
+            for ready_seq, frame in (pair,) if reorder is None else reorder.push(*pair):
                 if last:
                     self._egress(stage, ready_seq, frame)
                 else:

@@ -4,16 +4,20 @@ Threads share the interpreter, so this backend suits I/O-bound stages and
 GIL-releasing (numpy) kernels; pure-Python CPU-bound stages should use the
 process backend instead.
 
-The session owns the whole thread fabric for its lifetime — per-stage
-dispatchers, worker pools, the output collector — and is the one place the
-:mod:`repro.runtime.threads` building blocks (counted queues, dispatcher,
-worker) are wired together.  The fabric is **open-ended**: the submit side
+The session owns the whole thread fabric for its lifetime — one shared
+queue and worker pool per stage, the output collector — and is the one
+place the :mod:`repro.runtime.threads` building blocks (counted queues,
+worker) are wired together.  A stage's workers put straight into the next
+stage's queue; order is restored only in front of an ordered
+(``replicable=False``) stage, by its single worker, and once at egress, by
+the collector — so output order is guaranteed, *start* order only where a
+stage declared it needs it.  The fabric is **open-ended**: the submit side
 is the first queue's only producer and finishes only at ``close()``, so
 the sentinel shutdown cascade never fires between streams and back-to-back
 streams reuse the same warm worker threads.  Sequence numbers are
-session-global (``gseq``), which lets the per-stage
-:class:`~repro.util.ordering.SequenceReorderer` instances keep one ordering
-space across stream boundaries.
+session-global (``gseq``), which lets every
+:class:`~repro.util.ordering.SequenceReorderer` keep one ordering space
+across stream boundaries.
 
 Live reconfiguration: growth spawns a worker into the running stage
 (always possible — a session's stage never drains before close), shrink
@@ -44,10 +48,10 @@ from repro.runtime.threads import (
     _RETIRE,
     _SENTINEL,
     _CountedQueue,
-    _Dispatcher,
     _Worker,
 )
 from repro.util.batching import Batch
+from repro.util.ordering import SequenceReorderer
 from repro.util.validation import check_positive
 
 __all__ = ["ThreadBackend"]
@@ -84,44 +88,20 @@ class _ThreadSession(Session):
         self._mutate_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
 
-        # Wiring: in_q[i] -> dispatcher -> work_q[i] -> workers -> in_q[i+1];
-        # the session's submit side is in_q[0]'s single producer, finishing
-        # only at close — the cascade stays armed across streams.
-        self._in_q: list[_CountedQueue] = []
-        self._work_q: list[_CountedQueue] = []
-        producers_of_next = 1
+        # Wiring: queues[i] -> workers[i] -> queues[i+1]; queues[n] feeds the
+        # collector.  The session's submit side is queues[0]'s single
+        # producer, finishing only at close — the cascade stays armed
+        # across streams.
+        self._queues: list[_CountedQueue] = []
+        producers = 1
+        for consumers in (*self.replicas, 1):
+            self._queues.append(
+                _CountedQueue(self.capacity, producers=producers, consumers=consumers)
+            )
+            producers = consumers
         for i in range(n):
-            self._in_q.append(
-                _CountedQueue(self.capacity, producers=producers_of_next, consumers=1)
-            )
-            self._work_q.append(
-                _CountedQueue(self.capacity, producers=1, consumers=self.replicas[i])
-            )
-            producers_of_next = self.replicas[i]
-        self._collect_q = _CountedQueue(
-            self.capacity, producers=producers_of_next, consumers=1
-        )
-        self._final_q = _CountedQueue(self.capacity, producers=1, consumers=1)
-
-        for i in range(n):
-            self._threads.append(
-                _Dispatcher(
-                    self._in_q[i],
-                    self._work_q[i],
-                    name=f"session-dispatch[{i}]",
-                    abort=self._abort,
-                    metrics=self.instrumentation.stages[i],
-                    metrics_lock=self._locks[i],
-                )
-            )
             for r in range(self.replicas[i]):
                 self._threads.append(self._make_worker(i, r))
-        self._threads.append(
-            _Dispatcher(
-                self._collect_q, self._final_q, name="session-dispatch[out]",
-                abort=self._abort,
-            )
-        )
         self._collector = threading.Thread(
             target=self._collect, name="session-collector", daemon=True
         )
@@ -134,36 +114,39 @@ class _ThreadSession(Session):
         self._watcher.start()
 
     # ---------------------------------------------------------------- fabric
-    def _worker_out_queue(self, stage: int) -> _CountedQueue:
-        n = self.backend.pipeline.n_stages
-        return self._in_q[stage + 1] if stage + 1 < n else self._collect_q
-
     def _make_worker(self, stage: int, replica_idx: int) -> _Worker:
         spec = self.backend.pipeline.stage(stage)
         return _Worker(
             stage,
             spec.name,
             spec.fn,
-            self._work_q[stage],
-            self._worker_out_queue(stage),
+            self._queues[stage],
+            self._queues[stage + 1],
             self.instrumentation.stages[stage],
             self._locks[stage],
             self._errors,
             self._abort,
             name=f"session-stage[{stage}].{replica_idx}",
             speed_fn=self.backend._load.effective_speed,
+            ordered=spec.ordered,
         )
 
     def _collect(self) -> None:
+        # The one egress reorderer: the last stage's workers finish out of
+        # order, delivery is in input order.  It holds at most the admitted
+        # items, so ``max_inflight`` bounds it.
+        reorder = SequenceReorderer()
         while True:
-            got = self._final_q.get()
+            got = self._queues[-1].get()
             if got is _SENTINEL:
                 break
-            _seq, value = got
-            self.instrumentation.record_completion(
-                self.now(), items=len(value) if isinstance(value, Batch) else 1
-            )
-            self._deliver(value)
+            if self._abort.is_set():
+                continue  # drain without delivering
+            for _seq, value in reorder.push(*got):
+                self.instrumentation.record_completion(
+                    self.now(), items=len(value) if isinstance(value, Batch) else 1
+                )
+                self._deliver(value)
 
     def _watch_abort(self) -> None:
         # Workers record a StageError and set the abort flag; the session
@@ -175,7 +158,7 @@ class _ThreadSession(Session):
 
     # ----------------------------------------------------------- port hooks
     def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
-        if not self._in_q[0].put((gseq, item), abort=self._abort):
+        if not self._queues[0].put((gseq, item), abort=self._abort):
             raise (
                 self._errors[0]
                 if self._errors
@@ -185,7 +168,7 @@ class _ThreadSession(Session):
     def _shutdown(self) -> None:
         if self.broken or self._submitted > self._delivered:
             self._abort.set()  # drop in-flight items instead of finishing them
-        self._in_q[0].producer_done()
+        self._queues[0].producer_done()
         while True:
             with self._mutate_lock:
                 alive = [t for t in self._threads if t.is_alive()]
@@ -204,9 +187,9 @@ class _ThreadSession(Session):
             if self.closed:
                 return
             while self.replicas[stage] < n_replicas:
-                out_q = self._worker_out_queue(stage)
-                out_q.add_producer()  # never drained before close: always legal
-                self._work_q[stage].add_consumer()
+                # Never drained before close: adding a producer is always legal.
+                self._queues[stage + 1].add_producer()
+                self._queues[stage].add_consumer()
                 worker = self._make_worker(stage, self.replicas[stage])
                 self.replicas[stage] += 1
                 self._threads.append(worker)
@@ -214,7 +197,7 @@ class _ThreadSession(Session):
                 self.events.emit("replica.add", stage=stage, n=self.replicas[stage])
             while self.replicas[stage] > max(n_replicas, 1):
                 self.replicas[stage] -= 1
-                self._work_q[stage].put(_RETIRE, abort=self._abort)
+                self._queues[stage].put(_RETIRE, abort=self._abort)
                 self.events.emit(
                     "replica.remove", stage=stage, n=self.replicas[stage]
                 )

@@ -76,7 +76,8 @@ class StageSpec:
         Size of the stage's migratable state (0 for stateless stages).
     replicable:
         Stateless stages may be replicated into an embedded farm; stateful
-        stages (``replicable=False``) are only ever re-homed whole.
+        stages (``replicable=False``) are only ever re-homed whole, and are
+        the only ones the executors feed in input order (see ``ordered``).
     fn:
         Optional Python callable ``item -> item`` for the local thread
         runtime; ignored by the simulator.
@@ -101,6 +102,16 @@ class StageSpec:
     def work_declared(self) -> bool:
         """True when ``work`` was given explicitly, not the 0.1 s sim prior."""
         return self.work is not _DEFAULT_WORK
+
+    @property
+    def ordered(self) -> bool:
+        """True when the stage must *start* items in input order.
+
+        Stateless stages commute, so only a stateful (``replicable=False``)
+        stage needs in-order arrival; the executors restore order in front
+        of such a stage and once at egress, nowhere else.
+        """
+        return not self.replicable
 
     def cost(self, measured_work: float | None = None) -> StageCost:
         """Model-facing cost record; ``measured_work`` overrides the prior."""

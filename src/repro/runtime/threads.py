@@ -1,22 +1,26 @@
 """Building blocks of the thread fabric, plus a batch-style wrapper.
 
-Architecture per stage (mirrors the simulator's wiring)::
+Architecture (one bounded queue per stage, shared by its workers)::
 
-    in_q --> dispatcher --> work_q --> worker x R --> next stage's in_q
+    submit --> work_q[0] --> worker x R0 --> work_q[1] --> ... --> collector
 
-* The **dispatcher** restores sequence order before dispatch, so a stage
-  always *starts* items in input order even when an upstream stage is
-  replicated (replicas may still *finish* out of order; the next dispatcher
-  re-sorts).  The final dispatcher feeds the output collector, so pipeline
-  output is in input order — the 1-for-1 contract.
-* **Workers** apply the stage callable.  Replication is only allowed for
-  stages marked ``replicable`` (stateless).
+* **Workers** apply the stage callable and put straight into the next
+  stage's queue: stateless stages commute, so nothing between two
+  replicable stages restores order and a slow item never holds its
+  successors back.  Replication is only allowed for stages marked
+  ``replicable`` (stateless).
+* Order is restored only where it is needed: the single worker of an
+  **ordered** stage (``StageSpec.ordered``, i.e. ``replicable=False``)
+  keeps a private :class:`~repro.util.ordering.SequenceReorderer` and
+  *starts* items in input order whatever upstream replicas did, and the
+  session's collector reorders once at egress, so pipeline output is in
+  input order — the 1-for-1 contract.
 * Shutdown cascades with sentinels: each queue knows its producer count;
   when the last producer finishes, consumers receive one sentinel each.
 
 This module only *defines* the blocks (:class:`_CountedQueue`,
-:class:`_Dispatcher`, :class:`_Worker`); the one place that wires and runs
-them is the session in :mod:`repro.backend.thread_backend`, which also owns
+:class:`_Worker`); the one place that wires and runs them is the session
+in :mod:`repro.backend.thread_backend`, which also owns the collector,
 observation and live ``reconfigure``.  :class:`ThreadPipeline` survives as
 a ``run(inputs) -> outputs`` convenience over such a session.
 
@@ -123,52 +127,13 @@ class _CountedQueue:
                     self.q.put(_SENTINEL)
 
 
-class _Dispatcher(threading.Thread):
-    """Reorders (seq, value) pairs and forwards them in sequence order."""
-
-    def __init__(
-        self,
-        in_q: _CountedQueue,
-        out_q: _CountedQueue,
-        name: str,
-        abort: threading.Event,
-        metrics: StageMetrics | None = None,
-        metrics_lock: threading.Lock | None = None,
-    ) -> None:
-        super().__init__(name=name, daemon=True)
-        self.in_q = in_q
-        self.out_q = out_q
-        self.abort = abort
-        self.metrics = metrics
-        self.metrics_lock = metrics_lock
-
-    def _forward(self, seq: int, value: Any) -> None:
-        self.out_q.put((seq, value), abort=self.abort)
-        if self.metrics is not None and self.metrics_lock is not None:
-            with self.metrics_lock:
-                self.metrics.record_queue_length(self.out_q.q.qsize())
-
-    def run(self) -> None:
-        reorder = SequenceReorderer()
-        try:
-            while True:
-                got = self.in_q.get()
-                if got is _SENTINEL:
-                    break
-                if self.abort.is_set():
-                    continue  # drain without forwarding
-                seq, value = got
-                for ready_seq, ready in reorder.push(seq, value):
-                    self._forward(ready_seq, ready)
-            if not self.abort.is_set():
-                for ready_seq, ready in reorder.drain():
-                    self._forward(ready_seq, ready)
-        finally:
-            self.out_q.producer_done()
-
-
 class _Worker(threading.Thread):
-    """Applies one stage function to dispatched items."""
+    """Applies one stage function to the items of its stage's queue.
+
+    ``ordered`` marks the single worker of a stateful stage: upstream
+    replicas put into its queue as they finish, so it holds early arrivals
+    in a private reorderer and serves each ready run in sequence order.
+    """
 
     def __init__(
         self,
@@ -183,6 +148,7 @@ class _Worker(threading.Thread):
         abort: threading.Event,
         name: str,
         speed_fn: Callable[[], float],
+        ordered: bool,
     ) -> None:
         super().__init__(name=name, daemon=True)
         self.stage_index = stage_index
@@ -195,8 +161,10 @@ class _Worker(threading.Thread):
         self.errors = errors
         self.abort = abort
         self.speed_fn = speed_fn
+        self.ordered = ordered
 
     def run(self) -> None:
+        reorder = SequenceReorderer() if self.ordered else None
         try:
             while True:
                 got = self.work_q.get()
@@ -207,37 +175,41 @@ class _Worker(threading.Thread):
                     break
                 if self.abort.is_set():
                     continue  # drain without processing
-                seq, value = got
-                batched = isinstance(value, Batch)
-                t0 = time.perf_counter()
-                try:
-                    # A micro-batch maps element-wise in one dequeue: the
-                    # whole run of items pays a single queue hop, one
-                    # metrics lock round and one event.
-                    result = map_batch(self.fn, value) if batched else self.fn(value)
-                except BaseException as err:  # noqa: BLE001 - reported upward
-                    self.errors.append(StageError(self.stage_name, err))
-                    self.abort.set()
-                    continue
-                dt = time.perf_counter() - t0
-                with self.metrics_lock:
-                    # Recording the effective speed the item actually saw
-                    # keeps work_estimate load-normalised: on a contended
-                    # host the inflated dt is divided back out, so the
-                    # planner does not double-count the load it also sees
-                    # in the resource view.  Default speed is 1.0 (the
-                    # local host as the reference processor).  A batch
-                    # records once with the batch-total dt and items=N
-                    # (seq = the first item's gseq — this fabric's event
-                    # sequence space).
-                    self.metrics.record_service(
-                        dt, self.speed_fn(),
-                        seq=value.gbase if batched else seq,
-                        worker=self.name,
-                        queue=self.work_q.q.qsize(),
-                        items=len(value) if batched else 1,
-                    )
-                self.out_q.put((seq, result), abort=self.abort)
+                for seq, value in (got,) if reorder is None else reorder.push(*got):
+                    batched = isinstance(value, Batch)
+                    t0 = time.perf_counter()
+                    try:
+                        # A micro-batch maps element-wise in one dequeue: the
+                        # whole run of items pays a single queue hop, one
+                        # metrics lock round and one event.
+                        result = map_batch(self.fn, value) if batched else self.fn(value)
+                    except BaseException as err:  # noqa: BLE001 - reported upward
+                        self.errors.append(StageError(self.stage_name, err))
+                        self.abort.set()
+                        break
+                    dt = time.perf_counter() - t0
+                    # Backlog = the shared queue plus early arrivals held
+                    # in this worker's reorderer.
+                    queued = self.work_q.q.qsize() + (len(reorder) if reorder else 0)
+                    with self.metrics_lock:
+                        # Recording the effective speed the item actually saw
+                        # keeps work_estimate load-normalised: on a contended
+                        # host the inflated dt is divided back out, so the
+                        # planner does not double-count the load it also sees
+                        # in the resource view.  Default speed is 1.0 (the
+                        # local host as the reference processor).  A batch
+                        # records once with the batch-total dt and items=N
+                        # (seq = the first item's gseq — this fabric's event
+                        # sequence space).
+                        self.metrics.record_service(
+                            dt, self.speed_fn(),
+                            seq=value.gbase if batched else seq,
+                            worker=self.name,
+                            queue=queued,
+                            items=len(value) if batched else 1,
+                        )
+                        self.metrics.record_queue_length(queued)
+                    self.out_q.put((seq, result), abort=self.abort)
         finally:
             self.out_q.producer_done()
 

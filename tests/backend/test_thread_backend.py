@@ -65,3 +65,15 @@ class TestThreadBackend:
         b = ThreadBackend(spec([lambda x: x]), max_replicas=2)
         b.reconfigure(0, 50)
         assert b.replica_counts() == [2]
+
+    def test_saturated_replicated_stage_reports_its_queue(self):
+        # The workers themselves record the backlog they dequeue from: a
+        # stage fed faster than it serves must not read queue_length == 0
+        # (the policy's view and obs.top's queue column).
+        def slow(x):
+            time.sleep(0.002)
+            return x
+
+        b = ThreadBackend(spec([lambda x: x, slow]), replicas=[1, 2], capacity=8)
+        b.run(range(60))
+        assert b.snapshots()[1].queue_length > 0

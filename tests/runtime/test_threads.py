@@ -124,9 +124,10 @@ class TestThreadPipeline:
             time.sleep(random.random() * 0.002)
             return x
 
-        # Upstream replicated stage may finish out of order; the dispatcher
-        # must still hand items to the (non-replicated) recorder in order.
-        pipe = spec([jitter, record])
+        # Upstream replicated stage may finish out of order; a stage that
+        # declares itself stateful (replicable=False) must still start items
+        # in input order.
+        pipe = spec([jitter, record], replicable=[True, False])
         ThreadPipeline(pipe, replicas=[4, 1]).run(range(30))
         assert seen == list(range(30))
 
