@@ -58,6 +58,7 @@ from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView
 from repro.monitor.instrument import StageSnapshot
 from repro.obs.events import NULL_BUS, EventBus
+from repro.transport import PoolFootprint
 from repro.util.batching import Batch, BatchingConfig, approx_nbytes, normalize_batching
 from repro.util.validation import check_positive
 
@@ -160,6 +161,7 @@ class SessionStats:
     items_total: int
     stream_submitted: int
     stream_delivered: int
+    pool: PoolFootprint | None = None  # shm footprint (processes, distributed)
 
     @property
     def backlog(self) -> int:

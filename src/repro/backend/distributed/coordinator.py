@@ -37,11 +37,11 @@ Topology (a star — every transfer crosses the coordinator)::
   a worker that verified the session's shm probe gets descriptor frames
   while one routed to a non-shm (remote) worker is pickled inline from
   the start — mixed pools no longer pay segment-write + materialize-copy
-  + unlink for items that never needed a segment.  ``"auto"``'s placement
+  + release for items that never needed a segment.  ``"auto"``'s placement
   threshold is calibrated at warm-up from a quick encode/decode probe.
   The coordinator owns every frame's lifecycle — a task frame is released
   only when its result is accepted (so a worker death can always
-  re-dispatch), and ``close()`` sweeps the session's surviving segments.
+  re-dispatch), and ``close()`` sweeps (unlinks) the session's segments.
 * **Link cost is measured, not assumed**: a result echoes the dispatch
   timestamp plus the worker-side service and queue-wait durations, so
   ``rtt - service - wait`` is pure wire time.  Each observation is paired
@@ -1113,7 +1113,7 @@ class DistributedBackend(Backend):
         selected *first* and the item encoded for it — descriptor frames
         for a shm-verified worker, inline pickle for a remote (or
         not-yet-negotiated) one — so mixed pools pay no segment-write +
-        materialize + unlink churn.  Returns False only on abort.
+        materialize + release churn.  Returns False only on abort.
         """
         cond = self._conds[stage]
         while True:
@@ -1208,10 +1208,9 @@ class DistributedBackend(Backend):
                 if w.proc.is_alive():
                     w.proc.terminate()
                     w.proc.join(timeout=1.0)
-        # Every producer and consumer of this session's segments is now
-        # stopped (externally-started workers lost their socket above):
-        # reclaim the probe and whatever frames aborts or killed workers
-        # stranded.  A clean run leaves only the probe.
+        # Every producer and consumer of the session is stopped (external
+        # workers lost their socket above): unlink the probe and every
+        # party's pool slots, frames stranded by aborts or kills included.
         self._probe_name = None
         self._codec.sweep()
 

@@ -19,9 +19,9 @@ true, and encodes its results with the negotiated codec — large payloads
 then cross the socket as segment descriptors instead of bytes.  A worker
 that cannot (a remote host) replies false and falls back to inline
 pickle; the coordinator materializes any descriptor frames it forwards
-there.  Workers never unlink segments: the coordinator owns every frame's
-release (a task may be re-dispatched after a worker death, so consuming a
-frame must not destroy it).
+there.  Workers never release a frame: the coordinator owns every release
+(a task may be re-dispatched after a worker death) and its sweep unlinks;
+a worker recycles its result slots once the coordinator released them.
 
 A heartbeat thread reports the 1-minute load average every
 ``heartbeat_interval`` seconds; the coordinator derives the worker's

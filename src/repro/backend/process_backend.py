@@ -27,10 +27,9 @@ Topology (per stage ``i``)::
   under ``"auto"``/``"shm"``.  ``"auto"``'s placement threshold is
   **calibrated at warm-up** from a quick encode/decode probe
   (:func:`repro.transport.calibrated_auto_threshold`) instead of trusting
-  the static default — E17 showed the crossover varies by host.  Frame
-  segments are released per item as results retire (task frames in the
-  worker that consumed them, result frames in the router), never held to a
-  batch end.
+  the static default — E17 showed the crossover varies by host.  Frames
+  hand their slots back per item (task frames in the worker that consumed
+  them, result frames in the router); ``close()`` unlinks every pool.
 * **Routers** collect a stage's results and dispatch them to the
   *least-loaded active* worker of the next stage — as they arrive when
   that stage is stateless, in sequence order when it is ordered
@@ -85,10 +84,9 @@ def _worker_main(stage_index: int, worker_id: int, fn, taskq, resq, codec_spec) 
             codec.release(frame)  # the parent aborts; nothing retries this frame
             resq.put(("err", seq, worker_id, None, f"undecodable item: {err!r}"))
             continue
-        # This worker is the frame's sole consumer and the process backend
-        # never re-dispatches (a worker death aborts the stream), so the
-        # task frame's segments are released as soon as the value is copied
-        # out — per item, not at any batch boundary.
+        # Sole consumer, and the process backend never re-dispatches (a
+        # worker death aborts the stream): the task frame's slots go back to
+        # the parent's pool once the value is copied out — per item.
         codec.release(frame)
         t0 = time.perf_counter()
         try:
@@ -362,9 +360,8 @@ class ProcessPoolBackend(Backend):
             pool.resq.close()
         self._pools = None
         self._warm = False
-        # Every producer and consumer of this session's segments is now
-        # stopped: reclaim whatever frames were stranded in queues by an
-        # abort (a clean run leaves nothing — consumers release as they go).
+        # Every producer and consumer of the session is stopped: unlink the
+        # pools' slots — free ones, and frames an abort stranded in queues.
         self._codec.sweep()
 
     def close(self) -> None:

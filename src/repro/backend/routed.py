@@ -48,12 +48,13 @@ from __future__ import annotations
 import queue as thread_queue
 import threading
 import time
+from dataclasses import replace
 from typing import Any, NamedTuple
 
-from repro.backend.base import Backend, Session
+from repro.backend.base import Backend, Session, SessionStats
 from repro.monitor.instrument import PipelineInstrumentation
 from repro.runtime.threads import StageError
-from repro.transport import Codec, Frame
+from repro.transport import Codec, Frame, pool_footprint
 from repro.util.batching import Batch
 from repro.util.ordering import SequenceReorderer
 
@@ -145,6 +146,10 @@ class RoutedSession(Session):
         raise NotImplementedError
 
     # ----------------------------------------------------------- port hooks
+    def stats(self) -> SessionStats:
+        """Progress counters plus the footprint of every party's slot pool."""
+        return replace(super().stats(), pool=pool_footprint(self._codec.session))
+
     def _begin_stream(self, stream: int) -> None:
         # drain() emptied the pipeline, so every reorderer is idle: rebase
         # them onto the new stream's sequence space.
@@ -204,16 +209,14 @@ class RoutedSession(Session):
         frame = codec.encode(value)
         self._record_bytes_in(0, frame.nbytes)
         if timed:
-            seconds = time.perf_counter() - t0
+            cost = dict(
+                nbytes=frame.nbytes, seconds=time.perf_counter() - t0, recycled=frame.recycled
+            )
             if isinstance(value, Batch):
                 bus.emit(
-                    "batch.encode", stage=0, seq=seq, base=value.base_seq,
-                    items=len(value), nbytes=frame.nbytes, seconds=seconds,
+                    "batch.encode", stage=0, seq=seq, base=value.base_seq, items=len(value), **cost
                 )
-            self._emit_items(
-                "frame.encode", seq, stage=0, nbytes=frame.nbytes,
-                inline=frame.inline, seconds=seconds,
-            )
+            self._emit_items("frame.encode", seq, stage=0, inline=frame.inline, **cost)
         return frame
 
     def _record_bytes_in(self, stage: int, nbytes: int) -> None:

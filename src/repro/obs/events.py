@@ -44,7 +44,7 @@ SCHEMA: dict[str, str] = {
     # -- micro-batch lifecycle (backend/base.py assembler/splitter; seq =
     #    the batch's own stream-scoped number, base = first item seq) ------
     "batch.assemble": "admitted items coalesced into a batch: stream, seq, base, items[, reason]",
-    "batch.encode": "a whole batch encoded as one frame: stage, seq, base, items, nbytes, seconds",
+    "batch.encode": "a whole batch encoded as one frame: stage, seq, base, items, nbytes, seconds, recycled",
     "batch.split": "batch split back into per-item results: stream, seq, base, items",
     # -- admission window retune (Little's-law auto max_inflight) ----------
     "session.window": "auto admission window retuned: window, arrival_rate, service_rate, wq",
@@ -64,7 +64,11 @@ SCHEMA: dict[str, str] = {
     "worker.death": "worker died mid-run: worker, name, lost",
     "worker.redispatch": "lost in-flight item re-sent: stage, seq",
     # -- payload frames (transport boundary) ------------------------------
-    "frame.encode": "payload encoded for the wire: stage, seq, nbytes, inline, seconds[, items]",
+    "frame.encode": (
+        "payload encoded for the wire: stage, seq, nbytes, inline, seconds, "
+        "recycled (share of its shm segments served from a free pool slot; "
+        "None when none was placed)[, items]"
+    ),
     "frame.release": "payload frame decoded and released: stage, seq, nbytes[, items]",
     # -- worker-side trace points (distributed WorkerAgent; batched over
     #    the wire and re-emitted on the session bus at *mapped* session

@@ -6,8 +6,8 @@ descriptors).  Both heavy backends route items through a
 :class:`~repro.transport.frames.Codec` selected by name:
 
 * ``"pickle"`` — everything inline (the portable baseline);
-* ``"shm"`` — every eligible buffer in a ``multiprocessing.shared_memory``
-  segment, descriptors on the wire;
+* ``"shm"`` — every eligible buffer in a recycled shared-memory slot,
+  descriptors on the wire;
 * ``"auto"`` — per-item by size: inline below
   :data:`~repro.transport.codecs.AUTO_THRESHOLD`, shared memory above
   (the default of both backends).
@@ -31,11 +31,14 @@ from repro.transport.frames import (
     SHM_PREFIX,
     Codec,
     Frame,
+    PoolFootprint,
     SegmentRef,
     TransportError,
+    busy_segments,
     decode_frame,
     materialize,
     new_session,
+    pool_footprint,
     session_segments,
     sweep_session,
     untrack,
@@ -48,18 +51,21 @@ __all__ = [
     "Frame",
     "LinkModel",
     "PickleCodec",
+    "PoolFootprint",
     "SHM_PREFIX",
     "SegmentRef",
     "SharedMemoryCodec",
     "SizeStratifiedLinkEstimator",
     "TransportError",
     "available_codecs",
+    "busy_segments",
     "calibrated_auto_threshold",
     "decode_frame",
     "from_spec",
     "get",
     "materialize",
     "new_session",
+    "pool_footprint",
     "register_codec",
     "session_segments",
     "spec_of",

@@ -8,33 +8,32 @@ placement*:
 * :class:`SharedMemoryCodec` — every out-of-band-capable buffer (numpy
   arrays, and any pickle stream at least ``threshold`` bytes — which
   covers large ``bytes``/``str`` payloads) goes to a shared-memory
-  segment; the frame carries descriptors.
+  slot of the encoding process's pool; the frame carries descriptors.
 * ``auto`` — a :class:`SharedMemoryCodec` with a large threshold
   (:data:`AUTO_THRESHOLD`): small items stay inline (a segment per tiny
-  item costs more than the copy it saves), large items go zero-copy.  The
+  item costs more than the copy it saves), large items go by descriptor.  The
   per-item decision the adaptation story needs, without a second class.
 
 Placement rule, per encode: pickle with ``buffer_callback``; each
 contiguous out-of-band buffer of at least ``threshold`` bytes is written
-into its own segment, smaller ones are serialized in-band.  If the
+into its own slot, smaller ones are serialized in-band.  If the
 resulting stream itself reaches ``threshold`` (big ``bytes`` payloads,
-deeply nested objects), the stream moves to a segment too.
+deeply nested objects), the stream moves to a slot too.  Slots are
+recycled, never created per frame: see :class:`~repro.transport.frames.
+SlotPool` and the lifecycle contract in :mod:`repro.transport.frames`.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import pickle
-from multiprocessing import shared_memory
+import weakref
 
 from repro.transport.frames import (
-    SHM_PREFIX,
     Codec,
     Frame,
     SegmentRef,
+    SlotPool,
     TransportError,
-    untrack,
 )
 
 __all__ = [
@@ -143,22 +142,16 @@ class SharedMemoryCodec(Codec):
         if threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {threshold}")
         self.threshold = int(threshold)
-        # itertools.count: next() is atomic in CPython, and one codec is
-        # shared by all of a worker's replica threads encoding results.
-        self._counter = itertools.count(1)
+        # One pool per codec, shared (under its lock) by all of a worker's
+        # replica threads encoding results.  release() frees slots without
+        # unlinking them, so a codec that is never close()d gives its slots
+        # up when it is collected or the interpreter exits.
+        self._pool = SlotPool(self.session)
+        weakref.finalize(self, self._pool.drop)
 
-    def _new_segment(self, data) -> SegmentRef:
-        """Write one buffer into a fresh segment (closed at once; named)."""
-        name = f"{SHM_PREFIX}{self.session}-{os.getpid()}-{next(self._counter)}"
-        size = data.nbytes if hasattr(data, "nbytes") else len(data)
-        seg = shared_memory.SharedMemory(name=name, create=True, size=max(size, 1))
-        untrack(seg)  # this package owns cleanup: release() + session sweep
-        try:
-            seg.buf[:size] = data
-        finally:
-            seg.close()
-        self.track(name)
-        return SegmentRef(name=name, size=size)
+    def sweep(self) -> list[str]:
+        self._adopted.update(self._pool.forget())
+        return super().sweep()
 
     def encode(self, obj: object) -> Frame:
         refs: list[SegmentRef] = []
@@ -175,7 +168,7 @@ class SharedMemoryCodec(Codec):
             if raw.nbytes < self.threshold:
                 return True
             total += raw.nbytes
-            refs.append(self._new_segment(raw))
+            refs.append(self._pool.place(raw))
             return False
 
         head: bytes | SegmentRef
@@ -184,9 +177,9 @@ class SharedMemoryCodec(Codec):
             nbytes = len(stream) + total
             head = stream
             if len(stream) >= self.threshold:
-                head = self._new_segment(stream)
+                head = self._pool.place(stream)
         except Exception as err:
-            # Abandon any segments written before the failure (an
+            # Hand back any slots written before the failure (an
             # unpicklable payload, or shm exhaustion mid-placement).
             self.release(Frame(codec=self.name, stream=b"", buffers=tuple(refs)))
             if isinstance(err, TransportError):

@@ -3,50 +3,78 @@
 A :class:`Frame` is the unit every heavy backend moves between processes
 and hosts: a pickle-protocol-5 stream plus that stream's out-of-band
 buffers, each carried either **inline** (plain bytes, travels with the
-frame) or as a :class:`SegmentRef` — the name of a
-``multiprocessing.shared_memory`` segment holding the actual bytes, so
-only a descriptor crosses the queue or socket.
+frame) or as a :class:`SegmentRef` — the name of a shared-memory **slot**
+holding the actual bytes plus the generation the slot carried when the
+frame was written, so only a descriptor crosses the queue or socket.
 
 A :class:`Codec` decides *placement* at encode time (which buffers go to
 shared memory); decoding is codec-agnostic because frames are
 self-describing — :func:`decode_frame` reconstructs the object from any
 frame, wherever it was encoded.  The lifecycle contract:
 
-* ``encode`` creates segments (the creator closes its handles at once —
-  segments survive by name, not by fd);
-* ``decode`` **copies** buffer contents out of segments and never unlinks
+* ``encode`` takes a slot from the encoding process's :class:`SlotPool`
+  (the lowest-index free slot of the buffer's power-of-two size class,
+  created only when none is free), stamps a fresh generation into the
+  slot's header and writes the bytes;
+* ``decode`` **copies** buffer contents out of slots and changes nothing
   — decoding is side-effect-free, so an item can be re-dispatched after a
-  consumer crash;
-* ``release`` unlinks a frame's segments.  Exactly one party owns each
+  consumer crash — and checks the generation before and after the copy: a
+  released or recycled slot raises :class:`TransportError`, never yields
+  another frame's bytes;
+* ``release`` hands a frame's slots back by clearing each header *iff* it
+  still carries the frame's generation.  Exactly one party owns each
   frame's release (the worker for process-pool task frames, the
-  coordinator for everything distributed); duplicate or concurrent
-  releases are no-ops;
-* :func:`sweep_session` is the safety net: it unlinks every surviving
-  segment of a session (abort paths, crashed workers that never reported
-  their segment names).
+  coordinator for everything distributed); duplicate or late releases are
+  no-ops, even once the slot was re-issued;
+* :func:`sweep_session` unlinks: every slot of a session, free or not
+  (``close()``, abort paths, crashed workers).  Nothing else does, except
+  that a codec which is never closed gives its slots up when it is
+  collected or the interpreter exits: free ones are unlinked then, busy
+  ones by their frame's release.
 
-Segment names share a per-session prefix (``repro-shm-<session>-``) so a
+Slots are reached through their descriptor (opened by name, ``pread``/
+``pwrite``, closed — per operation; no process keeps a handle), never
+mapped: pool pages stay out of every process's resident set and
+``multiprocessing.resource_tracker`` never hears of them.  That needs
+POSIX shared memory whose descriptors support ``read``/``write`` (Linux,
+the BSDs) — the platforms the ``fork`` default and the ``/dev/shm`` sweep
+already assume.
+
+Slot names share a per-session prefix (``repro-shm-<session>-``) so a
 sweep can find orphans by name alone, and so leak checks (tests, CI) can
 assert the namespace is empty.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
+import threading
 import uuid
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from multiprocessing import shared_memory
+from typing import NamedTuple
+
+try:  # the module multiprocessing.shared_memory itself opens segments with
+    import _posixshmem
+except ImportError:  # no POSIX shared memory: every segment call raises OSError
+    _posixshmem = None
 
 __all__ = [
     "Codec",
     "Frame",
+    "PoolFootprint",
     "SegmentRef",
     "SHM_PREFIX",
+    "SlotPool",
     "TransportError",
+    "busy_segments",
     "decode_frame",
     "materialize",
     "new_session",
+    "pool_footprint",
     "session_segments",
     "sweep_session",
     "untrack",
@@ -55,10 +83,19 @@ __all__ = [
 #: Common prefix of every shared-memory segment this package creates.
 SHM_PREFIX = "repro-shm-"
 
-#: Where POSIX shared memory is visible as files (Linux); sweeps and leak
-#: checks glob here.  On platforms without it, sweeps fall back to the
-#: per-codec created-name ledger.
+#: Where POSIX shared memory is visible as files (Linux); sweeps, leak
+#: checks and footprint reports glob here.  On platforms without it, sweeps
+#: fall back to the names a codec created or adopted.
 _SHM_DIR = "/dev/shm"
+
+#: Every slot starts with its header: the generation of the frame living in
+#: it (little-endian, all zeroes while the slot is free), then a byte that
+#: is 1 once the pool that created the slot is gone; payload bytes follow.
+_GEN, _ORPHAN, _HEADER = 8, 8, 16
+_FREE = bytes(_GEN)
+
+#: Smallest slot payload (one page); size classes double from here.
+_MIN_SLOT = 4096
 
 
 class TransportError(RuntimeError):
@@ -72,14 +109,20 @@ def new_session() -> str:
 
 @dataclass(frozen=True)
 class SegmentRef:
-    """Descriptor of one shared-memory segment holding payload bytes.
+    """Descriptor of the bytes one frame wrote into a shared-memory slot.
 
-    ``size`` is the payload length; the segment itself may be larger (the
-    kernel rounds allocations up to page multiples).
+    ``size`` is the payload length (the slot is its power-of-two size
+    class, or larger); ``gen`` is the generation the slot's header carried
+    when the bytes were written — a reader that finds another value there
+    is holding a released or recycled reference.  ``recycled`` says the
+    slot was served from the pool rather than newly created (reporting
+    only).
     """
 
     name: str
     size: int
+    gen: int = 0
+    recycled: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,6 +151,13 @@ class Frame:
         """True when the frame is self-contained (no shared-memory refs)."""
         return not self.segment_refs()
 
+    @property
+    def recycled(self) -> float | None:
+        """Share of the frame's segments served from a free pool slot
+        instead of a newly created one; ``None`` for an inline frame."""
+        refs = self.segment_refs()
+        return sum(ref.recycled for ref in refs) / len(refs) if refs else None
+
 
 # ------------------------------------------------------------------ segments
 def untrack(seg: shared_memory.SharedMemory) -> None:
@@ -116,10 +166,10 @@ def untrack(seg: shared_memory.SharedMemory) -> None:
     On Python 3.8–3.12 the tracker registers segments on *attach* as well
     as create (cpython#82300), and lazily-started per-process trackers
     then warn about "leaked" segments another process legitimately
-    unlinked.  This package owns the full lifecycle — explicit
-    ``release`` plus the session sweep — so every create or attach that
-    will *not* end in a local ``unlink()`` (whose own unregister balances
-    the books) is untracked immediately.
+    unlinked.  Frame slots never meet the tracker (they are opened by
+    descriptor, not through ``SharedMemory``); this is for the one segment
+    that is — the distributed negotiation probe, which the session sweep
+    unlinks by name.
     """
     try:
         from multiprocessing import resource_tracker
@@ -130,49 +180,195 @@ def untrack(seg: shared_memory.SharedMemory) -> None:
         pass
 
 
-def _read_segment(ref: SegmentRef) -> bytearray:
-    """Copy a segment's payload out (writable, so numpy views stay mutable)."""
-    try:
-        seg = shared_memory.SharedMemory(name=ref.name)
-    except FileNotFoundError as err:
-        raise TransportError(
-            f"shared-memory segment {ref.name!r} is gone (released before "
-            "decode, or swept by an abort)"
-        ) from err
-    untrack(seg)  # attach registered it; decoding takes no ownership
-    try:
-        data = bytearray(seg.buf[: ref.size])
-    finally:
-        seg.close()
-    return data
+def _shm_open(name: str, flags: int) -> int:
+    if _posixshmem is None:
+        raise OSError("POSIX shared memory is not available on this platform")
+    return _posixshmem.shm_open("/" + name, flags, mode=0o600)
 
 
-def _segment_exists(name: str) -> bool:
-    """Does a segment still exist?  Portable (probes by attach off-Linux)."""
-    if os.path.isdir(_SHM_DIR):
-        return os.path.exists(os.path.join(_SHM_DIR, name))
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except (OSError, ValueError):
-        return False
-    untrack(seg)
-    seg.close()
-    return True
-
-
-def _unlink_segment(name: str) -> bool:
+def _shm_unlink(name: str) -> bool:
     """Unlink one segment by name; False when it was already gone."""
+    if _posixshmem is None:
+        return False
     try:
-        seg = shared_memory.SharedMemory(name=name)
+        _posixshmem.shm_unlink("/" + name)
     except FileNotFoundError:
         return False
-    try:
-        seg.close()
-        seg.unlink()  # its unregister balances the attach-side register
-    except FileNotFoundError:  # raced another releaser between open and unlink
-        untrack(seg)  # unlink never ran, so balance the register ourselves
-        return False
     return True
+
+
+# release() is compare-then-clear: serialised per process so two releases of
+# one frame cannot both pass the compare around a re-issue (across
+# processes each frame has exactly one releaser).
+_release_lock = threading.Lock()
+_serial = itertools.count(1)  # slot-name suffix, never reused in a process
+
+
+def _fresh_release_lock() -> None:
+    """In a forked child: another thread may have held the lock at the fork."""
+    global _release_lock
+    _release_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_release_lock)
+
+
+@contextmanager
+def _opened(name: str, flags: int = os.O_RDWR):
+    """The slot's descriptor for one operation (FileNotFoundError once swept).
+
+    Opened and closed per use — no process keeps a handle on a slot, so
+    live frames never count against its descriptor limit, a forked child
+    inherits none, and a sweep has nothing to close.
+    """
+    fd = _shm_open(name, flags)
+    try:
+        yield fd
+    finally:
+        os.close(fd)
+
+
+def _read_segment(ref: SegmentRef) -> bytearray:
+    """Copy a frame's bytes out of its slot (writable, so numpy views stay mutable)."""
+    gen = ref.gen.to_bytes(_GEN, "little")
+    # The generation brackets the copy: equal before and after means no
+    # release — hence no re-issue — overlapped it.
+    try:
+        with _opened(ref.name) as fd:
+            if gen != _FREE and os.pread(fd, _GEN, 0) == gen:
+                data = bytearray(ref.size)
+                view, got = memoryview(data), 0
+                while got < ref.size:
+                    n = os.preadv(fd, [view[got:]], _HEADER + got)
+                    if not n:
+                        break
+                    got += n
+                if got == ref.size and os.pread(fd, _GEN, 0) == gen:
+                    return data
+    except FileNotFoundError as err:
+        raise TransportError(
+            f"shared-memory slot {ref.name!r} is gone (swept by close() or an abort)"
+        ) from err
+    raise TransportError(
+        f"shared-memory slot {ref.name!r} no longer holds generation {ref.gen} "
+        "(the frame was released, and the slot possibly recycled, before decode)"
+    )
+
+
+def _release_segment(ref: SegmentRef) -> None:
+    """Free the slot iff it still holds ``ref``'s frame (else a no-op).
+
+    A slot whose pool is gone (see :meth:`SlotPool.drop`) has nobody left
+    to recycle it: its last release unlinks it.
+    """
+    try:
+        with _opened(ref.name) as fd, _release_lock:
+            if os.pread(fd, _GEN, 0) == ref.gen.to_bytes(_GEN, "little"):
+                os.pwrite(fd, _FREE, 0)
+                if os.pread(fd, 1, _ORPHAN) == b"\x01":  # read *after* the clear
+                    _shm_unlink(ref.name)
+    except FileNotFoundError:
+        pass  # swept
+
+
+class SlotPool:
+    """The slots one process created for one session, recycled in place.
+
+    ``place`` is the only way payload bytes enter shared memory.  It is
+    bounded by what bounds live frames (admission window, lane
+    capacities): lowest-index-first reuse keeps each size class at the
+    peak number of frames that were simultaneously alive in it.  Whether a
+    slot is free is read from its header, because the process that
+    releases a frame is usually not the one that created the slot.
+    """
+
+    def __init__(self, session: str) -> None:
+        self._prefix = f"{SHM_PREFIX}{session}-"
+        self._lock = threading.Lock()
+        self._owner = os.getpid()
+        self._slots: dict[int, list[str]] = {}  # size class -> names, oldest first
+        # Random origin: a reference can never match a header left in a
+        # same-named slot by an earlier process that reused this pid.
+        self._gen = itertools.count(int.from_bytes(os.urandom(7), "little") + 1)
+
+    def place(self, data) -> SegmentRef:
+        """Write ``data`` into the lowest-index free slot of its size class."""
+        view = memoryview(data)  # bytes, or the flat view PickleBuffer.raw() gives
+        size = view.nbytes
+        gen = next(self._gen)
+        name, fd, recycled = self._claim(
+            1 << (max(size, _MIN_SLOT) - 1).bit_length(), gen.to_bytes(_GEN, "little")
+        )
+        try:
+            put = 0
+            while put < size:
+                put += os.pwrite(fd, view[put:], _HEADER + put)
+        except BaseException:
+            os.pwrite(fd, _FREE, 0)
+            raise
+        finally:
+            os.close(fd)
+        return SegmentRef(name=name, size=size, gen=gen, recycled=recycled)
+
+    def _claim(self, klass: int, stamp: bytes) -> tuple[str, int, bool]:
+        """Stamp a free slot of ``klass`` (growing the pool if none is): its
+        name, an open descriptor the caller closes, and whether it was reused."""
+        with self._lock:
+            if self._owner != os.getpid():  # forked copy: the parent's slots are not ours
+                self._owner, self._slots = os.getpid(), {}
+            names = self._slots.setdefault(klass, [])
+            for name in list(names):
+                try:
+                    fd = _shm_open(name, os.O_RDWR)
+                except FileNotFoundError:  # someone swept the session under us
+                    names.remove(name)
+                    continue
+                if os.pread(fd, _GEN, 0) == _FREE:
+                    os.pwrite(fd, stamp, 0)
+                    return name, fd, True
+                os.close(fd)
+            while True:
+                name = f"{self._prefix}{os.getpid()}-{next(_serial)}"
+                try:
+                    fd = _shm_open(name, os.O_CREAT | os.O_EXCL | os.O_RDWR)
+                    break
+                except FileExistsError:  # left by a dead process that had this pid
+                    continue
+            names.append(name)
+            try:
+                os.ftruncate(fd, _HEADER + klass)  # sparse: pages appear when written
+                os.pwrite(fd, stamp, 0)
+            except BaseException:  # /dev/shm is full
+                os.close(fd)
+                raise
+            return name, fd, False
+
+    def forget(self) -> list[str]:
+        """Empty the pool (its names were, or are about to be, swept)."""
+        with self._lock:
+            slots, self._slots = self._slots, {}
+        return [name for names in slots.values() for name in names]
+
+    def drop(self) -> None:
+        """Give up this process's slots: the finalizer of a codec nobody closed.
+
+        Free slots are unlinked here.  One that still holds a live frame is
+        marked orphaned instead, and unlinked by that frame's release —
+        the mark is written before the header is read and release reads it
+        after clearing the header, so one of the two always sees the other.
+        A forked copy owns nothing.
+        """
+        if self._owner != os.getpid():
+            return
+        for name in self.forget():
+            try:
+                with _opened(name) as fd:
+                    os.pwrite(fd, b"\x01", _ORPHAN)
+                    if os.pread(fd, _GEN, 0) == _FREE:
+                        _shm_unlink(name)
+            except FileNotFoundError:  # already swept
+                pass
 
 
 def decode_frame(frame: Frame) -> object:
@@ -197,7 +393,7 @@ def materialize(frame: Frame, *, release: bool = True) -> Frame:
     """An equivalent self-contained frame (segments copied inline).
 
     Used when a frame must cross a boundary shared memory cannot (a remote
-    worker).  ``release`` (default) unlinks the source segments — the
+    worker).  ``release`` (default) hands the source slots back — the
     materialized frame replaces the original.
     """
     if frame.inline:
@@ -213,7 +409,7 @@ def materialize(frame: Frame, *, release: bool = True) -> Frame:
     )
     if release:
         for ref in frame.segment_refs():
-            _unlink_segment(ref.name)
+            _release_segment(ref)
     return Frame(codec=frame.codec, stream=stream, buffers=buffers, nbytes=frame.nbytes)
 
 
@@ -227,18 +423,60 @@ def session_segments(session: str) -> list[str]:
     return sorted(e for e in entries if e.startswith(prefix))
 
 
+def _scan(session: str) -> list[tuple[str, int, bool]]:
+    """(name, allocated bytes, holds a live frame) per segment of ``session``."""
+    found = []
+    for name in session_segments(session):
+        try:
+            with _opened(name, os.O_RDONLY) as fd:
+                busy = os.pread(fd, _GEN, 0) != _FREE
+                found.append((name, os.fstat(fd).st_blocks * 512, busy))
+        except OSError:
+            pass  # swept between the listing and the open
+    return found
+
+
+def busy_segments(session: str) -> list[str]:
+    """Names of the session's slots that hold a live (unreleased) frame.
+
+    Empty between streams on a healthy warm backend — free slots stay, to
+    be recycled; a non-slot segment (the distributed negotiation probe)
+    always reads as busy.
+    """
+    return [name for name, _, busy in _scan(session) if busy]
+
+
+class PoolFootprint(NamedTuple):
+    """What a session's slot pools hold right now, summed over every party."""
+
+    slots: int  # segments in the session namespace
+    nbytes: int  # shared memory actually allocated to them
+    busy: int  # of which hold a live frame
+
+
+def pool_footprint(session: str) -> PoolFootprint:
+    scanned = _scan(session)
+    return PoolFootprint(
+        slots=len(scanned),
+        nbytes=sum(nbytes for _, nbytes, _ in scanned),
+        busy=sum(busy for _, _, busy in scanned),
+    )
+
+
 def sweep_session(session: str, *, extra_names: set[str] | None = None) -> list[str]:
     """Unlink every surviving segment of ``session``; returns removed names.
 
-    The abort/crash safety net: callers run it once the session's producers
-    and consumers are all stopped.  ``extra_names`` is the portable fallback
-    ledger (names a codec created) for platforms without a /dev/shm to glob.
+    The one place names are unlinked — ``close()`` and the abort/crash
+    safety net alike: callers run it once the session's producers and
+    consumers are all stopped (a straggler's decode then raises, its
+    release is a no-op).
+    ``extra_names`` is the portable fallback (names a codec created or
+    adopted) for platforms without a /dev/shm to glob.
     """
     names = set(session_segments(session))
     if extra_names:
         names |= extra_names
-    removed = [name for name in sorted(names) if _unlink_segment(name)]
-    return removed
+    return [name for name in sorted(names) if _shm_unlink(name)]
 
 
 class Codec:
@@ -252,48 +490,37 @@ class Codec:
 
     name: str = "abstract"
 
-    #: Ledger size that triggers a prune of already-consumed names.
-    _LEDGER_LIMIT = 4096
-
     def __init__(self, *, session: str | None = None) -> None:
         self.session = session if session is not None else new_session()
-        self._created: set[str] = set()
+        self._adopted: set[str] = set()
 
     def track(self, name: str) -> None:
-        """Adopt a segment into this codec's sweep ledger.
+        """Adopt a session segment this codec did not place.
 
-        The ledger is the portable sweep fallback (no /dev/shm to glob).
-        Frames this codec encodes are tracked automatically; callers that
-        create session segments directly (e.g. the distributed probe)
-        register them here.  Most frames are *released in a different
-        process* (the consumer), so a long-lived encoder prunes names
-        that no longer exist once the ledger passes ``_LEDGER_LIMIT`` —
-        membership is advisory, existence is what sweeps act on.
+        The distributed probe: :meth:`sweep` then reclaims it even on a
+        platform without a /dev/shm to glob.
         """
-        self._created.add(name)
-        if len(self._created) > self._LEDGER_LIMIT:
-            self._created = {n for n in self._created if _segment_exists(n)}
+        self._adopted.add(name)
 
     # ------------------------------------------------------------------ port
     def encode(self, obj: object) -> Frame:
         raise NotImplementedError
 
     def decode(self, frame: Frame) -> object:
-        """Reconstruct the object (frames are self-describing; no unlink)."""
+        """Reconstruct the object (frames are self-describing; no release)."""
         return decode_frame(frame)
 
     def release(self, frame: Frame) -> None:
-        """Unlink the frame's segments; duplicate release is a no-op."""
+        """Hand the frame's slots back; duplicate or late release is a no-op."""
         for ref in frame.segment_refs():
-            _unlink_segment(ref.name)
-            self._created.discard(ref.name)
+            _release_segment(ref)
 
     def sweep(self) -> list[str]:
         """Unlink every surviving segment of this codec's session."""
-        removed = sweep_session(self.session, extra_names=self._created)
-        self._created.clear()
+        removed = sweep_session(self.session, extra_names=self._adopted)
+        self._adopted.clear()
         return removed
 
     def close(self) -> None:
-        """Release whatever the codec still tracks (idempotent)."""
+        """Sweep the session (idempotent)."""
         self.sweep()

@@ -137,10 +137,56 @@ class TestFrameEventParity:
         procs = self._field_names("processes", batching)
         dist = self._field_names("distributed", batching, spawn_workers=1)
         assert procs == dist
-        assert procs["frame.encode"] >= {"stage", "seq", "nbytes", "inline", "seconds"}
+        assert procs["frame.encode"] >= {
+            "stage", "seq", "nbytes", "inline", "seconds", "recycled"
+        }
         assert procs["frame.release"] >= {"stage", "seq", "nbytes"}
         if batching:
-            assert procs["batch.encode"] >= {"seq", "base", "items", "nbytes", "seconds"}
+            assert procs["batch.encode"] >= {
+                "seq", "base", "items", "nbytes", "seconds", "recycled"
+            }
             assert "items" in procs["frame.encode"] and "items" in procs["frame.release"]
         else:
             assert "batch.encode" not in procs
+
+    @pytest.mark.parametrize(
+        "backend, kwargs", [("processes", {}), ("distributed", {"spawn_workers": 1})]
+    )
+    def test_recycled_and_pool_footprint_show_slot_reuse(self, backend, kwargs):
+        # Segment-sized payloads through a window of 2: the first encodes
+        # create their slots (recycled 0.0), every later one is served from
+        # a slot an earlier item handed back (1.0), and stats() reads the
+        # session's footprint — bounded by the window, idle after drain.
+        session = open_pipeline(
+            [_double], backend=backend, transport="shm", max_inflight=2, **kwargs
+        )
+        shares = []
+        session.events.subscribe(
+            lambda ev: shares.append(ev.fields["recycled"]), kinds=("frame.encode",)
+        )
+        try:
+            for i in range(12):
+                session.submit(np.full(40_000, float(i)))
+            out = session.drain()
+            assert [a[0] for a in out] == [2.0 * i for i in range(12)]
+            pool = session.stats().pool
+        finally:
+            session.close()
+        # (distributed pickles inline — recycled None — until a worker has
+        # verified the shm probe)
+        shares = [s for s in shares if s is not None]
+        assert shares[0] == 0.0 and shares[-1] == 1.0
+        assert set(shares) <= {0.0, 1.0} and shares.count(0.0) <= 3
+        probe = backend == "distributed"  # its negotiation segment stays held
+        assert pool.busy == probe
+        # parent + one worker, 2 segments per frame, at most window+1 live
+        assert 4 <= pool.slots - probe <= 12
+        assert pool.nbytes >= 2 * 320_000  # a payload slot on each side, at least
+
+
+def test_in_process_sessions_report_no_pool():
+    session = open_pipeline([_double], backend="threads")
+    try:
+        assert session.stats().pool is None
+    finally:
+        session.close()

@@ -13,6 +13,7 @@ from repro.transport import (
     SegmentRef,
     SharedMemoryCodec,
     TransportError,
+    busy_segments,
     decode_frame,
     materialize,
     session_segments,
@@ -127,10 +128,12 @@ def test_materialize_yields_equivalent_inline_frame():
         inline = materialize(frame)
         assert inline.inline and inline.nbytes == frame.nbytes
         np.testing.assert_equal(decode_frame(inline), payload)
-        # materialize released the source segments.
-        assert session_segments(codec.session) == []
+        # materialize released the source slots: they stay, free, to be
+        # recycled; close() is what unlinks them.
+        assert busy_segments(codec.session) == []
     finally:
         codec.close()
+    assert session_segments(codec.session) == []
 
 
 def test_sweep_reclaims_unreleased_segments():

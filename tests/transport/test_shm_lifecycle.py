@@ -4,6 +4,9 @@ The contract under test (ISSUE 4): after normal completion, after an
 abort mid-run, and after a killed distributed worker, `/dev/shm` holds no
 segment of the backend's transport session once the backend is closed —
 and releasing a frame twice is a no-op (covered in test_frames too).
+While a backend is warm its pools keep their *free* slots for the next
+stream (ISSUE 15); what must be empty between streams is the set of slots
+still holding a live frame.
 """
 
 import time
@@ -14,7 +17,7 @@ import pytest
 from repro.backend import DistributedBackend, ProcessPoolBackend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.transport import session_segments
+from repro.transport import busy_segments, session_segments
 from repro.workloads.payloads import array_pipeline, checksum_array, make_arrays
 
 
@@ -41,9 +44,9 @@ def test_process_backend_normal_completion_leaves_no_segments(transport):
         res = backend.run(make_arrays(8, mbytes=0.5, seed=1))
         session = backend._codec.session
         assert res.items == 8
-        # A healthy warm backend holds no segments *between* runs either:
+        # A healthy warm backend holds no live frame *between* runs either:
         # every frame was consumed and released along the way.
-        assert session_segments(session) == []
+        assert busy_segments(session) == []
     assert session_segments(session) == []
 
 
@@ -72,8 +75,8 @@ def test_distributed_normal_completion_leaves_no_segments():
         session = backend._codec.session
         assert res.items == 8
         assert all(w["shm_ok"] for w in backend.alive_workers())
-        # Only the negotiation probe survives while the backend is warm.
-        left = session_segments(session)
+        # Only the negotiation probe is held while the backend is warm.
+        left = busy_segments(session)
         assert all("probe" in name for name in left), left
     finally:
         backend.close()
