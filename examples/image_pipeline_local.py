@@ -12,7 +12,7 @@ Run:  python examples/image_pipeline_local.py
 
 import time
 
-from repro import ThreadPipeline, local_config, open_pipeline
+from repro import ThreadBackend, local_config, open_pipeline
 from repro.workloads.apps import image_pipeline, make_images
 from repro.util.tables import render_table
 
@@ -25,18 +25,20 @@ def main() -> None:
 
     rows = []
     for replicas in ([1, 1, 1, 1], [1, 2, 1, 1], [1, 3, 1, 1]):
-        tp = ThreadPipeline(pipeline, replicas=replicas)
-        t0 = time.perf_counter()
-        out = tp.run(images)
-        elapsed = time.perf_counter() - t0
+        with ThreadBackend(pipeline, replicas=replicas).open() as session:
+            t0 = time.perf_counter()
+            for image in images:
+                session.submit(image)
+            out = session.drain()
+            elapsed = time.perf_counter() - t0
+            service_means = session.service_means()
         assert len(out) == len(images)
-        stats = tp.last_stats
         rows.append(
             [
                 str(replicas),
                 f"{elapsed:.2f}",
                 f"{len(images) / elapsed:.1f}",
-                " ".join(f"{m:.3f}" for m in stats.service_means()),
+                " ".join(f"{m:.3f}" for m in service_means),
             ]
         )
     print(

@@ -54,7 +54,6 @@ from repro.gridsim import (
     uniform_grid,
 )
 from repro.model import Mapping, ModelContext, StageCost, predict
-from repro.runtime import ThreadPipeline
 from repro.skel import (
     farm,
     open_pipeline,
@@ -94,7 +93,6 @@ __all__ = [
     "StageCost",
     "StageSpec",
     "ThreadBackend",
-    "ThreadPipeline",
     "__version__",
     "available_backends",
     "balanced_pipeline",

@@ -1,43 +1,37 @@
 """Warm process-pool backend: true multi-core execution of pipelines.
 
-Each stage owns a pool of **pre-forked worker processes** (the ModelOps
-warm-pool idea: pay process start-up once, before the first item, and keep
-workers resident between streams).  Only ``replicas[i]`` of a stage's pool
-are *active*; ``reconfigure(stage, n)`` activates or deactivates warm
-workers instantly — no fork on the adaptation path.
+Each stage owns a pool of **pre-forked worker processes** (pay process
+start-up once, keep workers resident between streams) that all ``get`` from
+**one shared, bounded task queue**.  Only ``replicas[i]`` of a pool serve;
+``reconfigure`` parks or releases warm workers — no fork on the adaptation
+path.  A worker puts its result **straight onto the next stage's queue**;
+only at a *boundary* — the last stage, or one feeding an ordered stage —
+does it report to the parent, where a router restores order::
 
-Topology (per stage ``i``)::
+    feeder ─> taskq[0] ─> workers 0 ─> taskq[1] ─> workers 1 ─> resq ─> router
+    (session)  (shared)               (shared)   (boundary)        (session)
 
-                      taskq (per worker, bounded)
-    feeder ───────┬──> worker i.0 ──┐
-    (session)     ├──> worker i.1 ──┼──> resq[i] ──> router[i] ──> ...
-                  └──> worker i.R ──┘   (shared)     (session)
-
-* The **pools belong to the backend** and survive across sessions and
-  streams; the **feeder and router threads belong to the session** — they
-  are the routed-stage core shared with the distributed backend
-  (:mod:`repro.backend.routed`), which also owns the reorderers, their
-  per-stream rebase, abort handling, metrics and the egress branch.  This
-  module supplies only the lane: put a frame on a worker's task queue,
-  get a result (or notice a dead worker), account it.
-* Workers are OS processes running :func:`_worker_main`; items and results
-  cross process boundaries as :class:`~repro.transport.Frame` objects
-  produced by the backend's **transport codec** (``transport=``): inline
-  pickle streams by default, shared-memory descriptors for large payloads
-  under ``"auto"``/``"shm"``.  ``"auto"``'s placement threshold is
-  **calibrated at warm-up** from a quick encode/decode probe
-  (:func:`repro.transport.calibrated_auto_threshold`) instead of trusting
-  the static default — E17 showed the crossover varies by host.  Frames
-  hand their slots back per item (task frames in the worker that consumed
-  them, result frames in the router); ``close()`` unlinks every pool.
-* **Routers** collect a stage's results and dispatch them to the
-  *least-loaded active* worker of the next stage — as they arrive when
-  that stage is stateless, in sequence order when it is ordered
-  (``replicable=False``; the feeder does the same for stage 0) — and the
-  final router delivers in input order: the ``Pipeline1for1`` contract
-  holds across processes exactly as it does in the thread runtime.
-* Bounded per-worker task queues, a bounded result queue and the session's
-  bounded admission window give end-to-end back-pressure.
+* The **pools belong to the backend** and survive sessions and streams; the
+  **feeder and the boundary routers belong to the session** — the
+  routed-stage core shared with the distributed backend
+  (:mod:`repro.backend.routed`), which owns the reorderers, abort handling,
+  metrics and egress.  This module supplies only the lane.
+* What a per-stage router used to record rides on the frame: each worker
+  appends ``(stage, worker, service_s, nbytes_out, ended_at)`` to the
+  item's *trail* and the boundary router replays it (``Hop.trail``).  A
+  stage error goes to the boundary's result queue with the stage's index.
+* Items cross processes as :class:`~repro.transport.Frame` objects of the
+  backend's **transport codec** (``transport=``): inline pickle streams, or
+  shared-memory descriptors for large payloads under ``"auto"``/``"shm"``
+  (threshold **calibrated at warm-up**,
+  :func:`repro.transport.calibrated_auto_threshold`).  Slots go back per
+  item: task frames in the worker that consumed them, final frames at
+  egress; ``close()`` unlinks every pool.
+* ``reconfigure`` never targets a worker: shrinking puts a *park token* on
+  the stage's queue (whoever takes it blocks on the stage's semaphore, and
+  work queued ahead of it is still served), growing releases the semaphore.
+* Bounded stage queues, bounded result queues and the session's admission
+  window give end-to-end back-pressure.
 
 The default start method is ``fork`` where available (warm semantics, and
 closures/lambdas need no pickling); pass ``start_method="spawn"`` with
@@ -61,101 +55,104 @@ from repro.backend.base import (
 )
 from repro.backend.routed import Hop, RoutedSession
 from repro.core.pipeline import PipelineSpec
+from repro.runtime.threads import StageError
 from repro.transport import Codec, Frame
 from repro.util.batching import Batch, map_batch
 from repro.util.validation import check_positive
 
 __all__ = ["ProcessPoolBackend"]
 
-_STOP = None  # poison pill: worker exits (sent only by close())
+_STOP = None  # poison pill: the worker that takes it exits (sent only by close())
+_PARK = False  # park token: the worker that takes it blocks on the stage's gate
 
 
-def _worker_main(stage_index: int, worker_id: int, fn, taskq, resq, codec_spec) -> None:
-    """Worker process body: apply ``fn`` to (seq, frame) tasks forever."""
+def _put(q, msg, abort: "threading.Event | None") -> bool:
+    """Put on a bounded queue; give up once ``abort`` is set (or absent)."""
+    while True:
+        try:
+            q.put(msg, timeout=0.05)
+            return True
+        except thread_queue.Full:
+            if abort is None or abort.is_set():
+                return False
+
+
+def _worker_main(stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_spec) -> None:
+    """Worker process body: apply ``fn`` to ``(seq, frame, trail)`` tasks forever.
+
+    Results go to ``out`` (the next stage's task queue, or ``resq`` at a
+    boundary) in the same shape, the trail one entry longer; failures go to
+    ``resq`` as ``(seq, None, (stage, pickled error | None, text))``.
+    """
     codec = _transport.from_spec(codec_spec)
     while True:
         msg = taskq.get()
         if msg is _STOP:
             break
-        seq, frame = msg
+        if msg is _PARK:
+            gate.acquire()
+            continue
+        seq, frame, trail = msg
         try:
             value = codec.decode(frame)
         except Exception as err:
             codec.release(frame)  # the parent aborts; nothing retries this frame
-            resq.put(("err", seq, worker_id, None, f"undecodable item: {err!r}"))
+            resq.put((seq, None, (stage, None, f"undecodable item: {err!r}")))
             continue
         # Sole consumer, and the process backend never re-dispatches (a
         # worker death aborts the stream): the task frame's slots go back to
-        # the parent's pool once the value is copied out — per item.
+        # their pool once the value is copied out — per item.
         codec.release(frame)
         t0 = time.perf_counter()
         try:
             # A micro-batch decoded from one frame maps element-wise here
             # and re-encodes as one frame: the whole run of items pays a
-            # single queue round trip and a single pickle stream each way.
+            # single queue hop and a single pickle stream per stage.
             result = map_batch(fn, value) if isinstance(value, Batch) else fn(value)
         except BaseException as err:  # noqa: BLE001 - shipped to the parent
             try:
                 err_payload = pickle.dumps(err)
             except Exception:
                 err_payload = None
-            resq.put(("err", seq, worker_id, err_payload, repr(err)))
+            resq.put((seq, None, (stage, err_payload, repr(err))))
             continue  # stay warm; the parent aborts the stream
-        dt = time.perf_counter() - t0
+        t1 = time.perf_counter()  # one monotonic clock for every process of the host
         try:
             out_frame = codec.encode(result)
         except Exception as err:
-            resq.put(("err", seq, worker_id, None, f"unencodable result: {err!r}"))
+            resq.put((seq, None, (stage, None, f"unencodable result: {err!r}")))
             continue
-        resq.put(("ok", seq, worker_id, out_frame, dt))
+        out.put((seq, out_frame, trail + ((stage, worker_id, t1 - t0, out_frame.nbytes, t1),)))
 
 
-class _WorkerHandle:
-    """Parent-side view of one worker process."""
+class _Segment:
+    """A run of stages whose workers forward to each other, up to a boundary."""
 
-    def __init__(self, proc, taskq, active: bool) -> None:
-        self.proc = proc
-        self.taskq = taskq
-        self.active = active
-        self.inflight = 0  # dispatched, result not yet seen
+    def __init__(self, resq, stages: range) -> None:
+        self.resq = resq  # the boundary's workers report here; so does every error
+        self.stages = stages  # the range of stage indices it spans
+        # Items inside the segment = entered - left; each has one writer (the
+        # thread feeding the segment, the boundary's router).
+        self.entered = 0
+        self.left = 0
 
 
 class _StagePool:
-    """One stage's warm worker pool plus its shared result queue."""
+    """One stage's warm workers around their shared task queue."""
 
-    def __init__(self, resq, lock: threading.Lock) -> None:
-        self.resq = resq
-        self.lock = lock
-        self.workers: list[_WorkerHandle] = []
-
-    def active_count(self) -> int:
-        with self.lock:
-            return sum(1 for w in self.workers if w.active)
+    def __init__(self, taskq, gate, active: int, seg: _Segment) -> None:
+        self.taskq = taskq
+        self.gate = gate  # parked workers block here
+        self.active = active  # workers neither parked nor about to be
+        self.seg = seg
+        self.lock = threading.Lock()  # one reconfigure at a time
+        self.procs: list = []
 
     def queued(self) -> int:
-        with self.lock:
-            return sum(w.inflight for w in self.workers)
-
-    def pick(self) -> _WorkerHandle:
-        """Least-loaded active worker (claims one in-flight slot)."""
-        with self.lock:
-            active = [w for w in self.workers if w.active]
-            best = min(active, key=lambda w: w.inflight)
-            best.inflight += 1
-            return best
-
-    def note_done(self, worker_id: int) -> None:
-        with self.lock:
-            self.workers[worker_id].inflight -= 1
-
-    def dead_workers(self) -> list[tuple[int, int | None]]:
-        """(worker_id, exitcode) of workers that died (none should, mid-run)."""
-        with self.lock:
-            return [
-                (wid, w.proc.exitcode)
-                for wid, w in enumerate(self.workers)
-                if not w.proc.is_alive()
-            ]
+        try:
+            return self.taskq.qsize()
+        except NotImplementedError:  # no sem_getvalue() on macOS
+            return 0
 
 
 class _ProcessSession(RoutedSession):
@@ -164,67 +161,73 @@ class _ProcessSession(RoutedSession):
     def _attach(self) -> None:
         self.backend.warm()
 
+    def _boundaries(self) -> list[int]:
+        return self.backend._boundaries()
+
     def _shutdown(self) -> None:
         super()._shutdown()
         if self._abort.is_set():
-            # An aborted stream leaves worker queues in an unknown state: go
+            # An aborted stream leaves the queues in an unknown state: go
             # cold so the next session re-forks clean pools.
             self.backend._shutdown_pools(graceful=False)
 
     # ------------------------------------------------------------ lane hooks
     def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
-        """Send one encoded item to the least-loaded active worker of ``stage``."""
+        """Put one encoded item on ``stage``'s queue (it opens a segment)."""
         pool = self.backend._pools[stage]
-        handle = pool.pick()
-        while True:
-            try:
-                handle.taskq.put((seq, frame), timeout=0.05)
-                return True
-            except thread_queue.Full:
-                if self._abort.is_set():
-                    with pool.lock:
-                        handle.inflight -= 1
-                    return False
+        pool.seg.entered += 1
+        return _put(pool.taskq, (seq, frame, ()), self._abort)
 
     def _poll(self, stage: int) -> "tuple | None":
-        pool = self.backend._pools[stage]
+        pools = self.backend._pools
+        seg = pools[stage].seg
         try:
-            return pool.resq.get(timeout=0.1)
+            return seg.resq.get(timeout=0.1)
         except thread_queue.Empty:
             pass
         # No worker should die mid-stream (close() is the only sender of
-        # stop pills); a dead one with items in flight means those items are
-        # lost and the drain barrier would never clear — fail, don't hang.
-        # Idle pools are left in peace between streams.
-        dead = pool.dead_workers() if pool.queued() else []
-        if dead and not self._stopping.is_set():
-            wid, code = dead[0]
-            self.events.emit(
-                "worker.death",
-                f"stage {stage} worker {wid} exited",
-                worker=wid,
-                stage=stage,
-                exitcode=code,
-            )
-            raise RuntimeError(
-                f"worker {wid} died mid-run (exitcode {code}); "
-                "its in-flight items are lost"
-            )
+        # stop pills); a dead one anywhere in a segment holding items means
+        # those items may be lost and the drain barrier would never clear —
+        # fail, don't hang.  Idle pools are left in peace between streams.
+        if seg.entered > seg.left and not self._stopping.is_set():
+            workers = ((i, w, p) for i in seg.stages for w, p in enumerate(pools[i].procs))
+            for where, wid, proc in workers:
+                if not proc.is_alive():
+                    self.events.emit(
+                        "worker.death",
+                        f"stage {where} worker {wid} exited",
+                        worker=wid,
+                        stage=where,
+                        exitcode=proc.exitcode,
+                    )
+                    raise StageError(
+                        self.backend.pipeline.stage(where).name,
+                        RuntimeError(
+                            f"worker {wid} died mid-run (exitcode {proc.exitcode}); "
+                            "its in-flight items are lost"
+                        ),
+                    )
         return None
 
     def _accept(self, stage: int, msg: tuple) -> Hop:
-        kind, seq, worker_id, payload, extra = msg
-        pool = self.backend._pools[stage]
-        pool.note_done(worker_id)
-        if kind == "err":
-            original: BaseException = RuntimeError(extra)
+        seq, frame, trail = msg
+        pools = self.backend._pools
+        pools[stage].seg.left += 1
+        if frame is None:
+            failed, payload, text = trail
+            original: BaseException = RuntimeError(text)
             if payload is not None:
                 try:
                     original = pickle.loads(payload)
                 except Exception:  # noqa: BLE001 - keep the repr-only stand-in
                     pass
-            raise original
-        return Hop(seq, payload, extra, 1.0, worker_id, pool.queued())
+            raise StageError(self.backend.pipeline.stage(failed).name, original)
+        *upstream, (_, worker_id, service_s, _, ended) = trail
+        clock = self.perf_to_session
+        return Hop(
+            seq, frame, service_s, 1.0, worker_id, pools[stage].queued(), at=clock(ended),
+            trail=tuple((i, w, s, n, pools[i].queued(), clock(t)) for i, w, s, n, t in upstream),
+        )
 
 
 class ProcessPoolBackend(Backend):
@@ -240,7 +243,8 @@ class ProcessPoolBackend(Backend):
         Warm-pool size per replicable stage — the ceiling ``reconfigure``
         can activate without forking mid-run.
     capacity:
-        Per-worker task-queue bound (back-pressure granularity).
+        Queue bound per warm worker: a stage's shared task queue (and a
+        boundary's result queue) holds ``capacity x pool size`` items.
     start_method:
         ``multiprocessing`` start method; default ``fork`` when available.
     transport:
@@ -286,8 +290,7 @@ class ProcessPoolBackend(Backend):
         self._target = [
             min(r, self.replica_limit(i)) for i, r in enumerate(replica_list)
         ]
-        self._pools: list[_StagePool] | None = None
-        self._warm = False
+        self._pools: list[_StagePool] | None = None  # None = cold
         self._closed = False
 
     # --------------------------------------------------------------- warm-up
@@ -298,32 +301,45 @@ class ProcessPoolBackend(Backend):
         """Pre-fork every stage's worker pool (idempotent)."""
         if self._closed:
             raise RuntimeError("backend is closed")
-        if self._warm:
+        if self._pools is not None:
             return
         if self._calibrate_transport and self._codec.name == "auto":
             fitted = _transport.calibrated_auto_threshold()
             if fitted is not None:
                 self._codec.threshold = fitted
-        pools = []
-        for i in range(self.pipeline.n_stages):
-            pool_size = self.replica_limit(i)
-            resq = self._ctx.Queue(maxsize=self.capacity * pool_size)
-            pool = _StagePool(resq, threading.Lock())
-            fn = self.pipeline.stage(i).fn
-            codec_spec = _transport.spec_of(self._codec)
-            for wid in range(pool_size):
-                taskq = self._ctx.Queue(maxsize=self.capacity)
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(i, wid, fn, taskq, resq, codec_spec),
-                    name=f"{self.pipeline.stage(i).name}.{wid}",
-                    daemon=True,
-                )
-                proc.start()
-                pool.workers.append(_WorkerHandle(proc, taskq, active=wid < self._target[i]))
-            pools.append(pool)
+        codec_spec = _transport.spec_of(self._codec)
+        sizes = [self.replica_limit(i) for i in range(self.pipeline.n_stages)]
+        taskqs = [self._ctx.Queue(maxsize=self.capacity * size) for size in sizes]
+        pools: list[_StagePool] = []
+        for end in self._boundaries():
+            resq = self._ctx.Queue(maxsize=self.capacity * sizes[end])
+            seg = _Segment(resq, range(len(pools), end + 1))
+            for i in seg.stages:
+                pool = _StagePool(taskqs[i], self._ctx.Semaphore(0), self._target[i], seg)
+                out = seg.resq if i == end else taskqs[i + 1]
+                for wid in range(sizes[i]):
+                    proc = self._ctx.Process(
+                        target=_worker_main,
+                        args=(
+                            i, wid, self.pipeline.stage(i).fn,
+                            pool.taskq, pool.gate, out, seg.resq, codec_spec,
+                        ),
+                        name=f"{self.pipeline.stage(i).name}.{wid}",
+                        daemon=True,
+                    )
+                    proc.start()
+                    pool.procs.append(proc)
+                for _ in range(sizes[i] - pool.active):
+                    pool.taskq.put(_PARK)  # the surplus waits, warm, at the gate
+                pools.append(pool)
         self._pools = pools
-        self._warm = True
+
+    def _boundaries(self) -> list[int]:
+        """Stages that report to the parent: the last, and any feeding an ordered one."""
+        stages = self.pipeline.stages
+        return [
+            i for i in range(len(stages)) if i + 1 == len(stages) or stages[i + 1].ordered
+        ]
 
     # ------------------------------------------------------------- sessions
     def _open_session(
@@ -344,22 +360,20 @@ class ProcessPoolBackend(Backend):
         if self._pools is None:
             return
         for pool in self._pools:
-            for w in pool.workers:
-                if graceful:
-                    try:
-                        w.taskq.put(_STOP, timeout=0.5)
-                    except thread_queue.Full:
-                        pass
-                w.taskq.close()
+            if graceful:
+                for _ in pool.procs:
+                    pool.gate.release()  # a parked worker must reach its pill
+                for _ in pool.procs:
+                    _put(pool.taskq, _STOP, None)
+            pool.taskq.close()
         for pool in self._pools:
-            for w in pool.workers:
-                w.proc.join(timeout=1.0 if graceful else 0.1)
-                if w.proc.is_alive():
-                    w.proc.terminate()
-                    w.proc.join(timeout=1.0)
-            pool.resq.close()
+            for proc in pool.procs:
+                proc.join(timeout=1.0 if graceful else 0.1)
+                if proc.is_alive():
+                    proc.terminate()
+                    proc.join(timeout=1.0)
+            pool.seg.resq.close()  # shared by the segment's pools; idempotent
         self._pools = None
-        self._warm = False
         # Every producer and consumer of the session is stopped: unlink the
         # pools' slots — free ones, and frames an abort stranded in queues.
         self._codec.sweep()
@@ -376,16 +390,17 @@ class ProcessPoolBackend(Backend):
     def replica_counts(self) -> list[int]:
         if self._pools is None:
             return list(self._target)
-        return [p.active_count() for p in self._pools]
+        return [p.active for p in self._pools]
 
     def reconfigure(self, stage: int, n_replicas: int) -> None:
-        """Activate/deactivate warm workers of ``stage`` to ``n_replicas``.
+        """Park or release warm workers of ``stage`` to reach ``n_replicas``.
 
         Counts are clamped to ``[1, replica_limit(stage)]`` (so a stateful
         stage clamps to 1, matching the port contract and the thread
-        adapter) — growth never forks mid-run; deactivated workers finish
-        what they were dealt and then idle, warm, until reactivated or
-        closed.
+        adapter) — growth never forks mid-run.  Replicas are
+        interchangeable, so none is targeted: growing releases the stage's
+        gate, shrinking queues a park token behind the work already there
+        and whoever takes it waits, warm, at the gate.
         """
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
@@ -394,28 +409,16 @@ class ProcessPoolBackend(Backend):
         if self._pools is None:
             return
         pool = self._pools[stage]
+        # A full queue delays the token only while the session lives.
+        abort = getattr(self._session, "_abort", None)
         with pool.lock:
-            active = sum(1 for w in pool.workers if w.active)
-            if active < n_replicas:
-                for w in pool.workers:
-                    if not w.active:
-                        w.active = True
-                        active += 1
-                        self.events.emit("replica.add", stage=stage, n=active)
-                        if active == n_replicas:
-                            break
-            elif active > n_replicas:
-                # Drop the least-loaded workers first; busy ones finish what
-                # they were dealt either way.
-                idle_first = sorted(
-                    (w for w in pool.workers if w.active), key=lambda w: w.inflight
-                )
-                for w in idle_first:
-                    if active == n_replicas:
-                        break
-                    w.active = False
-                    active -= 1
-                    self.events.emit("replica.remove", stage=stage, n=active)
+            while pool.active < n_replicas:
+                pool.gate.release()
+                pool.active += 1
+                self.events.emit("replica.add", stage=stage, n=pool.active)
+            while pool.active > n_replicas and _put(pool.taskq, _PARK, abort):
+                pool.active -= 1
+                self.events.emit("replica.remove", stage=stage, n=pool.active)
 
 
 register_backend("processes", ProcessPoolBackend)

@@ -17,8 +17,8 @@ the last router always does, so delivery is in input order; between
 stateless stages results are forwarded as they arrive and a slow item
 never holds its successors back.
 
-:class:`RoutedSession` owns the feeder thread, one router thread per stage,
-every reorderer and their stream-boundary rebase, the
+:class:`RoutedSession` owns the feeder thread, one router thread per
+*boundary* stage, every reorderer and their stream-boundary rebase, the
 abort/stopping flags and ``_fail``, per-stage metrics and byte accounting,
 item-space event emission, and the egress branch (decode → release →
 ``record_completion`` → ``_deliver``).  An executor supplies four hooks:
@@ -39,8 +39,14 @@ item-space event emission, and the egress branch (decode → release →
     send one frame to ``stage`` (in order when it is ordered); ``False``
     when aborted.
 
-``_attach`` (warm the lane before any thread starts) and ``_wake_lane``
-(wake dispatchers blocked on lane capacity at abort) are optional.
+``_attach`` (warm the lane before any thread starts), ``_wake_lane`` (wake
+dispatchers blocked on lane capacity at abort) and ``_boundaries`` are
+optional.  By default every stage is a boundary: its results come back to
+a router here.  A lane whose workers can reach each other (forked
+processes sharing queues) names fewer — the last stage and any stage
+feeding an ordered one — and lets the rest forward worker to worker; what
+their routers would have recorded then arrives as ``Hop.trail`` on the
+boundary's result and is replayed into the same per-stage records.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import queue as thread_queue
 import threading
 import time
 from dataclasses import replace
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 from repro.backend.base import Backend, Session, SessionStats
 from repro.monitor.instrument import PipelineInstrumentation
@@ -73,6 +79,10 @@ class Hop(NamedTuple):
     worker: "int | str"  # who serviced it (event annotation)
     queued: int  # items still in flight at this stage
     transfer_s: "float | None" = None  # measured one-way wire time, if any
+    at: "float | None" = None  # session-clock time the service ended (None: now)
+    #: Upstream stages no router saw (their workers forwarded straight on),
+    #: oldest first: ``(stage, worker, service_s, nbytes_out, queued, at)`` each.
+    trail: tuple = ()
 
 
 class RoutedSession(Session):
@@ -114,7 +124,7 @@ class RoutedSession(Session):
                 target=self._feed, name=f"{backend.name}-feeder", daemon=True
             )
         ]
-        for i in range(n):
+        for i in self._boundaries():
             self._threads.append(
                 threading.Thread(
                     target=self._route,
@@ -132,6 +142,10 @@ class RoutedSession(Session):
 
     def _wake_lane(self) -> None:
         """Wake dispatchers blocked on lane capacity (abort was just set)."""
+
+    def _boundaries(self) -> "Sequence[int]":
+        """Stages whose results come back here, each to its own router."""
+        return range(self.backend.pipeline.n_stages)
 
     def _ingress(self, seq: int, value: Any) -> bool:
         return self._forward(0, seq, self._encode(seq, value, self._codec))
@@ -238,8 +252,6 @@ class RoutedSession(Session):
             self._fail(stage, err)
 
     def _route_inner(self, stage: int) -> None:
-        metrics = self.instrumentation.stages[stage]
-        lock = self._stage_locks[stage]
         nxt = stage + 1
         reorder = self._reorder[nxt]
         last = nxt >= self.backend.pipeline.n_stages
@@ -255,16 +267,14 @@ class RoutedSession(Session):
             # Executor seqs are batch seqs when batching: the service
             # record goes back to item space (seq = first item, items = N)
             # so span attribution and the live top view stay per-item.
-            ev_seq, ev_items = self._event_seq(hop.seq)
-            with lock:
-                metrics.record_service(
-                    hop.service_s, hop.speed, seq=ev_seq, worker=hop.worker,
-                    queue=hop.queued, items=ev_items,
-                )
-                metrics.record_queue_length(hop.queued)
-                if hop.transfer_s is not None:
-                    metrics.record_transfer(hop.transfer_s)
-                metrics.record_bytes_out(hop.frame.nbytes)
+            where = self._event_seq(hop.seq)
+            for upstream, worker, service_s, nbytes, queued, at in hop.trail:
+                self._record(upstream, where, service_s, 1.0, worker, queued, nbytes, at)
+                self._record_bytes_in(upstream + 1, nbytes)
+            self._record(
+                stage, where, hop.service_s, hop.speed, hop.worker, hop.queued,
+                hop.frame.nbytes, hop.at, hop.transfer_s,
+            )
             # Workers produce encoded frames and the next stage's workers
             # expect exactly that format: forward each frame untouched and
             # decode only final outputs.
@@ -276,6 +286,21 @@ class RoutedSession(Session):
                     self._record_bytes_in(nxt, frame.nbytes)
                     if not self._forward(nxt, ready_seq, frame):
                         return
+
+    def _record(
+        self, stage, where, service_s, speed, worker, queued, nbytes_out, at, transfer_s=None
+    ) -> None:
+        """One stage's share of a hop: service, queue, transfer, bytes out."""
+        metrics = self.instrumentation.stages[stage]
+        with self._stage_locks[stage]:
+            metrics.record_service(
+                service_s, speed,
+                seq=where[0], worker=worker, queue=queued, items=where[1], at=at,
+            )
+            metrics.record_queue_length(queued)
+            if transfer_s is not None:
+                metrics.record_transfer(transfer_s)
+            metrics.record_bytes_out(nbytes_out)
 
     def _egress(self, stage: int, seq: int, frame: Frame) -> None:
         """Decode one in-order final frame, release it, deliver the value."""

@@ -86,6 +86,7 @@ class StageMetrics:
         worker: "int | str | None" = None,
         queue: float | None = None,
         items: int = 1,
+        at: float | None = None,
     ) -> None:
         """``items`` items serviced in ``seconds`` at the given speed.
 
@@ -99,6 +100,8 @@ class StageMetrics:
 
         ``seq``/``worker``/``queue`` only annotate the emitted event (span
         attribution and the live ``top`` view); the windows ignore them.
+        ``at`` stamps it with the bus-clock time the service ended, for
+        records that reach the recorder late (default: now).
         """
         per_item = seconds / items if items > 1 else seconds
         self.items_processed += items
@@ -121,7 +124,7 @@ class StageMetrics:
                 fields["worker"] = worker
             if queue is not None:
                 fields["queue"] = queue
-            bus.emit("stage.service", **fields)
+            bus.emit("stage.service", at=at, **fields)
 
     def record_transfer(self, seconds: float) -> None:
         """One inter-stage transfer completed (into this stage)."""

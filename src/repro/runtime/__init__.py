@@ -1,16 +1,14 @@
-"""Local (real) execution of pipelines with threads.
+"""Building blocks of the local thread fabric (see :mod:`repro.runtime.threads`).
 
-This runtime executes the *same* :class:`~repro.core.pipeline.PipelineSpec`
-API on the local machine using worker threads and bounded queues.  It exists
-for API parity, correctness testing and I/O-bound or GIL-releasing (numpy)
-stages.
+The fabric is wired and run by :class:`repro.backend.ThreadBackend`; it
+exists for API parity, correctness testing and I/O-bound or GIL-releasing
+(numpy) stages.
 
 **GIL honesty** (see DESIGN.md): pure-Python CPU-bound stages do not run in
-parallel under CPython threads, so this runtime makes *no* performance
-claims for them — all performance experiments use the simulator.  Stage
-functions that release the GIL (numpy, I/O) do pipeline in parallel.
+parallel under CPython threads, so no performance claims are made for them;
+stage functions that release the GIL (numpy, I/O) do pipeline in parallel.
 """
 
-from repro.runtime.threads import ThreadPipeline, ThreadRunStats
+from repro.runtime.threads import StageError
 
-__all__ = ["ThreadPipeline", "ThreadRunStats"]
+__all__ = ["StageError"]

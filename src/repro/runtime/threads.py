@@ -1,4 +1,4 @@
-"""Building blocks of the thread fabric, plus a batch-style wrapper.
+"""Building blocks of the thread fabric.
 
 Architecture (one bounded queue per stage, shared by its workers)::
 
@@ -21,8 +21,7 @@ Architecture (one bounded queue per stage, shared by its workers)::
 This module only *defines* the blocks (:class:`_CountedQueue`,
 :class:`_Worker`); the one place that wires and runs them is the session
 in :mod:`repro.backend.thread_backend`, which also owns the collector,
-observation and live ``reconfigure``.  :class:`ThreadPipeline` survives as
-a ``run(inputs) -> outputs`` convenience over such a session.
+observation and live ``reconfigure``.
 
 Exceptions raised by stage functions abort the run and surface as
 :class:`StageError` with the offending stage named; on abort every thread
@@ -35,16 +34,13 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
-from repro.core.pipeline import PipelineSpec
 from repro.monitor.instrument import StageMetrics
 from repro.util.batching import Batch, map_batch
 from repro.util.ordering import SequenceReorderer
-from repro.util.stats import OnlineStats
 
-__all__ = ["ThreadPipeline", "ThreadRunStats", "StageError"]
+__all__ = ["StageError"]
 
 _SENTINEL = object()
 _RETIRE = object()  # consumed by exactly one worker, which then exits
@@ -57,22 +53,6 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage_name!r} failed: {original!r}")
         self.stage_name = stage_name
         self.original = original
-
-
-@dataclass
-class ThreadRunStats:
-    """Wall-clock statistics of one threaded run."""
-
-    elapsed: float
-    items: int
-    stage_service: list[OnlineStats] = field(default_factory=list)
-
-    @property
-    def throughput(self) -> float:
-        return self.items / self.elapsed if self.elapsed > 0 else 0.0
-
-    def service_means(self) -> list[float]:
-        return [s.mean for s in self.stage_service]
 
 
 class _CountedQueue:
@@ -212,54 +192,3 @@ class _Worker(threading.Thread):
                     self.out_q.put((seq, result), abort=self.abort)
         finally:
             self.out_q.producer_done()
-
-
-class ThreadPipeline:
-    """Runs a :class:`PipelineSpec` (with ``fn`` stages) over one bounded input.
-
-    A thin batch-style wrapper: each :meth:`run` streams the inputs through
-    a fresh :class:`~repro.backend.thread_backend.ThreadBackend` session
-    (which owns the whole fabric above) and keeps its statistics.
-
-    Parameters
-    ----------
-    pipeline:
-        Stage specs; every stage must define ``fn``.
-    replicas:
-        Worker count per stage (default 1 each).  ``replicas[i] > 1``
-        requires ``pipeline.stage(i).replicable``.
-    capacity:
-        Bounded queue capacity between stages (back-pressure).
-    """
-
-    def __init__(
-        self,
-        pipeline: PipelineSpec,
-        *,
-        replicas: Sequence[int] | None = None,
-        capacity: int = 8,
-    ) -> None:
-        # Imported lazily: the thread backend builds its fabric from this
-        # module's blocks, so a top-level import would cycle.
-        from repro.backend.thread_backend import ThreadBackend
-
-        self._backend = ThreadBackend(pipeline, replicas=replicas, capacity=capacity)
-        self.replicas = self._backend.replica_counts()
-        self.last_stats: ThreadRunStats | None = None
-
-    def run(self, inputs: Iterable[Any]) -> list[Any]:
-        """Process ``inputs``; returns outputs in input order.
-
-        A stage exception re-raises as :class:`StageError` naming the stage.
-        """
-        with self._backend.open() as session:
-            for item in inputs:
-                session.submit(item)
-            outputs = session.drain()
-            self.last_stats = ThreadRunStats(
-                elapsed=session.last_stream_elapsed or 0.0,
-                items=len(outputs),
-                # StageMetrics.total is the whole-run accumulator.
-                stage_service=[m.total for m in session.instrumentation.stages],
-            )
-        return outputs

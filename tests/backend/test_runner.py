@@ -78,6 +78,23 @@ class TestRuntimeAdaptiveRunner:
         assert res.replica_history[0][1] == (1, 1, 1)
         assert res.replica_history[-1][1][1] == res.final_replicas[1]
 
+    def test_grows_forwarded_bottleneck_on_process_backend(self):
+        # Stage 0's workers put straight onto stage 1's queue: no router in
+        # the parent watches it, and the controller sees its service times
+        # only through the trail replayed at the egress boundary.
+        runner = RuntimeAdaptiveRunner(
+            spec([_bottleneck, _fast]),
+            "processes",
+            config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
+            rollback=False,
+            max_replicas=3,
+        )
+        with runner:
+            res = runner.run(range(80))
+        assert res.outputs == [x * 2 + 1 for x in range(80)]
+        assert res.final_replicas[0] > 1
+        assert res.final_replicas[1] == 1
+
     def test_clamped_noop_proposal_records_no_event(self):
         # Warm pool caps the bottleneck at 2 replicas; with a huge virtual
         # grid the policy keeps proposing more, but once the backend sits at

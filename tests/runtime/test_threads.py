@@ -1,4 +1,4 @@
-"""Tests for the thread-based runtime."""
+"""Tests for the thread fabric, driven through a ``ThreadBackend`` session."""
 
 import threading
 import time
@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import ThreadBackend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.backend.runner import propose_growth
-from repro.runtime.threads import StageError, ThreadPipeline
+from repro.runtime.threads import StageError
 
 
 def spec(fns, replicable=None):
@@ -23,10 +24,18 @@ def spec(fns, replicable=None):
     )
 
 
+def run(pipe, inputs, **shape):
+    """One bounded stream through a fresh thread-backend session."""
+    with ThreadBackend(pipe, **shape).open() as session:
+        for item in inputs:
+            session.submit(item)
+        return session.drain()
+
+
 class TestThreadPipeline:
     def test_results_equal_sequential_composition(self):
         pipe = spec([lambda x: x + 1, lambda x: x * 2, lambda x: x - 3])
-        out = ThreadPipeline(pipe).run(range(20))
+        out = run(pipe, range(20))
         assert out == [(x + 1) * 2 - 3 for x in range(20)]
 
     def test_order_preserved_with_replicas(self):
@@ -37,7 +46,7 @@ class TestThreadPipeline:
             return x * x
 
         pipe = spec([jitter])
-        out = ThreadPipeline(pipe, replicas=[4]).run(range(40))
+        out = run(pipe, range(40), replicas=[4])
         assert out == [x * x for x in range(40)]
 
     def test_order_preserved_replicated_middle_stage(self):
@@ -48,16 +57,16 @@ class TestThreadPipeline:
             return x + 100
 
         pipe = spec([lambda x: x * 2, slow, lambda x: x - 1])
-        out = ThreadPipeline(pipe, replicas=[1, 3, 1]).run(range(30))
+        out = run(pipe, range(30), replicas=[1, 3, 1])
         assert out == [x * 2 + 100 - 1 for x in range(30)]
 
     def test_empty_input(self):
         pipe = spec([lambda x: x])
-        assert ThreadPipeline(pipe).run([]) == []
+        assert run(pipe, []) == []
 
     def test_single_item(self):
         pipe = spec([lambda x: x + 1])
-        assert ThreadPipeline(pipe).run([41]) == [42]
+        assert run(pipe, [41]) == [42]
 
     def test_stats_populated(self):
         def work(x):
@@ -65,13 +74,14 @@ class TestThreadPipeline:
             return x
 
         pipe = spec([work])
-        tp = ThreadPipeline(pipe)
-        tp.run(range(10))
-        assert tp.last_stats is not None
-        assert tp.last_stats.items == 10
-        assert tp.last_stats.throughput > 0
-        assert tp.last_stats.stage_service[0].n == 10
-        assert tp.last_stats.stage_service[0].mean >= 0.001
+        with ThreadBackend(pipe).open() as session:
+            for item in range(10):
+                session.submit(item)
+            assert len(session.drain()) == 10
+            assert session.last_stream_elapsed > 0
+            service = session.instrumentation.stages[0].total  # whole-run accumulator
+        assert service.n == 10
+        assert service.mean >= 0.001
 
     def test_stage_exception_propagates_with_name(self):
         def boom(x):
@@ -81,32 +91,32 @@ class TestThreadPipeline:
 
         pipe = spec([boom])
         with pytest.raises(RuntimeError, match="s0"):
-            ThreadPipeline(pipe).run(range(10))
+            run(pipe, range(10))
 
     def test_stateful_stage_cannot_be_replicated(self):
         pipe = spec([lambda x: x], replicable=[False])
         with pytest.raises(ValueError, match="stateful"):
-            ThreadPipeline(pipe, replicas=[2])
+            ThreadBackend(pipe, replicas=[2])
 
     def test_missing_fn_rejected(self):
         pipe = PipelineSpec((StageSpec(name="nofn", work=0.1),))
         with pytest.raises(ValueError, match="no fn"):
-            ThreadPipeline(pipe)
+            ThreadBackend(pipe)
 
     def test_replicas_length_mismatch(self):
         pipe = spec([lambda x: x])
         with pytest.raises(ValueError):
-            ThreadPipeline(pipe, replicas=[1, 2])
+            ThreadBackend(pipe, replicas=[1, 2])
 
     def test_invalid_replica_count(self):
         pipe = spec([lambda x: x])
         with pytest.raises(ValueError):
-            ThreadPipeline(pipe, replicas=[0])
+            ThreadBackend(pipe, replicas=[0])
 
     def test_backpressure_small_capacity(self):
         # Tiny queues must not deadlock or reorder.
         pipe = spec([lambda x: x + 1, lambda x: x * 3])
-        out = ThreadPipeline(pipe, capacity=1).run(range(50))
+        out = run(pipe, range(50), capacity=1)
         assert out == [(x + 1) * 3 for x in range(50)]
 
     def test_stateful_stage_sees_items_in_order(self):
@@ -128,7 +138,7 @@ class TestThreadPipeline:
         # declares itself stateful (replicable=False) must still start items
         # in input order.
         pipe = spec([jitter, record], replicable=[True, False])
-        ThreadPipeline(pipe, replicas=[4, 1]).run(range(30))
+        run(pipe, range(30), replicas=[4, 1])
         assert seen == list(range(30))
 
     @settings(deadline=None, max_examples=15)
@@ -139,9 +149,7 @@ class TestThreadPipeline:
     )
     def test_property_conservation(self, n_items, replicas, capacity):
         pipe = spec([lambda x: x + 1, lambda x: x * 2])
-        out = ThreadPipeline(pipe, replicas=[replicas, 1], capacity=capacity).run(
-            range(n_items)
-        )
+        out = run(pipe, range(n_items), replicas=[replicas, 1], capacity=capacity)
         assert out == [(x + 1) * 2 for x in range(n_items)]
 
 
@@ -154,9 +162,8 @@ class TestReplicatedStageErrors:
             return x
 
         pipe = spec([lambda x: x, boom, lambda x: x])
-        tp = ThreadPipeline(pipe, replicas=[1, 3, 1])
         with pytest.raises(StageError, match="s1") as excinfo:
-            tp.run(range(60))
+            run(pipe, range(60), replicas=[1, 3, 1])
         assert isinstance(excinfo.value.original, ValueError)
 
     def test_error_does_not_deadlock_with_tiny_buffers(self):
@@ -169,9 +176,8 @@ class TestReplicatedStageErrors:
             return x
 
         pipe = spec([lambda x: x + 1, boom])
-        tp = ThreadPipeline(pipe, replicas=[1, 2], capacity=1)
         with pytest.raises(StageError, match="s1"):
-            tp.run(range(200))
+            run(pipe, range(200), replicas=[1, 2], capacity=1)
 
 
 class TestProposeGrowth:

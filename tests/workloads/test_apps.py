@@ -1,9 +1,9 @@
-"""Tests for realistic application pipelines (thread runtime execution)."""
+"""Tests for realistic application pipelines (run on a thread-backend session)."""
 
 import numpy as np
 import pytest
 
-from repro.runtime.threads import ThreadPipeline
+from repro.backend import ThreadBackend
 from repro.workloads.apps import (
     image_pipeline,
     kmer_pipeline,
@@ -14,11 +14,19 @@ from repro.workloads.apps import (
 )
 
 
+def run(pipe, inputs, **shape):
+    """One bounded stream through a fresh thread-backend session."""
+    with ThreadBackend(pipe, **shape).open() as session:
+        for item in inputs:
+            session.submit(item)
+        return session.drain()
+
+
 class TestImagePipeline:
     def test_end_to_end(self):
         pipe = image_pipeline()
         images = make_images(6, size=48)
-        out = ThreadPipeline(pipe).run(images)
+        out = run(pipe, images)
         assert len(out) == 6
         for summary in out:
             assert 0.0 < summary["fraction"] < 0.5
@@ -27,8 +35,8 @@ class TestImagePipeline:
     def test_replicated_edges_stage_same_result(self):
         pipe = image_pipeline()
         images = make_images(8, size=32)
-        seq = ThreadPipeline(pipe).run(images)
-        par = ThreadPipeline(pipe, replicas=[1, 3, 1, 1]).run(images)
+        seq = run(pipe, images)
+        par = run(pipe, images, replicas=[1, 3, 1, 1])
         assert seq == par
 
     def test_images_deterministic(self):
@@ -47,7 +55,7 @@ class TestTextPipeline:
     def test_end_to_end(self):
         pipe = text_pipeline()
         docs = make_documents(5, words=100)
-        out = ThreadPipeline(pipe).run(docs)
+        out = run(pipe, docs)
         assert len(out) == 5
         for counts in out:
             assert isinstance(counts, dict)
@@ -56,7 +64,7 @@ class TestTextPipeline:
 
     def test_counts_correct(self):
         pipe = text_pipeline()
-        out = ThreadPipeline(pipe).run(["pipeline pipeline grid skeleton"])
+        out = run(pipe, ["pipeline pipeline grid skeleton"])
         assert out[0]["pipeline"] == 2
         assert out[0]["skeleton"] == 1
 
@@ -65,7 +73,7 @@ class TestKmerPipeline:
     def test_end_to_end(self):
         pipe = kmer_pipeline()
         seqs = make_sequences(4, length=2000)
-        out = ThreadPipeline(pipe).run(seqs)
+        out = run(pipe, seqs)
         assert len(out) == 4
         for rep in out:
             assert 0.3 < rep["gc"] < 0.7  # random DNA ~0.5
