@@ -448,9 +448,6 @@ class AsyncioBackend(Backend):
     def replica_counts(self) -> list[int]:
         return list(self._target)
 
-    def replica_limit(self, stage: int) -> int:
-        return self.max_replicas if self.pipeline.stage(stage).replicable else 1
-
     def reconfigure(self, stage: int, n_replicas: int) -> None:
         """Set ``stage``'s concurrency limit to ``n_replicas``, live, in O(1).
 

@@ -928,6 +928,7 @@ class Backend(ABC):
 
     name: str = "abstract"
     supports_live_reconfigure: bool = False
+    max_replicas: int = 1  # warm-pool size of a replicable stage; wideners set it
 
     def __init__(self, pipeline: PipelineSpec) -> None:
         self.pipeline = pipeline
@@ -1085,7 +1086,7 @@ class Backend(ABC):
 
     def replica_limit(self, stage: int) -> int:
         """Largest replica count ``reconfigure`` can honour for ``stage``."""
-        return 1
+        return self.max_replicas if self.pipeline.stage(stage).replicable else 1
 
     def reconfigure(self, stage: int, n_replicas: int) -> None:
         """Set ``stage``'s degree of parallelism (live when supported)."""

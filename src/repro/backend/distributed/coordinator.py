@@ -1263,9 +1263,6 @@ class DistributedBackend(Backend):
                 counts.append(sum(1 for r in self._replicas[i] if r.active))
         return counts
 
-    def replica_limit(self, stage: int) -> int:
-        return self.max_replicas if self.pipeline.stage(stage).replicable else 1
-
     def reconfigure(self, stage: int, n_replicas: int) -> None:
         """Place/retire replicas of ``stage`` across workers to ``n_replicas``.
 

@@ -294,9 +294,6 @@ class ProcessPoolBackend(Backend):
         self._closed = False
 
     # --------------------------------------------------------------- warm-up
-    def replica_limit(self, stage: int) -> int:
-        return self.max_replicas if self.pipeline.stage(stage).replicable else 1
-
     def warm(self) -> None:
         """Pre-fork every stage's worker pool (idempotent)."""
         if self._closed:

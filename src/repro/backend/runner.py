@@ -1,44 +1,37 @@
 """Observe→decide→act on *real* executors, with wall-clock measurements.
 
 :class:`RuntimeAdaptiveRunner` closes the loop the simulator's controller
-runs in simulated time (:mod:`repro.core.adaptive`), but against a live
-:class:`~repro.backend.base.Backend` — and, since the streaming refactor,
-against a live **session**: :meth:`~RuntimeAdaptiveRunner.attach` binds a
-controller thread to a :class:`~repro.backend.base.Session`, and that one
-controller keeps observing and acting across every stream the session
-serves.  The measurement window, cooldown state and current mapping are
-continuous across stream boundaries instead of restarting per ``run()`` —
-exactly what a resident service needs.
+runs in simulated time (:mod:`repro.core.adaptive`) against a live
+**session**: :meth:`~RuntimeAdaptiveRunner.attach` binds one controller
+thread to a :class:`~repro.backend.base.Session`, and its measurement
+window, cooldown and mapping carry across every stream the session serves.
 
-* **observe** — the backend's per-stage :class:`StageSnapshot` samples
-  (wall-clock service times and queue depths collected through
-  :mod:`repro.monitor.instrument`, cumulative across streams);
+* **observe** — per-stage :class:`StageSnapshot` samples collected through
+  :mod:`repro.monitor.instrument`.  The controller sleeps in one bounded
+  wait that a :class:`~repro.monitor.instrument.ServiceWatch` on that hook
+  ends: when every stage first has ``min_samples`` observations, and then
+  when a stage's windowed service mean leaves the ``min_improvement`` band
+  around the value the last decision saw.  ``interval`` is only the
+  fallback timeout, ``cooldown`` the least time between two decisions
+  after the first; detach and close end the same wait at once;
 * **decide** — any policy with the ``decide(...)`` signature of
   :class:`~repro.core.policy.AdaptationPolicy` (the model-driven default),
   :class:`~repro.core.policies_alt.ReactivePolicy`, or the
-  :class:`BottleneckGrowthPolicy` heuristic.  The policy reasons over a
-  **virtual local grid**: one uniform unit-speed processor per available
-  slot, so "replicate the bottleneck stage onto an idle processor"
-  translates to "activate another warm worker";
-* **act** — mapping deltas become ``backend.reconfigure(stage, n)`` calls,
-  clamped to the backend's warm-pool limits;
-* **validate** — after ``settle_time`` the measured sink throughput is
-  compared with the pre-action window; a regression beyond
-  ``rollback_tolerance`` reverts the replica counts and doubles the
-  cooldown, mirroring the simulator controller's rollback rule.
+  :class:`BottleneckGrowthPolicy` heuristic, over a **virtual local grid**
+  of one processor per warm-worker slot.  ``backend.resource_view`` grounds
+  it in measured speeds and link costs where the backend has them; uniform
+  unit-speed processors (``work_estimate`` = measured service time) are the
+  fallback.  The default policy's replica cap is the smaller of the
+  config's (if it names one) and ``backend.replica_limit``;
+* **act** — mapping deltas become ``backend.reconfigure(stage, n)`` calls;
+* **validate** — ``2 x settle_time`` later (a deadline of the same wait,
+  evidence still heard) the sink throughput is compared with the
+  pre-action window; a regression beyond ``rollback_tolerance`` reverts
+  the replica counts and doubles the cooldown, as in the simulator.
 
-The virtual grid is grounded in measurements where the backend can provide
-them: each decide step asks ``backend.resource_view(n_virtual_procs)`` for
-a view carrying load-derived effective speeds (thread backend) or
-per-worker speeds plus measured link costs (distributed backend), falling
-back to uniform unit-speed processors — where ``work_estimate`` *is* the
-measured wall-clock service time.
-
-``run(inputs)`` remains the bounded-stream convenience: it attaches (once,
-lazily), feeds the items through ``session.submit`` under backpressure,
-drains, and reports the events of that stream — repeated calls stream
-back-to-back over the same warm session with the controller never
-detaching in between.
+``run(inputs)`` is the bounded-stream convenience: attach (once, lazily),
+submit under backpressure, drain, report that stream's events; repeated
+calls stream back-to-back over the same warm session.
 """
 
 from __future__ import annotations
@@ -47,7 +40,8 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Any, Iterable, Sequence
 
 from repro.backend.base import Backend, Session, make_backend
@@ -58,6 +52,7 @@ from repro.gridsim.spec import uniform_grid
 from repro.model.cost import MigrationCostModel
 from repro.model.mapping import Mapping
 from repro.model.throughput import ResourceView, snapshot_view
+from repro.monitor.instrument import ServiceWatch
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -70,12 +65,17 @@ __all__ = [
 
 
 def local_config(**overrides) -> AdaptationConfig:
-    """An :class:`AdaptationConfig` tuned for wall-clock cadences.
+    """An :class:`AdaptationConfig` tuned for wall-clock pipelines.
 
-    The simulation defaults (5 s intervals, 10 s cooldowns) assume long
-    grid runs; local pipelines finish in seconds, so the loop must look and
-    act at sub-second cadence.  Activating a warm worker costs microseconds,
-    hence the near-zero migration model.
+    The live controller wakes on evidence — every stage reaching
+    ``min_samples``, then a windowed service mean leaving the
+    ``min_improvement`` band around the last decision's — so ``interval``
+    is only the fallback re-evaluation when nothing fired, and ``cooldown``
+    the least time between two decisions.  It carries no replica cap of its
+    own: the runner plans against the executor's warm pools
+    (``backend.replica_limit``), and a ``max_replicas=`` given here can
+    only lower that.  Activating a warm worker costs microseconds, hence
+    the near-zero migration model.
     """
     defaults = dict(
         interval=0.25,
@@ -83,6 +83,7 @@ def local_config(**overrides) -> AdaptationConfig:
         min_samples=2,
         settle_time=0.3,
         min_improvement=1.1,
+        max_replicas=None,
         migration=MigrationCostModel(restart_overhead=0.01, drain_slack=0.01),
     )
     defaults.update(overrides)
@@ -275,16 +276,20 @@ class RuntimeAdaptiveRunner:
                 f"backend {self.backend.name!r} cannot reconfigure live; "
                 "use it through skel.api / Backend.run instead"
             )
+        n = pipeline.n_stages
+        budget = max(self.backend.replica_limit(i) for i in range(n))
         if policy is not None:
             self.policy = policy
             self.config = policy.config
         else:
-            self.config = config if config is not None else local_config()
+            # One cap: the planner may use every replica the executor keeps
+            # warm, and a smaller cap the caller configured still wins.
+            config = config if config is not None else local_config()
+            cap = min(config.max_replicas or budget, budget)
+            self.config = replace(config, max_replicas=cap)
             self.policy = AdaptationPolicy(pipeline, self.config)
         self.rollback = rollback
-        n = pipeline.n_stages
         if n_virtual_procs is None:
-            budget = max(self.backend.replica_limit(i) for i in range(n))
             n_virtual_procs = max(n + budget - 1, os.cpu_count() or 2, 2)
         if n_virtual_procs < n:
             raise ValueError(
@@ -297,13 +302,11 @@ class RuntimeAdaptiveRunner:
         # Controller state (guarded by _lock; persists across streams).
         self._lock = threading.Lock()
         self._controller: threading.Thread | None = None
-        self._stop = threading.Event()
+        #: The attached controller's wake-up; replaced (None) to stop it.
+        self._wake: threading.Event | None = None
         self._attached: Session | None = None
-        self._attach_t0 = 0.0
-        self._run_t0: float | None = None
         self._controller_error: BaseException | None = None
         self.events: list[AdaptationEvent] = []
-        self.replica_history: list[tuple[float, tuple[int, ...]]] = []
 
     # ------------------------------------------------------------- lifecycle
     def attach(self, session: Session | None = None) -> Session:
@@ -322,12 +325,12 @@ class RuntimeAdaptiveRunner:
             # already streaming is the common case.
             session = self.backend._current_session()
         self._attached = session
-        self._stop = threading.Event()
-        self._attach_t0 = time.perf_counter()
+        self._wake = wake = threading.Event()
+        session.add_close_callback(wake.set)
         self._controller_error = None
         self._controller = threading.Thread(
             target=self._controller_main,
-            args=(session, self._stop),
+            args=(session, wake),
             name="adaptive-controller",
             daemon=True,
         )
@@ -336,7 +339,9 @@ class RuntimeAdaptiveRunner:
 
     def detach(self) -> None:
         """Stop the control loop (the session keeps streaming unadapted)."""
-        self._stop.set()
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            wake.set()
         if self._controller is not None:
             self._controller.join(timeout=5.0)
             self._controller = None
@@ -370,9 +375,9 @@ class RuntimeAdaptiveRunner:
             session = self.attach()
         with self._lock:
             events_mark = len(self.events)
-            self._run_t0 = time.perf_counter()
-            run_start_counts = tuple(self.backend.replica_counts())
+        run_start_counts = tuple(self.backend.replica_counts())
         t0 = time.perf_counter()
+        started = session.now()  # events are stamped on the session clock
         try:
             for item in items:
                 session.submit(item)
@@ -383,9 +388,6 @@ class RuntimeAdaptiveRunner:
             # into a future session.
             self.detach()
             raise
-        finally:
-            with self._lock:
-                self._run_t0 = None
         if self._controller_error is not None:
             # A crashing decide step must not be silently swallowed: reap
             # the backend (mirroring the one-shot runner) and re-raise.
@@ -396,7 +398,9 @@ class RuntimeAdaptiveRunner:
         with self._lock:
             run_events = list(self.events[events_mark:])
         history = [(0.0, run_start_counts)]
-        history += [(e.time, self._counts_of(e.mapping_after)) for e in run_events]
+        history += [
+            (e.time - started, self._counts_of(e.mapping_after)) for e in run_events
+        ]
         return RuntimeRunResult(
             backend=self.backend.name,
             outputs=outputs if session.produces_outputs else None,
@@ -409,106 +413,160 @@ class RuntimeAdaptiveRunner:
         )
 
     def _counts_of(self, mapping: Mapping) -> tuple[int, ...]:
-        return tuple(
-            len(mapping.replicas(i)) for i in range(self.pipeline.n_stages)
-        )
+        return tuple(len(mapping.replicas(i)) for i in range(self.pipeline.n_stages))
 
     # ------------------------------------------------------------ controller
     def _initial_mapping(self) -> Mapping:
         """Spread stages over virtual processors, honouring start replicas."""
-        counts = self.backend.replica_counts()
-        free = list(range(self.n_virtual_procs))
-        stages = []
-        for count in counts:
-            reps = []
-            for _ in range(count):
-                if free:
-                    reps.append(free.pop(0))
-            if not reps:  # more replicas than procs: share pid 0
-                reps = [0]
-            stages.append(tuple(reps))
-        return Mapping(tuple(stages))
+        free = iter(range(self.n_virtual_procs))
+        return Mapping(
+            tuple(  # more replicas than procs: the rest share pid 0
+                tuple(islice(free, count)) or (0,)
+                for count in self.backend.replica_counts()
+            )
+        )
 
-    def _now(self) -> float:
-        """Controller clock: stream-relative while a run() is active."""
+    def _throughput(self, session: Session, horizon: float) -> float:
+        """Sink completions/s over the trailing ``horizon`` of this stream.
+
+        The window never reaches back past the stream's start, and fewer
+        than ``min_samples`` completions are no measurement: NaN, which the
+        rollback check reads as "no verdict".
+        """
+        span = min(horizon, time.perf_counter() - session._stream_t0)
+        rate = self.backend.recent_throughput(span)
+        return rate if rate * span >= self.config.min_samples - 0.5 else math.nan
+
+    def _record(self, session: Session, kind, before, after, reason, gain, tp, **fields):
+        """Log one adaptation (or its rollback) and journal it; returns its time."""
+        now = session.now()
         with self._lock:
-            t0 = self._run_t0 if self._run_t0 is not None else self._attach_t0
-        return time.perf_counter() - t0
+            self.events.append(AdaptationEvent(now, kind, before, after, reason, gain, tp))
+        topic = "adapt.rollback" if kind == "rollback" else "adapt.act"
+        session.events.emit(topic, reason, action=kind, reason=reason, **fields)
+        return now
 
-    def _session_live(self, session: Session, stop: threading.Event) -> bool:
-        return not stop.is_set() and not session.closed and not session.broken
-
-    def _wait_active(
-        self, session: Session, stop: threading.Event, duration: float
-    ) -> bool:
-        """Sleep ``duration`` in slices; False once nothing is left flowing."""
-        deadline = time.perf_counter() + duration
-        while time.perf_counter() < deadline:
-            if not self._session_live(session, stop):
-                return False
-            time.sleep(0.02)
-        return self._session_live(session, stop) and session.backlog > 0
-
-    def _controller_main(self, session: Session, stop: threading.Event) -> None:
+    def _controller_main(self, session: Session, wake: threading.Event) -> None:
+        watch = ServiceWatch(
+            getattr(session.instrumentation, "stages", ()),
+            wake.set,
+            min_samples=self.config.min_samples,
+            ratio=self.config.min_improvement,
+        )
         try:
-            self._control_loop(session, stop)
+            self._control_loop(session, wake, watch)
         except BaseException as err:  # noqa: BLE001 - re-raised from run()
             self._controller_error = err
+        finally:
+            watch.close()
 
-    def _control_loop(self, session: Session, stop: threading.Event) -> None:
+    def _wait(self, session, wake, watch, quiet_until, calm_until, validate_at):
+        """The controller's one wait: why it woke, or None once it is over.
+
+        Wakes for detach/close; for the watch's evidence, which a step or
+        the first look may bring once ``quiet_until`` has passed and a
+        drifted mean only after ``calm_until``; at the validation deadline
+        of the last action; and after ``interval`` if none of those came.
+        """
+        tick_at = max(session.now() + self.config.interval, calm_until)
+        while self._wake is wake and not (session.closed or session.broken):
+            now = session.now()
+            if now >= validate_at:
+                return ("validate",)
+            fired, hold = watch.fired, math.inf
+            if fired is not None:
+                # ("shift", ..., step=False) is a drifted mean; the rest is urgent.
+                hold = calm_until if fired[-1] is False else quiet_until
+                if now >= hold:
+                    return watch.take()
+            if now >= tick_at:
+                return ("tick",)
+            wake.wait(min(validate_at, tick_at, hold) - now)
+            wake.clear()
+        return None
+
+    def _control_loop(self, session: Session, wake, watch: ServiceWatch) -> None:
         cfg = self.config
         mapping = self._initial_mapping()
         last_action = -math.inf
-        while self._session_live(session, stop):
-            stop.wait(cfg.interval)
-            if not self._session_live(session, stop):
-                return
+        quiet_until = calm_until = 0.0  # session times: no decision / only for a step
+        pending: tuple | None = None  # the last action, until it is validated
+        while trigger := self._wait(
+            session, wake, watch, quiet_until, calm_until, pending[0] if pending else math.inf
+        ):
             backlog = session.backlog
             if backlog <= 0:
-                continue  # idle between streams: nothing to measure or move
-            now = self._now()
-            # Ground the virtual grid in the backend's measured reality when
-            # it has one (host load, per-worker speeds, link costs); the
-            # uniform unit-speed view remains the fallback.
+                # Idle between streams: nothing to measure, move or judge.
+                pending = None
+                watch.arm()
+                continue
+            if trigger[0] == "validate":
+                _, before_tp, old_counts, realized, old_mapping = pending
+                pending = None
+                after_tp = self._throughput(session, cfg.settle_time)
+                if after_tp < before_tp * cfg.rollback_tolerance:  # NaN: no verdict
+                    for i, (old_n, new_n) in enumerate(zip(old_counts, realized)):
+                        if old_n != new_n:
+                            self.backend.reconfigure(i, old_n)
+                    now = self._record(
+                        session, "rollback", mapping, old_mapping,
+                        f"measured {after_tp:.3f}/s < "
+                        f"{cfg.rollback_tolerance:.2f} x {before_tp:.3f}/s",
+                        1.0, after_tp,
+                        replicas_before=list(realized),
+                        replicas_after=list(old_counts),
+                        throughput_before=before_tp,
+                        throughput_after=after_tp,
+                    )
+                    mapping = old_mapping
+                    last_action = now + cfg.cooldown  # demand stronger evidence
+                    quiet_until = calm_until = last_action + cfg.cooldown
+                    watch.arm()
+                    continue
+            # The backend's measured view of the virtual grid, where it has one.
             measured_view = self.backend.resource_view(self.n_virtual_procs)
+            snapshots = self.backend.snapshots()
+            now = session.now()
             decision = self.policy.decide(
                 now=now,
                 current=mapping,
-                snapshots=self.backend.snapshots(),
+                snapshots=snapshots,
                 view=measured_view if measured_view is not None else self._view,
                 source_pid=0,
                 sink_pid=0,
                 remaining_items=backlog,
                 last_action_time=last_action,
             )
-            if not decision.acts:
-                continue
+            # The next shift is measured from the means this decision saw.
+            means = [s.service_time for s in snapshots]
+            watch.arm(means, self.backend.replica_counts())
+            # A mean that keeps drifting is looked at once per cooldown; a
+            # step is not made to wait, but however often stages step, saying
+            # no takes at most a twentieth of one core.
+            calm_until = now + cfg.cooldown
+            quiet_until = now + 20 * (session.now() - now)
             session.events.emit(
                 "adapt.decide",
                 decision.reason,
                 reason=decision.reason,
+                acts=decision.acts,
                 predicted_gain=decision.predicted_gain,
                 backlog=backlog,
+                **dict(zip(("trigger", "stage", "mean_before", "mean_after", "step"), trigger)),
             )
-            assert decision.new_mapping is not None
-            new_mapping = decision.new_mapping
-            old_counts = self.backend.replica_counts()
-            # Clamp the proposal to what the warm pools can actually honour.
-            for i in range(self.pipeline.n_stages):
-                limit = self.backend.replica_limit(i)
-                reps = new_mapping.replicas(i)
-                if len(reps) > limit:
-                    new_mapping = new_mapping.with_stage(i, list(reps)[:limit])
-            new_counts = [
-                len(new_mapping.replicas(i)) for i in range(self.pipeline.n_stages)
-            ]
-            if new_mapping == mapping or new_counts == old_counts:
-                # Nothing physical would change (e.g. the proposal exceeded
-                # the warm-pool limit and clamped back to the current shape):
-                # recording an event or sleeping a settle window would
-                # fabricate adaptations the backend never performed.
+            if not decision.acts:
                 continue
-            before_tp = self.backend.recent_throughput(max(cfg.interval, 0.25))
+            old_counts = self.backend.replica_counts()
+            # Backstop: clamp the proposal to what the warm pools can honour.
+            limits = [self.backend.replica_limit(i) for i in range(self.pipeline.n_stages)]
+            new_mapping = self._fit(decision.new_mapping, limits)
+            new_counts = list(self._counts_of(new_mapping))
+            if new_mapping == mapping or new_counts == old_counts:
+                # Nothing physical would change (e.g. the proposal clamped
+                # back to the current shape): an event or a validation would
+                # fabricate an adaptation the backend never performed.
+                continue
+            before_tp = self._throughput(session, cfg.settle_time)
             for i, (old_n, new_n) in enumerate(zip(old_counts, new_counts)):
                 if old_n != new_n:
                     self.backend.reconfigure(i, new_n)
@@ -518,75 +576,30 @@ class RuntimeAdaptiveRunner:
             realized = self.backend.replica_counts()
             if realized == old_counts:
                 continue
-            for i, cnt in enumerate(realized):
-                reps = new_mapping.replicas(i)
-                if cnt < len(reps):
-                    new_mapping = new_mapping.with_stage(i, list(reps)[:cnt])
-            old_mapping = mapping
-            mapping = new_mapping
-            last_action = self._now()
-            kind = "replicate" if new_mapping.is_replicated() else "remap"
-            event = AdaptationEvent(
-                time=last_action,
-                kind=kind,
-                mapping_before=old_mapping,
-                mapping_after=new_mapping,
-                reason=decision.reason,
-                predicted_gain=decision.predicted_gain,
-                throughput_before=before_tp,
-            )
-            with self._lock:
-                self.events.append(event)
-                self.replica_history.append((last_action, tuple(realized)))
-            session.events.emit(
-                "adapt.act",
-                decision.reason,
-                action=kind,
-                reason=decision.reason,
+            new_mapping = self._fit(new_mapping, realized)
+            watch.arm(means, realized)
+            last_action = self._record(
+                session,
+                "replicate" if new_mapping.is_replicated() else "remap",
+                mapping, new_mapping, decision.reason, decision.predicted_gain, before_tp,
                 predicted_gain=decision.predicted_gain,
                 replicas_before=list(old_counts),
                 replicas_after=list(realized),
                 throughput_before=before_tp,
             )
-            if not self.rollback:
-                continue
-            # Post-action validation mirrors the simulator controller: let
-            # in-flight items drain for one settle window, measure a second.
-            if not self._wait_active(session, stop, 2 * cfg.settle_time):
-                continue
-            after_tp = self.backend.recent_throughput(cfg.settle_time)
-            if (
-                not math.isnan(before_tp)
-                and not math.isnan(after_tp)
-                and after_tp < before_tp * cfg.rollback_tolerance
-            ):
-                for i, (old_n, new_n) in enumerate(zip(old_counts, realized)):
-                    if old_n != new_n:
-                        self.backend.reconfigure(i, old_n)
-                now = self._now()
-                rollback_event = AdaptationEvent(
-                    time=now,
-                    kind="rollback",
-                    mapping_before=new_mapping,
-                    mapping_after=old_mapping,
-                    reason=(
-                        f"measured {after_tp:.3f}/s < "
-                        f"{cfg.rollback_tolerance:.2f} x {before_tp:.3f}/s"
-                    ),
-                    predicted_gain=1.0,
-                    throughput_before=after_tp,
-                )
-                with self._lock:
-                    self.events.append(rollback_event)
-                    self.replica_history.append((now, tuple(old_counts)))
-                session.events.emit(
-                    "adapt.rollback",
-                    rollback_event.reason,
-                    reason=rollback_event.reason,
-                    replicas_before=list(realized),
-                    replicas_after=list(old_counts),
-                    throughput_before=before_tp,
-                    throughput_after=after_tp,
-                )
-                mapping = old_mapping
-                last_action = now + cfg.cooldown  # demand stronger evidence
+            quiet_until = calm_until = last_action + cfg.cooldown
+            if self.rollback:
+                # Judged like the simulator controller's actions: in-flight
+                # items drain for one settle window, a second is measured.
+                deadline = last_action + 2 * cfg.settle_time
+                pending = (deadline, before_tp, old_counts, realized, mapping)
+            mapping = new_mapping
+
+    @staticmethod
+    def _fit(mapping: Mapping, limits: Sequence[int]) -> Mapping:
+        """Truncate each stage's replica set to ``limits[stage]``."""
+        for i, limit in enumerate(limits):
+            reps = mapping.replicas(i)
+            if len(reps) > limit:
+                mapping = mapping.with_stage(i, list(reps)[:limit])
+        return mapping

@@ -272,9 +272,6 @@ class ThreadBackend(Backend):
             return list(session.replicas)
         return list(self._target)
 
-    def replica_limit(self, stage: int) -> int:
-        return self.max_replicas if self.pipeline.stage(stage).replicable else 1
-
     def reconfigure(self, stage: int, n_replicas: int) -> None:
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")

@@ -46,7 +46,7 @@ class AdaptationConfig:
     min_improvement: float = 1.15  # predicted gain required to act
     cooldown: float = 10.0  # seconds after an action before the next
     min_samples: int = 3  # per-stage observations before acting
-    max_replicas: int = 4  # replica cap per stage
+    max_replicas: int | None = 4  # replica cap per stage (None: the view's processors)
     enable_remap: bool = True
     enable_replication: bool = True
     rollback_tolerance: float = 0.85  # post-action throughput floor (x before)
@@ -67,7 +67,7 @@ class AdaptationConfig:
             )
         if self.min_samples < 1:
             raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
-        if self.max_replicas < 1:
+        if self.max_replicas is not None and self.max_replicas < 1:
             raise ValueError(f"max_replicas must be >= 1, got {self.max_replicas}")
 
 
@@ -160,10 +160,11 @@ class AdaptationPolicy:
         if cfg.enable_remap:
             candidate = local_search(candidate.mapping, ctx)
         if cfg.enable_replication:
+            cap = cfg.max_replicas if cfg.max_replicas is not None else len(view.pids())
             candidate = propose_replication(
                 candidate.mapping,
                 ctx,
-                max_replicas=cfg.max_replicas,
+                max_replicas=cap,
                 min_gain=1.02,
             )
         if candidate.mapping == current:

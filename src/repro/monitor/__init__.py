@@ -11,7 +11,8 @@ package supplies:
 * :mod:`repro.monitor.resource_monitor` — periodic (noisy) sampling of
   processor availability and link performance inside a simulation.
 * :mod:`repro.monitor.instrument` — stage-level instrumentation: service
-  times, transfer times, queue occupancy; the *observe* step of the pattern.
+  times, transfer times, queue occupancy; the *observe* step of the pattern,
+  and :class:`ServiceWatch`, the change detector that wakes a live controller.
 """
 
 from repro.monitor.forecasters import (
@@ -24,7 +25,12 @@ from repro.monitor.forecasters import (
     SlidingMedianForecaster,
     default_ensemble,
 )
-from repro.monitor.instrument import PipelineInstrumentation, StageMetrics, StageSnapshot
+from repro.monitor.instrument import (
+    PipelineInstrumentation,
+    ServiceWatch,
+    StageMetrics,
+    StageSnapshot,
+)
 from repro.monitor.resource_monitor import ResourceEstimates, ResourceMonitor
 from repro.monitor.samples import MeasurementStream
 
@@ -38,6 +44,7 @@ __all__ = [
     "ResourceEstimates",
     "ResourceMonitor",
     "RunningMeanForecaster",
+    "ServiceWatch",
     "SlidingMeanForecaster",
     "SlidingMedianForecaster",
     "StageMetrics",

@@ -13,11 +13,11 @@ import math
 from collections import Counter
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.util.stats import OnlineStats, SlidingWindow
 
-__all__ = ["StageMetrics", "StageSnapshot", "PipelineInstrumentation"]
+__all__ = ["StageMetrics", "StageSnapshot", "PipelineInstrumentation", "ServiceWatch"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ class StageMetrics:
         self.total_bytes_in = 0
         self.total_bytes_out = 0
         self.items_processed = 0
+        #: This stage's end of an installed :class:`ServiceWatch` (None = unwatched).
+        self._watch: _StageWatch | None = None
 
     def record_service(
         self,
@@ -107,8 +109,12 @@ class StageMetrics:
         self.items_processed += items
         for _ in range(items):
             self.total.push(per_item)
-        self._service_win.push(per_item)
-        self._work_win.push(per_item * effective_speed)
+        watch = self._watch
+        if watch is None:
+            self._service_win.push(per_item)
+            self._work_win.push(per_item * effective_speed)
+        else:
+            watch(per_item, per_item * effective_speed)
         bus = self.events
         if bus is not None and bus.wants("stage.service"):
             fields: dict = {
@@ -165,6 +171,179 @@ class StageMetrics:
             bytes_in=0.0 if math.isnan(bytes_in) else bytes_in,
             bytes_out=0.0 if math.isnan(bytes_out) else bytes_out,
         )
+
+
+_SHUT = (math.inf, -math.inf)  # no mean is inside: the next sample recalibrates
+_OPEN = (-math.inf, math.inf)  # every mean is inside: has its evidence, waits for the rest
+
+
+class _StageWatch:
+    """One stage's end of a :class:`ServiceWatch`, fed by ``record_service``.
+
+    Runs under whatever serialises that stage's ``record_service`` calls
+    (the executors' per-stage metric lock), so it needs no lock of its own.
+    """
+
+    __slots__ = (
+        "owner", "metrics", "win", "work", "total", "band", "centre", "limits", "noise", "ready"
+    )
+
+    def __init__(self, owner: "ServiceWatch", metrics: StageMetrics) -> None:
+        self.owner = owner
+        self.metrics = metrics
+        self.win, self.work = metrics._service_win, metrics._work_win
+        self.total = 0.0  # rolling sum of the service window (exact after _recalibrate)
+        self.band = _SHUT
+        self.centre: float | None = None  # windowed mean the last decision saw
+        self.limits = _SHUT  # the band around it that matters to the plan
+        self.noise = 0.0  # whole-run standard deviation as of that decision
+        self.ready = False  # reached min_samples
+
+    def __call__(self, per_item: float, work: float) -> None:
+        """Push one sample onto the windows; the per-item cost of being watched."""
+        win = self.win
+        self.total = total = self.total + per_item - win.push_out(per_item)
+        self.work.push(work)
+        lo, hi = self.band
+        if not lo <= total / len(win) <= hi:
+            self._recalibrate(win)
+
+    def _recalibrate(self, win: SlidingWindow) -> None:
+        """Off the hot path: the first sample after (re)arming, or an excursion."""
+        owner, metrics = self.owner, self.metrics
+        centre = self.centre
+        if centre is None:
+            if metrics.items_processed >= owner.min_samples:
+                self.ready = True
+                self.band = _OPEN
+                if all(s.ready for s in owner.stages):
+                    owner._fire(("evidence",))
+            return
+        if self.band is _SHUT and metrics.total.n > 1:
+            self.noise = metrics.total.std
+        lo, hi = self.limits
+        values = win.values()
+        # The newest samples are a *step* when they sit out of band on one
+        # side, each at least half as far out as those after it, and their
+        # mean is off the old level by more than six standard errors, going
+        # by the noise among the samples before them and up to the decision.
+        old, reach = len(values), 0.0  # reach: the tail's mean, from the centre
+        while old:
+            off = values[old - 1] - centre
+            if lo <= values[old - 1] <= hi or off * reach < 0 or abs(off) < abs(reach) / 2:
+                break
+            reach += (off - reach) / (len(values) - old + 1)
+            old -= 1
+        tail = values[old:]
+        before = OnlineStats()
+        before.extend(values[:old])
+        noise = max(self.noise, before.std if old > 1 else 0.0)
+        stepped = (
+            len(tail) >= owner.min_samples and abs(reach) * math.sqrt(len(tail)) > 6.0 * noise
+        )
+        if stepped:
+            # What came before a level shift says nothing about the stage
+            # now: the decision sees only the new level, not a mixture.
+            win.keep_last(len(tail))
+            self.work.keep_last(len(tail))
+            values = tail
+        self.total = math.fsum(values)
+        mean = self.total / len(values)
+        unsettled = 0 < len(tail) < owner.min_samples or not win.full
+        if lo <= mean <= hi or (unsettled and not stepped):
+            # In band, or too early to tell: an out-of-band sample or two may
+            # be the start of a step (the next sample settles it), and the
+            # mean of a window still filling is still converging.
+            self.band = (lo, hi)
+        else:
+            # Said once: silent again until the mean has moved on as far.
+            self.band = (mean / owner.ratio, mean * owner.ratio)
+            owner._fire(("shift", metrics.stage_index, centre, mean, stepped))
+
+
+class ServiceWatch:
+    """Change detector on the ``stage.service`` stream: wakes a controller.
+
+    Installed on every stage's :class:`StageMetrics` — the one hook all
+    executors record through — it calls ``wake()`` from the recording
+    thread when
+
+    * every stage has first reached ``min_samples`` observations
+      (``("evidence",)``), and afterwards
+    * a stage's windowed service mean leaves the band around the mean last
+      passed to :meth:`arm` (``("shift", stage, centre, mean, stepped)``):
+      ``[centre / ratio, centre * ratio]``, opened further on the side
+      where the move could not change a plan — a stage far below the
+      pipeline's period may speed up, or slow down short of it, unheard.
+
+    An excursion made by the newest samples alone — ``min_samples`` or more
+    of them, their mean off the old level by over six standard errors — is
+    a *step*: the window is cut back to those samples before the wake, so
+    the decision sees the new level rather than a mixture with the old.
+    A stage that fired says no more until its mean has moved on by the
+    band's width again (or the next :meth:`arm`), so a sustained excursion
+    costs one wake, and an in-band sample costs a rolling-sum update and
+    one compare — never a lock or an event.
+    """
+
+    def __init__(
+        self,
+        stages: Sequence[StageMetrics],
+        wake: Callable[[], None],
+        *,
+        min_samples: int,
+        ratio: float,
+    ) -> None:
+        self.min_samples = min_samples
+        self.ratio = ratio
+        self._wake = wake
+        self.fired: tuple | None = None
+        self.stages = [_StageWatch(self, m) for m in stages]
+        for s in self.stages:
+            s.metrics._watch = s
+
+    def _fire(self, what: tuple) -> None:
+        self.fired = what
+        self._wake()
+
+    def take(self) -> tuple | None:
+        """What fired since the last take (newest wins), or None.
+
+        Follow a taken firing with :meth:`arm`, which puts the bands back
+        around what the decision saw.
+        """
+        fired, self.fired = self.fired, None
+        return fired
+
+    def arm(
+        self,
+        centres: Sequence[float] | None = None,
+        replicas: Sequence[int] | None = None,
+    ) -> None:
+        """Listen again — around new ``centres`` if given.
+
+        ``centres`` are the per-stage windowed means a decision was just
+        taken on and ``replicas`` the counts it leaves in place; they are
+        adopted only once every stage has its evidence (until then the
+        watch keeps waiting for that).  Each stage checks itself against
+        its band on its next sample.
+        """
+        if centres is not None and all(s.ready for s in self.stages):
+            ratio = self.ratio
+            replicas = replicas or [1] * len(centres)
+            period = max(c / r for c, r in zip(centres, replicas))
+            for s, centre, r in zip(self.stages, centres, replicas):
+                # The mean at which this stage would come within `ratio` of
+                # setting the period; under it, only crossing it matters.
+                near = period * r / ratio
+                s.centre = centre
+                s.limits = (centre / ratio if centre >= near else 0.0, max(centre * ratio, near))
+        for s in self.stages:
+            s.band = _SHUT
+
+    def close(self) -> None:
+        for s in self.stages:
+            s.metrics._watch = None
 
 
 class PipelineInstrumentation:

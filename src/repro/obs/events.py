@@ -56,9 +56,13 @@ SCHEMA: dict[str, str] = {
     "replica.remove": "replicas shrank: stage, n[, worker, slot]",
     "replica.move": "replica migrated between workers: stage, src, dst",
     # -- adaptation loop (backend/runner.py, core controller) -------------
-    "adapt.decide": "policy decided to act: reason, predicted_gain",
-    "adapt.act": "mapping applied: before, after, reason",
-    "adapt.rollback": "post-action validation regressed: reason",
+    "adapt.decide": "policy evaluated: reason, acts[, predicted_gain, backlog]; live runner adds "
+    "trigger = evidence | shift | tick | validate and, for shift, stage, mean_before, "
+    "mean_after, step (window cut back to a new level)",
+    "adapt.act": "mapping applied: action, reason[, predicted_gain], replicas_before, "
+    "replicas_after, throughput_before",
+    "adapt.rollback": "post-action validation regressed: reason, replicas_before, "
+    "replicas_after, throughput_before, throughput_after",
     # -- distributed membership (coordinator) -----------------------------
     "worker.join": "worker registered: worker, name, cores",
     "worker.death": "worker died mid-run: worker, name, lost",

@@ -167,6 +167,18 @@ class SlidingWindow:
     def push(self, x: float) -> None:
         self._buf.append(float(x))
 
+    def push_out(self, x: float) -> float:
+        """Push ``x``; return the observation it displaced (0.0 while there was room)."""
+        buf = self._buf
+        dropped = buf[0] if len(buf) == buf.maxlen else 0.0
+        buf.append(float(x))
+        return dropped
+
+    def keep_last(self, n: int) -> None:
+        """Forget all but the newest ``n`` observations."""
+        while len(self._buf) > n:
+            self._buf.popleft()
+
     def extend(self, xs: Iterable[float]) -> None:
         for x in xs:
             self.push(x)

@@ -1,9 +1,11 @@
 """Tests for the wall-clock adaptive runner."""
 
+import math
 import time
 
 import pytest
 
+from repro import open_pipeline
 from repro.backend import (
     BottleneckGrowthPolicy,
     RuntimeAdaptiveRunner,
@@ -11,6 +13,7 @@ from repro.backend import (
     local_config,
 )
 from repro.core.pipeline import PipelineSpec
+from repro.core.policy import AdaptationPolicy
 from repro.core.stage import StageSpec
 from repro.runtime.threads import StageError
 
@@ -39,6 +42,8 @@ class TestLocalConfig:
         cfg = local_config()
         assert cfg.interval < 1.0
         assert cfg.cooldown < 2.0
+        # No cap of its own: the executor's warm pools are the budget.
+        assert cfg.max_replicas is None
 
     def test_overrides(self):
         cfg = local_config(interval=0.1, max_replicas=6)
@@ -126,13 +131,174 @@ class TestRuntimeAdaptiveRunner:
             runner.backend.start([1])
 
     def test_quiet_pipeline_takes_no_action(self):
-        # A balanced, fast pipeline finishes before any decision can act.
+        # A balanced, fast pipeline: the decision is taken as soon as both
+        # stages have their samples, and says no (not amortised).
         pipe = spec([_fast, _fast])
         runner = RuntimeAdaptiveRunner(pipe, ThreadBackend(pipe))
         res = runner.run(range(30))
         assert res.outputs == [x + 2 for x in range(30)]
         assert res.adaptation_events == []
         assert res.final_replicas == [1, 1]
+
+
+def _sleeper(seconds):
+    def heavy(x):
+        time.sleep(seconds)
+        return x
+
+    return heavy
+
+
+class CountingPolicy(AdaptationPolicy):
+    """The default policy, counting the decisions it is asked for."""
+
+    def __init__(self, pipeline, config):
+        super().__init__(pipeline, config)
+        self.calls = 0
+
+    def decide(self, **kwargs):
+        self.calls += 1
+        return super().decide(**kwargs)
+
+
+class TestEventDrivenController:
+    """The controller wakes on evidence; ``interval`` is only a fallback."""
+
+    def test_step_reaction_needs_no_tick(self):
+        # A (2 ms, stateful) bounds the period while B takes 2 ms, so the
+        # first look must leave B alone; B then slows to 10 ms at item 60.
+        # With a 30 s interval no tick can fire: only the shift trigger can
+        # have widened B.  (The short cooldown lets a first action taken on
+        # a host hiccup be corrected inside the time allowed; a host that
+        # stalls for hundreds of ms gets a second and a third try.)
+        def a(x):
+            time.sleep(0.002)
+            return x
+
+        for attempt in range(3):
+            slow_at = []
+
+            def b(x):
+                if x >= 60:
+                    slow_at.append(time.perf_counter())
+                    time.sleep(0.010)
+                else:
+                    time.sleep(0.002)
+                return x + 1
+
+            pipe = spec([a, b], replicable=[False, True])
+            runner = RuntimeAdaptiveRunner(
+                pipe,
+                ThreadBackend(pipe, max_replicas=8),
+                config=local_config(interval=30.0, cooldown=0.1),
+                rollback=False,
+            )
+            decided = []
+            with runner:
+                session = runner.attach()
+                session.events.subscribe(decided.append, kinds=("adapt.decide",))
+                res = runner.run(range(260))
+                step = session.perf_to_session(slow_at[0] + 0.010)
+            assert res.outputs == [x + 1 for x in range(260)]
+            assert res.final_replicas[0] == 1
+            first = decided[0].fields
+            assert first["trigger"] == "evidence" and not first["acts"]
+            assert {e.fields["trigger"] for e in decided} <= {"evidence", "shift"}
+            wide = [
+                e.time
+                for e in res.adaptation_events
+                if len(e.mapping_after.replicas(1)) >= 4
+            ]
+            if wide and wide[0] - step < 0.5:
+                return
+        pytest.fail(f"B was not at 4 replicas within 0.5 s of the step: {wide}, step {step}")
+
+    @pytest.mark.parametrize(
+        "config_cap, pool, expected", [(None, 8, 8), (3, 8, 3), (6, 2, 2)]
+    )
+    def test_one_replica_budget(self, config_cap, pool, expected):
+        # The planner's cap is the executor's warm pool; a cap in the config
+        # can only lower it.
+        overrides = {} if config_cap is None else {"max_replicas": config_cap}
+        session = open_pipeline(
+            [_fast, _sleeper(0.005), _fast],
+            adaptive=local_config(**overrides),
+            max_replicas=pool,
+        )
+        with session:
+            for x in range(150):
+                session.submit(x)
+            assert session.drain() == [x + 2 for x in range(150)]
+            assert session.backend.replica_counts() == [1, expected, 1]
+
+    def test_steady_stream_does_not_thrash(self):
+        pipe = spec([_fast, _sleeper(0.004), _fast])
+        config = local_config(cooldown=0.2, settle_time=0.1)
+        runner = RuntimeAdaptiveRunner(pipe, ThreadBackend(pipe, max_replicas=4), config=config)
+        decided = []
+        with runner:
+            session = runner.attach()
+            session.events.subscribe(decided.append, kinds=("adapt.decide",))
+            first = runner.run(range(100))
+            assert first.final_replicas == [1, 4, 1]
+            del decided[:]
+            steady = runner.run(range(600))
+        assert steady.outputs == [x + 2 for x in range(600)]
+        assert steady.adaptation_events == []
+        # Ticks and drifting means are looked at once per cooldown, plus the
+        # first action's validation.  (A stalled host shows up as steps,
+        # which are evidence and only bounded in cost.)
+        unhurried = [e for e in decided if not e.fields.get("step")]
+        assert len(unhurried) <= steady.elapsed / config.cooldown + 2
+
+    def test_detach_does_not_wait_out_the_interval(self):
+        pipe = spec([_fast])
+        runner = RuntimeAdaptiveRunner(
+            pipe, ThreadBackend(pipe), config=local_config(interval=5.0)
+        )
+        with runner:
+            runner.attach()
+            time.sleep(0.05)  # the controller is inside its wait
+            t0 = time.perf_counter()
+            runner.detach()
+            assert time.perf_counter() - t0 < 0.05
+
+    def test_idle_session_takes_no_decisions(self):
+        pipe = spec([_fast, _fast])
+        policy = CountingPolicy(pipe, local_config())
+        runner = RuntimeAdaptiveRunner(pipe, ThreadBackend(pipe), policy=policy)
+        with runner:
+            runner.run(range(20))
+            after_stream = policy.calls
+            time.sleep(1.0)  # attached, backlog 0
+            assert policy.calls == after_stream
+
+    def test_throughput_before_is_clipped_to_the_stream(self):
+        # An action a few items into a stream has no full horizon of history:
+        # its baseline is measured from the stream's start, or is NaN ("no
+        # verdict") below min_samples completions — never a handful of
+        # completions divided by the whole horizon.
+        pipe = spec([_sleeper(0.005)])
+        runner = RuntimeAdaptiveRunner(
+            pipe, ThreadBackend(pipe), config=local_config(min_samples=4, interval=30.0)
+        )
+
+        def feed(session, items):
+            for x in items:
+                session.submit(x)
+            while session.backlog:
+                time.sleep(0.001)
+
+        with runner:
+            session = runner.attach()
+            t0 = time.perf_counter()
+            feed(session, range(3))
+            assert math.isnan(runner._throughput(session, 5.0))
+            feed(session, range(3, 12))
+            rate = runner._throughput(session, 5.0)
+            age = time.perf_counter() - t0
+            assert rate == pytest.approx(12 / age, rel=0.25)  # not 12 / 5.0
+            assert session.drain() == list(range(12))
 
 
 def growth_runner(pipe, max_workers, imbalance_threshold=1.5):
@@ -149,14 +315,6 @@ def growth_runner(pipe, max_workers, imbalance_threshold=1.5):
         ),
         rollback=False,
     )
-
-
-def _sleeper(seconds):
-    def heavy(x):
-        time.sleep(seconds)
-        return x
-
-    return heavy
 
 
 class TestBottleneckGrowthPolicy:

@@ -4,6 +4,8 @@ The load-bearing claim: a killed distributed worker during a streaming run
 leaves a journal containing its death event, exactly-once re-dispatch
 events for its lost in-flight items, and the adaptation decision that
 re-homed its replicas — all reconstructable offline from the JSONL file.
+Likewise for the live controller: every decision is journalled with what
+woke it (ISSUE 17).
 
 Stage functions live at module level so forked workers can resolve them.
 """
@@ -11,7 +13,8 @@ Stage functions live at module level so forked workers can resolve them.
 import time
 from collections import Counter
 
-from repro.backend import DistributedBackend
+from repro import open_pipeline
+from repro.backend import DistributedBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.obs import read_journal
@@ -89,3 +92,48 @@ class TestWorkerDeathJournal:
         assert kinds[-1] == "session.close" or "session.close" in kinds
         drains = [r for r in recs if r["kind"] == "stream.drain"]
         assert drains and drains[0]["items"] == n
+
+
+def _stepping(x):
+    time.sleep(0.008 if x >= 60 else 0.002)
+    return x
+
+
+class TestControllerWakesJournalled:
+    def test_why_the_controller_woke_is_in_the_journal(self, tmp_path):
+        # A stage slows from 2 to 8 ms at item 60.  With a 30 s interval the
+        # journal must show a first look on evidence and a shift on stage 1
+        # — each decision with what woke it and what it said.
+        path = tmp_path / "live.jsonl"
+        session = open_pipeline(
+            [lambda x: x + 1, _stepping],
+            adaptive=local_config(interval=30.0, cooldown=0.1),
+            max_replicas=4,
+            telemetry=path,
+        )
+        with session:
+            for x in range(-1, 259):
+                session.submit(x)
+            assert session.drain() == list(range(260))
+
+        recs = list(read_journal(path))
+        decides = [r for r in recs if r["kind"] == "adapt.decide"]
+        assert decides[0]["trigger"] == "evidence"
+        for r in decides:
+            assert r["trigger"] in {"evidence", "shift", "tick", "validate"}
+            assert isinstance(r["acts"], bool) and r["reason"]
+            if r["trigger"] == "shift":
+                assert {"stage", "mean_before", "mean_after", "step"} <= r.keys()
+            else:
+                assert "stage" not in r
+        slowed = [
+            r for r in decides
+            if r["trigger"] == "shift" and r["stage"] == 1
+            and r["mean_after"] > 1.1 * r["mean_before"]
+        ]
+        assert slowed, "the 2 -> 8 ms step never woke the controller"
+        # Every action follows the decision that asked for it.
+        for i, r in enumerate(recs):
+            if r["kind"] == "adapt.act":
+                asked = [d for d in recs[:i] if d["kind"] == "adapt.decide"][-1]
+                assert asked["acts"] and asked["reason"] == r["reason"]
