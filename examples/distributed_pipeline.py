@@ -17,6 +17,7 @@ the grid's slow site.  The run shows:
 Run:  python examples/distributed_pipeline.py
 """
 
+import threading
 import time
 
 from repro.backend import DistributedBackend, RuntimeAdaptiveRunner, local_config
@@ -90,10 +91,11 @@ def main() -> None:
         print(f"  measured one-way link estimates: {links}")
 
         print("\nkilling one worker mid-run (fault-tolerance demo):")
-        backend.start(range(n_items))
-        time.sleep(0.4)
-        backend.worker_processes[0].kill()
-        res = backend.join()
+        # run() streams on this thread, so the fault comes from a timer.
+        killer = threading.Timer(0.4, backend.worker_processes[0].kill)
+        killer.start()
+        res = backend.run(range(n_items))
+        killer.join()
         assert res.outputs == [(x + 1) * 2 - 3 for x in range(n_items)]
         print(f"  survived: {res.items}/{n_items} items, still ordered")
         print(f"  live workers after the loss: {len(backend.alive_workers())}")

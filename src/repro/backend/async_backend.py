@@ -33,10 +33,10 @@ port — sessions included — on ``asyncio``:
   arrive, and the collector emits in input order — the ``Pipeline1for1``
   contract, replica races notwithstanding.
 * **Abort-safe shutdown** mirrors the thread runtime: a failing stage
-  records a :class:`~repro.runtime.threads.StageError`, poisons the
-  session, in-flight tasks are cancelled, queues drain via sentinels, and
-  ``drain()``/``join()`` re-raise with the stage named — no coroutine is
-  left parked on a full queue.
+  goes to the port's ``_fail`` (a :class:`~repro.runtime.threads.StageError`
+  naming it poisons the session and raises the abort flag), in-flight
+  tasks are cancelled, queues drain via sentinels, and ``drain()``
+  re-raises — no coroutine is left parked on a full queue.
 """
 
 from __future__ import annotations
@@ -49,19 +49,10 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from repro.backend.base import (
-    Backend,
-    Session,
-    SessionClosed,
-    register_backend,
-    validate_pipeline_shape,
-)
+from repro.backend.base import Backend, Session, SessionClosed, register_backend
 from repro.core.pipeline import PipelineSpec
-from repro.monitor.instrument import PipelineInstrumentation
-from repro.runtime.threads import StageError
 from repro.util.batching import Batch, map_batch
 from repro.util.ordering import SequenceReorderer
-from repro.util.validation import check_positive
 
 __all__ = ["AsyncioBackend"]
 
@@ -75,7 +66,9 @@ class _ResizableSemaphore:
     in-use count, so ``set_limit`` is O(1) and never needs to inject or
     swallow permits to resize.  Exactly one coroutine (the stage's
     dispatcher) ever awaits ``acquire``, which keeps the wake-up protocol a
-    single event.  All methods must run on the owning event loop.
+    single event.  All methods must run on the owning event loop; ``limit``
+    alone may be written from any thread when a loop-side ``set_limit``
+    follows to wake the dispatcher.
     """
 
     def __init__(self, limit: int) -> None:
@@ -103,28 +96,11 @@ class _AsyncioSession(Session):
 
     supports_batching = True
 
-    def __init__(
-        self,
-        backend: "AsyncioBackend",
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> None:
-        super().__init__(
-            backend,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
-        n = backend.pipeline.n_stages
-        self.instrumentation = PipelineInstrumentation(n, events=self.events)
-        self._stage_locks = [threading.Lock() for _ in range(n)]
-        self._snapshot_locks = self._stage_locks
-        self._errors: list[BaseException] = []
+    def __init__(self, backend: "AsyncioBackend", **config) -> None:
+        super().__init__(backend, **config)
+        self._instrument()
         self._loop = backend._ensure_loop()
         self._sems: list[_ResizableSemaphore] | None = None
-        self._aabort: asyncio.Event | None = None
         self._queues: list[asyncio.Queue] | None = None
         # Submit-side ingress: a plain deque pumped onto the loop.  A
         # run_coroutine_threadsafe round trip per item would serialise a
@@ -146,8 +122,7 @@ class _AsyncioSession(Session):
         backend: AsyncioBackend = self.backend  # type: ignore[assignment]
         n = backend.pipeline.n_stages
         loop = asyncio.get_running_loop()
-        self._aabort = asyncio.Event()
-        abort = self._aabort
+        abort = self._abort  # only ever polled here, never awaited
         self._sems = [_ResizableSemaphore(c) for c in backend._target]
         self._pump_wake = asyncio.Event()
         # queues[i] feeds stage i's dispatcher; queues[n] feeds the
@@ -207,10 +182,7 @@ class _AsyncioSession(Session):
                 except asyncio.CancelledError:
                     raise  # abort/close cancelled us: not a stage failure
                 except BaseException as err:  # noqa: BLE001 - reported upward
-                    failure = StageError(spec.name, err)
-                    self._errors.append(failure)
-                    abort.set()
-                    self._deliver_error(failure)
+                    self._fail(i, err)
                     return
                 dt = time.perf_counter() - t0
                 with self._stage_locks[i]:
@@ -275,13 +247,8 @@ class _AsyncioSession(Session):
                     break
                 if abort.is_set():
                     continue
-                seq, value = got
-                for _ready_seq, ready in reorder.push(seq, value):
-                    instrumentation.record_completion(
-                        self.now(),
-                        items=len(ready) if isinstance(ready, Batch) else 1,
-                    )
-                    self._deliver(ready)
+                for _seq, ready in reorder.push(*got):
+                    self._complete(ready)
 
         tasks = [loop.create_task(pump())]
         tasks += [loop.create_task(dispatch(i)) for i in range(n)]
@@ -303,25 +270,20 @@ class _AsyncioSession(Session):
 
     def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
         while not self._credits.acquire(timeout=0.05):
-            if self._errors:
-                raise self._errors[0]
-            if self.closed:
-                raise SessionClosed("session closed while submitting")
+            if self._abort.is_set() or self.closed:
+                raise self._aborted()
         self._ingress.append((gseq, item))
         try:
             self._loop.call_soon_threadsafe(self._wake_pump)
         except RuntimeError as err:  # loop torn down under us
             raise SessionClosed("backend event loop is closed") from err
-        if self._errors:
-            raise self._errors[0]
+        if self.broken:
+            raise self._error
 
     def _shutdown(self) -> None:
         loop = self._loop
         if loop.is_closed():  # backend already tore the loop down
             return
-        if self.broken or self._submitted > self._delivered:
-            if self._aabort is not None:
-                loop.call_soon_threadsafe(self._aabort.set)
         self._ingress.append(_SENTINEL)
         try:
             loop.call_soon_threadsafe(self._wake_pump)
@@ -333,10 +295,16 @@ class _AsyncioSession(Session):
             pass
 
     # -------------------------------------------------------------- reshaping
-    def set_limit(self, stage: int, n_replicas: int) -> None:
-        if self._sems is not None and not self._loop.is_closed():
-            sem = self._sems[stage]
-            self._loop.call_soon_threadsafe(sem.set_limit, n_replicas)
+    def resize(self, stage: int, n_replicas: int) -> None:
+        """Rewrite ``stage``'s concurrency limit, live, in O(1)."""
+        if self.closed or self._sems is None or self._loop.is_closed():
+            return
+        sem = self._sems[stage]
+        before, sem.limit = sem.limit, n_replicas
+        self._loop.call_soon_threadsafe(sem.set_limit, n_replicas)
+        if n_replicas != before:
+            kind = "replica.add" if n_replicas > before else "replica.remove"
+            self.events.emit(kind, stage=stage, n=n_replicas)
 
 
 class AsyncioBackend(Backend):
@@ -361,6 +329,7 @@ class AsyncioBackend(Backend):
 
     name = "asyncio"
     supports_live_reconfigure = True
+    session_class = _AsyncioSession
 
     def __init__(
         self,
@@ -370,22 +339,16 @@ class AsyncioBackend(Backend):
         capacity: int | None = None,
         max_replicas: int = 8,
     ) -> None:
-        super().__init__(pipeline)
-        capacity = 8 if capacity is None else capacity
-        check_positive(capacity, "capacity")
-        check_positive(max_replicas, "max_replicas")
-        self._target = validate_pipeline_shape(pipeline, replicas, "asyncio runtime")
-        n = pipeline.n_stages
-        self.capacity = capacity
-        self.max_replicas = max(max_replicas, *self._target)
+        super().__init__(
+            pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
+        )
         self._is_async = [
-            inspect.iscoroutinefunction(pipeline.stage(i).fn) for i in range(n)
+            inspect.iscoroutinefunction(spec.fn) for spec in pipeline.stages
         ]
         # Warm resources (created lazily, persist across sessions).
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._closed = False
 
     # --------------------------------------------------------------- warm-up
     def _ensure_loop(self) -> asyncio.AbstractEventLoop:
@@ -410,21 +373,7 @@ class AsyncioBackend(Backend):
             )
         return self._loop
 
-    # ------------------------------------------------------------- sessions
-    def _open_session(
-        self,
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> Session:
-        return _AsyncioSession(
-            self,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
-
+    # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Abort any in-flight session and stop the loop thread (idempotent)."""
         if self._closed:
@@ -445,29 +394,12 @@ class AsyncioBackend(Backend):
             self._executor = None
 
     # ----------------------------------------------------------------- shape
-    def replica_counts(self) -> list[int]:
-        return list(self._target)
-
-    def reconfigure(self, stage: int, n_replicas: int) -> None:
-        """Set ``stage``'s concurrency limit to ``n_replicas``, live, in O(1).
-
-        Counts clamp to ``[1, replica_limit(stage)]``.  Growth admits more
-        items the moment the dispatcher next checks the semaphore; shrink
-        lowers the limit without cancelling in-flight items — the pool
-        contracts as they complete.
-        """
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        n_replicas = min(n_replicas, self.replica_limit(stage))
-        before = self._target[stage]
-        self._target[stage] = n_replicas
-        session = self._session
-        if isinstance(session, _AsyncioSession) and not session.closed:
-            session.set_limit(stage, n_replicas)
-            if n_replicas > before:
-                session.events.emit("replica.add", stage=stage, n=n_replicas)
-            elif n_replicas < before:
-                session.events.emit("replica.remove", stage=stage, n=n_replicas)
+    def _resize(self, stage: int, n_replicas: int) -> None:
+        """Growth admits more items the moment the dispatcher next checks the
+        semaphore; shrink lowers the limit without cancelling in-flight
+        items — the pool contracts as they complete."""
+        if self._session is not None:
+            self._session.resize(stage, n_replicas)
 
 
 register_backend("asyncio", AsyncioBackend)

@@ -21,9 +21,19 @@ just a bounded stream:
   next ``submit`` then starts a fresh stream on the same warm executor;
 * ``session.close()`` releases the session's executor resources.
 
-``run``/``start``/``join`` survive as thin wrappers over that path
-(open → submit\\* → drain) so every existing caller keeps working — there
-is exactly one execution code path per backend, the streaming one.
+``Backend.run(inputs)`` is that path for a finite input — open → submit\\*
+→ drain on the caller's thread; a caller that wants to act mid-flight
+submits from a producer thread or holds the session itself.
+
+The port owns everything that is not the stage loop, so the executors
+cannot drift apart on it: one way **in** (``submit`` hands each admitted
+item to ``_submit_one`` on the caller's thread, which therefore feels the
+executor's bounded queues), one way **out** (``Session._complete``: count
+the completion, deliver in order), one way to **fail** (``Session._fail``:
+a ``StageError`` naming the stage poisons the session and raises its
+``_abort`` flag), and on the backend the replica **shape**
+(``replicas``/``capacity``/``max_replicas`` validated once,
+``reconfigure`` clamping onto a per-executor ``_resize``).
 
 The port also keeps the three hooks the adaptation loop needs:
 
@@ -49,15 +59,15 @@ import math
 import threading
 import time
 import uuid
-from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView
-from repro.monitor.instrument import StageSnapshot
+from repro.monitor.instrument import PipelineInstrumentation, StageSnapshot
 from repro.obs.events import NULL_BUS, EventBus
+from repro.runtime.threads import StageError
 from repro.transport import PoolFootprint
 from repro.util.batching import Batch, BatchingConfig, approx_nbytes, normalize_batching
 from repro.util.validation import check_positive
@@ -76,7 +86,6 @@ __all__ = [
     "register_backend",
     "validate_pipeline_shape",
 ]
-
 
 
 class BackendCapabilityError(RuntimeError):
@@ -195,10 +204,11 @@ class Session:
 
     Subclasses wire the four executor hooks (``_begin_stream``,
     ``_submit_one``, ``_end_stream``, ``_shutdown``) and call back into
-    ``_deliver``/``_deliver_error`` from their collector threads; this base
-    owns every piece of stream accounting — admission windows, ordered
-    delivery buffering, stream ids, drain barriers and error stickiness —
-    so the five executors cannot drift apart on lifecycle semantics.
+    ``_complete``/``_fail`` from their own threads; this base owns every
+    piece of stream accounting — admission windows, ordered delivery
+    buffering, stream ids, drain barriers, the abort flag and error
+    stickiness — so the five executors cannot drift apart on lifecycle
+    semantics.
 
     Streams are strictly sequential: ``drain()`` is the boundary, and the
     executor pipeline is empty of stream *s* before stream *s+1* admits its
@@ -269,6 +279,9 @@ class Session:
         self._streams_completed = 0
         self._error: BaseException | None = None
         self._closed = False
+        #: Raised by ``_fail`` and by a mid-stream ``close``: the executor
+        #: drops what is in flight and every put parked on a full queue gives up.
+        self._abort = threading.Event()
         self._on_close: list[Callable[[], None]] = []
         self._last_drained_stream = -1
         # --- micro-batch assembly state (all mutated under _cv) ----------
@@ -293,10 +306,10 @@ class Session:
         #: real executors, simulated seconds for the simulator shim).
         self.last_stream_elapsed: float | None = None
         self.last_stream_items = 0
-        #: Subclasses set a PipelineInstrumentation (and, optionally,
-        #: ``_snapshot_locks``) to expose observation through the port.
+        #: Set by ``_instrument()`` on the real executors: per-stage metrics
+        #: and the lock that guards each stage's.
         self.instrumentation = None
-        self._snapshot_locks = None
+        self._stage_locks = None
         #: Structured event bus (schema in :data:`repro.obs.events.SCHEMA`).
         #: Created here — before any subclass executor machinery starts — and
         #: adopted by the backend, so emit sites anywhere in the executor
@@ -578,7 +591,11 @@ class Session:
                     return
                 self._closed = True
                 streams, items = self._streams_completed, self._items_total
+                unfinished = self._submitted > self._delivered
                 self._cv.notify_all()
+            if unfinished or self.broken:
+                self._abort.set()  # drop in-flight items instead of finishing them
+                self._wake_lane()
             # Before _shutdown, so executor teardown events (replica
             # removals, worker shutdowns) follow it in the journal and the
             # telemetry close callback has not yet run.
@@ -611,7 +628,7 @@ class Session:
     def snapshots(self) -> list[StageSnapshot]:
         if self.instrumentation is None:
             return []
-        return self.instrumentation.snapshots(self._snapshot_locks)
+        return self.instrumentation.snapshots(self._stage_locks)
 
     def service_means(self) -> list[float]:
         if self.instrumentation is None:
@@ -622,8 +639,43 @@ class Session:
         ]
 
     # ------------------------------------------------- executor-side callbacks
+    def _instrument(self) -> None:
+        """Per-stage metrics and their locks (the real executors call this)."""
+        n = self.backend.pipeline.n_stages
+        self.instrumentation = PipelineInstrumentation(n, events=self.events)
+        self._stage_locks = [threading.Lock() for _ in range(n)]
+
+    def _complete(self, value: Any) -> None:
+        """The one way out: count the completion, deliver the next in-order output.
+
+        Called by the executor's single egress thread, so the completion
+        record needs no lock.
+        """
+        self.instrumentation.record_completion(
+            self.now(), items=len(value) if isinstance(value, Batch) else 1
+        )
+        self._deliver(value)
+
+    def _fail(self, stage: int, err: BaseException) -> None:
+        """The one way to fail: poison the session with a :class:`StageError`.
+
+        The error is delivered before ``_abort`` rises, so whoever finds the
+        flag up (a put that gave up, a parked submit) finds the error too.
+        """
+        if not isinstance(err, StageError):
+            err = StageError(self.backend.pipeline.stage(stage).name, err)
+        self._deliver_error(err)
+        self._abort.set()
+        self._wake_lane()
+
+    def _aborted(self) -> BaseException:
+        """What a submit raises when the executor gave up on its item."""
+        if self._error is not None:
+            return self._error
+        return SessionClosed("session closed while submitting")
+
     def _deliver(self, value: Any) -> None:
-        """Executor collectors hand over the next in-order output here."""
+        """The accounting half of ``_complete`` (all the simulator shim needs)."""
         if self._bcfg is not None and isinstance(value, Batch):
             self._deliver_batch(value)
             return
@@ -873,67 +925,50 @@ class Session:
         """Map the drained stream's wall time onto the executor's clock."""
         return wall_elapsed
 
+    def _wake_lane(self) -> None:
+        """Wake whatever waits on executor capacity (``_abort`` was just set)."""
+
     def _shutdown(self) -> None:
         """Stop the session's executor machinery (called once, from close)."""
 
 
-class _BatchDriver:
-    """Feeds one bounded stream through a session on a thread.
+class Backend:
+    """Port through which pipelines execute (see module docstring).
 
-    ``start()`` must return immediately (controllers observe mid-flight)
-    while ``submit`` may block on the admission window, so the classic
-    batch path runs the open → submit\\* → drain sequence here.
+    An adapter names its ``session_class`` and, when it can reshape live,
+    implements ``_resize``; the replica shape itself lives here.
     """
-
-    def __init__(self, backend: "Backend", session: Session, items: list[Any]) -> None:
-        self.session = session
-        self.n_items = len(items)
-        self.outputs: list[Any] | None = None
-        self.error: BaseException | None = None
-        self.elapsed = 0.0
-        self.items = 0
-        self._done = threading.Event()
-        self._t0 = time.perf_counter()
-        self._thread = threading.Thread(
-            target=self._drive, args=(items,), name=f"{backend.name}-batch", daemon=True
-        )
-        self._thread.start()
-
-    def _drive(self, items: list[Any]) -> None:
-        try:
-            for item in items:
-                self.session.submit(item)
-            outputs = self.session.drain()
-        except BaseException as err:  # noqa: BLE001 - re-raised from join()
-            self.error = err
-        else:
-            self.outputs = outputs
-            self.items = self.session.last_stream_items
-            elapsed = self.session.last_stream_elapsed
-            self.elapsed = (
-                elapsed if elapsed is not None else time.perf_counter() - self._t0
-            )
-        finally:
-            self._done.set()
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def wait(self) -> None:
-        self._thread.join()
-
-
-class Backend(ABC):
-    """Port through which pipelines execute (see module docstring)."""
 
     name: str = "abstract"
     supports_live_reconfigure: bool = False
-    max_replicas: int = 1  # warm-pool size of a replicable stage; wideners set it
+    #: False on a backend that measures without computing (``fn`` optional).
+    executes_callables: bool = True
+    #: The executor's native :class:`Session`; ``open()`` builds one per call.
+    session_class: "type[Session]"
 
-    def __init__(self, pipeline: PipelineSpec) -> None:
+    def __init__(
+        self,
+        pipeline: PipelineSpec,
+        *,
+        replicas: "list[int] | None" = None,
+        capacity: "int | None" = None,
+        max_replicas: int = 1,
+    ) -> None:
         self.pipeline = pipeline
+        #: Bound of the executor's queues (per stage, worker or replica).
+        self.capacity = 8 if capacity is None else capacity
+        check_positive(self.capacity, "capacity")
+        check_positive(max_replicas, "max_replicas")
+        #: Requested replicas per stage: what a cold executor warms up to
+        #: and what ``reconfigure`` records before the live one follows.
+        self._target = validate_pipeline_shape(
+            pipeline, replicas, f"{self.name} backend" if self.executes_callables else None
+        )
+        #: Warm-pool size of a replicable stage; covers the starting shape.
+        self.max_replicas = max(max_replicas, *self._target)
+        self._closed = False
         self._session: Session | None = None
-        self._driver: _BatchDriver | None = None
+        self._run_lock = threading.Lock()  # one run() at a time
         # Replaced by each session's bus the moment it is constructed, so
         # backend-owned machinery (pools, the distributed coordinator) can
         # emit unconditionally from the day the backend is built.
@@ -942,7 +977,7 @@ class Backend(ABC):
     # ------------------------------------------------------------- sessions
     @property
     def closed(self) -> bool:
-        return getattr(self, "_closed", False)
+        return self._closed
 
     @property
     def events(self) -> EventBus:
@@ -966,7 +1001,6 @@ class Backend(ABC):
         self._session = session
         return session
 
-    @abstractmethod
     def _open_session(
         self,
         *,
@@ -984,6 +1018,9 @@ class Backend(ABC):
         it; ``max_inflight="auto"`` sizes the admission window from the
         calibrated batch size and live measurements via Little's law.
         """
+        return self.session_class(
+            self, max_inflight=max_inflight, telemetry=telemetry, batching=batching
+        )
 
     def _current_session(self) -> Session:
         """The open session, replacing a closed or poisoned one."""
@@ -995,47 +1032,39 @@ class Backend(ABC):
         return session
 
     # ------------------------------------------------------------- lifecycle
-    def start(self, inputs: Iterable[Any]) -> int:
-        """Begin a bounded run over the session path; returns the item count."""
-        if self.closed:
-            raise RuntimeError("backend is closed")
-        if self._driver is not None and not self._driver.done():
-            raise RuntimeError("backend already running; join() it first")
-        session = self._current_session()
-        self._driver = _BatchDriver(self, session, list(inputs))
-        return self._driver.n_items
+    def run(self, inputs: Iterable[Any]) -> BackendResult:
+        """One bounded stream on the caller's thread: open → submit\\* → drain.
 
-    def join(self) -> BackendResult:
-        """Block until the current run completes and return its result."""
-        if self._driver is None:
-            raise RuntimeError("backend not started")
-        driver = self._driver
-        driver.wait()
-        self._driver = None
-        session = driver.session
-        if driver.error is not None:
+        ``submit`` blocks on the executor's queues (and the admission
+        window), so to observe or reconfigure mid-flight call this from a
+        producer thread — or hold the session yourself.
+        """
+        if not self._run_lock.acquire(blocking=False):
+            raise RuntimeError("backend already running; wait for that run() to return")
+        session = None
+        try:
+            session = self._current_session()
+            n = 0
+            for item in inputs:
+                session.submit(item)
+                n += 1
+            outputs = session.drain()
+        except BaseException:
             # A poisoned session's executor state is unknown: reap it now so
-            # the next start() opens a clean one on the warm backend.
-            if not session.closed:
+            # the next run opens a clean one on the warm backend.
+            if session is not None:
                 session.close()
-            raise driver.error
-        assert driver.outputs is not None
+            raise
+        finally:
+            self._run_lock.release()
         return BackendResult(
             backend=self.name,
-            outputs=driver.outputs if session.produces_outputs else None,
-            items=driver.items,
-            elapsed=driver.elapsed,
+            outputs=outputs if session.produces_outputs else None,
+            items=n,
+            elapsed=session.last_stream_elapsed if n else 0.0,
             service_means=session.service_means(),
             replica_counts=self.replica_counts(),
         )
-
-    def run(self, inputs: Iterable[Any]) -> BackendResult:
-        """``start`` + ``join`` — a bounded stream through the session path."""
-        self.start(inputs)
-        return self.join()
-
-    def running(self) -> bool:
-        return self._driver is not None and not self._driver.done()
 
     def close(self) -> None:
         """Release warm resources; the backend may not be reused after."""
@@ -1082,25 +1111,40 @@ class Backend(ABC):
 
     # ----------------------------------------------------------------- shape
     def replica_counts(self) -> list[int]:
-        return [1] * self.pipeline.n_stages
+        return list(self._target)
 
     def replica_limit(self, stage: int) -> int:
         """Largest replica count ``reconfigure`` can honour for ``stage``."""
         return self.max_replicas if self.pipeline.stage(stage).replicable else 1
 
     def reconfigure(self, stage: int, n_replicas: int) -> None:
-        """Set ``stage``'s degree of parallelism (live when supported)."""
-        raise capability_error(self, "reconfigure()")
+        """Set ``stage``'s degree of parallelism (live when supported).
+
+        Counts clamp to ``[1, replica_limit(stage)]`` — a stateful stage
+        clamps to 1 — and are recorded as the target shape, which a cold
+        executor warms up to and the next session inherits.
+        """
+        if not self.supports_live_reconfigure:
+            raise capability_error(self, "reconfigure()")
+        if n_replicas < 1:
+            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
+        n_replicas = min(n_replicas, self.replica_limit(stage))
+        self._target[stage] = n_replicas
+        self._resize(stage, n_replicas)
+
+    def _resize(self, stage: int, n_replicas: int) -> None:
+        """Bring the live executor's ``stage`` to ``n_replicas`` (already clamped)."""
 
 
 def validate_pipeline_shape(
-    pipeline: PipelineSpec, replicas: "list[int] | None", runtime_name: str
+    pipeline: PipelineSpec, replicas: "list[int] | None", runtime_name: "str | None"
 ) -> list[int]:
     """Validate a replica shape against the pipeline; returns the counts.
 
-    Shared by the real executors so their rejection messages stay uniform:
-    length mismatch, sub-1 counts, replicated stateful stages, and stages
-    without callables all raise ``ValueError`` here.
+    One set of rejection messages for every executor: length mismatch,
+    sub-1 counts, replicated stateful stages and — unless ``runtime_name``
+    is None (nothing executes the callables) — stages without one all raise
+    ``ValueError`` here.
     """
     n = pipeline.n_stages
     if replicas is None:
@@ -1115,7 +1159,7 @@ def validate_pipeline_shape(
             raise ValueError(
                 f"stage {i} ({spec.name!r}) is stateful and cannot be replicated"
             )
-        if spec.fn is None:
+        if spec.fn is None and runtime_name is not None:
             raise ValueError(
                 f"stage {i} ({spec.name!r}) has no fn; the {runtime_name} "
                 "executes real callables"

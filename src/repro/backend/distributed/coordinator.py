@@ -3,8 +3,8 @@
 Topology (a star — every transfer crosses the coordinator)::
 
                          TCP                            TCP
-    feeder ──> replica set[0] ──> router[0] ──> replica set[1] ──> ...
-    (session)  (on workers)       (session)     (on workers)
+    submit ──> replica set[0] ──> router[0] ──> replica set[1] ──> ...
+    (caller)   (on workers)       (session)     (on workers)
 
 * The coordinator listens on a TCP socket; :class:`WorkerAgent` processes
   connect and register, advertising cores and load average.  Workers can be
@@ -12,11 +12,12 @@ Topology (a star — every transfer crosses the coordinator)::
   on remote hosts with ``python -m repro.backend.distributed.worker``.
 * **Sessions over streams**: worker links, negotiated transports and
   replica placement belong to the *backend* and stay warm for as long as
-  it lives; the feeder and router threads belong to a *session*
-  (``backend.open()``) — they are the routed-stage core shared with the
-  process backend (:mod:`repro.backend.routed`), and this module supplies
-  the lane behind it.  Each stream gets its own **epoch**: tasks and
-  results carry the stream's epoch, a result is only accepted while its
+  it lives; the router threads belong to a *session* (``backend.open()``)
+  — they are the routed-stage core shared with the process backend
+  (:mod:`repro.backend.routed`), ``submit()`` dispatches to stage 0 on the
+  caller's thread, and this module supplies the lane behind both.  Each
+  stream gets its own **epoch**: tasks and results carry the stream's
+  epoch, a result is only accepted while its
   (epoch, seq) assignment is still live, and sequence numbers are
   stream-scoped (the core rebases its reorderers at each boundary) — so
   crash re-dispatch stays exactly-once within a stream and a stale
@@ -70,15 +71,11 @@ from multiprocessing import shared_memory
 from typing import Any
 
 from repro import transport as _transport
-from repro.backend.base import (
-    Backend,
-    Session,
-    register_backend,
-    validate_pipeline_shape,
-)
+from repro.backend.base import Backend, register_backend
 from repro.backend.distributed.protocol import ProtocolError, recv_frame, send_frame
 from repro.backend.distributed.worker import WorkerAgent
 from repro.backend.routed import Hop, RoutedSession
+from repro.runtime.threads import load_error
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView, fn_view
 from repro.monitor.resource_monitor import load_to_speed
@@ -272,7 +269,7 @@ class _DistributedSession(RoutedSession):
         # re-dispatch it now, so its segments can go.
         backend._codec.release(task_frame)
         if not ok:
-            raise RuntimeError(err_repr)
+            raise load_error(payload, err_repr)
         # rtt minus worker-side service and queue wait is wire time both
         # ways; halve it for the one-way transfer estimate, and pair the
         # full overhead with the bytes that crossed (task out + result
@@ -399,6 +396,7 @@ class DistributedBackend(Backend):
 
     name = "distributed"
     supports_live_reconfigure = True
+    session_class = _DistributedSession
 
     def __init__(
         self,
@@ -419,14 +417,12 @@ class DistributedBackend(Backend):
         heartbeat_timeout: float | None = None,
         register_timeout: float = 20.0,
     ) -> None:
-        super().__init__(pipeline)
-        capacity = 8 if capacity is None else capacity
-        check_positive(capacity, "capacity")
-        check_positive(max_replicas, "max_replicas")
+        super().__init__(
+            pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
+        )
         check_positive(heartbeat_interval, "heartbeat_interval")
         if spawn_workers < 0:
             raise ValueError(f"spawn_workers must be >= 0, got {spawn_workers}")
-        replicas = validate_pipeline_shape(pipeline, replicas, "distributed runtime")
         n = pipeline.n_stages
         self._fn_payloads: list[bytes] = []
         for i, spec in enumerate(pipeline.stages):
@@ -439,8 +435,6 @@ class DistributedBackend(Backend):
                     f"stage {i} ({spec.name!r}) fn is not picklable and cannot "
                     f"be shipped to workers (use a module-level function): {err!r}"
                 ) from err
-        self.capacity = capacity
-        self.max_replicas = max(max_replicas, *replicas)
         self.spawn_workers = spawn_workers
         self.worker_cores = worker_cores
         self.worker_link_delays = list(worker_link_delays or [])
@@ -469,7 +463,6 @@ class DistributedBackend(Backend):
         self.register_timeout = register_timeout
         self._bind_host = host
         self._bind_port = port
-        self._target = [min(r, self.replica_limit(i)) for i, r in enumerate(replicas)]
 
         # Worker registry (guarded by _registry; _registry_changed notifies).
         self._registry = threading.Lock()
@@ -493,7 +486,6 @@ class DistributedBackend(Backend):
         self._monitor_thread: threading.Thread | None = None
         self._recv_threads: list[threading.Thread] = []
         self._warm = False
-        self._closed = False
         self._closing = False
 
         # Worker-side tracing: enabled per session when its bus subscribes
@@ -849,14 +841,20 @@ class DistributedBackend(Backend):
     def _reclaim_inflight(self) -> None:
         """Release frames an aborted stream stranded in flight.
 
-        They will never be decoded; a clean boundary finds nothing
-        (``drain()`` empties the pipeline).
+        They will never be decoded, and their replicas get the capacity
+        back — the next session must not find a replica full of results
+        nobody will accept.  A clean boundary finds nothing (``drain()``
+        empties the pipeline).
         """
         for i, cond in enumerate(self._conds):
             with cond:
-                for _replica, stale_frame in self._inflight[i].values():
+                for replica, stale_frame in self._inflight[i].values():
                     self._codec.release(stale_frame)
+                    replica.inflight -= 1
                 self._inflight[i].clear()
+                self._replicas[i] = [
+                    r for r in self._replicas[i] if not (r.retired and r.inflight == 0)
+                ]
 
     def _on_worker_death(self, w: _WorkerConn) -> None:
         """Remove a dead worker; re-home its replicas and in-flight items."""
@@ -1067,21 +1065,6 @@ class DistributedBackend(Backend):
             to_worker=to_worker,
         )
 
-    # ------------------------------------------------------------- sessions
-    def _open_session(
-        self,
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> Session:
-        return _DistributedSession(
-            self,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
-
     # --------------------------------------------------------------- dispatch
     def _reserve_slot(self, stage: int) -> _Replica | None:
         """Claim capacity on the best live replica (blocks); None on abort."""
@@ -1196,10 +1179,11 @@ class DistributedBackend(Backend):
                 self._server.close()
             except OSError:
                 pass
-        for t in self._recv_threads:
-            t.join(timeout=1.0)
+        # The accept loop first: it is what appends (then starts) recv threads.
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=1.0)
+        for t in self._recv_threads:
+            t.join(timeout=1.0)
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=self.heartbeat_interval + 1.0)
         for w in workers:
@@ -1208,6 +1192,11 @@ class DistributedBackend(Backend):
                 if w.proc.is_alive():
                     w.proc.terminate()
                     w.proc.join(timeout=1.0)
+                if not w.proc.is_alive():
+                    # Hand the handle's sentinel pipes back now: left to the
+                    # garbage collector they outlive close() by the lifetime
+                    # of the backend <-> session cycle.
+                    w.proc.close()
         # Every producer and consumer of the session is stopped (external
         # workers lost their socket above): unlink the probe and every
         # party's pool slots, frames stranded by aborts or kills included.
@@ -1263,18 +1252,14 @@ class DistributedBackend(Backend):
                 counts.append(sum(1 for r in self._replicas[i] if r.active))
         return counts
 
-    def reconfigure(self, stage: int, n_replicas: int) -> None:
+    def _resize(self, stage: int, n_replicas: int) -> None:
         """Place/retire replicas of ``stage`` across workers to ``n_replicas``.
 
-        Counts clamp to ``[1, replica_limit(stage)]``.  Growth places on the
-        worker with the best speed/link score; shrink retires the
-        worst-scored replica, which finishes its in-flight items — nothing
-        drains, the run never pauses.
+        Growth places on the worker with the best speed/link score; shrink
+        retires the worst-scored replica, which finishes its in-flight
+        items — nothing drains, the run never pauses.  A cold backend
+        places its target shape at warm-up.
         """
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        n_replicas = min(n_replicas, self.replica_limit(stage))
-        self._target[stage] = n_replicas
         if not self._warm:
             return
         with self._conds[stage]:

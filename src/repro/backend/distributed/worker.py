@@ -77,6 +77,7 @@ from repro import transport as _transport
 from repro.backend.distributed.protocol import ProtocolError, recv_frame, send_frame
 from repro.monitor.resource_monitor import read_load1
 from repro.obs.events import Event, EventBus
+from repro.runtime.threads import dump_error
 from repro.transport import Codec, Frame, untrack
 from repro.util.batching import Batch, map_batch
 
@@ -202,7 +203,7 @@ class _ReplicaRunner:
                     )
             except BaseException as err:  # noqa: BLE001 - shipped to coordinator
                 self._agent._send_result(
-                    task, self.stage, self.slot, False, None, 0.0, wait_s, repr(err)
+                    task, self.stage, self.slot, False, dump_error(err), 0.0, wait_s, repr(err)
                 )
                 continue  # stay warm; the coordinator aborts the run
             self._agent._send_result(
@@ -320,7 +321,7 @@ class WorkerAgent:
         stage: int,
         slot: int,
         ok: bool,
-        payload: Frame | None,
+        payload: "Frame | bytes | None",  # the result, or a failure's pickled error
         service_s: float,
         wait_s: float,
         err_repr: str | None,

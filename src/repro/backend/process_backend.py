@@ -8,14 +8,15 @@ path.  A worker puts its result **straight onto the next stage's queue**;
 only at a *boundary* — the last stage, or one feeding an ordered stage —
 does it report to the parent, where a router restores order::
 
-    feeder ─> taskq[0] ─> workers 0 ─> taskq[1] ─> workers 1 ─> resq ─> router
-    (session)  (shared)               (shared)   (boundary)        (session)
+    submit ─> taskq[0] ─> workers 0 ─> taskq[1] ─> workers 1 ─> resq ─> router
+    (caller)   (shared)               (shared)   (boundary)        (session)
 
 * The **pools belong to the backend** and survive sessions and streams; the
-  **feeder and the boundary routers belong to the session** — the
-  routed-stage core shared with the distributed backend
-  (:mod:`repro.backend.routed`), which owns the reorderers, abort handling,
-  metrics and egress.  This module supplies only the lane.
+  **boundary routers belong to the session** — the routed-stage core shared
+  with the distributed backend (:mod:`repro.backend.routed`), which owns
+  the ingress lock, the reorderers, metrics and egress.  ``submit()`` puts
+  on stage 0's queue from the caller's thread.  This module supplies only
+  the lane.
 * What a per-stage router used to record rides on the frame: each worker
   appends ``(stage, worker, service_s, nbytes_out, ended_at)`` to the
   item's *trail* and the boundary router replays it (``Hop.trail``).  A
@@ -30,8 +31,9 @@ does it report to the parent, where a router restores order::
 * ``reconfigure`` never targets a worker: shrinking puts a *park token* on
   the stage's queue (whoever takes it blocks on the stage's semaphore, and
   work queued ahead of it is still served), growing releases the semaphore.
-* Bounded stage queues, bounded result queues and the session's admission
-  window give end-to-end back-pressure.
+* Bounded stage queues and bounded result queues give end-to-end
+  back-pressure — a full stage-0 queue blocks ``submit()`` — and the
+  session's admission window is an additional, optional bound.
 
 The default start method is ``fork`` where available (warm semantics, and
 closures/lambdas need no pickling); pass ``start_method="spawn"`` with
@@ -41,24 +43,17 @@ importable module-level stage functions on platforms without fork.
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import queue as thread_queue
 import threading
 import time
 
 from repro import transport as _transport
-from repro.backend.base import (
-    Backend,
-    Session,
-    register_backend,
-    validate_pipeline_shape,
-)
+from repro.backend.base import Backend, register_backend
 from repro.backend.routed import Hop, RoutedSession
 from repro.core.pipeline import PipelineSpec
-from repro.runtime.threads import StageError
+from repro.runtime.threads import StageError, dump_error, load_error
 from repro.transport import Codec, Frame
 from repro.util.batching import Batch, map_batch
-from repro.util.validation import check_positive
 
 __all__ = ["ProcessPoolBackend"]
 
@@ -110,11 +105,7 @@ def _worker_main(stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_s
             # single queue hop and a single pickle stream per stage.
             result = map_batch(fn, value) if isinstance(value, Batch) else fn(value)
         except BaseException as err:  # noqa: BLE001 - shipped to the parent
-            try:
-                err_payload = pickle.dumps(err)
-            except Exception:
-                err_payload = None
-            resq.put((seq, None, (stage, err_payload, repr(err))))
+            resq.put((seq, None, (stage, dump_error(err), repr(err))))
             continue  # stay warm; the parent aborts the stream
         t1 = time.perf_counter()  # one monotonic clock for every process of the host
         try:
@@ -132,7 +123,8 @@ class _Segment:
         self.resq = resq  # the boundary's workers report here; so does every error
         self.stages = stages  # the range of stage indices it spans
         # Items inside the segment = entered - left; each has one writer (the
-        # thread feeding the segment, the boundary's router).
+        # thread feeding the segment — for the first, whoever holds the
+        # session's ingress lock — and the boundary's router).
         self.entered = 0
         self.left = 0
 
@@ -215,13 +207,7 @@ class _ProcessSession(RoutedSession):
         pools[stage].seg.left += 1
         if frame is None:
             failed, payload, text = trail
-            original: BaseException = RuntimeError(text)
-            if payload is not None:
-                try:
-                    original = pickle.loads(payload)
-                except Exception:  # noqa: BLE001 - keep the repr-only stand-in
-                    pass
-            raise StageError(self.backend.pipeline.stage(failed).name, original)
+            raise StageError(self.backend.pipeline.stage(failed).name, load_error(payload, text))
         *upstream, (_, worker_id, service_s, _, ended) = trail
         clock = self.perf_to_session
         return Hop(
@@ -261,6 +247,7 @@ class ProcessPoolBackend(Backend):
 
     name = "processes"
     supports_live_reconfigure = True
+    session_class = _ProcessSession
 
     def __init__(
         self,
@@ -273,25 +260,16 @@ class ProcessPoolBackend(Backend):
         transport: str | Codec = "auto",
         calibrate_transport: bool = True,
     ) -> None:
-        super().__init__(pipeline)
-        capacity = 8 if capacity is None else capacity
-        check_positive(capacity, "capacity")
-        check_positive(max_replicas, "max_replicas")
-        replica_list = validate_pipeline_shape(pipeline, replicas, "process runtime")
+        super().__init__(
+            pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
+        )
         if start_method is None:
             methods = mp.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = mp.get_context(start_method)
         self._codec = _transport.get(transport)
         self._calibrate_transport = calibrate_transport
-        self.capacity = capacity
-        # A warm pool must at least cover the requested starting shape.
-        self.max_replicas = max(max_replicas, *replica_list)
-        self._target = [
-            min(r, self.replica_limit(i)) for i, r in enumerate(replica_list)
-        ]
         self._pools: list[_StagePool] | None = None  # None = cold
-        self._closed = False
 
     # --------------------------------------------------------------- warm-up
     def warm(self) -> None:
@@ -338,21 +316,7 @@ class ProcessPoolBackend(Backend):
             i for i in range(len(stages)) if i + 1 == len(stages) or stages[i + 1].ordered
         ]
 
-    # ------------------------------------------------------------- sessions
-    def _open_session(
-        self,
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> Session:
-        return _ProcessSession(
-            self,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
-
+    # ------------------------------------------------------------- lifecycle
     def _shutdown_pools(self, *, graceful: bool) -> None:
         if self._pools is None:
             return
@@ -363,12 +327,19 @@ class ProcessPoolBackend(Backend):
                 for _ in pool.procs:
                     _put(pool.taskq, _STOP, None)
             pool.taskq.close()
+        procs = [proc for pool in self._pools for proc in pool.procs]
+        if not graceful:
+            # No pill was sent: every worker is blocked on a queue or a gate
+            # and nothing of the aborted stream is worth waiting for.  All at
+            # once, then reap — one after another costs a timeout per worker.
+            for proc in procs:
+                proc.terminate()
+        for proc in procs:
+            proc.join(timeout=1.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
         for pool in self._pools:
-            for proc in pool.procs:
-                proc.join(timeout=1.0 if graceful else 0.1)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1.0)
             pool.seg.resq.close()  # shared by the segment's pools; idempotent
         self._pools = None
         # Every producer and consumer of the session is stopped: unlink the
@@ -389,25 +360,19 @@ class ProcessPoolBackend(Backend):
             return list(self._target)
         return [p.active for p in self._pools]
 
-    def reconfigure(self, stage: int, n_replicas: int) -> None:
+    def _resize(self, stage: int, n_replicas: int) -> None:
         """Park or release warm workers of ``stage`` to reach ``n_replicas``.
 
-        Counts are clamped to ``[1, replica_limit(stage)]`` (so a stateful
-        stage clamps to 1, matching the port contract and the thread
-        adapter) — growth never forks mid-run.  Replicas are
-        interchangeable, so none is targeted: growing releases the stage's
-        gate, shrinking queues a park token behind the work already there
-        and whoever takes it waits, warm, at the gate.
+        Growth never forks mid-run.  Replicas are interchangeable, so none
+        is targeted: growing releases the stage's gate, shrinking queues a
+        park token behind the work already there and whoever takes it
+        waits, warm, at the gate.  A cold backend warms up to the target.
         """
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        n_replicas = min(n_replicas, self.replica_limit(stage))
-        self._target[stage] = n_replicas
         if self._pools is None:
             return
         pool = self._pools[stage]
         # A full queue delays the token only while the session lives.
-        abort = getattr(self._session, "_abort", None)
+        abort = self._session._abort if self._session is not None else None
         with pool.lock:
             while pool.active < n_replicas:
                 pool.gate.release()

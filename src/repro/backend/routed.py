@@ -1,13 +1,17 @@
 """The routed-stage core shared by the process and distributed executors.
 
-One implementation of the paper's per-stage skeleton — feed → dispatch →
-collect → reorder → forward — for every executor whose workers live behind
-a *lane* (an ``mp.Queue`` pair, a TCP link): something that carries an
+One implementation of the paper's per-stage skeleton — dispatch → collect
+→ reorder → forward — for every executor whose workers live behind a
+*lane* (an ``mp.Queue`` pair, a TCP link): something that carries an
 encoded :class:`~repro.transport.Frame` to a worker and brings a result
 back.  The core knows nothing about what the lane is made of::
 
-    submit ──> feeder ──> lane[0] ──> router[0] ──> lane[1] ──> ... ──> deliver
-               (reorder)  workers     (reorder)     workers           reorder
+    submit ──> lane[0] ──> router[0] ──> lane[1] ──> ... ──> router[n-1] ──> complete
+    (caller)   workers     (reorder)     workers             reorder
+
+There is no thread between the caller and stage 0: ``submit()`` encodes and
+dispatches on the caller's thread, under one ingress lock, so a producer
+feels the lane's bounded queues directly.
 
 Order is restored only where it is needed: a hop pushes through its
 :class:`~repro.util.ordering.SequenceReorderer` when the stage it feeds is
@@ -17,11 +21,11 @@ the last router always does, so delivery is in input order; between
 stateless stages results are forwarded as they arrive and a slow item
 never holds its successors back.
 
-:class:`RoutedSession` owns the feeder thread, one router thread per
-*boundary* stage, every reorderer and their stream-boundary rebase, the
-abort/stopping flags and ``_fail``, per-stage metrics and byte accounting,
-item-space event emission, and the egress branch (decode → release →
-``record_completion`` → ``_deliver``).  An executor supplies four hooks:
+:class:`RoutedSession` owns the ingress lock, one router thread per
+*boundary* stage, every reorderer and their stream-boundary rebase,
+per-stage metrics and byte accounting, item-space event emission, and the
+egress branch (decode → release → the port's ``_complete``); the abort
+flag and ``_fail`` are the port's.  An executor supplies four hooks:
 
 ``_ingress(seq, value)``
     encode one admitted item (through :meth:`RoutedSession._encode`, the
@@ -39,9 +43,9 @@ item-space event emission, and the egress branch (decode → release →
     send one frame to ``stage`` (in order when it is ordered); ``False``
     when aborted.
 
-``_attach`` (warm the lane before any thread starts), ``_wake_lane`` (wake
-dispatchers blocked on lane capacity at abort) and ``_boundaries`` are
-optional.  By default every stage is a boundary: its results come back to
+``_attach`` (warm the lane before any thread starts), the port's
+``_wake_lane`` (wake dispatchers blocked on lane capacity at abort) and
+``_boundaries`` are optional.  By default every stage is a boundary: its results come back to
 a router here.  A lane whose workers can reach each other (forked
 processes sharing queues) names fewer — the last stage and any stage
 feeding an ordered one — and lets the rest forward worker to worker; what
@@ -51,22 +55,17 @@ boundary's result and is replayed into the same per-stage records.
 
 from __future__ import annotations
 
-import queue as thread_queue
 import threading
 import time
 from dataclasses import replace
 from typing import Any, NamedTuple, Sequence
 
 from repro.backend.base import Backend, Session, SessionStats
-from repro.monitor.instrument import PipelineInstrumentation
-from repro.runtime.threads import StageError
 from repro.transport import Codec, Frame, pool_footprint
 from repro.util.batching import Batch
 from repro.util.ordering import SequenceReorderer
 
 __all__ = ["Hop", "RoutedSession"]
-
-_CLOSE = object()  # feeder shutdown marker
 
 
 class Hop(NamedTuple):
@@ -86,62 +85,37 @@ class Hop(NamedTuple):
 
 
 class RoutedSession(Session):
-    """Feeder + per-stage routers over an executor's lane (see module doc)."""
+    """Caller-side ingress + boundary routers over an executor's lane (see module doc)."""
 
     supports_batching = True
 
-    def __init__(
-        self,
-        backend: Backend,
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> None:
-        super().__init__(
-            backend,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
-        n = backend.pipeline.n_stages
-        self.instrumentation = PipelineInstrumentation(n, events=self.events)
-        self._stage_locks = [threading.Lock() for _ in range(n)]
-        self._snapshot_locks = self._stage_locks
-        self._abort = threading.Event()
+    def __init__(self, backend: Backend, **config) -> None:
+        super().__init__(backend, **config)
+        self._instrument()
         self._stopping = threading.Event()
-        # _reorder[i] sits in front of stage i (0 = the feeder's), _reorder[n]
-        # is egress; None where the stage it feeds takes items as they come.
+        # _reorder[i] sits in front of stage i (0 = ingress), _reorder[n] is
+        # egress; None where the stage it feeds takes items as they come.
         self._reorder = [
             SequenceReorderer() if spec.ordered else None
             for spec in backend.pipeline.stages
         ] + [SequenceReorderer()]
-        self._feedq: thread_queue.Queue = thread_queue.Queue()
+        # One dispatcher into stage 0 at a time: the ingress reorderer and
+        # the lane's entry accounting each keep a single writer.
+        self._ingress_lock = threading.Lock()
         self._codec: Codec = backend._codec  # decodes and releases at egress
         self._attach()
         self._threads = [
             threading.Thread(
-                target=self._feed, name=f"{backend.name}-feeder", daemon=True
+                target=self._route, args=(i,), name=f"{backend.name}-router[{i}]", daemon=True
             )
+            for i in self._boundaries()
         ]
-        for i in self._boundaries():
-            self._threads.append(
-                threading.Thread(
-                    target=self._route,
-                    args=(i,),
-                    name=f"{backend.name}-router[{i}]",
-                    daemon=True,
-                )
-            )
         for t in self._threads:
             t.start()
 
     # ------------------------------------------------------------ lane hooks
     def _attach(self) -> None:
         """Warm the lane and adopt it (runs before any thread starts)."""
-
-    def _wake_lane(self) -> None:
-        """Wake dispatchers blocked on lane capacity (abort was just set)."""
 
     def _boundaries(self) -> "Sequence[int]":
         """Stages whose results come back here, each to its own router."""
@@ -172,44 +146,24 @@ class RoutedSession(Session):
                 reorder.begin_stream(0)
 
     def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
-        self._feedq.put((seq, item))
-
-    def _shutdown(self) -> None:
-        """Stop the feeder and routers; an unfinished stream aborts."""
-        if self.broken or self._submitted > self._delivered:
-            self._abort.set()
-            self._wake_lane()
-        self._stopping.set()
-        self._feedq.put(_CLOSE)
-        for t in self._threads:
-            t.join(timeout=5.0)
-
-    # --------------------------------------------------------------- failure
-    def _fail(self, stage: int, err: BaseException) -> None:
-        """Poison the session with ``err`` as a :class:`StageError` of ``stage``."""
-        if not isinstance(err, StageError):
-            err = StageError(self.backend.pipeline.stage(stage).name, err)
-        self._abort.set()
-        self._wake_lane()
-        self._deliver_error(err)
-
-    # --------------------------------------------------------------- ingress
-    def _feed(self) -> None:
+        # Concurrent submitters (and the linger flusher) may arrive out of
+        # order; an ordered stage 0 must still start in order.
         reorder = self._reorder[0]
         try:
-            while True:
-                msg = self._feedq.get()
-                if msg is _CLOSE:
-                    return
-                if self._abort.is_set():
-                    continue  # drain the feed queue without dispatching
-                # Concurrent submitters (and the linger flusher) may enqueue
-                # out of order; an ordered stage 0 must still start in order.
-                for seq, value in (msg,) if reorder is None else reorder.push(*msg):
-                    if not self._ingress(seq, value):
+            with self._ingress_lock:
+                for pair in ((seq, item),) if reorder is None else reorder.push(seq, item):
+                    if self._abort.is_set() or not self._ingress(*pair):
                         break
-        except BaseException as err:  # noqa: BLE001 - e.g. unencodable input
+        except Exception as err:  # e.g. unencodable input
             self._fail(0, err)
+        if self._abort.is_set():
+            raise self._aborted()
+
+    def _shutdown(self) -> None:
+        """Stop the routers (``close`` already aborted an unfinished stream)."""
+        self._stopping.set()
+        for t in self._threads:
+            t.join(timeout=5.0)
 
     def _encode(self, seq: int, value: Any, codec: Codec) -> Frame:
         """Encode one admitted item as stage 0's task frame.
@@ -307,8 +261,4 @@ class RoutedSession(Session):
         value = self._codec.decode(frame)
         self._codec.release(frame)
         self._emit_items("frame.release", seq, stage=stage, nbytes=frame.nbytes)
-        with self._stage_locks[stage]:
-            self.instrumentation.record_completion(
-                self.now(), items=len(value) if isinstance(value, Batch) else 1
-            )
-        self._deliver(value)
+        self._complete(value)

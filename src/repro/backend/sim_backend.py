@@ -38,18 +38,9 @@ class _SimSession(Session):
     when the stream ends — the inverse of the real executors, where the
     batch path wraps the streaming one.  Several sequential streams on one
     session emulate back-to-back bounded streams (each is its own sim run).
+    ``batching=`` is accepted and ignored: the simulator models per-item
+    service, so ``supports_batching`` stays False and nothing coalesces.
     """
-
-    def __init__(
-        self,
-        backend: "SimBackend",
-        *,
-        max_inflight: int | None = None,
-        telemetry=None,
-    ) -> None:
-        super().__init__(backend, max_inflight=max_inflight, telemetry=telemetry)
-        self._items: list[Any] = []
-        self._sim_elapsed = 0.0
 
     def _begin_stream(self, stream: int) -> None:
         self._items = []
@@ -99,6 +90,8 @@ class SimBackend(Backend):
 
     name = "sim"
     supports_live_reconfigure = False
+    executes_callables = False
+    session_class = _SimSession
 
     def __init__(
         self,
@@ -111,13 +104,14 @@ class SimBackend(Backend):
         replicas: list[int] | None = None,
         capacity: int | None = None,
     ) -> None:
-        super().__init__(pipeline)
         if replicas is not None and any(r > 1 for r in replicas):
             raise ValueError(
                 "the sim backend expresses replication through mapping=, "
                 "not replicas; use mapping= or skel.api.simulate_farm"
             )
-        self.buffer_capacity = capacity if capacity is not None else 4
+        super().__init__(
+            pipeline, replicas=replicas, capacity=4 if capacity is None else capacity
+        )
         self.grid = grid if grid is not None else uniform_grid(pipeline.n_stages)
         if adaptive is True:
             self.config: AdaptationConfig | None = AdaptationConfig()
@@ -128,18 +122,6 @@ class SimBackend(Backend):
         self.mapping = mapping
         self.seed = seed
         self.last_run: RunResult | None = None
-
-    def _open_session(
-        self,
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> Session:
-        # ``batching`` is accepted for signature parity but ignored: the
-        # simulator models per-item service, and _SimSession leaves
-        # ``supports_batching`` False so the base session never coalesces.
-        return _SimSession(self, max_inflight=max_inflight, telemetry=telemetry)
 
     def _simulate(self, items: list[Any]) -> list[Any] | None:
         """One simulated stream; returns computed outputs when fns exist."""
@@ -158,7 +140,7 @@ class SimBackend(Backend):
             self.grid,
             config=self.config,
             initial_mapping=self.mapping,
-            buffer_capacity=self.buffer_capacity,
+            buffer_capacity=self.capacity,
             seed=self.seed,
             trace=bus.active,
         )

@@ -23,10 +23,14 @@ Live reconfiguration: growth spawns a worker into the running stage
 (always possible — a session's stage never drains before close), shrink
 retires one lazily via the ``_RETIRE`` pill.
 
-This fabric deliberately does not ride the routed-stage core the process
-and distributed executors share (:mod:`repro.backend.routed`): workers
-here share one queue per stage and stop by sentinel cascade, which that
-core would have to special-case.
+This fabric does not ride the routed-stage core the process and
+distributed executors share (:mod:`repro.backend.routed`), and that is a
+measurement, not a taste: as a ``queue.Queue`` lane of that core
+``tiny_threads`` lost 27 % of its items/s and paid +39 % CPU per item and
++53 % to the first result (−22 % / +27 % / +43 % with the feeder hop
+removed), outside the benchmark's 25 % bounds — see "Why three loops" in
+``docs/backends.md``.  What the fabrics share lives in the port instead:
+admission, ``_complete``, ``_fail``, the abort flag and the replica shape.
 """
 
 from __future__ import annotations
@@ -34,15 +38,9 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.backend.base import (
-    Backend,
-    Session,
-    register_backend,
-    validate_pipeline_shape,
-)
+from repro.backend.base import Backend, Session, register_backend
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView, fn_view
-from repro.monitor.instrument import PipelineInstrumentation
 from repro.monitor.resource_monitor import HostLoadSampler
 from repro.runtime.threads import (
     _RETIRE,
@@ -50,9 +48,7 @@ from repro.runtime.threads import (
     _CountedQueue,
     _Worker,
 )
-from repro.util.batching import Batch
 from repro.util.ordering import SequenceReorderer
-from repro.util.validation import check_positive
 
 __all__ = ["ThreadBackend"]
 
@@ -62,29 +58,10 @@ class _ThreadSession(Session):
 
     supports_batching = True
 
-    def __init__(
-        self,
-        backend: "ThreadBackend",
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> None:
-        super().__init__(
-            backend,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
-        pipeline = backend.pipeline
-        n = pipeline.n_stages
+    def __init__(self, backend: "ThreadBackend", **config) -> None:
+        super().__init__(backend, **config)
         self.replicas = list(backend._target)
-        self.capacity = backend.capacity
-        self.instrumentation = PipelineInstrumentation(n, events=self.events)
-        self._locks = [threading.Lock() for _ in range(n)]
-        self._snapshot_locks = self._locks
-        self._abort = threading.Event()
-        self._errors: list[BaseException] = []
+        self._instrument()
         self._mutate_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
 
@@ -96,35 +73,29 @@ class _ThreadSession(Session):
         producers = 1
         for consumers in (*self.replicas, 1):
             self._queues.append(
-                _CountedQueue(self.capacity, producers=producers, consumers=consumers)
+                _CountedQueue(backend.capacity, producers=producers, consumers=consumers)
             )
             producers = consumers
-        for i in range(n):
-            for r in range(self.replicas[i]):
+        for i, count in enumerate(self.replicas):
+            for r in range(count):
                 self._threads.append(self._make_worker(i, r))
         self._collector = threading.Thread(
             target=self._collect, name="session-collector", daemon=True
         )
-        self._watcher = threading.Thread(
-            target=self._watch_abort, name="session-abort-watch", daemon=True
-        )
-        for t in self._threads:
+        for t in (*self._threads, self._collector):
             t.start()
-        self._collector.start()
-        self._watcher.start()
 
     # ---------------------------------------------------------------- fabric
     def _make_worker(self, stage: int, replica_idx: int) -> _Worker:
         spec = self.backend.pipeline.stage(stage)
         return _Worker(
             stage,
-            spec.name,
             spec.fn,
             self._queues[stage],
             self._queues[stage + 1],
             self.instrumentation.stages[stage],
-            self._locks[stage],
-            self._errors,
+            self._stage_locks[stage],
+            self._fail,
             self._abort,
             name=f"session-stage[{stage}].{replica_idx}",
             speed_fn=self.backend._load.effective_speed,
@@ -143,31 +114,14 @@ class _ThreadSession(Session):
             if self._abort.is_set():
                 continue  # drain without delivering
             for _seq, value in reorder.push(*got):
-                self.instrumentation.record_completion(
-                    self.now(), items=len(value) if isinstance(value, Batch) else 1
-                )
-                self._deliver(value)
-
-    def _watch_abort(self) -> None:
-        # Workers record a StageError and set the abort flag; the session
-        # must learn of it so submit/results/drain raise instead of hanging
-        # on items the draining threads dropped.
-        self._abort.wait()
-        if self._errors:
-            self._deliver_error(self._errors[0])
+                self._complete(value)
 
     # ----------------------------------------------------------- port hooks
     def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
         if not self._queues[0].put((gseq, item), abort=self._abort):
-            raise (
-                self._errors[0]
-                if self._errors
-                else RuntimeError("session aborted while submitting")
-            )
+            raise self._aborted()
 
     def _shutdown(self) -> None:
-        if self.broken or self._submitted > self._delivered:
-            self._abort.set()  # drop in-flight items instead of finishing them
         self._queues[0].producer_done()
         while True:
             with self._mutate_lock:
@@ -177,11 +131,9 @@ class _ThreadSession(Session):
             for t in alive:
                 t.join(timeout=0.5)
         self._collector.join(timeout=5.0)
-        self._abort.set()  # release the watcher on a clean close
-        self._watcher.join(timeout=1.0)
 
     # -------------------------------------------------------------- reshaping
-    def reconfigure(self, stage: int, n_replicas: int) -> None:
+    def resize(self, stage: int, n_replicas: int) -> None:
         """Grow or shrink ``stage``'s warm worker pool, live."""
         with self._mutate_lock:
             if self.closed:
@@ -195,7 +147,7 @@ class _ThreadSession(Session):
                 self._threads.append(worker)
                 worker.start()
                 self.events.emit("replica.add", stage=stage, n=self.replicas[stage])
-            while self.replicas[stage] > max(n_replicas, 1):
+            while self.replicas[stage] > n_replicas:
                 self.replicas[stage] -= 1
                 self._queues[stage].put(_RETIRE, abort=self._abort)
                 self.events.emit(
@@ -214,6 +166,7 @@ class ThreadBackend(Backend):
 
     name = "threads"
     supports_live_reconfigure = True
+    session_class = _ThreadSession
 
     def __init__(
         self,
@@ -223,31 +176,13 @@ class ThreadBackend(Backend):
         capacity: int | None = None,
         max_replicas: int = 8,
     ) -> None:
-        super().__init__(pipeline)
-        check_positive(max_replicas, "max_replicas")
-        self._target = validate_pipeline_shape(pipeline, replicas, "thread runtime")
-        self.capacity = 8 if capacity is None else capacity
-        check_positive(self.capacity, "capacity")
+        super().__init__(
+            pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
+        )
         # Workers record service at the sampled effective speed, so
         # work_estimate stays load-normalised — consistent with the
         # load-degraded speeds resource_view reports to the planner.
         self._load = HostLoadSampler()
-        self.max_replicas = max(max_replicas, *self._target)
-
-    # ------------------------------------------------------------- sessions
-    def _open_session(
-        self,
-        *,
-        max_inflight: "int | str | None" = None,
-        telemetry=None,
-        batching=None,
-    ) -> Session:
-        return _ThreadSession(
-            self,
-            max_inflight=max_inflight,
-            telemetry=telemetry,
-            batching=batching,
-        )
 
     # ----------------------------------------------------------- observation
     def resource_view(self, n_procs: int) -> ResourceView:
@@ -266,20 +201,9 @@ class ThreadBackend(Backend):
         )
 
     # ----------------------------------------------------------------- shape
-    def replica_counts(self) -> list[int]:
-        session = self._session
-        if isinstance(session, _ThreadSession) and not session.closed:
-            return list(session.replicas)
-        return list(self._target)
-
-    def reconfigure(self, stage: int, n_replicas: int) -> None:
-        if n_replicas < 1:
-            raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        n_replicas = min(n_replicas, self.replica_limit(stage))
-        self._target[stage] = n_replicas
-        session = self._session
-        if isinstance(session, _ThreadSession) and not session.closed:
-            session.reconfigure(stage, n_replicas)
+    def _resize(self, stage: int, n_replicas: int) -> None:
+        if self._session is not None:
+            self._session.resize(stage, n_replicas)  # a closed one declines
 
 
 register_backend("threads", ThreadBackend)

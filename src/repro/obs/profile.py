@@ -14,8 +14,8 @@ latency is tiled into named phases:
     *before* the item's span opens, so it is reported separately and not
     part of the latency tiling;
 ``coord_queue``
-    coordinator-side residence: feeder queue, back-pressure slot waits,
-    and inter-stage routing gaps;
+    coordinator-side residence: back-pressure slot waits (stage 0's are
+    spent inside ``submit()``) and inter-stage routing gaps;
 ``encode``
     payload encoding, both coordinator-side (``frame.encode`` with
     ``seconds``) and worker-side (the ``encode`` term of ``span.phases``);
@@ -298,7 +298,7 @@ def _profile_span(span: Span) -> ItemProfile | None:
                 + f.get("encode", 0.0)
                 + f.get("wire_back", 0.0)
             )
-            start = hop.time - known  # ≈ when the hop's task left the feeder
+            start = hop.time - known  # ≈ when the hop's task left the coordinator
             gap = max(0.0, start - cursor)
             enc = min(enc_by_stage.pop(f.get("stage", 0), 0.0), gap)
             phases["encode"] += enc + f.get("encode", 0.0)

@@ -23,14 +23,17 @@ This module only *defines* the blocks (:class:`_CountedQueue`,
 in :mod:`repro.backend.thread_backend`, which also owns the collector,
 observation and live ``reconfigure``.
 
-Exceptions raised by stage functions abort the run and surface as
-:class:`StageError` with the offending stage named; on abort every thread
-keeps draining its queue (without applying stage functions) so shutdown
-never deadlocks on a full buffer.
+An exception raised by a stage function goes to the session's ``_fail``
+(the port's one failure path: a :class:`StageError` naming the stage, the
+abort flag up; :func:`dump_error`/:func:`load_error` carry the original
+across a process boundary for the executors whose stages run in one); on
+abort every thread keeps draining its queue (without
+applying stage functions) so shutdown never deadlocks on a full buffer.
 """
 
 from __future__ import annotations
 
+import pickle
 import queue
 import threading
 import time
@@ -40,7 +43,7 @@ from repro.monitor.instrument import StageMetrics
 from repro.util.batching import Batch, map_batch
 from repro.util.ordering import SequenceReorderer
 
-__all__ = ["StageError"]
+__all__ = ["StageError", "dump_error", "load_error"]
 
 _SENTINEL = object()
 _RETIRE = object()  # consumed by exactly one worker, which then exits
@@ -53,6 +56,25 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage_name!r} failed: {original!r}")
         self.stage_name = stage_name
         self.original = original
+
+
+def dump_error(err: BaseException) -> "bytes | None":
+    """A worker-side stage failure for the trip home (None: it will not pickle)."""
+    try:
+        return pickle.dumps(err)
+    except Exception:  # noqa: BLE001 - the repr travels beside it
+        return None
+
+
+def load_error(payload: "bytes | None", text: str) -> BaseException:
+    """The failure a worker shipped — the same class on every executor —
+    or a ``RuntimeError`` carrying its repr when it could not travel."""
+    if payload is not None:
+        try:
+            return pickle.loads(payload)
+        except Exception:  # noqa: BLE001 - keep the repr-only stand-in
+            pass
+    return RuntimeError(text)
 
 
 class _CountedQueue:
@@ -118,13 +140,12 @@ class _Worker(threading.Thread):
     def __init__(
         self,
         stage_index: int,
-        stage_name: str,
         fn,
         work_q: _CountedQueue,
         out_q: _CountedQueue,
         metrics: StageMetrics,
         metrics_lock: threading.Lock,
-        errors: list[BaseException],
+        fail: Callable[[int, BaseException], None],
         abort: threading.Event,
         name: str,
         speed_fn: Callable[[], float],
@@ -132,13 +153,12 @@ class _Worker(threading.Thread):
     ) -> None:
         super().__init__(name=name, daemon=True)
         self.stage_index = stage_index
-        self.stage_name = stage_name
         self.fn = fn
         self.work_q = work_q
         self.out_q = out_q
         self.metrics = metrics
         self.metrics_lock = metrics_lock
-        self.errors = errors
+        self.fail = fail
         self.abort = abort
         self.speed_fn = speed_fn
         self.ordered = ordered
@@ -164,8 +184,7 @@ class _Worker(threading.Thread):
                         # metrics lock round and one event.
                         result = map_batch(self.fn, value) if batched else self.fn(value)
                     except BaseException as err:  # noqa: BLE001 - reported upward
-                        self.errors.append(StageError(self.stage_name, err))
-                        self.abort.set()
+                        self.fail(self.stage_index, err)
                         break
                     dt = time.perf_counter() - t0
                     # Backlog = the shared queue plus early arrivals held

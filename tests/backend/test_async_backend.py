@@ -3,10 +3,17 @@
 import asyncio
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.backend import AsyncioBackend, RuntimeAdaptiveRunner, ThreadBackend, local_config
+from repro.backend import (
+    AsyncioBackend,
+    RuntimeAdaptiveRunner,
+    SessionClosed,
+    ThreadBackend,
+    local_config,
+)
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.runtime.threads import StageError
@@ -74,22 +81,24 @@ class TestAsyncioBackend:
         assert res.outputs == [x + 1 for x in range(5)]
 
     def test_live_grow_preserves_order(self):
-        with AsyncioBackend(spec([_adouble_slow]), max_replicas=4) as b:
-            b.start(range(40))
+        backend = AsyncioBackend(spec([_adouble_slow]), max_replicas=4)
+        with backend as b, ThreadPoolExecutor(1) as producer:
+            run = producer.submit(b.run, range(40))
             while b.items_completed() < 5:
                 time.sleep(0.002)
             b.reconfigure(0, 4)
-            res = b.join()
+            res = run.result(timeout=30)
         assert res.outputs == [x * 2 for x in range(40)]
         assert res.replica_counts == [4]
 
     def test_live_shrink_is_lazy_and_safe(self):
-        with AsyncioBackend(spec([_adouble_slow]), replicas=[4], max_replicas=4) as b:
-            b.start(range(40))
+        backend = AsyncioBackend(spec([_adouble_slow]), replicas=[4], max_replicas=4)
+        with backend as b, ThreadPoolExecutor(1) as producer:
+            run = producer.submit(b.run, range(40))
             while b.items_completed() < 5:
                 time.sleep(0.002)
             b.reconfigure(0, 1)
-            res = b.join()
+            res = run.result(timeout=30)
         assert res.outputs == [x * 2 for x in range(40)]
         assert res.replica_counts == [1]
 
@@ -140,26 +149,28 @@ class TestAsyncioBackend:
 
     def test_close_mid_run_does_not_hang(self):
         b = AsyncioBackend(spec([_adouble_slow]), replicas=[2], max_replicas=2)
-        b.start(range(500))
-        while b.items_completed() < 3:
-            time.sleep(0.002)
-        t0 = time.perf_counter()
-        b.close()
-        assert time.perf_counter() - t0 < 5.0
+        with ThreadPoolExecutor(1) as producer:
+            run = producer.submit(b.run, range(500))
+            while b.items_completed() < 3:
+                time.sleep(0.002)
+            t0 = time.perf_counter()
+            b.close()
+            assert time.perf_counter() - t0 < 5.0
+            # The producer parked in submit() is released, not left hanging.
+            with pytest.raises(SessionClosed):
+                run.result(timeout=5)
         with pytest.raises(RuntimeError, match="closed"):
-            b.start([1])
+            b.run([1])
 
-    def test_join_before_start_raises(self):
-        with AsyncioBackend(spec([_ainc])) as b:
-            with pytest.raises(RuntimeError, match="not started"):
-                b.join()
-
-    def test_start_while_running_raises(self):
-        with AsyncioBackend(spec([_adouble_slow])) as b:
-            b.start(range(20))
+    def test_run_while_running_raises(self):
+        backend = AsyncioBackend(spec([_adouble_slow]))
+        with backend as b, ThreadPoolExecutor(1) as producer:
+            run = producer.submit(b.run, range(20))
+            while b.items_completed() < 1:
+                time.sleep(0.002)
             with pytest.raises(RuntimeError, match="already running"):
-                b.start(range(5))
-            b.join()
+                b.run(range(5))
+            assert run.result(timeout=30).outputs == [x * 2 for x in range(20)]
 
     def test_validation_mirrors_thread_backend(self):
         with pytest.raises(ValueError, match="replica count"):

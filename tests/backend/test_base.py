@@ -1,5 +1,7 @@
 """Tests for the backend port and registry."""
 
+import threading
+
 import pytest
 
 from repro.backend import (
@@ -140,7 +142,13 @@ class TestPortContract:
         assert r.throughput == 5.0
         assert BackendResult(backend="x", outputs=None, items=0, elapsed=0.0).throughput == 0.0
 
-    def test_join_before_start_raises(self):
-        for backend in (ThreadBackend(pipe()), SimBackend(pipe()), AsyncioBackend(pipe())):
-            with pytest.raises(RuntimeError):
-                backend.join()
+    def test_run_drives_the_stream_on_the_callers_thread(self):
+        # run() is open -> submit* -> drain right here: no `*-batch` driver
+        # thread, and the stage's own thread is the only one it needs.
+        before = set(threading.enumerate())
+        with ThreadBackend(pipe()) as backend:
+            assert backend.run(range(5)).outputs == [1, 2, 3, 4, 5]
+            started = {t.name for t in set(threading.enumerate()) - before}
+            assert started == {"session-stage[0].0", "session-collector"}
+            empty = backend.run([])
+            assert (empty.outputs, empty.items, empty.elapsed) == ([], 0, 0.0)

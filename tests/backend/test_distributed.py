@@ -5,10 +5,12 @@ resolved inside worker processes (forked from this one, so the test module
 is importable there without an installed package).
 """
 
+import os
 import pickle
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -58,6 +60,13 @@ def backend():
         yield b
     finally:
         b.close()
+
+
+@pytest.fixture
+def producer():
+    """A thread to call ``backend.run`` from while the test acts mid-flight."""
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
 
 
 class TestProtocol:
@@ -191,6 +200,22 @@ class TestEndToEnd:
         assert first.outputs == _expected(range(15))
         assert second.outputs == _expected(range(30))
 
+    def test_close_hands_back_the_worker_handles_descriptors(self):
+        # Each spawned worker's handle holds two sentinel pipes.  close()
+        # releases them itself: left to the collector they would outlive it
+        # (the backend and its session reference each other) and close at
+        # some later point — e.g. under another test's descriptor count.
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        with DistributedBackend(_pipe(), spawn_workers=1) as first:
+            first.warm()  # the interpreter's one-time helpers (resource tracker) are up
+        before = open_fds()
+        b = DistributedBackend(_pipe(), spawn_workers=3)
+        assert b.run(range(6)).outputs == _expected(range(6))
+        b.close()
+        assert open_fds() == before  # with ``b`` and its session still referenced
+
     def test_stage_error_aborts_and_names_stage(self):
         pipe = PipelineSpec((StageSpec(name="boom", work=0.01, fn=_boom),))
         b = DistributedBackend(pipe, spawn_workers=1)
@@ -211,16 +236,16 @@ class TestEndToEnd:
 
 
 class TestFailureHandling:
-    def test_worker_crash_mid_run_redispatches(self):
+    def test_worker_crash_mid_run_redispatches(self, producer):
         pipe = PipelineSpec((StageSpec(name="triple", work=0.02, fn=_slow_triple),))
         b = DistributedBackend(pipe, spawn_workers=3, replicas=[3], max_replicas=3)
         try:
             n = 90
-            b.start(range(n))
+            run = producer.submit(b.run, range(n))
             time.sleep(0.3)  # let items spread over all three workers
-            assert b.running()
+            assert not run.done()
             b.worker_processes[0].kill()
-            res = b.join()
+            res = run.result(timeout=30)
             # No lost items, no reordering, and the local view shrank.
             assert res.items == n
             assert res.outputs == [x * 3 for x in range(n)]
@@ -233,11 +258,11 @@ class TestFailureHandling:
         finally:
             b.close()
 
-    def test_all_stage_replicas_lost_replaced_on_survivor(self):
+    def test_all_stage_replicas_lost_replaced_on_survivor(self, producer):
         pipe = PipelineSpec((StageSpec(name="triple", work=0.02, fn=_slow_triple),))
         b = DistributedBackend(pipe, spawn_workers=2, replicas=[1])
         try:
-            b.start(range(60))
+            run = producer.submit(b.run, range(60))
             time.sleep(0.2)
             # Kill the worker hosting the only replica of the only stage.
             (hosting_wid,) = b.replica_placement()[0]
@@ -246,7 +271,7 @@ class TestFailureHandling:
             )
             assert victim.proc is not None
             victim.proc.kill()
-            res = b.join()
+            res = run.result(timeout=30)
             assert res.outputs == [x * 3 for x in range(60)]
             assert b.replica_placement()[0]  # re-homed on the survivor
         finally:
@@ -281,19 +306,19 @@ class TestReconfigure:
         assert res.outputs == _expected(range(40))
         assert backend.replica_counts()[1] == 3
 
-    def test_shrink_without_drain_mid_run(self, backend):
+    def test_shrink_without_drain_mid_run(self, backend, producer):
         backend.warm()
         backend.reconfigure(1, 3)
-        backend.start(range(60))
+        run = producer.submit(backend.run, range(60))
         time.sleep(0.15)
         backend.reconfigure(1, 1)
-        res = backend.join()
+        res = run.result(timeout=30)
         assert res.outputs == _expected(range(60))
         assert backend.replica_counts()[1] == 1
 
-    def test_move_replica_between_workers_mid_run(self, backend):
+    def test_move_replica_between_workers_mid_run(self, backend, producer):
         backend.warm()
-        backend.start(range(80))
+        run = producer.submit(backend.run, range(80))
         time.sleep(0.1)
         (src,) = backend.replica_placement()[1]
         dst = next(
@@ -302,7 +327,7 @@ class TestReconfigure:
         backend.move_replica(1, src, dst)
         placement = backend.replica_placement()[1]
         assert list(placement) == [dst]
-        res = backend.join()
+        res = run.result(timeout=30)
         assert res.outputs == _expected(range(80))
 
     def test_clamps_to_limit_and_rejects_zero(self, backend):

@@ -1,0 +1,99 @@
+"""A stage failure means the same thing on every real executor.
+
+One body, four executors (threads / processes / asyncio / distributed), per
+item and micro-batched.  A stage raising ``ValueError`` on item ``K``:
+
+(a) ``drain()`` raises a ``StageError`` naming the stage, its ``.original``
+    a ``ValueError`` — the worker's own exception, not a stand-in;
+(b) the session is ``broken`` and the next ``submit`` re-raises that error;
+(c) ``close()`` returns within 2 s and leaves no session thread, no busy
+    ``repro-shm-*`` slot and (where the session owns them) no child alive;
+(d) ``backend.run([x])`` afterwards works, on a fresh session.
+
+Stage functions live at module level: distributed workers resolve them by
+reference.
+"""
+
+import multiprocessing as mp
+import threading
+import time
+
+import pytest
+
+from repro.backend import make_backend
+from repro.core.pipeline import PipelineSpec
+from repro.core.stage import StageSpec
+from repro.runtime.threads import StageError
+from repro.transport import busy_segments
+
+EXECUTORS = {
+    "threads": {},
+    "processes": {},
+    "asyncio": {},
+    "distributed": {"spawn_workers": 2},
+}
+N, K = 40, 21
+
+
+def _inc(x):
+    return x + 1
+
+
+def _boom_on_k(x):
+    if x == K + 1:  # behind _inc
+        raise ValueError(f"bad item {x}")
+    return 2 * x
+
+
+def _session_threads():
+    """Live threads a session owns: fabric workers, collector, flusher, routers."""
+    return sorted(
+        t.name
+        for t in threading.enumerate()
+        if t.name.startswith("session-") or "-router[" in t.name
+    )
+
+
+@pytest.mark.parametrize("batching", [None, 8], ids=["per-item", "batch8"])
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_stage_failure_is_one_contract(executor, batching):
+    pipe = PipelineSpec(
+        (
+            StageSpec(name="inc", work=1e-4, fn=_inc),
+            StageSpec(name="boom", work=1e-4, fn=_boom_on_k),
+        )
+    )
+    children_before = set(mp.active_children())
+    with make_backend(executor, pipe, **EXECUTORS[executor]) as backend:
+        session = backend.open(batching=batching)
+        # (a) the failure surfaces at drain (or at a submit that found the
+        # session already poisoned), named and with the original class.
+        with pytest.raises(StageError, match="'boom'") as excinfo:
+            for x in range(N):
+                session.submit(x)
+            session.drain()
+        error = excinfo.value
+        assert error.stage_name == "boom"
+        assert isinstance(error.original, ValueError)
+        # (b) sticky: the same error object, again.
+        assert session.broken
+        with pytest.raises(StageError) as again:
+            session.submit(0)
+        assert again.value is error
+        # (c) close is prompt and leaves nothing of the session behind.
+        t0 = time.perf_counter()
+        session.close()
+        assert time.perf_counter() - t0 < 2.0
+        deadline = time.perf_counter() + 1.0  # the flusher leaves on its next wake
+        while _session_threads() and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        assert _session_threads() == []
+        codec = getattr(backend, "_codec", None)
+        if codec is not None:  # a warm coordinator holds only its negotiation probe
+            assert not [s for s in busy_segments(codec.session) if "probe" not in s]
+        if executor == "processes":  # its broken session takes the pools cold
+            assert set(mp.active_children()) == children_before
+        # (d) the warm backend recovers on a fresh session.
+        assert backend.run([1]).outputs == [4]
+        assert backend._session is not session
+    assert set(mp.active_children()) == children_before

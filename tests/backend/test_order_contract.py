@@ -11,8 +11,8 @@ threads / processes / asyncio / distributed, per item and micro-batched:
 (b) a ``replicable=False`` stage behind that one *starts* items 0..n-1 in
     input order;
 (c) with ``max_inflight=W`` no reorderer ever holds more than ``W`` items;
-(d) threads: the fabric is Σ replicas workers + collector + abort watcher,
-    and nothing named ``session-dispatch*``.
+(d) threads: the fabric is Σ replicas workers + the collector, and nothing
+    named ``session-dispatch*``.
 
 Stage functions live at module level: distributed workers resolve them by
 reference, and a forked worker counts on its own copy of ``_calls``.
@@ -161,7 +161,8 @@ def test_thread_fabric_has_no_dispatcher_threads():
         assert session.drain() == [8]
         new = [t for t in threading.enumerate() if t not in before]
         names = sorted(t.name for t in new)
-        # (d) Σ replicas workers + the collector + the abort watcher.
+        # (d) Σ replicas workers + the collector: a failure reaches the
+        # session through _fail, not through a watcher thread.
         assert not [n for n in names if n.startswith("session-dispatch")], names
-        assert len(new) == sum(replicas) + 2, names
+        assert len(new) == sum(replicas) + 1, names
     assert not [t for t in new if t.is_alive()]

@@ -1,14 +1,16 @@
 """Tests for the warm process-pool backend."""
 
+import multiprocessing as mp
 import os
 import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import transport
-from repro.backend import ProcessPoolBackend, ThreadBackend
+from repro.backend import ProcessPoolBackend, SessionClosed, ThreadBackend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.runtime.threads import StageError
@@ -101,11 +103,13 @@ class TestProcessPoolBackend:
 
     def test_reconfigure_mid_run_preserves_order(self):
         pipe = spec([_jitter_square])
-        with ProcessPoolBackend(pipe, max_replicas=3) as b:
-            n = b.start(range(60))
+        with ProcessPoolBackend(pipe, max_replicas=3) as b, ThreadPoolExecutor(1) as producer:
+            run = producer.submit(b.run, range(60))
+            while b.items_completed() < 3:
+                time.sleep(0.002)
             b.reconfigure(0, 3)
-            res = b.join()
-        assert n == 60
+            res = run.result(timeout=30)
+        assert res.items == 60
         assert res.outputs == [x * x for x in range(60)]
         assert res.replica_counts == [3]
 
@@ -169,7 +173,7 @@ class TestProcessPoolBackend:
         b.close()
         b.close()
         with pytest.raises(RuntimeError, match="closed"):
-            b.start([1])
+            b.run([1])
 
 
 def _big_array(x):
@@ -246,9 +250,7 @@ class TestForwardedSegment:
             session = b.open()
             # One router per boundary: stage 1 (it feeds the ordered stage)
             # and stage 3 (egress); stages 0 and 2 forward worker to worker.
-            assert _session_threads() == [
-                "processes-feeder", "processes-router[1]", "processes-router[3]"
-            ]
+            assert _session_threads() == ["processes-router[1]", "processes-router[3]"]
             for x in range(60):
                 session.submit(x)
             out = session.drain()
@@ -260,8 +262,9 @@ class TestForwardedSegment:
 
     def test_all_replicable_pipeline_runs_one_router(self):
         with ProcessPoolBackend(spec([_inc, _double, _inc])) as b:
-            b.open()
-            assert _session_threads() == ["processes-feeder", "processes-router[2]"]
+            assert b.run(range(4)).outputs == [(x + 1) * 2 + 1 for x in range(4)]
+            # Routers only: submit() dispatched on this thread, run() drove it.
+            assert _session_threads() == ["processes-router[2]"]
         assert _session_threads() == []
 
     def test_non_boundary_stage_error_names_that_stage(self):
@@ -310,10 +313,16 @@ class TestForwardedSegment:
         pipe = spec([_nap])
         with ProcessPoolBackend(pipe, replicas=[2], max_replicas=2, capacity=1) as b:
             session = b.open()
-            for _ in range(6):
-                session.submit(5.0)
+
+            def produce():
+                with pytest.raises(SessionClosed):
+                    for _ in range(6):
+                        session.submit(5.0)
+
+            producer = threading.Thread(target=produce, daemon=True)
+            producer.start()
             # Two items being served, two filling the queue (capacity x pool
-            # size), the feeder stuck on the fifth: no room for 5 s.
+            # size), the producer parked on the fifth: no room for 5 s.
             deadline = time.perf_counter() + 5.0
             while b._pools[0].seg.entered < 5 and time.perf_counter() < deadline:
                 time.sleep(0.01)
@@ -324,9 +333,66 @@ class TestForwardedSegment:
             session.close()  # the unfinished stream aborts: the wait must end
             shrink.join(timeout=2.0)
             assert not shrink.is_alive(), "park-token put outlived the session"
+            producer.join(timeout=2.0)
+            assert not producer.is_alive(), "parked submit outlived the session"
             # No token was placed; the aborted session took the pools cold and
             # the request stands for the re-fork.
             assert b._pools is None and b.replica_counts() == [1]
+
+    def test_submit_feels_the_bounded_stage_queue(self):
+        # No admission window: the lane's own queues are the only bound, and
+        # submit() meets them directly — no unbounded inbox in between.
+        gate = mp.Event()
+
+        def gated(x):
+            gate.wait(timeout=10.0)
+            return x
+
+        n, capacity, pool = 30, 2, 2
+        admitted = []
+        with ProcessPoolBackend(
+            spec([gated]), replicas=[pool], max_replicas=pool, capacity=capacity
+        ) as b:
+            session = b.open()
+
+            def produce():
+                for x in range(n):
+                    session.submit(x)
+                    admitted.append(x)
+
+            producer = threading.Thread(target=produce, daemon=True)
+            producer.start()
+            # capacity x pool size queued, plus one in service per worker.
+            bound = capacity * pool + pool
+            deadline = time.perf_counter() + 5.0
+            while len(admitted) < bound and time.perf_counter() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)  # a producer that was going to run ahead would have
+            assert len(admitted) == bound and producer.is_alive()
+            gate.set()
+            producer.join(timeout=10.0)
+            assert not producer.is_alive()
+            assert session.drain() == list(range(n))
+
+    def test_failed_stream_takes_the_pools_cold_promptly(self):
+        # Eight warm workers, all blocked on a queue or a gate once the
+        # stream aborted: terminated together, not 0.1 s one after another.
+        b = ProcessPoolBackend(spec([_inc, _boom]), max_replicas=4)
+        try:
+            session = b.open()
+            with pytest.raises(StageError, match="s1"):
+                for x in range(20):
+                    session.submit(x)
+                session.drain()
+            workers = [proc for pool in b._pools for proc in pool.procs]
+            assert len(workers) == 8 and all(p.is_alive() for p in workers)
+            t0 = time.perf_counter()
+            b.close()
+            assert time.perf_counter() - t0 < 0.5
+            assert not [p for p in workers if p.is_alive()]
+            assert transport.busy_segments(b._codec.session) == []
+        finally:
+            b.close()
 
     def test_close_releases_parked_workers_before_stopping_them(self):
         b = ProcessPoolBackend(spec([_inc]), max_replicas=4)

@@ -71,17 +71,13 @@ class FakeLaneSession(RoutedSession):
 
 class FakeBackend(Backend):
     name = "fake"
+    session_class = FakeLaneSession
 
     def __init__(self, pipeline, *, burst=1, copies=1):
         super().__init__(pipeline)
         self._codec = transport.get("pickle")
         self.burst = burst
         self.copies = copies
-
-    def _open_session(self, *, max_inflight=None, telemetry=None, batching=None):
-        return FakeLaneSession(
-            self, max_inflight=max_inflight, telemetry=telemetry, batching=batching
-        )
 
 
 def spec(*fns, replicable=True):

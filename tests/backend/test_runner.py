@@ -128,7 +128,7 @@ class TestRuntimeAdaptiveRunner:
             assert res.outputs == [x + 1 for x in range(5)]
         # The warm pools must be reaped: a closed backend refuses work.
         with pytest.raises(RuntimeError, match="closed"):
-            runner.backend.start([1])
+            runner.backend.run([1])
 
     def test_quiet_pipeline_takes_no_action(self):
         # A balanced, fast pipeline: the decision is taken as soon as both

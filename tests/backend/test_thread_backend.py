@@ -1,6 +1,7 @@
 """Tests for the thread adapter of the backend port."""
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.backend import ThreadBackend
 from repro.core.pipeline import PipelineSpec
@@ -35,11 +36,12 @@ class TestThreadBackend:
             return x * x
 
         b = ThreadBackend(spec([slowish]), max_replicas=4)
-        b.start(range(40))
-        while b.items_completed() < 5:
-            time.sleep(0.002)
-        b.reconfigure(0, 3)
-        res = b.join()
+        with ThreadPoolExecutor(1) as producer:
+            run = producer.submit(b.run, range(40))
+            while b.items_completed() < 5:
+                time.sleep(0.002)
+            b.reconfigure(0, 3)
+            res = run.result(timeout=30)
         assert res.outputs == [x * x for x in range(40)]
         assert res.replica_counts == [3]
 

@@ -8,6 +8,7 @@
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.backend import DistributedBackend, RuntimeAdaptiveRunner, local_config
 from repro.core.pipeline import PipelineSpec
@@ -87,14 +88,14 @@ def test_worker_loss_during_adaptive_run():
     )
     try:
         n = 120
-        backend.start(range(n))
-        time.sleep(0.5)
-        backend.worker_processes[-1].kill()
-        # Drive the rest of the run through the runner's control loop
-        # machinery by joining directly (the runner owns start+loop in
-        # run(); here the loss happens before adaptation, which is the
-        # harsher case: replicas re-home while the policy is observing).
-        res = backend.join()
+        # The runner's own run() attaches its control loop first; here the
+        # loss happens before adaptation, which is the harsher case:
+        # replicas re-home while the policy is observing.
+        with ThreadPoolExecutor(1) as producer:
+            run = producer.submit(backend.run, range(n))
+            time.sleep(0.5)
+            backend.worker_processes[-1].kill()
+            res = run.result(timeout=60)
         assert res.items == n
         assert res.outputs == [(x + 1) * 2 - 3 for x in range(n)]
         assert len(backend.alive_workers()) == 2

@@ -10,6 +10,7 @@ woke it (ISSUE 17).
 Stage functions live at module level so forked workers can resolve them.
 """
 
+import threading
 import time
 from collections import Counter
 
@@ -36,14 +37,22 @@ class TestWorkerDeathJournal:
         b = DistributedBackend(_pipe(), spawn_workers=2, replicas=[1])
         try:
             session = b.open(telemetry=path)
-            for i in range(n):
-                session.submit(i)
+            # submit() feels the replica's capacity (8 in flight), so the
+            # stream is fed from a producer thread and the kill lands while
+            # that thread is parked on the full replica.
+            producer = threading.Thread(
+                target=lambda: [session.submit(i) for i in range(n)], daemon=True
+            )
+            producer.start()
             time.sleep(0.25)  # let items reach the hosting worker
+            assert producer.is_alive() and session.backlog >= 8
             # Kill the worker hosting the only replica of the only stage.
             (hosting_wid,) = b.replica_placement()[0]
             victim = next(w for w in b._workers.values() if w.id == hosting_wid)
             assert victim.proc is not None
             victim.proc.kill()
+            producer.join(timeout=30)
+            assert not producer.is_alive()
             # The stream still completes, in order, with no lost items.
             assert session.drain() == [x * 3 for x in range(n)]
             session.close()

@@ -9,7 +9,9 @@ is not a reduction — say where the lines went in CHANGES.md.
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
-CEILING = 5730  # PR 13: 6,223 -> 5,789; PR 14: -> 5,768; PR 16: -> 5,724
+# PR 13: 6,223 -> 5,789; PR 14: -> 5,768; PR 16: -> 5,724;
+# PR 19 (the port owns in/out/fail/shape/run): -> 5,528
+CEILING = 5530
 
 
 def test_backend_and_runtime_stay_under_the_ceiling():

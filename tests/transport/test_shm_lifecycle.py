@@ -10,6 +10,7 @@ still holding a live frame.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,11 +97,12 @@ def test_distributed_killed_worker_leaves_no_segments_after_close():
     session = backend._codec.session
     try:
         n = 30
-        backend.start(make_arrays(n, mbytes=0.3, seed=5))
-        time.sleep(0.3)  # let frames spread across workers
-        assert backend.running()
-        backend.worker_processes[0].kill()
-        res = backend.join()
+        with ThreadPoolExecutor(1) as producer:
+            run = producer.submit(backend.run, make_arrays(n, mbytes=0.3, seed=5))
+            time.sleep(0.3)  # let frames spread across workers
+            assert not run.done()
+            backend.worker_processes[0].kill()
+            res = run.result(timeout=60)
         # The run survived the crash (re-dispatch) with nothing lost...
         assert res.items == n
         assert len(backend.alive_workers()) == 2
