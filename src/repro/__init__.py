@@ -21,96 +21,32 @@ Quickstart::
     print(result.throughput(), result.adaptation_events)
 """
 
-from repro.backend import (
-    Backend,
-    BackendResult,
-    ProcessPoolBackend,
-    RuntimeAdaptiveRunner,
-    RuntimeRunResult,
-    SimBackend,
-    ThreadBackend,
-    available_backends,
-    local_config,
-    make_backend,
-    register_backend,
-)
-from repro.core import (
-    AdaptationConfig,
-    AdaptationEvent,
-    AdaptationPolicy,
-    AdaptivePipeline,
-    FixedWork,
-    PipelineSpec,
-    RunResult,
-    StageSpec,
-    run_static,
-)
-from repro.gridsim import (
-    GridSpec,
-    GridSystem,
-    SiteSpec,
-    heterogeneous_grid,
-    two_site_grid,
-    uniform_grid,
-)
-from repro.model import Mapping, ModelContext, StageCost, predict
-from repro.skel import (
-    farm,
-    open_pipeline,
-    pipeline_1for1,
-    simulate_farm,
-    simulate_pipeline,
-)
-from repro.workloads import (
-    balanced_pipeline,
-    heterogeneity_ladder,
-    imbalanced_pipeline,
-    load_step,
-    stochastic_pipeline,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptationConfig",
-    "AdaptationEvent",
-    "AdaptationPolicy",
-    "AdaptivePipeline",
-    "Backend",
-    "BackendResult",
-    "FixedWork",
-    "GridSpec",
-    "GridSystem",
-    "Mapping",
-    "ModelContext",
-    "PipelineSpec",
-    "ProcessPoolBackend",
-    "RunResult",
-    "RuntimeAdaptiveRunner",
-    "RuntimeRunResult",
-    "SimBackend",
-    "SiteSpec",
-    "StageCost",
-    "StageSpec",
-    "ThreadBackend",
-    "__version__",
-    "available_backends",
-    "balanced_pipeline",
-    "farm",
-    "heterogeneity_ladder",
-    "heterogeneous_grid",
-    "imbalanced_pipeline",
-    "load_step",
-    "local_config",
-    "make_backend",
-    "open_pipeline",
-    "pipeline_1for1",
-    "predict",
-    "register_backend",
-    "run_static",
-    "simulate_farm",
-    "simulate_pipeline",
-    "stochastic_pipeline",
-    "two_site_grid",
-    "uniform_grid",
-]
+__getattr__, __dir__, _exports = lazy_exports(
+    __name__,
+    {
+        "backend": (
+            "Backend BackendResult ProcessPoolBackend RuntimeAdaptiveRunner "
+            "RuntimeRunResult SimBackend ThreadBackend available_backends "
+            "local_config make_backend register_backend"
+        ),
+        "core": (
+            "AdaptationConfig AdaptationEvent AdaptationPolicy AdaptivePipeline "
+            "FixedWork PipelineSpec RunResult StageSpec run_static"
+        ),
+        "gridsim": (
+            "GridSpec GridSystem SiteSpec heterogeneous_grid two_site_grid "
+            "uniform_grid"
+        ),
+        "model": "Mapping ModelContext StageCost predict",
+        "skel": "farm open_pipeline pipeline_1for1 simulate_farm simulate_pipeline",
+        "workloads": (
+            "balanced_pipeline heterogeneity_ladder imbalanced_pipeline load_step "
+            "stochastic_pipeline"
+        ),
+    },
+)
+__all__ = [*_exports, "__version__"]

@@ -40,51 +40,24 @@ See ``docs/backends.md`` for the contract and selection guidance, and
 ``docs/streaming.md`` for the session lifecycle.
 """
 
-from repro.backend.async_backend import AsyncioBackend
-from repro.backend.base import (
-    Backend,
-    BackendCapabilityError,
-    BackendResult,
-    Session,
-    SessionClosed,
-    SessionStats,
-    Ticket,
-    available_backends,
-    capability_error,
-    make_backend,
-    register_backend,
-)
-from repro.backend.distributed import DistributedBackend, WorkerAgent
-from repro.backend.process_backend import ProcessPoolBackend
-from repro.backend.runner import (
-    BottleneckGrowthPolicy,
-    RuntimeAdaptiveRunner,
-    RuntimeRunResult,
-    local_config,
-)
-from repro.backend.sim_backend import SimBackend
-from repro.backend.thread_backend import ThreadBackend
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncioBackend",
-    "Backend",
-    "BackendCapabilityError",
-    "BackendResult",
-    "BottleneckGrowthPolicy",
-    "DistributedBackend",
-    "ProcessPoolBackend",
-    "RuntimeAdaptiveRunner",
-    "RuntimeRunResult",
-    "Session",
-    "SessionClosed",
-    "SessionStats",
-    "SimBackend",
-    "ThreadBackend",
-    "Ticket",
-    "WorkerAgent",
-    "available_backends",
-    "capability_error",
-    "local_config",
-    "make_backend",
-    "register_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "async_backend": "AsyncioBackend",
+        "base": (
+            "Backend BackendCapabilityError BackendResult Session "
+            "SessionClosed SessionStats Ticket available_backends "
+            "capability_error make_backend register_backend"
+        ),
+        "distributed": "DistributedBackend WorkerAgent",
+        "process_backend": "ProcessPoolBackend",
+        "runner": (
+            "BottleneckGrowthPolicy RuntimeAdaptiveRunner RuntimeRunResult "
+            "local_config"
+        ),
+        "sim_backend": "SimBackend",
+        "thread_backend": "ThreadBackend",
+    },
+)

@@ -61,16 +61,18 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView
 from repro.monitor.instrument import PipelineInstrumentation, StageSnapshot
 from repro.obs.events import NULL_BUS, EventBus
 from repro.runtime.threads import StageError
-from repro.transport import PoolFootprint
 from repro.util.batching import Batch, BatchingConfig, approx_nbytes, normalize_batching
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.transport import PoolFootprint
 
 __all__ = [
     "Backend",
@@ -1169,19 +1171,32 @@ def validate_pipeline_shape(
 
 # --------------------------------------------------------------------- registry
 _REGISTRY: dict[str, Callable[..., Backend]] = {}
+# The built-in adapters by name -> module.  Each registers itself at its
+# foot, so importing the module is what fills the registry: a process pays
+# for the executor it opens, not for all five.
+_BUILTIN = {
+    "asyncio": "repro.backend.async_backend",
+    "distributed": "repro.backend.distributed.coordinator",
+    "processes": "repro.backend.process_backend",
+    "sim": "repro.backend.sim_backend",
+    "threads": "repro.backend.thread_backend",
+}
 
 
 def register_backend(
     name: str, factory: Callable[..., Backend], *, overwrite: bool = False
 ) -> None:
     """Register ``factory(pipeline, **kwargs) -> Backend`` under ``name``."""
+    builtin = _BUILTIN.get(name)
+    if builtin is not None and getattr(factory, "__module__", None) != builtin:
+        __import__(builtin)  # a foreign factory meets the built-in first
     if not overwrite and name in _REGISTRY:
         raise ValueError(f"backend {name!r} is already registered")
     _REGISTRY[name] = factory
 
 
 def available_backends() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted(_REGISTRY.keys() | _BUILTIN.keys())
 
 
 def make_backend(
@@ -1208,6 +1223,8 @@ def make_backend(
                 f"{backend.pipeline!s}, which does not run the given stages"
             )
         return backend
+    if backend not in _REGISTRY and backend in _BUILTIN:
+        __import__(_BUILTIN[backend])  # registers itself at its foot
     try:
         factory = _REGISTRY[backend]
     except KeyError:

@@ -29,7 +29,8 @@ tests/CI path).  See ``docs/distributed.md`` for the wire protocol, failure
 semantics and a deployment recipe.
 """
 
-from repro.backend.distributed.coordinator import DistributedBackend
-from repro.backend.distributed.worker import WorkerAgent
+from repro._lazy import lazy_exports
 
-__all__ = ["DistributedBackend", "WorkerAgent"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, {"coordinator": "DistributedBackend", "worker": "WorkerAgent"}
+)

@@ -124,7 +124,7 @@ class _WorkerConn:
         self.cores = max(1, cores)
         self.alive = True
         self.shm_ok = False  # verified the session's shared-memory probe
-        self.shm_replied = False  # negotiation answer received
+        self.shm_replied = False  # answered it either way: counts as registered
         self.last_seen = time.monotonic()
         self.load = 0.0
         self.speed = 1.0  # EWMA of load_to_speed(load, cores)
@@ -218,6 +218,9 @@ class _DistributedSession(RoutedSession):
 
     def _shutdown(self) -> None:
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
+        self._stopping.set()
+        for q in self._resq:
+            q.put(None)  # read as "nothing yet": the router wakes and sees the flag
         super()._shutdown()
         backend._running = False
         backend._set_trace(False)  # quiet the pool between sessions
@@ -486,7 +489,7 @@ class DistributedBackend(Backend):
         self._monitor_thread: threading.Thread | None = None
         self._recv_threads: list[threading.Thread] = []
         self._warm = False
-        self._closing = False
+        self._closing = threading.Event()
 
         # Worker-side tracing: enabled per session when its bus subscribes
         # to wk.* kinds; the flag rides on welcome for late joiners.
@@ -567,7 +570,6 @@ class DistributedBackend(Backend):
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind((self._bind_host, self._bind_port))
         server.listen(64)
-        server.settimeout(0.2)
         self._server = server
         host, port = server.getsockname()[:2]
         self._create_probe()
@@ -644,11 +646,15 @@ class DistributedBackend(Backend):
             return {w.id: w.link_fit() for w in self._workers.values() if w.alive}
 
     def wait_for_workers(self, n: int, timeout: float = 30.0) -> None:
-        """Block until ``n`` live workers are registered (or raise)."""
+        """Block until ``n`` live workers are registered (or raise).
+
+        Registered means the worker has also answered the transport
+        negotiation: a first dispatch never races its ``shm_ok`` reply.
+        """
         deadline = time.monotonic() + timeout
         with self._registry:
             while True:
-                alive = sum(1 for w in self._workers.values() if w.alive)
+                alive = sum(w.alive and w.shm_replied for w in self._workers.values())
                 if alive >= n:
                     return
                 remaining = deadline - time.monotonic()
@@ -660,13 +666,11 @@ class DistributedBackend(Backend):
 
     def _accept_loop(self) -> None:
         assert self._server is not None
-        while not self._closing:
+        while True:
             try:
                 sock, _addr = self._server.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return
+                return  # close() shut the listener down
             try:
                 sock.settimeout(10.0)
                 hello = recv_frame(sock)
@@ -710,8 +714,7 @@ class DistributedBackend(Backend):
             t.start()
 
     def _monitor_loop(self) -> None:
-        while not self._closing:
-            time.sleep(self.heartbeat_interval)
+        while not self._closing.wait(self.heartbeat_interval):
             now = time.monotonic()
             with self._registry:
                 stale = [
@@ -763,8 +766,10 @@ class DistributedBackend(Backend):
                     if len(frame) > 2 and frame[2]:
                         self._emit_worker_trace(w, frame[2])
                 elif kind == "shm_ok":
-                    w.shm_ok = bool(frame[1])
-                    w.shm_replied = True
+                    with self._registry:
+                        w.shm_ok = bool(frame[1])
+                        w.shm_replied = True
+                        self._registry_changed.notify_all()
                 elif kind == "place_failed":
                     _, stage, slot, err_repr = frame
                     err = RuntimeError(
@@ -889,7 +894,7 @@ class DistributedBackend(Backend):
             name=w.name,
             lost_items=sum(len(lost) for lost in lost_by_stage),
         )
-        if self._closing:
+        if self._closing.is_set():
             return
         # A stage stripped of every replica gets one on a survivor; if no
         # workers remain the run cannot finish — fail rather than hang.
@@ -1154,7 +1159,7 @@ class DistributedBackend(Backend):
             if self._closed:
                 return
             self._closed = True
-        self._closing = True
+        self._closing.set()
         self._abort.set()
         for cond in self._conds:
             with cond:
@@ -1175,10 +1180,11 @@ class DistributedBackend(Backend):
             except OSError:
                 pass
         if self._server is not None:
-            try:
-                self._server.close()
+            try:  # shutdown wakes the accept() the listener thread blocks in
+                self._server.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._server.close()
         # The accept loop first: it is what appends (then starts) recv threads.
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=1.0)

@@ -62,7 +62,6 @@ exactly what the coordinator's size-stratified link fit must detect.
 
 from __future__ import annotations
 
-import argparse
 import os
 import pickle
 import queue as thread_queue
@@ -448,6 +447,8 @@ class WorkerAgent:
 
 
 def main(argv: list[str] | None = None) -> None:
+    import argparse  # the command line's cost, not a forked local worker's
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.backend.distributed.worker",
         description="Join a distributed pipeline coordinator as a worker.",

@@ -48,7 +48,6 @@ from repro.backend.base import Backend, Session, make_backend
 from repro.core.events import AdaptationEvent, Decision
 from repro.core.pipeline import PipelineSpec
 from repro.core.policy import AdaptationConfig, AdaptationPolicy
-from repro.gridsim.spec import uniform_grid
 from repro.model.cost import MigrationCostModel
 from repro.model.mapping import Mapping
 from repro.model.throughput import ResourceView, snapshot_view
@@ -296,6 +295,8 @@ class RuntimeAdaptiveRunner:
                 f"n_virtual_procs must cover {n} stages, got {n_virtual_procs}"
             )
         self.n_virtual_procs = n_virtual_procs
+        from repro.gridsim.spec import uniform_grid  # only a controller builds a grid
+
         self._view: ResourceView = snapshot_view(
             uniform_grid(n_virtual_procs).snapshot(0.0)
         )

@@ -19,26 +19,17 @@ Layering (mirrors the observe → decide → act loop):
   returned by every run.
 """
 
-from repro.core.adaptive import AdaptivePipeline, run_static
-from repro.core.events import AdaptationEvent, Decision, RunResult
-from repro.core.executor_sim import SimPipelineEngine
-from repro.core.pipeline import PipelineSpec
-from repro.core.policies_alt import ReactivePolicy
-from repro.core.policy import AdaptationConfig, AdaptationPolicy
-from repro.core.stage import FixedWork, StageSpec, WorkModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptationConfig",
-    "AdaptationEvent",
-    "AdaptationPolicy",
-    "AdaptivePipeline",
-    "Decision",
-    "FixedWork",
-    "PipelineSpec",
-    "ReactivePolicy",
-    "RunResult",
-    "SimPipelineEngine",
-    "StageSpec",
-    "WorkModel",
-    "run_static",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "adaptive": "AdaptivePipeline run_static",
+        "events": "AdaptationEvent Decision RunResult",
+        "executor_sim": "SimPipelineEngine",
+        "pipeline": "PipelineSpec",
+        "policies_alt": "ReactivePolicy",
+        "policy": "AdaptationConfig AdaptationPolicy",
+        "stage": "FixedWork StageSpec WorkModel",
+    },
+)

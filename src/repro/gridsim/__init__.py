@@ -17,67 +17,23 @@ testbed (see DESIGN.md §2).  It provides:
 * :mod:`repro.gridsim.spec` — declarative grid construction helpers.
 """
 
-from repro.gridsim.channels import Channel, ChannelClosed, SimResource
-from repro.gridsim.engine import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    Process,
-    ProcessFailed,
-    SimEvent,
-    Simulator,
-    Timeout,
-)
-from repro.gridsim.grid import GridSnapshot, GridSystem
-from repro.gridsim.load import (
-    CompositeLoad,
-    ConstantLoad,
-    LoadModel,
-    MarkovOnOffLoad,
-    PeriodicLoad,
-    RandomWalkLoad,
-    StepLoad,
-    TraceLoad,
-)
-from repro.gridsim.network import Link, Topology, loopback_link
-from repro.gridsim.resources import Processor
-from repro.gridsim.spec import (
-    GridSpec,
-    SiteSpec,
-    heterogeneous_grid,
-    two_site_grid,
-    uniform_grid,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Channel",
-    "ChannelClosed",
-    "CompositeLoad",
-    "ConstantLoad",
-    "GridSnapshot",
-    "GridSpec",
-    "GridSystem",
-    "Interrupt",
-    "Link",
-    "LoadModel",
-    "MarkovOnOffLoad",
-    "PeriodicLoad",
-    "Process",
-    "ProcessFailed",
-    "Processor",
-    "RandomWalkLoad",
-    "SimEvent",
-    "SimResource",
-    "Simulator",
-    "SiteSpec",
-    "StepLoad",
-    "Timeout",
-    "Topology",
-    "TraceLoad",
-    "heterogeneous_grid",
-    "loopback_link",
-    "two_site_grid",
-    "uniform_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "channels": "Channel ChannelClosed SimResource",
+        "engine": (
+            "AllOf AnyOf Interrupt Process ProcessFailed SimEvent Simulator "
+            "Timeout"
+        ),
+        "grid": "GridSnapshot GridSystem",
+        "load": (
+            "CompositeLoad ConstantLoad LoadModel MarkovOnOffLoad "
+            "PeriodicLoad RandomWalkLoad StepLoad TraceLoad"
+        ),
+        "network": "Link Topology loopback_link",
+        "resources": "Processor",
+        "spec": "GridSpec SiteSpec heterogeneous_grid two_site_grid uniform_grid",
+    },
+)

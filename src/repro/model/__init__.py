@@ -17,38 +17,20 @@ from per-stage mean work and link parameters.  Experiment E9 quantifies its
 fidelity against the discrete-event simulator.
 """
 
-from repro.model.cost import MigrationCostModel
-from repro.model.mapping import Mapping, enumerate_mappings, random_mapping
-from repro.model.optimizer import (
-    dp_contiguous_mapping,
-    exhaustive_best_mapping,
-    greedy_mapping,
-    local_search,
-    propose_replication,
-)
-from repro.model.throughput import (
-    ModelContext,
-    PipelinePrediction,
-    StageCost,
-    estimates_view,
-    predict,
-    snapshot_view,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Mapping",
-    "MigrationCostModel",
-    "ModelContext",
-    "PipelinePrediction",
-    "StageCost",
-    "dp_contiguous_mapping",
-    "enumerate_mappings",
-    "estimates_view",
-    "exhaustive_best_mapping",
-    "greedy_mapping",
-    "local_search",
-    "predict",
-    "propose_replication",
-    "random_mapping",
-    "snapshot_view",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cost": "MigrationCostModel",
+        "mapping": "Mapping enumerate_mappings random_mapping",
+        "optimizer": (
+            "dp_contiguous_mapping exhaustive_best_mapping greedy_mapping "
+            "local_search propose_replication"
+        ),
+        "throughput": (
+            "ModelContext PipelinePrediction StageCost estimates_view predict "
+            "snapshot_view"
+        ),
+    },
+)

@@ -37,12 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.gridsim.grid import GridSnapshot
-from repro.monitor.resource_monitor import ResourceEstimates
 from repro.model.mapping import Mapping
 from repro.util.validation import check_non_negative, check_positive
+
+if TYPE_CHECKING:
+    from repro.gridsim.grid import GridSnapshot
+    from repro.monitor.resource_monitor import ResourceEstimates
 
 __all__ = [
     "StageCost",

@@ -15,39 +15,18 @@ package supplies:
   and :class:`ServiceWatch`, the change detector that wakes a live controller.
 """
 
-from repro.monitor.forecasters import (
-    EnsembleForecaster,
-    ExponentialSmoothingForecaster,
-    Forecaster,
-    LastValueForecaster,
-    RunningMeanForecaster,
-    SlidingMeanForecaster,
-    SlidingMedianForecaster,
-    default_ensemble,
-)
-from repro.monitor.instrument import (
-    PipelineInstrumentation,
-    ServiceWatch,
-    StageMetrics,
-    StageSnapshot,
-)
-from repro.monitor.resource_monitor import ResourceEstimates, ResourceMonitor
-from repro.monitor.samples import MeasurementStream
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnsembleForecaster",
-    "ExponentialSmoothingForecaster",
-    "Forecaster",
-    "LastValueForecaster",
-    "MeasurementStream",
-    "PipelineInstrumentation",
-    "ResourceEstimates",
-    "ResourceMonitor",
-    "RunningMeanForecaster",
-    "ServiceWatch",
-    "SlidingMeanForecaster",
-    "SlidingMedianForecaster",
-    "StageMetrics",
-    "StageSnapshot",
-    "default_ensemble",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "forecasters": (
+            "EnsembleForecaster ExponentialSmoothingForecaster Forecaster "
+            "LastValueForecaster RunningMeanForecaster SlidingMeanForecaster "
+            "SlidingMedianForecaster default_ensemble"
+        ),
+        "instrument": "PipelineInstrumentation ServiceWatch StageMetrics StageSnapshot",
+        "resource_monitor": "ResourceEstimates ResourceMonitor",
+        "samples": "MeasurementStream",
+    },
+)

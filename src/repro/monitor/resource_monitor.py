@@ -24,14 +24,17 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.gridsim.engine import Simulator
-from repro.gridsim.grid import GridSystem
-from repro.monitor.forecasters import EnsembleForecaster, default_ensemble
-from repro.monitor.samples import MeasurementStream
 from repro.util.validation import check_non_negative, check_positive
+
+if TYPE_CHECKING:
+    from repro.gridsim.engine import Simulator
+    from repro.gridsim.grid import GridSystem
+    from repro.monitor.forecasters import EnsembleForecaster
+    from repro.monitor.samples import MeasurementStream
 
 __all__ = [
     "HostLoadSampler",
@@ -170,6 +173,11 @@ class ResourceMonitor:
         rng: np.random.Generator | None = None,
         pairs: list[tuple[int, int]] | None = None,
     ) -> None:
+        # Only the simulated monitor forecasts; the host-load helpers above
+        # are what the real executors import this module for.
+        from repro.monitor.forecasters import default_ensemble
+        from repro.monitor.samples import MeasurementStream
+
         check_positive(period, "period")
         check_non_negative(noise_std, "noise_std")
         self._sim = sim

@@ -15,40 +15,15 @@ here consume them —
 * ``python -m repro.obs.top`` — live terminal view over a journal.
 """
 
-from repro.obs.events import NULL_BUS, SCHEMA, Event, EventBus
-from repro.obs.exporters import (
-    Telemetry,
-    as_telemetry,
-    render_prometheus,
-    write_prometheus,
-)
-from repro.obs.journal import JsonlJournal, read_journal
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Log2Histogram,
-    MetricsRecorder,
-    MetricsRegistry,
-)
-from repro.obs.spans import Span, SpanCollector, spans_from_journal
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Event",
-    "EventBus",
-    "Gauge",
-    "JsonlJournal",
-    "Log2Histogram",
-    "MetricsRecorder",
-    "MetricsRegistry",
-    "NULL_BUS",
-    "SCHEMA",
-    "Span",
-    "SpanCollector",
-    "Telemetry",
-    "as_telemetry",
-    "read_journal",
-    "render_prometheus",
-    "spans_from_journal",
-    "write_prometheus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "events": "NULL_BUS SCHEMA Event EventBus",
+        "exporters": "Telemetry as_telemetry render_prometheus write_prometheus",
+        "journal": "JsonlJournal read_journal",
+        "metrics": "Counter Gauge Log2Histogram MetricsRecorder MetricsRegistry",
+        "spans": "Span SpanCollector spans_from_journal",
+    },
+)

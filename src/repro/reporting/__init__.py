@@ -9,28 +9,18 @@
   ``bench_output.txt`` / ``EXPERIMENTS.md``.
 """
 
-from repro.reporting.experiment import aggregate, sweep
-from repro.reporting.io import read_rows_csv, write_rows_csv
-from repro.reporting.quick import quick_mode, scaled
-from repro.reporting.render import experiment_header, rows_table
-from repro.reporting.shapes import (
-    assert_monotonic,
-    assert_ratio_at_least,
-    assert_within,
-    find_crossover,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "aggregate",
-    "assert_monotonic",
-    "assert_ratio_at_least",
-    "assert_within",
-    "experiment_header",
-    "find_crossover",
-    "quick_mode",
-    "read_rows_csv",
-    "rows_table",
-    "scaled",
-    "sweep",
-    "write_rows_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "experiment": "aggregate sweep",
+        "io": "read_rows_csv write_rows_csv",
+        "quick": "quick_mode scaled",
+        "render": "experiment_header rows_table",
+        "shapes": (
+            "assert_monotonic assert_ratio_at_least assert_within "
+            "find_crossover"
+        ),
+    },
+)

@@ -9,6 +9,6 @@ parallel under CPython threads, so no performance claims are made for them;
 stage functions that release the GIL (numpy, I/O) do pipeline in parallel.
 """
 
-from repro.runtime.threads import StageError
+from repro._lazy import lazy_exports
 
-__all__ = ["StageError"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {"threads": "StageError"})

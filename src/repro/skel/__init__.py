@@ -15,18 +15,8 @@ Edinburgh Skeleton Library's ``Pipeline1for1``:
   pipeline on the simulated grid.
 """
 
-from repro.skel.api import (
-    farm,
-    open_pipeline,
-    pipeline_1for1,
-    simulate_farm,
-    simulate_pipeline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "farm",
-    "open_pipeline",
-    "pipeline_1for1",
-    "simulate_farm",
-    "simulate_pipeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, {"api": "farm open_pipeline pipeline_1for1 simulate_farm simulate_pipeline"}
+)

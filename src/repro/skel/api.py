@@ -2,22 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.backend import (
-    Backend,
-    RuntimeAdaptiveRunner,
-    Session,
-    local_config,
-    make_backend,
-)
-from repro.core.adaptive import AdaptivePipeline
-from repro.core.events import RunResult
+from repro.backend.base import Backend, Session, make_backend
 from repro.core.pipeline import PipelineSpec
-from repro.core.policy import AdaptationConfig
 from repro.core.stage import StageSpec
-from repro.gridsim.grid import GridSystem
-from repro.model.mapping import Mapping
+
+if TYPE_CHECKING:
+    from repro.core.events import RunResult
+    from repro.core.policy import AdaptationConfig
+    from repro.gridsim.grid import GridSystem
+    from repro.model.mapping import Mapping
 
 __all__ = [
     "pipeline_1for1",
@@ -69,10 +64,7 @@ def _run_on_backend(
         )
     try:
         if use_runner:
-            config = adaptive if isinstance(adaptive, AdaptationConfig) else local_config()
-            outputs = (
-                RuntimeAdaptiveRunner(b.pipeline, b, config=config).run(inputs).outputs
-            )
+            outputs = _live_controller(b, adaptive).run(inputs).outputs
         else:
             outputs = b.run(inputs).outputs
     finally:
@@ -83,6 +75,19 @@ def _run_on_backend(
             f"backend {b.name!r} produced no outputs (stages without fn?)"
         )
     return outputs
+
+
+def _live_controller(b: Backend, adaptive: bool | AdaptationConfig):
+    """The wall-clock control loop for ``b`` (``adaptive=True``: local defaults).
+
+    Imported here, not at the top: the planner, the model's optimisers and
+    the grid it plans against are a controller's cost, not a pipeline's.
+    """
+    from repro.backend.runner import RuntimeAdaptiveRunner, local_config
+    from repro.core.policy import AdaptationConfig
+
+    config = adaptive if isinstance(adaptive, AdaptationConfig) else local_config()
+    return RuntimeAdaptiveRunner(b.pipeline, b, config=config)
 
 
 def _as_pipeline(stages: Sequence[Callable[[Any], Any] | StageSpec]) -> PipelineSpec:
@@ -244,8 +249,7 @@ def open_pipeline(
             b.close()
         raise
     if adaptive:
-        config = adaptive if isinstance(adaptive, AdaptationConfig) else local_config()
-        runner = RuntimeAdaptiveRunner(b.pipeline, b, config=config)
+        runner = _live_controller(b, adaptive)
         runner.attach(session)
         session.add_close_callback(runner.detach)
     if owns:
@@ -297,6 +301,9 @@ def simulate_pipeline(
     ``adaptive=True`` uses the default :class:`AdaptationConfig`; pass a
     config instance to tune it, or ``False`` for the static baseline.
     """
+    from repro.core.adaptive import AdaptivePipeline
+    from repro.core.policy import AdaptationConfig
+
     if adaptive is True:
         config: AdaptationConfig | None = AdaptationConfig()
     elif adaptive is False:
@@ -323,6 +330,9 @@ def simulate_farm(
 
     ``workers=None`` uses every processor in the grid.
     """
+    from repro.core.adaptive import AdaptivePipeline
+    from repro.model.mapping import Mapping
+
     pids = grid.pids if workers is None else grid.pids[:workers]
     if not pids:
         raise ValueError("farm needs at least one processor")

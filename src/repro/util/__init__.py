@@ -5,44 +5,21 @@ every other subpackage.  Nothing in :mod:`repro.util` knows about grids,
 pipelines or adaptation.
 """
 
-from repro.util.rng import derive_rng, derive_seed, spawn_rngs
-from repro.util.stats import (
-    EWMA,
-    OnlineStats,
-    SlidingWindow,
-    StatSummary,
-    coefficient_of_variation,
-    summarize,
-)
-from repro.util.tables import ascii_plot, format_float, render_series, render_table
-from repro.util.trace import TraceEvent, Tracer
-from repro.util.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_probability,
-    require,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EWMA",
-    "OnlineStats",
-    "SlidingWindow",
-    "StatSummary",
-    "TraceEvent",
-    "Tracer",
-    "ascii_plot",
-    "check_in_range",
-    "check_non_negative",
-    "check_positive",
-    "check_probability",
-    "coefficient_of_variation",
-    "derive_rng",
-    "derive_seed",
-    "format_float",
-    "render_series",
-    "render_table",
-    "require",
-    "spawn_rngs",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "rng": "derive_rng derive_seed spawn_rngs",
+        "stats": (
+            "EWMA OnlineStats SlidingWindow StatSummary "
+            "coefficient_of_variation summarize"
+        ),
+        "tables": "ascii_plot format_float render_series render_table",
+        "trace": "TraceEvent Tracer",
+        "validation": (
+            "check_in_range check_non_negative check_positive "
+            "check_probability require"
+        ),
+    },
+)

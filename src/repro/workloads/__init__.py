@@ -14,49 +14,21 @@
   experiments (E17).
 """
 
-from repro.workloads.cost_models import (
-    BimodalWork,
-    EmpiricalWork,
-    ExponentialWork,
-    LogNormalWork,
-    ParetoWork,
-    UniformWork,
-)
-from repro.workloads.scenarios import (
-    PerturbationScenario,
-    diurnal_load_factory,
-    flash_crowd,
-    heterogeneity_ladder,
-    load_step,
-    markov_load_factory,
-    node_churn,
-    random_walk_load_factory,
-)
-from repro.workloads.payloads import array_pipeline, make_arrays
-from repro.workloads.synthetic import (
-    balanced_pipeline,
-    imbalanced_pipeline,
-    stochastic_pipeline,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BimodalWork",
-    "EmpiricalWork",
-    "ExponentialWork",
-    "LogNormalWork",
-    "ParetoWork",
-    "PerturbationScenario",
-    "UniformWork",
-    "array_pipeline",
-    "balanced_pipeline",
-    "diurnal_load_factory",
-    "flash_crowd",
-    "heterogeneity_ladder",
-    "imbalanced_pipeline",
-    "load_step",
-    "make_arrays",
-    "markov_load_factory",
-    "node_churn",
-    "random_walk_load_factory",
-    "stochastic_pipeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "cost_models": (
+            "BimodalWork EmpiricalWork ExponentialWork LogNormalWork "
+            "ParetoWork UniformWork"
+        ),
+        "payloads": "array_pipeline make_arrays",
+        "scenarios": (
+            "PerturbationScenario diurnal_load_factory flash_crowd "
+            "heterogeneity_ladder load_step markov_load_factory node_churn "
+            "random_walk_load_factory"
+        ),
+        "synthetic": "balanced_pipeline imbalanced_pipeline stochastic_pipeline",
+    },
+)

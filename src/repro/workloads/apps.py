@@ -14,7 +14,6 @@ processing) and bioinformatics (sequence scanning).
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections import Counter
 
@@ -231,6 +230,10 @@ def fetch_pipeline(
     check_positive(sim_scale, "sim_scale")
     if not 0.0 <= jitter < 1.0:
         raise ValueError(f"jitter must be in [0, 1), got {jitter}")
+    if asynchronous:
+        # Bound for the two coroutine stages only: the blocking variant (and
+        # every other pipeline in this module) runs without the event loop.
+        import asyncio
 
     def fetch_sync(rid: int) -> tuple[int, str]:
         time.sleep(_simulated_latency(rid, latency, jitter))

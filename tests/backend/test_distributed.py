@@ -415,6 +415,20 @@ def test_concurrent_close_is_safe():
         t.join()
 
 
+def test_close_of_a_warm_idle_backend_waits_on_no_poll():
+    # The monitor waits on the closing event (not a heartbeat_interval
+    # sleep), the listener is shut down under the blocked accept() and the
+    # routers are woken: close() is prompt and every dist-* thread is gone.
+    b = DistributedBackend(_pipe(), spawn_workers=2)
+    assert b.run(range(10)).outputs == _expected(range(10))
+    time.sleep(0.1)  # idle: every thread is parked in its wait
+    t0 = time.perf_counter()
+    b.close()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.2, f"close() took {elapsed:.3f} s"
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("dist-")]
+
+
 def _mk_array(x):
     import numpy as np
 
@@ -450,6 +464,29 @@ class TestNegotiatedTransport:
             else:
                 assert not any(w["shm_ok"] for w in workers)
         assert results["shm"] == results["pickle"] == [150_000.0 * x for x in range(8)]
+
+    def test_first_dispatch_of_a_fresh_session_waits_for_negotiation(self):
+        # Registration includes the shm_ok reply: the very first item of a
+        # fresh session already travels by descriptor to a same-host worker
+        # (it used to race the reply and go inline-pickle).
+        import numpy as np
+
+        from repro.skel.api import open_pipeline
+
+        for _ in range(5):
+            session = open_pipeline(
+                [_scale_array], backend="distributed", spawn_workers=1, transport="shm"
+            )
+            inline = []
+            session.events.subscribe(
+                lambda ev: inline.append(ev.fields["inline"]), kinds=("frame.encode",)
+            )
+            try:
+                session.submit(np.ones(40_000))
+                (out,) = session.drain()
+            finally:
+                session.close()
+            assert out[0] == 2.0 and inline == [False]
 
     def test_resource_view_links_carry_fitted_latency_bandwidth(self):
         from repro.workloads.payloads import make_arrays

@@ -172,9 +172,6 @@ class TestFrameEventParity:
             pool = session.stats().pool
         finally:
             session.close()
-        # (distributed pickles inline — recycled None — until a worker has
-        # verified the shm probe)
-        shares = [s for s in shares if s is not None]
         assert shares[0] == 0.0 and shares[-1] == 1.0
         assert set(shares) <= {0.0, 1.0} and shares.count(0.0) <= 3
         probe = backend == "distributed"  # its negotiation segment stays held
