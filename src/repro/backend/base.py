@@ -463,22 +463,14 @@ class Session:
         # internal sequence space is session-global (threads, asyncio).
         # ``wait`` rides along only when bounded admission actually blocked
         # — the profiler's admit-wait phase, absent meaning zero.
-        if admit_wait:
+        if self.events.wants("item.submit"):
             self.events.emit(
                 "item.submit",
                 stream=stream,
                 seq=seq,
                 gseq=gseq,
                 trace=f"{self.session_id}:{stream}:{seq}",
-                wait=admit_wait,
-            )
-        else:
-            self.events.emit(
-                "item.submit",
-                stream=stream,
-                seq=seq,
-                gseq=gseq,
-                trace=f"{self.session_id}:{stream}:{seq}",
+                **({"wait": admit_wait} if admit_wait else {}),
             )
         if self._bcfg is None:
             try:

@@ -85,7 +85,9 @@ from repro.transport import (
     Frame,
     LinkModel,
     SizeStratifiedLinkEstimator,
+    from_wire,
     materialize,
+    to_wire,
     untrack,
 )
 from repro.util.validation import check_positive
@@ -191,7 +193,7 @@ class _DistributedSession(RoutedSession):
             raise backend._config_errors[0]
         # Adopt this session as the backend's live plumbing: the recv loops
         # and death handlers feed these very queues/flags.
-        self._resq = [thread_queue.Queue() for _ in backend._conds]
+        self._resq = [thread_queue.SimpleQueue() for _ in backend._conds]
         backend._abort = self._abort
         backend._resq = self._resq
         backend._running = True
@@ -202,7 +204,8 @@ class _DistributedSession(RoutedSession):
         backend._set_trace(self.events.wants("wk.service"))
 
     def _wake_lane(self) -> None:
-        for cond in self.backend._conds:
+        for q, cond in zip(self._resq, self.backend._conds):
+            q.put(None)  # read as "nothing yet": the router wakes and looks at the flags
             with cond:
                 cond.notify_all()
 
@@ -218,9 +221,6 @@ class _DistributedSession(RoutedSession):
 
     def _shutdown(self) -> None:
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
-        self._stopping.set()
-        for q in self._resq:
-            q.put(None)  # read as "nothing yet": the router wakes and sees the flag
         super()._shutdown()
         backend._running = False
         backend._set_trace(False)  # quiet the pool between sessions
@@ -234,10 +234,7 @@ class _DistributedSession(RoutedSession):
         return self.backend._dispatch(stage, seq, frame)
 
     def _poll(self, stage: int) -> "tuple | None":
-        try:
-            return self._resq[stage].get(timeout=0.1)
-        except thread_queue.Empty:
-            return None
+        return self._resq[stage].get()
 
     def _accept(self, stage: int, msg: tuple) -> "Hop | None":
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
@@ -499,7 +496,7 @@ class DistributedBackend(Backend):
         # stream id and survives sessions so stale results never collide).
         self._epoch = 0
         self._running = False
-        self._resq: list[thread_queue.Queue] = []
+        self._resq: list[thread_queue.SimpleQueue] = []
         self._abort = threading.Event()
 
     # ------------------------------------------------------------------ props
@@ -735,16 +732,12 @@ class DistributedBackend(Backend):
                 w.last_seen = time.monotonic()
                 kind = frame[0]
                 if kind == "result":
-                    (_, epoch, stage, slot, seq, ok, payload, service_s,
-                     wait_s, t_sent, err_repr) = frame[:11]
-                    # Trace extensions (tolerant: absent from pre-extension
-                    # workers): worker-clock receive/send stamps plus any
-                    # batched worker-side trace events.
-                    t_recv_w = frame[11] if len(frame) > 11 else None
-                    t_send_w = frame[12] if len(frame) > 12 else None
-                    wk_events = frame[13] if len(frame) > 13 else ()
+                    (_, epoch, stage, slot, seq, ok, payload, service_s, wait_s,
+                     t_sent, err_repr, t_recv_w, t_send_w, wk_events) = frame
                     if epoch != self._epoch:
                         continue  # stale result from an earlier/aborted stream
+                    if ok is True:  # a failure's payload is its pickled error: bytes too
+                        payload = from_wire(payload, self._codec.name if w.shm_ok else "pickle")
                     self._resq[stage].put(
                         (w, slot, seq, ok, payload, service_s, wait_s,
                          t_sent, err_repr, time.perf_counter(),
@@ -763,7 +756,7 @@ class DistributedBackend(Backend):
                     )
                 elif kind == "heartbeat":
                     w.observe_load(frame[1])
-                    if len(frame) > 2 and frame[2]:
+                    if frame[2]:
                         self._emit_worker_trace(w, frame[2])
                 elif kind == "shm_ok":
                     with self._registry:
@@ -1132,7 +1125,7 @@ class DistributedBackend(Backend):
                 self._codec.release(frame)
                 frame = copy
             if w.send(
-                ("task", self._epoch, stage, replica.slot, seq, frame,
+                ("task", self._epoch, stage, replica.slot, seq, to_wire(frame),
                  time.perf_counter())
             ):
                 self._session._emit_items(

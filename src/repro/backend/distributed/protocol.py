@@ -10,7 +10,7 @@ kind                      direction  fields after the kind
 ========================  =========  ====================================
 ``hello``                 w → c      name, cores, load1
 ``welcome``               c → w      worker_id, heartbeat_interval,
-                                     capacity, transport_spec[, trace]
+                                     capacity, transport_spec, trace
 ``shm_ok``                w → c      bool (the worker verified the
                                      transport spec's shared-memory probe)
 ``place``                 c → w      stage, slot, fn_payload, stage_name
@@ -18,18 +18,17 @@ kind                      direction  fields after the kind
 ``retire``                c → w      stage, slot
 ``task``                  c → w      epoch, stage, slot, seq, payload, t_sent
 ``result``                w → c      epoch, stage, slot, seq, ok, payload,
-                                     service_s, wait_s, t_sent, error_repr
-                                     [, t_recv_w, t_send_w, events]
+                                     service_s, wait_s, t_sent, error_repr,
+                                     t_recv_w, t_send_w, events
 ``reject``                w → c      epoch, stage, slot, seq (task arrived
                                      for a slot the worker no longer hosts)
-``heartbeat``             w → c      load1[, events]
+``heartbeat``             w → c      load1, events
 ``trace``                 c → w      bool (enable/disable worker-side
                                      event tracing live)
 ``shutdown``              c → w      (none)
 ========================  =========  ====================================
 
-Bracketed trailing fields are **trace extensions** — both sides unpack
-tolerantly, so a peer from before the extension interoperates.
+``trace``, ``t_recv_w``/``t_send_w`` and ``events`` serve tracing.
 ``t_recv_w``/``t_send_w`` are the worker's clock at task arrival and
 result send: together with the echoed ``t_sent`` and the coordinator's
 receive time they form the NTP-style quadruple that
@@ -39,10 +38,13 @@ worker-side trace points batched since the last frame, piggybacked here
 so tracing never adds a round trip; the coordinator maps their
 timestamps through the clock fit and re-emits them on the session bus.
 
-``payload`` fields are :class:`~repro.transport.Frame` objects — a pickle
-stream plus out-of-band buffers, each inline or a shared-memory segment
-descriptor under the **negotiated frame format**: ``welcome`` carries the
-coordinator's transport spec (codec name, session, placement threshold)
+``payload`` fields are frames in their flat wire form
+(:func:`repro.transport.to_wire`): the pickle stream itself, as ``bytes``,
+for an inline frame without buffers; otherwise the
+:class:`~repro.transport.Frame` — a pickle stream plus out-of-band buffers,
+each inline or a shared-memory segment descriptor under the **negotiated
+frame format** (a failed ``result`` carries its pickled error instead):
+``welcome`` carries the coordinator's transport spec (codec name, session, placement threshold)
 plus a shared-memory probe, and the worker's ``shm_ok`` reply fixes
 whether descriptors may cross this connection (same host) or every frame
 must be materialized inline (remote).  The coordinator forwards a stage's

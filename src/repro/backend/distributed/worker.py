@@ -77,7 +77,7 @@ from repro.backend.distributed.protocol import ProtocolError, recv_frame, send_f
 from repro.monitor.resource_monitor import read_load1
 from repro.obs.events import Event, EventBus
 from repro.runtime.threads import dump_error
-from repro.transport import Codec, Frame, untrack
+from repro.transport import Codec, Frame, from_wire, to_wire, untrack
 from repro.util.batching import Batch, map_batch
 
 __all__ = ["WorkerAgent", "main"]
@@ -346,7 +346,7 @@ class WorkerAgent:
                 slot,
                 task.seq,
                 ok,
-                payload,
+                to_wire(payload) if ok else payload,
                 service_s,
                 wait_s,
                 task.t_sent,
@@ -374,11 +374,8 @@ class WorkerAgent:
             welcome = recv_frame(sock)
             if not welcome or welcome[0] != "welcome":
                 raise ProtocolError(f"expected welcome, got {welcome!r}")
-            # Tolerant unpacking: older coordinators (and protocol tests)
-            # send 5 fields; newer ones append a trace-enable flag.
-            _, self.worker_id, heartbeat_interval, coord_capacity, transport_spec, *rest = welcome
-            if rest and rest[0]:
-                self._set_trace(True)
+            _, self.worker_id, heartbeat_interval, coord_capacity, transport_spec, trace = welcome
+            self._set_trace(bool(trace))
             # Replica queues must cover the coordinator's per-replica
             # in-flight cap so puts never block the receive loop.
             self.capacity = max(self.capacity, coord_capacity)
@@ -409,6 +406,7 @@ class WorkerAgent:
             kind = frame[0]
             if kind == "task":
                 _, epoch, stage, slot, seq, payload, t_sent = frame
+                payload = from_wire(payload, self.codec.name)
                 delay = self.link_delay
                 if self.link_bandwidth:
                     delay += payload.nbytes / self.link_bandwidth

@@ -9,8 +9,16 @@ only at a *boundary* — the last stage, or one feeding an ordered stage —
 does it report to the parent, where a router restores order::
 
     submit ─> taskq[0] ─> workers 0 ─> taskq[1] ─> workers 1 ─> resq ─> router
-    (caller)   (shared)               (shared)   (boundary)        (session)
+    (caller)  (mp.Queue)              (pipe)     (boundary)  (pipe)  (session)
 
+* A queue the **parent** feeds items into (stage 0's, and one behind a
+  boundary) is an ``mp.Queue``: its feeder thread keeps ``submit()`` and
+  the routers out of a blocking ``write()``.  A queue only **workers** write
+  (interior task queues, every ``resq``) is a :class:`_PipeQueue`: the worker
+  writes the pipe itself — no feeder thread, no GIL hand-offs per hop.
+* A boundary router has **one wait and no timeout**: a ``select.poll`` over
+  its segment's result pipe, a wake pipe and the ``sentinel`` of every worker
+  in the segment — a result, a wake-up and a death are all events.
 * The **pools belong to the backend** and survive sessions and streams; the
   **boundary routers belong to the session** — the routed-stage core shared
   with the distributed backend (:mod:`repro.backend.routed`), which owns
@@ -21,9 +29,10 @@ does it report to the parent, where a router restores order::
   appends ``(stage, worker, service_s, nbytes_out, ended_at)`` to the
   item's *trail* and the boundary router replays it (``Hop.trail``).  A
   stage error goes to the boundary's result queue with the stage's index.
-* Items cross processes as :class:`~repro.transport.Frame` objects of the
-  backend's **transport codec** (``transport=``): inline pickle streams, or
-  shared-memory descriptors for large payloads under ``"auto"``/``"shm"``
+* Items cross processes as frames of the backend's **transport codec**
+  (``transport=``) in their flat wire form (:func:`~repro.transport.to_wire`):
+  inline pickle streams as plain ``bytes``, or :class:`~repro.transport.Frame`
+  descriptors of shared-memory slots for large payloads under ``"auto"``/``"shm"``
   (threshold **calibrated at warm-up**,
   :func:`repro.transport.calibrated_auto_threshold`).  Slots go back per
   item: task frames in the worker that consumed them, final frames at
@@ -43,7 +52,10 @@ importable module-level stage functions on platforms without fork.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import pickle
 import queue as thread_queue
+import select
 import threading
 import time
 
@@ -52,7 +64,7 @@ from repro.backend.base import Backend, register_backend
 from repro.backend.routed import Hop, RoutedSession
 from repro.core.pipeline import PipelineSpec
 from repro.runtime.threads import StageError, dump_error, load_error
-from repro.transport import Codec, Frame
+from repro.transport import Codec, Frame, from_wire, to_wire
 from repro.util.batching import Batch, map_batch
 
 __all__ = ["ProcessPoolBackend"]
@@ -72,8 +84,54 @@ def _put(q, msg, abort: "threading.Event | None") -> bool:
                 return False
 
 
+class _PipeQueue:
+    """A bounded queue whose writers are workers: no feeder thread.
+
+    ``put`` pickles and writes the pipe on the caller's thread, so a frame
+    larger than the pipe's buffer blocks its writer in ``write()`` until a
+    reader takes it — what a worker is for, and what the parent must never
+    do: it passes ``timeout``, which bounds every wait of a ``put``, for its
+    tokens and pills only (a writable pipe takes ``PIPE_BUF`` bytes whole).
+    """
+
+    def __init__(self, ctx, maxsize: int) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._space = ctx.BoundedSemaphore(maxsize)
+        self._rlock, self._wlock = ctx.Lock(), ctx.Lock()
+        self._maxsize = maxsize
+
+    def fileno(self) -> int:
+        return self._reader.fileno()
+
+    def put(self, obj, timeout: "float | None" = None) -> None:
+        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        if not self._space.acquire(timeout=timeout):
+            raise thread_queue.Full
+        if self._wlock.acquire(timeout=timeout):
+            try:
+                if timeout is None or select.select((), (self._writer,), (), timeout)[1]:
+                    return self._writer.send_bytes(data)
+            finally:
+                self._wlock.release()
+        self._space.release()
+        raise thread_queue.Full
+
+    def get(self):
+        with self._rlock:
+            data = self._reader.recv_bytes()
+        self._space.release()
+        return pickle.loads(data)
+
+    def qsize(self) -> int:
+        return self._maxsize - self._space.get_value()
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
 def _worker_main(stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_spec) -> None:
-    """Worker process body: apply ``fn`` to ``(seq, frame, trail)`` tasks forever.
+    """Worker process body: apply ``fn`` to ``(seq, wire frame, trail)`` tasks forever.
 
     Results go to ``out`` (the next stage's task queue, or ``resq`` at a
     boundary) in the same shape, the trail one entry longer; failures go to
@@ -87,7 +145,8 @@ def _worker_main(stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_s
         if msg is _PARK:
             gate.acquire()
             continue
-        seq, frame, trail = msg
+        seq, wire, trail = msg
+        frame = from_wire(wire, codec.name)
         try:
             value = codec.decode(frame)
         except Exception as err:
@@ -113,20 +172,47 @@ def _worker_main(stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_s
         except Exception as err:
             resq.put((seq, None, (stage, None, f"unencodable result: {err!r}")))
             continue
-        out.put((seq, out_frame, trail + ((stage, worker_id, t1 - t0, out_frame.nbytes, t1),)))
+        hop = (stage, worker_id, t1 - t0, out_frame.nbytes, t1)
+        out.put((seq, to_wire(out_frame), trail + (hop,)))
 
 
 class _Segment:
     """A run of stages whose workers forward to each other, up to a boundary."""
 
-    def __init__(self, resq, stages: range) -> None:
+    def __init__(self, resq: _PipeQueue) -> None:
         self.resq = resq  # the boundary's workers report here; so does every error
-        self.stages = stages  # the range of stage indices it spans
-        # Items inside the segment = entered - left; each has one writer (the
-        # thread feeding the segment — for the first, whoever holds the
-        # session's ingress lock — and the boundary's router).
-        self.entered = 0
-        self.left = 0
+        # The boundary router's one wait (``_poll``): a result, a wake-up, a death.
+        wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_r, False)
+        os.set_blocking(wake_w, False)
+        # File objects, not descriptors: a wake() racing close() must find a
+        # closed file, never a number the process has since reused.
+        self.wake_r, self._wake_w = open(wake_r, "rb", 0), open(wake_w, "wb", 0)
+        self.workers: dict = {}  # sentinel -> (stage, worker id, process)
+        self.poller = select.poll()
+        for fd in (resq.fileno(), wake_r):
+            self.poller.register(fd, select.POLLIN)
+
+    def watch(self, stage: int, worker_id: int, proc) -> None:
+        self.workers[proc.sentinel] = (stage, worker_id, proc)
+        self.poller.register(proc.sentinel, select.POLLIN)
+
+    def died(self, sentinel: int) -> tuple:
+        """``(stage, worker id, exitcode)`` of the worker whose sentinel fired."""
+        stage, worker_id, proc = self.workers[sentinel]
+        proc.join(1.0)  # the sentinel closes a moment before the exit code is there
+        return stage, worker_id, proc.exitcode
+
+    def wake(self) -> None:
+        try:
+            self._wake_w.write(b"\0")  # a full pipe drops it: already woken
+        except ValueError:
+            pass  # closed: the pools went cold
+
+    def close(self) -> None:
+        for end in (self.resq, self.wake_r, self._wake_w):
+            end.close()
+        self.workers.clear()  # a router's traceback may keep us: not the sentinels too
 
 
 class _StagePool:
@@ -148,7 +234,7 @@ class _StagePool:
 
 
 class _ProcessSession(RoutedSession):
-    """The ``mp.Queue`` lane of the routed-stage core over the warm pools."""
+    """The queue lane of the routed-stage core over the warm pools."""
 
     def _attach(self) -> None:
         self.backend.warm()
@@ -163,55 +249,49 @@ class _ProcessSession(RoutedSession):
             # cold so the next session re-forks clean pools.
             self.backend._shutdown_pools(graceful=False)
 
+    def _wake_lane(self) -> None:
+        for pool in self.backend._pools or ():
+            pool.seg.wake()
+
     # ------------------------------------------------------------ lane hooks
     def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
         """Put one encoded item on ``stage``'s queue (it opens a segment)."""
-        pool = self.backend._pools[stage]
-        pool.seg.entered += 1
-        return _put(pool.taskq, (seq, frame, ()), self._abort)
+        return _put(self.backend._pools[stage].taskq, (seq, to_wire(frame), ()), self._abort)
 
     def _poll(self, stage: int) -> "tuple | None":
-        pools = self.backend._pools
-        seg = pools[stage].seg
-        try:
-            return seg.resq.get(timeout=0.1)
-        except thread_queue.Empty:
-            pass
-        # No worker should die mid-stream (close() is the only sender of
-        # stop pills); a dead one anywhere in a segment holding items means
-        # those items may be lost and the drain barrier would never clear —
-        # fail, don't hang.  Idle pools are left in peace between streams.
-        if seg.entered > seg.left and not self._stopping.is_set():
-            workers = ((i, w, p) for i in seg.stages for w, p in enumerate(pools[i].procs))
-            for where, wid, proc in workers:
-                if not proc.is_alive():
-                    self.events.emit(
-                        "worker.death",
-                        f"stage {where} worker {wid} exited",
-                        worker=wid,
-                        stage=where,
-                        exitcode=proc.exitcode,
-                    )
-                    raise StageError(
-                        self.backend.pipeline.stage(where).name,
-                        RuntimeError(
-                            f"worker {wid} died mid-run (exitcode {proc.exitcode}); "
-                            "its in-flight items are lost"
-                        ),
-                    )
-        return None
+        seg = self.backend._pools[stage].seg
+        ready = [fd for fd, _ in seg.poller.poll()]
+        if seg.resq.fileno() in ready:  # first: what a worker reported before it died counts
+            return seg.resq.get()
+        if seg.wake_r.fileno() in ready:
+            seg.wake_r.read(4096)
+            return None
+        # No worker should die while a session is open (close() is the only
+        # sender of stop pills, after the routers are gone): items it held
+        # are lost and the drain barrier would never clear — fail, don't hang.
+        where, wid, exitcode = seg.died(ready[0])
+        self.events.emit(
+            "worker.death", f"stage {where} worker {wid} exited",
+            worker=wid, stage=where, exitcode=exitcode,
+        )
+        raise StageError(
+            self.backend.pipeline.stage(where).name,
+            RuntimeError(
+                f"worker {wid} died mid-run (exitcode {exitcode}); its in-flight items are lost"
+            ),
+        )
 
     def _accept(self, stage: int, msg: tuple) -> Hop:
-        seq, frame, trail = msg
-        pools = self.backend._pools
-        pools[stage].seg.left += 1
-        if frame is None:
+        seq, wire, trail = msg
+        if wire is None:
             failed, payload, text = trail
             raise StageError(self.backend.pipeline.stage(failed).name, load_error(payload, text))
+        pools = self.backend._pools
         *upstream, (_, worker_id, service_s, _, ended) = trail
         clock = self.perf_to_session
         return Hop(
-            seq, frame, service_s, 1.0, worker_id, pools[stage].queued(), at=clock(ended),
+            seq, from_wire(wire, self._codec.name), service_s, 1.0, worker_id,
+            pools[stage].queued(), at=clock(ended),
             trail=tuple((i, w, s, n, pools[i].queued(), clock(t)) for i, w, s, n, t in upstream),
         )
 
@@ -284,12 +364,20 @@ class ProcessPoolBackend(Backend):
                 self._codec.threshold = fitted
         codec_spec = _transport.spec_of(self._codec)
         sizes = [self.replica_limit(i) for i in range(self.pipeline.n_stages)]
-        taskqs = [self._ctx.Queue(maxsize=self.capacity * size) for size in sizes]
+        bounds = self._boundaries()
+        # mp.Queue only where the parent feeds items in (stage 0, a stage
+        # behind a boundary): there the feeder thread is what keeps submit()
+        # and the routers out of a blocking write().  Workers write the rest.
+        taskqs = [
+            self._ctx.Queue(self.capacity * size)
+            if i == 0 or i - 1 in bounds
+            else _PipeQueue(self._ctx, self.capacity * size)
+            for i, size in enumerate(sizes)
+        ]
         pools: list[_StagePool] = []
-        for end in self._boundaries():
-            resq = self._ctx.Queue(maxsize=self.capacity * sizes[end])
-            seg = _Segment(resq, range(len(pools), end + 1))
-            for i in seg.stages:
+        for end in bounds:
+            seg = _Segment(_PipeQueue(self._ctx, self.capacity * sizes[end]))
+            for i in range(len(pools), end + 1):
                 pool = _StagePool(taskqs[i], self._ctx.Semaphore(0), self._target[i], seg)
                 out = seg.resq if i == end else taskqs[i + 1]
                 for wid in range(sizes[i]):
@@ -304,6 +392,7 @@ class ProcessPoolBackend(Backend):
                     )
                     proc.start()
                     pool.procs.append(proc)
+                    seg.watch(i, wid, proc)
                 for _ in range(sizes[i] - pool.active):
                     pool.taskq.put(_PARK)  # the surplus waits, warm, at the gate
                 pools.append(pool)
@@ -339,8 +428,8 @@ class ProcessPoolBackend(Backend):
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for pool in self._pools:
-            pool.seg.resq.close()  # shared by the segment's pools; idempotent
+        for seg in {pool.seg for pool in self._pools}:
+            seg.close()
         self._pools = None
         # Every producer and consumer of the session is stopped: unlink the
         # pools' slots — free ones, and frames an abort stranded in queues.

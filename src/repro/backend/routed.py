@@ -2,7 +2,7 @@
 
 One implementation of the paper's per-stage skeleton — dispatch → collect
 → reorder → forward — for every executor whose workers live behind a
-*lane* (an ``mp.Queue`` pair, a TCP link): something that carries an
+*lane* (queues between forked processes, a TCP link): something that carries an
 encoded :class:`~repro.transport.Frame` to a worker and brings a result
 back.  The core knows nothing about what the lane is made of::
 
@@ -33,8 +33,9 @@ flag and ``_fail`` are the port's.  An executor supplies four hooks:
     the session codec through ``_forward``; a lane that picks the codec
     per target overrides it;
 ``_poll(stage)``
-    one raw result of ``stage``, ``None`` after a bounded wait, or raise
-    when a worker died with items in flight;
+    block until there is one raw result of ``stage`` to return, or
+    ``_wake_lane`` was called (``None`` when woken — there is no timeout
+    and an idle session's routers do not run), or raise when a worker died;
 ``_accept(stage, msg)``
     the lane's bookkeeping for that result — in-flight accounting, stale
     drops, re-dispatch — returning one normalised :class:`Hop`, ``None``
@@ -43,14 +44,16 @@ flag and ``_fail`` are the port's.  An executor supplies four hooks:
     send one frame to ``stage`` (in order when it is ordered); ``False``
     when aborted.
 
-``_attach`` (warm the lane before any thread starts), the port's
-``_wake_lane`` (wake dispatchers blocked on lane capacity at abort) and
-``_boundaries`` are optional.  By default every stage is a boundary: its results come back to
-a router here.  A lane whose workers can reach each other (forked
-processes sharing queues) names fewer — the last stage and any stage
-feeding an ordered one — and lets the rest forward worker to worker; what
-their routers would have recorded then arrives as ``Hop.trail`` on the
-boundary's result and is replayed into the same per-stage records.
+The lane also implements the port's ``_wake_lane``: wake every router out
+of ``_poll`` and every dispatcher blocked on lane capacity (abort and
+``_shutdown`` call it).  ``_attach`` (warm the lane before any thread
+starts) and ``_boundaries`` are optional.  By default every stage is a
+boundary: its results come back to a router here.  A lane whose workers
+can reach each other (forked processes sharing queues) names fewer — the
+last stage and any stage feeding an ordered one — and lets the rest forward
+worker to worker; what their routers would have recorded then arrives as
+``Hop.trail`` on the boundary's result and is replayed into the same
+per-stage records.
 """
 
 from __future__ import annotations
@@ -162,6 +165,7 @@ class RoutedSession(Session):
     def _shutdown(self) -> None:
         """Stop the routers (``close`` already aborted an unfinished stream)."""
         self._stopping.set()
+        self._wake_lane()
         for t in self._threads:
             t.join(timeout=5.0)
 

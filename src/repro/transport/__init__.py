@@ -25,8 +25,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "codecs": "AUTO_THRESHOLD PickleCodec SharedMemoryCodec calibrated_auto_threshold",
         "frames": (
             "SHM_PREFIX Codec Frame PoolFootprint SegmentRef TransportError "
-            "busy_segments decode_frame materialize new_session pool_footprint "
-            "session_segments sweep_session untrack"
+            "busy_segments decode_frame from_wire materialize new_session "
+            "pool_footprint session_segments sweep_session to_wire untrack"
         ),
         "linkfit": "LinkModel SizeStratifiedLinkEstimator",
         "registry": "available_codecs from_spec get register_codec spec_of",

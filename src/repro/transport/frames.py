@@ -72,11 +72,13 @@ __all__ = [
     "TransportError",
     "busy_segments",
     "decode_frame",
+    "from_wire",
     "materialize",
     "new_session",
     "pool_footprint",
     "session_segments",
     "sweep_session",
+    "to_wire",
     "untrack",
 ]
 
@@ -157,6 +159,22 @@ class Frame:
         instead of a newly created one; ``None`` for an inline frame."""
         refs = self.segment_refs()
         return sum(ref.recycled for ref in refs) / len(refs) if refs else None
+
+
+def to_wire(frame: Frame) -> "bytes | Frame":
+    """What crosses a lane for ``frame``: the envelope is paid only when used.
+
+    An inline, bufferless frame *is* its pickle stream, so it travels as
+    those ``bytes`` (pickling a frozen dataclass per hop cost five times
+    the bytes themselves); anything carrying a buffer or a
+    :class:`SegmentRef` travels as the :class:`Frame` it is.
+    """
+    return frame.stream if type(frame.stream) is bytes and not frame.buffers else frame
+
+
+def from_wire(wire: "bytes | Frame", codec: str) -> Frame:
+    """The frame :func:`to_wire` flattened; ``codec`` names the lane's codec."""
+    return Frame(codec, wire, (), len(wire)) if type(wire) is bytes else wire
 
 
 # ------------------------------------------------------------------ segments

@@ -24,7 +24,7 @@ from repro.backend.distributed.protocol import (
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.skel.api import pipeline_1for1
-from repro.transport import PickleCodec
+from repro.transport import PickleCodec, to_wire
 
 
 def _inc(x):
@@ -381,11 +381,11 @@ def test_worker_rejects_task_for_unknown_slot():
         hello = recv_frame(sock)
         assert hello[0] == "hello" and hello[1] == "reject-test"
         send_frame(
-            sock, ("welcome", 0, 5.0, 8, {"name": "pickle", "session": "t", "probe": None})
+            sock, ("welcome", 0, 5.0, 8, {"name": "pickle", "session": "t", "probe": None}, False)
         )
         shm_ok = recv_frame(sock)
         assert shm_ok == ("shm_ok", False)  # no probe offered -> inline only
-        payload = PickleCodec().encode("payload")
+        payload = to_wire(PickleCodec().encode("payload"))
         send_frame(sock, ("task", 1, 0, 7, 3, payload, 0.0))
         frame = recv_frame(sock)
         assert frame == ("reject", 1, 0, 7, 3)
@@ -427,6 +427,23 @@ def test_close_of_a_warm_idle_backend_waits_on_no_poll():
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.2, f"close() took {elapsed:.3f} s"
     assert not [t.name for t in threading.enumerate() if t.name.startswith("dist-")]
+
+
+def test_idle_routers_run_no_iteration(record_polls):
+    # _poll blocks on the stage's result queue until a result or a wake-up:
+    # an open session with nothing in flight costs the coordinator nothing.
+    polled = record_polls(DistributedBackend.session_class)
+    with DistributedBackend(_pipe(), spawn_workers=1) as b:
+        session = b.open()
+        for x in range(5):
+            session.submit(x)
+        assert session.drain() == _expected(range(5))
+        assert len(polled) == 10 and None not in polled  # 5 results x 2 routers
+        time.sleep(0.5)
+        assert len(polled) == 10
+        t0 = time.perf_counter()
+        session.close()  # woken, not timed out
+        assert polled[10:] == [None, None] and time.perf_counter() - t0 < 0.1
 
 
 def _mk_array(x):

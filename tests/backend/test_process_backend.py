@@ -1,5 +1,6 @@
 """Tests for the warm process-pool backend."""
 
+import gc
 import multiprocessing as mp
 import os
 import signal
@@ -69,7 +70,8 @@ class TestProcessPoolBackend:
 
     def test_matches_thread_backend(self):
         pipe = spec([_inc, _jitter_square, _double])
-        expected = ThreadBackend(pipe).run(range(25)).outputs
+        with ThreadBackend(pipe) as threads:
+            expected = threads.run(range(25)).outputs
         with ProcessPoolBackend(pipe) as b:
             assert b.run(range(25)).outputs == expected
 
@@ -285,7 +287,7 @@ class TestForwardedSegment:
             t0 = time.perf_counter()
             with pytest.raises(StageError, match="'s0'.*died mid-run"):
                 session.drain()
-            # Noticed by the boundary's next empty poll (0.1 s), not by luck.
+            # Noticed by the worker's sentinel in the boundary router's poll.
             assert time.perf_counter() - t0 < 2.0
         finally:
             b.close()
@@ -313,10 +315,12 @@ class TestForwardedSegment:
         pipe = spec([_nap])
         with ProcessPoolBackend(pipe, replicas=[2], max_replicas=2, capacity=1) as b:
             session = b.open()
+            tried = []
 
             def produce():
                 with pytest.raises(SessionClosed):
-                    for _ in range(6):
+                    for k in range(6):
+                        tried.append(k)
                         session.submit(5.0)
 
             producer = threading.Thread(target=produce, daemon=True)
@@ -324,7 +328,7 @@ class TestForwardedSegment:
             # Two items being served, two filling the queue (capacity x pool
             # size), the producer parked on the fifth: no room for 5 s.
             deadline = time.perf_counter() + 5.0
-            while b._pools[0].seg.entered < 5 and time.perf_counter() < deadline:
+            while len(tried) < 5 and time.perf_counter() < deadline:
                 time.sleep(0.01)
             shrink = threading.Thread(target=b.reconfigure, args=(0, 1), daemon=True)
             shrink.start()
@@ -464,3 +468,174 @@ class TestForwardedTelemetry:
                 sum(n for _, n in fields[:k]) for k in range(len(fields))
             ]
             assert all(e.fields["seconds"] > 0 for e in seen)
+
+
+_MIB = 1 << 20
+
+
+def _mib_of(x):
+    return bytes([x % 251]) * _MIB
+
+
+def _linger(b):
+    time.sleep(0.01)
+    return b
+
+
+def _head_and_len(b):
+    return (b[0], len(b))
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestWorkerWrittenPipes:
+    """Interior task queues and result queues are pipes their workers write
+    themselves: a frame larger than the pipe's buffer blocks its worker in
+    ``write()`` mid-stream, and the parent's few writes there stay bounded."""
+
+    PIPE = [_mib_of, _linger, _head_and_len]
+
+    def test_only_parent_fed_queues_keep_a_feeder_thread(self):
+        pipe = spec([_inc, _inc, _record, _inc], [True, True, False, True])
+        with ProcessPoolBackend(pipe) as b:
+            b.warm()
+            # Stage 0 (submit) and stage 2 (behind the boundary router[1]).
+            kinds = [type(pool.taskq).__name__ for pool in b._pools]
+            assert kinds == ["Queue", "_PipeQueue", "Queue", "_PipeQueue"]
+            assert {type(pool.seg.resq).__name__ for pool in b._pools} == {"_PipeQueue"}
+
+    def test_more_writers_and_readers_than_cores_lose_and_duplicate_nothing(self):
+        # The queue on its own: 4 writers and 3 readers over a bound of 3,
+        # messages on both sides of the pipe buffer (64 KiB), 20 s at most.
+        from repro.backend.process_backend import _PipeQueue
+
+        ctx = mp.get_context("fork")
+        q, out = _PipeQueue(ctx, 3), ctx.Queue()
+        sizes = [10, 5_000, 70_000, 300_000]
+
+        def write(w):
+            for k in range(60):
+                q.put((w, k, bytes([w]) * sizes[k % 4]))
+
+        def read():
+            while (msg := q.get()) is not None:
+                w, k, blob = msg
+                out.put((w, k, blob == bytes([w]) * sizes[k % 4], q.qsize()))
+
+        procs = [ctx.Process(target=write, args=(w,), daemon=True) for w in range(4)]
+        readers = [ctx.Process(target=read, daemon=True) for _ in range(3)]
+        try:
+            for proc in procs + readers:
+                proc.start()
+            seen = [out.get(timeout=20.0) for _ in range(240)]
+            for _ in readers:
+                q.put(None, timeout=1.0)
+            for proc in procs + readers:
+                proc.join(timeout=5.0)
+                assert proc.exitcode == 0
+        finally:
+            for proc in procs + readers:
+                proc.kill()
+            q.close()
+        expected = [(w, k) for w in range(4) for k in range(60)]
+        assert sorted((w, k) for w, k, _, _ in seen) == expected
+        assert all(intact and 0 <= depth <= 3 for _, _, intact, depth in seen)
+
+    def test_frames_larger_than_the_pipe_buffer_complete_in_order(self):
+        with ProcessPoolBackend(spec(self.PIPE), replicas=[1, 2, 1], transport="pickle") as b:
+            assert b.run(range(24)).outputs == [(x % 251, _MIB) for x in range(24)]
+
+    def test_killing_every_reader_leaves_reconfigure_and_close_bounded(self):
+        b = ProcessPoolBackend(spec(self.PIPE), replicas=[1, 2, 1], transport="pickle")
+        try:
+            session = b.open()
+            with ThreadPoolExecutor(1) as producer:
+                stream = producer.submit(b.run, range(200))
+                while b.items_completed() < 2:
+                    time.sleep(0.002)
+                workers = [proc for pool in b._pools for proc in pool.procs]
+                for proc in b._pools[1].procs:  # stage 0 is now blocked in write()
+                    os.kill(proc.pid, signal.SIGKILL)
+                with pytest.raises(StageError, match="'s1'.*died mid-run"):
+                    stream.result(timeout=5.0)
+            assert session.broken
+            t0 = time.perf_counter()
+            b.reconfigure(1, 1)  # nobody is left to take a park token
+            b.close()
+            assert time.perf_counter() - t0 < 2.0
+            assert b._pools is None and not [p for p in workers if p.is_alive()]
+            assert transport.session_segments(b._codec.session) == []
+        finally:
+            b.close()
+
+
+class TestOneEventDrivenWait:
+    """The boundary router blocks on results, its wake pipe and the workers'
+    sentinels — no timeout, no scan."""
+
+    def test_a_killed_worker_fails_the_session_within_milliseconds(self):
+        noticed = []
+        for _ in range(5):
+            b = ProcessPoolBackend(spec([_nap, _inc]))
+            try:
+                session = b.open()
+                deaths = []
+                session.events.subscribe(deaths.append, kinds=["worker.death"])
+                for _ in range(4):
+                    session.submit(0.05)
+                assert _session_threads() == ["processes-router[1]"]  # nobody else watches
+                t0 = time.perf_counter()
+                os.kill(b._pools[0].procs[0].pid, signal.SIGKILL)
+                with pytest.raises(StageError, match="'s0'.*died mid-run"):
+                    session.drain()
+                noticed.append(time.perf_counter() - t0)
+                assert [e.fields["stage"] for e in deaths] == [0]
+            finally:
+                b.close()
+        assert sorted(noticed)[2] < 0.05  # was: the next 0.1 s poll, then a scan
+
+    def test_a_death_in_an_idle_session_is_fatal_too(self):
+        # No census of items in flight exempts an idle pool any more: the
+        # sentinel fires whether or not the segment holds anything.
+        b = ProcessPoolBackend(spec([_inc, _double]), replicas=[2, 1], max_replicas=2)
+        try:
+            session = b.open()
+            assert b.run(range(4)).outputs == [(x + 1) * 2 for x in range(4)]
+            os.kill(b._pools[0].procs[1].pid, signal.SIGKILL)
+            deadline = time.perf_counter() + 2.0
+            while not session.broken and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            assert session.broken  # unasked: nobody submitted, drained or polled
+            with pytest.raises(StageError, match="'s0'.*died mid-run"):
+                session.submit(1)
+            # run() replaces the broken session: cold pools, re-forked.
+            assert b.run(range(4)).outputs == [(x + 1) * 2 for x in range(4)]
+        finally:
+            b.close()
+
+    def test_an_idle_session_runs_no_router_iteration(self, record_polls):
+        polled = record_polls(ProcessPoolBackend.session_class)
+        with ProcessPoolBackend(spec([_inc, _double])) as b:
+            session = b.open()
+            for x in range(5):
+                session.submit(x)
+            assert session.drain() == [(x + 1) * 2 for x in range(5)]
+            assert len(polled) == 5 and None not in polled
+            time.sleep(0.5)
+            assert len(polled) == 5  # still inside the sixth wait
+            t0 = time.perf_counter()
+            session.close()  # woken, not timed out
+            assert polled[5:] == [None] and time.perf_counter() - t0 < 0.1
+
+    def test_open_close_cycles_on_a_warm_backend_leak_no_descriptor(self):
+        pipe = spec([_inc, _record, _bump_first], [True, False, True])  # two routers
+        with ProcessPoolBackend(pipe) as b:
+            b.open().close()
+            gc.collect()  # earlier tests' pipes must not be collected mid-count
+            before = _open_fds()
+            for _ in range(200):
+                b.open().close()
+            assert _open_fds() == before
+            assert [x for x, _ in b.run(range(6)).outputs] == list(range(2, 8))

@@ -49,10 +49,11 @@ class FakeLaneSession(RoutedSession):
         return True
 
     def _poll(self, stage):
-        try:
-            return self._resq[stage].get(timeout=0.01)
-        except queue.Empty:
-            return None
+        return self._resq[stage].get()  # no timeout: None only when woken
+
+    def _wake_lane(self):
+        for q in self._resq:
+            q.put(None)
 
     def _accept(self, stage, msg):
         kind, seq, payload = msg

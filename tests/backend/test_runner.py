@@ -73,7 +73,8 @@ class TestRuntimeAdaptiveRunner:
             rollback=False,
             max_replicas=3,
         )
-        res = runner.run(range(80))
+        with runner:
+            res = runner.run(range(80))
         assert res.outputs == [(x + 1) * 2 + 1 for x in range(80)]
         assert res.items == 80
         grows = [e for e in res.adaptation_events if e.kind != "rollback"]
@@ -114,7 +115,8 @@ class TestRuntimeAdaptiveRunner:
             max_replicas=2,
             n_virtual_procs=12,
         )
-        res = runner.run(range(120))
+        with runner:
+            res = runner.run(range(120))
         assert res.items == 120
         real_changes = {tuple(c) for _, c in res.replica_history}
         assert len(res.adaptation_events) == len(res.replica_history) - 1
@@ -134,8 +136,8 @@ class TestRuntimeAdaptiveRunner:
         # A balanced, fast pipeline: the decision is taken as soon as both
         # stages have their samples, and says no (not amortised).
         pipe = spec([_fast, _fast])
-        runner = RuntimeAdaptiveRunner(pipe, ThreadBackend(pipe))
-        res = runner.run(range(30))
+        with RuntimeAdaptiveRunner(pipe, ThreadBackend(pipe)) as runner:
+            res = runner.run(range(30))
         assert res.outputs == [x + 2 for x in range(30)]
         assert res.adaptation_events == []
         assert res.final_replicas == [1, 1]

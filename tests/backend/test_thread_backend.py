@@ -16,17 +16,17 @@ def spec(fns):
 
 class TestThreadBackend:
     def test_run_ordered(self):
-        b = ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2]))
-        res = b.run(range(20))
+        with ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2])) as b:
+            res = b.run(range(20))
         assert res.outputs == [(x + 1) * 2 for x in range(20)]
         assert res.backend == "threads"
         assert res.replica_counts == [1, 1]
 
     def test_replicas_carry_over_between_runs(self):
-        b = ThreadBackend(spec([lambda x: x]), max_replicas=4)
-        b.run(range(5))
-        b.reconfigure(0, 3)
-        res = b.run(range(5))
+        with ThreadBackend(spec([lambda x: x]), max_replicas=4) as b:
+            b.run(range(5))
+            b.reconfigure(0, 3)
+            res = b.run(range(5))
         assert res.replica_counts == [3]
         assert res.outputs == list(range(5))
 
@@ -35,8 +35,7 @@ class TestThreadBackend:
             time.sleep(0.003)
             return x * x
 
-        b = ThreadBackend(spec([slowish]), max_replicas=4)
-        with ThreadPoolExecutor(1) as producer:
+        with ThreadBackend(spec([slowish]), max_replicas=4) as b, ThreadPoolExecutor(1) as producer:
             run = producer.submit(b.run, range(40))
             while b.items_completed() < 5:
                 time.sleep(0.002)
@@ -50,18 +49,18 @@ class TestThreadBackend:
             time.sleep(0.002)
             return x
 
-        b = ThreadBackend(spec([work]))
-        b.run(range(12))
-        snaps = b.snapshots()
-        assert len(snaps) == 1
-        assert snaps[0].items_processed == 12
-        assert snaps[0].service_time >= 0.002
-        # Work is service x the load-derived effective speed (<= 1.0), so
-        # the estimate is positive and never exceeds the measured service.
-        assert 0 < snaps[0].work_estimate <= snaps[0].service_time
-        assert b.items_completed() == 12
-        # Completions just happened, so a generous window must see them.
-        assert b.recent_throughput(horizon=60.0) > 0
+        with ThreadBackend(spec([work])) as b:
+            b.run(range(12))
+            snaps = b.snapshots()
+            assert len(snaps) == 1
+            assert snaps[0].items_processed == 12
+            assert snaps[0].service_time >= 0.002
+            # Work is service x the load-derived effective speed (<= 1.0), so
+            # the estimate is positive and never exceeds the measured service.
+            assert 0 < snaps[0].work_estimate <= snaps[0].service_time
+            assert b.items_completed() == 12
+            # Completions just happened, so a generous window must see them.
+            assert b.recent_throughput(horizon=60.0) > 0
 
     def test_reconfigure_clamped_to_max(self):
         b = ThreadBackend(spec([lambda x: x]), max_replicas=2)
@@ -76,6 +75,6 @@ class TestThreadBackend:
             time.sleep(0.002)
             return x
 
-        b = ThreadBackend(spec([lambda x: x, slow]), replicas=[1, 2], capacity=8)
-        b.run(range(60))
-        assert b.snapshots()[1].queue_length > 0
+        with ThreadBackend(spec([lambda x: x, slow]), replicas=[1, 2], capacity=8) as b:
+            b.run(range(60))
+            assert b.snapshots()[1].queue_length > 0
