@@ -13,10 +13,10 @@ port — sessions included — on ``asyncio``:
   observe→decide→act loop from its own thread, unchanged.
 * A **session is a resident coroutine graph** on that loop: per-stage
   dispatchers and the collector run for the session's lifetime, items
-  enter through a thread-safe hop (``run_coroutine_threadsafe``) whose
-  ``fut.result()`` is the semaphore-bounded admission onto the resident
-  loop, and back-to-back streams flow through the same warm graph with
-  session-global sequence numbers keeping one ordering space.
+  enter through a credit-bounded ingress (``submit`` takes one of
+  ``capacity`` :class:`~repro.util.handoff.Credits`, a pump on the loop
+  gives it back), and back-to-back streams flow through the same warm
+  graph, session-global sequence numbers keeping one ordering space.
 * Each stage is a **coroutine pool bounded by a resizable semaphore**: the
   stage's dispatcher admits items only while fewer than
   ``limit`` are in flight, so the semaphore limit *is* the stage's replica
@@ -52,6 +52,7 @@ from typing import Any
 from repro.backend.base import Backend, Session, SessionClosed, register_backend
 from repro.core.pipeline import PipelineSpec
 from repro.util.batching import Batch, map_batch
+from repro.util.handoff import Credits
 from repro.util.ordering import SequenceReorderer
 
 __all__ = ["AsyncioBackend"]
@@ -105,12 +106,13 @@ class _AsyncioSession(Session):
         # Submit-side ingress: a plain deque pumped onto the loop.  A
         # run_coroutine_threadsafe round trip per item would serialise a
         # blocking Future behind every submit — at E15-scale fan-out that
-        # dwarfs the event loop's own per-item cost.  Instead submits spend
-        # a semaphore credit (returned when the pump lands the item in
-        # stage 0's bounded queue — that is the backpressure), append, and
-        # fire a cheap one-way wake-up.
+        # dwarfs the event loop's own per-item cost.  Instead submits take
+        # one of ``capacity`` credits (the fabric's C-level permit pool;
+        # given back when the pump lands the item in stage 0's bounded
+        # queue — that is the backpressure), append, and fire a cheap
+        # one-way wake-up.
         self._ingress: deque = deque()
-        self._credits = threading.Semaphore(backend.capacity)
+        self._credits = Credits(backend.capacity)
         self._pump_wake: asyncio.Event | None = None
         self._ready = threading.Event()
         self._main_future = asyncio.run_coroutine_threadsafe(self._main(), self._loop)
@@ -145,7 +147,7 @@ class _AsyncioSession(Session):
                     if msg is _SENTINEL:
                         return
                     await queues[0].put(msg)  # bounded: the backpressure
-                    self._credits.release()
+                    self._credits.give()
             finally:
                 await queues[0].put(_SENTINEL)
 
@@ -269,9 +271,8 @@ class _AsyncioSession(Session):
             self._pump_wake.set()
 
     def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
-        while not self._credits.acquire(timeout=0.05):
-            if self._abort.is_set() or self.closed:
-                raise self._aborted()
+        if not self._credits.take(self._abort):
+            raise self._aborted()
         self._ingress.append((gseq, item))
         try:
             self._loop.call_soon_threadsafe(self._wake_pump)

@@ -3,8 +3,9 @@
 A :class:`WorkerAgent` connects to a coordinator, registers (advertising
 its core count and current load average), and then hosts **stage replicas**
 on demand: each ``place`` message starts one replica — a thread with its
-own bounded task queue — and each ``retire`` message lets that replica
-finish what it was dealt and exit.  Replicas decode item payloads through
+own bounded inbox (a :class:`~repro.util.handoff.Handoff`) — and each
+``retire`` message lets that replica finish what it was dealt and exit
+(a stop pill queued behind it).  Replicas decode item payloads through
 the **negotiated transport codec** (see below), execute the stage callable,
 timing the service, and ship results back tagged with the service time and
 the in-queue wait so the coordinator can separate computation from link
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue as thread_queue
 import socket
 import threading
 import time
@@ -79,6 +79,7 @@ from repro.obs.events import Event, EventBus
 from repro.runtime.threads import dump_error
 from repro.transport import Codec, Frame, from_wire, to_wire, untrack
 from repro.util.batching import Batch, map_batch
+from repro.util.handoff import Handoff
 
 __all__ = ["WorkerAgent", "main"]
 
@@ -125,7 +126,7 @@ class _Task:
 
 
 class _ReplicaRunner:
-    """One hosted stage replica: a thread draining a bounded task queue."""
+    """One hosted stage replica: a thread draining a bounded ``Handoff``."""
 
     def __init__(
         self,
@@ -139,7 +140,7 @@ class _ReplicaRunner:
         self.stage = stage
         self.slot = slot
         self.fn = fn
-        self.queue: thread_queue.Queue = thread_queue.Queue(maxsize=max(capacity, 1))
+        self.queue = Handoff(max(capacity, 1))
         self._agent = agent
         self.thread = threading.Thread(
             target=self._serve, name=f"replica[{stage_name}.{slot}]", daemon=True

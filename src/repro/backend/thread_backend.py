@@ -25,11 +25,13 @@ retires one lazily via the ``_RETIRE`` pill.
 
 This fabric does not ride the routed-stage core the process and
 distributed executors share (:mod:`repro.backend.routed`), and that is a
-measurement, not a taste: as a ``queue.Queue`` lane of that core
-``tiny_threads`` lost 27 % of its items/s and paid +39 % CPU per item and
-+53 % to the first result (−22 % / +27 % / +43 % with the feeder hop
-removed), outside the benchmark's 25 % bounds — see "Why three loops" in
-``docs/backends.md``.  What the fabrics share lives in the port instead:
+measurement, not a taste: as a lane of that core ``tiny_threads`` lost
+27 % of its items/s and paid +39 % CPU per item and +53 % to the first
+result (−22 % / +27 % / +43 % with the feeder hop removed), outside the
+benchmark's 25 % bounds.  Both sides ran on ``queue.Queue`` then; the
+lane's extra was its routers' per-hop work, which the C hand-off does not
+touch — see "Why three loops" in ``docs/backends.md``.  What the fabrics
+share lives in the port instead:
 admission, ``_complete``, ``_fail``, the abort flag and the replica shape.
 """
 

@@ -4,6 +4,10 @@ Architecture (one bounded queue per stage, shared by its workers)::
 
     submit --> work_q[0] --> worker x R0 --> work_q[1] --> ... --> collector
 
+* Every queue is a :class:`~repro.util.handoff.Handoff` — items and
+  ``capacity`` credits on two C ``SimpleQueue``s, no Python-level lock on
+  the item path — and its bound is what ``submit()`` feels.  A thread
+  parked in ``get()`` wakes only on an item or a sentinel.
 * **Workers** apply the stage callable and put straight into the next
   stage's queue: stateless stages commute, so nothing between two
   replicable stages restores order and a slow item never holds its
@@ -34,13 +38,13 @@ applying stage functions) so shutdown never deadlocks on a full buffer.
 from __future__ import annotations
 
 import pickle
-import queue
 import threading
 import time
 from typing import Any, Callable
 
 from repro.monitor.instrument import StageMetrics
 from repro.util.batching import Batch, map_batch
+from repro.util.handoff import Handoff
 from repro.util.ordering import SequenceReorderer
 
 __all__ = ["StageError", "dump_error", "load_error"]
@@ -77,37 +81,21 @@ def load_error(payload: "bytes | None", text: str) -> BaseException:
     return RuntimeError(text)
 
 
-class _CountedQueue:
-    """Bounded queue that delivers sentinels when all producers finish."""
+class _CountedQueue(Handoff):
+    """Bounded hand-off that delivers sentinels when all producers finish."""
 
     def __init__(self, capacity: int, producers: int, consumers: int) -> None:
-        self.q: queue.Queue = queue.Queue(maxsize=capacity)
+        super().__init__(capacity)
         self._lock = threading.Lock()
         self._producers = producers
         self._consumers = consumers
-
-    def put(self, item: Any, abort: threading.Event | None = None) -> bool:
-        """Put ``item``; with ``abort`` set, give up instead of blocking."""
-        if abort is None:
-            self.q.put(item)
-            return True
-        while True:
-            try:
-                self.q.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                if abort.is_set():
-                    return False
-
-    def get(self) -> Any:
-        return self.q.get()
 
     def add_consumer(self) -> None:
         with self._lock:
             if self._producers == 0:
                 # Producers already finished: their sentinels are out, so the
                 # newcomer needs its own to terminate.
-                self.q.put(_SENTINEL)
+                self.put(_SENTINEL)
             else:
                 self._consumers += 1
 
@@ -126,7 +114,7 @@ class _CountedQueue:
             self._producers -= 1
             if self._producers == 0:
                 for _ in range(self._consumers):
-                    self.q.put(_SENTINEL)
+                    self.put(_SENTINEL)
 
 
 class _Worker(threading.Thread):
@@ -189,7 +177,7 @@ class _Worker(threading.Thread):
                     dt = time.perf_counter() - t0
                     # Backlog = the shared queue plus early arrivals held
                     # in this worker's reorderer.
-                    queued = self.work_q.q.qsize() + (len(reorder) if reorder else 0)
+                    queued = self.work_q.qsize() + (len(reorder) if reorder else 0)
                     with self.metrics_lock:
                         # Recording the effective speed the item actually saw
                         # keeps work_estimate load-normalised: on a contended

@@ -28,11 +28,12 @@ Sizing has three bounds (any one flushes the assembly buffer):
 from __future__ import annotations
 
 import pickle
-import queue
 import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
+
+from repro.util.handoff import Handoff
 
 __all__ = [
     "Batch",
@@ -171,7 +172,7 @@ def calibrated_batch_items(
     """Measure this host's per-item hop cost and size batches from it.
 
     The quantity batching amortizes is the fixed per-item framework cost:
-    one bounded-queue hop plus one small pickle round trip (the in-process
+    one bounded hand-off plus one small pickle round trip (the in-process
     and cross-process halves of the per-item tax).  The probe times both
     (best of ``repeats``, like the transport threshold probe) and returns
     how many such hops fit in one default linger window — the batch size
@@ -208,8 +209,8 @@ def calibrated_batch_items(
 
 
 def _probe_hop_cost(repeats: int, n: int = 128) -> float:
-    """Seconds of fixed framework cost one item pays (queue hop + pickle)."""
-    q: queue.Queue = queue.Queue()
+    """Seconds of fixed framework cost one item pays (hand-off + pickle)."""
+    q = Handoff(8)  # the hop the fabrics really make, at their default bound
     payload = (0, ("probe", 1.0))
     best = float("inf")
     for _ in range(repeats):

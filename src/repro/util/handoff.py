@@ -1,0 +1,80 @@
+"""The bounded hand-off between two threads, kept in C.
+
+Every item path between two threads of this package — a stage queue of
+the thread fabric, a distributed worker's replica inbox, the asyncio
+session's ingress — is bounded: ``submit()`` must feel a full pipeline
+(``docs/streaming.md``).  ``queue.Queue(maxsize)`` gives that bound with
+a Python-level mutex and three ``Condition``s, paid on every put and
+get; ``queue.SimpleQueue`` is a C deque with no Python-level lock, but
+unbounded.  Two of them make a bounded one: :class:`Credits` is a
+``SimpleQueue`` pre-filled with ``n`` permits, and a :class:`Handoff`
+takes a permit before it puts an item on a second ``SimpleQueue`` and
+gives it back when the item is taken — so a put blocks exactly while
+``capacity`` items sit unclaimed, as with ``queue.Queue``: FIFO, and a
+slot frees at ``get``, not when the consumer finishes with the item.
+
+A thread parked in ``get()`` wakes only on an item: shutdown is the
+owner's business (a sentinel through the same queue), as it was before.
+"""
+
+from __future__ import annotations
+
+import threading
+from queue import Empty, SimpleQueue
+from typing import Any
+
+__all__ = ["Credits", "Handoff"]
+
+
+class Credits:
+    """``n`` permits: ``take`` blocks while none is free, ``give`` returns one."""
+
+    def __init__(self, n: int) -> None:
+        self._free: SimpleQueue = SimpleQueue()
+        for _ in range(n):
+            self._free.put(None)
+
+    def take(self, abort: threading.Event | None = None) -> bool:
+        """Take a permit; with ``abort`` set, give up instead of blocking."""
+        if abort is None:
+            self._free.get()
+            return True
+        try:
+            self._free.get_nowait()  # a free permit never leaves C
+            return True
+        except Empty:
+            pass
+        while True:
+            try:
+                self._free.get(timeout=0.05)
+                return True
+            except Empty:
+                if abort.is_set():
+                    return False
+
+    def give(self) -> None:
+        self._free.put(None)
+
+
+class Handoff(Credits):
+    """FIFO of at most ``capacity`` unclaimed items (see module docstring)."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        self._items: SimpleQueue = SimpleQueue()
+
+    def put(self, item: Any, abort: threading.Event | None = None) -> bool:
+        """Put ``item``; with ``abort`` set, give up instead of blocking."""
+        if not self.take(abort):
+            return False
+        self._items.put(item)
+        return True
+
+    def get(self) -> Any:
+        item = self._items.get()
+        self._free.put(None)  # give(), without its frame: this runs per item
+        return item
+
+    def qsize(self) -> int:
+        """Items put and not yet taken (approximate between threads)."""
+        return self._items.qsize()

@@ -101,6 +101,27 @@ class TestBatchUnit:
         assert calibrated_batch_items(work_hint_s=0.0005) == min(fast, 4)
         assert normalize_batching("auto", work_hint_s=0.002).max_items == 1
 
+    def test_auto_calibration_times_the_hand_off_the_fabric_makes(self, monkeypatch):
+        from repro.util import batching, handoff
+
+        calls = {"put": 0, "get": 0}
+
+        class Counted(handoff.Handoff):
+            def put(self, item, abort=None):
+                calls["put"] += 1
+                return super().put(item, abort)
+
+            def get(self):
+                calls["get"] += 1
+                return super().get()
+
+        monkeypatch.setattr(batching, "Handoff", Counted)
+        sized = batching.calibrated_batch_items(repeats=3, _cache=False)
+        assert calls == {"put": 3 * 128, "get": 3 * 128}
+        # A hop of ~1 us puts 2 ms / hop far above the clamp, as the
+        # ``queue.Queue`` probe's ~3 us did: the calibrated size did not move.
+        assert sized == 64
+
     def test_auto_session_sees_declared_work(self):
         pipe = PipelineSpec(
             (

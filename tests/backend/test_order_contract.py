@@ -12,7 +12,9 @@ threads / processes / asyncio / distributed, per item and micro-batched:
     input order;
 (c) with ``max_inflight=W`` no reorderer ever holds more than ``W`` items;
 (d) threads: the fabric is Σ replicas workers + the collector, and nothing
-    named ``session-dispatch*``.
+    named ``session-dispatch*``;
+(e) threads: (a)–(c) also hold while one stream grows and shrinks a stage
+    four times through a 2-slot hand-off, and the retired workers leave.
 
 Stage functions live at module level: distributed workers resolve them by
 reference, and a forked worker counts on its own copy of ``_calls``.
@@ -147,6 +149,44 @@ def test_ordered_stage_starts_items_in_input_order(executor, batching, reorderer
     assert first == [(k, k) for k in range(N)]
     assert second == [(1000 + k, N + k) for k in range(N)]
     # In front of the ordered stage and at egress, nowhere else.
+    assert len(reorderers) == 2
+    assert max(r.peak for r in reorderers) <= W
+
+
+@pytest.mark.parametrize("batching", [None, 8], ids=["per-item", "batch8"])
+def test_thread_resize_mid_stream_through_a_two_slot_hand_off(batching, reorderers):
+    # Grow 1 -> 4, shrink to 1, regrow, shrink again, all inside one stream
+    # and with capacity 2: every retire pill queues for a slot among the
+    # items, and each is eaten by one worker.
+    global _calls
+    _calls = 0
+    stages = [
+        StageSpec(name="jitter", work=0.001, fn=_jitter),
+        StageSpec(name="record", work=1e-6, fn=_record, replicable=False),
+    ]
+    widths = {10: 4, 40: 1, 60: 3, 85: 2}
+    before = set(threading.enumerate())
+    with open_pipeline(
+        stages, backend="threads", replicas=[1, 1], capacity=2,
+        max_inflight=W, batching=batching,
+    ) as session:
+        for k, item in enumerate(_items(seed=7, base=0)):
+            if k in widths:
+                session.backend.reconfigure(0, widths[k])
+            session.submit(item)
+        # (a) + (b): in order, exactly once, started in order.
+        assert session.drain() == [(k, k) for k in range(N)]
+        new = [t for t in threading.enumerate() if t not in before]
+
+        def stage0():
+            return [t for t in new if t.name.startswith("session-stage[0]") and t.is_alive()]
+
+        deadline = time.perf_counter() + 2.0
+        while len(stage0()) != 2 and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        assert len(stage0()) == 2 and session.replicas == [2, 1]
+    assert not [t for t in new if t.is_alive()]
+    # (c) in front of the ordered stage and at egress, inside the window.
     assert len(reorderers) == 2
     assert max(r.peak for r in reorderers) <= W
 

@@ -1,5 +1,6 @@
 """Tests for the thread adapter of the backend port."""
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -78,3 +79,39 @@ class TestThreadBackend:
         with ThreadBackend(spec([lambda x: x, slow]), replicas=[1, 2], capacity=8) as b:
             b.run(range(60))
             assert b.snapshots()[1].queue_length > 0
+
+    def test_submit_feels_the_bounded_stage_queue(self):
+        # The thread twin of the process executor's test.  No admission
+        # window: stage 0's hand-off is the only bound and submit() meets it
+        # directly — ``capacity`` queued plus one in service per worker,
+        # not one more.
+        gate = threading.Event()
+
+        def gated(x):
+            gate.wait(timeout=10.0)
+            return x
+
+        n, capacity, pool = 30, 2, 2
+        admitted = []
+        with ThreadBackend(
+            spec([gated, lambda x: x]), replicas=[pool, 1], capacity=capacity
+        ) as b:
+            session = b.open()
+
+            def produce():
+                for x in range(n):
+                    session.submit(x)
+                    admitted.append(x)
+
+            producer = threading.Thread(target=produce, daemon=True)
+            producer.start()
+            bound = capacity + pool
+            deadline = time.perf_counter() + 5.0
+            while len(admitted) < bound and time.perf_counter() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)  # a producer that was going to run ahead would have
+            assert len(admitted) == bound and producer.is_alive()
+            gate.set()
+            producer.join(timeout=10.0)
+            assert not producer.is_alive()
+            assert session.drain() == list(range(n))

@@ -20,11 +20,35 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 CEILING = 5605
 
 
-def test_backend_and_runtime_stay_under_the_ceiling():
+def _sources():
     files = [*SRC.glob("backend/**/*.py"), *SRC.glob("runtime/**/*.py")]
     assert files, f"no sources found under {SRC}"
+    return files
+
+
+def test_backend_and_runtime_stay_under_the_ceiling():
+    files = _sources()
     total = sum(len(f.read_text().splitlines()) for f in files)
     assert total <= CEILING, (
         f"backend/ + runtime/ is {total} lines, over the {CEILING} ceiling: "
         "delete before you add, or justify raising CEILING in this PR"
     )
+
+
+def test_no_python_level_queue_or_semaphore_on_the_execution_layer():
+    """Threads hand items over through ``repro.util.handoff`` and nothing else.
+
+    ``queue.Queue`` and ``threading.(Bounded)Semaphore`` take a Python-level
+    lock per operation; the hand-off they were replaced by stays in C.  (The
+    process lane's ``ctx.Semaphore``s are OS semaphores between processes,
+    not this.)
+    """
+    banned = ("queue.Queue(", "threading.Semaphore(", "BoundedSemaphore(")
+    hits = [
+        f"{f.relative_to(SRC)}:{n}: {line.strip()}"
+        for f in _sources()
+        for n, line in enumerate(f.read_text().splitlines(), 1)
+        for call in banned
+        if call in line and "ctx." + call not in line
+    ]
+    assert not hits, "use repro.util.handoff (Handoff / Credits):\n" + "\n".join(hits)
