@@ -13,8 +13,8 @@ port — sessions included — on ``asyncio``:
   observe→decide→act loop from its own thread, unchanged.
 * A **session is a resident coroutine graph** on that loop: per-stage
   dispatchers and the collector run for the session's lifetime, items
-  enter through a credit-bounded ingress (``submit`` takes one of
-  ``capacity`` :class:`~repro.util.handoff.Credits`, a pump on the loop
+  enter through a credit-bounded ingress (``submit`` takes one of the
+  lane depth's :class:`~repro.util.handoff.Credits`, a pump on the loop
   gives it back), and back-to-back streams flow through the same warm
   graph, session-global sequence numbers keeping one ordering space.
 * Each stage is a **coroutine pool bounded by a resizable semaphore**: the
@@ -107,12 +107,12 @@ class _AsyncioSession(Session):
         # run_coroutine_threadsafe round trip per item would serialise a
         # blocking Future behind every submit — at E15-scale fan-out that
         # dwarfs the event loop's own per-item cost.  Instead submits take
-        # one of ``capacity`` credits (the fabric's C-level permit pool;
+        # one of the lane depth's credits (the fabric's C-level permit pool;
         # given back when the pump lands the item in stage 0's bounded
         # queue — that is the backpressure), append, and fire a cheap
         # one-way wake-up.
         self._ingress: deque = deque()
-        self._credits = Credits(backend.capacity)
+        self._credits = Credits(self._lane_depth())
         self._pump_wake: asyncio.Event | None = None
         self._ready = threading.Event()
         self._main_future = asyncio.run_coroutine_threadsafe(self._main(), self._loop)
@@ -130,8 +130,8 @@ class _AsyncioSession(Session):
         # queues[i] feeds stage i's dispatcher; queues[n] feeds the
         # collector.  Each has exactly one consumer and receives one
         # sentinel, put by its single upstream owner at session close.
-        self._queues = [asyncio.Queue(maxsize=backend.capacity) for _ in range(n + 1)]
-        queues = self._queues
+        depth = self._lane_depth()
+        queues = self._queues = [asyncio.Queue(maxsize=depth) for _ in range(n + 1)]
         self._ready.set()
         instrumentation = self.instrumentation
 
@@ -320,7 +320,8 @@ class AsyncioBackend(Backend):
         Initial concurrency limit per stage (default 1 each);
         ``replicas[i] > 1`` requires ``pipeline.stage(i).replicable``.
     capacity:
-        Bounded inter-stage queue capacity (back-pressure), default 8.
+        Bounded inter-stage queue capacity (back-pressure), default 8; if
+        not given, a session's admission window deepens it (and the credits).
     max_replicas:
         Ceiling ``reconfigure`` can raise a replicable stage's limit to.
 

@@ -10,9 +10,9 @@ just a bounded stream:
 
 * ``session.submit(item) -> Ticket`` admits one item into the current
   stream (opening one lazily), blocking only when ``max_inflight`` items
-  are already admitted but not yet completed — backpressure by bounded
-  admission, layered on top of the executor's own bounded queues (pass
-  ``max_inflight=None``, the default, to rely on those alone);
+  are already admitted but not yet completed — the one in-flight bound, which
+  sizes the pull-based lanes unless ``capacity`` is given (``max_inflight=None``,
+  the default, leaves back-pressure to the executor's queues of ``capacity``);
 * ``session.results()`` iterates the current stream's outputs **in input
   order, as items complete** — the first result is available long before
   the stream drains;
@@ -88,6 +88,7 @@ __all__ = [
     "register_backend",
     "validate_pipeline_shape",
 ]
+_WINDOW_CEILING = 1024  # of the auto admission window, and of a lane's depth
 
 
 class BackendCapabilityError(RuntimeError):
@@ -137,7 +138,7 @@ class Ticket:
         :class:`SessionClosed` if it was closed before delivery.
         """
         session = self._require_session()
-        deadline = None if timeout is None else time.perf_counter() + timeout
+        deadline = math.inf if timeout is None else time.perf_counter() + timeout
         with session._cv:
             while True:
                 if session._ticket_done_locked(self.stream, self.seq):
@@ -148,13 +149,10 @@ class Ticket:
                     raise SessionClosed(
                         "session closed before this ticket completed"
                     )
-                if deadline is None:
-                    session._cv.wait(0.05)
-                else:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        return False
-                    session._cv.wait(min(0.05, remaining))
+                remaining = deadline - time.perf_counter()
+                if remaining <= 0:
+                    return False
+                session._cv.wait(min(0.05, remaining))
 
     def _require_session(self) -> "Session":
         if self._session is None:
@@ -259,10 +257,10 @@ class Session:
         elif max_inflight is not None:
             check_positive(max_inflight, "max_inflight")
         self.backend = backend
-        # The admission window: items admitted but not yet completed.
-        # None (the default) leaves admission to the executor's own bounded
-        # queues — a deliberately *additional* control, so a wide pipeline
-        # (E15's 1024-replica fan-out) is never strangled by a constant.
+        # The admission window: items admitted but not yet completed, and
+        # the one in-flight bound — the pull-based lanes take their depth
+        # from it (``_lane_depth``).  None (the default) leaves admission to
+        # the executor's own queues of ``capacity``.
         self.max_inflight = max_inflight
         self._cv = threading.Condition()
         # RLock: close callbacks (e.g. "close the owning backend") re-enter
@@ -852,6 +850,16 @@ class Session:
                     self._cv.notify_all()
 
     # ------------------------------------------------ Little's-law admission
+    def _lane_depth(self) -> int:
+        """Units (items or batches) per pull-based lane queue: ``ceil(W / batch
+        items)`` for window ``W`` (``"auto"``: its ceiling), within [default
+        ``capacity``, that ceiling]; ``capacity`` with no window or a given one."""
+        window = _WINDOW_CEILING if self._auto_window else self.max_inflight
+        if window is None or self.backend._fixed_capacity:
+            return self.backend.capacity
+        units = math.ceil(window / (self._bcfg.max_items if self._bcfg else 1))
+        return max(self.backend.capacity, min(_WINDOW_CEILING, units))
+
     def _retune_window(self) -> None:
         """Re-derive the auto admission window from live measurements.
 
@@ -885,7 +893,7 @@ class Session:
         wall = sum(per_stage) + wq
         batch_items = self._bcfg.max_items if self._bcfg else 1
         window = math.ceil(arrival_rate * wall) + 2 * batch_items
-        window = max(max(8, 2 * batch_items), min(1024, window))
+        window = max(max(8, 2 * batch_items), min(_WINDOW_CEILING, window))
         if window == self.max_inflight:
             return
         with self._cv:
@@ -951,6 +959,7 @@ class Backend:
         self.pipeline = pipeline
         #: Bound of the executor's queues (per stage, worker or replica).
         self.capacity = 8 if capacity is None else capacity
+        self._fixed_capacity = capacity is not None  # else a window may deepen lanes
         check_positive(self.capacity, "capacity")
         check_positive(max_replicas, "max_replicas")
         #: Requested replicas per stage: what a cold executor warms up to

@@ -67,6 +67,7 @@ import queue as thread_queue
 import socket
 import threading
 import time
+from collections import Counter
 from multiprocessing import shared_memory
 from typing import Any
 
@@ -360,7 +361,8 @@ class DistributedBackend(Backend):
     max_replicas:
         Ceiling on a replicable stage's replica count across all workers.
     capacity:
-        In-flight items allowed per replica (back-pressure granularity).
+        In-flight items allowed per replica, whatever the admission window:
+        items are pushed to a replica, so more would strand behind a slow one.
     spawn_workers:
         Number of local worker processes to auto-spawn at warm-up; 0 means
         workers are started externally (``python -m
@@ -853,6 +855,7 @@ class DistributedBackend(Backend):
                 self._replicas[i] = [
                     r for r in self._replicas[i] if not (r.retired and r.inflight == 0)
                 ]
+                cond.notify_all()
 
     def _on_worker_death(self, w: _WorkerConn) -> None:
         """Remove a dead worker; re-home its replicas and in-flight items."""
@@ -951,13 +954,8 @@ class DistributedBackend(Backend):
         return busy * (1.0 + link_cost / 0.010)
 
     def _hosted_counts(self) -> dict[int, int]:
-        hosted: dict[int, int] = {}
-        for i, cond in enumerate(self._conds):
-            with cond:
-                for r in self._replicas[i]:
-                    if r.active:
-                        hosted[r.worker.id] = hosted.get(r.worker.id, 0) + 1
-        return hosted
+        """Worker id -> active replicas it hosts, all stages together."""
+        return sum(map(Counter, self.replica_placement()), Counter())
 
     def _place_replica(
         self, stage: int, worker: _WorkerConn | None = None
@@ -1083,7 +1081,7 @@ class DistributedBackend(Backend):
                     )
                     best.inflight += 1
                     return best
-                cond.wait(timeout=0.1)
+                cond.wait()  # every site that frees or adds a slot notifies
 
     def _dispatch(
         self, stage: int, seq: int, frame: "Frame | None", value: Any = None
@@ -1141,6 +1139,7 @@ class DistributedBackend(Backend):
                 if reclaimed:
                     del self._inflight[stage][seq]
                     replica.inflight -= 1
+                    cond.notify_all()
             self._on_worker_death(w)
             if not reclaimed:
                 return True
@@ -1245,11 +1244,7 @@ class DistributedBackend(Backend):
     def replica_counts(self) -> list[int]:
         if not self._warm:
             return list(self._target)
-        counts = []
-        for i, cond in enumerate(self._conds):
-            with cond:
-                counts.append(sum(1 for r in self._replicas[i] if r.active))
-        return counts
+        return [sum(placed.values()) for placed in self.replica_placement()]
 
     def _resize(self, stage: int, n_replicas: int) -> None:
         """Place/retire replicas of ``stage`` across workers to ``n_replicas``.

@@ -41,8 +41,8 @@ does it report to the parent, where a router restores order::
   the stage's queue (whoever takes it blocks on the stage's semaphore, and
   work queued ahead of it is still served), growing releases the semaphore.
 * Bounded stage queues and bounded result queues give end-to-end
-  back-pressure — a full stage-0 queue blocks ``submit()`` — and the
-  session's admission window is an additional, optional bound.
+  back-pressure — a full stage-0 queue blocks ``submit()`` — sized from a
+  session's admission window when that is deeper, so the window binds.
 
 The default start method is ``fork`` where available (warm semantics, and
 closures/lambdas need no pickling); pass ``start_method="spawn"`` with
@@ -237,7 +237,7 @@ class _ProcessSession(RoutedSession):
     """The queue lane of the routed-stage core over the warm pools."""
 
     def _attach(self) -> None:
-        self.backend.warm()
+        self.backend.warm(self._lane_depth())
 
     def _boundaries(self) -> list[int]:
         return self.backend._boundaries()
@@ -310,7 +310,8 @@ class ProcessPoolBackend(Backend):
         can activate without forking mid-run.
     capacity:
         Queue bound per warm worker: a stage's shared task queue (and a
-        boundary's result queue) holds ``capacity x pool size`` items.
+        boundary's result queue) holds ``capacity x pool size`` items, or
+        the session's lane depth when that is deeper and this is not given.
     start_method:
         ``multiprocessing`` start method; default ``fork`` when available.
     transport:
@@ -352,31 +353,36 @@ class ProcessPoolBackend(Backend):
         self._pools: list[_StagePool] | None = None  # None = cold
 
     # --------------------------------------------------------------- warm-up
-    def warm(self) -> None:
-        """Pre-fork every stage's worker pool (idempotent)."""
+    def warm(self, depth: "int | None" = None) -> None:
+        """Pre-fork every stage's worker pool, each queue ``max(depth, capacity
+        x pool size)`` deep (``depth``: the opening session's lane depth);
+        warm pools stay unless a given ``depth`` changes a bound, then re-fork."""
         if self._closed:
             raise RuntimeError("backend is closed")
-        if self._pools is not None:
+        sizes = [self.replica_limit(i) for i in range(self.pipeline.n_stages)]
+        depths = [max(depth or 0, self.capacity * size) for size in sizes]
+        if self._pools is not None and (depth is None or depths == self._depths):
             return
+        self._shutdown_pools(graceful=True)  # warm for other bounds (no-op when cold)
+        self._depths = depths
         if self._calibrate_transport and self._codec.name == "auto":
             fitted = _transport.calibrated_auto_threshold()
             if fitted is not None:
                 self._codec.threshold = fitted
         codec_spec = _transport.spec_of(self._codec)
-        sizes = [self.replica_limit(i) for i in range(self.pipeline.n_stages)]
         bounds = self._boundaries()
         # mp.Queue only where the parent feeds items in (stage 0, a stage
         # behind a boundary): there the feeder thread is what keeps submit()
         # and the routers out of a blocking write().  Workers write the rest.
         taskqs = [
-            self._ctx.Queue(self.capacity * size)
+            self._ctx.Queue(depths[i])
             if i == 0 or i - 1 in bounds
-            else _PipeQueue(self._ctx, self.capacity * size)
-            for i, size in enumerate(sizes)
+            else _PipeQueue(self._ctx, depths[i])
+            for i in range(len(sizes))
         ]
         pools: list[_StagePool] = []
         for end in bounds:
-            seg = _Segment(_PipeQueue(self._ctx, self.capacity * sizes[end]))
+            seg = _Segment(_PipeQueue(self._ctx, depths[end]))
             for i in range(len(pools), end + 1):
                 pool = _StagePool(taskqs[i], self._ctx.Semaphore(0), self._target[i], seg)
                 out = seg.resq if i == end else taskqs[i + 1]

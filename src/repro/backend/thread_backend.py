@@ -70,12 +70,12 @@ class _ThreadSession(Session):
         # Wiring: queues[i] -> workers[i] -> queues[i+1]; queues[n] feeds the
         # collector.  The session's submit side is queues[0]'s single
         # producer, finishing only at close — the cascade stays armed
-        # across streams.
+        # across streams.  Each is as deep as the window needs.
         self._queues: list[_CountedQueue] = []
-        producers = 1
+        depth, producers = self._lane_depth(), 1
         for consumers in (*self.replicas, 1):
             self._queues.append(
-                _CountedQueue(backend.capacity, producers=producers, consumers=consumers)
+                _CountedQueue(depth, producers=producers, consumers=consumers)
             )
             producers = consumers
         for i, count in enumerate(self.replicas):
@@ -163,7 +163,8 @@ class ThreadBackend(Backend):
     One instance is reusable: a session's warm worker threads serve
     back-to-back runs, and replica counts adapted during one stream carry
     over to the next (and to the next session, via the backend's target
-    shape).
+    shape).  ``capacity`` (default 8) bounds each stage queue unless a
+    session's admission window is deeper and ``capacity`` was not given.
     """
 
     name = "threads"

@@ -446,6 +446,48 @@ def test_idle_routers_run_no_iteration(record_polls):
         assert polled[10:] == [None, None] and time.perf_counter() - t0 < 0.1
 
 
+class _CountingCondition(threading.Condition):
+    """A stage's dispatch condition that counts its waits."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits = 0
+
+    def wait(self, timeout=None):
+        self.waits += 1
+        return super().wait(timeout)
+
+
+def test_a_dispatcher_parked_on_a_full_replica_wakes_on_the_freed_slot():
+    # _reserve_slot waits untimed: parked on a full replica, a dispatcher
+    # runs no loop iteration, and the site that frees the slot wakes it.
+    with DistributedBackend(_pipe(), spawn_workers=1, capacity=1) as b:
+        cond = b._conds[0] = _CountingCondition()
+        session = b.open()
+        assert session.submit(1).wait(timeout=10.0)
+        (replica,) = b._replicas[0]
+        with cond:  # a frame an aborted stream stranded holds the one slot
+            b._inflight[0][99] = (replica, b._codec.encode(0))
+            replica.inflight += 1
+        admitted = threading.Event()
+        producer = threading.Thread(
+            target=lambda: (session.submit(2), admitted.set()), daemon=True
+        )
+        producer.start()
+        deadline = time.perf_counter() + 5.0
+        while cond.waits == 0 and time.perf_counter() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.5)
+        idle_waits, was_parked = cond.waits, not admitted.is_set()
+        t0 = time.perf_counter()
+        b._reclaim_inflight()
+        woke = admitted.wait(timeout=5.0)  # else close() aborts the parked submit
+        woke_after = time.perf_counter() - t0
+        assert idle_waits == 1 and was_parked
+        assert woke and woke_after < 0.05
+        assert session.drain() == _expected([1, 2])
+
+
 def _mk_array(x):
     import numpy as np
 
