@@ -31,9 +31,10 @@ item to ``_submit_one`` on the caller's thread, which therefore feels the
 executor's bounded queues), one way **out** (``Session._complete``: count
 the completion, deliver in order), one way to **fail** (``Session._fail``:
 a ``StageError`` naming the stage poisons the session and raises its
-``_abort`` flag), and on the backend the replica **shape**
-(``replicas``/``capacity``/``max_replicas`` validated once,
-``reconfigure`` clamping onto a per-executor ``_resize``).
+``_abort`` flag), one plain lock (``Session._lock``) over all of that state
+whose waiters park on bells rung by events, never on a clock, and on the
+backend the replica **shape** (``replicas``/``capacity``/``max_replicas``
+validated once, ``reconfigure`` clamping onto a per-executor ``_resize``).
 
 The port also keeps the three hooks the adaptation loop needs:
 
@@ -61,6 +62,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.core.pipeline import PipelineSpec
@@ -69,6 +71,7 @@ from repro.monitor.instrument import PipelineInstrumentation, StageSnapshot
 from repro.obs.events import NULL_BUS, EventBus
 from repro.runtime.threads import StageError
 from repro.util.batching import Batch, BatchingConfig, approx_nbytes, normalize_batching
+from repro.util.handoff import Bell
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:
@@ -110,8 +113,7 @@ def capability_error(backend: "Backend | str", operation: str) -> BackendCapabil
     return BackendCapabilityError(f"backend {name!r} does not support {operation}")
 
 
-@dataclass(frozen=True)
-class Ticket:
+class Ticket(tuple):
     """Receipt for one submitted item: which stream, and where in it.
 
     Tickets minted by a live session also resolve individually:
@@ -119,17 +121,37 @@ class Ticket:
     without consuming ``results()`` — the request/response surface
     out-of-order consumers need.  Micro-batched sessions resolve tickets
     at batch split, so per-ticket completion is exact either way.
+
+    Immutable, and equal and hashed by ``(stream, seq)`` alone; it is a
+    ``(stream, seq, session)`` tuple underneath because one is minted per
+    submitted item.
     """
 
-    stream: int
-    seq: int
-    _session: "Session | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+
+    def __new__(cls, stream: int, seq: int, session: "Session | None" = None) -> "Ticket":
+        return tuple.__new__(cls, (stream, seq, session))
+
+    stream = property(itemgetter(0))
+    seq = property(itemgetter(1))
+
+    def __eq__(self, other: object) -> bool:
+        return self[:2] == other[:2] if isinstance(other, Ticket) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
+
+    def __repr__(self) -> str:
+        return f"Ticket(stream={self[0]}, seq={self[1]})"
 
     def done(self) -> bool:
         """True once this item was delivered (in order) by its session."""
         session = self._require_session()
-        with session._cv:
-            return session._ticket_done_locked(self.stream, self.seq)
+        with session._lock:
+            return session._ticket_done_locked(self[0], self[1])
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until this item is delivered; False on timeout.
@@ -139,27 +161,22 @@ class Ticket:
         """
         session = self._require_session()
         deadline = math.inf if timeout is None else time.perf_counter() + timeout
-        with session._cv:
-            while True:
-                if session._ticket_done_locked(self.stream, self.seq):
-                    return True
+        with session._lock:
+            while not session._ticket_done_locked(self[0], self[1]):
                 if session._error is not None:
                     raise session._error
                 if session._closed:
-                    raise SessionClosed(
-                        "session closed before this ticket completed"
-                    )
+                    raise SessionClosed("session closed before this ticket completed")
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     return False
-                session._cv.wait(min(0.05, remaining))
+                session._bell.wait(None if timeout is None else remaining)
+            return True
 
     def _require_session(self) -> "Session":
-        if self._session is None:
-            raise RuntimeError(
-                "this Ticket is not bound to a session (constructed by hand?)"
-            )
-        return self._session
+        if self[2] is None:
+            raise RuntimeError("this Ticket is not bound to a session (constructed by hand?)")
+        return self[2]
 
 
 @dataclass(frozen=True)
@@ -215,6 +232,14 @@ class Session:
     first item.  An executor error poisons the session (``broken``); every
     subsequent ``submit``/``results``/``drain`` re-raises it, and the
     owning backend opens a fresh session on the next run.
+
+    ``_lock`` (a plain lock) guards all of that state and the assembly
+    buffer.  No wait polls a clock: a parked ``submit``, ``results()``,
+    ``drain()`` or ``Ticket.wait`` waits on ``_bell``, rung by a delivery
+    (only while someone is parked), the drain barrier and its end, a
+    finished flusher cut, a window retune, an error and close.  The idle
+    flusher waits on ``_flush_bell``: a queued cut, close, and the first
+    item of an empty buffer, whose linger deadline it then waits out.
     """
 
     #: False on measure-only sessions (simulator without stage callables).
@@ -262,7 +287,9 @@ class Session:
         # from it (``_lane_depth``).  None (the default) leaves admission to
         # the executor's own queues of ``capacity``.
         self.max_inflight = max_inflight
-        self._cv = threading.Condition()
+        self._lock = threading.Lock()  # guards the state below (class docstring)
+        self._bell = Bell(self._lock)
+        self._flush_bell = Bell(self._lock)
         # RLock: close callbacks (e.g. "close the owning backend") re-enter
         # close(), which must no-op instead of deadlocking; a concurrent
         # closer from another thread still waits for shutdown to finish.
@@ -284,7 +311,7 @@ class Session:
         self._abort = threading.Event()
         self._on_close: list[Callable[[], None]] = []
         self._last_drained_stream = -1
-        # --- micro-batch assembly state (all mutated under _cv) ----------
+        # --- micro-batch assembly state (all mutated under _lock) --------
         self._buf: list[Any] = []  # admitted items awaiting a batch cut
         self._buf_bytes = 0
         self._buf_base_seq = 0  # stream seq / gseq of the buffer's first item
@@ -355,11 +382,11 @@ class Session:
     @property
     def backlog(self) -> int:
         """Items admitted to the current stream but not yet completed."""
-        with self._cv:
+        with self._lock:
             return self._submitted - self._delivered
 
     def stats(self) -> SessionStats:
-        with self._cv:
+        with self._lock:
             return SessionStats(
                 streams_completed=self._streams_completed,
                 items_total=self._items_total,
@@ -394,7 +421,7 @@ class Session:
         begin = False
         blocked_t0: float | None = None
         cut: tuple | None = None
-        with self._cv:
+        with self._lock:
             while True:
                 self._raise_if_unusable()
                 if self._streaming and self._eos:
@@ -441,10 +468,10 @@ class Session:
                     # only admitted-but-unexecuted items sit in the assembly
                     # buffer, so cut the partial batch before parking.
                     self._flushq.append(self._cut_locked("window"))
-                    self._cv.notify_all()
+                    self._flush_bell.ring()
                 if blocked_t0 is None:
                     blocked_t0 = time.perf_counter()
-                self._cv.wait(0.05)
+                self._bell.wait()
         admit_wait = 0.0 if blocked_t0 is None else time.perf_counter() - blocked_t0
         if begin:
             try:
@@ -454,7 +481,7 @@ class Session:
                 self._begin_stream(stream)
             finally:
                 begun.set()
-        else:
+        elif not begun.is_set():
             begun.wait()
         # The span (and its trace id) is minted here: (stream, seq) is the
         # item's Ticket, and gseq lets collectors resolve executors whose
@@ -480,7 +507,7 @@ class Session:
             self._submit_cut(cut)
         if self._auto_window and gseq and gseq % 64 == 0:
             self._retune_window()
-        return Ticket(stream, seq, self)
+        return tuple.__new__(Ticket, (stream, seq, self))  # Ticket(), without its frame
 
     def results(self) -> Iterator[Any]:
         """Yield the current stream's outputs in order, as they complete.
@@ -490,27 +517,24 @@ class Session:
         by this iterator or by :meth:`drain`, whichever gets there first.
         Safe to consume from one thread while another submits.
         """
-        with self._cv:
+        with self._lock:
             target = self._stream if self._streaming else self._stream + 1
         while True:
-            with self._cv:
+            with self._lock:
                 while True:
                     if self._error is not None:
                         raise self._error
-                    if self._closed:
-                        return
-                    if self._stream > target:
-                        return  # the target stream came and went entirely
+                    if self._closed or self._stream > target:
+                        return  # closed, or the target stream came and went entirely
                     if self._stream == target:
                         if self._out:
                             value = self._out.popleft()
-                            self._cv.notify_all()
                             break
                         if not self._streaming:
                             return  # drained; drain() took the leftovers
                         if self._eos and self._delivered >= self._submitted:
                             return  # complete and fully consumed
-                    self._cv.wait(0.2)
+                    self._bell.wait()
             yield value
 
     def drain(self) -> list[Any]:
@@ -522,13 +546,14 @@ class Session:
         consumer thread is active).  ``[]`` when no stream is open.
         """
         pending: list[tuple] = []
-        with self._cv:
+        with self._lock:
             self._raise_if_unusable()
             if not self._streaming:
                 return []
             if self._eos:
                 raise RuntimeError("drain() already in progress for this stream")
             self._eos = True
+            self._bell.ring()  # the barrier: a parked submit must see it
             stream, n = self._stream, self._submitted
             units = n
             if self._bcfg is not None:
@@ -541,18 +566,18 @@ class Session:
                     pending.append(self._cut_locked("drain"))
                 units = self._bseq
                 while self._flush_busy:
-                    self._cv.wait(0.01)
+                    self._bell.wait()
         for cut in pending:
             self._submit_cut(cut)
         # Batched executors count stream units in batches, not items.
         self._end_stream(stream, units)
-        with self._cv:
+        with self._lock:
             while self._delivered < n:
                 if self._error is not None:
                     raise self._error
                 if self._closed:
                     raise SessionClosed("session closed while draining")
-                self._cv.wait(0.05)
+                self._bell.wait()
             leftovers = list(self._out)
             self._out.clear()
             self._streaming = False
@@ -561,7 +586,7 @@ class Session:
             self._streams_completed += 1
             self.last_stream_items = n
             wall = time.perf_counter() - self._stream_t0
-            self._cv.notify_all()
+            self._bell.ring()
         self.last_stream_elapsed = self._finalize_stream(wall)
         self.events.emit(
             "stream.drain",
@@ -578,13 +603,14 @@ class Session:
         dropped, exactly as a one-shot run's abort dropped them.
         """
         with self._close_lock:
-            with self._cv:
+            with self._lock:
                 if self._closed:
                     return
                 self._closed = True
                 streams, items = self._streams_completed, self._items_total
                 unfinished = self._submitted > self._delivered
-                self._cv.notify_all()
+                self._bell.ring()
+                self._flush_bell.ring()
             if unfinished or self.broken:
                 self._abort.set()  # drop in-flight items instead of finishing them
                 self._wake_lane()
@@ -671,33 +697,35 @@ class Session:
         if self._bcfg is not None and isinstance(value, Batch):
             self._deliver_batch(value)
             return
-        with self._cv:
+        with self._lock:
             self._out.append(value)
             stream, seq = self._stream, self._delivered
             self._delivered += 1
             self._items_total += 1
-            self._cv.notify_all()
-        # Emit outside _cv: a journal write under the condition variable
-        # would serialise submitters behind the exporter's I/O.  Delivery is
+            if self._bell.parked:
+                self._bell.ring()
+        # Emit outside _lock: a journal write under the session lock would
+        # serialise submitters behind the exporter's I/O.  Delivery is
         # in input order, so the pre-increment count *is* the item's seq.
         self.events.emit("item.complete", stream=stream, seq=seq)
 
     def _deliver_batch(self, batch: Batch) -> None:
         """Egress splitter: one delivered batch fans out to N ordered items.
 
-        One lock round and one notify per *batch* — the per-item half of
-        the amortization story — then per-item ``item.complete`` events
+        One lock round and at most one ring per *batch* — the per-item half
+        of the amortization story — then per-item ``item.complete`` events
         (guarded, so an unsubscribed bus pays nothing) keep the journal's
         item timeline identical to the unbatched one.
         """
         n = len(batch.items)
-        with self._cv:
+        with self._lock:
             stream = self._stream
             self._out.extend(batch.items)
             self._delivered += n
             self._items_total += n
             self._batch_map.pop(batch.bseq, None)
-            self._cv.notify_all()
+            if self._bell.parked:
+                self._bell.ring()
         self.events.emit(
             "batch.split",
             stream=stream,
@@ -713,11 +741,11 @@ class Session:
 
     def _deliver_error(self, err: BaseException) -> None:
         """Poison the session with the executor's (first) error."""
-        with self._cv:
+        with self._lock:
             first = self._error is None
             if first:
                 self._error = err
-            self._cv.notify_all()
+            self._bell.ring()
         if first:
             self.events.emit("session.error", error=repr(err))
 
@@ -730,7 +758,7 @@ class Session:
             )
 
     def _ticket_done_locked(self, stream: int, seq: int) -> bool:
-        """Whether item ``seq`` of ``stream`` has been delivered (under _cv)."""
+        """Whether item ``seq`` of ``stream`` has been delivered (under _lock)."""
         if stream <= self._last_drained_stream:
             return True
         # Streams are sequential: an undrained ticket stream is either the
@@ -766,7 +794,7 @@ class Session:
     def _buffer_item_locked(self, seq: int, gseq: int, item: Any) -> tuple | None:
         """Admit one item into the assembly buffer; cut when a bound trips.
 
-        Called under ``_cv`` right after admission, so buffer order is
+        Called under ``_lock`` right after admission, so buffer order is
         exactly sequence order and every buffered run is consecutive.
         Returns the cut (for the admitting thread to submit outside the
         lock) when the size or byte bound tripped, else None.
@@ -776,6 +804,8 @@ class Session:
             self._buf_base_seq = seq
             self._buf_gbase = gseq
             self._buf_deadline = time.perf_counter() + cfg.linger_s
+            if self._flush_bell.parked:
+                self._flush_bell.ring()  # its linger deadline starts now
         self._buf.append(item)
         self._buf_bytes += approx_nbytes(item)
         if len(self._buf) >= cfg.max_items:
@@ -785,7 +815,7 @@ class Session:
         return None
 
     def _cut_locked(self, reason: str) -> tuple:
-        """Seal the assembly buffer into one Batch (under ``_cv``)."""
+        """Seal the assembly buffer into one Batch (under ``_lock``)."""
         bseq = self._bseq
         self._bseq += 1
         bgseq = self._bgseq
@@ -797,7 +827,7 @@ class Session:
         return (self._stream, batch, bgseq, self._begun, reason)
 
     def _submit_cut(self, cut: tuple) -> None:
-        """Hand one sealed batch to the executor (outside ``_cv``).
+        """Hand one sealed batch to the executor (outside ``_lock``).
 
         Waits on the stream's begin barrier first: a flusher-side cut must
         not reach the executor before ``_begin_stream`` rebased it.
@@ -805,7 +835,8 @@ class Session:
         restores sequence order downstream.
         """
         stream, batch, bgseq, begun, reason = cut
-        begun.wait()
+        if not begun.is_set():
+            begun.wait()
         self.events.emit(
             "batch.assemble",
             stream=stream,
@@ -824,7 +855,7 @@ class Session:
         """Background flusher: linger deadlines + window-full cut drain."""
         while True:
             cut = None
-            with self._cv:
+            with self._lock:
                 if self._closed:
                     return
                 if self._flushq:
@@ -834,10 +865,10 @@ class Session:
                     if now >= self._buf_deadline:
                         cut = self._cut_locked("linger")
                     else:
-                        self._cv.wait(self._buf_deadline - now)
+                        self._flush_bell.wait(self._buf_deadline - now)
                         continue
                 else:
-                    self._cv.wait(0.05)
+                    self._flush_bell.wait()
                     continue
                 self._flush_busy = True
             try:
@@ -845,9 +876,10 @@ class Session:
             except BaseException:  # noqa: BLE001 - session already poisoned
                 pass
             finally:
-                with self._cv:
+                with self._lock:
                     self._flush_busy = False
-                    self._cv.notify_all()
+                    if self._bell.parked:
+                        self._bell.ring()  # a drain waiting out this cut
 
     # ------------------------------------------------ Little's-law admission
     def _lane_depth(self) -> int:
@@ -896,9 +928,9 @@ class Session:
         window = max(max(8, 2 * batch_items), min(_WINDOW_CEILING, window))
         if window == self.max_inflight:
             return
-        with self._cv:
+        with self._lock:
             self.max_inflight = window
-            self._cv.notify_all()
+            self._bell.ring()
         self.events.emit(
             "session.window",
             window=window,

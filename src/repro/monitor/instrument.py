@@ -10,6 +10,7 @@ re-mapping predictions possible on heterogeneous processors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
@@ -422,15 +423,17 @@ class PipelineInstrumentation:
         """Completions per second over ``[now - horizon, now]``.
 
         NaN when the window saw no completions (distinguishes "no data" from
-        genuinely zero throughput at the start of a run).
+        genuinely zero throughput at the start of a run).  A bisection:
+        completion times are appended in order (one egress thread, or the
+        simulator's clock), so this costs O(log n), not a scan of the session.
         """
         if horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {horizon}")
-        since = now - horizon
-        recent = [t for t in self.completion_times if t >= since]
+        times = self.completion_times
+        recent = len(times) - bisect_left(times, now - horizon)
         if not recent:
             return math.nan
-        return len(recent) / horizon
+        return recent / horizon
 
     def overall_throughput(self, end_time: float | None = None) -> float:
         """Completions per second from t=0 to ``end_time`` (or last item)."""

@@ -15,6 +15,10 @@ slot frees at ``get``, not when the consumer finishes with the item.
 
 A thread parked in ``get()`` wakes only on an item: shutdown is the
 owner's business (a sentinel through the same queue), as it was before.
+
+A :class:`Bell` is the same idea for state that is not a queue: callers
+that test a condition under a plain lock park on a C lock of their own
+instead of a ``threading.Condition``, and whoever changes the state rings.
 """
 
 from __future__ import annotations
@@ -23,7 +27,49 @@ import threading
 from queue import Empty, SimpleQueue
 from typing import Any
 
-__all__ = ["Credits", "Handoff"]
+__all__ = ["Bell", "Credits", "Handoff"]
+
+
+class Bell:
+    """Wake-all for threads waiting on state guarded by ``lock``.
+
+    A caller holding ``lock`` parks on a fresh C lock with ``lock`` released;
+    :meth:`ring` (called with ``lock`` held) releases everyone parked, who
+    then re-test their condition under ``lock`` — what ``Condition.wait`` /
+    ``notify_all`` do, over a plain lock instead of an ``RLock`` and with
+    fewer Python-level steps.  ``parked`` is the list of parked callers, so a
+    per-item site rings only ``if bell.parked`` and pays one attribute read
+    when nobody waits.
+    """
+
+    __slots__ = ("_lock", "parked")
+
+    def __init__(self, lock: threading.Lock) -> None:
+        self._lock = lock
+        self.parked: list = []
+
+    def wait(self, timeout: float | None = None) -> bool:
+        """Park until rung (``lock`` held on entry and on return); False on timeout."""
+        me = threading.Lock()
+        me.acquire()
+        self.parked.append(me)
+        self._lock.release()
+        try:
+            rung = me.acquire(True, -1 if timeout is None else timeout)
+        finally:
+            self._lock.acquire()
+        if not rung:
+            try:
+                self.parked.remove(me)
+            except ValueError:  # rung after the timeout, before we had the lock
+                rung = True
+        return rung
+
+    def ring(self) -> None:
+        """Release every parked caller (call with ``lock`` held)."""
+        parked, self.parked = self.parked, []
+        for me in parked:
+            me.release()
 
 
 class Credits:

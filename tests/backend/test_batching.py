@@ -255,18 +255,21 @@ class TestTicketCompletion:
             session.drain()
 
     def test_linger_flushes_partial_batch_under_trickle(self):
-        # One item against a 64-item bound: only the linger deadline can
-        # flush it, and it must complete well before any drain barrier.
+        # Lone items against a 64-item bound, each after an idle gap: only
+        # the linger deadline can flush them, and each resolves within it
+        # plus a little slack — the first item of an empty buffer wakes the
+        # idle flusher, which then waits out exactly that item's deadline.
+        linger, slack = 0.005, 0.01
         with ThreadBackend(spec([_inc])) as b:
-            session = b.open(
-                batching={"max_items": 64, "linger_s": 0.02}
-            )
-            t0 = time.perf_counter()
-            ticket = session.submit(41)
-            assert ticket.wait(timeout=5.0)
-            elapsed = time.perf_counter() - t0
-            assert elapsed < 2.0, f"linger flush took {elapsed:.3f}s"
-            assert session.drain() == [42]
+            session = b.open(batching={"max_items": 64, "linger_s": linger})
+            took = []
+            for x in range(10):
+                time.sleep(0.02 + 0.003 * x)  # idle, and in no phase with any clock
+                t0 = time.perf_counter()
+                assert session.submit(x).wait(timeout=5.0)
+                took.append(time.perf_counter() - t0)
+            assert max(took) < linger + slack, [f"{t * 1e3:.1f} ms" for t in took]
+            assert session.drain() == [x + 1 for x in range(10)]
 
     def test_wait_timeout_returns_false(self):
         with ThreadBackend(spec([_inc])) as b:

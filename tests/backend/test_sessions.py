@@ -85,8 +85,23 @@ class TestSessionLifecycle:
             assert session.submit(11) == Ticket(stream=0, seq=1)
             session.drain()
             # The next stream restarts its sequence space.
-            assert session.submit(12) == Ticket(stream=1, seq=0)
+            ticket = session.submit(12)
+            assert ticket == Ticket(stream=1, seq=0)
             session.drain()
+        # Immutable, equal and hashed by (stream, seq) alone: the bound
+        # session is neither compared nor shown.
+        for field in ("stream", "seq", "other"):
+            with pytest.raises(AttributeError):
+                setattr(ticket, field, 5)
+        assert (ticket.stream, ticket.seq) == (1, 0)
+        assert ticket != Ticket(stream=1, seq=1) and ticket != (1, 0)
+        assert hash(ticket) == hash(Ticket(1, 0))
+        assert {Ticket(1, 0): "x"}[ticket] == "x"
+        assert len({ticket, Ticket(1, 0), Ticket(0, 1)}) == 2
+        assert repr(ticket) == "Ticket(stream=1, seq=0)"
+        assert ticket.done()
+        with pytest.raises(RuntimeError, match="not bound"):
+            Ticket(1, 0).done()
 
     def test_results_yield_before_drain(self):
         # The whole point of streaming: the first output is consumable long
@@ -213,6 +228,30 @@ class TestSessionLifecycle:
             # The backend recovers by opening a fresh session.
             assert b.run([100]).outputs == [100]
             assert b._session is not session
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda pipe: ThreadBackend(pipe, replicas=[2], max_replicas=2),
+        lambda pipe: AsyncioBackend(pipe, replicas=[2], max_replicas=2),
+        lambda pipe: ProcessPoolBackend(pipe, replicas=[2], max_replicas=2),
+        lambda pipe: DistributedBackend(pipe, spawn_workers=2, replicas=[2], max_replicas=2),
+    ],
+    ids=["threads", "asyncio", "processes", "distributed"],
+)
+def test_completion_times_are_appended_in_order(make):
+    # recent_throughput() bisects this list: the one egress thread must
+    # append it sorted, item by item and batch by batch.
+    with make(spec([_jitter_square])) as b:
+        for batching in (None, 4):
+            session = b.open(batching=batching)
+            for i in range(30):
+                session.submit(i)
+            assert session.drain() == [x * x for x in range(30)]
+            times = session.instrumentation.completion_times
+            assert len(times) == 30 and times == sorted(times)
+            session.close()
 
 
 class TestMidStreamReconfigure:
@@ -392,7 +431,6 @@ class TestSubmitDrainRace:
         for i in range(3):
             session.submit(i)
         state = {}
-        parked = threading.Event()
 
         def late_submit():
             try:
@@ -401,16 +439,13 @@ class TestSubmitDrainRace:
                 state["err"] = str(err)
 
         producer = threading.Thread(target=late_submit, daemon=True)
-        admission_wait = session._cv.wait
-
-        def wait(timeout=None):
-            if threading.current_thread() is producer:
-                parked.set()  # inside submit()'s window-full wait, under _cv
-            return admission_wait(timeout)
-
-        session._cv.wait = wait
         producer.start()
-        assert parked.wait(timeout=5.0)
+        # The producer is the only caller that can park here: once it is on
+        # the bell it sits in submit()'s window-full wait.
+        deadline = time.perf_counter() + 5.0
+        while not session._bell.parked and time.perf_counter() < deadline:
+            time.sleep(0.001)
+        assert session._bell.parked
         return producer, state
 
     @staticmethod

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.monitor.instrument import PipelineInstrumentation, ServiceWatch, StageMetrics
 
@@ -75,6 +77,26 @@ class TestPipelineInstrumentation:
     def test_recent_throughput_nan_when_no_data(self):
         pi = PipelineInstrumentation(1)
         assert math.isnan(pi.recent_throughput(now=10.0, horizon=2.0))
+
+    @given(
+        gaps=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), max_size=40),
+        now=st.sampled_from([0.0, 1.0, 2.5, 7.0, 40.0]),
+        horizon=st.sampled_from([0.25, 1.0, 2.0, 10.0]),
+    )
+    def test_recent_throughput_counts_what_a_scan_counts(self, gaps, now, horizon):
+        # Monotone times with ties and exact window edges: the bisection
+        # counts exactly the completions at or after now - horizon.
+        pi = PipelineInstrumentation(1)
+        t = 0.0
+        for gap in gaps:
+            t += gap
+            pi.record_completion(t)
+        brute = sum(1 for c in pi.completion_times if c >= now - horizon)
+        got = pi.recent_throughput(now=now, horizon=horizon)
+        if brute:
+            assert got == brute / horizon
+        else:
+            assert math.isnan(got)
 
     def test_recent_throughput_invalid_horizon(self):
         pi = PipelineInstrumentation(1)
