@@ -11,7 +11,7 @@ just a bounded stream:
 * ``session.submit(item) -> Ticket`` admits one item into the current
   stream (opening one lazily), blocking only when ``max_inflight`` items
   are already admitted but not yet completed — the one in-flight bound, which
-  sizes the pull-based lanes unless ``capacity`` is given (``max_inflight=None``,
+  sizes every executor's lanes unless ``capacity`` is given (``max_inflight=None``,
   the default, leaves back-pressure to the executor's queues of ``capacity``);
 * ``session.results()`` iterates the current stream's outputs **in input
   order, as items complete** — the first result is available long before
@@ -283,7 +283,7 @@ class Session:
             check_positive(max_inflight, "max_inflight")
         self.backend = backend
         # The admission window: items admitted but not yet completed, and
-        # the one in-flight bound — the pull-based lanes take their depth
+        # the one in-flight bound — every executor's lanes take their depth
         # from it (``_lane_depth``).  None (the default) leaves admission to
         # the executor's own queues of ``capacity``.
         self.max_inflight = max_inflight
@@ -883,7 +883,7 @@ class Session:
 
     # ------------------------------------------------ Little's-law admission
     def _lane_depth(self) -> int:
-        """Units (items or batches) per pull-based lane queue: ``ceil(W / batch
+        """Units (items or batches) per lane queue or replica: ``ceil(W / batch
         items)`` for window ``W`` (``"auto"``: its ceiling), within [default
         ``capacity``, that ceiling]; ``capacity`` with no window or a given one."""
         window = _WINDOW_CEILING if self._auto_window else self.max_inflight

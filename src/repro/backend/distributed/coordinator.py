@@ -22,10 +22,10 @@ Topology (a star — every transfer crosses the coordinator)::
   stream-scoped (the core rebases its reorderers at each boundary) — so
   crash re-dispatch stays exactly-once within a stream and a stale
   duplicate from any earlier stream is dropped on arrival.
-* Each stage owns a **replica set** spread across workers.  Dispatch picks
-  the least-loaded active replica (in-flight count normalised by the
-  worker's effective speed), bounded by ``capacity`` in-flight items per
-  replica for end-to-end back-pressure.
+* Each stage owns a **replica set** spread across workers.  Dispatch sends
+  each item to the replica predicted to finish it first (measured drain
+  interval and link latency), which may hold the session's lane depth in
+  flight — the window, as on every executor (``_reserve_slot``).
 * One **router thread per stage** (the core's) collects that stage's
   results; this module's ``_accept`` matches each against the in-flight
   table, feeds the link and clock fits, and hands the core one normalised
@@ -72,7 +72,7 @@ from multiprocessing import shared_memory
 from typing import Any
 
 from repro import transport as _transport
-from repro.backend.base import Backend, register_backend
+from repro.backend.base import _WINDOW_CEILING, Backend, register_backend
 from repro.backend.distributed.protocol import ProtocolError, recv_frame, send_frame
 from repro.backend.distributed.worker import WorkerAgent
 from repro.backend.routed import Hop, RoutedSession
@@ -134,6 +134,7 @@ class _WorkerConn:
         self.link_est = SizeStratifiedLinkEstimator(
             default_bandwidth=_WIRE_BANDWIDTH, round_trips=2
         )
+        self.link_s = _DEFAULT_LINK_S  # one-way wire time EWMA: dispatch's cached link term
         # Per-worker clock fit (offset + drift, rtt/2-bounded): maps the
         # worker's timestamps onto the coordinator clock so worker-side
         # trace events merge into the session timeline.
@@ -163,6 +164,7 @@ class _WorkerConn:
     def observe_transfer(self, nbytes: float, overhead_s: float) -> None:
         """One round trip: ``nbytes`` crossed (both ways) in ``overhead_s``."""
         self.link_est.observe(nbytes, overhead_s)
+        self.link_s += 0.1 * (overhead_s / 2.0 - self.link_s)
 
     def link_fit(self) -> LinkModel:
         """Fitted one-way (latency, bandwidth) for this worker's link."""
@@ -179,8 +181,9 @@ class _Replica:
         self.worker = worker
         self.slot = slot
         self.inflight = 0
-        self.active = True
-        self.retired = False
+        self.active = True  # False once retired: it finishes what it was dealt
+        self.drain: float | None = None  # EWMA of the gap between completions while busy
+        self.done_t = 0.0  # perf_counter of the last accepted completion
 
 
 class _DistributedSession(RoutedSession):
@@ -197,6 +200,7 @@ class _DistributedSession(RoutedSession):
         self._resq = [thread_queue.SimpleQueue() for _ in backend._conds]
         backend._abort = self._abort
         backend._resq = self._resq
+        backend._depth = self._lane_depth()
         backend._running = True
         # Worker-side tracing follows the session's subscriptions: a bus
         # that wants wk.* kinds turns the pool's trace points on (full
@@ -255,7 +259,7 @@ class _DistributedSession(RoutedSession):
             del backend._inflight[stage][seq]
             replica.inflight -= 1
             if (
-                replica.retired
+                not replica.active
                 and replica.inflight == 0
                 and replica in backend._replicas[stage]
             ):
@@ -277,6 +281,11 @@ class _DistributedSession(RoutedSession):
         # back) to feed the size-stratified latency/bandwidth fit.
         overhead = max(0.0, (recv_t - t_sent) - service_s - wait_s)
         w.observe_transfer(task_frame.nbytes + payload.nbytes, overhead)
+        # The drain term _reserve_slot prices the replica by.  A gap counts
+        # from the item's own send when the replica sat idle in between.
+        gap = recv_t - max(replica.done_t, t_sent)
+        replica.drain = gap if replica.drain is None else 0.9 * replica.drain + 0.1 * gap
+        replica.done_t = recv_t
         if t_recv_w is not None and t_send_w is not None:
             self._trace_hop(
                 stage, seq, w, t_sent, recv_t, service_s, wait_s,
@@ -361,8 +370,9 @@ class DistributedBackend(Backend):
     max_replicas:
         Ceiling on a replicable stage's replica count across all workers.
     capacity:
-        In-flight items allowed per replica, whatever the admission window:
-        items are pushed to a replica, so more would strand behind a slow one.
+        In-flight items per replica, whatever the window.  Without it the
+        session's lane depth is the allowance (8 with no window, and for an
+        unmeasured replica of several).
     spawn_workers:
         Number of local worker processes to auto-spawn at warm-up; 0 means
         workers are started externally (``python -m
@@ -497,6 +507,7 @@ class DistributedBackend(Backend):
         # Live-session plumbing (adopted by each session; the epoch is the
         # stream id and survives sessions so stale results never collide).
         self._epoch = 0
+        self._depth = self.capacity  # in-flight allowance per replica (the session's lane depth)
         self._running = False
         self._resq: list[thread_queue.SimpleQueue] = []
         self._abort = threading.Event()
@@ -650,18 +661,14 @@ class DistributedBackend(Backend):
         Registered means the worker has also answered the transport
         negotiation: a first dispatch never races its ``shm_ok`` reply.
         """
-        deadline = time.monotonic() + timeout
-        with self._registry:
-            while True:
-                alive = sum(w.alive and w.shm_replied for w in self._workers.values())
-                if alive >= n:
-                    return
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise RuntimeError(
-                        f"timed out waiting for {n} workers ({alive} registered)"
-                    )
-                self._registry_changed.wait(timeout=min(remaining, 0.5))
+        def registered() -> int:
+            return sum(w.alive and w.shm_replied for w in self._workers.values())
+
+        with self._registry:  # every registry change notifies: accept, shm_ok, death
+            if not self._registry_changed.wait_for(lambda: registered() >= n, timeout):
+                raise RuntimeError(
+                    f"timed out waiting for {n} workers ({registered()} registered)"
+                )
 
     def _accept_loop(self) -> None:
         assert self._server is not None
@@ -690,8 +697,9 @@ class DistributedBackend(Backend):
                 worker.observe_load(load)
                 self._workers[wid] = worker
                 self._registry_changed.notify_all()
+            inbox = self.capacity if self._fixed_capacity else max(self.capacity, _WINDOW_CEILING)
             if not worker.send(
-                ("welcome", wid, self.heartbeat_interval, self.capacity,
+                ("welcome", wid, self.heartbeat_interval, inbox,
                  self._transport_spec(), self._trace_on)
             ):
                 self._on_worker_death(worker)
@@ -853,7 +861,7 @@ class DistributedBackend(Backend):
                     replica.inflight -= 1
                 self._inflight[i].clear()
                 self._replicas[i] = [
-                    r for r in self._replicas[i] if not (r.retired and r.inflight == 0)
+                    r for r in self._replicas[i] if r.active or r.inflight
                 ]
                 cond.notify_all()
 
@@ -1002,7 +1010,6 @@ class DistributedBackend(Backend):
         """Stop dispatching to a replica; it finishes what it was dealt."""
         with self._conds[stage]:
             replica.active = False
-            replica.retired = True
             if replica.inflight == 0 and replica in self._replicas[stage]:
                 self._replicas[stage].remove(replica)
             n_active = sum(1 for r in self._replicas[stage] if r.active)
@@ -1063,22 +1070,33 @@ class DistributedBackend(Backend):
 
     # --------------------------------------------------------------- dispatch
     def _reserve_slot(self, stage: int) -> _Replica | None:
-        """Claim capacity on the best live replica (blocks); None on abort."""
+        """Claim a slot where the item finishes first (blocks); None on abort.
+
+        One more item on a replica finishes in ``(inflight + 1) × drain +
+        link_s`` (an unmeasured drain priced as one default hop).  Each may
+        hold ``_depth`` in flight, but an unmeasured replica of several stays
+        at ``capacity``: on a cold stream nothing says which link is slow.
+        An idle replica whose estimate is older than a heartbeat gets the
+        next item, so a link that recovers is noticed.
+        """
         cond = self._conds[stage]
         with cond:
             while True:
                 if self._abort.is_set():
                     return None
+                replicas = self._replicas[stage]
+                cold = self.capacity if len(replicas) > 1 else self._depth
                 ready = [
-                    r
-                    for r in self._replicas[stage]
-                    if r.active and r.worker.alive and r.inflight < self.capacity
+                    r for r in replicas if r.active and r.worker.alive
+                    and r.inflight < (cold if r.drain is None else self._depth)
                 ]
                 if ready:
-                    best = min(
-                        ready,
-                        key=lambda r: (r.inflight + 1) / max(r.worker.speed, 1e-3),
-                    )
+                    best = ready[0]
+                    if len(ready) > 1:
+                        stale = time.perf_counter() - self.heartbeat_interval
+                        best = min(ready, key=lambda r: -1.0 if not r.inflight and r.done_t < stale
+                                   else (r.inflight + 1) * (r.drain or _DEFAULT_LINK_S)
+                                   + r.worker.link_s)
                     best.inflight += 1
                     return best
                 cond.wait()  # every site that frees or adds a slot notifies

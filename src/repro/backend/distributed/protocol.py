@@ -10,7 +10,7 @@ kind                      direction  fields after the kind
 ========================  =========  ====================================
 ``hello``                 w → c      name, cores, load1
 ``welcome``               c → w      worker_id, heartbeat_interval,
-                                     capacity, transport_spec, trace
+                                     inbox, transport_spec, trace
 ``shm_ok``                w → c      bool (the worker verified the
                                      transport spec's shared-memory probe)
 ``place``                 c → w      stage, slot, fn_payload, stage_name

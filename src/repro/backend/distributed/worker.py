@@ -230,9 +230,6 @@ class WorkerAgent:
         Artificial bandwidth in bytes/s (0 disables): each task pays an
         extra ``payload_bytes / link_bandwidth`` seconds on receive — the
         experiment knob for a bandwidth-starved link (E17).
-    capacity:
-        Per-replica task-queue bound (matches the coordinator's in-flight
-        cap, so puts never block in the receive loop).
     """
 
     def __init__(
@@ -244,7 +241,6 @@ class WorkerAgent:
         name: str | None = None,
         link_delay: float = 0.0,
         link_bandwidth: float = 0.0,
-        capacity: int = 64,
     ) -> None:
         if link_delay < 0:
             raise ValueError(f"link_delay must be >= 0, got {link_delay}")
@@ -256,7 +252,7 @@ class WorkerAgent:
         self.name = name if name is not None else f"{socket.gethostname()}:{os.getpid()}"
         self.link_delay = float(link_delay)
         self.link_bandwidth = float(link_bandwidth)
-        self.capacity = capacity
+        self.inbox = 1  # per-replica task-queue bound, named by the welcome
         self.worker_id: int | None = None
         self.codec: Codec = _transport.get("pickle")  # until negotiation
         self.shm_ok = False
@@ -375,11 +371,10 @@ class WorkerAgent:
             welcome = recv_frame(sock)
             if not welcome or welcome[0] != "welcome":
                 raise ProtocolError(f"expected welcome, got {welcome!r}")
-            _, self.worker_id, heartbeat_interval, coord_capacity, transport_spec, trace = welcome
+            # The inbox bound covers the largest per-replica allowance the
+            # coordinator can grant, so a put never blocks the receive loop.
+            _, self.worker_id, heartbeat_interval, self.inbox, transport_spec, trace = welcome
             self._set_trace(bool(trace))
-            # Replica queues must cover the coordinator's per-replica
-            # in-flight cap so puts never block the receive loop.
-            self.capacity = max(self.capacity, coord_capacity)
             self._negotiate_transport(transport_spec)
             beat = threading.Thread(
                 target=self._heartbeat_loop,
@@ -430,7 +425,7 @@ class WorkerAgent:
                     self._send(("place_failed", stage, slot, repr(err)))
                     continue
                 self._replicas[(stage, slot)] = _ReplicaRunner(
-                    self, stage, slot, fn, stage_name, self.capacity
+                    self, stage, slot, fn, stage_name, self.inbox
                 )
             elif kind == "retire":
                 _, stage, slot = frame

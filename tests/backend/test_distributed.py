@@ -11,10 +11,12 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
 from repro.backend import DistributedBackend, available_backends, make_backend
+from repro.backend.distributed.coordinator import _DistributedSession, _Replica, _WorkerConn
 from repro.backend.distributed.protocol import (
     MAX_FRAME,
     ProtocolError,
@@ -397,6 +399,19 @@ def test_worker_rejects_task_for_unknown_slot():
         server.close()
 
 
+@pytest.mark.parametrize("capacity, inbox", [(None, 1024), (2, 2)])
+def test_the_welcome_sizes_the_inbox_for_the_deepest_allowance(capacity, inbox):
+    # A worker bounds each replica's task queue by the welcome's inbox: it
+    # must hold the deepest allowance a session may grant (the window
+    # ceiling, or a given capacity), or a put would block its receive loop.
+    with DistributedBackend(_pipe(), spawn_workers=0, capacity=capacity) as b:
+        b.warm()
+        with socket.create_connection(b.listen_address, timeout=10.0) as sock:
+            send_frame(sock, ("hello", "inbox-test", 1, 0.0))
+            welcome = recv_frame(sock)
+    assert welcome[0] == "welcome" and welcome[3] == inbox
+
+
 def test_worker_task_payloads_forwarded_pickled():
     # Items cross stages as pickled bytes: a payload type with costly or
     # odd pickling still round-trips exactly once per hop.
@@ -447,10 +462,10 @@ def test_idle_routers_run_no_iteration(record_polls):
 
 
 class _CountingCondition(threading.Condition):
-    """A stage's dispatch condition that counts its waits."""
+    """A condition (a stage's dispatch, or the registry's) that counts its waits."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, lock=None):
+        super().__init__(lock)
         self.waits = 0
 
     def wait(self, timeout=None):
@@ -486,6 +501,159 @@ def test_a_dispatcher_parked_on_a_full_replica_wakes_on_the_freed_slot():
         assert idle_waits == 1 and was_parked
         assert woke and woke_after < 0.05
         assert session.drain() == _expected([1, 2])
+
+
+def test_waiting_for_workers_is_one_wait_to_the_deadline():
+    # Registration, the shm_ok reply and a death each notify the registry,
+    # so the wait takes no slices: with nobody registering it parks once.
+    with DistributedBackend(_pipe(), spawn_workers=0) as b:
+        b.warm()
+        b._registry_changed = changed = _CountingCondition(b._registry)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"for 1 workers \(0 registered\)"):
+            b.wait_for_workers(1, timeout=0.6)
+        assert changed.waits == 1 and time.perf_counter() - t0 > 0.5
+
+
+class TestPlacementByFinishTime:
+    """``_reserve_slot``'s score and allowance over fake replicas, no sockets.
+
+    A backend with ``spawn_workers=0`` that is never warmed opens nothing;
+    its stage 0 gets hand-made replicas whose cached terms (drain interval,
+    link latency, last completion) stand in for measured ones.
+    """
+
+    @pytest.fixture
+    def b(self):
+        pipe = PipelineSpec((StageSpec(name="inc", work=1e-6, fn=_inc),))
+        with DistributedBackend(pipe, spawn_workers=0) as backend:
+            backend._depth = 256  # what a session with window 256 sets
+            yield backend
+
+    @staticmethod
+    def _replicas(b, *terms):
+        """One replica per ``(drain, link_s)``; ``drain=None`` is unmeasured."""
+        replicas = []
+        for k, (drain, link_s) in enumerate(terms):
+            w = _WorkerConn(k, None, f"w{k}", 1)
+            w.link_s = link_s
+            r = _Replica(w, k)
+            r.drain = drain
+            r.done_t = 0.0 if drain is None else time.perf_counter()
+            replicas.append(r)
+        b._replicas[0] = replicas
+        return replicas
+
+    @staticmethod
+    def _deal(b, n):
+        for _ in range(n):
+            b._reserve_slot(0)
+
+    def test_an_item_goes_where_it_finishes_first(self, b):
+        fast_a, fast_b, slow = self._replicas(b, (60e-6, 50e-6), (60e-6, 50e-6), (3e-3, 1.5e-3))
+        # The slow replica's next item finishes in 3 + 1.5 ms: a fast one
+        # beats that until (n + 1) x 60 us + 50 us passes it, at n = 74.
+        self._deal(b, 148)
+        assert (fast_a.inflight, fast_b.inflight, slow.inflight) == (74, 74, 0)
+        self._deal(b, 1)
+        assert slow.inflight == 1
+        self._deal(b, 50)  # its second item would finish at 7.5 ms
+        assert slow.inflight == 1 and fast_a.inflight + fast_b.inflight == 198
+
+    def test_an_unmeasured_replica_of_several_stays_at_capacity(self, b):
+        measured, cold = self._replicas(b, (1e-3, 0.0), (None, 1e-4))
+        # Priced at the default hop, the cold replica looks cheaper than
+        # 1 ms, but it holds at most capacity until its first result.
+        self._deal(b, 40)
+        assert (cold.inflight, measured.inflight) == (b.capacity, 32)
+        cold.drain = 1e-4  # its first result is in: the window sizes it now
+        self._deal(b, 10)
+        assert cold.inflight > b.capacity
+
+    def test_a_lone_replica_is_window_deep_from_the_start(self, b):
+        (lone,) = self._replicas(b, (None, 1e-4))
+        b._depth = 64
+        self._deal(b, 64)
+        assert lone.inflight == 64
+        parked = threading.Thread(target=b._reserve_slot, args=(0,), daemon=True)
+        parked.start()
+        parked.join(timeout=0.2)
+        assert parked.is_alive(), "the 65th item was not held back"
+        b._abort.set()
+        with b._conds[0]:
+            b._conds[0].notify_all()
+        parked.join(timeout=5.0)
+        assert not parked.is_alive() and lone.inflight == 64
+
+    def test_a_starved_replica_is_reprobed_once_its_estimate_is_stale(self, b):
+        fast_a, fast_b, slow = self._replicas(b, (60e-6, 50e-6), (60e-6, 50e-6), (3e-3, 1.5e-3))
+        self._deal(b, 20)
+        assert slow.inflight == 0  # priced out, so no result refreshes its estimate
+        slow.done_t -= 2 * b.heartbeat_interval
+        self._deal(b, 1)
+        assert slow.inflight == 1  # one item re-measures the link
+        self._deal(b, 20)
+        assert slow.inflight == 1 and fast_a.inflight + fast_b.inflight == 40
+
+    def test_the_drain_is_the_gap_between_busy_completions(self, b):
+        # Results fed straight to _accept, on made-up clocks: three items
+        # sent together at t=0 finish at 1.0, 1.1 and 1.2 (busy: gaps of
+        # 0.1, not round trips of 1.1 and 1.2); a fourth, sent at 5.0 to the
+        # idle replica, finishes at 5.3 (its gap counts from its own send).
+        (r,) = self._replicas(b, (None, 1e-4))
+        router = SimpleNamespace(backend=b)  # _accept reads only .backend here
+        timeline = [(0.0, 1.0, 1.0), (0.0, 1.1, 0.1), (0.0, 1.2, 0.1), (5.0, 5.3, 0.3)]
+        expected, link_s = None, r.worker.link_s
+        for seq, (t_sent, recv_t, gap) in enumerate(timeline):
+            b._inflight[0][seq] = (r, b._codec.encode(seq))
+            r.inflight += 1
+            result = (r.worker, r.slot, seq, True, b._codec.encode(seq), 0.0, 0.0, t_sent,
+                      None, recv_t, None, None, ())
+            hop = _DistributedSession._accept(router, 0, result)
+            assert hop.seq == seq and hop.transfer_s == pytest.approx((recv_t - t_sent) / 2)
+            expected = gap if expected is None else expected + 0.1 * (gap - expected)
+            link_s += 0.1 * ((recv_t - t_sent) / 2 - link_s)  # the cached one-way wire time
+            assert r.drain == pytest.approx(expected) and r.done_t == recv_t
+            assert r.worker.link_s == pytest.approx(link_s)
+        assert r.inflight == 0
+
+
+def test_a_slow_link_stays_shallow_while_fast_replicas_go_deep():
+    # E16's shape: one tiny stage, a replica on each of three workers, the
+    # third behind a 3 ms link.  The cold stream holds the unmeasured slow
+    # replica at capacity; on the warm one its measured drain keeps it near
+    # empty while a fast replica goes past capacity.  Balanced finish times
+    # give the slow replica about W / (2r + 1) items, r being how many times
+    # faster a fast replica drains: window 64 keeps that far below capacity
+    # even when a busy neighbour slows the fast replicas to r ≈ 15, where
+    # window 256 would put it right at 8.
+    pipe = PipelineSpec((StageSpec(name="inc", work=1e-6, fn=_inc),))
+    n = 3000
+    with DistributedBackend(
+        pipe, spawn_workers=3, replicas=[3], max_replicas=3,
+        worker_link_delays=[0.0, 0.0, 0.003],
+    ) as b:
+        session = b.open(max_inflight=64)
+        peaks: list[dict] = []
+        reserve = b._reserve_slot
+
+        def spy(stage):
+            replica = reserve(stage)
+            if replica is not None:
+                name = replica.worker.name
+                peaks[-1][name] = max(peaks[-1].get(name, 0), replica.inflight)
+            return replica
+
+        b._reserve_slot = spy
+        for _ in range(2):
+            peaks.append({})
+            for x in range(n):
+                session.submit(x)
+            assert session.drain() == [x + 1 for x in range(n)]
+        cold, warm = peaks
+        assert cold.get("local-2", 0) <= b.capacity, cold
+        assert warm.get("local-2", 0) <= b.capacity, warm
+        assert max(warm.get("local-0", 0), warm.get("local-1", 0)) > b.capacity, warm
 
 
 def _mk_array(x):
