@@ -31,10 +31,10 @@ bounded-stream convenience on top.  Five adapters ship:
 
 :class:`RuntimeAdaptiveRunner` runs the paper's observe→decide→act loop
 against any live backend using wall-clock measurements — attached to a
-session, so adaptation continues across stream boundaries — reusing the
-exact policies (:class:`~repro.core.policy.AdaptationPolicy`,
-:class:`~repro.core.policies_alt.ReactivePolicy`,
-:class:`BottleneckGrowthPolicy`) the simulator exercises.
+session, so adaptation continues across stream boundaries — with the
+policies the simulator's controller runs
+(:class:`~repro.core.policy.AdaptationPolicy` by default, or
+:class:`~repro.core.policies_alt.ReactivePolicy`).
 
 See ``docs/backends.md`` for the contract and selection guidance, and
 ``docs/streaming.md`` for the session lifecycle.
@@ -53,10 +53,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "distributed": "DistributedBackend WorkerAgent",
         "process_backend": "ProcessPoolBackend",
-        "runner": (
-            "BottleneckGrowthPolicy RuntimeAdaptiveRunner RuntimeRunResult "
-            "local_config"
-        ),
+        "runner": "RuntimeAdaptiveRunner RuntimeRunResult local_config",
         "sim_backend": "SimBackend",
         "thread_backend": "ThreadBackend",
     },

@@ -91,7 +91,7 @@ __all__ = [
     "register_backend",
     "validate_pipeline_shape",
 ]
-_WINDOW_CEILING = 1024  # of the auto admission window, and of a lane's depth
+_WINDOW_CEILING = 1024  # of a lane's depth
 
 
 class BackendCapabilityError(RuntimeError):
@@ -237,9 +237,9 @@ class Session:
     buffer.  No wait polls a clock: a parked ``submit``, ``results()``,
     ``drain()`` or ``Ticket.wait`` waits on ``_bell``, rung by a delivery
     (only while someone is parked), the drain barrier and its end, a
-    finished flusher cut, a window retune, an error and close.  The idle
-    flusher waits on ``_flush_bell``: a queued cut, close, and the first
-    item of an empty buffer, whose linger deadline it then waits out.
+    finished flusher cut, an error and close.  The idle flusher waits on
+    ``_flush_bell``: a queued cut, close, and the first item of an empty
+    buffer, whose linger deadline it then waits out.
     """
 
     #: False on measure-only sessions (simulator without stage callables).
@@ -255,7 +255,7 @@ class Session:
         self,
         backend: "Backend",
         *,
-        max_inflight: "int | str | None" = None,
+        max_inflight: "int | None" = None,
         telemetry=None,
         batching=None,
     ) -> None:
@@ -273,14 +273,12 @@ class Session:
             if self.supports_batching
             else None
         )
-        self._auto_window = max_inflight == "auto"
-        if self._auto_window:
-            # Seed from the batch size alone; Little's-law retunes kick in
-            # once live StageSnapshots carry measured service times.
-            batch_items = self._bcfg.max_items if self._bcfg else 1
-            max_inflight = max(32, 4 * batch_items)
-        elif max_inflight is not None:
-            check_positive(max_inflight, "max_inflight")
+        if max_inflight is not None and not (
+            isinstance(max_inflight, int) and max_inflight > 0
+        ):
+            raise ValueError(
+                f"max_inflight must be None or a positive int, got {max_inflight!r}"
+            )
         self.backend = backend
         # The admission window: items admitted but not yet completed, and
         # the one in-flight bound — every executor's lanes take their depth
@@ -476,8 +474,6 @@ class Session:
         if begin:
             try:
                 self.events.emit("stream.begin", stream=stream)
-                if self.instrumentation is not None:
-                    self.instrumentation.begin_stream()
                 self._begin_stream(stream)
             finally:
                 begun.set()
@@ -505,8 +501,6 @@ class Session:
                 raise
         elif cut is not None:
             self._submit_cut(cut)
-        if self._auto_window and gseq and gseq % 64 == 0:
-            self._retune_window()
         return tuple.__new__(Ticket, (stream, seq, self))  # Ticket(), without its frame
 
     def results(self) -> Iterator[Any]:
@@ -881,63 +875,15 @@ class Session:
                     if self._bell.parked:
                         self._bell.ring()  # a drain waiting out this cut
 
-    # ------------------------------------------------ Little's-law admission
+    # ------------------------------------------------------ admission window
     def _lane_depth(self) -> int:
         """Units (items or batches) per lane queue or replica: ``ceil(W / batch
-        items)`` for window ``W`` (``"auto"``: its ceiling), within [default
-        ``capacity``, that ceiling]; ``capacity`` with no window or a given one."""
-        window = _WINDOW_CEILING if self._auto_window else self.max_inflight
-        if window is None or self.backend._fixed_capacity:
+        items)`` for window ``W``, within [default ``capacity``, the lane
+        ceiling]; ``capacity`` with no window or a given one."""
+        if self.max_inflight is None or self.backend._fixed_capacity:
             return self.backend.capacity
-        units = math.ceil(window / (self._bcfg.max_items if self._bcfg else 1))
+        units = math.ceil(self.max_inflight / (self._bcfg.max_items if self._bcfg else 1))
         return max(self.backend.capacity, min(_WINDOW_CEILING, units))
-
-    def _retune_window(self) -> None:
-        """Re-derive the auto admission window from live measurements.
-
-        Little's law on the current StageSnapshots: the bottleneck stage's
-        per-replica service time bounds the sustainable rate μ; sizing the
-        window to the items in flight at ~0.9 μ (L = λ·W, with the G/G/1
-        Allen–Cunneen queue-wait for the bottleneck) keeps the pipeline
-        saturated without parking an unbounded backlog in its queues.
-        """
-        from repro.model.queueing import gg1_waiting_time
-
-        try:
-            snaps = self.snapshots()
-            replicas = self.backend.replica_counts()
-        except Exception:  # noqa: BLE001 - observation must never break submit
-            return
-        if len(snaps) != len(replicas) or not snaps:
-            return
-        if any(s.items_processed < 8 or s.service_time <= 0 for s in snaps):
-            return  # not enough signal yet
-        per_stage = [
-            s.service_time / max(1, r) for s, r in zip(snaps, replicas)
-        ]
-        bottleneck = max(range(len(snaps)), key=lambda i: per_stage[i])
-        service_rate = 1.0 / per_stage[bottleneck]
-        arrival_rate = 0.9 * service_rate
-        cs2 = snaps[bottleneck].service_cv ** 2
-        wq = gg1_waiting_time(arrival_rate, service_rate, 1.0, cs2)
-        if not math.isfinite(wq):
-            wq = per_stage[bottleneck]  # ρ≥1 fallback: one extra service
-        wall = sum(per_stage) + wq
-        batch_items = self._bcfg.max_items if self._bcfg else 1
-        window = math.ceil(arrival_rate * wall) + 2 * batch_items
-        window = max(max(8, 2 * batch_items), min(_WINDOW_CEILING, window))
-        if window == self.max_inflight:
-            return
-        with self._lock:
-            self.max_inflight = window
-            self._bell.ring()
-        self.events.emit(
-            "session.window",
-            window=window,
-            arrival_rate=arrival_rate,
-            service_rate=service_rate,
-            wq=wq,
-        )
 
     # ------------------------------------------------------- executor hooks
     def _begin_stream(self, stream: int) -> None:
@@ -1039,7 +985,7 @@ class Backend:
     def _open_session(
         self,
         *,
-        max_inflight: "int | str | None" = None,
+        max_inflight: "int | None" = None,
         telemetry=None,
         batching=None,
     ) -> Session:
@@ -1050,8 +996,7 @@ class Backend:
         executor machinery starts — so warm-up events are captured too.
         ``batching`` (any :func:`repro.util.batching.normalize_batching`
         form) turns on transparent micro-batching on sessions that support
-        it; ``max_inflight="auto"`` sizes the admission window from the
-        calibrated batch size and live measurements via Little's law.
+        it.
         """
         return self.session_class(
             self, max_inflight=max_inflight, telemetry=telemetry, batching=batching

@@ -650,11 +650,6 @@ class DistributedBackend(Backend):
         spec["token"] = self._probe_token
         return spec
 
-    def link_models(self) -> dict[int, LinkModel]:
-        """Fitted per-worker link models (worker id -> latency/bandwidth)."""
-        with self._registry:
-            return {w.id: w.link_fit() for w in self._workers.values() if w.alive}
-
     def wait_for_workers(self, n: int, timeout: float = 30.0) -> None:
         """Block until ``n`` live workers are registered (or raise).
 
@@ -965,22 +960,15 @@ class DistributedBackend(Backend):
         """Worker id -> active replicas it hosts, all stages together."""
         return sum(map(Counter, self.replica_placement()), Counter())
 
-    def _place_replica(
-        self, stage: int, worker: _WorkerConn | None = None
-    ) -> _Replica | None:
-        """Place one replica of ``stage`` (on ``worker``, or the best one)."""
+    def _place_replica(self, stage: int) -> _Replica | None:
+        """Place one replica of ``stage`` on the best live worker."""
         while True:
-            if worker is not None:
-                if not worker.alive:
-                    return None
-                target = worker
-            else:
-                with self._registry:
-                    cands = [w for w in self._workers.values() if w.alive]
-                if not cands:
-                    return None
-                hosted = self._hosted_counts()
-                target = min(cands, key=lambda w: self._worker_score(w, hosted))
+            with self._registry:
+                cands = [w for w in self._workers.values() if w.alive]
+            if not cands:
+                return None
+            hosted = self._hosted_counts()
+            target = min(cands, key=lambda w: self._worker_score(w, hosted))
             slot = target.new_slot()
             ok = target.send(
                 (
@@ -993,8 +981,6 @@ class DistributedBackend(Backend):
             )
             if not ok:
                 self._on_worker_death(target)
-                if worker is not None:
-                    return None
                 continue
             replica = _Replica(target, slot)
             with self._conds[stage]:
@@ -1033,40 +1019,6 @@ class DistributedBackend(Backend):
                         "(python -m repro.backend.distributed.worker "
                         "--connect host:port) and wait_for_workers() first"
                     )
-
-    def move_replica(self, stage: int, from_worker: int, to_worker: int) -> None:
-        """Relocate one replica of ``stage`` between workers, live.
-
-        Places on ``to_worker`` first, then retires one of ``from_worker``'s
-        replicas — the stage never dips below its current parallelism, and
-        the retiring replica finishes its in-flight items.
-        """
-        with self._registry:
-            src = self._workers.get(from_worker)
-            dst = self._workers.get(to_worker)
-        if src is None or dst is None or not dst.alive:
-            raise ValueError(
-                f"unknown or dead worker in move ({from_worker} -> {to_worker})"
-            )
-        with self._conds[stage]:
-            victims = [
-                r
-                for r in self._replicas[stage]
-                if r.active and r.worker is src
-            ]
-        if not victims:
-            raise ValueError(
-                f"stage {stage} has no active replica on worker {from_worker}"
-            )
-        if self._place_replica(stage, worker=dst) is None:
-            raise RuntimeError(f"failed to place stage {stage} on worker {to_worker}")
-        self._retire_replica(stage, victims[0])
-        self.events.emit(
-            "replica.move",
-            stage=stage,
-            from_worker=from_worker,
-            to_worker=to_worker,
-        )
 
     # --------------------------------------------------------------- dispatch
     def _reserve_slot(self, stage: int) -> _Replica | None:

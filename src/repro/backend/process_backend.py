@@ -381,27 +381,36 @@ class ProcessPoolBackend(Backend):
             for i in range(len(sizes))
         ]
         pools: list[_StagePool] = []
-        for end in bounds:
-            seg = _Segment(_PipeQueue(self._ctx, depths[end]))
-            for i in range(len(pools), end + 1):
-                pool = _StagePool(taskqs[i], self._ctx.Semaphore(0), self._target[i], seg)
-                out = seg.resq if i == end else taskqs[i + 1]
-                for wid in range(sizes[i]):
-                    proc = self._ctx.Process(
-                        target=_worker_main,
-                        args=(
-                            i, wid, self.pipeline.stage(i).fn,
-                            pool.taskq, pool.gate, out, seg.resq, codec_spec,
-                        ),
-                        name=f"{self.pipeline.stage(i).name}.{wid}",
-                        daemon=True,
-                    )
-                    proc.start()
-                    pool.procs.append(proc)
-                    seg.watch(i, wid, proc)
-                for _ in range(sizes[i] - pool.active):
-                    pool.taskq.put(_PARK)  # the surplus waits, warm, at the gate
-                pools.append(pool)
+        try:
+            for end in bounds:
+                seg = _Segment(_PipeQueue(self._ctx, depths[end]))
+                for i in range(len(pools), end + 1):
+                    pool = _StagePool(taskqs[i], self._ctx.Semaphore(0), self._target[i], seg)
+                    pools.append(pool)
+                    out = seg.resq if i == end else taskqs[i + 1]
+                    for wid in range(sizes[i]):
+                        proc = self._ctx.Process(
+                            target=_worker_main,
+                            args=(
+                                i, wid, self.pipeline.stage(i).fn,
+                                pool.taskq, pool.gate, out, seg.resq, codec_spec,
+                            ),
+                            name=f"{self.pipeline.stage(i).name}.{wid}",
+                            daemon=True,
+                        )
+                        proc.start()
+                        pool.procs.append(proc)
+                        seg.watch(i, wid, proc)
+                    for _ in range(sizes[i] - pool.active):
+                        pool.taskq.put(_PARK)  # the surplus waits, warm, at the gate
+        except BaseException:
+            # Failed half-way (a fork, a pipe): reap the children already
+            # started and close every queue made, then let the caller see why.
+            self._pools = pools
+            self._shutdown_pools(graceful=False)
+            for taskq in taskqs[len(pools):]:
+                taskq.close()
+            raise
         self._pools = pools
 
     def _boundaries(self) -> list[int]:

@@ -15,14 +15,14 @@ window, cooldown and mapping carry across every stream the session serves.
   fallback timeout, ``cooldown`` the least time between two decisions
   after the first; detach and close end the same wait at once;
 * **decide** — any policy with the ``decide(...)`` signature of
-  :class:`~repro.core.policy.AdaptationPolicy` (the model-driven default),
-  :class:`~repro.core.policies_alt.ReactivePolicy`, or the
-  :class:`BottleneckGrowthPolicy` heuristic, over a **virtual local grid**
-  of one processor per warm-worker slot.  ``backend.resource_view`` grounds
-  it in measured speeds and link costs where the backend has them; uniform
-  unit-speed processors (``work_estimate`` = measured service time) are the
-  fallback.  The default policy's replica cap is the smaller of the
-  config's (if it names one) and ``backend.replica_limit``;
+  :class:`~repro.core.policy.AdaptationPolicy` (the model-driven default)
+  or :class:`~repro.core.policies_alt.ReactivePolicy`, over a **virtual
+  local grid** of one processor per warm-worker slot.
+  ``backend.resource_view`` grounds it in measured speeds and link costs
+  where the backend has them; uniform unit-speed processors
+  (``work_estimate`` = measured service time) are the fallback.  The
+  default policy's replica cap is the smaller of the config's (if it names
+  one) and ``backend.replica_limit``;
 * **act** — mapping deltas become ``backend.reconfigure(stage, n)`` calls;
 * **validate** — ``2 x settle_time`` later (a deadline of the same wait,
   evidence still heard) the sink throughput is compared with the
@@ -45,22 +45,15 @@ from itertools import islice
 from typing import Any, Iterable, Sequence
 
 from repro.backend.base import Backend, Session, make_backend
-from repro.core.events import AdaptationEvent, Decision
+from repro.core.events import AdaptationEvent
 from repro.core.pipeline import PipelineSpec
 from repro.core.policy import AdaptationConfig, AdaptationPolicy
 from repro.model.cost import MigrationCostModel
 from repro.model.mapping import Mapping
 from repro.model.throughput import ResourceView, snapshot_view
 from repro.monitor.instrument import ServiceWatch
-from repro.util.validation import check_positive
 
-__all__ = [
-    "BottleneckGrowthPolicy",
-    "RuntimeAdaptiveRunner",
-    "RuntimeRunResult",
-    "local_config",
-    "propose_growth",
-]
+__all__ = ["RuntimeAdaptiveRunner", "RuntimeRunResult", "local_config"]
 
 
 def local_config(**overrides) -> AdaptationConfig:
@@ -105,127 +98,6 @@ class RuntimeRunResult:
     @property
     def throughput(self) -> float:
         return self.items / self.elapsed if self.elapsed > 0 else 0.0
-
-
-def propose_growth(
-    per_worker_service: Sequence[float],
-    replicas: Sequence[int],
-    replicable: Sequence[bool],
-    *,
-    max_workers: int,
-    imbalance_threshold: float,
-) -> int | None:
-    """The growth decision: which stage (if any) gets a worker.
-
-    Picks the stage with the largest mean service time *per worker*; it
-    grows only when it is replicable, under ``max_workers``, and dominates
-    the runner-up by ``imbalance_threshold`` (ties below the threshold are
-    left alone — growing a balanced pipeline just burns threads).  Returns
-    the stage index or ``None``.
-    """
-    if not per_worker_service or max(per_worker_service) <= 0:
-        return None
-    order = sorted(
-        range(len(per_worker_service)),
-        key=lambda i: per_worker_service[i],
-        reverse=True,
-    )
-    worst = order[0]
-    runner_up = per_worker_service[order[1]] if len(order) > 1 else 0.0
-    if (
-        replicable[worst]
-        and replicas[worst] < max_workers
-        and (
-            runner_up == 0.0
-            or per_worker_service[worst] / max(runner_up, 1e-12) >= imbalance_threshold
-        )
-    ):
-        return worst
-    return None
-
-
-class BottleneckGrowthPolicy:
-    """The classic bottleneck-growth heuristic as a live policy.
-
-    Wraps :func:`propose_growth` — grow the stage with the largest windowed
-    service time per worker, when it dominates the runner-up by
-    ``imbalance_threshold`` and is replicable and under ``max_workers`` —
-    in the runner's ``decide`` signature.  Grow-only and model-free: useful
-    where the model-driven default is too eager.
-    """
-
-    def __init__(
-        self,
-        pipeline: PipelineSpec,
-        config: AdaptationConfig | None = None,
-        *,
-        max_workers: int = 4,
-        imbalance_threshold: float = 1.5,
-    ) -> None:
-        check_positive(max_workers, "max_workers")
-        if imbalance_threshold < 1.0:
-            raise ValueError(
-                f"imbalance_threshold must be >= 1.0, got {imbalance_threshold}"
-            )
-        self.pipeline = pipeline
-        self.config = config if config is not None else local_config()
-        self.max_workers = max_workers
-        self.imbalance_threshold = imbalance_threshold
-
-    def decide(
-        self,
-        *,
-        now: float,
-        current: Mapping,
-        snapshots,
-        view: ResourceView,
-        source_pid: int,
-        sink_pid: int,
-        remaining_items: int,
-        last_action_time: float = -math.inf,
-    ) -> Decision:
-        cfg = self.config
-        if now - last_action_time < cfg.cooldown:
-            return Decision(None, reason="cooldown")
-        if remaining_items <= 0:
-            return Decision(None, reason="no-remaining-work")
-        n = self.pipeline.n_stages
-        per_worker, counts, replicable = [], [], []
-        for i in range(n):
-            snap = snapshots[i] if i < len(snapshots) else None
-            n_reps = len(current.replicas(i))
-            service = 0.0
-            if (
-                snap is not None
-                and snap.items_processed >= cfg.min_samples
-                and not math.isnan(snap.service_time)
-            ):
-                service = snap.service_time
-            per_worker.append(service / n_reps)
-            counts.append(n_reps)
-            replicable.append(self.pipeline.stage(i).replicable)
-        stage = propose_growth(
-            per_worker,
-            counts,
-            replicable,
-            max_workers=self.max_workers,
-            imbalance_threshold=self.imbalance_threshold,
-        )
-        if stage is None:
-            return Decision(None, reason="balanced-or-capped")
-        used = {p for i in range(n) for p in current.replicas(i)}
-        free = [p for p in view.pids() if p not in used]
-        if not free:
-            return Decision(None, reason="no-free-processor")
-        new = current.with_stage(stage, list(current.replicas(stage)) + [free[0]])
-        return Decision(
-            new,
-            reason=(
-                f"grow bottleneck stage {stage} to {counts[stage] + 1} workers "
-                f"({per_worker[stage] * 1e3:.1f} ms/item/worker)"
-            ),
-            predicted_gain=1.0,
-        )
 
 
 class RuntimeAdaptiveRunner:

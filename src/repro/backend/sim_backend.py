@@ -134,7 +134,6 @@ class SimBackend(Backend):
                 outputs.append(item)
         else:
             outputs = None
-        bus = self.events
         runner = AdaptivePipeline(
             self.pipeline,
             self.grid,
@@ -142,14 +141,9 @@ class SimBackend(Backend):
             initial_mapping=self.mapping,
             buffer_capacity=self.capacity,
             seed=self.seed,
-            trace=bus.active,
+            events=self.events,  # the session's bus, stamped in simulated seconds
         )
         self.last_run = runner.run(len(items))
-        if bus.active:
-            # Bridge the simulator's trace onto the session bus with the
-            # events' *simulated* timestamps preserved.
-            for ev in runner.tracer:
-                bus.emit(ev.kind, ev.message, at=ev.time, **ev.fields)
         return outputs
 
     def service_means_from_spec(self) -> list[float]:

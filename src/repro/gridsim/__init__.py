@@ -24,8 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "channels": "Channel ChannelClosed SimResource",
         "engine": (
-            "AllOf AnyOf Interrupt Process ProcessFailed SimEvent Simulator "
-            "Timeout"
+            "AnyOf Interrupt Process ProcessFailed SimEvent Simulator Timeout"
         ),
         "grid": "GridSnapshot GridSystem",
         "load": (

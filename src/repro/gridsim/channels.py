@@ -119,14 +119,6 @@ class Channel:
         return len(self._items)
 
     @property
-    def waiting_putters(self) -> int:
-        return len(self._putters)
-
-    @property
-    def waiting_getters(self) -> int:
-        return len(self._getters)
-
-    @property
     def occupancy(self) -> float:
         """Buffer fill fraction in [0, 1]; 0 for unbounded channels."""
         if self.capacity is None:

@@ -9,8 +9,8 @@ reproduction:
   reproducible.
 * **Processes.**  A simulated activity is a Python generator that ``yield``\\ s
   *waitables*: :class:`Timeout`, :class:`SimEvent`, another :class:`Process`,
-  channel operations (:mod:`repro.gridsim.channels`) or :class:`AnyOf` /
-  :class:`AllOf` combinators.  The value of the ``yield`` expression is the
+  channel operations (:mod:`repro.gridsim.channels`) or an :class:`AnyOf`
+  combinator.  The value of the ``yield`` expression is the
   waitable's result (e.g. the item received from a channel).
 * **Interrupts.**  ``process.interrupt(cause)`` throws :class:`Interrupt`
   into the generator *if it is still waiting* when the interrupt is
@@ -35,7 +35,6 @@ __all__ = [
     "SimEvent",
     "Timeout",
     "AnyOf",
-    "AllOf",
     "Waitable",
 ]
 
@@ -167,41 +166,6 @@ class AnyOf(Waitable):
                     callback(None, exc)
                 else:
                     callback((i, value), None)
-
-            return cb
-
-        for i, w in enumerate(self.waitables):
-            w._subscribe(sim, make_cb(i))
-
-
-class AllOf(Waitable):
-    """Resumes when *all* waitables have fired; result is the list of values."""
-
-    __slots__ = ("waitables",)
-
-    def __init__(self, waitables: Iterable[Waitable]) -> None:
-        self.waitables = list(waitables)
-
-    def _subscribe(self, sim: "Simulator", callback: ResumeFn) -> None:
-        n = len(self.waitables)
-        if n == 0:
-            sim.schedule(0.0, callback, [], None)
-            return
-        results: list[Any] = [None] * n
-        state = {"remaining": n, "failed": False}
-
-        def make_cb(i: int) -> ResumeFn:
-            def cb(value: Any, exc: BaseException | None) -> None:
-                if state["failed"]:
-                    return
-                if exc is not None:
-                    state["failed"] = True
-                    callback(None, exc)
-                    return
-                results[i] = value
-                state["remaining"] -= 1
-                if state["remaining"] == 0:
-                    callback(results, None)
 
             return cb
 

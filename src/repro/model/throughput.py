@@ -173,15 +173,6 @@ class ModelContext:
     def n_stages(self) -> int:
         return len(self.stage_costs)
 
-    def with_view(self, view: ResourceView) -> "ModelContext":
-        return ModelContext(
-            stage_costs=self.stage_costs,
-            view=view,
-            source_pid=self.source_pid,
-            sink_pid=self.sink_pid,
-            input_bytes=self.input_bytes,
-        )
-
 
 @dataclass(frozen=True)
 class PipelinePrediction:

@@ -45,11 +45,6 @@ class StageSnapshot:
     bytes_in: float = 0.0
     bytes_out: float = 0.0
 
-    @property
-    def period(self) -> float:
-        """Observed per-item period contribution of this stage."""
-        return self.service_time
-
 
 class StageMetrics:
     """Accumulates measurements for one stage (merging all replicas).
@@ -353,11 +348,7 @@ class PipelineInstrumentation:
     Counters are **session-cumulative**: a long-lived streaming session
     keeps one instrumentation across every stream it serves, so windowed
     views (and the adaptation loop reading them) never reset at a stream
-    boundary.  :meth:`begin_stream` additionally scopes a per-stream
-    completion counter (``stream_items_completed``) so callers can tell
-    "items of the current stream" apart from "items since the session
-    opened" — the batch accounting that used to be implicit in one-shot
-    runs.
+    boundary.
     """
 
     def __init__(self, n_stages: int, window: int = 32, events=None) -> None:
@@ -367,14 +358,6 @@ class PipelineInstrumentation:
             StageMetrics(i, window=window, events=events) for i in range(n_stages)
         ]
         self.completion_times: list[float] = []
-        self._window = window
-        self.stream_index = 0
-        self._stream_start = 0
-
-    def begin_stream(self) -> None:
-        """Open a new stream scope for the per-stream completion counter."""
-        self.stream_index += 1
-        self._stream_start = len(self.completion_times)
 
     def record_completion(self, t: float, items: int = 1) -> None:
         """``items`` items left the last stage at (simulated) time ``t``.
@@ -391,11 +374,6 @@ class PipelineInstrumentation:
     @property
     def items_completed(self) -> int:
         return len(self.completion_times)
-
-    @property
-    def stream_items_completed(self) -> int:
-        """Completions since the last :meth:`begin_stream` (all, before one)."""
-        return len(self.completion_times) - self._stream_start
 
     def snapshots(self, locks: "Sequence[AbstractContextManager] | None" = None) -> list[StageSnapshot]:
         """Per-stage snapshots; ``locks[i]`` (if given) guards stage ``i``.
@@ -434,12 +412,3 @@ class PipelineInstrumentation:
         if not recent:
             return math.nan
         return recent / horizon
-
-    def overall_throughput(self, end_time: float | None = None) -> float:
-        """Completions per second from t=0 to ``end_time`` (or last item)."""
-        if not self.completion_times:
-            return 0.0
-        end = end_time if end_time is not None else self.completion_times[-1]
-        if end <= 0:
-            return 0.0
-        return len(self.completion_times) / end

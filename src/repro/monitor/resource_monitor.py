@@ -140,10 +140,6 @@ class ResourceEstimates:
     bandwidth: dict[tuple[int, int], float] = field(default_factory=dict)
     latency: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    def effective_speed(self, pid: int, nominal_speed: float) -> float:
-        """Forecast work-units/s for a processor of ``nominal_speed``."""
-        return nominal_speed * self.availability[pid]
-
 
 class ResourceMonitor:
     """Samples a :class:`GridSystem` periodically from within a simulation.

@@ -55,9 +55,6 @@ class MeasurementStream:
     def values(self) -> list[float]:
         return list(self._values)
 
-    def times(self) -> list[float]:
-        return list(self._times)
-
     def window(self, since: float) -> list[float]:
         """Values with timestamp >= ``since`` (chronological)."""
         times = list(self._times)
@@ -68,10 +65,6 @@ class MeasurementStream:
         """Mean of the window, or NaN when empty."""
         w = self.window(since)
         return float(np.mean(w)) if w else math.nan
-
-    def window_median(self, since: float) -> float:
-        w = self.window(since)
-        return float(np.median(w)) if w else math.nan
 
     def window_count(self, since: float) -> int:
         return len(self.window(since))

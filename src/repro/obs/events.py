@@ -14,8 +14,8 @@ loops that would pay to *build* an event's fields guard with
 :meth:`EventBus.wants` first.
 
 Event times are in the emitting session's clock (:meth:`Session.now`,
-seconds since open) unless a different ``clock`` was supplied — the
-simulator forwards simulated seconds through the same shape.
+seconds since open) unless a different ``clock`` was supplied; the
+simulator stamps each emit with its simulated time (``at=``).
 """
 
 from __future__ import annotations
@@ -46,15 +46,12 @@ SCHEMA: dict[str, str] = {
     "batch.assemble": "admitted items coalesced into a batch: stream, seq, base, items[, reason]",
     "batch.encode": "a whole batch encoded as one frame: stage, seq, base, items, nbytes, seconds, recycled",
     "batch.split": "batch split back into per-item results: stream, seq, base, items",
-    # -- admission window retune (Little's-law auto max_inflight) ----------
-    "session.window": "auto admission window retuned: window, arrival_rate, service_rate, wq",
     # -- stage service (monitor/instrument.py hook; a micro-batched record
     #    carries the batch-total seconds plus items=N, seq = first item) ---
     "stage.service": "items serviced: stage, seconds, speed[, items, seq, worker, queue]",
     # -- replica shape (executors + distributed placement) ----------------
     "replica.add": "replicas grew: stage, n[, worker, slot]",
     "replica.remove": "replicas shrank: stage, n[, worker, slot]",
-    "replica.move": "replica migrated between workers: stage, src, dst",
     # -- adaptation loop (backend/runner.py, core controller) -------------
     "adapt.decide": "policy evaluated: reason, acts[, predicted_gain, backlog]; live runner adds "
     "trigger = evidence | shift | tick | validate and, for shift, stage, mean_before, "
@@ -98,20 +95,13 @@ SCHEMA: dict[str, str] = {
 class Event:
     """One structured record: timestamp, schema kind, message, payload.
 
-    Field order is the historical ``TraceEvent`` order (``time, kind,
-    message, fields``) so positional construction in older call sites and
-    tests keeps working; ``category`` aliases ``kind`` for the same reason.
+    Positional order is ``time, kind, message, fields``.
     """
 
     time: float
     kind: str
     message: str = ""
     fields: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def category(self) -> str:
-        """Legacy alias for :attr:`kind` (the tracer's old field name)."""
-        return self.kind
 
     def __str__(self) -> str:
         extra = " ".join(f"{k}={v}" for k, v in self.fields.items())

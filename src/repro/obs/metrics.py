@@ -225,7 +225,6 @@ class MetricsRecorder:
         "stage.service",
         "replica.add",
         "replica.remove",
-        "replica.move",
         "adapt.decide",
         "adapt.act",
         "adapt.rollback",
@@ -286,7 +285,7 @@ class MetricsRecorder:
             reg.counter("streams_drained_total").inc()
             reg.gauge("stream_last_items").set(f.get("items", 0))
             reg.gauge("stream_last_elapsed_seconds").set(f.get("elapsed", 0.0))
-        elif kind in ("replica.add", "replica.remove", "replica.move"):
+        elif kind in ("replica.add", "replica.remove"):
             stage = str(f.get("stage", "?"))
             if "n" in f:
                 reg.gauge("stage_replicas", {"stage": stage}).set(f["n"])

@@ -1,12 +1,11 @@
-"""Experiment harness support: sweeps, shape assertions, rendering.
+"""Experiment harness support: quick mode, shape assertions, rendering.
 
-* :mod:`repro.reporting.experiment` — run parameter sweeps with repetitions
-  and seed control, collect tidy row dictionaries, aggregate;
+* :mod:`repro.reporting.quick` — the ``REPRO_BENCH_QUICK`` smoke-size switch;
 * :mod:`repro.reporting.shapes` — qualitative-shape assertions (monotonic,
   ratio bounds, crossover position) used by the benchmark harnesses to check
   that reproduced results have the *shape* the paper claims;
-* :mod:`repro.reporting.render` — experiment headers and result tables for
-  ``bench_output.txt`` / ``EXPERIMENTS.md``.
+* :mod:`repro.reporting.render` — the experiment header of every report
+  block in ``benchmarks/results/latest.txt``.
 """
 
 from repro._lazy import lazy_exports
@@ -14,10 +13,8 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "experiment": "aggregate sweep",
-        "io": "read_rows_csv write_rows_csv",
         "quick": "quick_mode scaled",
-        "render": "experiment_header rows_table",
+        "render": "experiment_header",
         "shapes": (
             "assert_monotonic assert_ratio_at_least assert_within "
             "find_crossover"

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
-
-from repro.util.tables import render_table
-
-__all__ = ["experiment_header", "rows_table"]
+__all__ = ["experiment_header"]
 
 
 def experiment_header(exp_id: str, title: str, claim: str) -> str:
@@ -18,15 +14,3 @@ def experiment_header(exp_id: str, title: str, claim: str) -> str:
         f"claim: {claim}\n"
         f"{bar}"
     )
-
-
-def rows_table(
-    rows: Sequence[Mapping[str, Any]],
-    columns: Sequence[str],
-    *,
-    digits: int = 4,
-    title: str | None = None,
-) -> str:
-    """Render selected columns of tidy result rows as an aligned table."""
-    body = [[row.get(c, "") for c in columns] for row in rows]
-    return render_table(list(columns), body, digits=digits, title=title)

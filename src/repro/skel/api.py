@@ -163,7 +163,7 @@ def open_pipeline(
     capacity: int | None = None,
     backend: str | Backend = "threads",
     adaptive: bool | AdaptationConfig = False,
-    max_inflight: "int | str | None" = None,
+    max_inflight: int | None = None,
     telemetry=None,
     batching=None,
     **backend_kwargs,
@@ -173,11 +173,12 @@ def open_pipeline(
     The streaming entry point: where :func:`pipeline_1for1` runs one
     bounded batch, this keeps the pipeline warm and hands back a
     :class:`~repro.backend.base.Session` — ``submit(item)`` admits work as
-    it arrives (backpressure via the bounded ``max_inflight`` admission
-    window), ``results()`` yields ordered outputs *as items complete*,
-    ``drain()`` bounds the current stream, and the next ``submit`` starts a
-    fresh stream on the same warm executor.  ``backend`` and per-backend
-    knobs are as in :func:`pipeline_1for1`.
+    it arrives (backpressure via the ``max_inflight`` admission window:
+    None or a positive int, which also sizes the executor's lanes unless
+    ``capacity`` is given), ``results()`` yields ordered outputs *as items
+    complete*, ``drain()`` bounds the current stream, and the next
+    ``submit`` starts a fresh stream on the same warm executor.
+    ``backend`` and per-backend knobs are as in :func:`pipeline_1for1`.
 
     ``adaptive=True`` (or an :class:`AdaptationConfig`) attaches a
     :class:`~repro.backend.RuntimeAdaptiveRunner` control loop to the live
@@ -201,10 +202,7 @@ def open_pipeline(
     ``"auto"`` (batch size calibrated from this host's per-item hop
     cost), an int (explicit max items per batch), or a dict of
     :class:`~repro.util.batching.BatchingConfig` fields (``max_items``,
-    ``max_bytes``, ``linger_s``).  The simulator ignores it.  With
-    batching on, ``max_inflight="auto"`` sizes the admission window from
-    the batch size and the measured bottleneck service rate (Little's
-    law) instead of a static constant.
+    ``max_bytes``, ``linger_s``).  The simulator ignores it.
 
     Closing the session also detaches the controller and closes the
     backend when it was built here from a name; a :class:`Backend`

@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng", "spawn_rngs"]
+__all__ = ["derive_seed", "derive_rng"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,10 +41,3 @@ def derive_seed(seed: int, *keys: str) -> int:
 def derive_rng(seed: int, *keys: str) -> np.random.Generator:
     """Return an independent :class:`numpy.random.Generator` for a key path."""
     return np.random.default_rng(derive_seed(seed, *keys))
-
-
-def spawn_rngs(seed: int, prefix: str, n: int) -> list[np.random.Generator]:
-    """Return ``n`` independent generators keyed ``prefix/0 .. prefix/n-1``."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return [derive_rng(seed, prefix, str(i)) for i in range(n)]

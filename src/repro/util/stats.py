@@ -2,35 +2,22 @@
 
 The monitoring layer observes unbounded measurement streams, so everything
 here is O(1) or O(window) in memory: Welford accumulators for whole-stream
-moments, exponentially weighted moving averages for recency-biased estimates,
-and fixed-capacity sliding windows for quantiles.
+moments and fixed-capacity sliding windows for quantiles.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "OnlineStats",
-    "EWMA",
-    "SlidingWindow",
-    "StatSummary",
-    "summarize",
-    "coefficient_of_variation",
-]
+__all__ = ["OnlineStats", "SlidingWindow"]
 
 
 class OnlineStats:
-    """Numerically stable streaming mean/variance (Welford's algorithm).
-
-    Supports :meth:`merge` so per-replica accumulators can be combined into a
-    per-stage view without keeping raw samples.
-    """
+    """Numerically stable streaming mean/variance (Welford's algorithm)."""
 
     __slots__ = ("_n", "_mean", "_m2", "_min", "_max")
 
@@ -57,26 +44,6 @@ class OnlineStats:
         """Add many observations."""
         for x in xs:
             self.push(x)
-
-    def merge(self, other: "OnlineStats") -> "OnlineStats":
-        """Return a new accumulator equivalent to seeing both streams."""
-        out = OnlineStats()
-        if self._n == 0:
-            out._n, out._mean, out._m2 = other._n, other._mean, other._m2
-            out._min, out._max = other._min, other._max
-            return out
-        if other._n == 0:
-            out._n, out._mean, out._m2 = self._n, self._mean, self._m2
-            out._min, out._max = self._min, self._max
-            return out
-        n = self._n + other._n
-        delta = other._mean - self._mean
-        out._n = n
-        out._mean = self._mean + delta * other._n / n
-        out._m2 = self._m2 + other._m2 + delta * delta * self._n * other._n / n
-        out._min = min(self._min, other._min)
-        out._max = max(self._max, other._max)
-        return out
 
     @property
     def n(self) -> int:
@@ -113,41 +80,6 @@ class OnlineStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"OnlineStats(n={self._n}, mean={self.mean:.6g}, std={self.std:.6g})"
-
-
-class EWMA:
-    """Exponentially weighted moving average with smoothing factor ``alpha``.
-
-    ``alpha`` close to 1 tracks the latest sample; close to 0 averages over a
-    long history.  ``value`` is NaN until the first observation.
-    """
-
-    __slots__ = ("alpha", "_value", "_n")
-
-    def __init__(self, alpha: float) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self._value = math.nan
-        self._n = 0
-
-    def push(self, x: float) -> float:
-        """Fold one observation in and return the updated average."""
-        x = float(x)
-        if self._n == 0:
-            self._value = x
-        else:
-            self._value += self.alpha * (x - self._value)
-        self._n += 1
-        return self._value
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    @property
-    def n(self) -> int:
-        return self._n
 
 
 class SlidingWindow:
@@ -187,10 +119,6 @@ class SlidingWindow:
         return len(self._buf)
 
     @property
-    def capacity(self) -> int:
-        return self._buf.maxlen or 0
-
-    @property
     def full(self) -> bool:
         return len(self._buf) == self._buf.maxlen
 
@@ -219,51 +147,3 @@ class SlidingWindow:
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"q must be in [0, 100], got {q}")
         return float(np.percentile(self._buf, q)) if self._buf else math.nan
-
-
-@dataclass(frozen=True)
-class StatSummary:
-    """Immutable five-number-ish summary of a finished sample."""
-
-    n: int
-    mean: float
-    std: float
-    min: float
-    p50: float
-    p95: float
-    max: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.n} mean={self.mean:.6g} std={self.std:.6g} "
-            f"min={self.min:.6g} p50={self.p50:.6g} p95={self.p95:.6g} "
-            f"max={self.max:.6g}"
-        )
-
-
-def summarize(xs: Sequence[float]) -> StatSummary:
-    """Summarize a finite sample into a :class:`StatSummary`."""
-    arr = np.asarray(list(xs), dtype=float)
-    if arr.size == 0:
-        nan = math.nan
-        return StatSummary(0, nan, nan, nan, nan, nan, nan)
-    return StatSummary(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        min=float(arr.min()),
-        p50=float(np.percentile(arr, 50)),
-        p95=float(np.percentile(arr, 95)),
-        max=float(arr.max()),
-    )
-
-
-def coefficient_of_variation(xs: Sequence[float]) -> float:
-    """CV (std/mean) of a sample; NaN for degenerate inputs."""
-    arr = np.asarray(list(xs), dtype=float)
-    if arr.size < 2:
-        return math.nan
-    m = arr.mean()
-    if m == 0.0:
-        return math.nan
-    return float(arr.std(ddof=1) / abs(m))

@@ -5,19 +5,7 @@ Fail-fast validation at public API boundaries; internal hot paths skip these.
 
 from __future__ import annotations
 
-__all__ = [
-    "require",
-    "check_positive",
-    "check_non_negative",
-    "check_probability",
-    "check_in_range",
-]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise ``ValueError(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise ValueError(message)
+__all__ = ["check_positive", "check_non_negative", "check_probability"]
 
 
 def check_positive(value: float, name: str) -> float:
@@ -38,11 +26,4 @@ def check_probability(value: float, name: str) -> float:
     """Validate ``0 <= value <= 1`` and return it."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
-def check_in_range(value: float, lo: float, hi: float, name: str) -> float:
-    """Validate ``lo <= value <= hi`` and return it."""
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return value

@@ -115,6 +115,19 @@ class TestPortContract:
         b = make_backend("distributed", dist_pipe, replicas=[1], capacity=4)
         b.close()
 
+    def test_sim_emits_on_the_session_bus_in_simulated_time(self):
+        b = SimBackend(pipe())
+        with b.open() as session:
+            seen = []
+            session.events.subscribe(seen.append, kinds=("item.complete",))
+            for i in range(5):
+                session.submit(i)
+            assert session.drain() == [1, 2, 3, 4, 5]
+        simulated = [e for e in seen if "stream" not in e.fields]  # the engine's own
+        assert [e.fields["seq"] for e in simulated] == list(range(5))
+        assert [e.time for e in simulated] == b.last_run.completion_times
+        b.close()
+
     def test_sim_rejects_live_reconfigure(self):
         b = SimBackend(pipe())
         assert not b.supports_live_reconfigure

@@ -299,15 +299,6 @@ class TestBatchedReconfigure:
                 session.submit(i)
             assert session.drain() == [x * x for x in range(10)]
 
-    def test_auto_window_session_completes(self):
-        with ThreadBackend(spec([_inc])) as b:
-            session = b.open(max_inflight="auto", batching="auto")
-            assert isinstance(session.max_inflight, int)
-            assert session.max_inflight >= 8
-            for i in range(200):
-                session.submit(i)
-            assert session.drain() == [x + 1 for x in range(200)]
-
 
 # -------------------------------------------------------- distributed layer
 class TestBatchedDistributed:

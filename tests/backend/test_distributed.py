@@ -318,20 +318,6 @@ class TestReconfigure:
         assert res.outputs == _expected(range(60))
         assert backend.replica_counts()[1] == 1
 
-    def test_move_replica_between_workers_mid_run(self, backend, producer):
-        backend.warm()
-        run = producer.submit(backend.run, range(80))
-        time.sleep(0.1)
-        (src,) = backend.replica_placement()[1]
-        dst = next(
-            w["id"] for w in backend.alive_workers() if w["id"] != src
-        )
-        backend.move_replica(1, src, dst)
-        placement = backend.replica_placement()[1]
-        assert list(placement) == [dst]
-        res = run.result(timeout=30)
-        assert res.outputs == _expected(range(80))
-
     def test_clamps_to_limit_and_rejects_zero(self, backend):
         backend.warm()
         with pytest.raises(ValueError, match=">= 1"):
@@ -730,14 +716,12 @@ class TestNegotiatedTransport:
         items = make_arrays(24, mix=[0.02, 1.0], seed=9)
         with DistributedBackend(pipe, spawn_workers=2, transport="auto") as b:
             b.run(items)
-            models = b.link_models()
+            fits = b.alive_workers()
             view = b.resource_view(2)
-        assert models and all(m.n_samples > 0 for m in models.values())
-        assert any(m.fitted for m in models.values())
+        assert len(fits) == 2 and any(f["link_fitted"] for f in fits)
         lat, bw = view.link(0, 1)
-        fits = list(models.values())
-        assert lat == pytest.approx(fits[0].latency_s + fits[1].latency_s)
-        assert bw == pytest.approx(min(f.bandwidth_Bps for f in fits))
+        assert lat == pytest.approx(fits[0]["link_s"] + fits[1]["link_s"])
+        assert bw == pytest.approx(min(f["bandwidth_Bps"] for f in fits))
 
     def test_bandwidth_starved_worker_gets_low_fitted_bandwidth(self):
         from repro.workloads.payloads import make_arrays

@@ -132,9 +132,7 @@ class TestTheWindowSizesTheLane:
         ({"max_inflight": 3}, 8),  # never shallower than the default
         ({"max_inflight": 100}, 100),
         ({"max_inflight": 100, "batching": 8}, 13),  # ceil(100 / 8) batches
-        ({"max_inflight": 5000}, 1024),  # never deeper than the auto ceiling
-        ({"max_inflight": "auto"}, 1024),
-        ({"max_inflight": "auto", "batching": 64}, 16),
+        ({"max_inflight": 5000}, 1024),  # never deeper than the lane ceiling
     ],
 )
 def test_the_depth_rule(config, depth):
@@ -151,6 +149,13 @@ def test_the_depth_rule(config, depth):
         for _ in range(taken):
             q.give()
         assert taken == depth
+
+
+@pytest.mark.parametrize("window", ["auto", 0, -4, 2.5])
+def test_the_window_is_none_or_a_positive_int(window):
+    with _backend("threads") as b:
+        with pytest.raises(ValueError, match="None or a positive int"):
+            b.open(max_inflight=window)
 
 
 def test_processes_rewarm_for_a_new_depth_and_back(tmp_path):

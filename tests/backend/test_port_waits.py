@@ -18,7 +18,6 @@ import pytest
 from repro.backend import SessionClosed, ThreadBackend, base
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.monitor.instrument import StageSnapshot
 from repro.util.handoff import Bell
 
 WAKE_S = 0.02
@@ -169,22 +168,6 @@ def test_a_parked_submit_wakes_on_an_error():
         assert producer.woke_within(t0)
         assert "boom" in str(producer.error)
         gate.set()
-
-
-def test_a_parked_submit_wakes_on_a_window_retune():
-    gate, backend = _gated_backend()
-    with backend as b:
-        session = b.open(max_inflight=3)
-        producer = _park_a_submit(session)
-        # Measured: a 1 ms bottleneck, so Little's law wants a wider window.
-        snap = StageSnapshot(0, 100, 0.001, 0.0, 0.0, 0.001, 0.0)
-        session.snapshots = lambda: [snap]
-        t0 = time.perf_counter()
-        session._retune_window()
-        assert session.max_inflight > 3
-        assert producer.woke_within(t0) and producer.error is None
-        gate.set()
-        assert session.drain() == [0, 1, 2, 3]
 
 
 # ------------------------------------------------------- drain and the Ticket

@@ -188,6 +188,31 @@ def _array_total(a):
     return float(a.sum())
 
 
+@pytest.mark.parametrize("failing_start", [0, 1, 3])
+def test_a_warm_that_fails_half_way_leaves_nothing_behind(monkeypatch, failing_start):
+    b = ProcessPoolBackend(spec([_inc, _double]), max_replicas=2)  # four starts
+    start, started = b._ctx.Process.start, []
+
+    def flaky_start(proc):
+        if len(started) == failing_start:
+            raise OSError("fork failed")
+        started.append(proc.name)  # not the process: it would pin its pipes
+        start(proc)
+
+    gc.collect()
+    fds = _open_fds()
+    segments = set(os.listdir("/dev/shm"))
+    monkeypatch.setattr(b._ctx.Process, "start", flaky_start)
+    with pytest.raises(OSError, match="fork failed"):
+        b.warm()
+    assert len(started) == failing_start
+    assert mp.active_children() == []
+    gc.collect()
+    assert _open_fds() == fds
+    assert not {s for s in set(os.listdir("/dev/shm")) - segments if s.startswith("repro-shm-")}
+    b.close()
+
+
 class TestProcessTransports:
     @pytest.mark.parametrize("transport", ["pickle", "shm", "auto"])
     def test_identical_outputs_across_transports(self, transport):

@@ -6,12 +6,7 @@ import time
 import pytest
 
 from repro import open_pipeline
-from repro.backend import (
-    BottleneckGrowthPolicy,
-    RuntimeAdaptiveRunner,
-    ThreadBackend,
-    local_config,
-)
+from repro.backend import RuntimeAdaptiveRunner, ThreadBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.policy import AdaptationPolicy
 from repro.core.stage import StageSpec
@@ -303,32 +298,26 @@ class TestEventDrivenController:
             assert session.drain() == list(range(12))
 
 
-def growth_runner(pipe, max_workers, imbalance_threshold=1.5):
-    """A thread-backend runner on the bottleneck-growth policy, fast cadence."""
+def fast_runner(pipe, **backend_kwargs):
+    """A thread-backend runner on the default policy, fast cadence, no rollback."""
     config = local_config(interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05)
     return RuntimeAdaptiveRunner(
-        pipe,
-        ThreadBackend(pipe, max_replicas=max_workers),
-        policy=BottleneckGrowthPolicy(
-            pipe,
-            config,
-            max_workers=max_workers,
-            imbalance_threshold=imbalance_threshold,
-        ),
-        rollback=False,
+        pipe, ThreadBackend(pipe, **backend_kwargs), config=config, rollback=False
     )
 
 
-class TestBottleneckGrowthPolicy:
-    """Back-to-back ``run()`` calls over one warm session, growing live."""
+class TestAdaptationAcrossRuns:
+    """Back-to-back ``run()`` calls over one warm session, adapting live."""
 
     def test_grows_bottleneck_stage(self):
         pipe = spec([lambda x: x, _sleeper(0.004), lambda x: x])
         grown_stages = []
-        with growth_runner(pipe, max_workers=3) as runner:
+        with fast_runner(pipe, max_replicas=3) as runner:
+            session = runner.attach()
             for _ in range(3):
                 res = runner.run(range(30))
                 assert res.outputs == list(range(30))
+                assert runner._attached is session  # one warm session throughout
                 for event in res.adaptation_events:
                     grown_stages += [
                         i
@@ -340,26 +329,19 @@ class TestBottleneckGrowthPolicy:
             assert runner.backend.replica_counts()[1] > 1
         assert all(stage == 1 for stage in grown_stages)
 
-    def test_respects_max_workers(self):
+    def test_respects_the_warm_pool(self):
         pipe = spec([_sleeper(0.002)])
-        with growth_runner(pipe, max_workers=2) as runner:
+        with fast_runner(pipe, max_replicas=2) as runner:
             for _ in range(5):
                 runner.run(range(10))
             assert runner.backend.replica_counts()[0] <= 2
 
     def test_never_replicates_stateful_stage(self):
         pipe = spec([_sleeper(0.002), lambda x: x], replicable=[False, True])
-        with growth_runner(pipe, max_workers=4) as runner:
+        with fast_runner(pipe, max_replicas=4) as runner:
             for _ in range(3):
                 runner.run(range(10))
             assert runner.backend.replica_counts()[0] == 1
-
-    def test_invalid_params(self):
-        pipe = spec([lambda x: x])
-        with pytest.raises(ValueError):
-            BottleneckGrowthPolicy(pipe, max_workers=0)
-        with pytest.raises(ValueError):
-            BottleneckGrowthPolicy(pipe, imbalance_threshold=0.5)
 
     def test_adaptive_batches_surface_replicated_stage_error(self):
         calls = []
@@ -372,7 +354,7 @@ class TestBottleneckGrowthPolicy:
             return x
 
         pipe = spec([boom])
-        with growth_runner(pipe, max_workers=3, imbalance_threshold=1.0) as runner:
+        with fast_runner(pipe, replicas=[2], max_replicas=3) as runner:
             with pytest.raises(StageError, match="s0"):
                 for _ in range(3):
                     runner.run(range(10))

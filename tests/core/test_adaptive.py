@@ -1,5 +1,8 @@
 """Tests for the full adaptive runner (observe-decide-act end to end)."""
 
+import warnings
+from collections import Counter
+
 import pytest
 
 from repro.core.adaptive import AdaptivePipeline, run_static
@@ -8,6 +11,7 @@ from repro.core.policy import AdaptationConfig
 from repro.core.stage import StageSpec
 from repro.gridsim.spec import heterogeneous_grid, uniform_grid
 from repro.model.mapping import Mapping
+from repro.obs.events import EventBus
 
 
 def balanced(n=3, work=0.1):
@@ -141,6 +145,32 @@ class TestAdaptiveRunner:
         assert ev.predicted_gain > 1.0
         assert ev.mapping_before != ev.mapping_after
         assert "->" in str(ev)
+
+    def test_events_go_to_the_bus_in_simulated_time(self):
+        # The bus has no clock: an emit without at= would warn.
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        grid = uniform_grid(4)
+        grid.perturb(1, [(10.0, 0.1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = AdaptivePipeline(
+                balanced(),
+                grid,
+                config=AdaptationConfig(interval=3.0, cooldown=5.0),
+                initial_mapping=Mapping.single([0, 1, 2]),
+                seed=1,
+                events=bus,
+            ).run(800)
+        kinds = Counter(e.kind for e in seen)
+        assert kinds["item.submit"] == kinds["item.complete"] == 800
+        decided = [e.time for e in seen if e.kind == "adapt.decide"]
+        assert decided[:3] == [3.0, 6.0, 9.0]  # one look per simulated interval
+        acted = [e.time for e in seen if e.kind == "adapt.act"]
+        assert acted[0] == res.adaptation_events[0].time > 10.0
+        done = [e.time for e in seen if e.kind == "item.complete"]
+        assert done == res.completion_times
 
     def test_mapping_history_tracks_changes(self):
         grid = uniform_grid(4)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.gridsim.engine import (
-    AllOf,
     AnyOf,
     Interrupt,
     ProcessFailed,
@@ -276,30 +275,6 @@ class TestCombinators:
         sim.process(proc())
         sim.run()
         assert got == [(2.0, (1, "fast"))]
-
-    def test_allof_collects_in_declaration_order(self):
-        sim = Simulator()
-        got = []
-
-        def proc():
-            vals = yield AllOf([sim.timeout(5.0, "a"), sim.timeout(2.0, "b")])
-            got.append((sim.now, vals))
-
-        sim.process(proc())
-        sim.run()
-        assert got == [(5.0, ["a", "b"])]
-
-    def test_allof_empty(self):
-        sim = Simulator()
-        got = []
-
-        def proc():
-            vals = yield AllOf([])
-            got.append(vals)
-
-        sim.process(proc())
-        sim.run()
-        assert got == [[]]
 
     def test_anyof_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -61,13 +61,6 @@ class TestPipelineInstrumentation:
             pi.record_completion(t)
         assert pi.items_completed == 3
 
-    def test_overall_throughput(self):
-        pi = PipelineInstrumentation(1)
-        for t in (1.0, 2.0, 3.0, 4.0):
-            pi.record_completion(t)
-        assert pi.overall_throughput() == pytest.approx(1.0)
-        assert pi.overall_throughput(end_time=8.0) == pytest.approx(0.5)
-
     def test_recent_throughput_windows(self):
         pi = PipelineInstrumentation(1)
         for t in (1.0, 2.0, 9.0, 10.0):
@@ -114,10 +107,6 @@ class TestPipelineInstrumentation:
 
     def test_bottleneck_none_before_data(self):
         assert PipelineInstrumentation(2).bottleneck() is None
-
-    def test_empty_throughput_zero(self):
-        pi = PipelineInstrumentation(1)
-        assert pi.overall_throughput() == 0.0
 
 
 class TestPayloadByteAccounting:

@@ -6,11 +6,10 @@ from repro.obs.events import NULL_BUS, SCHEMA, Event, EventBus
 
 
 class TestEvent:
-    def test_positional_compat_with_trace_event(self):
+    def test_positional_fields(self):
         e = Event(1.5, "adapt.decide", "remap", {"stage": 3})
         assert e.time == 1.5
         assert e.kind == "adapt.decide"
-        assert e.category == "adapt.decide"  # legacy alias
         assert "stage=3" in str(e)
 
     def test_fields_default_empty(self):
@@ -33,7 +32,7 @@ class TestEventBus:
         assert seen[0].fields == {"stream": 1}
 
     def test_kind_filter(self):
-        bus = EventBus()
+        bus = EventBus(clock=lambda: 1.0)
         seen = []
         bus.subscribe(seen.append, kinds=("item.complete",))
         bus.emit("item.submit", seq=0)

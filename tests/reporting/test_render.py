@@ -1,6 +1,6 @@
 """Tests for benchmark report rendering."""
 
-from repro.reporting.render import experiment_header, rows_table
+from repro.reporting.render import experiment_header
 
 
 class TestExperimentHeader:
@@ -9,24 +9,3 @@ class TestExperimentHeader:
         assert "E1: my title" in h
         assert "claim: my claim" in h
         assert h.count("=") > 50  # banner bars
-
-
-class TestRowsTable:
-    def test_selects_and_orders_columns(self):
-        rows = [
-            {"a": 1, "b": 2.5, "ignored": "x"},
-            {"a": 3, "b": 4.5},
-        ]
-        out = rows_table(rows, ["b", "a"])
-        lines = out.splitlines()
-        assert lines[0].split() == ["b", "a"]
-        assert "2.5" in lines[2]
-        assert "ignored" not in out
-
-    def test_missing_keys_blank(self):
-        out = rows_table([{"a": 1}], ["a", "missing"])
-        assert "missing" in out.splitlines()[0]
-
-    def test_title(self):
-        out = rows_table([{"a": 1}], ["a"], title="T")
-        assert out.splitlines()[0] == "T"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.backend import ThreadBackend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.backend.runner import propose_growth
 from repro.runtime.threads import StageError
 
 
@@ -179,115 +178,3 @@ class TestReplicatedStageErrors:
         with pytest.raises(StageError, match="s1"):
             run(pipe, range(200), replicas=[1, 2], capacity=1)
 
-
-class TestProposeGrowth:
-    """The growth decision, isolated from threading."""
-
-    def test_picks_bottleneck(self):
-        assert (
-            propose_growth(
-                [0.01, 0.08, 0.01],
-                [1, 1, 1],
-                [True, True, True],
-                max_workers=4,
-                imbalance_threshold=1.5,
-            )
-            == 1
-        )
-
-    def test_tie_below_threshold_stays_put(self):
-        # Two stages within the threshold of each other: growing either
-        # would not relieve a dominant bottleneck.
-        assert (
-            propose_growth(
-                [0.05, 0.049],
-                [1, 1],
-                [True, True],
-                max_workers=4,
-                imbalance_threshold=1.5,
-            )
-            is None
-        )
-
-    def test_exact_threshold_boundary_grows(self):
-        assert (
-            propose_growth(
-                [0.06, 0.04],
-                [1, 1],
-                [True, True],
-                max_workers=4,
-                imbalance_threshold=1.5,
-            )
-            == 0
-        )
-
-    def test_threshold_one_grows_on_exact_tie_lowest_index(self):
-        # imbalance_threshold=1.0 accepts ties; stable sort keeps the
-        # earliest stage first, so stage 0 wins a dead heat.
-        assert (
-            propose_growth(
-                [0.05, 0.05],
-                [1, 1],
-                [True, True],
-                max_workers=4,
-                imbalance_threshold=1.0,
-            )
-            == 0
-        )
-
-    def test_single_stage_has_no_runner_up(self):
-        # runner_up == 0.0 means "no contender": always grow.
-        assert (
-            propose_growth(
-                [0.05], [1], [True], max_workers=4, imbalance_threshold=1.5
-            )
-            == 0
-        )
-
-    def test_per_worker_normalisation_shifts_bottleneck(self):
-        # Stage 0 is slower in absolute terms but already has 4 workers;
-        # per-worker it is cheap, so the decision must target stage 1.
-        assert (
-            propose_growth(
-                [0.08 / 4, 0.05],
-                [4, 1],
-                [True, True],
-                max_workers=4,
-                imbalance_threshold=1.5,
-            )
-            == 1
-        )
-
-    def test_respects_max_workers_cap(self):
-        assert (
-            propose_growth(
-                [0.08, 0.01],
-                [4, 1],
-                [True, True],
-                max_workers=4,
-                imbalance_threshold=1.5,
-            )
-            is None
-        )
-
-    def test_stateful_bottleneck_never_grows(self):
-        # The decision targets the bottleneck only; a stateful bottleneck
-        # means no growth at all (not growth of the runner-up).
-        assert (
-            propose_growth(
-                [0.08, 0.01],
-                [1, 1],
-                [False, True],
-                max_workers=4,
-                imbalance_threshold=1.5,
-            )
-            is None
-        )
-
-    def test_all_idle_stays_put(self):
-        assert (
-            propose_growth(
-                [0.0, 0.0], [1, 1], [True, True], max_workers=4, imbalance_threshold=1.5
-            )
-            is None
-        )

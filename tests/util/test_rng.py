@@ -1,9 +1,8 @@
 """Tests for deterministic RNG stream derivation."""
 
 import numpy as np
-import pytest
 
-from repro.util.rng import derive_rng, derive_seed, spawn_rngs
+from repro.util.rng import derive_rng, derive_seed
 
 
 class TestDeriveSeed:
@@ -36,20 +35,3 @@ class TestDeriveRng:
         a = derive_rng(5, "load", "proc0").random(10)
         b = derive_rng(5, "load", "proc1").random(10)
         assert not np.array_equal(a, b)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, "w", 5)) == 5
-
-    def test_streams_are_independent(self):
-        rngs = spawn_rngs(0, "w", 3)
-        draws = [r.random(4).tolist() for r in rngs]
-        assert draws[0] != draws[1] != draws[2]
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, "w", -1)
-
-    def test_zero_count(self):
-        assert spawn_rngs(0, "w", 0) == []

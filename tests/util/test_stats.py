@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.stats import (
-    EWMA,
-    OnlineStats,
-    SlidingWindow,
-    coefficient_of_variation,
-    summarize,
-)
+from repro.util.stats import OnlineStats, SlidingWindow
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -51,56 +45,10 @@ class TestOnlineStats:
         assert s.mean == pytest.approx(np.mean(data), rel=1e-9, abs=1e-6)
         assert s.variance == pytest.approx(np.var(data, ddof=1), rel=1e-6, abs=1e-6)
 
-    @given(
-        st.lists(finite_floats, min_size=1, max_size=50),
-        st.lists(finite_floats, min_size=1, max_size=50),
-    )
-    def test_property_merge_equals_combined(self, xs, ys):
-        a, b, c = OnlineStats(), OnlineStats(), OnlineStats()
-        a.extend(xs)
-        b.extend(ys)
-        c.extend(xs + ys)
-        merged = a.merge(b)
-        assert merged.n == c.n
-        assert merged.mean == pytest.approx(c.mean, rel=1e-9, abs=1e-6)
-        assert merged.min == c.min
-        assert merged.max == c.max
-
-    def test_merge_with_empty(self):
-        a = OnlineStats()
-        a.extend([1.0, 2.0])
-        empty = OnlineStats()
-        assert a.merge(empty).mean == pytest.approx(1.5)
-        assert empty.merge(a).mean == pytest.approx(1.5)
-
     def test_cv(self):
         s = OnlineStats()
         s.extend([10.0, 10.0, 10.0])
         assert s.cv == pytest.approx(0.0)
-
-
-class TestEWMA:
-    def test_first_value_taken_directly(self):
-        e = EWMA(0.5)
-        assert e.push(4.0) == 4.0
-
-    def test_smoothing(self):
-        e = EWMA(0.5)
-        e.push(0.0)
-        assert e.push(10.0) == pytest.approx(5.0)
-        assert e.push(10.0) == pytest.approx(7.5)
-
-    def test_alpha_one_tracks_last(self):
-        e = EWMA(1.0)
-        e.push(1.0)
-        e.push(99.0)
-        assert e.value == 99.0
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            EWMA(0.0)
-        with pytest.raises(ValueError):
-            EWMA(1.5)
 
 
 class TestSlidingWindow:
@@ -134,30 +82,3 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             w.percentile(101)
 
-
-class TestSummarize:
-    def test_empty(self):
-        s = summarize([])
-        assert s.n == 0
-        assert math.isnan(s.mean)
-
-    def test_values(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.n == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.min == 1.0
-        assert s.max == 4.0
-        assert s.p50 == pytest.approx(2.5)
-
-    def test_single(self):
-        s = summarize([7.0])
-        assert s.std == 0.0
-
-
-class TestCoefficientOfVariation:
-    def test_constant_series_is_zero(self):
-        assert coefficient_of_variation([5, 5, 5]) == pytest.approx(0.0)
-
-    def test_degenerate(self):
-        assert math.isnan(coefficient_of_variation([1.0]))
-        assert math.isnan(coefficient_of_variation([-1.0, 1.0]))  # mean 0

@@ -2,22 +2,7 @@
 
 import pytest
 
-from repro.util.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_probability,
-    require,
-)
-
-
-class TestRequire:
-    def test_pass(self):
-        require(True, "never")
-
-    def test_fail_message(self):
-        with pytest.raises(ValueError, match="broken"):
-            require(False, "broken")
+from repro.util.validation import check_non_negative, check_positive, check_probability
 
 
 class TestCheckers:
@@ -40,11 +25,6 @@ class TestCheckers:
             check_probability(1.01, "p")
         with pytest.raises(ValueError):
             check_probability(-0.01, "p")
-
-    def test_in_range(self):
-        assert check_in_range(5, 0, 10, "v") == 5
-        with pytest.raises(ValueError):
-            check_in_range(11, 0, 10, "v")
 
     def test_nan_rejected_by_positive(self):
         with pytest.raises(ValueError):
