@@ -128,6 +128,21 @@ class TestPortContract:
         assert [e.time for e in simulated] == b.last_run.completion_times
         b.close()
 
+    @pytest.mark.parametrize("name", ["sim", "threads"])
+    def test_stream_id_opens_lazily_and_counts_streams(self, name):
+        b = make_backend(name, pipe())
+        with b.open() as session:
+            assert session.stream == -1  # nothing submitted yet
+            for i in range(3):
+                session.submit(i)
+            assert session.stream == 0
+            assert session.drain() == [1, 2, 3]
+            assert session.stream == 0  # a drain ends the stream, it opens none
+            session.submit(9)
+            assert session.stream == 1
+            assert session.drain() == [10]
+        b.close()
+
     def test_sim_rejects_live_reconfigure(self):
         b = SimBackend(pipe())
         assert not b.supports_live_reconfigure

@@ -153,12 +153,17 @@ class TestFrameEventParity:
         "backend, kwargs", [("processes", {}), ("distributed", {"spawn_workers": 1})]
     )
     def test_recycled_and_pool_footprint_show_slot_reuse(self, backend, kwargs):
-        # Segment-sized payloads through a window of 2: the first encodes
-        # create their slots (recycled 0.0), every later one is served from
-        # a slot an earlier item handed back (1.0), and stats() reads the
-        # session's footprint — bounded by the window, idle after drain.
+        # Segment-sized payloads through a window of 1: the first encode
+        # creates its slots (recycled 0.0), every later one is served from
+        # the slots the previous item handed back (1.0), and stats() reads
+        # the session's footprint — bounded by the window, idle after drain.
+        # The window is 1 because a frame's two segments are claimed and
+        # released one at a time: under a wider window an encode can overlap
+        # the previous frame's release and find one slot free and the other
+        # not yet, a legitimately half-recycled frame (0.5).  One item in
+        # flight orders every release before the next encode.
         session = open_pipeline(
-            [_double], backend=backend, transport="shm", max_inflight=2, **kwargs
+            [_double], backend=backend, transport="shm", max_inflight=1, **kwargs
         )
         shares = []
         session.events.subscribe(
@@ -174,10 +179,11 @@ class TestFrameEventParity:
             session.close()
         assert shares[0] == 0.0 and shares[-1] == 1.0
         assert set(shares) <= {0.0, 1.0} and shares.count(0.0) <= 3
+        assert shares == [0.0] + [1.0] * 11
         probe = backend == "distributed"  # its negotiation segment stays held
         assert pool.busy == probe
-        # parent + one worker, 2 segments per frame, at most window+1 live
-        assert 4 <= pool.slots - probe <= 12
+        # parent + one worker, 2 segments per frame, one frame live per side
+        assert pool.slots - probe == 4
         assert pool.nbytes >= 2 * 320_000  # a payload slot on each side, at least
 
 

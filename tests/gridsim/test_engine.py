@@ -125,6 +125,20 @@ class TestProcesses:
         sim.run()
         assert results == [42]
 
+    def test_outcome_is_readable_without_waiting(self):
+        sim = Simulator()
+
+        def child():
+            yield sim.timeout(1.0)
+            return 42
+
+        p = sim.process(child(), "child")
+        assert (p.done, p.value, p.failure) == (False, None, None)
+        assert repr(p) == "Process('child', running)"
+        sim.run()
+        assert (p.done, p.value, p.failure) == (True, 42, None)
+        assert repr(p) == "Process('child', done)"
+
     def test_wait_on_finished_process(self):
         sim = Simulator()
 

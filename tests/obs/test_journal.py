@@ -3,6 +3,8 @@
 import json
 import threading
 
+import pytest
+
 from repro.obs.events import Event, EventBus
 from repro.obs.journal import JsonlJournal, read_journal
 
@@ -118,6 +120,19 @@ class TestJsonlJournal:
         j.close()
         j(Event(0.0, "stream.begin"))  # silently dropped
         assert path.read_text() == ""
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["writer-thread", "inline"])
+    def test_flush_puts_every_record_on_disk_while_open(self, tmp_path, inline):
+        path = tmp_path / "j.jsonl"
+        j = JsonlJournal(path, inline=inline)
+        for i in range(50):
+            j(Event(float(i), "item.submit", fields={"seq": i}))
+        j.flush()
+        assert not j.closed
+        assert [r["seq"] for r in read_journal(path)] == list(range(50))
+        j.close()
+        assert j.closed
+        j.flush()  # nothing left to wait for: returns at once
 
     def test_as_bus_subscriber(self, tmp_path):
         path = tmp_path / "j.jsonl"
