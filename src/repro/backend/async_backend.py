@@ -188,8 +188,8 @@ class _AsyncioSession(Session):
                     return
                 dt = time.perf_counter() - t0
                 with self._stage_locks[i]:
-                    # This fabric's event seq space is gseq: a batch reports
-                    # seq = its first item's gseq, items = its length.
+                    # Records name items by gseq: a batch reports seq =
+                    # its first item's, items = its length.
                     instrumentation.stages[i].record_service(
                         dt, 1.0,
                         seq=value.gbase if batched else seq,
@@ -270,10 +270,10 @@ class _AsyncioSession(Session):
         if self._pump_wake is not None:
             self._pump_wake.set()
 
-    def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
+    def _submit_one(self, seq: int, item: Any) -> None:
         if not self._credits.take(self._abort):
             raise self._aborted()
-        self._ingress.append((gseq, item))
+        self._ingress.append((seq, item))
         try:
             self._loop.call_soon_threadsafe(self._wake_pump)
         except RuntimeError as err:  # loop torn down under us

@@ -312,13 +312,12 @@ class Session:
         # --- micro-batch assembly state (all mutated under _lock) --------
         self._buf: list[Any] = []  # admitted items awaiting a batch cut
         self._buf_bytes = 0
-        self._buf_base_seq = 0  # stream seq / gseq of the buffer's first item
-        self._buf_gbase = 0
+        self._buf_base_seq = 0  # stream seq of the buffer's first item
+        self._buf_gbase = 0  # ... and its gseq
         self._buf_deadline = 0.0  # perf_counter deadline for a linger flush
-        self._bseq = 0  # per-stream batch sequence (the executors' seq space)
-        self._bgseq = 0  # session-global batch sequence (their gseq space)
-        #: bseq -> (base item seq, item count) for the current stream; the
-        #: routers translate batch-covering events back to item seqs here.
+        self._bseq = 0  # session-wide batch number: the executors' seq under batching
+        #: bseq -> (first item's gseq, item count) of every undelivered
+        #: batch; the routed lanes name batch-covering records by item here.
         self._batch_map: dict[int, tuple[int, int]] = {}
         self._flushq: deque = deque()  # cut batches awaiting the flusher
         self._flush_busy = False  # flusher is mid-_submit_one right now
@@ -436,12 +435,8 @@ class Session:
                     self._out.clear()
                     self._begun = threading.Event()
                     self._stream_t0 = time.perf_counter()
-                    # Fresh per-stream batch sequence space (bgseq, like
-                    # gseq, stays session-global).
                     self._buf = []
                     self._buf_bytes = 0
-                    self._bseq = 0
-                    self._batch_map.clear()
                     begin = True
                 if (
                     self.max_inflight is None
@@ -480,10 +475,10 @@ class Session:
         elif not begun.is_set():
             begun.wait()
         # The span (and its trace id) is minted here: (stream, seq) is the
-        # item's Ticket, and gseq lets collectors resolve executors whose
-        # internal sequence space is session-global (threads, asyncio).
-        # ``wait`` rides along only when bounded admission actually blocked
-        # — the profiler's admit-wait phase, absent meaning zero.
+        # item's Ticket, and gseq is the number every executor's lane
+        # records name it by.  ``wait`` rides along only when bounded
+        # admission actually blocked — the profiler's admit-wait phase,
+        # absent meaning zero.
         if self.events.wants("item.submit"):
             self.events.emit(
                 "item.submit",
@@ -495,7 +490,7 @@ class Session:
             )
         if self._bcfg is None:
             try:
-                self._submit_one(stream, seq, gseq, item)
+                self._submit_one(gseq, item)
             except BaseException as err:
                 self._deliver_error(err)
                 raise
@@ -549,7 +544,6 @@ class Session:
             self._eos = True
             self._bell.ring()  # the barrier: a parked submit must see it
             stream, n = self._stream, self._submitted
-            units = n
             if self._bcfg is not None:
                 # Steal every cut-but-unsubmitted batch and flush the
                 # partial buffer; wait out a flusher mid-_submit_one so no
@@ -558,13 +552,11 @@ class Session:
                     pending.append(self._flushq.popleft())
                 if self._buf:
                     pending.append(self._cut_locked("drain"))
-                units = self._bseq
                 while self._flush_busy:
                     self._bell.wait()
         for cut in pending:
             self._submit_cut(cut)
-        # Batched executors count stream units in batches, not items.
-        self._end_stream(stream, units)
+        self._end_stream(stream)
         with self._lock:
             while self._delivered < n:
                 if self._error is not None:
@@ -761,12 +753,13 @@ class Session:
         return stream == self._stream and seq < self._delivered
 
     def _event_seq(self, seq: int) -> "tuple[int, int]":
-        """Translate an executor seq into item space: ``(first_seq, items)``.
+        """Translate an executor seq into item space: ``(first gseq, items)``.
 
-        Executor seqs are micro-batch seqs when batching is on; trace
-        emitters use this so journal events name real item seqs (plus an
-        ``items`` count) instead of internal batch numbering.  Reads of
-        ``_batch_map`` are GIL-atomic dict gets, safe from router threads.
+        Executor seqs are batch numbers when batching is on; trace emitters
+        use this so journal events name items by the ``gseq`` their
+        ``item.submit`` carried (plus an ``items`` count) instead of batch
+        numbering.  Reads of ``_batch_map`` are GIL-atomic dict gets, safe
+        from router threads.
         """
         mapped = self._batch_map.get(seq)
         return mapped if mapped is not None else (seq, 1)
@@ -812,23 +805,21 @@ class Session:
         """Seal the assembly buffer into one Batch (under ``_lock``)."""
         bseq = self._bseq
         self._bseq += 1
-        bgseq = self._bgseq
-        self._bgseq += 1
         batch = Batch(self._buf, self._buf_base_seq, self._buf_gbase, bseq)
-        self._batch_map[bseq] = (batch.base_seq, len(batch.items))
+        self._batch_map[bseq] = (batch.gbase, len(batch.items))
         self._buf = []
         self._buf_bytes = 0
-        return (self._stream, batch, bgseq, self._begun, reason)
+        return (self._stream, batch, self._begun, reason)
 
     def _submit_cut(self, cut: tuple) -> None:
         """Hand one sealed batch to the executor (outside ``_lock``).
 
         Waits on the stream's begin barrier first: a flusher-side cut must
-        not reach the executor before ``_begin_stream`` rebased it.
+        not reach the executor before ``_begin_stream`` opened the stream.
         Out-of-order arrival *between* submitters is fine — every executor
         restores sequence order downstream.
         """
-        stream, batch, bgseq, begun, reason = cut
+        stream, batch, begun, reason = cut
         if not begun.is_set():
             begun.wait()
         self.events.emit(
@@ -840,7 +831,7 @@ class Session:
             reason=reason,
         )
         try:
-            self._submit_one(stream, batch.bseq, bgseq, batch)
+            self._submit_one(batch.bseq, batch)
         except BaseException as err:
             self._deliver_error(err)
             raise
@@ -889,17 +880,17 @@ class Session:
     def _begin_stream(self, stream: int) -> None:
         """A new stream opens (called before its first ``_submit_one``)."""
 
-    def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
+    def _submit_one(self, seq: int, item: Any) -> None:
         """Hand one admitted item to the executor (may block on its queues).
 
-        ``seq`` is the position within ``stream``; ``gseq`` is a
-        session-global monotone sequence for executors that keep one
-        ordering space across streams.
+        ``seq`` is the item's session-wide ``gseq`` — a batch's ``bseq``
+        under batching — the one number the executor orders by and its
+        records name; it never restarts at a stream boundary.
         """
         raise NotImplementedError
 
-    def _end_stream(self, stream: int, n_items: int) -> None:
-        """End-of-stream declared after ``n_items`` admissions (flush hook)."""
+    def _end_stream(self, stream: int) -> None:
+        """End-of-stream declared: every admission was handed over (flush hook)."""
 
     def _finalize_stream(self, wall_elapsed: float) -> float:
         """Map the drained stream's wall time onto the executor's clock."""

@@ -17,10 +17,9 @@ Topology (a star — every transfer crosses the coordinator)::
   (:mod:`repro.backend.routed`), ``submit()`` dispatches to stage 0 on the
   caller's thread, and this module supplies the lane behind both.  Each
   stream gets its own **epoch**: tasks and results carry the stream's
-  epoch, a result is only accepted while its
-  (epoch, seq) assignment is still live, and sequence numbers are
-  stream-scoped (the core rebases its reorderers at each boundary) — so
-  crash re-dispatch stays exactly-once within a stream and a stale
+  epoch and the item's session-wide ``gseq`` (a batch's ``bseq``), and a
+  result is only accepted while its (epoch, seq) assignment is still live —
+  so crash re-dispatch stays exactly-once within a stream and a stale
   duplicate from any earlier stream is dropped on arrival.
 * Each stage owns a **replica set** spread across workers.  Dispatch sends
   each item to the replica predicted to finish it first (measured drain
@@ -222,7 +221,6 @@ class _DistributedSession(RoutedSession):
         # any earlier stream (or an aborted one) is dropped on arrival.
         backend._epoch += 1
         backend._reclaim_inflight()
-        super()._begin_stream(stream)
 
     def _shutdown(self) -> None:
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
@@ -819,9 +817,9 @@ class DistributedBackend(Backend):
         # One fit per batch: ClockSync.fit() takes a lock, and a result
         # frame carries several events mapped through the same model.
         to_local = w.clock.fit().to_local
-        # Worker events name executor seqs, which are micro-batch seqs
-        # when batching is on: the session helper reports them in item
-        # space so span/profile consumers attribute them per item.
+        # Worker events name executor seqs, which are batch numbers when
+        # batching is on: the session helper reports them by item gseq so
+        # span/profile consumers attribute them per item.
         for kind, t_w, fields in events:
             if fields.get("epoch") != epoch:
                 continue
@@ -1092,13 +1090,14 @@ class DistributedBackend(Backend):
                     return True  # a death handler already re-homed the item
                 self._codec.release(frame)
                 frame = copy
+            # Before the send: once it returns, the item may already be
+            # delivered and its batch number forgotten (a failed send is a
+            # death, and the re-dispatch that follows records again).
+            self._session._emit_items("item.dispatch", seq, stage=stage, worker=w.id)
             if w.send(
                 ("task", self._epoch, stage, replica.slot, seq, to_wire(frame),
                  time.perf_counter())
             ):
-                self._session._emit_items(
-                    "item.dispatch", seq, stage=stage, worker=w.id
-                )
                 return True
             # Send failed: reclaim the assignment (unless the death handler
             # got there first and already re-homed it — with this very

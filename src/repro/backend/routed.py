@@ -22,10 +22,13 @@ stateless stages results are forwarded as they arrive and a slow item
 never holds its successors back.
 
 :class:`RoutedSession` owns the ingress lock, one router thread per
-*boundary* stage, every reorderer and their stream-boundary rebase,
-per-stage metrics and byte accounting, item-space event emission, and the
-egress branch (decode → release → the port's ``_complete``); the abort
-flag and ``_fail`` are the port's.  An executor supplies four hooks:
+*boundary* stage, every reorderer, per-stage metrics and byte accounting,
+item-space event emission, and the egress branch (decode → release → the
+port's ``_complete``); the abort flag and ``_fail`` are the port's.  Items
+travel under the port's session-wide number (``gseq``, a batch's ``bseq``),
+which never restarts, so a reorderer runs on across stream boundaries and
+every record names items by the ``gseq`` their ``item.submit`` carried.
+An executor supplies four hooks:
 
 ``_ingress(seq, value)``
     encode one admitted item (through :meth:`RoutedSession._encode`, the
@@ -141,14 +144,7 @@ class RoutedSession(Session):
         """Progress counters plus the footprint of every party's slot pool."""
         return replace(super().stats(), pool=pool_footprint(self._codec.session))
 
-    def _begin_stream(self, stream: int) -> None:
-        # drain() emptied the pipeline, so every reorderer is idle: rebase
-        # them onto the new stream's sequence space.
-        for reorder in self._reorder:
-            if reorder is not None:
-                reorder.begin_stream(0)
-
-    def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
+    def _submit_one(self, seq: int, item: Any) -> None:
         # Concurrent submitters (and the linger flusher) may arrive out of
         # order; an ordered stage 0 must still start in order.
         reorder = self._reorder[0]
@@ -222,9 +218,9 @@ class RoutedSession(Session):
             hop = self._accept(stage, msg)
             if hop is None:
                 continue
-            # Executor seqs are batch seqs when batching: the service
-            # record goes back to item space (seq = first item, items = N)
-            # so span attribution and the live top view stay per-item.
+            # Executor seqs are batch numbers when batching: the service
+            # record goes back to item space (seq = first item's gseq,
+            # items = N) so span attribution and the top view stay per-item.
             where = self._event_seq(hop.seq)
             for upstream, worker, service_s, nbytes, queued, at in hop.trail:
                 self._record(upstream, where, service_s, 1.0, worker, queued, nbytes, at)

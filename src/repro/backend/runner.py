@@ -323,6 +323,7 @@ class RuntimeAdaptiveRunner:
         watch = ServiceWatch(
             getattr(session.instrumentation, "stages", ()),
             wake.set,
+            locks=session._stage_locks or (),
             min_samples=self.config.min_samples,
             ratio=self.config.min_improvement,
         )

@@ -45,18 +45,18 @@ class _SimSession(Session):
     def _begin_stream(self, stream: int) -> None:
         self._items = []
 
-    def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
+    def _submit_one(self, seq: int, item: Any) -> None:
         self._items.append(item)
 
-    def _end_stream(self, stream: int, n_items: int) -> None:
+    def _end_stream(self, stream: int) -> None:
         backend: SimBackend = self.backend  # type: ignore[assignment]
         outputs = backend._simulate(self._items)
         self.produces_outputs = outputs is not None
         self._sim_elapsed = (
             backend.last_run.end_time if backend.last_run is not None else 0.0
         )
-        for i in range(n_items):
-            self._deliver(outputs[i] if outputs is not None else None)
+        for value in outputs if outputs is not None else [None] * len(self._items):
+            self._deliver(value)
 
     def _finalize_stream(self, wall_elapsed: float) -> float:
         return self._sim_elapsed  # the simulator's clock, not the wall's

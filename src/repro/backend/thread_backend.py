@@ -14,10 +14,10 @@ the collector — so output order is guaranteed, *start* order only where a
 stage declared it needs it.  The fabric is **open-ended**: the submit side
 is the first queue's only producer and finishes only at ``close()``, so
 the sentinel shutdown cascade never fires between streams and back-to-back
-streams reuse the same warm worker threads.  Sequence numbers are
-session-global (``gseq``), which lets every
-:class:`~repro.util.ordering.SequenceReorderer` keep one ordering space
-across stream boundaries.
+streams reuse the same warm worker threads.  Items travel under the
+port's session-wide ``gseq``, as on every executor, so each
+:class:`~repro.util.ordering.SequenceReorderer` runs on across stream
+boundaries.
 
 Live reconfiguration: growth spawns a worker into the running stage
 (always possible — a session's stage never drains before close), shrink
@@ -119,8 +119,8 @@ class _ThreadSession(Session):
                 self._complete(value)
 
     # ----------------------------------------------------------- port hooks
-    def _submit_one(self, stream: int, seq: int, gseq: int, item: Any) -> None:
-        if not self._queues[0].put((gseq, item), abort=self._abort):
+    def _submit_one(self, seq: int, item: Any) -> None:
+        if not self._queues[0].put((seq, item), abort=self._abort):
             raise self._aborted()
 
     def _shutdown(self) -> None:

@@ -176,8 +176,8 @@ _OPEN = (-math.inf, math.inf)  # every mean is inside: has its evidence, waits f
 class _StageWatch:
     """One stage's end of a :class:`ServiceWatch`, fed by ``record_service``.
 
-    Runs under whatever serialises that stage's ``record_service`` calls
-    (the executors' per-stage metric lock), so it needs no lock of its own.
+    Runs under the lock that serialises that stage's ``record_service``
+    calls (the session's stage lock, which :meth:`ServiceWatch.arm` takes too).
     """
 
     __slots__ = (
@@ -287,12 +287,14 @@ class ServiceWatch:
         stages: Sequence[StageMetrics],
         wake: Callable[[], None],
         *,
+        locks: Sequence[AbstractContextManager],
         min_samples: int,
         ratio: float,
     ) -> None:
         self.min_samples = min_samples
         self.ratio = ratio
         self._wake = wake
+        self._locks = locks  # locks[i] serialises stage i's samples and band
         self.fired: tuple | None = None
         self.stages = [_StageWatch(self, m) for m in stages]
         for s in self.stages:
@@ -324,18 +326,19 @@ class ServiceWatch:
         watch keeps waiting for that).  Each stage checks itself against
         its band on its next sample.
         """
-        if centres is not None and all(s.ready for s in self.stages):
-            ratio = self.ratio
+        ratio, adopt = self.ratio, centres is not None and all(s.ready for s in self.stages)
+        if adopt:
             replicas = replicas or [1] * len(centres)
             period = max(c / r for c, r in zip(centres, replicas))
-            for s, centre, r in zip(self.stages, centres, replicas):
-                # The mean at which this stage would come within `ratio` of
-                # setting the period; under it, only crossing it matters.
-                near = period * r / ratio
-                s.centre = centre
-                s.limits = (centre / ratio if centre >= near else 0.0, max(centre * ratio, near))
-        for s in self.stages:
-            s.band = _SHUT
+        for k, s in enumerate(self.stages):
+            with self._locks[k]:
+                if adopt:
+                    # The mean at which this stage would come within `ratio` of
+                    # setting the period; under it, only crossing it matters.
+                    near = period * replicas[k] / ratio
+                    centre = s.centre = centres[k]
+                    s.limits = (centre / ratio if centre >= near else 0.0, max(centre * ratio, near))
+                s.band = _SHUT
 
     def close(self) -> None:
         for s in self.stages:

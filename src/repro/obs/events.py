@@ -42,12 +42,13 @@ SCHEMA: dict[str, str] = {
     "item.dispatch": "item sent to a remote replica: stage, seq, worker",
     "item.complete": "item delivered in order: stream, seq",
     # -- micro-batch lifecycle (backend/base.py assembler/splitter; seq =
-    #    the batch's own stream-scoped number, base = first item seq) ------
+    #    the batch's own session-wide number, base = first item's stream seq)
     "batch.assemble": "admitted items coalesced into a batch: stream, seq, base, items[, reason]",
     "batch.encode": "a whole batch encoded as one frame: stage, seq, base, items, nbytes, seconds, recycled",
     "batch.split": "batch split back into per-item results: stream, seq, base, items",
     # -- stage service (monitor/instrument.py hook; a micro-batched record
-    #    carries the batch-total seconds plus items=N, seq = first item) ---
+    #    carries the batch-total seconds plus items=N; seq is an item's gseq,
+    #    the first member's on a batch, as in every record below) ---------
     "stage.service": "items serviced: stage, seconds, speed[, items, seq, worker, queue]",
     # -- replica shape (executors + distributed placement) ----------------
     "replica.add": "replicas grew: stage, n[, worker, slot]",
@@ -82,7 +83,7 @@ SCHEMA: dict[str, str] = {
     "clock.sync": "per-worker clock fit updated: worker, offset, drift, err, n",
     # -- per-hop latency decomposition (coordinator router, one per
     #    accepted result; durations in seconds, at = receipt time; a
-    #    batched hop carries items=N with seq = the first item's seq and
+    #    batched hop carries items=N with seq = the first item's gseq and
     #    durations covering the whole batch) -------------------------------
     "span.phases": (
         "one stage hop decomposed: stage, seq, worker, wire_out, "

@@ -10,11 +10,11 @@ tasks and results carry ``(epoch, seq)`` (the epoch *is* the stream id)
 plus echoed dispatch/service/wait timestamps, so no protocol change was
 needed.
 
-Sequence spaces differ per executor — the process and distributed
-executors emit stream-scoped ``seq``, the thread and asyncio executors
-emit the session-global ``gseq`` — so ``item.submit`` records *both* and
-the collector resolves stage-level events through whichever space names a
-live (submitted, not yet completed) item.
+``item.submit``/``item.complete`` name the item by its ticket; every other
+record names it by the session-wide ``gseq`` that ``item.submit`` carried
+(a batch-covering record by its first member's, plus ``items``) — the one
+number every executor keys its records by — so the collector resolves
+them through a single ``gseq`` index.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class SpanCollector:
     """Bus subscriber that groups per-item events into :class:`Span` objects."""
 
     KINDS = (
-        "stream.begin",
         "item.submit",
         "item.dispatch",
         "item.complete",
@@ -145,38 +144,23 @@ class SpanCollector:
 
     def __init__(self) -> None:
         self._spans: dict[tuple[int, int], Span] = {}
-        self._by_gseq: dict[int, tuple[int, int]] = {}
-        self._stream = 0
+        self._by_gseq: dict[int, Span] = {}
         self._lock = Lock()
 
     def attach(self, bus: EventBus) -> "SpanCollector":
         bus.subscribe(self, kinds=self.KINDS)
         return self
 
-    # -------------------------------------------------------------- resolve
-    def _resolve(self, seq: int) -> Span | None:
-        """Map an executor-scoped ``seq`` onto a live span (see module doc)."""
-        key = self._by_gseq.get(seq)
-        if key is not None:
-            span = self._spans.get(key)
-            if span is not None and not span.complete:
-                return span
-        return self._spans.get((self._stream, seq))
-
     def __call__(self, ev: Event) -> None:
         f = ev.fields
         with self._lock:
-            if ev.kind == "stream.begin":
-                self._stream = int(f.get("stream", self._stream))
-                return
             if ev.kind in ("item.submit", "item.complete"):
                 if "stream" not in f or "seq" not in f:
                     return
                 key = (int(f["stream"]), int(f["seq"]))
-                self._stream = key[0]
                 span = self._spans.setdefault(key, Span(*key))
                 if "gseq" in f:
-                    self._by_gseq[int(f["gseq"])] = key
+                    self._by_gseq[int(f["gseq"])] = span
                 span.events.append(ev)
                 return
             seq = f.get("seq")
@@ -187,7 +171,7 @@ class SpanCollector:
             # micro-batch keeps a full timeline (consumers divide any
             # ``seconds`` field by ``items`` for per-item attribution).
             for k in range(int(f.get("items", 1))):
-                span = self._resolve(int(seq) + k)
+                span = self._by_gseq.get(int(seq) + k)
                 if span is not None:
                     span.events.append(ev)
 

@@ -186,8 +186,7 @@ class _Worker(threading.Thread):
                         # in the resource view.  Default speed is 1.0 (the
                         # local host as the reference processor).  A batch
                         # records once with the batch-total dt and items=N
-                        # (seq = the first item's gseq — this fabric's event
-                        # sequence space).
+                        # (seq = the first item's gseq, as on every executor).
                         self.metrics.record_service(
                             dt, self.speed_fn(),
                             seq=value.gbase if batched else seq,

@@ -23,39 +23,50 @@ __all__ = [
 ]
 
 
+def _backend_for(
+    pipe: PipelineSpec,
+    backend: str | Backend,
+    replicas: Sequence[int] | None,
+    capacity: int | None,
+    **backend_kwargs,
+) -> tuple[Backend, bool]:
+    """Resolve ``backend`` for ``pipe``: ``(backend, whether it was built here)``."""
+    if isinstance(backend, str):
+        # capacity=None lets every adapter keep its own documented default
+        # (8 for the real executors, the simulator's 4 for "sim").
+        replicas = list(replicas) if replicas is not None else None
+        kwargs = dict(replicas=replicas, capacity=capacity, **backend_kwargs)
+        return make_backend(backend, pipe, **kwargs), True
+    # A Backend instance arrives fully configured: shape kwargs would be
+    # silently ignored — reject them loudly; make_backend validates that
+    # the instance runs the same stage callables as ``stages``.
+    if replicas is not None or capacity is not None or backend_kwargs:
+        raise ValueError(
+            "replicas/capacity/backend kwargs only apply when selecting "
+            "a backend by name; a Backend instance is already configured"
+        )
+    return make_backend(backend, pipe), False
+
+
 def _run_on_backend(
     pipe: PipelineSpec,
     inputs: Iterable[Any],
     backend: str | Backend,
     adaptive: bool | AdaptationConfig,
-    replicas: list[int] | None,
+    replicas: Sequence[int] | None,
     capacity: int | None,
     **backend_kwargs,
 ) -> list[Any]:
     """Execute ``pipe`` on the chosen backend, optionally under adaptation."""
-    owns = isinstance(backend, str)
-    if owns:
-        # capacity=None lets every adapter keep its own documented default
-        # (8 for the real executors, the simulator's 4 for "sim").
-        kwargs = dict(replicas=replicas, capacity=capacity, **backend_kwargs)
-        if adaptive and backend == "sim":
-            # The simulator's adaptation loop runs inside simulated time —
-            # hand the flag to its in-sim controller, not the wall-clock
-            # runner (which has no purchase on a simulated backend).
-            kwargs["adaptive"] = adaptive
-        b = make_backend(backend, pipe, **kwargs)
-    else:
-        # A Backend instance arrives fully configured: shape kwargs would be
-        # silently ignored — reject them loudly; make_backend validates that
-        # the instance runs the same stage callables as ``stages``.
-        if replicas is not None or capacity is not None or backend_kwargs:
-            raise ValueError(
-                "replicas/capacity/backend kwargs only apply when selecting "
-                "a backend by name; a Backend instance is already configured"
-            )
-        b = make_backend(backend, pipe)
+    # The simulator's adaptation loop runs inside simulated time — hand the
+    # flag to its in-sim controller, not the wall-clock runner (which has
+    # no purchase on a simulated backend).
+    in_sim = bool(adaptive) and backend == "sim"
+    if in_sim:
+        backend_kwargs["adaptive"] = adaptive
+    b, owns = _backend_for(pipe, backend, replicas, capacity, **backend_kwargs)
     use_runner = bool(adaptive) and b.supports_live_reconfigure
-    if adaptive and not use_runner and not (owns and backend == "sim"):
+    if adaptive and not use_runner and not in_sim:
         if owns:
             b.close()  # don't leak warm resources on a refused request
         raise ValueError(
@@ -145,15 +156,7 @@ def pipeline_1for1(
     [4, 6, 8]
     """
     pipe = _as_pipeline(stages)
-    return _run_on_backend(
-        pipe,
-        inputs,
-        backend,
-        adaptive,
-        list(replicas) if replicas is not None else None,
-        capacity,
-        **backend_kwargs,
-    )
+    return _run_on_backend(pipe, inputs, backend, adaptive, replicas, capacity, **backend_kwargs)
 
 
 def open_pipeline(
@@ -215,22 +218,7 @@ def open_pipeline(
     [2, 3]
     >>> session.close()
     """
-    pipe = _as_pipeline(stages)
-    owns = isinstance(backend, str)
-    if owns:
-        kwargs = dict(
-            replicas=list(replicas) if replicas is not None else None,
-            capacity=capacity,
-            **backend_kwargs,
-        )
-        b = make_backend(backend, pipe, **kwargs)
-    else:
-        if replicas is not None or capacity is not None or backend_kwargs:
-            raise ValueError(
-                "replicas/capacity/backend kwargs only apply when selecting "
-                "a backend by name; a Backend instance is already configured"
-            )
-        b = make_backend(backend, pipe)
+    b, owns = _backend_for(_as_pipeline(stages), backend, replicas, capacity, **backend_kwargs)
     if adaptive and not b.supports_live_reconfigure:
         if owns:
             b.close()

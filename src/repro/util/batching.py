@@ -66,11 +66,12 @@ _DEFAULT_ITEMS = 16
 class Batch:
     """One coalesced run of consecutive items, travelling as a single unit.
 
-    ``base_seq``/``gbase`` are the first item's stream-scoped and
-    session-global sequence numbers; items ``k`` of the batch carry
-    ``base_seq + k``/``gbase + k`` implicitly (assembly only coalesces
-    consecutive admissions).  ``bseq`` is the batch's own stream-scoped
-    sequence number — the one executors order and account by.
+    ``base_seq`` is the first item's position in its stream (its Ticket
+    ``seq``) and ``gbase`` its session-wide ``gseq``, the number every lane
+    record names items by; item ``k`` of the batch carries ``base_seq + k``/
+    ``gbase + k`` implicitly (assembly only coalesces consecutive
+    admissions).  ``bseq`` is the batch's own session-wide number — the one
+    executors order and account by.
     """
 
     __slots__ = ("items", "base_seq", "gbase", "bseq")

@@ -25,29 +25,14 @@ class SequenceReorderer:
     1-for-1 contract downstream, so ``push`` raises instead.
 
     Long-lived streaming sessions run several *sequential* streams through
-    one reorderer; :meth:`begin_stream` opens a fresh stream-scoped
-    sequence space (typically restarting at 0) once the previous stream has
-    fully drained, so per-stream sequence numbers never collide with the
-    last stream's and the duplicate guard keeps its exactly-once meaning
-    within each stream.
+    one reorderer with nothing to reset between them: the executors number
+    items session-wide (the port's ``gseq``, or a batch's ``bseq``), so the
+    next stream's first number is the one this reorderer expects next and
+    the duplicate guard keeps its exactly-once meaning across the session.
     """
 
     def __init__(self, start: int = 0) -> None:
         self._pending: dict[int, Any] = {}
-        self._next_seq = start
-
-    def begin_stream(self, start: int = 0) -> None:
-        """Rebase onto a new stream's sequence space (``start``, usually 0).
-
-        Only legal between streams: pairs still buffered belong to the old
-        space and could never be released under the new one, so a non-empty
-        reorderer raises instead of silently stranding them.
-        """
-        if self._pending:
-            raise RuntimeError(
-                f"cannot begin a new stream: {len(self._pending)} pairs of "
-                "the previous stream are still buffered"
-            )
         self._next_seq = start
 
     def push(self, seq: int, value: Any) -> Iterator[tuple[int, Any]]:

@@ -41,9 +41,9 @@ def test_swapped_handoffs_still_start_stage_0_in_order(name):
         session = backend.open()
         real, held = session._submit_one, []
 
-        def swapped(stream, seq, gseq, item):
+        def swapped(seq, item):
             # Hold the first hand-off back until the second overtook it.
-            held.append((stream, seq, gseq, item))
+            held.append((seq, item))
             if len(held) == 2:
                 for args in reversed(held):
                     real(*args)

@@ -1,0 +1,99 @@
+"""Every executor's lane records name items by one key: the ``gseq``.
+
+``item.submit`` carries an item's ticket ``(stream, seq)`` and its
+session-wide ``gseq``; every record the executors emit below the port
+(``stage.service``, ``frame.*``, ``item.dispatch``, ``span.phases``,
+``wk.*``) names items by that ``gseq`` — a batch-covering one by its first
+member's, plus ``items``.  Checked on threads, asyncio, processes and
+distributed, per item and micro-batched, over two streams: the second
+stream is where a per-stream number would collide with the first's.  Each
+record is emitted before its items are delivered, so the items it names
+belong to the stream open when it was emitted.
+
+Stage functions live at module level: distributed workers resolve them by
+reference.
+"""
+
+import pytest
+
+from repro.obs import Telemetry
+from repro.obs.spans import SpanCollector
+from repro.skel.api import open_pipeline
+
+EXECUTORS = {
+    "threads": {},
+    "asyncio": {},
+    "processes": {"max_replicas": 1},
+    "distributed": {"spawn_workers": 1},
+}
+N = 50  # items per stream
+LANE_KINDS = set(SpanCollector.KINDS) - {"item.submit", "item.complete"}
+
+
+def _inc(x):
+    return x + 1
+
+
+def _double(x):
+    return 2 * x
+
+
+@pytest.mark.parametrize("batching", [None, 16], ids=["items", "batched"])
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
+def test_every_lane_record_names_its_items_by_gseq(executor, batching):
+    telemetry = Telemetry(spans=True)  # its wk.* subscription turns worker tracing on
+    session = open_pipeline(
+        [_inc, _double],
+        backend=executor,
+        telemetry=telemetry,
+        batching=batching,
+        **EXECUTORS[executor],
+    )
+    events = []
+    with session:
+        session.events.subscribe(events.append)
+        for stream in range(2):
+            for x in range(N):
+                session.submit(100 * stream + x)
+            assert session.drain() == [2 * (100 * stream + x + 1) for x in range(N)]
+
+    owner = {}  # gseq -> ticket (stream, seq)
+    stream, records = None, []
+    for ev in events:
+        f = ev.fields
+        if ev.kind == "stream.begin":
+            stream = f["stream"]
+        elif ev.kind == "item.submit":
+            owner[f["gseq"]] = (f["stream"], f["seq"])
+        elif ev.kind in LANE_KINDS:
+            named = [owner.get(g) for g in range(f["seq"], f["seq"] + f.get("items", 1))]
+            assert all(t is not None and t[0] == stream for t in named), (
+                f"stream {stream}: {ev.kind} {f} names {named}"
+            )
+            records.append((ev, set(named)))
+    assert len(owner) == 2 * N
+    kinds = {ev.kind for ev, _ in records}
+    assert {"stage.service"} <= kinds
+    if executor in ("processes", "distributed"):
+        assert {"frame.encode", "frame.release"} <= kinds
+    if executor == "distributed":
+        assert {"item.dispatch", "span.phases", "wk.service"} <= kinds
+
+    # Each stage serviced every item exactly once, by the item's own key.
+    for stage in range(2):
+        covered = sorted(
+            g
+            for ev, _ in records
+            if ev.kind == "stage.service" and ev.fields["stage"] == stage
+            for g in range(ev.fields["seq"], ev.fields["seq"] + ev.fields.get("items", 1))
+        )
+        assert covered == sorted(owner), f"stage {stage}"
+
+    # The collector attaches each record to exactly the spans it names.
+    attached = {}
+    for span in telemetry.spans.spans():
+        for ev in span.events:
+            if ev.kind in LANE_KINDS:
+                attached.setdefault(id(ev), set()).add((span.stream, span.seq))
+    for ev, named in records:
+        assert attached.get(id(ev)) == named, f"{ev.kind} {ev.fields}"

@@ -4,7 +4,7 @@ No processes, no sockets: the fake "workers" run each stage callable inline
 inside ``_forward`` and hand results back through plain queues, in bursts
 released in *reverse* order (and optionally duplicated), so everything the
 core promises — ordered delivery, stage-named failures, abort without
-hanging, consumed messages, per-stream rebase — is checked against the
+hanging, consumed messages, one numbering across streams — is checked against the
 four-hook seam alone.
 """
 
@@ -64,11 +64,6 @@ class FakeLaneSession(RoutedSession):
             raise payload
         return Hop(seq, payload, 0.001, 1.0, "fake", 0)
 
-    def _begin_stream(self, stream):
-        for seen in self._seen:
-            seen.clear()
-        super()._begin_stream(stream)
-
 
 class FakeBackend(Backend):
     name = "fake"
@@ -114,7 +109,7 @@ def test_out_of_order_submits_reach_stage_0_in_order():
         session = b.open()
         session.submit("a")  # opens the stream
         for seq in (3, 1, 2):
-            session._submit_one(0, seq, seq, f"item{seq}")
+            session._submit_one(seq, f"item{seq}")
         deadline = time.perf_counter() + 2.0
         while len(order) < 4 and time.perf_counter() < deadline:
             time.sleep(0.005)
@@ -158,7 +153,7 @@ def test_consumed_accept_delivers_nothing_twice():
         assert session.stats().items_total == 6
 
 
-def test_second_stream_rebases_every_reorderer():
+def test_second_stream_numbers_on_through_every_reorderer():
     with FakeBackend(spec(lambda x: x + 1, lambda x: -x), burst=3) as b:
         session = b.open()
         for stream in range(2):
@@ -166,3 +161,5 @@ def test_second_stream_rebases_every_reorderer():
                 ticket = session.submit(10 * stream + x)
                 assert (ticket.stream, ticket.seq) == (stream, x)
             assert session.drain() == [-(10 * stream + x + 1) for x in range(6)]
+        # Tickets restart per stream; the lane's numbers never do.
+        assert session._seen == [set(range(12))] * 2

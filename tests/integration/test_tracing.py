@@ -135,7 +135,7 @@ class TestBatchedTracePropagation:
         recs = list(read_journal(path))
         kinds = {r["kind"] for r in recs}
         assert {"batch.assemble", "batch.split", "span.phases"} <= kinds
-        # Batch-covering trace records name real item seqs plus a count.
+        # Batch-covering trace records name item gseqs plus a count.
         hops = [r for r in recs if r["kind"] == "span.phases"]
         assert sum(r.get("items", 1) for r in hops) == 2 * self.N
         spans = [s for s in spans_from_journal(path) if s.complete]

@@ -1,6 +1,7 @@
 """Tests for stage instrumentation."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -141,10 +142,16 @@ class TestPayloadByteAccounting:
         assert m.bytes_out_hist == {0: 1}
 
 
-def watched(n_stages=2, window=32, min_samples=2, ratio=1.1):
+def watched(n_stages=2, window=32, min_samples=2, ratio=1.1, locks=None):
     stages = [StageMetrics(i, window=window) for i in range(n_stages)]
     wakes = []
-    watch = ServiceWatch(stages, lambda: wakes.append(1), min_samples=min_samples, ratio=ratio)
+    watch = ServiceWatch(
+        stages,
+        lambda: wakes.append(1),
+        locks=locks or [threading.Lock() for _ in stages],
+        min_samples=min_samples,
+        ratio=ratio,
+    )
     return stages, watch, wakes
 
 
@@ -287,3 +294,21 @@ class TestServiceWatch:
             feed(a, x)
             sw = watch.stages[0]
             assert sw.total / len(a._service_win) == pytest.approx(a._service_win.mean, rel=1e-9)
+
+    def test_arm_waits_for_the_stage_lock(self):
+        # The stage lock serialises every sample's band check: arm() must not
+        # rewrite a band under a recording thread's feet.
+        locks = [threading.Lock(), threading.Lock()]
+        (a, b), watch, _ = watched(locks=locks)
+        feed(a, 0.002, 2)
+        feed(b, 0.004, 2)
+        watch.take()
+        with locks[1]:  # a recorder of stage 1 is mid-sample
+            armer = threading.Thread(target=watch.arm, args=([0.002, 0.004],))
+            armer.start()
+            armer.join(0.2)
+            assert armer.is_alive()
+            assert watch.stages[1].centre is None  # untouched while held
+        armer.join(5.0)
+        assert not armer.is_alive()
+        assert [s.centre for s in watch.stages] == [0.002, 0.004]

@@ -1,5 +1,7 @@
 """Tests for per-item span collection."""
 
+import pytest
+
 from repro.obs.events import EventBus
 from repro.obs.spans import SpanCollector
 
@@ -35,14 +37,25 @@ class TestSpanCollector:
         span = col.span(2, 0)
         assert span.service_seconds == 0.2
 
-    def test_stream_scoped_seq_falls_back_to_current_stream(self):
-        # Process/distributed executors emit stream-scoped seqs.
+    def test_records_resolve_by_gseq_alone(self):
+        # Every executor names items by gseq: a record carrying the item's
+        # stream position instead belongs to no span.
         bus, col = _bus()
         bus.emit("stream.begin", stream=3)
         bus.emit("item.submit", stream=3, seq=7, gseq=100)
-        bus.emit("frame.encode", stage=0, seq=7, nbytes=64)
+        bus.emit("frame.encode", stage=0, seq=7, nbytes=32)
+        bus.emit("frame.encode", stage=0, seq=100, nbytes=64)
         span = col.span(3, 7)
-        assert span.first("frame.encode").fields["nbytes"] == 64
+        assert [e.fields["nbytes"] for e in span.events if e.kind == "frame.encode"] == [64]
+
+    def test_batch_record_fans_out_to_its_member_spans(self):
+        bus, col = _bus()
+        for seq in range(4):
+            bus.emit("item.submit", stream=1, seq=seq, gseq=10 + seq)
+        bus.emit("stage.service", stage=0, seconds=0.3, speed=1.0, seq=11, items=3)
+        assert [col.span(1, s).service_seconds for s in range(4)] == [
+            0.0, pytest.approx(0.1), pytest.approx(0.1), pytest.approx(0.1)
+        ]
 
     def test_spans_ordered(self):
         bus, col = _bus()

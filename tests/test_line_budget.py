@@ -52,21 +52,25 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # workload, experiment or example reached: the auto admission window, the
 # bottleneck-growth policy, live replica moves and the per-worker link-model
 # copy (CHANGES.md has the audit).
-CEILING = 5430
+# Lowered to the count, rounded up (5,430 -> 5,410), by giving every item one
+# number below the port: the per-stream rebase and the second batch counter
+# went (CHANGES.md).
+CEILING = 5410
 
 #: Every other package (``"."``: the top-level modules), set at its count
-#: after the reachability audit, rounded up to the next 10.
+#: after the reachability audit, rounded up to the next 10, and lowered the
+#: same way since.
 PACKAGE_CEILINGS = {
     ".": 110,
     "core": 1400,
     "gridsim": 1430,
     "model": 800,
     "monitor": 970,
-    "obs": 2120,
+    "obs": 2100,
     "reporting": 170,
-    "skel": 370,
+    "skel": 360,
     "transport": 1040,
-    "util": 830,
+    "util": 810,
     "workloads": 830,
 }
 

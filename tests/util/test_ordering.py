@@ -79,39 +79,3 @@ class TestSequenceReorderer:
         assert list(r.push(2, "c")) == [(2, "c"), (3, "d")]
         assert list(r.drain()) == []
         assert len(r) == 0
-
-
-class TestStreamScopedSequences:
-    def test_begin_stream_rebases_empty_reorderer(self):
-        r = SequenceReorderer()
-        assert list(r.push(0, "a")) == [(0, "a")]
-        assert list(r.push(1, "b")) == [(1, "b")]
-        r.begin_stream()
-        # The new stream's sequence space restarts at 0 without tripping
-        # the duplicate guard on the previous stream's numbers.
-        assert list(r.push(0, "c")) == [(0, "c")]
-
-    def test_begin_stream_custom_start(self):
-        r = SequenceReorderer()
-        list(r.push(0, "a"))
-        r.begin_stream(start=100)
-        assert list(r.push(101, "y")) == []
-        assert list(r.push(100, "x")) == [(100, "x"), (101, "y")]
-
-    def test_begin_stream_with_buffered_pairs_raises(self):
-        r = SequenceReorderer()
-        list(r.push(1, "b"))  # seq 0 missing: "b" is stranded
-        with pytest.raises(RuntimeError, match="still buffered"):
-            r.begin_stream()
-        # The refusal leaves the old space intact and releasable.
-        assert list(r.push(0, "a")) == [(0, "a"), (1, "b")]
-
-    def test_duplicate_guard_scoped_per_stream(self):
-        r = SequenceReorderer()
-        list(r.push(0, "a"))
-        with pytest.raises(ValueError, match="already released"):
-            r.push(0, "dup")
-        r.begin_stream()
-        list(r.push(0, "fresh"))  # same number, new stream: legal
-        with pytest.raises(ValueError, match="already released"):
-            r.push(0, "dup-in-new-stream")
