@@ -67,12 +67,13 @@ import socket
 import threading
 import time
 from collections import Counter
+from itertools import count
 from multiprocessing import shared_memory
 from typing import Any
 
 from repro import transport as _transport
 from repro.backend.base import _WINDOW_CEILING, Backend, register_backend
-from repro.backend.distributed.protocol import ProtocolError, recv_frame, send_frame
+from repro.backend.distributed.protocol import PREAMBLE, Outbox, ProtocolError, read_frame
 from repro.backend.distributed.worker import WorkerAgent
 from repro.backend.routed import Hop, RoutedSession
 from repro.runtime.threads import load_error
@@ -117,11 +118,9 @@ def _spawn_agent(
 class _WorkerConn:
     """Coordinator-side view of one registered worker."""
 
-    def __init__(
-        self, wid: int, sock: socket.socket, name: str, cores: int
-    ) -> None:
+    def __init__(self, wid: int, outbox: Outbox, name: str, cores: int) -> None:
         self.id = wid
-        self.sock = sock
+        self.outbox = outbox  # every send to this worker: framed here, written by its thread
         self.name = name
         self.cores = max(1, cores)
         self.alive = True
@@ -140,20 +139,7 @@ class _WorkerConn:
         self.clock = ClockSync()
         self.clock_emit_t = 0.0  # rate limiter for clock.sync events
         self.proc: mp.process.BaseProcess | None = None  # auto-spawned only
-        self._send_lock = threading.Lock()
-        self._next_slot = 0
-
-    def new_slot(self) -> int:
-        with self._send_lock:
-            self._next_slot += 1
-            return self._next_slot
-
-    def send(self, message: tuple) -> bool:
-        try:
-            send_frame(self.sock, message, self._send_lock)
-            return True
-        except (OSError, ProtocolError):
-            return False
+        self.new_slot = count(1).__next__  # replica slot ids (next() holds the GIL)
 
     def observe_load(self, load: float) -> None:
         self.last_seen = time.monotonic()
@@ -495,6 +481,7 @@ class DistributedBackend(Backend):
         self._accept_thread: threading.Thread | None = None
         self._monitor_thread: threading.Thread | None = None
         self._recv_threads: list[threading.Thread] = []
+        self._pending: set[socket.socket] = set()  # accepted, not yet registered (_registry)
         self._warm = False
         self._closing = threading.Event()
 
@@ -670,48 +657,47 @@ class DistributedBackend(Backend):
                 sock, _addr = self._server.accept()
             except OSError:
                 return  # close() shut the listener down
-            try:
-                sock.settimeout(10.0)
-                hello = recv_frame(sock)
-                if not hello or hello[0] != "hello":
-                    sock.close()
-                    continue
-                _, wname, cores, load = hello
-                sock.settimeout(None)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except (OSError, ProtocolError):
-                sock.close()
-                continue
             with self._registry:
-                wid = self._next_worker_id
-                self._next_worker_id += 1
-                worker = _WorkerConn(wid, sock, wname, cores)
-                worker.proc = self._spawned.get(wname)
-                worker.observe_load(load)
-                self._workers[wid] = worker
-                self._registry_changed.notify_all()
-            inbox = self.capacity if self._fixed_capacity else max(self.capacity, _WINDOW_CEILING)
-            if not worker.send(
-                ("welcome", wid, self.heartbeat_interval, inbox,
-                 self._transport_spec(), self._trace_on)
-            ):
-                self._on_worker_death(worker)
-                continue
-            self.events.emit(
-                "worker.join",
-                f"worker {wname!r} registered",
-                worker=wid,
-                name=wname,
-                cores=cores,
-            )
+                self._pending.add(sock)
+            # The handshake runs on the connection's own thread: a peer that
+            # connects and says nothing holds up no one else's registration.
             t = threading.Thread(
-                target=self._recv_loop,
-                args=(worker,),
-                name=f"dist-recv[{wid}]",
-                daemon=True,
+                target=self._recv_loop, args=(sock,), name="dist-recv", daemon=True
             )
             self._recv_threads.append(t)
             t.start()
+
+    def _register(self, sock: socket.socket, read) -> "_WorkerConn | None":
+        """Check the preamble, read ``hello`` and register; None for a stranger."""
+        sock.settimeout(10.0)
+        if read(len(PREAMBLE)) != PREAMBLE:
+            return None  # closed before anything it sent is unpickled
+        hello = read_frame(read)
+        if not (isinstance(hello, tuple) and len(hello) == 4 and hello[0] == "hello"):
+            return None
+        _, wname, cores, load = hello
+        sock.settimeout(None)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        inbox = self.capacity if self._fixed_capacity else max(self.capacity, _WINDOW_CEILING)
+        with self._registry:
+            self._pending.discard(sock)
+            if self._closing.is_set():
+                return None
+            wid = self._next_worker_id
+            self._next_worker_id += 1
+            outbox = Outbox(sock, f"dist-send[{wid}]", lambda: self._on_worker_death(worker))
+            worker = _WorkerConn(wid, outbox, wname, cores)
+            # Queued before the worker is visible, so no ``place`` overtakes it.
+            outbox.send(("welcome", wid, self.heartbeat_interval, inbox,
+                         self._transport_spec(), self._trace_on))
+            worker.proc = self._spawned.get(wname)
+            worker.observe_load(load)
+            self._workers[wid] = worker
+            self._registry_changed.notify_all()
+        threading.current_thread().name = f"dist-recv[{wid}]"
+        self.events.emit("worker.join", f"worker {wname!r} registered",
+                         worker=wid, name=wname, cores=cores)
+        return worker
 
     def _monitor_loop(self) -> None:
         while not self._closing.wait(self.heartbeat_interval):
@@ -726,12 +712,12 @@ class DistributedBackend(Backend):
                 self._on_worker_death(w)
 
     # --------------------------------------------------------------- receive
-    def _recv_loop(self, w: _WorkerConn) -> None:
+    def _recv_loop(self, sock: socket.socket) -> None:
+        reader = sock.makefile("rb", buffering=1 << 16)  # one recv, every whole frame held
+        w = None
         try:
-            while True:
-                frame = recv_frame(w.sock)
-                if frame is None:
-                    break
+            w = self._register(sock, reader.read)
+            while w is not None and (frame := read_frame(reader.read)) is not None:
                 w.last_seen = time.monotonic()
                 kind = frame[0]
                 if kind == "result":
@@ -784,7 +770,13 @@ class DistributedBackend(Backend):
         except (OSError, ProtocolError):
             pass
         finally:
-            self._on_worker_death(w)
+            reader.close()
+            if w is not None:
+                self._on_worker_death(w)  # its writer closes the socket
+            else:
+                with self._registry:
+                    self._pending.discard(sock)
+                sock.close()
 
     # --------------------------------------------------------------- tracing
     def _set_trace(self, on: bool) -> None:
@@ -795,7 +787,7 @@ class DistributedBackend(Backend):
         with self._registry:
             workers = [w for w in self._workers.values() if w.alive]
         for w in workers:
-            w.send(("trace", on))
+            w.outbox.send(("trace", on))
 
     def _emit_worker_trace(self, w: _WorkerConn, events) -> None:
         """Re-emit batched worker events on the session bus, clock-mapped.
@@ -865,8 +857,9 @@ class DistributedBackend(Backend):
                 return
             w.alive = False
             self._registry_changed.notify_all()
-        try:
-            w.sock.close()
+        w.outbox.close()  # refuses further sends: a sender racing this retries elsewhere
+        try:  # wakes the reader, and a write blocked on a peer that stopped reading
+            w.outbox.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         lost_by_stage: list[list[tuple[int, Frame]]] = []
@@ -968,7 +961,7 @@ class DistributedBackend(Backend):
             hosted = self._hosted_counts()
             target = min(cands, key=lambda w: self._worker_score(w, hosted))
             slot = target.new_slot()
-            ok = target.send(
+            ok = target.outbox.send(
                 (
                     "place",
                     stage,
@@ -1000,7 +993,7 @@ class DistributedBackend(Backend):
         self.events.emit(
             "replica.remove", stage=stage, worker=replica.worker.id, n=n_active
         )
-        replica.worker.send(("retire", stage, replica.slot))
+        replica.worker.outbox.send(("retire", stage, replica.slot))
 
     def _ensure_placements(self) -> None:
         """Top each stage's active replica set up to its target count."""
@@ -1094,7 +1087,7 @@ class DistributedBackend(Backend):
             # delivered and its batch number forgotten (a failed send is a
             # death, and the re-dispatch that follows records again).
             self._session._emit_items("item.dispatch", seq, stage=stage, worker=w.id)
-            if w.send(
+            if w.outbox.send(
                 ("task", self._epoch, stage, replica.slot, seq, to_wire(frame),
                  time.perf_counter())
             ):
@@ -1131,15 +1124,6 @@ class DistributedBackend(Backend):
             except BaseException:  # noqa: BLE001 - closing, not reporting
                 pass
         self._running = False
-        with self._registry:
-            workers = list(self._workers.values())
-        for w in workers:
-            if w.alive:
-                w.send(("shutdown",))
-            try:
-                w.sock.close()
-            except OSError:
-                pass
         if self._server is not None:
             try:  # shutdown wakes the accept() the listener thread blocks in
                 self._server.shutdown(socket.SHUT_RDWR)
@@ -1149,7 +1133,17 @@ class DistributedBackend(Backend):
         # The accept loop first: it is what appends (then starts) recv threads.
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=1.0)
-        for t in self._recv_threads:
+        with self._registry:  # a registration after _closing is refused
+            workers = list(self._workers.values())
+            for sock in self._pending:  # wake a handshake still reading
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for w in workers:
+            w.outbox.send(("shutdown",))  # refused by a dead worker's outbox
+            w.outbox.close()  # its writer flushes, then shuts the socket down
+        for t in [*(w.outbox.thread for w in workers), *self._recv_threads]:
             t.join(timeout=1.0)
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=self.heartbeat_interval + 1.0)

@@ -59,6 +59,12 @@ an explicit rtt/2 error bound.
 
 TCP ordering is load-bearing: a ``place`` is always written before any
 ``task`` for that slot, so workers never see a task for an unknown replica.
+A worker opens with the raw :data:`PREAMBLE` (``b"RPRO"`` + a 2-byte
+version); the coordinator closes a connection whose first bytes differ
+before it unpickles anything.  Each connection has one :class:`Outbox`
+(senders frame on their own thread; one writer sends everything queued
+with one ``sendall``, keeping each sender's order) and one buffered reader
+(``sock.makefile("rb")``: one ``recv`` yields every whole frame held).
 """
 
 from __future__ import annotations
@@ -66,12 +72,17 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-import threading
-from typing import Any
+from queue import SimpleQueue
+from threading import Thread
+from typing import Any, Callable
 
 __all__ = [
     "MAX_FRAME",
+    "Outbox",
+    "PREAMBLE",
     "ProtocolError",
+    "encode_frame",
+    "read_frame",
     "recv_frame",
     "send_frame",
 ]
@@ -80,6 +91,9 @@ __all__ = [
 #: or hostile length header committing them to a multi-GB allocation.
 MAX_FRAME = 256 * 1024 * 1024
 
+#: What a worker writes before its first frame: magic, then the version.
+PREAMBLE = b"RPRO" + struct.pack(">H", 1)
+
 _HEADER = struct.Struct(">I")
 
 
@@ -87,56 +101,107 @@ class ProtocolError(RuntimeError):
     """The peer sent bytes that are not a valid frame."""
 
 
-def send_frame(
-    sock: socket.socket, message: Any, lock: threading.Lock | None = None
-) -> None:
-    """Pickle ``message`` and write it as one frame (atomically if locked).
-
-    ``lock`` serialises concurrent senders on a shared socket — interleaved
-    ``sendall`` calls from two threads would corrupt the stream.
-    """
+def encode_frame(message: Any) -> bytes:
+    """``message`` as one frame: its pickle behind a 4-byte length."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
     if len(payload) > MAX_FRAME:
         raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds MAX_FRAME ({MAX_FRAME})"
         )
-    data = _HEADER.pack(len(payload)) + payload
-    if lock is not None:
-        with lock:
-            sock.sendall(data)
-    else:
-        sock.sendall(data)
+    return _HEADER.pack(len(payload)) + payload
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
+def send_frame(sock: socket.socket, message: Any) -> None:
+    """Write ``message`` as one frame (one sender per socket)."""
+    sock.sendall(encode_frame(message))
+
+
+def _read_exact(read: Callable[[int], bytes], n: int) -> bytes | None:
     """Read exactly ``n`` bytes; ``None`` on clean EOF before the first byte."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
+    chunk = read(min(n, 1 << 20))
+    if len(chunk) == n:  # a buffered reader's usual case: no list, no join
+        return chunk
+    if not chunk:
+        return None
+    chunks, got = [chunk], len(chunk)
+    while got < n:
+        chunk = read(min(n - got, 1 << 20))
         if not chunk:
-            if chunks:
-                raise ProtocolError(
-                    f"connection closed mid-frame ({n - remaining}/{n} bytes)"
-                )
-            return None
+            raise ProtocolError(f"connection closed mid-frame ({got}/{n} bytes)")
         chunks.append(chunk)
-        remaining -= len(chunk)
+        got += len(chunk)
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> Any | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
-    header = _recv_exact(sock, _HEADER.size)
+def read_frame(read: Callable[[int], bytes]) -> Any | None:
+    """Read one frame through ``read`` (a reader's ``read`` or a socket's
+    ``recv``); ``None`` on clean EOF at a frame boundary."""
+    header = _read_exact(read, _HEADER.size)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME:
         raise ProtocolError(f"peer announced a {length}-byte frame (> {MAX_FRAME})")
-    payload = _recv_exact(sock, length)
+    payload = _read_exact(read, length)
     if payload is None:
         raise ProtocolError("connection closed between header and payload")
     try:
         return pickle.loads(payload)
     except Exception as err:
         raise ProtocolError(f"undecodable frame: {err!r}") from err
+
+
+def recv_frame(sock: socket.socket) -> Any | None:
+    """Read one frame straight off ``sock``, unbuffered (never past the frame)."""
+    return read_frame(sock.recv)
+
+
+class Outbox:
+    """The send side of one connection: senders frame, one thread writes.
+
+    The writer parks untimed for the first frame, takes every frame queued
+    behind it and writes them with one ``sendall``.  A failed write calls
+    ``on_error`` once; after that, or after :meth:`close`, :meth:`send`
+    returns False.  The writer owns the socket's end: when it stops it
+    shuts the socket down (waking a blocked read) and closes it.
+    """
+
+    def __init__(self, sock: socket.socket, name: str, on_error: Callable[[], Any]) -> None:
+        self.sock, self.open, self._on_error = sock, True, on_error
+        self._queue: SimpleQueue = SimpleQueue()
+        self.thread = Thread(target=self._write, name=name, daemon=True)
+        self.thread.start()
+
+    def send(self, message: Any) -> bool:
+        """Frame ``message`` on this thread and queue it (or raise ProtocolError)."""
+        if not self.open:
+            return False
+        self._queue.put(encode_frame(message))
+        return True
+
+    def close(self) -> None:
+        """Refuse further sends; the writer flushes what is queued, then stops."""
+        self.open = False
+        self._queue.put(None)
+
+    def _write(self) -> None:
+        queue, stopping = self._queue, False
+        while not stopping:
+            frames = [queue.get()]
+            while not queue.empty():
+                frames.append(queue.get())
+            if None in frames:  # close(): what was queued before it goes last
+                del frames[frames.index(None):]
+                stopping = True
+            try:
+                if frames:
+                    self.sock.sendall(b"".join(frames))
+            except OSError:
+                self.open = False
+                self._on_error()
+                break
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()

@@ -73,7 +73,7 @@ from multiprocessing import shared_memory
 from typing import Any, Callable
 
 from repro import transport as _transport
-from repro.backend.distributed.protocol import ProtocolError, recv_frame, send_frame
+from repro.backend.distributed.protocol import PREAMBLE, Outbox, ProtocolError, read_frame
 from repro.monitor.resource_monitor import read_load1
 from repro.obs.events import Event, EventBus
 from repro.runtime.threads import dump_error
@@ -261,8 +261,7 @@ class WorkerAgent:
         self.events = EventBus(clock=time.perf_counter)
         self._trace = _TraceBuffer()
         self._tracing = False
-        self._sock: socket.socket | None = None
-        self._send_lock = threading.Lock()
+        self._outbox: Outbox | None = None  # every send: replicas, heartbeat, serve loop
         self._replicas: dict[tuple[int, int], _ReplicaRunner] = {}
         self._stop = threading.Event()
 
@@ -298,19 +297,9 @@ class WorkerAgent:
         else:
             # Results must stay self-contained across host boundaries.
             self.codec = _transport.get("pickle", session=spec.get("session"))
-        self._send(("shm_ok", ok))
+        self._outbox.send(("shm_ok", ok))
 
     # -------------------------------------------------------------- plumbing
-    def _send(self, message: tuple) -> None:
-        sock = self._sock
-        if sock is None:
-            return
-        try:
-            send_frame(sock, message, self._send_lock)
-        except OSError:
-            # The coordinator is gone; the receive loop will notice and exit.
-            self._stop.set()
-
     def _send_result(
         self,
         task: _Task,
@@ -335,7 +324,7 @@ class WorkerAgent:
                 "wk.send", at=t_send_w, epoch=task.epoch, stage=stage, seq=task.seq
             )
         events = self._trace.drain() if self._tracing else ()
-        self._send(
+        self._outbox.send(
             (
                 "result",
                 task.epoch,
@@ -357,7 +346,7 @@ class WorkerAgent:
     def _heartbeat_loop(self, interval: float) -> None:
         while not self._stop.wait(interval):
             events = self._trace.drain() if self._tracing else ()
-            self._send(("heartbeat", read_load1(), events))
+            self._outbox.send(("heartbeat", read_load1(), events))
 
     # ------------------------------------------------------------------- run
     def run(self) -> None:
@@ -365,10 +354,16 @@ class WorkerAgent:
         sock = socket.create_connection((self.host, self.port), timeout=10.0)
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock = sock
+        sock.sendall(PREAMBLE)  # raw, ahead of every frame
+        # One recv yields every whole frame the kernel holds; one writer
+        # thread sends what the replicas and the heartbeat queue, and a
+        # failed write stops the agent (the writer's shutdown ends the
+        # serve loop).
+        reader = sock.makefile("rb", buffering=1 << 16)
+        self._outbox = Outbox(sock, "worker-send", self._stop.set)
         try:
-            send_frame(sock, ("hello", self.name, self.cores, read_load1()), self._send_lock)
-            welcome = recv_frame(sock)
+            self._outbox.send(("hello", self.name, self.cores, read_load1()))
+            welcome = read_frame(reader.read)
             if not welcome or welcome[0] != "welcome":
                 raise ProtocolError(f"expected welcome, got {welcome!r}")
             # The inbox bound covers the largest per-replica allowance the
@@ -383,18 +378,18 @@ class WorkerAgent:
                 daemon=True,
             )
             beat.start()
-            self._serve_loop(sock)
+            self._serve_loop(reader.read)
         finally:
             self._stop.set()
             for runner in self._replicas.values():
                 runner.queue.put(_STOP)
-            self._sock = None
-            sock.close()
+            reader.close()
+            self._outbox.close()  # its writer flushes, then closes the socket
 
-    def _serve_loop(self, sock: socket.socket) -> None:
+    def _serve_loop(self, read) -> None:
         while not self._stop.is_set():
             try:
-                frame = recv_frame(sock)
+                frame = read_frame(read)
             except (OSError, ProtocolError):
                 return
             if frame is None:
@@ -416,13 +411,13 @@ class WorkerAgent:
                     # A task can legitimately race a retire (the coordinator
                     # assigned the slot just before retiring it): bounce it
                     # back so the item is re-dispatched, never dropped.
-                    self._send(("reject", epoch, stage, slot, seq))
+                    self._outbox.send(("reject", epoch, stage, slot, seq))
             elif kind == "place":
                 _, stage, slot, fn_payload, stage_name = frame
                 try:
                     fn = pickle.loads(fn_payload)
                 except Exception as err:
-                    self._send(("place_failed", stage, slot, repr(err)))
+                    self._outbox.send(("place_failed", stage, slot, repr(err)))
                     continue
                 self._replicas[(stage, slot)] = _ReplicaRunner(
                     self, stage, slot, fn, stage_name, self.inbox
