@@ -2,11 +2,11 @@
 
 Claim: end-to-end trace propagation is cheap enough to leave on.  With a
 journal attached (an unfiltered subscriber, so the distributed coordinator
-switches worker-side tracing on: ``wk.*`` batching, clock-sync fitting and
-per-hop ``span.phases`` decomposition all active), streaming throughput
+derives the ``wk.*`` points from each result's worker stamps, fits the
+clocks and decomposes every hop into ``span.phases``), streaming throughput
 must hold >= 0.95x of the untraced baseline on both the thread backend
-(in-process event path) and the distributed backend (events crossing the
-wire piggybacked on result frames).
+(in-process event path) and the distributed backend (the worker traces
+nothing; every traced record is made on the coordinator).
 
 Same harness shape as E19: one warm session per mode, modes interleaved
 round-robin so drift hits both equally, best-of (minimum stream time) per

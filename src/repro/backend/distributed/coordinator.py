@@ -102,6 +102,8 @@ _LOCAL_LINK = (1e-7, 1e9)
 _WIRE_BANDWIDTH = 1e8
 #: Default one-way link estimate before any measurement exists.
 _DEFAULT_LINK_S = 1e-4
+#: What ``_trace_hop`` derives from a result's stamps beyond the clock fit.
+_HOP_KINDS = ("span.phases", "wk.dequeue", "wk.service", "wk.encode", "wk.send")
 
 
 def _spawn_agent(
@@ -134,8 +136,8 @@ class _WorkerConn:
         )
         self.link_s = _DEFAULT_LINK_S  # one-way wire time EWMA: dispatch's cached link term
         # Per-worker clock fit (offset + drift, rtt/2-bounded): maps the
-        # worker's timestamps onto the coordinator clock so worker-side
-        # trace events merge into the session timeline.
+        # worker's result stamps onto the coordinator clock so the wk.*
+        # points derived from them merge into the session timeline.
         self.clock = ClockSync()
         self.clock_emit_t = 0.0  # rate limiter for clock.sync events
         self.proc: mp.process.BaseProcess | None = None  # auto-spawned only
@@ -187,11 +189,6 @@ class _DistributedSession(RoutedSession):
         backend._resq = self._resq
         backend._depth = self._lane_depth()
         backend._running = True
-        # Worker-side tracing follows the session's subscriptions: a bus
-        # that wants wk.* kinds turns the pool's trace points on (full
-        # journal/telemetry); otherwise workers stay silent and only the
-        # two always-on result stamps feed the clock fit and span.phases.
-        backend._set_trace(self.events.wants("wk.service"))
 
     def _wake_lane(self) -> None:
         for q, cond in zip(self._resq, self.backend._conds):
@@ -212,7 +209,6 @@ class _DistributedSession(RoutedSession):
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
         super()._shutdown()
         backend._running = False
-        backend._set_trace(False)  # quiet the pool between sessions
         backend._reclaim_inflight()
 
     # ------------------------------------------------------------ lane hooks
@@ -226,9 +222,14 @@ class _DistributedSession(RoutedSession):
         return self._resq[stage].get()
 
     def _accept(self, stage: int, msg: tuple) -> "Hop | None":
+        """One ``(worker, recv_t, frame)``: a ``result`` or a ``reject``."""
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
-        (w, slot, seq, ok, payload, service_s, wait_s, t_sent,
-         err_repr, recv_t, t_recv_w, t_send_w, wk_events) = msg
+        w, recv_t, frame = msg
+        slot, seq, result = frame[3], frame[4], frame[0] == "result"
+        if result:
+            ok, payload, service_s, wait_s, t_sent, err_repr, t_recv_w, t_send_w = frame[5:]
+            if ok:  # a failure's payload is its pickled error
+                payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
         cond = backend._conds[stage]
         with cond:
             entry = backend._inflight[stage].get(seq)
@@ -236,7 +237,7 @@ class _DistributedSession(RoutedSession):
                 # Stale: this item was re-dispatched after its worker was
                 # declared dead; exactly one assignment may deliver it.
                 # The duplicate's result frame will never be read.
-                if isinstance(payload, Frame):
+                if result and ok:
                     backend._codec.release(payload)
                 return None
             replica, task_frame = entry
@@ -250,7 +251,7 @@ class _DistributedSession(RoutedSession):
                 backend._replicas[stage].remove(replica)
             queued = sum(r.inflight for r in backend._replicas[stage])
             cond.notify_all()
-        if ok == "reject":
+        if not result:
             # Task raced a retire on the worker: send it elsewhere.
             backend._dispatch(stage, seq, task_frame)
             return None
@@ -270,11 +271,10 @@ class _DistributedSession(RoutedSession):
         gap = recv_t - max(replica.done_t, t_sent)
         replica.drain = gap if replica.drain is None else 0.9 * replica.drain + 0.1 * gap
         replica.done_t = recv_t
-        if t_recv_w is not None and t_send_w is not None:
-            self._trace_hop(
-                stage, seq, w, t_sent, recv_t, service_s, wait_s,
-                t_recv_w, t_send_w, wk_events,
-            )
+        self._trace_hop(
+            stage, seq, w, t_sent, recv_t, service_s, wait_s, t_recv_w, t_send_w,
+            payload.nbytes,
+        )
         backend._ref_bytes += 0.1 * (task_frame.nbytes - backend._ref_bytes)
         # work_estimate = service x effective speed, so a loaded worker's
         # slow service still yields the true per-item work.
@@ -292,23 +292,24 @@ class _DistributedSession(RoutedSession):
         wait_s: float,
         t_recv_w: float,
         t_send_w: float,
-        wk_events,
+        nbytes: int,
     ) -> None:
         """Fold one accepted result into the worker's clock fit and, when
-        anyone listens, decompose the hop into its latency phases.
+        anyone listens, trace the hop from the result's stamps.
 
         The quadruple ``(t_sent, t_recv_w, t_send_w, recv_t)`` is exactly
         the NTP sample :class:`~repro.obs.clock.ClockSync` wants; it is fed
         unconditionally (two comparisons and a deque append) so the fit is
-        warm the moment tracing turns on.  The ``span.phases`` breakdown
-        tiles the hop: wire_out + worker_queue + service + encode +
-        wire_back ≈ recv_t - t_sent, each term clamped non-negative
+        warm the moment tracing turns on.  The ``wk.*`` points are the
+        worker's instants mapped through that fit: dequeue and service are
+        exact (the worker measured ``wait_s`` and ``service_s`` from
+        ``t_recv_w``), encode ends at the send stamp.  The ``span.phases``
+        breakdown tiles the hop: wire_out + worker_queue + service + encode
+        + wire_back ≈ recv_t - t_sent, each term clamped non-negative
         (clock-fit error can push a boundary past its neighbour by up to
         rtt/2).
         """
         w.clock.observe(t_sent, t_recv_w, t_send_w, recv_t)
-        if wk_events:
-            self.backend._emit_worker_trace(w, wk_events)
         bus = self.events
         if bus.wants("clock.sync") and recv_t - w.clock_emit_t >= 1.0:
             w.clock_emit_t = recv_t
@@ -322,23 +323,36 @@ class _DistributedSession(RoutedSession):
                 err=fit.err,
                 n=fit.n,
             )
-        if bus.wants("span.phases"):
-            to_local = w.clock.fit().to_local
-            # Durations cover the whole batch when batching (the helper
-            # reports seq = first item, items = N), so the profiler can fan
-            # the hop out per item without double-counting.
+        if not any(map(bus.wants, _HOP_KINDS)):
+            return
+        to_local = w.clock.fit().to_local
+        encode = max(0.0, (t_send_w - t_recv_w) - wait_s - service_s)
+        dequeued = t_recv_w + wait_s
+        # Durations cover the whole batch when batching (the helper reports
+        # seq = first item, items = N), so the profiler can fan the hop out
+        # per item without double-counting.
+        for kind, t_w, fields in (
+            ("wk.dequeue", dequeued, {"wait": wait_s}),
+            ("wk.service", dequeued + service_s, {"seconds": service_s}),
+            ("wk.encode", t_send_w, {"seconds": encode, "nbytes": nbytes}),
+            ("wk.send", t_send_w, {}),
+        ):
             self._emit_items(
-                "span.phases",
-                seq,
-                at=self.perf_to_session(recv_t),
-                stage=stage,
-                worker=w.id,
-                wire_out=max(0.0, to_local(t_recv_w) - t_sent),
-                worker_queue=wait_s,
-                service=service_s,
-                encode=max(0.0, (t_send_w - t_recv_w) - wait_s - service_s),
-                wire_back=max(0.0, recv_t - to_local(t_send_w)),
+                kind, seq, at=self.perf_to_session(to_local(t_w)), stage=stage,
+                worker=w.id, **fields,
             )
+        self._emit_items(
+            "span.phases",
+            seq,
+            at=self.perf_to_session(recv_t),
+            stage=stage,
+            worker=w.id,
+            wire_out=max(0.0, to_local(t_recv_w) - t_sent),
+            worker_queue=wait_s,
+            service=service_s,
+            encode=encode,
+            wire_back=max(0.0, recv_t - to_local(t_send_w)),
+        )
 
 
 class DistributedBackend(Backend):
@@ -378,9 +392,6 @@ class DistributedBackend(Backend):
         large payloads as shared-memory descriptors to workers that share
         this host, negotiated per worker at registration; its placement
         threshold is calibrated at warm-up.
-    calibrate_transport:
-        Probe the host's inline-vs-segment crossover at warm-up and use it
-        as ``"auto"``'s threshold (default True; only affects ``"auto"``).
     host, port:
         Bind address of the coordinator socket (port 0 = ephemeral).
     heartbeat_interval, heartbeat_timeout:
@@ -406,7 +417,6 @@ class DistributedBackend(Backend):
         worker_link_delays: list[float] | None = None,
         worker_link_bandwidths: list[float] | None = None,
         transport: str | Codec = "auto",
-        calibrate_transport: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
         heartbeat_interval: float = 0.5,
@@ -436,7 +446,6 @@ class DistributedBackend(Backend):
         self.worker_link_delays = list(worker_link_delays or [])
         self.worker_link_bandwidths = list(worker_link_bandwidths or [])
         self._codec = _transport.get(transport)
-        self._calibrate_transport = calibrate_transport
         # Items entering the pipeline are encoded *after* worker selection:
         # descriptor frames for shm-verified workers, self-contained pickle
         # for the rest (same session token, one sweep covers both).
@@ -484,10 +493,6 @@ class DistributedBackend(Backend):
         self._pending: set[socket.socket] = set()  # accepted, not yet registered (_registry)
         self._warm = False
         self._closing = threading.Event()
-
-        # Worker-side tracing: enabled per session when its bus subscribes
-        # to wk.* kinds; the flag rides on welcome for late joiners.
-        self._trace_on = False
 
         # Live-session plumbing (adopted by each session; the epoch is the
         # stream id and survives sessions so stale results never collide).
@@ -557,7 +562,7 @@ class DistributedBackend(Backend):
             raise RuntimeError("backend is closed")
         if self._warm:
             return
-        if self._calibrate_transport and self._codec.name == "auto":
+        if self._codec.name == "auto":
             fitted = _transport.calibrated_auto_threshold()
             if fitted is not None:
                 self._codec.threshold = fitted
@@ -688,8 +693,7 @@ class DistributedBackend(Backend):
             outbox = Outbox(sock, f"dist-send[{wid}]", lambda: self._on_worker_death(worker))
             worker = _WorkerConn(wid, outbox, wname, cores)
             # Queued before the worker is visible, so no ``place`` overtakes it.
-            outbox.send(("welcome", wid, self.heartbeat_interval, inbox,
-                         self._transport_spec(), self._trace_on))
+            outbox.send(("welcome", wid, self.heartbeat_interval, inbox, self._transport_spec()))
             worker.proc = self._spawned.get(wname)
             worker.observe_load(load)
             self._workers[wid] = worker
@@ -720,33 +724,14 @@ class DistributedBackend(Backend):
             while w is not None and (frame := read_frame(reader.read)) is not None:
                 w.last_seen = time.monotonic()
                 kind = frame[0]
-                if kind == "result":
-                    (_, epoch, stage, slot, seq, ok, payload, service_s, wait_s,
-                     t_sent, err_repr, t_recv_w, t_send_w, wk_events) = frame
-                    if epoch != self._epoch:
-                        continue  # stale result from an earlier/aborted stream
-                    if ok is True:  # a failure's payload is its pickled error: bytes too
-                        payload = from_wire(payload, self._codec.name if w.shm_ok else "pickle")
-                    self._resq[stage].put(
-                        (w, slot, seq, ok, payload, service_s, wait_s,
-                         t_sent, err_repr, time.perf_counter(),
-                         t_recv_w, t_send_w, wk_events)
-                    )
-                elif kind == "reject":
-                    # The worker no longer hosts that slot (task raced a
-                    # retire): route it back through the router, which
-                    # re-dispatches rather than counting it delivered.
-                    _, epoch, stage, slot, seq = frame
-                    if epoch != self._epoch:
-                        continue
-                    self._resq[stage].put(
-                        (w, slot, seq, "reject", None, 0.0, 0.0, 0.0, None,
-                         time.perf_counter(), None, None, ())
-                    )
+                if kind in ("result", "reject"):
+                    # Both go to the stage's router as sent (a reject: the
+                    # task raced a retire, and the router re-dispatches it);
+                    # one from an earlier or aborted stream is stale.
+                    if frame[1] == self._epoch:
+                        self._resq[frame[2]].put((w, time.perf_counter(), frame))
                 elif kind == "heartbeat":
                     w.observe_load(frame[1])
-                    if frame[2]:
-                        self._emit_worker_trace(w, frame[2])
                 elif kind == "shm_ok":
                     with self._registry:
                         w.shm_ok = bool(frame[1])
@@ -777,52 +762,6 @@ class DistributedBackend(Backend):
                 with self._registry:
                     self._pending.discard(sock)
                 sock.close()
-
-    # --------------------------------------------------------------- tracing
-    def _set_trace(self, on: bool) -> None:
-        """Toggle worker-side event tracing across the live pool."""
-        if on == self._trace_on:
-            return
-        self._trace_on = on
-        with self._registry:
-            workers = [w for w in self._workers.values() if w.alive]
-        for w in workers:
-            w.outbox.send(("trace", on))
-
-    def _emit_worker_trace(self, w: _WorkerConn, events) -> None:
-        """Re-emit batched worker events on the session bus, clock-mapped.
-
-        Each tuple is ``(kind, t_worker, fields)``; the timestamp crosses
-        the worker's fitted clock onto the coordinator clock and then onto
-        the session clock, so ``wk.*`` records interleave correctly with
-        coordinator-side events in the journal.  Events from a different
-        epoch (an earlier/aborted stream) are dropped, mirroring the
-        result path's exactly-once rule.
-        """
-        session = self._session
-        if session is None or session.closed:
-            return
-        bus = session.events
-        if not bus.active:
-            return
-        epoch = self._epoch
-        # One fit per batch: ClockSync.fit() takes a lock, and a result
-        # frame carries several events mapped through the same model.
-        to_local = w.clock.fit().to_local
-        # Worker events name executor seqs, which are batch numbers when
-        # batching is on: the session helper reports them by item gseq so
-        # span/profile consumers attribute them per item.
-        for kind, t_w, fields in events:
-            if fields.get("epoch") != epoch:
-                continue
-            out = {k: v for k, v in fields.items() if k not in ("epoch", "seq")}
-            session._emit_items(
-                kind,
-                fields["seq"],
-                at=session.perf_to_session(to_local(t_w)),
-                worker=w.id,
-                **out,
-            )
 
     # --------------------------------------------------------------- failure
     def _fail(self, stage: int, err: BaseException) -> None:

@@ -10,7 +10,7 @@ kind                      direction  fields after the kind
 ========================  =========  ====================================
 ``hello``                 w → c      name, cores, load1
 ``welcome``               c → w      worker_id, heartbeat_interval,
-                                     inbox, transport_spec, trace
+                                     inbox, transport_spec
 ``shm_ok``                w → c      bool (the worker verified the
                                      transport spec's shared-memory probe)
 ``place``                 c → w      stage, slot, fn_payload, stage_name
@@ -19,24 +19,20 @@ kind                      direction  fields after the kind
 ``task``                  c → w      epoch, stage, slot, seq, payload, t_sent
 ``result``                w → c      epoch, stage, slot, seq, ok, payload,
                                      service_s, wait_s, t_sent, error_repr,
-                                     t_recv_w, t_send_w, events
+                                     t_recv_w, t_send_w
 ``reject``                w → c      epoch, stage, slot, seq (task arrived
                                      for a slot the worker no longer hosts)
-``heartbeat``             w → c      load1, events
-``trace``                 c → w      bool (enable/disable worker-side
-                                     event tracing live)
+``heartbeat``             w → c      load1
 ``shutdown``              c → w      (none)
 ========================  =========  ====================================
 
-``trace``, ``t_recv_w``/``t_send_w`` and ``events`` serve tracing.
 ``t_recv_w``/``t_send_w`` are the worker's clock at task arrival and
 result send: together with the echoed ``t_sent`` and the coordinator's
 receive time they form the NTP-style quadruple that
 :class:`repro.obs.clock.ClockSync` fits a per-worker clock offset from.
-``events`` is a list of compact ``(kind, t_worker, fields)`` tuples —
-worker-side trace points batched since the last frame, piggybacked here
-so tracing never adds a round trip; the coordinator maps their
-timestamps through the clock fit and re-emits them on the session bus.
+With ``wait_s`` and ``service_s`` they are all the timing a worker
+reports: the coordinator derives the hop's ``span.phases`` and its
+``wk.*`` trace points from them, so no other frame carries any.
 
 ``payload`` fields are frames in their flat wire form
 (:func:`repro.transport.to_wire`): the pickle stream itself, as ``bytes``,
@@ -92,7 +88,7 @@ __all__ = [
 MAX_FRAME = 256 * 1024 * 1024
 
 #: What a worker writes before its first frame: magic, then the version.
-PREAMBLE = b"RPRO" + struct.pack(">H", 1)
+PREAMBLE = b"RPRO" + struct.pack(">H", 2)
 
 _HEADER = struct.Struct(">I")
 

@@ -28,20 +28,12 @@ A heartbeat thread reports the 1-minute load average every
 ``heartbeat_interval`` seconds; the coordinator derives the worker's
 effective speed from it and treats missing heartbeats as node loss.
 
-**Worker-side tracing.**  Every agent runs its own :class:`EventBus`
-clocked by ``time.perf_counter`` (the worker's local clock).  When the
-coordinator enables tracing (a flag on ``welcome`` or a live ``trace``
-control message), replicas emit ``wk.*`` trace points — dequeue, service,
-encode, send — into a bounded buffer that is drained
-and **piggybacked on the frames the protocol already sends**: each result
-carries the events accumulated since the last send, and heartbeats flush
-whatever is left between results, so tracing adds no extra round trips.
-Event timestamps are worker-clock; the coordinator maps them onto the
-session timeline through its per-worker clock fit
-(:mod:`repro.obs.clock`).  Independently of tracing, every result frame
-stamps ``t_recv_w``/``t_send_w`` (worker clock at task arrival and result
-send) — two floats that feed that clock fit and the per-hop phase
-decomposition at near-zero cost.
+**Worker timing.**  A worker traces nothing: every result frame carries
+one set of stamps — ``t_recv_w``/``t_send_w`` (``time.perf_counter`` at
+task arrival and result send) beside ``wait_s`` and ``service_s`` — and
+the coordinator derives everything else from them: its per-worker clock
+fit (:mod:`repro.obs.clock`), the ``span.phases`` decomposition and the
+``wk.*`` trace points.
 
 Run a worker on a (possibly remote) host with::
 
@@ -75,7 +67,6 @@ from typing import Any, Callable
 from repro import transport as _transport
 from repro.backend.distributed.protocol import PREAMBLE, Outbox, ProtocolError, read_frame
 from repro.monitor.resource_monitor import read_load1
-from repro.obs.events import Event, EventBus
 from repro.runtime.threads import dump_error
 from repro.transport import Codec, Frame, from_wire, to_wire, untrack
 from repro.util.batching import Batch, map_batch
@@ -84,36 +75,6 @@ from repro.util.handoff import Handoff
 __all__ = ["WorkerAgent", "main"]
 
 _STOP = object()
-
-
-class _TraceBuffer:
-    """Collects worker-side events as compact tuples until a frame drains them.
-
-    Subscribed to the agent's bus only while tracing is enabled, so the
-    disabled path costs nothing beyond the bus's no-subscriber branch.
-    Bounded: if the coordinator somehow never drains (it drains on every
-    result and heartbeat), old events are dropped rather than growing the
-    buffer without limit.
-    """
-
-    MAX_PENDING = 10_000
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._pending: list[tuple[str, float, dict]] = []
-        self.dropped = 0
-
-    def __call__(self, ev: Event) -> None:
-        with self._lock:
-            if len(self._pending) >= self.MAX_PENDING:
-                self.dropped += 1
-                return
-            self._pending.append((ev.kind, ev.time, ev.fields))
-
-    def drain(self) -> list[tuple[str, float, dict]]:
-        with self._lock:
-            out, self._pending = self._pending, []
-            return out
 
 
 @dataclass
@@ -148,7 +109,6 @@ class _ReplicaRunner:
         self.thread.start()
 
     def _serve(self) -> None:
-        bus = self._agent.events
         while True:
             msg = self.queue.get()
             if msg is _STOP:
@@ -156,15 +116,6 @@ class _ReplicaRunner:
             task: _Task = msg
             started = time.perf_counter()
             wait_s = started - task.arrived
-            if bus.active:
-                bus.emit(
-                    "wk.dequeue",
-                    at=started,
-                    epoch=task.epoch,
-                    stage=self.stage,
-                    seq=task.seq,
-                    wait=wait_s,
-                )
             try:
                 # Decode without releasing: the coordinator owns the task
                 # frame (it may re-dispatch after this worker's death).
@@ -178,29 +129,8 @@ class _ReplicaRunner:
                     if isinstance(value, Batch)
                     else self.fn(value)
                 )
-                serviced = time.perf_counter()
-                service_s = serviced - started
-                if bus.active:
-                    bus.emit(
-                        "wk.service",
-                        at=serviced,
-                        epoch=task.epoch,
-                        stage=self.stage,
-                        seq=task.seq,
-                        seconds=service_s,
-                    )
+                service_s = time.perf_counter() - started
                 out = self._agent.codec.encode(result)
-                if bus.active:
-                    encoded = time.perf_counter()
-                    bus.emit(
-                        "wk.encode",
-                        at=encoded,
-                        epoch=task.epoch,
-                        stage=self.stage,
-                        seq=task.seq,
-                        seconds=encoded - serviced,
-                        nbytes=out.nbytes,
-                    )
             except BaseException as err:  # noqa: BLE001 - shipped to coordinator
                 self._agent._send_result(
                     task, self.stage, self.slot, False, dump_error(err), 0.0, wait_s, repr(err)
@@ -256,24 +186,9 @@ class WorkerAgent:
         self.worker_id: int | None = None
         self.codec: Codec = _transport.get("pickle")  # until negotiation
         self.shm_ok = False
-        #: Worker-local bus in the worker's own clock (``time.perf_counter``);
-        #: traced events are buffered and piggybacked back to the coordinator.
-        self.events = EventBus(clock=time.perf_counter)
-        self._trace = _TraceBuffer()
-        self._tracing = False
         self._outbox: Outbox | None = None  # every send: replicas, heartbeat, serve loop
         self._replicas: dict[tuple[int, int], _ReplicaRunner] = {}
         self._stop = threading.Event()
-
-    def _set_trace(self, on: bool) -> None:
-        """Attach/detach the trace buffer (idempotent; live-toggleable)."""
-        if on and not self._tracing:
-            self.events.subscribe(self._trace)
-            self._tracing = True
-        elif not on and self._tracing:
-            self.events.unsubscribe(self._trace)
-            self._tracing = False
-            self._trace.drain()  # discard events nobody will collect
 
     def _negotiate_transport(self, spec: dict) -> None:
         """Adopt the coordinator's codec iff its shm probe checks out here."""
@@ -311,19 +226,9 @@ class WorkerAgent:
         wait_s: float,
         err_repr: str | None,
     ) -> None:
-        """Ship one result, stamped with the worker-clock receive/send pair.
-
-        ``t_recv_w``/``t_send_w`` always ride along (two floats — they feed
-        the coordinator's per-worker clock fit and the phase decomposition
-        even with tracing off); buffered trace events drain onto the same
-        frame so an item's own ``wk.*`` points arrive with its result.
-        """
-        t_send_w = time.perf_counter()
-        if self.events.active:
-            self.events.emit(
-                "wk.send", at=t_send_w, epoch=task.epoch, stage=stage, seq=task.seq
-            )
-        events = self._trace.drain() if self._tracing else ()
+        """Ship one result, stamped with the worker-clock receive/send pair
+        (the coordinator's clock fit, phase decomposition and ``wk.*``
+        points all come from these stamps)."""
         self._outbox.send(
             (
                 "result",
@@ -338,15 +243,13 @@ class WorkerAgent:
                 task.t_sent,
                 err_repr,
                 task.arrived,
-                t_send_w,
-                events,
+                time.perf_counter(),
             )
         )
 
     def _heartbeat_loop(self, interval: float) -> None:
         while not self._stop.wait(interval):
-            events = self._trace.drain() if self._tracing else ()
-            self._outbox.send(("heartbeat", read_load1(), events))
+            self._outbox.send(("heartbeat", read_load1()))
 
     # ------------------------------------------------------------------- run
     def run(self) -> None:
@@ -368,8 +271,7 @@ class WorkerAgent:
                 raise ProtocolError(f"expected welcome, got {welcome!r}")
             # The inbox bound covers the largest per-replica allowance the
             # coordinator can grant, so a put never blocks the receive loop.
-            _, self.worker_id, heartbeat_interval, self.inbox, transport_spec, trace = welcome
-            self._set_trace(bool(trace))
+            _, self.worker_id, heartbeat_interval, self.inbox, transport_spec = welcome
             self._negotiate_transport(transport_spec)
             beat = threading.Thread(
                 target=self._heartbeat_loop,
@@ -429,8 +331,6 @@ class WorkerAgent:
                     # The sentinel queues behind already-dealt tasks, so the
                     # replica finishes its in-flight work before exiting.
                     runner.queue.put(_STOP)
-            elif kind == "trace":
-                self._set_trace(bool(frame[1]))
             elif kind == "shutdown":
                 return
 

@@ -321,9 +321,6 @@ class ProcessPoolBackend(Backend):
         default ``"auto"`` keeps small items inline and routes large
         numpy/bytes payloads through shared-memory segments, with the
         placement threshold calibrated at warm-up.
-    calibrate_transport:
-        Probe the host's inline-vs-segment crossover at warm-up and use it
-        as ``"auto"``'s threshold (default True; only affects ``"auto"``).
     """
 
     name = "processes"
@@ -339,7 +336,6 @@ class ProcessPoolBackend(Backend):
         capacity: int | None = None,
         start_method: str | None = None,
         transport: str | Codec = "auto",
-        calibrate_transport: bool = True,
     ) -> None:
         super().__init__(
             pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
@@ -349,7 +345,6 @@ class ProcessPoolBackend(Backend):
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = mp.get_context(start_method)
         self._codec = _transport.get(transport)
-        self._calibrate_transport = calibrate_transport
         self._pools: list[_StagePool] | None = None  # None = cold
 
     # --------------------------------------------------------------- warm-up
@@ -365,7 +360,7 @@ class ProcessPoolBackend(Backend):
             return
         self._shutdown_pools(graceful=True)  # warm for other bounds (no-op when cold)
         self._depths = depths
-        if self._calibrate_transport and self._codec.name == "auto":
+        if self._codec.name == "auto":
             fitted = _transport.calibrated_auto_threshold()
             if fitted is not None:
                 self._codec.threshold = fitted

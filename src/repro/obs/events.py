@@ -72,13 +72,13 @@ SCHEMA: dict[str, str] = {
         "None when none was placed)[, items]"
     ),
     "frame.release": "payload frame decoded and released: stage, seq, nbytes[, items]",
-    # -- worker-side trace points (distributed WorkerAgent; batched over
-    #    the wire and re-emitted on the session bus at *mapped* session
-    #    times via the per-worker clock fit in repro/obs/clock.py) --------
-    "wk.dequeue": "item left the replica queue (service begins): stage, seq, worker, wait",
-    "wk.service": "worker-side service completed: stage, seq, worker, seconds",
-    "wk.encode": "result encoded on the worker: stage, seq, worker, seconds, nbytes",
-    "wk.send": "result frame handed to the socket: stage, seq, worker",
+    # -- worker-side instants (distributed): derived on the coordinator from
+    #    each result's stamps (t_recv_w, wait_s, service_s, t_send_w) and
+    #    emitted at *mapped* session times via the clock fit in obs/clock.py
+    "wk.dequeue": "service began, at t_recv_w + wait_s: stage, seq, worker, wait",
+    "wk.service": "service completed, at dequeue + service_s: stage, seq, worker, seconds",
+    "wk.encode": "result encoded, ending at t_send_w: stage, seq, worker, seconds, nbytes",
+    "wk.send": "result frame handed to the worker's outbox, at t_send_w: stage, seq, worker",
     # -- cross-host clock mapping (coordinator-side fit per worker) --------
     "clock.sync": "per-worker clock fit updated: worker, offset, drift, err, n",
     # -- per-hop latency decomposition (coordinator router, one per

@@ -259,6 +259,8 @@ class TestTicketCompletion:
         # the linger deadline can flush them, and each resolves within it
         # plus a little slack — the first item of an empty buffer wakes the
         # idle flusher, which then waits out exactly that item's deadline.
+        # A host stall may make one or two items late; a flusher that misses
+        # the ring makes every item late, so 8 of 10 on time still fails it.
         linger, slack = 0.005, 0.01
         with ThreadBackend(spec([_inc])) as b:
             session = b.open(batching={"max_items": 64, "linger_s": linger})
@@ -268,7 +270,8 @@ class TestTicketCompletion:
                 t0 = time.perf_counter()
                 assert session.submit(x).wait(timeout=5.0)
                 took.append(time.perf_counter() - t0)
-            assert max(took) < linger + slack, [f"{t * 1e3:.1f} ms" for t in took]
+            on_time = sum(t < linger + slack for t in took)
+            assert on_time >= 8, [f"{t * 1e3:.1f} ms" for t in took]
             assert session.drain() == [x + 1 for x in range(10)]
 
     def test_wait_timeout_returns_false(self):

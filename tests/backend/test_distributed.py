@@ -32,7 +32,7 @@ from repro.backend.distributed.protocol import (
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.skel.api import pipeline_1for1
-from repro.transport import PickleCodec, to_wire
+from repro.transport import PickleCodec, from_wire, to_wire
 
 
 def _inc(x):
@@ -154,7 +154,7 @@ class TestBufferedReader:
         assert len(asked) == len(data) + 1  # one call per byte, then EOF
 
     def test_eof_at_a_boundary_is_none_and_mid_frame_is_an_error(self):
-        whole = encode_frame(("heartbeat", 0.5, ()))
+        whole = encode_frame(("heartbeat", 0.5))
         read, _ = _stream_reader(whole)
         assert read_frame(read) is not None and read_frame(read) is None
         for cut, match in ((2, "mid-frame"), (4, "between header"), (len(whole) - 1, "mid-frame")):
@@ -510,7 +510,7 @@ def test_worker_rejects_task_for_unknown_slot():
         hello = recv_frame(sock)
         assert hello[0] == "hello" and hello[1] == "reject-test"
         send_frame(
-            sock, ("welcome", 0, 5.0, 8, {"name": "pickle", "session": "t", "probe": None}, False)
+            sock, ("welcome", 0, 5.0, 8, {"name": "pickle", "session": "t", "probe": None})
         )
         shm_ok = recv_frame(sock)
         assert shm_ok == ("shm_ok", False)  # no probe offered -> inline only
@@ -518,6 +518,48 @@ def test_worker_rejects_task_for_unknown_slot():
         send_frame(sock, ("task", 1, 0, 7, 3, payload, 0.0))
         frame = recv_frame(sock)
         assert frame == ("reject", 1, 0, 7, 3)
+        send_frame(sock, ("shutdown",))
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+    finally:
+        sock.close()
+        server.close()
+
+
+def test_a_worker_reports_one_set_of_stamps_per_result():
+    # A worker traces nothing: its result carries the four timing stamps
+    # and nothing else, and its heartbeat carries only the load average.
+    from repro.backend.distributed.worker import WorkerAgent
+
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)
+    agent = WorkerAgent(*server.getsockname(), name="stamps-test")
+    t = threading.Thread(target=agent.run, daemon=True)
+    t.start()
+    sock, _ = server.accept()
+    try:
+        sock.settimeout(10.0)
+        assert sock.recv(len(PREAMBLE), socket.MSG_WAITALL) == PREAMBLE
+        assert recv_frame(sock)[0] == "hello"
+        send_frame(
+            sock, ("welcome", 0, 0.05, 8, {"name": "pickle", "session": "t", "probe": None})
+        )
+        assert recv_frame(sock) == ("shm_ok", False)
+        send_frame(sock, ("place", 0, 1, pickle.dumps(_inc), "inc"))
+        send_frame(sock, ("task", 1, 0, 1, 3, to_wire(PickleCodec().encode(41)), 12.5))
+        frames = {}
+        while len(frames) < 2:
+            frame = recv_frame(sock)
+            frames.setdefault(frame[0], frame)
+        result, heartbeat = frames["result"], frames["heartbeat"]
+        assert len(heartbeat) == 2 and isinstance(heartbeat[1], float)
+        (_, epoch, stage, slot, seq, ok, payload, service_s, wait_s, t_sent,
+         err_repr, t_recv_w, t_send_w) = result
+        assert (epoch, stage, slot, seq, ok, t_sent, err_repr) == (1, 0, 1, 3, True, 12.5, None)
+        assert PickleCodec().decode(from_wire(payload, "pickle")) == 42
+        assert service_s >= 0 and wait_s >= 0
+        assert t_recv_w + wait_s + service_s <= t_send_w
         send_frame(sock, ("shutdown",))
         t.join(timeout=5.0)
         assert not t.is_alive()
@@ -555,8 +597,9 @@ def _closed_by_peer(sock) -> bool:
         PREAMBLE[:4]
         + (int.from_bytes(PREAMBLE[4:], "big") + 1).to_bytes(2, "big")
         + encode_frame(("hello", "next-version", 1, 0.0)),
+        b"RPRO" + (1).to_bytes(2, "big") + encode_frame(("hello", "version-1", 1, 0.0)),
     ],
-    ids=["junk", "bare-pickled-hello", "wrong-version"],
+    ids=["junk", "bare-pickled-hello", "wrong-version", "version-1"],
 )
 def test_a_connection_without_the_preamble_is_closed_and_nothing_unpickled(
     opening, monkeypatch
@@ -800,15 +843,16 @@ class TestPlacementByFinishTime:
         # 0.1, not round trips of 1.1 and 1.2); a fourth, sent at 5.0 to the
         # idle replica, finishes at 5.3 (its gap counts from its own send).
         (r,) = self._replicas(b, (None, 1e-4))
-        router = SimpleNamespace(backend=b)  # _accept reads only .backend here
+        # _accept reads .backend and hands the stamps to _trace_hop.
+        router = SimpleNamespace(backend=b, _trace_hop=lambda *stamps: None)
         timeline = [(0.0, 1.0, 1.0), (0.0, 1.1, 0.1), (0.0, 1.2, 0.1), (5.0, 5.3, 0.3)]
         expected, link_s = None, r.worker.link_s
         for seq, (t_sent, recv_t, gap) in enumerate(timeline):
             b._inflight[0][seq] = (r, b._codec.encode(seq))
             r.inflight += 1
-            result = (r.worker, r.slot, seq, True, b._codec.encode(seq), 0.0, 0.0, t_sent,
-                      None, recv_t, None, None, ())
-            hop = _DistributedSession._accept(router, 0, result)
+            result = ("result", 0, 0, r.slot, seq, True, to_wire(b._codec.encode(seq)), 0.0, 0.0,
+                      t_sent, None, 0.0, 0.0)
+            hop = _DistributedSession._accept(router, 0, (r.worker, recv_t, result))
             assert hop.seq == seq and hop.transfer_s == pytest.approx((recv_t - t_sent) / 2)
             expected = gap if expected is None else expected + 0.1 * (gap - expected)
             link_s += 0.1 * ((recv_t - t_sent) / 2 - link_s)  # the cached one-way wire time

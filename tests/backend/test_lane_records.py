@@ -41,7 +41,7 @@ def _double(x):
 @pytest.mark.parametrize("batching", [None, 16], ids=["items", "batched"])
 @pytest.mark.parametrize("executor", sorted(EXECUTORS))
 def test_every_lane_record_names_its_items_by_gseq(executor, batching):
-    telemetry = Telemetry(spans=True)  # its wk.* subscription turns worker tracing on
+    telemetry = Telemetry(spans=True)  # its wk.* subscription: derived from result stamps
     session = open_pipeline(
         [_inc, _double],
         backend=executor,

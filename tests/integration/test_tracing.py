@@ -1,10 +1,10 @@
 """Acceptance tests for cross-host trace propagation (ISSUE 9).
 
 The load-bearing claims: with telemetry attached to a distributed session,
-(1) worker-side events cross the wire and merge onto the per-item spans on
-the coordinator's session timeline, (2) the clock mapping that makes the
-merge honest is bounded by rtt/2, and (3) the critical-path profiler
-attributes ≥95% of every item's wall-clock latency to named phases.
+(1) worker-side points, derived from each result's stamps, merge onto the
+per-item spans on the coordinator's session timeline, (2) the clock mapping
+that makes the merge honest is bounded by rtt/2, and (3) the critical-path
+profiler attributes ≥95% of every item's wall-clock latency to named phases.
 
 Stage functions live at module level so forked workers can resolve them.
 """
@@ -57,7 +57,7 @@ class TestTracePropagation:
         path = self._run(tmp_path)
         recs = list(read_journal(path))
         kinds = {r["kind"] for r in recs}
-        # Worker-side trace points crossed the wire (piggybacked, batched).
+        # Worker-side trace points, derived from the result frames' stamps.
         assert {"wk.dequeue", "wk.service", "wk.encode",
                 "wk.send", "span.phases", "clock.sync"} <= kinds
         # Worker events carry the worker id and land on the session
