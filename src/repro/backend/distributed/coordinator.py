@@ -73,7 +73,7 @@ from typing import Any
 
 from repro import transport as _transport
 from repro.backend.base import _WINDOW_CEILING, Backend, register_backend
-from repro.backend.distributed.protocol import PREAMBLE, Outbox, ProtocolError, read_frame
+from repro.backend.distributed.protocol import PREAMBLE
 from repro.backend.distributed.worker import WorkerAgent
 from repro.backend.routed import Hop, RoutedSession
 from repro.runtime.threads import load_error
@@ -91,6 +91,7 @@ from repro.transport import (
     to_wire,
     untrack,
 )
+from repro.transport.lane import Outbox, ProtocolError, read_frame, socket_outbox
 from repro.util.validation import check_positive
 
 __all__ = ["DistributedBackend"]
@@ -690,7 +691,9 @@ class DistributedBackend(Backend):
                 return None
             wid = self._next_worker_id
             self._next_worker_id += 1
-            outbox = Outbox(sock, f"dist-send[{wid}]", lambda: self._on_worker_death(worker))
+            outbox = socket_outbox(
+                sock, f"dist-send[{wid}]", lambda: self._on_worker_death(worker)
+            )
             worker = _WorkerConn(wid, outbox, wname, cores)
             # Queued before the worker is visible, so no ``place`` overtakes it.
             outbox.send(("welcome", wid, self.heartbeat_interval, inbox, self._transport_spec()))

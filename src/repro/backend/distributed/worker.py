@@ -65,10 +65,11 @@ from multiprocessing import shared_memory
 from typing import Any, Callable
 
 from repro import transport as _transport
-from repro.backend.distributed.protocol import PREAMBLE, Outbox, ProtocolError, read_frame
+from repro.backend.distributed.protocol import PREAMBLE
 from repro.monitor.resource_monitor import read_load1
 from repro.runtime.threads import dump_error
 from repro.transport import Codec, Frame, from_wire, to_wire, untrack
+from repro.transport.lane import Outbox, ProtocolError, read_frame, socket_outbox
 from repro.util.batching import Batch, map_batch
 from repro.util.handoff import Handoff
 
@@ -263,7 +264,7 @@ class WorkerAgent:
         # failed write stops the agent (the writer's shutdown ends the
         # serve loop).
         reader = sock.makefile("rb", buffering=1 << 16)
-        self._outbox = Outbox(sock, "worker-send", self._stop.set)
+        self._outbox = socket_outbox(sock, "worker-send", self._stop.set)
         try:
             self._outbox.send(("hello", self.name, self.cores, read_load1()))
             welcome = read_frame(reader.read)

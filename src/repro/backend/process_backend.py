@@ -9,16 +9,22 @@ only at a *boundary* — the last stage, or one feeding an ordered stage —
 does it report to the parent, where a router restores order::
 
     submit ─> taskq[0] ─> workers 0 ─> taskq[1] ─> workers 1 ─> resq ─> router
-    (caller)  (mp.Queue)              (pipe)     (boundary)  (pipe)  (session)
+    (caller)  (outbox)                (pipe)     (boundary)  (pipe)  (session)
 
-* A queue the **parent** feeds items into (stage 0's, and one behind a
-  boundary) is an ``mp.Queue``: its feeder thread keeps ``submit()`` and
-  the routers out of a blocking ``write()``.  A queue only **workers** write
-  (interior task queues, every ``resq``) is a :class:`_PipeQueue`: the worker
-  writes the pipe itself — no feeder thread, no GIL hand-offs per hop.
+* Every queue is a :class:`_PipeQueue`: the byte lane's frames
+  (:mod:`repro.transport.lane`) on one pipe, an OS semaphore for space.
+  Workers write and read their pipes themselves — no feeder thread, no GIL
+  hand-off per hop.  The parent makes no ``write()`` on a caller's thread:
+  a queue it feeds items into (stage 0's, and one behind a boundary) has an
+  outbox, so the caller frames and one writer thread
+  (``processes-outbox[i]``) writes every frame queued with one ``write()``.
 * A boundary router has **one wait and no timeout**: a ``select.poll`` over
   its segment's result pipe, a wake pipe and the ``sentinel`` of every worker
-  in the segment — a result, a wake-up and a death are all events.
+  in the segment — a result, a wake-up and a death are all events.  It reads
+  the result pipe through a non-blocking
+  :class:`~repro.transport.lane.FrameReader` and serves every whole frame a
+  ``read()`` yields before it polls again; a frame cut short by a dying
+  worker waits in the reader, never in ``read()``.
 * The **pools belong to the backend** and survive sessions and streams; the
   **boundary routers belong to the session** — the routed-stage core shared
   with the distributed backend (:mod:`repro.backend.routed`), which owns
@@ -37,12 +43,15 @@ does it report to the parent, where a router restores order::
   :func:`repro.transport.calibrated_auto_threshold`).  Slots go back per
   item: task frames in the worker that consumed them, final frames at
   egress; ``close()`` unlinks every pool.
-* ``reconfigure`` never targets a worker: shrinking puts a *park token* on
-  the stage's queue (whoever takes it blocks on the stage's semaphore, and
+* ``reconfigure`` never targets a worker: shrinking feeds a *park token* in
+  at the head of the stage's segment (a worker of an earlier stage passes
+  it on; whoever of the stage takes it blocks on the stage's semaphore, and
   work queued ahead of it is still served), growing releases the semaphore.
 * Bounded stage queues and bounded result queues give end-to-end
   back-pressure — a full stage-0 queue blocks ``submit()`` — sized from a
-  session's admission window when that is deeper, so the window binds.
+  session's admission window when that is deeper, so the window binds.  A
+  parent's put waits for space untimed; an abort wakes it by releasing that
+  space (the pools then go cold).
 
 The default start method is ``fork`` where available (warm semantics, and
 closures/lambdas need no pickling); pass ``start_method="spawn"`` with
@@ -54,7 +63,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
-import queue as thread_queue
 import select
 import threading
 import time
@@ -65,56 +73,69 @@ from repro.backend.routed import Hop, RoutedSession
 from repro.core.pipeline import PipelineSpec
 from repro.runtime.threads import StageError, dump_error, load_error
 from repro.transport import Codec, Frame, from_wire, to_wire
+from repro.transport.lane import FrameReader, pipe_outbox
 from repro.util.batching import Batch, map_batch
 
 __all__ = ["ProcessPoolBackend"]
 
-_STOP = None  # poison pill: the worker that takes it exits (sent only by close())
-_PARK = False  # park token: the worker that takes it blocks on the stage's gate
-
-
-def _put(q, msg, abort: "threading.Event | None") -> bool:
-    """Put on a bounded queue; give up once ``abort`` is set (or absent)."""
-    while True:
-        try:
-            q.put(msg, timeout=0.05)
-            return True
-        except thread_queue.Full:
-            if abort is None or abort.is_set():
-                return False
+_STOP = None  # stop pill: the worker that takes it exits (sent only by close())
+# A park token is a stage's index: a worker of that stage parks at its gate;
+# a worker of an earlier stage passes it on.  Tasks are (seq, wire, trail).
 
 
 class _PipeQueue:
-    """A bounded queue whose writers are workers: no feeder thread.
+    """A bounded queue of the byte lane's frames on one pipe.
 
-    ``put`` pickles and writes the pipe on the caller's thread, so a frame
-    larger than the pipe's buffer blocks its writer in ``write()`` until a
-    reader takes it — what a worker is for, and what the parent must never
-    do: it passes ``timeout``, which bounds every wait of a ``put``, for its
-    tokens and pills only (a writable pipe takes ``PIPE_BUF`` bytes whole).
+    A worker's :meth:`put` waits for space, then writes its frame whole
+    under the writers' lock: a frame larger than the pipe's buffer blocks the
+    worker in ``write()`` until a reader takes it — what a worker is for.
+    The parent puts only on a queue it :meth:`feed`\\ s: :meth:`send` frames on
+    the caller's thread and the outbox's writer thread makes the writes.
     """
 
     def __init__(self, ctx, maxsize: int) -> None:
         self._reader, self._writer = ctx.Pipe(duplex=False)
-        self._space = ctx.BoundedSemaphore(maxsize)
+        # Not bounded: an abort releases it to wake a parked send, and
+        # close()'s stop pills take no space.
+        self._space = ctx.Semaphore(maxsize)
         self._rlock, self._wlock = ctx.Lock(), ctx.Lock()
         self._maxsize = maxsize
+        self._outbox = None  # the parent's writer, once fed
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "_outbox": None}  # a spawned worker never feeds
 
     def fileno(self) -> int:
         return self._reader.fileno()
 
-    def put(self, obj, timeout: "float | None" = None) -> None:
+    def feed(self, name: str) -> None:
+        """Hand the write end to an outbox writer thread called ``name``."""
+        self._outbox = pipe_outbox(self._writer, name, lambda: None)
+
+    def send(self, msg, abort: "threading.Event | None") -> bool:
+        """The parent's put: wait for space (untimed; False once ``abort`` is
+        set; with no ``abort``, only if there is room now), then queue ``msg``."""
+        if not self._space.acquire(abort is not None):
+            return False
+        if abort is not None and abort.is_set():
+            self._space.release()  # pass the wake-up on to the next parked send
+            return False
+        return self._outbox.send(msg)
+
+    def post(self, msg) -> None:
+        """A stop pill, taking no space; close() posts pills only once the pools
+        are idle, so a worker-written pipe has room and nobody holds its lock."""
+        if self._outbox is not None:
+            self._outbox.send(msg)
+            return
+        with self._wlock:
+            self._writer.send_bytes(pickle.dumps(msg))
+
+    def put(self, obj) -> None:
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if not self._space.acquire(timeout=timeout):
-            raise thread_queue.Full
-        if self._wlock.acquire(timeout=timeout):
-            try:
-                if timeout is None or select.select((), (self._writer,), (), timeout)[1]:
-                    return self._writer.send_bytes(data)
-            finally:
-                self._wlock.release()
-        self._space.release()
-        raise thread_queue.Full
+        self._space.acquire()
+        with self._wlock:
+            self._writer.send_bytes(data)
 
     def get(self):
         with self._rlock:
@@ -125,25 +146,40 @@ class _PipeQueue:
     def qsize(self) -> int:
         return self._maxsize - self._space.get_value()
 
-    def close(self) -> None:
+    def close(self, wait: bool = True) -> None:
+        """Close both ends; an outbox's writer flushes, then closes its own.  Do
+        not ``wait`` after an abort: on a full pipe it stops on ``EPIPE`` only."""
         self._reader.close()
-        self._writer.close()
+        if self._outbox is None:
+            self._writer.close()
+            return
+        self._outbox.close()
+        if wait:
+            self._outbox.thread.join()
 
 
-def _worker_main(stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_spec) -> None:
+def _worker_main(
+    stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_spec, parked: bool
+) -> None:
     """Worker process body: apply ``fn`` to ``(seq, wire frame, trail)`` tasks forever.
 
     Results go to ``out`` (the next stage's task queue, or ``resq`` at a
     boundary) in the same shape, the trail one entry longer; failures go to
-    ``resq`` as ``(seq, None, (stage, pickled error | None, text))``.
+    ``resq`` as ``(seq, None, (stage, pickled error | None, text))``.  The
+    worker starts at ``gate`` when ``parked`` (the pool's warm surplus).
     """
     codec = _transport.from_spec(codec_spec)
+    if parked:
+        gate.acquire()
     while True:
         msg = taskq.get()
         if msg is _STOP:
             break
-        if msg is _PARK:
-            gate.acquire()
+        if isinstance(msg, int):  # a park token: this stage's, or one to pass on
+            if msg == stage:
+                gate.acquire()
+            else:
+                out.put(msg)
             continue
         seq, wire, trail = msg
         frame = from_wire(wire, codec.name)
@@ -179,8 +215,10 @@ def _worker_main(stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_s
 class _Segment:
     """A run of stages whose workers forward to each other, up to a boundary."""
 
-    def __init__(self, resq: _PipeQueue) -> None:
+    def __init__(self, feed: _PipeQueue, resq: _PipeQueue) -> None:
+        self.feed = feed  # the first stage's queue: the parent's way in
         self.resq = resq  # the boundary's workers report here; so does every error
+        self.reader = FrameReader(resq.fileno())  # the router's: whole frames only
         # The boundary router's one wait (``_poll``): a result, a wake-up, a death.
         wake_r, wake_w = os.pipe()
         os.set_blocking(wake_r, False)
@@ -193,6 +231,13 @@ class _Segment:
         for fd in (resq.fileno(), wake_r):
             self.poller.register(fd, select.POLLIN)
 
+    def read(self) -> int:
+        """One read of the result pipe: the frames it completed, their space freed."""
+        done = self.reader.fill()
+        for _ in range(done):
+            self.resq._space.release()
+        return done
+
     def watch(self, stage: int, worker_id: int, proc) -> None:
         self.workers[proc.sentinel] = (stage, worker_id, proc)
         self.poller.register(proc.sentinel, select.POLLIN)
@@ -203,7 +248,9 @@ class _Segment:
         proc.join(1.0)  # the sentinel closes a moment before the exit code is there
         return stage, worker_id, proc.exitcode
 
-    def wake(self) -> None:
+    def wake(self, aborted: bool) -> None:
+        if aborted:
+            self.feed._space.release()  # a send parked on space wakes to the abort
         try:
             self._wake_w.write(b"\0")  # a full pipe drops it: already woken
         except ValueError:
@@ -250,36 +297,45 @@ class _ProcessSession(RoutedSession):
             self.backend._shutdown_pools(graceful=False)
 
     def _wake_lane(self) -> None:
-        for pool in self.backend._pools or ():
-            pool.seg.wake()
+        aborted = self._abort.is_set()
+        for seg in self.backend._segments():
+            seg.wake(aborted)
 
     # ------------------------------------------------------------ lane hooks
     def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
-        """Put one encoded item on ``stage``'s queue (it opens a segment)."""
-        return _put(self.backend._pools[stage].taskq, (seq, to_wire(frame), ()), self._abort)
+        """Feed one encoded item to ``stage``'s queue (it opens a segment)."""
+        return self.backend._pools[stage].taskq.send((seq, to_wire(frame), ()), self._abort)
 
     def _poll(self, stage: int) -> "tuple | None":
         seg = self.backend._pools[stage].seg
-        ready = [fd for fd, _ in seg.poller.poll()]
-        if seg.resq.fileno() in ready:  # first: what a worker reported before it died counts
-            return seg.resq.get()
-        if seg.wake_r.fileno() in ready:
-            seg.wake_r.read(4096)
-            return None
-        # No worker should die while a session is open (close() is the only
-        # sender of stop pills, after the routers are gone): items it held
-        # are lost and the drain barrier would never clear — fail, don't hang.
-        where, wid, exitcode = seg.died(ready[0])
-        self.events.emit(
-            "worker.death", f"stage {where} worker {wid} exited",
-            worker=wid, stage=where, exitcode=exitcode,
-        )
-        raise StageError(
-            self.backend.pipeline.stage(where).name,
-            RuntimeError(
-                f"worker {wid} died mid-run (exitcode {exitcode}); its in-flight items are lost"
-            ),
-        )
+        frames = seg.reader.frames
+        while not frames:  # what an earlier read completed goes first
+            ready = [fd for fd, _ in seg.poller.poll()]
+            # First: what a worker reported before it died counts.
+            if seg.resq.fileno() in ready and seg.read():
+                break
+            if seg.wake_r.fileno() in ready:
+                seg.wake_r.read(4096)
+                return None
+            dead = [fd for fd in ready if fd in seg.workers]
+            if not dead:
+                continue  # part of a frame: the rest comes with the next read
+            # No worker should die while a session is open (close() is the
+            # only sender of stop pills, after the routers are gone): items it
+            # held are lost and the drain barrier would never clear — fail,
+            # don't hang.
+            where, wid, exitcode = seg.died(dead[0])
+            self.events.emit(
+                "worker.death", f"stage {where} worker {wid} exited",
+                worker=wid, stage=where, exitcode=exitcode,
+            )
+            raise StageError(
+                self.backend.pipeline.stage(where).name,
+                RuntimeError(
+                    f"worker {wid} died mid-run (exitcode {exitcode}); its in-flight items are lost"
+                ),
+            )
+        return frames.popleft()
 
     def _accept(self, stage: int, msg: tuple) -> Hop:
         seq, wire, trail = msg
@@ -365,20 +421,11 @@ class ProcessPoolBackend(Backend):
             if fitted is not None:
                 self._codec.threshold = fitted
         codec_spec = _transport.spec_of(self._codec)
-        bounds = self._boundaries()
-        # mp.Queue only where the parent feeds items in (stage 0, a stage
-        # behind a boundary): there the feeder thread is what keeps submit()
-        # and the routers out of a blocking write().  Workers write the rest.
-        taskqs = [
-            self._ctx.Queue(depths[i])
-            if i == 0 or i - 1 in bounds
-            else _PipeQueue(self._ctx, depths[i])
-            for i in range(len(sizes))
-        ]
+        taskqs = [_PipeQueue(self._ctx, d) for d in depths]
         pools: list[_StagePool] = []
         try:
-            for end in bounds:
-                seg = _Segment(_PipeQueue(self._ctx, depths[end]))
+            for end in self._boundaries():
+                seg = _Segment(taskqs[len(pools)], _PipeQueue(self._ctx, depths[end]))
                 for i in range(len(pools), end + 1):
                     pool = _StagePool(taskqs[i], self._ctx.Semaphore(0), self._target[i], seg)
                     pools.append(pool)
@@ -387,8 +434,8 @@ class ProcessPoolBackend(Backend):
                         proc = self._ctx.Process(
                             target=_worker_main,
                             args=(
-                                i, wid, self.pipeline.stage(i).fn,
-                                pool.taskq, pool.gate, out, seg.resq, codec_spec,
+                                i, wid, self.pipeline.stage(i).fn, pool.taskq, pool.gate,
+                                out, seg.resq, codec_spec, wid >= pool.active,
                             ),
                             name=f"{self.pipeline.stage(i).name}.{wid}",
                             daemon=True,
@@ -396,8 +443,12 @@ class ProcessPoolBackend(Backend):
                         proc.start()
                         pool.procs.append(proc)
                         seg.watch(i, wid, proc)
-                    for _ in range(sizes[i] - pool.active):
-                        pool.taskq.put(_PARK)  # the surplus waits, warm, at the gate
+            # The parent feeds each segment's first queue (stage 0, a stage
+            # behind a boundary) through one outbox writer, started once no
+            # fork is left to copy a running thread.
+            for i, pool in enumerate(pools):
+                if pool.taskq is pool.seg.feed:
+                    pool.taskq.feed(f"{self.name}-outbox[{i}]")
         except BaseException:
             # Failed half-way (a fork, a pipe): reap the children already
             # started and close every queue made, then let the caller see why.
@@ -415,18 +466,21 @@ class ProcessPoolBackend(Backend):
             i for i in range(len(stages)) if i + 1 == len(stages) or stages[i + 1].ordered
         ]
 
+    def _segments(self) -> "list[_Segment]":
+        return list(dict.fromkeys(pool.seg for pool in self._pools or ()))
+
     # ------------------------------------------------------------- lifecycle
     def _shutdown_pools(self, *, graceful: bool) -> None:
         if self._pools is None:
             return
-        for pool in self._pools:
-            if graceful:
+        pools, segs = self._pools, self._segments()
+        if graceful:
+            for pool in pools:
                 for _ in pool.procs:
                     pool.gate.release()  # a parked worker must reach its pill
                 for _ in pool.procs:
-                    _put(pool.taskq, _STOP, None)
-            pool.taskq.close()
-        procs = [proc for pool in self._pools for proc in pool.procs]
+                    pool.taskq.post(_STOP)
+        procs = [proc for pool in pools for proc in pool.procs]
         if not graceful:
             # No pill was sent: every worker is blocked on a queue or a gate
             # and nothing of the aborted stream is worth waiting for.  All at
@@ -438,7 +492,9 @@ class ProcessPoolBackend(Backend):
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        for seg in {pool.seg for pool in self._pools}:
+        for pool in pools:
+            pool.taskq.close(wait=graceful)
+        for seg in segs:
             seg.close()
         self._pools = None
         # Every producer and consumer of the session is stopped: unlink the
@@ -463,9 +519,10 @@ class ProcessPoolBackend(Backend):
         """Park or release warm workers of ``stage`` to reach ``n_replicas``.
 
         Growth never forks mid-run.  Replicas are interchangeable, so none
-        is targeted: growing releases the stage's gate, shrinking queues a
-        park token behind the work already there and whoever takes it
-        waits, warm, at the gate.  A cold backend warms up to the target.
+        is targeted: growing releases the stage's gate; shrinking feeds a
+        park token in at the head of the stage's segment, behind the work
+        already there, and whoever of the stage takes it waits, warm, at the
+        gate.  A cold backend warms up to the target.
         """
         if self._pools is None:
             return
@@ -477,7 +534,7 @@ class ProcessPoolBackend(Backend):
                 pool.gate.release()
                 pool.active += 1
                 self.events.emit("replica.add", stage=stage, n=pool.active)
-            while pool.active > n_replicas and _put(pool.taskq, _PARK, abort):
+            while pool.active > n_replicas and pool.seg.feed.send(stage, abort):
                 pool.active -= 1
                 self.events.emit("replica.remove", stage=stage, n=pool.active)
 

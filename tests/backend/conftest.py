@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-_SESSION_THREAD = re.compile(r"session-|.*-router\[\d+\]")
+_SESSION_THREAD = re.compile(r"session-|.*-router\[\d+\]|.*-outbox\[\d+\]")
 
 
 def _leftovers():

@@ -5,7 +5,6 @@ resolved inside worker processes (forked from this one, so the test module
 is importable there without an installed package).
 """
 
-import io
 import os
 import pickle
 import socket
@@ -19,20 +18,12 @@ import pytest
 
 from repro.backend import DistributedBackend, available_backends, make_backend
 from repro.backend.distributed.coordinator import _DistributedSession, _Replica, _WorkerConn
-from repro.backend.distributed.protocol import (
-    MAX_FRAME,
-    PREAMBLE,
-    Outbox,
-    ProtocolError,
-    encode_frame,
-    read_frame,
-    recv_frame,
-    send_frame,
-)
+from repro.backend.distributed.protocol import PREAMBLE, recv_frame, send_frame
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.skel.api import pipeline_1for1
 from repro.transport import PickleCodec, from_wire, to_wire
+from repro.transport.lane import MAX_FRAME, ProtocolError, encode_frame
 
 
 def _inc(x):
@@ -118,140 +109,6 @@ class TestProtocol:
         finally:
             a.close()
             b.close()
-
-
-def _stream_reader(data: bytes, most: int | None = None):
-    """A ``read`` over ``data`` that returns at most ``most`` bytes a call,
-    and the list of sizes it was asked for."""
-    stream, asked = io.BytesIO(data), []
-
-    def read(n):
-        asked.append(n)
-        return stream.read(n if most is None else min(n, most))
-
-    return read, asked
-
-
-class TestBufferedReader:
-    """``read_frame`` through a buffered reader: the lanes' receive path."""
-
-    def test_a_burst_written_in_one_sendall_reads_back_in_order(self):
-        msgs = [("task", 1, 0, 2, k, b"x" * k, 0.0) for k in range(200)]
-        a, b = socket.socketpair()
-        try:
-            a.sendall(b"".join(map(encode_frame, msgs)))
-            a.close()
-            with b.makefile("rb", buffering=1 << 16) as reader:
-                assert list(iter(lambda: read_frame(reader.read), None)) == msgs
-        finally:
-            b.close()
-
-    def test_a_frame_delivered_one_byte_at_a_time_is_reassembled(self):
-        msg = ("result", 1, 0, 2, 3, True, b"payload" * 20)
-        data = encode_frame(msg)
-        read, asked = _stream_reader(data, most=1)
-        assert read_frame(read) == msg and read_frame(read) is None
-        assert len(asked) == len(data) + 1  # one call per byte, then EOF
-
-    def test_eof_at_a_boundary_is_none_and_mid_frame_is_an_error(self):
-        whole = encode_frame(("heartbeat", 0.5))
-        read, _ = _stream_reader(whole)
-        assert read_frame(read) is not None and read_frame(read) is None
-        for cut, match in ((2, "mid-frame"), (4, "between header"), (len(whole) - 1, "mid-frame")):
-            read, _ = _stream_reader(whole[:cut])
-            with pytest.raises(ProtocolError, match=match):
-                read_frame(read)
-
-    def test_an_oversized_header_is_refused_before_any_allocation(self):
-        read, asked = _stream_reader((MAX_FRAME + 1).to_bytes(4, "big") + b"x" * 64)
-        with pytest.raises(ProtocolError, match="announced"):
-            read_frame(read)
-        assert asked == [4]  # the payload was never asked for
-
-
-class _GatedSocket:
-    """A socket stand-in whose first ``sendall`` blocks until ``gate`` is set."""
-
-    def __init__(self):
-        self.writes, self.entered, self.gate = [], threading.Event(), threading.Event()
-        self.shut = False
-
-    def sendall(self, data):
-        self.entered.set()
-        assert self.gate.wait(timeout=5.0)
-        self.writes.append(data)
-
-    def shutdown(self, how):
-        self.shut = True
-
-    def close(self):
-        pass
-
-
-class TestOutbox:
-    def test_a_lone_frame_is_one_write_and_a_burst_behind_it_is_one_more(self):
-        sock = _GatedSocket()
-        outbox = Outbox(sock, "test-send", on_error=lambda: None)
-        outbox.send(("lone",))
-        assert sock.entered.wait(timeout=5.0)  # the writer took it alone, at once
-        burst = [("task", k) for k in range(20)]
-        for msg in burst:
-            outbox.send(msg)
-        sock.gate.set()
-        outbox.close()
-        outbox.thread.join(timeout=5.0)
-        assert not outbox.thread.is_alive()
-        assert sock.writes == [encode_frame(("lone",)), b"".join(map(encode_frame, burst))]
-        assert sock.shut and outbox.send(("late",)) is False
-
-    def test_each_senders_order_survives_four_concurrent_senders(self):
-        # More senders than cores, switching every few bytecodes: a frame
-        # queued out of its sender's order (``place`` behind ``task``) shows.
-        a, b = socket.socketpair()
-        outbox = Outbox(a, "test-send", on_error=lambda: None)
-        n, got, refused = 500, [], []
-
-        def receiver():
-            with b.makefile("rb") as reader:
-                got.extend(iter(lambda: read_frame(reader.read), None))
-
-        def sender(tid):
-            for k in range(n):
-                if not outbox.send(("place" if k % 2 == 0 else "task", tid, k)):
-                    refused.append((tid, k))
-
-        reading = threading.Thread(target=receiver)
-        threads = [threading.Thread(target=sender, args=(tid,)) for tid in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            reading.start()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10.0)
-            outbox.close()  # flushes, then shuts the socket down: the reader sees EOF
-            reading.join(timeout=10.0)
-            outbox.thread.join(timeout=10.0)
-        finally:
-            sys.setswitchinterval(interval)
-            b.close()
-        assert not any(t.is_alive() for t in (*threads, reading, outbox.thread))
-        assert refused == [] and len(got) == 4 * n
-        for tid in range(4):
-            assert [k for _, t, k in got if t == tid] == list(range(n))
-
-    def test_a_write_to_a_closed_peer_reports_once_and_refuses_later_sends(self):
-        a, b = socket.socketpair()
-        b.close()
-        errors = []
-        outbox = Outbox(a, "test-send", on_error=lambda: errors.append(1))
-        for k in range(5):
-            outbox.send(("task", k))
-        outbox.thread.join(timeout=5.0)
-        assert not outbox.thread.is_alive() and errors == [1]
-        assert outbox.send(("task", 5)) is False
-        assert errors == [1]
 
 
 class TestRegistration:

@@ -4,6 +4,7 @@ import gc
 import multiprocessing as mp
 import os
 import signal
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -259,7 +260,10 @@ def _nap(seconds):
 
 
 def _session_threads():
-    return sorted(t.name for t in threading.enumerate() if t.name.startswith("processes-"))
+    """The session's routers (the outbox writers belong to the warm pools)."""
+    return sorted(
+        t.name for t in threading.enumerate() if t.name.startswith("processes-router")
+    )
 
 
 class TestForwardedSegment:
@@ -523,13 +527,22 @@ class TestWorkerWrittenPipes:
     PIPE = [_mib_of, _linger, _head_and_len]
 
     def test_only_parent_fed_queues_keep_a_feeder_thread(self):
+        # One queue kind and no mp.Queue feeder anywhere in the lane: the
+        # parent writes through one outbox writer per queue it feeds.
         pipe = spec([_inc, _inc, _record, _inc], [True, True, False, True])
         with ProcessPoolBackend(pipe) as b:
             b.warm()
+            queues = [pool.taskq for pool in b._pools] + [pool.seg.resq for pool in b._pools]
+            assert {type(q).__name__ for q in queues} == {"_PipeQueue"}
+            names = [t.name for t in threading.enumerate()]
+            assert "QueueFeederThread" not in names
             # Stage 0 (submit) and stage 2 (behind the boundary router[1]).
-            kinds = [type(pool.taskq).__name__ for pool in b._pools]
-            assert kinds == ["Queue", "_PipeQueue", "Queue", "_PipeQueue"]
-            assert {type(pool.seg.resq).__name__ for pool in b._pools} == {"_PipeQueue"}
+            assert sorted(n for n in names if "-outbox[" in n) == [
+                "processes-outbox[0]", "processes-outbox[2]",
+            ]
+            fed = [pool.taskq._outbox is not None for pool in b._pools]
+            assert fed == [True, False, True, False]
+        assert not [t for t in threading.enumerate() if "-outbox[" in t.name]
 
     def test_more_writers_and_readers_than_cores_lose_and_duplicate_nothing(self):
         # The queue on its own: 4 writers and 3 readers over a bound of 3,
@@ -556,7 +569,7 @@ class TestWorkerWrittenPipes:
                 proc.start()
             seen = [out.get(timeout=20.0) for _ in range(240)]
             for _ in readers:
-                q.put(None, timeout=1.0)
+                q.put(None)
             for proc in procs + readers:
                 proc.join(timeout=5.0)
                 assert proc.exitcode == 0
@@ -664,3 +677,112 @@ class TestOneEventDrivenWait:
                 b.open().close()
             assert _open_fds() == before
             assert [x for x, _ in b.run(range(6)).outputs] == list(range(2, 8))
+
+
+def _half_a_frame_then_die(x):
+    """At item 3: the head of a 300 KB result frame (its header and 1,000
+    bytes) straight into this worker's result pipe, then a SIGKILL."""
+    if x == 3:
+        out = sys._getframe(1).f_locals["out"]  # the worker loop's result queue
+        os.write(out._writer.fileno(), (300_000).to_bytes(4, "big") + b"x" * 1000)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def _echo_once(q, back):
+    back.put(q.get())
+
+
+def _file_gated(item):
+    path, x = item
+    while not os.path.exists(path):
+        time.sleep(0.002)
+    return x
+
+
+class _CountingSemaphore:
+    """Forwards to a semaphore and records the arguments of every acquire."""
+
+    def __init__(self, sem):
+        self._sem, self.acquires = sem, []
+
+    def acquire(self, *args, **kwargs):
+        self.acquires.append((args, kwargs))
+        return self._sem.acquire(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._sem, name)
+
+
+class TestFramedLane:
+    """The parent writes through outboxes and reads whole frames, untimed."""
+
+    def test_a_worker_killed_mid_frame_fails_the_session_and_the_router_never_hangs(self):
+        b = ProcessPoolBackend(spec([_inc, _half_a_frame_then_die]))
+        try:
+            session = b.open()
+            t0 = time.perf_counter()
+            with pytest.raises(StageError, match="'s1'.*died mid-run"):
+                for x in range(40):  # a burst: results queue up around the cut frame
+                    session.submit(x)
+                session.drain()
+            assert time.perf_counter() - t0 < 1.0
+            # The router kept the cut frame's bytes and went back to its poll.
+            assert len(b._pools[1].seg.reader._buf) >= 4
+        finally:
+            b.close()
+
+    def test_a_parent_fed_queue_pickles_for_spawn_without_its_writer(self):
+        from repro.backend.process_backend import _PipeQueue
+
+        ctx = mp.get_context("spawn")
+        q, back = _PipeQueue(ctx, 2), _PipeQueue(ctx, 2)
+        q.feed("test-outbox")
+        child = ctx.Process(target=_echo_once, args=(q, back), daemon=True)
+        try:
+            child.start()  # pickles q: its writer thread and SimpleQueue stay here
+            assert q.send(("hello", 1), None)
+            assert back._reader.poll(60.0), "the spawned reader never answered"
+            assert back.get() == ("hello", 1)
+            child.join(timeout=10.0)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=5.0)
+            q.close()
+            back.close()
+        assert not q._outbox.thread.is_alive()
+
+    def test_a_submit_parked_on_a_full_stage_0_queue_raises_within_100_ms_of_an_abort(
+        self, tmp_path
+    ):
+        gate = str(tmp_path / "gate")  # never created: the one worker holds its item
+        with ProcessPoolBackend(
+            spec([_file_gated]), replicas=[1], max_replicas=1, capacity=1
+        ) as b:
+            session = b.open()
+            queue = b._pools[0].taskq
+            space = queue._space = _CountingSemaphore(queue._space)
+            raised = []
+
+            def produce():
+                with pytest.raises(SessionClosed):
+                    for x in range(5):
+                        session.submit((gate, x))
+                raised.append(time.perf_counter())
+
+            producer = threading.Thread(target=produce, daemon=True)
+            producer.start()
+            # One item in service, one queued (capacity x pool size), the third parked.
+            deadline = time.perf_counter() + 5.0
+            while len(space.acquires) < 3 and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.1)
+            assert len(space.acquires) == 3 and producer.is_alive()
+            t0 = time.perf_counter()
+            session.close()  # the unfinished stream aborts
+            producer.join(timeout=2.0)
+        assert raised and raised[0] - t0 < 0.1
+        # Every wait for space was untimed: the abort, not a clock, ended it.
+        assert [call for call in space.acquires if call != ((True,), {})] == []
