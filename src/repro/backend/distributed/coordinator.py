@@ -121,9 +121,10 @@ def _spawn_agent(
 class _WorkerConn:
     """Coordinator-side view of one registered worker."""
 
-    def __init__(self, wid: int, outbox: Outbox, name: str, cores: int) -> None:
+    def __init__(self, wid: int, outbox: Outbox, name: str, cores: int, sock=None) -> None:
         self.id = wid
         self.outbox = outbox  # every send to this worker: framed here, written by its thread
+        self.sock = sock  # its writer's to close; a death shuts it down first
         self.name = name
         self.cores = max(1, cores)
         self.alive = True
@@ -691,10 +692,8 @@ class DistributedBackend(Backend):
                 return None
             wid = self._next_worker_id
             self._next_worker_id += 1
-            outbox = socket_outbox(
-                sock, f"dist-send[{wid}]", lambda: self._on_worker_death(worker)
-            )
-            worker = _WorkerConn(wid, outbox, wname, cores)
+            outbox = socket_outbox(sock, f"dist-send[{wid}]", lambda: self._on_worker_death(worker))
+            worker = _WorkerConn(wid, outbox, wname, cores, sock)
             # Queued before the worker is visible, so no ``place`` overtakes it.
             outbox.send(("welcome", wid, self.heartbeat_interval, inbox, self._transport_spec()))
             worker.proc = self._spawned.get(wname)
@@ -801,7 +800,7 @@ class DistributedBackend(Backend):
             self._registry_changed.notify_all()
         w.outbox.close()  # refuses further sends: a sender racing this retries elsewhere
         try:  # wakes the reader, and a write blocked on a peer that stopped reading
-            w.outbox.sock.shutdown(socket.SHUT_RDWR)
+            w.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         lost_by_stage: list[list[tuple[int, Frame]]] = []

@@ -11,20 +11,17 @@ does it report to the parent, where a router restores order::
     submit ─> taskq[0] ─> workers 0 ─> taskq[1] ─> workers 1 ─> resq ─> router
     (caller)  (outbox)                (pipe)     (boundary)  (pipe)  (session)
 
-* Every queue is a :class:`_PipeQueue`: the byte lane's frames
+* Every queue is a :class:`_PipeQueue`: byte-lane frames
   (:mod:`repro.transport.lane`) on one pipe, an OS semaphore for space.
-  Workers write and read their pipes themselves — no feeder thread, no GIL
-  hand-off per hop.  The parent makes no ``write()`` on a caller's thread:
-  a queue it feeds items into (stage 0's, and one behind a boundary) has an
-  outbox, so the caller frames and one writer thread
-  (``processes-outbox[i]``) writes every frame queued with one ``write()``.
+  Workers write their pipes themselves; a queue the parent feeds (stage
+  0's, one behind a boundary) is written by one outbox thread
+  (``processes-outbox[i]``), every frame queued per ``write()``.
 * A boundary router has **one wait and no timeout**: a ``select.poll`` over
   its segment's result pipe, a wake pipe and the ``sentinel`` of every worker
-  in the segment — a result, a wake-up and a death are all events.  It reads
-  the result pipe through a non-blocking
-  :class:`~repro.transport.lane.FrameReader` and serves every whole frame a
-  ``read()`` yields before it polls again; a frame cut short by a dying
-  worker waits in the reader, never in ``read()``.
+  in the segment — a result, a wake-up and a death are all events.  A
+  non-blocking :class:`~repro.transport.lane.FrameReader` reads the result
+  pipe a burst per ``read()``; a frame cut short by a dying worker waits
+  in it, never in ``read()``.
 * The **pools belong to the backend** and survive sessions and streams; the
   **boundary routers belong to the session** — the routed-stage core shared
   with the distributed backend (:mod:`repro.backend.routed`), which owns
@@ -100,10 +97,7 @@ class _PipeQueue:
         self._space = ctx.Semaphore(maxsize)
         self._rlock, self._wlock = ctx.Lock(), ctx.Lock()
         self._maxsize = maxsize
-        self._outbox = None  # the parent's writer, once fed
-
-    def __getstate__(self) -> dict:
-        return {**vars(self), "_outbox": None}  # a spawned worker never feeds
+        self._outbox = None  # the parent's writer, once fed (after every fork)
 
     def fileno(self) -> int:
         return self._reader.fileno()
@@ -320,10 +314,9 @@ class _ProcessSession(RoutedSession):
             dead = [fd for fd in ready if fd in seg.workers]
             if not dead:
                 continue  # part of a frame: the rest comes with the next read
-            # No worker should die while a session is open (close() is the
-            # only sender of stop pills, after the routers are gone): items it
-            # held are lost and the drain barrier would never clear — fail,
-            # don't hang.
+            # No worker should die while a session is open (only close() sends
+            # stop pills, after the routers are gone): items it held are lost
+            # and the drain barrier would never clear — fail, don't hang.
             where, wid, exitcode = seg.died(dead[0])
             self.events.emit(
                 "worker.death", f"stage {where} worker {wid} exited",

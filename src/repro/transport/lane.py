@@ -1,23 +1,18 @@
 """The byte lane: length-prefixed pickled frames over a byte stream.
 
-Both heavy executors move messages the same way: a 4-byte big-endian
-payload length, then ``pickle.dumps(message)``.  The distributed backend
-runs it over TCP (:mod:`repro.backend.distributed.protocol` adds the
-preamble and the message table); the process backend over pipes between
-the parent and its forked workers.  :data:`MAX_FRAME` is below 2**31, so
-the header is the one ``multiprocessing.connection.Connection.send_bytes``
-writes: a worker's ``recv_bytes`` reads a frame an :class:`Outbox` wrote,
-and a :class:`FrameReader` reads what ``send_bytes`` wrote.
+A frame is a 4-byte big-endian payload length, then ``pickle.dumps(message)``:
+the header ``multiprocessing.connection.Connection.send_bytes`` writes, so
+a process worker's ``recv_bytes``/``send_bytes`` speak it too.  The
+distributed backend runs it over TCP, bounded by :data:`MAX_FRAME`
+(:mod:`repro.backend.distributed.protocol` adds the preamble and the
+message table); the process backend over pipes to its forked workers,
+unbounded, as a ``Connection`` is.
 
-* :class:`Outbox` is a lane's send side: senders frame on their own thread,
-  and one writer thread writes everything queued with one write-all call
-  (:func:`socket_outbox`'s ``sendall``, :func:`pipe_outbox`'s ``os.write``
-  loop).
-* :func:`read_frame` reads one frame through a blocking ``read``; over a
-  buffered reader one ``recv`` yields every whole frame the kernel holds.
-* :class:`FrameReader` reads a non-blocking descriptor: one ``read`` yields
-  every whole frame it completes, and a partial frame waits for the next
-  read, so a reader that polls never blocks mid-frame.
+* :class:`Outbox`: senders frame on their own thread; one writer thread
+  writes everything queued with one write-all call.
+* :func:`read_frame`: one frame through a blocking ``read``.
+* :class:`FrameReader`: a non-blocking descriptor, every whole frame a
+  ``read`` completes; a partial frame waits for the next read.
 """
 
 from __future__ import annotations
@@ -42,33 +37,28 @@ __all__ = [
     "socket_outbox",
 ]
 
-#: Upper bound on one frame's payload: guards both sides against a corrupt
-#: or hostile length header committing them to a multi-GB allocation.
+#: Upper bound on one network frame's payload: guards both sides against a
+#: corrupt or hostile length header committing them to a multi-GB allocation.
 MAX_FRAME = 256 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+# Connection's header for a payload past _SHORT_MAX: a -1 marker, then 8 bytes.
+_LONG, _LONG_MARK, _SHORT_MAX = struct.Struct(">IQ"), 0xFFFFFFFF, 0x7FFFFFFF
 
 
 class ProtocolError(RuntimeError):
     """The peer sent bytes that are not a valid frame."""
 
 
-def encode_frame(message: Any) -> bytes:
-    """``message`` as one frame: its pickle behind a 4-byte length."""
+def encode_frame(message: Any, bounded: bool = True) -> bytes:
+    """``message`` as one frame; ``bounded``, refused above :data:`MAX_FRAME`."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME:
-        raise ProtocolError(
-            f"frame of {len(payload)} bytes exceeds MAX_FRAME ({MAX_FRAME})"
-        )
-    return _HEADER.pack(len(payload)) + payload
-
-
-def _announced(data, offset: int = 0) -> int:
-    """The payload length of the header at ``offset``, refused above MAX_FRAME."""
-    (length,) = _HEADER.unpack_from(data, offset)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"peer announced a {length}-byte frame (> {MAX_FRAME})")
-    return length
+    n = len(payload)
+    if bounded and n > MAX_FRAME:
+        raise ProtocolError(f"frame of {n} bytes exceeds MAX_FRAME ({MAX_FRAME})")
+    if n > _SHORT_MAX:
+        return _LONG.pack(_LONG_MARK, n) + payload
+    return _HEADER.pack(n) + payload
 
 
 def _loads(payload) -> Any:
@@ -101,7 +91,10 @@ def read_frame(read: Callable[[int], bytes]) -> Any | None:
     header = _read_exact(read, _HEADER.size)
     if header is None:
         return None
-    payload = _read_exact(read, _announced(header))
+    (length,) = _HEADER.unpack(header)
+    if length > MAX_FRAME:
+        raise ProtocolError(f"peer announced a {length}-byte frame (> {MAX_FRAME})")
+    payload = _read_exact(read, length)
     if payload is None:
         raise ProtocolError("connection closed between header and payload")
     return _loads(payload)
@@ -111,10 +104,9 @@ class FrameReader:
     """Whole frames off a non-blocking descriptor, a burst per ``read``.
 
     :meth:`fill` makes one ``read`` and appends every frame it completes,
-    unpickled, to :attr:`frames`; the bytes of a frame cut short stay here
-    until a later fill completes it.  A reader that polls the descriptor
-    therefore never blocks mid-frame: a writer killed half-way through a
-    frame leaves its bytes in this buffer, not its reader stuck in ``read``.
+    unpickled, to :attr:`frames`; a frame cut short stays buffered until a
+    later fill completes it, so a writer killed mid-frame never leaves its
+    reader stuck in ``read``.  Unbounded: its writers are trusted workers.
     """
 
     def __init__(self, fd: int) -> None:
@@ -135,10 +127,15 @@ class FrameReader:
         pos, end, before = 0, len(buf), len(frames)
         with memoryview(buf) as view:
             while end - pos >= _HEADER.size:
-                stop = pos + _HEADER.size + _announced(buf, pos)
+                head, (n,) = _HEADER.size, _HEADER.unpack_from(buf, pos)
+                if n == _LONG_MARK:
+                    if end - pos < _LONG.size:
+                        break
+                    head, (_, n) = _LONG.size, _LONG.unpack_from(buf, pos)
+                stop = pos + head + n
                 if stop > end:
                     break
-                frames.append(_loads(view[pos + _HEADER.size:stop]))
+                frames.append(_loads(view[pos + head:stop]))
                 pos = stop
         del buf[:pos]
         return len(frames) - before
@@ -151,7 +148,8 @@ class Outbox:
     behind it and writes them with one ``write_all``.  A failed write calls
     ``on_error`` once; after that, or after :meth:`close`, :meth:`send`
     returns False.  The writer owns the lane's end: it calls ``on_stop``
-    (close the pipe, shut the socket down) when it stops.
+    (close the pipe, shut the socket down) when it stops.  ``bounded``
+    frames refuse to exceed :data:`MAX_FRAME`.
     """
 
     def __init__(
@@ -160,8 +158,9 @@ class Outbox:
         name: str,
         on_error: Callable[[], Any],
         on_stop: Callable[[], Any],
+        bounded: bool = True,
     ) -> None:
-        self.open, self._write_all = True, write_all
+        self.open, self._write_all, self._bounded = True, write_all, bounded
         self._on_error, self._on_stop = on_error, on_stop
         self._queue: SimpleQueue = SimpleQueue()
         self.thread = Thread(target=self._write, name=name, daemon=True)
@@ -171,7 +170,7 @@ class Outbox:
         """Frame ``message`` on this thread and queue it (or raise ProtocolError)."""
         if not self.open:
             return False
-        self._queue.put(encode_frame(message))
+        self._queue.put(encode_frame(message, self._bounded))
         return True
 
     def close(self) -> None:
@@ -200,8 +199,7 @@ class Outbox:
 
 def socket_outbox(sock: socket.socket, name: str, on_error: Callable[[], Any]) -> Outbox:
     """An outbox over a connected socket; its writer shuts the socket down
-    (waking a blocked read) and closes it when it stops.  ``outbox.sock`` is
-    the socket, for a caller that must shut it down before the writer stops."""
+    (waking a blocked read) and closes it when it stops."""
 
     def stop() -> None:
         try:
@@ -210,13 +208,11 @@ def socket_outbox(sock: socket.socket, name: str, on_error: Callable[[], Any]) -
             pass
         sock.close()
 
-    outbox = Outbox(sock.sendall, name, on_error, stop)
-    outbox.sock = sock
-    return outbox
+    return Outbox(sock.sendall, name, on_error, stop)
 
 
 def pipe_outbox(end, name: str, on_error: Callable[[], Any]) -> Outbox:
-    """An outbox over a pipe's blocking write ``end`` (anything with
+    """An unbounded outbox over a pipe's blocking write ``end`` (anything with
     ``fileno()`` and ``close()``); its writer closes ``end`` when it stops."""
     fd = end.fileno()
 
@@ -225,4 +221,4 @@ def pipe_outbox(end, name: str, on_error: Callable[[], Any]) -> Outbox:
         while view:
             view = view[os.write(fd, view):]
 
-    return Outbox(write_all, name, on_error, end.close)
+    return Outbox(write_all, name, on_error, end.close, bounded=False)

@@ -16,6 +16,7 @@ from repro.backend import ProcessPoolBackend, SessionClosed, ThreadBackend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.runtime.threads import StageError
+from repro.transport import lane
 
 
 def spec(fns, replicable=None):
@@ -732,15 +733,23 @@ class TestFramedLane:
         finally:
             b.close()
 
+    def test_items_past_max_frame_cross_the_pipes(self, monkeypatch):
+        # MAX_FRAME bounds a network peer; the pipes to forked workers carry
+        # any length a Connection can.
+        monkeypatch.setattr(lane, "MAX_FRAME", 256)
+        with ProcessPoolBackend(spec([_double, _double]), transport="pickle") as b:
+            res = b.run([b"x" * 400, b"y" * 300])
+        assert res.outputs == [b"x" * 1600, b"y" * 1200]
+
     def test_a_parent_fed_queue_pickles_for_spawn_without_its_writer(self):
         from repro.backend.process_backend import _PipeQueue
 
         ctx = mp.get_context("spawn")
         q, back = _PipeQueue(ctx, 2), _PipeQueue(ctx, 2)
-        q.feed("test-outbox")
         child = ctx.Process(target=_echo_once, args=(q, back), daemon=True)
         try:
-            child.start()  # pickles q: its writer thread and SimpleQueue stay here
+            child.start()  # pickles q before its writer starts, as warm() does
+            q.feed("test-outbox")
             assert q.send(("hello", 1), None)
             assert back._reader.poll(60.0), "the spawned reader never answered"
             assert back.get() == ("hello", 1)

@@ -15,6 +15,7 @@ import threading
 
 import pytest
 
+from repro.transport import lane
 from repro.transport.lane import (
     MAX_FRAME,
     FrameReader,
@@ -55,6 +56,28 @@ def _write(end, data: bytes) -> None:
 def _buffered(end):
     """A buffered reader over ``end`` that leaves ``end`` open."""
     return open(end.fileno(), "rb", buffering=1 << 16, closefd=False)
+
+
+class _Gated:
+    """A stream end whose first write waits for ``gate``; it records each
+    write and a ``shutdown``, and passes everything on to ``end``."""
+
+    def __init__(self, end):
+        self.end, self.writes, self.shut = end, [], False
+        self.entered, self.gate = threading.Event(), threading.Event()
+
+    def sendall(self, data):
+        self.entered.set()
+        assert self.gate.wait(timeout=5.0)
+        self.writes.append(data)
+        _write(self.end, data)
+
+    def shutdown(self, how):
+        self.shut = True
+        self.end.shutdown(how)
+
+    def close(self):
+        self.end.close()
 
 
 def _outbox(end, on_error) -> Outbox:
@@ -154,7 +177,7 @@ class TestFrameReader:
         # Reads that held only part of the big frame completed nothing.
         assert sum(fills) == 3 and fills.count(0) >= 3
 
-    def test_a_closed_stream_and_an_oversized_header_are_errors(self, stream):
+    def test_a_closed_stream_is_an_error(self, stream):
         read_end, write_end = stream()
         reader = FrameReader(read_end.fileno())
         _write(write_end, b"\x00\x00")  # half a header, then the writer is gone
@@ -162,15 +185,28 @@ class TestFrameReader:
         assert reader.fill() == 0
         with pytest.raises(ProtocolError, match="lane closed"):
             reader.fill()
+
+    def test_frames_past_max_frame_and_in_the_long_form_are_read(self, stream, monkeypatch):
+        monkeypatch.setattr(lane, "MAX_FRAME", 64)  # a network peer would refuse all three
+        monkeypatch.setattr(lane, "_SHORT_MAX", 200)  # past it: Connection's 12-byte header
+        msgs = [("result", k, b"x" * 100 * k) for k in (1, 2, 3)]
+        frames = [encode_frame(m, bounded=False) for m in msgs]
+        assert [f[:4] == b"\xff" * 4 for f in frames] == [False, True, True]
         read_end, write_end = stream()
         reader = FrameReader(read_end.fileno())
-        _write(write_end, (MAX_FRAME + 1).to_bytes(4, "big"))
-        with pytest.raises(ProtocolError, match="announced"):
+        data = b"".join(frames)
+        for k in range(len(data)):  # a byte at a time: a cut long header waits too
+            _write(write_end, data[k:k + 1])
             reader.fill()
+        assert list(reader.frames) == msgs
 
 
-def test_frames_cross_to_and_from_multiprocessing_connections():
-    """The header is the one ``Connection.send_bytes`` writes, both ways."""
+def test_frames_cross_to_and_from_multiprocessing_connections(monkeypatch):
+    """The header is the one ``Connection.send_bytes`` writes, both ways, and
+    a pipe outbox's long form is the one ``recv_bytes`` reads."""
+    monkeypatch.setattr(lane, "MAX_FRAME", 64)
+    monkeypatch.setattr(lane, "_SHORT_MAX", 200)
+    big = ("task", 4, b"z" * 500)
     to_reader, from_conn = mp.Pipe(duplex=False)
     to_conn, from_outbox = mp.Pipe(duplex=False)
     try:
@@ -178,8 +214,9 @@ def test_frames_cross_to_and_from_multiprocessing_connections():
         reader = FrameReader(to_reader.fileno())
         assert reader.fill() == 1 and reader.frames.popleft() == ("result", 1)
         outbox = pipe_outbox(from_outbox, "test-send", on_error=lambda: None)
-        assert outbox.send(("task", 2)) and outbox.send(("task", 3))
-        assert [pickle.loads(to_conn.recv_bytes()) for _ in range(2)] == [("task", 2), ("task", 3)]
+        assert outbox.send(("task", 2)) and outbox.send(big) and outbox.send(("task", 3))
+        got = [pickle.loads(to_conn.recv_bytes()) for _ in range(3)]
+        assert got == [("task", 2), big, ("task", 3)]
         outbox.close()
         outbox.thread.join(timeout=5.0)
         assert from_outbox.closed  # the writer closed its end when it stopped
@@ -188,31 +225,63 @@ def test_frames_cross_to_and_from_multiprocessing_connections():
             end.close()
 
 
+def test_only_a_socket_outbox_refuses_a_frame_past_max_frame(monkeypatch):
+    monkeypatch.setattr(lane, "MAX_FRAME", 64)
+    big = ("task", b"x" * 100)
+    with pytest.raises(ProtocolError, match="exceeds MAX_FRAME"):
+        encode_frame(big)
+    a, b = socket.socketpair()
+    r, w = os.pipe()
+    pipe_end = open(w, "wb", buffering=0)
+    try:
+        with pytest.raises(ProtocolError, match="exceeds MAX_FRAME"):
+            socket_outbox(a, "test-send", lambda: None).send(big)
+        assert pipe_outbox(pipe_end, "test-send", lambda: None).send(big)
+        assert os.read(r, 4096) == encode_frame(big, bounded=False)  # one atomic write
+    finally:
+        for end in (a, b, pipe_end):
+            end.close()
+        os.close(r)
+
+
 class TestOutbox:
     def test_a_lone_frame_is_one_write_and_a_burst_behind_it_is_one_more(self, stream):
         read_end, write_end = stream()
-        writes, entered, gate = [], threading.Event(), threading.Event()
-
-        def gated(data):  # the first write waits until the burst is queued behind it
-            entered.set()
-            assert gate.wait(timeout=5.0)
-            writes.append(data)
-            _write(write_end, data)
-
-        outbox = Outbox(gated, "test-send", lambda: None, write_end.close)
+        end = _Gated(write_end)
+        if isinstance(write_end, socket.socket):
+            outbox = socket_outbox(end, "test-send", on_error=lambda: None)
+        else:  # pipe_outbox writes with os.write: gate the write-all instead
+            outbox = Outbox(end.sendall, "test-send", lambda: None, end.close, bounded=False)
         outbox.send(("lone",))
-        assert entered.wait(timeout=5.0)  # the writer took it alone, at once
+        assert end.entered.wait(timeout=5.0)  # the writer took it alone, at once
         burst = [("task", k) for k in range(20)]
         for msg in burst:
             outbox.send(msg)
-        gate.set()
+        end.gate.set()
         outbox.close()
         outbox.thread.join(timeout=5.0)
         assert not outbox.thread.is_alive()
-        assert writes == [encode_frame(("lone",)), b"".join(map(encode_frame, burst))]
+        assert end.writes == [encode_frame(("lone",)), b"".join(map(encode_frame, burst))]
         with _buffered(read_end) as reader:  # the writer closed its end: EOF after them
             assert list(iter(lambda: read_frame(reader.read), None)) == [("lone",), *burst]
+        assert end.shut == isinstance(write_end, socket.socket)  # a socket is shut down
         assert outbox.send(("late",)) is False
+
+    def test_a_socket_writer_stopping_wakes_a_reader_of_its_own_socket(self):
+        # A distributed worker reads ``sock.makefile("rb")``, which keeps the
+        # descriptor open past close(): only the writer's shutdown ends its loop.
+        mine, peer = socket.socketpair()
+        reader, got = mine.makefile("rb"), []
+        receiving = threading.Thread(target=lambda: got.append(read_frame(reader.read)))
+        receiving.start()
+        try:
+            socket_outbox(mine, "test-send", on_error=lambda: None).close()
+            receiving.join(timeout=5.0)
+            assert not receiving.is_alive() and got == [None]
+        finally:
+            peer.close()  # frees a reader the writer left blocked
+            receiving.join(timeout=5.0)
+            reader.close()
 
     def test_each_senders_order_survives_four_concurrent_senders(self, stream):
         # More senders than cores, switching every few bytecodes: a frame
