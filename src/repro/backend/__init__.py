@@ -26,7 +26,7 @@ bounded-stream convenience on top.  Five adapters ship:
 * ``"distributed"`` — :class:`DistributedBackend`, TCP-socket workers on
   this or other hosts (the paper's actual setting: real link costs, node
   loss, load-derived speeds; worker links and replica placement stay warm
-  between streams, epoch guards scope exactly-once delivery to a stream —
+  between streams, one epoch per session keeps its results apart —
   see ``docs/distributed.md`` and ``docs/streaming.md``).
 
 :class:`RuntimeAdaptiveRunner` runs the paper's observe→decide→act loop

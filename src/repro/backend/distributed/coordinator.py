@@ -16,18 +16,23 @@ Topology (a star — every transfer crosses the coordinator)::
   — they are the routed-stage core shared with the process backend
   (:mod:`repro.backend.routed`), ``submit()`` dispatches to stage 0 on the
   caller's thread, and this module supplies the lane behind both.  Each
-  stream gets its own **epoch**: tasks and results carry the stream's
-  epoch and the item's session-wide ``gseq`` (a batch's ``bseq``), and a
-  result is only accepted while its (epoch, seq) assignment is still live —
-  so crash re-dispatch stays exactly-once within a stream and a stale
-  duplicate from any earlier stream is dropped on arrival.
+  session gets its own **epoch**: tasks and results carry it beside the
+  item's session-wide ``gseq`` (a batch's ``bseq``), which restarts with
+  each session, so a late result of an earlier session is dropped on
+  arrival.
+* **Exactly once** rests on one record per fact: each replica holds its
+  own tasks (``seq → frame``), so a result whose seq its replica no longer
+  holds is stale; a retired replica gets its ``retire`` only once its last
+  task is accepted (or reclaimed), so no task can follow it; and every way
+  out of a replica set goes through ``_leave``, which re-dispatches or
+  releases what the replica held.
 * Each stage owns a **replica set** spread across workers.  Dispatch sends
   each item to the replica predicted to finish it first (measured drain
   interval and link latency), which may hold the session's lane depth in
   flight — the window, as on every executor (``_reserve_slot``).
 * One **router thread per stage** (the core's) collects that stage's
-  results; this module's ``_accept`` matches each against the in-flight
-  table, feeds the link and clock fits, and hands the core one normalised
+  results; this module's ``_accept`` matches each against its replica's
+  tasks, feeds the link and clock fits, and hands the core one normalised
   hop, which it records and forwards as an encoded
   :class:`~repro.transport.Frame`, untouched (re-sequenced first only in
   front of an ordered stage and before delivery).  Items travel through the
@@ -54,8 +59,9 @@ Topology (a star — every transfer crosses the coordinator)::
   is re-placed on a survivor), its in-flight items are re-dispatched, and
   the shrunken local view is what the adaptation loop sees next.
 * ``reconfigure(stage, n)`` places or retires replicas across workers live.
-  Retired replicas finish what they were dealt (nothing is drained); growth
-  targets the worker with the best speed/link score.
+  A retired replica gets no new items and finishes what it was dealt (the
+  run never pauses); growth targets the worker with the best speed/link
+  score.
 """
 
 from __future__ import annotations
@@ -164,12 +170,14 @@ class _WorkerConn:
 
 
 class _Replica:
-    """One placed stage replica: (worker, slot) plus dispatch accounting."""
+    """One placed stage replica: (worker, slot) plus the tasks it holds."""
 
     def __init__(self, worker: _WorkerConn, slot: int) -> None:
         self.worker = worker
         self.slot = slot
-        self.inflight = 0
+        #: seq -> task frame, the one in-flight record: a reservation enters
+        #: the seq (frame None) and the recorded frame replaces it.
+        self.tasks: dict[int, Frame | None] = {}
         self.active = True  # False once retired: it finishes what it was dealt
         self.drain: float | None = None  # EWMA of the gap between completions while busy
         self.done_t = 0.0  # perf_counter of the last accepted completion
@@ -182,15 +190,10 @@ class _DistributedSession(RoutedSession):
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
         backend.warm()
         backend._ensure_placements()
-        if backend._config_errors:
-            raise backend._config_errors[0]
-        # Adopt this session as the backend's live plumbing: the recv loops
-        # and death handlers feed these very queues/flags.
         self._resq = [thread_queue.SimpleQueue() for _ in backend._conds]
-        backend._abort = self._abort
-        backend._resq = self._resq
-        backend._depth = self._lane_depth()
-        backend._running = True
+        self._depth = self._lane_depth()  # each replica's in-flight allowance
+        # gseq restarts with each session: the epoch keeps their results apart.
+        backend._epoch += 1
 
     def _wake_lane(self) -> None:
         for q, cond in zip(self._resq, self.backend._conds):
@@ -198,65 +201,44 @@ class _DistributedSession(RoutedSession):
             with cond:
                 cond.notify_all()
 
-    # ----------------------------------------------------------- port hooks
-    def _begin_stream(self, stream: int) -> None:
-        backend: DistributedBackend = self.backend  # type: ignore[assignment]
-        # The epoch *is* the stream id: results are only accepted while
-        # their (epoch, seq) assignment is live, so a late duplicate from
-        # any earlier stream (or an aborted one) is dropped on arrival.
-        backend._epoch += 1
-        backend._reclaim_inflight()
-
     def _shutdown(self) -> None:
-        backend: DistributedBackend = self.backend  # type: ignore[assignment]
         super()._shutdown()
-        backend._running = False
-        backend._reclaim_inflight()
+        self.backend._reclaim()
 
     # ------------------------------------------------------------ lane hooks
     def _ingress(self, seq: int, value: Any) -> bool:
-        return self.backend._dispatch(0, seq, None, value)
+        return self.backend._dispatch(self, 0, seq, None, value)
 
     def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
-        return self.backend._dispatch(stage, seq, frame)
+        return self.backend._dispatch(self, stage, seq, frame)
 
     def _poll(self, stage: int) -> "tuple | None":
         return self._resq[stage].get()
 
     def _accept(self, stage: int, msg: tuple) -> "Hop | None":
-        """One ``(worker, recv_t, frame)``: a ``result`` or a ``reject``."""
+        """One ``(worker, recv_t, frame)``: a ``result`` as the worker sent it."""
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
         w, recv_t, frame = msg
-        slot, seq, result = frame[3], frame[4], frame[0] == "result"
-        if result:
-            ok, payload, service_s, wait_s, t_sent, err_repr, t_recv_w, t_send_w = frame[5:]
-            if ok:  # a failure's payload is its pickled error
-                payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
+        slot, seq, ok, payload, service_s, wait_s, t_sent, err_repr, t_recv_w, t_send_w = frame[3:]
+        if ok:  # a failure's payload is its pickled error
+            payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
         cond = backend._conds[stage]
         with cond:
-            entry = backend._inflight[stage].get(seq)
-            if entry is None or entry[0].worker is not w or entry[0].slot != slot:
+            task_frame = None
+            for replica in backend._replicas[stage]:
+                if replica.worker is w and replica.slot == slot:
+                    task_frame = replica.tasks.pop(seq, None)
+                    break
+            if task_frame is None:
                 # Stale: this item was re-dispatched after its worker was
                 # declared dead; exactly one assignment may deliver it.
-                # The duplicate's result frame will never be read.
-                if result and ok:
+                if ok:
                     backend._codec.release(payload)
                 return None
-            replica, task_frame = entry
-            del backend._inflight[stage][seq]
-            replica.inflight -= 1
-            if (
-                not replica.active
-                and replica.inflight == 0
-                and replica in backend._replicas[stage]
-            ):
-                backend._replicas[stage].remove(replica)
-            queued = sum(r.inflight for r in backend._replicas[stage])
+            if not replica.active and not replica.tasks:
+                backend._leave(stage, replica)  # drained: its retire goes out now
+            queued = sum(len(r.tasks) for r in backend._replicas[stage])
             cond.notify_all()
-        if not result:
-            # Task raced a retire on the worker: send it elsewhere.
-            backend._dispatch(stage, seq, task_frame)
-            return None
         # The task frame was consumed on the worker; nothing can
         # re-dispatch it now, so its segments can go.
         backend._codec.release(task_frame)
@@ -481,10 +463,9 @@ class DistributedBackend(Backend):
         # does not resolve on a worker): they outlive per-stream error state.
         self._config_errors: list[BaseException] = []
 
-        # Per-stage replica sets + in-flight assignments (guarded by _conds[i]).
+        # Per-stage replica sets and their tasks (guarded by _conds[i]).
         self._conds = [threading.Condition() for _ in range(n)]
         self._replicas: list[list[_Replica]] = [[] for _ in range(n)]
-        self._inflight: list[dict[int, tuple[_Replica, Frame]]] = [{} for _ in range(n)]
 
         # Infrastructure threads and sockets.
         self._close_lock = threading.Lock()
@@ -496,13 +477,7 @@ class DistributedBackend(Backend):
         self._warm = False
         self._closing = threading.Event()
 
-        # Live-session plumbing (adopted by each session; the epoch is the
-        # stream id and survives sessions so stale results never collide).
-        self._epoch = 0
-        self._depth = self.capacity  # in-flight allowance per replica (the session's lane depth)
-        self._running = False
-        self._resq: list[thread_queue.SimpleQueue] = []
-        self._abort = threading.Event()
+        self._epoch = 0  # bumped by each session: an earlier one's results are stale
 
     # ------------------------------------------------------------------ props
     @property
@@ -726,12 +701,9 @@ class DistributedBackend(Backend):
             while w is not None and (frame := read_frame(reader.read)) is not None:
                 w.last_seen = time.monotonic()
                 kind = frame[0]
-                if kind in ("result", "reject"):
-                    # Both go to the stage's router as sent (a reject: the
-                    # task raced a retire, and the router re-dispatches it);
-                    # one from an earlier or aborted stream is stale.
-                    if frame[1] == self._epoch:
-                        self._resq[frame[2]].put((w, time.perf_counter(), frame))
+                if kind == "result":
+                    if frame[1] == self._epoch:  # else an earlier session's: stale
+                        self._session._resq[frame[2]].put((w, time.perf_counter(), frame))
                 elif kind == "heartbeat":
                     w.observe_load(frame[1])
                 elif kind == "shm_ok":
@@ -742,17 +714,16 @@ class DistributedBackend(Backend):
                 elif kind == "place_failed":
                     _, stage, slot, err_repr = frame
                     err = RuntimeError(
-                        f"worker {w.name!r} could not host stage {stage}: "
-                        f"{err_repr} (stage fns must be importable on workers)"
+                        f"worker {w.name!r} could not host stage {stage} "
+                        f"({self.pipeline.stage(stage).name!r}): {err_repr} "
+                        "(stage fns must be importable on workers)"
                     )
+                    # Before the replica leaves: a dispatcher it wakes finds the error.
                     self._config_errors.append(err)
                     with self._conds[stage]:
-                        self._replicas[stage] = [
-                            r
-                            for r in self._replicas[stage]
-                            if not (r.worker is w and r.slot == slot)
-                        ]
-                        self._conds[stage].notify_all()
+                        gone = [r for r in self._replicas[stage] if (r.worker, r.slot) == (w, slot)]
+                    for r in gone:
+                        self._leave(stage, r)  # the worker drops its tasks
                     self._fail(stage, err)
         except (OSError, ProtocolError):
             pass
@@ -772,24 +743,37 @@ class DistributedBackend(Backend):
         if session is not None and not session.closed:
             session._fail(stage, err)
 
-    def _reclaim_inflight(self) -> None:
-        """Release frames an aborted stream stranded in flight.
+    def _leave(self, stage: int, replica: _Replica, keep=False, lost=False) -> list:
+        """Empty ``replica`` and, unless ``keep``, take it out of its set.
 
-        They will never be decoded, and their replicas get the capacity
-        back — the next session must not find a replica full of results
-        nobody will accept.  A clean boundary finds nothing (``drain()``
-        empties the pipeline).
+        The one exit, for a drained retire, ``place_failed``, a worker death
+        and a reclaim: the recorded tasks are released, or returned in seq
+        order for re-dispatch when ``lost`` (a death's), and a retired
+        replica's ``retire`` goes out here, after its last task.
         """
+        cond = self._conds[stage]
+        with cond:
+            leaves = not keep and replica in self._replicas[stage]
+            if leaves:
+                self._replicas[stage].remove(replica)
+            tasks = sorted((seq, f) for seq, f in replica.tasks.items() if f is not None)
+            replica.tasks.clear()  # a reservation's dispatcher deals again
+            cond.notify_all()
+        if leaves and not replica.active and replica.worker.alive:
+            replica.worker.outbox.send(("retire", stage, replica.slot))
+        if lost:
+            return tasks
+        for _seq, frame in tasks:
+            self._codec.release(frame)
+        return []
+
+    def _reclaim(self) -> None:
+        """Release what an aborted stream stranded in flight (a clean close
+        finds nothing); a retired replica leaves with its ``retire``."""
         for i, cond in enumerate(self._conds):
             with cond:
-                for replica, stale_frame in self._inflight[i].values():
-                    self._codec.release(stale_frame)
-                    replica.inflight -= 1
-                self._inflight[i].clear()
-                self._replicas[i] = [
-                    r for r in self._replicas[i] if r.active or r.inflight
-                ]
-                cond.notify_all()
+                for r in list(self._replicas[i]):
+                    self._leave(i, r, keep=r.active)
 
     def _on_worker_death(self, w: _WorkerConn) -> None:
         """Remove a dead worker; re-home its replicas and in-flight items."""
@@ -803,27 +787,14 @@ class DistributedBackend(Backend):
             w.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        lost_by_stage: list[list[tuple[int, Frame]]] = []
+        lost = []
         for i, cond in enumerate(self._conds):
             with cond:
-                self._replicas[i] = [
-                    r for r in self._replicas[i] if r.worker is not w
-                ]
-                lost = sorted(
-                    (seq, payload)
-                    for seq, (replica, payload) in self._inflight[i].items()
-                    if replica.worker is w
-                )
-                for seq, _payload in lost:
-                    del self._inflight[i][seq]
-                cond.notify_all()
-            lost_by_stage.append(lost)
+                dead = [r for r in self._replicas[i] if r.worker is w]
+            lost += [(i, *task) for r in dead for task in self._leave(i, r, lost=True)]
         self.events.emit(
-            "worker.death",
-            f"worker {w.name!r} died",
-            worker=w.id,
-            name=w.name,
-            lost_items=sum(len(lost) for lost in lost_by_stage),
+            "worker.death", f"worker {w.name!r} died", worker=w.id, name=w.name,
+            lost_items=len(lost),
         )
         if self._closing.is_set():
             return
@@ -832,7 +803,7 @@ class DistributedBackend(Backend):
         for i, cond in enumerate(self._conds):
             with cond:
                 has_active = any(r.active for r in self._replicas[i])
-            if not has_active and (self._running or self._warm):
+            if not has_active:
                 self.events.emit(
                     "adapt.decide",
                     f"re-home stage {i} after worker {w.name!r} death",
@@ -841,34 +812,29 @@ class DistributedBackend(Backend):
                     worker=w.id,
                 )
                 if not self._place_replica(i):
-                    if self._running:
-                        self._fail(
-                            i,
-                            RuntimeError(
-                                f"worker {w.name!r} died and no live workers "
-                                f"remain to host stage {i}"
-                            ),
-                        )
+                    self._fail(
+                        i,
+                        RuntimeError(
+                            f"worker {w.name!r} died and no live workers "
+                            f"remain to host stage {i}"
+                        ),
+                    )
                     return
-        if not self._running or not any(lost_by_stage):
-            return
-        # Re-dispatch can block on back-pressure; doing it inline would stall
-        # the calling thread (the heartbeat monitor, or a recv loop), which
-        # must stay free to detect *further* failures.
-        threading.Thread(
-            target=self._redispatch_lost,
-            args=(lost_by_stage,),
-            name=f"dist-redispatch[{w.id}]",
-            daemon=True,
-        ).start()
+        session = self._session
+        if lost and session is not None and not session.closed:
+            # Re-dispatch can block on back-pressure: not on the thread
+            # (heartbeat monitor, recv loop) that must notice further deaths.
+            threading.Thread(
+                target=self._redispatch, args=(session, lost),
+                name=f"dist-redispatch[{w.id}]", daemon=True,
+            ).start()
 
-    def _redispatch_lost(self, lost_by_stage: list[list[tuple[int, Frame]]]) -> None:
+    def _redispatch(self, session: RoutedSession, lost: list) -> None:
         try:
-            for i, lost in enumerate(lost_by_stage):
-                for seq, payload in lost:
-                    self._session._emit_items("worker.redispatch", seq, stage=i)
-                    if not self._dispatch(i, seq, payload):
-                        return
+            for stage, seq, frame in lost:
+                session._emit_items("worker.redispatch", seq, stage=stage)
+                if not self._dispatch(session, stage, seq, frame):
+                    return
         except BaseException as err:  # noqa: BLE001 - reported via the session
             self._fail(0, err)
 
@@ -925,68 +891,75 @@ class DistributedBackend(Backend):
             return replica
 
     def _retire_replica(self, stage: int, replica: _Replica) -> None:
-        """Stop dispatching to a replica; it finishes what it was dealt."""
+        """Stop dispatching to a replica; its ``retire`` follows its last task."""
         with self._conds[stage]:
             replica.active = False
-            if replica.inflight == 0 and replica in self._replicas[stage]:
-                self._replicas[stage].remove(replica)
             n_active = sum(1 for r in self._replicas[stage] if r.active)
+            if not replica.tasks:
+                self._leave(stage, replica)
         self.events.emit(
             "replica.remove", stage=stage, worker=replica.worker.id, n=n_active
         )
-        replica.worker.outbox.send(("retire", stage, replica.slot))
+
+    def _top_up(self, stage: int, n: int) -> bool:
+        """Place replicas of ``stage`` until ``n`` are active; False with no worker left."""
+        while True:
+            with self._conds[stage]:
+                if sum(1 for r in self._replicas[stage] if r.active) >= n:
+                    return True
+            if self._place_replica(stage) is None:
+                return False
 
     def _ensure_placements(self) -> None:
         """Top each stage's active replica set up to its target count."""
         for i in range(self.pipeline.n_stages):
-            while True:
-                with self._conds[i]:
-                    active = sum(1 for r in self._replicas[i] if r.active)
-                if active >= self._target[i]:
-                    break
-                if self._place_replica(i) is None:
-                    raise RuntimeError(
-                        f"no live workers available to place stage {i} "
-                        f"({self.pipeline.stage(i).name!r}); start workers "
-                        "(python -m repro.backend.distributed.worker "
-                        "--connect host:port) and wait_for_workers() first"
-                    )
+            if not self._top_up(i, self._target[i]):
+                raise RuntimeError(
+                    f"no live workers available to place stage {i} "
+                    f"({self.pipeline.stage(i).name!r}); start workers "
+                    "(python -m repro.backend.distributed.worker "
+                    "--connect host:port) and wait_for_workers() first"
+                )
 
     # --------------------------------------------------------------- dispatch
-    def _reserve_slot(self, stage: int) -> _Replica | None:
-        """Claim a slot where the item finishes first (blocks); None on abort.
+    def _reserve_slot(self, session: RoutedSession, stage: int, seq: int) -> _Replica | None:
+        """Reserve ``seq`` where it finishes first (blocks); None on abort.
 
-        One more item on a replica finishes in ``(inflight + 1) × drain +
+        One more item on a replica finishes in ``(tasks + 1) × drain +
         link_s`` (an unmeasured drain priced as one default hop).  Each may
-        hold ``_depth`` in flight, but an unmeasured replica of several stays
-        at ``capacity``: on a cold stream nothing says which link is slow.
-        An idle replica whose estimate is older than a heartbeat gets the
-        next item, so a link that recovers is noticed.
+        hold the session's lane depth in flight, but an unmeasured replica of
+        several stays at ``capacity``: on a cold stream nothing says which
+        link is slow.  An idle replica whose estimate is older than a
+        heartbeat gets the next item, so a link that recovers is noticed.
         """
         cond = self._conds[stage]
+        depth = session._depth
         with cond:
             while True:
-                if self._abort.is_set():
+                if session._abort.is_set():
                     return None
+                if self._config_errors:  # a stage no worker could host
+                    raise self._config_errors[0]
                 replicas = self._replicas[stage]
-                cold = self.capacity if len(replicas) > 1 else self._depth
+                cold = self.capacity if len(replicas) > 1 else depth
                 ready = [
                     r for r in replicas if r.active and r.worker.alive
-                    and r.inflight < (cold if r.drain is None else self._depth)
+                    and len(r.tasks) < (cold if r.drain is None else depth)
                 ]
                 if ready:
                     best = ready[0]
                     if len(ready) > 1:
                         stale = time.perf_counter() - self.heartbeat_interval
-                        best = min(ready, key=lambda r: -1.0 if not r.inflight and r.done_t < stale
-                                   else (r.inflight + 1) * (r.drain or _DEFAULT_LINK_S)
+                        best = min(ready, key=lambda r: -1.0 if not r.tasks and r.done_t < stale
+                                   else (len(r.tasks) + 1) * (r.drain or _DEFAULT_LINK_S)
                                    + r.worker.link_s)
-                    best.inflight += 1
+                    best.tasks[seq] = None
                     return best
                 cond.wait()  # every site that frees or adds a slot notifies
 
     def _dispatch(
-        self, stage: int, seq: int, frame: "Frame | None", value: Any = None
+        self, session: RoutedSession, stage: int, seq: int, frame: "Frame | None",
+        value: Any = None,
     ) -> bool:
         """Send one item to ``stage``; survives worker death mid-send.
 
@@ -998,54 +971,30 @@ class DistributedBackend(Backend):
         """
         cond = self._conds[stage]
         while True:
-            replica = self._reserve_slot(stage)
+            replica = self._reserve_slot(session, stage, seq)
             if replica is None:
                 return False
             w = replica.worker
             if frame is None:
-                frame = self._session._encode(
+                frame = session._encode(
                     seq, value, self._codec if w.shm_ok else self._pickle_codec
                 )
+            elif not w.shm_ok:
+                # Before the record, so no other thread can hold the original.
+                frame = materialize(frame)
             with cond:
-                self._inflight[stage][seq] = (replica, frame)
-            if not frame.inline and not w.shm_ok:
-                # The chosen worker cannot attach this host's segments:
-                # swap the assignment to a self-contained copy.  Copy
-                # first, swap under the lock, release last — a concurrent
-                # worker-death re-dispatch must never find the original's
-                # segments already gone.
-                copy = materialize(frame, release=False)
-                with cond:
-                    entry = self._inflight[stage].get(seq)
-                    owned = entry is not None and entry[0] is replica
-                    if owned:
-                        self._inflight[stage][seq] = (replica, copy)
-                if not owned:
-                    return True  # a death handler already re-homed the item
-                self._codec.release(frame)
-                frame = copy
+                if seq not in replica.tasks:
+                    continue  # the replica left its set meanwhile: deal again
+                replica.tasks[seq] = frame
             # Before the send: once it returns, the item may already be
-            # delivered and its batch number forgotten (a failed send is a
-            # death, and the re-dispatch that follows records again).
-            self._session._emit_items("item.dispatch", seq, stage=stage, worker=w.id)
-            if w.outbox.send(
+            # delivered and its batch number forgotten.
+            session._emit_items("item.dispatch", seq, stage=stage, worker=w.id)
+            if not w.outbox.send(
                 ("task", self._epoch, stage, replica.slot, seq, to_wire(frame),
                  time.perf_counter())
             ):
-                return True
-            # Send failed: reclaim the assignment (unless the death handler
-            # got there first and already re-homed it — with this very
-            # frame), then mark the worker dead and retry.
-            with cond:
-                entry = self._inflight[stage].get(seq)
-                reclaimed = entry is not None and entry[0] is replica
-                if reclaimed:
-                    del self._inflight[stage][seq]
-                    replica.inflight -= 1
-                    cond.notify_all()
-            self._on_worker_death(w)
-            if not reclaimed:
-                return True
+                self._on_worker_death(w)  # whose exit re-dispatches this task too
+            return True
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -1055,16 +1004,11 @@ class DistributedBackend(Backend):
                 return
             self._closed = True
         self._closing.set()
-        self._abort.set()
-        for cond in self._conds:
-            with cond:
-                cond.notify_all()
         if self._session is not None:
             try:
                 self._session.close()
             except BaseException:  # noqa: BLE001 - closing, not reporting
                 pass
-        self._running = False
         if self._server is not None:
             try:  # shutdown wakes the accept() the listener thread blocks in
                 self._server.shutdown(socket.SHUT_RDWR)
@@ -1160,21 +1104,12 @@ class DistributedBackend(Backend):
         """
         if not self._warm:
             return
+        self._top_up(stage, n_replicas)
         with self._conds[stage]:
             active = [r for r in self._replicas[stage] if r.active]
-        grow = n_replicas - len(active)
-        for _ in range(grow):
-            if self._place_replica(stage) is None:
-                break
-        if grow < 0:
-            hosted = self._hosted_counts()
-            by_badness = sorted(
-                active,
-                key=lambda r: self._worker_score(r.worker, hosted),
-                reverse=True,
-            )
-            for r in by_badness[: len(active) - n_replicas]:
-                self._retire_replica(stage, r)
-
+        hosted = self._hosted_counts()
+        by_score = sorted(active, key=lambda r: self._worker_score(r.worker, hosted))
+        for r in by_score[n_replicas:]:
+            self._retire_replica(stage, r)
 
 register_backend("distributed", DistributedBackend)

@@ -20,13 +20,13 @@ kind                      direction  fields after the kind
 ``result``                w → c      epoch, stage, slot, seq, ok, payload,
                                      service_s, wait_s, t_sent, error_repr,
                                      t_recv_w, t_send_w
-``reject``                w → c      epoch, stage, slot, seq (task arrived
-                                     for a slot the worker no longer hosts)
 ``heartbeat``             w → c      load1
 ``shutdown``              c → w      (none)
 ========================  =========  ====================================
 
-``t_recv_w``/``t_send_w`` are the worker's clock at task arrival and
+``epoch`` names the coordinator's session (a result of an earlier one is
+dropped); ``retire`` follows the slot's last result, so no ``task`` for a
+slot ever follows its ``retire``.  ``t_recv_w``/``t_send_w`` are the worker's clock at task arrival and
 result send: together with the echoed ``t_sent`` and the coordinator's
 receive time they form the NTP-style quadruple that
 :class:`repro.obs.clock.ClockSync` fits a per-worker clock offset from.
@@ -54,7 +54,8 @@ the coordinator's per-worker :class:`repro.obs.clock.ClockSync` fit, with
 an explicit rtt/2 error bound.
 
 TCP ordering is load-bearing: a ``place`` is always written before any
-``task`` for that slot, so workers never see a task for an unknown replica.
+``task`` for that slot, so a worker sees a task for an unknown replica only
+after its ``place`` failed, and drops it.
 A worker opens with the raw :data:`PREAMBLE` (``b"RPRO"`` + a 2-byte
 version); the coordinator closes a connection whose first bytes differ
 before it unpickles anything.  Each connection has one outbox
@@ -78,7 +79,7 @@ from repro.transport.lane import encode_frame, read_frame
 __all__ = ["PREAMBLE", "recv_frame", "send_frame"]
 
 #: What a worker writes before its first frame: magic, then the version.
-PREAMBLE = b"RPRO" + struct.pack(">H", 2)
+PREAMBLE = b"RPRO" + struct.pack(">H", 3)
 
 
 def send_frame(sock: socket.socket, message: Any) -> None:

@@ -4,8 +4,8 @@ A :class:`WorkerAgent` connects to a coordinator, registers (advertising
 its core count and current load average), and then hosts **stage replicas**
 on demand: each ``place`` message starts one replica — a thread with its
 own bounded inbox (a :class:`~repro.util.handoff.Handoff`) — and each
-``retire`` message lets that replica finish what it was dealt and exit
-(a stop pill queued behind it).  Replicas decode item payloads through
+``retire`` message, which the coordinator sends once the replica's last
+task came back, stops it (a stop pill queued behind anything left).  Replicas decode item payloads through
 the **negotiated transport codec** (see below), execute the stage callable,
 timing the service, and ship results back tagged with the service time and
 the in-queue wait so the coordinator can separate computation from link
@@ -308,13 +308,10 @@ class WorkerAgent:
                     time.sleep(delay)
                 arrived = time.perf_counter()
                 runner = self._replicas.get((stage, slot))
+                # A retire follows the slot's last task, so an unknown slot
+                # is one whose place failed (and failed the session): drop it.
                 if runner is not None:
                     runner.queue.put(_Task(epoch, seq, payload, t_sent, arrived))
-                else:
-                    # A task can legitimately race a retire (the coordinator
-                    # assigned the slot just before retiring it): bounce it
-                    # back so the item is re-dispatched, never dropped.
-                    self._outbox.send(("reject", epoch, stage, slot, seq))
             elif kind == "place":
                 _, stage, slot, fn_payload, stage_name = frame
                 try:

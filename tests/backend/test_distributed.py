@@ -5,6 +5,7 @@ resolved inside worker processes (forked from this one, so the test module
 is importable there without an installed package).
 """
 
+import itertools
 import os
 import pickle
 import socket
@@ -21,6 +22,7 @@ from repro.backend.distributed.coordinator import _DistributedSession, _Replica,
 from repro.backend.distributed.protocol import PREAMBLE, recv_frame, send_frame
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
+from repro.runtime.threads import StageError
 from repro.skel.api import pipeline_1for1
 from repro.transport import PickleCodec, from_wire, to_wire
 from repro.transport.lane import MAX_FRAME, ProtocolError, encode_frame
@@ -39,6 +41,25 @@ def _boom(x):
     raise ValueError(f"boom on {x}")
 
 
+def _refuse_to_load():
+    raise ImportError("this stage does not resolve on the worker")
+
+
+class _Unloadable:
+    """Pickles on the coordinator; unpickling it on a worker raises."""
+
+    def __call__(self, x):
+        return x
+
+    def __reduce__(self):
+        return _refuse_to_load, ()
+
+
+def _slow_double(x):
+    time.sleep(0.05)
+    return x * 2
+
+
 def _pipe():
     return PipelineSpec(
         (
@@ -46,6 +67,13 @@ def _pipe():
             StageSpec(name="triple", work=0.01, fn=_slow_triple),
         )
     )
+
+
+def _slot_of(msg):
+    """(stage, slot) of a task or retire; () for any other message."""
+    if msg[0] == "task":
+        return msg[2], msg[3]
+    return msg[1:3] if msg[0] == "retire" else ()
 
 
 def _expected(inputs):
@@ -276,6 +304,58 @@ class TestFailureHandling:
         finally:
             b.close()
 
+    def test_a_stage_no_worker_can_host_fails_the_session(self, producer):
+        # The worker answers place_failed and drops every task dealt to the
+        # slot it never hosted: open() or the stream raises the error naming
+        # the stage, nothing waits on the dropped tasks, and close() leaves
+        # no segment busy.
+        from repro.transport import busy_segments
+        from repro.workloads.payloads import make_arrays
+
+        pipe = PipelineSpec(
+            (
+                StageSpec(name="scale", work=0.001, fn=_scale_array),
+                StageSpec(name="unloadable", work=0.001, fn=_Unloadable()),
+            )
+        )
+        b = DistributedBackend(pipe, spawn_workers=1, transport="shm")
+        shm_session = b._codec.session
+        try:
+            run = producer.submit(b.run, make_arrays(20, mbytes=0.3, seed=3))
+            with pytest.raises(StageError, match=r"could not host stage 1 \('unloadable'\)"):
+                run.result(timeout=20)
+            assert b.replica_placement()[1] == {}  # the failed replica left its set
+        finally:
+            b.close()
+        assert busy_segments(shm_session) == []
+
+    def test_the_last_worker_dying_mid_stream_fails_the_drain(self):
+        pipe = PipelineSpec((StageSpec(name="triple", work=0.01, fn=_slow_triple),))
+        b = DistributedBackend(pipe, spawn_workers=1)
+        try:
+            session = b.open()
+            refused = []
+
+            def feed():
+                try:
+                    for x in range(60):
+                        session.submit(x)
+                except StageError as err:
+                    refused.append(err)
+
+            feeder = threading.Thread(target=feed, daemon=True)
+            feeder.start()
+            time.sleep(0.2)  # the replica is full and the feeder parked
+            t0 = time.perf_counter()
+            b.worker_processes[0].kill()
+            feeder.join(timeout=b.heartbeat_timeout)
+            with pytest.raises(StageError, match="no live workers remain"):
+                session.drain()
+            assert time.perf_counter() - t0 < b.heartbeat_timeout
+            assert not feeder.is_alive() and refused
+        finally:
+            b.close()
+
     def test_view_shrinks_after_death(self):
         b = DistributedBackend(_pipe(), spawn_workers=3)
         try:
@@ -315,6 +395,77 @@ class TestReconfigure:
         assert res.outputs == _expected(range(60))
         assert backend.replica_counts()[1] == 1
 
+    def test_a_retire_follows_its_slots_last_result(self, producer):
+        # Every send on each connection and every accepted result, in one
+        # log: a shrunk replica's retire comes after the last result
+        # accepted for its slot, and no task for that slot follows it.
+        pipe = PipelineSpec((StageSpec(name="triple", work=0.01, fn=_slow_triple),))
+        with DistributedBackend(pipe, spawn_workers=2, replicas=[2], max_replicas=2) as b:
+            session = b.open()
+            log, lock = [], threading.Lock()
+            for w in b._workers.values():
+                def send(msg, w=w, send=w.outbox.send):
+                    with lock:
+                        log.append((msg[0], w.id, *_slot_of(msg)))
+                    return send(msg)
+
+                w.outbox.send = send
+            accept = session._accept
+
+            def spy(stage, msg):
+                w, _, frame = msg
+                with lock:
+                    at = len(log)
+                    log.append(("stale", w.id, stage, frame[3]))
+                hop = accept(stage, msg)
+                if hop is not None:
+                    log[at] = ("accepted", w.id, stage, frame[3])
+                return hop
+
+            session._accept = spy
+            run = producer.submit(b.run, range(60))
+            time.sleep(0.15)  # both replicas hold a full allowance
+            b.reconfigure(0, 1)
+            res = run.result(timeout=30)
+            retires = [(i, e[1:]) for i, e in enumerate(log) if e[0] == "retire"]
+            assert len(retires) == 1
+            (at, slot), = retires
+            after = [e[0] for e in log[at + 1:] if e[1:] == slot]
+            before = [e[0] for e in log[:at] if e[1:] == slot]
+            assert "accepted" in before and after == []
+            assert before.count("task") == before.count("accepted")
+            assert res.outputs == [x * 3 for x in range(60)]
+            assert b.replica_counts() == [1]
+
+    def test_a_retired_replica_whose_worker_dies_is_redispatched_once(self, producer):
+        pipe = PipelineSpec((StageSpec(name="double", work=0.05, fn=_slow_double),))
+        with DistributedBackend(pipe, spawn_workers=2, replicas=[2], max_replicas=2) as b:
+            session = b.open()
+            events = []
+            session.events.subscribe(
+                events.append, kinds=("worker.death", "worker.redispatch")
+            )
+            sent = []
+            for w in b._workers.values():
+                w.outbox.send = lambda msg, w=w, send=w.outbox.send: (
+                    sent.append((w.id, msg[0])) or send(msg)
+                )
+            run = producer.submit(b.run, range(40))
+            time.sleep(0.2)  # both replicas hold a full allowance
+            b.reconfigure(0, 1)
+            (retired,) = [r for r in b._replicas[0] if not r.active]
+            victim = retired.worker
+            time.sleep(0.05)  # a dispatch that reserved before the retire has sent
+            assert retired.tasks, "the retired replica drained before its worker died"
+            mark = len(sent)
+            victim.proc.kill()
+            res = run.result(timeout=30)
+            assert res.outputs == [x * 2 for x in range(40)]
+            assert [kind for wid, kind in sent[mark:] if wid == victim.id] == []
+            (death,) = [e for e in events if e.kind == "worker.death"]
+            seqs = [e.fields["seq"] for e in events if e.kind == "worker.redispatch"]
+            assert death.fields["lost_items"] == len(seqs) == len(set(seqs)) > 0
+
     def test_clamps_to_limit_and_rejects_zero(self, backend):
         backend.warm()
         with pytest.raises(ValueError, match=">= 1"):
@@ -348,16 +499,18 @@ class TestResourceView:
             b.close()
 
 
-def test_worker_rejects_task_for_unknown_slot():
-    # A task can race a retire: the worker must bounce it back (reject),
-    # never silently drop it — that is what keeps re-dispatch lossless.
+def test_worker_drops_a_task_for_an_unknown_slot_and_serves_on():
+    # A retire follows its slot's last task, so a task for a slot the
+    # worker does not host can only follow a failed place (which failed the
+    # session): the worker drops it, answers nothing, and serves the next
+    # place and task as usual.
     from repro.backend.distributed.worker import WorkerAgent
 
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.bind(("127.0.0.1", 0))
     server.listen(1)
     host, port = server.getsockname()
-    agent = WorkerAgent(host, port, name="reject-test")
+    agent = WorkerAgent(host, port, name="drop-test")
     t = threading.Thread(target=agent.run, daemon=True)
     t.start()
     sock, _ = server.accept()
@@ -365,7 +518,7 @@ def test_worker_rejects_task_for_unknown_slot():
         sock.settimeout(10.0)
         assert sock.recv(len(PREAMBLE), socket.MSG_WAITALL) == PREAMBLE
         hello = recv_frame(sock)
-        assert hello[0] == "hello" and hello[1] == "reject-test"
+        assert hello[0] == "hello" and hello[1] == "drop-test"
         send_frame(
             sock, ("welcome", 0, 5.0, 8, {"name": "pickle", "session": "t", "probe": None})
         )
@@ -373,8 +526,15 @@ def test_worker_rejects_task_for_unknown_slot():
         assert shm_ok == ("shm_ok", False)  # no probe offered -> inline only
         payload = to_wire(PickleCodec().encode("payload"))
         send_frame(sock, ("task", 1, 0, 7, 3, payload, 0.0))
-        frame = recv_frame(sock)
-        assert frame == ("reject", 1, 0, 7, 3)
+        send_frame(sock, ("place", 0, 1, pickle.dumps(_inc), "inc"))
+        send_frame(sock, ("task", 1, 0, 1, 4, to_wire(PickleCodec().encode(41)), 0.0))
+        frames = [recv_frame(sock)]
+        while frames[-1][0] == "heartbeat":
+            frames.append(recv_frame(sock))
+        result = frames[-1]
+        assert [f[0] for f in frames[:-1]] == ["heartbeat"] * (len(frames) - 1)
+        assert result[:6] == ("result", 1, 0, 1, 4, True)
+        assert PickleCodec().decode(from_wire(result[6], "pickle")) == 42
         send_frame(sock, ("shutdown",))
         t.join(timeout=5.0)
         assert not t.is_alive()
@@ -455,8 +615,9 @@ def _closed_by_peer(sock) -> bool:
         + (int.from_bytes(PREAMBLE[4:], "big") + 1).to_bytes(2, "big")
         + encode_frame(("hello", "next-version", 1, 0.0)),
         b"RPRO" + (1).to_bytes(2, "big") + encode_frame(("hello", "version-1", 1, 0.0)),
+        b"RPRO" + (2).to_bytes(2, "big") + encode_frame(("hello", "version-2", 1, 0.0)),
     ],
-    ids=["junk", "bare-pickled-hello", "wrong-version", "version-1"],
+    ids=["junk", "bare-pickled-hello", "wrong-version", "version-1", "version-2"],
 )
 def test_a_connection_without_the_preamble_is_closed_and_nothing_unpickled(
     opening, monkeypatch
@@ -581,8 +742,7 @@ def test_a_dispatcher_parked_on_a_full_replica_wakes_on_the_freed_slot():
         assert session.submit(1).wait(timeout=10.0)
         (replica,) = b._replicas[0]
         with cond:  # a frame an aborted stream stranded holds the one slot
-            b._inflight[0][99] = (replica, b._codec.encode(0))
-            replica.inflight += 1
+            replica.tasks[99] = b._codec.encode(0)
         admitted = threading.Event()
         producer = threading.Thread(
             target=lambda: (session.submit(2), admitted.set()), daemon=True
@@ -594,7 +754,7 @@ def test_a_dispatcher_parked_on_a_full_replica_wakes_on_the_freed_slot():
         time.sleep(0.5)
         idle_waits, was_parked = cond.waits, not admitted.is_set()
         t0 = time.perf_counter()
-        b._reclaim_inflight()
+        b._reclaim()
         woke = admitted.wait(timeout=5.0)  # else close() aborts the parked submit
         woke_after = time.perf_counter() - t0
         assert idle_waits == 1 and was_parked
@@ -626,8 +786,12 @@ class TestPlacementByFinishTime:
     def b(self):
         pipe = PipelineSpec((StageSpec(name="inc", work=1e-6, fn=_inc),))
         with DistributedBackend(pipe, spawn_workers=0) as backend:
-            backend._depth = 256  # what a session with window 256 sets
             yield backend
+
+    @pytest.fixture
+    def session(self):
+        """What ``_reserve_slot`` reads of a session with window 256."""
+        return SimpleNamespace(_abort=threading.Event(), _depth=256, seqs=itertools.count())
 
     @staticmethod
     def _replicas(b, *terms):
@@ -644,57 +808,57 @@ class TestPlacementByFinishTime:
         return replicas
 
     @staticmethod
-    def _deal(b, n):
+    def _deal(b, session, n):
         for _ in range(n):
-            b._reserve_slot(0)
+            b._reserve_slot(session, 0, next(session.seqs))
 
-    def test_an_item_goes_where_it_finishes_first(self, b):
+    def test_an_item_goes_where_it_finishes_first(self, b, session):
         fast_a, fast_b, slow = self._replicas(b, (60e-6, 50e-6), (60e-6, 50e-6), (3e-3, 1.5e-3))
         # The slow replica's next item finishes in 3 + 1.5 ms: a fast one
         # beats that until (n + 1) x 60 us + 50 us passes it, at n = 74.
-        self._deal(b, 148)
-        assert (fast_a.inflight, fast_b.inflight, slow.inflight) == (74, 74, 0)
-        self._deal(b, 1)
-        assert slow.inflight == 1
-        self._deal(b, 50)  # its second item would finish at 7.5 ms
-        assert slow.inflight == 1 and fast_a.inflight + fast_b.inflight == 198
+        self._deal(b, session, 148)
+        assert (len(fast_a.tasks), len(fast_b.tasks), len(slow.tasks)) == (74, 74, 0)
+        self._deal(b, session, 1)
+        assert len(slow.tasks) == 1
+        self._deal(b, session, 50)  # its second item would finish at 7.5 ms
+        assert len(slow.tasks) == 1 and len(fast_a.tasks) + len(fast_b.tasks) == 198
 
-    def test_an_unmeasured_replica_of_several_stays_at_capacity(self, b):
+    def test_an_unmeasured_replica_of_several_stays_at_capacity(self, b, session):
         measured, cold = self._replicas(b, (1e-3, 0.0), (None, 1e-4))
         # Priced at the default hop, the cold replica looks cheaper than
         # 1 ms, but it holds at most capacity until its first result.
-        self._deal(b, 40)
-        assert (cold.inflight, measured.inflight) == (b.capacity, 32)
+        self._deal(b, session, 40)
+        assert (len(cold.tasks), len(measured.tasks)) == (b.capacity, 32)
         cold.drain = 1e-4  # its first result is in: the window sizes it now
-        self._deal(b, 10)
-        assert cold.inflight > b.capacity
+        self._deal(b, session, 10)
+        assert len(cold.tasks) > b.capacity
 
-    def test_a_lone_replica_is_window_deep_from_the_start(self, b):
+    def test_a_lone_replica_is_window_deep_from_the_start(self, b, session):
         (lone,) = self._replicas(b, (None, 1e-4))
-        b._depth = 64
-        self._deal(b, 64)
-        assert lone.inflight == 64
-        parked = threading.Thread(target=b._reserve_slot, args=(0,), daemon=True)
+        session._depth = 64
+        self._deal(b, session, 64)
+        assert len(lone.tasks) == 64
+        parked = threading.Thread(target=b._reserve_slot, args=(session, 0, -1), daemon=True)
         parked.start()
         parked.join(timeout=0.2)
         assert parked.is_alive(), "the 65th item was not held back"
-        b._abort.set()
+        session._abort.set()
         with b._conds[0]:
             b._conds[0].notify_all()
         parked.join(timeout=5.0)
-        assert not parked.is_alive() and lone.inflight == 64
+        assert not parked.is_alive() and len(lone.tasks) == 64
 
-    def test_a_starved_replica_is_reprobed_once_its_estimate_is_stale(self, b):
+    def test_a_starved_replica_is_reprobed_once_its_estimate_is_stale(self, b, session):
         fast_a, fast_b, slow = self._replicas(b, (60e-6, 50e-6), (60e-6, 50e-6), (3e-3, 1.5e-3))
-        self._deal(b, 20)
-        assert slow.inflight == 0  # priced out, so no result refreshes its estimate
+        self._deal(b, session, 20)
+        assert len(slow.tasks) == 0  # priced out, so no result refreshes its estimate
         slow.done_t -= 2 * b.heartbeat_interval
-        self._deal(b, 1)
-        assert slow.inflight == 1  # one item re-measures the link
-        self._deal(b, 20)
-        assert slow.inflight == 1 and fast_a.inflight + fast_b.inflight == 40
+        self._deal(b, session, 1)
+        assert len(slow.tasks) == 1  # one item re-measures the link
+        self._deal(b, session, 20)
+        assert len(slow.tasks) == 1 and len(fast_a.tasks) + len(fast_b.tasks) == 40
 
-    def test_the_drain_is_the_gap_between_busy_completions(self, b):
+    def test_the_drain_is_the_gap_between_busy_completions(self, b, session):
         # Results fed straight to _accept, on made-up clocks: three items
         # sent together at t=0 finish at 1.0, 1.1 and 1.2 (busy: gaps of
         # 0.1, not round trips of 1.1 and 1.2); a fourth, sent at 5.0 to the
@@ -705,8 +869,7 @@ class TestPlacementByFinishTime:
         timeline = [(0.0, 1.0, 1.0), (0.0, 1.1, 0.1), (0.0, 1.2, 0.1), (5.0, 5.3, 0.3)]
         expected, link_s = None, r.worker.link_s
         for seq, (t_sent, recv_t, gap) in enumerate(timeline):
-            b._inflight[0][seq] = (r, b._codec.encode(seq))
-            r.inflight += 1
+            r.tasks[seq] = b._codec.encode(seq)
             result = ("result", 0, 0, r.slot, seq, True, to_wire(b._codec.encode(seq)), 0.0, 0.0,
                       t_sent, None, 0.0, 0.0)
             hop = _DistributedSession._accept(router, 0, (r.worker, recv_t, result))
@@ -715,7 +878,7 @@ class TestPlacementByFinishTime:
             link_s += 0.1 * ((recv_t - t_sent) / 2 - link_s)  # the cached one-way wire time
             assert r.drain == pytest.approx(expected) and r.done_t == recv_t
             assert r.worker.link_s == pytest.approx(link_s)
-        assert r.inflight == 0
+        assert len(r.tasks) == 0
 
 
 def test_a_slow_link_stays_shallow_while_fast_replicas_go_deep():
@@ -737,11 +900,11 @@ def test_a_slow_link_stays_shallow_while_fast_replicas_go_deep():
         peaks: list[dict] = []
         reserve = b._reserve_slot
 
-        def spy(stage):
-            replica = reserve(stage)
+        def spy(session, stage, seq):
+            replica = reserve(session, stage, seq)
             if replica is not None:
                 name = replica.worker.name
-                peaks[-1][name] = max(peaks[-1].get(name, 0), replica.inflight)
+                peaks[-1][name] = max(peaks[-1].get(name, 0), len(replica.tasks))
             return replica
 
         b._reserve_slot = spy

@@ -388,22 +388,46 @@ class TestDistributedSessionStreams:
         finally:
             b.close()
 
-    def test_epoch_scopes_streams_on_one_session(self):
-        pipe = PipelineSpec(
-            (StageSpec(name="square", work=0.001, fn=_slow_square),)
-        )
-        b = DistributedBackend(pipe, spawn_workers=2)
-        try:
-            session = b.open()
-            epochs = []
-            for _ in range(3):
-                for i in range(5):
-                    session.submit(i)
-                session.drain()
-                epochs.append(b._epoch)
-            assert epochs == sorted(epochs) and len(set(epochs)) == 3
-        finally:
-            b.close()
+    def test_a_result_of_an_earlier_session_is_dropped(self):
+        # gseq restarts with each session, so the next session's first task
+        # has the worker, slot and seq of the last one's: only the epoch
+        # tells their results apart.  A fake worker answers the live task
+        # twice, first under the earlier session's epoch.
+        import socket
+
+        from repro.backend.distributed.protocol import PREAMBLE, recv_frame, send_frame
+        from repro.transport import PickleCodec, to_wire
+
+        def result(task, value):
+            _, epoch, stage, slot, seq, _payload, t_sent = task
+            wire = to_wire(PickleCodec().encode(value))
+            return ("result", epoch, stage, slot, seq, True, wire, 0.0, 0.0, t_sent, None,
+                    0.0, 0.0)
+
+        pipe = PipelineSpec((StageSpec(name="square", work=0.001, fn=_slow_square),))
+        with DistributedBackend(pipe, spawn_workers=0, heartbeat_interval=5.0) as b:
+            b.warm()
+            with socket.create_connection(b.listen_address, timeout=10.0) as sock:
+                sock.sendall(PREAMBLE)
+                send_frame(sock, ("hello", "fake", 1, 0.0))
+                assert recv_frame(sock)[0] == "welcome"
+                send_frame(sock, ("shm_ok", False))
+                b.wait_for_workers(1, timeout=10.0)
+                first = b.open()
+                assert recv_frame(sock)[0] == "place"
+                first.submit(3)
+                old = recv_frame(sock)
+                send_frame(sock, result(old, 9))
+                assert first.drain() == [9]
+                first.close()
+                second = b.open()
+                second.submit(4)
+                live = recv_frame(sock)
+                assert live[1] == old[1] + 1 and live[2:5] == old[2:5]
+                send_frame(sock, result(old, -1))  # the stale twin arrives first
+                send_frame(sock, result(live, 16))
+                assert second.drain() == [16]
+                second.close()
 
 
 class TestSubmitDrainRace:
