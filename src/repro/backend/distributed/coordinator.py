@@ -1,72 +1,67 @@
 """Coordinator side of the distributed backend: the full Backend port.
 
-Topology (a star — every transfer crosses the coordinator)::
+Topology (routes — a segment's items pass worker to worker)::
 
-                         TCP                            TCP
-    submit ──> replica set[0] ──> router[0] ──> replica set[1] ──> ...
-    (caller)   (on workers)       (session)     (on workers)
+                      TCP            peer TCP                  TCP
+    submit ──> replica[0] ──> replica[1] ──> ... ──> replica[b] ──> router[b] ──> ...
+    (caller)   (a worker)     (a worker)             (boundary)     (session)
 
-* The coordinator listens on a TCP socket; :class:`WorkerAgent` processes
-  connect and register, advertising cores and load average.  Workers can be
-  auto-spawned locally (``spawn_workers=``, the tests/CI path) or started
-  on remote hosts with ``python -m repro.backend.distributed.worker``.
+* :class:`WorkerAgent` processes register (cores, load, where peers reach
+  them) once linked to every earlier worker; they are auto-spawned locally
+  (``spawn_workers=``) or started with ``python -m
+  repro.backend.distributed.worker``.
 * **Sessions over streams**: worker links, negotiated transports and
-  replica placement belong to the *backend* and stay warm for as long as
-  it lives; the router threads belong to a *session* (``backend.open()``)
-  — they are the routed-stage core shared with the process backend
-  (:mod:`repro.backend.routed`), ``submit()`` dispatches to stage 0 on the
-  caller's thread, and this module supplies the lane behind both.  Each
+  replica placement belong to the *backend* and stay warm; the routers
+  belong to a *session* (``backend.open()``) — the routed-stage core
+  shared with the process backend (:mod:`repro.backend.routed`), which
+  dispatches on the caller's thread; this module supplies the lane.  Each
   session gets its own **epoch**: tasks and results carry it beside the
-  item's session-wide ``gseq`` (a batch's ``bseq``), which restarts with
-  each session, so a late result of an earlier session is dropped on
-  arrival.
-* **Exactly once** rests on one record per fact: each replica holds its
-  own tasks (``seq → frame``), so a result whose seq its replica no longer
-  holds is stale; a retired replica gets its ``retire`` only once its last
-  task is accepted (or reclaimed), so no task can follow it; and every way
-  out of a replica set goes through ``_leave``, which re-dispatches or
-  releases what the replica held.
-* Each stage owns a **replica set** spread across workers.  Dispatch sends
-  each item to the replica predicted to finish it first (measured drain
-  interval and link latency), which may hold the session's lane depth in
-  flight — the window, as on every executor (``_reserve_slot``).
-* One **router thread per stage** (the core's) collects that stage's
-  results; this module's ``_accept`` matches each against its replica's
-  tasks, feeds the link and clock fits, and hands the core one normalised
-  hop, which it records and forwards as an encoded
-  :class:`~repro.transport.Frame`, untouched (re-sequenced first only in
-  front of an ordered stage and before delivery).  Items travel through the
-  **negotiated transport** (``transport=``): :meth:`DistributedBackend.
-  _dispatch` — the one send loop for first dispatch, forwarding and
-  re-dispatch — **encodes after worker selection**, so an item routed to
-  a worker that verified the session's shm probe gets descriptor frames
-  while one routed to a non-shm (remote) worker is pickled inline from
-  the start — mixed pools no longer pay segment-write + materialize-copy
-  + release for items that never needed a segment.  ``"auto"``'s placement
-  threshold is calibrated at warm-up from a quick encode/decode probe.
-  The coordinator owns every frame's lifecycle — a task frame is released
-  only when its result is accepted (so a worker death can always
-  re-dispatch), and ``close()`` sweeps (unlinks) the session's segments.
-* **Link cost is measured, not assumed**: a result echoes the dispatch
-  timestamp plus the worker-side service and queue-wait durations, so
-  ``rtt - service - wait`` is pure wire time.  Each observation is paired
-  with the bytes that crossed (task frame out + result frame back) and fed
-  to a per-worker :class:`~repro.transport.SizeStratifiedLinkEstimator`,
-  whose fitted ``latency + bytes/bandwidth`` model prices placement and
-  the planner's :meth:`~DistributedBackend.resource_view` per link.
-* **Failure handling**: connection EOF or a missed-heartbeat timeout marks
-  a worker dead; its replicas leave every stage's set (a stage left empty
-  is re-placed on a survivor), its in-flight items are re-dispatched, and
-  the shrunken local view is what the adaptation loop sees next.
-* ``reconfigure(stage, n)`` places or retires replicas across workers live.
-  A retired replica gets no new items and finishes what it was dealt (the
-  run never pauses); growth targets the worker with the best speed/link
-  score.
+  item's session-wide ``gseq`` (a batch's ``bseq``), so a late result of
+  an earlier session is dropped on arrival.
+* **Routes, not routers**: as on the process lane, only a *boundary* (the
+  last stage, or one feeding an ordered stage: :func:`~repro.backend.
+  routed.boundaries`) reports here.  Placement stays central: dispatch into
+  a segment reserves one replica per stage where the item is predicted to
+  finish first (``_reserve_slot``: measured drain interval and link
+  latency, up to the session's lane depth — the window, as on every
+  executor) and sends the first a ``task`` naming the rest; the boundary's
+  ``result`` carries the trail of every hop, which ``_accept`` replays.
+* **Exactly once** rests on one record per fact: every replica on a route
+  holds it (``seq → route``: the segment's input frame and its replicas)
+  until the boundary's result is accepted, which takes it off all of them;
+  a result whose route its replica no longer holds is stale.  A retired
+  replica's ``retire`` follows the last route through it, and every way
+  out of a replica set goes through ``_leave``, which hands each route
+  through the replica back once — the segment is re-dispatched from its
+  first stage — or releases it.
+* Items travel through the **negotiated transport** (``transport=``):
+  :meth:`DistributedBackend._dispatch` — the one send loop for first
+  dispatch, forwarding and re-dispatch — **encodes after worker
+  selection**: descriptor frames for a worker that verified the session's
+  shm probe, inline pickle for a remote one.  ``"auto"``'s threshold is
+  calibrated at warm-up.  The coordinator releases a route's input frame
+  when the route completes (a death can always re-dispatch it), the worker
+  that consumes an intermediate frame releases that, and ``close()`` sweeps
+  (unlinks) the session's segments.
+* **Link cost is measured, not assumed**: each hop's stamps, mapped through
+  its worker's clock fit (fed by ``pong``), give its wire time, charged with
+  the bytes that crossed to the receiving worker's
+  :class:`~repro.transport.SizeStratifiedLinkEstimator` (the boundary's
+  with the trip back), whose fitted ``latency + bytes/bandwidth`` prices
+  placement and :meth:`~DistributedBackend.resource_view`.
+* **Failure handling**: connection EOF, a peer's report that a forward
+  failed, or a missed ``pong`` marks a worker dead; its replicas leave
+  every stage's set (a stage left empty is re-placed on a survivor), every
+  route through it is re-dispatched, and the shrunken local view is what
+  the adaptation loop sees next.
+* ``reconfigure(stage, n)`` places or retires replicas across workers live
+  (the run never pauses); growth targets the best speed/link score.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import queue as thread_queue
 import socket
@@ -81,8 +76,8 @@ from repro import transport as _transport
 from repro.backend.base import _WINDOW_CEILING, Backend, register_backend
 from repro.backend.distributed.protocol import PREAMBLE
 from repro.backend.distributed.worker import WorkerAgent
-from repro.backend.routed import Hop, RoutedSession
-from repro.runtime.threads import load_error
+from repro.backend.routed import Hop, RoutedSession, boundaries
+from repro.runtime.threads import StageError, load_error
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView, fn_view
 from repro.monitor.resource_monitor import load_to_speed
@@ -127,15 +122,18 @@ def _spawn_agent(
 class _WorkerConn:
     """Coordinator-side view of one registered worker."""
 
-    def __init__(self, wid: int, outbox: Outbox, name: str, cores: int, sock=None) -> None:
+    def __init__(
+        self, wid: int, outbox: Outbox, name: str, cores: int, sock=None, address=None
+    ) -> None:
         self.id = wid
+        self.address = address  # where its peers reach it
         self.outbox = outbox  # every send to this worker: framed here, written by its thread
         self.sock = sock  # its writer's to close; a death shuts it down first
         self.name = name
         self.cores = max(1, cores)
         self.alive = True
         self.shm_ok = False  # verified the session's shared-memory probe
-        self.shm_replied = False  # answered it either way: counts as registered
+        self.shm_replied = False  # answered it (after linking to its peers): registered
         self.last_seen = time.monotonic()
         self.load = 0.0
         self.speed = 1.0  # EWMA of load_to_speed(load, cores)
@@ -143,9 +141,9 @@ class _WorkerConn:
             default_bandwidth=_WIRE_BANDWIDTH, round_trips=2
         )
         self.link_s = _DEFAULT_LINK_S  # one-way wire time EWMA: dispatch's cached link term
-        # Per-worker clock fit (offset + drift, rtt/2-bounded): maps the
-        # worker's result stamps onto the coordinator clock so the wk.*
-        # points derived from them merge into the session timeline.
+        # Per-worker clock fit (offset + drift, rtt/2-bounded), fed by pongs:
+        # maps the worker's hop stamps onto the coordinator clock so the
+        # wk.* points derived from them merge into the session timeline.
         self.clock = ClockSync()
         self.clock_emit_t = 0.0  # rate limiter for clock.sync events
         self.proc: mp.process.BaseProcess | None = None  # auto-spawned only
@@ -157,7 +155,8 @@ class _WorkerConn:
         self.speed += 0.5 * (load_to_speed(load, self.cores) - self.speed)
 
     def observe_transfer(self, nbytes: float, overhead_s: float) -> None:
-        """One round trip: ``nbytes`` crossed (both ways) in ``overhead_s``."""
+        """One round trip: ``nbytes`` crossed (both ways) in ``overhead_s``; a
+        one-way leg counts as half of one with twice its bytes and seconds."""
         self.link_est.observe(nbytes, overhead_s)
         self.link_s += 0.1 * (overhead_s / 2.0 - self.link_s)
 
@@ -170,17 +169,39 @@ class _WorkerConn:
 
 
 class _Replica:
-    """One placed stage replica: (worker, slot) plus the tasks it holds."""
+    """One placed stage replica: (worker, slot) plus the routes through it."""
 
-    def __init__(self, worker: _WorkerConn, slot: int) -> None:
+    def __init__(self, worker: _WorkerConn, slot: int, stage: int = 0) -> None:
         self.worker = worker
         self.slot = slot
-        #: seq -> task frame, the one in-flight record: a reservation enters
-        #: the seq (frame None) and the recorded frame replaces it.
-        self.tasks: dict[int, Frame | None] = {}
+        self.stage = stage
+        self.hop = (stage, slot, worker.id)  # how a route names it
+        #: seq -> the item's route, held until the route completes: a
+        #: reservation enters the seq (None) and the recorded route replaces it.
+        self.tasks: dict[int, _Route | None] = {}
         self.active = True  # False once retired: it finishes what it was dealt
+        # Its worker confirmed the place: a task from a peer cannot overtake it.
+        self.placed = False
         self.drain: float | None = None  # EWMA of the gap between completions while busy
         self.done_t = 0.0  # perf_counter of the last accepted completion
+
+    def completed(self, sent: float, end: float) -> None:
+        """One item done at ``end``: the drain term _reserve_slot prices the
+        replica by, a gap counted from the item's ``sent`` if it sat idle."""
+        gap = end - max(self.done_t, sent)
+        self.drain = gap if self.drain is None else 0.9 * self.drain + 0.1 * gap
+        self.done_t = end
+
+
+class _Route:
+    """One item's trip through a segment: what each replica on it holds."""
+
+    __slots__ = ("frame", "replicas", "t_sent")
+
+    def __init__(self, frame: Frame, replicas: list) -> None:
+        self.frame = frame  # the segment's input, released when the route completes
+        self.replicas = replicas  # one per stage of the segment, in stage order
+        self.t_sent = None  # its first hop's send: a result echoing another is stale
 
 
 class _DistributedSession(RoutedSession):
@@ -190,16 +211,19 @@ class _DistributedSession(RoutedSession):
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
         backend.warm()
         backend._ensure_placements()
-        self._resq = [thread_queue.SimpleQueue() for _ in backend._conds]
+        self._resq = {b: thread_queue.SimpleQueue() for b in backend._bounds}
         self._depth = self._lane_depth()  # each replica's in-flight allowance
         # gseq restarts with each session: the epoch keeps their results apart.
         backend._epoch += 1
 
+    def _boundaries(self) -> list[int]:
+        return self.backend._bounds
+
     def _wake_lane(self) -> None:
-        for q, cond in zip(self._resq, self.backend._conds):
+        for q in self._resq.values():
             q.put(None)  # read as "nothing yet": the router wakes and looks at the flags
-            with cond:
-                cond.notify_all()
+        with self.backend._lane_lock:
+            self.backend._cond.notify_all()
 
     def _shutdown(self) -> None:
         super()._shutdown()
@@ -216,100 +240,104 @@ class _DistributedSession(RoutedSession):
         return self._resq[stage].get()
 
     def _accept(self, stage: int, msg: tuple) -> "Hop | None":
-        """One ``(worker, recv_t, frame)``: a ``result`` as the worker sent it."""
+        """One ``(worker, recv_t, frame)``: a ``result`` as the worker sent it —
+        a route's last hop, or a failure anywhere on it."""
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
         w, recv_t, frame = msg
-        slot, seq, ok, payload, service_s, wait_s, t_sent, err_repr, t_recv_w, t_send_w = frame[3:]
+        (at, slot, seq, ok, payload, service_s, wait_s, t_sent, err_repr, t_recv_w, t_send_w,
+         trail) = frame[2:]
         if ok:  # a failure's payload is its pickled error
             payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
-        cond = backend._conds[stage]
-        with cond:
-            task_frame = None
-            for replica in backend._replicas[stage]:
+        with backend._lane_lock:
+            route = None
+            for replica in backend._replicas[at]:
                 if replica.worker is w and replica.slot == slot:
-                    task_frame = replica.tasks.pop(seq, None)
+                    route = replica.tasks.get(seq)
                     break
-            if task_frame is None:
-                # Stale: this item was re-dispatched after its worker was
-                # declared dead; exactly one assignment may deliver it.
-                if ok:
-                    backend._codec.release(payload)
-                return None
-            if not replica.active and not replica.tasks:
-                backend._leave(stage, replica)  # drained: its retire goes out now
-            queued = sum(len(r.tasks) for r in backend._replicas[stage])
-            cond.notify_all()
-        # The task frame was consumed on the worker; nothing can
-        # re-dispatch it now, so its segments can go.
-        backend._codec.release(task_frame)
+            if route is None or route.t_sent != t_sent:
+                route = None
+            elif ok:
+                backend._settle(seq, route)
+                # Every route in flight holds one replica per stage of the
+                # segment: the boundary's count is each stage's.
+                queued = sum([len(r.tasks) for r in backend._replicas[at]])
+                backend._cond.notify_all()
+        if route is None:
+            # Stale: this route was handed back after a death on it and the
+            # segment re-dispatched; exactly one route may deliver the item.
+            if ok:
+                backend._codec.release(payload)
+            return None
         if not ok:
-            raise load_error(payload, err_repr)
-        # rtt minus worker-side service and queue wait is wire time both
-        # ways; halve it for the one-way transfer estimate, and pair the
-        # full overhead with the bytes that crossed (task out + result
-        # back) to feed the size-stratified latency/bandwidth fit.
-        overhead = max(0.0, (recv_t - t_sent) - service_s - wait_s)
-        w.observe_transfer(task_frame.nbytes + payload.nbytes, overhead)
-        # The drain term _reserve_slot prices the replica by.  A gap counts
-        # from the item's own send when the replica sat idle in between.
-        gap = recv_t - max(replica.done_t, t_sent)
-        replica.drain = gap if replica.drain is None else 0.9 * replica.drain + 0.1 * gap
-        replica.done_t = recv_t
-        self._trace_hop(
-            stage, seq, w, t_sent, recv_t, service_s, wait_s, t_recv_w, t_send_w,
-            payload.nbytes,
-        )
-        backend._ref_bytes += 0.1 * (task_frame.nbytes - backend._ref_bytes)
+            raise StageError(backend.pipeline.stage(at).name, load_error(payload, err_repr))
+        # The input frame was consumed on the route's first hop; nothing can
+        # re-dispatch it now, so its segments can go.
+        frame_in = route.frame
+        backend._codec.release(frame_in)
+        bus = self.events
+        trace = sync = False
+        if bus.active:
+            trace, sync = any(map(bus.wants, _HOP_KINDS)), bus.wants("clock.sync")
+        t_out, nbytes_in, replay = t_sent, frame_in.nbytes, []
+        *upstream, last = route.replicas
+        for r, (i, _, _, t_in, wait, service, t_done, nbytes) in zip(upstream, trail):
+            # A peer hop: its wire time is the receiving worker's, one way.
+            wk, fit = r.worker, r.worker.clock.fit()
+            off = fit.offset_at(t_in)  # the drift across one hop is far below its error
+            end = t_done - off
+            transfer = max(0.0, t_in - off - t_out)
+            wk.observe_transfer(2 * nbytes_in, 2 * transfer)
+            r.completed(t_out, end)
+            if sync and end - wk.clock_emit_t >= 1.0:
+                self._clock_event(wk, end)
+            if trace:
+                self._trace_hop(i, seq, wk, fit.to_local, t_out, t_in, wait, service, t_done, end,
+                                nbytes)
+            at_s = self.perf_to_session(t_in + wait + service - off)
+            replay.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
+            t_out, nbytes_in = end, nbytes
+        # The boundary: rtt minus service and queue wait is wire time both
+        # ways; paired with the bytes that crossed (in and back), it feeds
+        # the size-stratified latency/bandwidth fit.
+        overhead = max(0.0, (recv_t - t_out) - wait_s - service_s)
+        w.observe_transfer(nbytes_in + payload.nbytes, overhead)
+        last.completed(t_out, recv_t)
+        if sync and recv_t - w.clock_emit_t >= 1.0:
+            self._clock_event(w, recv_t)
+        if trace:
+            self._trace_hop(at, seq, w, w.clock.fit().to_local, t_out, t_recv_w, wait_s,
+                            service_s, t_send_w, recv_t, payload.nbytes)
+        backend._ref_bytes += 0.1 * (frame_in.nbytes - backend._ref_bytes)
         # work_estimate = service x effective speed, so a loaded worker's
         # slow service still yields the true per-item work.
-        return Hop(seq, payload, service_s, w.speed, w.id, queued, overhead / 2.0)
+        return Hop(seq, payload, service_s, w.speed, w.id, queued, overhead / 2.0,
+                   trail=tuple(replay))
 
     # ---------------------------------------------------------------- tracing
-    def _trace_hop(
-        self,
-        stage: int,
-        seq: int,
-        w: _WorkerConn,
-        t_sent: float,
-        recv_t: float,
-        service_s: float,
-        wait_s: float,
-        t_recv_w: float,
-        t_send_w: float,
-        nbytes: int,
-    ) -> None:
-        """Fold one accepted result into the worker's clock fit and, when
-        anyone listens, trace the hop from the result's stamps.
-
-        The quadruple ``(t_sent, t_recv_w, t_send_w, recv_t)`` is exactly
-        the NTP sample :class:`~repro.obs.clock.ClockSync` wants; it is fed
-        unconditionally (two comparisons and a deque append) so the fit is
-        warm the moment tracing turns on.  The ``wk.*`` points are the
-        worker's instants mapped through that fit: dequeue and service are
-        exact (the worker measured ``wait_s`` and ``service_s`` from
-        ``t_recv_w``), encode ends at the send stamp.  The ``span.phases``
-        breakdown tiles the hop: wire_out + worker_queue + service + encode
-        + wire_back ≈ recv_t - t_sent, each term clamped non-negative
-        (clock-fit error can push a boundary past its neighbour by up to
-        rtt/2).
-        """
-        w.clock.observe(t_sent, t_recv_w, t_send_w, recv_t)
-        bus = self.events
-        if bus.wants("clock.sync") and recv_t - w.clock_emit_t >= 1.0:
-            w.clock_emit_t = recv_t
-            fit = w.clock.fit()
-            bus.emit(
-                "clock.sync",
-                at=self.perf_to_session(recv_t),
-                worker=w.id,
-                offset=fit.offset_at(t_send_w),
-                drift=fit.b,
-                err=fit.err,
-                n=fit.n,
+    def _clock_event(self, w: _WorkerConn, now: float) -> None:
+        """A ``clock.sync`` for ``w``, at most one a second, once its fit has a sample."""
+        fit = w.clock.fit()
+        if fit.n and now - w.clock_emit_t >= 1.0 and self.events.wants("clock.sync"):
+            w.clock_emit_t = now
+            self.events.emit(
+                "clock.sync", at=self.perf_to_session(now), worker=w.id,
+                offset=w.clock.offset(), drift=fit.b, err=fit.err, n=fit.n,
             )
-        if not any(map(bus.wants, _HOP_KINDS)):
-            return
-        to_local = w.clock.fit().to_local
+
+    def _trace_hop(
+        self, stage: int, seq: int, w: _WorkerConn, to_local, t_out: float, t_recv_w: float,
+        wait_s: float, service_s: float, t_send_w: float, end: float, nbytes: int,
+    ) -> None:
+        """Trace one hop from its stamps, mapped through the worker's clock fit
+        (``to_local``): the ``wk.*`` points (dequeue and service exact, encode
+        ending at the hand-off stamp) and the ``span.phases`` tiling the hop
+        from ``t_out`` (the previous hop's hand-off, or the coordinator's
+        send) to ``end`` (its own hand-off, or the boundary result's
+        receipt) — a peer hop's wire time is the receiving hop's
+        ``wire_out``, and only the boundary has a ``wire_back``.  Each term
+        is clamped non-negative: clock-fit error can push a boundary past its
+        neighbour by up to rtt/2.
+        """
         encode = max(0.0, (t_send_w - t_recv_w) - wait_s - service_s)
         dequeued = t_recv_w + wait_s
         # Durations cover the whole batch when batching (the helper reports
@@ -328,14 +356,14 @@ class _DistributedSession(RoutedSession):
         self._emit_items(
             "span.phases",
             seq,
-            at=self.perf_to_session(recv_t),
+            at=self.perf_to_session(end),
             stage=stage,
             worker=w.id,
-            wire_out=max(0.0, to_local(t_recv_w) - t_sent),
+            wire_out=max(0.0, to_local(t_recv_w) - t_out),
             worker_queue=wait_s,
             service=service_s,
             encode=encode,
-            wire_back=max(0.0, recv_t - to_local(t_send_w)),
+            wire_back=max(0.0, end - to_local(t_send_w)),
         )
 
 
@@ -379,8 +407,8 @@ class DistributedBackend(Backend):
     host, port:
         Bind address of the coordinator socket (port 0 = ephemeral).
     heartbeat_interval, heartbeat_timeout:
-        Worker heartbeat cadence and the silence span after which a worker
-        is declared dead (default 6x the interval).
+        How often the coordinator pings each worker, and the silence span
+        after which a worker is declared dead (default 6x the interval).
     register_timeout:
         How long warm-up waits for ``spawn_workers`` registrations.
     """
@@ -463,9 +491,16 @@ class DistributedBackend(Backend):
         # does not resolve on a worker): they outlive per-stream error state.
         self._config_errors: list[BaseException] = []
 
-        # Per-stage replica sets and their tasks (guarded by _conds[i]).
-        self._conds = [threading.Condition() for _ in range(n)]
+        # Per-stage replica sets and the routes they hold, under one lock: a
+        # route is recorded on, and taken off, all its replicas at once.  It is
+        # entered directly; the condition over it only waits and wakes.
+        self._lane_lock = threading.RLock()
+        self._cond = threading.Condition(self._lane_lock)
         self._replicas: list[list[_Replica]] = [[] for _ in range(n)]
+        self._bounds = boundaries(pipeline.stages)
+        # The boundary ending each stage's segment: where its results go.
+        self._end = [min(b for b in self._bounds if b >= i) for i in range(n)]
+        self._peer_token = os.urandom(16)  # what a worker's peers open their link with
 
         # Infrastructure threads and sockets.
         self._close_lock = threading.Lock()
@@ -522,15 +557,9 @@ class DistributedBackend(Backend):
 
     def replica_placement(self) -> list[dict[int, int]]:
         """Per stage: worker id -> active replica count (placement map)."""
-        placement: list[dict[int, int]] = []
-        for i, cond in enumerate(self._conds):
-            with cond:
-                counts: dict[int, int] = {}
-                for r in self._replicas[i]:
-                    if r.active:
-                        counts[r.worker.id] = counts.get(r.worker.id, 0) + 1
-            placement.append(counts)
-        return placement
+        with self._lane_lock:
+            return [dict(Counter(r.worker.id for r in replicas if r.active))
+                    for replicas in self._replicas]
 
     # --------------------------------------------------------------- warm-up
     def warm(self) -> None:
@@ -594,11 +623,8 @@ class DistributedBackend(Backend):
         """
         if self._probe_name is not None or self._codec.name == "pickle":
             return
-        import os as _os
-        import uuid as _uuid
-
-        self._probe_token = _uuid.uuid4().bytes
-        name = f"{_transport.SHM_PREFIX}{self._codec.session}-probe{_os.getpid()}"
+        self._probe_token = os.urandom(16)
+        name = f"{_transport.SHM_PREFIX}{self._codec.session}-probe{os.getpid()}"
         try:
             seg = shared_memory.SharedMemory(
                 name=name, create=True, size=len(self._probe_token)
@@ -620,17 +646,21 @@ class DistributedBackend(Backend):
     def wait_for_workers(self, n: int, timeout: float = 30.0) -> None:
         """Block until ``n`` live workers are registered (or raise).
 
-        Registered means the worker has also answered the transport
-        negotiation: a first dispatch never races its ``shm_ok`` reply.
+        Registered means the worker has also linked to its peers and
+        answered the transport negotiation: a first dispatch never races its
+        ``shm_ok`` reply.  A pair of workers that cannot connect raises.
         """
         def registered() -> int:
             return sum(w.alive and w.shm_replied for w in self._workers.values())
 
         with self._registry:  # every registry change notifies: accept, shm_ok, death
-            if not self._registry_changed.wait_for(lambda: registered() >= n, timeout):
-                raise RuntimeError(
+            self._registry_changed.wait_for(
+                lambda: registered() >= n or self._config_errors, timeout
+            )
+            if registered() < n:
+                raise (self._config_errors or [RuntimeError(
                     f"timed out waiting for {n} workers ({registered()} registered)"
-                )
+                )])[0]
 
     def _accept_loop(self) -> None:
         assert self._server is not None
@@ -655,9 +685,9 @@ class DistributedBackend(Backend):
         if read(len(PREAMBLE)) != PREAMBLE:
             return None  # closed before anything it sent is unpickled
         hello = read_frame(read)
-        if not (isinstance(hello, tuple) and len(hello) == 4 and hello[0] == "hello"):
+        if not (isinstance(hello, tuple) and len(hello) == 5 and hello[0] == "hello"):
             return None
-        _, wname, cores, load = hello
+        _, wname, cores, load, address = hello
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         inbox = self.capacity if self._fixed_capacity else max(self.capacity, _WINDOW_CEILING)
@@ -668,9 +698,13 @@ class DistributedBackend(Backend):
             wid = self._next_worker_id
             self._next_worker_id += 1
             outbox = socket_outbox(sock, f"dist-send[{wid}]", lambda: self._on_worker_death(worker))
-            worker = _WorkerConn(wid, outbox, wname, cores, sock)
+            worker = _WorkerConn(wid, outbox, wname, cores, sock, address)
+            # Every earlier worker, registered or still linking: it dials each.
+            peers = [(p.id, p.address) for p in self._workers.values() if p.alive]
             # Queued before the worker is visible, so no ``place`` overtakes it.
-            outbox.send(("welcome", wid, self.heartbeat_interval, inbox, self._transport_spec()))
+            outbox.send(
+                ("welcome", wid, inbox, self._transport_spec(), self._peer_token, peers)
+            )
             worker.proc = self._spawned.get(wname)
             worker.observe_load(load)
             self._workers[wid] = worker
@@ -681,16 +715,16 @@ class DistributedBackend(Backend):
         return worker
 
     def _monitor_loop(self) -> None:
+        """Ping every live worker each interval; one silent too long is dead."""
         while not self._closing.wait(self.heartbeat_interval):
             now = time.monotonic()
             with self._registry:
-                stale = [
-                    w
-                    for w in self._workers.values()
-                    if w.alive and now - w.last_seen > self.heartbeat_timeout
-                ]
-            for w in stale:
-                self._on_worker_death(w)
+                live = [w for w in self._workers.values() if w.alive]
+            for w in live:
+                if now - w.last_seen > self.heartbeat_timeout:
+                    self._on_worker_death(w)
+                else:
+                    w.outbox.send(("ping", time.perf_counter()))
 
     # --------------------------------------------------------------- receive
     def _recv_loop(self, sock: socket.socket) -> None:
@@ -701,18 +735,44 @@ class DistributedBackend(Backend):
             while w is not None and (frame := read_frame(reader.read)) is not None:
                 w.last_seen = time.monotonic()
                 kind = frame[0]
-                if kind == "result":
+                if kind == "result":  # to the router of the segment's boundary
                     if frame[1] == self._epoch:  # else an earlier session's: stale
-                        self._session._resq[frame[2]].put((w, time.perf_counter(), frame))
-                elif kind == "heartbeat":
-                    w.observe_load(frame[1])
+                        self._session._resq[self._end[frame[2]]].put(
+                            (w, time.perf_counter(), frame)
+                        )
+                elif kind == "pong":
+                    _, t0, t1, t2, load = frame
+                    t3 = time.perf_counter()
+                    w.observe_load(load)
+                    w.clock.observe(t0, t1, t2, t3)  # every worker's, boundary or not
+                    session = self._session
+                    if session is not None and not session.closed:
+                        session._clock_event(w, t3)
+                elif kind == "peer_lost":  # a forward to that worker failed
+                    self._on_worker_death(self._workers[frame[1]])
                 elif kind == "shm_ok":
                     with self._registry:
                         w.shm_ok = bool(frame[1])
                         w.shm_replied = True
                         self._registry_changed.notify_all()
-                elif kind == "place_failed":
+                    w.outbox.send(("ping", time.perf_counter()))  # a first clock sample
+                elif kind == "link_failed":
+                    _, wid, err_repr = frame
+                    peer = self._workers[wid]
+                    self._config_errors.append(RuntimeError(
+                        f"worker {w.name!r} cannot reach worker {peer.name!r} at "
+                        f"{peer.address}: {err_repr}"
+                    ))
+                    break  # not registered: it goes, and wait_for_workers raises
+                elif kind == "placed":
                     _, stage, slot, err_repr = frame
+                    with self._lane_lock:  # (w, slot) names one replica
+                        placed = [r for r in self._replicas[stage] if (r.worker, r.slot) == (w, slot)]
+                        for r in placed:
+                            r.placed = err_repr is None  # routes may pass it from now on
+                        self._cond.notify_all()
+                    if err_repr is None:
+                        continue
                     err = RuntimeError(
                         f"worker {w.name!r} could not host stage {stage} "
                         f"({self.pipeline.stage(stage).name!r}): {err_repr} "
@@ -720,10 +780,8 @@ class DistributedBackend(Backend):
                     )
                     # Before the replica leaves: a dispatcher it wakes finds the error.
                     self._config_errors.append(err)
-                    with self._conds[stage]:
-                        gone = [r for r in self._replicas[stage] if (r.worker, r.slot) == (w, slot)]
-                    for r in gone:
-                        self._leave(stage, r)  # the worker drops its tasks
+                    for r in placed:
+                        self._leave(r)
                     self._fail(stage, err)
         except (OSError, ProtocolError):
             pass
@@ -743,40 +801,49 @@ class DistributedBackend(Backend):
         if session is not None and not session.closed:
             session._fail(stage, err)
 
-    def _leave(self, stage: int, replica: _Replica, keep=False, lost=False) -> list:
+    def _leave(self, replica: _Replica, keep=False, lost=False) -> list:
         """Empty ``replica`` and, unless ``keep``, take it out of its set.
 
-        The one exit, for a drained retire, ``place_failed``, a worker death
-        and a reclaim: the recorded tasks are released, or returned in seq
-        order for re-dispatch when ``lost`` (a death's), and a retired
-        replica's ``retire`` goes out here, after its last task.
+        The one exit, for a drained retire, a failed place, a worker death
+        and a reclaim: each route through the replica comes off every
+        replica on it, once, and its input frame is released — or returned
+        as ``(first stage, seq, frame)`` for re-dispatch when ``lost`` (a
+        death's).  A retired replica's ``retire`` goes out here, after the
+        last route through it.
         """
-        cond = self._conds[stage]
-        with cond:
-            leaves = not keep and replica in self._replicas[stage]
+        with self._lane_lock:
+            leaves = not keep and replica in self._replicas[replica.stage]
             if leaves:
-                self._replicas[stage].remove(replica)
-            tasks = sorted((seq, f) for seq, f in replica.tasks.items() if f is not None)
+                self._replicas[replica.stage].remove(replica)
+            routes = sorted((seq, r) for seq, r in replica.tasks.items() if r is not None)
             replica.tasks.clear()  # a reservation's dispatcher deals again
-            cond.notify_all()
-        if leaves and not replica.active and replica.worker.alive:
-            replica.worker.outbox.send(("retire", stage, replica.slot))
+            for seq, route in routes:
+                self._settle(seq, route)
+            self._cond.notify_all()
+            if leaves and not replica.active and replica.worker.alive:
+                replica.worker.outbox.send(("retire", replica.stage, replica.slot))
         if lost:
-            return tasks
-        for _seq, frame in tasks:
-            self._codec.release(frame)
+            return [(route.replicas[0].stage, seq, route.frame) for seq, route in routes]
+        for _seq, route in routes:
+            self._codec.release(route.frame)
         return []
+
+    def _settle(self, seq: int, route: _Route) -> None:
+        """Take ``seq`` off every replica of ``route`` (under ``_lane_lock``); a
+        retired replica this drains leaves."""
+        for r in route.replicas:
+            if r.tasks.pop(seq, None) is not None and not r.active and not r.tasks:
+                self._leave(r)
 
     def _reclaim(self) -> None:
         """Release what an aborted stream stranded in flight (a clean close
         finds nothing); a retired replica leaves with its ``retire``."""
-        for i, cond in enumerate(self._conds):
-            with cond:
-                for r in list(self._replicas[i]):
-                    self._leave(i, r, keep=r.active)
+        with self._lane_lock:
+            for r in [r for replicas in self._replicas for r in replicas]:
+                self._leave(r, keep=r.active)
 
     def _on_worker_death(self, w: _WorkerConn) -> None:
-        """Remove a dead worker; re-home its replicas and in-flight items."""
+        """Remove a dead worker; re-home its replicas and the routes through it."""
         with self._registry:
             if not w.alive:
                 return
@@ -787,11 +854,9 @@ class DistributedBackend(Backend):
             w.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        lost = []
-        for i, cond in enumerate(self._conds):
-            with cond:
-                dead = [r for r in self._replicas[i] if r.worker is w]
-            lost += [(i, *task) for r in dead for task in self._leave(i, r, lost=True)]
+        with self._lane_lock:
+            dead = [r for replicas in self._replicas for r in replicas if r.worker is w]
+        lost = sorted((t for r in dead for t in self._leave(r, lost=True)), key=lambda t: t[:2])
         self.events.emit(
             "worker.death", f"worker {w.name!r} died", worker=w.id, name=w.name,
             lost_items=len(lost),
@@ -800,9 +865,9 @@ class DistributedBackend(Backend):
             return
         # A stage stripped of every replica gets one on a survivor; if no
         # workers remain the run cannot finish — fail rather than hang.
-        for i, cond in enumerate(self._conds):
-            with cond:
-                has_active = any(r.active for r in self._replicas[i])
+        for i, replicas in enumerate(self._replicas):
+            with self._lane_lock:
+                has_active = any(r.active for r in replicas)
             if not has_active:
                 self.events.emit(
                     "adapt.decide",
@@ -862,7 +927,7 @@ class DistributedBackend(Backend):
         """Place one replica of ``stage`` on the best live worker."""
         while True:
             with self._registry:
-                cands = [w for w in self._workers.values() if w.alive]
+                cands = [w for w in self._workers.values() if w.alive and w.shm_replied]
             if not cands:
                 return None
             hosted = self._hosted_counts()
@@ -880,23 +945,23 @@ class DistributedBackend(Backend):
             if not ok:
                 self._on_worker_death(target)
                 continue
-            replica = _Replica(target, slot)
-            with self._conds[stage]:
+            replica = _Replica(target, slot, stage)
+            with self._lane_lock:
                 self._replicas[stage].append(replica)
                 n_active = sum(1 for r in self._replicas[stage] if r.active)
-                self._conds[stage].notify_all()
+                self._cond.notify_all()
             self.events.emit(
                 "replica.add", stage=stage, worker=target.id, n=n_active
             )
             return replica
 
     def _retire_replica(self, stage: int, replica: _Replica) -> None:
-        """Stop dispatching to a replica; its ``retire`` follows its last task."""
-        with self._conds[stage]:
+        """Stop dispatching to a replica; its ``retire`` follows its last route."""
+        with self._lane_lock:
             replica.active = False
             n_active = sum(1 for r in self._replicas[stage] if r.active)
             if not replica.tasks:
-                self._leave(stage, replica)
+                self._leave(replica)
         self.events.emit(
             "replica.remove", stage=stage, worker=replica.worker.id, n=n_active
         )
@@ -904,7 +969,7 @@ class DistributedBackend(Backend):
     def _top_up(self, stage: int, n: int) -> bool:
         """Place replicas of ``stage`` until ``n`` are active; False with no worker left."""
         while True:
-            with self._conds[stage]:
+            with self._lane_lock:
                 if sum(1 for r in self._replicas[stage] if r.active) >= n:
                     return True
             if self._place_replica(stage) is None:
@@ -932,9 +997,9 @@ class DistributedBackend(Backend):
         link is slow.  An idle replica whose estimate is older than a
         heartbeat gets the next item, so a link that recovers is noticed.
         """
-        cond = self._conds[stage]
+        cond = self._cond
         depth = session._depth
-        with cond:
+        with self._lane_lock:
             while True:
                 if session._abort.is_set():
                     return None
@@ -943,7 +1008,7 @@ class DistributedBackend(Backend):
                 replicas = self._replicas[stage]
                 cold = self.capacity if len(replicas) > 1 else depth
                 ready = [
-                    r for r in replicas if r.active and r.worker.alive
+                    r for r in replicas if r.active and r.placed and r.worker.alive
                     and len(r.tasks) < (cold if r.drain is None else depth)
                 ]
                 if ready:
@@ -961,20 +1026,26 @@ class DistributedBackend(Backend):
         self, session: RoutedSession, stage: int, seq: int, frame: "Frame | None",
         value: Any = None,
     ) -> bool:
-        """Send one item to ``stage``; survives worker death mid-send.
+        """Send one item along a route through the segment opening at
+        ``stage``; survives worker death mid-send.
 
-        ``frame=None`` admits the raw ``value`` at stage 0: the worker is
-        selected *first* and the item encoded for it — descriptor frames
-        for a shm-verified worker, inline pickle for a remote (or
-        not-yet-negotiated) one — so mixed pools pay no segment-write +
-        materialize + release churn.  Returns False only on abort.
+        One replica per stage of the segment is reserved in stage order, the
+        route recorded on all of them, and the first sent a ``task`` naming
+        the rest.  ``frame=None`` admits the raw ``value`` at stage 0: the
+        first worker is selected *first* and the item encoded for it —
+        descriptor frames for a shm-verified worker, inline pickle for a
+        remote (or not-yet-negotiated) one — so mixed pools pay no
+        segment-write + materialize + release churn.  Returns False only on
+        abort.
         """
-        cond = self._conds[stage]
         while True:
-            replica = self._reserve_slot(session, stage, seq)
-            if replica is None:
-                return False
-            w = replica.worker
+            route = []  # an abort leaves its reservations to the session's reclaim
+            for i in range(stage, self._end[stage] + 1):
+                replica = self._reserve_slot(session, i, seq)
+                if replica is None:
+                    return False
+                route.append(replica)
+            w = route[0].worker
             if frame is None:
                 frame = session._encode(
                     seq, value, self._codec if w.shm_ok else self._pickle_codec
@@ -982,18 +1053,26 @@ class DistributedBackend(Backend):
             elif not w.shm_ok:
                 # Before the record, so no other thread can hold the original.
                 frame = materialize(frame)
-            with cond:
-                if seq not in replica.tasks:
-                    continue  # the replica left its set meanwhile: deal again
-                replica.tasks[seq] = frame
+            record = _Route(frame, route)
+            with self._lane_lock:
+                if not all([seq in r.tasks for r in route]):  # one left meanwhile: deal again
+                    for r in route:
+                        r.tasks.pop(seq, None)
+                    self._cond.notify_all()
+                    continue
+                for r in route:
+                    r.tasks[seq] = record
             # Before the send: once it returns, the item may already be
             # delivered and its batch number forgotten.
-            session._emit_items("item.dispatch", seq, stage=stage, worker=w.id)
+            if session.events.wants("item.dispatch"):
+                for r in route:
+                    session._emit_items("item.dispatch", seq, stage=r.stage, worker=r.worker.id)
+            record.t_sent = t_sent = time.perf_counter()
+            hops = tuple([r.hop for r in route[1:]])
             if not w.outbox.send(
-                ("task", self._epoch, stage, replica.slot, seq, to_wire(frame),
-                 time.perf_counter())
+                ("task", self._epoch, stage, route[0].slot, seq, to_wire(frame), t_sent, hops, ())
             ):
-                self._on_worker_death(w)  # whose exit re-dispatches this task too
+                self._on_worker_death(w)  # whose exit re-dispatches this route too
             return True
 
     # ------------------------------------------------------------- lifecycle
@@ -1105,7 +1184,7 @@ class DistributedBackend(Backend):
         if not self._warm:
             return
         self._top_up(stage, n_replicas)
-        with self._conds[stage]:
+        with self._lane_lock:
             active = [r for r in self._replicas[stage] if r.active]
         hosted = self._hosted_counts()
         by_score = sorted(active, key=lambda r: self._worker_score(r.worker, hosted))

@@ -8,31 +8,49 @@ first element is the kind (see the table in ``docs/distributed.md``):
 ========================  =========  ====================================
 kind                      direction  fields after the kind
 ========================  =========  ====================================
-``hello``                 w → c      name, cores, load1
-``welcome``               c → w      worker_id, heartbeat_interval,
-                                     inbox, transport_spec
+``hello``                 w → c      name, cores, load1, address (where
+                                     the worker's peer listener accepts)
+``welcome``               c → w      worker_id, inbox, transport_spec,
+                                     token, peers (``(worker_id,
+                                     address)`` of each earlier worker)
+``peer``                  w → w      worker_id, shm_ok (after
+                                     ``PREAMBLE + token``)
+``peer_ok``               w → w      worker_id, shm_ok
 ``shm_ok``                w → c      bool (the worker verified the
-                                     transport spec's shared-memory probe)
+                                     transport spec's shared-memory
+                                     probe); sent once every peer link
+                                     is up, it completes registration
+``link_failed``           w → c      worker_id, error_repr
 ``place``                 c → w      stage, slot, fn_payload, stage_name
-``place_failed``          w → c      stage, slot, error_repr
+``placed``                w → c      stage, slot, error_repr (None: the
+                                     replica runs; routes may pass it)
 ``retire``                c → w      stage, slot
-``task``                  c → w      epoch, stage, slot, seq, payload, t_sent
+``task``                  c/w → w    epoch, stage, slot, seq, payload,
+                                     t_sent, route, trail
 ``result``                w → c      epoch, stage, slot, seq, ok, payload,
                                      service_s, wait_s, t_sent, error_repr,
-                                     t_recv_w, t_send_w
-``heartbeat``             w → c      load1
+                                     t_recv_w, t_send_w, trail
+``peer_lost``             w → c      worker_id (a forward to it failed)
+``ping``                  c → w      t0
+``pong``                  w → c      t0, t1, t2, load1
 ``shutdown``              c → w      (none)
 ========================  =========  ====================================
 
 ``epoch`` names the coordinator's session (a result of an earlier one is
-dropped); ``retire`` follows the slot's last result, so no ``task`` for a
-slot ever follows its ``retire``.  ``t_recv_w``/``t_send_w`` are the worker's clock at task arrival and
-result send: together with the echoed ``t_sent`` and the coordinator's
-receive time they form the NTP-style quadruple that
-:class:`repro.obs.clock.ClockSync` fits a per-worker clock offset from.
-With ``wait_s`` and ``service_s`` they are all the timing a worker
-reports: the coordinator derives the hop's ``span.phases`` and its
-``wk.*`` trace points from them, so no other frame carries any.
+dropped).  A segment travels as one **route**: the first hop's ``task``
+lists the rest as ``(stage, slot, worker_id)``; each hop passes its output
+to the next (its own replica's inbox, or a peer link) and appends
+``(stage, worker_id, slot, t_recv_w, wait_s, service_s, t_send_w,
+nbytes)`` to ``trail``; only the last hop sends a ``result``, a failure
+comes straight back from its hop.  ``t_sent`` is the coordinator's send of
+the first hop, echoed back to be differenced on the machine that produced
+it; ``t_recv_w``/``t_send_w`` are a worker's clock at task arrival and
+hand-off.  With ``wait_s`` and ``service_s`` they are all the timing a
+worker reports: the coordinator derives each hop's ``span.phases`` and
+``wk.*`` points from them through its per-worker
+:class:`repro.obs.clock.ClockSync` fit, which the NTP-style quadruple of
+each ``ping``/``pong`` feeds with an explicit rtt/2 error bound — the
+protocol itself never compares clocks across hosts.
 
 ``payload`` fields are frames in their flat wire form
 (:func:`repro.transport.to_wire`): the pickle stream itself, as ``bytes``,
@@ -40,25 +58,24 @@ for an inline frame without buffers; otherwise the
 :class:`~repro.transport.Frame` — a pickle stream plus out-of-band buffers,
 each inline or a shared-memory segment descriptor under the **negotiated
 frame format** (a failed ``result`` carries its pickled error instead):
-``welcome`` carries the coordinator's transport spec (codec name, session, placement threshold)
-plus a shared-memory probe, and the worker's ``shm_ok`` reply fixes
-whether descriptors may cross this connection (same host) or every frame
-must be materialized inline (remote).  The coordinator forwards a stage's
-output frame to the next stage untouched, so each item crosses the
-coordinator without a decode/encode round trip — and, with descriptors,
-without its bulk bytes crossing any socket at all.  ``t_sent`` is the
-*sender's* clock and is only ever echoed back to be differenced on the
-machine that produced it — the protocol itself never compares clocks
-across hosts; cross-host timestamp *mapping* happens only downstream, in
-the coordinator's per-worker :class:`repro.obs.clock.ClockSync` fit, with
-an explicit rtt/2 error bound.
+``welcome`` carries the transport spec (codec name, session, placement
+threshold) plus a shared-memory probe, and ``shm_ok`` fixes whether
+descriptors may cross this connection (same host) or every frame must be
+materialized inline (remote); between peers, ``peer``/``peer_ok`` say the
+same.  The coordinator forwards a boundary's output frame to the next
+segment untouched: no decode/encode round trip, and with descriptors no
+bulk bytes on any socket.
 
-TCP ordering is load-bearing: a ``place`` is always written before any
-``task`` for that slot, so a worker sees a task for an unknown replica only
-after its ``place`` failed, and drops it.
-A worker opens with the raw :data:`PREAMBLE` (``b"RPRO"`` + a 2-byte
-version); the coordinator closes a connection whose first bytes differ
-before it unpickles anything.  Each connection has one outbox
+Order: a ``place`` is written before any ``task`` for its slot, and a
+route passes a replica only once its worker answered ``placed``, so a
+task from a peer cannot overtake its place either; a worker drops a task
+for an unknown slot (its place failed, or the route is stale).  A
+``retire`` follows the last route through its slot, so no ``task`` for a
+slot ever follows its ``retire``.  A worker opens with the raw
+:data:`PREAMBLE` (``b"RPRO"`` + a 2-byte version), a peer link with
+``PREAMBLE`` and the backend's random token from ``welcome``: the listening
+end closes a connection whose first bytes differ before it unpickles
+anything.  Each connection has one outbox
 (:func:`repro.transport.lane.socket_outbox`: senders frame on their own
 thread; one writer sends everything queued with one ``sendall``, keeping
 each sender's order) and one buffered reader (``sock.makefile("rb")`` with
@@ -79,7 +96,7 @@ from repro.transport.lane import encode_frame, read_frame
 __all__ = ["PREAMBLE", "recv_frame", "send_frame"]
 
 #: What a worker writes before its first frame: magic, then the version.
-PREAMBLE = b"RPRO" + struct.pack(">H", 3)
+PREAMBLE = b"RPRO" + struct.pack(">H", 4)
 
 
 def send_frame(sock: socket.socket, message: Any) -> None:

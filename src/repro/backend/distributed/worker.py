@@ -1,39 +1,37 @@
 """The worker side of the distributed backend.
 
-A :class:`WorkerAgent` connects to a coordinator, registers (advertising
-its core count and current load average), and then hosts **stage replicas**
-on demand: each ``place`` message starts one replica — a thread with its
-own bounded inbox (a :class:`~repro.util.handoff.Handoff`) — and each
-``retire`` message, which the coordinator sends once the replica's last
-task came back, stops it (a stop pill queued behind anything left).  Replicas decode item payloads through
-the **negotiated transport codec** (see below), execute the stage callable,
-timing the service, and ship results back tagged with the service time and
-the in-queue wait so the coordinator can separate computation from link
-cost.
+A :class:`WorkerAgent` connects to a coordinator, registers (cores, load
+average and the address its peer listener accepts on), links to every
+worker the ``welcome`` lists, and then hosts **stage replicas**: each
+``place`` starts one — a thread with its own bounded inbox (a
+:class:`~repro.util.handoff.Handoff`) — and each ``retire``, sent once the
+last route through the replica completed, stops it behind what it holds.
+A replica decodes its task through the **negotiated transport codec**,
+times the stage callable and passes the output along the task's
+**route**: into the next replica's inbox when that is hosted here (no
+wire), over the peer link otherwise, and from the last hop — a boundary —
+home as a ``result`` with the trail of every hop's stamps
+(``t_recv_w``/``t_send_w`` beside ``wait_s`` and ``service_s``).  A worker
+traces nothing: the coordinator derives its clock fit, ``span.phases`` and
+the ``wk.*`` points from those stamps and from each ``pong``, the answer
+to its monitor's ``ping`` (which also carries the load average).
 
-**Transport negotiation.**  The ``welcome`` message carries the
-coordinator's transport spec plus a shared-memory *probe*: the name and
-expected contents of a small segment the coordinator created.  A worker
-that can attach the probe and read the right token shares the
-coordinator's shared-memory namespace (same host), replies ``shm_ok``
-true, and encodes its results with the negotiated codec — large payloads
-then cross the socket as segment descriptors instead of bytes.  A worker
-that cannot (a remote host) replies false and falls back to inline
-pickle; the coordinator materializes any descriptor frames it forwards
-there.  Workers never release a frame: the coordinator owns every release
-(a task may be re-dispatched after a worker death) and its sweep unlinks;
-a worker recycles its result slots once the coordinator released them.
+**Peer links** open with ``PREAMBLE`` and the backend's token from
+``welcome``, compared as raw bytes on the listening side before anything is
+unpickled, then run the coordinator link's outbox and buffered reader.
+Registration completes (``shm_ok``) once every link is confirmed.  A
+forward that cannot be delivered is reported (``peer_lost``): the
+coordinator takes it as that peer's death.
 
-A heartbeat thread reports the 1-minute load average every
-``heartbeat_interval`` seconds; the coordinator derives the worker's
-effective speed from it and treats missing heartbeats as node loss.
-
-**Worker timing.**  A worker traces nothing: every result frame carries
-one set of stamps — ``t_recv_w``/``t_send_w`` (``time.perf_counter`` at
-task arrival and result send) beside ``wait_s`` and ``service_s`` — and
-the coordinator derives everything else from them: its per-worker clock
-fit (:mod:`repro.obs.clock`), the ``span.phases`` decomposition and the
-``wk.*`` trace points.
+**Transport negotiation.**  ``welcome`` carries the coordinator's transport
+spec plus a shared-memory *probe* segment: a worker that can attach it and
+read the right token shares the coordinator's namespace (same host) and
+encodes with the negotiated codec — large payloads then cross a socket as
+segment descriptors — for the coordinator and for every peer that shares
+it; otherwise (a remote host) it falls back to inline pickle.  The
+coordinator owns a route's input frame (it may re-dispatch the segment
+after a death) and its sweep unlinks; the worker that consumes an
+intermediate frame releases it, as the process pools do.
 
 Run a worker on a (possibly remote) host with::
 
@@ -44,13 +42,12 @@ Stage callables arrive pickled, so they must be importable on the worker
 forked from the coordinator process, which makes any module already loaded
 there — including test modules — resolvable without an installed package.
 
-``--link-delay`` injects an artificial per-frame receive delay, simulating
-a slow link for experiments (E16): the delay is applied *before* the task's
-arrival timestamp, so it shows up in the coordinator's measured transfer
-time, not in service or wait time.  ``--link-bandwidth`` is its size-aware
-sibling (E17): an extra ``payload_bytes / bandwidth`` seconds per task,
-simulating a bandwidth-starved link whose cost grows with payload size —
-exactly what the coordinator's size-stratified link fit must detect.
+``--link-delay`` delays every task that reaches the worker over a link
+(from the coordinator or a peer) before its arrival stamp, simulating a
+slow link (E16): it shows in the measured transfer time, not in service or
+wait.  ``--link-bandwidth`` is its size-aware sibling (E17): an extra
+``payload_bytes / bandwidth`` seconds per task, a bandwidth-starved link
+the coordinator's size-stratified link fit must detect.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from repro.backend.distributed.protocol import PREAMBLE
 from repro.monitor.resource_monitor import read_load1
 from repro.runtime.threads import dump_error
 from repro.transport import Codec, Frame, from_wire, to_wire, untrack
-from repro.transport.lane import Outbox, ProtocolError, read_frame, socket_outbox
+from repro.transport.lane import Outbox, ProtocolError, encode_frame, read_frame, socket_outbox
 from repro.util.batching import Batch, map_batch
 from repro.util.handoff import Handoff
 
@@ -78,26 +75,24 @@ __all__ = ["WorkerAgent", "main"]
 _STOP = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class _Task:
     epoch: int
     seq: int
     payload: Frame
-    t_sent: float
+    t_sent: float  # the coordinator's send of the route's first hop, echoed
     arrived: float  # worker clock, stamped after any injected link delay
+    route: tuple  # the hops after this one: (stage, slot, worker id) each
+    trail: tuple  # the hops before it, as the result reports them
+    owned: bool  # an intermediate frame: released here once decoded
 
 
 class _ReplicaRunner:
     """One hosted stage replica: a thread draining a bounded ``Handoff``."""
 
     def __init__(
-        self,
-        agent: "WorkerAgent",
-        stage: int,
-        slot: int,
-        fn: Callable[[Any], Any],
-        stage_name: str,
-        capacity: int,
+        self, agent: "WorkerAgent", stage: int, slot: int, fn: Callable[[Any], Any],
+        stage_name: str, capacity: int,
     ) -> None:
         self.stage = stage
         self.slot = slot
@@ -110,6 +105,7 @@ class _ReplicaRunner:
         self.thread.start()
 
     def _serve(self) -> None:
+        agent = self._agent
         while True:
             msg = self.queue.get()
             if msg is _STOP:
@@ -118,28 +114,24 @@ class _ReplicaRunner:
             started = time.perf_counter()
             wait_s = started - task.arrived
             try:
-                # Decode without releasing: the coordinator owns the task
-                # frame (it may re-dispatch after this worker's death).
-                value = self._agent.codec.decode(task.payload)
-                # A micro-batch maps element-wise and travels back as one
-                # frame; the coordinator re-dispatches the whole batch
-                # frame on worker death, so per-item exactly-once holds by
-                # construction.
-                result = (
-                    map_batch(self.fn, value)
-                    if isinstance(value, Batch)
-                    else self.fn(value)
-                )
+                # The coordinator owns a route's input frame (it may
+                # re-dispatch the segment after a death); a frame a hop
+                # before this one made is this replica's to release.
+                value = agent.codec.decode(task.payload)
+                if task.owned:
+                    agent.codec.release(task.payload)
+                # A micro-batch maps element-wise and travels on as one
+                # frame; a death re-dispatches the whole batch, so per-item
+                # exactly-once holds by construction.
+                result = map_batch(self.fn, value) if isinstance(value, Batch) else self.fn(value)
                 service_s = time.perf_counter() - started
-                out = self._agent.codec.encode(result)
+                out = agent._codec_for(task.route).encode(result)
             except BaseException as err:  # noqa: BLE001 - shipped to coordinator
-                self._agent._send_result(
+                agent._send_result(
                     task, self.stage, self.slot, False, dump_error(err), 0.0, wait_s, repr(err)
                 )
                 continue  # stay warm; the coordinator aborts the run
-            self._agent._send_result(
-                task, self.stage, self.slot, True, out, service_s, wait_s, None
-            )
+            agent._pass_on(task, self.stage, self.slot, out, service_s, wait_s)
 
 
 class WorkerAgent:
@@ -164,14 +156,8 @@ class WorkerAgent:
     """
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        cores: int | None = None,
-        name: str | None = None,
-        link_delay: float = 0.0,
-        link_bandwidth: float = 0.0,
+        self, host: str, port: int, *, cores: int | None = None, name: str | None = None,
+        link_delay: float = 0.0, link_bandwidth: float = 0.0,
     ) -> None:
         if link_delay < 0:
             raise ValueError(f"link_delay must be >= 0, got {link_delay}")
@@ -186,8 +172,11 @@ class WorkerAgent:
         self.inbox = 1  # per-replica task-queue bound, named by the welcome
         self.worker_id: int | None = None
         self.codec: Codec = _transport.get("pickle")  # until negotiation
+        self._inline: Codec = self.codec  # frames a peer outside our shm namespace reads
         self.shm_ok = False
-        self._outbox: Outbox | None = None  # every send: replicas, heartbeat, serve loop
+        self._outbox: Outbox | None = None  # every send to the coordinator
+        self._token = b""  # what a peer writes after PREAMBLE, named by the welcome
+        self._peers: dict[int, tuple[Outbox, Codec]] = {}  # worker id -> (link, its codec)
         self._replicas: dict[tuple[int, int], _ReplicaRunner] = {}
         self._stop = threading.Event()
 
@@ -208,84 +197,187 @@ class WorkerAgent:
                 ok = False
         self.shm_ok = ok
         codec_spec = {k: v for k, v in spec.items() if k in ("name", "session", "threshold")}
-        if ok:
-            self.codec = _transport.from_spec(codec_spec)
-        else:
-            # Results must stay self-contained across host boundaries.
-            self.codec = _transport.get("pickle", session=spec.get("session"))
-        self._outbox.send(("shm_ok", ok))
+        # Frames must stay self-contained across host boundaries.
+        self._inline = _transport.get("pickle", session=spec.get("session"))
+        self.codec = _transport.from_spec(codec_spec) if ok else self._inline
+
+    def _codec_for(self, route: tuple) -> Codec:
+        """A hop's output codec: its next hop's link's, else ours (here, or home)."""
+        link = self._peers.get(route[0][2]) if route else None
+        return link[1] if link else self.codec
 
     # -------------------------------------------------------------- plumbing
     def _send_result(
-        self,
-        task: _Task,
-        stage: int,
-        slot: int,
-        ok: bool,
+        self, task: _Task, stage: int, slot: int, ok: bool,
         payload: "Frame | bytes | None",  # the result, or a failure's pickled error
-        service_s: float,
-        wait_s: float,
-        err_repr: str | None,
+        service_s: float, wait_s: float, err_repr: str | None,
     ) -> None:
-        """Ship one result, stamped with the worker-clock receive/send pair
-        (the coordinator's clock fit, phase decomposition and ``wk.*``
-        points all come from these stamps)."""
-        self._outbox.send(
-            (
-                "result",
-                task.epoch,
-                stage,
-                slot,
-                task.seq,
-                ok,
-                to_wire(payload) if ok else payload,
-                service_s,
-                wait_s,
-                task.t_sent,
-                err_repr,
-                task.arrived,
-                time.perf_counter(),
-            )
-        )
+        """Ship one result home with the trail and this hop's worker-clock
+        receive/send pair (the coordinator's clock fit, phase decomposition
+        and ``wk.*`` points all come from these stamps)."""
+        self._outbox.send((
+            "result", task.epoch, stage, slot, task.seq, ok, to_wire(payload) if ok else payload,
+            service_s, wait_s, task.t_sent, err_repr, task.arrived, time.perf_counter(), task.trail,
+        ))
 
-    def _heartbeat_loop(self, interval: float) -> None:
-        while not self._stop.wait(interval):
-            self._outbox.send(("heartbeat", read_load1()))
+    def _pass_on(
+        self, task: _Task, stage: int, slot: int, out: Frame, service_s: float, wait_s: float
+    ) -> None:
+        """Hand one output to the route's next hop, or home from its last."""
+        if not task.route:
+            self._send_result(task, stage, slot, True, out, service_s, wait_s, None)
+            return
+        (nstage, nslot, wid), route = task.route[0], task.route[1:]
+        now = time.perf_counter()
+        trail = (*task.trail, (stage, self.worker_id, slot, task.arrived, wait_s, service_s,
+                               now, out.nbytes))
+        if wid == self.worker_id:  # the next replica is here: no wire
+            runner = self._replicas.get((nstage, nslot))
+            if runner is not None:
+                runner.queue.put(_Task(task.epoch, task.seq, out, task.t_sent, now, route,
+                                       trail, True))
+            return
+        link = self._peers.get(wid)
+        msg = ("task", task.epoch, nstage, nslot, task.seq, to_wire(out), task.t_sent, route, trail)
+        if link is None or not link[0].send(msg):
+            self.codec.release(out)
+            self._lose(wid)
+
+    def _lose(self, wid: int) -> None:
+        """A forward to ``wid`` failed: the coordinator takes it as that peer's death."""
+        self._peers.pop(wid, None)
+        self._outbox.send(("peer_lost", wid))
+
+    def _receive(self, frame: tuple, owned: bool) -> None:
+        """Queue one ``task`` for its replica, after any injected link delay."""
+        _, epoch, stage, slot, seq, payload, t_sent, route, trail = frame
+        payload = from_wire(payload, self.codec.name)
+        delay = self.link_delay
+        if self.link_bandwidth:
+            delay += payload.nbytes / self.link_bandwidth
+        if delay:
+            time.sleep(delay)
+        runner = self._replicas.get((stage, slot))
+        # A retire follows the last route through its slot, so an unknown
+        # slot is one whose place failed (and failed the session) or one a
+        # stale route names: drop the task.
+        if runner is not None:
+            runner.queue.put(
+                _Task(epoch, seq, payload, t_sent, time.perf_counter(), route, trail, owned)
+            )
+
+    # ------------------------------------------------------------ peer links
+    @staticmethod
+    def _dial(address) -> socket.socket:
+        sock = socket.create_connection(tuple(address), timeout=10.0)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    def _adopt(self, sock: socket.socket, wid: int, shm: bool) -> Outbox:
+        """Register the confirmed link to ``wid`` (``shm``: it shares our namespace)."""
+        link = socket_outbox(sock, f"worker-peer-send[{wid}]", lambda: self._lose(wid))
+        self._peers[wid] = (link, self.codec if shm else self._inline)
+        return link
+
+    def _read_peer(self, reader) -> None:
+        try:
+            while (frame := read_frame(reader.read)) is not None:
+                self._receive(frame, owned=True)
+        except (OSError, ProtocolError):
+            pass
+        finally:
+            reader.close()
+
+    def _link(self, wid: int, address) -> bool:
+        """Dial an earlier worker; False, reported, when the pair cannot connect."""
+        try:
+            sock = self._dial(address)
+            sock.sendall(PREAMBLE + self._token + encode_frame(("peer", self.worker_id, self.shm_ok)))
+            reader = sock.makefile("rb", buffering=1 << 16)
+            reply = read_frame(reader.read)
+            if not (isinstance(reply, tuple) and reply[:2] == ("peer_ok", wid)):
+                raise ProtocolError(f"expected peer_ok, got {reply!r}")
+            sock.settimeout(None)
+        except (OSError, ProtocolError) as err:
+            self._outbox.send(("link_failed", wid, repr(err)))
+            return False
+        self._adopt(sock, wid, reply[2] and self.shm_ok)
+        name = f"worker-peer[{wid}]"
+        threading.Thread(target=self._read_peer, args=(reader,), name=name, daemon=True).start()
+        return True
+
+    def _accept_peers(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _addr = listener.accept()
+            except OSError:
+                return  # the agent stopped
+            threading.Thread(target=self._admit, args=(sock,), name="worker-peer", daemon=True).start()
+
+    def _admit(self, sock: socket.socket) -> None:
+        """One accepted connection, on its own thread: a stranger until its
+        first bytes are the preamble and this backend's token."""
+        reader = sock.makefile("rb", buffering=1 << 16)
+        try:
+            opening = PREAMBLE + self._token
+            if reader.read(len(opening)) != opening:
+                raise ProtocolError("not a peer")  # closed before anything is unpickled
+            hello = read_frame(reader.read)
+            if not (isinstance(hello, tuple) and len(hello) == 3 and hello[0] == "peer"):
+                raise ProtocolError(f"expected peer, got {hello!r}")
+        except (OSError, ProtocolError):
+            reader.close()
+            sock.close()
+            return
+        _, wid, shm = hello
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._adopt(sock, wid, shm and self.shm_ok).send(("peer_ok", self.worker_id, self.shm_ok))
+        threading.current_thread().name = f"worker-peer[{wid}]"
+        self._read_peer(reader)
 
     # ------------------------------------------------------------------- run
     def run(self) -> None:
         """Connect, register, and serve until shutdown or coordinator EOF."""
-        sock = socket.create_connection((self.host, self.port), timeout=10.0)
+        sock = self._dial((self.host, self.port))
         sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.sendall(PREAMBLE)  # raw, ahead of every frame
+        # Peers reach this worker where it reached the coordinator.
+        listener = socket.create_server((sock.getsockname()[0], 0))
         # One recv yields every whole frame the kernel holds; one writer
-        # thread sends what the replicas and the heartbeat queue, and a
+        # thread sends what the replicas and the serve loop queue, and a
         # failed write stops the agent (the writer's shutdown ends the
         # serve loop).
         reader = sock.makefile("rb", buffering=1 << 16)
         self._outbox = socket_outbox(sock, "worker-send", self._stop.set)
         try:
-            self._outbox.send(("hello", self.name, self.cores, read_load1()))
+            self._outbox.send(
+                ("hello", self.name, self.cores, read_load1(), listener.getsockname()[:2])
+            )
             welcome = read_frame(reader.read)
             if not welcome or welcome[0] != "welcome":
                 raise ProtocolError(f"expected welcome, got {welcome!r}")
             # The inbox bound covers the largest per-replica allowance the
-            # coordinator can grant, so a put never blocks the receive loop.
-            _, self.worker_id, heartbeat_interval, self.inbox, transport_spec = welcome
+            # coordinator can grant, so a put never blocks a receive loop.
+            _, self.worker_id, self.inbox, transport_spec, self._token, peers = welcome
             self._negotiate_transport(transport_spec)
-            beat = threading.Thread(
-                target=self._heartbeat_loop,
-                args=(heartbeat_interval,),
-                name="worker-heartbeat",
-                daemon=True,
-            )
-            beat.start()
-            self._serve_loop(reader.read)
+            # A peer that dialed already waits in the listen backlog.
+            threading.Thread(
+                target=self._accept_peers, args=(listener,), name="worker-accept", daemon=True
+            ).start()
+            if all(self._link(wid, address) for wid, address in peers):
+                self._outbox.send(("shm_ok", self.shm_ok))  # registration complete
+                self._serve_loop(reader.read)
         finally:
             self._stop.set()
+            try:  # wakes the accept loop
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            listener.close()
             for runner in self._replicas.values():
                 runner.queue.put(_STOP)
+            for link, _codec in list(self._peers.values()):
+                link.close()
             reader.close()
             self._outbox.close()  # its writer flushes, then closes the socket
 
@@ -299,29 +391,21 @@ class WorkerAgent:
                 return
             kind = frame[0]
             if kind == "task":
-                _, epoch, stage, slot, seq, payload, t_sent = frame
-                payload = from_wire(payload, self.codec.name)
-                delay = self.link_delay
-                if self.link_bandwidth:
-                    delay += payload.nbytes / self.link_bandwidth
-                if delay:
-                    time.sleep(delay)
-                arrived = time.perf_counter()
-                runner = self._replicas.get((stage, slot))
-                # A retire follows the slot's last task, so an unknown slot
-                # is one whose place failed (and failed the session): drop it.
-                if runner is not None:
-                    runner.queue.put(_Task(epoch, seq, payload, t_sent, arrived))
+                self._receive(frame, owned=False)
+            elif kind == "ping":
+                now = time.perf_counter()
+                self._outbox.send(("pong", frame[1], now, time.perf_counter(), read_load1()))
             elif kind == "place":
                 _, stage, slot, fn_payload, stage_name = frame
                 try:
                     fn = pickle.loads(fn_payload)
                 except Exception as err:
-                    self._outbox.send(("place_failed", stage, slot, repr(err)))
+                    self._outbox.send(("placed", stage, slot, repr(err)))
                     continue
                 self._replicas[(stage, slot)] = _ReplicaRunner(
                     self, stage, slot, fn, stage_name, self.inbox
                 )
+                self._outbox.send(("placed", stage, slot, None))
             elif kind == "retire":
                 _, stage, slot = frame
                 runner = self._replicas.pop((stage, slot), None)
@@ -340,44 +424,23 @@ def main(argv: list[str] | None = None) -> None:
         prog="python -m repro.backend.distributed.worker",
         description="Join a distributed pipeline coordinator as a worker.",
     )
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address to register with",
-    )
-    parser.add_argument(
-        "--cores",
-        type=int,
-        default=None,
-        help="advertised core count (default: os.cpu_count())",
-    )
+    parser.add_argument("--connect", required=True, metavar="HOST:PORT",
+                        help="coordinator address to register with")
+    parser.add_argument("--cores", type=int, default=None,
+                        help="advertised core count (default: os.cpu_count())")
     parser.add_argument("--name", default=None, help="advertised worker name")
-    parser.add_argument(
-        "--link-delay",
-        type=float,
-        default=0.0,
-        help="inject an artificial per-task receive delay in seconds",
-    )
-    parser.add_argument(
-        "--link-bandwidth",
-        type=float,
-        default=0.0,
-        help="inject an artificial bandwidth limit in bytes/s (0 = unlimited)",
-    )
+    parser.add_argument("--link-delay", type=float, default=0.0,
+                        help="inject an artificial per-task receive delay in seconds")
+    parser.add_argument("--link-bandwidth", type=float, default=0.0,
+                        help="inject an artificial bandwidth limit in bytes/s (0 = unlimited)")
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")
     if not host or not port.isdigit():
         parser.error(f"--connect must be HOST:PORT, got {args.connect!r}")
     WorkerAgent(
-        host,
-        int(port),
-        cores=args.cores,
-        name=args.name,
-        link_delay=args.link_delay,
+        host, int(port), cores=args.cores, name=args.name, link_delay=args.link_delay,
         link_bandwidth=args.link_bandwidth,
     ).run()
-
 
 if __name__ == "__main__":
     main()

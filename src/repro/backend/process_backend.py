@@ -66,7 +66,7 @@ import time
 
 from repro import transport as _transport
 from repro.backend.base import Backend, register_backend
-from repro.backend.routed import Hop, RoutedSession
+from repro.backend.routed import Hop, RoutedSession, boundaries
 from repro.core.pipeline import PipelineSpec
 from repro.runtime.threads import StageError, dump_error, load_error
 from repro.transport import Codec, Frame, from_wire, to_wire
@@ -281,7 +281,7 @@ class _ProcessSession(RoutedSession):
         self.backend.warm(self._lane_depth())
 
     def _boundaries(self) -> list[int]:
-        return self.backend._boundaries()
+        return boundaries(self.backend.pipeline.stages)
 
     def _shutdown(self) -> None:
         super()._shutdown()
@@ -341,7 +341,9 @@ class _ProcessSession(RoutedSession):
         return Hop(
             seq, from_wire(wire, self._codec.name), service_s, 1.0, worker_id,
             pools[stage].queued(), at=clock(ended),
-            trail=tuple((i, w, s, n, pools[i].queued(), clock(t)) for i, w, s, n, t in upstream),
+            trail=tuple(
+                (i, w, s, n, pools[i].queued(), clock(t), 1.0, None) for i, w, s, n, t in upstream
+            ),
         )
 
 
@@ -417,7 +419,7 @@ class ProcessPoolBackend(Backend):
         taskqs = [_PipeQueue(self._ctx, d) for d in depths]
         pools: list[_StagePool] = []
         try:
-            for end in self._boundaries():
+            for end in boundaries(self.pipeline.stages):
                 seg = _Segment(taskqs[len(pools)], _PipeQueue(self._ctx, depths[end]))
                 for i in range(len(pools), end + 1):
                     pool = _StagePool(taskqs[i], self._ctx.Semaphore(0), self._target[i], seg)
@@ -451,13 +453,6 @@ class ProcessPoolBackend(Backend):
                 taskq.close()
             raise
         self._pools = pools
-
-    def _boundaries(self) -> list[int]:
-        """Stages that report to the parent: the last, and any feeding an ordered one."""
-        stages = self.pipeline.stages
-        return [
-            i for i in range(len(stages)) if i + 1 == len(stages) or stages[i + 1].ordered
-        ]
 
     def _segments(self) -> "list[_Segment]":
         return list(dict.fromkeys(pool.seg for pool in self._pools or ()))

@@ -52,11 +52,12 @@ of ``_poll`` and every dispatcher blocked on lane capacity (abort and
 ``_shutdown`` call it).  ``_attach`` (warm the lane before any thread
 starts) and ``_boundaries`` are optional.  By default every stage is a
 boundary: its results come back to a router here.  A lane whose workers
-can reach each other (forked processes sharing queues) names fewer — the
-last stage and any stage feeding an ordered one — and lets the rest forward
-worker to worker; what their routers would have recorded then arrives as
-``Hop.trail`` on the boundary's result and is replayed into the same
-per-stage records.
+can reach each other (forked processes sharing queues, distributed workers
+linked to their peers) names fewer — :func:`boundaries`: the last stage and
+any stage feeding an ordered one — and lets the rest forward worker to
+worker along the *segment* up to the next boundary; what their routers
+would have recorded then arrives as ``Hop.trail`` on the boundary's result
+and is replayed into the same per-stage records.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from repro.transport import Codec, Frame, pool_footprint
 from repro.util.batching import Batch
 from repro.util.ordering import SequenceReorderer
 
-__all__ = ["Hop", "RoutedSession"]
+__all__ = ["Hop", "RoutedSession", "boundaries"]
 
 
 class Hop(NamedTuple):
@@ -85,9 +86,14 @@ class Hop(NamedTuple):
     queued: int  # items still in flight at this stage
     transfer_s: "float | None" = None  # measured one-way wire time, if any
     at: "float | None" = None  # session-clock time the service ended (None: now)
-    #: Upstream stages no router saw (their workers forwarded straight on),
-    #: oldest first: ``(stage, worker, service_s, nbytes_out, queued, at)`` each.
+    #: Upstream stages no router saw (their workers forwarded straight on), oldest
+    #: first: ``(stage, worker, service_s, nbytes_out, queued, at, speed, transfer_s)`` each.
     trail: tuple = ()
+
+
+def boundaries(stages: "Sequence") -> list[int]:
+    """Where a segment ends: the last stage, and any feeding an ordered one."""
+    return [i for i in range(len(stages)) if i + 1 == len(stages) or stages[i + 1].ordered]
 
 
 class RoutedSession(Session):
@@ -222,8 +228,8 @@ class RoutedSession(Session):
             # record goes back to item space (seq = first item's gseq,
             # items = N) so span attribution and the top view stay per-item.
             where = self._event_seq(hop.seq)
-            for upstream, worker, service_s, nbytes, queued, at in hop.trail:
-                self._record(upstream, where, service_s, 1.0, worker, queued, nbytes, at)
+            for upstream, worker, service_s, nbytes, queued, at, speed, transfer_s in hop.trail:
+                self._record(upstream, where, service_s, speed, worker, queued, nbytes, at, transfer_s)
                 self._record_bytes_in(upstream + 1, nbytes)
             self._record(
                 stage, where, hop.service_s, hop.speed, hop.worker, hop.queued,

@@ -4,13 +4,13 @@ The distributed backend never compares clocks across hosts directly — the
 wire protocol only ever echoes a timestamp back to the machine that
 produced it.  But merging *worker-side* trace events onto the session
 timeline needs exactly that comparison, so this module fits it from the
-measurements the protocol already makes: every accepted result carries the
-NTP-style quadruple
+measurements the protocol already makes: every ``ping``/``pong`` between
+the coordinator's monitor and a worker carries the NTP-style quadruple
 
-* ``t0`` — coordinator clock when the task was sent (``t_sent``, echoed),
-* ``t1`` — worker clock when the task arrived,
-* ``t2`` — worker clock when the result was handed to the socket,
-* ``t3`` — coordinator clock when the result was received,
+* ``t0`` — coordinator clock when the ping was sent (echoed),
+* ``t1`` — worker clock when the ping arrived,
+* ``t2`` — worker clock when the pong was handed to the socket,
+* ``t3`` — coordinator clock when the pong was received,
 
 from which one sample gives ``offset = ((t1 - t0) + (t2 - t3)) / 2``
 (remote minus local) with an error bounded by ``rtt / 2`` where
@@ -73,7 +73,7 @@ _NO_FIT = ClockFit(0.0, 0.0, float("inf"), 0)
 class ClockSync:
     """Sliding-window offset+drift estimator for one remote clock.
 
-    Thread-safe: ``observe`` is called from router threads, ``to_local``
+    Thread-safe: ``observe`` is called from receive threads, ``to_local``
     from whoever maps timestamps.  The fit is recomputed lazily — at most
     once per new sample — and reads are lock-free on the last fit.
     """

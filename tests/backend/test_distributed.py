@@ -18,10 +18,16 @@ from types import SimpleNamespace
 import pytest
 
 from repro.backend import DistributedBackend, available_backends, make_backend
-from repro.backend.distributed.coordinator import _DistributedSession, _Replica, _WorkerConn
+from repro.backend.distributed.coordinator import (
+    _DistributedSession,
+    _Replica,
+    _Route,
+    _WorkerConn,
+)
 from repro.backend.distributed.protocol import PREAMBLE, recv_frame, send_frame
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
+from repro.obs.events import NULL_BUS
 from repro.runtime.threads import StageError
 from repro.skel.api import pipeline_1for1
 from repro.transport import PickleCodec, from_wire, to_wire
@@ -305,7 +311,7 @@ class TestFailureHandling:
             b.close()
 
     def test_a_stage_no_worker_can_host_fails_the_session(self, producer):
-        # The worker answers place_failed and drops every task dealt to the
+        # The worker answers the place with its error and drops every task dealt to the
         # slot it never hosted: open() or the stream raises the error naming
         # the stage, nothing waits on the dropped tasks, and close() leaves
         # no segment busy.
@@ -374,6 +380,93 @@ class TestFailureHandling:
             b.close()
 
 
+def _slow_inc(x):
+    time.sleep(0.002)
+    return x + 1
+
+
+class TestRoutes:
+    """Two workers, stage 0 on one and stage 1 on the other (as
+    ``tiny_distributed`` places them): items pass worker to worker and only
+    stage 1, the boundary, reports to the coordinator."""
+
+    @staticmethod
+    def _backend(**kw):
+        pipe = PipelineSpec(
+            (
+                StageSpec(name="inc", work=0.002, fn=_slow_inc),
+                StageSpec(name="triple", work=0.01, fn=_slow_triple),
+            )
+        )
+        b = DistributedBackend(pipe, spawn_workers=2, **kw)
+        b.warm()
+        first, boundary = b.replica_placement()
+        assert len(first) == len(boundary) == 1 and first.keys() != boundary.keys()
+        return b
+
+    @pytest.mark.parametrize("batching", [None, 8], ids=["per-item", "batch8"])
+    @pytest.mark.parametrize("victim", [0, 1], ids=["first-hop", "boundary"])
+    def test_a_killed_worker_on_a_route_redispatches_its_segment_once(
+        self, victim, batching, producer
+    ):
+        from repro.transport import busy_segments
+
+        n = 120
+        b = self._backend()
+        shm_session = b._codec.session
+        try:
+            session = b.open(batching=batching)
+            events = []
+            session.events.subscribe(
+                events.append, kinds=("worker.death", "worker.redispatch")
+            )
+
+            def stream():
+                for x in range(n):
+                    session.submit(x)
+                return session.drain()
+
+            run = producer.submit(stream)
+            time.sleep(0.3)  # routes in flight on both workers
+            assert not run.done()
+            (wid,) = b.replica_placement()[victim]
+            b._workers[wid].proc.kill()
+            assert run.result(timeout=30) == _expected(range(n))
+            (death,) = [e for e in events if e.kind == "worker.death"]
+            redispatched = [e for e in events if e.kind == "worker.redispatch"]
+            assert death.fields["lost_items"] == len(redispatched) > 0
+            assert all(e.fields["stage"] == 0 for e in redispatched)  # from the segment's head
+            assert len(b.alive_workers()) == 1
+        finally:
+            b.close()
+        assert busy_segments(shm_session) == []
+
+    def test_intermediate_frames_are_released_where_they_are_read(self):
+        from repro.transport import busy_segments
+        from repro.workloads.payloads import make_arrays
+
+        pipe = PipelineSpec(
+            (
+                StageSpec(name="scale", work=0.001, fn=_scale_array),
+                StageSpec(name="sum", work=0.001, fn=_sum_array),
+            )
+        )
+        with DistributedBackend(pipe, spawn_workers=2, transport="shm") as b:
+            session = b.open()
+            assert all(w["shm_ok"] for w in b.alive_workers())
+            first, boundary = b.replica_placement()
+            assert first.keys() != boundary.keys()
+            for stream in range(2):
+                arrays = make_arrays(12, mbytes=1.0, seed=stream)
+                for a in arrays:
+                    session.submit(a)
+                assert session.drain() == [float((a * 2.0).sum()) for a in arrays]
+                # Stage 0's outputs went worker to worker as descriptors: the
+                # reader released each, so nothing but the probe stays busy.
+                busy = busy_segments(b._codec.session)
+                assert [seg for seg in busy if "probe" not in seg] == [], stream
+
+
 class TestReconfigure:
     def test_grow_spreads_across_workers(self, backend):
         backend.warm()
@@ -395,13 +488,19 @@ class TestReconfigure:
         assert res.outputs == _expected(range(60))
         assert backend.replica_counts()[1] == 1
 
-    def test_a_retire_follows_its_slots_last_result(self, producer):
-        # Every send on each connection and every accepted result, in one
-        # log: a shrunk replica's retire comes after the last result
-        # accepted for its slot, and no task for that slot follows it.
-        pipe = PipelineSpec((StageSpec(name="triple", work=0.01, fn=_slow_triple),))
-        with DistributedBackend(pipe, spawn_workers=2, replicas=[2], max_replicas=2) as b:
-            session = b.open()
+    @pytest.mark.parametrize("routed", [False, True], ids=["one-stage", "route"])
+    def test_a_retire_follows_its_slots_last_result(self, producer, routed):
+        # Every send on each connection and every accepted route, in one
+        # log: a shrunk stage-0 replica's retire comes after the last route
+        # through its slot completed — on a route, at stage 1's boundary —
+        # and no task for that slot follows it.
+        stages = [StageSpec(name="triple", work=0.01, fn=_slow_triple)]
+        stages += [StageSpec(name="inc", work=0.001, fn=_inc)] if routed else []
+        replicas = [2, 1] if routed else [2]
+        with DistributedBackend(
+            PipelineSpec(tuple(stages)), spawn_workers=2, replicas=replicas, max_replicas=2
+        ) as b:
+            b.open()
             log, lock = [], threading.Lock()
             for w in b._workers.values():
                 def send(msg, w=w, send=w.outbox.send):
@@ -410,19 +509,14 @@ class TestReconfigure:
                     return send(msg)
 
                 w.outbox.send = send
-            accept = session._accept
+            settle = b._settle
 
-            def spy(stage, msg):
-                w, _, frame = msg
+            def spy(seq, route):  # a route accepted at its boundary
                 with lock:
-                    at = len(log)
-                    log.append(("stale", w.id, stage, frame[3]))
-                hop = accept(stage, msg)
-                if hop is not None:
-                    log[at] = ("accepted", w.id, stage, frame[3])
-                return hop
+                    log.extend(("accepted", r.worker.id, r.stage, r.slot) for r in route.replicas)
+                settle(seq, route)
 
-            session._accept = spy
+            b._settle = spy
             run = producer.submit(b.run, range(60))
             time.sleep(0.15)  # both replicas hold a full allowance
             b.reconfigure(0, 1)
@@ -430,12 +524,13 @@ class TestReconfigure:
             retires = [(i, e[1:]) for i, e in enumerate(log) if e[0] == "retire"]
             assert len(retires) == 1
             (at, slot), = retires
+            assert slot[1] == 0  # stage 0's
             after = [e[0] for e in log[at + 1:] if e[1:] == slot]
             before = [e[0] for e in log[:at] if e[1:] == slot]
             assert "accepted" in before and after == []
             assert before.count("task") == before.count("accepted")
-            assert res.outputs == [x * 3 for x in range(60)]
-            assert b.replica_counts() == [1]
+            assert res.outputs == [x * 3 + routed for x in range(60)]
+            assert b.replica_counts() == [1] * len(stages)
 
     def test_a_retired_replica_whose_worker_dies_is_redispatched_once(self, producer):
         pipe = PipelineSpec((StageSpec(name="double", work=0.05, fn=_slow_double),))
@@ -520,19 +615,16 @@ def test_worker_drops_a_task_for_an_unknown_slot_and_serves_on():
         hello = recv_frame(sock)
         assert hello[0] == "hello" and hello[1] == "drop-test"
         send_frame(
-            sock, ("welcome", 0, 5.0, 8, {"name": "pickle", "session": "t", "probe": None})
+            sock, ("welcome", 0, 8, {"name": "pickle", "session": "t", "probe": None}, b"t", [])
         )
         shm_ok = recv_frame(sock)
         assert shm_ok == ("shm_ok", False)  # no probe offered -> inline only
         payload = to_wire(PickleCodec().encode("payload"))
-        send_frame(sock, ("task", 1, 0, 7, 3, payload, 0.0))
+        send_frame(sock, ("task", 1, 0, 7, 3, payload, 0.0, (), ()))
         send_frame(sock, ("place", 0, 1, pickle.dumps(_inc), "inc"))
-        send_frame(sock, ("task", 1, 0, 1, 4, to_wire(PickleCodec().encode(41)), 0.0))
-        frames = [recv_frame(sock)]
-        while frames[-1][0] == "heartbeat":
-            frames.append(recv_frame(sock))
-        result = frames[-1]
-        assert [f[0] for f in frames[:-1]] == ["heartbeat"] * (len(frames) - 1)
+        send_frame(sock, ("task", 1, 0, 1, 4, to_wire(PickleCodec().encode(41)), 0.0, (), ()))
+        assert recv_frame(sock) == ("placed", 0, 1, None)
+        result = recv_frame(sock)  # the worker sends nothing unasked: no heartbeat
         assert result[:6] == ("result", 1, 0, 1, 4, True)
         assert PickleCodec().decode(from_wire(result[6], "pickle")) == 42
         send_frame(sock, ("shutdown",))
@@ -545,7 +637,8 @@ def test_worker_drops_a_task_for_an_unknown_slot_and_serves_on():
 
 def test_a_worker_reports_one_set_of_stamps_per_result():
     # A worker traces nothing: its result carries the four timing stamps
-    # and nothing else, and its heartbeat carries only the load average.
+    # and nothing else, and its pong carries the ping's stamps and the load
+    # average.
     from repro.backend.distributed.worker import WorkerAgent
 
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -560,20 +653,24 @@ def test_a_worker_reports_one_set_of_stamps_per_result():
         assert sock.recv(len(PREAMBLE), socket.MSG_WAITALL) == PREAMBLE
         assert recv_frame(sock)[0] == "hello"
         send_frame(
-            sock, ("welcome", 0, 0.05, 8, {"name": "pickle", "session": "t", "probe": None})
+            sock, ("welcome", 0, 8, {"name": "pickle", "session": "t", "probe": None}, b"t", [])
         )
         assert recv_frame(sock) == ("shm_ok", False)
         send_frame(sock, ("place", 0, 1, pickle.dumps(_inc), "inc"))
-        send_frame(sock, ("task", 1, 0, 1, 3, to_wire(PickleCodec().encode(41)), 12.5))
+        send_frame(sock, ("task", 1, 0, 1, 3, to_wire(PickleCodec().encode(41)), 12.5, (), ()))
+        send_frame(sock, ("ping", 7.5))
         frames = {}
-        while len(frames) < 2:
+        while len(frames) < 3:
             frame = recv_frame(sock)
             frames.setdefault(frame[0], frame)
-        result, heartbeat = frames["result"], frames["heartbeat"]
-        assert len(heartbeat) == 2 and isinstance(heartbeat[1], float)
+        result, pong = frames["result"], frames["pong"]
+        assert frames["placed"] == ("placed", 0, 1, None)
+        (_, t0, t1, t2, load1) = pong
+        assert t0 == 7.5 and t1 <= t2 and isinstance(load1, float)
         (_, epoch, stage, slot, seq, ok, payload, service_s, wait_s, t_sent,
-         err_repr, t_recv_w, t_send_w) = result
+         err_repr, t_recv_w, t_send_w, trail) = result
         assert (epoch, stage, slot, seq, ok, t_sent, err_repr) == (1, 0, 1, 3, True, 12.5, None)
+        assert trail == ()  # a route of one hop: nothing upstream
         assert PickleCodec().decode(from_wire(payload, "pickle")) == 42
         assert service_s >= 0 and wait_s >= 0
         assert t_recv_w + wait_s + service_s <= t_send_w
@@ -594,9 +691,9 @@ def test_the_welcome_sizes_the_inbox_for_the_deepest_allowance(capacity, inbox):
         b.warm()
         with socket.create_connection(b.listen_address, timeout=10.0) as sock:
             sock.sendall(PREAMBLE)
-            send_frame(sock, ("hello", "inbox-test", 1, 0.0))
+            send_frame(sock, ("hello", "inbox-test", 1, 0.0, ("127.0.0.1", 1)))
             welcome = recv_frame(sock)
-    assert welcome[0] == "welcome" and welcome[3] == inbox
+    assert welcome[0] == "welcome" and welcome[2] == inbox
 
 
 def _closed_by_peer(sock) -> bool:
@@ -616,8 +713,9 @@ def _closed_by_peer(sock) -> bool:
         + encode_frame(("hello", "next-version", 1, 0.0)),
         b"RPRO" + (1).to_bytes(2, "big") + encode_frame(("hello", "version-1", 1, 0.0)),
         b"RPRO" + (2).to_bytes(2, "big") + encode_frame(("hello", "version-2", 1, 0.0)),
+        b"RPRO" + (3).to_bytes(2, "big") + encode_frame(("hello", "version-3", 1, 0.0)),
     ],
-    ids=["junk", "bare-pickled-hello", "wrong-version", "version-1", "version-2"],
+    ids=["junk", "bare-pickled-hello", "wrong-version", "version-1", "version-2", "version-3"],
 )
 def test_a_connection_without_the_preamble_is_closed_and_nothing_unpickled(
     opening, monkeypatch
@@ -632,6 +730,81 @@ def test_a_connection_without_the_preamble_is_closed_and_nothing_unpickled(
             assert _closed_by_peer(sock)
         assert not b._workers and not b._pending
     assert unpickled == []
+
+
+def _welcomed_agent(token):
+    """A WorkerAgent registered with a bare coordinator socket that welcomes it
+    with ``token`` and no peers: (agent thread, coordinator socket, its peer
+    listener's address)."""
+    from repro.backend.distributed.worker import WorkerAgent
+
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        agent = threading.Thread(
+            target=WorkerAgent(*server.getsockname()[:2], name="peer-test").run, daemon=True
+        )
+        agent.start()
+        sock, _ = server.accept()
+    sock.settimeout(10.0)
+    assert sock.recv(len(PREAMBLE), socket.MSG_WAITALL) == PREAMBLE
+    hello = recv_frame(sock)
+    send_frame(sock, ("welcome", 0, 8, {"name": "pickle", "session": "t", "probe": None}, token, []))
+    assert recv_frame(sock) == ("shm_ok", False)
+    return agent, sock, tuple(hello[4])
+
+
+def _stop_agent(agent, sock):
+    send_frame(sock, ("shutdown",))
+    agent.join(timeout=5.0)
+    sock.close()
+    assert not agent.is_alive()
+
+
+_TOKEN = b"t" * 16
+_PEER = encode_frame(("peer", 5, False))
+
+
+@pytest.mark.parametrize(
+    "opening",
+    [
+        b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
+        _PEER + _PEER,
+        PREAMBLE + b"x" * len(_TOKEN) + _PEER,
+        b"RPRO" + (3).to_bytes(2, "big") + _TOKEN + _PEER,
+    ],
+    ids=["junk", "bare-pickled-frame", "wrong-token", "version-3"],
+)
+def test_a_peer_link_without_preamble_and_token_is_closed_and_nothing_unpickled(
+    opening, monkeypatch
+):
+    agent, sock, address = _welcomed_agent(_TOKEN)
+    try:
+        unpickled = []
+        loads = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda data: unpickled.append(data) or loads(data))
+        with socket.create_connection(address, timeout=10.0) as stranger:
+            stranger.sendall(opening)
+            assert _closed_by_peer(stranger)
+        monkeypatch.undo()
+        assert unpickled == []
+    finally:
+        _stop_agent(agent, sock)
+
+
+def test_a_silent_stranger_holds_up_no_peer_link():
+    # The peer handshake runs on each connection's own thread: a worker
+    # dialing behind a connection that says nothing is linked at once.
+    agent, sock, address = _welcomed_agent(_TOKEN)
+    stranger = socket.create_connection(address, timeout=10.0)
+    try:
+        time.sleep(0.05)  # accepted, and parked in its handshake
+        t0 = time.perf_counter()
+        with socket.create_connection(address, timeout=10.0) as peer:
+            peer.sendall(PREAMBLE + _TOKEN + _PEER)
+            assert recv_frame(peer) == ("peer_ok", 0, False)
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        stranger.close()
+        _stop_agent(agent, sock)
 
 
 def test_a_silent_stranger_holds_up_no_registration():
@@ -705,20 +878,23 @@ def test_close_of_a_warm_idle_backend_waits_on_no_poll():
 
 
 def test_idle_routers_run_no_iteration(record_polls):
-    # _poll blocks on the stage's result queue until a result or a wake-up:
-    # an open session with nothing in flight costs the coordinator nothing.
+    # _poll blocks on the boundary's result queue until a result or a
+    # wake-up: an open session with nothing in flight costs the coordinator
+    # nothing.  Stage 0 forwards to stage 1 on the worker, so only the last
+    # stage, the one boundary, has a router.
     polled = record_polls(DistributedBackend.session_class)
     with DistributedBackend(_pipe(), spawn_workers=1) as b:
         session = b.open()
+        assert [t.name for t in session._threads] == ["distributed-router[1]"]
         for x in range(5):
             session.submit(x)
         assert session.drain() == _expected(range(5))
-        assert len(polled) == 10 and None not in polled  # 5 results x 2 routers
+        assert len(polled) == 5 and None not in polled  # 5 results x 1 router
         time.sleep(0.5)
-        assert len(polled) == 10
+        assert len(polled) == 5
         t0 = time.perf_counter()
         session.close()  # woken, not timed out
-        assert polled[10:] == [None, None] and time.perf_counter() - t0 < 0.1
+        assert polled[5:] == [None] and time.perf_counter() - t0 < 0.1
 
 
 class _CountingCondition(threading.Condition):
@@ -737,22 +913,23 @@ def test_a_dispatcher_parked_on_a_full_replica_wakes_on_the_freed_slot():
     # _reserve_slot waits untimed: parked on a full replica, a dispatcher
     # runs no loop iteration, and the site that frees the slot wakes it.
     with DistributedBackend(_pipe(), spawn_workers=1, capacity=1) as b:
-        cond = b._conds[0] = _CountingCondition()
+        cond = b._cond = _CountingCondition(b._lane_lock)
         session = b.open()
         assert session.submit(1).wait(timeout=10.0)
         (replica,) = b._replicas[0]
-        with cond:  # a frame an aborted stream stranded holds the one slot
-            replica.tasks[99] = b._codec.encode(0)
+        with cond:  # a route an aborted stream stranded holds the one slot
+            replica.tasks[99] = _Route(b._codec.encode(0), [replica])
+        before = cond.waits  # the first dispatch waited for the placements' acks
         admitted = threading.Event()
         producer = threading.Thread(
             target=lambda: (session.submit(2), admitted.set()), daemon=True
         )
         producer.start()
         deadline = time.perf_counter() + 5.0
-        while cond.waits == 0 and time.perf_counter() < deadline:
+        while cond.waits == before and time.perf_counter() < deadline:
             time.sleep(0.005)
         time.sleep(0.5)
-        idle_waits, was_parked = cond.waits, not admitted.is_set()
+        idle_waits, was_parked = cond.waits - before, not admitted.is_set()
         t0 = time.perf_counter()
         b._reclaim()
         woke = admitted.wait(timeout=5.0)  # else close() aborts the parked submit
@@ -801,6 +978,7 @@ class TestPlacementByFinishTime:
             w = _WorkerConn(k, None, f"w{k}", 1)
             w.link_s = link_s
             r = _Replica(w, k)
+            r.placed = True
             r.drain = drain
             r.done_t = 0.0 if drain is None else time.perf_counter()
             replicas.append(r)
@@ -843,8 +1021,8 @@ class TestPlacementByFinishTime:
         parked.join(timeout=0.2)
         assert parked.is_alive(), "the 65th item was not held back"
         session._abort.set()
-        with b._conds[0]:
-            b._conds[0].notify_all()
+        with b._cond:
+            b._cond.notify_all()
         parked.join(timeout=5.0)
         assert not parked.is_alive() and len(lone.tasks) == 64
 
@@ -864,14 +1042,17 @@ class TestPlacementByFinishTime:
         # 0.1, not round trips of 1.1 and 1.2); a fourth, sent at 5.0 to the
         # idle replica, finishes at 5.3 (its gap counts from its own send).
         (r,) = self._replicas(b, (None, 1e-4))
-        # _accept reads .backend and hands the stamps to _trace_hop.
-        router = SimpleNamespace(backend=b, _trace_hop=lambda *stamps: None)
+        # _accept reads .backend and .events, and maps clock stamps.
+        router = SimpleNamespace(
+            backend=b, events=NULL_BUS, _clock_event=lambda *args: None, perf_to_session=float
+        )
         timeline = [(0.0, 1.0, 1.0), (0.0, 1.1, 0.1), (0.0, 1.2, 0.1), (5.0, 5.3, 0.3)]
         expected, link_s = None, r.worker.link_s
         for seq, (t_sent, recv_t, gap) in enumerate(timeline):
-            r.tasks[seq] = b._codec.encode(seq)
+            route = r.tasks[seq] = _Route(b._codec.encode(seq), [r])
+            route.t_sent = t_sent
             result = ("result", 0, 0, r.slot, seq, True, to_wire(b._codec.encode(seq)), 0.0, 0.0,
-                      t_sent, None, 0.0, 0.0)
+                      t_sent, None, 0.0, 0.0, ())
             hop = _DistributedSession._accept(router, 0, (r.worker, recv_t, result))
             assert hop.seq == seq and hop.transfer_s == pytest.approx((recv_t - t_sent) / 2)
             expected = gap if expected is None else expected + 0.1 * (gap - expected)

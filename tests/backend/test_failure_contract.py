@@ -1,7 +1,10 @@
 """A stage failure means the same thing on every real executor.
 
 One body, four executors (threads / processes / asyncio / distributed), per
-item and micro-batched.  A stage raising ``ValueError`` on item ``K``:
+item and micro-batched, with the failing stage last and first.  First, it is
+inside a segment on ``processes`` and a hop before the boundary on
+``distributed``: its error comes straight back from that hop.  A stage
+raising ``ValueError`` on item ``K``:
 
 (a) ``drain()`` raises a ``StageError`` naming the stage, its ``.original``
     a ``ValueError`` — the worker's own exception, not a stand-in;
@@ -45,6 +48,23 @@ def _boom_on_k(x):
     return 2 * x
 
 
+def _boom_first(x):
+    if x == K:
+        raise ValueError(f"bad item {x}")
+    return x + 1
+
+
+def _double(x):
+    return 2 * x
+
+
+# Either way ``run([1])`` gives [4]: (1 + 1) * 2.
+PIPELINES = {
+    "last": (("inc", _inc), ("boom", _boom_on_k)),
+    "first": (("boom", _boom_first), ("double", _double)),
+}
+
+
 def _session_threads():
     """Live threads a session owns: fabric workers, collector, flusher, routers."""
     return sorted(
@@ -54,14 +74,12 @@ def _session_threads():
     )
 
 
+@pytest.mark.parametrize("failing", PIPELINES)
 @pytest.mark.parametrize("batching", [None, 8], ids=["per-item", "batch8"])
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_stage_failure_is_one_contract(executor, batching):
+def test_stage_failure_is_one_contract(executor, batching, failing):
     pipe = PipelineSpec(
-        (
-            StageSpec(name="inc", work=1e-4, fn=_inc),
-            StageSpec(name="boom", work=1e-4, fn=_boom_on_k),
-        )
+        tuple(StageSpec(name=name, work=1e-4, fn=fn) for name, fn in PIPELINES[failing])
     )
     children_before = set(mp.active_children())
     with make_backend(executor, pipe, **EXECUTORS[executor]) as backend:

@@ -399,30 +399,36 @@ class TestDistributedSessionStreams:
         from repro.transport import PickleCodec, to_wire
 
         def result(task, value):
-            _, epoch, stage, slot, seq, _payload, t_sent = task
+            _, epoch, stage, slot, seq, _payload, t_sent, _route, trail = task
             wire = to_wire(PickleCodec().encode(value))
             return ("result", epoch, stage, slot, seq, True, wire, 0.0, 0.0, t_sent, None,
-                    0.0, 0.0)
+                    0.0, 0.0, trail)
+
+        def next_frame(sock):  # what the coordinator sends, past its pings
+            frame = recv_frame(sock)
+            return next_frame(sock) if frame[0] == "ping" else frame
 
         pipe = PipelineSpec((StageSpec(name="square", work=0.001, fn=_slow_square),))
         with DistributedBackend(pipe, spawn_workers=0, heartbeat_interval=5.0) as b:
             b.warm()
             with socket.create_connection(b.listen_address, timeout=10.0) as sock:
                 sock.sendall(PREAMBLE)
-                send_frame(sock, ("hello", "fake", 1, 0.0))
+                send_frame(sock, ("hello", "fake", 1, 0.0, ("127.0.0.1", 1)))
                 assert recv_frame(sock)[0] == "welcome"
                 send_frame(sock, ("shm_ok", False))
                 b.wait_for_workers(1, timeout=10.0)
                 first = b.open()
-                assert recv_frame(sock)[0] == "place"
+                _, stage, slot, *_ = place = next_frame(sock)
+                assert place[0] == "place"
+                send_frame(sock, ("placed", stage, slot, None))
                 first.submit(3)
-                old = recv_frame(sock)
+                old = next_frame(sock)
                 send_frame(sock, result(old, 9))
                 assert first.drain() == [9]
                 first.close()
                 second = b.open()
                 second.submit(4)
-                live = recv_frame(sock)
+                live = next_frame(sock)
                 assert live[1] == old[1] + 1 and live[2:5] == old[2:5]
                 send_frame(sock, result(old, -1))  # the stale twin arrives first
                 send_frame(sock, result(live, 16))
