@@ -767,7 +767,8 @@ class DistributedBackend(Backend):
                 elif kind == "placed":
                     _, stage, slot, err_repr = frame
                     with self._lane_lock:  # (w, slot) names one replica
-                        placed = [r for r in self._replicas[stage] if (r.worker, r.slot) == (w, slot)]
+                        replicas = self._replicas[stage]
+                        placed = [r for r in replicas if (r.worker, r.slot) == (w, slot)]
                         for r in placed:
                             r.placed = err_repr is None  # routes may pass it from now on
                         self._cond.notify_all()

@@ -8,18 +8,14 @@ first element is the kind (see the table in ``docs/distributed.md``):
 ========================  =========  ====================================
 kind                      direction  fields after the kind
 ========================  =========  ====================================
-``hello``                 w → c      name, cores, load1, address (where
-                                     the worker's peer listener accepts)
+``hello``                 w → c      name, cores, load1, peer address
 ``welcome``               c → w      worker_id, inbox, transport_spec,
-                                     token, peers (``(worker_id,
-                                     address)`` of each earlier worker)
-``peer``                  w → w      worker_id, shm_ok (after
-                                     ``PREAMBLE + token``)
+                                     token, peers (``(id, address)``)
+``peer``                  w → w      worker_id, shm_ok (after the token)
 ``peer_ok``               w → w      worker_id, shm_ok
-``shm_ok``                w → c      bool (the worker verified the
-                                     transport spec's shared-memory
-                                     probe); sent once every peer link
-                                     is up, it completes registration
+``shm_ok``                w → c      bool (the spec's shm probe checks
+                                     out); once every peer link is up,
+                                     it completes registration
 ``link_failed``           w → c      worker_id, error_repr
 ``place``                 c → w      stage, slot, fn_payload, stage_name
 ``placed``                w → c      stage, slot, error_repr (None: the
@@ -39,18 +35,15 @@ kind                      direction  fields after the kind
 ``epoch`` names the coordinator's session (a result of an earlier one is
 dropped).  A segment travels as one **route**: the first hop's ``task``
 lists the rest as ``(stage, slot, worker_id)``; each hop passes its output
-to the next (its own replica's inbox, or a peer link) and appends
+on (into its own replica's inbox, or over a peer link), appending
 ``(stage, worker_id, slot, t_recv_w, wait_s, service_s, t_send_w,
-nbytes)`` to ``trail``; only the last hop sends a ``result``, a failure
-comes straight back from its hop.  ``t_sent`` is the coordinator's send of
-the first hop, echoed back to be differenced on the machine that produced
-it; ``t_recv_w``/``t_send_w`` are a worker's clock at task arrival and
-hand-off.  With ``wait_s`` and ``service_s`` they are all the timing a
-worker reports: the coordinator derives each hop's ``span.phases`` and
-``wk.*`` points from them through its per-worker
-:class:`repro.obs.clock.ClockSync` fit, which the NTP-style quadruple of
-each ``ping``/``pong`` feeds with an explicit rtt/2 error bound — the
-protocol itself never compares clocks across hosts.
+nbytes)`` to ``trail``; the last hop sends the ``result``, a failure any
+hop.  ``t_sent`` (the coordinator's send of the first hop) is only echoed
+back; ``t_recv_w``/``t_send_w`` (a worker's clock at task arrival and
+hand-off), ``wait_s`` and ``service_s`` are all the timing a worker
+reports, mapped per hop through the coordinator's per-worker
+:class:`repro.obs.clock.ClockSync` fit, which each ``ping``/``pong``
+quadruple feeds with an rtt/2 error bound.
 
 ``payload`` fields are frames in their flat wire form
 (:func:`repro.transport.to_wire`): the pickle stream itself, as ``bytes``,

@@ -42,12 +42,11 @@ Stage callables arrive pickled, so they must be importable on the worker
 forked from the coordinator process, which makes any module already loaded
 there — including test modules — resolvable without an installed package.
 
-``--link-delay`` delays every task that reaches the worker over a link
-(from the coordinator or a peer) before its arrival stamp, simulating a
-slow link (E16): it shows in the measured transfer time, not in service or
-wait.  ``--link-bandwidth`` is its size-aware sibling (E17): an extra
-``payload_bytes / bandwidth`` seconds per task, a bandwidth-starved link
-the coordinator's size-stratified link fit must detect.
+``--link-delay`` delays every task reaching the worker over a link (from
+the coordinator or a peer) before its arrival stamp, so a slow link (E16)
+shows in the measured transfer time, not in service or wait;
+``--link-bandwidth`` adds ``payload_bytes / bandwidth`` seconds per task,
+a bandwidth-starved link (E17) the size-stratified link fit must detect.
 """
 
 from __future__ import annotations
@@ -269,7 +268,7 @@ class WorkerAgent:
     # ------------------------------------------------------------ peer links
     @staticmethod
     def _dial(address) -> socket.socket:
-        sock = socket.create_connection(tuple(address), timeout=10.0)
+        sock = socket.create_connection(address, timeout=10.0)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
@@ -290,15 +289,19 @@ class WorkerAgent:
 
     def _link(self, wid: int, address) -> bool:
         """Dial an earlier worker; False, reported, when the pair cannot connect."""
+        sock = None
         try:
             sock = self._dial(address)
-            sock.sendall(PREAMBLE + self._token + encode_frame(("peer", self.worker_id, self.shm_ok)))
+            hello = encode_frame(("peer", self.worker_id, self.shm_ok))
+            sock.sendall(PREAMBLE + self._token + hello)
             reader = sock.makefile("rb", buffering=1 << 16)
             reply = read_frame(reader.read)
             if not (isinstance(reply, tuple) and reply[:2] == ("peer_ok", wid)):
                 raise ProtocolError(f"expected peer_ok, got {reply!r}")
             sock.settimeout(None)
         except (OSError, ProtocolError) as err:
+            if sock is not None:
+                sock.close()
             self._outbox.send(("link_failed", wid, repr(err)))
             return False
         self._adopt(sock, wid, reply[2] and self.shm_ok)
@@ -312,7 +315,9 @@ class WorkerAgent:
                 sock, _addr = listener.accept()
             except OSError:
                 return  # the agent stopped
-            threading.Thread(target=self._admit, args=(sock,), name="worker-peer", daemon=True).start()
+            threading.Thread(
+                target=self._admit, args=(sock,), name="worker-peer", daemon=True
+            ).start()
 
     def _admit(self, sock: socket.socket) -> None:
         """One accepted connection, on its own thread: a stranger until its
@@ -392,9 +397,9 @@ class WorkerAgent:
             kind = frame[0]
             if kind == "task":
                 self._receive(frame, owned=False)
-            elif kind == "ping":
+            elif kind == "ping":  # t0 echoed, then this worker's receive and send stamps
                 now = time.perf_counter()
-                self._outbox.send(("pong", frame[1], now, time.perf_counter(), read_load1()))
+                self._outbox.send(("pong", frame[1], now, now, read_load1()))
             elif kind == "place":
                 _, stage, slot, fn_payload, stage_name = frame
                 try:

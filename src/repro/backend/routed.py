@@ -228,8 +228,8 @@ class RoutedSession(Session):
             # record goes back to item space (seq = first item's gseq,
             # items = N) so span attribution and the top view stay per-item.
             where = self._event_seq(hop.seq)
-            for upstream, worker, service_s, nbytes, queued, at, speed, transfer_s in hop.trail:
-                self._record(upstream, where, service_s, speed, worker, queued, nbytes, at, transfer_s)
+            for upstream, worker, service, nbytes, queued, at, speed, transfer in hop.trail:
+                self._record(upstream, where, service, speed, worker, queued, nbytes, at, transfer)
                 self._record_bytes_in(upstream + 1, nbytes)
             self._record(
                 stage, where, hop.service_s, hop.speed, hop.worker, hop.queued,
