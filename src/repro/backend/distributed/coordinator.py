@@ -37,12 +37,10 @@ Topology (routes — a segment's items pass worker to worker)::
 * Items travel through the **negotiated transport** (``transport=``):
   :meth:`DistributedBackend._dispatch` — the one send loop for first
   dispatch, forwarding and re-dispatch — **encodes after worker
-  selection**: descriptor frames for a worker that verified the session's
-  shm probe, inline pickle for a remote one.  ``"auto"``'s threshold is
-  calibrated at warm-up.  The coordinator releases a route's input frame
-  when the route completes (a death can always re-dispatch it), the worker
-  that consumes an intermediate frame releases that, and ``close()`` sweeps
-  (unlinks) the session's segments.
+  selection** (descriptors for a worker that verified the shm probe,
+  inline pickle for a remote one).  A route's input frame is released when
+  the route completes, an intermediate frame by the worker that reads it,
+  and ``close()`` sweeps (unlinks) the session's segments.
 * **Link cost is measured, not assumed**: each hop's stamps, mapped through
   its worker's clock fit (fed by ``pong``), give its wire time, charged with
   the bytes that crossed to the receiving worker's
@@ -51,11 +49,9 @@ Topology (routes — a segment's items pass worker to worker)::
   placement and :meth:`~DistributedBackend.resource_view`.
 * **Failure handling**: connection EOF, a peer's report that a forward
   failed, or a missed ``pong`` marks a worker dead; its replicas leave
-  every stage's set (a stage left empty is re-placed on a survivor), every
-  route through it is re-dispatched, and the shrunken local view is what
-  the adaptation loop sees next.
-* ``reconfigure(stage, n)`` places or retires replicas across workers live
-  (the run never pauses); growth targets the best speed/link score.
+  every stage's set (an empty stage is re-placed on a survivor) and every
+  route through it is re-dispatched.  ``reconfigure(stage, n)`` places or
+  retires replicas live; growth targets the best speed/link score.
 """
 
 from __future__ import annotations
@@ -175,7 +171,6 @@ class _Replica:
         self.worker = worker
         self.slot = slot
         self.stage = stage
-        self.hop = (stage, slot, worker.id)  # how a route names it
         #: seq -> the item's route, held until the route completes: a
         #: reservation enters the seq (None) and the recorded route replaces it.
         self.tasks: dict[int, _Route | None] = {}
@@ -612,6 +607,11 @@ class DistributedBackend(Backend):
         if self.spawn_workers:
             self.wait_for_workers(self.spawn_workers, timeout=self.register_timeout)
             self._ensure_placements()
+            # Every place answered (a failure or a death ends the wait too), so
+            # a first stream deals to every replica.
+            with self._lane_lock:
+                self._cond.wait_for(lambda: self._config_errors or all(
+                    r.placed for replicas in self._replicas for r in replicas))
 
     def _create_probe(self) -> None:
         """Create the session's shm probe workers verify at registration.
@@ -1069,7 +1069,7 @@ class DistributedBackend(Backend):
                 for r in route:
                     session._emit_items("item.dispatch", seq, stage=r.stage, worker=r.worker.id)
             record.t_sent = t_sent = time.perf_counter()
-            hops = tuple([r.hop for r in route[1:]])
+            hops = tuple([(r.stage, r.slot, r.worker.id) for r in route[1:]])
             if not w.outbox.send(
                 ("task", self._epoch, stage, route[0].slot, seq, to_wire(frame), t_sent, hops, ())
             ):

@@ -168,6 +168,7 @@ class WorkerAgent:
         self.name = name if name is not None else f"{socket.gethostname()}:{os.getpid()}"
         self.link_delay = float(link_delay)
         self.link_bandwidth = float(link_bandwidth)
+        self._delays = threading.Lock()  # the injected delays model one link into the worker
         self.inbox = 1  # per-replica task-queue bound, named by the welcome
         self.worker_id: int | None = None
         self.codec: Codec = _transport.get("pickle")  # until negotiation
@@ -255,11 +256,11 @@ class WorkerAgent:
         if self.link_bandwidth:
             delay += payload.nbytes / self.link_bandwidth
         if delay:
-            time.sleep(delay)
+            with self._delays:  # every receive path, coordinator or peer, queues on it
+                time.sleep(delay)
         runner = self._replicas.get((stage, slot))
-        # A retire follows the last route through its slot, so an unknown
-        # slot is one whose place failed (and failed the session) or one a
-        # stale route names: drop the task.
+        # A retire follows the last route through its slot: an unknown slot's
+        # place failed (and failed the session), or a stale route names it.
         if runner is not None:
             runner.queue.put(
                 _Task(epoch, seq, payload, t_sent, time.perf_counter(), route, trail, owned)
