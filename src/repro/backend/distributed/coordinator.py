@@ -175,8 +175,7 @@ class _Replica:
         #: reservation enters the seq (None) and the recorded route replaces it.
         self.tasks: dict[int, _Route | None] = {}
         self.active = True  # False once retired: it finishes what it was dealt
-        # Its worker confirmed the place: a task from a peer cannot overtake it.
-        self.placed = False
+        self.placed = False  # its worker answered placed: no peer's task overtakes the place
         self.drain: float | None = None  # EWMA of the gap between completions while busy
         self.done_t = 0.0  # perf_counter of the last accepted completion
 
@@ -274,34 +273,28 @@ class _DistributedSession(RoutedSession):
         if bus.active:
             trace, sync = any(map(bus.wants, _HOP_KINDS)), bus.wants("clock.sync")
         t_out, nbytes_in, replay = t_sent, frame_in.nbytes, []
-        *upstream, last = route.replicas
-        for r, (i, _, _, t_in, wait, service, t_done, nbytes) in zip(upstream, trail):
-            # A peer hop: its wire time is the receiving worker's, one way.
-            wk, fit = r.worker, r.worker.clock.fit()
-            off = fit.offset_at(t_in)  # the drift across one hop is far below its error
-            end = t_done - off
-            transfer = max(0.0, t_in - off - t_out)
-            wk.observe_transfer(2 * nbytes_in, 2 * transfer)
+        boundary = (at, w.id, slot, t_recv_w, wait_s, service_s, t_send_w, payload.nbytes)
+        for r, hop in zip(route.replicas, (*trail, boundary)):
+            i, _, _, t_in, wait, service, t_done, nbytes = hop
+            wk = r.worker
+            if hop is boundary:
+                # Wire time both ways (rtt minus service and queue wait), fed
+                # with the bytes that crossed in and back to the size-stratified fit.
+                end, overhead = recv_t, max(0.0, (recv_t - t_out) - wait - service)
+                wk.observe_transfer(nbytes_in + nbytes, overhead)
+            else:  # a peer hop: its wire time is the receiving worker's, one way
+                off = wk.clock.fit().offset_at(t_in)  # the drift across a hop is below its error
+                end = t_done - off
+                transfer = max(0.0, t_in - off - t_out)
+                wk.observe_transfer(2 * nbytes_in, 2 * transfer)
+                at_s = self.perf_to_session(t_in + wait + service - off)
+                replay.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
             r.completed(t_out, end)
             if sync and end - wk.clock_emit_t >= 1.0:
                 self._clock_event(wk, end)
             if trace:
-                self._trace_hop(i, seq, wk, fit.to_local, t_out, t_in, wait, service, t_done, end,
-                                nbytes)
-            at_s = self.perf_to_session(t_in + wait + service - off)
-            replay.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
+                self._trace_hop(seq, wk, wk.clock.fit().to_local, t_out, hop, end)
             t_out, nbytes_in = end, nbytes
-        # The boundary: rtt minus service and queue wait is wire time both
-        # ways; paired with the bytes that crossed (in and back), it feeds
-        # the size-stratified latency/bandwidth fit.
-        overhead = max(0.0, (recv_t - t_out) - wait_s - service_s)
-        w.observe_transfer(nbytes_in + payload.nbytes, overhead)
-        last.completed(t_out, recv_t)
-        if sync and recv_t - w.clock_emit_t >= 1.0:
-            self._clock_event(w, recv_t)
-        if trace:
-            self._trace_hop(at, seq, w, w.clock.fit().to_local, t_out, t_recv_w, wait_s,
-                            service_s, t_send_w, recv_t, payload.nbytes)
         backend._ref_bytes += 0.1 * (frame_in.nbytes - backend._ref_bytes)
         # work_estimate = service x effective speed, so a loaded worker's
         # slow service still yields the true per-item work.
@@ -310,29 +303,41 @@ class _DistributedSession(RoutedSession):
 
     # ---------------------------------------------------------------- tracing
     def _clock_event(self, w: _WorkerConn, now: float) -> None:
-        """A ``clock.sync`` for ``w``, at most one a second, once its fit has a sample."""
+        """A ``clock.sync`` for ``w`` once its fit has a sample (the caller keeps
+        it to one a second)."""
         fit = w.clock.fit()
-        if fit.n and now - w.clock_emit_t >= 1.0 and self.events.wants("clock.sync"):
+        if fit.n:
             w.clock_emit_t = now
             self.events.emit(
-                "clock.sync", at=self.perf_to_session(now), worker=w.id,
-                offset=w.clock.offset(), drift=fit.b, err=fit.err, n=fit.n,
+                "clock.sync",
+                at=self.perf_to_session(now),
+                worker=w.id,
+                offset=w.clock.offset(),
+                drift=fit.b,
+                err=fit.err,
+                n=fit.n,
             )
 
     def _trace_hop(
-        self, stage: int, seq: int, w: _WorkerConn, to_local, t_out: float, t_recv_w: float,
-        wait_s: float, service_s: float, t_send_w: float, end: float, nbytes: int,
+        self,
+        seq: int,
+        w: _WorkerConn,
+        to_local,
+        t_out: float,
+        hop: tuple,
+        end: float,
     ) -> None:
-        """Trace one hop from its stamps, mapped through the worker's clock fit
-        (``to_local``): the ``wk.*`` points (dequeue and service exact, encode
-        ending at the hand-off stamp) and the ``span.phases`` tiling the hop
-        from ``t_out`` (the previous hop's hand-off, or the coordinator's
-        send) to ``end`` (its own hand-off, or the boundary result's
-        receipt) — a peer hop's wire time is the receiving hop's
-        ``wire_out``, and only the boundary has a ``wire_back``.  Each term
-        is clamped non-negative: clock-fit error can push a boundary past its
-        neighbour by up to rtt/2.
+        """Trace one ``hop`` (shaped as a trail entry) from its stamps, mapped
+        through the worker's clock fit (``to_local``): the ``wk.*`` points
+        (dequeue and service exact, encode ending at the hand-off stamp) and
+        the ``span.phases`` tiling the hop from ``t_out`` (the previous hop's
+        hand-off, or the coordinator's send) to ``end`` (its own hand-off, or
+        the boundary result's receipt) — a peer hop's wire time is the
+        receiving hop's ``wire_out``, and only the boundary has a
+        ``wire_back``.  Each term is clamped non-negative: clock-fit error can
+        push a boundary past its neighbour by up to rtt/2.
         """
+        stage, _, _, t_recv_w, wait_s, service_s, t_send_w, nbytes = hop
         encode = max(0.0, (t_send_w - t_recv_w) - wait_s - service_s)
         dequeued = t_recv_w + wait_s
         # Durations cover the whole batch when batching (the helper reports
@@ -485,6 +490,8 @@ class DistributedBackend(Backend):
         # Placement failures are configuration errors (e.g. a stage fn that
         # does not resolve on a worker): they outlive per-stream error state.
         self._config_errors: list[BaseException] = []
+        # A newcomer that cannot reach a peer is dropped: wait_for_workers raises each once.
+        self._link_errors: list[BaseException] = []
 
         # Per-stage replica sets and the routes they hold, under one lock: a
         # route is recorded on, and taken off, all its replicas at once.  It is
@@ -655,12 +662,14 @@ class DistributedBackend(Backend):
 
         with self._registry:  # every registry change notifies: accept, shm_ok, death
             self._registry_changed.wait_for(
-                lambda: registered() >= n or self._config_errors, timeout
+                lambda: registered() >= n or self._link_errors, timeout
             )
             if registered() < n:
-                raise (self._config_errors or [RuntimeError(
+                if self._link_errors:
+                    raise self._link_errors.pop(0)
+                raise RuntimeError(
                     f"timed out waiting for {n} workers ({registered()} registered)"
-                )])[0]
+                )
 
     def _accept_loop(self) -> None:
         assert self._server is not None
@@ -715,11 +724,12 @@ class DistributedBackend(Backend):
         return worker
 
     def _monitor_loop(self) -> None:
-        """Ping every live worker each interval; one silent too long is dead."""
+        """Ping every registered worker each interval; one silent too long is dead
+        (one still dialing its peers serves nothing yet: its dials time out)."""
         while not self._closing.wait(self.heartbeat_interval):
             now = time.monotonic()
             with self._registry:
-                live = [w for w in self._workers.values() if w.alive]
+                live = [w for w in self._workers.values() if w.alive and w.shm_replied]
             for w in live:
                 if now - w.last_seen > self.heartbeat_timeout:
                     self._on_worker_death(w)
@@ -745,9 +755,6 @@ class DistributedBackend(Backend):
                     t3 = time.perf_counter()
                     w.observe_load(load)
                     w.clock.observe(t0, t1, t2, t3)  # every worker's, boundary or not
-                    session = self._session
-                    if session is not None and not session.closed:
-                        session._clock_event(w, t3)
                 elif kind == "peer_lost":  # a forward to that worker failed
                     self._on_worker_death(self._workers[frame[1]])
                 elif kind == "shm_ok":
@@ -759,11 +766,11 @@ class DistributedBackend(Backend):
                 elif kind == "link_failed":
                     _, wid, err_repr = frame
                     peer = self._workers[wid]
-                    self._config_errors.append(RuntimeError(
+                    self._link_errors.append(RuntimeError(
                         f"worker {w.name!r} cannot reach worker {peer.name!r} at "
                         f"{peer.address}: {err_repr}"
                     ))
-                    break  # not registered: it goes, and wait_for_workers raises
+                    break  # not registered: it goes (its death wakes wait_for_workers)
                 elif kind == "placed":
                     _, stage, slot, err_repr = frame
                     with self._lane_lock:  # (w, slot) names one replica
@@ -862,8 +869,8 @@ class DistributedBackend(Backend):
             "worker.death", f"worker {w.name!r} died", worker=w.id, name=w.name,
             lost_items=len(lost),
         )
-        if self._closing.is_set():
-            return
+        if self._closing.is_set() or not w.shm_replied:
+            return  # one that never registered hosted nothing
         # A stage stripped of every replica gets one on a survivor; if no
         # workers remain the run cannot finish — fail rather than hang.
         for i, replicas in enumerate(self._replicas):
@@ -933,24 +940,26 @@ class DistributedBackend(Backend):
                 return None
             hosted = self._hosted_counts()
             target = min(cands, key=lambda w: self._worker_score(w, hosted))
-            slot = target.new_slot()
+            replica = _Replica(target, target.new_slot(), stage)
+            # In its set before the place goes out: the worker's ``placed``
+            # may come back before this thread runs again, and must find it.
+            with self._lane_lock:
+                self._replicas[stage].append(replica)
+                n_active = sum(1 for r in self._replicas[stage] if r.active)
+                self._cond.notify_all()
             ok = target.outbox.send(
                 (
                     "place",
                     stage,
-                    slot,
+                    replica.slot,
                     self._fn_payloads[stage],
                     self.pipeline.stage(stage).name,
                 )
             )
             if not ok:
+                self._leave(replica)  # a death handled before the append missed it
                 self._on_worker_death(target)
                 continue
-            replica = _Replica(target, slot, stage)
-            with self._lane_lock:
-                self._replicas[stage].append(replica)
-                n_active = sum(1 for r in self._replicas[stage] if r.active)
-                self._cond.notify_all()
             self.events.emit(
                 "replica.add", stage=stage, worker=target.id, n=n_active
             )
@@ -998,7 +1007,6 @@ class DistributedBackend(Backend):
         link is slow.  An idle replica whose estimate is older than a
         heartbeat gets the next item, so a link that recovers is noticed.
         """
-        cond = self._cond
         depth = session._depth
         with self._lane_lock:
             while True:
@@ -1021,7 +1029,7 @@ class DistributedBackend(Backend):
                                    + r.worker.link_s)
                     best.tasks[seq] = None
                     return best
-                cond.wait()  # every site that frees or adds a slot notifies
+                self._cond.wait()  # every site that frees or adds a slot notifies
 
     def _dispatch(
         self, session: RoutedSession, stage: int, seq: int, frame: "Frame | None",
@@ -1032,12 +1040,9 @@ class DistributedBackend(Backend):
 
         One replica per stage of the segment is reserved in stage order, the
         route recorded on all of them, and the first sent a ``task`` naming
-        the rest.  ``frame=None`` admits the raw ``value`` at stage 0: the
-        first worker is selected *first* and the item encoded for it —
-        descriptor frames for a shm-verified worker, inline pickle for a
-        remote (or not-yet-negotiated) one — so mixed pools pay no
-        segment-write + materialize + release churn.  Returns False only on
-        abort.
+        the rest.  ``frame=None`` admits the raw ``value`` at stage 0, encoded
+        once the first worker is chosen: descriptors for a shm-verified one,
+        inline pickle for a remote one.  Returns False only on abort.
         """
         while True:
             route = []  # an abort leaves its reservations to the session's reclaim

@@ -82,16 +82,22 @@ class _Task:
     t_sent: float  # the coordinator's send of the route's first hop, echoed
     arrived: float  # worker clock, stamped after any injected link delay
     route: tuple  # the hops after this one: (stage, slot, worker id) each
-    trail: tuple  # the hops before it, as the result reports them
-    owned: bool  # an intermediate frame: released here once decoded
+    # The hops before it, as the result reports them: a task with a trail
+    # carries an intermediate frame, released where it is decoded.
+    trail: tuple
 
 
 class _ReplicaRunner:
     """One hosted stage replica: a thread draining a bounded ``Handoff``."""
 
     def __init__(
-        self, agent: "WorkerAgent", stage: int, slot: int, fn: Callable[[Any], Any],
-        stage_name: str, capacity: int,
+        self,
+        agent: "WorkerAgent",
+        stage: int,
+        slot: int,
+        fn: Callable[[Any], Any],
+        stage_name: str,
+        capacity: int,
     ) -> None:
         self.stage = stage
         self.slot = slot
@@ -117,12 +123,16 @@ class _ReplicaRunner:
                 # re-dispatch the segment after a death); a frame a hop
                 # before this one made is this replica's to release.
                 value = agent.codec.decode(task.payload)
-                if task.owned:
+                if task.trail:
                     agent.codec.release(task.payload)
                 # A micro-batch maps element-wise and travels on as one
                 # frame; a death re-dispatches the whole batch, so per-item
                 # exactly-once holds by construction.
-                result = map_batch(self.fn, value) if isinstance(value, Batch) else self.fn(value)
+                result = (
+                    map_batch(self.fn, value)
+                    if isinstance(value, Batch)
+                    else self.fn(value)
+                )
                 service_s = time.perf_counter() - started
                 out = agent._codec_for(task.route).encode(result)
             except BaseException as err:  # noqa: BLE001 - shipped to coordinator
@@ -155,8 +165,14 @@ class WorkerAgent:
     """
 
     def __init__(
-        self, host: str, port: int, *, cores: int | None = None, name: str | None = None,
-        link_delay: float = 0.0, link_bandwidth: float = 0.0,
+        self,
+        host: str,
+        port: int,
+        *,
+        cores: int | None = None,
+        name: str | None = None,
+        link_delay: float = 0.0,
+        link_bandwidth: float = 0.0,
     ) -> None:
         if link_delay < 0:
             raise ValueError(f"link_delay must be >= 0, got {link_delay}")
@@ -208,17 +224,37 @@ class WorkerAgent:
 
     # -------------------------------------------------------------- plumbing
     def _send_result(
-        self, task: _Task, stage: int, slot: int, ok: bool,
+        self,
+        task: _Task,
+        stage: int,
+        slot: int,
+        ok: bool,
         payload: "Frame | bytes | None",  # the result, or a failure's pickled error
-        service_s: float, wait_s: float, err_repr: str | None,
+        service_s: float,
+        wait_s: float,
+        err_repr: str | None,
     ) -> None:
         """Ship one result home with the trail and this hop's worker-clock
         receive/send pair (the coordinator's clock fit, phase decomposition
         and ``wk.*`` points all come from these stamps)."""
-        self._outbox.send((
-            "result", task.epoch, stage, slot, task.seq, ok, to_wire(payload) if ok else payload,
-            service_s, wait_s, task.t_sent, err_repr, task.arrived, time.perf_counter(), task.trail,
-        ))
+        self._outbox.send(
+            (
+                "result",
+                task.epoch,
+                stage,
+                slot,
+                task.seq,
+                ok,
+                to_wire(payload) if ok else payload,
+                service_s,
+                wait_s,
+                task.t_sent,
+                err_repr,
+                task.arrived,
+                time.perf_counter(),
+                task.trail,
+            )
+        )
 
     def _pass_on(
         self, task: _Task, stage: int, slot: int, out: Frame, service_s: float, wait_s: float
@@ -234,8 +270,9 @@ class WorkerAgent:
         if wid == self.worker_id:  # the next replica is here: no wire
             runner = self._replicas.get((nstage, nslot))
             if runner is not None:
-                runner.queue.put(_Task(task.epoch, task.seq, out, task.t_sent, now, route,
-                                       trail, True))
+                runner.queue.put(_Task(task.epoch, task.seq, out, task.t_sent, now, route, trail))
+            else:  # a stale route: no replica reads the frame, so it goes here
+                self.codec.release(out)
             return
         link = self._peers.get(wid)
         msg = ("task", task.epoch, nstage, nslot, task.seq, to_wire(out), task.t_sent, route, trail)
@@ -248,7 +285,7 @@ class WorkerAgent:
         self._peers.pop(wid, None)
         self._outbox.send(("peer_lost", wid))
 
-    def _receive(self, frame: tuple, owned: bool) -> None:
+    def _receive(self, frame: tuple) -> None:
         """Queue one ``task`` for its replica, after any injected link delay."""
         _, epoch, stage, slot, seq, payload, t_sent, route, trail = frame
         payload = from_wire(payload, self.codec.name)
@@ -263,8 +300,10 @@ class WorkerAgent:
         # place failed (and failed the session), or a stale route names it.
         if runner is not None:
             runner.queue.put(
-                _Task(epoch, seq, payload, t_sent, time.perf_counter(), route, trail, owned)
+                _Task(epoch, seq, payload, t_sent, time.perf_counter(), route, trail)
             )
+        elif trail:  # a frame a hop before made, and no replica will read it
+            self.codec.release(payload)
 
     # ------------------------------------------------------------ peer links
     @staticmethod
@@ -282,7 +321,7 @@ class WorkerAgent:
     def _read_peer(self, reader) -> None:
         try:
             while (frame := read_frame(reader.read)) is not None:
-                self._receive(frame, owned=True)
+                self._receive(frame)
         except (OSError, ProtocolError):
             pass
         finally:
@@ -397,7 +436,7 @@ class WorkerAgent:
                 return
             kind = frame[0]
             if kind == "task":
-                self._receive(frame, owned=False)
+                self._receive(frame)
             elif kind == "ping":  # t0 echoed, then this worker's receive and send stamps
                 now = time.perf_counter()
                 self._outbox.send(("pong", frame[1], now, now, read_load1()))
@@ -430,23 +469,44 @@ def main(argv: list[str] | None = None) -> None:
         prog="python -m repro.backend.distributed.worker",
         description="Join a distributed pipeline coordinator as a worker.",
     )
-    parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address to register with")
-    parser.add_argument("--cores", type=int, default=None,
-                        help="advertised core count (default: os.cpu_count())")
+    parser.add_argument(
+        "--connect",
+        required=True,
+        metavar="HOST:PORT",
+        help="coordinator address to register with",
+    )
+    parser.add_argument(
+        "--cores",
+        type=int,
+        default=None,
+        help="advertised core count (default: os.cpu_count())",
+    )
     parser.add_argument("--name", default=None, help="advertised worker name")
-    parser.add_argument("--link-delay", type=float, default=0.0,
-                        help="inject an artificial per-task receive delay in seconds")
-    parser.add_argument("--link-bandwidth", type=float, default=0.0,
-                        help="inject an artificial bandwidth limit in bytes/s (0 = unlimited)")
+    parser.add_argument(
+        "--link-delay",
+        type=float,
+        default=0.0,
+        help="inject an artificial per-task receive delay in seconds",
+    )
+    parser.add_argument(
+        "--link-bandwidth",
+        type=float,
+        default=0.0,
+        help="inject an artificial bandwidth limit in bytes/s (0 = unlimited)",
+    )
     args = parser.parse_args(argv)
     host, _, port = args.connect.rpartition(":")
     if not host or not port.isdigit():
         parser.error(f"--connect must be HOST:PORT, got {args.connect!r}")
     WorkerAgent(
-        host, int(port), cores=args.cores, name=args.name, link_delay=args.link_delay,
+        host,
+        int(port),
+        cores=args.cores,
+        name=args.name,
+        link_delay=args.link_delay,
         link_bandwidth=args.link_bandwidth,
     ).run()
+
 
 if __name__ == "__main__":
     main()

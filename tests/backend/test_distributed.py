@@ -733,15 +733,14 @@ def test_a_connection_without_the_preamble_is_closed_and_nothing_unpickled(
 
 
 def _welcomed_agent(token):
-    """A WorkerAgent registered with a bare coordinator socket that welcomes it
-    with ``token`` and no peers: (agent thread, coordinator socket, its peer
-    listener's address)."""
+    """A WorkerAgent registered with a bare coordinator socket that welcomes
+    it as worker 0 with ``token`` and no peers: (the agent, its thread, the
+    coordinator socket, its peer listener's address)."""
     from repro.backend.distributed.worker import WorkerAgent
 
     with socket.create_server(("127.0.0.1", 0)) as server:
-        agent = threading.Thread(
-            target=WorkerAgent(*server.getsockname()[:2], name="peer-test").run, daemon=True
-        )
+        worker = WorkerAgent(*server.getsockname()[:2], name="peer-test")
+        agent = threading.Thread(target=worker.run, daemon=True)
         agent.start()
         sock, _ = server.accept()
     sock.settimeout(10.0)
@@ -749,7 +748,7 @@ def _welcomed_agent(token):
     hello = recv_frame(sock)
     send_frame(sock, ("welcome", 0, 8, {"name": "pickle", "session": "t", "probe": None}, token, []))
     assert recv_frame(sock) == ("shm_ok", False)
-    return agent, sock, tuple(hello[4])
+    return worker, agent, sock, tuple(hello[4])
 
 
 def _stop_agent(agent, sock):
@@ -776,7 +775,7 @@ _PEER = encode_frame(("peer", 5, False))
 def test_a_peer_link_without_preamble_and_token_is_closed_and_nothing_unpickled(
     opening, monkeypatch
 ):
-    agent, sock, address = _welcomed_agent(_TOKEN)
+    _, agent, sock, address = _welcomed_agent(_TOKEN)
     try:
         unpickled = []
         loads = pickle.loads
@@ -793,7 +792,7 @@ def test_a_peer_link_without_preamble_and_token_is_closed_and_nothing_unpickled(
 def test_a_silent_stranger_holds_up_no_peer_link():
     # The peer handshake runs on each connection's own thread: a worker
     # dialing behind a connection that says nothing is linked at once.
-    agent, sock, address = _welcomed_agent(_TOKEN)
+    _, agent, sock, address = _welcomed_agent(_TOKEN)
     stranger = socket.create_connection(address, timeout=10.0)
     try:
         time.sleep(0.05)  # accepted, and parked in its handshake
@@ -804,6 +803,46 @@ def test_a_silent_stranger_holds_up_no_peer_link():
         assert time.perf_counter() - t0 < 1.0
     finally:
         stranger.close()
+        _stop_agent(agent, sock)
+
+
+class _ReleaseSpy(PickleCodec):
+    """Records every frame released through it."""
+
+    def __init__(self):
+        super().__init__()
+        self.released = []
+
+    def release(self, frame):
+        self.released.append(frame)
+        super().release(frame)
+
+
+def test_a_frame_no_replica_takes_is_released_where_it_was_dropped():
+    # A stale route can name a slot its worker no longer hosts.  The frame a
+    # hop before made then reaches no replica that would release it: the
+    # worker releases it where it drops it — an output bound for an unknown
+    # local slot, and a peer's task for an unknown slot.
+    worker, agent, sock, address = _welcomed_agent(_TOKEN)
+    spy = worker.codec = _ReleaseSpy()
+    try:
+        send_frame(sock, ("place", 0, 1, pickle.dumps(_inc), "inc"))
+        assert recv_frame(sock) == ("placed", 0, 1, None)
+        task = to_wire(PickleCodec().encode(41))
+        # Stage 0's output goes on to stage 1's slot 9 on this worker (id 0).
+        send_frame(sock, ("task", 1, 0, 1, 3, task, 0.0, ((1, 9, 0),), ()))
+        with socket.create_connection(address, timeout=10.0) as peer:
+            peer.sendall(PREAMBLE + _TOKEN + _PEER)
+            assert recv_frame(peer) == ("peer_ok", 0, False)
+            upstream = ((0, 5, 1, 0.0, 0.0, 0.0, 0.0, 10),)  # worker 5's stage-0 hop
+            send_frame(
+                peer, ("task", 1, 1, 9, 4, to_wire(PickleCodec().encode(7)), 0.0, (), upstream)
+            )
+            deadline = time.monotonic() + 5.0
+            while len(spy.released) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert sorted(PickleCodec().decode(f) for f in spy.released) == [7, 42]
+    finally:
         _stop_agent(agent, sock)
 
 
@@ -829,6 +868,89 @@ def test_a_silent_stranger_holds_up_no_registration():
     assert not agent.is_alive() and _closed_by_peer(stranger)  # close() woke its handshake
     stranger.close()
     assert not [t.name for t in threading.enumerate() if t.name.startswith("dist-")]
+
+
+def test_a_newcomer_that_cannot_reach_a_peer_leaves_the_running_pool_alone():
+    # A worker joining a warm pool that reports a failed peer dial is not
+    # registered: it is dropped, wait_for_workers raises an error naming
+    # both ends, and the pool's next stream runs as before.
+    with DistributedBackend(_pipe(), spawn_workers=2) as b:
+        assert b.run(range(10)).outputs == _expected(range(10))
+        with socket.create_connection(b.listen_address, timeout=10.0) as sock:
+            sock.sendall(PREAMBLE)
+            send_frame(sock, ("hello", "stranded", 1, 0.0, ("127.0.0.1", 1)))
+            welcome = recv_frame(sock)
+            (wid, _address), *_ = welcome[5]
+            send_frame(sock, ("link_failed", wid, "ConnectionRefusedError(111)"))
+            assert _closed_by_peer(sock)
+        with pytest.raises(RuntimeError, match=r"'stranded' cannot reach worker 'local-\d'"):
+            b.wait_for_workers(3, timeout=10.0)
+        assert b.run(range(20)).outputs == _expected(range(20))
+        assert len(b.alive_workers()) == 2
+
+
+def test_a_peer_dial_slower_than_the_heartbeat_timeout_names_both_ends():
+    # A newcomer dials its peers before it serves its coordinator link, and
+    # a dial into an address that answers nothing lasts until it times out
+    # or the far end hangs up — here well past the heartbeat timeout.  The
+    # monitor leaves a worker still dialing alone, so its ``link_failed``
+    # arrives and wait_for_workers names both ends.
+    from repro.backend.distributed.worker import WorkerAgent
+
+    with (
+        DistributedBackend(_pipe(), spawn_workers=0, heartbeat_interval=0.05) as b,
+        socket.create_server(("127.0.0.1", 0)) as silent,
+    ):
+        b.warm()
+        held = []
+
+        def hold():  # accept the dial, answer nothing, hang up after a while
+            conn, _ = silent.accept()
+            held.append(conn)
+            time.sleep(6 * b.heartbeat_timeout)
+            conn.close()
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        with socket.create_connection(b.listen_address, timeout=10.0) as sock:
+            sock.sendall(PREAMBLE)
+            send_frame(sock, ("hello", "silent", 1, 0.0, silent.getsockname()[:2]))
+            assert recv_frame(sock)[0] == "welcome"
+            agent = threading.Thread(target=WorkerAgent(*b.listen_address, name="late").run)
+            agent.start()
+            with pytest.raises(RuntimeError, match=r"'late' cannot reach worker 'silent' at"):
+                b.wait_for_workers(1, timeout=10.0)
+            agent.join(timeout=5.0)
+        holder.join(timeout=5.0)
+    assert not agent.is_alive() and held
+
+
+def test_a_placed_ack_that_outruns_its_placer_is_not_lost(monkeypatch):
+    # A worker may answer ``placed`` before the thread that sent the place
+    # runs again: the replica must already be in its set when the ack is
+    # handled, or the ack finds nothing, no route ever passes the replica
+    # and warm-up waits for it forever.
+    from repro.transport.lane import Outbox
+
+    send = Outbox.send
+
+    def slow_place(self, message):
+        ok = send(self, message)
+        if message[0] == "place":
+            time.sleep(0.2)  # the worker's ack arrives and is handled meanwhile
+        return ok
+
+    monkeypatch.setattr(Outbox, "send", slow_place)
+    b = DistributedBackend(_pipe(), spawn_workers=1)
+    try:
+        warm = threading.Thread(target=b.warm, daemon=True)
+        warm.start()
+        warm.join(timeout=10.0)
+        assert not warm.is_alive(), "warm-up waits for an ack it lost"
+        assert all(r.placed for replicas in b._replicas for r in replicas)
+        assert b.run(range(5)).outputs == _expected(range(5))
+    finally:
+        b.close()
 
 
 def test_close_lets_spawned_workers_exit_by_themselves():
