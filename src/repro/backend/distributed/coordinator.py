@@ -724,12 +724,11 @@ class DistributedBackend(Backend):
         return worker
 
     def _monitor_loop(self) -> None:
-        """Ping every registered worker each interval; one silent too long is dead
-        (one still dialing its peers serves nothing yet: its dials time out)."""
+        """Ping every live worker each interval; one silent too long is dead."""
         while not self._closing.wait(self.heartbeat_interval):
             now = time.monotonic()
             with self._registry:
-                live = [w for w in self._workers.values() if w.alive and w.shm_replied]
+                live = [w for w in self._workers.values() if w.alive]
             for w in live:
                 if now - w.last_seen > self.heartbeat_timeout:
                     self._on_worker_death(w)
@@ -977,10 +976,11 @@ class DistributedBackend(Backend):
         )
 
     def _top_up(self, stage: int, n: int) -> bool:
-        """Place replicas of ``stage`` until ``n`` are active; False with no worker left."""
+        """Place replicas of ``stage`` until ``n`` are active; False with no worker
+        left.  After a failed place nothing is placed again: dispatch raises it."""
         while True:
             with self._lane_lock:
-                if sum(1 for r in self._replicas[stage] if r.active) >= n:
+                if self._config_errors or sum(1 for r in self._replicas[stage] if r.active) >= n:
                     return True
             if self._place_replica(stage) is None:
                 return False

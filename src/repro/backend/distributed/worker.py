@@ -349,6 +349,11 @@ class WorkerAgent:
         threading.Thread(target=self._read_peer, args=(reader,), name=name, daemon=True).start()
         return True
 
+    def _link_all(self, peers) -> None:
+        """Dial every earlier worker, then complete registration (``shm_ok``)."""
+        if all(self._link(wid, address) for wid, address in peers):
+            self._outbox.send(("shm_ok", self.shm_ok))
+
     def _accept_peers(self, listener: socket.socket) -> None:
         while True:
             try:
@@ -409,9 +414,12 @@ class WorkerAgent:
             threading.Thread(
                 target=self._accept_peers, args=(listener,), name="worker-accept", daemon=True
             ).start()
-            if all(self._link(wid, address) for wid, address in peers):
-                self._outbox.send(("shm_ok", self.shm_ok))  # registration complete
-                self._serve_loop(reader.read)
+            # Dials may outlast the heartbeat timeout: the serve loop answers
+            # pings meanwhile (nothing else comes before ``shm_ok``).
+            threading.Thread(
+                target=self._link_all, args=(peers,), name="worker-dial", daemon=True
+            ).start()
+            self._serve_loop(reader.read)
         finally:
             self._stop.set()
             try:  # wakes the accept loop

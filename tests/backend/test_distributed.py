@@ -890,10 +890,10 @@ def test_a_newcomer_that_cannot_reach_a_peer_leaves_the_running_pool_alone():
 
 
 def test_a_peer_dial_slower_than_the_heartbeat_timeout_names_both_ends():
-    # A newcomer dials its peers before it serves its coordinator link, and
-    # a dial into an address that answers nothing lasts until it times out
+    # A dial into an address that answers nothing lasts until it times out
     # or the far end hangs up — here well past the heartbeat timeout.  The
-    # monitor leaves a worker still dialing alone, so its ``link_failed``
+    # newcomer dials beside its serve loop, which answers the monitor's
+    # pings meanwhile, so it is not declared dead: its ``link_failed``
     # arrives and wait_for_workers names both ends.
     from repro.backend.distributed.worker import WorkerAgent
 
@@ -951,6 +951,23 @@ def test_a_placed_ack_that_outruns_its_placer_is_not_lost(monkeypatch):
         assert b.run(range(5)).outputs == _expected(range(5))
     finally:
         b.close()
+
+
+def test_a_newcomer_silent_before_it_registers_is_timed_out():
+    # Pings go to every worker, registered or still linking: one that
+    # answers nothing (a frozen process) is declared dead like any other,
+    # so no later newcomer dials it, or fails on it, for ever.
+    with DistributedBackend(_pipe(), spawn_workers=0, heartbeat_interval=0.05) as b:
+        b.warm()
+        with socket.create_connection(b.listen_address, timeout=10.0) as sock:
+            sock.sendall(PREAMBLE)
+            send_frame(sock, ("hello", "frozen", 1, 0.0, ("127.0.0.1", 1)))
+            assert recv_frame(sock)[0] == "welcome"
+            (frozen,) = b._workers.values()
+            deadline = time.monotonic() + 10.0
+            while frozen.alive and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not frozen.alive
 
 
 def test_close_lets_spawned_workers_exit_by_themselves():
