@@ -102,8 +102,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # thread, place_failed (folded into placed), the process lane's own copy of
 # the boundary rule (routed.boundaries, process_backend.py 535 -> 530).  The
 # growth, +233, is over the +160 that change allowed itself, and it bought
-# less than it claimed: x1.10 items_per_s on tiny_distributed, not x1.2
-# (CHANGES.md).
+# less than it claimed: x1.10-1.16 items_per_s on tiny_distributed over
+# three sets of pairs, not x1.2 (CHANGES.md).
 CEILING = 5400
 
 #: Every other package (``"."``: the top-level modules), set at its count
