@@ -219,8 +219,8 @@ class BackendResult:
 class Session:
     """A long-lived submit/stream pipeline on one backend (see module doc).
 
-    Subclasses wire the four executor hooks (``_begin_stream``,
-    ``_submit_one``, ``_end_stream``, ``_shutdown``) and call back into
+    Subclasses wire the three executor hooks (``_submit_one``,
+    ``_end_stream``, ``_shutdown``) and call back into
     ``_complete``/``_fail`` from their own threads; this base owns every
     piece of stream accounting — admission windows, ordered delivery
     buffering, stream ids, drain barriers, the abort flag and error
@@ -296,7 +296,6 @@ class Session:
         self._stream = -1
         self._streaming = False
         self._eos = False
-        self._begun = threading.Event()
         self._submitted = 0
         self._delivered = 0
         self._gseq = 0
@@ -415,7 +414,6 @@ class Session:
         producers interleave safely (every executor restores sequence
         order downstream).
         """
-        begin = False
         blocked_t0: float | None = None
         cut: tuple | None = None
         with self._lock:
@@ -433,11 +431,12 @@ class Session:
                     self._submitted = 0
                     self._delivered = 0
                     self._out.clear()
-                    self._begun = threading.Event()
                     self._stream_t0 = time.perf_counter()
                     self._buf = []
                     self._buf_bytes = 0
-                    begin = True
+                    # Under the lock, so it precedes every admission of the
+                    # stream (no subscriber takes this lock).
+                    self.events.emit("stream.begin", stream=self._stream)
                 if (
                     self.max_inflight is None
                     or self._submitted - self._delivered < self.max_inflight
@@ -447,7 +446,6 @@ class Session:
                     self._submitted += 1
                     gseq = self._gseq
                     self._gseq += 1
-                    begun = self._begun
                     if self._bcfg is not None:
                         cut = self._buffer_item_locked(seq, gseq, item)
                     break
@@ -466,14 +464,6 @@ class Session:
                     blocked_t0 = time.perf_counter()
                 self._bell.wait()
         admit_wait = 0.0 if blocked_t0 is None else time.perf_counter() - blocked_t0
-        if begin:
-            try:
-                self.events.emit("stream.begin", stream=stream)
-                self._begin_stream(stream)
-            finally:
-                begun.set()
-        elif not begun.is_set():
-            begun.wait()
         # The span (and its trace id) is minted here: (stream, seq) is the
         # item's Ticket, and gseq is the number every executor's lane
         # records name it by.  ``wait`` rides along only when bounded
@@ -809,19 +799,15 @@ class Session:
         self._batch_map[bseq] = (batch.gbase, len(batch.items))
         self._buf = []
         self._buf_bytes = 0
-        return (self._stream, batch, self._begun, reason)
+        return (self._stream, batch, reason)
 
     def _submit_cut(self, cut: tuple) -> None:
         """Hand one sealed batch to the executor (outside ``_lock``).
 
-        Waits on the stream's begin barrier first: a flusher-side cut must
-        not reach the executor before ``_begin_stream`` opened the stream.
         Out-of-order arrival *between* submitters is fine — every executor
         restores sequence order downstream.
         """
-        stream, batch, begun, reason = cut
-        if not begun.is_set():
-            begun.wait()
+        stream, batch, reason = cut
         self.events.emit(
             "batch.assemble",
             stream=stream,
@@ -877,9 +863,6 @@ class Session:
         return max(self.backend.capacity, min(_WINDOW_CEILING, units))
 
     # ------------------------------------------------------- executor hooks
-    def _begin_stream(self, stream: int) -> None:
-        """A new stream opens (called before its first ``_submit_one``)."""
-
     def _submit_one(self, seq: int, item: Any) -> None:
         """Hand one admitted item to the executor (may block on its queues).
 

@@ -25,7 +25,8 @@ Topology (routes — a segment's items pass worker to worker)::
   finish first (``_reserve_slot``: measured drain interval and link
   latency, up to the session's lane depth — the window, as on every
   executor) and sends the first a ``task`` naming the rest; the boundary's
-  ``result`` carries the trail of every hop, which ``_accept`` replays.
+  ``result`` carries the trail of every hop, its own last, which
+  ``_accept`` replays.
 * **Exactly once** rests on one record per fact: every replica on a route
   holds it (``seq → route``: the segment's input frame and its replicas)
   until the boundary's result is accepted, which takes it off all of them;
@@ -72,7 +73,7 @@ from repro import transport as _transport
 from repro.backend.base import _WINDOW_CEILING, Backend, register_backend
 from repro.backend.distributed.protocol import PREAMBLE
 from repro.backend.distributed.worker import WorkerAgent
-from repro.backend.routed import Hop, RoutedSession, boundaries
+from repro.backend.routed import RoutedSession, boundaries
 from repro.runtime.threads import StageError, load_error
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView, fn_view
@@ -100,17 +101,20 @@ _LOCAL_LINK = (1e-7, 1e9)
 _WIRE_BANDWIDTH = 1e8
 #: Default one-way link estimate before any measurement exists.
 _DEFAULT_LINK_S = 1e-4
+#: How long warm-up waits for the spawned workers to register.
+_REGISTER_TIMEOUT = 20.0
 #: What ``_trace_hop`` derives from a result's stamps beyond the clock fit.
 _HOP_KINDS = ("span.phases", "wk.dequeue", "wk.service", "wk.encode", "wk.send")
 
 
 def _spawn_agent(
-    host: str, port: int, cores: int, name: str, link_delay: float,
+    host: str, port: int, name: str, link_delay: float,
     link_bandwidth: float,
 ) -> None:
-    """Entry point of auto-spawned local worker processes."""
+    """Entry point of auto-spawned local worker processes: they share the
+    local host, so each advertises one core."""
     WorkerAgent(
-        host, port, cores=cores, name=name, link_delay=link_delay,
+        host, port, cores=1, name=name, link_delay=link_delay,
         link_bandwidth=link_bandwidth,
     ).run()
 
@@ -210,9 +214,6 @@ class _DistributedSession(RoutedSession):
         # gseq restarts with each session: the epoch keeps their results apart.
         backend._epoch += 1
 
-    def _boundaries(self) -> list[int]:
-        return self.backend._bounds
-
     def _wake_lane(self) -> None:
         for q in self._resq.values():
             q.put(None)  # read as "nothing yet": the router wakes and looks at the flags
@@ -233,13 +234,12 @@ class _DistributedSession(RoutedSession):
     def _poll(self, stage: int) -> "tuple | None":
         return self._resq[stage].get()
 
-    def _accept(self, stage: int, msg: tuple) -> "Hop | None":
+    def _accept(self, stage: int, msg: tuple) -> "tuple | None":
         """One ``(worker, recv_t, frame)``: a ``result`` as the worker sent it —
         a route's last hop, or a failure anywhere on it."""
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
         w, recv_t, frame = msg
-        (at, slot, seq, ok, payload, service_s, wait_s, t_sent, err_repr, t_recv_w, t_send_w,
-         trail) = frame[2:]
+        at, slot, seq, ok, payload, t_sent, err_repr, trail = frame[2:]
         if ok:  # a failure's payload is its pickled error
             payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
         with backend._lane_lock:
@@ -272,23 +272,25 @@ class _DistributedSession(RoutedSession):
         trace = sync = False
         if bus.active:
             trace, sync = any(map(bus.wants, _HOP_KINDS)), bus.wants("clock.sync")
-        t_out, nbytes_in, replay = t_sent, frame_in.nbytes, []
-        boundary = (at, w.id, slot, t_recv_w, wait_s, service_s, t_send_w, payload.nbytes)
-        for r, hop in zip(route.replicas, (*trail, boundary)):
+        t_out, nbytes_in, hops, boundary = t_sent, frame_in.nbytes, [], trail[-1]
+        for r, hop in zip(route.replicas, trail):
             i, _, _, t_in, wait, service, t_done, nbytes = hop
             wk = r.worker
+            off = wk.clock.fit().offset_at(t_in)  # the drift across a hop is below its error
             if hop is boundary:
                 # Wire time both ways (rtt minus service and queue wait), fed
                 # with the bytes that crossed in and back to the size-stratified fit.
                 end, overhead = recv_t, max(0.0, (recv_t - t_out) - wait - service)
                 wk.observe_transfer(nbytes_in + nbytes, overhead)
+                transfer = overhead / 2.0
             else:  # a peer hop: its wire time is the receiving worker's, one way
-                off = wk.clock.fit().offset_at(t_in)  # the drift across a hop is below its error
                 end = t_done - off
                 transfer = max(0.0, t_in - off - t_out)
                 wk.observe_transfer(2 * nbytes_in, 2 * transfer)
-                at_s = self.perf_to_session(t_in + wait + service - off)
-                replay.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
+            # work_estimate = service x effective speed, so a loaded worker's
+            # slow service still yields the true per-item work.
+            at_s = self.perf_to_session(t_in + wait + service - off)
+            hops.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
             r.completed(t_out, end)
             if sync and end - wk.clock_emit_t >= 1.0:
                 self._clock_event(wk, end)
@@ -296,10 +298,7 @@ class _DistributedSession(RoutedSession):
                 self._trace_hop(seq, wk, wk.clock.fit().to_local, t_out, hop, end)
             t_out, nbytes_in = end, nbytes
         backend._ref_bytes += 0.1 * (frame_in.nbytes - backend._ref_bytes)
-        # work_estimate = service x effective speed, so a loaded worker's
-        # slow service still yields the true per-item work.
-        return Hop(seq, payload, service_s, w.speed, w.id, queued, overhead / 2.0,
-                   trail=tuple(replay))
+        return seq, payload, hops
 
     # ---------------------------------------------------------------- tracing
     def _clock_event(self, w: _WorkerConn, now: float) -> None:
@@ -387,10 +386,8 @@ class DistributedBackend(Backend):
         Number of local worker processes to auto-spawn at warm-up; 0 means
         workers are started externally (``python -m
         repro.backend.distributed.worker --connect host:port``) and the
-        caller should :meth:`wait_for_workers`.
-    worker_cores:
-        Advertised core count of each auto-spawned worker (they share the
-        local host, so 1 is the honest default).
+        caller should :meth:`wait_for_workers`.  Each advertises one core
+        (they share the local host), and warm-up waits 20 s for them.
     worker_link_delays:
         Per-spawned-worker artificial receive delay in seconds (experiment
         knob: heterogeneous link costs on one host); padded with 0.0.
@@ -406,11 +403,9 @@ class DistributedBackend(Backend):
         threshold is calibrated at warm-up.
     host, port:
         Bind address of the coordinator socket (port 0 = ephemeral).
-    heartbeat_interval, heartbeat_timeout:
-        How often the coordinator pings each worker, and the silence span
-        after which a worker is declared dead (default 6x the interval).
-    register_timeout:
-        How long warm-up waits for ``spawn_workers`` registrations.
+    heartbeat_interval:
+        How often the coordinator pings each worker; one silent for six
+        intervals (``heartbeat_timeout``) is declared dead.
     """
 
     name = "distributed"
@@ -425,15 +420,12 @@ class DistributedBackend(Backend):
         max_replicas: int = 4,
         capacity: int | None = None,
         spawn_workers: int = 3,
-        worker_cores: int = 1,
         worker_link_delays: list[float] | None = None,
         worker_link_bandwidths: list[float] | None = None,
         transport: str | Codec = "auto",
         host: str = "127.0.0.1",
         port: int = 0,
         heartbeat_interval: float = 0.5,
-        heartbeat_timeout: float | None = None,
-        register_timeout: float = 20.0,
     ) -> None:
         super().__init__(
             pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
@@ -454,7 +446,6 @@ class DistributedBackend(Backend):
                     f"be shipped to workers (use a module-level function): {err!r}"
                 ) from err
         self.spawn_workers = spawn_workers
-        self.worker_cores = worker_cores
         self.worker_link_delays = list(worker_link_delays or [])
         self.worker_link_bandwidths = list(worker_link_bandwidths or [])
         self._codec = _transport.get(transport)
@@ -472,12 +463,7 @@ class DistributedBackend(Backend):
         # which placement scores price a worker's link.
         self._ref_bytes = 0.0
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = (
-            heartbeat_timeout
-            if heartbeat_timeout is not None
-            else 6.0 * heartbeat_interval
-        )
-        self.register_timeout = register_timeout
+        self.heartbeat_timeout = 6.0 * heartbeat_interval
         self._bind_host = host
         self._bind_port = port
 
@@ -592,8 +578,7 @@ class DistributedBackend(Backend):
             for k in range(self.spawn_workers):
                 proc = ctx.Process(
                     target=_spawn_agent,
-                    args=(host, port, self.worker_cores, f"local-{k}", delays[k],
-                          bandwidths[k]),
+                    args=(host, port, f"local-{k}", delays[k], bandwidths[k]),
                     name=f"dist-worker-{k}",
                     daemon=True,
                 )
@@ -612,7 +597,7 @@ class DistributedBackend(Backend):
         # With external workers (spawn_workers=0) none may have connected
         # yet: placement waits until a session opens, after wait_for_workers().
         if self.spawn_workers:
-            self.wait_for_workers(self.spawn_workers, timeout=self.register_timeout)
+            self.wait_for_workers(self.spawn_workers, timeout=_REGISTER_TIMEOUT)
             self._ensure_placements()
             # Every place answered (a failure or a death ends the wait too), so
             # a first stream deals to every replica.

@@ -24,8 +24,7 @@ kind                      direction  fields after the kind
 ``task``                  c/w → w    epoch, stage, slot, seq, payload,
                                      t_sent, route, trail
 ``result``                w → c      epoch, stage, slot, seq, ok, payload,
-                                     service_s, wait_s, t_sent, error_repr,
-                                     t_recv_w, t_send_w, trail
+                                     t_sent, error_repr, trail
 ``peer_lost``             w → c      worker_id (a forward to it failed)
 ``ping``                  c → w      t0
 ``pong``                  w → c      t0, t1, t2, load1
@@ -37,8 +36,9 @@ dropped).  A segment travels as one **route**: the first hop's ``task``
 lists the rest as ``(stage, slot, worker_id)``; each hop passes its output
 on (into its own replica's inbox, or over a peer link), appending
 ``(stage, worker_id, slot, t_recv_w, wait_s, service_s, t_send_w,
-nbytes)`` to ``trail``; the last hop sends the ``result``, a failure any
-hop.  ``t_sent`` (the coordinator's send of the first hop) is only echoed
+nbytes)`` to ``trail``; the last hop — the boundary — appends its own and
+sends the ``result``, a failure any hop (with the trail before it).
+``t_sent`` (the coordinator's send of the first hop) is only echoed
 back; ``t_recv_w``/``t_send_w`` (a worker's clock at task arrival and
 hand-off), ``wait_s`` and ``service_s`` are all the timing a worker
 reports, mapped per hop through the coordinator's per-worker
@@ -88,8 +88,9 @@ from repro.transport.lane import encode_frame, read_frame
 
 __all__ = ["PREAMBLE", "recv_frame", "send_frame"]
 
-#: What a worker writes before its first frame: magic, then the version.
-PREAMBLE = b"RPRO" + struct.pack(">H", 4)
+#: What a worker writes before its first frame: magic, then the version (5:
+#: the boundary's hop rides in the ``result``'s trail).
+PREAMBLE = b"RPRO" + struct.pack(">H", 5)
 
 
 def send_frame(sock: socket.socket, message: Any) -> None:

@@ -6,12 +6,13 @@ worker the ``welcome`` lists, and then hosts **stage replicas**: each
 ``place`` starts one — a thread with its own bounded inbox (a
 :class:`~repro.util.handoff.Handoff`) — and each ``retire``, sent once the
 last route through the replica completed, stops it behind what it holds.
-A replica decodes its task through the **negotiated transport codec**,
-times the stage callable and passes the output along the task's
-**route**: into the next replica's inbox when that is hosted here (no
-wire), over the peer link otherwise, and from the last hop — a boundary —
-home as a ``result`` with the trail of every hop's stamps
-(``t_recv_w``/``t_send_w`` beside ``wait_s`` and ``service_s``).  A worker
+A replica runs :func:`~repro.runtime.threads.run_stage` on its task (the
+process pools' step, through the **negotiated transport codec**), appends
+its hop's stamps to the trail (``t_recv_w``/``t_send_w`` beside ``wait_s``
+and ``service_s``) and passes the output along the task's **route**: into
+the next replica's inbox when that is hosted here (no wire), over the peer
+link otherwise, and from the last hop — a boundary — home as a ``result``
+whose trail ends with the boundary's own hop.  A worker
 traces nothing: the coordinator derives its clock fit, ``span.phases`` and
 the ``wk.*`` points from those stamps and from each ``pong``, the answer
 to its monitor's ``ping`` (which also carries the load average).
@@ -63,10 +64,9 @@ from typing import Any, Callable
 from repro import transport as _transport
 from repro.backend.distributed.protocol import PREAMBLE
 from repro.monitor.resource_monitor import read_load1
-from repro.runtime.threads import dump_error
+from repro.runtime.threads import run_stage
 from repro.transport import Codec, Frame, from_wire, to_wire, untrack
 from repro.transport.lane import Outbox, ProtocolError, encode_frame, read_frame, socket_outbox
-from repro.util.batching import Batch, map_batch
 from repro.util.handoff import Handoff
 
 __all__ = ["WorkerAgent", "main"]
@@ -111,36 +111,20 @@ class _ReplicaRunner:
 
     def _serve(self) -> None:
         agent = self._agent
-        while True:
-            msg = self.queue.get()
-            if msg is _STOP:
-                return
-            task: _Task = msg
-            started = time.perf_counter()
-            wait_s = started - task.arrived
-            try:
-                # The coordinator owns a route's input frame (it may
-                # re-dispatch the segment after a death); a frame a hop
-                # before this one made is this replica's to release.
-                value = agent.codec.decode(task.payload)
-                if task.trail:
-                    agent.codec.release(task.payload)
-                # A micro-batch maps element-wise and travels on as one
-                # frame; a death re-dispatches the whole batch, so per-item
-                # exactly-once holds by construction.
-                result = (
-                    map_batch(self.fn, value)
-                    if isinstance(value, Batch)
-                    else self.fn(value)
-                )
-                service_s = time.perf_counter() - started
-                out = agent._codec_for(task.route).encode(result)
-            except BaseException as err:  # noqa: BLE001 - shipped to coordinator
-                agent._send_result(
-                    task, self.stage, self.slot, False, dump_error(err), 0.0, wait_s, repr(err)
-                )
-                continue  # stay warm; the coordinator aborts the run
-            agent._pass_on(task, self.stage, self.slot, out, service_s, wait_s)
+        while (task := self.queue.get()) is not _STOP:
+            # The coordinator owns a route's input frame (it may re-dispatch
+            # the segment after a death, a micro-batch whole, so per-item
+            # exactly-once holds by construction); a frame a hop before this
+            # one made is this replica's to release.
+            out, t0, t1, failed, _held = run_stage(  # _held lives until the next item
+                self.fn, task.payload, agent.codec, agent._codec_for(task.route), bool(task.trail)
+            )
+            if failed is None:
+                agent._pass_on(task, self.stage, self.slot, out, t1 - t0, t0 - task.arrived)
+                continue
+            # Shipped home from here; stay warm, the coordinator aborts the run.
+            agent._outbox.send(("result", task.epoch, self.stage, self.slot, task.seq, False,
+                                failed[0], task.t_sent, failed[1], task.trail))
 
 
 class WorkerAgent:
@@ -223,50 +207,20 @@ class WorkerAgent:
         return link[1] if link else self.codec
 
     # -------------------------------------------------------------- plumbing
-    def _send_result(
-        self,
-        task: _Task,
-        stage: int,
-        slot: int,
-        ok: bool,
-        payload: "Frame | bytes | None",  # the result, or a failure's pickled error
-        service_s: float,
-        wait_s: float,
-        err_repr: str | None,
-    ) -> None:
-        """Ship one result home with the trail and this hop's worker-clock
-        receive/send pair (the coordinator's clock fit, phase decomposition
-        and ``wk.*`` points all come from these stamps)."""
-        self._outbox.send(
-            (
-                "result",
-                task.epoch,
-                stage,
-                slot,
-                task.seq,
-                ok,
-                to_wire(payload) if ok else payload,
-                service_s,
-                wait_s,
-                task.t_sent,
-                err_repr,
-                task.arrived,
-                time.perf_counter(),
-                task.trail,
-            )
-        )
-
     def _pass_on(
         self, task: _Task, stage: int, slot: int, out: Frame, service_s: float, wait_s: float
     ) -> None:
-        """Hand one output to the route's next hop, or home from its last."""
-        if not task.route:
-            self._send_result(task, stage, slot, True, out, service_s, wait_s, None)
-            return
-        (nstage, nslot, wid), route = task.route[0], task.route[1:]
+        """Append this hop's worker-clock stamps to the trail (the coordinator's
+        clock fit, phase decomposition and ``wk.*`` points all come from them)
+        and hand the output to the route's next hop, or home from its last."""
         now = time.perf_counter()
         trail = (*task.trail, (stage, self.worker_id, slot, task.arrived, wait_s, service_s,
                                now, out.nbytes))
+        if not task.route:
+            self._outbox.send(("result", task.epoch, stage, slot, task.seq, True, to_wire(out),
+                               task.t_sent, None, trail))
+            return
+        (nstage, nslot, wid), route = task.route[0], task.route[1:]
         if wid == self.worker_id:  # the next replica is here: no wire
             runner = self._replicas.get((nstage, nslot))
             if runner is not None:

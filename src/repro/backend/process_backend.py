@@ -30,8 +30,10 @@ does it report to the parent, where a router restores order::
   the lane.
 * What a per-stage router used to record rides on the frame: each worker
   appends ``(stage, worker, service_s, nbytes_out, ended_at)`` to the
-  item's *trail* and the boundary router replays it (``Hop.trail``).  A
-  stage error goes to the boundary's result queue with the stage's index.
+  item's *trail*, the boundary's own entry last, and the boundary router
+  replays every entry as one hop.  A worker's step is
+  :func:`~repro.runtime.threads.run_stage`; a failure of any part of it
+  goes to the boundary's result queue with the stage's index.
 * Items cross processes as frames of the backend's **transport codec**
   (``transport=``) in their flat wire form (:func:`~repro.transport.to_wire`):
   inline pickle streams as plain ``bytes``, or :class:`~repro.transport.Frame`
@@ -62,16 +64,14 @@ import os
 import pickle
 import select
 import threading
-import time
 
 from repro import transport as _transport
 from repro.backend.base import Backend, register_backend
-from repro.backend.routed import Hop, RoutedSession, boundaries
+from repro.backend.routed import RoutedSession, boundaries
 from repro.core.pipeline import PipelineSpec
-from repro.runtime.threads import StageError, dump_error, load_error
+from repro.runtime.threads import StageError, load_error, run_stage
 from repro.transport import Codec, Frame, from_wire, to_wire
 from repro.transport.lane import FrameReader, pipe_outbox
-from repro.util.batching import Batch, map_batch
 
 __all__ = ["ProcessPoolBackend"]
 
@@ -176,32 +176,15 @@ def _worker_main(
                 out.put(msg)
             continue
         seq, wire, trail = msg
-        frame = from_wire(wire, codec.name)
-        try:
-            value = codec.decode(frame)
-        except Exception as err:
-            codec.release(frame)  # the parent aborts; nothing retries this frame
-            resq.put((seq, None, (stage, None, f"undecodable item: {err!r}")))
-            continue
         # Sole consumer, and the process backend never re-dispatches (a
         # worker death aborts the stream): the task frame's slots go back to
         # their pool once the value is copied out — per item.
-        codec.release(frame)
-        t0 = time.perf_counter()
-        try:
-            # A micro-batch decoded from one frame maps element-wise here
-            # and re-encodes as one frame: the whole run of items pays a
-            # single queue hop and a single pickle stream per stage.
-            result = map_batch(fn, value) if isinstance(value, Batch) else fn(value)
-        except BaseException as err:  # noqa: BLE001 - shipped to the parent
-            resq.put((seq, None, (stage, dump_error(err), repr(err))))
+        out_frame, t0, t1, failed, _held = run_stage(  # _held lives until the next item
+            fn, from_wire(wire, codec.name), codec, codec, True
+        )
+        if failed is not None:
+            resq.put((seq, None, (stage, *failed)))
             continue  # stay warm; the parent aborts the stream
-        t1 = time.perf_counter()  # one monotonic clock for every process of the host
-        try:
-            out_frame = codec.encode(result)
-        except Exception as err:
-            resq.put((seq, None, (stage, None, f"unencodable result: {err!r}")))
-            continue
         hop = (stage, worker_id, t1 - t0, out_frame.nbytes, t1)
         out.put((seq, to_wire(out_frame), trail + (hop,)))
 
@@ -280,9 +263,6 @@ class _ProcessSession(RoutedSession):
     def _attach(self) -> None:
         self.backend.warm(self._lane_depth())
 
-    def _boundaries(self) -> list[int]:
-        return boundaries(self.backend.pipeline.stages)
-
     def _shutdown(self) -> None:
         super()._shutdown()
         if self._abort.is_set():
@@ -330,21 +310,15 @@ class _ProcessSession(RoutedSession):
             )
         return frames.popleft()
 
-    def _accept(self, stage: int, msg: tuple) -> Hop:
+    def _accept(self, stage: int, msg: tuple) -> tuple:
         seq, wire, trail = msg
         if wire is None:
             failed, payload, text = trail
             raise StageError(self.backend.pipeline.stage(failed).name, load_error(payload, text))
-        pools = self.backend._pools
-        *upstream, (_, worker_id, service_s, _, ended) = trail
-        clock = self.perf_to_session
-        return Hop(
-            seq, from_wire(wire, self._codec.name), service_s, 1.0, worker_id,
-            pools[stage].queued(), at=clock(ended),
-            trail=tuple(
-                (i, w, s, n, pools[i].queued(), clock(t), 1.0, None) for i, w, s, n, t in upstream
-            ),
-        )
+        pools, clock = self.backend._pools, self.perf_to_session
+        return seq, from_wire(wire, self._codec.name), [
+            (i, w, s, n, pools[i].queued(), clock(t), 1.0, None) for i, w, s, n, t in trail
+        ]
 
 
 class ProcessPoolBackend(Backend):

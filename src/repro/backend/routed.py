@@ -41,8 +41,11 @@ An executor supplies four hooks:
     and an idle session's routers do not run), or raise when a worker died;
 ``_accept(stage, msg)``
     the lane's bookkeeping for that result — in-flight accounting, stale
-    drops, re-dispatch — returning one normalised :class:`Hop`, ``None``
-    when the message was consumed, or raising the stage's error;
+    drops, re-dispatch — returning ``(seq, frame, hops)``: the executor seq,
+    the encoded result and what every hop of the segment did, oldest first
+    and the boundary last, each ``(stage, worker, service_s, nbytes_out,
+    queued, at, speed, transfer_s)``; ``None`` when the message was
+    consumed, or raising the stage's error;
 ``_forward(stage, seq, frame)``
     send one frame to ``stage`` (in order when it is ordered); ``False``
     when aborted.
@@ -50,14 +53,13 @@ An executor supplies four hooks:
 The lane also implements the port's ``_wake_lane``: wake every router out
 of ``_poll`` and every dispatcher blocked on lane capacity (abort and
 ``_shutdown`` call it).  ``_attach`` (warm the lane before any thread
-starts) and ``_boundaries`` are optional.  By default every stage is a
-boundary: its results come back to a router here.  A lane whose workers
-can reach each other (forked processes sharing queues, distributed workers
-linked to their peers) names fewer — :func:`boundaries`: the last stage and
-any stage feeding an ordered one — and lets the rest forward worker to
-worker along the *segment* up to the next boundary; what their routers
-would have recorded then arrives as ``Hop.trail`` on the boundary's result
-and is replayed into the same per-stage records.
+starts) and ``_boundaries`` are optional.  By default only the
+:func:`boundaries` report here — the last stage and any stage feeding an
+ordered one: the workers of the other stages forward worker to worker
+along the *segment* up to the next boundary (forked processes sharing
+queues, distributed workers linked to their peers), and what their routers
+would have recorded arrives in the boundary's hops and is replayed into the
+same per-stage records.  A lane where every stage reports returns them all.
 """
 
 from __future__ import annotations
@@ -65,30 +67,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import replace
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Sequence
 
 from repro.backend.base import Backend, Session, SessionStats
 from repro.transport import Codec, Frame, pool_footprint
 from repro.util.batching import Batch
 from repro.util.ordering import SequenceReorderer
 
-__all__ = ["Hop", "RoutedSession", "boundaries"]
-
-
-class Hop(NamedTuple):
-    """One accepted stage result, normalised across lanes."""
-
-    seq: int  # executor seq (a batch seq when batching)
-    frame: Frame  # the encoded result
-    service_s: float  # worker-side service time
-    speed: float  # effective speed the item was serviced at
-    worker: "int | str"  # who serviced it (event annotation)
-    queued: int  # items still in flight at this stage
-    transfer_s: "float | None" = None  # measured one-way wire time, if any
-    at: "float | None" = None  # session-clock time the service ended (None: now)
-    #: Upstream stages no router saw (their workers forwarded straight on), oldest
-    #: first: ``(stage, worker, service_s, nbytes_out, queued, at, speed, transfer_s)`` each.
-    trail: tuple = ()
+__all__ = ["RoutedSession", "boundaries"]
 
 
 def boundaries(stages: "Sequence") -> list[int]:
@@ -131,7 +117,7 @@ class RoutedSession(Session):
 
     def _boundaries(self) -> "Sequence[int]":
         """Stages whose results come back here, each to its own router."""
-        return range(self.backend.pipeline.n_stages)
+        return boundaries(self.backend.pipeline.stages)
 
     def _ingress(self, seq: int, value: Any) -> bool:
         return self._forward(0, seq, self._encode(seq, value, self._codec))
@@ -139,7 +125,7 @@ class RoutedSession(Session):
     def _poll(self, stage: int) -> Any:
         raise NotImplementedError
 
-    def _accept(self, stage: int, msg: Any) -> "Hop | None":
+    def _accept(self, stage: int, msg: Any) -> "tuple | None":
         raise NotImplementedError
 
     def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
@@ -221,24 +207,22 @@ class RoutedSession(Session):
                 if self._stopping.is_set():
                     return
                 continue
-            hop = self._accept(stage, msg)
-            if hop is None:
+            got = self._accept(stage, msg)
+            if got is None:
                 continue
+            seq, frame, hops = got
             # Executor seqs are batch numbers when batching: the service
             # record goes back to item space (seq = first item's gseq,
             # items = N) so span attribution and the top view stay per-item.
-            where = self._event_seq(hop.seq)
-            for upstream, worker, service, nbytes, queued, at, speed, transfer in hop.trail:
-                self._record(upstream, where, service, speed, worker, queued, nbytes, at, transfer)
-                self._record_bytes_in(upstream + 1, nbytes)
-            self._record(
-                stage, where, hop.service_s, hop.speed, hop.worker, hop.queued,
-                hop.frame.nbytes, hop.at, hop.transfer_s,
-            )
+            where = self._event_seq(seq)
+            for hop in hops:
+                self._record(where, *hop)
+                if hop[0] != stage:  # a worker forwarded it to the next stage
+                    self._record_bytes_in(hop[0] + 1, hop[3])
             # Workers produce encoded frames and the next stage's workers
             # expect exactly that format: forward each frame untouched and
             # decode only final outputs.
-            pair = (hop.seq, hop.frame)
+            pair = (seq, frame)
             for ready_seq, frame in (pair,) if reorder is None else reorder.push(*pair):
                 if last:
                     self._egress(stage, ready_seq, frame)
@@ -248,9 +232,9 @@ class RoutedSession(Session):
                         return
 
     def _record(
-        self, stage, where, service_s, speed, worker, queued, nbytes_out, at, transfer_s=None
+        self, where, stage, worker, service_s, nbytes_out, queued, at, speed, transfer_s
     ) -> None:
-        """One stage's share of a hop: service, queue, transfer, bytes out."""
+        """One hop's record in its stage: service, queue, transfer, bytes out."""
         metrics = self.instrumentation.stages[stage]
         with self._stage_locks[stage]:
             metrics.record_service(

@@ -42,20 +42,22 @@ class _SimSession(Session):
     service, so ``supports_batching`` stays False and nothing coalesces.
     """
 
-    def _begin_stream(self, stream: int) -> None:
-        self._items = []
+    def __init__(self, backend: Backend, **config) -> None:
+        super().__init__(backend, **config)
+        self._items: list = []  # the open stream's, taken when it ends
 
     def _submit_one(self, seq: int, item: Any) -> None:
         self._items.append(item)
 
     def _end_stream(self, stream: int) -> None:
         backend: SimBackend = self.backend  # type: ignore[assignment]
-        outputs = backend._simulate(self._items)
+        items, self._items = self._items, []
+        outputs = backend._simulate(items)
         self.produces_outputs = outputs is not None
         self._sim_elapsed = (
             backend.last_run.end_time if backend.last_run is not None else 0.0
         )
-        for value in outputs if outputs is not None else [None] * len(self._items):
+        for value in outputs if outputs is not None else [None] * len(items):
             self._deliver(value)
 
     def _finalize_stream(self, wall_elapsed: float) -> float:

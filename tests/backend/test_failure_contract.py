@@ -13,6 +13,10 @@ raising ``ValueError`` on item ``K``:
     ``repro-shm-*`` slot and (where the session owns them) no child alive;
 (d) ``backend.run([x])`` afterwards works, on a fresh session.
 
+On the two executors whose workers encode results, a result the codec
+cannot encode is the same failure: the stage's ``StageError``, its
+``.original`` the codec's ``TransportError``.
+
 Stage functions live at module level: distributed workers resolve them by
 reference.
 """
@@ -27,7 +31,7 @@ from repro.backend import make_backend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.runtime.threads import StageError
-from repro.transport import busy_segments
+from repro.transport import TransportError, busy_segments
 
 EXECUTORS = {
     "threads": {},
@@ -58,6 +62,10 @@ def _double(x):
     return 2 * x
 
 
+def _lock_on_k(x):
+    return threading.Lock() if x == K + 1 else 2 * x  # behind _inc; no codec encodes it
+
+
 # Either way ``run([1])`` gives [4]: (1 + 1) * 2.
 PIPELINES = {
     "last": (("inc", _inc), ("boom", _boom_on_k)),
@@ -78,9 +86,17 @@ def _session_threads():
 @pytest.mark.parametrize("batching", [None, 8], ids=["per-item", "batch8"])
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_stage_failure_is_one_contract(executor, batching, failing):
-    pipe = PipelineSpec(
-        tuple(StageSpec(name=name, work=1e-4, fn=fn) for name, fn in PIPELINES[failing])
-    )
+    _check_contract(executor, batching, PIPELINES[failing], ValueError)
+
+
+@pytest.mark.parametrize("batching", [None, 8], ids=["per-item", "batch8"])
+@pytest.mark.parametrize("executor", ["processes", "distributed"])
+def test_an_unencodable_result_is_the_same_contract(executor, batching):
+    _check_contract(executor, batching, (("inc", _inc), ("boom", _lock_on_k)), TransportError)
+
+
+def _check_contract(executor, batching, stages, original):
+    pipe = PipelineSpec(tuple(StageSpec(name=name, work=1e-4, fn=fn) for name, fn in stages))
     children_before = set(mp.active_children())
     with make_backend(executor, pipe, **EXECUTORS[executor]) as backend:
         session = backend.open(batching=batching)
@@ -92,7 +108,7 @@ def test_stage_failure_is_one_contract(executor, batching, failing):
             session.drain()
         error = excinfo.value
         assert error.stage_name == "boom"
-        assert isinstance(error.original, ValueError)
+        assert isinstance(error.original, original)
         # (b) sticky: the same error object, again.
         assert session.broken
         with pytest.raises(StageError) as again:

@@ -684,7 +684,7 @@ def _half_a_frame_then_die(x):
     """At item 3: the head of a 300 KB result frame (its header and 1,000
     bytes) straight into this worker's result pipe, then a SIGKILL."""
     if x == 3:
-        out = sys._getframe(1).f_locals["out"]  # the worker loop's result queue
+        out = sys._getframe(2).f_locals["out"]  # the worker loop's result queue, past run_stage
         os.write(out._writer.fileno(), (300_000).to_bytes(4, "big") + b"x" * 1000)
         os.kill(os.getpid(), signal.SIGKILL)
     return x

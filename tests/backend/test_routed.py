@@ -16,14 +16,21 @@ import pytest
 
 from repro import transport
 from repro.backend.base import Backend
-from repro.backend.routed import Hop, RoutedSession
+from repro.backend.routed import RoutedSession
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.runtime.threads import StageError
 
 
 class FakeLaneSession(RoutedSession):
-    """Inline workers; results come back ``burst`` at a time, reversed."""
+    """Inline workers; results come back ``burst`` at a time, reversed.
+
+    The one lane where every stage reports: no worker forwards to the next
+    stage, so each stage is a boundary with a router of its own.
+    """
+
+    def _boundaries(self):
+        return range(self.backend.pipeline.n_stages)
 
     def _attach(self):
         n = self.backend.pipeline.n_stages
@@ -62,7 +69,7 @@ class FakeLaneSession(RoutedSession):
         self._seen[stage].add(seq)
         if kind == "err":
             raise payload
-        return Hop(seq, payload, 0.001, 1.0, "fake", 0)
+        return seq, payload, [(stage, "fake", 0.001, payload.nbytes, 0, None, 1.0, None)]
 
 
 class FakeBackend(Backend):

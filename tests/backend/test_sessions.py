@@ -400,9 +400,10 @@ class TestDistributedSessionStreams:
 
         def result(task, value):
             _, epoch, stage, slot, seq, _payload, t_sent, _route, trail = task
-            wire = to_wire(PickleCodec().encode(value))
-            return ("result", epoch, stage, slot, seq, True, wire, 0.0, 0.0, t_sent, None,
-                    0.0, 0.0, trail)
+            out = PickleCodec().encode(value)
+            boundary = (stage, 0, slot, 0.0, 0.0, 0.0, 0.0, out.nbytes)
+            return ("result", epoch, stage, slot, seq, True, to_wire(out), t_sent, None,
+                    (*trail, boundary))
 
         def next_frame(sock):  # what the coordinator sends, past its pings
             frame = recv_frame(sock)

@@ -104,7 +104,17 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # growth, +233, is over the +160 that change allowed itself, and it bought
 # less than it claimed: x1.10-1.16 items_per_s on tiny_distributed over
 # three sets of pairs, not x1.2 (CHANGES.md).
-CEILING = 5400
+# Lowered to the count, rounded up (5,400 -> 5,313 -> 5,320), paying those 73
+# back by one worker step and one hop record for both heavy lanes: run_stage
+# (beside dump_error) replaced each lane's decode/apply/encode and its failure
+# paths;
+# the boundary's hop rides in the trail, so routed.Hop, _send_result and the
+# result's four loose stamps went and _route_inner records every hop in one
+# loop; the boundary rule became RoutedSession's default (both overrides
+# went); the port's per-stream begin barrier and _begin_stream went; and
+# DistributedBackend lost register_timeout=, worker_cores= and
+# heartbeat_timeout= (nothing set them).  Nothing moved.
+CEILING = 5320
 
 #: Every other package (``"."``: the top-level modules), set at its count
 #: after the reachability audit, rounded up to the next 10, and lowered the
