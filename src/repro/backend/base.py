@@ -650,6 +650,19 @@ class Session:
         )
         self._deliver(value)
 
+    def _complete_run(self, values: list) -> None:
+        """``_complete`` for a run of in-order outputs: one completion record,
+        one lock round and at most one ring (a batch keeps its own round)."""
+        if self._bcfg is not None:
+            for value in values:
+                self._complete(value)
+            return
+        self.instrumentation.record_completion(self.now(), items=len(values))
+        stream, seq = self._deliver_run(values)
+        if self.events.wants("item.complete"):
+            for k in range(seq, seq + len(values)):
+                self.events.emit("item.complete", stream=stream, seq=k)
+
     def _fail(self, stage: int, err: BaseException) -> None:
         """The one way to fail: poison the session with a :class:`StageError`.
 
@@ -694,26 +707,24 @@ class Session:
         item timeline identical to the unbatched one.
         """
         n = len(batch.items)
-        with self._lock:
-            stream = self._stream
-            self._out.extend(batch.items)
-            self._delivered += n
-            self._items_total += n
-            self._batch_map.pop(batch.bseq, None)
-            if self._bell.parked:
-                self._bell.ring()
-        self.events.emit(
-            "batch.split",
-            stream=stream,
-            seq=batch.bseq,
-            base=batch.base_seq,
-            items=n,
-        )
+        stream, _ = self._deliver_run(batch.items, batch.bseq)
+        self.events.emit("batch.split", stream=stream, seq=batch.bseq, base=batch.base_seq, items=n)
         if self.events.wants("item.complete"):
             for k in range(n):
-                self.events.emit(
-                    "item.complete", stream=stream, seq=batch.base_seq + k
-                )
+                self.events.emit("item.complete", stream=stream, seq=batch.base_seq + k)
+
+    def _deliver_run(self, items: list, bseq: "int | None" = None) -> "tuple[int, int]":
+        """Queue in-order ``items`` (batch ``bseq``'s) in one lock round with at
+        most one ring; ``(stream, seq of the first)``."""
+        with self._lock:
+            stream, seq = self._stream, self._delivered
+            self._out.extend(items)
+            self._delivered += len(items)
+            self._items_total += len(items)
+            self._batch_map.pop(bseq, None)
+            if self._bell.parked:
+                self._bell.ring()
+        return stream, seq
 
     def _deliver_error(self, err: BaseException) -> None:
         """Poison the session with the executor's (first) error."""

@@ -231,74 +231,91 @@ class _DistributedSession(RoutedSession):
     def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
         return self.backend._dispatch(self, stage, seq, frame)
 
-    def _poll(self, stage: int) -> "tuple | None":
-        return self._resq[stage].get()
+    def _poll(self, stage: int) -> "list | None":
+        """What the boundary's queue holds, waiting for the first; a wake ends it."""
+        q, burst = self._resq[stage], []
+        msg = q.get()
+        while msg is not None:
+            burst.append(msg)
+            msg = None if q.empty() else q.get()
+        return burst or None
 
-    def _accept(self, stage: int, msg: tuple) -> "tuple | None":
-        """One ``(worker, recv_t, frame)``: a ``result`` as the worker sent it —
-        a route's last hop, or a failure anywhere on it."""
+    def _accept(self, stage: int, burst: list) -> list:
+        """Results ``(worker, recv_t, frame)``, each as its worker sent it — a
+        route's last hop, or a failure anywhere on it: taken off their routes
+        under one lane lock, then replayed."""
         backend: DistributedBackend = self.backend  # type: ignore[assignment]
-        w, recv_t, frame = msg
-        at, slot, seq, ok, payload, t_sent, err_repr, trail = frame[2:]
-        if ok:  # a failure's payload is its pickled error
-            payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
+        done, failed, slots = [], None, {}
         with backend._lane_lock:
-            route = None
-            for replica in backend._replicas[at]:
-                if replica.worker is w and replica.slot == slot:
-                    route = replica.tasks.get(seq)
+            # Every route in flight holds one replica per stage of the
+            # segment: the boundary's count is each stage's.
+            queued = sum([len(r.tasks) for r in backend._replicas[stage]])
+            for w, recv_t, frame in burst:
+                at, slot, seq, ok, payload, t_sent, err_repr, trail = frame[2:]
+                if at not in slots:  # (worker, slot) names one replica
+                    slots[at] = {(r.worker, r.slot): r for r in backend._replicas[at]}
+                replica = slots[at].get((w, slot))
+                route = None if replica is None else replica.tasks.get(seq)
+                if route is None or route.t_sent != t_sent:
+                    route = None
+                elif not ok:  # a failure's payload is its pickled error
+                    failed = (at, payload, err_repr)
                     break
-            if route is None or route.t_sent != t_sent:
-                route = None
-            elif ok:
-                backend._settle(seq, route)
-                # Every route in flight holds one replica per stage of the
-                # segment: the boundary's count is each stage's.
-                queued = sum([len(r.tasks) for r in backend._replicas[at]])
-                backend._cond.notify_all()
-        if route is None:
-            # Stale: this route was handed back after a death on it and the
-            # segment re-dispatched; exactly one route may deliver the item.
-            if ok:
-                backend._codec.release(payload)
-            return None
-        if not ok:
-            raise StageError(backend.pipeline.stage(at).name, load_error(payload, err_repr))
-        # The input frame was consumed on the route's first hop; nothing can
-        # re-dispatch it now, so its segments can go.
-        frame_in = route.frame
-        backend._codec.release(frame_in)
-        bus = self.events
+                else:
+                    backend._settle(seq, route)
+                    queued -= 1
+                if ok:
+                    done.append((w, recv_t, seq, route, payload, t_sent, trail, queued))
+            backend._cond.notify_all()
+        bus, got, fits = self.events, [], {}
         trace = sync = False
         if bus.active:
             trace, sync = any(map(bus.wants, _HOP_KINDS)), bus.wants("clock.sync")
-        t_out, nbytes_in, hops, boundary = t_sent, frame_in.nbytes, [], trail[-1]
-        for r, hop in zip(route.replicas, trail):
-            i, _, _, t_in, wait, service, t_done, nbytes = hop
-            wk = r.worker
-            off = wk.clock.fit().offset_at(t_in)  # the drift across a hop is below its error
-            if hop is boundary:
-                # Wire time both ways (rtt minus service and queue wait), fed
-                # with the bytes that crossed in and back to the size-stratified fit.
-                end, overhead = recv_t, max(0.0, (recv_t - t_out) - wait - service)
-                wk.observe_transfer(nbytes_in + nbytes, overhead)
-                transfer = overhead / 2.0
-            else:  # a peer hop: its wire time is the receiving worker's, one way
-                end = t_done - off
-                transfer = max(0.0, t_in - off - t_out)
-                wk.observe_transfer(2 * nbytes_in, 2 * transfer)
-            # work_estimate = service x effective speed, so a loaded worker's
-            # slow service still yields the true per-item work.
-            at_s = self.perf_to_session(t_in + wait + service - off)
-            hops.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
-            r.completed(t_out, end)
-            if sync and end - wk.clock_emit_t >= 1.0:
-                self._clock_event(wk, end)
-            if trace:
-                self._trace_hop(seq, wk, wk.clock.fit().to_local, t_out, hop, end)
-            t_out, nbytes_in = end, nbytes
-        backend._ref_bytes += 0.1 * (frame_in.nbytes - backend._ref_bytes)
-        return seq, payload, hops
+        for w, recv_t, seq, route, payload, t_out, trail, queued in done:
+            payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
+            if route is None:
+                # Stale: this route was handed back after a death on it and the
+                # segment re-dispatched; exactly one route may deliver the item.
+                backend._codec.release(payload)
+                continue
+            # The input frame was consumed on the route's first hop; nothing
+            # can re-dispatch it now, so its segments can go.
+            frame_in = route.frame
+            backend._codec.release(frame_in)
+            nbytes_in, hops, boundary = frame_in.nbytes, [], trail[-1]
+            for r, hop in zip(route.replicas, trail):
+                i, _, _, t_in, wait, service, t_done, nbytes = hop
+                wk = r.worker
+                fit = fits.get(wk)
+                if fit is None:  # one clock fit per worker and burst
+                    fit = fits[wk] = wk.clock.fit()
+                off = fit.offset_at(t_in)  # the drift across a hop is below its error
+                if hop is boundary:
+                    # Wire time both ways (rtt minus service and queue wait), fed
+                    # with the bytes that crossed in and back to the size-stratified fit.
+                    end, overhead = recv_t, max(0.0, (recv_t - t_out) - wait - service)
+                    wk.observe_transfer(nbytes_in + nbytes, overhead)
+                    transfer = overhead / 2.0
+                else:  # a peer hop: its wire time is the receiving worker's, one way
+                    end = t_done - off
+                    transfer = max(0.0, t_in - off - t_out)
+                    wk.observe_transfer(2 * nbytes_in, 2 * transfer)
+                # work_estimate = service x effective speed, so a loaded worker's
+                # slow service still yields the true per-item work.
+                at_s = self.perf_to_session(t_in + wait + service - off)
+                hops.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
+                r.completed(t_out, end)
+                if sync and end - wk.clock_emit_t >= 1.0:
+                    self._clock_event(wk, end)
+                if trace:
+                    self._trace_hop(seq, wk, fit.to_local, t_out, hop, end)
+                t_out, nbytes_in = end, nbytes
+            backend._ref_bytes += 0.1 * (frame_in.nbytes - backend._ref_bytes)
+            got.append((seq, payload, hops))
+        if failed is not None:
+            at, payload, err_repr = failed
+            got.append(StageError(backend.pipeline.stage(at).name, load_error(payload, err_repr)))
+        return got
 
     # ---------------------------------------------------------------- tracing
     def _clock_event(self, w: _WorkerConn, now: float) -> None:

@@ -280,7 +280,7 @@ class _ProcessSession(RoutedSession):
         """Feed one encoded item to ``stage``'s queue (it opens a segment)."""
         return self.backend._pools[stage].taskq.send((seq, to_wire(frame), ()), self._abort)
 
-    def _poll(self, stage: int) -> "tuple | None":
+    def _poll(self, stage: int) -> "list | None":
         seg = self.backend._pools[stage].seg
         frames = seg.reader.frames
         while not frames:  # what an earlier read completed goes first
@@ -308,17 +308,21 @@ class _ProcessSession(RoutedSession):
                     f"worker {wid} died mid-run (exitcode {exitcode}); its in-flight items are lost"
                 ),
             )
-        return frames.popleft()
+        burst = [*frames]
+        frames.clear()
+        return burst
 
-    def _accept(self, stage: int, msg: tuple) -> tuple:
-        seq, wire, trail = msg
-        if wire is None:
-            failed, payload, text = trail
-            raise StageError(self.backend.pipeline.stage(failed).name, load_error(payload, text))
-        pools, clock = self.backend._pools, self.perf_to_session
-        return seq, from_wire(wire, self._codec.name), [
-            (i, w, s, n, pools[i].queued(), clock(t), 1.0, None) for i, w, s, n, t in trail
-        ]
+    def _accept(self, stage: int, burst: list) -> list:
+        queued, clock = [pool.queued() for pool in self.backend._pools], self.perf_to_session
+        got = []
+        for seq, wire, trail in burst:
+            if wire is None:  # a failure: (stage, pickled error | None, text)
+                name = self.backend.pipeline.stage(trail[0]).name
+                return [*got, StageError(name, load_error(*trail[1:]))]
+            got.append((seq, from_wire(wire, self._codec.name), [
+                (i, w, s, n, queued[i], clock(t), 1.0, None) for i, w, s, n, t in trail
+            ]))
+        return got
 
 
 class ProcessPoolBackend(Backend):

@@ -24,7 +24,10 @@ never holds its successors back.
 :class:`RoutedSession` owns the ingress lock, one router thread per
 *boundary* stage, every reorderer, per-stage metrics and byte accounting,
 item-space event emission, and the egress branch (decode → release → the
-port's ``_complete``); the abort flag and ``_fail`` are the port's.  Items
+port's ``_complete_run``); the abort flag and ``_fail`` are the port's.
+A router works a burst per wake: one stage-lock round per stage records
+the burst's hops (``StageMetrics.record_hops``), and the in-order run goes
+to the port in one call.  Items
 travel under the port's session-wide number (``gseq``, a batch's ``bseq``),
 which never restarts, so a reorderer runs on across stream boundaries and
 every record names items by the ``gseq`` their ``item.submit`` carried.
@@ -36,16 +39,19 @@ An executor supplies four hooks:
     the session codec through ``_forward``; a lane that picks the codec
     per target overrides it;
 ``_poll(stage)``
-    block until there is one raw result of ``stage`` to return, or
-    ``_wake_lane`` was called (``None`` when woken — there is no timeout
-    and an idle session's routers do not run), or raise when a worker died;
-``_accept(stage, msg)``
-    the lane's bookkeeping for that result — in-flight accounting, stale
-    drops, re-dispatch — returning ``(seq, frame, hops)``: the executor seq,
-    the encoded result and what every hop of the segment did, oldest first
-    and the boundary last, each ``(stage, worker, service_s, nbytes_out,
-    queued, at, speed, transfer_s)``; ``None`` when the message was
-    consumed, or raising the stage's error;
+    every raw result of ``stage`` the lane holds now, as one *burst* (a
+    list): it blocks only while there is none, never to fill a burst, and
+    returns ``None`` when ``_wake_lane`` was called (a wake inside a burst
+    ends it; there is no timeout and an idle session's routers do not run),
+    or raises when a worker died;
+``_accept(stage, burst)``
+    the lane's bookkeeping for that burst — in-flight accounting, stale
+    drops, re-dispatch — returning one ``(seq, frame, hops)`` per result it
+    delivers: the executor seq, the encoded result and what every hop of
+    the segment did, oldest first and the boundary last, each ``(stage,
+    worker, service_s, nbytes_out, queued, at, speed, transfer_s)``.  A
+    failed result ends the list with the stage's error: what came before it
+    is still forwarded or delivered, then the session fails;
 ``_forward(stage, seq, frame)``
     send one frame to ``stage`` (in order when it is ordered); ``False``
     when aborted.
@@ -167,7 +173,8 @@ class RoutedSession(Session):
         timed = bus.wants("frame.encode") or bus.wants("batch.encode")
         t0 = time.perf_counter() if timed else 0.0
         frame = codec.encode(value)
-        self._record_bytes_in(0, frame.nbytes)
+        with self._stage_locks[0]:
+            self.instrumentation.stages[0].record_bytes_in(frame.nbytes)
         if timed:
             cost = dict(
                 nbytes=frame.nbytes, seconds=time.perf_counter() - t0, recycled=frame.recycled
@@ -178,10 +185,6 @@ class RoutedSession(Session):
                 )
             self._emit_items("frame.encode", seq, stage=0, inline=frame.inline, **cost)
         return frame
-
-    def _record_bytes_in(self, stage: int, nbytes: int) -> None:
-        with self._stage_locks[stage]:
-            self.instrumentation.stages[stage].record_bytes_in(nbytes)
 
     # --------------------------------------------------------------- routing
     def _route(self, stage: int) -> None:
@@ -201,54 +204,49 @@ class RoutedSession(Session):
         nxt = stage + 1
         reorder = self._reorder[nxt]
         last = nxt >= self.backend.pipeline.n_stages
-        while not self._abort.is_set():
-            msg = self._poll(stage)
-            if msg is None:
-                if self._stopping.is_set():
-                    return
+        # Every check of the flags follows a burst: a wake that ended one
+        # (or came with none) is never missed.
+        while not (self._abort.is_set() or self._stopping.is_set()):
+            burst = self._poll(stage)
+            if burst is None:
                 continue
-            got = self._accept(stage, msg)
-            if got is None:
-                continue
-            seq, frame, hops = got
+            got = self._accept(stage, burst)
+            failed = got.pop() if got and isinstance(got[-1], BaseException) else None
             # Executor seqs are batch numbers when batching: the service
-            # record goes back to item space (seq = first item's gseq,
-            # items = N) so span attribution and the top view stay per-item.
-            where = self._event_seq(seq)
-            for hop in hops:
-                self._record(where, *hop)
-                if hop[0] != stage:  # a worker forwarded it to the next stage
-                    self._record_bytes_in(hop[0] + 1, hop[3])
+            # records go back to item space (seq = first item's gseq, items =
+            # N) so span attribution and the top view stay per-item.
+            hops, sizes, ready = {}, {}, []
+            for seq, frame, trail in got:
+                where = self._event_seq(seq)
+                for hop in trail:
+                    hops.setdefault(hop[0], []).append(where + hop)
+                    if hop[0] != stage:  # a worker forwarded it to the next stage
+                        sizes.setdefault(hop[0] + 1, []).append(hop[3])
+                ready += ((seq, frame),) if reorder is None else reorder.push(seq, frame)
+            if not last:
+                sizes.setdefault(nxt, []).extend(frame.nbytes for _, frame in ready)
+            for i in sorted(hops.keys() | sizes.keys()):
+                with self._stage_locks[i]:
+                    self.instrumentation.stages[i].record_hops(hops.get(i, ()), sizes.get(i, ()))
             # Workers produce encoded frames and the next stage's workers
             # expect exactly that format: forward each frame untouched and
             # decode only final outputs.
-            pair = (seq, frame)
-            for ready_seq, frame in (pair,) if reorder is None else reorder.push(*pair):
-                if last:
-                    self._egress(stage, ready_seq, frame)
-                else:
-                    self._record_bytes_in(nxt, frame.nbytes)
-                    if not self._forward(nxt, ready_seq, frame):
-                        return
+            if last:
+                self._egress(stage, ready)
+            elif not all(self._forward(nxt, *pair) for pair in ready):
+                return
+            if failed is not None:
+                raise failed
 
-    def _record(
-        self, where, stage, worker, service_s, nbytes_out, queued, at, speed, transfer_s
-    ) -> None:
-        """One hop's record in its stage: service, queue, transfer, bytes out."""
-        metrics = self.instrumentation.stages[stage]
-        with self._stage_locks[stage]:
-            metrics.record_service(
-                service_s, speed,
-                seq=where[0], worker=worker, queue=queued, items=where[1], at=at,
-            )
-            metrics.record_queue_length(queued)
-            if transfer_s is not None:
-                metrics.record_transfer(transfer_s)
-            metrics.record_bytes_out(nbytes_out)
-
-    def _egress(self, stage: int, seq: int, frame: Frame) -> None:
-        """Decode one in-order final frame, release it, deliver the value."""
-        value = self._codec.decode(frame)
-        self._codec.release(frame)
-        self._emit_items("frame.release", seq, stage=stage, nbytes=frame.nbytes)
-        self._complete(value)
+    def _egress(self, stage: int, ready: list) -> None:
+        """Decode each in-order final frame and release it; deliver the run
+        decoded so far, also when a decode fails."""
+        codec, values = self._codec, []
+        try:
+            for seq, frame in ready:
+                values.append(codec.decode(frame))
+                codec.release(frame)
+                self._emit_items("frame.release", seq, stage=stage, nbytes=frame.nbytes)
+        finally:
+            if values:
+                self._complete_run(values)

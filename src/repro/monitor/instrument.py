@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from repro.util.stats import OnlineStats, SlidingWindow
@@ -128,6 +129,35 @@ class StageMetrics:
                 fields["queue"] = queue
             bus.emit("stage.service", at=at, **fields)
 
+    def record_hops(self, hops: Sequence[tuple], bytes_in: Sequence[float] = ()) -> None:
+        """Exactly what, hop by hop, ``record_service``, ``record_queue_length``,
+        ``record_transfer`` (unless None) and ``record_bytes_out`` record, and
+        ``record_bytes_in`` per ``bytes_in``, in one call.  A hop is ``(seq,
+        items, stage, worker, service_s, nbytes_out, queued, at, speed,
+        transfer_s)``: a routed hop (:mod:`repro.backend.routed`) behind its
+        result's item-space ``(seq, items)``.  Unwatched and unheard, each
+        window takes its column in one ``extend``; else each sample goes
+        through ``record_service``, for the watch and the bus to see in turn.
+        """
+        if bytes_in:
+            self.total_bytes_in += _sizes(self._bytes_in_win, self.bytes_in_hist, bytes_in)
+        if not hops:
+            return
+        _, items, _, _, seconds, nbytes, queues, _, speeds, transfers = zip(*hops)
+        bus = self.events
+        if self._watch is not None or (bus is not None and bus.wants("stage.service")):
+            for seq, k, _, worker, s, _, queued, at, speed, _ in hops:
+                self.record_service(s, speed, seq=seq, worker=worker, queue=queued, items=k, at=at)
+        else:
+            per = [s / k if k > 1 else s for s, k in zip(seconds, items)]
+            self.items_processed += sum(items)
+            self.total.extend([p for p, k in zip(per, items) for _ in range(k)])
+            self._service_win.extend(per)
+            self._work_win.extend(map(mul, per, speeds))
+        self._queue_win.extend(queues)
+        self._transfer_win.extend([t for t in transfers if t is not None])
+        self.total_bytes_out += _sizes(self._bytes_out_win, self.bytes_out_hist, nbytes)
+
     def record_transfer(self, seconds: float) -> None:
         """One inter-stage transfer completed (into this stage)."""
         self._transfer_win.push(seconds)
@@ -167,6 +197,14 @@ class StageMetrics:
             bytes_in=0.0 if math.isnan(bytes_in) else bytes_in,
             bytes_out=0.0 if math.isnan(bytes_out) else bytes_out,
         )
+
+
+def _sizes(win: SlidingWindow, hist: Counter, nbytes: Sequence[float]) -> int:
+    """Record payload sizes as ``record_bytes_in``/``_out`` do, one call each; their sum."""
+    sizes = [max(0, int(n)) for n in nbytes]
+    win.extend(sizes)
+    hist.update(map(int.bit_length, sizes))
+    return sum(sizes)
 
 
 _SHUT = (math.inf, -math.inf)  # no mean is inside: the next sample recalibrates

@@ -41,9 +41,18 @@ class OnlineStats:
             self._max = x
 
     def extend(self, xs: Iterable[float]) -> None:
-        """Add many observations."""
-        for x in xs:
-            self.push(x)
+        """Add many observations: their two-pass moments merged in as one batch
+        (Chan, Golub & LeVeque), exact in ``n``, ``min`` and ``max``."""
+        xs = list(map(float, xs))
+        if not xs:
+            return
+        k, n = len(xs), self._n + len(xs)
+        mean = math.fsum(xs) / k
+        delta = mean - self._mean
+        self._m2 += math.fsum([(x - mean) ** 2 for x in xs]) + delta * delta * self._n * k / n
+        self._mean += delta * (k / n)
+        self._n = n
+        self._min, self._max = min(self._min, min(xs)), max(self._max, max(xs))
 
     @property
     def n(self) -> int:
@@ -112,8 +121,7 @@ class SlidingWindow:
             self._buf.popleft()
 
     def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.push(x)
+        self._buf.extend(map(float, xs))
 
     def __len__(self) -> int:
         return len(self._buf)

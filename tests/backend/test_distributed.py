@@ -1091,12 +1091,14 @@ def test_idle_routers_run_no_iteration(record_polls):
         for x in range(5):
             session.submit(x)
         assert session.drain() == _expected(range(5))
-        assert len(polled) == 5 and None not in polled  # 5 results x 1 router
+        # 5 results x 1 router, across the polled bursts
+        assert None not in polled and sum(map(len, polled)) == 5
+        polls = len(polled)
         time.sleep(0.5)
-        assert len(polled) == 5
+        assert len(polled) == polls
         t0 = time.perf_counter()
         session.close()  # woken, not timed out
-        assert polled[5:] == [None] and time.perf_counter() - t0 < 0.1
+        assert polled[polls:] == [None] and time.perf_counter() - t0 < 0.1
 
 
 class _CountingCondition(threading.Condition):
@@ -1249,17 +1251,25 @@ class TestPlacementByFinishTime:
             backend=b, events=NULL_BUS, _clock_event=lambda *args: None, perf_to_session=float
         )
         timeline = [(0.0, 1.0, 1.0), (0.0, 1.1, 0.1), (0.0, 1.2, 0.1), (5.0, 5.3, 0.3)]
-        expected, link_s = None, r.worker.link_s
-        for seq, (t_sent, recv_t, gap) in enumerate(timeline):
+        results = []
+        for seq, (t_sent, recv_t, _gap) in enumerate(timeline):
             route = r.tasks[seq] = _Route(b._codec.encode(seq), [r])
             route.t_sent = t_sent
             out = b._codec.encode(seq)
             boundary = (0, r.worker.id, r.slot, 0.0, 0.0, 0.0, 0.0, out.nbytes)
             result = ("result", 0, 0, r.slot, seq, True, to_wire(out), t_sent, None, (boundary,))
-            got, _frame, hops = _DistributedSession._accept(router, 0, (r.worker, recv_t, result))
-            assert got == seq and hops[-1][7] == pytest.approx((recv_t - t_sent) / 2)
-            expected = gap if expected is None else expected + 0.1 * (gap - expected)
-            link_s += 0.1 * ((recv_t - t_sent) / 2 - link_s)  # the cached one-way wire time
+            results.append((r.worker, recv_t, result))
+        # The three busy items come back as one burst, the idle one alone.
+        expected, link_s = None, r.worker.link_s
+        for first, burst in ((0, results[:3]), (3, results[3:])):
+            got = _DistributedSession._accept(router, 0, burst)
+            assert [seq for seq, _frame, _hops in got] == list(range(first, first + len(burst)))
+            for seq, _frame, hops in got:
+                t_sent, recv_t, gap = timeline[seq]
+                assert hops[-1][7] == pytest.approx((recv_t - t_sent) / 2)
+                assert hops[-1][4] == len(timeline) - seq - 1  # routes still in flight
+                expected = gap if expected is None else expected + 0.1 * (gap - expected)
+                link_s += 0.1 * ((recv_t - t_sent) / 2 - link_s)  # the cached one-way wire time
             assert r.drain == pytest.approx(expected) and r.done_t == recv_t
             assert r.worker.link_s == pytest.approx(link_s)
         assert len(r.tasks) == 0

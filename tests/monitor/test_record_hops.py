@@ -1,0 +1,121 @@
+"""``StageMetrics.record_hops`` is exactly N per-hop records.
+
+The routed lanes record a burst's hops of one stage in one call; whatever
+the windows, totals, histograms, ``stage.service`` events or an installed
+:class:`ServiceWatch` see must be what N ``record_service`` /
+``record_queue_length`` / ``record_transfer`` / ``record_bytes_out`` calls
+(and ``record_bytes_in`` per size) would have shown them, in the same order.
+"""
+
+import threading
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.monitor.instrument import ServiceWatch, StageMetrics
+from repro.obs.events import EventBus
+
+# (seq, items, stage, worker, service_s, nbytes_out, queued, at, speed, transfer_s)
+hop = st.tuples(
+    st.integers(0, 10_000),
+    st.integers(1, 4),
+    st.just(0),
+    st.one_of(st.integers(0, 3), st.just("w")),
+    st.floats(1e-6, 0.05),
+    st.integers(-5, 1 << 24),
+    st.integers(0, 300),
+    st.one_of(st.none(), st.floats(0.0, 100.0)),
+    st.floats(0.1, 4.0),
+    st.one_of(st.none(), st.floats(0.0, 0.01)),
+)
+bursts = st.lists(st.lists(hop, max_size=12), min_size=1, max_size=6).filter(
+    lambda bs: any(bs)
+)
+sizes = st.lists(st.lists(st.integers(-5, 1 << 24), max_size=6), min_size=1, max_size=6)
+
+
+def per_hop(m, burst, bytes_in=()):
+    for seq, items, _, worker, seconds, nbytes, queued, at, speed, transfer in burst:
+        m.record_service(seconds, speed, seq=seq, worker=worker, queue=queued, items=items, at=at)
+        m.record_queue_length(queued)
+        if transfer is not None:
+            m.record_transfer(transfer)
+        m.record_bytes_out(nbytes)
+    for n in bytes_in:
+        m.record_bytes_in(n)
+
+
+def state(m):
+    return (
+        m.snapshot(), m.items_processed, m.total_bytes_in, m.total_bytes_out,
+        m.bytes_in_hist, m.bytes_out_hist, m.total.n, m.total.min, m.total.max,
+    )
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-9 * max(abs(a), abs(b)) + 1e-15
+
+
+@given(bursts, sizes)
+def test_one_bulk_call_is_n_per_hop_calls(bs, bytes_in):
+    one, bulk = StageMetrics(0, window=8), StageMetrics(0, window=8)
+    for k, burst in enumerate(bs):
+        sized = bytes_in[k % len(bytes_in)]
+        per_hop(one, burst, sized)
+        bulk.record_hops(burst, sized)
+    assert state(bulk) == state(one)
+    assert close(bulk.total.mean, one.total.mean)
+    if one.total.n > 1:
+        assert close(bulk.total.variance, one.total.variance)
+
+
+def _heard(bs, bulk):
+    """The ``stage.service`` events (stamp and fields, in order) and the state."""
+    m, events = StageMetrics(0, window=8, events=EventBus(clock=lambda: 0.5)), []
+    m.events.subscribe(lambda ev: events.append((ev.time, ev.fields)), kinds=["stage.service"])
+    for burst in bs:
+        m.record_hops(burst) if bulk else per_hop(m, burst)
+    return events, state(m)
+
+
+@given(bursts)
+def test_the_bus_hears_every_sample_in_order(bs):
+    events, _ = heard = _heard(bs, bulk=True)
+    assert heard == _heard(bs, bulk=False)
+    assert len(events) == sum(map(len, bs))
+
+
+def _watched_run(bs, bulk):
+    """Every wake as (sample count, what fired); each wake re-arms the watch
+    around the window it saw, as the controller does."""
+    m = StageMetrics(0, window=8)
+    wakes = []
+
+    def wake():
+        wakes.append((m.items_processed, watch.take()))
+        watch.arm([m.snapshot().service_time])
+
+    watch = ServiceWatch([m], wake, locks=[threading.Lock()], min_samples=3, ratio=1.2)
+    for burst in bs:
+        m.record_hops(burst) if bulk else per_hop(m, burst)
+    return wakes, state(m)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.sampled_from([0.002, 0.0021, 0.008, 0.03]), max_size=16), min_size=1))
+def test_an_installed_watch_fires_on_the_same_sample(levels):
+    bs = [[(k, 1, 0, 0, s, 64, 0, None, 1.0, None) for k, s in enumerate(b)] for b in levels]
+    assert _watched_run(bs, bulk=True) == _watched_run(bs, bulk=False)
+
+
+def test_a_level_shift_inside_one_burst_fires_where_per_hop_calls_fire():
+    # Evidence after 3 samples, then a 2 -> 8 ms step at sample 8, in the
+    # middle of the second burst: the watch hears it three samples into the
+    # step (sample 10), as per-hop calls make it, not at the burst's end (16).
+    bs = [
+        [(k, 1, 0, 0, 0.002, 64, 0, None, 1.0, None) for k in range(4)],
+        [(k, 1, 0, 0, 0.002 if k < 7 else 0.008, 64, 0, None, 1.0, None) for k in range(4, 16)],
+    ]
+    wakes, _ = _watched_run(bs, bulk=True)
+    assert wakes == _watched_run(bs, bulk=False)[0]
+    assert wakes == [(3, ("evidence",)), (10, ("shift", 0, 0.002, 0.008, True))]

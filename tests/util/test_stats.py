@@ -50,6 +50,32 @@ class TestOnlineStats:
         s.extend([10.0, 10.0, 10.0])
         assert s.cv == pytest.approx(0.0)
 
+    @given(
+        st.lists(st.floats(-1e6, 1e6), max_size=50),
+        st.lists(st.floats(-1e6, 1e6) | st.integers(-1000, 1000), max_size=200),
+    )
+    def test_extend_merges_what_repeated_push_adds(self, head, xs):
+        pushed, merged = OnlineStats(), OnlineStats()
+        for x in head:
+            pushed.push(x)
+            merged.push(x)
+        for x in xs:
+            pushed.push(x)
+        merged.extend(xs)
+        assert merged.n == pushed.n
+        if not pushed.n:
+            return
+        assert (merged.min, merged.max) == (pushed.min, pushed.max)
+        # Relative to the result, or — where the moments cancel — to what
+        # rounding can leave of them at the data's scale and spread.
+        scale = max(abs(pushed.min), abs(pushed.max))
+        spread = pushed.max - pushed.min
+        assert math.isclose(merged.mean, pushed.mean, rel_tol=1e-9, abs_tol=1e-12 * scale)
+        if pushed.n > 1:
+            assert math.isclose(
+                merged.variance, pushed.variance, rel_tol=1e-9, abs_tol=1e-12 * scale * spread
+            )
+
 
 class TestSlidingWindow:
     def test_eviction(self):
@@ -71,6 +97,22 @@ class TestSlidingWindow:
         assert math.isnan(w.mean)
         assert math.isnan(w.median)
         assert math.isnan(w.last)
+
+    @given(
+        st.integers(1, 40),
+        st.lists(finite_floats | st.integers(-5, 5), max_size=60),
+        st.lists(finite_floats | st.integers(-5, 5), max_size=100),
+    )
+    def test_extend_is_repeated_push(self, capacity, head, xs):
+        pushed, extended = SlidingWindow(capacity), SlidingWindow(capacity)
+        for x in head:
+            pushed.push(x)
+            extended.push(x)
+        for x in xs:
+            pushed.push(x)
+        extended.extend(xs)
+        assert extended.values() == pushed.values()
+        assert all(type(v) is float for v in extended.values())
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
