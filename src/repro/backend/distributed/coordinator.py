@@ -251,7 +251,7 @@ class _DistributedSession(RoutedSession):
             # segment: the boundary's count is each stage's.
             queued = sum([len(r.tasks) for r in backend._replicas[stage]])
             for w, recv_t, frame in burst:
-                at, slot, seq, ok, payload, t_sent, err_repr, trail = frame[2:]
+                _, _, at, slot, seq, ok, payload, t_sent, err_repr, trail = frame
                 if at not in slots:  # (worker, slot) names one replica
                     slots[at] = {(r.worker, r.slot): r for r in backend._replicas[at]}
                 replica = slots[at].get((w, slot))
@@ -267,7 +267,7 @@ class _DistributedSession(RoutedSession):
                 if ok:
                     done.append((w, recv_t, seq, route, payload, t_sent, trail, queued))
             backend._cond.notify_all()
-        bus, got, fits = self.events, [], {}
+        bus, got, fits, clock = self.events, [], {}, self.perf_to_session
         trace = sync = False
         if bus.active:
             trace, sync = any(map(bus.wants, _HOP_KINDS)), bus.wants("clock.sync")
@@ -302,7 +302,7 @@ class _DistributedSession(RoutedSession):
                     wk.observe_transfer(2 * nbytes_in, 2 * transfer)
                 # work_estimate = service x effective speed, so a loaded worker's
                 # slow service still yields the true per-item work.
-                at_s = self.perf_to_session(t_in + wait + service - off)
+                at_s = clock(t_in + wait + service - off)
                 hops.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
                 r.completed(t_out, end)
                 if sync and end - wk.clock_emit_t >= 1.0:

@@ -150,8 +150,10 @@ class StageMetrics:
                 self.record_service(s, speed, seq=seq, worker=worker, queue=queued, items=k, at=at)
         else:
             per = [s / k if k > 1 else s for s, k in zip(seconds, items)]
-            self.items_processed += sum(items)
-            self.total.extend([p for p, k in zip(per, items) for _ in range(k)])
+            count = sum(items)
+            self.items_processed += count
+            batched = count > len(per)  # a batch's per-item mean counts once per item
+            self.total.extend([p for p, k in zip(per, items) for _ in range(k)] if batched else per)
             self._service_win.extend(per)
             self._work_win.extend(map(mul, per, speeds))
         self._queue_win.extend(queues)
@@ -201,7 +203,9 @@ class StageMetrics:
 
 def _sizes(win: SlidingWindow, hist: Counter, nbytes: Sequence[float]) -> int:
     """Record payload sizes as ``record_bytes_in``/``_out`` do, one call each; their sum."""
-    sizes = [max(0, int(n)) for n in nbytes]
+    sizes = [*map(int, nbytes)]
+    if min(sizes) < 0:
+        sizes = [max(0, n) for n in sizes]
     win.extend(sizes)
     hist.update(map(int.bit_length, sizes))
     return sum(sizes)

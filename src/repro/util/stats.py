@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -49,7 +50,8 @@ class OnlineStats:
         k, n = len(xs), self._n + len(xs)
         mean = math.fsum(xs) / k
         delta = mean - self._mean
-        self._m2 += math.fsum([(x - mean) ** 2 for x in xs]) + delta * delta * self._n * k / n
+        dev = [x - mean for x in xs]
+        self._m2 += math.fsum(map(mul, dev, dev)) + delta * delta * self._n * k / n
         self._mean += delta * (k / n)
         self._n = n
         self._min, self._max = min(self._min, min(xs)), max(self._max, max(xs))
