@@ -708,10 +708,18 @@ class Session:
         """
         n = len(batch.items)
         stream, _ = self._deliver_run(batch.items, batch.bseq)
-        self.events.emit("batch.split", stream=stream, seq=batch.bseq, base=batch.base_seq, items=n)
+        self.events.emit(
+            "batch.split",
+            stream=stream,
+            seq=batch.bseq,
+            base=batch.base_seq,
+            items=n,
+        )
         if self.events.wants("item.complete"):
             for k in range(n):
-                self.events.emit("item.complete", stream=stream, seq=batch.base_seq + k)
+                self.events.emit(
+                    "item.complete", stream=stream, seq=batch.base_seq + k
+                )
 
     def _deliver_run(self, items: list, bseq: "int | None" = None) -> "tuple[int, int]":
         """Queue in-order ``items`` (batch ``bseq``'s) in one lock round with at

@@ -256,21 +256,19 @@ class _DistributedSession(RoutedSession):
                     slots[at] = {(r.worker, r.slot): r for r in backend._replicas[at]}
                 replica = slots[at].get((w, slot))
                 route = None if replica is None else replica.tasks.get(seq)
-                if route is None or route.t_sent != t_sent:
-                    route = None
-                elif not ok:  # a failure's payload is its pickled error
-                    failed = (at, payload, err_repr)
-                    break
-                else:
+                if route is not None and route.t_sent == t_sent:
+                    if not ok:  # a failure's payload is its pickled error
+                        err = load_error(payload, err_repr)
+                        failed = StageError(backend.pipeline.stage(at).name, err)
+                        break
                     backend._settle(seq, route)
                     queued -= 1
-                if ok:
                     done.append((w, recv_t, seq, route, payload, t_sent, trail, queued))
+                elif ok:  # stale: its payload is released below
+                    done.append((w, recv_t, seq, None, payload, t_sent, trail, queued))
             backend._cond.notify_all()
-        bus, got, fits, clock = self.events, [], {}, self.perf_to_session
-        trace = sync = False
-        if bus.active:
-            trace, sync = any(map(bus.wants, _HOP_KINDS)), bus.wants("clock.sync")
+        bus, got, clock = self.events, [], self.perf_to_session
+        trace, sync = any(map(bus.wants, _HOP_KINDS)), bus.wants("clock.sync")
         for w, recv_t, seq, route, payload, t_out, trail, queued in done:
             payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
             if route is None:
@@ -286,10 +284,7 @@ class _DistributedSession(RoutedSession):
             for r, hop in zip(route.replicas, trail):
                 i, _, _, t_in, wait, service, t_done, nbytes = hop
                 wk = r.worker
-                fit = fits.get(wk)
-                if fit is None:  # one clock fit per worker and burst
-                    fit = fits[wk] = wk.clock.fit()
-                off = fit.offset_at(t_in)  # the drift across a hop is below its error
+                off = wk.clock.fit().offset_at(t_in)  # the drift across a hop is below its error
                 if hop is boundary:
                     # Wire time both ways (rtt minus service and queue wait), fed
                     # with the bytes that crossed in and back to the size-stratified fit.
@@ -308,14 +303,11 @@ class _DistributedSession(RoutedSession):
                 if sync and end - wk.clock_emit_t >= 1.0:
                     self._clock_event(wk, end)
                 if trace:
-                    self._trace_hop(seq, wk, fit.to_local, t_out, hop, end)
+                    self._trace_hop(seq, wk, wk.clock.fit().to_local, t_out, hop, end)
                 t_out, nbytes_in = end, nbytes
             backend._ref_bytes += 0.1 * (frame_in.nbytes - backend._ref_bytes)
             got.append((seq, payload, hops))
-        if failed is not None:
-            at, payload, err_repr = failed
-            got.append(StageError(backend.pipeline.stage(at).name, load_error(payload, err_repr)))
-        return got
+        return got if failed is None else [*got, failed]
 
     # ---------------------------------------------------------------- tracing
     def _clock_event(self, w: _WorkerConn, now: float) -> None:

@@ -24,14 +24,13 @@ never holds its successors back.
 :class:`RoutedSession` owns the ingress lock, one router thread per
 *boundary* stage, every reorderer, per-stage metrics and byte accounting,
 item-space event emission, and the egress branch (decode → release → the
-port's ``_complete_run``); the abort flag and ``_fail`` are the port's.
-A router works a burst per wake: one stage-lock round per stage records
-the burst's hops (``StageMetrics.record_hops``), and the in-order run goes
-to the port in one call.  Items
-travel under the port's session-wide number (``gseq``, a batch's ``bseq``),
-which never restarts, so a reorderer runs on across stream boundaries and
-every record names items by the ``gseq`` their ``item.submit`` carried.
-An executor supplies four hooks:
+port's ``_complete_run``); the abort flag and ``_fail`` are the port's.  A
+router works a burst per wake: one stage-lock round per stage records the
+burst's hops (``StageMetrics.record_hops``), and the in-order run goes to
+the port in one call.  Items travel under the port's session-wide number
+(``gseq``, a batch's ``bseq``), which never restarts, so a reorderer runs
+on across stream boundaries and every record names items by the ``gseq``
+their ``item.submit`` carried.  An executor supplies four hooks:
 
 ``_ingress(seq, value)``
     encode one admitted item (through :meth:`RoutedSession._encode`, the

@@ -202,7 +202,7 @@ class StageMetrics:
 
 
 def _sizes(win: SlidingWindow, hist: Counter, nbytes: Sequence[float]) -> int:
-    """Record payload sizes as ``record_bytes_in``/``_out`` do, one call each; their sum."""
+    """Record sizes as that many ``record_bytes_in``/``_out`` calls do; their sum."""
     sizes = [*map(int, nbytes)]
     if min(sizes) < 0:
         sizes = [max(0, n) for n in sizes]

@@ -114,18 +114,19 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # went); the port's per-stream begin barrier and _begin_stream went; and
 # DistributedBackend lost register_timeout=, worker_cores= and
 # heartbeat_timeout= (nothing set them).  Nothing moved.
-# Raised by 23 to the count (5,320 -> 5,343), +30 net over 5,313, for the
+# Raised by 22 to the count (5,320 -> 5,342), +29 net over 5,313, for the
 # boundary router taking a burst per wake on both heavy lanes: _poll returns
 # every result the lane holds and _accept takes them in one pass (one lane
-# lock, one replica table and one clock fit per worker on distributed; one
-# queued() read per stage on processes), _route_inner records each stage's
-# hops in one stage-lock round and hands the in-order run to the port's new
+# lock, one replica table and one notify on distributed; one queued() read
+# per stage on processes), _route_inner records each stage's hops in one
+# stage-lock round and hands the in-order run to the port's new
 # _complete_run, whose lock round _deliver_batch now shares (_deliver_run).
-# What the burst made unnecessary paid back: the per-hop _record and
-# _record_bytes_in.  Bought x1.1-1.2 items_per_s on tiny_distributed and the
-# router thread 33 -> 21 us/item (CHANGES.md).  The bulk record itself lives
-# in monitor/ (StageMetrics.record_hops) and util/ (the batch merges).
-CEILING = 5343
+# What the burst made unnecessary paid back: the per-hop _record, the
+# per-frame _record_bytes_in and _accept's per-result bus.active guard.
+# Bought x1.22 items_per_s on tiny_distributed (10/10 pairs) and the router
+# thread 28 -> 16 us/item (CHANGES.md).  The bulk record itself lives in
+# monitor/ (StageMetrics.record_hops) and util/ (the batch merges).
+CEILING = 5342
 
 #: Every other package (``"."``: the top-level modules), set at its count
 #: after the reachability audit, rounded up to the next 10, and lowered the
