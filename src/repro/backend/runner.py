@@ -1,10 +1,12 @@
 """Observe→decide→act on *real* executors, with wall-clock measurements.
 
-:class:`RuntimeAdaptiveRunner` closes the loop the simulator's controller
-runs in simulated time (:mod:`repro.core.adaptive`) against a live
-**session**: :meth:`~RuntimeAdaptiveRunner.attach` binds one controller
-thread to a :class:`~repro.backend.base.Session`, and its measurement
-window, cooldown and mapping carry across every stream the session serves.
+:class:`RuntimeAdaptiveRunner` drives the adaptation loop the simulator
+drives in simulated time (:mod:`repro.core.adaptive`) — one
+:class:`~repro.core.policy.Controller` — against a live **session**:
+:meth:`~RuntimeAdaptiveRunner.attach` binds one controller thread to a
+:class:`~repro.backend.base.Session`, and its measurement window, cooldown
+and mapping carry across every stream the session serves.  What lives here
+is what the wall clock needs:
 
 * **observe** — per-stage :class:`StageSnapshot` samples collected through
   :mod:`repro.monitor.instrument`.  The controller sleeps in one bounded
@@ -23,11 +25,12 @@ window, cooldown and mapping carry across every stream the session serves.
   (``work_estimate`` = measured service time) are the fallback.  The
   default policy's replica cap is the smaller of the config's (if it names
   one) and ``backend.replica_limit``;
-* **act** — mapping deltas become ``backend.reconfigure(stage, n)`` calls;
-* **validate** — ``2 x settle_time`` later (a deadline of the same wait,
-  evidence still heard) the sink throughput is compared with the
-  pre-action window; a regression beyond ``rollback_tolerance`` reverts
-  the replica counts and doubles the cooldown, as in the simulator.
+* **act** — the controller's port: the proposal clamped to the warm pools,
+  its deltas as ``backend.reconfigure(stage, n)`` calls, the replica
+  counts the backend realised as the result;
+* **validate** — the controller's ``2 x settle_time`` deadline is one more
+  deadline of the same wait (evidence still heard); its verdict and
+  rollback are the simulator's.
 
 ``run(inputs)`` is the bounded-stream convenience: attach (once, lazily),
 submit under backpressure, drain, report that stream's events; repeated
@@ -47,7 +50,7 @@ from typing import Any, Iterable, Sequence
 from repro.backend.base import Backend, Session, make_backend
 from repro.core.events import AdaptationEvent
 from repro.core.pipeline import PipelineSpec
-from repro.core.policy import AdaptationConfig, AdaptationPolicy
+from repro.core.policy import AdaptationConfig, Controller, resolve_policy
 from repro.model.cost import MigrationCostModel
 from repro.model.mapping import Mapping
 from repro.model.throughput import ResourceView, snapshot_view
@@ -149,16 +152,12 @@ class RuntimeAdaptiveRunner:
             )
         n = pipeline.n_stages
         budget = max(self.backend.replica_limit(i) for i in range(n))
-        if policy is not None:
-            self.policy = policy
-            self.config = policy.config
-        else:
+        if policy is None:
             # One cap: the planner may use every replica the executor keeps
             # warm, and a smaller cap the caller configured still wins.
             config = config if config is not None else local_config()
-            cap = min(config.max_replicas or budget, budget)
-            self.config = replace(config, max_replicas=cap)
-            self.policy = AdaptationPolicy(pipeline, self.config)
+            config = replace(config, max_replicas=min(config.max_replicas or budget, budget))
+        self.policy, self.config = resolve_policy(pipeline, config, policy)
         self.rollback = rollback
         if n_virtual_procs is None:
             n_virtual_procs = max(n + budget - 1, os.cpu_count() or 2, 2)
@@ -172,8 +171,7 @@ class RuntimeAdaptiveRunner:
         self._view: ResourceView = snapshot_view(
             uniform_grid(n_virtual_procs).snapshot(0.0)
         )
-        # Controller state (guarded by _lock; persists across streams).
-        self._lock = threading.Lock()
+        # Controller state (persists across streams).
         self._controller: threading.Thread | None = None
         #: The attached controller's wake-up; replaced (None) to stop it.
         self._wake: threading.Event | None = None
@@ -246,8 +244,7 @@ class RuntimeAdaptiveRunner:
             if self._controller is not None:
                 self.detach()
             session = self.attach()
-        with self._lock:
-            events_mark = len(self.events)
+        events_mark = len(self.events)
         run_start_counts = tuple(self.backend.replica_counts())
         t0 = time.perf_counter()
         started = session.now()  # events are stamped on the session clock
@@ -268,11 +265,10 @@ class RuntimeAdaptiveRunner:
             self.close()
             raise err
         elapsed = session.last_stream_elapsed
-        with self._lock:
-            run_events = list(self.events[events_mark:])
+        run_events = self.events[events_mark:]
         history = [(0.0, run_start_counts)]
         history += [
-            (e.time - started, self._counts_of(e.mapping_after)) for e in run_events
+            (e.time - started, tuple(map(len, e.mapping_after.stages))) for e in run_events
         ]
         return RuntimeRunResult(
             backend=self.backend.name,
@@ -284,9 +280,6 @@ class RuntimeAdaptiveRunner:
             final_replicas=list(self.backend.replica_counts()),
             service_means=session.service_means(),
         )
-
-    def _counts_of(self, mapping: Mapping) -> tuple[int, ...]:
-        return tuple(len(mapping.replicas(i)) for i in range(self.pipeline.n_stages))
 
     # ------------------------------------------------------------ controller
     def _initial_mapping(self) -> Mapping:
@@ -309,15 +302,6 @@ class RuntimeAdaptiveRunner:
         span = min(horizon, time.perf_counter() - session._stream_t0)
         rate = self.backend.recent_throughput(span)
         return rate if rate * span >= self.config.min_samples - 0.5 else math.nan
-
-    def _record(self, session: Session, kind, before, after, reason, gain, tp, **fields):
-        """Log one adaptation (or its rollback) and journal it; returns its time."""
-        now = session.now()
-        with self._lock:
-            self.events.append(AdaptationEvent(now, kind, before, after, reason, gain, tp))
-        topic = "adapt.rollback" if kind == "rollback" else "adapt.act"
-        session.events.emit(topic, reason, action=kind, reason=reason, **fields)
-        return now
 
     def _controller_main(self, session: Session, wake: threading.Event) -> None:
         watch = ServiceWatch(
@@ -361,119 +345,64 @@ class RuntimeAdaptiveRunner:
 
     def _control_loop(self, session: Session, wake, watch: ServiceWatch) -> None:
         cfg = self.config
-        mapping = self._initial_mapping()
-        last_action = -math.inf
+        ctl = Controller(
+            self.policy, self._initial_mapping(), self._act, clock=session.now,
+            throughput=lambda horizon: self._throughput(session, horizon),
+            horizon=cfg.settle_time, events=session.events, log=self.events,
+            rollback=self.rollback,
+        )
         quiet_until = calm_until = 0.0  # session times: no decision / only for a step
-        pending: tuple | None = None  # the last action, until it is validated
-        while trigger := self._wait(
-            session, wake, watch, quiet_until, calm_until, pending[0] if pending else math.inf
-        ):
+        while trigger := self._wait(session, wake, watch, quiet_until, calm_until, ctl.due):
             backlog = session.backlog
             if backlog <= 0:
                 # Idle between streams: nothing to measure, move or judge.
-                pending = None
+                ctl.pending = None
                 watch.arm()
                 continue
-            if trigger[0] == "validate":
-                _, before_tp, old_counts, realized, old_mapping = pending
-                pending = None
-                after_tp = self._throughput(session, cfg.settle_time)
-                if after_tp < before_tp * cfg.rollback_tolerance:  # NaN: no verdict
-                    for i, (old_n, new_n) in enumerate(zip(old_counts, realized)):
-                        if old_n != new_n:
-                            self.backend.reconfigure(i, old_n)
-                    now = self._record(
-                        session, "rollback", mapping, old_mapping,
-                        f"measured {after_tp:.3f}/s < "
-                        f"{cfg.rollback_tolerance:.2f} x {before_tp:.3f}/s",
-                        1.0, after_tp,
-                        replicas_before=list(realized),
-                        replicas_after=list(old_counts),
-                        throughput_before=before_tp,
-                        throughput_after=after_tp,
-                    )
-                    mapping = old_mapping
-                    last_action = now + cfg.cooldown  # demand stronger evidence
-                    quiet_until = calm_until = last_action + cfg.cooldown
-                    watch.arm()
-                    continue
+            if trigger[0] == "validate" and ctl.validate() is not None:
+                quiet_until = calm_until = ctl.last_action + cfg.cooldown
+                watch.arm()
+                continue
             # The backend's measured view of the virtual grid, where it has one.
             measured_view = self.backend.resource_view(self.n_virtual_procs)
             snapshots = self.backend.snapshots()
             now = session.now()
-            decision = self.policy.decide(
-                now=now,
-                current=mapping,
+            acted = ctl.step(
                 snapshots=snapshots,
                 view=measured_view if measured_view is not None else self._view,
-                source_pid=0,
-                sink_pid=0,
-                remaining_items=backlog,
-                last_action_time=last_action,
-            )
-            # The next shift is measured from the means this decision saw.
-            means = [s.service_time for s in snapshots]
-            watch.arm(means, self.backend.replica_counts())
-            # A mean that keeps drifting is looked at once per cooldown; a
-            # step is not made to wait, but however often stages step, saying
-            # no takes at most a twentieth of one core.
-            calm_until = now + cfg.cooldown
-            quiet_until = now + 20 * (session.now() - now)
-            session.events.emit(
-                "adapt.decide",
-                decision.reason,
-                reason=decision.reason,
-                acts=decision.acts,
-                predicted_gain=decision.predicted_gain,
-                backlog=backlog,
+                source_pid=0, sink_pid=0, remaining=backlog,
                 **dict(zip(("trigger", "stage", "mean_before", "mean_after", "step"), trigger)),
             )
-            if not decision.acts:
-                continue
-            old_counts = self.backend.replica_counts()
-            # Backstop: clamp the proposal to what the warm pools can honour.
-            limits = [self.backend.replica_limit(i) for i in range(self.pipeline.n_stages)]
-            new_mapping = self._fit(decision.new_mapping, limits)
-            new_counts = list(self._counts_of(new_mapping))
-            if new_mapping == mapping or new_counts == old_counts:
-                # Nothing physical would change (e.g. the proposal clamped
-                # back to the current shape): an event or a validation would
-                # fabricate an adaptation the backend never performed.
-                continue
-            before_tp = self._throughput(session, cfg.settle_time)
-            for i, (old_n, new_n) in enumerate(zip(old_counts, new_counts)):
-                if old_n != new_n:
-                    self.backend.reconfigure(i, new_n)
-            # Record what the backend *achieved*, not what was proposed — a
-            # live grow can no-op, and the timeline must not claim replicas
-            # that never existed.
-            realized = self.backend.replica_counts()
-            if realized == old_counts:
-                continue
-            new_mapping = self._fit(new_mapping, realized)
-            watch.arm(means, realized)
-            last_action = self._record(
-                session,
-                "replicate" if new_mapping.is_replicated() else "remap",
-                mapping, new_mapping, decision.reason, decision.predicted_gain, before_tp,
-                predicted_gain=decision.predicted_gain,
-                replicas_before=list(old_counts),
-                replicas_after=list(realized),
-                throughput_before=before_tp,
-            )
-            quiet_until = calm_until = last_action + cfg.cooldown
-            if self.rollback:
-                # Judged like the simulator controller's actions: in-flight
-                # items drain for one settle window, a second is measured.
-                deadline = last_action + 2 * cfg.settle_time
-                pending = (deadline, before_tp, old_counts, realized, mapping)
-            mapping = new_mapping
+            # The next shift is measured from the means this decision saw.
+            watch.arm([s.service_time for s in snapshots], self.backend.replica_counts())
+            if acted is not None:
+                quiet_until = calm_until = ctl.last_action + cfg.cooldown
+            else:
+                # A mean that keeps drifting is looked at once per cooldown; a
+                # step is not made to wait, but however often stages step,
+                # saying no takes at most a twentieth of one core.
+                calm_until = now + cfg.cooldown
+                quiet_until = now + 20 * (session.now() - now)
+
+    def _act(self, mapping: Mapping, _migration_s: float) -> Mapping | None:
+        """The controller's act port: the mapping now running, or None.
+
+        Activating a warm replica has no migration to wait for.  The
+        proposal is clamped to what the warm pools can honour; one that
+        would change nothing physical is not made (an event or a validation
+        would fabricate an adaptation the backend never performed).  What is
+        returned is what the backend *achieved* — a live grow can no-op, and
+        the timeline must not claim replicas that never existed.
+        """
+        old = self.backend.replica_counts()
+        mapping = self._fit(mapping, [self.backend.replica_limit(i) for i in range(len(old))])
+        for i, (old_n, new_n) in enumerate(zip(old, map(len, mapping.stages))):
+            if old_n != new_n:
+                self.backend.reconfigure(i, new_n)
+        realized = self.backend.replica_counts()
+        return None if realized == old else self._fit(mapping, realized)
 
     @staticmethod
     def _fit(mapping: Mapping, limits: Sequence[int]) -> Mapping:
         """Truncate each stage's replica set to ``limits[stage]``."""
-        for i, limit in enumerate(limits):
-            reps = mapping.replicas(i)
-            if len(reps) > limit:
-                mapping = mapping.with_stage(i, list(reps)[:limit])
-        return mapping
+        return Mapping(tuple(reps[:n] for reps, n in zip(mapping.stages, limits)))

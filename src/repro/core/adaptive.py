@@ -1,4 +1,4 @@
-"""The user-facing adaptive pipeline runner (observe → decide → act).
+"""The user-facing adaptive pipeline runner: the adaptation loop in simulated time.
 
 :class:`AdaptivePipeline` assembles the whole pattern around one run:
 
@@ -7,12 +7,13 @@
   resource side),
 * a :class:`~repro.core.executor_sim.SimPipelineEngine` whose built-in
   instrumentation is the observe, application side,
-* a controller process evaluating the :class:`~repro.core.policy.
-  AdaptationPolicy` every ``interval`` seconds (decide) and calling
-  :meth:`~repro.core.executor_sim.SimPipelineEngine.reconfigure` (act),
-* post-action validation: if measured throughput after ``settle_time``
-  regressed below ``rollback_tolerance`` × the pre-action value, the
-  controller reverts the mapping and extends its cooldown.
+* the :class:`~repro.core.policy.Controller` — the one the live runner
+  (:mod:`repro.backend.runner`) drives on the wall clock — woken every
+  ``interval`` simulated seconds to decide and act through
+  :meth:`~repro.core.executor_sim.SimPipelineEngine.reconfigure`, and
+  ``2 x settle_time`` after an action to validate it: a regression below
+  ``rollback_tolerance`` x the pre-action throughput reverts the mapping
+  and doubles the cooldown.
 
 ``run_static`` executes the same machinery with the controller disabled —
 the baseline every experiment compares against.
@@ -20,12 +21,10 @@ the baseline every experiment compares against.
 
 from __future__ import annotations
 
-import math
-
 from repro.core.events import AdaptationEvent, RunResult
 from repro.core.executor_sim import SimPipelineEngine
 from repro.core.pipeline import PipelineSpec
-from repro.core.policy import AdaptationConfig, AdaptationPolicy
+from repro.core.policy import AdaptationConfig, Controller, resolve_policy
 from repro.gridsim.engine import AnyOf, Interrupt, Simulator
 from repro.gridsim.grid import GridSystem
 from repro.model.mapping import Mapping
@@ -97,15 +96,7 @@ class AdaptivePipeline:
             raise ValueError(f"view_source must be 'monitor' or 'oracle', got {view_source!r}")
         self.pipeline = pipeline
         self.grid = grid
-        if policy is not None:
-            self.policy = policy
-            self.config = policy.config
-        elif config is not None:
-            self.policy = AdaptationPolicy(pipeline, config)
-            self.config = config
-        else:
-            self.policy = None
-            self.config = None
+        self.policy, self.config = resolve_policy(pipeline, config, policy)
         self.view_source = view_source
         self.source_pid = grid.pids[0] if source_pid is None else source_pid
         self.sink_pid = grid.pids[0] if sink_pid is None else sink_pid
@@ -193,110 +184,42 @@ class AdaptivePipeline:
 
     # ------------------------------------------------------------------ controller
     def _controller(
-        self,
-        sim: Simulator,
-        engine: SimPipelineEngine,
-        monitor: ResourceMonitor | None,
-        n_items: int,
-        events: list[AdaptationEvent],
+        self, sim: Simulator, engine: SimPipelineEngine, monitor: ResourceMonitor | None,
+        n_items: int, events: list[AdaptationEvent],
     ):
-        assert self.policy is not None and self.config is not None
+        """Drive the :class:`Controller` in simulated time."""
         cfg = self.config
-        policy = self.policy
+
+        def act(mapping: Mapping, migration_s: float) -> Mapping:
+            engine.reconfigure(mapping, migration_s)
+            return mapping
+
+        ctl = Controller(
+            self.policy, engine.mapping, act, clock=lambda: sim.now,
+            throughput=lambda h: engine.instrumentation.recent_throughput(sim.now, horizon=h),
+            horizon=max(cfg.interval, 2.0), events=self.events, log=events,
+        )
         nominal_speeds = {p.pid: p.speed for p in self.grid.processors}
-        last_action = -math.inf
         try:
-            while not engine.done.triggered:
-                # Sleep one interval, but wake immediately when the run ends.
-                which, _ = yield AnyOf([sim.timeout(cfg.interval), engine.done])
+            while True:
+                # Sleep one interval (two settle windows while an action awaits
+                # its verdict), but wake immediately when the run ends.
+                wait = 2 * cfg.settle_time if ctl.pending else cfg.interval
+                which, _ = yield AnyOf([sim.timeout(wait), engine.done])
                 if which == 1 or engine.done.triggered:
                     return
-                remaining = n_items - engine.items_completed
+                if ctl.pending:
+                    ctl.validate()
+                    continue
                 if monitor is not None:
                     view = estimates_view(monitor.estimates(), nominal_speeds)
                 else:  # oracle: ground truth at decision time
                     view = snapshot_view(self.grid.snapshot(sim.now))
-                decision = policy.decide(
-                    now=sim.now,
-                    current=engine.mapping,
-                    snapshots=engine.instrumentation.snapshots(),
-                    view=view,
-                    source_pid=self.source_pid,
-                    sink_pid=self.sink_pid,
-                    remaining_items=remaining,
-                    last_action_time=last_action,
+                ctl.step(
+                    snapshots=engine.instrumentation.snapshots(), view=view,
+                    source_pid=self.source_pid, sink_pid=self.sink_pid,
+                    remaining=n_items - engine.items_completed,
                 )
-                self.events.emit(
-                    "adapt.decide",
-                    decision.reason,
-                    at=sim.now,
-                    acts=decision.acts,
-                    reason=decision.reason,
-                )
-                if not decision.acts:
-                    continue
-                assert decision.new_mapping is not None
-                before_tp = engine.instrumentation.recent_throughput(
-                    sim.now, horizon=max(cfg.interval, 2.0)
-                )
-                old_mapping = engine.mapping
-                engine.reconfigure(decision.new_mapping, decision.migration_cost)
-                last_action = sim.now
-                kind = (
-                    "replicate" if decision.new_mapping.is_replicated() else "remap"
-                )
-                events.append(
-                    AdaptationEvent(
-                        time=sim.now,
-                        kind=kind,
-                        mapping_before=old_mapping,
-                        mapping_after=decision.new_mapping,
-                        reason=decision.reason,
-                        predicted_gain=decision.predicted_gain,
-                        throughput_before=before_tp,
-                    )
-                )
-                # Post-action validation: wait one settle_time for in-flight
-                # items started on the *old* replicas to drain (an item
-                # caught mid-service on a degraded node can stall the
-                # in-order output for a full degraded service time), then
-                # measure over a second settle_time window that reflects the
-                # new mapping only.  Regression beyond tolerance rolls back.
-                which, _ = yield AnyOf([sim.timeout(2 * cfg.settle_time), engine.done])
-                if which == 1 or engine.done.triggered:
-                    return
-                after_tp = engine.instrumentation.recent_throughput(
-                    sim.now, horizon=cfg.settle_time
-                )
-                if (
-                    not math.isnan(before_tp)
-                    and not math.isnan(after_tp)
-                    and after_tp < before_tp * cfg.rollback_tolerance
-                ):
-                    engine.reconfigure(old_mapping, decision.migration_cost)
-                    self.events.emit(
-                        "adapt.rollback",
-                        f"measured {after_tp:.3f}/s < "
-                        f"{cfg.rollback_tolerance:.2f} x {before_tp:.3f}/s",
-                        at=sim.now,
-                    )
-                    events.append(
-                        AdaptationEvent(
-                            time=sim.now,
-                            kind="rollback",
-                            mapping_before=decision.new_mapping,
-                            mapping_after=old_mapping,
-                            reason=(
-                                f"measured {after_tp:.3f}/s < "
-                                f"{cfg.rollback_tolerance:.2f} x {before_tp:.3f}/s"
-                            ),
-                            predicted_gain=1.0,
-                            throughput_before=after_tp,
-                        )
-                    )
-                    # Double cooldown after a failed action: the model was
-                    # wrong here; demand stronger evidence before retrying.
-                    last_action = sim.now + cfg.cooldown
         except Interrupt:
             return
 

@@ -361,13 +361,6 @@ class SimPipelineEngine:
                 self._send_stop_token(rt, old_count),
                 name=f"stop-token[{stage}]",
             )
-            self.events.emit(
-                "adapt.act",
-                f"stage {stage}: {self.mapping.replicas(stage)} -> "
-                f"{new_mapping.replicas(stage)}",
-                at=self.sim.now,
-                stage=stage,
-            )
         self.mapping = new_mapping
         self.mapping_history.append((self.sim.now, new_mapping))
         return changed

@@ -1,9 +1,9 @@
-"""The *decide* step: when and how to adapt.
+"""The adaptation loop: when and how to adapt, and what came of it.
 
-:class:`AdaptationPolicy` is a pure function of its inputs — instrumentation
-snapshots, monitor forecasts, the current mapping — returning a
-:class:`~repro.core.events.Decision`.  All the guards that keep adaptation
-from thrashing live here:
+:class:`AdaptationPolicy` is the *decide* step, a pure function of its
+inputs — instrumentation snapshots, monitor forecasts, the current mapping
+— returning a :class:`~repro.core.events.Decision`.  All the guards that
+keep adaptation from thrashing live here:
 
 * **cooldown** — no decision within ``cooldown`` seconds of the last action;
 * **evidence** — every stage must have ``min_samples`` recent service
@@ -19,6 +19,10 @@ The candidate generator composes :func:`~repro.model.optimizer.local_search`
 (re-homing) with :func:`~repro.model.optimizer.propose_replication`
 (farm-conversion of the bottleneck stage), both driven by *measured* work
 estimates and *forecast* resource availability — never ground truth.
+
+:class:`Controller` is the caller that holds the loop's state and runs
+observe → decide → act → validate → rollback on either clock: simulated
+time (:mod:`repro.core.adaptive`) or a live session's (:mod:`repro.backend.runner`).
 """
 
 from __future__ import annotations
@@ -26,16 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.events import Decision
+from repro.core.events import AdaptationEvent, Decision
 from repro.core.pipeline import PipelineSpec
 from repro.model.cost import MigrationCostModel
 from repro.model.mapping import Mapping
 from repro.model.optimizer import local_search, propose_replication
 from repro.model.throughput import ModelContext, ResourceView, StageCost, predict
 from repro.monitor.instrument import StageSnapshot
+from repro.obs.events import NULL_BUS
 from repro.util.validation import check_non_negative, check_positive
 
-__all__ = ["AdaptationConfig", "AdaptationPolicy"]
+__all__ = ["AdaptationConfig", "AdaptationPolicy", "Controller", "resolve_policy"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class AdaptationConfig:
 
 
 class AdaptationPolicy:
-    """Stateless decision logic (state like cooldown lives in the caller)."""
+    """Stateless decision logic (state like cooldown lives in the :class:`Controller`)."""
 
     def __init__(self, pipeline: PipelineSpec, config: AdaptationConfig) -> None:
         self.pipeline = pipeline
@@ -198,3 +203,119 @@ class AdaptationPolicy:
             predicted_gain=gain,
             migration_cost=migration_s,
         )
+
+
+def resolve_policy(pipeline: PipelineSpec, config: AdaptationConfig | None, policy=None):
+    """The ``(policy, config)`` a driver runs: ``policy`` overrides ``config``.
+
+    ``(None, None)`` when neither is given: nothing adapts.
+    """
+    if policy is None and config is not None:
+        policy = AdaptationPolicy(pipeline, config)
+    return policy, None if policy is None else policy.config
+
+
+class Controller:
+    """One adaptation loop: observe → decide → act → validate → rollback.
+
+    Pure: no clock, thread or executor of its own.  Its driver wakes it —
+    the simulator every ``interval`` of simulated time, the live runner on
+    evidence — and calls :meth:`step` with what it observed, then
+    :meth:`validate` once :attr:`due` has passed.  It acts through one port,
+    ``act(new_mapping, migration_s)``, which returns the mapping really
+    running afterwards, or None when nothing changed.  ``clock()`` stamps
+    its records; ``throughput(horizon)`` is the sink rate over a trailing
+    horizon (NaN: too little to measure), read over ``horizon`` before an
+    action and over ``settle_time`` to judge it.
+
+    Every action and rollback is logged once, as an
+    :class:`~repro.core.events.AdaptationEvent` appended to ``log`` and an
+    ``adapt.act`` / ``adapt.rollback`` record on ``events``.
+    """
+
+    def __init__(
+        self, policy, mapping: Mapping, act, *, clock, throughput, horizon: float,
+        events=NULL_BUS, log: list[AdaptationEvent] | None = None, rollback: bool = True,
+    ) -> None:
+        self.policy, self.config = policy, policy.config
+        self.mapping = mapping  # the mapping it believes is running
+        self.last_action = -math.inf
+        #: The action awaiting its verdict: (due, throughput before, old
+        #: mapping, migration_s), or None.
+        self.pending: tuple | None = None
+        self.log = [] if log is None else log
+        self._act, self._clock, self._throughput = act, clock, throughput
+        self._horizon, self._events, self._rollback = horizon, events, rollback
+
+    @property
+    def due(self) -> float:
+        """When the pending action is judged (``inf`` when none is)."""
+        return self.pending[0] if self.pending else math.inf
+
+    def step(self, *, snapshots, view, source_pid, sink_pid, remaining, **fields):
+        """Decide on what was observed and act; returns the action's event or None.
+
+        ``remaining`` (the work left) is journalled as ``backlog``, and
+        ``fields`` ride along on the ``adapt.decide`` record.
+        """
+        now = self._clock()
+        decision = self.policy.decide(
+            now=now, current=self.mapping, snapshots=snapshots, view=view,
+            source_pid=source_pid, sink_pid=sink_pid, remaining_items=remaining,
+            last_action_time=self.last_action,
+        )
+        gain = decision.predicted_gain
+        self._events.emit(
+            "adapt.decide", decision.reason, at=now, reason=decision.reason,
+            acts=decision.acts, predicted_gain=gain, backlog=remaining, **fields,
+        )
+        if not decision.acts:
+            return None
+        before_tp, old = self._throughput(self._horizon), self.mapping
+        event = self._apply(
+            decision.new_mapping, decision.migration_cost, decision.reason, gain,
+            before_tp, predicted_gain=gain, throughput_before=before_tp,
+        )
+        if event is not None:
+            self.last_action = event.time
+            if self._rollback:
+                # Judged after two settle windows: in-flight items started on
+                # the old replicas drain for one, the second is measured.
+                due = event.time + 2 * self.config.settle_time
+                self.pending = (due, before_tp, old, decision.migration_cost)
+        return event
+
+    def validate(self):
+        """Judge the pending action; returns the rollback's event, or None if it stands."""
+        cfg = self.config
+        _, before_tp, old, migration_s = self.pending
+        self.pending = None
+        after_tp = self._throughput(cfg.settle_time)
+        if not after_tp < before_tp * cfg.rollback_tolerance:  # NaN: no verdict
+            return None
+        reason = f"measured {after_tp:.3f}/s < {cfg.rollback_tolerance:.2f} x {before_tp:.3f}/s"
+        event = self._apply(
+            old, migration_s, reason, 1.0, after_tp, kind="rollback",
+            throughput_before=before_tp, throughput_after=after_tp,
+        )
+        if event is not None:
+            # The model was wrong here: the next action waits a doubled cooldown.
+            self.last_action = event.time + cfg.cooldown
+        return event
+
+    def _apply(self, target, migration_s, reason, gain, tp, kind=None, **fields):
+        """Act through the port; log and journal the mapping it realised."""
+        realised = self._act(target, migration_s)
+        if realised is None:
+            return None
+        before, self.mapping = self.mapping, realised
+        kind = kind or ("replicate" if realised.is_replicated() else "remap")
+        event = AdaptationEvent(self._clock(), kind, before, realised, reason, gain, tp)
+        self.log.append(event)
+        self._events.emit(
+            "adapt.rollback" if kind == "rollback" else "adapt.act", reason,
+            at=event.time, action=kind, reason=reason, **fields,
+            replicas_before=list(map(len, before.stages)),
+            replicas_after=list(map(len, realised.stages)),
+        )
+        return event

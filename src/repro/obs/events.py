@@ -53,13 +53,15 @@ SCHEMA: dict[str, str] = {
     # -- replica shape (executors + distributed placement) ----------------
     "replica.add": "replicas grew: stage, n[, worker, slot]",
     "replica.remove": "replicas shrank: stage, n[, worker, slot]",
-    # -- adaptation loop (backend/runner.py, core controller) -------------
-    "adapt.decide": "policy evaluated: reason, acts[, predicted_gain, backlog]; live runner adds "
-    "trigger = evidence | shift | tick | validate and, for shift, stage, mean_before, "
-    "mean_after, step (window cut back to a new level)",
-    "adapt.act": "mapping applied: action, reason[, predicted_gain], replicas_before, "
+    # -- adaptation loop (core/policy.py Controller on either clock:
+    #    core/adaptive.py, backend/runner.py; backlog = work left) ---------
+    "adapt.decide": "policy evaluated: reason, acts, predicted_gain, backlog; only the live "
+    "runner adds trigger = evidence | shift | tick | validate and, for shift, stage, "
+    "mean_before, mean_after, step (window cut back to a new level); the distributed "
+    "coordinator's re-home after a worker death carries reason, stage, worker",
+    "adapt.act": "mapping applied: action, reason, predicted_gain, replicas_before, "
     "replicas_after, throughput_before",
-    "adapt.rollback": "post-action validation regressed: reason, replicas_before, "
+    "adapt.rollback": "post-action validation regressed: action, reason, replicas_before, "
     "replicas_after, throughput_before, throughput_after",
     # -- distributed membership (coordinator) -----------------------------
     "worker.join": "worker registered: worker, name, cores",

@@ -405,8 +405,8 @@ def profile_journal(path: str | os.PathLike) -> ProfileReport:
             report.decisions.append(
                 (
                     rec.get("t", 0.0),
-                    rec.get("before", []),
-                    rec.get("after", []),
+                    rec.get("replicas_before", []),
+                    rec.get("replicas_after", []),
                     str(rec.get("reason", rec.get("msg", ""))),
                 )
             )

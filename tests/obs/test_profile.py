@@ -157,7 +157,8 @@ class TestJournalFrontend:
             "worker": 0, "offset": 1e-4, "drift": 0.0, "err": 5e-5, "n": 9,
         }))
         j(Event(0.6, "item.complete", fields={"stream": 0, "seq": 0}))
-        j(Event(0.7, "adapt.act", fields={"before": [1, 1], "after": [1, 2],
+        j(Event(0.7, "adapt.act", fields={"replicas_before": [1, 1],
+                                          "replicas_after": [1, 2],
                                           "reason": "grow slow stage"}))
         j.close()
 
@@ -171,6 +172,35 @@ class TestJournalFrontend:
         assert report.clocks[0]["err"] == 5e-5
         assert report.bottleneck_stage == 1
         assert report.agreement().startswith("agrees")
+
+    def test_a_controller_journal_yields_replica_counts(self, tmp_path):
+        # The simulator's controller on E1's load step writes the journal;
+        # the profiler reads each act's counts under the schema's names.
+        from repro.core.adaptive import AdaptivePipeline
+        from repro.core.policy import AdaptationConfig
+        from repro.gridsim.spec import uniform_grid
+        from repro.model.mapping import Mapping
+        from repro.workloads.scenarios import load_step
+        from repro.workloads.synthetic import balanced_pipeline
+
+        grid = uniform_grid(4)
+        load_step(1, at=20.0, availability=0.1).apply(grid)
+        path = tmp_path / "sim.jsonl"
+        bus = EventBus()
+        journal = JsonlJournal(path)
+        bus.subscribe(journal)
+        res = AdaptivePipeline(
+            balanced_pipeline(3, work=0.1), grid,
+            config=AdaptationConfig(interval=3.0, cooldown=5.0),
+            initial_mapping=Mapping.single([0, 1, 2]), seed=1, events=bus,
+        ).run(300)
+        journal.close()
+        report = profile_journal(path)
+        assert len(report.decisions) == len(res.adaptation_events) >= 1
+        for (t, before, after, reason), event in zip(report.decisions, res.adaptation_events):
+            assert (t, reason) == (event.time, event.reason)
+            assert before == [len(r) for r in event.mapping_before.stages]
+            assert after == [len(r) for r in event.mapping_after.stages]
 
     def test_cli_text_and_json(self, tmp_path, capsys):
         path = tmp_path / "j.jsonl"

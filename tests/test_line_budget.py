@@ -126,14 +126,22 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # Bought x1.22 items_per_s on tiny_distributed (10/10 pairs) and the router
 # thread 28 -> 16 us/item (CHANGES.md).  The bulk record itself lives in
 # monitor/ (StageMetrics.record_hops) and util/ (the batch merges).
-CEILING = 5342
+# Lowered to the count, rounded up (5,342 -> 5,271 -> 5,280), by running the
+# live runner's control loop on the one adaptation Controller the simulator
+# drives too: runner.py went 479 -> 408 (-71).  That is mostly a move, not a
+# reduction: the loop's state, its verdict and rollback and the adapt.*
+# records now live in core/policy.py (200 -> 321, +121 for Controller and
+# resolve_policy), which also replaced the simulator's copy (adaptive.py
+# 321 -> 244, executor_sim.py's per-stage adapt.act 402 -> 395).  Deleted
+# outright over the four files: 34 lines (1,402 -> 1,368); core/ rose by 37.
+CEILING = 5280
 
 #: Every other package (``"."``: the top-level modules), set at its count
 #: after the reachability audit, rounded up to the next 10, and lowered the
 #: same way since.
 PACKAGE_CEILINGS = {
     ".": 110,
-    "core": 1400,
+    "core": 1430,  # 1,392 -> 1,429: the live loop's state moved into core/policy.py (see CEILING)
     "gridsim": 1430,
     "model": 800,
     "monitor": 1012,  # +42: StageMetrics.record_hops, the routed lanes' bulk record
