@@ -113,6 +113,15 @@ def capability_error(backend: "Backend | str", operation: str) -> BackendCapabil
     return BackendCapabilityError(f"backend {name!r} does not support {operation}")
 
 
+def _popping(run: deque) -> Iterator[Any]:
+    """Pop ``run`` from the left until it is empty, also when another thread empties it."""
+    try:
+        while run:
+            yield run.popleft()
+    except IndexError:
+        return
+
+
 class Ticket(tuple):
     """Receipt for one submitted item: which stream, and where in it.
 
@@ -293,6 +302,7 @@ class Session:
         # closer from another thread still waits for shutdown to finish.
         self._close_lock = threading.RLock()
         self._out: deque = deque()
+        self._taken: dict[int, deque] = {}  # id -> run, one per live results() iterator
         self._stream = -1
         self._streaming = False
         self._eos = False
@@ -494,27 +504,48 @@ class Session:
         Binds to the stream active at the call (or the next one to open)
         and ends once that stream has drained and every output was taken —
         by this iterator or by :meth:`drain`, whichever gets there first.
-        Safe to consume from one thread while another submits.
+        Safe to consume from one thread while another submits.  Each lock
+        round takes the whole ready run; what it has not yielded yet stays
+        the stream's: :meth:`drain` takes it, and an early stop (``break``,
+        ``close()``) puts it back in front of the stream.  An executor error
+        is raised before the next output.
         """
+        mine: deque = deque()  # this iterator's run: taken, not yet yielded
         with self._lock:
             target = self._stream if self._streaming else self._stream + 1
-        while True:
-            with self._lock:
-                while True:
-                    if self._error is not None:
-                        raise self._error
-                    if self._closed or self._stream > target:
-                        return  # closed, or the target stream came and went entirely
-                    if self._stream == target:
-                        if self._out:
-                            value = self._out.popleft()
-                            break
-                        if not self._streaming:
-                            return  # drained; drain() took the leftovers
-                        if self._eos and self._delivered >= self._submitted:
-                            return  # complete and fully consumed
-                    self._bell.wait()
-            yield value
+            self._taken[id(mine)] = mine
+        try:
+            while True:
+                if not mine:
+                    with self._lock:
+                        while True:
+                            if self._error is not None:
+                                raise self._error
+                            if self._closed or self._stream > target:
+                                return  # closed, or the target stream came and went entirely
+                            if self._stream == target:
+                                if self._out:
+                                    mine.extend(self._out)
+                                    self._out.clear()
+                                    break
+                                if not self._streaming:
+                                    return  # drained; drain() took the leftovers
+                                if self._eos and self._delivered >= self._submitted:
+                                    return  # complete and fully consumed
+                            self._bell.wait()
+                if self._error is not None:
+                    raise self._error  # before the next output, as each round checks
+                try:
+                    value = mine.popleft()
+                except IndexError:  # drain() took the rest
+                    continue
+                yield value
+        finally:
+            if mine:  # stopped early
+                with self._lock:
+                    self._out.extendleft(reversed(mine))
+                    mine.clear()
+            del self._taken[id(mine)]
 
     def drain(self) -> list[Any]:
         """End the current stream, wait for it, return unconsumed outputs.
@@ -554,7 +585,9 @@ class Session:
                 if self._closed:
                     raise SessionClosed("session closed while draining")
                 self._bell.wait()
-            leftovers = list(self._out)
+            # Runs results() iterators took and have not yielded come first.
+            leftovers = [x for run in [*self._taken.values()] for x in _popping(run)]
+            leftovers += self._out
             self._out.clear()
             self._streaming = False
             self._eos = False
@@ -639,6 +672,22 @@ class Session:
         self.instrumentation = PipelineInstrumentation(n, events=self.events)
         self._stage_locks = [threading.Lock() for _ in range(n)]
 
+    def _record_trails(self, burst: list, sizes: "dict | None" = None, speed=None) -> None:
+        """Record a burst's ``(seq, value, trail)``s: each stage's hops — ``(stage,
+        worker, service_s, nbytes_out, queued, at, speed, transfer_s)``, or the
+        first six given the burst's ``speed`` — and ``sizes`` (stage -> bytes in)
+        with one ``record_hops`` in one stage-lock round, in item space."""
+        hops: dict = {}
+        batches, tail = self._batch_map, () if speed is None else (speed, None)
+        for seq, _, trail in burst:
+            where = batches.get(seq) or (seq, 1)
+            for hop in trail:
+                hops.setdefault(hop[0], []).append(where + hop + tail)
+        stages, locks = self.instrumentation.stages, self._stage_locks
+        for i in hops.keys() | sizes.keys() if sizes else hops:
+            with locks[i]:
+                stages[i].record_hops(hops.get(i, ()), sizes.get(i, ()) if sizes else ())
+
     def _complete(self, value: Any) -> None:
         """The one way out: count the completion, deliver the next in-order output.
 
@@ -696,7 +745,8 @@ class Session:
         # Emit outside _lock: a journal write under the session lock would
         # serialise submitters behind the exporter's I/O.  Delivery is
         # in input order, so the pre-increment count *is* the item's seq.
-        self.events.emit("item.complete", stream=stream, seq=seq)
+        if self.events.wants("item.complete"):
+            self.events.emit("item.complete", stream=stream, seq=seq)
 
     def _deliver_batch(self, batch: Batch) -> None:
         """Egress splitter: one delivered batch fans out to N ordered items.
@@ -761,27 +811,17 @@ class Session:
         # or a stream abandoned by a mid-stream close (never done).
         return stream == self._stream and seq < self._delivered
 
-    def _event_seq(self, seq: int) -> "tuple[int, int]":
-        """Translate an executor seq into item space: ``(first gseq, items)``.
-
-        Executor seqs are batch numbers when batching is on; trace emitters
-        use this so journal events name items by the ``gseq`` their
-        ``item.submit`` carried (plus an ``items`` count) instead of batch
-        numbering.  Reads of ``_batch_map`` are GIL-atomic dict gets, safe
-        from router threads.
-        """
-        mapped = self._batch_map.get(seq)
-        return mapped if mapped is not None else (seq, 1)
-
     def _emit_items(self, kind: str, seq: int, **fields: Any) -> None:
         """Emit ``kind`` about executor seq ``seq``, in item space.
 
         The one place a batch-covering event becomes ``seq`` = first item
-        plus an ``items`` count (omitted for a single item); ``wants()``
-        gated, so hot paths call it unconditionally.
+        plus an ``items`` count (omitted for a single item), so journal
+        events name items by the ``gseq`` their ``item.submit`` carried;
+        ``wants()`` gated, so hot paths call it unconditionally.  Reads of
+        ``_batch_map`` are GIL-atomic dict gets, safe from lane threads.
         """
         if self.events.wants(kind):
-            first, items = self._event_seq(seq)
+            first, items = self._batch_map.get(seq) or (seq, 1)
             if items > 1:
                 fields["items"] = items
             self.events.emit(kind, seq=first, **fields)

@@ -211,22 +211,14 @@ class RoutedSession(Session):
                 continue
             got = self._accept(stage, burst)
             failed = got.pop() if got and isinstance(got[-1], BaseException) else None
-            # Executor seqs are batch numbers when batching: the service
-            # records go back to item space (seq = first item's gseq, items =
-            # N) so span attribution and the top view stay per-item.
-            hops, sizes, ready = {}, {}, []
+            sizes, ready = {}, []
             for seq, frame, trail in got:
-                where = self._event_seq(seq)
-                for hop in trail:
-                    hops.setdefault(hop[0], []).append(where + hop)
-                    if hop[0] != stage:  # a worker forwarded it to the next stage
-                        sizes.setdefault(hop[0] + 1, []).append(hop[3])
+                for hop in trail[:-1]:  # a worker forwarded it to the next stage
+                    sizes.setdefault(hop[0] + 1, []).append(hop[3])
                 ready += ((seq, frame),) if reorder is None else reorder.push(seq, frame)
             if not last:
                 sizes.setdefault(nxt, []).extend(frame.nbytes for _, frame in ready)
-            for i in sorted(hops.keys() | sizes.keys()):
-                with self._stage_locks[i]:
-                    self.instrumentation.stages[i].record_hops(hops.get(i, ()), sizes.get(i, ()))
+            self._record_trails(got, sizes)
             # Workers produce encoded frames and the next stage's workers
             # expect exactly that format: forward each frame untouched and
             # decode only final outputs.

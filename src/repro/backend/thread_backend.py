@@ -23,16 +23,13 @@ Live reconfiguration: growth spawns a worker into the running stage
 (always possible — a session's stage never drains before close), shrink
 retires one lazily via the ``_RETIRE`` pill.
 
-This fabric does not ride the routed-stage core the process and
-distributed executors share (:mod:`repro.backend.routed`), and that is a
-measurement, not a taste: as a lane of that core ``tiny_threads`` lost
-27 % of its items/s and paid +39 % CPU per item and +53 % to the first
-result (−22 % / +27 % / +43 % with the feeder hop removed), outside the
-benchmark's 25 % bounds.  Both sides ran on ``queue.Queue`` then; the
-lane's extra was its routers' per-hop work, which the C hand-off does not
-touch — see "Why three loops" in ``docs/backends.md``.  What the fabrics
-share lives in the port instead:
-admission, ``_complete``, ``_fail``, the abort flag and the replica shape.
+Workers take no lock: each appends its hop to the item's trail.  The
+collector takes a burst per wake — every item the last queue holds —,
+records its trails with ``_record_trails`` (one stage-lock round per stage,
+one load-speed reading) and hands the in-order run to ``_complete_run``.
+The fabric is not a lane of :mod:`repro.backend.routed`: as one,
+``tiny_threads`` lost 27 % of its items/s ("Why three loops" in
+``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -44,12 +41,7 @@ from repro.backend.base import Backend, Session, register_backend
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView, fn_view
 from repro.monitor.resource_monitor import HostLoadSampler
-from repro.runtime.threads import (
-    _RETIRE,
-    _SENTINEL,
-    _CountedQueue,
-    _Worker,
-)
+from repro.runtime.threads import _RETIRE, _SENTINEL, _CountedQueue, _Worker
 from repro.util.ordering import SequenceReorderer
 
 __all__ = ["ThreadBackend"]
@@ -74,9 +66,7 @@ class _ThreadSession(Session):
         self._queues: list[_CountedQueue] = []
         depth, producers = self._lane_depth(), 1
         for consumers in (*self.replicas, 1):
-            self._queues.append(
-                _CountedQueue(depth, producers=producers, consumers=consumers)
-            )
+            self._queues.append(_CountedQueue(depth, producers=producers, consumers=consumers))
             producers = consumers
         for i, count in enumerate(self.replicas):
             for r in range(count):
@@ -91,36 +81,34 @@ class _ThreadSession(Session):
     def _make_worker(self, stage: int, replica_idx: int) -> _Worker:
         spec = self.backend.pipeline.stage(stage)
         return _Worker(
-            stage,
-            spec.fn,
-            self._queues[stage],
-            self._queues[stage + 1],
-            self.instrumentation.stages[stage],
-            self._stage_locks[stage],
-            self._fail,
-            self._abort,
-            name=f"session-stage[{stage}].{replica_idx}",
-            speed_fn=self.backend._load.effective_speed,
-            ordered=spec.ordered,
+            stage, spec.fn, self._queues[stage], self._queues[stage + 1], self._fail, self._abort,
+            self._opened_t0, name=f"session-stage[{stage}].{replica_idx}", ordered=spec.ordered,
         )
 
     def _collect(self) -> None:
         # The one egress reorderer: the last stage's workers finish out of
         # order, delivery is in input order.  It holds at most the admitted
-        # items, so ``max_inflight`` bounds it.
-        reorder = SequenceReorderer()
+        # items, so ``max_inflight`` bounds it.  A burst's trails are
+        # recorded before the in-order run it frees is delivered.
+        reorder, load = SequenceReorderer(), self.backend._load
         while True:
-            got = self._queues[-1].get()
-            if got is _SENTINEL:
-                break
-            if self._abort.is_set():
-                continue  # drain without delivering
-            for _seq, value in reorder.push(*got):
-                self._complete(value)
+            burst = self._queues[-1].get_all()
+            done = burst[-1] is _SENTINEL
+            if done:
+                burst.pop()
+            if burst and not self._abort.is_set():
+                ready = []
+                for seq, value, _ in burst:
+                    ready += reorder.push(seq, value)
+                self._record_trails(burst, speed=load.effective_speed())
+                if ready:
+                    self._complete_run([value for _, value in ready])
+            if done:
+                return
 
     # ----------------------------------------------------------- port hooks
     def _submit_one(self, seq: int, item: Any) -> None:
-        if not self._queues[0].put((seq, item), abort=self._abort):
+        if not self._queues[0].put((seq, item, []), abort=self._abort):
             raise self._aborted()
 
     def _shutdown(self) -> None:
@@ -182,7 +170,7 @@ class ThreadBackend(Backend):
         super().__init__(
             pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
         )
-        # Workers record service at the sampled effective speed, so
+        # Hops are recorded at the sampled effective speed, so
         # work_estimate stays load-normalised — consistent with the
         # load-degraded speeds resource_view reports to the planner.
         self._load = HostLoadSampler()

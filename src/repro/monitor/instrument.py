@@ -14,7 +14,6 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, Sequence
 
 from repro.util.stats import OnlineStats, SlidingWindow
@@ -131,34 +130,51 @@ class StageMetrics:
 
     def record_hops(self, hops: Sequence[tuple], bytes_in: Sequence[float] = ()) -> None:
         """Exactly what, hop by hop, ``record_service``, ``record_queue_length``,
-        ``record_transfer`` (unless None) and ``record_bytes_out`` record, and
-        ``record_bytes_in`` per ``bytes_in``, in one call.  A hop is ``(seq,
-        items, stage, worker, service_s, nbytes_out, queued, at, speed,
-        transfer_s)``: a routed hop (:mod:`repro.backend.routed`) behind its
-        result's item-space ``(seq, items)``.  Unwatched and unheard, each
-        window takes its column in one ``extend``; else each sample goes
-        through ``record_service``, for the watch and the bus to see in turn.
+        ``record_transfer`` and ``record_bytes_out`` (each unless its value is
+        None) record, and ``record_bytes_in`` per ``bytes_in``, in one call.  A
+        hop is ``(seq, items, stage, worker, service_s, nbytes_out, queued, at,
+        speed, transfer_s)``: a lane's hop (``Session._record_trails``) behind
+        its item-space ``(seq, items)``.  A lone hop, or any hop of a watched or
+        heard stage, goes through ``record_service``, for the watch and the bus
+        to see each sample in turn; else one pass gathers each window's column
+        for one ``extend``.
         """
         if bytes_in:
             self.total_bytes_in += _sizes(self._bytes_in_win, self.bytes_in_hist, bytes_in)
-        if not hops:
-            return
-        _, items, _, _, seconds, nbytes, queues, _, speeds, transfers = zip(*hops)
         bus = self.events
-        if self._watch is not None or (bus is not None and bus.wants("stage.service")):
-            for seq, k, _, worker, s, _, queued, at, speed, _ in hops:
+        if len(hops) < 2 or self._watch is not None or (
+            bus is not None and bus.wants("stage.service")
+        ):
+            for seq, k, _, worker, s, nbytes, queued, at, speed, transfer in hops:
                 self.record_service(s, speed, seq=seq, worker=worker, queue=queued, items=k, at=at)
-        else:
-            per = [s / k if k > 1 else s for s, k in zip(seconds, items)]
-            count = sum(items)
-            self.items_processed += count
-            batched = count > len(per)  # a batch's per-item mean counts once per item
-            self.total.extend([p for p, k in zip(per, items) for _ in range(k)] if batched else per)
-            self._service_win.extend(per)
-            self._work_win.extend(map(mul, per, speeds))
+                self._queue_win.push(queued)
+                if transfer is not None:
+                    self._transfer_win.push(transfer)
+                if nbytes is not None:
+                    self.record_bytes_out(nbytes)
+            return
+        count, per, extra, work, queues, transfers, sizes = 0, [], [], [], [], [], []
+        for _, k, _, _, s, nbytes, queued, _, speed, transfer in hops:
+            if k > 1:  # a batch: its per-item mean counts once per item
+                s /= k
+                extra += [s] * (k - 1)
+            count += k
+            per.append(s)
+            work.append(s * speed)
+            queues.append(queued)
+            if transfer is not None:
+                transfers.append(transfer)
+            if nbytes is not None:
+                sizes.append(nbytes)
+        self.items_processed += count
+        self.total.extend(per + extra)
+        self._service_win.extend(per)
+        self._work_win.extend(work)
         self._queue_win.extend(queues)
-        self._transfer_win.extend([t for t in transfers if t is not None])
-        self.total_bytes_out += _sizes(self._bytes_out_win, self.bytes_out_hist, nbytes)
+        if transfers:
+            self._transfer_win.extend(transfers)
+        if sizes:
+            self.total_bytes_out += _sizes(self._bytes_out_win, self.bytes_out_hist, sizes)
 
     def record_transfer(self, seconds: float) -> None:
         """One inter-stage transfer completed (into this stage)."""
@@ -207,7 +223,8 @@ def _sizes(win: SlidingWindow, hist: Counter, nbytes: Sequence[float]) -> int:
     if min(sizes) < 0:
         sizes = [max(0, n) for n in sizes]
     win.extend(sizes)
-    hist.update(map(int.bit_length, sizes))
+    for n in sizes:
+        hist[n.bit_length()] += 1
     return sum(sizes)
 
 

@@ -8,11 +8,11 @@ Architecture (one bounded queue per stage, shared by its workers)::
   ``capacity`` credits on two C ``SimpleQueue``s, no Python-level lock on
   the item path — and its bound is what ``submit()`` feels.  A thread
   parked in ``get()`` wakes only on an item or a sentinel.
-* **Workers** apply the stage callable and put straight into the next
-  stage's queue: stateless stages commute, so nothing between two
-  replicable stages restores order and a slow item never holds its
-  successors back.  Replication is only allowed for stages marked
-  ``replicable`` (stateless).
+* **Workers** apply the stage callable, append their hop to the item's
+  trail and put it straight into the next stage's queue — no lock, no
+  record: stateless stages commute, so nothing between two replicable
+  stages restores order and a slow item never holds its successors back.
+  Replication is only allowed for stages marked ``replicable``.
 * Order is restored only where it is needed: the single worker of an
   **ordered** stage (``StageSpec.ordered``, i.e. ``replicable=False``)
   keeps a private :class:`~repro.util.ordering.SequenceReorderer` and
@@ -24,8 +24,8 @@ Architecture (one bounded queue per stage, shared by its workers)::
 
 This module only *defines* the blocks (:class:`_CountedQueue`,
 :class:`_Worker`); the one place that wires and runs them is the session
-in :mod:`repro.backend.thread_backend`, which also owns the collector,
-observation and live ``reconfigure``.
+in :mod:`repro.backend.thread_backend`, which also owns the collector (it
+records the trails a burst at a time), and live ``reconfigure``.
 
 An exception raised by a stage function goes to the session's ``_fail``
 (the port's one failure path: a :class:`StageError` naming the stage, the
@@ -43,7 +43,6 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.monitor.instrument import StageMetrics
 from repro.util.batching import Batch, map_batch
 from repro.util.handoff import Handoff
 from repro.util.ordering import SequenceReorderer
@@ -150,6 +149,10 @@ class _CountedQueue(Handoff):
 class _Worker(threading.Thread):
     """Applies one stage function to the items of its stage's queue.
 
+    An item is ``(seq, value, trail)``; the worker's hop on the trail is
+    ``(stage, worker, service_s, None, queued, at)`` — no bytes measured,
+    ``queued`` the backlog it left, ``at`` the service's end in seconds
+    since ``origin`` (the session clock's zero on ``perf_counter``).
     ``ordered`` marks the single worker of a stateful stage: upstream
     replicas put into its queue as they finish, so it holds early arrivals
     in a private reorderer and serves each ready run in sequence order.
@@ -161,12 +164,10 @@ class _Worker(threading.Thread):
         fn,
         work_q: _CountedQueue,
         out_q: _CountedQueue,
-        metrics: StageMetrics,
-        metrics_lock: threading.Lock,
         fail: Callable[[int, BaseException], None],
         abort: threading.Event,
+        origin: float,
         name: str,
-        speed_fn: Callable[[], float],
         ordered: bool,
     ) -> None:
         super().__init__(name=name, daemon=True)
@@ -174,57 +175,40 @@ class _Worker(threading.Thread):
         self.fn = fn
         self.work_q = work_q
         self.out_q = out_q
-        self.metrics = metrics
-        self.metrics_lock = metrics_lock
         self.fail = fail
         self.abort = abort
-        self.speed_fn = speed_fn
+        self.origin = origin
         self.ordered = ordered
 
     def run(self) -> None:
+        stage, fn, name, origin = self.stage_index, self.fn, self.name, self.origin
+        work_q, put, abort = self.work_q, self.out_q.put, self.abort
         reorder = SequenceReorderer() if self.ordered else None
         try:
             while True:
-                got = self.work_q.get()
+                got = work_q.get()
                 if got is _SENTINEL:
                     break
                 if got is _RETIRE:
-                    self.work_q.remove_consumer()
+                    work_q.remove_consumer()
                     break
-                if self.abort.is_set():
+                if abort.is_set():
                     continue  # drain without processing
-                for seq, value in (got,) if reorder is None else reorder.push(*got):
-                    batched = isinstance(value, Batch)
+                ready = (got,) if reorder is None else [it for _, it in reorder.push(got[0], got)]
+                for seq, value, trail in ready:
                     t0 = time.perf_counter()
                     try:
                         # A micro-batch maps element-wise in one dequeue: the
-                        # whole run of items pays a single queue hop, one
-                        # metrics lock round and one event.
-                        result = map_batch(self.fn, value) if batched else self.fn(value)
+                        # whole run of items pays one queue hop and one trail entry.
+                        result = map_batch(fn, value) if isinstance(value, Batch) else fn(value)
                     except BaseException as err:  # noqa: BLE001 - reported upward
-                        self.fail(self.stage_index, err)
+                        self.fail(stage, err)
                         break
-                    dt = time.perf_counter() - t0
+                    t1 = time.perf_counter()
                     # Backlog = the shared queue plus early arrivals held
                     # in this worker's reorderer.
-                    queued = self.work_q.qsize() + (len(reorder) if reorder else 0)
-                    with self.metrics_lock:
-                        # Recording the effective speed the item actually saw
-                        # keeps work_estimate load-normalised: on a contended
-                        # host the inflated dt is divided back out, so the
-                        # planner does not double-count the load it also sees
-                        # in the resource view.  Default speed is 1.0 (the
-                        # local host as the reference processor).  A batch
-                        # records once with the batch-total dt and items=N
-                        # (seq = the first item's gseq, as on every executor).
-                        self.metrics.record_service(
-                            dt, self.speed_fn(),
-                            seq=value.gbase if batched else seq,
-                            worker=self.name,
-                            queue=queued,
-                            items=len(value) if batched else 1,
-                        )
-                        self.metrics.record_queue_length(queued)
-                    self.out_q.put((seq, result), abort=self.abort)
+                    queued = work_q.qsize() + (len(reorder) if reorder else 0)
+                    trail.append((stage, name, t1 - t0, None, queued, t1 - origin))
+                    put((seq, result, trail), abort=abort)
         finally:
             self.out_q.producer_done()

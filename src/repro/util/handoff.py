@@ -121,6 +121,18 @@ class Handoff(Credits):
         self._free.put(None)  # give(), without its frame: this runs per item
         return item
 
+    def get_all(self) -> list:
+        """Every item queued now, blocking only while there is none."""
+        items = [self._items.get()]
+        try:
+            for _ in range(self._items.qsize()):
+                items.append(self._items.get_nowait())
+        except Empty:  # another consumer was quicker
+            pass
+        for _ in items:
+            self._free.put(None)
+        return items
+
     def qsize(self) -> int:
         """Items put and not yet taken (approximate between threads)."""
         return self._items.qsize()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from operator import mul
 from typing import Iterable
 
 import numpy as np
@@ -42,19 +41,17 @@ class OnlineStats:
             self._max = x
 
     def extend(self, xs: Iterable[float]) -> None:
-        """Add many observations: their two-pass moments merged in as one batch
-        (Chan, Golub & LeVeque), exact in ``n``, ``min`` and ``max``."""
-        xs = list(map(float, xs))
-        if not xs:
-            return
-        k, n = len(xs), self._n + len(xs)
-        mean = math.fsum(xs) / k
-        delta = mean - self._mean
-        dev = [x - mean for x in xs]
-        self._m2 += math.fsum(map(mul, dev, dev)) + delta * delta * self._n * k / n
-        self._mean += delta * (k / n)
-        self._n = n
-        self._min, self._max = min(self._min, min(xs)), max(self._max, max(xs))
+        """Add many observations: exactly what one ``push`` each does, with the
+        accumulator in locals for the whole run."""
+        n, mean, m2, lo, hi = self._n, self._mean, self._m2, self._min, self._max
+        for x in xs:
+            x = float(x)
+            n += 1
+            delta = x - mean
+            mean += delta / n
+            m2 += delta * (x - mean)
+            lo, hi = (x if x < lo else lo), (x if x > hi else hi)
+        self._n, self._mean, self._m2, self._min, self._max = n, mean, m2, lo, hi
 
     @property
     def n(self) -> int:

@@ -4,6 +4,8 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from repro.backend import ThreadBackend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
@@ -115,3 +117,31 @@ class TestThreadBackend:
             producer.join(timeout=10.0)
             assert not producer.is_alive()
             assert session.drain() == list(range(n))
+
+
+# -------------------------------------------- records made by the collector
+def _inc(x):
+    return x + 1
+
+
+@pytest.mark.parametrize("batching", [None, 8], ids=["items", "batched"])
+@pytest.mark.parametrize("shape", ["replicated", "ordered"])
+def test_every_hop_is_recorded_before_drain_returns(shape, batching):
+    # Workers only append their hop; the collector records a burst's trails
+    # before it delivers the run they free, so drain() finds every sample.
+    ordered = shape == "ordered"
+    stages = [
+        StageSpec(name="a", work=1e-6, fn=_inc),
+        StageSpec(name="b", work=1e-6, fn=_inc),
+        StageSpec(name="c", work=1e-6, fn=_inc, replicable=not ordered),
+    ]
+    replicas = [2, 2, 1] if ordered else [1, 2, 2]
+    n = 0
+    with ThreadBackend(PipelineSpec(tuple(stages)), replicas=replicas) as b:
+        with b.open(batching=batching, max_inflight=16) as session:
+            for _ in range(2):
+                for x in range(37):
+                    session.submit(x)
+                n += 37
+                assert session.drain() == [x + 3 for x in range(37)]
+                assert [s.items_processed for s in session.snapshots()] == [n, n, n]

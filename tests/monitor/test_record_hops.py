@@ -1,10 +1,12 @@
 """``StageMetrics.record_hops`` is exactly N per-hop records.
 
-The routed lanes record a burst's hops of one stage in one call; whatever
-the windows, totals, histograms, ``stage.service`` events or an installed
+Every lane records a burst's hops of one stage in one call; whatever the
+windows, totals, histograms, ``stage.service`` events or an installed
 :class:`ServiceWatch` see must be what N ``record_service`` /
 ``record_queue_length`` / ``record_transfer`` / ``record_bytes_out`` calls
-(and ``record_bytes_in`` per size) would have shown them, in the same order.
+(the last two only for a measured value, not None — a thread hop measures
+neither) and ``record_bytes_in`` per size would have shown them, in the same
+order.
 """
 
 import threading
@@ -22,7 +24,7 @@ hop = st.tuples(
     st.just(0),
     st.one_of(st.integers(0, 3), st.just("w")),
     st.floats(1e-6, 0.05),
-    st.integers(-5, 1 << 24),
+    st.one_of(st.none(), st.integers(-5, 1 << 24)),
     st.integers(0, 300),
     st.one_of(st.none(), st.floats(0.0, 100.0)),
     st.floats(0.1, 4.0),
@@ -40,7 +42,8 @@ def per_hop(m, burst, bytes_in=()):
         m.record_queue_length(queued)
         if transfer is not None:
             m.record_transfer(transfer)
-        m.record_bytes_out(nbytes)
+        if nbytes is not None:
+            m.record_bytes_out(nbytes)
     for n in bytes_in:
         m.record_bytes_in(n)
 
@@ -67,6 +70,21 @@ def test_one_bulk_call_is_n_per_hop_calls(bs, bytes_in):
     assert close(bulk.total.mean, one.total.mean)
     if one.total.n > 1:
         assert close(bulk.total.variance, one.total.variance)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(hop, min_size=1, max_size=3), min_size=1, max_size=8))
+def test_short_bursts_are_n_per_hop_calls(bs):
+    # A lone hop takes the per-hop path; two or three take the one-pass
+    # gather: both must leave exactly the per-hop state.
+    one, bulk = StageMetrics(0, window=4), StageMetrics(0, window=4)
+    for burst in bs:
+        per_hop(one, burst)
+        bulk.record_hops(burst)
+        assert state(bulk) == state(one)
+        assert close(bulk.total.mean, one.total.mean)
+        if one.total.n > 1:
+            assert close(bulk.total.variance, one.total.variance)
 
 
 def _heard(bs, bulk):

@@ -23,7 +23,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.monitor.instrument import StageMetrics
 from repro.runtime.threads import _RETIRE, _SENTINEL, _CountedQueue, _Worker
 from repro.util.handoff import Credits, Handoff
 
@@ -263,9 +262,8 @@ def test_retire_is_eaten_by_exactly_one_worker():
     abort, failures = threading.Event(), []
     workers = [
         _Worker(
-            0, lambda x: x + 1, work_q, out_q, StageMetrics(0), threading.Lock(),
-            lambda stage, err: failures.append(err), abort,
-            name=f"test-worker.{r}", speed_fn=lambda: 1.0, ordered=False,
+            0, lambda x: x + 1, work_q, out_q, lambda stage, err: failures.append(err), abort,
+            0.0, name=f"test-worker.{r}", ordered=False,
         )
         for r in range(n)
     ]
@@ -280,11 +278,15 @@ def test_retire_is_eaten_by_exactly_one_worker():
         assert sum(w.is_alive() for w in workers) == n - 1
         assert work_q.qsize() == 0 and out_q.qsize() == 0  # and it was not forwarded
         for x in range(20):
-            work_q.put((x, x))
+            work_q.put((x, x, []))
     finally:
         work_q.producer_done()  # one sentinel per *remaining* consumer
     assert _join_all(workers, 5.0) and not failures
     got = _drain(out_q, 21)
-    assert sorted(got[:-1]) == [(x, x + 1) for x in range(20)]
+    assert sorted((seq, value) for seq, value, _ in got[:-1]) == [(x, x + 1) for x in range(20)]
+    for _, _, trail in got[:-1]:  # one hop each: (stage, worker, service_s, None, queued, at)
+        [(stage, worker, service_s, nbytes, queued, at)] = trail
+        assert stage == 0 and worker.startswith("test-worker.") and nbytes is None
+        assert service_s >= 0 and at > 0
     assert got[-1] is _SENTINEL  # the last of the three producers closed it
     assert work_q.qsize() == 0  # no spare sentinel for the retired one
