@@ -203,6 +203,21 @@ def test_blocking_put_waits_for_a_get():
     assert done.wait(2.0) and q.get() == "b"
 
 
+def test_get_all_takes_every_queued_item_and_frees_their_slots():
+    q, got = Handoff(3), []
+    taker = threading.Thread(target=lambda: got.extend(q.get_all()), daemon=True)
+    taker.start()
+    time.sleep(0.05)
+    assert taker.is_alive()  # parked: get_all blocks only while there is none
+    q.put("a")
+    taker.join(timeout=2.0)
+    assert not taker.is_alive() and got == ["a"]
+    deadline = time.perf_counter() + DEADLINE_S
+    assert all(_put_by(q, x, deadline) for x in "bcd")  # "a"'s slot came back
+    assert q.get_all() == ["b", "c", "d"]  # everything queued, in order
+    assert q.qsize() == 0 and _all_credits_home(q, 3)  # one credit back per item
+
+
 def test_credits_alone_bound_what_they_guard():
     credits, full = Credits(2), _raised()
     assert credits.take(full) and credits.take(full) and not credits.take(full)
