@@ -8,8 +8,8 @@ stall the event loop).  An injected slow fetch (high simulated latency)
 bottlenecks the pipeline; :class:`RuntimeAdaptiveRunner` observes the
 wall-clock service times, asks the model-driven policy where the bottleneck
 is, and widens that stage's coroutine pool live — ``reconfigure`` just
-raises a semaphore limit, so adaptation is O(1) and touches no in-flight
-request.
+spawns worker coroutines (or retires them), so adaptation touches no
+in-flight request.
 
 Run:  python examples/async_pipeline.py
 """
@@ -43,11 +43,11 @@ def main() -> None:
         render_table(
             ["concurrency limits", "elapsed(s)", "req/s", "stage service means (s)"],
             rows,
-            title="manual concurrency limits (semaphore = replica knob)",
+            title="manual concurrency limits (worker coroutines per stage)",
         )
     )
 
-    print("\nlive adaptation (policy raises semaphore limits mid-run):")
+    print("\nlive adaptation (policy spawns worker coroutines mid-run):")
     backend = AsyncioBackend(pipeline, max_replicas=8)
     runner = RuntimeAdaptiveRunner(
         backend.pipeline,

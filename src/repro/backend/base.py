@@ -28,12 +28,12 @@ submits from a producer thread or holds the session itself.
 The port owns everything that is not the stage loop, so the executors
 cannot drift apart on it: one way **in** (``submit`` hands each admitted
 item to ``_submit_one`` on the caller's thread, which therefore feels the
-executor's bounded queues), one way **out** (``Session._complete``: count
-the completion, deliver in order), one way to **fail** (``Session._fail``:
-a ``StageError`` naming the stage poisons the session and raises its
-``_abort`` flag), one plain lock (``Session._lock``) over all of that state
-whose waiters park on bells rung by events, never on a clock, and on the
-backend the replica **shape** (``replicas``/``capacity``/``max_replicas``
+executor's bounded queues), one way **out** (``Session._complete_run``:
+count a run of completions, deliver it in order), one way to **fail**
+(``Session._fail``: a ``StageError`` naming the stage poisons the session
+and raises its ``_abort`` flag), one plain lock (``Session._lock``) over
+all of that state whose waiters park on bells rung by events, never on a
+clock, and on the backend the replica **shape** (``replicas``/``capacity``/``max_replicas``
 validated once, ``reconfigure`` clamping onto a per-executor ``_resize``).
 
 The port also keeps the three hooks the adaptation loop needs:
@@ -230,7 +230,7 @@ class Session:
 
     Subclasses wire the three executor hooks (``_submit_one``,
     ``_end_stream``, ``_shutdown``) and call back into
-    ``_complete``/``_fail`` from their own threads; this base owns every
+    ``_complete_run``/``_fail`` from their own threads; this base owns every
     piece of stream accounting — admission windows, ordered delivery
     buffering, stream ids, drain barriers, the abort flag and error
     stickiness — so the five executors cannot drift apart on lifecycle
@@ -688,29 +688,33 @@ class Session:
             with locks[i]:
                 stages[i].record_hops(hops.get(i, ()), sizes.get(i, ()) if sizes else ())
 
-    def _complete(self, value: Any) -> None:
-        """The one way out: count the completion, deliver the next in-order output.
+    def _collect_burst(self, burst: list, reorder, speed: float) -> None:
+        """The in-process collectors' egress step: push a burst's ``(seq, value,
+        trail)``s through the egress ``reorder``, record their trails at
+        ``speed``, then hand the in-order run they free to ``_complete_run`` —
+        so every record lands before its item is delivered."""
+        ready = []
+        for seq, value, _ in burst:
+            ready += reorder.push(seq, value)
+        self._record_trails(burst, speed=speed)
+        if ready:
+            self._complete_run([value for _, value in ready])
+
+    def _complete_run(self, values: list) -> None:
+        """The one way out: count a run of in-order outputs with one completion
+        record and deliver it in one lock round with at most one ring — one
+        ``_deliver_batch`` per batch under batching.
 
         Called by the executor's single egress thread, so the completion
         record needs no lock.
         """
-        self.instrumentation.record_completion(
-            self.now(), items=len(value) if isinstance(value, Batch) else 1
-        )
-        self._deliver(value)
-
-    def _complete_run(self, values: list) -> None:
-        """``_complete`` for a run of in-order outputs: one completion record,
-        one lock round and at most one ring (a batch keeps its own round)."""
         if self._bcfg is not None:
-            for value in values:
-                self._complete(value)
+            self.instrumentation.record_completion(self.now(), items=sum(map(len, values)))
+            for batch in values:
+                self._deliver_batch(batch)
             return
         self.instrumentation.record_completion(self.now(), items=len(values))
-        stream, seq = self._deliver_run(values)
-        if self.events.wants("item.complete"):
-            for k in range(seq, seq + len(values)):
-                self.events.emit("item.complete", stream=stream, seq=k)
+        self._deliver_items(values)
 
     def _fail(self, stage: int, err: BaseException) -> None:
         """The one way to fail: poison the session with a :class:`StageError`.
@@ -730,23 +734,16 @@ class Session:
             return self._error
         return SessionClosed("session closed while submitting")
 
-    def _deliver(self, value: Any) -> None:
-        """The accounting half of ``_complete`` (all the simulator shim needs)."""
-        if self._bcfg is not None and isinstance(value, Batch):
-            self._deliver_batch(value)
-            return
-        with self._lock:
-            self._out.append(value)
-            stream, seq = self._stream, self._delivered
-            self._delivered += 1
-            self._items_total += 1
-            if self._bell.parked:
-                self._bell.ring()
+    def _deliver_items(self, items: list) -> None:
+        """The delivery half of ``_complete_run`` (all the simulator shim needs):
+        queue in-order ``items``, then emit their ``item.complete``s."""
+        stream, seq = self._deliver_run(items)
         # Emit outside _lock: a journal write under the session lock would
-        # serialise submitters behind the exporter's I/O.  Delivery is
-        # in input order, so the pre-increment count *is* the item's seq.
+        # serialise submitters behind the exporter's I/O.  Delivery is in
+        # input order, so the pre-increment count *is* the first item's seq.
         if self.events.wants("item.complete"):
-            self.events.emit("item.complete", stream=stream, seq=seq)
+            for k in range(seq, seq + len(items)):
+                self.events.emit("item.complete", stream=stream, seq=k)
 
     def _deliver_batch(self, batch: Batch) -> None:
         """Egress splitter: one delivered batch fans out to N ordered items.

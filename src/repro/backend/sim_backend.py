@@ -57,8 +57,7 @@ class _SimSession(Session):
         self._sim_elapsed = (
             backend.last_run.end_time if backend.last_run is not None else 0.0
         )
-        for value in outputs if outputs is not None else [None] * len(items):
-            self._deliver(value)
+        self._deliver_items(outputs if outputs is not None else [None] * len(items))
 
     def _finalize_stream(self, wall_elapsed: float) -> float:
         return self._sim_elapsed  # the simulator's clock, not the wall's

@@ -24,9 +24,10 @@ Live reconfiguration: growth spawns a worker into the running stage
 retires one lazily via the ``_RETIRE`` pill.
 
 Workers take no lock: each appends its hop to the item's trail.  The
-collector takes a burst per wake — every item the last queue holds —,
-records its trails with ``_record_trails`` (one stage-lock round per stage,
-one load-speed reading) and hands the in-order run to ``_complete_run``.
+collector takes a burst per wake — every item the last queue holds — and
+hands it, with one load-speed reading, to the port's ``_collect_burst``
+(the asyncio collector's egress step too): egress reorder, one
+``_record_trails`` (one stage-lock round per stage), one ``_complete_run``.
 The fabric is not a lane of :mod:`repro.backend.routed`: as one,
 ``tiny_threads`` lost 27 % of its items/s ("Why three loops" in
 ``docs/backends.md``).
@@ -97,12 +98,7 @@ class _ThreadSession(Session):
             if done:
                 burst.pop()
             if burst and not self._abort.is_set():
-                ready = []
-                for seq, value, _ in burst:
-                    ready += reorder.push(seq, value)
-                self._record_trails(burst, speed=load.effective_speed())
-                if ready:
-                    self._complete_run([value for _, value in ready])
+                self._collect_burst(burst, reorder, load.effective_speed())
             if done:
                 return
 

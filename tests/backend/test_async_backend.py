@@ -229,8 +229,8 @@ class TestAsyncioAdaptation:
         assert out == [(x + 1) * 2 for x in range(40)]
 
 
-class TestResizableSemaphoreConcurrency:
-    def test_limit_bounds_in_flight_and_resizes_live(self):
+class TestWorkerPoolConcurrency:
+    def test_workers_bound_in_flight_and_resize_live(self):
         peak = 0
         in_flight = 0
         lock = threading.Lock()
@@ -253,3 +253,51 @@ class TestResizableSemaphoreConcurrency:
             b.run(range(60))
         assert peak > 2  # the wider limit was actually used
         assert peak <= 6
+
+
+async def _other_tasks():
+    return asyncio.all_tasks() - {asyncio.current_task()}
+
+
+def _tasks_on_loop(backend):
+    """Every task alive on the backend's warm loop (this probe excluded)."""
+    return asyncio.run_coroutine_threadsafe(_other_tasks(), backend._loop).result(5)
+
+
+class TestShutdownLeavesNoTask:
+    """Close cancels and gathers every task the session started."""
+
+    def test_graceful_close(self):
+        with AsyncioBackend(spec([_ainc, lambda x: x * 2]), replicas=[3, 2]) as b:
+            session = b.open()
+            for x in range(20):
+                session.submit(x)
+            assert session.drain() == [(x + 1) * 2 for x in range(20)]
+            assert len(_tasks_on_loop(b)) == 2 + 3 + 2 + 1  # main and pump, workers, collector
+            session.close()
+            assert _tasks_on_loop(b) == set()
+
+    def test_mid_stream_close(self):
+        backend = AsyncioBackend(spec([_adouble_slow]), replicas=[2])
+        with backend as b, ThreadPoolExecutor(1) as producer:
+            session = b.open()
+            run = producer.submit(lambda: [session.submit(x) for x in range(500)])
+            while b.items_completed() < 3:
+                time.sleep(0.002)
+            session.close()
+            with pytest.raises(SessionClosed):
+                run.result(timeout=5)
+            assert _tasks_on_loop(b) == set()
+
+    def test_live_grow_and_shrink(self):
+        with AsyncioBackend(spec([_adouble_slow]), max_replicas=4) as b:
+            session = b.open()
+            for x in range(60):
+                session.submit(x)
+                if x in (10, 30):
+                    b.reconfigure(0, 4 if x == 10 else 1)  # spawn 3, then retire 3
+            assert session.drain() == [x * 2 for x in range(60)]
+            # Each of the three pills was queued ahead of the last items: one worker is left.
+            assert len(_tasks_on_loop(b)) == 2 + 1 + 1  # main and pump, a worker, collector
+            session.close()
+            assert _tasks_on_loop(b) == set()

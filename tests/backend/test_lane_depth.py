@@ -37,9 +37,8 @@ LANE_BOUND = {
     # the stage queue, plus one in service per worker
     "threads": lambda capacity: capacity + POOL,
     # the ingress credits (the pump holds one of their items), the stage
-    # queue, the item the dispatcher holds for a free slot, one in service
-    # per replica
-    "asyncio": lambda capacity: 2 * capacity + 1 + POOL,
+    # queue, one in service per worker
+    "asyncio": lambda capacity: 2 * capacity + POOL,
     # the shared task queue (capacity x pool size), plus one in service per worker
     "processes": lambda capacity: capacity * POOL + POOL,
     # the one replica's allowance (the item in service is still in flight)

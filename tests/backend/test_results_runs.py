@@ -4,7 +4,7 @@ A consumer takes every output ready at its lock round and yields them
 outside the lock.  What it took and has not yielded stays the stream's:
 an early stop (``break``) puts it back in front of the stream, a suspended
 iterator leaves it for ``drain()``, and an executor error is raised before
-the next output.  Checked on threads and on processes.
+the next output.  Checked on threads, asyncio and processes.
 
 Stage functions live at module level: forked workers resolve them by
 reference.
@@ -18,7 +18,7 @@ import pytest
 from repro.runtime.threads import StageError
 from repro.skel.api import open_pipeline
 
-EXECUTORS = {"threads": {}, "processes": {"max_replicas": 1}}
+EXECUTORS = {"threads": {}, "asyncio": {}, "processes": {"max_replicas": 1}}
 N, K = 40, 7  # outputs in one run; how many the consumer takes before it stops
 POISON = -1
 

@@ -280,6 +280,26 @@ class TestMidStreamReconfigure:
                 session.submit(i)
             assert session.drain() == [x * 2 for x in range(30)]
 
+    @pytest.mark.parametrize(
+        "make", [ThreadBackend, AsyncioBackend, ProcessPoolBackend], ids=lambda m: m.name
+    )
+    def test_each_replica_added_or_removed_is_one_event(self, make):
+        with make(spec([_inc]), max_replicas=3) as b:
+            session, seen = b.open(), []
+            session.events.subscribe(
+                lambda e: seen.append((e.kind, e.fields["n"])),
+                kinds=("replica.add", "replica.remove"),
+            )
+            b.reconfigure(0, 3)
+            b.reconfigure(0, 1)
+            session.submit(1)
+            assert session.drain() == [2]
+            assert seen == [
+                ("replica.add", 2),
+                ("replica.add", 3),
+                ("replica.remove", 2),
+                ("replica.remove", 1),
+            ]
 
     def test_process_session_reconfigures_without_new_descriptors(self):
         # Parking and releasing warm workers reuses the stage's one queue and

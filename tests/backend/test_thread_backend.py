@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.backend import ThreadBackend
+from repro.backend import ThreadBackend, make_backend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 
@@ -126,9 +126,11 @@ def _inc(x):
 
 @pytest.mark.parametrize("batching", [None, 8], ids=["items", "batched"])
 @pytest.mark.parametrize("shape", ["replicated", "ordered"])
-def test_every_hop_is_recorded_before_drain_returns(shape, batching):
+@pytest.mark.parametrize("executor", ["threads", "asyncio"])
+def test_every_hop_is_recorded_before_drain_returns(executor, shape, batching):
     # Workers only append their hop; the collector records a burst's trails
     # before it delivers the run they free, so drain() finds every sample.
+    # The asyncio lane has the same shape and the same egress step.
     ordered = shape == "ordered"
     stages = [
         StageSpec(name="a", work=1e-6, fn=_inc),
@@ -137,7 +139,7 @@ def test_every_hop_is_recorded_before_drain_returns(shape, batching):
     ]
     replicas = [2, 2, 1] if ordered else [1, 2, 2]
     n = 0
-    with ThreadBackend(PipelineSpec(tuple(stages)), replicas=replicas) as b:
+    with make_backend(executor, PipelineSpec(tuple(stages)), replicas=replicas) as b:
         with b.open(batching=batching, max_inflight=16) as session:
             for _ in range(2):
                 for x in range(37):

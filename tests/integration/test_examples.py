@@ -49,7 +49,7 @@ class TestExamples:
 
     def test_async_pipeline(self):
         out = run_example("async_pipeline.py")
-        assert "semaphore = replica knob" in out
+        assert "worker coroutines per stage" in out
         assert "final concurrency limits per stage" in out
 
     def test_distributed_pipeline(self):
