@@ -349,11 +349,10 @@ class Session:
         #: (including distributed warm-up) publish to this session's bus.
         self.events = EventBus(clock=self.now)
         backend._events_bus = self.events
-        self._telemetry = None
         if telemetry is not None:
             from repro.obs.exporters import as_telemetry
 
-            self._telemetry = as_telemetry(telemetry).attach(self)
+            as_telemetry(telemetry).attach(self)
         self.events.emit(
             "session.open",
             backend=backend.name,
@@ -672,21 +671,21 @@ class Session:
         self.instrumentation = PipelineInstrumentation(n, events=self.events)
         self._stage_locks = [threading.Lock() for _ in range(n)]
 
-    def _record_trails(self, burst: list, sizes: "dict | None" = None, speed=None) -> None:
+    def _record_trails(self, burst: list, speed=None) -> None:
         """Record a burst's ``(seq, value, trail)``s: each stage's hops — ``(stage,
-        worker, service_s, nbytes_out, queued, at, speed, transfer_s)``, or the
-        first six given the burst's ``speed`` — and ``sizes`` (stage -> bytes in)
-        with one ``record_hops`` in one stage-lock round, in item space."""
+        worker, service_s, nbytes_out, queued, at, speed)``, or the first six
+        given the burst's ``speed`` — with one ``record_hops`` in one stage-lock
+        round, in item space."""
         hops: dict = {}
-        batches, tail = self._batch_map, () if speed is None else (speed, None)
+        batches, tail = self._batch_map, () if speed is None else (speed,)
         for seq, _, trail in burst:
             where = batches.get(seq) or (seq, 1)
             for hop in trail:
                 hops.setdefault(hop[0], []).append(where + hop + tail)
         stages, locks = self.instrumentation.stages, self._stage_locks
-        for i in hops.keys() | sizes.keys() if sizes else hops:
+        for i, stage_hops in hops.items():
             with locks[i]:
-                stages[i].record_hops(hops.get(i, ()), sizes.get(i, ()) if sizes else ())
+                stages[i].record_hops(stage_hops)
 
     def _collect_burst(self, burst: list, reorder, speed: float) -> None:
         """The in-process collectors' egress step: push a burst's ``(seq, value,
@@ -1090,7 +1089,7 @@ class Backend:
 
     # ----------------------------------------------------------- observation
     def snapshots(self) -> list[StageSnapshot]:
-        """Windowed per-stage service/queue measurements (session-cumulative)."""
+        """Windowed per-stage service, work and payload-size measurements."""
         if self._session is None:
             return []
         return self._session.snapshots()

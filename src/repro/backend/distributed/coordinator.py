@@ -290,15 +290,13 @@ class _DistributedSession(RoutedSession):
                     # with the bytes that crossed in and back to the size-stratified fit.
                     end, overhead = recv_t, max(0.0, (recv_t - t_out) - wait - service)
                     wk.observe_transfer(nbytes_in + nbytes, overhead)
-                    transfer = overhead / 2.0
                 else:  # a peer hop: its wire time is the receiving worker's, one way
                     end = t_done - off
-                    transfer = max(0.0, t_in - off - t_out)
-                    wk.observe_transfer(2 * nbytes_in, 2 * transfer)
+                    wk.observe_transfer(2 * nbytes_in, 2 * max(0.0, t_in - off - t_out))
                 # work_estimate = service x effective speed, so a loaded worker's
                 # slow service still yields the true per-item work.
                 at_s = clock(t_in + wait + service - off)
-                hops.append((i, wk.id, service, nbytes, queued, at_s, wk.speed, transfer))
+                hops.append((i, wk.id, service, nbytes, queued, at_s, wk.speed))
                 r.completed(t_out, end)
                 if sync and end - wk.clock_emit_t >= 1.0:
                     self._clock_event(wk, end)

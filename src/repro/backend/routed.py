@@ -22,7 +22,7 @@ stateless stages results are forwarded as they arrive and a slow item
 never holds its successors back.
 
 :class:`RoutedSession` owns the ingress lock, one router thread per
-*boundary* stage, every reorderer, per-stage metrics and byte accounting,
+*boundary* stage, every reorderer, per-stage metrics (stage 0's input size),
 item-space event emission, and the egress branch (decode → release → the
 port's ``_complete_run``); the abort flag and ``_fail`` are the port's.  A
 router works a burst per wake: one stage-lock round per stage records the
@@ -48,7 +48,7 @@ their ``item.submit`` carried.  An executor supplies four hooks:
     drops, re-dispatch — returning one ``(seq, frame, hops)`` per result it
     delivers: the executor seq, the encoded result and what every hop of
     the segment did, oldest first and the boundary last, each ``(stage,
-    worker, service_s, nbytes_out, queued, at, speed, transfer_s)``.  A
+    worker, service_s, nbytes_out, queued, at, speed)``.  A
     failed result ends the list with the stage's error: what came before it
     is still forwarded or delivered, then the session fails;
 ``_forward(stage, seq, frame)``
@@ -211,14 +211,10 @@ class RoutedSession(Session):
                 continue
             got = self._accept(stage, burst)
             failed = got.pop() if got and isinstance(got[-1], BaseException) else None
-            sizes, ready = {}, []
-            for seq, frame, trail in got:
-                for hop in trail[:-1]:  # a worker forwarded it to the next stage
-                    sizes.setdefault(hop[0] + 1, []).append(hop[3])
+            ready = []
+            for seq, frame, _ in got:
                 ready += ((seq, frame),) if reorder is None else reorder.push(seq, frame)
-            if not last:
-                sizes.setdefault(nxt, []).extend(frame.nbytes for _, frame in ready)
-            self._record_trails(got, sizes)
+            self._record_trails(got)
             # Workers produce encoded frames and the next stage's workers
             # expect exactly that format: forward each frame untouched and
             # decode only final outputs.

@@ -239,10 +239,8 @@ class SimPipelineEngine:
                 if isinstance(got, _StopToken):
                     continue  # pure wake-up: discard and re-check the epoch
                 item: Item = got
-                metrics.record_queue_length(len(rt.in_ch))
                 # Receive transfer, charged at the consumer (network, no CPU).
-                xfer = yield from self._transfer(item, pid)
-                metrics.record_transfer(xfer)
+                yield from self._transfer(item, pid)
                 # Service: exclusive CPU hold; effective speed frozen at start.
                 yield proc.resource.acquire()
                 eff = proc.effective_speed(self.sim.now)
@@ -294,13 +292,13 @@ class SimPipelineEngine:
         """Pay the network cost of moving ``item`` to ``dst_pid``.
 
         A generator helper (``yield from``-able inside process bodies):
-        computes the transfer time from the link, optionally serialising on
-        the physical link's resource when contention modelling is on, and
-        returns the transfer duration actually charged.
+        computes the transfer time from the link and waits it out, optionally
+        serialising on the physical link's resource when contention
+        modelling is on.
         """
         src = item.produced_by
         if src == dst_pid:
-            return 0.0
+            return
         link = self.grid.link(src, dst_pid)
         if self.link_contention:
             res = self.grid.link_resource(src, dst_pid)
@@ -311,11 +309,10 @@ class SimPipelineEngine:
                     yield self.sim.timeout(xfer)
             finally:
                 res.release()
-            return xfer
+            return
         xfer = link.transfer_time(item.nbytes, self.sim.now)
         if xfer > 0.0:
             yield self.sim.timeout(xfer)
-        return xfer
 
     # ------------------------------------------------------------------ sink
     def _sink(self):

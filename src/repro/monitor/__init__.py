@@ -3,16 +3,15 @@
 The adaptive pipeline cannot read ground truth: it must *measure*.  This
 package supplies:
 
-* :mod:`repro.monitor.samples` — timestamped measurement streams with
-  windowed queries.
 * :mod:`repro.monitor.forecasters` — one-step-ahead predictors and the
   Network-Weather-Service-style :class:`EnsembleForecaster` that dynamically
   selects the predictor with the lowest running error.
 * :mod:`repro.monitor.resource_monitor` — periodic (noisy) sampling of
   processor availability and link performance inside a simulation.
-* :mod:`repro.monitor.instrument` — stage-level instrumentation: service
-  times, transfer times, queue occupancy; the *observe* step of the pattern,
-  and :class:`ServiceWatch`, the change detector that wakes a live controller.
+* :mod:`repro.monitor.instrument` — stage-level instrumentation: windowed
+  service times, work estimates and payload sizes, the completion record;
+  the *observe* step of the pattern, and :class:`ServiceWatch`, the change
+  detector that wakes a live controller.
 """
 
 from repro._lazy import lazy_exports
@@ -27,6 +26,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "instrument": "PipelineInstrumentation ServiceWatch StageMetrics StageSnapshot",
         "resource_monitor": "ResourceEstimates ResourceMonitor",
-        "samples": "MeasurementStream",
     },
 )

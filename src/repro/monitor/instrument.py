@@ -1,17 +1,21 @@
 """Stage-level instrumentation: the *observe* step of the pattern.
 
-Every stage actor reports per-item service times and transfer times here.
-The adaptation policy reads :class:`StageSnapshot` objects — windowed views
-of recent behaviour — to locate the bottleneck stage and to estimate each
-stage's *work* (service time × effective speed), which is what makes
-re-mapping predictions possible on heterogeneous processors.
+Every executor reports each stage's per-item service times here, with the
+payload sizes it measured.  The adaptation policy reads
+:class:`StageSnapshot` objects — windowed views of recent behaviour — to
+locate the bottleneck stage and to estimate each stage's *work* (service
+time × effective speed), which is what makes re-mapping predictions
+possible on heterogeneous processors.  Queue lengths, transfer times and
+byte totals are not kept here: they live once, in the event stream
+(``stage.service``'s ``queue``, ``span.phases``, ``frame.*``) and in the
+distributed lane's link fit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
-from collections import Counter
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,25 +27,21 @@ __all__ = ["StageMetrics", "StageSnapshot", "PipelineInstrumentation", "ServiceW
 
 @dataclass(frozen=True)
 class StageSnapshot:
-    """Windowed view of one stage's recent behaviour.
+    """Windowed view of one stage's recent behaviour: what the policies read.
 
-    ``service_time``/``transfer_time`` are window means (seconds/item);
-    ``work_estimate`` is the inferred work per item in normalised units
-    (service time × the effective speed the item actually saw), which is
-    mapping-independent and lets the model predict service times elsewhere.
-    ``bytes_in``/``bytes_out`` are window-mean measured payload sizes (0.0
-    until a backend records them) — the same observations the distributed
-    link-bandwidth fit consumes, so model pricing and reports share one
-    data source.
+    ``service_time`` is the window mean (seconds/item); ``work_estimate``
+    is the inferred work per item in normalised units (service time × the
+    effective speed the item actually saw), which is mapping-independent
+    and lets the model predict service times elsewhere.  ``bytes_out`` is
+    the window-mean measured size of what the stage emits and ``bytes_in``
+    that of what enters the pipeline (stage 0 only; stage k+1's input is
+    stage k's output); both stay 0.0 until a backend records them.
     """
 
     stage_index: int
     items_processed: int
     service_time: float
-    service_cv: float
-    transfer_time: float
     work_estimate: float
-    queue_length: float
     bytes_in: float = 0.0
     bytes_out: float = 0.0
 
@@ -60,17 +60,9 @@ class StageMetrics:
         self.events = events
         self.total = OnlineStats()
         self._service_win = SlidingWindow(window)
-        self._transfer_win = SlidingWindow(window)
         self._work_win = SlidingWindow(window)
-        self._queue_win = SlidingWindow(window)
         self._bytes_in_win = SlidingWindow(window)
         self._bytes_out_win = SlidingWindow(window)
-        # log2-bucketed payload-size histograms (bucket = nbytes.bit_length(),
-        # so bucket b covers [2^(b-1), 2^b)); cheap enough to keep unwindowed.
-        self.bytes_in_hist: Counter = Counter()
-        self.bytes_out_hist: Counter = Counter()
-        self.total_bytes_in = 0
-        self.total_bytes_out = 0
         self.items_processed = 0
         #: This stage's end of an installed :class:`ServiceWatch` (None = unwatched).
         self._watch: _StageWatch | None = None
@@ -128,104 +120,59 @@ class StageMetrics:
                 fields["queue"] = queue
             bus.emit("stage.service", at=at, **fields)
 
-    def record_hops(self, hops: Sequence[tuple], bytes_in: Sequence[float] = ()) -> None:
-        """Exactly what, hop by hop, ``record_service``, ``record_queue_length``,
-        ``record_transfer`` and ``record_bytes_out`` (each unless its value is
-        None) record, and ``record_bytes_in`` per ``bytes_in``, in one call.  A
-        hop is ``(seq, items, stage, worker, service_s, nbytes_out, queued, at,
-        speed, transfer_s)``: a lane's hop (``Session._record_trails``) behind
-        its item-space ``(seq, items)``.  A lone hop, or any hop of a watched or
-        heard stage, goes through ``record_service``, for the watch and the bus
-        to see each sample in turn; else one pass gathers each window's column
-        for one ``extend``.
+    def record_hops(self, hops: Sequence[tuple]) -> None:
+        """Exactly what, hop by hop, ``record_service`` and ``record_bytes_out``
+        (unless the size is None) record, in one call.  A hop is ``(seq, items,
+        stage, worker, service_s, nbytes_out, queued, at, speed)``: a lane's hop
+        (``Session._record_trails``) behind its item-space ``(seq, items)``;
+        ``queued`` only annotates the event.  A lone hop, or any hop of a
+        watched or heard stage, goes through ``record_service``, for the watch
+        and the bus to see each sample in turn; else one pass gathers each
+        window's column for one ``extend``.
         """
-        if bytes_in:
-            self.total_bytes_in += _sizes(self._bytes_in_win, self.bytes_in_hist, bytes_in)
         bus = self.events
         if len(hops) < 2 or self._watch is not None or (
             bus is not None and bus.wants("stage.service")
         ):
-            for seq, k, _, worker, s, nbytes, queued, at, speed, transfer in hops:
+            for seq, k, _, worker, s, nbytes, queued, at, speed in hops:
                 self.record_service(s, speed, seq=seq, worker=worker, queue=queued, items=k, at=at)
-                self._queue_win.push(queued)
-                if transfer is not None:
-                    self._transfer_win.push(transfer)
                 if nbytes is not None:
                     self.record_bytes_out(nbytes)
             return
-        count, per, extra, work, queues, transfers, sizes = 0, [], [], [], [], [], []
-        for _, k, _, _, s, nbytes, queued, _, speed, transfer in hops:
+        count, per, extra, work, sizes = 0, [], [], [], []
+        for _, k, _, _, s, nbytes, _, _, speed in hops:
             if k > 1:  # a batch: its per-item mean counts once per item
                 s /= k
                 extra += [s] * (k - 1)
             count += k
             per.append(s)
             work.append(s * speed)
-            queues.append(queued)
-            if transfer is not None:
-                transfers.append(transfer)
             if nbytes is not None:
                 sizes.append(nbytes)
         self.items_processed += count
         self.total.extend(per + extra)
         self._service_win.extend(per)
         self._work_win.extend(work)
-        self._queue_win.extend(queues)
-        if transfers:
-            self._transfer_win.extend(transfers)
-        if sizes:
-            self.total_bytes_out += _sizes(self._bytes_out_win, self.bytes_out_hist, sizes)
-
-    def record_transfer(self, seconds: float) -> None:
-        """One inter-stage transfer completed (into this stage)."""
-        self._transfer_win.push(seconds)
-
-    def record_queue_length(self, length: float) -> None:
-        self._queue_win.push(length)
+        self._bytes_out_win.extend(sizes)
 
     def record_bytes_in(self, nbytes: float) -> None:
-        """One item's measured payload size on arrival at this stage."""
-        n = max(0, int(nbytes))
-        self._bytes_in_win.push(n)
-        self.bytes_in_hist[n.bit_length()] += 1
-        self.total_bytes_in += n
+        """One item's measured payload size on entering the pipeline (stage 0)."""
+        self._bytes_in_win.push(nbytes)
 
     def record_bytes_out(self, nbytes: float) -> None:
         """One item's measured payload size leaving this stage."""
-        n = max(0, int(nbytes))
-        self._bytes_out_win.push(n)
-        self.bytes_out_hist[n.bit_length()] += 1
-        self.total_bytes_out += n
+        self._bytes_out_win.push(nbytes)
 
     def snapshot(self) -> StageSnapshot:
-        service = self._service_win.mean
-        std = self._service_win.std
-        cv = std / service if service and not math.isnan(std) and service > 0 else 0.0
-        transfer = self._transfer_win.mean
-        bytes_in = self._bytes_in_win.mean
-        bytes_out = self._bytes_out_win.mean
+        bytes_in, bytes_out = self._bytes_in_win.mean, self._bytes_out_win.mean
         return StageSnapshot(
             stage_index=self.stage_index,
             items_processed=self.items_processed,
-            service_time=service,
-            service_cv=cv if not math.isnan(cv) else 0.0,
-            transfer_time=0.0 if math.isnan(transfer) else transfer,
+            service_time=self._service_win.mean,
             work_estimate=self._work_win.mean,
-            queue_length=0.0 if math.isnan(self._queue_win.mean) else self._queue_win.mean,
             bytes_in=0.0 if math.isnan(bytes_in) else bytes_in,
             bytes_out=0.0 if math.isnan(bytes_out) else bytes_out,
         )
-
-
-def _sizes(win: SlidingWindow, hist: Counter, nbytes: Sequence[float]) -> int:
-    """Record sizes as that many ``record_bytes_in``/``_out`` calls do; their sum."""
-    sizes = [*map(int, nbytes)]
-    if min(sizes) < 0:
-        sizes = [max(0, n) for n in sizes]
-    win.extend(sizes)
-    for n in sizes:
-        hist[n.bit_length()] += 1
-    return sum(sizes)
 
 
 _SHUT = (math.inf, -math.inf)  # no mean is inside: the next sample recalibrates
@@ -419,23 +366,27 @@ class PipelineInstrumentation:
         self.stages = [
             StageMetrics(i, window=window, events=events) for i in range(n_stages)
         ]
-        self.completion_times: list[float] = []
+        # One record per delivered run: the running item count, and when the
+        # run left the last stage.  A count is appended before its time, so a
+        # reader that takes len(times) first never indexes past the counts.
+        self._counts = array("q")
+        self._times = array("d")
 
     def record_completion(self, t: float, items: int = 1) -> None:
         """``items`` items left the last stage at (simulated) time ``t``.
 
-        A micro-batched collector records one call per delivered batch;
-        every item in it counts toward throughput at the batch's delivery
-        time (they genuinely completed together).
+        A collector records one call per delivered run (or batch); every
+        item in it counts toward throughput at the run's delivery time (they
+        genuinely completed together).
         """
-        if items == 1:
-            self.completion_times.append(t)
-        else:
-            self.completion_times.extend([t] * items)
+        counts = self._counts
+        counts.append((counts[-1] if counts else 0) + items)
+        self._times.append(t)
 
     @property
     def items_completed(self) -> int:
-        return len(self.completion_times)
+        counts = self._counts
+        return counts[-1] if counts else 0
 
     def snapshots(self, locks: "Sequence[AbstractContextManager] | None" = None) -> list[StageSnapshot]:
         """Per-stage snapshots; ``locks[i]`` (if given) guards stage ``i``.
@@ -469,8 +420,9 @@ class PipelineInstrumentation:
         """
         if horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {horizon}")
-        times = self.completion_times
-        recent = len(times) - bisect_left(times, now - horizon)
-        if not recent:
+        times, counts = self._times, self._counts
+        n = len(times)  # every one of these records has its count already
+        i = bisect_left(times, now - horizon, 0, n)
+        if i == n:
             return math.nan
-        return recent / horizon
+        return (counts[n - 1] - (counts[i - 1] if i else 0)) / horizon

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
     from repro.gridsim.engine import Simulator
     from repro.gridsim.grid import GridSystem
     from repro.monitor.forecasters import EnsembleForecaster
-    from repro.monitor.samples import MeasurementStream
 
 __all__ = [
     "HostLoadSampler",
@@ -172,7 +171,6 @@ class ResourceMonitor:
         # Only the simulated monitor forecasts; the host-load helpers above
         # are what the real executors import this module for.
         from repro.monitor.forecasters import default_ensemble
-        from repro.monitor.samples import MeasurementStream
 
         check_positive(period, "period")
         check_non_negative(noise_std, "noise_std")
@@ -186,9 +184,6 @@ class ResourceMonitor:
         self._avail_fc: dict[int, EnsembleForecaster] = {p: default_ensemble() for p in pids}
         self._bw_fc: dict[tuple[int, int], EnsembleForecaster] = {
             pr: default_ensemble() for pr in self._pairs
-        }
-        self._avail_streams: dict[int, MeasurementStream] = {
-            p: MeasurementStream(f"avail[{p}]") for p in pids
         }
         self._samples_taken = 0
         self._proc = sim.process(self._sampling_loop(), name="resource-monitor")
@@ -206,7 +201,6 @@ class ResourceMonitor:
             measured = self._noisy(self._grid.processor(pid).availability(t))
             measured = min(1.0, measured)
             self._avail_fc[pid].observe(measured)
-            self._avail_streams[pid].add(t, measured)
         for a, b in self._pairs:
             link = self._grid.link(a, b)
             self._bw_fc[(a, b)].observe(self._noisy(link.effective_bandwidth(t)))
@@ -223,10 +217,6 @@ class ResourceMonitor:
     @property
     def samples_taken(self) -> int:
         return self._samples_taken
-
-    def availability_stream(self, pid: int) -> MeasurementStream:
-        """Raw measured availability series for one processor."""
-        return self._avail_streams[pid]
 
     def estimates(self) -> ResourceEstimates:
         """Current forecasts for all monitored resources."""

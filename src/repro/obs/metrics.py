@@ -2,15 +2,15 @@
 
 A thin, dependency-free metrics layer in the Prometheus data model:
 instruments are registered by name, each name owning one labelled family
-(``("stage_items_total", {"stage": "1"})``).  Histograms reuse the repo's
-log2 bucketing convention (``monitor/instrument.py`` payload histograms:
-bucket ``b`` covers ``[2^(b-1), 2^b)`` of the scaled value) and carry an
+(``("stage_items_total", {"stage": "1"})``).  Histograms bucket by log2
+(bucket ``b`` covers ``[2^(b-1), 2^b)`` of the scaled value) and carry an
 :class:`~repro.util.stats.OnlineStats` for exact mean/std alongside.
 
 :class:`MetricsRecorder` subscribes a registry to an
 :class:`~repro.obs.events.EventBus` and folds the schema's events into
 instrument updates — the same hooks :class:`PipelineInstrumentation` sits
-on, but retained for export instead of windowed for the policy.
+on, but retained for export instead of windowed for the policy.  A
+batched record (``items=N``) counts as N items, each at the per-item mean.
 """
 
 from __future__ import annotations
@@ -79,10 +79,9 @@ class Gauge:
 class Log2Histogram:
     """Log2-bucketed histogram with exact online moments.
 
-    ``observe(x)`` buckets ``int(x * scale)`` by bit length — the exact
-    convention of the payload histograms in ``monitor/instrument.py`` —
-    so service times recorded with ``scale=1e6`` land in µs-resolution
-    power-of-two buckets.  Bucket upper bounds are ``2**b / scale``.
+    ``observe(x)`` buckets ``int(x * scale)`` by bit length, so service
+    times recorded with ``scale=1e6`` land in µs-resolution power-of-two
+    buckets.  Bucket upper bounds are ``2**b / scale``.
     """
 
     kind = "histogram"
@@ -95,11 +94,12 @@ class Log2Histogram:
         self.stats = OnlineStats()
         self._lock = Lock()
 
-    def observe(self, x: float) -> None:
+    def observe(self, x: float, n: int = 1) -> None:
+        """``n`` observations of ``x``."""
         b = max(0, int(float(x) * self.scale)).bit_length()
         with self._lock:
-            self.buckets[b] = self.buckets.get(b, 0) + 1
-            self.stats.push(x)
+            self.buckets[b] = self.buckets.get(b, 0) + n
+            self.stats.extend((x,) * n)
 
     @property
     def count(self) -> int:
@@ -256,14 +256,14 @@ class MetricsRecorder:
         kind = ev.kind
         reg = self.registry
         if kind == "stage.service":
-            labels = {"stage": str(f.get("stage", "?"))}
-            reg.counter("stage_items_total", labels).inc()
-            reg.histogram("stage_service_seconds", labels).observe(f.get("seconds", 0.0))
+            labels, n = {"stage": str(f.get("stage", "?"))}, f.get("items", 1)
+            reg.counter("stage_items_total", labels).inc(n)
+            reg.histogram("stage_service_seconds", labels).observe(f.get("seconds", 0.0) / n, n)
             if "queue" in f:
                 reg.gauge("stage_queue_length", labels).set(f["queue"])
             worker = f.get("worker")
             if worker is not None:
-                reg.counter("worker_items_total", {"worker": str(worker)}).inc()
+                reg.counter("worker_items_total", {"worker": str(worker)}).inc(n)
         elif kind == "item.submit":
             reg.counter("items_submitted_total").inc()
             if "wait" in f:
@@ -301,12 +301,12 @@ class MetricsRecorder:
             reg.counter("frames_released_total").inc()
             reg.counter("frame_bytes_released_total").inc(f.get("nbytes", 0))
         elif kind == "span.phases":
-            stage = str(f.get("stage", "?"))
+            stage, n = str(f.get("stage", "?")), f.get("items", 1)
             for phase in ("wire_out", "worker_queue", "service", "encode", "wire_back"):
                 if phase in f:
                     reg.histogram(
                         "span_phase_seconds", {"stage": stage, "phase": phase}
-                    ).observe(f[phase])
+                    ).observe(f[phase] / n, n)
         elif kind == "clock.sync":
             worker = str(f.get("worker", "?"))
             reg.gauge("worker_clock_offset_seconds", {"worker": worker}).set(

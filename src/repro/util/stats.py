@@ -19,14 +19,12 @@ __all__ = ["OnlineStats", "SlidingWindow"]
 class OnlineStats:
     """Numerically stable streaming mean/variance (Welford's algorithm)."""
 
-    __slots__ = ("_n", "_mean", "_m2", "_min", "_max")
+    __slots__ = ("_n", "_mean", "_m2")
 
     def __init__(self) -> None:
         self._n = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
 
     def push(self, x: float) -> None:
         """Add one observation."""
@@ -35,23 +33,18 @@ class OnlineStats:
         delta = x - self._mean
         self._mean += delta / self._n
         self._m2 += delta * (x - self._mean)
-        if x < self._min:
-            self._min = x
-        if x > self._max:
-            self._max = x
 
     def extend(self, xs: Iterable[float]) -> None:
         """Add many observations: exactly what one ``push`` each does, with the
         accumulator in locals for the whole run."""
-        n, mean, m2, lo, hi = self._n, self._mean, self._m2, self._min, self._max
+        n, mean, m2 = self._n, self._mean, self._m2
         for x in xs:
             x = float(x)
             n += 1
             delta = x - mean
             mean += delta / n
             m2 += delta * (x - mean)
-            lo, hi = (x if x < lo else lo), (x if x > hi else hi)
-        self._n, self._mean, self._m2, self._min, self._max = n, mean, m2, lo, hi
+        self._n, self._mean, self._m2 = n, mean, m2
 
     @property
     def n(self) -> int:
@@ -70,21 +63,6 @@ class OnlineStats:
     def std(self) -> float:
         v = self.variance
         return math.sqrt(v) if v == v else math.nan  # NaN-propagating
-
-    @property
-    def min(self) -> float:
-        return self._min if self._n else math.nan
-
-    @property
-    def max(self) -> float:
-        return self._max if self._n else math.nan
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (std / mean)."""
-        if self._n < 2 or self._mean == 0.0:
-            return math.nan
-        return self.std / abs(self._mean)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"OnlineStats(n={self._n}, mean={self.mean:.6g}, std={self.std:.6g})"
@@ -141,16 +119,3 @@ class SlidingWindow:
     def median(self) -> float:
         return float(np.median(self._buf)) if self._buf else math.nan
 
-    @property
-    def std(self) -> float:
-        return float(np.std(self._buf, ddof=1)) if len(self._buf) > 1 else math.nan
-
-    @property
-    def last(self) -> float:
-        return self._buf[-1] if self._buf else math.nan
-
-    def percentile(self, q: float) -> float:
-        """Return the ``q``-th percentile (0..100) of the window."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"q must be in [0, 100], got {q}")
-        return float(np.percentile(self._buf, q)) if self._buf else math.nan

@@ -1259,6 +1259,10 @@ class TestPlacementByFinishTime:
             boundary = (0, r.worker.id, r.slot, 0.0, 0.0, 0.0, 0.0, out.nbytes)
             result = ("result", 0, 0, r.slot, seq, True, to_wire(out), t_sent, None, (boundary,))
             results.append((r.worker, recv_t, result))
+        # Each boundary's wire sample (the round trip, as neither stamp
+        # waited nor served) goes to the worker's link fit.
+        wire, observe = [], r.worker.link_est.observe
+        r.worker.link_est.observe = lambda nbytes, s: (wire.append(s), observe(nbytes, s))
         # The three busy items come back as one burst, the idle one alone.
         expected, link_s = None, r.worker.link_s
         for first, burst in ((0, results[:3]), (3, results[3:])):
@@ -1266,7 +1270,8 @@ class TestPlacementByFinishTime:
             assert [seq for seq, _frame, _hops in got] == list(range(first, first + len(burst)))
             for seq, _frame, hops in got:
                 t_sent, recv_t, gap = timeline[seq]
-                assert hops[-1][7] == pytest.approx((recv_t - t_sent) / 2)
+                assert wire[seq] == pytest.approx(recv_t - t_sent)
+                assert len(hops[-1]) == 7
                 assert hops[-1][4] == len(timeline) - seq - 1  # routes still in flight
                 expected = gap if expected is None else expected + 0.1 * (gap - expected)
                 link_s += 0.1 * ((recv_t - t_sent) / 2 - link_s)  # the cached one-way wire time

@@ -229,9 +229,11 @@ class TestProcessTransports:
             b.run(range(6))
             snaps = b.snapshots()
         # Stage 0 takes tiny ints in and emits ~1.6 MB arrays; stage 1 the
-        # reverse — the measured sizes feed link pricing and reports.
+        # reverse — the measured sizes feed link pricing and reports.  Only
+        # the pipeline's input is measured going in: stage 1's input is
+        # stage 0's output.
         assert snaps[0].bytes_in < 1000 < snaps[0].bytes_out
-        assert snaps[1].bytes_in == pytest.approx(snaps[0].bytes_out)
+        assert snaps[1].bytes_in == 0.0
         assert snaps[1].bytes_out < 1000
         assert snaps[0].bytes_out == pytest.approx(1_600_000, rel=0.05)
 
@@ -445,7 +447,9 @@ class TestForwardedTelemetry:
         codec = transport.get("pickle")
 
         def size(values):
-            return sum(codec.encode(v).nbytes for v in values)
+            # The window mean over the newest 32 (each stage has one worker,
+            # so sizes are recorded in item order).
+            return sum(codec.encode(v).nbytes for v in values[-32:]) / 32
 
         inputs = [list(range(k)) for k in range(40)]
         mids = [x + [0] * 7 for x in inputs]
@@ -455,12 +459,11 @@ class TestForwardedTelemetry:
                 session.submit(x)
             assert session.drain() == [len(m) for m in mids]
             snaps = session.snapshots()
-            stages = session.instrumentation.stages
         assert [s.items_processed for s in snaps] == [40, 40]
         assert all(s.service_time > 0 for s in snaps)
-        assert (stages[0].total_bytes_in, stages[0].total_bytes_out) == (size(inputs), size(mids))
-        assert stages[1].total_bytes_in == size(mids)
-        assert stages[1].total_bytes_out == size(len(m) for m in mids)
+        assert (snaps[0].bytes_in, snaps[0].bytes_out) == (size(inputs), size(mids))
+        assert snaps[1].bytes_in == 0.0
+        assert snaps[1].bytes_out == size([len(m) for m in mids])
 
     def test_replayed_service_events_keep_the_workers_timeline(self):
         seen = []

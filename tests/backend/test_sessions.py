@@ -241,16 +241,21 @@ class TestSessionLifecycle:
     ids=["threads", "asyncio", "processes", "distributed"],
 )
 def test_completion_times_are_appended_in_order(make):
-    # recent_throughput() bisects this list: the one egress thread must
-    # append it sorted, item by item and batch by batch.
+    # recent_throughput() bisects the completion times and subtracts running
+    # counts: the one egress thread must append one record per delivered
+    # run, its time never before the last and its count past the last.
     with make(spec([_jitter_square])) as b:
         for batching in (None, 4):
             session = b.open(batching=batching)
             for i in range(30):
                 session.submit(i)
             assert session.drain() == [x * x for x in range(30)]
-            times = session.instrumentation.completion_times
-            assert len(times) == 30 and times == sorted(times)
+            pi = session.instrumentation
+            times, counts = list(pi._times), list(pi._counts)
+            assert len(times) == len(counts) >= 1
+            assert times == sorted(times)
+            assert all(a < b for a, b in zip(counts, counts[1:]))
+            assert counts[-1] == pi.items_completed == 30
             session.close()
 
 

@@ -72,15 +72,22 @@ class TestThreadBackend:
 
     def test_saturated_replicated_stage_reports_its_queue(self):
         # The workers themselves record the backlog they dequeue from: a
-        # stage fed faster than it serves must not read queue_length == 0
-        # (the policy's view and obs.top's queue column).
+        # stage fed faster than it serves must not report a queue of 0 in
+        # its stage.service events (obs.top's queue column and the
+        # stage_queue_length gauge).
         def slow(x):
             time.sleep(0.002)
             return x
 
         with ThreadBackend(spec([lambda x: x, slow]), replicas=[1, 2], capacity=8) as b:
-            b.run(range(60))
-            assert b.snapshots()[1].queue_length > 0
+            with b.open() as session:
+                seen = []
+                session.events.subscribe(seen.append, kinds=["stage.service"])
+                for x in range(60):
+                    session.submit(x)
+                assert session.drain() == list(range(60))
+            queues = [e.fields["queue"] for e in seen if e.fields["stage"] == 1]
+            assert len(queues) == 60 and max(queues) > 0
 
     def test_submit_feels_the_bounded_stage_queue(self):
         # The thread twin of the process executor's test.  No admission

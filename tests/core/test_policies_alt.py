@@ -22,10 +22,7 @@ def snap(i, items=10, service=0.1, work=0.1):
         stage_index=i,
         items_processed=items,
         service_time=service,
-        service_cv=0.0,
-        transfer_time=0.0,
         work_estimate=work,
-        queue_length=0.0,
     )
 
 

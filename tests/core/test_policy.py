@@ -13,15 +13,12 @@ from repro.model.throughput import snapshot_view
 from repro.monitor.instrument import StageSnapshot
 
 
-def snap(i, items=10, service=0.1, work=0.1, transfer=0.0):
+def snap(i, items=10, service=0.1, work=0.1):
     return StageSnapshot(
         stage_index=i,
         items_processed=items,
         service_time=service,
-        service_cv=0.0,
-        transfer_time=transfer,
         work_estimate=work,
-        queue_length=0.0,
     )
 
 

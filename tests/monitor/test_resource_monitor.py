@@ -84,14 +84,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             ResourceMonitor(sim, grid, period=0.0)
 
-    def test_availability_stream_accessible(self):
-        sim = Simulator()
-        grid = uniform_grid(1)
-        mon = ResourceMonitor(sim, grid, period=1.0, noise_std=0.0)
-        sim.run(until=5.0)
-        stream = mon.availability_stream(0)
-        assert len(stream) == 6
-
 
 class TestHostLoadSampler:
     """The availability-aware local view: os.getloadavg -> effective speed."""

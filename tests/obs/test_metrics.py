@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import open_pipeline
+from repro.obs import Telemetry
 from repro.obs.events import EventBus
 from repro.obs.metrics import (
     Counter,
@@ -38,6 +40,16 @@ class TestInstruments:
         assert h.sum == pytest.approx(10.0)
         bounds = h.bounds()
         assert bounds[-1] == (8.0, 4)  # cumulative reaches the count
+
+    def test_histogram_observe_n_is_n_observations(self):
+        once, each = Log2Histogram(scale=1.0), Log2Histogram(scale=1.0)
+        once.observe(3.0, 5)
+        once.observe(1.0)
+        for x in (3.0,) * 5 + (1.0,):
+            each.observe(x)
+        assert once.buckets == each.buckets == {2: 5, 1: 1}
+        assert once.count == each.count == 6
+        assert once.sum == pytest.approx(each.sum) == pytest.approx(16.0)
 
     def test_histogram_scale(self):
         h = Log2Histogram(scale=1e6)
@@ -110,6 +122,39 @@ class TestRecorder:
         assert reg.histogram("stage_service_seconds", {"stage": "1"}).count == 2
         assert reg.gauge("stage_queue_length", {"stage": "1"}).value == 2
         assert reg.counter("worker_items_total", {"worker": "3"}).value == 1
+
+    def test_a_batched_record_counts_each_of_its_items(self):
+        # A batch's stage.service and span.phases carry the batch totals and
+        # items=N: the stage families count N items at the per-item mean.
+        bus, reg = self._bus()
+        bus.emit("stage.service", stage=0, seconds=0.16, speed=1.0, worker=2, items=16)
+        bus.emit("stage.service", stage=0, seconds=0.01, speed=1.0, worker=2)
+        bus.emit("span.phases", seq=0, stage=0, service=0.4, wire_out=0.04, items=4)
+        assert reg.counter("stage_items_total", {"stage": "0"}).value == 17
+        assert reg.counter("worker_items_total", {"worker": "2"}).value == 17
+        h = reg.histogram("stage_service_seconds", {"stage": "0"})
+        assert h.count == 17 and h.sum == pytest.approx(0.17)
+        assert h.stats.mean == pytest.approx(0.01)
+        phase = reg.histogram("span_phase_seconds", {"stage": "0", "phase": "service"})
+        assert phase.count == 4 and phase.sum == pytest.approx(0.4)
+        wire = reg.histogram("span_phase_seconds", {"stage": "0", "phase": "wire_out"})
+        assert wire.count == 4 and wire.sum == pytest.approx(0.04)
+
+    def test_a_batched_threads_session_counts_items_not_batches(self):
+        telemetry = Telemetry(metrics=True)
+        with open_pipeline([abs, abs], telemetry=telemetry, batching=16) as session:
+            for x in range(640):
+                session.submit(x)
+            assert session.drain() == list(range(640))
+        reg = telemetry.registry
+        assert reg.counter("items_completed_total").value == 640
+        for stage in ("0", "1"):
+            assert reg.counter("stage_items_total", {"stage": stage}).value == 640
+            assert reg.histogram("stage_service_seconds", {"stage": stage}).count == 640
+        workers = [
+            inst.value for name, _, inst in reg.collect() if name == "worker_items_total"
+        ]
+        assert sum(workers) == 2 * 640
 
     def test_lifecycle_counters(self):
         bus, reg = self._bus()

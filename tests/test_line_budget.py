@@ -142,6 +142,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # 407 -> 320), and with no per-item caller left Session._complete and
 # Session._deliver went (base.py 1,248 -> 1,245, thread_backend.py 200 ->
 # 196).  Nothing moved.
+# Held at the count, rounded up (5,173 -> 5,180), by keeping only what is
+# read: the routed lanes' hops lost their transfer_s and _route_inner its
+# per-stage bytes-in map (stage k+1's input is stage k's output), and
+# Session._telemetry went.  Nothing moved.
 CEILING = 5180
 
 #: Every other package (``"."``: the top-level modules), set at its count
@@ -154,13 +158,22 @@ PACKAGE_CEILINGS = {
     "model": 800,
     # +42: StageMetrics.record_hops, the routed lanes' bulk record; +16: its
     # lone-hop path and one-pass gather, so a short burst costs no more than
-    # its per-hop records (the thread lane's bursts are mostly short)
-    "monitor": 1030,
+    # its per-hop records (the thread lane's bursts are mostly short).
+    # Lowered to the count (1,029 -> 896): StageMetrics lost its queue and
+    # transfer windows, byte histograms and totals, and StageSnapshot its
+    # service_cv, transfer_time and queue_length; the simulated
+    # ResourceMonitor's MeasurementStreams went with monitor/samples.py.
+    # Each of those facts was unread or already recorded once elsewhere
+    # (the event stream, the link fit).  Nothing moved.
+    "monitor": 896,
     "obs": 2100,
     "reporting": 170,
     "skel": 360,
     "transport": 1260,
-    "util": 830,  # +10: OnlineStats.extend; +9: Handoff.get_all, the thread collector's burst
+    # +10: OnlineStats.extend; +9: Handoff.get_all, the thread collector's burst.
+    # Lowered to the count (829 -> 794): OnlineStats' min, max and cv and
+    # SlidingWindow's std, last and percentile, which nothing read.  Nothing moved.
+    "util": 794,
     "workloads": 830,
 }
 

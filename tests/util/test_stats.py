@@ -20,13 +20,11 @@ class TestOnlineStats:
         assert s.n == 0
         assert math.isnan(s.mean)
         assert math.isnan(s.std)
-        assert math.isnan(s.min)
 
     def test_single_value(self):
         s = OnlineStats()
         s.push(3.5)
         assert s.mean == 3.5
-        assert s.min == s.max == 3.5
         assert math.isnan(s.variance)  # undefined with one sample
 
     def test_matches_numpy(self):
@@ -35,8 +33,6 @@ class TestOnlineStats:
         s.extend(data)
         assert s.mean == pytest.approx(np.mean(data))
         assert s.std == pytest.approx(np.std(data, ddof=1))
-        assert s.min == min(data)
-        assert s.max == max(data)
 
     @given(st.lists(finite_floats, min_size=2, max_size=200))
     def test_property_matches_numpy(self, data):
@@ -44,11 +40,6 @@ class TestOnlineStats:
         s.extend(data)
         assert s.mean == pytest.approx(np.mean(data), rel=1e-9, abs=1e-6)
         assert s.variance == pytest.approx(np.var(data, ddof=1), rel=1e-6, abs=1e-6)
-
-    def test_cv(self):
-        s = OnlineStats()
-        s.extend([10.0, 10.0, 10.0])
-        assert s.cv == pytest.approx(0.0)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), max_size=50),
@@ -65,11 +56,11 @@ class TestOnlineStats:
         assert merged.n == pushed.n
         if not pushed.n:
             return
-        assert (merged.min, merged.max) == (pushed.min, pushed.max)
         # Relative to the result, or — where the moments cancel — to what
         # rounding can leave of them at the data's scale and spread.
-        scale = max(abs(pushed.min), abs(pushed.max))
-        spread = pushed.max - pushed.min
+        data = [*map(float, head), *map(float, xs)]
+        scale = max(map(abs, data))
+        spread = max(data) - min(data)
         assert math.isclose(merged.mean, pushed.mean, rel_tol=1e-9, abs_tol=1e-12 * scale)
         if pushed.n > 1:
             assert math.isclose(
@@ -89,14 +80,11 @@ class TestSlidingWindow:
         w.extend([2.0, 4.0, 6.0])
         assert w.mean == pytest.approx(4.0)
         assert w.median == pytest.approx(4.0)
-        assert w.last == 6.0
-        assert w.percentile(50) == pytest.approx(4.0)
 
     def test_empty_stats_are_nan(self):
         w = SlidingWindow(4)
         assert math.isnan(w.mean)
         assert math.isnan(w.median)
-        assert math.isnan(w.last)
 
     @given(
         st.integers(1, 40),
@@ -117,10 +105,4 @@ class TestSlidingWindow:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             SlidingWindow(0)
-
-    def test_percentile_range_check(self):
-        w = SlidingWindow(4)
-        w.push(1.0)
-        with pytest.raises(ValueError):
-            w.percentile(101)
 
