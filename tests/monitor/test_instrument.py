@@ -3,13 +3,19 @@
 import math
 import threading
 from array import array
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.monitor.instrument import PipelineInstrumentation, ServiceWatch, StageMetrics
+from repro.monitor.instrument import (
+    PipelineInstrumentation,
+    ServiceWatch,
+    StageMetrics,
+    StageSnapshot,
+)
 
 
 class TestStageMetrics:
@@ -36,6 +42,30 @@ class TestStageMetrics:
         assert snap.items_processed == 0
         assert math.isnan(snap.service_time)
         assert snap.bytes_in == 0.0
+
+    def test_snapshot_carries_what_the_policies_read(self):
+        # Queue lengths and transfer times live in the event stream and the
+        # link fit; the snapshot holds the six fields a decision reads.
+        assert [f.name for f in fields(StageSnapshot)] == [
+            "stage_index", "items_processed", "service_time",
+            "work_estimate", "bytes_in", "bytes_out",
+        ]
+
+    def test_constant_service_has_no_whole_run_spread(self):
+        # The ServiceWatch takes its noise level from the whole-run stats.
+        m = StageMetrics(0)
+        for _ in range(5):
+            m.record_service(0.3, 1.0)
+        assert m.total.n == 5
+        assert m.total.std == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_batch_counts_each_item_at_its_mean(self):
+        m = StageMetrics(0)
+        m.record_service(0.4, 2.0, items=4)
+        snap = m.snapshot()
+        assert snap.items_processed == 4 and m.total.n == 4
+        assert snap.service_time == pytest.approx(0.1)
+        assert snap.work_estimate == pytest.approx(0.2)
 
 
 class TestPipelineInstrumentation:
@@ -143,6 +173,32 @@ class TestPayloadByteAccounting:
         snap = m.snapshot()
         assert snap.bytes_in == pytest.approx(200.0)
         assert snap.bytes_out == pytest.approx(400.0)
+
+    def test_size_windows_keep_only_the_newest(self):
+        m = StageMetrics(0, window=2)
+        for n in (1_000, 10, 30):
+            m.record_bytes_in(n)
+            m.record_bytes_out(n)
+        snap = m.snapshot()
+        assert snap.bytes_in == pytest.approx(20.0)
+        assert snap.bytes_out == pytest.approx(20.0)
+
+    def test_bytes_out_leaves_bytes_in_alone(self):
+        # Stage k+1's input is stage k's output: recording what leaves a
+        # stage measures nothing about what entered it.
+        m = StageMetrics(1)
+        m.record_hops([(k, 1, 1, "w", 0.01, n, 0, None, 1.0) for k, n in enumerate((512, 256))])
+        snap = m.snapshot()
+        assert snap.bytes_out == pytest.approx(384.0)
+        assert snap.bytes_in == 0.0
+
+    def test_a_hop_without_a_size_records_no_bytes(self):
+        # A thread hop measures no payload (its nbytes_out is None).
+        m = StageMetrics(0)
+        m.record_hops([(k, 1, 0, 0, 0.01, None, 0, None, 1.0) for k in range(3)])
+        snap = m.snapshot()
+        assert snap.items_processed == 3
+        assert snap.bytes_out == 0.0
 
 
 def watched(n_stages=2, window=32, min_samples=2, ratio=1.1, locks=None):

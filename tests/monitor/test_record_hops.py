@@ -8,11 +8,14 @@ thread hop measures none) would have shown them, in the same order.
 """
 
 import threading
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitor.instrument import ServiceWatch, StageMetrics
+from repro.backend.base import Session
+from repro.monitor.instrument import PipelineInstrumentation, ServiceWatch, StageMetrics
 from repro.obs.events import EventBus
 
 # (seq, items, stage, worker, service_s, nbytes_out, queued, at, speed)
@@ -127,3 +130,32 @@ def test_a_level_shift_inside_one_burst_fires_where_per_hop_calls_fire():
     wakes, _ = _watched_run(bs, bulk=True)
     assert wakes == _watched_run(bs, bulk=False)[0]
     assert wakes == [(3, ("evidence",)), (10, ("shift", 0, 0.002, 0.008, True))]
+
+
+def test_the_queue_length_rides_in_the_stage_service_event():
+    # The one record of a hop's backlog: the windows ignore it.
+    m, queues = StageMetrics(0, events=EventBus(clock=lambda: 0.0)), []
+    m.events.subscribe(lambda ev: queues.append(ev.fields["queue"]), kinds=["stage.service"])
+    m.record_hops([(k, 1, 0, 0, 0.01, None, q, None, 1.0) for k, q in enumerate((0, 3, 7))])
+    assert queues == [0, 3, 7]
+    assert m.snapshot().service_time == pytest.approx(0.01)
+
+
+def test_record_trails_records_each_stage_in_item_space():
+    # A thread trail carries six fields and the burst's one speed reading;
+    # a batch's hop counts once per item of the batch.
+    session = SimpleNamespace(
+        _batch_map={100: (4, 2)},
+        instrumentation=PipelineInstrumentation(2),
+        _stage_locks=[threading.Lock(), threading.Lock()],
+    )
+    burst = [
+        (0, "a", [(0, 0, 0.01, None, 0, None), (1, 0, 0.03, None, 1, None)]),
+        (100, "b", [(0, 1, 0.04, None, 2, None)]),
+    ]
+    Session._record_trails(session, burst, speed=2.0)
+    first, second = session.instrumentation.snapshots()
+    assert (first.items_processed, second.items_processed) == (3, 1)
+    assert first.service_time == pytest.approx(0.015)  # 0.01, then 0.02 per item
+    assert first.work_estimate == pytest.approx(0.03)
+    assert second.work_estimate == pytest.approx(0.06)

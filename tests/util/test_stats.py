@@ -27,6 +27,12 @@ class TestOnlineStats:
         assert s.mean == 3.5
         assert math.isnan(s.variance)  # undefined with one sample
 
+    def test_constant_data_has_zero_spread(self):
+        s = OnlineStats()
+        s.extend([10.0, 10.0, 10.0])
+        assert s.mean == 10.0
+        assert s.std == pytest.approx(0.0)
+
     def test_matches_numpy(self):
         data = [1.0, 2.0, 2.5, -3.0, 8.25, 0.0]
         s = OnlineStats()
@@ -106,3 +112,17 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             SlidingWindow(0)
 
+    def test_push_out_returns_what_it_displaced(self):
+        w = SlidingWindow(2)
+        assert w.push_out(1.0) == 0.0
+        assert w.push_out(2.0) == 0.0
+        assert w.push_out(3.0) == 1.0
+        assert w.values() == [2.0, 3.0]
+
+    def test_keep_last_forgets_the_oldest(self):
+        w = SlidingWindow(5)
+        w.extend([1.0, 2.0, 3.0, 4.0])
+        w.keep_last(2)
+        assert w.values() == [3.0, 4.0] and not w.full
+        w.keep_last(3)  # keeping more than it holds changes nothing
+        assert w.values() == [3.0, 4.0]
