@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Real execution: an I/O-bound service pipeline on the asyncio backend.
+"""Real execution: an I/O-bound service pipeline with coroutine stages.
 
 The fetch→parse→store pipeline simulates a production service whose costs
 are *waits* — a network fetch, a storage write — with the middle ``parse``
-stage a plain callable (the backend offloads it to a thread so it cannot
-stall the event loop).  An injected slow fetch (high simulated latency)
+stage a plain callable.  On the thread fabric (``"asyncio"`` is its I/O
+name) the two ``async def`` stages run as worker coroutines on one
+event-loop thread and ``parse`` gets a thread worker of its own, so it
+cannot stall the loop.  An injected slow fetch (high simulated latency)
 bottlenecks the pipeline; :class:`RuntimeAdaptiveRunner` observes the
 wall-clock service times, asks the model-driven policy where the bottleneck
 is, and widens that stage's coroutine pool live — ``reconfigure`` just
@@ -65,9 +67,9 @@ def main() -> None:
         print(f"  event: {event}")
     print(f"  replica history: {result.replica_history}")
     print(f"  final concurrency limits per stage: {result.final_replicas}")
-    print("\nnote: every 'replica' here is a coroutine slot, not a thread —")
-    print("the whole pipeline runs on one event-loop thread plus a small")
-    print("offload pool for the plain-callable parse stage.")
+    print("\nnote: every fetch/store 'replica' here is a worker coroutine, not a")
+    print("thread — both run on one event-loop thread; the plain-callable parse")
+    print("stage has a thread worker of its own on the same stage queues.")
 
 
 if __name__ == "__main__":

@@ -8,21 +8,20 @@ refactor the port is **session-oriented**: ``backend.open()`` returns a
 long-lived :class:`~repro.backend.base.Session` with ``submit`` /
 ``results`` / ``drain`` / ``close`` — pipelines stay warm, accept work as
 it arrives, and emit results as an ordered stream; ``run()`` is the
-bounded-stream convenience on top.  Five adapters ship:
+bounded-stream convenience on top.  Four executors ship, under five names:
 
 * ``"sim"`` — :class:`SimBackend`, the discrete-event grid simulator
   (simulated time; sessions via a batch-emulation shim; adaptation via the
   in-sim controller);
-* ``"threads"`` — :class:`ThreadBackend`, the local thread runtime (for
-  GIL-releasing kernels and portable correctness runs; session-owned
-  worker threads stay warm across streams);
+* ``"threads"`` — :class:`ThreadBackend`, the local thread fabric
+  (GIL-releasing kernels, I/O-bound stages and portable correctness runs;
+  workers stay warm across streams).  A stage declared ``async def`` runs
+  as worker coroutines on one warm event-loop thread, so ``"asyncio"`` —
+  :class:`AsyncioBackend` — names the same fabric;
 * ``"processes"`` — :class:`ProcessPoolBackend`, warm pre-forked process
   pools per stage (true multi-core for CPU-bound Python stages; pools
   survive across streams, items travel through a :mod:`repro.transport`
   codec with a warm-up-calibrated shared-memory threshold);
-* ``"asyncio"`` — :class:`AsyncioBackend`, coroutine pools on a dedicated
-  event-loop thread (I/O-bound stages; semaphore-bounded admission on the
-  resident loop);
 * ``"distributed"`` — :class:`DistributedBackend`, TCP-socket workers on
   this or other hosts (the paper's actual setting: real link costs, node
   loss, load-derived speeds; worker links and replica placement stay warm
@@ -45,7 +44,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "async_backend": "AsyncioBackend",
         "base": (
             "Backend BackendCapabilityError BackendResult Session "
             "SessionClosed SessionStats Ticket available_backends "
@@ -55,6 +53,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "process_backend": "ProcessPoolBackend",
         "runner": "RuntimeAdaptiveRunner RuntimeRunResult local_config",
         "sim_backend": "SimBackend",
-        "thread_backend": "ThreadBackend",
+        "thread_backend": "AsyncioBackend ThreadBackend",
     },
 )

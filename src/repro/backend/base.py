@@ -657,12 +657,8 @@ class Session:
         return self.instrumentation.snapshots(self._stage_locks)
 
     def service_means(self) -> list[float]:
-        if self.instrumentation is None:
-            return []
-        return [
-            s.total.mean if s.total.n else math.nan
-            for s in self.instrumentation.stages
-        ]
+        stages = [] if self.instrumentation is None else self.instrumentation.stages
+        return [s.total.mean if s.total.n else math.nan for s in stages]
 
     # ------------------------------------------------- executor-side callbacks
     def _instrument(self) -> None:
@@ -686,18 +682,6 @@ class Session:
         for i, stage_hops in hops.items():
             with locks[i]:
                 stages[i].record_hops(stage_hops)
-
-    def _collect_burst(self, burst: list, reorder, speed: float) -> None:
-        """The in-process collectors' egress step: push a burst's ``(seq, value,
-        trail)``s through the egress ``reorder``, record their trails at
-        ``speed``, then hand the in-order run they free to ``_complete_run`` —
-        so every record lands before its item is delivered."""
-        ready = []
-        for seq, value, _ in burst:
-            ready += reorder.push(seq, value)
-        self._record_trails(burst, speed=speed)
-        if ready:
-            self._complete_run([value for _, value in ready])
 
     def _complete_run(self, values: list) -> None:
         """The one way out: count a run of in-order outputs with one completion
@@ -1182,7 +1166,7 @@ _REGISTRY: dict[str, Callable[..., Backend]] = {}
 # foot, so importing the module is what fills the registry: a process pays
 # for the executor it opens, not for all five.
 _BUILTIN = {
-    "asyncio": "repro.backend.async_backend",
+    "asyncio": "repro.backend.thread_backend",
     "distributed": "repro.backend.distributed.coordinator",
     "processes": "repro.backend.process_backend",
     "sim": "repro.backend.sim_backend",

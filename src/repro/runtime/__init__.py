@@ -1,12 +1,10 @@
-"""Building blocks of the local thread fabric (see :mod:`repro.runtime.threads`).
+"""Building blocks of the local fabric: thread workers (:mod:`repro.runtime.threads`)
+and coroutine stages (:mod:`repro.runtime.coroutines`), wired by
+:class:`repro.backend.ThreadBackend`.
 
-The fabric is wired and run by :class:`repro.backend.ThreadBackend`; it
-exists for API parity, correctness testing and I/O-bound or GIL-releasing
-(numpy) stages.
-
-**GIL honesty** (see DESIGN.md): pure-Python CPU-bound stages do not run in
-parallel under CPython threads, so no performance claims are made for them;
-stage functions that release the GIL (numpy, I/O) do pipeline in parallel.
+**GIL honesty**: pure-Python CPU-bound stages do not run in parallel under
+CPython threads, so no performance claims are made for them; stage functions
+that release the GIL (numpy, I/O) do pipeline in parallel.
 """
 
 from repro._lazy import lazy_exports

@@ -136,8 +136,8 @@ def pipeline_1for1(
 
     ``backend`` selects the execution substrate: ``"threads"`` (default),
     ``"processes"`` (warm process pools — use for CPU-bound pure-Python
-    stages), ``"asyncio"`` (coroutine pools on an event-loop thread — use
-    for I/O-bound stages; stages may be ``async def``), ``"distributed"``
+    stages), ``"asyncio"`` (the thread fabric by its I/O name: an ``async def``
+    stage runs as worker coroutines on one event-loop thread), ``"distributed"``
     (TCP-socket workers on this or other hosts — stage fns must be
     picklable module-level functions; pass ``spawn_workers=`` for local
     workers or start remote ones with ``python -m

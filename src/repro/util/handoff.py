@@ -1,8 +1,8 @@
 """The bounded hand-off between two threads, kept in C.
 
 Every item path between two threads of this package — a stage queue of
-the thread fabric, a distributed worker's replica inbox, the asyncio
-session's ingress — is bounded: ``submit()`` must feel a full pipeline
+the thread fabric (coroutine stages included), a distributed worker's
+replica inbox — is bounded: ``submit()`` must feel a full pipeline
 (``docs/streaming.md``).  ``queue.Queue(maxsize)`` gives that bound with
 a Python-level mutex and three ``Condition``s, paid on every put and
 get; ``queue.SimpleQueue`` is a C deque with no Python-level lock, but
@@ -15,6 +15,8 @@ slot frees at ``get``, not when the consumer finishes with the item.
 
 A thread parked in ``get()`` wakes only on an item: shutdown is the
 owner's business (a sentinel through the same queue), as it was before.
+A put parked on a full queue wakes only on a permit: to release it on an
+abort, the owner raises the flag, then gives one permit (``give``).
 
 A :class:`Bell` is the same idea for state that is not a queue: callers
 that test a condition under a plain lock park on a C lock of their own
@@ -80,23 +82,21 @@ class Credits:
         for _ in range(n):
             self._free.put(None)
 
-    def take(self, abort: threading.Event | None = None) -> bool:
-        """Take a permit; with ``abort`` set, give up instead of blocking."""
-        if abort is None:
-            self._free.get()
-            return True
+    def take(self, abort: threading.Event | None = None, block: bool = True) -> bool:
+        """Take a permit: False instead of blocking when ``block`` is off or
+        ``abort`` is up, and when a parked taker wakes to ``abort`` up — it
+        was woken by a ``give``, and passes that permit on to the next one."""
         try:
             self._free.get_nowait()  # a free permit never leaves C
             return True
         except Empty:
-            pass
-        while True:
-            try:
-                self._free.get(timeout=0.05)
-                return True
-            except Empty:
-                if abort.is_set():
-                    return False
+            if not block or abort is not None and abort.is_set():
+                return False
+        self._free.get()  # parked untimed: only a permit wakes it
+        if abort is not None and abort.is_set():
+            self._free.put(None)
+            return False
+        return True
 
     def give(self) -> None:
         self._free.put(None)
@@ -109,9 +109,9 @@ class Handoff(Credits):
         super().__init__(capacity)
         self._items: SimpleQueue = SimpleQueue()
 
-    def put(self, item: Any, abort: threading.Event | None = None) -> bool:
-        """Put ``item``; with ``abort`` set, give up instead of blocking."""
-        if not self.take(abort):
+    def put(self, item: Any, abort: threading.Event | None = None, block: bool = True) -> bool:
+        """Put ``item`` when a permit is free (see :meth:`Credits.take`)."""
+        if not self.take(abort, block):
             return False
         self._items.put(item)
         return True

@@ -4,9 +4,9 @@ Replicated stage workers finish items out of order.  The ``Pipeline1for1``
 contract asks for input order at *egress*, and stateless stages commute,
 so every executor restores order in two kinds of place only: in front of
 an ordered stage (``StageSpec.ordered`` — a stateful stage must *start*
-items in input order) and once before final output.  The thread fabric,
-the asyncio graph and the routed core of processes and distributed all
-delegate to this one implementation so the invariant has a single home.
+items in input order) and once before final output.  The thread fabric
+(coroutine stages included) and the routed core of processes and distributed
+all delegate to this one implementation so the invariant has a single home.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ is tested in ``test_distributed.py``.  (These cases replace the old
 ``test_distributed_stays_at_capacity_per_replica``.)
 
 Stage 0 waits for a file to appear, so one module-level callable gates a
-thread, a coroutine pool's offload thread, a forked worker and a socket
-worker alike.
+thread, a forked worker and a socket worker alike.
 """
 
 import gc
@@ -36,9 +35,8 @@ POOL = 2  # workers (replicas) of the gated stage
 LANE_BOUND = {
     # the stage queue, plus one in service per worker
     "threads": lambda capacity: capacity + POOL,
-    # the ingress credits (the pump holds one of their items), the stage
-    # queue, one in service per worker
-    "asyncio": lambda capacity: 2 * capacity + POOL,
+    # the thread fabric: a plain stage opened as "asyncio" runs on threads
+    "asyncio": lambda capacity: capacity + POOL,
     # the shared task queue (capacity x pool size), plus one in service per worker
     "processes": lambda capacity: capacity * POOL + POOL,
     # the one replica's allowance (the item in service is still in flight)

@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.backend import async_backend, routed, thread_backend
+from repro.backend import routed, thread_backend
 from repro.core.stage import StageSpec
 from repro.runtime import threads as thread_runtime
 from repro.skel.api import open_pipeline
@@ -107,7 +107,7 @@ def reorderers(monkeypatch):
             self.peak = max(self.peak, len(self))
             return ready
 
-    for module in (thread_runtime, thread_backend, routed, async_backend):
+    for module in (thread_runtime, thread_backend, routed):
         monkeypatch.setattr(module, "SequenceReorderer", Peak)
     return made
 

@@ -45,6 +45,10 @@ def _inc(x):
     return x + 1
 
 
+async def _ainc(x):
+    return x + 1
+
+
 def _tag_pid(x):
     return (x, os.getpid())
 
@@ -286,24 +290,36 @@ class TestMidStreamReconfigure:
             assert session.drain() == [x * 2 for x in range(30)]
 
     @pytest.mark.parametrize(
-        "make", [ThreadBackend, AsyncioBackend, ProcessPoolBackend], ids=lambda m: m.name
+        "make, fns",
+        [
+            (ThreadBackend, [_inc]),
+            (AsyncioBackend, [_ainc, _inc, _ainc]),  # coroutine -> plain -> coroutine
+            (ProcessPoolBackend, [_inc]),
+        ],
+        ids=["threads", "asyncio", "processes"],
     )
-    def test_each_replica_added_or_removed_is_one_event(self, make):
-        with make(spec([_inc]), max_replicas=3) as b:
+    def test_each_replica_added_or_removed_is_one_event(self, make, fns):
+        # A coroutine stage and a thread stage of one fabric emit alike.
+        with make(spec(fns), max_replicas=3) as b:
             session, seen = b.open(), []
             session.events.subscribe(
-                lambda e: seen.append((e.kind, e.fields["n"])),
+                lambda e: seen.append((e.kind, e.fields["stage"], e.fields["n"])),
                 kinds=("replica.add", "replica.remove"),
             )
-            b.reconfigure(0, 3)
-            b.reconfigure(0, 1)
+            for stage in range(len(fns)):
+                b.reconfigure(stage, 3)
+                b.reconfigure(stage, 1)
             session.submit(1)
-            assert session.drain() == [2]
+            assert session.drain() == [1 + len(fns)]
             assert seen == [
-                ("replica.add", 2),
-                ("replica.add", 3),
-                ("replica.remove", 2),
-                ("replica.remove", 1),
+                event
+                for stage in range(len(fns))
+                for event in (
+                    ("replica.add", stage, 2),
+                    ("replica.add", stage, 3),
+                    ("replica.remove", stage, 2),
+                    ("replica.remove", stage, 1),
+                )
             ]
 
     def test_process_session_reconfigures_without_new_descriptors(self):

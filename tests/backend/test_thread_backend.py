@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.backend import ThreadBackend, make_backend
+from repro.backend import SessionClosed, ThreadBackend, make_backend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 
@@ -154,3 +154,35 @@ def test_every_hop_is_recorded_before_drain_returns(executor, shape, batching):
                 n += 37
                 assert session.drain() == [x + 3 for x in range(37)]
                 assert [s.items_processed for s in session.snapshots()] == [n, n, n]
+
+
+def test_an_abort_releases_a_submit_parked_behind_a_stalled_stage():
+    # close() raises the abort flag and the fabric's _wake_lane gives each
+    # queue one credit: the parked submit leaves at once, not when the
+    # stalled stage next takes an item.
+    release, out = threading.Event(), {}
+
+    def stall(x):
+        release.wait(5.0)
+        return x
+
+    def produce():
+        try:
+            for x in range(10):
+                session.submit(x)
+        except SessionClosed:
+            out["left"] = time.perf_counter()
+
+    with ThreadBackend(PipelineSpec((StageSpec(name="stall", work=0.01, fn=stall),)), capacity=1) as b:
+        session = b.open()
+        producer = threading.Thread(target=produce, daemon=True)
+        producer.start()
+        time.sleep(0.2)  # one item in service, one queued: the third submit is parked
+        assert producer.is_alive()
+        closer = threading.Thread(target=session.close, daemon=True)
+        closed_at = time.perf_counter()
+        closer.start()
+        producer.join(2.0)
+        release.set()
+        closer.join(5.0)
+        assert out["left"] - closed_at < 0.5

@@ -8,8 +8,8 @@ any number of producers and consumers racing on two cores: capacity, FIFO,
 exactly-once, a sentinel takes a slot, a slot frees at ``get``.
 
 Every wait is bounded.  A hand-off that loses credits (drop the
-``give`` in ``get``) parks its producers; they leave through the abort
-flag when the deadline passes and the test *fails* — it does not hang.
+``give`` in ``get``) parks its producers; the test joins them with a
+deadline and *fails* — it does not hang.
 """
 
 import contextlib
@@ -32,7 +32,7 @@ DEADLINE_S = 3.0  # per racing example; a healthy one takes milliseconds
 
 
 def _raised() -> threading.Event:
-    """An abort flag already up: ``put`` refuses (after one timed wait) when full."""
+    """An abort flag already up: ``put`` refuses at once when full."""
     flag = threading.Event()
     flag.set()
     return flag
@@ -148,7 +148,7 @@ def test_racing_threads_every_item_once_fifo_and_never_over_capacity(
             t.start()
         try:
             fed = _join_all(feeders)
-            give_up.set()  # parked producers of a broken hand-off leave here
+            give_up.set()  # from here a put that finds the hand-off full gives up
             assert fed and _join_all(feeders, 1.0), "producers parked: credits were lost"
             deadline = time.perf_counter() + DEADLINE_S
             for _ in drains:
@@ -169,28 +169,44 @@ def test_racing_threads_every_item_once_fifo_and_never_over_capacity(
     assert q.qsize() == 0 and _all_credits_home(q, k)  # nothing left behind
 
 
+class _SpyQueue:
+    """A ``SimpleQueue`` that records the arguments of every ``get``."""
+
+    def __init__(self, inner):
+        self.inner, self.gets = inner, []
+
+    def get(self, *args, **kwargs):
+        self.gets.append((args, kwargs))
+        return self.inner.get(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 @pytest.mark.parametrize("k", CAPACITIES)
-def test_parked_put_leaves_on_abort_within_200ms_and_leaves_nothing(k):
-    q, abort, out = Handoff(k), threading.Event(), {}
+def test_parked_puts_all_leave_on_one_abort_wake_and_never_poll(k):
+    q, abort, outs = Handoff(k), threading.Event(), []
     for i in range(k):
         q.put(i)
-
-    def parked():
-        out["put"] = q.put("late", abort=abort)
-        out["at"] = time.perf_counter()
-
-    t = threading.Thread(target=parked, daemon=True)
-    t.start()
-    time.sleep(0.12)  # past the first timed wait: it really is parked
-    assert t.is_alive() and q.qsize() == k
-    raised = time.perf_counter()
+    q._free = spy = _SpyQueue(q._free)
+    parked = [
+        threading.Thread(target=lambda: outs.append(q.put("late", abort=abort)), daemon=True)
+        for _ in range(3)
+    ]
+    for t in parked:
+        t.start()
+    deadline = time.perf_counter() + 2.0
+    while len(spy.gets) < 3 and time.perf_counter() < deadline:
+        time.sleep(0.005)
+    time.sleep(0.1)  # no clock wakes a parked put: all three stay
+    assert all(t.is_alive() for t in parked) and q.qsize() == k
     abort.set()
-    t.join(timeout=2.0)
-    assert not t.is_alive() and out["put"] is False
-    assert out["at"] - raised < 0.2
-    # No item slipped in, no credit went missing.
+    q.give()  # the owner's one wake (a session's _wake_lane)
+    assert _join_all(parked, 2.0) and outs == [False] * 3
+    assert not [call for call in spy.gets if call != ((), {})]  # untimed, every one
+    # No item slipped in; the wake's permit, passed on, stays in the pool.
     assert [q.get() for _ in range(k)] == list(range(k))
-    assert _all_credits_home(q, k)
+    assert _all_credits_home(q, k + 1)
 
 
 def test_blocking_put_waits_for_a_get():

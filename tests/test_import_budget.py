@@ -8,9 +8,9 @@ Three rules, each checked where it can break:
 * nothing is first-imported on the per-item path or inside a worker: after
   the first result a full stream adds no ``repro.*`` module, and a forked
   worker holds no ``repro.*`` module its parent did not hold at ``open()``;
-* laziness hides no typo: every name a package exports resolves, and the
-  by-name executor registry names five modules that exist and register
-  themselves under that name.
+* laziness hides no typo: every name a package exports resolves, and each
+  name of the by-name executor registry names a module that exists and
+  registers that name (``"asyncio"`` and ``"threads"`` name one module).
 """
 
 import importlib
@@ -30,13 +30,19 @@ PACKAGES = ["repro"] + sorted(
     m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
 )
 EXECUTOR_MODULES = {
-    "repro.backend.async_backend",
     "repro.backend.distributed.coordinator",
     "repro.backend.process_backend",
     "repro.backend.sim_backend",
     "repro.backend.thread_backend",
 }
-BUILTIN_BACKENDS = ["asyncio", "distributed", "processes", "sim", "threads"]
+BUILTIN_MODULES = {
+    "asyncio": "repro.backend.thread_backend",
+    "distributed": "repro.backend.distributed.coordinator",
+    "processes": "repro.backend.process_backend",
+    "sim": "repro.backend.sim_backend",
+    "threads": "repro.backend.thread_backend",
+}
+BUILTIN_BACKENDS = sorted(BUILTIN_MODULES)
 
 
 def fresh(script: str):
@@ -67,6 +73,23 @@ def test_a_thread_pipeline_loads_the_thread_executor_and_nothing_else():
         "repro.core.executor_sim", "repro.backend.runner",
     } | (EXECUTOR_MODULES - {"repro.backend.thread_backend"})
     assert not loaded & unwanted
+    assert "repro.backend.thread_backend" in loaded
+
+
+def test_plain_stages_opened_as_asyncio_load_no_event_loop():
+    # "asyncio" is the thread fabric: without a coroutine stage, no loop.
+    loaded = set(fresh(
+        """
+        import json, sys
+        from repro import open_pipeline
+        session = open_pipeline([lambda x: x + 1, lambda x: x * 2], backend="asyncio")
+        session.submit(1)
+        assert session.drain() == [4]
+        session.close()
+        print(json.dumps(sorted(sys.modules)))
+        """
+    ))
+    assert not loaded & {"asyncio", "concurrent.futures", "repro.runtime.coroutines"}
     assert "repro.backend.thread_backend" in loaded
 
 
@@ -125,22 +148,23 @@ def test_nothing_is_imported_on_the_item_path_or_inside_a_worker(backend, kwargs
 
 
 def test_the_registry_knows_the_five_executors_before_and_after_loading_them():
-    before, loaded_at_start, after, registered, names = fresh(
+    before, loaded_at_start, after, registered, homes = fresh(
         """
         import importlib, json, sys
         from repro.backend import base
         before = base.available_backends()
         loaded = sorted(m for m in base._BUILTIN.values() if m in sys.modules)
+        homes = {}
         for name, module in base._BUILTIN.items():
             importlib.import_module(module)
-        names = {name: base._REGISTRY[name].name for name in base._BUILTIN}
+            homes[name] = base._REGISTRY[name].__module__
         print(json.dumps([before, loaded, base.available_backends(),
-                          sorted(base._REGISTRY), names]))
+                          sorted(base._REGISTRY), homes]))
         """
     )
     assert before == after == registered == BUILTIN_BACKENDS
     assert loaded_at_start == []  # knowing a name costs no import
-    assert names == {name: name for name in BUILTIN_BACKENDS}
+    assert homes == BUILTIN_MODULES  # each name's module registers that name
 
 
 def test_the_package_walk_reaches_nested_packages():
