@@ -657,8 +657,12 @@ class Session:
         return self.instrumentation.snapshots(self._stage_locks)
 
     def service_means(self) -> list[float]:
-        stages = [] if self.instrumentation is None else self.instrumentation.stages
-        return [s.total.mean if s.total.n else math.nan for s in stages]
+        if self.instrumentation is None:
+            return []
+        return [
+            s.total.mean if s.total.n else math.nan
+            for s in self.instrumentation.stages
+        ]
 
     # ------------------------------------------------- executor-side callbacks
     def _instrument(self) -> None:

@@ -6,23 +6,33 @@ process backend instead.  A stage whose ``fn`` is a coroutine function is
 served by worker coroutines on one warm event-loop thread, on the same
 queues (:mod:`repro.runtime.coroutines`): ``"asyncio"`` names this fabric.
 
-The session owns the whole fabric for its lifetime — one shared queue and
-worker pool per stage, the output collector — and is the one place the
-:mod:`repro.runtime.threads` blocks are wired together.  Order is restored
-only in front of an ordered stage and once at egress.  The fabric is
-**open-ended**: the submit side is the first queue's only producer and
-finishes only at ``close()``, so the sentinel cascade never fires between
-streams and back-to-back streams reuse the same warm workers; items travel
-under the port's session-wide ``gseq``, so each reorderer runs on across
-stream boundaries.  Growth spawns a worker into the running stage, shrink
+The session owns the whole thread fabric for its lifetime — one shared
+queue and worker pool per stage, the output collector — and is the one
+place the :mod:`repro.runtime.threads` building blocks (counted queues,
+worker) are wired together.  A stage's workers put straight into the next
+stage's queue; order is restored only in front of an ordered
+(``replicable=False``) stage, by its single worker, and once at egress, by
+the collector — so output order is guaranteed, *start* order only where a
+stage declared it needs it.  The fabric is **open-ended**: the submit side
+is the first queue's only producer and finishes only at ``close()``, so
+the sentinel shutdown cascade never fires between streams and back-to-back
+streams reuse the same warm worker threads.  Items travel under the
+port's session-wide ``gseq``, as on every executor, so each
+:class:`~repro.util.ordering.SequenceReorderer` runs on across stream
+boundaries.
+
+Live reconfiguration: growth spawns a worker into the running stage
+(always possible — a session's stage never drains before close), shrink
 retires one lazily via the ``_RETIRE`` pill.
 
-The collector takes a burst per wake — every item the last queue holds —
+Workers take no lock: each appends its hop to the item's trail.  The
+collector takes a burst per wake — every item the last queue holds —
 pushes it through the egress reorderer, records its trails with one
 load-speed reading (one ``_record_trails``: one stage-lock round per
-stage), then delivers the run it frees (one ``_complete_run``).  The fabric
-is not a lane of :mod:`repro.backend.routed`: as one, ``tiny_threads`` lost
-27 % of its items/s ("Why two loops" in ``docs/backends.md``).
+stage), then delivers the run it frees (one ``_complete_run``).
+The fabric is not a lane of :mod:`repro.backend.routed`: as one,
+``tiny_threads`` lost 27 % of its items/s ("Why two loops" in
+``docs/backends.md``).
 """
 
 from __future__ import annotations
@@ -160,7 +170,9 @@ class _ThreadSession(Session):
             while self.replicas[stage] > n_replicas:
                 self.replicas[stage] -= 1
                 self._queues[stage].put(_RETIRE, abort=self._abort)
-                self.events.emit("replica.remove", stage=stage, n=self.replicas[stage])
+                self.events.emit(
+                    "replica.remove", stage=stage, n=self.replicas[stage]
+                )
 
 
 class ThreadBackend(Backend):
@@ -169,7 +181,6 @@ class ThreadBackend(Backend):
     One instance is reusable: a session's warm workers serve back-to-back
     runs, and replica counts adapted during one stream carry over to the
     next (and to the next session, via the backend's target shape).
-    ``replicas`` gives the starting shape (one per stage by default), and
     ``capacity`` (default 8) bounds each stage queue unless a session's
     admission window is deeper and ``capacity`` was not given.
     """
@@ -178,8 +189,17 @@ class ThreadBackend(Backend):
     supports_live_reconfigure = True
     session_class = _ThreadSession
 
-    def __init__(self, pipeline: PipelineSpec, *, max_replicas: int = 8, **shape) -> None:
-        super().__init__(pipeline, max_replicas=max_replicas, **shape)  # replicas=, capacity=
+    def __init__(
+        self,
+        pipeline: PipelineSpec,
+        *,
+        replicas: list[int] | None = None,
+        capacity: int | None = None,
+        max_replicas: int = 8,
+    ) -> None:
+        super().__init__(
+            pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
+        )
         # Hops are recorded at the sampled effective speed, so
         # work_estimate stays load-normalised — consistent with the
         # load-degraded speeds resource_view reports to the planner.

@@ -27,6 +27,9 @@ from repro.runtime.threads import _RETIRE, _SENTINEL, _CountedQueue
 from repro.util.batching import Batch
 from repro.util.ordering import SequenceReorderer
 
+_NOWAIT = threading.Event()  # always up: a put with it as ``abort`` never parks
+_NOWAIT.set()
+
 
 class LoopQueue(_CountedQueue):
     """The input queue of a coroutine stage: a put wakes its ``drain``."""
@@ -35,8 +38,8 @@ class LoopQueue(_CountedQueue):
         super().__init__(capacity, producers=producers, consumers=1)
         self.call, self.drain, self.pending = loop.call_soon_threadsafe, None, False
 
-    def put(self, item, abort=None, block=True) -> bool:
-        if not super().put(item, abort, block):
+    def put(self, item, abort=None) -> bool:
+        if not super().put(item, abort):
             return False
         if not self.pending:  # cleared by the drain before it reads the queue
             self.pending = True
@@ -122,7 +125,7 @@ class CoroutineStage:
                 t1 = time.perf_counter()
                 queued = intake.qsize() + (len(reorder) if reorder else 0)
                 trail.append((stage, name, t1 - t0, None, queued, t1 - origin))
-                if not put((seq, result, trail), None, False):
+                if not put((seq, result, trail), _NOWAIT):
                     future = loop.create_future()
                     jobs.put(((seq, result, trail), future))
                     await future

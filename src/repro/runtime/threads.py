@@ -6,24 +6,35 @@ Architecture (one bounded queue per stage, shared by its workers)::
 
 * Every queue is a :class:`~repro.util.handoff.Handoff` — items and
   ``capacity`` credits on two C ``SimpleQueue``s, no Python-level lock on
-  the item path — and its bound is what ``submit()`` feels.
+  the item path — and its bound is what ``submit()`` feels.  A thread
+  parked in ``get()`` wakes only on an item or a sentinel.
 * **Workers** apply the stage callable, append their hop to the item's
   trail and put it straight into the next stage's queue — no lock, no
-  record.  Stateless stages commute, so only the single worker of an
-  **ordered** stage (``replicable=False``) re-sequences, with a private
-  :class:`~repro.util.ordering.SequenceReorderer`, and the session's
-  collector reorders once at egress: the 1-for-1 contract.
+  record: stateless stages commute, so nothing between two replicable
+  stages restores order and a slow item never holds its successors back.
+  Replication is only allowed for stages marked ``replicable``.
+* Order is restored only where it is needed: the single worker of an
+  **ordered** stage (``StageSpec.ordered``, i.e. ``replicable=False``)
+  keeps a private :class:`~repro.util.ordering.SequenceReorderer` and
+  *starts* items in input order whatever upstream replicas did, and the
+  session's collector reorders once at egress, so pipeline output is in
+  input order — the 1-for-1 contract.
 * Shutdown cascades with sentinels: each queue knows its producer count;
   when the last producer finishes, consumers receive one sentinel each.
 
-This module defines the blocks (:class:`_CountedQueue`, :class:`_Worker`;
-a coroutine stage's are in :mod:`repro.runtime.coroutines`), and the
-session in :mod:`repro.backend.thread_backend` wires them.  A stage
-function's exception goes to the session's ``_fail``; on abort every worker
-keeps draining its queue without applying the stage, so shutdown never
-deadlocks on a full buffer.  :func:`dump_error`/:func:`load_error` carry the
-original across a process boundary for the executors whose stages run in
-one, where :func:`run_stage` is the one step a worker takes per task frame.
+This module only *defines* the blocks (:class:`_CountedQueue`,
+:class:`_Worker`; a coroutine stage's are in :mod:`repro.runtime.coroutines`);
+the one place that wires and runs them is the session in
+:mod:`repro.backend.thread_backend`, which also owns the collector (it
+records the trails a burst at a time), and live ``reconfigure``.
+
+An exception raised by a stage function goes to the session's ``_fail``
+(the port's one failure path: a :class:`StageError` naming the stage, the
+abort flag up; :func:`dump_error`/:func:`load_error` carry the original
+across a process boundary for the executors whose stages run in one, where
+:func:`run_stage` is the one step a worker takes per task frame); on
+abort every thread keeps draining its queue (without
+applying stage functions) so shutdown never deadlocks on a full buffer.
 """
 
 from __future__ import annotations
@@ -149,13 +160,26 @@ class _Worker(threading.Thread):
     """
 
     def __init__(
-        self, stage_index: int, fn, work_q: _CountedQueue, out_q: _CountedQueue,
-        fail: Callable[[int, BaseException], None], abort: threading.Event, origin: float,
-        name: str, ordered: bool,
+        self,
+        stage_index: int,
+        fn,
+        work_q: _CountedQueue,
+        out_q: _CountedQueue,
+        fail: Callable[[int, BaseException], None],
+        abort: threading.Event,
+        origin: float,
+        name: str,
+        ordered: bool,
     ) -> None:
         super().__init__(name=name, daemon=True)
-        self.stage_index, self.fn, self.work_q, self.out_q = stage_index, fn, work_q, out_q
-        self.fail, self.abort, self.origin, self.ordered = fail, abort, origin, ordered
+        self.stage_index = stage_index
+        self.fn = fn
+        self.work_q = work_q
+        self.out_q = out_q
+        self.fail = fail
+        self.abort = abort
+        self.origin = origin
+        self.ordered = ordered
 
     def run(self) -> None:
         stage, fn, name, origin = self.stage_index, self.fn, self.name, self.origin

@@ -82,15 +82,15 @@ class Credits:
         for _ in range(n):
             self._free.put(None)
 
-    def take(self, abort: threading.Event | None = None, block: bool = True) -> bool:
-        """Take a permit: False instead of blocking when ``block`` is off or
-        ``abort`` is up, and when a parked taker wakes to ``abort`` up — it
-        was woken by a ``give``, and passes that permit on to the next one."""
+    def take(self, abort: threading.Event | None = None) -> bool:
+        """Take a permit: False instead of blocking when ``abort`` is up, and
+        when a parked taker wakes to ``abort`` up — it was woken by a
+        ``give``, and passes that permit on to the next one."""
         try:
             self._free.get_nowait()  # a free permit never leaves C
             return True
         except Empty:
-            if not block or abort is not None and abort.is_set():
+            if abort is not None and abort.is_set():
                 return False
         self._free.get()  # parked untimed: only a permit wakes it
         if abort is not None and abort.is_set():
@@ -109,9 +109,9 @@ class Handoff(Credits):
         super().__init__(capacity)
         self._items: SimpleQueue = SimpleQueue()
 
-    def put(self, item: Any, abort: threading.Event | None = None, block: bool = True) -> bool:
+    def put(self, item: Any, abort: threading.Event | None = None) -> bool:
         """Put ``item`` when a permit is free (see :meth:`Credits.take`)."""
-        if not self.take(abort, block):
+        if not self.take(abort):
             return False
         self._items.put(item)
         return True
