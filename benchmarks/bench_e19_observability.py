@@ -1,11 +1,12 @@
-"""E19 (table): telemetry overhead — off vs journal vs full metrics.
+"""E19 (table): telemetry overhead — off vs journal vs journal + Prometheus.
 
 Claim: the observability layer is close to free when off and cheap when
 on.  ``emit`` on a bus with no subscribers is one branch, so a session
 opened without ``telemetry=`` pays nothing measurable; the JSONL journal
 exporter (the mode production runs would leave on) must cost at most a
-few percent of items/sec; the full bundle (journal + metrics registry +
-in-memory spans) bounds the worst case.
+few percent of items/sec; the full mode — both of ``Telemetry``'s
+settings, the journal and the Prometheus snapshot with the metrics fold
+behind it — bounds the worst case.
 
 Per backend the harness streams the same bounded workload through one
 warm session per mode and reports items/sec plus the ratio against the
@@ -14,7 +15,6 @@ baseline throughput on both the thread and the process backends.
 """
 
 import json
-import statistics
 import time
 
 from repro.backend import make_backend
@@ -61,8 +61,6 @@ def _telemetry(mode, tmpdir, backend):
         return Telemetry(journal=tmpdir / f"{backend}-journal.jsonl")
     return Telemetry(  # "full"
         journal=tmpdir / f"{backend}-full.jsonl",
-        metrics=True,
-        spans=True,
         prometheus=tmpdir / f"{backend}.prom",
     )
 
@@ -137,7 +135,7 @@ def test_e19_observability(benchmark, report, tmp_path):
             [
                 experiment_header(
                     "E19",
-                    "telemetry overhead: off vs journal vs full metrics",
+                    "telemetry overhead: off vs journal vs journal + Prometheus",
                     "journal exporter within 5% of baseline throughput",
                 ),
                 render_table(

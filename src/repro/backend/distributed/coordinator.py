@@ -103,8 +103,6 @@ _WIRE_BANDWIDTH = 1e8
 _DEFAULT_LINK_S = 1e-4
 #: How long warm-up waits for the spawned workers to register.
 _REGISTER_TIMEOUT = 20.0
-#: What ``_trace_hop`` derives from a result's stamps beyond the clock fit.
-_HOP_KINDS = ("span.phases", "wk.dequeue", "wk.service", "wk.encode", "wk.send")
 
 
 def _spawn_agent(
@@ -143,7 +141,7 @@ class _WorkerConn:
         self.link_s = _DEFAULT_LINK_S  # one-way wire time EWMA: dispatch's cached link term
         # Per-worker clock fit (offset + drift, rtt/2-bounded), fed by pongs:
         # maps the worker's hop stamps onto the coordinator clock so the
-        # wk.* points derived from them merge into the session timeline.
+        # span.phases derived from them merge into the session timeline.
         self.clock = ClockSync()
         self.clock_emit_t = 0.0  # rate limiter for clock.sync events
         self.proc: mp.process.BaseProcess | None = None  # auto-spawned only
@@ -268,7 +266,7 @@ class _DistributedSession(RoutedSession):
                     done.append((w, recv_t, seq, None, payload, t_sent, trail, queued))
             backend._cond.notify_all()
         bus, got, clock = self.events, [], self.perf_to_session
-        trace, sync = any(map(bus.wants, _HOP_KINDS)), bus.wants("clock.sync")
+        trace, sync = bus.wants("span.phases"), bus.wants("clock.sync")
         for w, recv_t, seq, route, payload, t_out, trail, queued in done:
             payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
             if route is None:
@@ -283,25 +281,25 @@ class _DistributedSession(RoutedSession):
             nbytes_in, hops, boundary = frame_in.nbytes, [], trail[-1]
             for r, hop in zip(route.replicas, trail):
                 i, _, _, t_in, wait, service, t_done, nbytes = hop
-                wk = r.worker
-                off = wk.clock.fit().offset_at(t_in)  # the drift across a hop is below its error
+                conn = r.worker
+                off = conn.clock.fit().offset_at(t_in)  # the drift across a hop is below its error
                 if hop is boundary:
                     # Wire time both ways (rtt minus service and queue wait), fed
                     # with the bytes that crossed in and back to the size-stratified fit.
                     end, overhead = recv_t, max(0.0, (recv_t - t_out) - wait - service)
-                    wk.observe_transfer(nbytes_in + nbytes, overhead)
+                    conn.observe_transfer(nbytes_in + nbytes, overhead)
                 else:  # a peer hop: its wire time is the receiving worker's, one way
                     end = t_done - off
-                    wk.observe_transfer(2 * nbytes_in, 2 * max(0.0, t_in - off - t_out))
+                    conn.observe_transfer(2 * nbytes_in, 2 * max(0.0, t_in - off - t_out))
                 # work_estimate = service x effective speed, so a loaded worker's
                 # slow service still yields the true per-item work.
                 at_s = clock(t_in + wait + service - off)
-                hops.append((i, wk.id, service, nbytes, queued, at_s, wk.speed))
+                hops.append((i, conn.id, service, nbytes, queued, at_s, conn.speed))
                 r.completed(t_out, end)
-                if sync and end - wk.clock_emit_t >= 1.0:
-                    self._clock_event(wk, end)
+                if sync and end - conn.clock_emit_t >= 1.0:
+                    self._clock_event(conn, end)
                 if trace:
-                    self._trace_hop(seq, wk, wk.clock.fit().to_local, t_out, hop, end)
+                    self._trace_hop(seq, conn, conn.clock.fit().to_local, t_out, hop, end)
                 t_out, nbytes_in = end, nbytes
             backend._ref_bytes += 0.1 * (frame_in.nbytes - backend._ref_bytes)
             got.append((seq, payload, hops))
@@ -334,31 +332,18 @@ class _DistributedSession(RoutedSession):
         end: float,
     ) -> None:
         """Trace one ``hop`` (shaped as a trail entry) from its stamps, mapped
-        through the worker's clock fit (``to_local``): the ``wk.*`` points
-        (dequeue and service exact, encode ending at the hand-off stamp) and
-        the ``span.phases`` tiling the hop from ``t_out`` (the previous hop's
-        hand-off, or the coordinator's send) to ``end`` (its own hand-off, or
-        the boundary result's receipt) — a peer hop's wire time is the
-        receiving hop's ``wire_out``, and only the boundary has a
-        ``wire_back``.  Each term is clamped non-negative: clock-fit error can
-        push a boundary past its neighbour by up to rtt/2.
+        through the worker's clock fit (``to_local``): one ``span.phases``
+        tiling the hop from ``t_out`` (the previous hop's hand-off, or the
+        coordinator's send) to ``end`` (its own hand-off, or the boundary
+        result's receipt) — a peer hop's wire time is the receiving hop's
+        ``wire_out``, and only the boundary has a ``wire_back`` — with the
+        ``nbytes`` of the hop's output frame.  Each term is clamped
+        non-negative: clock-fit error can push a boundary past its neighbour
+        by up to rtt/2.  Durations cover the whole batch when batching (seq =
+        first item, items = N), so the profiler fans the hop out per item
+        without double-counting.
         """
         stage, _, _, t_recv_w, wait_s, service_s, t_send_w, nbytes = hop
-        encode = max(0.0, (t_send_w - t_recv_w) - wait_s - service_s)
-        dequeued = t_recv_w + wait_s
-        # Durations cover the whole batch when batching (the helper reports
-        # seq = first item, items = N), so the profiler can fan the hop out
-        # per item without double-counting.
-        for kind, t_w, fields in (
-            ("wk.dequeue", dequeued, {"wait": wait_s}),
-            ("wk.service", dequeued + service_s, {"seconds": service_s}),
-            ("wk.encode", t_send_w, {"seconds": encode, "nbytes": nbytes}),
-            ("wk.send", t_send_w, {}),
-        ):
-            self._emit_items(
-                kind, seq, at=self.perf_to_session(to_local(t_w)), stage=stage,
-                worker=w.id, **fields,
-            )
         self._emit_items(
             "span.phases",
             seq,
@@ -368,8 +353,9 @@ class _DistributedSession(RoutedSession):
             wire_out=max(0.0, to_local(t_recv_w) - t_out),
             worker_queue=wait_s,
             service=service_s,
-            encode=encode,
+            encode=max(0.0, (t_send_w - t_recv_w) - wait_s - service_s),
             wire_back=max(0.0, end - to_local(t_send_w)),
+            nbytes=nbytes,
         )
 
 

@@ -13,8 +13,8 @@ and ``service_s``) and passes the output along the task's **route**: into
 the next replica's inbox when that is hosted here (no wire), over the peer
 link otherwise, and from the last hop — a boundary — home as a ``result``
 whose trail ends with the boundary's own hop.  A worker
-traces nothing: the coordinator derives its clock fit, ``span.phases`` and
-the ``wk.*`` points from those stamps and from each ``pong``, the answer
+traces nothing: the coordinator derives its clock fit and one
+``span.phases`` per hop from those stamps and from each ``pong``, the answer
 to its monitor's ``ping`` (which also carries the load average).
 
 **Peer links** open with ``PREAMBLE`` and the backend's token from
@@ -211,7 +211,7 @@ class WorkerAgent:
         self, task: _Task, stage: int, slot: int, out: Frame, service_s: float, wait_s: float
     ) -> None:
         """Append this hop's worker-clock stamps to the trail (the coordinator's
-        clock fit, phase decomposition and ``wk.*`` points all come from them)
+        clock fit and phase decomposition both come from them)
         and hand the output to the route's next hop, or home from its last."""
         now = time.perf_counter()
         trail = (*task.trail, (stage, self.worker_id, slot, task.arrived, wait_s, service_s,

@@ -7,11 +7,12 @@ here consume them —
 
 * :class:`JsonlJournal` — durable JSONL stream with rotation;
 * :class:`MetricsRegistry`/:class:`MetricsRecorder` — counters, gauges and
-  log2 histograms with per-stage/per-worker labels;
-* :class:`SpanCollector`/:func:`spans_from_journal` — per-item
-  submit→service→yield timelines;
-* :class:`Telemetry` — the bundle ``open_pipeline(..., telemetry=...)``
-  accepts;
+  log2 histograms with per-stage/per-worker labels: the one fold behind both
+  the Prometheus snapshot and ``top``;
+* :func:`spans_from_journal` — per-item submit→service→yield timelines,
+  rebuilt from a journal;
+* :class:`Telemetry` — what ``open_pipeline(..., telemetry=...)`` accepts:
+  a journal, a Prometheus snapshot, or both;
 * ``python -m repro.obs.top`` — live terminal view over a journal.
 """
 

@@ -74,22 +74,17 @@ SCHEMA: dict[str, str] = {
         "None when none was placed)[, items]"
     ),
     "frame.release": "payload frame decoded and released: stage, seq, nbytes[, items]",
-    # -- worker-side instants (distributed): derived on the coordinator from
-    #    each result's stamps (t_recv_w, wait_s, service_s, t_send_w) and
-    #    emitted at *mapped* session times via the clock fit in obs/clock.py
-    "wk.dequeue": "service began, at t_recv_w + wait_s: stage, seq, worker, wait",
-    "wk.service": "service completed, at dequeue + service_s: stage, seq, worker, seconds",
-    "wk.encode": "result encoded, ending at t_send_w: stage, seq, worker, seconds, nbytes",
-    "wk.send": "result frame handed to the worker's outbox, at t_send_w: stage, seq, worker",
     # -- cross-host clock mapping (coordinator-side fit per worker) --------
     "clock.sync": "per-worker clock fit updated: worker, offset, drift, err, n",
-    # -- per-hop latency decomposition (coordinator router, one per
-    #    accepted result; durations in seconds, at = receipt time; a
-    #    batched hop carries items=N with seq = the first item's gseq and
-    #    durations covering the whole batch) -------------------------------
+    # -- per-hop latency decomposition (coordinator router, one per hop of
+    #    an accepted result, derived from the worker stamps the result's
+    #    trail carries and mapped through the clock fit; durations in
+    #    seconds, at = the hop's hand-off or, for the boundary, receipt;
+    #    nbytes = the hop's output frame; a batched hop carries items=N with
+    #    seq = the first item's gseq and durations covering the whole batch)
     "span.phases": (
         "one stage hop decomposed: stage, seq, worker, wire_out, "
-        "worker_queue, service, encode, wire_back[, items]"
+        "worker_queue, service, encode, wire_back, nbytes[, items]"
     ),
 }
 

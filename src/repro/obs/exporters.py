@@ -1,12 +1,14 @@
 """Exporters: Prometheus-text snapshots and the session telemetry façade.
 
-:class:`Telemetry` is the one object user code configures — it bundles the
-JSONL journal, the metrics recorder and the Prometheus snapshot writer and
-attaches them to a session's event bus.  It is what
-``open_pipeline(..., telemetry=...)`` accepts (a bare path string/Path is
-shorthand for ``Telemetry(journal=path)``), and sessions attach it inside
-``Session.__init__`` — *before* any executor machinery starts — so even
-warm-up events (distributed ``worker.join``) reach the exporters.
+:class:`Telemetry` is the one object user code configures.  It has two
+settings, the two ways a deployment reads a session: ``journal=`` (the JSONL
+event stream, which ``obs.top``, ``obs.profile`` and
+:func:`~repro.obs.spans.spans_from_journal` read back) and ``prometheus=``
+(a text snapshot of the :class:`MetricsRecorder` fold, written on close).
+It is what ``open_pipeline(..., telemetry=...)`` accepts (a bare path
+string/Path is shorthand for ``Telemetry(journal=path)``), and sessions
+attach it inside ``Session.__init__`` — *before* any executor machinery
+starts — so even warm-up events (distributed ``worker.join``) reach it.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.obs.events import EventBus
 from repro.obs.journal import JsonlJournal
 from repro.obs.metrics import Log2Histogram, MetricsRecorder, MetricsRegistry
-from repro.obs.spans import SpanCollector
 
 __all__ = ["Telemetry", "as_telemetry", "render_prometheus", "write_prometheus"]
 
@@ -89,94 +89,67 @@ def write_prometheus(
 
 
 class Telemetry:
-    """Opt-in observability bundle for one (or more) sessions.
+    """Opt-in observability for one session.
 
     Parameters
     ----------
     journal:
-        JSONL journal path (or a configured :class:`JsonlJournal`); None
-        disables the journal.
-    metrics:
-        Keep a :class:`MetricsRegistry` fed from the event stream
-        (default True when ``prometheus`` is set, else False — counters
-        cost a lock each, so they stay off unless something reads them).
+        JSONL journal path, or a configured :class:`JsonlJournal` (say, with
+        a rotation policy of its own); None disables the journal.  Per-item
+        spans are rebuilt from it (:func:`~repro.obs.spans.spans_from_journal`).
     prometheus:
-        Path to write a Prometheus text snapshot to when the session
-        closes (and on every explicit :meth:`write_snapshot`).
-    spans:
-        Keep per-item :class:`~repro.obs.spans.Span` timelines in memory
-        (default False; unbounded in items, meant for tests and
-        short-lived diagnostics — the journal is the durable form).
-    kinds:
-        Restrict the journal to these event kinds (default: everything).
-    rotate_bytes, max_files:
-        Journal rotation policy (when ``journal`` is a path).
+        Path to write a Prometheus text snapshot to when the session closes.
+        A :class:`MetricsRecorder` folds the event stream exactly when this
+        is set (its counters cost a lock each, so nothing pays for them
+        unless something reads them); None keeps neither.
     """
 
     def __init__(
         self,
         *,
         journal: str | os.PathLike | JsonlJournal | None = None,
-        metrics: bool | None = None,
         prometheus: str | os.PathLike | None = None,
-        spans: bool = False,
-        kinds: tuple[str, ...] | None = None,
-        rotate_bytes: int = 32 * 1024 * 1024,
-        max_files: int = 3,
     ) -> None:
-        if isinstance(journal, JsonlJournal):
-            self.journal: JsonlJournal | None = journal
-        elif journal is not None:
-            self.journal = JsonlJournal(
-                journal, rotate_bytes=rotate_bytes, max_files=max_files
-            )
+        if journal is None or isinstance(journal, JsonlJournal):
+            self.journal = journal
         else:
-            self.journal = None
+            self.journal = JsonlJournal(journal)
         self.prometheus_path = Path(prometheus) if prometheus is not None else None
-        if metrics is None:
-            metrics = self.prometheus_path is not None
-        self.recorder = MetricsRecorder() if metrics else None
-        self.spans = SpanCollector() if spans else None
-        self._kinds = kinds
+        self.recorder = MetricsRecorder() if prometheus is not None else None
         self._closed = False
 
-    # ------------------------------------------------------------ wiring
     @property
     def registry(self) -> MetricsRegistry | None:
         return self.recorder.registry if self.recorder is not None else None
 
     def attach(self, session) -> "Telemetry":
-        """Subscribe every configured exporter to ``session.events``.
+        """Subscribe the journal and the recorder to ``session.events``.
 
         Called by ``Session.__init__`` when the session was opened with
-        ``telemetry=``; safe to call for several sessions in turn (they
-        share the journal/registry).  Registers :meth:`close` as a close
-        callback so the journal flushes before the backend goes away.
+        ``telemetry=``.  Registers :meth:`close` as a close callback, so the
+        journal flushes before the backend goes away.  That close ends the
+        bundle: a ``Telemetry`` serves one session, and attaching a closed
+        one raises instead of dropping the new session's records.
         """
-        self.subscribe_to(session.events)
+        if self._closed:
+            raise RuntimeError(
+                "this Telemetry was closed with the session it served; "
+                "give each session its own"
+            )
+        if self.journal is not None:
+            session.events.subscribe(self.journal)
+        if self.recorder is not None:
+            self.recorder.attach(session.events)
         session.add_close_callback(self.close)
         return self
 
-    def subscribe_to(self, bus: EventBus) -> None:
-        if self.journal is not None:
-            bus.subscribe(self.journal, kinds=self._kinds)
-        if self.recorder is not None:
-            self.recorder.attach(bus)
-        if self.spans is not None:
-            self.spans.attach(bus)
-
-    # ------------------------------------------------------------ output
-    def write_snapshot(self) -> None:
-        """Write the Prometheus snapshot now (no-op without a path)."""
-        if self.prometheus_path is not None and self.registry is not None:
-            write_prometheus(self.registry, self.prometheus_path)
-
     def close(self) -> None:
-        """Flush and close every exporter (idempotent)."""
+        """Write the Prometheus snapshot and close the journal (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self.write_snapshot()
+        if self.recorder is not None:
+            write_prometheus(self.recorder.registry, self.prometheus_path)
         if self.journal is not None:
             self.journal.close()
 

@@ -4,17 +4,17 @@ One line per event: ``{"t": <session seconds>, "wall": <epoch seconds>,
 "kind": ..., "msg": ..., <flattened fields>}``.  Values that are not JSON
 types are ``repr``-ed rather than dropped, so a journal line never fails to
 serialise.  Rotation is size-based (``journal.jsonl`` → ``journal.jsonl.1``
-→ …), bounded by ``max_files``.
+→ …), bounded by ``max_files``.  :func:`to_event` turns a record back into
+the :class:`Event` it was written from; every journal reader (spans, the
+profiler, ``top``) goes through it.
 
 The journal is a plain bus subscriber, and it is safe to attach one
 journal to several buses (the coordinator's backend bus and the session
-bus share one file).  By default the emitting thread only builds the
-record and enqueues it — a background writer thread does the JSON
-serialisation, rotation and file I/O, so routers and submitters never pay
-for disk inside the streaming hot path (with full distributed tracing a
-session writes tens of lines per item; serialised inline they are the
-single largest telemetry cost).  ``inline=True`` restores write-on-emit
-for callers that need read-your-writes without a :meth:`flush`.
+bus share one file).  The emitting thread only stamps the event and
+enqueues it — a background writer thread does the JSON serialisation,
+rotation and file I/O, so routers and submitters never pay for disk inside
+the streaming hot path.  :meth:`JsonlJournal.flush` waits until what was
+enqueued is on disk.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Iterator
 
 from repro.obs.events import Event
 
-__all__ = ["JsonlJournal", "read_journal"]
+__all__ = ["JsonlJournal", "read_journal", "to_event"]
 
 #: Keys the journal itself owns; event fields with these names are prefixed.
 _RESERVED = ("t", "wall", "kind", "msg")
@@ -44,7 +44,6 @@ class JsonlJournal:
         *,
         rotate_bytes: int = 32 * 1024 * 1024,
         max_files: int = 3,
-        inline: bool = False,
     ) -> None:
         if rotate_bytes <= 0:
             raise ValueError(f"rotate_bytes must be > 0, got {rotate_bytes}")
@@ -55,44 +54,31 @@ class JsonlJournal:
         self.max_files = max_files
         # Two locks: the queue condition is all emitters ever touch; the
         # io lock covers the file handle and rotation, held only by the
-        # writer thread (or by inline writes / lifecycle calls), so file
-        # I/O never blocks an emitting router or submitter.
+        # writer thread (or by lifecycle calls), so file I/O never blocks
+        # an emitting router or submitter.
         self._io = Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
         self._nbytes = self._fh.tell()
         self._closed = False
-        self._inline = inline
         self._writing = False
         self._queue: deque[tuple[float, Event]] = deque()
         self._cv = Condition(Lock())
-        self._writer: Thread | None = None
-        if not inline:
-            self._writer = Thread(
-                target=self._drain_loop, name="jsonl-journal", daemon=True
-            )
-            self._writer.start()
+        self._writer = Thread(target=self._drain_loop, name="jsonl-journal", daemon=True)
+        self._writer.start()
 
     # ------------------------------------------------------------------ write
     def __call__(self, ev: Event) -> None:
-        if self._writer is not None:
-            # Hot path: hand the event to the writer thread.  Emitters in
-            # routers/submitters pay one lock, an append, and a wall-clock
-            # stamp; the record build, JSON dump, rotation check and file
-            # write all happen off-thread.  Events are immutable once
-            # emitted, so serialising them later is safe.
-            with self._cv:
-                if not self._closed:
-                    self._queue.append((time.time(), ev))
-                    if len(self._queue) == 1:
-                        self._cv.notify()  # writer only waits on empty
-            return
-        line = json.dumps(self._record(time.time(), ev), default=repr,
-                          separators=(",", ":")) + "\n"
-        with self._io:
-            if self._closed:
-                return
-            self._write_line(line)
+        # Hot path: hand the event to the writer thread.  Emitters in
+        # routers/submitters pay one lock, an append, and a wall-clock
+        # stamp; the record build, JSON dump, rotation check and file write
+        # all happen off-thread.  Events are immutable once emitted, so
+        # serialising them later is safe.
+        with self._cv:
+            if not self._closed:
+                self._queue.append((time.time(), ev))
+                if len(self._queue) == 1:
+                    self._cv.notify()  # writer only waits on empty
 
     @staticmethod
     def _record(wall: float, ev: Event) -> dict[str, Any]:
@@ -160,10 +146,14 @@ class JsonlJournal:
 
     # -------------------------------------------------------------- lifecycle
     def flush(self) -> None:
-        """Block until every enqueued record is on disk (then flush the file)."""
+        """Block until every enqueued record is on disk (then flush the file).
+
+        The wait is untimed: the writer notifies whenever it leaves the queue
+        empty, and :meth:`close` notifies too.
+        """
         with self._cv:
             while (self._queue or self._writing) and not self._closed:
-                self._cv.wait(timeout=0.1)
+                self._cv.wait()
         with self._io:
             if not self._closed:
                 self._fh.flush()
@@ -174,14 +164,23 @@ class JsonlJournal:
                 return
             self._closed = True
             self._cv.notify_all()
-        if self._writer is not None:
-            self._writer.join(timeout=10.0)
+        self._writer.join(timeout=10.0)
         with self._io:
             self._fh.close()
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+
+def to_event(rec: dict[str, Any]) -> Event:
+    """The :class:`Event` a journal record was written from (``wall`` aside)."""
+    fields = {
+        (k[2:] if k.startswith("f_") and k[2:] in _RESERVED else k): v
+        for k, v in rec.items()
+        if k not in _RESERVED
+    }
+    return Event(rec.get("t", 0.0), rec["kind"], rec.get("msg", ""), fields)
 
 
 def read_journal(path: str | os.PathLike) -> Iterator[dict[str, Any]]:

@@ -4,12 +4,14 @@ A thin, dependency-free metrics layer in the Prometheus data model:
 instruments are registered by name, each name owning one labelled family
 (``("stage_items_total", {"stage": "1"})``).  Histograms bucket by log2
 (bucket ``b`` covers ``[2^(b-1), 2^b)`` of the scaled value) and carry an
-:class:`~repro.util.stats.OnlineStats` for exact mean/std alongside.
+exact count and sum alongside.
 
-:class:`MetricsRecorder` subscribes a registry to an
-:class:`~repro.obs.events.EventBus` and folds the schema's events into
-instrument updates — the same hooks :class:`PipelineInstrumentation` sits
-on, but retained for export instead of windowed for the policy.  A
+:class:`MetricsRecorder` folds the schema's events into instrument
+updates — the same hooks :class:`~repro.monitor.instrument.StageMetrics`
+sits on, but retained for export instead of windowed for the policy.  It is
+the one fold of the event stream: a live session feeds it from its
+:class:`~repro.obs.events.EventBus` for the Prometheus snapshot, and
+``obs.top`` feeds it the records of a journal another process writes.  A
 batched record (``items=N``) counts as N items, each at the per-item mean.
 """
 
@@ -20,7 +22,6 @@ from threading import Lock
 from typing import Iterator
 
 from repro.obs.events import Event, EventBus
-from repro.util.stats import OnlineStats
 
 __all__ = [
     "Counter",
@@ -77,7 +78,7 @@ class Gauge:
 
 
 class Log2Histogram:
-    """Log2-bucketed histogram with exact online moments.
+    """Log2-bucketed histogram with an exact count and sum.
 
     ``observe(x)`` buckets ``int(x * scale)`` by bit length, so service
     times recorded with ``scale=1e6`` land in µs-resolution power-of-two
@@ -91,7 +92,8 @@ class Log2Histogram:
             raise ValueError(f"scale must be > 0, got {scale}")
         self.scale = scale
         self.buckets: dict[int, int] = {}
-        self.stats = OnlineStats()
+        self.count = 0
+        self.sum = 0.0
         self._lock = Lock()
 
     def observe(self, x: float, n: int = 1) -> None:
@@ -99,15 +101,8 @@ class Log2Histogram:
         b = max(0, int(float(x) * self.scale)).bit_length()
         with self._lock:
             self.buckets[b] = self.buckets.get(b, 0) + n
-            self.stats.extend((x,) * n)
-
-    @property
-    def count(self) -> int:
-        return self.stats.n
-
-    @property
-    def sum(self) -> float:
-        return self.stats.mean * self.stats.n if self.stats.n else 0.0
+            self.count += n
+            self.sum += x * n
 
     def bounds(self) -> list[tuple[float, int]]:
         """Sorted ``(upper_bound, cumulative_count)`` pairs (Prometheus-style)."""
@@ -132,7 +127,7 @@ class Log2Histogram:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
         with self._lock:
-            n = self.stats.n
+            n = self.count
             if n == 0:
                 return math.nan
             target = q * n
@@ -197,6 +192,11 @@ class MetricsRegistry:
         inst = self._get(name, labels, lambda: Log2Histogram(scale=scale))
         assert isinstance(inst, Log2Histogram), f"{name} is {inst.kind}, not histogram"
         return inst
+
+    def family(self, name: str) -> dict[tuple[tuple[str, str], ...], Instrument]:
+        """``name``'s instruments keyed by sorted label pairs (empty if unseen)."""
+        with self._lock:
+            return dict(self._families.get(name, {}))
 
     def collect(self) -> Iterator[tuple[str, dict[str, str], Instrument]]:
         """Yield every ``(name, labels, instrument)`` sorted by name/labels."""

@@ -6,8 +6,8 @@ one item's wall-clock time actually go?* — in the causal-profiling spirit
 of Coz: optimizing a phase only helps if that phase is on the item's
 critical path.
 
-Given a journal (or live spans), each completed item's submit→yield
-latency is tiled into named phases:
+Given a journal, each completed item's submit→yield latency is tiled into
+named phases:
 
 ``admit_wait``
     time blocked in ``submit()`` on the bounded-admission window — spent
@@ -65,7 +65,7 @@ import os
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.obs.spans import Span
+from repro.obs.spans import Span, spans_from_journal
 
 __all__ = [
     "PHASES",
@@ -389,12 +389,9 @@ def profile_spans(spans, *, backend: str = "?") -> ProfileReport:
 
 def profile_journal(path: str | os.PathLike) -> ProfileReport:
     """Profile a JSONL journal written by :class:`~repro.obs.JsonlJournal`."""
-    from repro.obs.events import Event
     from repro.obs.journal import read_journal
-    from repro.obs.spans import SpanCollector
 
-    collector = SpanCollector()
-    report = ProfileReport()
+    report = profile_spans(spans_from_journal(path))
     stage_names: list[str] = []
     for rec in read_journal(path):
         kind = rec.get("kind", "")
@@ -414,19 +411,6 @@ def profile_journal(path: str | os.PathLike) -> ProfileReport:
             report.clocks[rec.get("worker", -1)] = {
                 k: rec.get(k) for k in ("offset", "drift", "err", "n")
             }
-        if kind in SpanCollector.KINDS:
-            fields = {
-                (k[2:] if k.startswith("f_") else k): v
-                for k, v in rec.items()
-                if k not in ("t", "wall", "kind", "msg")
-            }
-            collector(Event(time=rec.get("t", 0.0), kind=kind, fields=fields))
-    for span in collector.spans():
-        item = _profile_span(span)
-        if item is None:
-            continue
-        report.items.append(item)
-        _fold_stage_aggregates(report, span)
     for s, agg in report.stages.items():
         if s < len(stage_names):
             agg.name = stage_names[s]

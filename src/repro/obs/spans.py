@@ -3,12 +3,11 @@
 A span is minted at ``submit()`` — its id is the item's
 :class:`~repro.backend.base.Ticket` ``(stream, seq)`` — and every later
 event that names the item (``item.dispatch``, ``stage.service``,
-``frame.encode``/``frame.release``, ``item.complete``) is attached to it,
-reconstructing the submit→queue→encode→wire→service→reorder→yield
-timeline.  On the distributed backend the id already crosses the wire:
-tasks and results carry ``(epoch, seq)`` (the epoch *is* the stream id)
-plus echoed dispatch/service/wait timestamps, so no protocol change was
-needed.
+``frame.encode``/``frame.release``, ``span.phases``, ``item.complete``) is
+attached to it, reconstructing the submit→queue→encode→wire→service→
+reorder→yield timeline.  Spans are rebuilt from the journal
+(:func:`spans_from_journal`), so a session keeps no per-item store: the
+journal is the one durable record of each item.
 
 ``item.submit``/``item.complete`` name the item by its ticket; every other
 record names it by the session-wide ``gseq`` that ``item.submit`` carried
@@ -20,9 +19,8 @@ them through a single ``gseq`` index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from threading import Lock
 
-from repro.obs.events import Event, EventBus
+from repro.obs.events import Event
 
 __all__ = ["Span", "SpanCollector", "spans_from_journal"]
 
@@ -120,7 +118,7 @@ class Span:
 
 
 class SpanCollector:
-    """Bus subscriber that groups per-item events into :class:`Span` objects."""
+    """Groups per-item events into :class:`Span` objects (one reader, no lock)."""
 
     KINDS = (
         "item.submit",
@@ -133,69 +131,52 @@ class SpanCollector:
         # the span so it reads "re-sent" instead of dangling open, and the
         # replacement attempt's dispatch lands on the same span.
         "worker.redispatch",
-        # Worker-side trace points and the per-hop decomposition (clock-
-        # mapped onto the session timeline by the coordinator).
-        "wk.dequeue",
-        "wk.service",
-        "wk.encode",
-        "wk.send",
+        # The per-hop decomposition, derived from the worker's stamps and
+        # clock-mapped onto the session timeline by the coordinator.
         "span.phases",
     )
 
     def __init__(self) -> None:
         self._spans: dict[tuple[int, int], Span] = {}
         self._by_gseq: dict[int, Span] = {}
-        self._lock = Lock()
-
-    def attach(self, bus: EventBus) -> "SpanCollector":
-        bus.subscribe(self, kinds=self.KINDS)
-        return self
 
     def __call__(self, ev: Event) -> None:
         f = ev.fields
-        with self._lock:
-            if ev.kind in ("item.submit", "item.complete"):
-                if "stream" not in f or "seq" not in f:
-                    return
-                key = (int(f["stream"]), int(f["seq"]))
-                span = self._spans.setdefault(key, Span(*key))
-                if "gseq" in f:
-                    self._by_gseq[int(f["gseq"])] = span
+        if ev.kind in ("item.submit", "item.complete"):
+            if "stream" not in f or "seq" not in f:
+                return
+            key = (int(f["stream"]), int(f["seq"]))
+            span = self._spans.setdefault(key, Span(*key))
+            if "gseq" in f:
+                self._by_gseq[int(f["gseq"])] = span
+            span.events.append(ev)
+            return
+        seq = f.get("seq")
+        if seq is None or ev.kind not in self.KINDS:
+            return  # batch.* records name batches, not items
+        # A batch-covering event names its base seq and carries
+        # ``items=N``: attach it to all N spans so every item in the
+        # micro-batch keeps a full timeline (consumers divide any
+        # ``seconds`` field by ``items`` for per-item attribution).
+        for k in range(int(f.get("items", 1))):
+            span = self._by_gseq.get(int(seq) + k)
+            if span is not None:
                 span.events.append(ev)
-                return
-            seq = f.get("seq")
-            if seq is None:
-                return
-            # A batch-covering event names its base seq and carries
-            # ``items=N``: attach it to all N spans so every item in the
-            # micro-batch keeps a full timeline (consumers divide any
-            # ``seconds`` field by ``items`` for per-item attribution).
-            for k in range(int(f.get("items", 1))):
-                span = self._by_gseq.get(int(seq) + k)
-                if span is not None:
-                    span.events.append(ev)
 
     # --------------------------------------------------------------- access
     def spans(self) -> list[Span]:
         """Every span so far, ordered by ``(stream, seq)``."""
-        with self._lock:
-            return [self._spans[k] for k in sorted(self._spans)]
+        return [self._spans[k] for k in sorted(self._spans)]
 
     def span(self, stream: int, seq: int) -> Span | None:
-        with self._lock:
-            return self._spans.get((stream, seq))
+        return self._spans.get((stream, seq))
 
 
 def spans_from_journal(path) -> list[Span]:
     """Rebuild spans from a JSONL journal written by :class:`JsonlJournal`."""
-    from repro.obs.journal import read_journal
+    from repro.obs.journal import read_journal, to_event
 
     collector = SpanCollector()
     for rec in read_journal(path):
-        fields = {
-            (k[2:] if k.startswith("f_") else k): v
-            for k, v in rec.items()
-            if k not in ("t", "wall", "kind", "msg")
-        }
-        collector(Event(time=rec.get("t", 0.0), kind=rec["kind"], fields=fields))
+        collector(to_event(rec))
     return collector.spans()

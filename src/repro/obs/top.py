@@ -2,19 +2,20 @@
 
 Tails a JSONL journal (the one a session writes when opened with
 ``telemetry=``) and renders per-stage throughput, mean service time, queue
-depth and replica counts, the last N adaptation decisions and — when
-distributed trace propagation is on — a per-hop latency breakdown with
-worker clock fits; a
-curses-free ``top`` for the streaming stack, attachable to any running
+depth and replica counts, the last N adaptation decisions and — on the
+distributed backend — a per-hop latency breakdown with worker clock fits;
+a curses-free ``top`` for the streaming stack, attachable to any running
 session whose journal path you know::
 
     python -m repro.obs.top /tmp/pipeline.jsonl
     python -m repro.obs.top /tmp/pipeline.jsonl --interval 0.5 --decisions 8
     python -m repro.obs.top /tmp/pipeline.jsonl --once   # one frame, no ANSI
 
-Rates are computed from the wall-clock stamps the journal adds per line,
-over a trailing ``--window`` seconds, so the view stays honest even when
-the emitting session's own clock is relative.
+Each record goes through the same :class:`~repro.obs.metrics.MetricsRecorder`
+fold the Prometheus snapshot is made of, so the two report one set of
+numbers.  Rates are computed from the wall-clock stamps the journal adds per
+line, over a trailing ``--window`` seconds, so the view stays honest even
+when the emitting session's own clock is relative.
 """
 
 from __future__ import annotations
@@ -26,140 +27,155 @@ import time
 from collections import deque
 from pathlib import Path
 
+from repro.obs.journal import to_event
+from repro.obs.metrics import Log2Histogram, MetricsRecorder
+
 __all__ = ["TopState", "main", "render"]
 
 _CLEAR = "\x1b[H\x1b[2J"
+_PHASES = ("wire_out", "worker_queue", "service", "encode", "wire_back")
 
 
 class TopState:
-    """Aggregated view of a journal's event stream (one consumer, no locks)."""
+    """A journal's event stream as ``top`` shows it (one consumer).
+
+    The numbers live in :attr:`registry`, folded by a
+    :class:`~repro.obs.metrics.MetricsRecorder`; the state keeps only what no
+    registry family holds: session metadata, the last N decisions and the
+    wall stamps of the rate window.
+    """
 
     def __init__(self, *, window: float = 5.0, decisions: int = 10) -> None:
         self.window = window
+        self._fold = MetricsRecorder()
+        self.registry = self._fold.registry
         self.backend = "?"
         self.stage_names: list[str] = []
-        self.submitted = 0
-        self.completed = 0
-        self.streams = 0
-        self.workers_alive = 0
         self.session_open = False
         self.last_t = 0.0
-        # stage -> {items, svc_sum, queue, replicas, recent: deque[wall]}
-        self.stages: dict[int, dict] = {}
         self.decisions: deque[tuple[float, str, str]] = deque(maxlen=decisions)
-        # phase -> cumulative seconds from span.phases hops (+ admit waits).
-        self.phase_sums: dict[str, float] = {}
-        self.phase_hops = 0
-        self.admit_wait_sum = 0.0
-        # worker -> (offset, err) from the latest clock.sync.
-        self.clocks: dict[int, tuple[float, float]] = {}
-
-    def _stage(self, i: int) -> dict:
-        return self.stages.setdefault(
-            int(i),
-            {"items": 0, "svc_sum": 0.0, "queue": 0.0, "replicas": 1, "recent": deque()},
-        )
+        # stage -> (wall, items) of its stage.service records in the window
+        self.recent: dict[int, deque[tuple[float, int]]] = {}
 
     def feed(self, rec: dict) -> None:
-        kind = rec.get("kind", "")
-        self.last_t = max(self.last_t, rec.get("t", 0.0))
+        ev = to_event(rec)
+        self._fold(ev)
+        kind, f = ev.kind, ev.fields
+        self.last_t = max(self.last_t, ev.time)
         if kind == "session.open":
             self.session_open = True
-            self.backend = rec.get("backend", "?")
-            self.stage_names = list(rec.get("stages", []))
+            self.backend = f.get("backend", "?")
+            self.stage_names = list(f.get("stages", []))
         elif kind == "session.close":
             self.session_open = False
-        elif kind == "item.submit":
-            self.submitted += 1
-            self.admit_wait_sum += rec.get("wait", 0.0)
-        elif kind == "item.complete":
-            self.completed += 1
-        elif kind == "stream.begin":
-            self.streams += 1
         elif kind == "stage.service":
-            s = self._stage(rec.get("stage", 0))
-            # One record may cover a whole micro-batch (items=N, seconds =
-            # batch total): count N items so svc_sum / items stays the
-            # honest per-item mean rather than N-times-inflated.
-            n = rec.get("items", 1)
-            s["items"] += n
-            s["svc_sum"] += rec.get("seconds", 0.0)
-            if "queue" in rec:
-                s["queue"] = rec["queue"]
-            s["recent"].extend([rec.get("wall", time.time())] * n)
-        elif kind in ("replica.add", "replica.remove"):
-            if "n" in rec:
-                self._stage(rec.get("stage", 0))["replicas"] = rec["n"]
+            self.recent.setdefault(int(f["stage"]), deque()).append(
+                (rec.get("wall", time.time()), f.get("items", 1))
+            )
         elif kind in ("adapt.decide", "adapt.act", "adapt.rollback"):
-            reason = rec.get("reason", rec.get("msg", ""))
-            self.decisions.append((rec.get("t", 0.0), kind, str(reason)))
-        elif kind == "worker.join":
-            self.workers_alive += 1
-        elif kind == "worker.death":
-            self.workers_alive = max(0, self.workers_alive - 1)
-        elif kind == "span.phases":
-            # A batched hop carries items=N: weight it as N item-hops so
-            # the mean-per-hop line stays per-item.
-            self.phase_hops += rec.get("items", 1)
-            for phase in ("wire_out", "worker_queue", "service", "encode", "wire_back"):
-                if phase in rec:
-                    self.phase_sums[phase] = self.phase_sums.get(phase, 0.0) + rec[phase]
-        elif kind == "clock.sync":
-            if "worker" in rec:
-                self.clocks[rec["worker"]] = (
-                    rec.get("offset", 0.0), rec.get("err", 0.0)
-                )
+            reason = f.get("reason", ev.message)
+            self.decisions.append((ev.time, kind, str(reason)))
+
+    # ------------------------------------------------------------ reading
+    def _by(self, name: str, label: str) -> dict:
+        return {dict(k)[label]: inst for k, inst in self.registry.family(name).items()}
+
+    def total(self, name: str) -> float:
+        """A label-free family's value: a counter's count or a histogram's sum."""
+        inst = self.registry.family(name).get(())
+        if inst is None:
+            return 0.0
+        return inst.sum if isinstance(inst, Log2Histogram) else inst.value
+
+    def stages(self) -> dict[int, dict]:
+        """Per stage: items served, mean service seconds, queue and replicas."""
+        items = self._by("stage_items_total", "stage")
+        service = self._by("stage_service_seconds", "stage")
+        queue = self._by("stage_queue_length", "stage")
+        replicas = self._by("stage_replicas", "stage")
+        rows = {}
+        for s in items.keys() | replicas.keys():
+            h = service.get(s)
+            rows[int(s)] = {
+                "items": int(items[s].value) if s in items else 0,
+                "service": h.sum / h.count if h is not None and h.count else 0.0,
+                "queue": queue[s].value if s in queue else 0.0,
+                "replicas": int(replicas[s].value) if s in replicas else 1,
+            }
+        return rows
+
+    def workers_alive(self) -> int:
+        kinds = self._by("worker_events_total", "kind")
+        joined, died = (int(kinds[k].value) if k in kinds else 0 for k in ("join", "death"))
+        return max(0, joined - died)
+
+    def phases(self) -> tuple[int, dict[str, float]]:
+        """Item-hops decomposed, and the seconds of each phase over them."""
+        hops, sums = 0, dict.fromkeys(_PHASES, 0.0)
+        for key, h in self.registry.family("span_phase_seconds").items():
+            phase = dict(key)["phase"]
+            sums[phase] += h.sum
+            hops += h.count if phase == "service" else 0  # one service per hop
+        return hops, sums
+
+    def clocks(self) -> dict[int, tuple[float, float]]:
+        """worker -> (offset, err) of its latest ``clock.sync``."""
+        err = self._by("worker_clock_error_seconds", "worker")
+        return {
+            int(w): (g.value, err[w].value)
+            for w, g in self._by("worker_clock_offset_seconds", "worker").items()
+        }
 
     def rate(self, stage: int, now: float) -> float:
-        recent = self.stages[stage]["recent"]
+        recent = self.recent.setdefault(stage, deque())
         cutoff = now - self.window
-        while recent and recent[0] < cutoff:
+        while recent and recent[0][0] < cutoff:
             recent.popleft()
-        return len(recent) / self.window
+        return sum(n for _, n in recent) / self.window
 
 
 def render(state: TopState, now: float | None = None) -> str:
     """One frame of the view as plain text (no ANSI)."""
     now = time.time() if now is None else now
     status = "live" if state.session_open else "closed"
+    submitted = int(state.total("items_submitted_total"))
+    completed = int(state.total("items_completed_total"))
+    workers = state.workers_alive()
     out = [
         f"repro.obs.top  backend={state.backend}  [{status}]  "
-        f"t={state.last_t:.2f}s  streams={state.streams}  "
-        f"items {state.completed}/{state.submitted}  "
-        f"backlog {state.submitted - state.completed}"
-        + (f"  workers {state.workers_alive}" if state.workers_alive else ""),
+        f"t={state.last_t:.2f}s  streams={int(state.total('streams_opened_total'))}  "
+        f"items {completed}/{submitted}  backlog {submitted - completed}"
+        + (f"  workers {workers}" if workers else ""),
         "",
         f"{'stage':<24} {'items':>8} {'rate/s':>8} {'svc ms':>8} "
         f"{'queue':>7} {'repl':>5}",
     ]
-    for i in sorted(state.stages):
-        s = state.stages[i]
-        name = (
-            state.stage_names[i] if i < len(state.stage_names) else str(i)
-        )
-        svc_ms = (s["svc_sum"] / s["items"] * 1e3) if s["items"] else 0.0
+    stages = state.stages()
+    for i, s in sorted(stages.items()):
+        name = state.stage_names[i] if i < len(state.stage_names) else str(i)
         out.append(
             f"{name[:24]:<24} {s['items']:>8} {state.rate(i, now):>8.1f} "
-            f"{svc_ms:>8.2f} {s['queue']:>7.1f} {s['replicas']:>5}"
+            f"{s['service'] * 1e3:>8.2f} {s['queue']:>7.1f} {s['replicas']:>5}"
         )
-    if not state.stages:
+    if not stages:
         out.append("(no stage activity yet)")
-    if state.phase_hops:
+    hops, sums = state.phases()
+    if hops:
         # Per-hop latency breakdown (distributed trace propagation on).
-        total = max(sum(state.phase_sums.values()), 1e-12)
+        total = max(sum(sums.values()), 1e-12)
         parts = "  ".join(
-            f"{p}={state.phase_sums.get(p, 0.0) / state.phase_hops * 1e3:.2f}ms"
-            f"({state.phase_sums.get(p, 0.0) / total:.0%})"
-            for p in ("wire_out", "worker_queue", "service", "encode", "wire_back")
+            f"{p}={sums[p] / hops * 1e3:.2f}ms({sums[p] / total:.0%})" for p in _PHASES
         )
         out.append("")
-        out.append(f"latency breakdown ({state.phase_hops} hops, mean/hop): {parts}")
-        if state.admit_wait_sum:
-            out.append(f"  admit wait total: {state.admit_wait_sum * 1e3:.1f}ms")
-        if state.clocks:
+        out.append(f"latency breakdown ({hops} hops, mean/hop): {parts}")
+        admit_wait = state.total("admit_wait_seconds")
+        if admit_wait:
+            out.append(f"  admit wait total: {admit_wait * 1e3:.1f}ms")
+        clocks = state.clocks()
+        if clocks:
             fits = "  ".join(
                 f"w{w}:{off * 1e3:+.2f}±{err * 1e3:.2f}ms"
-                for w, (off, err) in sorted(state.clocks.items())
+                for w, (off, err) in sorted(clocks.items())
             )
             out.append(f"  worker clocks: {fits}")
     out.append("")

@@ -2,9 +2,9 @@
 
 ``item.submit`` carries an item's ticket ``(stream, seq)`` and its
 session-wide ``gseq``; every record the executors emit below the port
-(``stage.service``, ``frame.*``, ``item.dispatch``, ``span.phases``,
-``wk.*``) names items by that ``gseq`` — a batch-covering one by its first
-member's, plus ``items``.  Checked on threads, asyncio, processes and
+(``stage.service``, ``frame.*``, ``item.dispatch``, ``span.phases``) names
+items by that ``gseq`` — a batch-covering one by its first member's, plus
+``items``.  Checked on threads, asyncio, processes and
 distributed, per item and micro-batched, over two streams: the second
 stream is where a per-stream number would collide with the first's.  Each
 record is emitted before its items are delivered, so the items it names
@@ -16,8 +16,7 @@ reference.
 
 import pytest
 
-from repro.obs import Telemetry
-from repro.obs.spans import SpanCollector
+from repro.obs.spans import SpanCollector, spans_from_journal
 from repro.skel.api import open_pipeline
 
 EXECUTORS = {
@@ -40,12 +39,12 @@ def _double(x):
 
 @pytest.mark.parametrize("batching", [None, 16], ids=["items", "batched"])
 @pytest.mark.parametrize("executor", sorted(EXECUTORS))
-def test_every_lane_record_names_its_items_by_gseq(executor, batching):
-    telemetry = Telemetry(spans=True)  # its wk.* subscription: derived from result stamps
+def test_every_lane_record_names_its_items_by_gseq(executor, batching, tmp_path):
+    path = tmp_path / "j.jsonl"  # a journal: every kind, span.phases included
     session = open_pipeline(
         [_inc, _double],
         backend=executor,
-        telemetry=telemetry,
+        telemetry=path,
         batching=batching,
         **EXECUTORS[executor],
     )
@@ -77,7 +76,7 @@ def test_every_lane_record_names_its_items_by_gseq(executor, batching):
     if executor in ("processes", "distributed"):
         assert {"frame.encode", "frame.release"} <= kinds
     if executor == "distributed":
-        assert {"item.dispatch", "span.phases", "wk.service"} <= kinds
+        assert {"item.dispatch", "span.phases"} <= kinds
 
     # Each stage serviced every item exactly once, by the item's own key.
     for stage in range(2):
@@ -89,11 +88,16 @@ def test_every_lane_record_names_its_items_by_gseq(executor, batching):
         )
         assert covered == sorted(owner), f"stage {stage}"
 
-    # The collector attaches each record to exactly the spans it names.
+    # The journal's spans attach each record to exactly the spans it names.
+    def key(ev):
+        return ev.kind, ev.fields.get("stage"), ev.fields["seq"]
+
     attached = {}
-    for span in telemetry.spans.spans():
+    for span in spans_from_journal(path):
         for ev in span.events:
             if ev.kind in LANE_KINDS:
-                attached.setdefault(id(ev), set()).add((span.stream, span.seq))
+                attached.setdefault(key(ev), set()).add((span.stream, span.seq))
+    named_by = {}
     for ev, named in records:
-        assert attached.get(id(ev)) == named, f"{ev.kind} {ev.fields}"
+        named_by.setdefault(key(ev), set()).update(named)
+    assert attached == named_by

@@ -1,8 +1,8 @@
 """Acceptance tests for cross-host trace propagation (ISSUE 9).
 
 The load-bearing claims: with telemetry attached to a distributed session,
-(1) worker-side points, derived from each result's stamps, merge onto the
-per-item spans on the coordinator's session timeline, (2) the clock mapping
+(1) each hop's ``span.phases``, derived from the result's stamps, merges
+onto the per-item spans on the coordinator's session timeline, (2) the clock mapping
 that makes the merge honest is bounded by rtt/2, and (3) the critical-path
 profiler attributes ≥95% of every item's wall-clock latency to named phases.
 
@@ -57,12 +57,12 @@ class TestTracePropagation:
         path = self._run(tmp_path)
         recs = list(read_journal(path))
         kinds = {r["kind"] for r in recs}
-        # Worker-side trace points, derived from the result frames' stamps.
-        assert {"wk.dequeue", "wk.service", "wk.encode",
-                "wk.send", "span.phases", "clock.sync"} <= kinds
-        # Worker events carry the worker id and land on the session
-        # timeline (monotone non-negative times, not raw worker clocks).
-        wk = [r for r in recs if r["kind"].startswith("wk.")]
+        # One record per hop, derived from the result frames' stamps.
+        assert {"span.phases", "clock.sync"} <= kinds
+        assert not any(k.startswith("wk.") for k in kinds)
+        # Hop records carry the worker id and land on the session timeline
+        # (monotone non-negative times, not raw worker clocks).
+        wk = [r for r in recs if r["kind"] == "span.phases"]
         assert {r["worker"] for r in wk} == {0, 1}
         assert all(r["t"] >= 0.0 for r in wk)
         t_close = max(r["t"] for r in recs)
@@ -73,8 +73,8 @@ class TestTracePropagation:
         assert len(spans) == self.N
         for s in spans:
             assert s.trace_id is not None
-            assert s.first("wk.service") is not None
-            assert s.first("span.phases") is not None
+            hops = [e for e in s.events if e.kind == "span.phases"]
+            assert sorted(e.fields["stage"] for e in hops) == [0, 1]
 
     def test_clock_offset_bounded_by_rtt_half(self, tmp_path):
         path = self._run(tmp_path)

@@ -1,11 +1,12 @@
-"""The ``wk.*`` points are derived on the coordinator from a result's stamps.
+"""One record per hop: the coordinator derives ``span.phases`` from a result's stamps.
 
-A worker traces nothing: each result frame carries ``t_recv_w``,
-``wait_s``, ``service_s`` and ``t_send_w``, and the coordinator turns them
-into one ``wk.dequeue`` / ``wk.service`` / ``wk.encode`` / ``wk.send`` per
-hop, mapped through its per-worker clock fit.  Checked on a two-worker
-journal, per item and micro-batched: one of each point per ``span.phases``
-record, in order, inside the hop, and agreeing with ``stage.service``.
+A worker traces nothing: each hop in a result's trail carries ``t_recv_w``,
+``wait_s``, ``service_s``, ``t_send_w`` and the output frame's ``nbytes``,
+and the coordinator turns them into exactly one ``span.phases`` per hop,
+mapped through its per-worker clock fit.  Checked on a two-worker journal,
+per item and micro-batched: one ``span.phases`` beside each hop's
+``stage.service`` and nothing else derived, its terms tiling the hop from the
+previous hand-off and agreeing with ``stage.service``.
 
 Stage functions live at module level so forked workers can resolve them.
 """
@@ -20,7 +21,7 @@ from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.obs import read_journal
 
-WK_KINDS = ("wk.dequeue", "wk.service", "wk.encode", "wk.send")
+PHASES = ("wire_out", "worker_queue", "service", "encode", "wire_back")
 N = 40
 
 
@@ -51,19 +52,25 @@ def journal(request, tmp_path):
     return list(read_journal(path))
 
 
-def test_every_hop_yields_one_of_each_point(journal):
-    per_stage = Counter((r["kind"], r["stage"]) for r in journal if "stage" in r)
-    for stage in (0, 1):
-        hops = per_stage["span.phases", stage]
-        assert hops >= 1
-        assert [per_stage[kind, stage] for kind in WK_KINDS] == [hops] * 4, stage
-    # Each point names its hop exactly as span.phases does: (stage, first gseq).
-    hops = {(r["stage"], r["seq"]): r for r in journal if r["kind"] == "span.phases"}
-    for kind in WK_KINDS:
-        assert {(r["stage"], r["seq"]) for r in journal if r["kind"] == kind} == set(hops)
+def test_every_hop_is_one_span_phases_record(journal):
+    assert not [r for r in journal if r["kind"].startswith("wk.")]
+    per_hop = Counter(
+        (r["kind"], r["stage"], r["seq"])
+        for r in journal
+        if r["kind"] in ("stage.service", "span.phases")
+    )
+    hops = {(stage, seq) for kind, stage, seq in per_hop if kind == "span.phases"}
+    assert {stage for stage, _ in hops} == {0, 1}
+    for stage, seq in hops:
+        assert per_hop["span.phases", stage, seq] == 1
+        assert per_hop["stage.service", stage, seq] == 1
+    assert {(s, q) for _, s, q in per_hop} == hops  # no service record without its hop
+    items = sum(r.get("items", 1) for r in journal if r["kind"] == "span.phases")
+    assert items == 2 * N  # every item crossed both stages once
+    assert all(r["nbytes"] > 0 for r in journal if r["kind"] == "span.phases")
 
 
-def test_points_are_ordered_inside_their_hop(journal):
+def test_phases_tile_their_hop(journal):
     err = {}  # worker -> widest clock-fit error bound it reported
     for r in journal:
         if r["kind"] == "clock.sync":
@@ -71,18 +78,17 @@ def test_points_are_ordered_inside_their_hop(journal):
     assert set(err) == {0, 1}
     by_hop: dict = {}
     for r in journal:
-        if r["kind"] in ("item.dispatch", "span.phases", "stage.service", *WK_KINDS):
+        if r["kind"] in ("item.dispatch", "span.phases", "stage.service"):
             by_hop.setdefault((r["stage"], r["seq"]), {})[r["kind"]] = r
     for (stage, seq), hop in by_hop.items():
-        dequeue, service, send = hop["wk.dequeue"], hop["wk.service"], hop["wk.send"]
-        assert dequeue["t"] <= service["t"] <= hop["wk.encode"]["t"] == send["t"]
-        # Same host, one CLOCK_MONOTONIC: a mapped time is off by at most
-        # the fit's rtt/2 bound (1 ms slack, as for the offset itself).
-        slack = err[send["worker"]] + 1e-3
-        assert hop["item.dispatch"]["t"] - slack <= dequeue["t"], (stage, seq)
-        assert send["t"] <= hop["span.phases"]["t"] + slack, (stage, seq)
-        assert service["seconds"] == hop["stage.service"]["seconds"]
-        assert service["seconds"] == hop["span.phases"]["service"]
-        assert hop["wk.encode"]["seconds"] == hop["span.phases"]["encode"]
-        assert dequeue["wait"] == hop["span.phases"]["worker_queue"]
-        assert hop["wk.encode"]["nbytes"] > 0
+        phases = hop["span.phases"]
+        assert all(phases[p] >= 0.0 for p in PHASES), (stage, seq)
+        # The hop starts at the previous hand-off (or the coordinator's send):
+        # never before the item was dispatched.  Same host, one
+        # CLOCK_MONOTONIC: a mapped time is off by at most the fit's rtt/2
+        # bound (1 ms slack, as for the offset itself).
+        start = phases["t"] - sum(phases[p] for p in PHASES)
+        slack = err[phases["worker"]] + 1e-3
+        assert hop["item.dispatch"]["t"] - slack <= start, (stage, seq)
+        assert phases["service"] == hop["stage.service"]["seconds"]
+        assert phases["worker"] == hop["stage.service"]["worker"]

@@ -2,11 +2,32 @@
 
 import json
 import threading
-
-import pytest
+import time
 
 from repro.obs.events import Event, EventBus
-from repro.obs.journal import JsonlJournal, read_journal
+from repro.obs.journal import JsonlJournal, read_journal, to_event
+
+
+class _SpyCondition:
+    """A ``Condition`` that records the arguments of every ``wait`` made by
+    a thread other than the journal's writer."""
+
+    def __init__(self, inner):
+        self.inner, self.waits = inner, []
+
+    def __enter__(self):
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self.inner.__exit__(*exc)
+
+    def wait(self, *args, **kwargs):
+        if threading.current_thread().name != "jsonl-journal":
+            self.waits.append((args, kwargs))
+        return self.inner.wait(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 class TestJsonlJournal:
@@ -121,10 +142,9 @@ class TestJsonlJournal:
         j(Event(0.0, "stream.begin"))  # silently dropped
         assert path.read_text() == ""
 
-    @pytest.mark.parametrize("inline", [False, True], ids=["writer-thread", "inline"])
-    def test_flush_puts_every_record_on_disk_while_open(self, tmp_path, inline):
+    def test_flush_puts_every_record_on_disk_while_open(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        j = JsonlJournal(path, inline=inline)
+        j = JsonlJournal(path)
         for i in range(50):
             j(Event(float(i), "item.submit", fields={"seq": i}))
         j.flush()
@@ -133,6 +153,25 @@ class TestJsonlJournal:
         j.close()
         assert j.closed
         j.flush()  # nothing left to wait for: returns at once
+
+    def test_a_parked_flush_wakes_on_the_writer_and_never_polls(self, tmp_path):
+        j = JsonlJournal(tmp_path / "j.jsonl")
+        j._cv = spy = _SpyCondition(j._cv)
+        flushed = threading.Event()
+        with j._io:  # the writer takes the batch, then stalls on the file
+            j(Event(0.0, "item.submit", fields={"seq": 0}))
+            flusher = threading.Thread(target=lambda: (j.flush(), flushed.set()), daemon=True)
+            flusher.start()
+            deadline = time.perf_counter() + 2.0
+            while not spy.waits and time.perf_counter() < deadline:
+                time.sleep(0.005)
+            assert spy.waits, "flush never parked"
+            time.sleep(0.3)  # no clock wakes a parked flush
+            assert not flushed.is_set() and spy.waits == [((), {})]
+        assert flushed.wait(2.0), "the writer's drain never woke the flush"
+        assert [r["seq"] for r in read_journal(j.path)] == [0]
+        assert not [call for call in spy.waits if call != ((), {})]  # untimed, every one
+        j.close()
 
     def test_as_bus_subscriber(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -145,3 +184,17 @@ class TestJsonlJournal:
         recs = list(read_journal(path))
         assert [r["kind"] for r in recs] == ["adapt.decide"]
         assert recs[0]["reason"] == "why"
+
+
+class TestToEvent:
+    def test_inverts_the_record(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        j = JsonlJournal(path)
+        sent = [
+            Event(1.5, "item.submit", "hi", {"stream": 1, "seq": 0, "gseq": 7}),
+            Event(2.0, "stage.service", fields={"t": 9, "wall": 3, "f_x": 1, "stage": 0}),
+        ]
+        for ev in sent:
+            j(ev)
+        j.close()
+        assert [to_event(r) for r in read_journal(path)] == sent

@@ -18,8 +18,8 @@ from repro.obs.spans import SpanCollector
 
 def _collect(*emits):
     """Run ``(kind, at, fields)`` triples through a SpanCollector."""
-    bus = EventBus(clock=lambda: 0.0)
-    col = SpanCollector().attach(bus)
+    bus, col = EventBus(clock=lambda: 0.0), SpanCollector()
+    bus.subscribe(col)
     for kind, at, fields in emits:
         bus.emit(kind, at=at, **fields)
     return col.spans()

@@ -7,8 +7,9 @@ from repro.obs.spans import SpanCollector
 
 
 def _bus():
-    bus = EventBus(clock=lambda: 0.0)
-    return bus, SpanCollector().attach(bus)
+    bus, col = EventBus(clock=lambda: 0.0), SpanCollector()
+    bus.subscribe(col)
+    return bus, col
 
 
 class TestSpanCollector:

@@ -1,9 +1,19 @@
 """End-to-end telemetry: open_pipeline(..., telemetry=...) across executors."""
 
+import inspect
+
 import pytest
 
-from repro.obs import Telemetry, as_telemetry, read_journal, spans_from_journal
+from repro.obs import (
+    JsonlJournal,
+    MetricsRegistry,
+    Telemetry,
+    as_telemetry,
+    read_journal,
+    spans_from_journal,
+)
 from repro.obs.exporters import render_prometheus
+from repro.obs.spans import SpanCollector
 from repro.skel.api import open_pipeline
 
 
@@ -27,6 +37,52 @@ class TestAsTelemetry:
         assert as_telemetry(t) is t
         with pytest.raises(TypeError):
             as_telemetry(42)
+
+
+class TestOptions:
+    def test_a_journal_and_a_snapshot_are_the_only_settings(self):
+        params = inspect.signature(Telemetry).parameters
+        assert list(params) == ["journal", "prometheus"]
+        assert list(inspect.signature(JsonlJournal).parameters) == [
+            "path", "rotate_bytes", "max_files",
+        ]
+
+    def test_the_recorder_exists_exactly_when_a_snapshot_path_is_set(self, tmp_path):
+        assert Telemetry().recorder is None and Telemetry().registry is None
+        with_prom = Telemetry(prometheus=tmp_path / "m.prom")
+        assert with_prom.recorder is not None
+        assert with_prom.registry is with_prom.recorder.registry
+
+    def test_a_configured_journal_is_used_as_given(self, tmp_path):
+        journal = JsonlJournal(tmp_path / "j.jsonl", rotate_bytes=300, max_files=2)
+        t = Telemetry(journal=journal)
+        assert t.journal is journal
+        session = open_pipeline([lambda x: x + 1], telemetry=t)
+        assert _run(session, 20) == list(range(1, 21))
+        assert journal.closed  # closed with the session
+        siblings = sorted(p.name for p in tmp_path.iterdir())
+        assert siblings == ["j.jsonl", "j.jsonl.1"]  # its own rotation policy held
+
+
+class TestOneSessionPerTelemetry:
+    def test_a_closed_telemetry_refuses_a_second_session(self, tmp_path):
+        # The first session's close closes the journal and writes the
+        # snapshot: a second session on the same bundle would journal and
+        # count nothing, so attaching it must fail loudly.
+        path, prom = tmp_path / "j.jsonl", tmp_path / "m.prom"
+        t = Telemetry(journal=path, prometheus=prom)
+        assert _run(open_pipeline([lambda x: x + 1], telemetry=t), 5) == [1, 2, 3, 4, 5]
+        with pytest.raises(RuntimeError, match="closed"):
+            open_pipeline([lambda x: x + 1], telemetry=t)
+        kinds = [r["kind"] for r in read_journal(path)]
+        assert kinds.count("session.open") == 1 and kinds.count("item.submit") == 5
+        assert "repro_items_completed_total 5" in prom.read_text()
+
+    def test_each_session_gets_its_own_bundle(self, tmp_path):
+        for run in range(2):
+            path = tmp_path / f"j{run}.jsonl"
+            assert _run(open_pipeline([abs], telemetry=Telemetry(journal=path)), 3) == [0, 1, 2]
+            assert [r["kind"] for r in read_journal(path)].count("item.submit") == 3
 
 
 class TestJournalEndToEnd:
@@ -67,7 +123,7 @@ class TestJournalEndToEnd:
 class TestMetricsAndPrometheus:
     def test_full_bundle(self, tmp_path):
         prom = tmp_path / "metrics.prom"
-        t = Telemetry(journal=tmp_path / "j.jsonl", prometheus=prom, spans=True)
+        t = Telemetry(journal=tmp_path / "j.jsonl", prometheus=prom)
         session = open_pipeline([lambda x: x + 1, lambda x: x * 2], telemetry=t)
         _run(session)
         # close() wrote the snapshot
@@ -80,36 +136,43 @@ class TestMetricsAndPrometheus:
         assert reg.counter("streams_opened_total").value == 1
 
     def test_spans_reconstruct_timeline(self, tmp_path):
-        t = Telemetry(spans=True)
-        session = open_pipeline([lambda x: x + 1], telemetry=t)
+        path = tmp_path / "j.jsonl"
+        session = open_pipeline([lambda x: x + 1], telemetry=path)
         _run(session, 3)
-        spans = t.spans.spans()
+        spans = spans_from_journal(path)
         assert len(spans) == 3
         assert all(s.complete for s in spans)
         assert all(s.latency is not None and s.latency >= 0 for s in spans)
         assert all(s.service_seconds > 0 for s in spans)
 
     def test_spans_from_journal_match_live(self, tmp_path):
+        # The journal is the one span store: what it rebuilds is what a
+        # collector on the live bus would have seen, event for event.
         path = tmp_path / "j.jsonl"
-        session = open_pipeline([lambda x: x + 1], telemetry=path)
+        session = open_pipeline([lambda x: x + 1, abs], telemetry=path, batching=2)
+        live = SpanCollector()
+        session.events.subscribe(live)
         _run(session, 4)
         spans = spans_from_journal(path)
         assert len(spans) == 4
         assert all(s.complete for s in spans)
 
+        def timeline(span):
+            return [(e.kind, round(e.time, 6), e.fields) for e in span.events]
+
+        assert [timeline(s) for s in spans] == [timeline(s) for s in live.spans()]
+
     def test_render_prometheus_empty_registry(self):
-        t = Telemetry(metrics=True)
-        assert render_prometheus(t.registry) == ""
+        assert render_prometheus(MetricsRegistry()) == ""
 
     def test_histogram_percentile_gauges_rendered(self):
-        t = Telemetry(metrics=True)
-        reg = t.registry
+        reg = MetricsRegistry()
         for stage in ("0", "1"):
             h = reg.histogram("stage_service_seconds", {"stage": stage})
             for v in (0.001, 0.002, 0.004, 0.01):
                 h.observe(v)
         reg.histogram("empty_hist", {"stage": "9"})  # no data: no percentiles
-        text = render_prometheus(t.registry)
+        text = render_prometheus(reg)
         for suffix in ("_p50", "_p95", "_p99"):
             assert f"# TYPE repro_stage_service_seconds{suffix} gauge" in text
             for stage in ("0", "1"):
@@ -125,8 +188,7 @@ class TestMetricsAndPrometheus:
         assert len(seen_types) == len(set(seen_types))
 
     def test_percentiles_ordered_and_bracket_the_data(self):
-        t = Telemetry(metrics=True)
-        h = t.registry.histogram("lat", {})
+        h = MetricsRegistry().histogram("lat", {})
         for v in [0.001] * 90 + [0.1] * 10:
             h.observe(v)
         p50, p95, p99 = (h.quantile(q) for q in (0.5, 0.95, 0.99))

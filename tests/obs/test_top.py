@@ -1,7 +1,11 @@
 """Tests for the live top view (state fold + --once rendering)."""
 
 import json
+import re
 
+import pytest
+
+from repro.obs import Telemetry, read_journal
 from repro.obs.top import TopState, _tail, main, render
 from repro.skel.api import open_pipeline
 
@@ -28,11 +32,34 @@ class TestTopState:
         )
         assert s.backend == "threads"
         assert s.stage_names == ["a", "b"]
-        assert s.submitted == 1 and s.completed == 1 and s.streams == 1
-        assert s.stages[0]["items"] == 1
-        assert s.stages[0]["queue"] == 3
-        assert s.stages[0]["replicas"] == 2
+        assert s.total("items_submitted_total") == 1
+        assert s.total("items_completed_total") == 1
+        assert s.total("streams_opened_total") == 1
+        assert s.stages()[0] == {"items": 1, "service": 0.05, "queue": 3, "replicas": 2}
         assert list(s.decisions)[0][1] == "adapt.decide"
+
+    def test_numbers_come_from_the_recorder_registry(self):
+        # A batched record counts its items, and the service mean is per
+        # item: the fold is the recorder's, so top reads what Prometheus does.
+        s = TopState()
+        _feed(
+            s,
+            {"kind": "stage.service", "t": 0.1, "stage": 1, "seconds": 0.4,
+             "items": 4, "wall": 100.0},
+            {"kind": "stage.service", "t": 0.2, "stage": 1, "seconds": 0.1,
+             "wall": 100.0},
+        )
+        assert s.registry.counter("stage_items_total", {"stage": "1"}).value == 5
+        assert s.stages()[1]["items"] == 5
+        assert s.stages()[1]["service"] == pytest.approx(0.1)
+        assert s.stages()[1]["replicas"] == 1  # no replica record: one
+        assert s.rate(1, now=100.0) == 5 / s.window
+
+    def test_a_replica_record_alone_shows_its_stage(self):
+        s = TopState()
+        s.feed({"kind": "replica.add", "t": 0.0, "stage": 2, "n": 3})
+        assert s.stages() == {2: {"items": 0, "service": 0.0, "queue": 0.0, "replicas": 3}}
+        assert s.rate(2, now=0.0) == 0.0
 
     def test_rate_over_window(self):
         s = TopState(window=10.0)
@@ -49,7 +76,7 @@ class TestTopState:
             {"kind": "worker.join", "t": 0.0, "worker": 1},
             {"kind": "worker.death", "t": 1.0, "worker": 0},
         )
-        assert s.workers_alive == 1
+        assert s.workers_alive() == 1
 
     def test_folds_trace_records(self):
         s = TopState()
@@ -65,10 +92,19 @@ class TestTopState:
             {"kind": "clock.sync", "t": 0.7, "worker": 1, "offset": 2e-4,
              "err": 5e-5, "drift": 0.0, "n": 4},
         )
-        assert s.phase_hops == 2
-        assert s.phase_sums["service"] == 0.6
-        assert s.admit_wait_sum == 0.1
-        assert s.clocks[1] == (2e-4, 5e-5)
+        hops, sums = s.phases()
+        assert hops == 2
+        assert sums["service"] == pytest.approx(0.6)
+        assert s.total("admit_wait_seconds") == 0.1
+        assert s.clocks() == {1: (2e-4, 5e-5)}
+
+    def test_a_batched_hop_weighs_as_its_items(self):
+        s = TopState()
+        s.feed({"kind": "span.phases", "t": 0.5, "seq": 0, "stage": 0, "items": 4,
+                "wire_out": 0.04, "worker_queue": 0.0, "service": 0.4,
+                "encode": 0.0, "wire_back": 0.0, "nbytes": 64})
+        hops, sums = s.phases()
+        assert hops == 4 and sums["service"] == pytest.approx(0.4)
 
 
 class TestRender:
@@ -125,13 +161,13 @@ class TestTailRotation:
         self._write(path, [{"kind": "item.submit", "t": float(i)}
                            for i in range(10)])
         pos = _tail(path, s, 0)
-        assert s.submitted == 10
+        assert s.total("items_submitted_total") == 10
         assert pos == path.stat().st_size
         # Rotate: current file moves aside, a smaller fresh one appears.
         path.rename(tmp_path / "j.jsonl.1")
         self._write(path, [{"kind": "item.complete", "t": 11.0}], mode="w")
         pos = _tail(path, s, pos)
-        assert s.completed == 1  # the post-rotation record was seen
+        assert s.total("items_completed_total") == 1  # the post-rotation record was seen
         assert pos == path.stat().st_size
 
     def test_tail_skips_partial_trailing_line(self, tmp_path):
@@ -141,12 +177,12 @@ class TestTailRotation:
             fh.write(json.dumps({"kind": "item.submit", "t": 0.0}) + "\n")
             fh.write('{"kind": "item.subm')  # torn mid-write
         pos = _tail(path, s, 0)
-        assert s.submitted == 1
+        assert s.total("items_submitted_total") == 1
         # Offset stops before the partial line so the next round rereads it.
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('it", "t": 1.0}\n')
         pos = _tail(path, s, pos)
-        assert s.submitted == 2
+        assert s.total("items_submitted_total") == 2
         assert pos == path.stat().st_size
 
 
@@ -162,3 +198,34 @@ class TestMainOnce:
         out = capsys.readouterr().out
         assert "backend=threads" in out
         assert "items 5/5" in out
+
+
+class TestOneFold:
+    def test_top_reads_what_the_prometheus_snapshot_says(self, tmp_path):
+        # One session, journal + Prometheus, micro-batched: top's per-stage
+        # items and service mean, folded from the journal, equal the
+        # snapshot's stage families, folded live from the bus.
+        path, prom, n = tmp_path / "j.jsonl", tmp_path / "m.prom", 320
+        telemetry = Telemetry(journal=path, prometheus=prom)
+        with open_pipeline([abs, abs], batching=16, telemetry=telemetry) as session:
+            for x in range(n):
+                session.submit(x)
+            assert session.drain() == list(range(n))
+        text = prom.read_text()
+
+        def family(name):
+            return {
+                int(stage): float(v)
+                for stage, v in re.findall(rf'^repro_{name}\{{stage="(\d+)"\}} (\S+)$', text, re.M)
+            }
+
+        items = family("stage_items_total")
+        sums, counts = family("stage_service_seconds_sum"), family("stage_service_seconds_count")
+        assert items == {0: n, 1: n} and counts == items
+        state = TopState()
+        for rec in read_journal(path):
+            state.feed(rec)
+        rows = state.stages()
+        assert {s: row["items"] for s, row in rows.items()} == items
+        for s, row in rows.items():
+            assert row["service"] == pytest.approx(sums[s] / counts[s], rel=1e-5, abs=1e-9)

@@ -153,7 +153,10 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # for a full queue) and the fabric's loop lifecycle came in, and the one
 # collector took back Session._collect_burst.  fetch_asyncio's
 # cpu_us_per_item fell 37 %.
-CEILING = 5040
+# Lowered to the count (5,040 -> 5,017) by deriving one span.phases per
+# distributed hop and nothing else: _HOP_KINDS and the four wk.* emits left
+# _trace_hop (coordinator.py 1,192 -> 1,178).  Nothing moved.
+CEILING = 5017
 
 #: Every other package (``"."``: the top-level modules), set at its count
 #: after the reachability audit, rounded up to the next 10, and lowered the
@@ -173,7 +176,11 @@ PACKAGE_CEILINGS = {
     # Each of those facts was unread or already recorded once elsewhere
     # (the event stream, the link fit).  Nothing moved.
     "monitor": 896,
-    "obs": 2100,
+    # Lowered to the count (2,100 -> 2,049): Telemetry kept journal= and
+    # prometheus= (its span store, kinds filter and rotation knobs went),
+    # JsonlJournal its inline write path, and obs.top folds through the
+    # MetricsRecorder instead of its own copy.  Nothing moved.
+    "obs": 2049,
     "reporting": 170,
     "skel": 360,
     "transport": 1260,
