@@ -81,13 +81,12 @@ from repro.monitor.resource_monitor import load_to_speed
 from repro.obs.clock import ClockSync
 from repro.transport import (
     Codec,
-    Frame,
     LinkModel,
     SizeStratifiedLinkEstimator,
-    from_wire,
+    Wire,
     materialize,
-    to_wire,
     untrack,
+    wire_nbytes,
 )
 from repro.transport.lane import Outbox, ProtocolError, read_frame, socket_outbox
 from repro.util.validation import check_positive
@@ -194,7 +193,7 @@ class _Route:
 
     __slots__ = ("frame", "replicas", "t_sent")
 
-    def __init__(self, frame: Frame, replicas: list) -> None:
+    def __init__(self, frame: Wire, replicas: list) -> None:
         self.frame = frame  # the segment's input, released when the route completes
         self.replicas = replicas  # one per stage of the segment, in stage order
         self.t_sent = None  # its first hop's send: a result echoing another is stale
@@ -226,8 +225,8 @@ class _DistributedSession(RoutedSession):
     def _ingress(self, seq: int, value: Any) -> bool:
         return self.backend._dispatch(self, 0, seq, None, value)
 
-    def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
-        return self.backend._dispatch(self, stage, seq, frame)
+    def _forward(self, stage: int, seq: int, wire: Wire) -> bool:
+        return self.backend._dispatch(self, stage, seq, wire)
 
     def _poll(self, stage: int) -> "list | None":
         """What the boundary's queue holds, waiting for the first; a wake ends it."""
@@ -261,14 +260,13 @@ class _DistributedSession(RoutedSession):
                         break
                     backend._settle(seq, route)
                     queued -= 1
-                    done.append((w, recv_t, seq, route, payload, t_sent, trail, queued))
+                    done.append((recv_t, seq, route, payload, t_sent, trail, queued))
                 elif ok:  # stale: its payload is released below
-                    done.append((w, recv_t, seq, None, payload, t_sent, trail, queued))
+                    done.append((recv_t, seq, None, payload, t_sent, trail, queued))
             backend._cond.notify_all()
         bus, got, clock = self.events, [], self.perf_to_session
         trace, sync = bus.wants("span.phases"), bus.wants("clock.sync")
-        for w, recv_t, seq, route, payload, t_out, trail, queued in done:
-            payload = from_wire(payload, backend._codec.name if w.shm_ok else "pickle")
+        for recv_t, seq, route, payload, t_out, trail, queued in done:
             if route is None:
                 # Stale: this route was handed back after a death on it and the
                 # segment re-dispatched; exactly one route may deliver the item.
@@ -278,7 +276,7 @@ class _DistributedSession(RoutedSession):
             # can re-dispatch it now, so its segments can go.
             frame_in = route.frame
             backend._codec.release(frame_in)
-            nbytes_in, hops, boundary = frame_in.nbytes, [], trail[-1]
+            nbytes_in, hops, boundary = wire_nbytes(frame_in), [], trail[-1]
             for r, hop in zip(route.replicas, trail):
                 i, _, _, t_in, wait, service, t_done, nbytes = hop
                 conn = r.worker
@@ -301,7 +299,7 @@ class _DistributedSession(RoutedSession):
                 if trace:
                     self._trace_hop(seq, conn, conn.clock.fit().to_local, t_out, hop, end)
                 t_out, nbytes_in = end, nbytes
-            backend._ref_bytes += 0.1 * (frame_in.nbytes - backend._ref_bytes)
+            backend._ref_bytes += 0.1 * (wire_nbytes(frame_in) - backend._ref_bytes)
             got.append((seq, payload, hops))
         return got if failed is None else [*got, failed]
 
@@ -1010,7 +1008,7 @@ class DistributedBackend(Backend):
                 self._cond.wait()  # every site that frees or adds a slot notifies
 
     def _dispatch(
-        self, session: RoutedSession, stage: int, seq: int, frame: "Frame | None",
+        self, session: RoutedSession, stage: int, seq: int, frame: "Wire | None",
         value: Any = None,
     ) -> bool:
         """Send one item along a route through the segment opening at
@@ -1054,7 +1052,7 @@ class DistributedBackend(Backend):
             record.t_sent = t_sent = time.perf_counter()
             hops = tuple([(r.stage, r.slot, r.worker.id) for r in route[1:]])
             if not w.outbox.send(
-                ("task", self._epoch, stage, route[0].slot, seq, to_wire(frame), t_sent, hops, ())
+                ("task", self._epoch, stage, route[0].slot, seq, frame, t_sent, hops, ())
             ):
                 self._on_worker_death(w)  # whose exit re-dispatches this route too
             return True

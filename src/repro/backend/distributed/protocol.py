@@ -45,9 +45,8 @@ reports, mapped per hop through the coordinator's per-worker
 :class:`repro.obs.clock.ClockSync` fit, which each ``ping``/``pong``
 quadruple feeds with an rtt/2 error bound.
 
-``payload`` fields are frames in their flat wire form
-(:func:`repro.transport.to_wire`): the pickle stream itself, as ``bytes``,
-for an inline frame without buffers; otherwise the
+``payload`` fields are the wire form a codec's ``encode`` returns: the
+pickle stream itself, as ``bytes``, when it is self-contained; otherwise a
 :class:`~repro.transport.Frame` — a pickle stream plus out-of-band buffers,
 each inline or a shared-memory segment descriptor under the **negotiated
 frame format** (a failed ``result`` carries its pickled error instead):

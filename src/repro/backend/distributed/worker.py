@@ -65,7 +65,7 @@ from repro import transport as _transport
 from repro.backend.distributed.protocol import PREAMBLE
 from repro.monitor.resource_monitor import read_load1
 from repro.runtime.threads import run_stage
-from repro.transport import Codec, Frame, from_wire, to_wire, untrack
+from repro.transport import Codec, Wire, untrack, wire_nbytes
 from repro.transport.lane import Outbox, ProtocolError, encode_frame, read_frame, socket_outbox
 from repro.util.handoff import Handoff
 
@@ -78,7 +78,7 @@ _STOP = object()
 class _Task:
     epoch: int
     seq: int
-    payload: Frame
+    payload: Wire
     t_sent: float  # the coordinator's send of the route's first hop, echoed
     arrived: float  # worker clock, stamped after any injected link delay
     route: tuple  # the hops after this one: (stage, slot, worker id) each
@@ -208,16 +208,16 @@ class WorkerAgent:
 
     # -------------------------------------------------------------- plumbing
     def _pass_on(
-        self, task: _Task, stage: int, slot: int, out: Frame, service_s: float, wait_s: float
+        self, task: _Task, stage: int, slot: int, out: Wire, service_s: float, wait_s: float
     ) -> None:
         """Append this hop's worker-clock stamps to the trail (the coordinator's
         clock fit and phase decomposition both come from them)
         and hand the output to the route's next hop, or home from its last."""
         now = time.perf_counter()
         trail = (*task.trail, (stage, self.worker_id, slot, task.arrived, wait_s, service_s,
-                               now, out.nbytes))
+                               now, wire_nbytes(out)))
         if not task.route:
-            self._outbox.send(("result", task.epoch, stage, slot, task.seq, True, to_wire(out),
+            self._outbox.send(("result", task.epoch, stage, slot, task.seq, True, out,
                                task.t_sent, None, trail))
             return
         (nstage, nslot, wid), route = task.route[0], task.route[1:]
@@ -229,7 +229,7 @@ class WorkerAgent:
                 self.codec.release(out)
             return
         link = self._peers.get(wid)
-        msg = ("task", task.epoch, nstage, nslot, task.seq, to_wire(out), task.t_sent, route, trail)
+        msg = ("task", task.epoch, nstage, nslot, task.seq, out, task.t_sent, route, trail)
         if link is None or not link[0].send(msg):
             self.codec.release(out)
             self._lose(wid)
@@ -242,10 +242,9 @@ class WorkerAgent:
     def _receive(self, frame: tuple) -> None:
         """Queue one ``task`` for its replica, after any injected link delay."""
         _, epoch, stage, slot, seq, payload, t_sent, route, trail = frame
-        payload = from_wire(payload, self.codec.name)
         delay = self.link_delay
         if self.link_bandwidth:
-            delay += payload.nbytes / self.link_bandwidth
+            delay += wire_nbytes(payload) / self.link_bandwidth
         if delay:
             with self._delays:  # every receive path, coordinator or peer, queues on it
                 time.sleep(delay)

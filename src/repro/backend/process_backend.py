@@ -34,14 +34,14 @@ does it report to the parent, where a router restores order::
   replays every entry as one hop.  A worker's step is
   :func:`~repro.runtime.threads.run_stage`; a failure of any part of it
   goes to the boundary's result queue with the stage's index.
-* Items cross processes as frames of the backend's **transport codec**
-  (``transport=``) in their flat wire form (:func:`~repro.transport.to_wire`):
-  inline pickle streams as plain ``bytes``, or :class:`~repro.transport.Frame`
-  descriptors of shared-memory slots for large payloads under ``"auto"``/``"shm"``
-  (threshold **calibrated at warm-up**,
-  :func:`repro.transport.calibrated_auto_threshold`).  Slots go back per
-  item: task frames in the worker that consumed them, final frames at
-  egress; ``close()`` unlinks every pool.
+* Items cross processes in the wire form the backend's **transport
+  codec** (``transport=``) encodes them to, and nothing is built around it
+  on the way: a self-contained pickle stream as plain ``bytes`` (every
+  small item), or a :class:`~repro.transport.Frame` of shared-memory slot
+  descriptors for a large payload under ``"auto"``/``"shm"`` (threshold
+  **calibrated at warm-up**, :func:`repro.transport.calibrated_auto_threshold`).
+  Slots go back per item: task frames in the worker that consumed them,
+  final frames at egress; ``close()`` unlinks every pool.
 * ``reconfigure`` never targets a worker: shrinking feeds a *park token* in
   at the head of the stage's segment (a worker of an earlier stage passes
   it on; whoever of the stage takes it blocks on the stage's semaphore, and
@@ -70,7 +70,7 @@ from repro.backend.base import Backend, register_backend
 from repro.backend.routed import RoutedSession, boundaries
 from repro.core.pipeline import PipelineSpec
 from repro.runtime.threads import StageError, load_error, run_stage
-from repro.transport import Codec, Frame, from_wire, to_wire
+from repro.transport import Codec, Wire, wire_nbytes
 from repro.transport.lane import FrameReader, pipe_outbox
 
 __all__ = ["ProcessPoolBackend"]
@@ -155,7 +155,7 @@ class _PipeQueue:
 def _worker_main(
     stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_spec, parked: bool
 ) -> None:
-    """Worker process body: apply ``fn`` to ``(seq, wire frame, trail)`` tasks forever.
+    """Worker process body: apply ``fn`` to ``(seq, wire, trail)`` tasks forever.
 
     Results go to ``out`` (the next stage's task queue, or ``resq`` at a
     boundary) in the same shape, the trail one entry longer; failures go to
@@ -178,15 +178,14 @@ def _worker_main(
         seq, wire, trail = msg
         # Sole consumer, and the process backend never re-dispatches (a
         # worker death aborts the stream): the task frame's slots go back to
-        # their pool once the value is copied out — per item.
-        out_frame, t0, t1, failed, _held = run_stage(  # _held lives until the next item
-            fn, from_wire(wire, codec.name), codec, codec, True
-        )
+        # their pool once the value is copied out — per item.  _held (the
+        # output value) lives until the next item.
+        out_wire, t0, t1, failed, _held = run_stage(fn, wire, codec, codec, True)
         if failed is not None:
             resq.put((seq, None, (stage, *failed)))
             continue  # stay warm; the parent aborts the stream
-        hop = (stage, worker_id, t1 - t0, out_frame.nbytes, t1)
-        out.put((seq, to_wire(out_frame), trail + (hop,)))
+        hop = (stage, worker_id, t1 - t0, wire_nbytes(out_wire), t1)
+        out.put((seq, out_wire, trail + (hop,)))
 
 
 class _Segment:
@@ -276,9 +275,9 @@ class _ProcessSession(RoutedSession):
             seg.wake(aborted)
 
     # ------------------------------------------------------------ lane hooks
-    def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
+    def _forward(self, stage: int, seq: int, wire: Wire) -> bool:
         """Feed one encoded item to ``stage``'s queue (it opens a segment)."""
-        return self.backend._pools[stage].taskq.send((seq, to_wire(frame), ()), self._abort)
+        return self.backend._pools[stage].taskq.send((seq, wire, ()), self._abort)
 
     def _poll(self, stage: int) -> "list | None":
         seg = self.backend._pools[stage].seg
@@ -319,7 +318,7 @@ class _ProcessSession(RoutedSession):
             if wire is None:  # a failure: (stage, pickled error | None, text)
                 name = self.backend.pipeline.stage(trail[0]).name
                 return [*got, StageError(name, load_error(*trail[1:]))]
-            got.append((seq, from_wire(wire, self._codec.name), [
+            got.append((seq, wire, [
                 (i, w, s, n, queued[i], clock(t), 1.0) for i, w, s, n, t in trail
             ]))
         return got

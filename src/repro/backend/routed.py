@@ -3,8 +3,9 @@
 One implementation of the paper's per-stage skeleton — dispatch → collect
 → reorder → forward — for every executor whose workers live behind a
 *lane* (queues between forked processes, a TCP link): something that carries an
-encoded :class:`~repro.transport.Frame` to a worker and brings a result
-back.  The core knows nothing about what the lane is made of::
+item's wire form (a codec's output: its pickle stream as ``bytes``, or a
+:class:`~repro.transport.Frame` with buffers) to a worker and brings a
+result back.  The core knows nothing about what the lane is made of::
 
     submit ──> lane[0] ──> router[0] ──> lane[1] ──> ... ──> router[n-1] ──> complete
     (caller)   workers     (reorder)     workers             reorder
@@ -45,14 +46,14 @@ their ``item.submit`` carried.  An executor supplies four hooks:
     or raises when a worker died;
 ``_accept(stage, burst)``
     the lane's bookkeeping for that burst — in-flight accounting, stale
-    drops, re-dispatch — returning one ``(seq, frame, hops)`` per result it
-    delivers: the executor seq, the encoded result and what every hop of
+    drops, re-dispatch — returning one ``(seq, wire, hops)`` per result it
+    delivers: the executor seq, the result's wire form and what every hop of
     the segment did, oldest first and the boundary last, each ``(stage,
     worker, service_s, nbytes_out, queued, at, speed)``.  A
     failed result ends the list with the stage's error: what came before it
     is still forwarded or delivered, then the session fails;
-``_forward(stage, seq, frame)``
-    send one frame to ``stage`` (in order when it is ordered); ``False``
+``_forward(stage, seq, wire)``
+    send one wire form to ``stage`` (in order when it is ordered); ``False``
     when aborted.
 
 The lane also implements the port's ``_wake_lane``: wake every router out
@@ -75,7 +76,7 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from repro.backend.base import Backend, Session, SessionStats
-from repro.transport import Codec, Frame, pool_footprint
+from repro.transport import Codec, Wire, pool_footprint, wire_nbytes
 from repro.util.batching import Batch
 from repro.util.ordering import SequenceReorderer
 
@@ -133,7 +134,7 @@ class RoutedSession(Session):
     def _accept(self, stage: int, msg: Any) -> "tuple | None":
         raise NotImplementedError
 
-    def _forward(self, stage: int, seq: int, frame: Frame) -> bool:
+    def _forward(self, stage: int, seq: int, wire: Wire) -> bool:
         raise NotImplementedError
 
     # ----------------------------------------------------------- port hooks
@@ -162,8 +163,8 @@ class RoutedSession(Session):
         for t in self._threads:
             t.join(timeout=5.0)
 
-    def _encode(self, seq: int, value: Any, codec: Codec) -> Frame:
-        """Encode one admitted item as stage 0's task frame.
+    def _encode(self, seq: int, value: Any, codec: Codec) -> Wire:
+        """Encode one admitted item as stage 0's task wire.
 
         The single emit site of ``frame.encode``/``batch.encode``; the
         encode is timed only when one of them has a listener.
@@ -171,19 +172,21 @@ class RoutedSession(Session):
         bus = self.events
         timed = bus.wants("frame.encode") or bus.wants("batch.encode")
         t0 = time.perf_counter() if timed else 0.0
-        frame = codec.encode(value)
+        wire = codec.encode(value)
+        nbytes = wire_nbytes(wire)
         with self._stage_locks[0]:
-            self.instrumentation.stages[0].record_bytes_in(frame.nbytes)
-        if timed:
+            self.instrumentation.stages[0].record_bytes_in(nbytes)
+        if timed:  # a codec builds a Frame only around a segment
             cost = dict(
-                nbytes=frame.nbytes, seconds=time.perf_counter() - t0, recycled=frame.recycled
+                nbytes=nbytes, seconds=time.perf_counter() - t0,
+                recycled=getattr(wire, "recycled", None),
             )
             if isinstance(value, Batch):
                 bus.emit(
                     "batch.encode", stage=0, seq=seq, base=value.base_seq, items=len(value), **cost
                 )
-            self._emit_items("frame.encode", seq, stage=0, inline=frame.inline, **cost)
-        return frame
+            self._emit_items("frame.encode", seq, stage=0, inline=type(wire) is bytes, **cost)
+        return wire
 
     # --------------------------------------------------------------- routing
     def _route(self, stage: int) -> None:
@@ -212,12 +215,12 @@ class RoutedSession(Session):
             got = self._accept(stage, burst)
             failed = got.pop() if got and isinstance(got[-1], BaseException) else None
             ready = []
-            for seq, frame, _ in got:
-                ready += ((seq, frame),) if reorder is None else reorder.push(seq, frame)
+            for seq, wire, _ in got:
+                ready += ((seq, wire),) if reorder is None else reorder.push(seq, wire)
             self._record_trails(got)
-            # Workers produce encoded frames and the next stage's workers
-            # expect exactly that format: forward each frame untouched and
-            # decode only final outputs.
+            # Workers produce wire forms and the next stage's workers expect
+            # exactly that format: forward each untouched and decode only
+            # final outputs.
             if last:
                 self._egress(stage, ready)
             elif not all(self._forward(nxt, *pair) for pair in ready):
@@ -226,14 +229,15 @@ class RoutedSession(Session):
                 raise failed
 
     def _egress(self, stage: int, ready: list) -> None:
-        """Decode each in-order final frame and release it; deliver the run
+        """Decode each in-order final wire and release it; deliver the run
         decoded so far, also when a decode fails."""
-        codec, values = self._codec, []
+        codec, values, traced = self._codec, [], self.events.wants("frame.release")
         try:
-            for seq, frame in ready:
-                values.append(codec.decode(frame))
-                codec.release(frame)
-                self._emit_items("frame.release", seq, stage=stage, nbytes=frame.nbytes)
+            for seq, wire in ready:
+                values.append(codec.decode(wire))
+                codec.release(wire)
+                if traced:
+                    self._emit_items("frame.release", seq, stage=stage, nbytes=wire_nbytes(wire))
         finally:
             if values:
                 self._complete_run(values)

@@ -14,8 +14,8 @@ named phases:
     *before* the item's span opens, so it is reported separately and not
     part of the latency tiling;
 ``coord_queue``
-    coordinator-side residence: back-pressure slot waits (stage 0's are
-    spent inside ``submit()``) and inter-stage routing gaps;
+    coordinator-side residence (distributed): back-pressure slot waits
+    (stage 0's are spent inside ``submit()``) and inter-stage routing gaps;
 ``encode``
     payload encoding, both coordinator-side (``frame.encode`` with
     ``seconds``) and worker-side (the ``encode`` term of ``span.phases``);
@@ -23,7 +23,7 @@ named phases:
     task frame out to the worker / result frame back, from the per-hop
     decomposition (clock-fit mapped, error bounded by rtt/2);
 ``worker_queue``
-    in the replica's task queue on the worker;
+    in the replica's task queue on the worker (in-process: see below);
 ``service``
     the stage callable itself;
 ``reorder_hold``
@@ -42,9 +42,10 @@ Offline report::
 
 Backends without the distributed hop decomposition (threads, processes,
 asyncio) degrade gracefully: ``stage.service`` events still tile service
-time per stage, and everything between services is attributed to
-``coord_queue`` — coarser, but the service-vs-overhead split and the
-verdict remain honest.
+time per stage, and the gap before each service (less any measured
+encode) is that stage's own ``worker_queue``: coarser, but a saturated
+stage's input wait blames that stage, not the coordinator, and the
+service-vs-overhead split stays honest.
 
 Micro-batched sessions emit one batch-covering record per hop
 (``items=N``, durations = batch totals) which the span collector attaches
@@ -111,6 +112,8 @@ class ItemProfile:
     admit_wait: float
     phases: dict[str, float]
     redispatched: bool = False
+    #: in-process executors: stage -> the ``worker_queue`` tiled before it
+    queued: dict[int, float] = field(default_factory=dict)
 
     @property
     def attributed(self) -> float:
@@ -188,13 +191,8 @@ class ProfileReport:
         phase = self.bottleneck_phase
         if phase is None or not self.stages:
             return None
-        if phase in ("service", "worker_queue"):
-            key = phase
-        elif phase == "encode":
-            key = "encode"
-        elif phase in ("wire_out", "wire_back"):
-            key = "wire"
-        else:
+        key = {"wire_out": "wire", "wire_back": "wire"}.get(phase, phase)
+        if key not in ("service", "worker_queue", "encode", "wire"):
             return None  # coord_queue / reorder_hold are cross-stage
         return max(self.stages, key=lambda s: getattr(self.stages[s], key))
 
@@ -278,6 +276,7 @@ def _profile_span(span: Span) -> ItemProfile | None:
     latency = max(0.0, done.time - sub.time)
     phases: dict[str, float] = defaultdict(float)
     enc_by_stage: dict[int, float] = defaultdict(float)
+    queued: dict[int, float] = {}
     for e in span.events:
         if e.kind == "frame.encode" and "seconds" in e.fields:
             enc_by_stage[e.fields.get("stage", 0)] += e.fields["seconds"]
@@ -315,14 +314,19 @@ def _profile_span(span: Span) -> ItemProfile | None:
             cursor = max(cursor, hop.time)
     else:
         # In-process executors: stage.service events mark each service's
-        # end; everything between them is (coarse) coordinator residence.
+        # end; the gap before one is the item waiting for that stage (minus
+        # any measured encode into it): the stage's own queue.
         for e in sorted(
             (e for e in span.events if e.kind == "stage.service"),
             key=lambda e: e.time,
         ):
             sec = e.fields.get("seconds", 0.0)
-            start = e.time - sec
-            phases["coord_queue"] += max(0.0, start - cursor)
+            stage = e.fields.get("stage", 0)
+            gap = max(0.0, e.time - sec - cursor)
+            enc = min(enc_by_stage.pop(stage, 0.0), gap)
+            phases["encode"] += enc
+            phases["worker_queue"] += gap - enc
+            queued[stage] = queued.get(stage, 0.0) + gap - enc
             # Batch-covering records (items=N, seconds = batch total):
             # the item's own service is seconds/N, the remainder is
             # in-batch wait on batchmates (queue-shaped) — coverage stays
@@ -332,10 +336,6 @@ def _profile_span(span: Span) -> ItemProfile | None:
             if n > 1:
                 phases["worker_queue"] += sec - sec / n
             cursor = max(cursor, e.time)
-        for sec in enc_by_stage.values():
-            enc = min(sec, phases["coord_queue"])
-            phases["encode"] += enc
-            phases["coord_queue"] -= enc
     phases["reorder_hold"] = max(0.0, done.time - cursor)
     return ItemProfile(
         stream=span.stream,
@@ -344,10 +344,13 @@ def _profile_span(span: Span) -> ItemProfile | None:
         admit_wait=sub.fields.get("wait", 0.0),
         phases=dict(phases),
         redispatched=span.redispatched,
+        queued=queued,
     )
 
 
-def _fold_stage_aggregates(report: ProfileReport, span: Span) -> None:
+def _fold_stage_aggregates(report: ProfileReport, span: Span, item: ItemProfile) -> None:
+    for stage, wait in item.queued.items():
+        report.stages.setdefault(int(stage), StageAggregate(int(stage))).worker_queue += wait
     for e in span.events:
         f = e.fields
         stage = f.get("stage")
@@ -383,7 +386,7 @@ def profile_spans(spans, *, backend: str = "?") -> ProfileReport:
         if item is None:
             continue
         report.items.append(item)
-        _fold_stage_aggregates(report, span)
+        _fold_stage_aggregates(report, span, item)
     return report
 
 

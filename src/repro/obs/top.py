@@ -53,6 +53,8 @@ class TopState:
         self.stage_names: list[str] = []
         self.session_open = False
         self.last_t = 0.0
+        self.first_wall = float("inf")
+        self.closed_wall: float | None = None
         self.decisions: deque[tuple[float, str, str]] = deque(maxlen=decisions)
         # stage -> (wall, items) of its stage.service records in the window
         self.recent: dict[int, deque[tuple[float, int]]] = {}
@@ -61,17 +63,19 @@ class TopState:
         ev = to_event(rec)
         self._fold(ev)
         kind, f = ev.kind, ev.fields
+        wall = rec.get("wall", time.time())
         self.last_t = max(self.last_t, ev.time)
+        self.first_wall = min(self.first_wall, wall)
         if kind == "session.open":
             self.session_open = True
+            self.closed_wall = None
             self.backend = f.get("backend", "?")
             self.stage_names = list(f.get("stages", []))
         elif kind == "session.close":
             self.session_open = False
+            self.closed_wall = wall
         elif kind == "stage.service":
-            self.recent.setdefault(int(f["stage"]), deque()).append(
-                (rec.get("wall", time.time()), f.get("items", 1))
-            )
+            self.recent.setdefault(int(f["stage"]), deque()).append((wall, f.get("items", 1)))
         elif kind in ("adapt.decide", "adapt.act", "adapt.rollback"):
             reason = f.get("reason", ev.message)
             self.decisions.append((ev.time, kind, str(reason)))
@@ -127,11 +131,15 @@ class TopState:
         }
 
     def rate(self, stage: int, now: float) -> float:
+        """Items/s of ``stage`` over the window ending ``now`` (at the close,
+        once closed), which never reaches back past the journal's start."""
+        end = now if self.closed_wall is None else min(now, self.closed_wall)
+        cutoff = end - self.window
         recent = self.recent.setdefault(stage, deque())
-        cutoff = now - self.window
         while recent and recent[0][0] < cutoff:
             recent.popleft()
-        return sum(n for _, n in recent) / self.window
+        span = end - max(cutoff, self.first_wall)
+        return sum(n for _, n in recent) / span if span > 0 else 0.0
 
 
 def render(state: TopState, now: float | None = None) -> str:

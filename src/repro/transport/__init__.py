@@ -3,7 +3,9 @@
 The transport subsystem decouples *what* crosses an execution boundary (an
 item) from *how its bytes travel* (inline pickle vs shared-memory
 descriptors).  Both heavy backends route items through a
-:class:`~repro.transport.frames.Codec` selected by name:
+:class:`~repro.transport.frames.Codec` selected by name, whose wire form
+is a self-contained pickle stream (``bytes``) or a
+:class:`~repro.transport.frames.Frame` carrying buffers or descriptors:
 
 * ``"pickle"`` — everything inline (the portable baseline);
 * ``"shm"`` — every eligible buffer in a recycled shared-memory slot,
@@ -25,8 +27,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "codecs": "AUTO_THRESHOLD PickleCodec SharedMemoryCodec calibrated_auto_threshold",
         "frames": (
             "SHM_PREFIX Codec Frame PoolFootprint SegmentRef TransportError "
-            "busy_segments decode_frame from_wire materialize new_session "
-            "pool_footprint session_segments sweep_session to_wire untrack"
+            "busy_segments decode_frame materialize new_session "
+            "pool_footprint session_segments sweep_session untrack Wire wire_nbytes"
         ),
         "linkfit": "LinkModel SizeStratifiedLinkEstimator",
         "registry": "available_codecs from_spec get register_codec spec_of",

@@ -1,7 +1,8 @@
 """The shipped codecs: ``pickle``, ``shm`` and ``auto``.
 
 All three produce protocol-5 pickle streams; they differ only in *buffer
-placement*:
+placement*.  A stream that keeps nothing out of band is its own wire form
+(``bytes``); one with a buffer or a segment is a :class:`Frame`:
 
 * :class:`PickleCodec` — everything inline.  The baseline and the only
   choice across host boundaries.
@@ -34,6 +35,7 @@ from repro.transport.frames import (
     SegmentRef,
     SlotPool,
     TransportError,
+    Wire,
 )
 
 __all__ = [
@@ -114,12 +116,11 @@ class PickleCodec(Codec):
 
     name = "pickle"
 
-    def encode(self, obj: object) -> Frame:
+    def encode(self, obj: object) -> bytes:
         try:
-            stream = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as err:
             raise TransportError(f"unpicklable payload: {err!r}") from err
-        return Frame(codec=self.name, stream=stream, nbytes=len(stream))
 
 
 class SharedMemoryCodec(Codec):
@@ -153,31 +154,27 @@ class SharedMemoryCodec(Codec):
         self._adopted.update(self._pool.forget())
         return super().sweep()
 
-    def encode(self, obj: object) -> Frame:
+    def encode(self, obj: object) -> Wire:
         refs: list[SegmentRef] = []
-        total = 0
 
         def place(pb: pickle.PickleBuffer) -> bool:
             # Return False -> out-of-band (we carried it); True -> in-band
             # (it then lands in the stream and is counted there).
-            nonlocal total
             try:
                 raw = pb.raw()
             except BufferError:  # non-contiguous: let pickle copy it in-band
                 return True
             if raw.nbytes < self.threshold:
                 return True
-            total += raw.nbytes
             refs.append(self._pool.place(raw))
             return False
 
-        head: bytes | SegmentRef
         try:
             stream = pickle.dumps(obj, protocol=5, buffer_callback=place)
-            nbytes = len(stream) + total
-            head = stream
-            if len(stream) >= self.threshold:
-                head = self._pool.place(stream)
+            if not refs and len(stream) < self.threshold:
+                return stream  # nothing placed: the stream is the wire
+            nbytes = len(stream) + sum(ref.size for ref in refs)
+            head = self._pool.place(stream) if len(stream) >= self.threshold else stream
         except Exception as err:
             # Hand back any slots written before the failure (an
             # unpicklable payload, or shm exhaustion mid-placement).

@@ -1,16 +1,18 @@
-"""The payload transport port: codecs that turn objects into frames.
+"""The payload transport port: codecs that turn objects into wire forms.
 
-A :class:`Frame` is the unit every heavy backend moves between processes
-and hosts: a pickle-protocol-5 stream plus that stream's out-of-band
-buffers, each carried either **inline** (plain bytes, travels with the
-frame) or as a :class:`SegmentRef` — the name of a shared-memory **slot**
-holding the actual bytes plus the generation the slot carried when the
-frame was written, so only a descriptor crosses the queue or socket.
+An item crosses a lane in its **wire form**: a self-contained protocol-5
+pickle stream as itself (plain ``bytes``), anything else as a
+:class:`Frame` — the stream plus its out-of-band buffers, each carried
+either **inline** (plain bytes, travels with the frame) or as a
+:class:`SegmentRef` — the name of a shared-memory **slot** holding the
+actual bytes plus the generation the slot carried when the frame was
+written, so only a descriptor crosses the queue or socket.
 
 A :class:`Codec` decides *placement* at encode time (which buffers go to
-shared memory); decoding is codec-agnostic because frames are
+shared memory); decoding is codec-agnostic because wire forms are
 self-describing — :func:`decode_frame` reconstructs the object from any
-frame, wherever it was encoded.  The lifecycle contract:
+wire, wherever it was encoded.  The lifecycle contract (for frames: a
+``bytes`` wire holds no slot):
 
 * ``encode`` takes a slot from the encoding process's :class:`SlotPool`
   (the lowest-index free slot of the buffer's power-of-two size class,
@@ -72,14 +74,14 @@ __all__ = [
     "TransportError",
     "busy_segments",
     "decode_frame",
-    "from_wire",
     "materialize",
     "new_session",
     "pool_footprint",
     "session_segments",
     "sweep_session",
-    "to_wire",
     "untrack",
+    "Wire",
+    "wire_nbytes",
 ]
 
 #: Common prefix of every shared-memory segment this package creates.
@@ -129,7 +131,8 @@ class SegmentRef:
 
 @dataclass(frozen=True)
 class Frame:
-    """One encoded payload: a pickle stream plus its out-of-band buffers.
+    """A wire form that is not a bare stream: a pickle stream plus its
+    out-of-band buffers.
 
     ``stream`` and each entry of ``buffers`` are either plain bytes
     (inline) or a :class:`SegmentRef`.  ``nbytes`` is the total payload
@@ -161,20 +164,13 @@ class Frame:
         return sum(ref.recycled for ref in refs) / len(refs) if refs else None
 
 
-def to_wire(frame: Frame) -> "bytes | Frame":
-    """What crosses a lane for ``frame``: the envelope is paid only when used.
-
-    An inline, bufferless frame *is* its pickle stream, so it travels as
-    those ``bytes`` (pickling a frozen dataclass per hop cost five times
-    the bytes themselves); anything carrying a buffer or a
-    :class:`SegmentRef` travels as the :class:`Frame` it is.
-    """
-    return frame.stream if type(frame.stream) is bytes and not frame.buffers else frame
+#: One payload on a lane: a self-contained pickle stream, or a :class:`Frame`.
+Wire = bytes | Frame
 
 
-def from_wire(wire: "bytes | Frame", codec: str) -> Frame:
-    """The frame :func:`to_wire` flattened; ``codec`` names the lane's codec."""
-    return Frame(codec, wire, (), len(wire)) if type(wire) is bytes else wire
+def wire_nbytes(wire: Wire) -> int:
+    """The payload size of a wire form: a stream's length, a frame's ``nbytes``."""
+    return len(wire) if type(wire) is bytes else wire.nbytes
 
 
 # ------------------------------------------------------------------ segments
@@ -389,46 +385,49 @@ class SlotPool:
                 pass
 
 
-def decode_frame(frame: Frame) -> object:
-    """Reconstruct the object from any frame (does **not** release it)."""
-    stream = (
-        bytes(_read_segment(frame.stream))
-        if isinstance(frame.stream, SegmentRef)
-        else frame.stream
-    )
-    buffers = [
-        _read_segment(b) if isinstance(b, SegmentRef) else b for b in frame.buffers
-    ]
+def decode_frame(wire: Wire) -> object:
+    """Reconstruct the object from either wire form (does **not** release it)."""
+    if type(wire) is bytes:  # one loads: no buffers, no segments
+        try:
+            return pickle.loads(wire)
+        except Exception as err:
+            raise TransportError(f"undecodable stream: {err!r}") from err
+    stream = wire.stream
+    if isinstance(stream, SegmentRef):
+        stream = bytes(_read_segment(stream))
+    buffers = [_read_segment(b) if isinstance(b, SegmentRef) else b for b in wire.buffers]
     try:
         return pickle.loads(stream, buffers=buffers)
     except TransportError:
         raise
     except Exception as err:
-        raise TransportError(f"undecodable frame ({frame.codec}): {err!r}") from err
+        raise TransportError(f"undecodable frame ({wire.codec}): {err!r}") from err
 
 
-def materialize(frame: Frame, *, release: bool = True) -> Frame:
-    """An equivalent self-contained frame (segments copied inline).
+def materialize(wire: Wire, *, release: bool = True) -> Wire:
+    """An equivalent self-contained wire (segments copied inline; the bare
+    stream when no buffer is left, and a ``bytes`` wire as it is).
 
     Used when a frame must cross a boundary shared memory cannot (a remote
-    worker).  ``release`` (default) hands the source slots back — the
-    materialized frame replaces the original.
+    worker).  ``release`` (default) hands the source slots back.
     """
-    if frame.inline:
-        return frame
-    stream = frame.stream
+    if type(wire) is bytes or wire.inline:
+        return wire
+    stream = wire.stream
     if isinstance(stream, SegmentRef):
         stream = bytes(_read_segment(stream))
     # Buffers stay bytearray: pickle rebuilds numpy arrays as views of the
     # provided buffers, and a bytes buffer would make them read-only on
     # the materialized path only (breaking in-place stages remotely).
     buffers = tuple(
-        _read_segment(b) if isinstance(b, SegmentRef) else b for b in frame.buffers
+        _read_segment(b) if isinstance(b, SegmentRef) else b for b in wire.buffers
     )
     if release:
-        for ref in frame.segment_refs():
+        for ref in wire.segment_refs():
             _release_segment(ref)
-    return Frame(codec=frame.codec, stream=stream, buffers=buffers, nbytes=frame.nbytes)
+    if not buffers:
+        return stream
+    return Frame(codec=wire.codec, stream=stream, buffers=buffers, nbytes=wire.nbytes)
 
 
 def session_segments(session: str) -> list[str]:
@@ -498,7 +497,7 @@ def sweep_session(session: str, *, extra_names: set[str] | None = None) -> list[
 
 
 class Codec:
-    """Placement policy port: object -> :class:`Frame` and back.
+    """Placement policy port: object -> wire form and back.
 
     Instances are cheap and process-local; what must be *shared* between
     the parties of one pipeline run is only the session token (so sweeps
@@ -521,17 +520,20 @@ class Codec:
         self._adopted.add(name)
 
     # ------------------------------------------------------------------ port
-    def encode(self, obj: object) -> Frame:
+    def encode(self, obj: object) -> Wire:
+        """The wire form of ``obj``: its pickle stream as ``bytes`` when that
+        is self-contained, else a :class:`Frame` carrying its buffers."""
         raise NotImplementedError
 
-    def decode(self, frame: Frame) -> object:
-        """Reconstruct the object (frames are self-describing; no release)."""
-        return decode_frame(frame)
+    #: Reconstruct the object (wire forms are self-describing; no release).
+    decode = staticmethod(decode_frame)
 
-    def release(self, frame: Frame) -> None:
-        """Hand the frame's slots back; duplicate or late release is a no-op."""
-        for ref in frame.segment_refs():
-            _release_segment(ref)
+    def release(self, wire: Wire) -> None:
+        """Hand a frame's slots back (a ``bytes`` wire holds none); duplicate
+        or late release is a no-op."""
+        if type(wire) is not bytes:
+            for ref in wire.segment_refs():
+                _release_segment(ref)
 
     def sweep(self) -> list[str]:
         """Unlink every surviving segment of this codec's session."""

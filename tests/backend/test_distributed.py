@@ -30,7 +30,7 @@ from repro.core.stage import StageSpec
 from repro.obs.events import NULL_BUS
 from repro.runtime.threads import StageError
 from repro.skel.api import pipeline_1for1
-from repro.transport import PickleCodec, from_wire, to_wire
+from repro.transport import PickleCodec, wire_nbytes
 from repro.transport.lane import MAX_FRAME, ProtocolError, encode_frame
 
 
@@ -675,14 +675,14 @@ def test_worker_drops_a_task_for_an_unknown_slot_and_serves_on():
         )
         shm_ok = recv_frame(sock)
         assert shm_ok == ("shm_ok", False)  # no probe offered -> inline only
-        payload = to_wire(PickleCodec().encode("payload"))
+        payload = PickleCodec().encode("payload")
         send_frame(sock, ("task", 1, 0, 7, 3, payload, 0.0, (), ()))
         send_frame(sock, ("place", 0, 1, pickle.dumps(_inc), "inc"))
-        send_frame(sock, ("task", 1, 0, 1, 4, to_wire(PickleCodec().encode(41)), 0.0, (), ()))
+        send_frame(sock, ("task", 1, 0, 1, 4, PickleCodec().encode(41), 0.0, (), ()))
         assert recv_frame(sock) == ("placed", 0, 1, None)
         result = recv_frame(sock)  # the worker sends nothing unasked: no heartbeat
         assert result[:6] == ("result", 1, 0, 1, 4, True)
-        assert PickleCodec().decode(from_wire(result[6], "pickle")) == 42
+        assert PickleCodec().decode(result[6]) == 42
         send_frame(sock, ("shutdown",))
         t.join(timeout=5.0)
         assert not t.is_alive()
@@ -713,7 +713,7 @@ def test_a_worker_reports_one_set_of_stamps_per_result():
         )
         assert recv_frame(sock) == ("shm_ok", False)
         send_frame(sock, ("place", 0, 1, pickle.dumps(_inc), "inc"))
-        send_frame(sock, ("task", 1, 0, 1, 3, to_wire(PickleCodec().encode(41)), 12.5, (), ()))
+        send_frame(sock, ("task", 1, 0, 1, 3, PickleCodec().encode(41), 12.5, (), ()))
         send_frame(sock, ("ping", 7.5))
         frames = {}
         while len(frames) < 3:
@@ -727,8 +727,8 @@ def test_a_worker_reports_one_set_of_stamps_per_result():
         assert (epoch, stage, slot, seq, ok, t_sent, err_repr) == (1, 0, 1, 3, True, 12.5, None)
         ((hop_stage, worker, hop_slot, t_recv_w, wait_s, service_s, t_send_w, nbytes),) = trail
         assert (hop_stage, worker, hop_slot) == (0, 0, 1)  # a route of one hop: the boundary
-        assert PickleCodec().decode(from_wire(payload, "pickle")) == 42
-        assert nbytes == from_wire(payload, "pickle").nbytes
+        assert PickleCodec().decode(payload) == 42
+        assert nbytes == wire_nbytes(payload) == len(payload)
         assert service_s >= 0 and wait_s >= 0
         assert t_recv_w + wait_s + service_s <= t_send_w
         send_frame(sock, ("shutdown",))
@@ -891,7 +891,7 @@ def test_a_frame_no_replica_takes_is_released_where_it_was_dropped():
     try:
         send_frame(sock, ("place", 0, 1, pickle.dumps(_inc), "inc"))
         assert recv_frame(sock) == ("placed", 0, 1, None)
-        task = to_wire(PickleCodec().encode(41))
+        task = PickleCodec().encode(41)
         # Stage 0's output goes on to stage 1's slot 9 on this worker (id 0).
         send_frame(sock, ("task", 1, 0, 1, 3, task, 0.0, ((1, 9, 0),), ()))
         with socket.create_connection(address, timeout=10.0) as peer:
@@ -899,7 +899,7 @@ def test_a_frame_no_replica_takes_is_released_where_it_was_dropped():
             assert recv_frame(peer) == ("peer_ok", 0, False)
             upstream = ((0, 5, 1, 0.0, 0.0, 0.0, 0.0, 10),)  # worker 5's stage-0 hop
             send_frame(
-                peer, ("task", 1, 1, 9, 4, to_wire(PickleCodec().encode(7)), 0.0, (), upstream)
+                peer, ("task", 1, 1, 9, 4, PickleCodec().encode(7), 0.0, (), upstream)
             )
             deadline = time.monotonic() + 5.0
             while len(spy.released) < 2 and time.monotonic() < deadline:
@@ -1256,8 +1256,8 @@ class TestPlacementByFinishTime:
             route = r.tasks[seq] = _Route(b._codec.encode(seq), [r])
             route.t_sent = t_sent
             out = b._codec.encode(seq)
-            boundary = (0, r.worker.id, r.slot, 0.0, 0.0, 0.0, 0.0, out.nbytes)
-            result = ("result", 0, 0, r.slot, seq, True, to_wire(out), t_sent, None, (boundary,))
+            boundary = (0, r.worker.id, r.slot, 0.0, 0.0, 0.0, 0.0, wire_nbytes(out))
+            result = ("result", 0, 0, r.slot, seq, True, out, t_sent, None, (boundary,))
             results.append((r.worker, recv_t, result))
         # Each boundary's wire sample (the round trip, as neither stamp
         # waited nor served) goes to the worker's link fit.

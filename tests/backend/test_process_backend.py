@@ -449,7 +449,7 @@ class TestForwardedTelemetry:
         def size(values):
             # The window mean over the newest 32 (each stage has one worker,
             # so sizes are recorded in item order).
-            return sum(codec.encode(v).nbytes for v in values[-32:]) / 32
+            return sum(transport.wire_nbytes(codec.encode(v)) for v in values[-32:]) / 32
 
         inputs = [list(range(k)) for k in range(40)]
         mids = [x + [0] * 7 for x in inputs]

@@ -89,7 +89,8 @@ class FakeLaneSession(RoutedSession):
             self._seen[stage].add(seq)
             if kind == "err":
                 return [*got, payload]
-            got.append((seq, payload, [(stage, "fake", 0.001, payload.nbytes, 0, None, 1.0)]))
+            hop = (stage, "fake", 0.001, transport.wire_nbytes(payload), 0, None, 1.0)
+            got.append((seq, payload, [hop]))
         return got
 
 

@@ -437,13 +437,13 @@ class TestDistributedSessionStreams:
         import socket
 
         from repro.backend.distributed.protocol import PREAMBLE, recv_frame, send_frame
-        from repro.transport import PickleCodec, to_wire
+        from repro.transport import PickleCodec, wire_nbytes
 
         def result(task, value):
             _, epoch, stage, slot, seq, _payload, t_sent, _route, trail = task
             out = PickleCodec().encode(value)
-            boundary = (stage, 0, slot, 0.0, 0.0, 0.0, 0.0, out.nbytes)
-            return ("result", epoch, stage, slot, seq, True, to_wire(out), t_sent, None,
+            boundary = (stage, 0, slot, 0.0, 0.0, 0.0, 0.0, wire_nbytes(out))
+            return ("result", epoch, stage, slot, seq, True, out, t_sent, None,
                     (*trail, boundary))
 
         def next_frame(sock):  # what the coordinator sends, past its pings

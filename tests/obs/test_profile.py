@@ -96,9 +96,29 @@ class TestItemTiling:
         ))
         p = report.items[0].phases
         assert p["service"] == pytest.approx(0.3)
-        assert p["coord_queue"] == pytest.approx(0.3)  # 0.2 pre + 0.1 between
+        # The wait before each service is that stage's own queue: 0.2 pre
+        # stage 0 + 0.1 between; nothing is the coordinator's.
+        assert p["worker_queue"] == pytest.approx(0.3)
+        assert "coord_queue" not in p
+        assert report.items[0].queued == pytest.approx({0: 0.2, 1: 0.1})
+        assert report.stages[0].worker_queue == pytest.approx(0.2)
+        assert report.stages[1].worker_queue == pytest.approx(0.1)
         assert p["reorder_hold"] == pytest.approx(0.1)
         assert report.items[0].coverage == pytest.approx(1.0)
+
+    def test_inprocess_encode_carved_out_of_stage_zero_wait(self):
+        report = profile_spans(_collect(
+            ("stream.begin", 0.0, {"stream": 0}),
+            ("item.submit", 0.0, {"stream": 0, "seq": 0, "gseq": 0}),
+            ("frame.encode", 0.05, {"stage": 0, "seq": 0, "seconds": 0.05, "nbytes": 64}),
+            ("stage.service", 0.3, {"stage": 0, "seconds": 0.1, "seq": 0}),
+            ("item.complete", 0.3, {"stream": 0, "seq": 0}),
+        ))
+        item = report.items[0]
+        assert item.phases["encode"] == pytest.approx(0.05)
+        assert item.phases["worker_queue"] == pytest.approx(0.15)
+        assert item.queued == pytest.approx({0: 0.15})
+        assert item.coverage == pytest.approx(1.0)
 
 
 class TestVerdict:
@@ -132,6 +152,30 @@ class TestVerdict:
         assert report.agreement().startswith("agrees")
         report.decisions.append((2.0, [2, 1], [2, 2], "grow 1"))
         assert report.agreement().startswith("disagrees")
+
+    def test_a_saturated_inprocess_stage_is_blamed_for_its_input_wait(self):
+        # Threads, stage 1 the bottleneck: each item waits ever longer for
+        # one of stage 1's replicas.  That wait is stage 1's, not the
+        # coordinator's, and the verdict names the stage.
+        emits = [("stream.begin", 0.0, {"stream": 0})]
+        for seq in range(8):
+            t0 = 0.01 * seq
+            end1 = 0.1 * (seq + 1)  # stage 1 serves one item per 0.1 s
+            emits += [
+                ("item.submit", t0, {"stream": 0, "seq": seq, "gseq": seq}),
+                ("stage.service", t0 + 0.002, {"stage": 0, "seconds": 0.001, "seq": seq}),
+                ("stage.service", end1, {"stage": 1, "seconds": 0.09, "seq": seq}),
+                ("item.complete", end1, {"stream": 0, "seq": seq}),
+            ]
+        report = profile_spans(_collect(*emits))
+        assert len(report.items) == 8
+        assert report.bottleneck_phase == "worker_queue"
+        assert report.bottleneck_stage == 1
+        assert report.verdict.startswith("replica-starved (worker queue) at stage 1")
+        assert report.phase_totals["coord_queue"] == 0.0
+        assert report.stages[1].worker_queue > report.stages[0].worker_queue
+        report.decisions.append((1.0, [1, 1], [1, 4], "grow 1"))
+        assert report.agreement().startswith("agrees")
 
     def test_coord_bound_has_no_stage(self):
         report = profile_spans(_collect(*_distributed_span()))

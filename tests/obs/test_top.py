@@ -53,7 +53,8 @@ class TestTopState:
         assert s.stages()[1]["items"] == 5
         assert s.stages()[1]["service"] == pytest.approx(0.1)
         assert s.stages()[1]["replicas"] == 1  # no replica record: one
-        assert s.rate(1, now=100.0) == 5 / s.window
+        # The journal starts at 100.0: a whole window later, it spans the window.
+        assert s.rate(1, now=100.0 + s.window) == 5 / s.window
 
     def test_a_replica_record_alone_shows_its_stage(self):
         s = TopState()
@@ -67,6 +68,20 @@ class TestTopState:
             s.feed({"kind": "stage.service", "t": 0.0, "stage": 0,
                     "seconds": 0.01, "wall": wall})
         assert s.rate(0, now=110.0) == 2 / 10.0  # 99.0 aged out
+
+    def test_a_journal_shorter_than_the_window_is_divided_by_its_span(self):
+        # 200 items over a 0.2 s session: read 5 s of window, it is 40/s;
+        # read over the span the journal covers, 1,000/s.
+        s = TopState(window=5.0)
+        s.feed({"kind": "session.open", "t": 0.0, "wall": 100.0, "stages": ["a"]})
+        for k in range(200):
+            s.feed({"kind": "stage.service", "t": 0.0, "stage": 0, "seconds": 0.001,
+                    "wall": 100.0 + (k + 1) * 0.001})
+        assert s.rate(0, now=100.2) == pytest.approx(200 / 0.2)  # live: up to now
+        s.feed({"kind": "session.close", "t": 0.2, "wall": 100.2})
+        # Closed: the window ends at the close, however late it is read.
+        assert s.rate(0, now=160.0) == pytest.approx(200 / 0.2)
+        assert s.rate(0, now=100.0) == 0.0  # nothing is covered before the journal
 
     def test_worker_membership(self):
         s = TopState()

@@ -1,9 +1,10 @@
-"""The flat wire envelope: what a frame looks like while it crosses a lane.
+"""The wire form: what a codec's ``encode`` returns and a lane carries.
 
-``to_wire`` flattens an inline, bufferless frame to its pickle stream (plain
-``bytes``: five times cheaper to pickle again than the frozen dataclass)
-and passes everything else through; ``from_wire`` rebuilds the frame on the
-other side, which knows the lane's codec.  Nothing may be lost either way.
+A self-contained pickle stream is its own wire form (plain ``bytes``: five
+times cheaper to pickle again than a frozen dataclass around it); anything
+with an out-of-band buffer or a shared-memory segment is a ``Frame``.
+``decode`` and ``release`` take either form, ``wire_nbytes`` sizes either,
+and nothing may be lost on the way.
 """
 
 import pickle
@@ -14,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import transport
-from repro.transport import Frame, SegmentRef, from_wire, materialize, to_wire
+from repro.transport import (
+    Frame,
+    SegmentRef,
+    TransportError,
+    materialize,
+    wire_nbytes,
+)
 
 _payloads = st.one_of(
     st.integers(),
@@ -35,6 +42,10 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _part_size(part) -> int:
+    return part.size if isinstance(part, SegmentRef) else len(part)
+
+
 @settings(max_examples=60, deadline=None)
 @given(payload=_payloads, name=st.sampled_from(["pickle", "shm", "auto"]),
        threshold=st.sampled_from([1, 512, 1 << 20]))
@@ -43,44 +54,93 @@ def test_wire_round_trip_loses_nothing(payload, name, threshold):
     if name != "pickle":
         codec.threshold = threshold  # small: segments; huge: everything inline
     try:
-        frame = codec.encode(payload)
-        wire = to_wire(frame)
-        if frame.inline and not frame.buffers:
-            # The envelope is the stream itself, and pickles as bare bytes.
-            assert wire is frame.stream and type(wire) is bytes
-            assert len(pickle.dumps(wire, protocol=5)) < len(pickle.dumps(frame, protocol=5))
+        wire = codec.encode(payload)
+        if type(wire) is bytes:
+            # The stream is the wire, and pickles as bare bytes.
+            envelope = Frame(codec.name, wire, (), len(wire))
+            assert len(pickle.dumps(wire, protocol=5)) < len(pickle.dumps(envelope, protocol=5))
+            assert wire_nbytes(wire) == len(wire)
         else:
-            assert wire is frame  # descriptors travel as the Frame they are
-        back = from_wire(pickle.loads(pickle.dumps(wire, protocol=5)), frame.codec)
-        assert back == frame and back.nbytes == frame.nbytes and back.codec == frame.codec
+            # A codec builds a frame only around what it placed in a segment.
+            assert isinstance(wire, Frame) and not wire.inline and wire.codec == codec.name
+            parts = (wire.stream, *wire.buffers)
+            assert wire_nbytes(wire) == wire.nbytes == sum(_part_size(p) for p in parts)
+        back = pickle.loads(pickle.dumps(wire, protocol=5))
+        assert type(back) is type(wire) and back == wire
+        assert wire_nbytes(back) == wire_nbytes(wire)
         assert _same(codec.decode(back), payload)
         codec.release(back)
     finally:
         codec.close()
 
 
-def test_frames_with_a_segment_stream_or_buffers_pass_through_untouched():
+def test_frames_with_a_segment_stream_or_buffers_travel_as_themselves():
     ref = SegmentRef("repro-shm-x-1-1", 10, gen=7)
     for frame in (
         Frame("shm", ref, (), 10),  # the stream itself lives in a slot
         Frame("shm", b"head", (ref,), 14),
         Frame("shm", b"head", (bytearray(b"inline buffer"),), 17),  # a materialized frame
     ):
-        assert to_wire(frame) is frame
-        assert from_wire(frame, "pickle") is frame  # the codec name is the frame's own
+        back = pickle.loads(pickle.dumps(frame, protocol=5))
+        assert back == frame and back.codec == "shm"  # the codec name is the frame's own
+        assert wire_nbytes(frame) == frame.nbytes
+    inline = Frame("shm", b"head", (bytearray(b"inline buffer"),), 17)
+    assert materialize(inline) is inline  # nothing left to copy in
 
 
 def test_materialized_bufferless_frame_flattens_and_keeps_its_size():
     codec = transport.get("shm")  # threshold 1: even the stream earns a slot
     try:
-        frame = materialize(codec.encode(b"payload"))
-        assert frame.inline and not frame.buffers
-        assert from_wire(to_wire(frame), "shm") == frame
+        frame = codec.encode(b"payload")
+        assert isinstance(frame, Frame) and not frame.inline
+        wire = materialize(frame)
+        assert type(wire) is bytes and wire_nbytes(wire) == frame.nbytes
+        assert codec.decode(wire) == b"payload"
+        assert materialize(wire) is wire  # a stream passes through
     finally:
         codec.close()
 
 
 @pytest.mark.parametrize("wire", [b"", b"\x80\x05N."])
-def test_from_wire_sizes_a_flat_frame_by_its_stream(wire):
-    frame = from_wire(wire, "auto")
-    assert (frame.codec, frame.stream, frame.buffers, frame.nbytes) == ("auto", wire, (), len(wire))
+def test_wire_nbytes_sizes_a_stream_by_its_length(wire):
+    assert wire_nbytes(wire) == len(wire)
+
+
+class TestCodecPort:
+    @pytest.mark.parametrize("name", ["pickle", "shm", "auto"])
+    @pytest.mark.parametrize("garbage", [b"", b"\x80\x05", b"not a pickle"])
+    def test_decode_of_garbage_bytes_raises_transport_error(self, name, garbage):
+        codec = transport.get(name)
+        try:
+            with pytest.raises(TransportError, match="undecodable stream"):
+                codec.decode(garbage)
+        finally:
+            codec.close()
+
+    @pytest.mark.parametrize("name", ["pickle", "auto"])
+    def test_release_of_a_stream_is_a_no_op(self, name):
+        codec = transport.get(name)
+        try:
+            wire = codec.encode({"small": 1})
+            assert type(wire) is bytes
+            assert codec.release(wire) is None
+            codec.release(wire)  # twice: still nothing to give back
+            assert codec.decode(wire) == {"small": 1}
+            assert transport.busy_segments(codec.session) == []
+        finally:
+            codec.close()
+
+    def test_a_mebibyte_array_under_auto_still_rides_a_segment(self):
+        codec = transport.get("auto")
+        try:
+            payload = np.arange(1 << 17, dtype=np.float64)  # 1 MiB
+            frame = codec.encode(payload)
+            assert isinstance(frame, Frame)
+            refs = frame.segment_refs()
+            assert refs and all(isinstance(r, SegmentRef) for r in refs)
+            assert frame.nbytes >= payload.nbytes
+            np.testing.assert_array_equal(codec.decode(frame), payload)
+            codec.release(frame)
+            assert transport.busy_segments(codec.session) == []
+        finally:
+            codec.close()
