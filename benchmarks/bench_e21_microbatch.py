@@ -5,8 +5,7 @@ fixed per-item framework tax — queue hops, reorderer transactions, pickle
 framing, wire round trips — and coalescing admitted items into batch
 frames (``batching="auto"``) amortizes that tax across the batch without
 changing any per-item semantics.  The acceptance bar from the issue:
-``batched_tp / unbatched_tp >= 5`` on the thread and process executors
-(the two whose per-item hop cost the calibration probe models directly);
+``batched_tp / unbatched_tp >= 5`` on the thread and process executors;
 asyncio and distributed ride along as supporting evidence.
 
 Per backend the harness streams the same bounded workload through one
@@ -117,7 +116,7 @@ def run_experiment():
 
             # Batched session on the SAME warm backend.
             session = b.open(batching="auto")
-            batch_items = session._bcfg.max_items
+            batch_items = session._batch_items
             _measure_first_result(session, n_first)
             batch_tp = _measure_throughput(session, N_ITEMS)
             first_s = _measure_first_result(session, n_first)

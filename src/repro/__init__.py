@@ -4,8 +4,8 @@ A from-scratch reproduction of the adaptive pipeline skeleton of
 Gonzalez-Velez & Cole, including every substrate it needs: a discrete-event
 grid simulator, an NWS-style monitoring/forecasting layer, an analytic
 mapping model with optimisers, and the observe-decide-act adaptation engine.
-See README.md for a tour and DESIGN.md for the full inventory (and the
-paper-text mismatch notice).
+The real executors behind the same skeleton are documented under ``docs/``
+(``backends.md`` first).
 
 Quickstart::
 

@@ -21,7 +21,7 @@ bounded-stream convenience on top.  Four executors ship, under five names:
 * ``"processes"`` — :class:`ProcessPoolBackend`, warm pre-forked process
   pools per stage (true multi-core for CPU-bound Python stages; pools
   survive across streams, items travel through a :mod:`repro.transport`
-  codec with a warm-up-calibrated shared-memory threshold);
+  codec, by default inline below a fixed shared-memory threshold);
 * ``"distributed"`` — :class:`DistributedBackend`, TCP-socket workers on
   this or other hosts (the paper's actual setting: real link costs, node
   loss, load-derived speeds; worker links and replica placement stay warm

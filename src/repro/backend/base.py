@@ -70,7 +70,8 @@ from repro.model.throughput import ResourceView
 from repro.monitor.instrument import PipelineInstrumentation, StageSnapshot
 from repro.obs.events import NULL_BUS, EventBus
 from repro.runtime.threads import StageError
-from repro.util.batching import Batch, BatchingConfig, approx_nbytes, normalize_batching
+from repro.util import batching as _batching
+from repro.util.batching import Batch, approx_nbytes, normalize_batching
 from repro.util.handoff import Bell
 from repro.util.validation import check_positive
 
@@ -128,8 +129,8 @@ class Ticket(tuple):
     Tickets minted by a live session also resolve individually:
     :meth:`done` and :meth:`wait` answer "has *my* item been delivered?"
     without consuming ``results()`` — the request/response surface
-    out-of-order consumers need.  Micro-batched sessions resolve tickets
-    at batch split, so per-ticket completion is exact either way.
+    out-of-order consumers need.  A micro-batched session delivers a
+    batch's items one by one, so per-ticket completion is exact either way.
 
     Immutable, and equal and hashed by ``(stream, seq)`` alone; it is a
     ``(stream, seq, session)`` tuple underneath because one is minted per
@@ -245,10 +246,10 @@ class Session:
     ``_lock`` (a plain lock) guards all of that state and the assembly
     buffer.  No wait polls a clock: a parked ``submit``, ``results()``,
     ``drain()`` or ``Ticket.wait`` waits on ``_bell``, rung by a delivery
-    (only while someone is parked), the drain barrier and its end, a
-    finished flusher cut, an error and close.  The idle flusher waits on
-    ``_flush_bell``: a queued cut, close, and the first item of an empty
-    buffer, whose linger deadline it then waits out.
+    (only while someone is parked), the drain barrier and its end, an
+    error and close.  The idle flusher waits on ``_flush_bell``: close, and
+    the first item of an empty buffer, whose linger deadline it then waits
+    out.
     """
 
     #: False on measure-only sessions (simulator without stage callables).
@@ -256,8 +257,8 @@ class Session:
 
     #: True on sessions whose executor fabric carries :class:`Batch` units
     #: end to end (the four real executors).  Sessions that leave this
-    #: False silently ignore ``batching=`` (the simulator models per-item
-    #: service, so coalescing would misrepresent what it simulates).
+    #: False check ``batching=`` and then ignore it (the simulator models
+    #: per-item service, so coalescing would misrepresent what it simulates).
     supports_batching = False
 
     def __init__(
@@ -268,20 +269,16 @@ class Session:
         telemetry=None,
         batching=None,
     ) -> None:
-        #: Resolved micro-batching bounds, or None when batching is off.
-        #: Auto sizing sees the pipeline's declared per-item service time,
-        #: so slow stages get small batches (latency) and sub-ms stages get
-        #: the full hop-amortizing count bound (throughput).
+        #: Items per micro-batch, or None when batching is off.  Auto sizing
+        #: sees the pipeline's declared per-item service time, so slow stages
+        #: get small batches (latency) and sub-ms stages get 64 (throughput).
         work_hint = sum(
             s.work.mean
             for s in backend.pipeline.stages
             if getattr(s, "work_declared", False)
         )
-        self._bcfg: BatchingConfig | None = (
-            normalize_batching(batching, work_hint_s=work_hint)
-            if self.supports_batching
-            else None
-        )
+        batch_items = normalize_batching(batching, work_hint_s=work_hint)
+        self._batch_items = batch_items if self.supports_batching else None
         if max_inflight is not None and not (
             isinstance(max_inflight, int) and max_inflight > 0
         ):
@@ -328,8 +325,6 @@ class Session:
         #: bseq -> (first item's gseq, item count) of every undelivered
         #: batch; the routed lanes name batch-covering records by item here.
         self._batch_map: dict[int, tuple[int, int]] = {}
-        self._flushq: deque = deque()  # cut batches awaiting the flusher
-        self._flush_busy = False  # flusher is mid-_submit_one right now
         self._opened_t0 = time.perf_counter()
         #: Short unique id of this session; the prefix of every item's
         #: trace id (``<session_id>:<stream>:<seq>``, minted at submit).
@@ -360,9 +355,9 @@ class Session:
             max_inflight=max_inflight,
             session_id=self.session_id,
         )
-        if self._bcfg is not None:
+        if self._batch_items is not None:
             # The flusher guarantees the linger deadline (partial batches
-            # under trickle load) and drains window-full deadlock cuts.
+            # under trickle load).
             threading.Thread(
                 target=self._flusher_loop,
                 name=f"session-{self.session_id}-flush",
@@ -455,7 +450,7 @@ class Session:
                     self._submitted += 1
                     gseq = self._gseq
                     self._gseq += 1
-                    if self._bcfg is not None:
+                    if self._batch_items is not None:
                         cut = self._buffer_item_locked(seq, gseq, item)
                     break
                 # Window full: wait, then re-evaluate the stream state from
@@ -463,14 +458,19 @@ class Session:
                 # while we were parked, and an admission granted against the
                 # old stream would slip past its end-of-stream barrier and
                 # corrupt the next stream's ordering.
-                if self._bcfg is not None and self._buf:
-                    # Deadlock guard: the window cannot reopen while the
-                    # only admitted-but-unexecuted items sit in the assembly
-                    # buffer, so cut the partial batch before parking.
-                    self._flushq.append(self._cut_locked("window"))
-                    self._flush_bell.ring()
                 if blocked_t0 is None:
                     blocked_t0 = time.perf_counter()
+                if self._buf:
+                    # Deadlock guard: the window cannot reopen while admitted
+                    # items sit in the assembly buffer, so submit them as a
+                    # partial batch (outside the lock) instead of parking.
+                    window_cut = self._cut_locked("window")
+                    self._lock.release()
+                    try:
+                        self._submit_cut(window_cut)
+                    finally:
+                        self._lock.acquire()
+                    continue
                 self._bell.wait()
         admit_wait = 0.0 if blocked_t0 is None else time.perf_counter() - blocked_t0
         # The span (and its trace id) is minted here: (stream, seq) is the
@@ -487,7 +487,7 @@ class Session:
                 trace=f"{self.session_id}:{stream}:{seq}",
                 **({"wait": admit_wait} if admit_wait else {}),
             )
-        if self._bcfg is None:
+        if self._batch_items is None:
             try:
                 self._submit_one(gseq, item)
             except BaseException as err:
@@ -554,7 +554,6 @@ class Session:
         plain open → submit\\* → drain batch pattern, usually empty when a
         consumer thread is active).  ``[]`` when no stream is open.
         """
-        pending: list[tuple] = []
         with self._lock:
             self._raise_if_unusable()
             if not self._streaming:
@@ -564,17 +563,8 @@ class Session:
             self._eos = True
             self._bell.ring()  # the barrier: a parked submit must see it
             stream, n = self._stream, self._submitted
-            if self._bcfg is not None:
-                # Steal every cut-but-unsubmitted batch and flush the
-                # partial buffer; wait out a flusher mid-_submit_one so no
-                # batch can land in the executor after _end_stream.
-                while self._flushq:
-                    pending.append(self._flushq.popleft())
-                if self._buf:
-                    pending.append(self._cut_locked("drain"))
-                while self._flush_busy:
-                    self._bell.wait()
-        for cut in pending:
+            cut = self._cut_locked("drain") if self._buf else None
+        if cut is not None:
             self._submit_cut(cut)
         self._end_stream(stream)
         with self._lock:
@@ -689,19 +679,18 @@ class Session:
 
     def _complete_run(self, values: list) -> None:
         """The one way out: count a run of in-order outputs with one completion
-        record and deliver it in one lock round with at most one ring — one
-        ``_deliver_batch`` per batch under batching.
+        record and deliver it in one lock round with at most one ring — a
+        burst's batches, under batching, as the one run of their items.
 
         Called by the executor's single egress thread, so the completion
         record needs no lock.
         """
-        if self._bcfg is not None:
-            self.instrumentation.record_completion(self.now(), items=sum(map(len, values)))
-            for batch in values:
-                self._deliver_batch(batch)
-            return
+        bseqs = ()
+        if self._batch_items is not None:
+            bseqs = [batch.bseq for batch in values]
+            values = [x for batch in values for x in batch.items]
         self.instrumentation.record_completion(self.now(), items=len(values))
-        self._deliver_items(values)
+        self._deliver_items(values, bseqs)
 
     def _fail(self, stage: int, err: BaseException) -> None:
         """The one way to fail: poison the session with a :class:`StageError`.
@@ -721,10 +710,11 @@ class Session:
             return self._error
         return SessionClosed("session closed while submitting")
 
-    def _deliver_items(self, items: list) -> None:
+    def _deliver_items(self, items: list, bseqs: Iterable[int] = ()) -> None:
         """The delivery half of ``_complete_run`` (all the simulator shim needs):
-        queue in-order ``items``, then emit their ``item.complete``s."""
-        stream, seq = self._deliver_run(items)
+        queue in-order ``items`` (batches ``bseqs``' members), then emit their
+        ``item.complete``s."""
+        stream, seq = self._deliver_run(items, bseqs)
         # Emit outside _lock: a journal write under the session lock would
         # serialise submitters behind the exporter's I/O.  Delivery is in
         # input order, so the pre-increment count *is* the first item's seq.
@@ -732,38 +722,16 @@ class Session:
             for k in range(seq, seq + len(items)):
                 self.events.emit("item.complete", stream=stream, seq=k)
 
-    def _deliver_batch(self, batch: Batch) -> None:
-        """Egress splitter: one delivered batch fans out to N ordered items.
-
-        One lock round and at most one ring per *batch* — the per-item half
-        of the amortization story — then per-item ``item.complete`` events
-        (guarded, so an unsubscribed bus pays nothing) keep the journal's
-        item timeline identical to the unbatched one.
-        """
-        n = len(batch.items)
-        stream, _ = self._deliver_run(batch.items, batch.bseq)
-        self.events.emit(
-            "batch.split",
-            stream=stream,
-            seq=batch.bseq,
-            base=batch.base_seq,
-            items=n,
-        )
-        if self.events.wants("item.complete"):
-            for k in range(n):
-                self.events.emit(
-                    "item.complete", stream=stream, seq=batch.base_seq + k
-                )
-
-    def _deliver_run(self, items: list, bseq: "int | None" = None) -> "tuple[int, int]":
-        """Queue in-order ``items`` (batch ``bseq``'s) in one lock round with at
-        most one ring; ``(stream, seq of the first)``."""
+    def _deliver_run(self, items: list, bseqs: Iterable[int]) -> "tuple[int, int]":
+        """Queue in-order ``items`` (batches ``bseqs``' members) in one lock
+        round with at most one ring; ``(stream, seq of the first)``."""
         with self._lock:
             stream, seq = self._stream, self._delivered
             self._out.extend(items)
             self._delivered += len(items)
             self._items_total += len(items)
-            self._batch_map.pop(bseq, None)
+            for bseq in bseqs:
+                self._batch_map.pop(bseq, None)
             if self._bell.parked:
                 self._bell.ring()
         return stream, seq
@@ -819,18 +787,17 @@ class Session:
         Returns the cut (for the admitting thread to submit outside the
         lock) when the size or byte bound tripped, else None.
         """
-        cfg = self._bcfg
         if not self._buf:
             self._buf_base_seq = seq
             self._buf_gbase = gseq
-            self._buf_deadline = time.perf_counter() + cfg.linger_s
+            self._buf_deadline = time.perf_counter() + _batching.LINGER_S
             if self._flush_bell.parked:
                 self._flush_bell.ring()  # its linger deadline starts now
         self._buf.append(item)
         self._buf_bytes += approx_nbytes(item)
-        if len(self._buf) >= cfg.max_items:
+        if len(self._buf) >= self._batch_items:
             return self._cut_locked("size")
-        if self._buf_bytes >= cfg.max_bytes:
+        if self._buf_bytes >= _batching.MAX_BYTES:
             return self._cut_locked("bytes")
         return None
 
@@ -866,34 +833,23 @@ class Session:
             raise
 
     def _flusher_loop(self) -> None:
-        """Background flusher: linger deadlines + window-full cut drain."""
+        """Background flusher: cut a partial batch once its linger deadline passes."""
         while True:
-            cut = None
             with self._lock:
                 if self._closed:
                     return
-                if self._flushq:
-                    cut = self._flushq.popleft()
-                elif self._buf and self._streaming and not self._eos:
-                    now = time.perf_counter()
-                    if now >= self._buf_deadline:
-                        cut = self._cut_locked("linger")
-                    else:
-                        self._flush_bell.wait(self._buf_deadline - now)
-                        continue
-                else:
+                if not self._buf:  # drain() cuts it under this lock as it ends the stream
                     self._flush_bell.wait()
                     continue
-                self._flush_busy = True
+                now = time.perf_counter()
+                if now < self._buf_deadline:
+                    self._flush_bell.wait(self._buf_deadline - now)
+                    continue
+                cut = self._cut_locked("linger")
             try:
                 self._submit_cut(cut)
             except BaseException:  # noqa: BLE001 - session already poisoned
                 pass
-            finally:
-                with self._lock:
-                    self._flush_busy = False
-                    if self._bell.parked:
-                        self._bell.ring()  # a drain waiting out this cut
 
     # ------------------------------------------------------ admission window
     def _lane_depth(self) -> int:
@@ -902,7 +858,7 @@ class Session:
         ceiling]; ``capacity`` with no window or a given one."""
         if self.max_inflight is None or self.backend._fixed_capacity:
             return self.backend.capacity
-        units = math.ceil(self.max_inflight / (self._bcfg.max_items if self._bcfg else 1))
+        units = math.ceil(self.max_inflight / (self._batch_items or 1))
         return max(self.backend.capacity, min(_WINDOW_CEILING, units))
 
     # ------------------------------------------------------- executor hooks

@@ -390,8 +390,8 @@ class DistributedBackend(Backend):
         Payload codec (``"auto"``/``"pickle"``/``"shm"`` or a configured
         :class:`~repro.transport.Codec`).  ``"auto"`` (default) ships
         large payloads as shared-memory descriptors to workers that share
-        this host, negotiated per worker at registration; its placement
-        threshold is calibrated at warm-up.
+        this host, negotiated per worker at registration, from
+        :data:`~repro.transport.AUTO_THRESHOLD` bytes up.
     host, port:
         Bind address of the coordinator socket (port 0 = ephemeral).
     heartbeat_interval:
@@ -547,10 +547,6 @@ class DistributedBackend(Backend):
             raise RuntimeError("backend is closed")
         if self._warm:
             return
-        if self._codec.name == "auto":
-            fitted = _transport.calibrated_auto_threshold()
-            if fitted is not None:
-                self._codec.threshold = fitted
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind((self._bind_host, self._bind_port))

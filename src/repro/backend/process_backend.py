@@ -38,8 +38,8 @@ does it report to the parent, where a router restores order::
   codec** (``transport=``) encodes them to, and nothing is built around it
   on the way: a self-contained pickle stream as plain ``bytes`` (every
   small item), or a :class:`~repro.transport.Frame` of shared-memory slot
-  descriptors for a large payload under ``"auto"``/``"shm"`` (threshold
-  **calibrated at warm-up**, :func:`repro.transport.calibrated_auto_threshold`).
+  descriptors for a large payload under ``"auto"``/``"shm"`` (``"auto"``
+  places a payload of :data:`repro.transport.AUTO_THRESHOLD` or more).
   Slots go back per item: task frames in the worker that consumed them,
   final frames at egress; ``close()`` unlinks every pool.
 * ``reconfigure`` never targets a worker: shrinking feeds a *park token* in
@@ -347,8 +347,8 @@ class ProcessPoolBackend(Backend):
         (``"auto"``/``"pickle"``/``"shm"``, see :mod:`repro.transport`) or
         a configured :class:`~repro.transport.Codec` instance.  The
         default ``"auto"`` keeps small items inline and routes large
-        numpy/bytes payloads through shared-memory segments, with the
-        placement threshold calibrated at warm-up.
+        numpy/bytes payloads through shared-memory segments, from
+        :data:`~repro.transport.AUTO_THRESHOLD` bytes up.
     """
 
     name = "processes"
@@ -388,10 +388,6 @@ class ProcessPoolBackend(Backend):
             return
         self._shutdown_pools(graceful=True)  # warm for other bounds (no-op when cold)
         self._depths = depths
-        if self._codec.name == "auto":
-            fitted = _transport.calibrated_auto_threshold()
-            if fitted is not None:
-                self._codec.threshold = fitted
         codec_spec = _transport.spec_of(self._codec)
         taskqs = [_PipeQueue(self._ctx, d) for d in depths]
         pools: list[_StagePool] = []

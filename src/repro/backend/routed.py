@@ -77,7 +77,6 @@ from typing import Any, Sequence
 
 from repro.backend.base import Backend, Session, SessionStats
 from repro.transport import Codec, Wire, pool_footprint, wire_nbytes
-from repro.util.batching import Batch
 from repro.util.ordering import SequenceReorderer
 
 __all__ = ["RoutedSession", "boundaries"]
@@ -166,26 +165,20 @@ class RoutedSession(Session):
     def _encode(self, seq: int, value: Any, codec: Codec) -> Wire:
         """Encode one admitted item as stage 0's task wire.
 
-        The single emit site of ``frame.encode``/``batch.encode``; the
-        encode is timed only when one of them has a listener.
+        The single emit site of ``frame.encode``; the encode is timed only
+        when it has a listener.
         """
-        bus = self.events
-        timed = bus.wants("frame.encode") or bus.wants("batch.encode")
+        timed = self.events.wants("frame.encode")
         t0 = time.perf_counter() if timed else 0.0
         wire = codec.encode(value)
         nbytes = wire_nbytes(wire)
         with self._stage_locks[0]:
             self.instrumentation.stages[0].record_bytes_in(nbytes)
         if timed:  # a codec builds a Frame only around a segment
-            cost = dict(
-                nbytes=nbytes, seconds=time.perf_counter() - t0,
-                recycled=getattr(wire, "recycled", None),
+            self._emit_items(
+                "frame.encode", seq, stage=0, inline=type(wire) is bytes, nbytes=nbytes,
+                seconds=time.perf_counter() - t0, recycled=getattr(wire, "recycled", None),
             )
-            if isinstance(value, Batch):
-                bus.emit(
-                    "batch.encode", stage=0, seq=seq, base=value.base_seq, items=len(value), **cost
-                )
-            self._emit_items("frame.encode", seq, stage=0, inline=type(wire) is bytes, **cost)
         return wire
 
     # --------------------------------------------------------------- routing

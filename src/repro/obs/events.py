@@ -41,11 +41,9 @@ SCHEMA: dict[str, str] = {
     "item.submit": "item admitted (span+trace minted): stream, seq, gseq, trace[, wait]",
     "item.dispatch": "item sent to a remote replica: stage, seq, worker",
     "item.complete": "item delivered in order: stream, seq",
-    # -- micro-batch lifecycle (backend/base.py assembler/splitter; seq =
-    #    the batch's own session-wide number, base = first item's stream seq)
+    # -- micro-batch cut (backend/base.py assembler; seq = the batch's own
+    #    session-wide number, base = first item's stream seq)
     "batch.assemble": "admitted items coalesced into a batch: stream, seq, base, items[, reason]",
-    "batch.encode": "a whole batch encoded as one frame: stage, seq, base, items, nbytes, seconds, recycled",
-    "batch.split": "batch split back into per-item results: stream, seq, base, items",
     # -- stage service (monitor/instrument.py hook; a micro-batched record
     #    carries the batch-total seconds plus items=N; seq is an item's gseq,
     #    the first member's on a batch, as in every record below) ---------

@@ -191,21 +191,20 @@ def open_pipeline(
     ``backend="sim"`` with ``adaptive`` is rejected here.
 
     ``telemetry=`` opts the session into the observability layer
-    (:mod:`repro.obs`): pass a :class:`~repro.obs.Telemetry` bundle for
-    full control (journal + metrics + Prometheus snapshot + spans), or a
-    plain path for the common case of a JSONL event journal.  The session
+    (:mod:`repro.obs`): pass a :class:`~repro.obs.Telemetry` for a JSONL
+    event journal and/or a Prometheus snapshot file, or a plain path for
+    the common case of a journal alone.  The session
     closes the telemetry (flushing the journal and writing any snapshot)
     when it closes.
 
     ``batching=`` turns on transparent micro-batching on the real
-    executors: the session coalesces admitted items into size- and
-    deadline-bounded batch frames on the hot path and splits them back
-    into per-item results on egress — ``submit``/``results``/``Ticket``
-    semantics and per-item ordering are unchanged.  Pass ``True`` or
-    ``"auto"`` (batch size calibrated from this host's per-item hop
-    cost), an int (explicit max items per batch), or a dict of
-    :class:`~repro.util.batching.BatchingConfig` fields (``max_items``,
-    ``max_bytes``, ``linger_s``).  The simulator ignores it.
+    executors: the session coalesces admitted items into batch frames on
+    the hot path and delivers them as per-item results on egress —
+    ``submit``/``results``/``Ticket`` semantics and per-item ordering are
+    unchanged.  Pass ``True`` or ``"auto"`` (64 items, fewer when the
+    stages declare millisecond ``work``) or a positive int (items per
+    batch); a batch is also cut at 1 MiB of payload and 2 ms after its
+    first item.  The simulator ignores it.
 
     Closing the session also detaches the controller and closes the
     backend when it was built here from a name; a :class:`Backend`

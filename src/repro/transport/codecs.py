@@ -47,15 +47,12 @@ __all__ = [
 
 #: ``auto``'s placement threshold: below this, inline pickling (one extra
 #: copy through a queue/socket) is cheaper than a segment round trip.
-#: This static value is the *fallback*; backends probe the real crossover
-#: at warm-up via :func:`calibrated_auto_threshold` (E17 showed it varies
-#: by host and backend).
 AUTO_THRESHOLD = 256 * 1024
 
-#: Probe sizes for the warm-up calibration (log-spaced around the static
-#: default) and the clamp the fitted crossover is held to — a pathological
-#: probe (noisy scheduler, tiny /dev/shm) must not push ``auto`` into
-#: placing everything, or nothing, in segments.
+#: Probe sizes (log-spaced around :data:`AUTO_THRESHOLD`) and the clamp
+#: the fitted crossover is held to — a pathological probe (noisy
+#: scheduler, tiny /dev/shm) must not report placing everything, or
+#: nothing, in segments.
 _PROBE_SIZES = (16 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024)
 _THRESHOLD_MIN = 16 * 1024
 _THRESHOLD_MAX = 1024 * 1024
@@ -65,15 +62,15 @@ _calibrated: "int | None | object" = _UNCALIBRATED
 
 
 def calibrated_auto_threshold(*, repeats: int = 3, _cache: bool = True) -> int | None:
-    """Measure this host's inline-vs-segment crossover size in bytes.
+    """Time this host's inline-vs-segment crossover size in bytes.
 
-    Runs a quick encode/decode/release round trip of ``bytes`` payloads at
-    a few log-spaced sizes through both the inline pickle path and the
-    shared-memory path, and returns the smallest probed size at which the
-    segment path wins (clamped to a sane band).  Returns ``None`` when
-    shared memory is unavailable or never wins — callers then keep the
-    static :data:`AUTO_THRESHOLD`.  The probe costs a few milliseconds and
-    is cached per process (both heavy backends calibrate at warm-up).
+    Round-trips ``bytes`` payloads of a few log-spaced sizes through the
+    inline pickle path and the shared-memory path, and returns the smallest
+    probed size at which the segment path wins (clamped to a sane band), or
+    ``None`` when shared memory is unavailable or never wins.  Cached per
+    process.  No backend calls it — in one process the segment path only
+    adds copies, so it never moved ``auto`` off :data:`AUTO_THRESHOLD` —
+    ``perfbench/probes.py`` reads it for ``transport.auto_threshold_bytes``.
     """
     global _calibrated
     if _cache and _calibrated is not _UNCALIBRATED:

@@ -10,6 +10,7 @@ Distributed/process stage functions live at module level: they are pickled
 by reference and resolved inside forked worker processes.
 """
 
+import sys
 import threading
 import time
 
@@ -23,9 +24,9 @@ from repro.backend import (
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.skel.api import open_pipeline
+from repro.util import batching
 from repro.util.batching import (
     Batch,
-    BatchingConfig,
     approx_nbytes,
     map_batch,
     normalize_batching,
@@ -68,19 +69,19 @@ class TestBatchUnit:
     def test_normalize_batching_forms(self):
         assert normalize_batching(None) is None
         assert normalize_batching(False) is None
-        cfg = BatchingConfig(max_items=8)
-        assert normalize_batching(cfg) is cfg
-        assert normalize_batching(16).max_items == 16
-        auto = normalize_batching(True)
-        assert 4 <= auto.max_items <= 64
-        assert normalize_batching("auto").max_items == auto.max_items
-        d = normalize_batching({"max_items": 4, "linger_s": 0.5})
-        assert (d.max_items, d.linger_s) == (4, 0.5)
-        assert 4 <= normalize_batching({"linger_s": 0.1}).max_items <= 64
-        with pytest.raises(TypeError):
-            normalize_batching(3.5)
-        with pytest.raises(ValueError):
-            BatchingConfig(max_items=0)
+        assert normalize_batching(16) == 16
+        assert normalize_batching(True) == normalize_batching("auto") == 64
+        for bad in ({"max_items": 4}, 0, -3, 3.5, "fast"):
+            with pytest.raises(ValueError, match=r"None or False .* 'auto' .* positive int"):
+                normalize_batching(bad)
+
+    @pytest.mark.parametrize("backend", ["threads", "sim"])
+    def test_open_rejects_what_is_not_a_batch_size(self, backend):
+        # Also where batching is ignored: a bad value fails before any
+        # executor machinery starts.
+        for bad in ({"max_items": 4}, 0, -1):
+            with pytest.raises(ValueError, match="positive int"):
+                open_pipeline([_inc], backend=backend, batching=bad)
 
     def test_approx_nbytes(self):
         assert approx_nbytes(b"x" * 100) == 100
@@ -88,39 +89,12 @@ class TestBatchUnit:
         assert approx_nbytes(object()) > 0
 
     def test_auto_sizing_respects_stage_work_hints(self):
-        from repro.util.batching import calibrated_batch_items
-
-        # Sub-microsecond stages: hop cost dominates, full count bound.
-        fast = calibrated_batch_items(work_hint_s=1e-6)
-        assert 4 <= fast <= 64
-        assert fast == calibrated_batch_items()
-        # Millisecond stages: a batch's service would hold the first
-        # result past the linger budget — auto degenerates to per-item.
-        assert calibrated_batch_items(work_hint_s=0.002) == 1
-        # In between: clamped so max_items x work stays within a linger.
-        assert calibrated_batch_items(work_hint_s=0.0005) == min(fast, 4)
-        assert normalize_batching("auto", work_hint_s=0.002).max_items == 1
-
-    def test_auto_calibration_times_the_hand_off_the_fabric_makes(self, monkeypatch):
-        from repro.util import batching, handoff
-
-        calls = {"put": 0, "get": 0}
-
-        class Counted(handoff.Handoff):
-            def put(self, item, abort=None):
-                calls["put"] += 1
-                return super().put(item, abort)
-
-            def get(self):
-                calls["get"] += 1
-                return super().get()
-
-        monkeypatch.setattr(batching, "Handoff", Counted)
-        sized = batching.calibrated_batch_items(repeats=3, _cache=False)
-        assert calls == {"put": 3 * 128, "get": 3 * 128}
-        # A hop of ~1 us puts 2 ms / hop far above the clamp, as the
-        # ``queue.Queue`` probe's ~3 us did: the calibrated size did not move.
-        assert sized == 64
+        # No declared work, or sub-microsecond stages: the full 64.
+        # Millisecond stages: a batch's service would hold the first result
+        # past the linger — auto degenerates to per-item.  In between: as
+        # many items as one linger's worth of declared service.
+        sizes = {w: normalize_batching("auto", work_hint_s=w) for w in (0, 1e-6, 5e-4, 2e-3)}
+        assert sizes == {0: 64, 1e-6: 64, 5e-4: 4, 2e-3: 1}
 
     def test_auto_session_sees_declared_work(self):
         pipe = PipelineSpec(
@@ -134,7 +108,7 @@ class TestBatchUnit:
             try:
                 # 3ms of declared per-item service: batching can only add
                 # latency, so the calibrated count bound collapses to 1.
-                assert session._bcfg.max_items == 1
+                assert session._batch_items == 1
             finally:
                 session.close()
 
@@ -208,15 +182,47 @@ class TestBatchedStreams:
                     session.submit(i)
                 assert session.drain() == [x + 1 for x in range(20)]
 
-    def test_window_smaller_than_batch_cannot_deadlock(self):
-        # With max_inflight < max_items the only admitted items sit in the
-        # assembly buffer; the window-full guard must cut the partial batch
-        # or admission would never reopen.
-        with ThreadBackend(spec([_inc])) as b:
-            session = b.open(max_inflight=4, batching=32)
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_a_full_window_submits_its_partial_batch(self, monkeypatch, backend):
+        # With max_inflight < batch size the only admitted items sit in the
+        # assembly buffer; the submitter that finds the window full must cut
+        # and submit them, or admission reopens only at the linger, which
+        # is pushed out of reach here.
+        monkeypatch.setattr(batching, "LINGER_S", 5.0)
+        with open_pipeline([_inc], backend=backend, max_inflight=4, batching=32) as session:
+            t0 = time.perf_counter()
             for i in range(20):
                 session.submit(i)
             assert session.drain() == [x + 1 for x in range(20)]
+            assert time.perf_counter() - t0 < 1.0
+
+    def test_concurrent_submitters_race_their_window_cuts(self):
+        # Four producers share a window of 3 and batches of 8, with a short
+        # switch interval: submitters that find the window full cut and
+        # submit the buffer while others admit, and the flusher cuts at
+        # the linger.  Each item still comes out once, at its ticket's seq.
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadBackend(spec([_inc]), replicas=[2], max_replicas=2) as b:
+                session = b.open(max_inflight=3, batching=8)
+                tickets = {}
+
+                def produce(k):
+                    for x in range(100 * k, 100 * (k + 1)):
+                        tickets[x] = session.submit(x)
+
+                producers = [threading.Thread(target=produce, args=(k,)) for k in range(4)]
+                for t in producers:
+                    t.start()
+                for t in producers:
+                    t.join(timeout=20.0)
+                assert not any(t.is_alive() for t in producers)
+                out = session.drain()
+                assert sorted(t.seq for t in tickets.values()) == list(range(400))
+                assert all(out[t.seq] == x + 1 for x, t in tickets.items())
+        finally:
+            sys.setswitchinterval(old)
 
     def test_batched_matches_unbatched_outputs(self):
         inputs = list(range(40))
@@ -261,9 +267,9 @@ class TestTicketCompletion:
         # idle flusher, which then waits out exactly that item's deadline.
         # A host stall may make one or two items late; a flusher that misses
         # the ring makes every item late, so 8 of 10 on time still fails it.
-        linger, slack = 0.005, 0.01
+        linger, slack = batching.LINGER_S, 0.01
         with ThreadBackend(spec([_inc])) as b:
-            session = b.open(batching={"max_items": 64, "linger_s": linger})
+            session = b.open(batching=64)
             took = []
             for x in range(10):
                 time.sleep(0.02 + 0.003 * x)  # idle, and in no phase with any clock
@@ -274,9 +280,10 @@ class TestTicketCompletion:
             assert on_time >= 8, [f"{t * 1e3:.1f} ms" for t in took]
             assert session.drain() == [x + 1 for x in range(10)]
 
-    def test_wait_timeout_returns_false(self):
+    def test_wait_timeout_returns_false(self, monkeypatch):
+        monkeypatch.setattr(batching, "LINGER_S", 5.0)
         with ThreadBackend(spec([_inc])) as b:
-            session = b.open(batching={"max_items": 64, "linger_s": 5.0})
+            session = b.open(batching=64)
             ticket = session.submit(1)
             # Buffered behind a long linger: a short wait must time out.
             assert not ticket.wait(timeout=0.05)
@@ -334,13 +341,52 @@ class TestBatchedDistributed:
             b.close()
 
 
+# ----------------------------------------------------------- delivery layer
+class TestBatchedDelivery:
+    def test_a_burst_of_ready_batches_is_delivered_in_one_round(self):
+        # Batch 0 is held at its first item while batch 1 finishes on the
+        # other replica and waits in the egress reorderer; releasing batch 0
+        # frees both in one collector burst, which is one delivery run.
+        gate, recorded = threading.Event(), threading.Event()
+
+        def held(x):
+            if x == 0:
+                gate.wait(5.0)
+            return x + 1
+
+        with ThreadBackend(spec([held]), replicas=[2], max_replicas=2) as b:
+            session = b.open(batching=4)
+            runs, completed = [], []
+            deliver, record = session._deliver_run, session._record_trails
+
+            def deliver_spy(items, bseqs):
+                runs.append(len(items))
+                return deliver(items, bseqs)
+
+            def record_spy(burst, speed=None):
+                record(burst, speed)
+                recorded.set()
+
+            session._deliver_run, session._record_trails = deliver_spy, record_spy
+            session.events.subscribe(lambda ev: completed.append(ev.fields["seq"]),
+                                     kinds=("item.complete",))
+            for i in range(8):
+                session.submit(i)
+            assert recorded.wait(5.0)  # batch 1 reached the collector first
+            gate.set()
+            assert session.drain() == [x + 1 for x in range(8)]
+            assert runs == [8]
+            assert completed == list(range(8))
+
+
 # -------------------------------------------------------------- event layer
 class TestBatchEvents:
-    def test_journal_carries_batch_lifecycle(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_journal_carries_batch_lifecycle(self, tmp_path, backend):
         from repro.obs import read_journal
 
         path = tmp_path / "batched.jsonl"
-        session = open_pipeline([_inc], batching=8, telemetry=path)
+        session = open_pipeline([_inc], backend=backend, batching=8, telemetry=path)
         try:
             for i in range(32):
                 session.submit(i)
@@ -348,12 +394,13 @@ class TestBatchEvents:
         finally:
             session.close()
         recs = list(read_journal(path))
+        kinds = {r["kind"] for r in recs}
         asm = [r for r in recs if r["kind"] == "batch.assemble"]
-        split = [r for r in recs if r["kind"] == "batch.split"]
         done = [r for r in recs if r["kind"] == "item.complete"]
-        assert asm and split
         assert sum(r["items"] for r in asm) == 32
-        assert sum(r["items"] for r in split) == 32
+        # A cut is the one batch record: delivery and encoding are told by
+        # item.complete and frame.encode, which already carry the items.
+        assert not kinds & {"batch.split", "batch.encode"}
         # The per-item timeline is preserved: one completion per item, in
         # delivery order, with real item seqs (not batch seqs).
         assert [r["seq"] for r in done] == list(range(32))

@@ -3,9 +3,10 @@
 The codec's wire form for a self-contained stream is the ``bytes`` itself:
 no :class:`~repro.transport.Frame` is built around it at submit, at any
 worker hop or at egress.  Frame construction is counted in a counter the
-forked workers share, from after the session's warm-up (whose
-shared-memory calibration probe builds frames of its own) to the end of
-the stream.
+forked workers share, from the first submit to the end of the stream.
+
+Opening a heavy backend runs no transport probe either: ``"auto"`` keeps
+its fixed threshold.
 """
 
 import multiprocessing as mp
@@ -50,7 +51,7 @@ def test_a_small_item_stream_builds_no_frame(frames_built, backend, options, tra
     with open_pipeline(
         [_inc, _double], backend=backend, transport=transport, **options
     ) as session:
-        frames_built.value = 0  # after the warm-up's calibration probe
+        frames_built.value = 0  # the stream's frames only
         for x in range(_ITEMS):
             session.submit(x)
         assert session.drain() == [2 * (x + 1) for x in range(_ITEMS)]
@@ -68,3 +69,19 @@ def test_the_counter_sees_a_frame_a_worker_builds(frames_built):
         session.submit(big)
         assert session.drain() == [big]
         assert frames_built.value >= 3  # submit, and each stage's output
+
+
+@pytest.mark.parametrize(
+    "backend, options",
+    [("processes", {}), ("distributed", {"spawn_workers": 1})],
+    ids=["processes", "distributed"],
+)
+def test_opening_a_heavy_backend_runs_no_transport_probe(monkeypatch, backend, options):
+    def probe(**_):
+        raise AssertionError("warm-up probed the transport")
+
+    monkeypatch.setattr("repro.transport.calibrated_auto_threshold", probe)
+    monkeypatch.setattr("repro.transport.codecs.calibrated_auto_threshold", probe)
+    with open_pipeline([_inc], backend=backend, transport="auto", **options) as session:
+        session.submit(1)
+        assert session.drain() == [2]

@@ -18,6 +18,7 @@ import pytest
 from repro.backend import SessionClosed, ThreadBackend, base
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
+from repro.util import batching
 from repro.util.handoff import Bell
 
 WAKE_S = 0.02
@@ -93,9 +94,10 @@ def test_an_idle_results_consumer_runs_no_iteration_and_close_stops_it():
         assert consumer.woke_within(t0) and consumer.result == []
 
 
-def test_an_idle_flusher_runs_no_iteration_and_wakes_for_the_first_item():
+def test_an_idle_flusher_runs_no_iteration_and_wakes_for_the_first_item(monkeypatch):
+    monkeypatch.setattr(batching, "LINGER_S", 0.02)
     with ThreadBackend(PipelineSpec((StageSpec(name="s", work=0.001, fn=abs),))) as b:
-        session = b.open(batching={"max_items": 64, "linger_s": 0.02})
+        session = b.open(batching=64)
         bell = session._flush_bell
         assert _until(lambda: bell.parked)
         time.sleep(IDLE_S)

@@ -115,7 +115,7 @@ class TestStageBytes:
 class TestFrameEventParity:
     """The routed executors share one emit site for frame events."""
 
-    KINDS = ("frame.encode", "batch.encode", "frame.release")
+    KINDS = ("frame.encode", "frame.release")
 
     def _field_names(self, backend, batching, **kwargs):
         session = open_pipeline([_double], backend=backend, batching=batching, **kwargs)
@@ -141,13 +141,10 @@ class TestFrameEventParity:
             "stage", "seq", "nbytes", "inline", "seconds", "recycled"
         }
         assert procs["frame.release"] >= {"stage", "seq", "nbytes"}
-        if batching:
-            assert procs["batch.encode"] >= {
-                "seq", "base", "items", "nbytes", "seconds", "recycled"
-            }
-            assert "items" in procs["frame.encode"] and "items" in procs["frame.release"]
-        else:
-            assert "batch.encode" not in procs
+        # A batch's frame is one record naming its first item and its count.
+        assert ("items" in procs["frame.encode"]) == ("items" in procs["frame.release"]) == bool(
+            batching
+        )
 
     @pytest.mark.parametrize(
         "backend, kwargs", [("processes", {}), ("distributed", {"spawn_workers": 1})]

@@ -134,7 +134,7 @@ class TestBatchedTracePropagation:
         path = self._run(tmp_path)
         recs = list(read_journal(path))
         kinds = {r["kind"] for r in recs}
-        assert {"batch.assemble", "batch.split", "span.phases"} <= kinds
+        assert {"batch.assemble", "span.phases"} <= kinds
         # Batch-covering trace records name item gseqs plus a count.
         hops = [r for r in recs if r["kind"] == "span.phases"]
         assert sum(r.get("items", 1) for r in hops) == 2 * self.N
