@@ -1,56 +1,47 @@
 """Warm process-pool backend: true multi-core execution of pipelines.
 
 Each stage owns a pool of **pre-forked worker processes** (pay process
-start-up once, keep workers resident between streams) that all ``get`` from
-**one shared, bounded task queue**.  Only ``replicas[i]`` of a pool serve;
-``reconfigure`` parks or releases warm workers — no fork on the adaptation
-path.  A worker puts its result **straight onto the next stage's queue**;
-only at a *boundary* — the last stage, or one feeding an ordered stage —
-does it report to the parent, where a router restores order::
+start-up once, keep workers resident between streams) that all take work
+from **one shared, bounded task queue**.  Only ``replicas[i]`` of a pool
+serve; ``reconfigure`` parks or releases warm workers — no fork on the
+adaptation path.  A worker puts its outputs **straight onto the next
+stage's queue**; only at a *boundary* — the last stage, or one feeding an
+ordered stage — does it report to the parent, where a router restores order::
 
     submit ─> taskq[0] ─> workers 0 ─> taskq[1] ─> workers 1 ─> resq ─> router
     (caller)  (outbox)                (pipe)     (boundary)  (pipe)  (session)
 
 * Every queue is a :class:`_PipeQueue`: byte-lane frames
-  (:mod:`repro.transport.lane`) on one pipe, an OS semaphore for space.
-  Workers write their pipes themselves; a queue the parent feeds (stage
-  0's, one behind a boundary) is written by one outbox thread
-  (``processes-outbox[i]``), every frame queued per ``write()``.
+  (:mod:`repro.transport.lane`) on one pipe, an OS semaphore counting its
+  items.  Work moves in **trains** — a frame holding a list of ``(seq,
+  wire, trail)`` tasks — so a worker pays one read, one unpickle, one
+  pickle and one write per train.  Nobody waits to fill one
+  (:class:`_Train`): the parent's outbox thread (``processes-outbox[i]``)
+  packs what is queued per ``write()``, a worker the outputs of the train
+  it took.  A worker frees a task's place in the queue as it starts it.
 * A boundary router has **one wait and no timeout**: a ``select.poll`` over
   its segment's result pipe, a wake pipe and the ``sentinel`` of every worker
   in the segment — a result, a wake-up and a death are all events.  A
   non-blocking :class:`~repro.transport.lane.FrameReader` reads the result
   pipe a burst per ``read()``; a frame cut short by a dying worker waits
   in it, never in ``read()``.
-* The **pools belong to the backend** and survive sessions and streams; the
-  **boundary routers belong to the session** — the routed-stage core shared
-  with the distributed backend (:mod:`repro.backend.routed`), which owns
-  the ingress lock, the reorderers, metrics and egress.  ``submit()`` puts
-  on stage 0's queue from the caller's thread.  This module supplies only
-  the lane.
-* What a per-stage router used to record rides on the frame: each worker
-  appends ``(stage, worker, service_s, nbytes_out, ended_at)`` to the
-  item's *trail*, the boundary's own entry last, and the boundary router
-  replays every entry as one hop.  A worker's step is
-  :func:`~repro.runtime.threads.run_stage`; a failure of any part of it
-  goes to the boundary's result queue with the stage's index.
-* Items cross processes in the wire form the backend's **transport
-  codec** (``transport=``) encodes them to, and nothing is built around it
-  on the way: a self-contained pickle stream as plain ``bytes`` (every
-  small item), or a :class:`~repro.transport.Frame` of shared-memory slot
-  descriptors for a large payload under ``"auto"``/``"shm"`` (``"auto"``
-  places a payload of :data:`repro.transport.AUTO_THRESHOLD` or more).
-  Slots go back per item: task frames in the worker that consumed them,
-  final frames at egress; ``close()`` unlinks every pool.
-* ``reconfigure`` never targets a worker: shrinking feeds a *park token* in
-  at the head of the stage's segment (a worker of an earlier stage passes
-  it on; whoever of the stage takes it blocks on the stage's semaphore, and
-  work queued ahead of it is still served), growing releases the semaphore.
-* Bounded stage queues and bounded result queues give end-to-end
-  back-pressure — a full stage-0 queue blocks ``submit()`` — sized from a
-  session's admission window when that is deeper, so the window binds.  A
-  parent's put waits for space untimed; an abort wakes it by releasing that
-  space (the pools then go cold).
+* The **pools belong to the backend** and outlive sessions; the **boundary
+  routers belong to the session**, in the routed-stage core it shares with
+  the distributed backend (:mod:`repro.backend.routed`).
+* Each worker appends ``(stage, worker, service_s, nbytes_out, ended_at)``
+  to an item's *trail*; the boundary router replays each entry as one hop.
+  A failure goes to the boundary's result queue with the stage's index.
+* Items cross in the **transport codec**'s wire form (``transport=``): a
+  pickle stream as ``bytes``, or a :class:`~repro.transport.Frame` of
+  shared-memory slots for a large payload, released per item by its
+  consumer; ``close()`` unlinks every pool.
+* Shrinking feeds a *park token* in at the head of the stage's segment (a
+  worker of an earlier stage passes it on; whoever of the stage takes it
+  blocks on the stage's semaphore); growing releases the semaphore.
+* Bounded queues give end-to-end back-pressure — a full stage-0 queue
+  blocks ``submit()`` — sized from a session's admission window when that
+  is deeper.  A parent's put waits for space untimed; an abort wakes it by
+  releasing that space (the pools then go cold).
 
 The default start method is ``fork`` where available (warm semantics, and
 closures/lambdas need no pickling); pass ``start_method="spawn"`` with
@@ -71,32 +62,58 @@ from repro.backend.routed import RoutedSession, boundaries
 from repro.core.pipeline import PipelineSpec
 from repro.runtime.threads import StageError, load_error, run_stage
 from repro.transport import Codec, Wire, wire_nbytes
-from repro.transport.lane import FrameReader, pipe_outbox
+from repro.transport.lane import FrameReader, encode_frame, pipe_outbox
+from repro.util.batching import LINGER_S, MAX_BYTES
 
 __all__ = ["ProcessPoolBackend"]
 
 _STOP = None  # stop pill: the worker that takes it exits (sent only by close())
-# A park token is a stage's index: a worker of that stage parks at its gate;
-# a worker of an earlier stage passes it on.  Tasks are (seq, wire, trail).
+# A park token is a stage's index: a worker of that stage parks at its gate,
+# one of an earlier stage passes it on.  Tokens and pills travel alone.
+
+
+class _Train:
+    """Tasks bound for one queue, handed to ``flush`` as soon as they fill a
+    train: ``cap`` tasks or ``MAX_BYTES`` of wire, never more past the first
+    task.  ``since``: when the train's first task was ready."""
+
+    def __init__(self, cap: int, flush) -> None:
+        self.cap, self.flush, self.tasks, self.nbytes, self.since = cap, flush, [], 0, 0.0
+
+    def add(self, task, nbytes: int, at: float = 0.0) -> None:
+        if self.tasks and self.nbytes + nbytes > MAX_BYTES:
+            self.close()
+        self.since = self.since if self.tasks else at
+        self.tasks.append(task)
+        self.nbytes += nbytes
+        if len(self.tasks) == self.cap or self.nbytes >= MAX_BYTES:
+            self.close()
+
+    def close(self) -> None:
+        if self.tasks:
+            self.flush(self.tasks)
+            self.tasks, self.nbytes = [], 0
 
 
 class _PipeQueue:
-    """A bounded queue of the byte lane's frames on one pipe.
+    """A bounded queue of the byte lane's frames on one pipe; its space
+    counts tasks, and a train holds at most :attr:`cap` of them.
 
-    A worker's :meth:`put` waits for space, then writes its frame whole
-    under the writers' lock: a frame larger than the pipe's buffer blocks the
-    worker in ``write()`` until a reader takes it — what a worker is for.
-    The parent puts only on a queue it :meth:`feed`\\ s: :meth:`send` frames on
-    the caller's thread and the outbox's writer thread makes the writes.
+    A worker's :meth:`put` writes each frame whole under the writers' lock: a
+    frame larger than the pipe's buffer blocks the worker in ``write()``
+    until a reader takes it — what a worker is for.  The parent puts only on
+    a queue it :meth:`feed`\\ s: :meth:`send` queues a task on the caller's
+    thread, and the outbox's writer packs and writes.
     """
 
-    def __init__(self, ctx, maxsize: int) -> None:
+    def __init__(self, ctx, maxsize: int, workers: int) -> None:
         self._reader, self._writer = ctx.Pipe(duplex=False)
         # Not bounded: an abort releases it to wake a parked send, and
         # close()'s stop pills take no space.
         self._space = ctx.Semaphore(maxsize)
         self._rlock, self._wlock = ctx.Lock(), ctx.Lock()
-        self._maxsize = maxsize
+        self._maxsize, self.workers = maxsize, workers
+        self.cap = maxsize // workers  # a train: at most one worker's share of the queue
         self._outbox = None  # the parent's writer, once fed (after every fork)
 
     def fileno(self) -> int:
@@ -104,11 +121,26 @@ class _PipeQueue:
 
     def feed(self, name: str) -> None:
         """Hand the write end to an outbox writer thread called ``name``."""
-        self._outbox = pipe_outbox(self._writer, name, lambda: None)
+        self._outbox = pipe_outbox(self._writer, name, lambda: None, self._pack)
+
+    def _pack(self, msgs: list) -> bytes:
+        """The outbox writer's bytes for ``msgs``: each run of tasks as trains,
+        a park token or a stop pill alone."""
+        frames: list = []
+        # At most one worker's share of what is queued, too: a burst is dealt out.
+        train = _Train(min(self.cap, -(-len(msgs) // self.workers)), frames.append)
+        for msg in msgs:
+            if type(msg) is tuple:
+                train.add(msg, wire_nbytes(msg[1]))
+            else:
+                train.close()
+                frames.append(msg)
+        train.close()
+        return b"".join(encode_frame(frame, False) for frame in frames)
 
     def send(self, msg, abort: "threading.Event | None") -> bool:
-        """The parent's put: wait for space (untimed; False once ``abort`` is
-        set; with no ``abort``, only if there is room now), then queue ``msg``."""
+        """The parent's put of a task or a park token: wait for space (untimed;
+        False once ``abort`` is set; no ``abort``: only if there is room now)."""
         if not self._space.acquire(abort is not None):
             return False
         if abort is not None and abort.is_set():
@@ -121,24 +153,39 @@ class _PipeQueue:
         are idle, so a worker-written pipe has room and nobody holds its lock."""
         if self._outbox is not None:
             self._outbox.send(msg)
-            return
-        with self._wlock:
-            self._writer.send_bytes(pickle.dumps(msg))
+        else:
+            self._write(msg)
 
-    def put(self, obj) -> None:
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        self._space.acquire()
+    def put(self, msg) -> None:
+        """A worker's put of a train, a permit per task, or of a park token it
+        passes on: when the next permit is not free at once, the tasks that
+        hold one go first."""
+        n, start = len(msg) if type(msg) is list else 1, 0
+        for i in range(n):
+            if not self._space.acquire(False):
+                if i > start:
+                    self._write(msg[start:i])
+                    start = i
+                self._space.acquire()
+        if n > start:
+            self._write(msg[start:] if start else msg)
+
+    def _write(self, msg) -> None:
+        data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
         with self._wlock:
             self._writer.send_bytes(data)
 
     def get(self):
+        """One frame: a train, a park token or a stop pill (no permit back)."""
         with self._rlock:
             data = self._reader.recv_bytes()
-        self._space.release()
         return pickle.loads(data)
 
     def qsize(self) -> int:
-        return self._maxsize - self._space.get_value()
+        try:
+            return self._maxsize - self._space.get_value()
+        except NotImplementedError:  # no sem_getvalue() on macOS
+            return 0
 
     def close(self, wait: bool = True) -> None:
         """Close both ends; an outbox's writer flushes, then closes its own.  Do
@@ -155,14 +202,17 @@ class _PipeQueue:
 def _worker_main(
     stage: int, worker_id: int, fn, taskq, gate, out, resq, codec_spec, parked: bool
 ) -> None:
-    """Worker process body: apply ``fn`` to ``(seq, wire, trail)`` tasks forever.
+    """Worker process body: run every task of every train it takes, forever.
 
-    Results go to ``out`` (the next stage's task queue, or ``resq`` at a
-    boundary) in the same shape, the trail one entry longer; failures go to
-    ``resq`` as ``(seq, None, (stage, pickled error | None, text))``.  The
-    worker starts at ``gate`` when ``parked`` (the pool's warm surplus).
+    Outputs go to ``out`` (the next stage's task queue, or ``resq`` at a
+    boundary) in trains of ``(seq, wire, trail)``, the trail one hop longer;
+    a failure goes to ``resq`` as ``(seq, None, (stage, pickled error |
+    None, text))``, after the outputs before it.  The worker starts at
+    ``gate`` when ``parked`` (the pool's warm surplus).
     """
     codec = _transport.from_spec(codec_spec)
+    started = taskq._space.release  # a task begun frees its place in the queue
+    done = _Train(out.cap, out.put)  # the outputs not yet written
     if parked:
         gate.acquire()
     while True:
@@ -170,22 +220,28 @@ def _worker_main(
         if msg is _STOP:
             break
         if isinstance(msg, int):  # a park token: this stage's, or one to pass on
+            started()
             if msg == stage:
                 gate.acquire()
             else:
                 out.put(msg)
             continue
-        seq, wire, trail = msg
-        # Sole consumer, and the process backend never re-dispatches (a
-        # worker death aborts the stream): the task frame's slots go back to
-        # their pool once the value is copied out — per item.  _held (the
-        # output value) lives until the next item.
-        out_wire, t0, t1, failed, _held = run_stage(fn, wire, codec, codec, True)
-        if failed is not None:
-            resq.put((seq, None, (stage, *failed)))
-            continue  # stay warm; the parent aborts the stream
-        hop = (stage, worker_id, t1 - t0, wire_nbytes(out_wire), t1)
-        out.put((seq, out_wire, trail + (hop,)))
+        for seq, wire, trail in msg:
+            started()
+            # Sole consumer, and the process backend never re-dispatches (a
+            # worker death aborts the stream): the task frame's slots go back
+            # to their pool once the value is copied out — per item.  _held
+            # (the output value) lives until the next item.
+            out_wire, t0, t1, failed, _held = run_stage(fn, wire, codec, codec, True)
+            if failed is not None:
+                done.close()  # what the train finished before it goes first
+                resq.put([(seq, None, (stage, *failed))])
+                continue  # stay warm; the parent aborts the stream
+            size = wire_nbytes(out_wire)
+            done.add((seq, out_wire, trail + ((stage, worker_id, t1 - t0, size, t1),)), size, t1)
+            if t1 - done.since >= LINGER_S:
+                done.close()
+        done.close()
 
 
 class _Segment:
@@ -195,6 +251,7 @@ class _Segment:
         self.feed = feed  # the first stage's queue: the parent's way in
         self.resq = resq  # the boundary's workers report here; so does every error
         self.reader = FrameReader(resq.fileno())  # the router's: whole frames only
+        self.done: list = []  # tasks read, not yet taken by the router
         # The boundary router's one wait (``_poll``): a result, a wake-up, a death.
         wake_r, wake_w = os.pipe()
         os.set_blocking(wake_r, False)
@@ -208,11 +265,14 @@ class _Segment:
             self.poller.register(fd, select.POLLIN)
 
     def read(self) -> int:
-        """One read of the result pipe: the frames it completed, their space freed."""
-        done = self.reader.fill()
-        for _ in range(done):
-            self.resq._space.release()
-        return done
+        """One read of the result pipe: its trains' tasks join ``done``, a permit each."""
+        frames, n = self.reader.frames, self.reader.fill()
+        for _ in range(n):
+            train = frames.popleft()
+            for _ in train:
+                self.resq._space.release()
+            self.done += train
+        return n
 
     def watch(self, stage: int, worker_id: int, proc) -> None:
         self.workers[proc.sentinel] = (stage, worker_id, proc)
@@ -249,11 +309,6 @@ class _StagePool:
         self.lock = threading.Lock()  # one reconfigure at a time
         self.procs: list = []
 
-    def queued(self) -> int:
-        try:
-            return self.taskq.qsize()
-        except NotImplementedError:  # no sem_getvalue() on macOS
-            return 0
 
 
 class _ProcessSession(RoutedSession):
@@ -281,8 +336,7 @@ class _ProcessSession(RoutedSession):
 
     def _poll(self, stage: int) -> "list | None":
         seg = self.backend._pools[stage].seg
-        frames = seg.reader.frames
-        while not frames:  # what an earlier read completed goes first
+        while not seg.done:  # what an earlier read completed goes first
             ready = [fd for fd, _ in seg.poller.poll()]
             # First: what a worker reported before it died counts.
             if seg.resq.fileno() in ready and seg.read():
@@ -297,22 +351,15 @@ class _ProcessSession(RoutedSession):
             # stop pills, after the routers are gone): items it held are lost
             # and the drain barrier would never clear — fail, don't hang.
             where, wid, exitcode = seg.died(dead[0])
-            self.events.emit(
-                "worker.death", f"stage {where} worker {wid} exited",
-                worker=wid, stage=where, exitcode=exitcode,
-            )
-            raise StageError(
-                self.backend.pipeline.stage(where).name,
-                RuntimeError(
-                    f"worker {wid} died mid-run (exitcode {exitcode}); its in-flight items are lost"
-                ),
-            )
-        burst = [*frames]
-        frames.clear()
+            self.events.emit("worker.death", f"stage {where} worker {wid} exited",
+                             worker=wid, stage=where, exitcode=exitcode)
+            lost = f"worker {wid} died mid-run (exitcode {exitcode}); its in-flight items are lost"
+            raise StageError(self.backend.pipeline.stage(where).name, RuntimeError(lost))
+        burst, seg.done = seg.done, []
         return burst
 
     def _accept(self, stage: int, burst: list) -> list:
-        queued, clock = [pool.queued() for pool in self.backend._pools], self.perf_to_session
+        queued, clock = [pool.taskq.qsize() for pool in self.backend._pools], self.perf_to_session
         got = []
         for seq, wire, trail in burst:
             if wire is None:  # a failure: (stage, pickled error | None, text)
@@ -339,16 +386,15 @@ class ProcessPoolBackend(Backend):
     capacity:
         Queue bound per warm worker: a stage's shared task queue (and a
         boundary's result queue) holds ``capacity x pool size`` items, or
-        the session's lane depth when that is deeper and this is not given.
+        the session's lane depth when that is deeper and this is not given;
+        a train holds one worker's share.
     start_method:
         ``multiprocessing`` start method; default ``fork`` when available.
     transport:
         Payload codec moving items between processes: a registered name
         (``"auto"``/``"pickle"``/``"shm"``, see :mod:`repro.transport`) or
-        a configured :class:`~repro.transport.Codec` instance.  The
-        default ``"auto"`` keeps small items inline and routes large
-        numpy/bytes payloads through shared-memory segments, from
-        :data:`~repro.transport.AUTO_THRESHOLD` bytes up.
+        a :class:`~repro.transport.Codec`.  ``"auto"`` sends payloads of
+        :data:`~repro.transport.AUTO_THRESHOLD` bytes up through shared memory.
     """
 
     name = "processes"
@@ -389,11 +435,11 @@ class ProcessPoolBackend(Backend):
         self._shutdown_pools(graceful=True)  # warm for other bounds (no-op when cold)
         self._depths = depths
         codec_spec = _transport.spec_of(self._codec)
-        taskqs = [_PipeQueue(self._ctx, d) for d in depths]
+        taskqs = [_PipeQueue(self._ctx, d, size) for d, size in zip(depths, sizes)]
         pools: list[_StagePool] = []
         try:
             for end in boundaries(self.pipeline.stages):
-                seg = _Segment(taskqs[len(pools)], _PipeQueue(self._ctx, depths[end]))
+                seg = _Segment(taskqs[len(pools)], _PipeQueue(self._ctx, depths[end], sizes[end]))
                 for i in range(len(pools), end + 1):
                     pool = _StagePool(taskqs[i], self._ctx.Semaphore(0), self._target[i], seg)
                     pools.append(pool)
@@ -411,9 +457,8 @@ class ProcessPoolBackend(Backend):
                         proc.start()
                         pool.procs.append(proc)
                         seg.watch(i, wid, proc)
-            # The parent feeds each segment's first queue (stage 0, a stage
-            # behind a boundary) through one outbox writer, started once no
-            # fork is left to copy a running thread.
+            # The parent feeds each segment's first queue through an outbox
+            # writer, started once no fork is left to copy a running thread.
             for i, pool in enumerate(pools):
                 if pool.taskq is pool.seg.feed:
                     pool.taskq.feed(f"{self.name}-outbox[{i}]")
@@ -477,14 +522,9 @@ class ProcessPoolBackend(Backend):
         return [p.active for p in self._pools]
 
     def _resize(self, stage: int, n_replicas: int) -> None:
-        """Park or release warm workers of ``stage`` to reach ``n_replicas``.
-
-        Growth never forks mid-run.  Replicas are interchangeable, so none
-        is targeted: growing releases the stage's gate; shrinking feeds a
-        park token in at the head of the stage's segment, behind the work
-        already there, and whoever of the stage takes it waits, warm, at the
-        gate.  A cold backend warms up to the target.
-        """
+        """Park or release warm workers of ``stage`` to reach ``n_replicas``:
+        never a fork, and no worker targeted (see the module docstring).  A
+        cold backend warms up to the target."""
         if self._pools is None:
             return
         pool = self._pools[stage]

@@ -15,7 +15,9 @@ placement*.  A stream that keeps nothing out of band is its own wire form
   item costs more than the copy it saves), large items go by descriptor.  The
   per-item decision the adaptation story needs, without a second class.
 
-Placement rule, per encode: pickle with ``buffer_callback``; each
+Placement rule, per encode: pickle with ``buffer_callback`` (an exact
+``int``/``float``/``complex``/``bool``/``None``/``str``/``bytes`` has no
+buffer to hand out and is pickled without one); each
 contiguous out-of-band buffer of at least ``threshold`` bytes is written
 into its own slot, smaller ones are serialized in-band.  If the
 resulting stream itself reaches ``threshold`` (big ``bytes`` payloads,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import pickle
 import weakref
+from functools import partial
 
 from repro.transport.frames import (
     Codec,
@@ -56,6 +59,11 @@ AUTO_THRESHOLD = 256 * 1024
 _PROBE_SIZES = (16 * 1024, 64 * 1024, 256 * 1024, 1024 * 1024)
 _THRESHOLD_MIN = 16 * 1024
 _THRESHOLD_MAX = 1024 * 1024
+
+#: Exact types whose pickle never hands ``buffer_callback`` a buffer: for
+#: these :meth:`SharedMemoryCodec.encode` pickles as :class:`PickleCodec`
+#: does, and only the stream's own size can send it to a slot.
+_LEAVES = frozenset({int, float, complex, bool, type(None), str, bytes})
 
 _UNCALIBRATED = object()  # cache sentinel: "the probe has not run yet"
 _calibrated: "int | None | object" = _UNCALIBRATED
@@ -151,25 +159,31 @@ class SharedMemoryCodec(Codec):
         self._adopted.update(self._pool.forget())
         return super().sweep()
 
-    def encode(self, obj: object) -> Wire:
-        refs: list[SegmentRef] = []
-
-        def place(pb: pickle.PickleBuffer) -> bool:
-            # Return False -> out-of-band (we carried it); True -> in-band
-            # (it then lands in the stream and is counted there).
-            try:
-                raw = pb.raw()
-            except BufferError:  # non-contiguous: let pickle copy it in-band
-                return True
-            if raw.nbytes < self.threshold:
-                return True
-            refs.append(self._pool.place(raw))
-            return False
-
+    def _place(self, refs: list, pb: pickle.PickleBuffer) -> bool:
+        # False -> out-of-band (carried in a slot, its ref in ``refs``);
+        # True -> in-band (it then lands in the stream and is counted there).
         try:
-            stream = pickle.dumps(obj, protocol=5, buffer_callback=place)
-            if not refs and len(stream) < self.threshold:
+            raw = pb.raw()
+        except BufferError:  # non-contiguous: let pickle copy it in-band
+            return True
+        if raw.nbytes < self.threshold:
+            return True
+        refs.append(self._pool.place(raw))
+        return False
+
+    def encode(self, obj: object) -> Wire:
+        # No closure here: a cell for ``self`` would tax the leaf path too.
+        stream = None
+        if type(obj) in _LEAVES:  # a leaf's pickle hands out no buffer
+            stream = pickle.dumps(obj, 5)
+            if len(stream) < self.threshold:
                 return stream  # nothing placed: the stream is the wire
+        refs: list[SegmentRef] = []
+        try:
+            if stream is None:
+                stream = pickle.dumps(obj, protocol=5, buffer_callback=partial(self._place, refs))
+            if not refs and len(stream) < self.threshold:
+                return stream
             nbytes = len(stream) + sum(ref.size for ref in refs)
             head = self._pool.place(stream) if len(stream) >= self.threshold else stream
         except Exception as err:

@@ -8,8 +8,9 @@ distributed backend runs it over TCP, bounded by :data:`MAX_FRAME`
 message table); the process backend over pipes to its forked workers,
 unbounded, as a ``Connection`` is.
 
-* :class:`Outbox`: senders frame on their own thread; one writer thread
-  writes everything queued with one write-all call.
+* :class:`Outbox`: senders frame on their own thread (or, given a
+  ``pack``, the writer frames); one writer thread writes everything queued
+  with one write-all call.
 * :func:`read_frame`: one frame through a blocking ``read``.
 * :class:`FrameReader`: a non-blocking descriptor, every whole frame a
   ``read`` completes; a partial frame waits for the next read.
@@ -44,6 +45,7 @@ MAX_FRAME = 256 * 1024 * 1024
 _HEADER = struct.Struct(">I")
 # Connection's header for a payload past _SHORT_MAX: a -1 marker, then 8 bytes.
 _LONG, _LONG_MARK, _SHORT_MAX = struct.Struct(">IQ"), 0xFFFFFFFF, 0x7FFFFFFF
+_CLOSE = object()  # an outbox's close() in its queue: the writer stops there
 
 
 class ProtocolError(RuntimeError):
@@ -145,7 +147,10 @@ class Outbox:
     """The send side of one lane: senders frame, one thread writes.
 
     The writer parks untimed for the first frame, takes every frame queued
-    behind it and writes them with one ``write_all``.  A failed write calls
+    behind it and writes them with one ``write_all``.  Given ``pack``,
+    senders queue their messages as they are and the writer writes
+    ``pack(messages)``: a packer sees every message queued per write, so it
+    can frame a run of them as one.  A failed write calls
     ``on_error`` once; after that, or after :meth:`close`, :meth:`send`
     returns False.  The writer owns the lane's end: it calls ``on_stop``
     (close the pipe, shut the socket down) when it stops.  ``bounded``
@@ -159,37 +164,40 @@ class Outbox:
         on_error: Callable[[], Any],
         on_stop: Callable[[], Any],
         bounded: bool = True,
+        pack: "Callable[[list], bytes] | None" = None,
     ) -> None:
         self.open, self._write_all, self._bounded = True, write_all, bounded
+        self._pack = pack
         self._on_error, self._on_stop = on_error, on_stop
         self._queue: SimpleQueue = SimpleQueue()
         self.thread = Thread(target=self._write, name=name, daemon=True)
         self.thread.start()
 
     def send(self, message: Any) -> bool:
-        """Frame ``message`` on this thread and queue it (or raise ProtocolError)."""
+        """Frame ``message`` on this thread, unless the writer packs, and queue
+        it (or raise ProtocolError)."""
         if not self.open:
             return False
-        self._queue.put(encode_frame(message, self._bounded))
+        self._queue.put(message if self._pack else encode_frame(message, self._bounded))
         return True
 
     def close(self) -> None:
         """Refuse further sends; the writer flushes what is queued, then stops."""
         self.open = False
-        self._queue.put(None)
+        self._queue.put(_CLOSE)
 
     def _write(self) -> None:
         queue, stopping = self._queue, False
         while not stopping:
-            frames = [queue.get()]
+            queued = [queue.get()]
             while not queue.empty():
-                frames.append(queue.get())
-            if None in frames:  # close(): what was queued before it goes last
-                del frames[frames.index(None):]
+                queued.append(queue.get())
+            if _CLOSE in queued:  # close(): what was queued before it goes last
+                del queued[queued.index(_CLOSE):]
                 stopping = True
             try:
-                if frames:
-                    self._write_all(b"".join(frames))
+                if queued:
+                    self._write_all(self._pack(queued) if self._pack else b"".join(queued))
             except OSError:
                 self.open = False
                 self._on_error()
@@ -211,9 +219,12 @@ def socket_outbox(sock: socket.socket, name: str, on_error: Callable[[], Any]) -
     return Outbox(sock.sendall, name, on_error, stop)
 
 
-def pipe_outbox(end, name: str, on_error: Callable[[], Any]) -> Outbox:
+def pipe_outbox(
+    end, name: str, on_error: Callable[[], Any], pack: "Callable[[list], bytes] | None" = None
+) -> Outbox:
     """An unbounded outbox over a pipe's blocking write ``end`` (anything with
-    ``fileno()`` and ``close()``); its writer closes ``end`` when it stops."""
+    ``fileno()`` and ``close()``), its writer packing with ``pack`` if given;
+    the writer closes ``end`` when it stops."""
     fd = end.fileno()
 
     def write_all(data: bytes) -> None:
@@ -221,4 +232,4 @@ def pipe_outbox(end, name: str, on_error: Callable[[], Any]) -> Outbox:
         while view:
             view = view[os.write(fd, view):]
 
-    return Outbox(write_all, name, on_error, end.close, bounded=False)
+    return Outbox(write_all, name, on_error, end.close, bounded=False, pack=pack)

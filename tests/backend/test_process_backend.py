@@ -549,22 +549,27 @@ class TestWorkerWrittenPipes:
         assert not [t for t in threading.enumerate() if "-outbox[" in t.name]
 
     def test_more_writers_and_readers_than_cores_lose_and_duplicate_nothing(self):
-        # The queue on its own: 4 writers and 3 readers over a bound of 3,
-        # messages on both sides of the pipe buffer (64 KiB), 20 s at most.
+        # The queue on its own: 4 writers and 3 readers over a bound of 3
+        # items, trains of 1-3 messages on both sides of the pipe buffer
+        # (64 KiB), 20 s at most.  A reader frees a permit per item it starts.
         from repro.backend.process_backend import _PipeQueue
 
         ctx = mp.get_context("fork")
-        q, out = _PipeQueue(ctx, 3), ctx.Queue()
+        q, out = _PipeQueue(ctx, 3, 3), ctx.Queue()
         sizes = [10, 5_000, 70_000, 300_000]
 
         def write(w):
-            for k in range(60):
-                q.put((w, k, bytes([w]) * sizes[k % 4]))
+            k = 0
+            while k < 60:
+                n = min(1 + k % 3, 60 - k)
+                q.put([(w, j, bytes([w]) * sizes[j % 4]) for j in range(k, k + n)])
+                k += n
 
         def read():
-            while (msg := q.get()) is not None:
-                w, k, blob = msg
-                out.put((w, k, blob == bytes([w]) * sizes[k % 4], q.qsize()))
+            while (train := q.get()) is not None:
+                for w, k, blob in train:
+                    q._space.release()
+                    out.put((w, k, blob == bytes([w]) * sizes[k % 4], q.qsize()))
 
         procs = [ctx.Process(target=write, args=(w,), daemon=True) for w in range(4)]
         readers = [ctx.Process(target=read, daemon=True) for _ in range(3)]
@@ -573,7 +578,7 @@ class TestWorkerWrittenPipes:
                 proc.start()
             seen = [out.get(timeout=20.0) for _ in range(240)]
             for _ in readers:
-                q.put(None)
+                q.post(None)
             for proc in procs + readers:
                 proc.join(timeout=5.0)
                 assert proc.exitcode == 0
@@ -749,14 +754,14 @@ class TestFramedLane:
         from repro.backend.process_backend import _PipeQueue
 
         ctx = mp.get_context("spawn")
-        q, back = _PipeQueue(ctx, 2), _PipeQueue(ctx, 2)
+        q, back = _PipeQueue(ctx, 2, 2), _PipeQueue(ctx, 2, 2)
         child = ctx.Process(target=_echo_once, args=(q, back), daemon=True)
         try:
             child.start()  # pickles q before its writer starts, as warm() does
             q.feed("test-outbox")
-            assert q.send(("hello", 1), None)
+            assert q.send((1, b"hello", ()), None)
             assert back._reader.poll(60.0), "the spawned reader never answered"
-            assert back.get() == ("hello", 1)
+            assert back.get() == [(1, b"hello", ())]  # a train of one
             child.join(timeout=10.0)
             assert child.exitcode == 0
         finally:

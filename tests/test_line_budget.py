@@ -166,7 +166,19 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # own partial batch (the flush queue, the busy flag and drain()'s wait on
 # them went), batch.encode left the routed encode, and neither heavy
 # backend probes the transport at warm-up.  Nothing moved.
-CEILING = 4957
+# Raised by 40, the shortfall exactly (4,957 -> 4,997), for the process
+# lane's trains: a frame carries a list of tasks, so a worker pays one read,
+# one unpickle, one pickle and one write per train (process_backend.py
+# 503 -> 543).  What came: _Train (the one cut rule: the item cap, the byte
+# cap, when a train's first task was ready), the outbox writer's _pack with
+# its dealt-out share, the worker's put that writes the tasks holding
+# permits before it waits for the next, the per-task loop with its linger
+# and a failure's flush, and the router's per-task permits.  What went:
+# _StagePool.queued (folded into qsize) and the per-message put; the rest
+# of the offset is a shorter module docstring, not code.  Bought x1.80
+# items_per_s and -45 % cpu_us_per_item on tiny_processes (11/11 pairs,
+# CHANGES.md).
+CEILING = 4997
 
 #: Every other package (``"."``: the top-level modules), set at its count
 #: after the reachability audit, rounded up to the next 10, and lowered the
@@ -205,7 +217,13 @@ PACKAGE_CEILINGS = {
     # bytes wire and the docstrings of the wire-form port came in.
     # Lowered to the count (1,257 -> 1,254): AUTO_THRESHOLD's fallback note
     # and the probe's docstring shrank once no backend calls the probe.
-    "transport": 1254,
+    # Raised by 25, the shortfall exactly (1,254 -> 1,279): lane.Outbox takes
+    # a pack (its writer frames what senders queued, the close marker that
+    # is no longer None, pipe_outbox passing it on: +11), and the shm
+    # codec's leaf path (the _LEAVES set, encode's early return and its
+    # method callback instead of a closure: +14), which brings auto's encode
+    # of a small int to about 1.15x pickle's, from about 1.9x.
+    "transport": 1279,
     # +10: OnlineStats.extend; +9: Handoff.get_all, the thread collector's burst.
     # Lowered to the count (829 -> 794): OnlineStats' min, max and cv and
     # SlidingWindow's std, last and percentile, which nothing read.  Nothing moved.

@@ -267,6 +267,29 @@ class TestOutbox:
         assert end.shut == isinstance(write_end, socket.socket)  # a socket is shut down
         assert outbox.send(("late",)) is False
 
+    def test_a_packing_outbox_hands_its_writer_every_message_queued_per_write(self, stream):
+        # Given pack, senders queue messages as they are and the writer
+        # frames them: the lone first message, then the burst behind it.
+        read_end, write_end = stream()
+        end, packed = _Gated(write_end), []
+
+        def pack(msgs):
+            packed.append(list(msgs))
+            return encode_frame(list(msgs), bounded=False)
+
+        outbox = Outbox(end.sendall, "test-send", lambda: None, end.close, pack=pack)
+        outbox.send(("lone",))
+        assert end.entered.wait(timeout=5.0)
+        burst = [("task", k) for k in range(20)]
+        for msg in burst:
+            outbox.send(msg)
+        end.gate.set()
+        outbox.close()
+        outbox.thread.join(timeout=5.0)
+        assert packed == [[("lone",)], burst] and len(end.writes) == 2
+        with _buffered(read_end) as reader:  # the writer closed its end: EOF after them
+            assert list(iter(lambda: read_frame(reader.read), None)) == [[("lone",)], burst]
+
     def test_a_socket_writer_stopping_wakes_a_reader_of_its_own_socket(self):
         # A distributed worker reads ``sock.makefile("rb")``, which keeps the
         # descriptor open past close(): only the writer's shutdown ends its loop.

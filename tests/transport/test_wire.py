@@ -144,3 +144,29 @@ class TestCodecPort:
             assert transport.busy_segments(codec.session) == []
         finally:
             codec.close()
+
+    @pytest.mark.parametrize(
+        "leaf", [7, -(1 << 70), 2.5, 1j, True, None, "small", b"small"], ids=repr
+    )
+    def test_a_small_leaf_under_auto_is_the_stream_pickle_makes(self, leaf):
+        # The leaf path skips buffer_callback: the bytes must not change.
+        auto, plain = transport.get("auto"), transport.get("pickle")
+        try:
+            assert auto.encode(leaf) == plain.encode(leaf)
+            assert type(auto.encode(leaf)) is bytes
+        finally:
+            auto.close()
+            plain.close()
+
+    @pytest.mark.parametrize("leaf", [b"x" * (1 << 20), "y" * (1 << 20)], ids=["bytes", "str"])
+    def test_a_large_leaf_under_auto_still_moves_its_stream_to_a_segment(self, leaf):
+        codec = transport.get("auto")
+        try:
+            frame = codec.encode(leaf)
+            assert isinstance(frame, Frame) and isinstance(frame.stream, SegmentRef)
+            assert frame.buffers == () and frame.nbytes == len(pickle.dumps(leaf, protocol=5))
+            assert codec.decode(frame) == leaf
+            codec.release(frame)
+            assert transport.busy_segments(codec.session) == []
+        finally:
+            codec.close()

@@ -1,4 +1,4 @@
-"""CPU time per item of every thread that runs one perfbench workload.
+"""CPU time and parks per item of every thread that runs one perfbench workload.
 
     python3 tools/threadcpu.py --workload tiny_distributed [--seed N] [--items N] [--streams K]
 
@@ -8,11 +8,13 @@ CPU, one thrown-away warm-up stream), then runs ``--streams`` saturation
 streams of ``--items`` items and reads each thread's CPU time before and
 after them: this process's threads by name, each child process's by
 ``pid:tid`` (and its ``comm``).  It prints one row per thread that ran,
-busiest first, in CPU microseconds per item, and a total.  Exits 1 if any
-output is missing or wrong.
+busiest first, in CPU microseconds per item and voluntary context switches
+per item (a thread that blocked: each wait that parked it), and a total.
+Exits 1 if any output is missing or wrong.
 
 Thread CPU comes from ``/proc/<pid>/task/<tid>/sched`` (nanoseconds) where
-the kernel has it, else from ``stat`` (clock ticks).
+the kernel has it, else from ``stat`` (clock ticks); context switches from
+``status`` (``voluntary_ctxt_switches``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,18 @@ def _cpu_s(pid: int, tid: int) -> "float | None":
     return (int(fields[11]) + int(fields[12])) * _TICK  # utime, stime
 
 
+def _parks(pid: int, tid: int) -> int:
+    """Voluntary context switches of thread ``tid`` of ``pid`` (0 once it is gone)."""
+    try:
+        with open(f"/proc/{pid}/task/{tid}/status") as f:
+            for line in f:
+                if line.startswith("voluntary_ctxt_switches"):
+                    return int(line.split(":")[1])
+    except OSError:
+        pass
+    return 0
+
+
 def _comm(pid: int, tid: int) -> str:
     try:
         with open(f"/proc/{pid}/task/{tid}/comm") as f:
@@ -67,8 +81,9 @@ def _comm(pid: int, tid: int) -> str:
         return "?"
 
 
-def _threads(children: list[int]) -> dict[str, float]:
-    """Label -> CPU seconds of every live thread of this process and ``children``."""
+def _threads(children: list[int]) -> "dict[str, tuple[float, int]]":
+    """Label -> (CPU seconds, voluntary context switches) of every live
+    thread of this process and ``children``."""
     me = os.getpid()
     names = {t.native_id: t.name for t in threading.enumerate()}
     out = {}
@@ -85,7 +100,7 @@ def _threads(children: list[int]) -> dict[str, float]:
                 label = names.get(tid) or f"{tid} ({_comm(pid, tid)})"
             else:
                 label = f"{pid}:{tid} ({_comm(pid, tid)})"
-            out[label] = cpu
+            out[label] = (cpu, _parks(pid, tid))
     return out
 
 
@@ -120,14 +135,20 @@ def main(argv: list[str]) -> int:
         h.kill_descendants()
     n = args.items * args.streams
     rows = sorted(
-        ((after[k] - before.get(k, 0.0)) / n * 1e6, k) for k in after
+        (
+            (after[k][0] - before.get(k, (0.0, 0))[0]) / n * 1e6,
+            (after[k][1] - before.get(k, (0.0, 0))[1]) / n,
+            k,
+        )
+        for k in after
     )
     print(f"# {wl.name}: {n} items in {wall:.2f} s ({n / wall:,.0f} items/s), pinned to CPU {cpu}")
-    print(f"{'thread':48s} {'cpu_us_per_item':>16s}")
-    for us, label in reversed(rows):
+    print(f"{'thread':48s} {'cpu_us_per_item':>16s} {'parks_per_item':>15s}")
+    for us, parks, label in reversed(rows):
         if us > 0.0:
-            print(f"{label:48s} {us:16.2f}")
-    print(f"{'total':48s} {sum(us for us, _ in rows):16.2f}")
+            print(f"{label:48s} {us:16.2f} {parks:15.3f}")
+    total_us, total_parks = sum(r[0] for r in rows), sum(r[1] for r in rows)
+    print(f"{'total':48s} {total_us:16.2f} {total_parks:15.3f}")
     for note in tally.notes:
         print(f"# {wl.name}: {note}")
     if tally.failed or tally.attempted != n + args.items:
