@@ -2,8 +2,8 @@
 
 Claim: end-to-end trace propagation is cheap enough to leave on.  With a
 journal attached (an unfiltered subscriber, so the distributed coordinator
-fits the clocks and derives one ``span.phases`` per hop from each result's
-worker stamps), streaming throughput
+fits the clocks and derives each hop's phases, carried by its one
+``stage.service``, from each result's worker stamps), streaming throughput
 must hold >= 0.95x of the untraced baseline on both the thread backend
 (in-process event path) and the distributed backend (the worker traces
 nothing; every traced record is made on the coordinator).

@@ -663,11 +663,11 @@ class Session:
 
     def _record_trails(self, burst: list, speed=None) -> None:
         """Record a burst's ``(seq, value, trail)``s: each stage's hops — ``(stage,
-        worker, service_s, nbytes_out, queued, at, speed)``, or the first six
-        given the burst's ``speed`` — with one ``record_hops`` in one stage-lock
-        round, in item space."""
+        worker, service_s, nbytes_out, queued, at, speed, phases)``, or the
+        first six given the burst's ``speed`` — with one ``record_hops`` in one
+        stage-lock round, in item space."""
         hops: dict = {}
-        batches, tail = self._batch_map, () if speed is None else (speed,)
+        batches, tail = self._batch_map, () if speed is None else (speed, None)
         for seq, _, trail in burst:
             where = batches.get(seq) or (seq, 1)
             for hop in trail:
@@ -818,14 +818,11 @@ class Session:
         restores sequence order downstream.
         """
         stream, batch, reason = cut
-        self.events.emit(
-            "batch.assemble",
-            stream=stream,
-            seq=batch.bseq,
-            base=batch.base_seq,
-            items=len(batch.items),
-            reason=reason,
-        )
+        if self.events.wants("batch.assemble"):
+            self.events.emit(
+                "batch.assemble", stream=stream, seq=batch.gbase, base=batch.base_seq,
+                items=len(batch.items), reason=reason,
+            )
         try:
             self._submit_one(batch.bseq, batch)
         except BaseException as err:

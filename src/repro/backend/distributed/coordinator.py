@@ -47,7 +47,10 @@ Topology (routes — a segment's items pass worker to worker)::
   the bytes that crossed to the receiving worker's
   :class:`~repro.transport.SizeStratifiedLinkEstimator` (the boundary's
   with the trip back), whose fitted ``latency + bytes/bandwidth`` prices
-  placement and :meth:`~DistributedBackend.resource_view`.
+  placement and :meth:`~DistributedBackend.resource_view`.  When
+  ``stage.service`` has a subscriber, the same mapped stamps decompose
+  the hop (``wire_out``, ``worker_queue``, ``encode``, ``wire_back``), and
+  its one ``stage.service`` carries those phases beside its ``nbytes``.
 * **Failure handling**: connection EOF, a peer's report that a forward
   failed, or a missed ``pong`` marks a worker dead; its replicas leave
   every stage's set (an empty stage is re-placed on a survivor) and every
@@ -140,7 +143,8 @@ class _WorkerConn:
         self.link_s = _DEFAULT_LINK_S  # one-way wire time EWMA: dispatch's cached link term
         # Per-worker clock fit (offset + drift, rtt/2-bounded), fed by pongs:
         # maps the worker's hop stamps onto the coordinator clock so the
-        # span.phases derived from them merge into the session timeline.
+        # phases of the stage.service derived from them merge into the
+        # session timeline.
         self.clock = ClockSync()
         self.clock_emit_t = 0.0  # rate limiter for clock.sync events
         self.proc: mp.process.BaseProcess | None = None  # auto-spawned only
@@ -265,7 +269,7 @@ class _DistributedSession(RoutedSession):
                     done.append((recv_t, seq, None, payload, t_sent, trail, queued))
             backend._cond.notify_all()
         bus, got, clock = self.events, [], self.perf_to_session
-        trace, sync = bus.wants("span.phases"), bus.wants("clock.sync")
+        trace, sync = bus.wants("stage.service"), bus.wants("clock.sync")
         for recv_t, seq, route, payload, t_out, trail, queued in done:
             if route is None:
                 # Stale: this route was handed back after a death on it and the
@@ -292,12 +296,22 @@ class _DistributedSession(RoutedSession):
                 # work_estimate = service x effective speed, so a loaded worker's
                 # slow service still yields the true per-item work.
                 at_s = clock(t_in + wait + service - off)
-                hops.append((i, conn.id, service, nbytes, queued, at_s, conn.speed))
+                phases = None
+                if trace:
+                    # The hop from t_out (the previous hand-off, or the send) to
+                    # end (its own hand-off, or the result's receipt): only the
+                    # boundary has a wire_back.  Each term is clamped >= 0, as
+                    # clock-fit error can move a stamp by up to rtt/2.
+                    phases = {
+                        "wire_out": max(0.0, t_in - off - t_out),
+                        "worker_queue": wait,
+                        "encode": max(0.0, (t_done - t_in) - wait - service),
+                        "wire_back": max(0.0, end - (t_done - off)),
+                    }
+                hops.append((i, conn.id, service, nbytes, queued, at_s, conn.speed, phases))
                 r.completed(t_out, end)
                 if sync and end - conn.clock_emit_t >= 1.0:
                     self._clock_event(conn, end)
-                if trace:
-                    self._trace_hop(seq, conn, conn.clock.fit().to_local, t_out, hop, end)
                 t_out, nbytes_in = end, nbytes
             backend._ref_bytes += 0.1 * (wire_nbytes(frame_in) - backend._ref_bytes)
             got.append((seq, payload, hops))
@@ -319,42 +333,6 @@ class _DistributedSession(RoutedSession):
                 err=fit.err,
                 n=fit.n,
             )
-
-    def _trace_hop(
-        self,
-        seq: int,
-        w: _WorkerConn,
-        to_local,
-        t_out: float,
-        hop: tuple,
-        end: float,
-    ) -> None:
-        """Trace one ``hop`` (shaped as a trail entry) from its stamps, mapped
-        through the worker's clock fit (``to_local``): one ``span.phases``
-        tiling the hop from ``t_out`` (the previous hop's hand-off, or the
-        coordinator's send) to ``end`` (its own hand-off, or the boundary
-        result's receipt) — a peer hop's wire time is the receiving hop's
-        ``wire_out``, and only the boundary has a ``wire_back`` — with the
-        ``nbytes`` of the hop's output frame.  Each term is clamped
-        non-negative: clock-fit error can push a boundary past its neighbour
-        by up to rtt/2.  Durations cover the whole batch when batching (seq =
-        first item, items = N), so the profiler fans the hop out per item
-        without double-counting.
-        """
-        stage, _, _, t_recv_w, wait_s, service_s, t_send_w, nbytes = hop
-        self._emit_items(
-            "span.phases",
-            seq,
-            at=self.perf_to_session(end),
-            stage=stage,
-            worker=w.id,
-            wire_out=max(0.0, to_local(t_recv_w) - t_out),
-            worker_queue=wait_s,
-            service=service_s,
-            encode=max(0.0, (t_send_w - t_recv_w) - wait_s - service_s),
-            wire_back=max(0.0, end - to_local(t_send_w)),
-            nbytes=nbytes,
-        )
 
 
 class DistributedBackend(Backend):
@@ -1040,11 +1018,6 @@ class DistributedBackend(Backend):
                     continue
                 for r in route:
                     r.tasks[seq] = record
-            # Before the send: once it returns, the item may already be
-            # delivered and its batch number forgotten.
-            if session.events.wants("item.dispatch"):
-                for r in route:
-                    session._emit_items("item.dispatch", seq, stage=r.stage, worker=r.worker.id)
             record.t_sent = t_sent = time.perf_counter()
             hops = tuple([(r.stage, r.slot, r.worker.id) for r in route[1:]])
             if not w.outbox.send(

@@ -13,9 +13,9 @@ and ``service_s``) and passes the output along the task's **route**: into
 the next replica's inbox when that is hosted here (no wire), over the peer
 link otherwise, and from the last hop — a boundary — home as a ``result``
 whose trail ends with the boundary's own hop.  A worker
-traces nothing: the coordinator derives its clock fit and one
-``span.phases`` per hop from those stamps and from each ``pong``, the answer
-to its monitor's ``ping`` (which also carries the load average).
+traces nothing: the coordinator derives its clock fit and, from those
+stamps and each ``pong`` (the answer to its monitor's ``ping``, which also
+carries the load average), the phases each hop's ``stage.service`` carries.
 
 **Peer links** open with ``PREAMBLE`` and the backend's token from
 ``welcome``, compared as raw bytes on the listening side before anything is

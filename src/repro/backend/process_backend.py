@@ -366,7 +366,7 @@ class _ProcessSession(RoutedSession):
                 name = self.backend.pipeline.stage(trail[0]).name
                 return [*got, StageError(name, load_error(*trail[1:]))]
             got.append((seq, wire, [
-                (i, w, s, n, queued[i], clock(t), 1.0) for i, w, s, n, t in trail
+                (i, w, s, n, queued[i], clock(t), 1.0, None) for i, w, s, n, t in trail
             ]))
         return got
 

@@ -49,7 +49,8 @@ their ``item.submit`` carried.  An executor supplies four hooks:
     drops, re-dispatch — returning one ``(seq, wire, hops)`` per result it
     delivers: the executor seq, the result's wire form and what every hop of
     the segment did, oldest first and the boundary last, each ``(stage,
-    worker, service_s, nbytes_out, queued, at, speed)``.  A
+    worker, service_s, nbytes_out, queued, at, speed, phases)`` (``phases``:
+    the distributed hop's decomposition when traced, else None).  A
     failed result ends the list with the stage's error: what came before it
     is still forwarded or delivered, then the session fails;
 ``_forward(stage, seq, wire)``

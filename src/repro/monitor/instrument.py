@@ -7,8 +7,8 @@ locate the bottleneck stage and to estimate each stage's *work* (service
 time × effective speed), which is what makes re-mapping predictions
 possible on heterogeneous processors.  Queue lengths, transfer times and
 byte totals are not kept here: they live once, in the event stream
-(``stage.service``'s ``queue``, ``span.phases``, ``frame.*``) and in the
-distributed lane's link fit.
+(``stage.service``'s ``queue``, ``nbytes`` and hop phases, ``frame.*``) and
+in the distributed lane's link fit.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ class StageMetrics:
         queue: float | None = None,
         items: int = 1,
         at: float | None = None,
+        nbytes: int | None = None,
+        phases: dict | None = None,
     ) -> None:
         """``items`` items serviced in ``seconds`` at the given speed.
 
@@ -88,13 +90,15 @@ class StageMetrics:
         item) so span attribution can fan it back out per item without
         double-counting.
 
-        ``seq``/``worker``/``queue`` only annotate the emitted event (span
-        attribution and the live ``top`` view); the windows ignore them.
-        ``at`` stamps it with the bus-clock time the service ended, for
-        records that reach the recorder late (default: now).
+        ``seq``/``worker``/``queue`` and a hop's ``phases`` only annotate the
+        emitted event (span attribution, ``top``); ``nbytes`` also feeds the
+        bytes-out window.  ``at`` stamps the event with the bus-clock time the
+        service ended, for records that reach the recorder late (default: now).
         """
         per_item = seconds / items if items > 1 else seconds
         self.items_processed += items
+        if nbytes is not None:
+            self._bytes_out_win.push(nbytes)
         for _ in range(items):
             self.total.push(per_item)
         watch = self._watch
@@ -105,11 +109,7 @@ class StageMetrics:
             watch(per_item, per_item * effective_speed)
         bus = self.events
         if bus is not None and bus.wants("stage.service"):
-            fields: dict = {
-                "stage": self.stage_index,
-                "seconds": seconds,
-                "speed": effective_speed,
-            }
+            fields: dict = {"stage": self.stage_index, "seconds": seconds, "speed": effective_speed}
             if items > 1:
                 fields["items"] = items
             if seq is not None:
@@ -118,29 +118,33 @@ class StageMetrics:
                 fields["worker"] = worker
             if queue is not None:
                 fields["queue"] = queue
+            if nbytes is not None:
+                fields["nbytes"] = nbytes
+            if phases:
+                fields.update(phases)
             bus.emit("stage.service", at=at, **fields)
 
     def record_hops(self, hops: Sequence[tuple]) -> None:
-        """Exactly what, hop by hop, ``record_service`` and ``record_bytes_out``
-        (unless the size is None) record, in one call.  A hop is ``(seq, items,
-        stage, worker, service_s, nbytes_out, queued, at, speed)``: a lane's hop
-        (``Session._record_trails``) behind its item-space ``(seq, items)``;
-        ``queued`` only annotates the event.  A lone hop, or any hop of a
-        watched or heard stage, goes through ``record_service``, for the watch
-        and the bus to see each sample in turn; else one pass gathers each
-        window's column for one ``extend``.
+        """Exactly what, hop by hop, ``record_service`` records, in one call.
+        A hop is ``(seq, items, stage, worker, service_s, nbytes_out, queued,
+        at, speed, phases)``: a lane's hop (``Session._record_trails``) behind
+        its item-space ``(seq, items)``.  A lone hop, or any hop of a watched
+        or heard stage, goes through ``record_service``, for the watch and the
+        bus to see each sample in turn; else one pass gathers each window's
+        column for one ``extend``.
         """
         bus = self.events
         if len(hops) < 2 or self._watch is not None or (
             bus is not None and bus.wants("stage.service")
         ):
-            for seq, k, _, worker, s, nbytes, queued, at, speed in hops:
-                self.record_service(s, speed, seq=seq, worker=worker, queue=queued, items=k, at=at)
-                if nbytes is not None:
-                    self.record_bytes_out(nbytes)
+            for seq, k, _, worker, s, nbytes, queued, at, speed, phases in hops:
+                self.record_service(
+                    s, speed, seq=seq, worker=worker, queue=queued, items=k, at=at,
+                    nbytes=nbytes, phases=phases,
+                )
             return
         count, per, extra, work, sizes = 0, [], [], [], []
-        for _, k, _, _, s, nbytes, _, _, speed in hops:
+        for _, k, _, _, s, nbytes, _, _, speed, _ in hops:
             if k > 1:  # a batch: its per-item mean counts once per item
                 s /= k
                 extra += [s] * (k - 1)
@@ -158,10 +162,6 @@ class StageMetrics:
     def record_bytes_in(self, nbytes: float) -> None:
         """One item's measured payload size on entering the pipeline (stage 0)."""
         self._bytes_in_win.push(nbytes)
-
-    def record_bytes_out(self, nbytes: float) -> None:
-        """One item's measured payload size leaving this stage."""
-        self._bytes_out_win.push(nbytes)
 
     def snapshot(self) -> StageSnapshot:
         bytes_in, bytes_out = self._bytes_in_win.mean, self._bytes_out_win.mean

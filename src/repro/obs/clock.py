@@ -27,9 +27,9 @@ once the window spans enough time to make the slope identifiable
 before that the best-bounded sample wins, which is exact for the common
 same-host case where both clocks are one CLOCK_MONOTONIC.
 
-``to_local(t_remote)`` maps a remote timestamp into the local clock;
-:meth:`error_bound` reports the tightest rtt/2 seen in the window — the
-honest "±" on every mapped timestamp.
+A remote timestamp ``t`` maps onto the local clock as
+``t - offset_at(t)``; :meth:`ClockSync.error_bound` reports the tightest
+rtt/2 seen in the window — the honest "±" on every mapped timestamp.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class ClockFit:
     def offset_at(self, t_remote: float) -> float:
         return self.a + self.b * t_remote
 
-    def to_local(self, t_remote: float) -> float:
-        """Map a remote timestamp onto the local clock."""
-        return t_remote - self.offset_at(t_remote)
-
 
 _NO_FIT = ClockFit(0.0, 0.0, float("inf"), 0)
 
@@ -73,9 +69,10 @@ _NO_FIT = ClockFit(0.0, 0.0, float("inf"), 0)
 class ClockSync:
     """Sliding-window offset+drift estimator for one remote clock.
 
-    Thread-safe: ``observe`` is called from receive threads, ``to_local``
-    from whoever maps timestamps.  The fit is recomputed lazily — at most
-    once per new sample — and reads are lock-free on the last fit.
+    Thread-safe: ``observe`` is called from receive threads, ``fit`` and
+    ``offset`` from whoever maps timestamps.  The fit is recomputed lazily
+    — at most once per new sample — and reads are lock-free on the last
+    fit.
     """
 
     def __init__(self, window: int = 256) -> None:
@@ -150,10 +147,6 @@ class ClockSync:
         return ClockFit(a_centered - b * t_ref, b, best_err, len(samples))
 
     # ---------------------------------------------------------------- mapping
-    def to_local(self, t_remote: float) -> float:
-        """Map a remote timestamp onto the local clock (identity before data)."""
-        return self.fit().to_local(t_remote)
-
     def offset(self, t_remote: float | None = None) -> float:
         """The fitted offset (remote minus local), at ``t_remote`` if given."""
         f = self.fit()

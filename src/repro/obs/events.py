@@ -39,18 +39,23 @@ SCHEMA: dict[str, str] = {
     "stream.drain": "a stream drained: stream, items, elapsed",
     # -- per-item span points (base session + executors) ------------------
     "item.submit": "item admitted (span+trace minted): stream, seq, gseq, trace[, wait]",
-    "item.dispatch": "item sent to a remote replica: stage, seq, worker",
     "item.complete": "item delivered in order: stream, seq",
-    # -- micro-batch cut (backend/base.py assembler; seq = the batch's own
-    #    session-wide number, base = first item's stream seq)
-    "batch.assemble": "admitted items coalesced into a batch: stream, seq, base, items[, reason]",
-    # -- stage service (monitor/instrument.py hook; a micro-batched record
-    #    carries the batch-total seconds plus items=N; seq is an item's gseq,
-    #    the first member's on a batch, as in every record below) ---------
-    "stage.service": "items serviced: stage, seconds, speed[, items, seq, worker, queue]",
-    # -- replica shape (executors + distributed placement) ----------------
-    "replica.add": "replicas grew: stage, n[, worker, slot]",
-    "replica.remove": "replicas shrank: stage, n[, worker, slot]",
+    # -- micro-batch cut (backend/base.py assembler; seq = the first member's
+    #    gseq, base = its stream seq; as in every record below, seq names an
+    #    item by its gseq, and items=N a run of N from it)
+    "batch.assemble": "admitted items coalesced into a batch: stream, seq, base, items, reason",
+    # -- stage service: the one hop record (monitor/instrument.py hook; a
+    #    micro-batched record carries the batch-total durations plus items=N;
+    #    nbytes = the hop's output frame, where the lane measured it; the
+    #    distributed hop adds its decomposition, clock-mapped from the stamps
+    #    its route's trail carries: wire_out (in, a peer link's on a peer
+    #    hop), worker_queue, encode and wire_back (the boundary's trip home))
+    "stage.service": "items serviced: stage, seconds, speed[, items, seq, worker, queue, "
+    "nbytes, wire_out, worker_queue, encode, wire_back]",
+    # -- replica shape (executors + distributed placement; the simulator's
+    #    retirement names the processor instead: stage, pid) ---------------
+    "replica.add": "replicas grew: stage, n[, worker]",
+    "replica.remove": "replicas shrank: stage, n[, worker]",
     # -- adaptation loop (core/policy.py Controller on either clock:
     #    core/adaptive.py, backend/runner.py; backlog = work left) ---------
     "adapt.decide": "policy evaluated: reason, acts, predicted_gain, backlog; only the live "
@@ -61,9 +66,10 @@ SCHEMA: dict[str, str] = {
     "replicas_after, throughput_before",
     "adapt.rollback": "post-action validation regressed: action, reason, replicas_before, "
     "replicas_after, throughput_before, throughput_after",
-    # -- distributed membership (coordinator) -----------------------------
+    # -- worker membership (distributed coordinator; processes: death) ----
     "worker.join": "worker registered: worker, name, cores",
-    "worker.death": "worker died mid-run: worker, name, lost",
+    "worker.death": "worker died mid-run: worker, then name, lost_items (distributed) "
+    "or stage, exitcode (processes)",
     "worker.redispatch": "lost in-flight item re-sent: stage, seq",
     # -- payload frames (transport boundary) ------------------------------
     "frame.encode": (
@@ -74,16 +80,6 @@ SCHEMA: dict[str, str] = {
     "frame.release": "payload frame decoded and released: stage, seq, nbytes[, items]",
     # -- cross-host clock mapping (coordinator-side fit per worker) --------
     "clock.sync": "per-worker clock fit updated: worker, offset, drift, err, n",
-    # -- per-hop latency decomposition (coordinator router, one per hop of
-    #    an accepted result, derived from the worker stamps the result's
-    #    trail carries and mapped through the clock fit; durations in
-    #    seconds, at = the hop's hand-off or, for the boundary, receipt;
-    #    nbytes = the hop's output frame; a batched hop carries items=N with
-    #    seq = the first item's gseq and durations covering the whole batch)
-    "span.phases": (
-        "one stage hop decomposed: stage, seq, worker, wire_out, "
-        "worker_queue, service, encode, wire_back, nbytes[, items]"
-    ),
 }
 
 

@@ -233,7 +233,6 @@ class MetricsRecorder:
         "worker.redispatch",
         "frame.encode",
         "frame.release",
-        "span.phases",
         "clock.sync",
     )
 
@@ -256,9 +255,15 @@ class MetricsRecorder:
         kind = ev.kind
         reg = self.registry
         if kind == "stage.service":
-            labels, n = {"stage": str(f.get("stage", "?"))}, f.get("items", 1)
+            stage, n = str(f.get("stage", "?")), f.get("items", 1)
+            labels, seconds = {"stage": stage}, f.get("seconds", 0.0)
             reg.counter("stage_items_total", labels).inc(n)
-            reg.histogram("stage_service_seconds", labels).observe(f.get("seconds", 0.0) / n, n)
+            reg.histogram("stage_service_seconds", labels).observe(seconds / n, n)
+            if "wire_out" in f:  # a distributed hop, decomposed
+                for phase in ("wire_out", "worker_queue", "service", "encode", "wire_back"):
+                    reg.histogram(
+                        "span_phase_seconds", {"stage": stage, "phase": phase}
+                    ).observe((seconds if phase == "service" else f.get(phase, 0.0)) / n, n)
             if "queue" in f:
                 reg.gauge("stage_queue_length", labels).set(f["queue"])
             worker = f.get("worker")
@@ -300,13 +305,6 @@ class MetricsRecorder:
         elif kind == "frame.release":
             reg.counter("frames_released_total").inc()
             reg.counter("frame_bytes_released_total").inc(f.get("nbytes", 0))
-        elif kind == "span.phases":
-            stage, n = str(f.get("stage", "?")), f.get("items", 1)
-            for phase in ("wire_out", "worker_queue", "service", "encode", "wire_back"):
-                if phase in f:
-                    reg.histogram(
-                        "span_phase_seconds", {"stage": stage, "phase": phase}
-                    ).observe(f[phase] / n, n)
         elif kind == "clock.sync":
             worker = str(f.get("worker", "?"))
             reg.gauge("worker_clock_offset_seconds", {"worker": worker}).set(

@@ -18,10 +18,10 @@ named phases:
     (stage 0's are spent inside ``submit()``) and inter-stage routing gaps;
 ``encode``
     payload encoding, both coordinator-side (``frame.encode`` with
-    ``seconds``) and worker-side (the ``encode`` term of ``span.phases``);
+    ``seconds``) and worker-side (a distributed hop's ``encode``);
 ``wire_out`` / ``wire_back``
-    task frame out to the worker / result frame back, from the per-hop
-    decomposition (clock-fit mapped, error bounded by rtt/2);
+    task frame out to the worker / result frame back, from a distributed
+    hop's decomposition (clock-fit mapped, error bounded by rtt/2);
 ``worker_queue``
     in the replica's task queue on the worker (in-process: see below);
 ``service``
@@ -40,12 +40,14 @@ Offline report::
     python -m repro.obs.profile /tmp/pipeline.jsonl
     python -m repro.obs.profile /tmp/pipeline.jsonl --slowest 5 --json
 
-Backends without the distributed hop decomposition (threads, processes,
-asyncio) degrade gracefully: ``stage.service`` events still tile service
-time per stage, and the gap before each service (less any measured
-encode) is that stage's own ``worker_queue``: coarser, but a saturated
-stage's input wait blames that stage, not the coordinator, and the
-service-vs-overhead split stays honest.
+Every executor journals one ``stage.service`` per hop, and one loop tiles
+them all.  The distributed hop carries its decomposition (``wire_out``,
+``worker_queue``, ``encode``, ``wire_back``), so the gap before it is
+coordinator residence.  The in-process executors (threads, processes,
+asyncio) measure only the service, so the gap before each (less any
+measured encode) is that stage's own ``worker_queue``: coarser, but a
+saturated stage's input wait blames that stage, not the coordinator, and
+the service-vs-overhead split stays honest.
 
 Micro-batched sessions emit one batch-covering record per hop
 (``items=N``, durations = batch totals) which the span collector attaches
@@ -280,62 +282,36 @@ def _profile_span(span: Span) -> ItemProfile | None:
     for e in span.events:
         if e.kind == "frame.encode" and "seconds" in e.fields:
             enc_by_stage[e.fields.get("stage", 0)] += e.fields["seconds"]
-    hops = sorted(
-        (e for e in span.events if e.kind == "span.phases"), key=lambda e: e.time
-    )
+    # Each stage.service ends at its ``time``, after its service ``seconds``
+    # and, on a distributed hop, the ``worker_queue`` and ``wire_out`` before
+    # them and the ``encode`` and ``wire_back`` after.  The gap before a hop
+    # (less any measured encode into it) is coordinator residence when the
+    # hop carries its wire time, else the stage's own queue.
     cursor = sub.time
-    if hops:
-        # Distributed: each hop carries its own decomposition; the gaps
-        # between submit, hop windows and completion are coordinator
-        # residence (minus any measured encode inside the gap).
-        for hop in hops:
-            f = hop.fields
-            known = (
-                f.get("wire_out", 0.0)
-                + f.get("worker_queue", 0.0)
-                + f.get("service", 0.0)
-                + f.get("encode", 0.0)
-                + f.get("wire_back", 0.0)
-            )
-            start = hop.time - known  # ≈ when the hop's task left the coordinator
-            gap = max(0.0, start - cursor)
-            enc = min(enc_by_stage.pop(f.get("stage", 0), 0.0), gap)
-            phases["encode"] += enc + f.get("encode", 0.0)
+    for e in sorted(
+        (e for e in span.events if e.kind == "stage.service"), key=lambda e: e.time
+    ):
+        f = e.fields
+        sec, stage = f.get("seconds", 0.0), f.get("stage", 0)
+        wait, out = f.get("worker_queue", 0.0), f.get("wire_out", 0.0)
+        gap = max(0.0, e.time - sec - wait - out - cursor)
+        enc = min(enc_by_stage.pop(stage, 0.0), gap)
+        phases["encode"] += enc + f.get("encode", 0.0)
+        if "wire_out" in f:
             phases["coord_queue"] += gap - enc
-            phases["wire_out"] += f.get("wire_out", 0.0)
-            # A batched hop's service covers N items: only 1/N of it is
-            # this item's own work; the rest is wall time the item spent
-            # waiting on its batchmates, which is queue-shaped.
-            n = max(int(f.get("items", 1)), 1)
-            svc = f.get("service", 0.0)
-            phases["service"] += svc / n
-            phases["worker_queue"] += f.get("worker_queue", 0.0) + (svc - svc / n)
-            phases["wire_back"] += f.get("wire_back", 0.0)
-            cursor = max(cursor, hop.time)
-    else:
-        # In-process executors: stage.service events mark each service's
-        # end; the gap before one is the item waiting for that stage (minus
-        # any measured encode into it): the stage's own queue.
-        for e in sorted(
-            (e for e in span.events if e.kind == "stage.service"),
-            key=lambda e: e.time,
-        ):
-            sec = e.fields.get("seconds", 0.0)
-            stage = e.fields.get("stage", 0)
-            gap = max(0.0, e.time - sec - cursor)
-            enc = min(enc_by_stage.pop(stage, 0.0), gap)
-            phases["encode"] += enc
+        else:
             phases["worker_queue"] += gap - enc
             queued[stage] = queued.get(stage, 0.0) + gap - enc
-            # Batch-covering records (items=N, seconds = batch total):
-            # the item's own service is seconds/N, the remainder is
-            # in-batch wait on batchmates (queue-shaped) — coverage stays
-            # complete without N-counting service across the batch.
-            n = max(int(e.fields.get("items", 1)), 1)
-            phases["service"] += sec / n
-            if n > 1:
-                phases["worker_queue"] += sec - sec / n
-            cursor = max(cursor, e.time)
+        phases["wire_out"] += out
+        # A batch-covering record (items=N, durations = batch totals): the
+        # item's own service is seconds/N, the remainder is in-batch wait on
+        # batchmates (queue-shaped) — coverage stays complete without
+        # N-counting service across the batch.
+        n = max(int(f.get("items", 1)), 1)
+        phases["service"] += sec / n
+        phases["worker_queue"] += wait + (sec - sec / n)
+        phases["wire_back"] += f.get("wire_back", 0.0)
+        cursor = max(cursor, e.time + f.get("encode", 0.0) + f.get("wire_back", 0.0))
     phases["reorder_hold"] = max(0.0, done.time - cursor)
     return ItemProfile(
         stream=span.stream,
@@ -361,18 +337,12 @@ def _fold_stage_aggregates(report: ProfileReport, span: Span, item: ItemProfile)
         # batch-total durations: fold 1/N per span so the aggregate is the
         # amortised per-item cost and sums stay equal to wall time.
         n = max(int(f.get("items", 1)), 1)
-        if e.kind == "span.phases":
+        if e.kind == "stage.service":
             agg.items += 1
-            agg.service += f.get("service", 0.0) / n
+            agg.service += f.get("seconds", 0.0) / n
             agg.worker_queue += f.get("worker_queue", 0.0) / n
             agg.wire += (f.get("wire_out", 0.0) + f.get("wire_back", 0.0)) / n
             agg.encode += f.get("encode", 0.0) / n
-        elif e.kind == "stage.service":
-            # Only when no hop decomposition exists for this stage — the
-            # distributed router emits both, and span.phases is richer.
-            if span.first("span.phases") is None:
-                agg.items += 1
-                agg.service += f.get("seconds", 0.0) / n
         elif e.kind == "frame.encode" and "seconds" in f:
             agg.encode += f["seconds"] / n
 

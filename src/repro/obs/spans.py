@@ -2,10 +2,11 @@
 
 A span is minted at ``submit()`` — its id is the item's
 :class:`~repro.backend.base.Ticket` ``(stream, seq)`` — and every later
-event that names the item (``item.dispatch``, ``stage.service``,
-``frame.encode``/``frame.release``, ``span.phases``, ``item.complete``) is
-attached to it, reconstructing the submit→queue→encode→wire→service→
-reorder→yield timeline.  Spans are rebuilt from the journal
+event that names the item (``stage.service``, ``frame.encode``/
+``frame.release``, ``worker.redispatch``, ``item.complete``) is attached
+to it, reconstructing the submit→queue→encode→wire→service→reorder→yield
+timeline; on the distributed lane each ``stage.service`` also carries its
+hop's wire, queue and encode phases.  Spans are rebuilt from the journal
 (:func:`spans_from_journal`), so a session keeps no per-item store: the
 journal is the one durable record of each item.
 
@@ -57,30 +58,14 @@ class Span:
         A span that never completes because its worker died is not left
         looking merely unfinished: the ``worker.redispatch`` event is part
         of the span, so its state is visibly "re-sent elsewhere" and the
-        replacement attempt's ``item.dispatch``/``span.phases`` events land
-        on this same span (see :meth:`dispatches`).
+        replacement attempt's ``stage.service`` records land on this same
+        span.
         """
         if self.complete:
             return "complete"
         if self.redispatched:
             return "redispatched"
         return "open"
-
-    def dispatches(self, stage: int) -> list[Event]:
-        """``item.dispatch`` events for ``stage``, oldest first.
-
-        More than one entry means the item was re-dispatched (its first
-        worker died); the last entry is the replacement attempt that the
-        accepted result — if any — came from.
-        """
-        return sorted(
-            (
-                e
-                for e in self.events
-                if e.kind == "item.dispatch" and e.fields.get("stage") == stage
-            ),
-            key=lambda e: e.time,
-        )
 
     def first(self, kind: str) -> Event | None:
         for e in self.events:
@@ -122,18 +107,13 @@ class SpanCollector:
 
     KINDS = (
         "item.submit",
-        "item.dispatch",
         "item.complete",
         "stage.service",
         "frame.encode",
         "frame.release",
         # A worker death mid-item re-sends it: the redispatch event joins
-        # the span so it reads "re-sent" instead of dangling open, and the
-        # replacement attempt's dispatch lands on the same span.
+        # the span so it reads "re-sent" instead of dangling open.
         "worker.redispatch",
-        # The per-hop decomposition, derived from the worker's stamps and
-        # clock-mapped onto the session timeline by the coordinator.
-        "span.phases",
     )
 
     def __init__(self) -> None:
@@ -153,7 +133,7 @@ class SpanCollector:
             return
         seq = f.get("seq")
         if seq is None or ev.kind not in self.KINDS:
-            return  # batch.* records name batches, not items
+            return
         # A batch-covering event names its base seq and carries
         # ``items=N``: attach it to all N spans so every item in the
         # micro-batch keeps a full timeline (consumers divide any

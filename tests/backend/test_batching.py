@@ -397,10 +397,31 @@ class TestBatchEvents:
         kinds = {r["kind"] for r in recs}
         asm = [r for r in recs if r["kind"] == "batch.assemble"]
         done = [r for r in recs if r["kind"] == "item.complete"]
-        assert sum(r["items"] for r in asm) == 32
+        # Each cut names its members in item space: gseqs seq..seq+items-1.
+        members = sorted(g for r in asm for g in range(r["seq"], r["seq"] + r["items"]))
+        assert members == list(range(32))
         # A cut is the one batch record: delivery and encoding are told by
         # item.complete and frame.encode, which already carry the items.
         assert not kinds & {"batch.split", "batch.encode"}
         # The per-item timeline is preserved: one completion per item, in
         # delivery order, with real item seqs (not batch seqs).
         assert [r["seq"] for r in done] == list(range(32))
+
+    @pytest.mark.parametrize("heard", [False, True], ids=["unheard", "heard"])
+    def test_a_cut_builds_its_record_only_when_heard(self, heard):
+        # A cut asks the bus first: with nobody listening for batch.assemble
+        # it builds no record at all, not one the bus then drops.
+        session = open_pipeline([_inc], backend="threads", batching=8)
+        built, heard_asm = [], []
+        with session:
+            emit = session.events.emit
+            session.events.emit = lambda kind, *a, **f: (built.append(kind), emit(kind, *a, **f))
+            session.events.subscribe(lambda ev: None, kinds=["item.complete"])
+            if heard:
+                session.events.subscribe(heard_asm.append, kinds=["batch.assemble"])
+            for i in range(32):
+                session.submit(i)
+            assert session.drain() == [x + 1 for x in range(32)]
+        assert "item.complete" in built
+        assert built.count("batch.assemble") == len(heard_asm)
+        assert sum(ev.fields["items"] for ev in heard_asm) == (32 if heard else 0)

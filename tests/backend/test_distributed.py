@@ -1271,7 +1271,7 @@ class TestPlacementByFinishTime:
             for seq, _frame, hops in got:
                 t_sent, recv_t, gap = timeline[seq]
                 assert wire[seq] == pytest.approx(recv_t - t_sent)
-                assert len(hops[-1]) == 7
+                assert len(hops[-1]) == 8
                 assert hops[-1][4] == len(timeline) - seq - 1  # routes still in flight
                 expected = gap if expected is None else expected + 0.1 * (gap - expected)
                 link_s += 0.1 * ((recv_t - t_sent) / 2 - link_s)  # the cached one-way wire time

@@ -2,8 +2,8 @@
 
 ``item.submit`` carries an item's ticket ``(stream, seq)`` and its
 session-wide ``gseq``; every record the executors emit below the port
-(``stage.service``, ``frame.*``, ``item.dispatch``, ``span.phases``) names
-items by that ``gseq`` — a batch-covering one by its first member's, plus
+(``stage.service``, ``frame.*``, ``worker.redispatch``) names items by
+that ``gseq`` — a batch-covering one by its first member's, plus
 ``items``.  Checked on threads, asyncio, processes and
 distributed, per item and micro-batched, over two streams: the second
 stream is where a per-stream number would collide with the first's.  Each
@@ -40,7 +40,7 @@ def _double(x):
 @pytest.mark.parametrize("batching", [None, 16], ids=["items", "batched"])
 @pytest.mark.parametrize("executor", sorted(EXECUTORS))
 def test_every_lane_record_names_its_items_by_gseq(executor, batching, tmp_path):
-    path = tmp_path / "j.jsonl"  # a journal: every kind, span.phases included
+    path = tmp_path / "j.jsonl"  # a journal: every kind, the hop phases included
     session = open_pipeline(
         [_inc, _double],
         backend=executor,
@@ -75,8 +75,15 @@ def test_every_lane_record_names_its_items_by_gseq(executor, batching, tmp_path)
     assert {"stage.service"} <= kinds
     if executor in ("processes", "distributed"):
         assert {"frame.encode", "frame.release"} <= kinds
+    # A hop is one record on every executor: the distributed one carries
+    # its decomposition and output size in it.
+    assert not {ev.kind for ev in events} & {"item.dispatch", "span.phases"}
     if executor == "distributed":
-        assert {"item.dispatch", "span.phases"} <= kinds
+        for ev, _ in records:
+            if ev.kind == "stage.service":
+                assert ev.fields.keys() >= {
+                    "wire_out", "worker_queue", "encode", "wire_back", "nbytes"
+                }, ev.fields
 
     # Each stage serviced every item exactly once, by the item's own key.
     for stage in range(2):
@@ -101,3 +108,35 @@ def test_every_lane_record_names_its_items_by_gseq(executor, batching, tmp_path)
     for ev, named in records:
         named_by.setdefault(key(ev), set()).update(named)
     assert attached == named_by
+
+
+@pytest.mark.parametrize("heard", [False, True], ids=["unheard", "heard"])
+def test_a_distributed_hop_is_decomposed_only_when_heard(heard, monkeypatch):
+    # The untraced router does no per-hop phase work: with nobody listening
+    # for stage.service every hop it records carries no phases; with a
+    # listener, each carries the four terms, none negative.
+    from repro.monitor.instrument import StageMetrics
+
+    recorded = []
+    record_hops = StageMetrics.record_hops
+
+    def spy(self, hops):
+        recorded.extend(hops)
+        return record_hops(self, hops)
+
+    monkeypatch.setattr(StageMetrics, "record_hops", spy)
+    session = open_pipeline([_inc, _double], backend="distributed", spawn_workers=1)
+    with session:
+        if heard:
+            session.events.subscribe(lambda ev: None, kinds=["stage.service"])
+        for x in range(N):
+            session.submit(x)
+        assert session.drain() == [2 * (x + 1) for x in range(N)]
+    assert len(recorded) == 2 * N
+    for hop in recorded:
+        phases = hop[-1]
+        if heard:
+            assert phases.keys() == {"wire_out", "worker_queue", "encode", "wire_back"}
+            assert min(phases.values()) >= 0.0, hop
+        else:
+            assert phases is None, hop

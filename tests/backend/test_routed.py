@@ -89,7 +89,7 @@ class FakeLaneSession(RoutedSession):
             self._seen[stage].add(seq)
             if kind == "err":
                 return [*got, payload]
-            hop = (stage, "fake", 0.001, transport.wire_nbytes(payload), 0, None, 1.0)
+            hop = (stage, "fake", 0.001, transport.wire_nbytes(payload), 0, None, 1.0, None)
             got.append((seq, payload, [hop]))
         return got
 

@@ -1,8 +1,8 @@
 """Acceptance tests for cross-host trace propagation (ISSUE 9).
 
 The load-bearing claims: with telemetry attached to a distributed session,
-(1) each hop's ``span.phases``, derived from the result's stamps, merges
-onto the per-item spans on the coordinator's session timeline, (2) the clock mapping
+(1) each hop's ``stage.service``, its phases derived from the result's
+stamps, merges onto the per-item spans on the coordinator's session timeline, (2) the clock mapping
 that makes the merge honest is bounded by rtt/2, and (3) the critical-path
 profiler attributes ≥95% of every item's wall-clock latency to named phases.
 
@@ -57,12 +57,13 @@ class TestTracePropagation:
         path = self._run(tmp_path)
         recs = list(read_journal(path))
         kinds = {r["kind"] for r in recs}
-        # One record per hop, derived from the result frames' stamps.
-        assert {"span.phases", "clock.sync"} <= kinds
+        # One record per hop, its phases derived from the result frames' stamps.
+        assert {"stage.service", "clock.sync"} <= kinds
         assert not any(k.startswith("wk.") for k in kinds)
         # Hop records carry the worker id and land on the session timeline
         # (monotone non-negative times, not raw worker clocks).
-        wk = [r for r in recs if r["kind"] == "span.phases"]
+        wk = [r for r in recs if r["kind"] == "stage.service"]
+        assert all("wire_out" in r for r in wk)
         assert {r["worker"] for r in wk} == {0, 1}
         assert all(r["t"] >= 0.0 for r in wk)
         t_close = max(r["t"] for r in recs)
@@ -73,7 +74,7 @@ class TestTracePropagation:
         assert len(spans) == self.N
         for s in spans:
             assert s.trace_id is not None
-            hops = [e for e in s.events if e.kind == "span.phases"]
+            hops = [e for e in s.events if e.kind == "stage.service"]
             assert sorted(e.fields["stage"] for e in hops) == [0, 1]
 
     def test_clock_offset_bounded_by_rtt_half(self, tmp_path):
@@ -106,7 +107,7 @@ class TestTracePropagation:
 class TestBatchedTracePropagation:
     """Micro-batching must not corrupt per-item trace attribution.
 
-    One ``stage.service``/``span.phases`` record covers a whole batch
+    One ``stage.service`` record covers a whole batch
     (``items=N``, durations = batch totals); the collectors fan it out to
     all member spans and attribute ``1/N`` of the service per item, so
     coverage stays ≥95% while summed service time stays equal to the wall
@@ -134,15 +135,16 @@ class TestBatchedTracePropagation:
         path = self._run(tmp_path)
         recs = list(read_journal(path))
         kinds = {r["kind"] for r in recs}
-        assert {"batch.assemble", "span.phases"} <= kinds
+        assert {"batch.assemble", "stage.service"} <= kinds
         # Batch-covering trace records name item gseqs plus a count.
-        hops = [r for r in recs if r["kind"] == "span.phases"]
+        hops = [r for r in recs if r["kind"] == "stage.service"]
+        assert all("wire_out" in r for r in hops)
         assert sum(r.get("items", 1) for r in hops) == 2 * self.N
         spans = [s for s in spans_from_journal(path) if s.complete]
         assert len(spans) == self.N
         for s in spans:
             assert s.trace_id is not None
-            assert s.first("span.phases") is not None
+            assert "wire_out" in s.first("stage.service").fields
 
     def test_batched_attribution_is_per_item(self, tmp_path):
         path = self._run(tmp_path)

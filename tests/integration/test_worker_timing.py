@@ -1,12 +1,12 @@
-"""One record per hop: the coordinator derives ``span.phases`` from a result's stamps.
+"""One record per hop: the coordinator decomposes each hop from a result's stamps.
 
 A worker traces nothing: each hop in a result's trail carries ``t_recv_w``,
 ``wait_s``, ``service_s``, ``t_send_w`` and the output frame's ``nbytes``,
-and the coordinator turns them into exactly one ``span.phases`` per hop,
-mapped through its per-worker clock fit.  Checked on a two-worker journal,
-per item and micro-batched: one ``span.phases`` beside each hop's
-``stage.service`` and nothing else derived, its terms tiling the hop from the
-previous hand-off and agreeing with ``stage.service``.
+and the coordinator turns them into the phases of the hop's one
+``stage.service``, mapped through its per-worker clock fit.  Checked on a
+two-worker journal, per item and micro-batched: one ``stage.service`` per
+hop and nothing else derived, an item's hops chained in time from its
+submit.
 
 Stage functions live at module level so forked workers can resolve them.
 """
@@ -21,7 +21,7 @@ from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.obs import read_journal
 
-PHASES = ("wire_out", "worker_queue", "service", "encode", "wire_back")
+PHASES = ("wire_out", "worker_queue", "seconds", "encode", "wire_back")
 N = 40
 
 
@@ -52,43 +52,37 @@ def journal(request, tmp_path):
     return list(read_journal(path))
 
 
-def test_every_hop_is_one_span_phases_record(journal):
+def test_every_hop_is_one_stage_service_record(journal):
     assert not [r for r in journal if r["kind"].startswith("wk.")]
-    per_hop = Counter(
-        (r["kind"], r["stage"], r["seq"])
-        for r in journal
-        if r["kind"] in ("stage.service", "span.phases")
-    )
-    hops = {(stage, seq) for kind, stage, seq in per_hop if kind == "span.phases"}
-    assert {stage for stage, _ in hops} == {0, 1}
-    for stage, seq in hops:
-        assert per_hop["span.phases", stage, seq] == 1
-        assert per_hop["stage.service", stage, seq] == 1
-    assert {(s, q) for _, s, q in per_hop} == hops  # no service record without its hop
-    items = sum(r.get("items", 1) for r in journal if r["kind"] == "span.phases")
-    assert items == 2 * N  # every item crossed both stages once
-    assert all(r["nbytes"] > 0 for r in journal if r["kind"] == "span.phases")
+    assert not [r for r in journal if r["kind"] in ("span.phases", "item.dispatch")]
+    hops = [r for r in journal if r["kind"] == "stage.service"]
+    per_hop = Counter((r["stage"], r["seq"]) for r in hops)
+    assert {stage for stage, _ in per_hop} == {0, 1}
+    assert set(per_hop.values()) == {1}
+    assert sum(r.get("items", 1) for r in hops) == 2 * N  # every item crossed both stages once
+    assert all(r["nbytes"] > 0 for r in hops)
 
 
-def test_phases_tile_their_hop(journal):
+def test_phases_chain_an_items_hops(journal):
     err = {}  # worker -> widest clock-fit error bound it reported
     for r in journal:
         if r["kind"] == "clock.sync":
             err[r["worker"]] = max(err.get(r["worker"], 0.0), r["err"])
     assert set(err) == {0, 1}
-    by_hop: dict = {}
-    for r in journal:
-        if r["kind"] in ("item.dispatch", "span.phases", "stage.service"):
-            by_hop.setdefault((r["stage"], r["seq"]), {})[r["kind"]] = r
-    for (stage, seq), hop in by_hop.items():
-        phases = hop["span.phases"]
-        assert all(phases[p] >= 0.0 for p in PHASES), (stage, seq)
-        # The hop starts at the previous hand-off (or the coordinator's send):
-        # never before the item was dispatched.  Same host, one
+    submitted = {r["gseq"]: r["t"] for r in journal if r["kind"] == "item.submit"}
+    hops = {(r["stage"], r["seq"]): r for r in journal if r["kind"] == "stage.service"}
+    for (stage, seq), hop in hops.items():
+        assert all(hop[p] >= 0.0 for p in PHASES), (stage, seq)
+        # The record ends with the service: the hop started wire_out +
+        # worker_queue + seconds before it, at the previous hop's service end
+        # or later (the item's submit, for the first).  Same host, one
         # CLOCK_MONOTONIC: a mapped time is off by at most the fit's rtt/2
         # bound (1 ms slack, as for the offset itself).
-        start = phases["t"] - sum(phases[p] for p in PHASES)
-        slack = err[phases["worker"]] + 1e-3
-        assert hop["item.dispatch"]["t"] - slack <= start, (stage, seq)
-        assert phases["service"] == hop["stage.service"]["seconds"]
-        assert phases["worker"] == hop["stage.service"]["worker"]
+        start = hop["t"] - hop["seconds"] - hop["worker_queue"] - hop["wire_out"]
+        before = submitted[seq] if stage == 0 else hops[stage - 1, seq]["t"]
+        assert before - err[hop["worker"]] - 1e-3 <= start, (stage, seq)
+        if stage:
+            # Both stages are one route: a peer hop starts at its
+            # predecessor's hand-off, or at its own mapped arrival when the
+            # clock fit puts that earlier (wire_out clamped at 0), never later.
+            assert start <= before + hops[stage - 1, seq]["encode"] + 1e-6, (stage, seq)

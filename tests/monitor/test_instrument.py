@@ -169,7 +169,7 @@ class TestPayloadByteAccounting:
         m = StageMetrics(0)
         for n in (100, 300):
             m.record_bytes_in(n)
-            m.record_bytes_out(2 * n)
+            m.record_service(0.1, 1.0, nbytes=2 * n)
         snap = m.snapshot()
         assert snap.bytes_in == pytest.approx(200.0)
         assert snap.bytes_out == pytest.approx(400.0)
@@ -178,7 +178,7 @@ class TestPayloadByteAccounting:
         m = StageMetrics(0, window=2)
         for n in (1_000, 10, 30):
             m.record_bytes_in(n)
-            m.record_bytes_out(n)
+            m.record_service(0.1, 1.0, nbytes=n)
         snap = m.snapshot()
         assert snap.bytes_in == pytest.approx(20.0)
         assert snap.bytes_out == pytest.approx(20.0)
@@ -187,7 +187,7 @@ class TestPayloadByteAccounting:
         # Stage k+1's input is stage k's output: recording what leaves a
         # stage measures nothing about what entered it.
         m = StageMetrics(1)
-        m.record_hops([(k, 1, 1, "w", 0.01, n, 0, None, 1.0) for k, n in enumerate((512, 256))])
+        m.record_hops([(k, 1, 1, "w", 0.01, n, 0, None, 1.0, None) for k, n in enumerate((512, 256))])
         snap = m.snapshot()
         assert snap.bytes_out == pytest.approx(384.0)
         assert snap.bytes_in == 0.0
@@ -195,7 +195,7 @@ class TestPayloadByteAccounting:
     def test_a_hop_without_a_size_records_no_bytes(self):
         # A thread hop measures no payload (its nbytes_out is None).
         m = StageMetrics(0)
-        m.record_hops([(k, 1, 0, 0, 0.01, None, 0, None, 1.0) for k in range(3)])
+        m.record_hops([(k, 1, 0, 0, 0.01, None, 0, None, 1.0, None) for k in range(3)])
         snap = m.snapshot()
         assert snap.items_processed == 3
         assert snap.bytes_out == 0.0

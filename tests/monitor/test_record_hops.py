@@ -2,9 +2,8 @@
 
 Every lane records a burst's hops of one stage in one call; whatever the
 windows, totals, ``stage.service`` events or an installed
-:class:`ServiceWatch` see must be what N ``record_service`` /
-``record_bytes_out`` calls (the last only for a measured size, not None — a
-thread hop measures none) would have shown them, in the same order.
+:class:`ServiceWatch` see must be what N ``record_service`` calls would
+have shown them, in the same order.
 """
 
 import threading
@@ -18,7 +17,10 @@ from repro.backend.base import Session
 from repro.monitor.instrument import PipelineInstrumentation, ServiceWatch, StageMetrics
 from repro.obs.events import EventBus
 
-# (seq, items, stage, worker, service_s, nbytes_out, queued, at, speed)
+phases = st.fixed_dictionaries(
+    {k: st.floats(0.0, 0.01) for k in ("wire_out", "worker_queue", "encode", "wire_back")}
+)
+# (seq, items, stage, worker, service_s, nbytes_out, queued, at, speed, phases)
 hop = st.tuples(
     st.integers(0, 10_000),
     st.integers(1, 4),
@@ -29,6 +31,7 @@ hop = st.tuples(
     st.integers(0, 300),
     st.one_of(st.none(), st.floats(0.0, 100.0)),
     st.floats(0.1, 4.0),
+    st.one_of(st.none(), phases),
 )
 bursts = st.lists(st.lists(hop, max_size=12), min_size=1, max_size=6).filter(
     lambda bs: any(bs)
@@ -36,10 +39,11 @@ bursts = st.lists(st.lists(hop, max_size=12), min_size=1, max_size=6).filter(
 
 
 def per_hop(m, burst):
-    for seq, items, _, worker, seconds, nbytes, queued, at, speed in burst:
-        m.record_service(seconds, speed, seq=seq, worker=worker, queue=queued, items=items, at=at)
-        if nbytes is not None:
-            m.record_bytes_out(nbytes)
+    for seq, items, _, worker, seconds, nbytes, queued, at, speed, phases in burst:
+        m.record_service(
+            seconds, speed, seq=seq, worker=worker, queue=queued, items=items, at=at,
+            nbytes=nbytes, phases=phases,
+        )
 
 
 def state(m):
@@ -115,7 +119,7 @@ def _watched_run(bs, bulk):
 @settings(max_examples=200)
 @given(st.lists(st.lists(st.sampled_from([0.002, 0.0021, 0.008, 0.03]), max_size=16), min_size=1))
 def test_an_installed_watch_fires_on_the_same_sample(levels):
-    bs = [[(k, 1, 0, 0, s, 64, 0, None, 1.0) for k, s in enumerate(b)] for b in levels]
+    bs = [[(k, 1, 0, 0, s, 64, 0, None, 1.0, None) for k, s in enumerate(b)] for b in levels]
     assert _watched_run(bs, bulk=True) == _watched_run(bs, bulk=False)
 
 
@@ -124,8 +128,8 @@ def test_a_level_shift_inside_one_burst_fires_where_per_hop_calls_fire():
     # middle of the second burst: the watch hears it three samples into the
     # step (sample 10), as per-hop calls make it, not at the burst's end (16).
     bs = [
-        [(k, 1, 0, 0, 0.002, 64, 0, None, 1.0) for k in range(4)],
-        [(k, 1, 0, 0, 0.002 if k < 7 else 0.008, 64, 0, None, 1.0) for k in range(4, 16)],
+        [(k, 1, 0, 0, 0.002, 64, 0, None, 1.0, None) for k in range(4)],
+        [(k, 1, 0, 0, 0.002 if k < 7 else 0.008, 64, 0, None, 1.0, None) for k in range(4, 16)],
     ]
     wakes, _ = _watched_run(bs, bulk=True)
     assert wakes == _watched_run(bs, bulk=False)[0]
@@ -136,9 +140,24 @@ def test_the_queue_length_rides_in_the_stage_service_event():
     # The one record of a hop's backlog: the windows ignore it.
     m, queues = StageMetrics(0, events=EventBus(clock=lambda: 0.0)), []
     m.events.subscribe(lambda ev: queues.append(ev.fields["queue"]), kinds=["stage.service"])
-    m.record_hops([(k, 1, 0, 0, 0.01, None, q, None, 1.0) for k, q in enumerate((0, 3, 7))])
+    m.record_hops([(k, 1, 0, 0, 0.01, None, q, None, 1.0, None) for k, q in enumerate((0, 3, 7))])
     assert queues == [0, 3, 7]
     assert m.snapshot().service_time == pytest.approx(0.01)
+
+
+def test_a_hops_size_and_phases_ride_in_its_stage_service_event():
+    # The one record of a hop: its output size wherever the lane measured
+    # one, and a distributed hop's decomposition beside its service.
+    m, heard = StageMetrics(0, events=EventBus(clock=lambda: 0.0)), []
+    m.events.subscribe(lambda ev: heard.append(ev.fields), kinds=["stage.service"])
+    hop = {"wire_out": 1e-4, "worker_queue": 2e-4, "encode": 3e-5, "wire_back": 1e-4}
+    m.record_hops([
+        (0, 1, 0, 0, 0.01, 512, 0, None, 1.0, hop),
+        (1, 1, 0, 0, 0.01, None, 0, None, 1.0, None),
+    ])
+    assert heard[0]["nbytes"] == 512 and heard[0].items() >= hop.items()
+    assert not heard[1].keys() & {"nbytes", *hop}
+    assert m.snapshot().bytes_out == 512.0
 
 
 def test_record_trails_records_each_stage_in_item_space():

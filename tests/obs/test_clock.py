@@ -19,18 +19,18 @@ class TestClockFit:
     def test_offset_and_mapping(self):
         fit = ClockFit(a=1.5, b=0.0, err=0.001, n=4)
         assert fit.offset_at(10.0) == 1.5
-        assert fit.to_local(11.5) == 10.0
+        assert 11.5 - fit.offset_at(11.5) == 10.0
 
     def test_drift_term(self):
         fit = ClockFit(a=0.0, b=1e-3, err=0.001, n=10)
         assert fit.offset_at(100.0) == pytest.approx(0.1)
-        assert fit.to_local(100.0) == pytest.approx(99.9)
+        assert 100.0 - fit.offset_at(100.0) == pytest.approx(99.9)
 
 
 class TestClockSync:
     def test_identity_before_any_sample(self):
         cs = ClockSync()
-        assert cs.to_local(42.0) == 42.0
+        assert 42.0 - cs.offset(42.0) == 42.0
         assert cs.offset() == 0.0
         assert cs.error_bound() == math.inf
         assert cs.n_samples == 0
@@ -42,7 +42,7 @@ class TestClockSync:
         # Symmetric delays: the sample is exact, error bound is rtt/2.
         assert cs.offset() == pytest.approx(3.0, abs=1e-9)
         assert cs.error_bound() == pytest.approx(rtt / 2)
-        assert cs.to_local(103.0) == pytest.approx(100.0, abs=1e-9)
+        assert 103.0 - cs.offset(103.0) == pytest.approx(100.0, abs=1e-9)
 
     def test_asymmetric_delay_error_within_rtt_half(self):
         cs = ClockSync()

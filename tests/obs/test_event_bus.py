@@ -74,7 +74,7 @@ class TestEventBus:
         prefixes = {k.split(".")[0] for k in SCHEMA}
         assert prefixes == {
             "session", "stream", "item", "stage", "replica",
-            "adapt", "worker", "frame", "clock", "span", "batch",
+            "adapt", "worker", "frame", "clock", "batch",
         }
 
     def test_unclocked_fallback_warns_once(self):

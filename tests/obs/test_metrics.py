@@ -124,21 +124,23 @@ class TestRecorder:
         assert reg.counter("worker_items_total", {"worker": "3"}).value == 1
 
     def test_a_batched_record_counts_each_of_its_items(self):
-        # A batch's stage.service and span.phases carry the batch totals and
-        # items=N: the stage families count N items at the per-item mean.
+        # A batch's stage.service carries the batch totals and items=N, its
+        # phases too on a distributed hop: the stage and phase families
+        # count N items at the per-item mean.
         bus, reg = self._bus()
         bus.emit("stage.service", stage=0, seconds=0.16, speed=1.0, worker=2, items=16)
         bus.emit("stage.service", stage=0, seconds=0.01, speed=1.0, worker=2)
-        bus.emit("span.phases", seq=0, stage=0, service=0.4, wire_out=0.04, items=4)
-        assert reg.counter("stage_items_total", {"stage": "0"}).value == 17
-        assert reg.counter("worker_items_total", {"worker": "2"}).value == 17
+        bus.emit("stage.service", seq=0, stage=0, seconds=0.04, speed=1.0, worker=2,
+                 wire_out=0.08, worker_queue=0.0, encode=0.0, wire_back=0.0, items=4)
+        assert reg.counter("stage_items_total", {"stage": "0"}).value == 21
+        assert reg.counter("worker_items_total", {"worker": "2"}).value == 21
         h = reg.histogram("stage_service_seconds", {"stage": "0"})
-        assert h.count == 17 and h.sum == pytest.approx(0.17)
+        assert h.count == 21 and h.sum == pytest.approx(0.21)
         assert h.sum / h.count == pytest.approx(0.01)
         phase = reg.histogram("span_phase_seconds", {"stage": "0", "phase": "service"})
-        assert phase.count == 4 and phase.sum == pytest.approx(0.4)
+        assert phase.count == 4 and phase.sum == pytest.approx(0.04)
         wire = reg.histogram("span_phase_seconds", {"stage": "0", "phase": "wire_out"})
-        assert wire.count == 4 and wire.sum == pytest.approx(0.04)
+        assert wire.count == 4 and wire.sum == pytest.approx(0.08)
 
     def test_a_batched_threads_session_counts_items_not_batches(self, tmp_path):
         telemetry = Telemetry(prometheus=tmp_path / "m.prom")
@@ -201,10 +203,12 @@ class TestRecorder:
         bus.emit("item.complete", at=2.0, stream=0, seq=9)
         assert h.count == 1
 
-    def test_span_phases_feed_per_stage_phase_histograms(self):
+    def test_a_decomposed_hop_feeds_per_stage_phase_histograms(self):
         bus, reg = self._bus()
-        bus.emit("span.phases", seq=0, stage=1, wire_out=0.001,
-                 worker_queue=0.01, service=0.1, encode=0.002, wire_back=0.001)
+        bus.emit("stage.service", stage=0, seconds=0.2, speed=1.0)  # not decomposed
+        bus.emit("stage.service", seq=0, stage=1, seconds=0.1, speed=1.0, wire_out=0.001,
+                 worker_queue=0.01, encode=0.002, wire_back=0.001)
+        assert {dict(k)["stage"] for k in reg.family("span_phase_seconds")} == {"1"}
         labels = {"stage": "1", "phase": "service"}
         h = reg.histogram("span_phase_seconds", labels)
         assert h.count == 1

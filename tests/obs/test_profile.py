@@ -25,25 +25,27 @@ def _collect(*emits):
     return col.spans()
 
 
-def _distributed_span(*, submit=1.0, hop_at=1.5, done=1.6, **hop):
-    """One item with a single span.phases hop of known decomposition."""
+def _distributed_span(*, submit=1.0, service_end=1.48, done=1.6, **hop):
+    """One item with a single distributed hop of known decomposition: its
+    stage.service ends with the service, before the encode and wire_back."""
     hop.setdefault("stage", 0)
     hop.setdefault("wire_out", 0.01)
     hop.setdefault("worker_queue", 0.02)
-    hop.setdefault("service", 0.1)
+    hop.setdefault("seconds", 0.1)
     hop.setdefault("encode", 0.005)
     hop.setdefault("wire_back", 0.015)
     return [
         ("stream.begin", submit, {"stream": 0}),
         ("item.submit", submit, {"stream": 0, "seq": 0, "gseq": 0}),
-        ("span.phases", hop_at, {"seq": 0, **hop}),
+        ("stage.service", service_end, {"seq": 0, **hop}),
         ("item.complete", done, {"stream": 0, "seq": 0}),
     ]
 
 
 class TestItemTiling:
     def test_hop_phases_plus_gaps_cover_latency(self):
-        # submit at 1.0; hop spans [1.35, 1.5] (known = 0.15); done at 1.6.
+        # submit at 1.0; hop spans [1.35, 1.5] (known = 0.15), its service
+        # ending at 1.48; done at 1.6.
         report = profile_spans(_collect(*_distributed_span()))
         assert len(report.items) == 1
         item = report.items[0]
@@ -86,7 +88,8 @@ class TestItemTiling:
         assert report.verdict == "no completed items profiled"
 
     def test_stage_service_fallback_for_inprocess_backends(self):
-        # No span.phases hops: stage.service end-stamps tile the timeline.
+        # Hops without a decomposition: stage.service end-stamps tile the
+        # timeline.
         report = profile_spans(_collect(
             ("stream.begin", 0.0, {"stream": 0}),
             ("item.submit", 0.0, {"stream": 0, "seq": 0, "gseq": 0}),
@@ -126,9 +129,9 @@ class TestVerdict:
         spans = _collect(
             ("stream.begin", 0.0, {"stream": 0}),
             ("item.submit", 0.0, {"stream": 0, "seq": 0, "gseq": 0}),
-            ("span.phases", 0.5, {"seq": 0, "stage": 1, "wire_out": 0.001,
-                                  "worker_queue": 0.001, "service": 0.45,
-                                  "encode": 0.0, "wire_back": 0.001}),
+            ("stage.service", 0.499, {"seq": 0, "stage": 1, "wire_out": 0.001,
+                                      "worker_queue": 0.001, "seconds": 0.45,
+                                      "encode": 0.0, "wire_back": 0.001}),
             ("item.complete", 0.5, {"stream": 0, "seq": 0}),
         )
         report = profile_spans(spans)
@@ -141,9 +144,9 @@ class TestVerdict:
         spans = _collect(
             ("stream.begin", 0.0, {"stream": 0}),
             ("item.submit", 0.0, {"stream": 0, "seq": 0, "gseq": 0}),
-            ("span.phases", 0.5, {"seq": 0, "stage": 0, "wire_out": 0.0,
-                                  "worker_queue": 0.4, "service": 0.05,
-                                  "encode": 0.0, "wire_back": 0.0}),
+            ("stage.service", 0.5, {"seq": 0, "stage": 0, "wire_out": 0.0,
+                                    "worker_queue": 0.4, "seconds": 0.05,
+                                    "encode": 0.0, "wire_back": 0.0}),
             ("item.complete", 0.5, {"stream": 0, "seq": 0}),
         )
         report = profile_spans(spans)
@@ -193,9 +196,9 @@ class TestJournalFrontend:
         j(Event(0.1, "stream.begin", fields={"stream": 0}))
         j(Event(0.1, "item.submit", fields={"stream": 0, "seq": 0, "gseq": 0,
                                             "trace": "abc123:0:0"}))
-        j(Event(0.5, "span.phases", fields={
+        j(Event(0.49, "stage.service", fields={
             "seq": 0, "stage": 1, "wire_out": 0.01, "worker_queue": 0.02,
-            "service": 0.3, "encode": 0.0, "wire_back": 0.01,
+            "seconds": 0.3, "encode": 0.0, "wire_back": 0.01,
         }))
         j(Event(0.55, "clock.sync", fields={
             "worker": 0, "offset": 1e-4, "drift": 0.0, "err": 5e-5, "n": 9,

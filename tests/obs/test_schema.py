@@ -73,3 +73,21 @@ def test_every_kind_is_documented(kind):
 
 def test_the_docs_list_no_kind_outside_the_schema():
     assert DOCUMENTED and DOCUMENTED <= SCHEMA.keys()
+
+
+def test_a_hop_is_one_kind_and_its_phases_ride_in_it():
+    # The distributed hop's decomposition and its dispatch are not kinds of
+    # their own: stage.service documents the phase fields, no consumer
+    # subscribes to the old kinds, and a subscriber that asks for one is
+    # told it does not exist.
+    from repro.obs.events import EventBus
+    from repro.obs.metrics import MetricsRecorder
+    from repro.obs.spans import SpanCollector
+
+    gone = {"span.phases", "item.dispatch"}
+    assert not gone & (SCHEMA.keys() | set(SpanCollector.KINDS) | set(MetricsRecorder.KINDS))
+    for field in ("nbytes", "wire_out", "worker_queue", "encode", "wire_back"):
+        assert field in SCHEMA["stage.service"], field
+    for kind in sorted(gone):
+        with pytest.raises(ValueError, match="unknown event kinds"):
+            EventBus().subscribe(lambda ev: None, kinds=[kind])

@@ -86,7 +86,6 @@ class TestRedispatch:
         bus, col = _bus()
         bus.emit("stream.begin", stream=0)
         bus.emit("item.submit", at=0.0, stream=0, seq=5, gseq=5)
-        bus.emit("item.dispatch", at=0.1, stage=0, seq=5, worker=1)
         bus.emit("worker.death", at=0.2, worker=1)  # not span-keyed; ignored
         bus.emit("worker.redispatch", at=0.3, stage=0, seq=5, worker=1)
         span = col.span(0, 5)
@@ -94,18 +93,19 @@ class TestRedispatch:
         assert span.status == "redispatched"
 
     def test_replacement_dispatch_lands_on_same_span(self):
+        # The re-sent attempt's hop record joins the span the redispatch
+        # marked: the span reads complete, re-sent, served by the new worker.
         bus, col = _bus()
         bus.emit("stream.begin", stream=0)
         bus.emit("item.submit", at=0.0, stream=0, seq=5, gseq=5)
-        bus.emit("item.dispatch", at=0.1, stage=0, seq=5, worker=1)
         bus.emit("worker.redispatch", at=0.3, stage=0, seq=5, worker=1)
-        bus.emit("item.dispatch", at=0.4, stage=0, seq=5, worker=2)
+        bus.emit("stage.service", at=0.5, stage=0, seconds=0.1, speed=1.0, seq=5, worker=2)
         bus.emit("item.complete", at=0.6, stream=0, seq=5)
         span = col.span(0, 5)
         assert span.status == "complete"
-        dispatches = span.dispatches(0)
-        assert len(dispatches) == 2  # >1 means the item was re-sent
-        assert dispatches[-1].fields["worker"] == 2  # the attempt that won
+        assert span.redispatched
+        served = [e.fields["worker"] for e in span.events if e.kind == "stage.service"]
+        assert served == [2]  # the attempt that won
 
     def test_status_open_without_redispatch(self):
         bus, col = _bus()

@@ -98,11 +98,11 @@ class TestTopState:
         _feed(
             s,
             {"kind": "item.submit", "t": 0.0, "wait": 0.1},
-            {"kind": "span.phases", "t": 0.5, "seq": 0, "stage": 0,
-             "wire_out": 0.01, "worker_queue": 0.02, "service": 0.3,
+            {"kind": "stage.service", "t": 0.5, "seq": 0, "stage": 0,
+             "wire_out": 0.01, "worker_queue": 0.02, "seconds": 0.3,
              "encode": 0.001, "wire_back": 0.01},
-            {"kind": "span.phases", "t": 0.6, "seq": 1, "stage": 0,
-             "wire_out": 0.01, "worker_queue": 0.02, "service": 0.3,
+            {"kind": "stage.service", "t": 0.6, "seq": 1, "stage": 0,
+             "wire_out": 0.01, "worker_queue": 0.02, "seconds": 0.3,
              "encode": 0.001, "wire_back": 0.01},
             {"kind": "clock.sync", "t": 0.7, "worker": 1, "offset": 2e-4,
              "err": 5e-5, "drift": 0.0, "n": 4},
@@ -115,8 +115,8 @@ class TestTopState:
 
     def test_a_batched_hop_weighs_as_its_items(self):
         s = TopState()
-        s.feed({"kind": "span.phases", "t": 0.5, "seq": 0, "stage": 0, "items": 4,
-                "wire_out": 0.04, "worker_queue": 0.0, "service": 0.4,
+        s.feed({"kind": "stage.service", "t": 0.5, "seq": 0, "stage": 0, "items": 4,
+                "wire_out": 0.04, "worker_queue": 0.0, "seconds": 0.4,
                 "encode": 0.0, "wire_back": 0.0, "nbytes": 64})
         hops, sums = s.phases()
         assert hops == 4 and sums["service"] == pytest.approx(0.4)
@@ -149,8 +149,8 @@ class TestRender:
         assert "latency breakdown" not in render(s, now=0.0)
         _feed(
             s,
-            {"kind": "span.phases", "t": 0.5, "seq": 0, "stage": 0,
-             "wire_out": 0.01, "worker_queue": 0.02, "service": 0.3,
+            {"kind": "stage.service", "t": 0.5, "seq": 0, "stage": 0,
+             "wire_out": 0.01, "worker_queue": 0.02, "seconds": 0.3,
              "encode": 0.001, "wire_back": 0.01},
             {"kind": "clock.sync", "t": 0.7, "worker": 0, "offset": 1e-4,
              "err": 5e-5, "drift": 0.0, "n": 3},
