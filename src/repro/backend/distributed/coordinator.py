@@ -105,6 +105,9 @@ _WIRE_BANDWIDTH = 1e8
 _DEFAULT_LINK_S = 1e-4
 #: How long warm-up waits for the spawned workers to register.
 _REGISTER_TIMEOUT = 20.0
+#: Clock samples a worker's fit takes back to back before it registers: one
+#: sample's rtt/2 error can exceed a loopback wire leg.
+_CLOCK_SAMPLES = 4
 
 
 def _spawn_agent(
@@ -132,8 +135,10 @@ class _WorkerConn:
         self.name = name
         self.cores = max(1, cores)
         self.alive = True
-        self.shm_ok = False  # verified the session's shared-memory probe
-        self.shm_replied = False  # answered it (after linking to its peers): registered
+        self.shm_ok: bool | None = None  # verified the shared-memory probe (None: not yet)
+        # Answered the probe (after linking to its peers), then filled its
+        # clock fit: placeable.
+        self.registered = False
         self.last_seen = time.monotonic()
         self.load = 0.0
         self.speed = 1.0  # EWMA of load_to_speed(load, cores)
@@ -603,12 +608,14 @@ class DistributedBackend(Backend):
     def wait_for_workers(self, n: int, timeout: float = 30.0) -> None:
         """Block until ``n`` live workers are registered (or raise).
 
-        Registered means the worker has also linked to its peers and
-        answered the transport negotiation: a first dispatch never races its
-        ``shm_ok`` reply.  A pair of workers that cannot connect raises.
+        Registered means the worker has also linked to its peers, answered
+        the transport negotiation and filled its clock fit: a first dispatch
+        never races its ``shm_ok`` reply, and a short session's first hops
+        map through ``_CLOCK_SAMPLES`` pongs, not one.  A pair of workers
+        that cannot connect raises.
         """
         def registered() -> int:
-            return sum(w.alive and w.shm_replied for w in self._workers.values())
+            return sum(w.alive and w.registered for w in self._workers.values())
 
         with self._registry:  # every registry change notifies: accept, shm_ok, death
             self._registry_changed.wait_for(
@@ -704,14 +711,17 @@ class DistributedBackend(Backend):
                     t3 = time.perf_counter()
                     w.observe_load(load)
                     w.clock.observe(t0, t1, t2, t3)  # every worker's, boundary or not
+                    if w.clock.n_samples < _CLOCK_SAMPLES:
+                        w.outbox.send(("ping", time.perf_counter()))
+                    elif w.shm_ok is not None and not w.registered:
+                        with self._registry:
+                            w.registered = True
+                            self._registry_changed.notify_all()
                 elif kind == "peer_lost":  # a forward to that worker failed
                     self._on_worker_death(self._workers[frame[1]])
                 elif kind == "shm_ok":
-                    with self._registry:
-                        w.shm_ok = bool(frame[1])
-                        w.shm_replied = True
-                        self._registry_changed.notify_all()
-                    w.outbox.send(("ping", time.perf_counter()))  # a first clock sample
+                    w.shm_ok = bool(frame[1])
+                    w.outbox.send(("ping", time.perf_counter()))  # its pong registers it
                 elif kind == "link_failed":
                     _, wid, err_repr = frame
                     peer = self._workers[wid]
@@ -818,7 +828,7 @@ class DistributedBackend(Backend):
             "worker.death", f"worker {w.name!r} died", worker=w.id, name=w.name,
             lost_items=len(lost),
         )
-        if self._closing.is_set() or not w.shm_replied:
+        if self._closing.is_set() or not w.registered:
             return  # one that never registered hosted nothing
         # A stage stripped of every replica gets one on a survivor; if no
         # workers remain the run cannot finish — fail rather than hang.
@@ -884,7 +894,7 @@ class DistributedBackend(Backend):
         """Place one replica of ``stage`` on the best live worker."""
         while True:
             with self._registry:
-                cands = [w for w in self._workers.values() if w.alive and w.shm_replied]
+                cands = [w for w in self._workers.values() if w.alive and w.registered]
             if not cands:
                 return None
             hosted = self._hosted_counts()

@@ -118,11 +118,6 @@ class RuntimeAdaptiveRunner:
     policy:
         Custom decide step (``AdaptationPolicy`` signature, carrying a
         ``config`` attribute); overrides ``config``.
-    n_virtual_procs:
-        Size of the virtual local grid the policy plans over — effectively
-        the replica budget shared by all stages.  Default: enough for one
-        processor per stage plus the largest warm pool, capped to be at
-        least the host's core count.
     rollback:
         Enable the post-action throughput validation (default True).
     backend_kwargs:
@@ -136,7 +131,6 @@ class RuntimeAdaptiveRunner:
         *,
         config: AdaptationConfig | None = None,
         policy=None,
-        n_virtual_procs: int | None = None,
         rollback: bool = True,
         **backend_kwargs,
     ) -> None:
@@ -159,17 +153,13 @@ class RuntimeAdaptiveRunner:
             config = replace(config, max_replicas=min(config.max_replicas or budget, budget))
         self.policy, self.config = resolve_policy(pipeline, config, policy)
         self.rollback = rollback
-        if n_virtual_procs is None:
-            n_virtual_procs = max(n + budget - 1, os.cpu_count() or 2, 2)
-        if n_virtual_procs < n:
-            raise ValueError(
-                f"n_virtual_procs must cover {n} stages, got {n_virtual_procs}"
-            )
-        self.n_virtual_procs = n_virtual_procs
+        # The virtual local grid the policy plans over: one processor per
+        # stage plus the largest warm pool, and at least the host's cores.
+        self.n_virtual_procs = max(n + budget - 1, os.cpu_count() or 2, 2)
         from repro.gridsim.spec import uniform_grid  # only a controller builds a grid
 
         self._view: ResourceView = snapshot_view(
-            uniform_grid(n_virtual_procs).snapshot(0.0)
+            uniform_grid(self.n_virtual_procs).snapshot(0.0)
         )
         # Controller state (persists across streams).
         self._controller: threading.Thread | None = None

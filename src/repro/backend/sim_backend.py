@@ -63,8 +63,7 @@ class _SimSession(Session):
         return self._sim_elapsed  # the simulator's clock, not the wall's
 
     def service_means(self) -> list[float]:
-        backend: SimBackend = self.backend  # type: ignore[assignment]
-        return backend.service_means_from_spec()
+        return [c.work for c in self.backend.pipeline.stage_costs()]
 
 
 class SimBackend(Backend):
@@ -146,9 +145,6 @@ class SimBackend(Backend):
         )
         self.last_run = runner.run(len(items))
         return outputs
-
-    def service_means_from_spec(self) -> list[float]:
-        return [c.work for c in self.pipeline.stage_costs()]
 
     def items_completed(self) -> int:
         return self.last_run.items_completed if self.last_run else 0

@@ -63,8 +63,9 @@ class AdaptivePipeline:
     source_pid, sink_pid:
         Where inputs originate and outputs must be delivered (default: the
         lowest pid, the "user's" machine).
-    monitor_period, monitor_noise:
-        Resource-monitor sampling interval and measurement noise.
+    monitor_noise:
+        Resource-monitor measurement noise (it samples once per simulated
+        second).
     buffer_capacity:
         Inter-stage channel capacity (items).
     seed:
@@ -85,7 +86,6 @@ class AdaptivePipeline:
         initial_mapping: Mapping | None = None,
         source_pid: int | None = None,
         sink_pid: int | None = None,
-        monitor_period: float = 1.0,
         monitor_noise: float = 0.02,
         buffer_capacity: int = 4,
         link_contention: bool = False,
@@ -100,7 +100,6 @@ class AdaptivePipeline:
         self.view_source = view_source
         self.source_pid = grid.pids[0] if source_pid is None else source_pid
         self.sink_pid = grid.pids[0] if sink_pid is None else sink_pid
-        self.monitor_period = monitor_period
         self.monitor_noise = monitor_noise
         self.buffer_capacity = buffer_capacity
         self.link_contention = link_contention
@@ -155,7 +154,6 @@ class AdaptivePipeline:
                 monitor = ResourceMonitor(
                     sim,
                     self.grid,
-                    period=self.monitor_period,
                     noise_std=self.monitor_noise,
                     rng=derive_rng(self.seed, "monitor-noise"),
                 )

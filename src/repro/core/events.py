@@ -121,9 +121,6 @@ class RunResult:
         counts, _ = np.histogram(self.completion_times, bins=np.concatenate([[0.0], edges]))
         return edges.tolist(), (counts / dt).tolist()
 
-    def mean_latency(self) -> float:
-        return float(np.mean(self.latencies)) if self.latencies else math.nan
-
     def in_order(self) -> bool:
         """Did outputs leave in input order (the 1-for-1 contract)?"""
         return self.output_seqs == sorted(self.output_seqs)

@@ -123,8 +123,6 @@ class SimPipelineEngine:
         sink_pid: int | None = None,
         buffer_capacity: int = 4,
         seed: int = 0,
-        arrival_period: float = 0.0,
-        instrument_window: int = 32,
         link_contention: bool = False,
         events: EventBus = NULL_BUS,
     ) -> None:
@@ -144,16 +142,13 @@ class SimPipelineEngine:
         self.source_pid = grid.pids[0] if source_pid is None else source_pid
         self.sink_pid = grid.pids[0] if sink_pid is None else sink_pid
         self.buffer_capacity = int(buffer_capacity)
-        self.arrival_period = float(arrival_period)
         # With link contention on, concurrent transfers over one physical
         # link serialise on the grid's per-link resource (shared WAN pipes
         # saturate); off (default) links have infinite parallelism, matching
         # the analytic model's assumption.
         self.link_contention = bool(link_contention)
         self.events = events  # emits stamped at=sim.now, simulated seconds
-        self.instrumentation = PipelineInstrumentation(
-            pipeline.n_stages, window=instrument_window
-        )
+        self.instrumentation = PipelineInstrumentation(pipeline.n_stages)
         self.done = sim.event("pipeline-done")
         self.mapping = mapping
         self.mapping_history: list[tuple[float, Mapping]] = [(sim.now, mapping)]
@@ -193,8 +188,6 @@ class SimPipelineEngine:
             )
             yield self._in_ch[0].put(item)
             self.events.emit("item.submit", f"emitted {seq}", at=self.sim.now, seq=seq)
-            if self.arrival_period > 0.0:
-                yield self.sim.timeout(self.arrival_period)
         self._in_ch[0].close()
 
     # ------------------------------------------------------------------ replicas

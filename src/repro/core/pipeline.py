@@ -52,10 +52,6 @@ class PipelineSpec:
             spec.cost(measured_works.get(i)) for i, spec in enumerate(self.stages)
         )
 
-    def total_work(self) -> float:
-        """Sum of mean per-item work over all stages."""
-        return sum(s.work.mean for s in self.stages)
-
     def with_stage(self, i: int, spec: StageSpec) -> "PipelineSpec":
         stages = list(self.stages)
         stages[i] = spec

@@ -9,7 +9,7 @@ local thread runtime — the actual Python callable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np

@@ -11,7 +11,7 @@ testbed (see DESIGN.md §2).  It provides:
 * :mod:`repro.gridsim.resources` — processors with relative speeds and
   time-varying background load (the "non-dedicated" part of the grid).
 * :mod:`repro.gridsim.load` — background-load models: constant, steps,
-  random walk, Markov on/off, periodic, trace-driven, composite.
+  random walk, Markov on/off, periodic, composite.
 * :mod:`repro.gridsim.network` — links (latency + bandwidth) and topology.
 * :mod:`repro.gridsim.grid` — the :class:`GridSystem` façade + snapshots.
 * :mod:`repro.gridsim.spec` — declarative grid construction helpers.
@@ -29,7 +29,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "grid": "GridSnapshot GridSystem",
         "load": (
             "CompositeLoad ConstantLoad LoadModel MarkovOnOffLoad "
-            "PeriodicLoad RandomWalkLoad StepLoad TraceLoad"
+            "PeriodicLoad RandomWalkLoad StepLoad"
         ),
         "network": "Link Topology loopback_link",
         "resources": "Processor",

@@ -118,13 +118,6 @@ class Channel:
         """Number of buffered items."""
         return len(self._items)
 
-    @property
-    def occupancy(self) -> float:
-        """Buffer fill fraction in [0, 1]; 0 for unbounded channels."""
-        if self.capacity is None:
-            return 0.0
-        return len(self._items) / self.capacity
-
     # -- kernel-facing plumbing ---------------------------------------------
     _sim: Simulator | None = None
 

@@ -266,26 +266,13 @@ class Process(Waitable):
         return f"Process({self.name!r}, {state})"
 
 
-class _Handle:
-    """Cancellable handle for a scheduled callback."""
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list) -> None:
-        self._entry = entry
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if already fired)."""
-        self._entry[3] = None
-
-
 class Simulator:
     """The discrete-event loop: clock, heap, process bookkeeping."""
 
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        # heap entries: [time, seq, args, callback_or_None]
+        # heap entries: [time, seq, args, callback]
         self._heap: list[list] = []
         self._failure: ProcessFailed | None = None
         self._processes: list[Process] = []
@@ -295,14 +282,12 @@ class Simulator:
         """Current simulated time in seconds."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> _Handle:
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         self._seq += 1
-        entry = [self._now + delay, self._seq, args, callback]
-        heapq.heappush(self._heap, entry)
-        return _Handle(entry)
+        heapq.heappush(self._heap, [self._now + delay, self._seq, args, callback])
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Waitable that fires after ``delay`` seconds."""
@@ -320,23 +305,18 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
-        while self._heap and self._heap[0][3] is None:
-            heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> bool:
         """Execute the next event.  Returns False if the heap is empty."""
-        while self._heap:
-            time, _seq, args, callback = heapq.heappop(self._heap)
-            if callback is None:
-                continue  # cancelled
-            self._now = time
-            callback(*args)
-            if self._failure is not None:
-                failure, self._failure = self._failure, None
-                raise failure
-            return True
-        return False
+        if not self._heap:
+            return False
+        self._now, _seq, args, callback = heapq.heappop(self._heap)
+        callback(*args)
+        if self._failure is not None:
+            failure, self._failure = self._failure, None
+            raise failure
+        return True
 
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
         """Run until the heap drains or simulated time reaches ``until``.

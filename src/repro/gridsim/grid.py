@@ -35,10 +35,6 @@ class GridSnapshot:
     effective_speed: dict[int, float]
     links: dict[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
 
-    def link_params(self, a: int, b: int) -> tuple[float, float]:
-        """(latency, bandwidth) for the ``a``→``b`` pair."""
-        return self.links[(a, b)]
-
 
 class GridSystem:
     """A set of processors plus their interconnect.

@@ -15,7 +15,6 @@ Models provided:
 :class:`RandomWalkLoad` reflected Gaussian random walk on a time grid
 :class:`MarkovOnOffLoad` alternating exponential busy/idle periods
 :class:`PeriodicLoad`  sinusoidal (diurnal) availability
-:class:`TraceLoad`     arbitrary (times, values) step trace
 :class:`CompositeLoad` product of sub-models (e.g. diurnal × walk)
 ====================  =====================================================
 """
@@ -37,7 +36,6 @@ __all__ = [
     "RandomWalkLoad",
     "MarkovOnOffLoad",
     "PeriodicLoad",
-    "TraceLoad",
     "CompositeLoad",
     "MIN_AVAILABILITY",
 ]
@@ -100,17 +98,6 @@ class StepLoad(LoadModel):
 
     def __repr__(self) -> str:
         return f"StepLoad({list(zip(self._times, self._values))}, initial={self._initial})"
-
-
-class TraceLoad(StepLoad):
-    """Step trace from explicit arrays (e.g. replayed NWS measurements)."""
-
-    def __init__(self, times: Sequence[float], values: Sequence[float]) -> None:
-        if len(times) != len(values):
-            raise ValueError(
-                f"times and values must have equal length, got {len(times)} vs {len(values)}"
-            )
-        super().__init__(list(zip(times, values)), initial=values[0] if len(values) else 1.0)
 
 
 class RandomWalkLoad(LoadModel):

@@ -66,12 +66,6 @@ class Processor:
         """Work units per second actually deliverable at time ``t``."""
         return self.speed * self.load.availability(t)
 
-    def service_time(self, work: float, t: float) -> float:
-        """Seconds to execute ``work`` units starting at time ``t``."""
-        if work < 0:
-            raise ValueError(f"work must be >= 0, got {work}")
-        return work / self.effective_speed(t)
-
     def set_load(self, load: LoadModel) -> None:
         """Replace the background-load model (used by perturbation scenarios)."""
         self.load = load

@@ -5,8 +5,8 @@ mappings without running them.  This package provides:
 
 * :mod:`repro.model.mapping` — the :class:`Mapping` type (per-stage replica
   sets) and mapping enumeration;
-* :mod:`repro.model.throughput` — steady-state throughput / latency /
-  makespan prediction via bottleneck analysis with communication costs;
+* :mod:`repro.model.throughput` — steady-state throughput and latency
+  prediction via bottleneck analysis with communication costs;
 * :mod:`repro.model.optimizer` — exhaustive, greedy, dynamic-programming and
   local-search mapping optimisers, plus bottleneck-replication proposals;
 * :mod:`repro.model.cost` — the migration-cost model used to decide whether

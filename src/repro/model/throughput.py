@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.model.mapping import Mapping
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_non_negative
 
 if TYPE_CHECKING:
     from repro.gridsim.grid import GridSnapshot
@@ -187,11 +187,6 @@ class PipelinePrediction:
     sink_transfer: float = 0.0
     # (pid, CPU-seconds per item) per used processor, sorted by pid.
     proc_loads: tuple[tuple[int, float], ...] = field(default=())
-
-    def makespan(self, n_items: int) -> float:
-        """Predicted completion time for ``n_items`` (fill + steady drain)."""
-        check_positive(n_items, "n_items")
-        return self.latency + (n_items - 1) * self.period
 
     @property
     def load_imbalance(self) -> float:

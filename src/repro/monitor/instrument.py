@@ -403,13 +403,6 @@ class PipelineInstrumentation:
                 snaps.append(stage.snapshot())
         return snaps
 
-    def bottleneck(self) -> StageSnapshot | None:
-        """Stage with the largest recent service time (None before data)."""
-        snaps = [s for s in self.snapshots() if not math.isnan(s.service_time)]
-        if not snaps:
-            return None
-        return max(snaps, key=lambda s: s.service_time)
-
     def recent_throughput(self, now: float, horizon: float) -> float:
         """Completions per second over ``[now - horizon, now]``.
 

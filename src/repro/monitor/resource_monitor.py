@@ -1,7 +1,7 @@
 """Periodic, noisy sampling of grid resources inside a simulation.
 
 The :class:`ResourceMonitor` plays the role of the NWS sensors: a simulated
-process wakes every ``period`` seconds, "measures" each processor's
+process wakes every simulated second, "measures" each processor's
 availability and each link's bandwidth (ground truth perturbed by
 multiplicative Gaussian noise — real sensors are noisy), feeds each series to
 its own :func:`~repro.monitor.forecasters.default_ensemble`, and exposes the
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_non_negative
 
 if TYPE_CHECKING:
     from repro.gridsim.engine import Simulator
@@ -146,46 +146,42 @@ class ResourceMonitor:
     Parameters
     ----------
     sim, grid:
-        The simulation to run in and the grid to observe.
-    period:
-        Sampling interval in simulated seconds.
+        The simulation to run in and the grid to observe; every processor
+        and every ordered pair of processors is sampled once per
+        :attr:`PERIOD`.
     noise_std:
         Multiplicative measurement noise: a sample of true value ``v`` is
         ``v * (1 + N(0, noise_std))`` clamped positive.  0 disables noise.
     rng:
         Source of measurement noise (seeded upstream).
-    pairs:
-        Link pairs to monitor; defaults to all ordered pairs.
     """
+
+    #: Sampling interval in simulated seconds.
+    PERIOD = 1.0
 
     def __init__(
         self,
         sim: Simulator,
         grid: GridSystem,
         *,
-        period: float = 1.0,
         noise_std: float = 0.02,
         rng: np.random.Generator | None = None,
-        pairs: list[tuple[int, int]] | None = None,
     ) -> None:
         # Only the simulated monitor forecasts; the host-load helpers above
         # are what the real executors import this module for.
         from repro.monitor.forecasters import default_ensemble
 
-        check_positive(period, "period")
         check_non_negative(noise_std, "noise_std")
         self._sim = sim
         self._grid = grid
-        self.period = float(period)
         self.noise_std = float(noise_std)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         pids = grid.pids
-        self._pairs = pairs if pairs is not None else [(a, b) for a in pids for b in pids]
+        self._pairs = [(a, b) for a in pids for b in pids]
         self._avail_fc: dict[int, EnsembleForecaster] = {p: default_ensemble() for p in pids}
         self._bw_fc: dict[tuple[int, int], EnsembleForecaster] = {
             pr: default_ensemble() for pr in self._pairs
         }
-        self._samples_taken = 0
         self._proc = sim.process(self._sampling_loop(), name="resource-monitor")
 
     # -- measurement --------------------------------------------------------
@@ -204,20 +200,15 @@ class ResourceMonitor:
         for a, b in self._pairs:
             link = self._grid.link(a, b)
             self._bw_fc[(a, b)].observe(self._noisy(link.effective_bandwidth(t)))
-        self._samples_taken += 1
 
     def _sampling_loop(self):
         # Take a sample immediately so estimates exist from t=0.
         self._sample_once()
         while True:
-            yield self._sim.timeout(self.period)
+            yield self._sim.timeout(self.PERIOD)
             self._sample_once()
 
     # -- queries --------------------------------------------------------------
-    @property
-    def samples_taken(self) -> int:
-        return self._samples_taken
-
     def estimates(self) -> ResourceEstimates:
         """Current forecasts for all monitored resources."""
         avail = {}

@@ -118,11 +118,6 @@ class EventBus:
         self._warned_unclocked = False
 
     # ------------------------------------------------------------ subscribers
-    @property
-    def active(self) -> bool:
-        """True when at least one subscriber is attached."""
-        return bool(self._subs)
-
     def subscribe(
         self,
         fn: Callable[[Event], None],
@@ -137,11 +132,6 @@ class EventBus:
         with self._sub_lock:
             self._subs = self._subs + ((fn, wanted),)
         return fn
-
-    def unsubscribe(self, fn: Callable[[Event], None]) -> None:
-        """Remove every subscription of ``fn`` (no-op when absent)."""
-        with self._sub_lock:
-            self._subs = tuple(s for s in self._subs if s[0] is not fn)
 
     def wants(self, kind: str) -> bool:
         """True when some subscriber would receive ``kind``.

@@ -65,13 +65,6 @@ class Gauge:
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -236,8 +229,8 @@ class MetricsRecorder:
         "clock.sync",
     )
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         # (stream, seq) -> submit session-time, for end-to-end latency.
         # Bounded by the admission window (completes pop their entry); a
         # hard cap guards against journals with missing completions.

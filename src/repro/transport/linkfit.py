@@ -107,10 +107,6 @@ class SizeStratifiedLinkEstimator:
             entry[1] += self.alpha * (nbytes - entry[1])
             entry[2] += 1
 
-    @property
-    def n_samples(self) -> int:
-        return self._n
-
     def fit(self) -> LinkModel:
         """Current best (latency, bandwidth); falls back without size spread."""
         if not self._buckets:

@@ -71,10 +71,6 @@ class SequenceReorderer:
             self._pending[start + k] = value
         return self._release()
 
-    def drain(self) -> Iterator[tuple[int, Any]]:
-        """Yield any remaining consecutive pairs (used at shutdown)."""
-        return self._release()
-
     def _release(self) -> Iterator[tuple[int, Any]]:
         while self._next_seq in self._pending:
             seq_out = self._next_seq

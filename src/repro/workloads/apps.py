@@ -7,9 +7,9 @@ Each application exists in two forms sharing one :class:`PipelineSpec`:
 * :class:`WorkModel` costs for the **simulator**, calibrated to the relative
   weight of each stage so simulated mappings are meaningful.
 
-The three apps cover the motivating workload families of grid-era pipeline
-papers: image processing (filter chains), text analytics (document
-processing) and bioinformatics (sequence scanning).
+The apps cover the motivating workload families of grid-era pipeline
+papers, image processing (filter chains) and bioinformatics (sequence
+scanning), plus an I/O-bound service pipeline (simulated fetch latency).
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from repro.workloads.cost_models import LogNormalWork
 __all__ = [
     "image_pipeline",
     "make_images",
-    "text_pipeline",
-    "make_documents",
     "kmer_pipeline",
     "make_sequences",
     "fetch_pipeline",
@@ -118,55 +116,6 @@ def image_pipeline(*, sim_scale: float = 1.0) -> PipelineSpec:
         ),
         input_bytes=73_728,
         name="image",
-    )
-
-
-# --------------------------------------------------------------------- text
-_WORDS = (
-    "grid pipeline skeleton stage adaptive mapping processor latency "
-    "bandwidth throughput monitor forecast migrate replicate schedule"
-).split()
-
-
-def make_documents(n: int, words: int = 400, seed: int = 0) -> list[str]:
-    """Synthesize ``n`` documents of ``words`` words each."""
-    check_positive(n, "n")
-    rng = np.random.default_rng(seed)
-    docs = []
-    for _ in range(n):
-        idx = rng.integers(0, len(_WORDS), size=words)
-        docs.append(" ".join(_WORDS[i] for i in idx))
-    return docs
-
-
-def _tokenise(doc: str) -> list[str]:
-    return doc.lower().split()
-
-
-def _filter_stopwords(tokens: list[str]) -> list[str]:
-    stop = {"grid", "stage"}
-    return [t for t in tokens if t not in stop]
-
-
-def _count(tokens: list[str]) -> dict[str, int]:
-    return dict(Counter(tokens))
-
-
-def text_pipeline(*, sim_scale: float = 1.0) -> PipelineSpec:
-    """Tokenise → stop-word filter → term count."""
-    check_positive(sim_scale, "sim_scale")
-    s = sim_scale
-    return PipelineSpec(
-        (
-            StageSpec(name="tokenise", work=LogNormalWork(0.02 * s, 0.3),
-                      out_bytes=4_000, fn=_tokenise),
-            StageSpec(name="filter", work=LogNormalWork(0.01 * s, 0.3),
-                      out_bytes=3_500, fn=_filter_stopwords),
-            StageSpec(name="count", work=LogNormalWork(0.03 * s, 0.3),
-                      out_bytes=800, fn=_count),
-        ),
-        input_bytes=4_500,
-        name="text",
     )
 
 

@@ -1,46 +1,22 @@
-"""Stochastic per-item work distributions.
+"""Stochastic per-item work: the log-normal cost model.
 
-All models implement :class:`~repro.core.stage.WorkModel` and are
-parameterised by their **mean** so experiments can sweep variability (CV)
-while holding expected load constant — the knob experiment E8 turns.
+:class:`LogNormalWork` implements :class:`~repro.core.stage.WorkModel` and is
+parameterised by its **mean** and coefficient of variation, so experiments
+can sweep variability (CV) while holding expected load constant — the knob
+experiment E8 turns.  Fixed work needs no model: a stage's ``work`` may be a
+plain number.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
 from repro.core.stage import WorkModel
 from repro.util.validation import check_positive
 
-__all__ = [
-    "ExponentialWork",
-    "LogNormalWork",
-    "UniformWork",
-    "ParetoWork",
-    "BimodalWork",
-    "EmpiricalWork",
-]
-
-
-class ExponentialWork(WorkModel):
-    """Exponential work (CV = 1), the classic M/M-style service model."""
-
-    def __init__(self, mean: float) -> None:
-        check_positive(mean, "mean")
-        self._mean = float(mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.exponential(self._mean))
-
-    def __repr__(self) -> str:
-        return f"ExponentialWork(mean={self._mean})"
+__all__ = ["LogNormalWork"]
 
 
 class LogNormalWork(WorkModel):
@@ -68,92 +44,3 @@ class LogNormalWork(WorkModel):
 
     def __repr__(self) -> str:
         return f"LogNormalWork(mean={self._mean}, cv={self.cv})"
-
-
-class UniformWork(WorkModel):
-    """Uniform work on ``[lo, hi]``."""
-
-    def __init__(self, lo: float, hi: float) -> None:
-        check_positive(lo, "lo")
-        if hi < lo:
-            raise ValueError(f"hi must be >= lo, got [{lo}, {hi}]")
-        self._lo = float(lo)
-        self._hi = float(hi)
-
-    @property
-    def mean(self) -> float:
-        return (self._lo + self._hi) / 2.0
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self._lo, self._hi))
-
-
-class ParetoWork(WorkModel):
-    """Bounded Pareto work: heavy-tailed with an explicit cap.
-
-    ``alpha`` controls the tail (smaller = heavier); samples exceeding
-    ``cap × mean`` are clamped so a single item cannot stall the pipeline
-    beyond the experiment horizon.
-    """
-
-    def __init__(self, mean: float, alpha: float = 1.8, cap: float = 50.0) -> None:
-        check_positive(mean, "mean")
-        if alpha <= 1.0:
-            raise ValueError(f"alpha must be > 1 for a finite mean, got {alpha}")
-        check_positive(cap, "cap")
-        self._mean = float(mean)
-        self._alpha = float(alpha)
-        self._cap = float(cap)
-        # Uncapped Pareto with scale x_m has mean alpha*x_m/(alpha-1).
-        self._xm = mean * (alpha - 1.0) / alpha
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def sample(self, rng: np.random.Generator) -> float:
-        x = self._xm * (1.0 + rng.pareto(self._alpha))
-        return float(min(x, self._cap * self._mean))
-
-
-class BimodalWork(WorkModel):
-    """Mixture of a light and a heavy mode (e.g. cache hit vs miss).
-
-    With probability ``p_heavy`` an item costs ``heavy``, otherwise
-    ``light``.
-    """
-
-    def __init__(self, light: float, heavy: float, p_heavy: float = 0.1) -> None:
-        check_positive(light, "light")
-        check_positive(heavy, "heavy")
-        if not 0.0 <= p_heavy <= 1.0:
-            raise ValueError(f"p_heavy must be in [0, 1], got {p_heavy}")
-        self._light = float(light)
-        self._heavy = float(heavy)
-        self._p = float(p_heavy)
-
-    @property
-    def mean(self) -> float:
-        return (1.0 - self._p) * self._light + self._p * self._heavy
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self._heavy if rng.random() < self._p else self._light
-
-
-class EmpiricalWork(WorkModel):
-    """Resamples observed work values (trace-driven service times)."""
-
-    def __init__(self, samples: Sequence[float]) -> None:
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.size == 0:
-            raise ValueError("EmpiricalWork needs at least one sample")
-        if (arr <= 0).any():
-            raise ValueError("work samples must be positive")
-        self._samples = arr
-
-    @property
-    def mean(self) -> float:
-        return float(self._samples.mean())
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.choice(self._samples))

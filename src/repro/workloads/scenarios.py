@@ -4,9 +4,8 @@ A :class:`PerturbationScenario` is a reproducible script of availability
 changes applied to a grid.  Benchmarks build a fresh grid per run and apply
 the scenario, so baselines and adaptive runs face *identical* conditions.
 
-Load factories (for :class:`~repro.gridsim.spec.SiteSpec.load_factory`)
-describe statistically non-dedicated nodes: Markov on/off interference,
-random-walk availability, diurnal cycles.
+A load factory (for :class:`~repro.gridsim.spec.SiteSpec.load_factory`)
+describes statistically non-dedicated nodes: Markov on/off interference.
 """
 
 from __future__ import annotations
@@ -16,23 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.gridsim.grid import GridSystem
-from repro.gridsim.load import (
-    LoadModel,
-    MarkovOnOffLoad,
-    PeriodicLoad,
-    RandomWalkLoad,
-)
+from repro.gridsim.load import LoadModel, MarkovOnOffLoad
 from repro.util.validation import check_positive
 
 __all__ = [
     "PerturbationScenario",
     "load_step",
-    "flash_crowd",
     "node_churn",
     "heterogeneity_ladder",
     "markov_load_factory",
-    "random_walk_load_factory",
-    "diurnal_load_factory",
 ]
 
 
@@ -67,18 +58,6 @@ def load_step(
             raise ValueError(f"recover_at must follow at: {recover_at} <= {at}")
         schedule.append((recover_at, 1.0))
     return PerturbationScenario(name=f"load-step(p{pid}@{at})", steps={pid: schedule})
-
-
-def flash_crowd(
-    pids: list[int], at: float, availability: float = 0.25, stagger: float = 2.0
-) -> PerturbationScenario:
-    """Several nodes degrade in quick succession (site-wide interference)."""
-    if not pids:
-        raise ValueError("flash_crowd needs at least one pid")
-    steps = {
-        pid: [(at + i * stagger, availability)] for i, pid in enumerate(pids)
-    }
-    return PerturbationScenario(name=f"flash-crowd({len(pids)}@{at})", steps=steps)
 
 
 def node_churn(
@@ -128,24 +107,5 @@ def markov_load_factory(
             mean_busy=mean_busy,
             busy_availability=busy_availability,
         )
-
-    return factory
-
-
-def random_walk_load_factory(sigma: float = 0.03, lo: float = 0.3, hi: float = 1.0):
-    """Nodes with slowly wandering availability (shared interactive hosts)."""
-
-    def factory(rng: np.random.Generator, pid: int) -> LoadModel:
-        return RandomWalkLoad(rng, dt=1.0, sigma=sigma, lo=lo, hi=hi)
-
-    return factory
-
-
-def diurnal_load_factory(period: float = 600.0, base: float = 0.7, amplitude: float = 0.25):
-    """Nodes with a day/night availability cycle, phase-shifted per node."""
-
-    def factory(rng: np.random.Generator, pid: int) -> LoadModel:
-        phase = float(rng.uniform(0.0, period))
-        return PeriodicLoad(base=base, amplitude=amplitude, period=period, phase=phase)
 
     return factory

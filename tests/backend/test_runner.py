@@ -1,6 +1,7 @@
 """Tests for the wall-clock adaptive runner."""
 
 import math
+import os
 import time
 
 import pytest
@@ -56,8 +57,15 @@ class TestRuntimeAdaptiveRunner:
             RuntimeAdaptiveRunner(spec([_fast]), "sim")
 
     def test_virtual_grid_must_cover_stages(self):
-        with pytest.raises(ValueError, match="n_virtual_procs"):
-            RuntimeAdaptiveRunner(spec([_fast, _fast]), "threads", n_virtual_procs=1)
+        # More stages than host cores: the policy's virtual grid still holds
+        # one processor per stage plus the warm pool's extra replica.
+        n = (os.cpu_count() or 2) + 3
+        with RuntimeAdaptiveRunner(spec([_fast] * n), "threads", max_replicas=2) as runner:
+            assert runner.n_virtual_procs == n + 1
+
+    def test_virtual_grid_spans_the_host_cores(self):
+        with RuntimeAdaptiveRunner(spec([_fast]), "threads", max_replicas=1) as runner:
+            assert runner.n_virtual_procs == max(os.cpu_count() or 2, 2)
 
     def test_grows_bottleneck_on_thread_backend(self):
         pipe = spec([_fast, _bottleneck, _fast])
@@ -97,9 +105,8 @@ class TestRuntimeAdaptiveRunner:
         assert res.final_replicas[1] == 1
 
     def test_clamped_noop_proposal_records_no_event(self):
-        # Warm pool caps the bottleneck at 2 replicas; with a huge virtual
-        # grid the policy keeps proposing more, but once the backend sits at
-        # the cap the clamped proposal changes nothing physical and must not
+        # Warm pool caps the bottleneck at 2 replicas; once the backend sits
+        # at the cap a clamped proposal changes nothing physical and must not
         # fabricate adaptation events (or phantom rollbacks).
         pipe = spec([_fast, _bottleneck, _fast])
         runner = RuntimeAdaptiveRunner(
@@ -108,7 +115,6 @@ class TestRuntimeAdaptiveRunner:
             config=local_config(interval=0.1, cooldown=0.1, settle_time=0.1),
             rollback=False,
             max_replicas=2,
-            n_virtual_procs=12,
         )
         with runner:
             res = runner.run(range(120))
@@ -162,12 +168,14 @@ class TestEventDrivenController:
     """The controller wakes on evidence; ``interval`` is only a fallback."""
 
     def test_step_reaction_needs_no_tick(self):
-        # A (2 ms, stateful) bounds the period while B takes 2 ms, so the
-        # first look must leave B alone; B then slows to 10 ms at item 60.
-        # With a 30 s interval no tick can fire: only the shift trigger can
-        # have widened B.  (The short cooldown lets a first action taken on
-        # a host hiccup be corrected inside the time allowed; a host that
-        # stalls for hundreds of ms gets a second and a third try.)
+        # A (2 ms, stateful) bounds the period while B takes 1 ms, so the
+        # first look must leave B alone: a host stall would have to double
+        # B's measured service before widening it paid.  B then slows to
+        # 10 ms at item 60.  With a 30 s interval
+        # no tick can fire: only the shift trigger can have widened B.  (The
+        # short cooldown lets a first action taken on a host hiccup be
+        # corrected inside the time allowed; a host that stalls for hundreds
+        # of ms gets a second and a third try.)
         def a(x):
             time.sleep(0.002)
             return x
@@ -180,7 +188,7 @@ class TestEventDrivenController:
                     slow_at.append(time.perf_counter())
                     time.sleep(0.010)
                 else:
-                    time.sleep(0.002)
+                    time.sleep(0.001)
                 return x + 1
 
             pipe = spec([a, b], replicable=[False, True])

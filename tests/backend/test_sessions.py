@@ -458,6 +458,10 @@ class TestDistributedSessionStreams:
                 send_frame(sock, ("hello", "fake", 1, 0.0, ("127.0.0.1", 1)))
                 assert recv_frame(sock)[0] == "welcome"
                 send_frame(sock, ("shm_ok", False))
+                for _ in range(4):  # registration fills the clock fit first
+                    kind, t0 = recv_frame(sock)
+                    assert kind == "ping"
+                    send_frame(sock, ("pong", t0, t0, t0, 0.0))
                 b.wait_for_workers(1, timeout=10.0)
                 first = b.open()
                 _, stage, slot, *_ = place = next_frame(sock)

@@ -37,7 +37,6 @@ class TestRunResult:
         r = make_result([], n_items=5)
         assert math.isnan(r.makespan)
         assert r.throughput() == 0.0
-        assert math.isnan(r.mean_latency())
 
     def test_steady_throughput_skips_fill(self):
         # Slow fill (1 item/s), then steady 10 items/s.

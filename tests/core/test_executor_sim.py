@@ -73,19 +73,6 @@ class TestBasicExecution:
         # An unqueued item takes ~0.3 s; queueing adds more.
         assert min(lats) == pytest.approx(0.3, rel=0.1)
 
-    def test_arrival_period_throttles_source(self):
-        eng, _ = run_engine(
-            uniform_grid(3),
-            balanced(),
-            Mapping.single([0, 1, 2]),
-            n_items=20,
-            arrival_period=1.0,
-        )
-        # Open-loop at 1 item/s: completions roughly 1 s apart.
-        ct = eng.completion_times()
-        gaps = [b - a for a, b in zip(ct, ct[1:])]
-        assert min(gaps) > 0.9
-
     def test_validation_errors(self):
         sim = Simulator()
         with pytest.raises(ValueError, match="stages"):

@@ -83,19 +83,6 @@ class TestChannelBasics:
         with pytest.raises(ValueError):
             Channel(capacity=0)
 
-    def test_occupancy(self):
-        sim = Simulator()
-        ch = Channel(capacity=4)
-
-        def producer():
-            yield ch.put(1)
-            yield ch.put(2)
-
-        sim.process(producer())
-        sim.run()
-        assert ch.occupancy == pytest.approx(0.5)
-        assert Channel(capacity=None).occupancy == 0.0
-
 
 class TestChannelClose:
     def test_get_on_closed_drained_channel_raises(self):

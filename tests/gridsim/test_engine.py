@@ -28,22 +28,6 @@ class TestScheduling:
         sim.run()
         assert order == list("abcde")
 
-    def test_cancel(self):
-        sim = Simulator()
-        fired = []
-        h = sim.schedule(1.0, fired.append, "x")
-        h.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator()
-        fired = []
-        h = sim.schedule(0.0, fired.append, "x")
-        sim.run()
-        h.cancel()
-        assert fired == ["x"]
-
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):

@@ -52,13 +52,13 @@ class TestSnapshot:
     def test_selected_pairs_only(self):
         snap = make_grid().snapshot(0.0, pairs=[(0, 1)])
         assert list(snap.links) == [(0, 1)]
-        lat, bw = snap.link_params(0, 1)
+        lat, bw = snap.links[(0, 1)]
         assert lat > 0 and bw > 0
 
     def test_loopback_pair_is_fast(self):
         snap = make_grid().snapshot(0.0)
-        lat_self, bw_self = snap.link_params(1, 1)
-        lat_cross, bw_cross = snap.link_params(0, 1)
+        lat_self, bw_self = snap.links[(1, 1)]
+        lat_cross, bw_cross = snap.links[(0, 1)]
         assert lat_self < lat_cross
         assert bw_self > bw_cross
 

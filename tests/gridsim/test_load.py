@@ -10,9 +10,14 @@ from repro.gridsim.load import (
     PeriodicLoad,
     RandomWalkLoad,
     StepLoad,
-    TraceLoad,
 )
 from repro.util.rng import derive_rng
+
+
+class TestLoadModelInterface:
+    def test_callable_is_availability(self):
+        m = StepLoad([(10.0, 0.5)])
+        assert [m(t) for t in (5.0, 15.0)] == [m.availability(t) for t in (5.0, 15.0)]
 
 
 class TestConstantLoad:
@@ -51,17 +56,9 @@ class TestStepLoad:
         with pytest.raises(ValueError):
             StepLoad([(0.0, 2.0)])
 
-
-class TestTraceLoad:
-    def test_replay(self):
-        m = TraceLoad([0.0, 5.0, 10.0], [1.0, 0.4, 0.9])
-        assert m.availability(2.0) == 1.0
-        assert m.availability(7.0) == 0.4
-        assert m.availability(12.0) == 0.9
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            TraceLoad([0.0, 1.0], [1.0])
+    def test_empty_schedule_keeps_initial(self):
+        m = StepLoad([], initial=0.6)
+        assert m.availability(0.0) == m.availability(1e6) == 0.6
 
 
 class TestRandomWalkLoad:
@@ -83,6 +80,18 @@ class TestRandomWalkLoad:
         m = RandomWalkLoad(derive_rng(5, "w"), dt=0.5, sigma=0.5, lo=0.3, hi=0.9)
         vals = [m.availability(t) for t in range(200)]
         assert all(0.3 <= v <= 0.9 for v in vals)
+
+    def test_constant_within_a_step(self):
+        m = RandomWalkLoad(derive_rng(6, "w"), dt=1.0, sigma=0.2)
+        assert m.availability(2.1) == m.availability(2.9)
+
+    def test_start_clamped_into_bounds(self):
+        m = RandomWalkLoad(derive_rng(6, "w"), start=1.0, lo=0.2, hi=0.8)
+        assert m.availability(0.0) == 0.8
+
+    def test_invalid_dt(self):
+        with pytest.raises(ValueError):
+            RandomWalkLoad(derive_rng(0, "w"), dt=0.0)
 
     def test_actually_varies(self):
         m = RandomWalkLoad(derive_rng(6, "w"), dt=1.0, sigma=0.1)
@@ -119,6 +128,21 @@ class TestMarkovOnOffLoad:
         )
         assert m.availability(0.0) == 0.1
 
+    def test_long_run_busy_share(self):
+        # Alternating exponential sojourns: busy a mean_busy/(mean_idle +
+        # mean_busy) share of the time in the long run.
+        m = MarkovOnOffLoad(
+            derive_rng(10, "m"), mean_idle=30.0, mean_busy=10.0, busy_availability=0.2
+        )
+        busy = [m.availability(t / 10) == 0.2 for t in range(200_000)]
+        assert sum(busy) / len(busy) == pytest.approx(0.25, abs=0.05)
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ValueError):
+            MarkovOnOffLoad(derive_rng(0, "m"), mean_idle=0.0)
+        with pytest.raises(ValueError):
+            MarkovOnOffLoad(derive_rng(0, "m"), busy_availability=1.5)
+
 
 class TestPeriodicLoad:
     def test_oscillates_around_base(self):
@@ -135,6 +159,15 @@ class TestPeriodicLoad:
         with pytest.raises(ValueError):
             PeriodicLoad(amplitude=-0.1)
 
+    def test_phase_shifts_the_cycle(self):
+        m = PeriodicLoad(base=0.6, amplitude=0.3, period=100.0, phase=25.0)
+        assert m.availability(0.0) == pytest.approx(0.9)
+        assert m.availability(50.0) == pytest.approx(0.3)
+
+    def test_invalid_period(self):
+        with pytest.raises(ValueError):
+            PeriodicLoad(period=0.0)
+
 
 class TestCompositeLoad:
     def test_product(self):
@@ -144,6 +177,10 @@ class TestCompositeLoad:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CompositeLoad([])
+
+    def test_follows_time_varying_parts(self):
+        m = CompositeLoad([StepLoad([(10.0, 0.5)]), StepLoad([(20.0, 0.4)])])
+        assert [m.availability(t) for t in (5.0, 15.0, 25.0)] == pytest.approx([1.0, 0.5, 0.2])
 
     def test_clamped(self):
         m = CompositeLoad([ConstantLoad(0.001), ConstantLoad(0.001)])

@@ -16,18 +16,10 @@ class TestProcessor:
         p = Processor(1, speed=4.0, load=ConstantLoad(0.5))
         assert p.effective_speed(0.0) == pytest.approx(2.0)
 
-    def test_service_time(self):
-        p = Processor(2, speed=2.0)
-        assert p.service_time(work=10.0, t=0.0) == pytest.approx(5.0)
-
-    def test_service_time_under_load_step(self):
+    def test_effective_speed_under_load_step(self):
         p = Processor(3, speed=1.0, load=StepLoad([(10.0, 0.25)]))
-        assert p.service_time(1.0, t=5.0) == pytest.approx(1.0)
-        assert p.service_time(1.0, t=15.0) == pytest.approx(4.0)
-
-    def test_negative_work_rejected(self):
-        with pytest.raises(ValueError):
-            Processor(0).service_time(-1.0, 0.0)
+        assert p.effective_speed(5.0) == pytest.approx(1.0)
+        assert p.effective_speed(15.0) == pytest.approx(0.25)
 
     def test_invalid_speed(self):
         with pytest.raises(ValueError):

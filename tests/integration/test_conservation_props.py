@@ -15,7 +15,7 @@ from repro.gridsim.engine import Simulator
 from repro.gridsim.spec import heterogeneous_grid
 from repro.model.mapping import Mapping, random_mapping
 from repro.util.rng import derive_rng
-from repro.workloads.cost_models import ExponentialWork
+from repro.workloads.cost_models import LogNormalWork
 
 
 @settings(deadline=None, max_examples=25)
@@ -36,7 +36,7 @@ def test_static_run_conserves_items(
     stages = tuple(
         StageSpec(
             name=f"s{i}",
-            work=ExponentialWork(0.05) if stochastic else 0.05,
+            work=LogNormalWork(0.05, cv=1.0) if stochastic else 0.05,
             out_bytes=float(rng.choice([0.0, 1e4])),
         )
         for i in range(n_stages)

@@ -86,3 +86,18 @@ def test_phases_chain_an_items_hops(journal):
             # predecessor's hand-off, or at its own mapped arrival when the
             # clock fit puts that earlier (wire_out clamped at 0), never later.
             assert start <= before + hops[stage - 1, seq]["encode"] + 1e-6, (stage, seq)
+
+
+def test_each_workers_clock_fit_fills_right_after_warm_up():
+    # A short session maps every hop through its worker's clock fit, and one
+    # pong's rtt/2 bound can be wider than a loopback wire leg: the
+    # coordinator answers each pong with a ping until the fit holds four
+    # samples.  The monitor's own pings are 5 s apart here, so they add none.
+    pipe = PipelineSpec((StageSpec(name="inc", work=0.001, fn=_inc),))
+    with DistributedBackend(pipe, spawn_workers=2, heartbeat_interval=5.0) as b:
+        b.warm()
+        deadline = time.monotonic() + 1.0
+        while min(w.clock.n_samples for w in b._workers.values()) < 4:
+            assert time.monotonic() < deadline, [w.clock.n_samples for w in b._workers.values()]
+            time.sleep(0.01)
+        assert len(b._workers) == 2

@@ -64,11 +64,6 @@ class TestBasicPrediction:
         pred = predict(Mapping.single([0, 1, 2]), make_ctx([0.1, 0.2, 0.3], grid))
         assert pred.latency == pytest.approx(0.6, rel=0.02)
 
-    def test_makespan(self):
-        grid = uniform_grid(2)
-        pred = predict(Mapping.single([0, 1]), make_ctx([0.1, 0.1], grid))
-        assert pred.makespan(101) == pytest.approx(pred.latency + 100 * pred.period)
-
     def test_stage_count_mismatch(self):
         grid = uniform_grid(2)
         with pytest.raises(ValueError, match="stages"):

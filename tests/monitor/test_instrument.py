@@ -145,18 +145,6 @@ class TestPipelineInstrumentation:
         with pytest.raises(ValueError):
             pi.recent_throughput(now=1.0, horizon=0.0)
 
-    def test_bottleneck_detection(self):
-        pi = PipelineInstrumentation(3)
-        pi.stages[0].record_service(0.1, 1.0)
-        pi.stages[1].record_service(0.9, 1.0)
-        pi.stages[2].record_service(0.2, 1.0)
-        bn = pi.bottleneck()
-        assert bn is not None
-        assert bn.stage_index == 1
-
-    def test_bottleneck_none_before_data(self):
-        assert PipelineInstrumentation(2).bottleneck() is None
-
 
 class TestPayloadByteAccounting:
     def test_snapshot_defaults_to_zero_bytes(self):

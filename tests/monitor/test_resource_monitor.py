@@ -17,15 +17,33 @@ class TestSampling:
     def test_samples_at_period(self):
         sim = Simulator()
         grid = uniform_grid(2)
-        mon = ResourceMonitor(sim, grid, period=1.0, noise_std=0.0)
+        ResourceMonitor(sim, grid, noise_std=0.0)
         sim.run(until=10.5)
-        # t=0 plus one per second through t=10.
-        assert mon.samples_taken == 11
+        # t=0 plus one per PERIOD through t=10: the next is due at t=11.
+        assert ResourceMonitor.PERIOD == 1.0
+        assert sim.peek() == pytest.approx(11.0)
+
+    def test_a_change_shows_at_the_next_sample(self):
+        sim = Simulator()
+        grid = uniform_grid(1)
+        grid.perturb(0, [(2.5, 0.2)])
+        mon = ResourceMonitor(sim, grid, noise_std=0.0)
+        sim.run(until=2.9)
+        assert mon.estimates().availability[0] == pytest.approx(1.0)  # samples at 0, 1, 2
+        sim.run(until=3.5)
+        assert mon.estimates().availability[0] < 1.0  # the t=3 sample saw the drop
+
+    def test_every_ordered_pair_is_monitored(self):
+        sim = Simulator()
+        grid = uniform_grid(3)
+        mon = ResourceMonitor(sim, grid, noise_std=0.0)
+        sim.run(until=1.0)
+        assert set(mon.estimates().bandwidth) == {(a, b) for a in grid.pids for b in grid.pids}
 
     def test_estimates_track_truth_without_noise(self):
         sim = Simulator()
         grid = uniform_grid(2)
-        mon = ResourceMonitor(sim, grid, period=1.0, noise_std=0.0)
+        mon = ResourceMonitor(sim, grid, noise_std=0.0)
         sim.run(until=5.0)
         est = mon.estimates()
         assert est.availability[0] == pytest.approx(1.0)
@@ -35,7 +53,7 @@ class TestSampling:
         sim = Simulator()
         grid = uniform_grid(2)
         grid.perturb(1, [(10.0, 0.2)])
-        mon = ResourceMonitor(sim, grid, period=1.0, noise_std=0.0)
+        mon = ResourceMonitor(sim, grid, noise_std=0.0)
         sim.run(until=40.0)
         est = mon.estimates()
         assert est.availability[0] == pytest.approx(1.0, abs=0.05)
@@ -44,9 +62,7 @@ class TestSampling:
     def test_noise_does_not_bias_grossly(self):
         sim = Simulator()
         grid = uniform_grid(1)
-        mon = ResourceMonitor(
-            sim, grid, period=0.5, noise_std=0.05, rng=derive_rng(0, "noise")
-        )
+        mon = ResourceMonitor(sim, grid, noise_std=0.05, rng=derive_rng(0, "noise"))
         sim.run(until=60.0)
         est = mon.estimates()
         assert est.availability[0] == pytest.approx(1.0, abs=0.1)
@@ -54,7 +70,7 @@ class TestSampling:
     def test_bandwidth_estimates_present(self):
         sim = Simulator()
         grid = heterogeneous_grid([1.0, 1.0], bandwidth=5e6)
-        mon = ResourceMonitor(sim, grid, period=1.0, noise_std=0.0)
+        mon = ResourceMonitor(sim, grid, noise_std=0.0)
         sim.run(until=3.0)
         est = mon.estimates()
         assert est.bandwidth[(0, 1)] == pytest.approx(5e6, rel=0.01)
@@ -63,7 +79,7 @@ class TestSampling:
     def test_estimates_before_any_sample_are_optimistic(self):
         sim = Simulator()
         grid = uniform_grid(1)
-        mon = ResourceMonitor(sim, grid, period=1.0, noise_std=0.0)
+        mon = ResourceMonitor(sim, grid, noise_std=0.0)
         # No sim.run(): only the constructor sample at t=0 exists after run;
         # but estimates() must work even then.
         est = mon.estimates()
@@ -72,17 +88,11 @@ class TestSampling:
     def test_stop_halts_sampling(self):
         sim = Simulator()
         grid = uniform_grid(1)
-        mon = ResourceMonitor(sim, grid, period=1.0, noise_std=0.0)
+        mon = ResourceMonitor(sim, grid, noise_std=0.0)
         sim.run(until=2.5)
         mon.stop()
         sim.run(until=10.0)
-        assert mon.samples_taken == 3  # t=0,1,2 then stopped
-
-    def test_invalid_period(self):
-        sim = Simulator()
-        grid = uniform_grid(1)
-        with pytest.raises(ValueError):
-            ResourceMonitor(sim, grid, period=0.0)
+        assert sim.peek() == float("inf")  # no sample left scheduled
 
 
 class TestHostLoadSampler:

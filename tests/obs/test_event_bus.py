@@ -53,16 +53,6 @@ class TestEventBus:
         bus.subscribe(lambda e: None)  # unfiltered wants everything
         assert bus.wants("item.submit")
 
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        fn = seen.append
-        bus.subscribe(fn)
-        bus.unsubscribe(fn)
-        bus.emit("stream.begin", stream=0)
-        assert seen == []
-        assert not bus.active
-
     def test_at_overrides_clock(self):
         bus = EventBus(clock=lambda: 99.0)
         seen = []

@@ -59,7 +59,7 @@ def test_negative_or_nan_samples_are_ignored():
     est = SizeStratifiedLinkEstimator()
     est.observe(100.0, -1.0)
     est.observe(100.0, float("nan"))
-    assert est.n_samples == 0
+    assert est.fit().n_samples == 0
 
 
 def test_parameter_validation():

@@ -1,6 +1,8 @@
 """Tests for the shared sequence-order restoration utility."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.ordering import SequenceReorderer
 
@@ -69,13 +71,32 @@ class TestSequenceReorderer:
         with pytest.raises(ValueError, match="already released"):
             list(r.push(9, "stale"))
 
-    def test_drain_yields_consecutive_run_only(self):
+    def test_a_gap_holds_the_run_behind_it(self):
         r = SequenceReorderer()
         list(r.push(1, "b"))
         list(r.push(0, "a"))
-        list(r.push(3, "d"))  # gap at 2: stuck
-        assert list(r.drain()) == []
+        assert list(r.push(3, "d")) == []  # gap at 2: stuck
         assert len(r) == 1
         assert list(r.push(2, "c")) == [(2, "c"), (3, "d")]
-        assert list(r.drain()) == []
         assert len(r) == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(order=st.permutations(list(range(12))))
+    def test_any_arrival_order_releases_input_order(self, order):
+        r = SequenceReorderer()
+        out = [seq for s in order for seq, _ in r.push(s, s)]
+        assert out == list(range(12))
+        assert len(r) == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(1, 11), max_size=5, unique=True),
+        data=st.data(),
+    )
+    def test_ranges_in_any_order_release_input_order(self, cuts, data):
+        bounds = [0, *sorted(cuts), 12]
+        ranges = [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+        ranges = data.draw(st.permutations(ranges))
+        r = SequenceReorderer()
+        out = [seq for rng in ranges for seq, _ in r.push_range(rng[0], rng)]
+        assert out == list(range(12))

@@ -7,10 +7,8 @@ from repro.backend import ThreadBackend
 from repro.workloads.apps import (
     image_pipeline,
     kmer_pipeline,
-    make_documents,
     make_images,
     make_sequences,
-    text_pipeline,
 )
 
 
@@ -51,24 +49,6 @@ class TestImagePipeline:
         assert works[3] == min(works)  # summarise is trivial
 
 
-class TestTextPipeline:
-    def test_end_to_end(self):
-        pipe = text_pipeline()
-        docs = make_documents(5, words=100)
-        out = run(pipe, docs)
-        assert len(out) == 5
-        for counts in out:
-            assert isinstance(counts, dict)
-            assert "grid" not in counts  # stop word removed
-            assert sum(counts.values()) > 0
-
-    def test_counts_correct(self):
-        pipe = text_pipeline()
-        out = run(pipe, ["pipeline pipeline grid skeleton"])
-        assert out[0]["pipeline"] == 2
-        assert out[0]["skeleton"] == 1
-
-
 class TestKmerPipeline:
     def test_end_to_end(self):
         pipe = kmer_pipeline()
@@ -87,14 +67,11 @@ class TestKmerPipeline:
 
 class TestGenerators:
     def test_counts(self):
-        assert len(make_documents(3)) == 3
         assert len(make_sequences(2, length=100)) == 2
         assert len(make_sequences(2, length=100)[0]) == 100
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             make_images(0)
-        with pytest.raises(ValueError):
-            make_documents(0)
         with pytest.raises(ValueError):
             make_sequences(0)

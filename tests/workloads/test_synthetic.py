@@ -14,7 +14,7 @@ class TestBalanced:
     def test_shape(self):
         p = balanced_pipeline(4, work=0.2)
         assert p.n_stages == 4
-        assert p.total_work() == pytest.approx(0.8)
+        assert [s.work.mean for s in p.stages] == [0.2] * 4
 
     def test_bytes_propagate(self):
         p = balanced_pipeline(2, out_bytes=100.0, input_bytes=50.0, state_bytes=10.0)
@@ -42,12 +42,22 @@ class TestImbalanced:
         with pytest.raises(ValueError):
             imbalanced_pipeline([])
 
+    def test_every_stage_replicable_by_default(self):
+        p = imbalanced_pipeline([0.1, 0.5, 0.2])
+        assert all(s.replicable for s in p.stages)
+
 
 class TestStochastic:
     def test_lognormal_stages(self):
         p = stochastic_pipeline([0.1, 0.2], cv=1.0)
         assert all(isinstance(s.work, LogNormalWork) for s in p.stages)
         assert p.stage(1).work.mean == pytest.approx(0.2)
+
+    def test_cv_shared_by_every_stage(self):
+        p = stochastic_pipeline([0.1, 0.2, 0.3], cv=1.5, out_bytes=8.0)
+        assert [s.work.cv for s in p.stages] == [1.5] * 3
+        assert all(s.out_bytes == 8.0 for s in p.stages)
+        assert p.name == "stochastic(cv=1.5)"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
