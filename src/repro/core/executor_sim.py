@@ -297,13 +297,13 @@ class SimPipelineEngine:
             res = self.grid.link_resource(src, dst_pid)
             yield res.acquire()
             try:
-                xfer = link.transfer_time(item.nbytes, self.sim.now)
+                xfer = link.transfer_time(item.nbytes)
                 if xfer > 0.0:
                     yield self.sim.timeout(xfer)
             finally:
                 res.release()
             return
-        xfer = link.transfer_time(item.nbytes, self.sim.now)
+        xfer = link.transfer_time(item.nbytes)
         if xfer > 0.0:
             yield self.sim.timeout(xfer)
 

@@ -37,24 +37,18 @@ class ReactivePolicy:
 
     State: remembers the best (lowest) bottleneck service time seen so far
     as the baseline.  When the current bottleneck stage's windowed service
-    time exceeds ``trigger × baseline``, the stage is moved to the processor
+    time exceeds ``TRIGGER × baseline``, the stage is moved to the processor
     with the highest forecast effective speed that is not already hosting
     it.  Cooldown and min-samples guards mirror the model-driven policy so
     the ablation isolates the *decision quality*, not the guard rails.
     """
 
-    def __init__(
-        self,
-        pipeline: PipelineSpec,
-        config: AdaptationConfig,
-        *,
-        trigger: float = 1.5,
-    ) -> None:
-        if trigger <= 1.0:
-            raise ValueError(f"trigger must be > 1.0, got {trigger}")
+    #: How far over its baseline the bottleneck's service time must be.
+    TRIGGER = 1.5
+
+    def __init__(self, pipeline: PipelineSpec, config: AdaptationConfig) -> None:
         self.pipeline = pipeline
         self.config = config
-        self.trigger = trigger
         self._baseline: dict[int, float] = {}
 
     def decide(
@@ -90,7 +84,7 @@ class ReactivePolicy:
 
         bottleneck = max(usable, key=lambda s: s.service_time)
         baseline = self._baseline.get(bottleneck.stage_index, math.inf)
-        if not math.isfinite(baseline) or bottleneck.service_time < self.trigger * baseline:
+        if not math.isfinite(baseline) or bottleneck.service_time < self.TRIGGER * baseline:
             return Decision(None, reason="below-trigger")
 
         # Move the bottleneck stage to the fastest-looking idle processor.
@@ -108,7 +102,7 @@ class ReactivePolicy:
             new_mapping,
             reason=(
                 f"reactive: stage {stage} service "
-                f"{bottleneck.service_time:.3f}s > {self.trigger:.1f}x baseline "
+                f"{bottleneck.service_time:.3f}s > {self.TRIGGER:.1f}x baseline "
                 f"{baseline:.3f}s, move to proc {target}"
             ),
             predicted_gain=math.nan,  # reactive policies do not predict

@@ -24,7 +24,7 @@ class GridSnapshot:
     """Ground-truth grid state at one instant.
 
     ``effective_speed[pid]`` is nominal speed × availability; ``links`` maps
-    ``(src_pid, dst_pid)`` to ``(latency_s, effective_bandwidth_Bps)``.
+    ``(src_pid, dst_pid)`` to ``(latency_s, bandwidth_Bps)``.
     Only pairs that were requested are present in ``links`` (it is built
     lazily via :meth:`GridSystem.snapshot` for the processors of interest).
     """
@@ -116,7 +116,7 @@ class GridSystem:
         links = {}
         for a, b in pairs:
             lk = self.link(a, b)
-            links[(a, b)] = (lk.latency, lk.effective_bandwidth(t))
+            links[(a, b)] = (lk.latency, lk.bandwidth)
         return GridSnapshot(
             time=t, speed=speed, availability=avail, effective_speed=eff, links=links
         )

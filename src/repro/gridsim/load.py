@@ -161,7 +161,6 @@ class MarkovOnOffLoad(LoadModel):
         mean_idle: float = 30.0,
         mean_busy: float = 10.0,
         busy_availability: float = 0.2,
-        start_busy: bool = False,
     ) -> None:
         check_positive(mean_idle, "mean_idle")
         check_positive(mean_busy, "mean_busy")
@@ -173,7 +172,7 @@ class MarkovOnOffLoad(LoadModel):
         # Segment boundaries: times[i] is the END of segment i.
         self._ends: list[float] = []
         self._busy: list[bool] = []
-        self._state_busy = start_busy
+        self._state_busy = False
         self._horizon = 0.0
 
     def _extend_to(self, t: float) -> None:

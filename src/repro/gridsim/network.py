@@ -1,16 +1,15 @@
 """Links and topology: the heterogeneous grid interconnect.
 
 The model keeps what the adaptive pipeline reacts to — per-pair latency and
-bandwidth, optionally time-varying — and nothing it does not (no routing, no
-packet-level detail).  Transfers between stages co-located on one processor
-use a :func:`loopback_link` that is effectively free, matching the paper
-line's observation that in-memory hand-off is orders of magnitude cheaper
-than wide-area transfer.
+bandwidth — and nothing it does not (no routing, no packet-level detail).
+Transfers between stages co-located on one processor use a
+:func:`loopback_link` that is effectively free, matching the paper line's
+observation that in-memory hand-off is orders of magnitude cheaper than
+wide-area transfer.
 """
 
 from __future__ import annotations
 
-from repro.gridsim.load import ConstantLoad, LoadModel
 from repro.gridsim.resources import Processor
 from repro.util.validation import check_non_negative, check_positive
 
@@ -21,37 +20,20 @@ LOOPBACK_BANDWIDTH = 1e12  # bytes/second
 
 
 class Link:
-    """A directed network link with latency, bandwidth and optional quality.
+    """A directed network link with a fixed latency and bandwidth."""
 
-    ``quality`` is a :class:`LoadModel` multiplying the bandwidth (1.0 =
-    unloaded link); latency is treated as load-independent, which matches the
-    NWS observation that wide-area latency variance is dominated by bandwidth
-    contention for bulk transfers.
-    """
-
-    def __init__(
-        self,
-        latency: float,
-        bandwidth: float,
-        quality: LoadModel | None = None,
-        name: str = "",
-    ) -> None:
+    def __init__(self, latency: float, bandwidth: float, name: str = "") -> None:
         check_non_negative(latency, "latency")
         check_positive(bandwidth, "bandwidth")
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
-        self.quality = quality if quality is not None else ConstantLoad(1.0)
         self.name = name
 
-    def effective_bandwidth(self, t: float) -> float:
-        """Bytes/second deliverable at time ``t``."""
-        return self.bandwidth * self.quality.availability(t)
-
-    def transfer_time(self, nbytes: float, t: float) -> float:
-        """Seconds to move ``nbytes`` starting at time ``t``."""
+    def transfer_time(self, nbytes: float) -> float:
+        """Seconds to move ``nbytes``."""
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        return self.latency + nbytes / self.effective_bandwidth(t)
+        return self.latency + nbytes / self.bandwidth
 
     def __repr__(self) -> str:
         return f"Link(latency={self.latency}, bandwidth={self.bandwidth:g})"

@@ -199,7 +199,7 @@ class ResourceMonitor:
             self._avail_fc[pid].observe(measured)
         for a, b in self._pairs:
             link = self._grid.link(a, b)
-            self._bw_fc[(a, b)].observe(self._noisy(link.effective_bandwidth(t)))
+            self._bw_fc[(a, b)].observe(self._noisy(link.bandwidth))
 
     def _sampling_loop(self):
         # Take a sample immediately so estimates exist from t=0.

@@ -1,4 +1,4 @@
-"""Unified telemetry: structured events, metrics, spans, exporters, top.
+"""Unified telemetry: structured events, metrics, exporters, top, profile.
 
 The observability layer over the streaming/adaptive stack (see
 ``docs/observability.md``): sessions emit :class:`Event` records on a
@@ -9,11 +9,12 @@ here consume them —
 * :class:`MetricsRegistry`/:class:`MetricsRecorder` — counters, gauges and
   log2 histograms with per-stage/per-worker labels: the one fold behind both
   the Prometheus snapshot and ``top``;
-* :func:`spans_from_journal` — per-item submit→service→yield timelines,
-  rebuilt from a journal;
 * :class:`Telemetry` — what ``open_pipeline(..., telemetry=...)`` accepts:
   a journal, a Prometheus snapshot, or both;
-* ``python -m repro.obs.top`` — live terminal view over a journal.
+* ``python -m repro.obs.top`` — live terminal view over a journal;
+* ``python -m repro.obs.profile`` — each item's submit→yield latency, tiled
+  into named phases from the journal's records
+  (:func:`~repro.obs.profile.profile_journal`).
 """
 
 from repro._lazy import lazy_exports
@@ -25,6 +26,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "exporters": "Telemetry as_telemetry render_prometheus write_prometheus",
         "journal": "JsonlJournal read_journal",
         "metrics": "Counter Gauge Log2Histogram MetricsRecorder MetricsRegistry",
-        "spans": "Span SpanCollector spans_from_journal",
     },
 )

@@ -37,8 +37,8 @@ SCHEMA: dict[str, str] = {
     "session.error": "executor error poisoned the session: error",
     "stream.begin": "a stream opened lazily at first submit: stream",
     "stream.drain": "a stream drained: stream, items, elapsed",
-    # -- per-item span points (base session + executors) ------------------
-    "item.submit": "item admitted (span+trace minted): stream, seq, gseq, trace[, wait]",
+    # -- per-item points: the ticket (base session + executors) -----------
+    "item.submit": "item admitted (trace minted): stream, seq, gseq, trace[, wait]",
     "item.complete": "item delivered in order: stream, seq",
     # -- micro-batch cut (backend/base.py assembler; seq = the first member's
     #    gseq, base = its stream seq; as in every record below, seq names an
@@ -153,8 +153,8 @@ class EventBus:
         delivered event carries a real timestamp — either ``at`` or the bus
         clock.  Forwarding an event without ``at`` on a clockless bus has no
         honest time to stamp; it falls back to 0.0 and warns once per bus,
-        because a silent 0.0 corrupts every downstream timeline (spans,
-        rates, the profiler's phase attribution).
+        because a silent 0.0 corrupts every downstream timeline (per-item
+        latency, rates, the profiler's phase attribution).
         """
         subs = self._subs
         if not subs:

@@ -2,8 +2,7 @@
 
 :class:`Telemetry` is the one object user code configures.  It has two
 settings, the two ways a deployment reads a session: ``journal=`` (the JSONL
-event stream, which ``obs.top``, ``obs.profile`` and
-:func:`~repro.obs.spans.spans_from_journal` read back) and ``prometheus=``
+event stream, which ``obs.top`` and ``obs.profile`` read back) and ``prometheus=``
 (a text snapshot of the :class:`MetricsRecorder` fold, written on close).
 It is what ``open_pipeline(..., telemetry=...)`` accepts (a bare path
 string/Path is shorthand for ``Telemetry(journal=path)``), and sessions
@@ -95,8 +94,9 @@ class Telemetry:
     ----------
     journal:
         JSONL journal path, or a configured :class:`JsonlJournal` (say, with
-        a rotation policy of its own); None disables the journal.  Per-item
-        spans are rebuilt from it (:func:`~repro.obs.spans.spans_from_journal`).
+        a rotation policy of its own); None disables the journal.  Each
+        item's timeline is read back from it
+        (:func:`~repro.obs.profile.profile_journal`).
     prometheus:
         Path to write a Prometheus text snapshot to when the session closes.
         A :class:`MetricsRecorder` folds the event stream exactly when this
@@ -117,10 +117,6 @@ class Telemetry:
         self.prometheus_path = Path(prometheus) if prometheus is not None else None
         self.recorder = MetricsRecorder() if prometheus is not None else None
         self._closed = False
-
-    @property
-    def registry(self) -> MetricsRegistry | None:
-        return self.recorder.registry if self.recorder is not None else None
 
     def attach(self, session) -> "Telemetry":
         """Subscribe the journal and the recorder to ``session.events``.

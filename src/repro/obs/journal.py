@@ -5,8 +5,8 @@ One line per event: ``{"t": <session seconds>, "wall": <epoch seconds>,
 types are ``repr``-ed rather than dropped, so a journal line never fails to
 serialise.  Rotation is size-based (``journal.jsonl`` → ``journal.jsonl.1``
 → …), bounded by ``max_files``.  :func:`to_event` turns a record back into
-the :class:`Event` it was written from; every journal reader (spans, the
-profiler, ``top``) goes through it.
+the :class:`Event` it was written from; every journal reader (the profiler,
+``top``) goes through it.
 
 The journal is a plain bus subscriber, and it is safe to attach one
 journal to several buses (the coordinator's backend bus and the session

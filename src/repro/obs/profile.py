@@ -11,8 +11,8 @@ named phases:
 
 ``admit_wait``
     time blocked in ``submit()`` on the bounded-admission window — spent
-    *before* the item's span opens, so it is reported separately and not
-    part of the latency tiling;
+    *before* the item's latency starts, so it is reported separately and
+    not part of the latency tiling;
 ``coord_queue``
     coordinator-side residence (distributed): back-pressure slot waits
     (stage 0's are spent inside ``submit()``) and inter-stage routing gaps;
@@ -40,6 +40,9 @@ Offline report::
     python -m repro.obs.profile /tmp/pipeline.jsonl
     python -m repro.obs.profile /tmp/pipeline.jsonl --slowest 5 --json
 
+One pass over the journal groups its records per item
+(:func:`join_records`): ``item.submit``/``item.complete`` by the item's
+ticket, every other record by the session-wide ``gseq`` its ``seq`` names.
 Every executor journals one ``stage.service`` per hop, and one loop tiles
 them all.  The distributed hop carries its decomposition (``wire_out``,
 ``worker_queue``, ``encode``, ``wire_back``), so the gap before it is
@@ -50,8 +53,8 @@ saturated stage's input wait blames that stage, not the coordinator, and
 the service-vs-overhead split stays honest.
 
 Micro-batched sessions emit one batch-covering record per hop
-(``items=N``, durations = batch totals) which the span collector attaches
-to all N member spans.  Per item, only ``seconds / N`` of the service was
+(``items=N``, durations = batch totals), which joins all N member
+items.  Per item, only ``seconds / N`` of the service was
 *this* item's own work; the rest of the batch's service window — time the
 item spent waiting on its batchmates — tiles into ``worker_queue``, so
 per-item latency coverage stays complete without service time being
@@ -67,22 +70,24 @@ import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.obs.spans import Span, spans_from_journal
+from repro.obs.events import Event
 
 __all__ = [
     "PHASES",
     "ItemProfile",
     "StageAggregate",
     "ProfileReport",
-    "profile_spans",
+    "join_records",
+    "profile_events",
     "profile_journal",
     "render_report",
     "main",
 ]
 
 #: Phase names in timeline order (``admit_wait`` excluded: it precedes the
-#: span and is reported separately).
+#: latency and is reported separately).
 PHASES = (
     "coord_queue",
     "encode",
@@ -153,6 +158,8 @@ class ProfileReport:
     decisions: list[tuple[float, list, list, str]] = field(default_factory=list)
     #: worker id -> last ``clock.sync`` fields (offset, drift, err, n).
     clocks: dict[int, dict] = field(default_factory=dict)
+    #: the stage names ``session.open`` carried.
+    stage_names: list[str] = field(default_factory=list)
 
     # ------------------------------------------------------------ aggregates
     @property
@@ -268,18 +275,67 @@ class ProfileReport:
         }
 
 
+# ------------------------------------------------------------------ the join
+def join_records(
+    events: Iterable[Event], report: ProfileReport
+) -> dict[tuple[int, int], list[Event]]:
+    """Group ``events`` per item in one pass, oldest first.
+
+    ``item.submit``/``item.complete`` name an item by its ticket ``(stream,
+    seq)``, and ``item.submit`` carries the session-wide ``gseq`` that every
+    other record's ``seq`` names it by (``stage.service``, ``frame.*``,
+    ``worker.redispatch``, ``batch.assemble``); a record with ``items=N``
+    joins the N items from its ``seq``, and one whose ``seq`` no submit
+    carried joins nothing.  The session's metadata (``session.open``,
+    ``adapt.act``, ``clock.sync``) goes into ``report`` on the same pass.
+    """
+    items: dict[tuple[int, int], list[Event]] = {}
+    by_gseq: dict[int, list[Event]] = {}
+    for ev in events:
+        kind, f = ev.kind, ev.fields
+        if kind in ("item.submit", "item.complete"):
+            if "stream" in f and "seq" in f:
+                records = items.setdefault((int(f["stream"]), int(f["seq"])), [])
+                if "gseq" in f:
+                    by_gseq[int(f["gseq"])] = records
+                records.append(ev)
+        elif kind == "session.open":
+            report.backend = f.get("backend", report.backend)
+            report.stage_names = list(f.get("stages", []))
+        elif kind == "adapt.act":
+            report.decisions.append((
+                ev.time,
+                f.get("replicas_before", []),
+                f.get("replicas_after", []),
+                str(f.get("reason", ev.message)),
+            ))
+        elif kind == "clock.sync":
+            report.clocks[f.get("worker", -1)] = {
+                k: f.get(k) for k in ("offset", "drift", "err", "n")
+            }
+        elif f.get("seq") is not None:
+            for gseq in range(int(f["seq"]), int(f["seq"]) + int(f.get("items", 1))):
+                if gseq in by_gseq:
+                    by_gseq[gseq].append(ev)
+    return items
+
+
 # --------------------------------------------------------------- per-item core
-def _profile_span(span: Span) -> ItemProfile | None:
-    """Tile one completed span's latency into phases (None if incomplete)."""
-    sub = span.first("item.submit")
-    done = span.first("item.complete")
+def _first(records: list[Event], kind: str) -> Event | None:
+    return next((e for e in records if e.kind == kind), None)
+
+
+def _profile_item(key: tuple[int, int], records: list[Event]) -> ItemProfile | None:
+    """Tile one item's latency into phases (None if it did not complete)."""
+    sub = _first(records, "item.submit")
+    done = _first(records, "item.complete")
     if sub is None or done is None:
         return None
     latency = max(0.0, done.time - sub.time)
     phases: dict[str, float] = defaultdict(float)
     enc_by_stage: dict[int, float] = defaultdict(float)
     queued: dict[int, float] = {}
-    for e in span.events:
+    for e in records:
         if e.kind == "frame.encode" and "seconds" in e.fields:
             enc_by_stage[e.fields.get("stage", 0)] += e.fields["seconds"]
     # Each stage.service ends at its ``time``, after its service ``seconds``
@@ -289,7 +345,7 @@ def _profile_span(span: Span) -> ItemProfile | None:
     # hop carries its wire time, else the stage's own queue.
     cursor = sub.time
     for e in sorted(
-        (e for e in span.events if e.kind == "stage.service"), key=lambda e: e.time
+        (e for e in records if e.kind == "stage.service"), key=lambda e: e.time
     ):
         f = e.fields
         sec, stage = f.get("seconds", 0.0), f.get("stage", 0)
@@ -314,28 +370,28 @@ def _profile_span(span: Span) -> ItemProfile | None:
         cursor = max(cursor, e.time + f.get("encode", 0.0) + f.get("wire_back", 0.0))
     phases["reorder_hold"] = max(0.0, done.time - cursor)
     return ItemProfile(
-        stream=span.stream,
-        seq=span.seq,
+        stream=key[0],
+        seq=key[1],
         latency=latency,
         admit_wait=sub.fields.get("wait", 0.0),
         phases=dict(phases),
-        redispatched=span.redispatched,
+        redispatched=any(e.kind == "worker.redispatch" for e in records),
         queued=queued,
     )
 
 
-def _fold_stage_aggregates(report: ProfileReport, span: Span, item: ItemProfile) -> None:
+def _fold_stage_aggregates(report: ProfileReport, records: list[Event], item: ItemProfile) -> None:
     for stage, wait in item.queued.items():
         report.stages.setdefault(int(stage), StageAggregate(int(stage))).worker_queue += wait
-    for e in span.events:
+    for e in records:
         f = e.fields
         stage = f.get("stage")
         if stage is None:
             continue
         agg = report.stages.setdefault(int(stage), StageAggregate(int(stage)))
-        # Batch-covering events are attached to all N member spans with
-        # batch-total durations: fold 1/N per span so the aggregate is the
-        # amortised per-item cost and sums stay equal to wall time.
+        # A batch-covering record joins all N member items with batch-total
+        # durations: fold 1/N per item so the aggregate is the amortised
+        # per-item cost and sums stay equal to wall time.
         n = max(int(f.get("items", 1)), 1)
         if e.kind == "stage.service":
             agg.items += 1
@@ -348,46 +404,27 @@ def _fold_stage_aggregates(report: ProfileReport, span: Span, item: ItemProfile)
 
 
 # ------------------------------------------------------------------- frontends
-def profile_spans(spans, *, backend: str = "?") -> ProfileReport:
-    """Profile a list of :class:`~repro.obs.spans.Span` objects."""
-    report = ProfileReport(backend=backend)
-    for span in spans:
-        item = _profile_span(span)
+def profile_events(events: Iterable[Event]) -> ProfileReport:
+    """Profile a session's events, oldest first (one pass over them)."""
+    report = ProfileReport()
+    items = join_records(events, report)
+    for key in sorted(items):
+        item = _profile_item(key, items[key])
         if item is None:
             continue
         report.items.append(item)
-        _fold_stage_aggregates(report, span, item)
+        _fold_stage_aggregates(report, items[key], item)
+    for s, agg in report.stages.items():
+        if s < len(report.stage_names):
+            agg.name = report.stage_names[s]
     return report
 
 
 def profile_journal(path: str | os.PathLike) -> ProfileReport:
     """Profile a JSONL journal written by :class:`~repro.obs.JsonlJournal`."""
-    from repro.obs.journal import read_journal
+    from repro.obs.journal import read_journal, to_event
 
-    report = profile_spans(spans_from_journal(path))
-    stage_names: list[str] = []
-    for rec in read_journal(path):
-        kind = rec.get("kind", "")
-        if kind == "session.open":
-            report.backend = rec.get("backend", report.backend)
-            stage_names = list(rec.get("stages", []))
-        elif kind == "adapt.act":
-            report.decisions.append(
-                (
-                    rec.get("t", 0.0),
-                    rec.get("replicas_before", []),
-                    rec.get("replicas_after", []),
-                    str(rec.get("reason", rec.get("msg", ""))),
-                )
-            )
-        elif kind == "clock.sync":
-            report.clocks[rec.get("worker", -1)] = {
-                k: rec.get(k) for k in ("offset", "drift", "err", "n")
-            }
-    for s, agg in report.stages.items():
-        if s < len(stage_names):
-            agg.name = stage_names[s]
-    return report
+    return profile_events(to_event(rec) for rec in read_journal(path))
 
 
 # --------------------------------------------------------------------- report

@@ -16,7 +16,8 @@ reference.
 
 import pytest
 
-from repro.obs.spans import SpanCollector, spans_from_journal
+from repro.obs.journal import read_journal, to_event
+from repro.obs.profile import ProfileReport, join_records
 from repro.skel.api import open_pipeline
 
 EXECUTORS = {
@@ -26,7 +27,8 @@ EXECUTORS = {
     "distributed": {"spawn_workers": 1},
 }
 N = 50  # items per stream
-LANE_KINDS = set(SpanCollector.KINDS) - {"item.submit", "item.complete"}
+LANE_KINDS = {"stage.service", "frame.encode", "frame.release", "worker.redispatch",
+              "batch.assemble"}
 
 
 def _inc(x):
@@ -95,15 +97,17 @@ def test_every_lane_record_names_its_items_by_gseq(executor, batching, tmp_path)
         )
         assert covered == sorted(owner), f"stage {stage}"
 
-    # The journal's spans attach each record to exactly the spans it names.
+    # The profiler's join puts each journal record on exactly the items it
+    # names.
     def key(ev):
         return ev.kind, ev.fields.get("stage"), ev.fields["seq"]
 
     attached = {}
-    for span in spans_from_journal(path):
-        for ev in span.events:
+    joined = join_records((to_event(r) for r in read_journal(path)), ProfileReport())
+    for ticket, joined_records in joined.items():
+        for ev in joined_records:
             if ev.kind in LANE_KINDS:
-                attached.setdefault(key(ev), set()).add((span.stream, span.seq))
+                attached.setdefault(key(ev), set()).add(ticket)
     named_by = {}
     for ev, named in records:
         named_by.setdefault(key(ev), set()).update(named)

@@ -26,18 +26,14 @@ def snap(i, items=10, service=0.1, work=0.1):
     )
 
 
-def make_reactive(**kw):
+def make_reactive():
     pipe = PipelineSpec(tuple(StageSpec(name=f"s{i}", work=0.1) for i in range(3)))
-    return ReactivePolicy(pipe, AdaptationConfig(), **kw)
+    return ReactivePolicy(pipe, AdaptationConfig())
 
 
 class TestReactivePolicy:
-    def test_invalid_trigger(self):
-        with pytest.raises(ValueError):
-            make_reactive(trigger=1.0)
-
     def test_quiet_below_trigger(self):
-        policy = make_reactive(trigger=1.5)
+        policy = make_reactive()
         grid = uniform_grid(4)
         view = snapshot_view(grid.snapshot(0.0))
         # Establish a baseline, then present mild degradation (x1.2).
@@ -55,7 +51,7 @@ class TestReactivePolicy:
         assert d.reason == "below-trigger"
 
     def test_fires_on_degradation(self):
-        policy = make_reactive(trigger=1.5)
+        policy = make_reactive()
         grid = uniform_grid(4)
         view = snapshot_view(grid.snapshot(0.0))
         # Baseline pass...

@@ -122,12 +122,6 @@ class TestMarkovOnOffLoad:
         m = MarkovOnOffLoad(derive_rng(9, "m"), mean_idle=1000.0)
         assert m.availability(0.0) == 1.0
 
-    def test_start_busy(self):
-        m = MarkovOnOffLoad(
-            derive_rng(9, "m"), mean_busy=1000.0, busy_availability=0.1, start_busy=True
-        )
-        assert m.availability(0.0) == 0.1
-
     def test_long_run_busy_share(self):
         # Alternating exponential sojourns: busy a mean_busy/(mean_idle +
         # mean_busy) share of the time in the long run.

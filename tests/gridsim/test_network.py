@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.gridsim.load import ConstantLoad
 from repro.gridsim.network import (
     LOOPBACK_LATENCY,
     Link,
@@ -16,19 +15,15 @@ class TestLink:
     def test_transfer_time(self):
         lk = Link(latency=0.01, bandwidth=1e6)
         # 0.01 + 500000/1e6 = 0.51
-        assert lk.transfer_time(500_000, t=0.0) == pytest.approx(0.51)
+        assert lk.transfer_time(500_000) == pytest.approx(0.51)
 
     def test_zero_bytes_costs_latency_only(self):
         lk = Link(latency=0.02, bandwidth=1e6)
-        assert lk.transfer_time(0, t=0.0) == pytest.approx(0.02)
-
-    def test_quality_scales_bandwidth(self):
-        lk = Link(latency=0.0, bandwidth=1e6, quality=ConstantLoad(0.5))
-        assert lk.transfer_time(1e6, t=0.0) == pytest.approx(2.0)
+        assert lk.transfer_time(0) == pytest.approx(0.02)
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
-            Link(0.0, 1e6).transfer_time(-1, 0.0)
+            Link(0.0, 1e6).transfer_time(-1)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -38,7 +33,7 @@ class TestLink:
 
     def test_loopback_is_cheap(self):
         lk = loopback_link()
-        assert lk.transfer_time(1e6, 0.0) < 1e-5
+        assert lk.transfer_time(1e6) < 1e-5
 
 
 class TestTopology:

@@ -2,7 +2,7 @@
 
 The load-bearing claims: with telemetry attached to a distributed session,
 (1) each hop's ``stage.service``, its phases derived from the result's
-stamps, merges onto the per-item spans on the coordinator's session timeline, (2) the clock mapping
+stamps, joins its item on the coordinator's session timeline, (2) the clock mapping
 that makes the merge honest is bounded by rtt/2, and (3) the critical-path
 profiler attributes ≥95% of every item's wall-clock latency to named phases.
 
@@ -14,8 +14,9 @@ import time
 from repro.backend import DistributedBackend
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.obs import read_journal, spans_from_journal
-from repro.obs.profile import profile_journal
+from repro.obs import read_journal
+from repro.obs.journal import to_event
+from repro.obs.profile import ProfileReport, join_records, profile_journal
 
 
 def _inc(x):
@@ -25,6 +26,16 @@ def _inc(x):
 def _slow_triple(x):
     time.sleep(0.005)
     return x * 3
+
+
+def _joined(path):
+    """The journal's completed items: ticket -> records."""
+    items = join_records((to_event(r) for r in read_journal(path)), ProfileReport())
+    return {
+        ticket: records
+        for ticket, records in items.items()
+        if any(e.kind == "item.complete" for e in records)
+    }
 
 
 def _pipe():
@@ -53,7 +64,7 @@ class TestTracePropagation:
         assert out == [(x + 1) * 3 for x in range(self.N)]
         return path
 
-    def test_worker_events_merge_onto_spans(self, tmp_path):
+    def test_worker_events_join_their_items(self, tmp_path):
         path = self._run(tmp_path)
         recs = list(read_journal(path))
         kinds = {r["kind"] for r in recs}
@@ -68,13 +79,13 @@ class TestTracePropagation:
         assert all(r["t"] >= 0.0 for r in wk)
         t_close = max(r["t"] for r in recs)
         assert all(r["t"] <= t_close for r in wk)
-        # And they merge onto the per-item spans with the trace id minted
-        # at submit.
-        spans = [s for s in spans_from_journal(path) if s.complete]
-        assert len(spans) == self.N
-        for s in spans:
-            assert s.trace_id is not None
-            hops = [e for e in s.events if e.kind == "stage.service"]
+        # And they join their items, each with the trace id minted at
+        # submit.
+        items = _joined(path)
+        assert len(items) == self.N
+        for records in items.values():
+            assert records[0].kind == "item.submit" and records[0].fields["trace"]
+            hops = [e for e in records if e.kind == "stage.service"]
             assert sorted(e.fields["stage"] for e in hops) == [0, 1]
 
     def test_clock_offset_bounded_by_rtt_half(self, tmp_path):
@@ -108,8 +119,8 @@ class TestBatchedTracePropagation:
     """Micro-batching must not corrupt per-item trace attribution.
 
     One ``stage.service`` record covers a whole batch
-    (``items=N``, durations = batch totals); the collectors fan it out to
-    all member spans and attribute ``1/N`` of the service per item, so
+    (``items=N``, durations = batch totals); the profiler joins it to all
+    member items and attributes ``1/N`` of the service per item, so
     coverage stays ≥95% while summed service time stays equal to the wall
     time the stages actually spent (no N-times inflation).
     """
@@ -131,7 +142,7 @@ class TestBatchedTracePropagation:
         assert out == [(x + 1) * 3 for x in range(self.N)]
         return path
 
-    def test_batched_spans_complete_with_worker_events(self, tmp_path):
+    def test_batched_items_complete_with_worker_events(self, tmp_path):
         path = self._run(tmp_path)
         recs = list(read_journal(path))
         kinds = {r["kind"] for r in recs}
@@ -140,11 +151,12 @@ class TestBatchedTracePropagation:
         hops = [r for r in recs if r["kind"] == "stage.service"]
         assert all("wire_out" in r for r in hops)
         assert sum(r.get("items", 1) for r in hops) == 2 * self.N
-        spans = [s for s in spans_from_journal(path) if s.complete]
-        assert len(spans) == self.N
-        for s in spans:
-            assert s.trace_id is not None
-            assert "wire_out" in s.first("stage.service").fields
+        items = _joined(path)
+        assert len(items) == self.N
+        for records in items.values():
+            assert records[0].kind == "item.submit" and records[0].fields["trace"]
+            hop = next(e for e in records if e.kind == "stage.service")
+            assert "wire_out" in hop.fields
 
     def test_batched_attribution_is_per_item(self, tmp_path):
         path = self._run(tmp_path)

@@ -147,7 +147,7 @@ class TestRecorder:
             for x in range(640):
                 session.submit(x)
             assert session.drain() == list(range(640))
-        reg = telemetry.registry
+        reg = telemetry.recorder.registry
         assert reg.counter("items_completed_total").value == 640
         for stage in ("0", "1"):
             assert reg.counter("stage_items_total", {"stage": stage}).value == 640

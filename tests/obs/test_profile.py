@@ -9,23 +9,22 @@ from repro.obs.journal import JsonlJournal
 from repro.obs.profile import (
     PHASES,
     main,
+    profile_events,
     profile_journal,
-    profile_spans,
     render_report,
 )
-from repro.obs.spans import SpanCollector
 
 
 def _collect(*emits):
-    """Run ``(kind, at, fields)`` triples through a SpanCollector."""
-    bus, col = EventBus(clock=lambda: 0.0), SpanCollector()
-    bus.subscribe(col)
+    """The events ``(kind, at, fields)`` triples emit on a bus."""
+    bus, events = EventBus(clock=lambda: 0.0), []
+    bus.subscribe(events.append)
     for kind, at, fields in emits:
         bus.emit(kind, at=at, **fields)
-    return col.spans()
+    return events
 
 
-def _distributed_span(*, submit=1.0, service_end=1.48, done=1.6, **hop):
+def _distributed_item(*, submit=1.0, service_end=1.48, done=1.6, **hop):
     """One item with a single distributed hop of known decomposition: its
     stage.service ends with the service, before the encode and wire_back."""
     hop.setdefault("stage", 0)
@@ -46,7 +45,7 @@ class TestItemTiling:
     def test_hop_phases_plus_gaps_cover_latency(self):
         # submit at 1.0; hop spans [1.35, 1.5] (known = 0.15), its service
         # ending at 1.48; done at 1.6.
-        report = profile_spans(_collect(*_distributed_span()))
+        report = profile_events(_collect(*_distributed_item()))
         assert len(report.items) == 1
         item = report.items[0]
         assert item.latency == pytest.approx(0.6)
@@ -63,25 +62,25 @@ class TestItemTiling:
         assert item.coverage == pytest.approx(1.0)
 
     def test_measured_encode_carved_out_of_coord_gap(self):
-        emits = _distributed_span()
+        emits = _distributed_item()
         emits.insert(2, ("frame.encode", 1.1, {"stage": 0, "seq": 0,
                                                "seconds": 0.05, "nbytes": 64}))
-        item = profile_spans(_collect(*emits)).items[0]
+        item = profile_events(_collect(*emits)).items[0]
         # Worker-side encode (0.005) plus coordinator-side (0.05).
         assert item.phases["encode"] == pytest.approx(0.055)
         assert item.phases["coord_queue"] == pytest.approx(0.30)
         assert item.coverage == pytest.approx(1.0)
 
     def test_admit_wait_reported_separately(self):
-        emits = _distributed_span()
+        emits = _distributed_item()
         emits[1][2]["wait"] = 0.25
-        report = profile_spans(_collect(*emits))
+        report = profile_events(_collect(*emits))
         assert report.items[0].admit_wait == 0.25
         assert report.admit_wait_total == 0.25
         assert "admit_wait" not in report.items[0].phases
 
-    def test_incomplete_span_skipped(self):
-        report = profile_spans(_collect(
+    def test_incomplete_item_skipped(self):
+        report = profile_events(_collect(
             ("item.submit", 1.0, {"stream": 0, "seq": 0, "gseq": 0}),
         ))
         assert report.items == []
@@ -90,7 +89,7 @@ class TestItemTiling:
     def test_stage_service_fallback_for_inprocess_backends(self):
         # Hops without a decomposition: stage.service end-stamps tile the
         # timeline.
-        report = profile_spans(_collect(
+        report = profile_events(_collect(
             ("stream.begin", 0.0, {"stream": 0}),
             ("item.submit", 0.0, {"stream": 0, "seq": 0, "gseq": 0}),
             ("stage.service", 0.3, {"stage": 0, "seconds": 0.1, "seq": 0}),
@@ -110,7 +109,7 @@ class TestItemTiling:
         assert report.items[0].coverage == pytest.approx(1.0)
 
     def test_inprocess_encode_carved_out_of_stage_zero_wait(self):
-        report = profile_spans(_collect(
+        report = profile_events(_collect(
             ("stream.begin", 0.0, {"stream": 0}),
             ("item.submit", 0.0, {"stream": 0, "seq": 0, "gseq": 0}),
             ("frame.encode", 0.05, {"stage": 0, "seq": 0, "seconds": 0.05, "nbytes": 64}),
@@ -126,7 +125,7 @@ class TestItemTiling:
 
 class TestVerdict:
     def test_service_bound_names_the_hot_stage(self):
-        spans = _collect(
+        events = _collect(
             ("stream.begin", 0.0, {"stream": 0}),
             ("item.submit", 0.0, {"stream": 0, "seq": 0, "gseq": 0}),
             ("stage.service", 0.499, {"seq": 0, "stage": 1, "wire_out": 0.001,
@@ -134,14 +133,14 @@ class TestVerdict:
                                       "encode": 0.0, "wire_back": 0.001}),
             ("item.complete", 0.5, {"stream": 0, "seq": 0}),
         )
-        report = profile_spans(spans)
+        report = profile_events(events)
         assert report.bottleneck_phase == "service"
         assert report.bottleneck_stage == 1
         assert "service-bound" in report.verdict
         assert "stage 1" in report.verdict
 
     def test_agreement_with_adaptation_decision(self):
-        spans = _collect(
+        events = _collect(
             ("stream.begin", 0.0, {"stream": 0}),
             ("item.submit", 0.0, {"stream": 0, "seq": 0, "gseq": 0}),
             ("stage.service", 0.5, {"seq": 0, "stage": 0, "wire_out": 0.0,
@@ -149,7 +148,7 @@ class TestVerdict:
                                     "encode": 0.0, "wire_back": 0.0}),
             ("item.complete", 0.5, {"stream": 0, "seq": 0}),
         )
-        report = profile_spans(spans)
+        report = profile_events(events)
         assert report.bottleneck_phase == "worker_queue"
         report.decisions.append((1.0, [1, 1], [2, 1], "grow 0"))
         assert report.agreement().startswith("agrees")
@@ -170,7 +169,7 @@ class TestVerdict:
                 ("stage.service", end1, {"stage": 1, "seconds": 0.09, "seq": seq}),
                 ("item.complete", end1, {"stream": 0, "seq": seq}),
             ]
-        report = profile_spans(_collect(*emits))
+        report = profile_events(_collect(*emits))
         assert len(report.items) == 8
         assert report.bottleneck_phase == "worker_queue"
         assert report.bottleneck_stage == 1
@@ -181,7 +180,7 @@ class TestVerdict:
         assert report.agreement().startswith("agrees")
 
     def test_coord_bound_has_no_stage(self):
-        report = profile_spans(_collect(*_distributed_span()))
+        report = profile_events(_collect(*_distributed_item()))
         assert report.bottleneck_phase == "coord_queue"
         assert report.bottleneck_stage is None
 
@@ -263,6 +262,31 @@ class TestJournalFrontend:
         assert set(data["phase_totals_s"]) == set(PHASES)
         assert data["stages"]["1"]["name"] == "triple"
 
+    def test_profile_journal_reads_its_file_once(self, tmp_path, monkeypatch):
+        # One pass joins the items and reads the session's metadata: the
+        # journal is opened once and each of its lines read once.
+        from repro.obs import journal
+
+        path = tmp_path / "j.jsonl"
+        self._write_journal(path)
+        calls, records = [], []
+        read_journal = journal.read_journal
+
+        def counting(p):
+            calls.append(p)
+            for rec in read_journal(p):
+                records.append(rec["kind"])
+                yield rec
+
+        monkeypatch.setattr(journal, "read_journal", counting)
+        report = profile_journal(path)
+        assert calls == [path]
+        assert len(records) == len(path.read_text().splitlines()) == 7
+        assert (report.backend, len(report.items), len(report.decisions)) == (
+            "distributed", 1, 1,
+        )
+        assert report.stages[1].name == "triple" and report.clocks[0]["n"] == 9
+
     def test_render_report_empty(self):
-        text = render_report(profile_spans([]))
+        text = render_report(profile_events([]))
         assert "nothing to attribute" in text

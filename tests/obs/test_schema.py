@@ -78,14 +78,14 @@ def test_the_docs_list_no_kind_outside_the_schema():
 def test_a_hop_is_one_kind_and_its_phases_ride_in_it():
     # The distributed hop's decomposition and its dispatch are not kinds of
     # their own: stage.service documents the phase fields, no consumer
-    # subscribes to the old kinds, and a subscriber that asks for one is
-    # told it does not exist.
+    # subscribes to the old kinds (the profiler's join takes every record
+    # that names an item, so it needs no list), and a subscriber that asks
+    # for one is told it does not exist.
     from repro.obs.events import EventBus
     from repro.obs.metrics import MetricsRecorder
-    from repro.obs.spans import SpanCollector
 
     gone = {"span.phases", "item.dispatch"}
-    assert not gone & (SCHEMA.keys() | set(SpanCollector.KINDS) | set(MetricsRecorder.KINDS))
+    assert not gone & (SCHEMA.keys() | set(MetricsRecorder.KINDS))
     for field in ("nbytes", "wire_out", "worker_queue", "encode", "wire_back"):
         assert field in SCHEMA["stage.service"], field
     for kind in sorted(gone):

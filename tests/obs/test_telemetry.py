@@ -10,10 +10,10 @@ from repro.obs import (
     Telemetry,
     as_telemetry,
     read_journal,
-    spans_from_journal,
 )
 from repro.obs.exporters import render_prometheus
-from repro.obs.spans import SpanCollector
+from repro.obs.journal import to_event
+from repro.obs.profile import ProfileReport, join_records, profile_journal
 from repro.skel.api import open_pipeline
 
 
@@ -48,10 +48,8 @@ class TestOptions:
         ]
 
     def test_the_recorder_exists_exactly_when_a_snapshot_path_is_set(self, tmp_path):
-        assert Telemetry().recorder is None and Telemetry().registry is None
-        with_prom = Telemetry(prometheus=tmp_path / "m.prom")
-        assert with_prom.recorder is not None
-        assert with_prom.registry is with_prom.recorder.registry
+        assert Telemetry().recorder is None
+        assert Telemetry(prometheus=tmp_path / "m.prom").recorder is not None
 
     def test_a_configured_journal_is_used_as_given(self, tmp_path):
         journal = JsonlJournal(tmp_path / "j.jsonl", rotate_bytes=300, max_files=2)
@@ -132,35 +130,37 @@ class TestMetricsAndPrometheus:
         assert "repro_items_completed_total 6" in text
         assert 'repro_stage_items_total{stage="0"} 6' in text
         assert "repro_stage_service_seconds_bucket" in text
-        reg = t.registry
+        reg = t.recorder.registry
         assert reg.counter("streams_opened_total").value == 1
 
-    def test_spans_reconstruct_timeline(self, tmp_path):
+    def test_the_journal_profiles_every_item(self, tmp_path):
         path = tmp_path / "j.jsonl"
         session = open_pipeline([lambda x: x + 1], telemetry=path)
         _run(session, 3)
-        spans = spans_from_journal(path)
-        assert len(spans) == 3
-        assert all(s.complete for s in spans)
-        assert all(s.latency is not None and s.latency >= 0 for s in spans)
-        assert all(s.service_seconds > 0 for s in spans)
+        items = profile_journal(path).items
+        assert [(i.stream, i.seq) for i in items] == [(0, 0), (0, 1), (0, 2)]
+        assert all(i.latency >= 0 for i in items)
+        assert all(i.phases["service"] > 0 for i in items)
 
-    def test_spans_from_journal_match_live(self, tmp_path):
-        # The journal is the one span store: what it rebuilds is what a
-        # collector on the live bus would have seen, event for event.
+    def test_the_journal_joins_what_the_live_bus_carried(self, tmp_path):
+        # The journal is the one per-item store: what the profiler joins
+        # from it is what it would join from the live bus, event for event.
         path = tmp_path / "j.jsonl"
         session = open_pipeline([lambda x: x + 1, abs], telemetry=path, batching=2)
-        live = SpanCollector()
-        session.events.subscribe(live)
+        live = []
+        session.events.subscribe(live.append)
         _run(session, 4)
-        spans = spans_from_journal(path)
-        assert len(spans) == 4
-        assert all(s.complete for s in spans)
+        read = join_records((to_event(r) for r in read_journal(path)), ProfileReport())
+        assert len(read) == 4
+        assert all(any(e.kind == "item.complete" for e in rs) for rs in read.values())
 
-        def timeline(span):
-            return [(e.kind, round(e.time, 6), e.fields) for e in span.events]
+        def timeline(records):
+            return [(e.kind, round(e.time, 6), e.fields) for e in records]
 
-        assert [timeline(s) for s in spans] == [timeline(s) for s in live.spans()]
+        joined = join_records(live, ProfileReport())
+        assert [timeline(read[k]) for k in sorted(read)] == [
+            timeline(joined[k]) for k in sorted(joined)
+        ]
 
     def test_render_prometheus_empty_registry(self):
         assert render_prometheus(MetricsRegistry()) == ""

@@ -13,10 +13,11 @@
 #
 # The run set is CI's: the examples, E1-E21 in quick mode, perfbench's
 # workloads (plain and traced), and the obs-smoke telemetry commands (the
-# streaming example with REPRO_OBS_JOURNAL, obs.top and obs.profile over
-# that journal, a two-stream processes journal, the Prometheus stage
-# families under batching, a two-worker distributed journal) and the shm
-# leak check.  Two things to expect from it:
+# streaming example with REPRO_OBS_JOURNAL, a two-stream processes journal,
+# the Prometheus stage families under batching with that session journaled
+# too, a two-worker distributed journal, and obs.top and obs.profile
+# (--slowest and --json) over each journal) and the shm leak check.  Two
+# things to expect from it:
 # - Quick mode skips E1-E13's shape assertions, so reporting/shapes.py shows
 #   as unreached; full mode reaches it, which is why it stays.
 # - Tier-1's wall-clock tests can fail under the profile hook (it slows
@@ -47,7 +48,8 @@ for backend, extra in (("processes", {}), ("distributed", {"spawn_workers": 2}))
                 s.submit(-x)
             assert s.drain() == list(range(100))
 with open_pipeline([abs, abs], backend="threads", batching=16,
-                   telemetry=Telemetry(prometheus=f"{tmp}/batched.prom")) as s:
+                   telemetry=Telemetry(journal=f"{tmp}/batched.jsonl",
+                                       prometheus=f"{tmp}/batched.prom")) as s:
     for x in range(640):
         s.submit(x)
     assert s.drain() == list(range(640))
@@ -56,6 +58,8 @@ for journal in "$tmp"/*.jsonl; do
     python -m repro.obs.top "$journal" --once > /dev/null || echo "audit: top $journal failed" >&2
     python -m repro.obs.profile "$journal" --slowest 3 > /dev/null \
         || echo "audit: profile $journal failed" >&2
+    python -m repro.obs.profile "$journal" --json > /dev/null \
+        || echo "audit: profile --json $journal failed" >&2
 done
 rm -rf "$tmp"
 # Expect E20 to fail its 5 % tracing-overhead gate: the hook taxes the traced
