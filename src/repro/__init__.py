@@ -30,8 +30,8 @@ __getattr__, __dir__, _exports = lazy_exports(
     {
         "backend": (
             "Backend BackendResult ProcessPoolBackend RuntimeAdaptiveRunner "
-            "RuntimeRunResult SimBackend ThreadBackend available_backends "
-            "local_config make_backend register_backend"
+            "RuntimeRunResult ThreadBackend available_backends local_config "
+            "make_backend"
         ),
         "core": (
             "AdaptationConfig AdaptationEvent AdaptationPolicy AdaptivePipeline "

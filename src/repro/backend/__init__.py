@@ -8,11 +8,8 @@ refactor the port is **session-oriented**: ``backend.open()`` returns a
 long-lived :class:`~repro.backend.base.Session` with ``submit`` /
 ``results`` / ``drain`` / ``close`` — pipelines stay warm, accept work as
 it arrives, and emit results as an ordered stream; ``run()`` is the
-bounded-stream convenience on top.  Four executors ship, under five names:
+bounded-stream convenience on top.  Three executors ship, under four names:
 
-* ``"sim"`` — :class:`SimBackend`, the discrete-event grid simulator
-  (simulated time; sessions via a batch-emulation shim; adaptation via the
-  in-sim controller);
 * ``"threads"`` — :class:`ThreadBackend`, the local thread fabric
   (GIL-releasing kernels, I/O-bound stages and portable correctness runs;
   workers stay warm across streams).  A stage declared ``async def`` runs
@@ -27,6 +24,10 @@ bounded-stream convenience on top.  Four executors ship, under five names:
   loss, load-derived speeds; worker links and replica placement stay warm
   between streams, one epoch per session keeps its results apart —
   see ``docs/distributed.md`` and ``docs/streaming.md``).
+
+Simulated time is not an executor: the paper's pattern studies drive the
+discrete-event grid simulator directly (:func:`repro.skel.api.simulate_pipeline`,
+:class:`~repro.core.adaptive.AdaptivePipeline`).
 
 :class:`RuntimeAdaptiveRunner` runs the paper's observe→decide→act loop
 against any live backend using wall-clock measurements — attached to a
@@ -45,14 +46,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "base": (
-            "Backend BackendCapabilityError BackendResult Session "
-            "SessionClosed SessionStats Ticket available_backends "
-            "capability_error make_backend register_backend"
+            "Backend BackendResult Session SessionClosed SessionStats "
+            "Ticket available_backends make_backend"
         ),
         "distributed": "DistributedBackend WorkerAgent",
         "process_backend": "ProcessPoolBackend",
         "runner": "RuntimeAdaptiveRunner RuntimeRunResult local_config",
-        "sim_backend": "SimBackend",
         "thread_backend": "AsyncioBackend ThreadBackend",
     },
 )

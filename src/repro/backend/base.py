@@ -43,20 +43,20 @@ The port also keeps the three hooks the adaptation loop needs:
   (:class:`~repro.monitor.instrument.StageSnapshot` currency, counters
   cumulative across streams);
 * **act** — ``reconfigure(stage, n_replicas)`` changes a replicable
-  stage's degree of parallelism, live when ``supports_live_reconfigure``;
+  stage's degree of parallelism live;
 * **lifecycle** — ``close`` releases warm resources (worker pools,
   sockets, event loops).
 
-Adapters register themselves in a name → factory registry so user-facing
+One table names every executor (``make_backend``), so user-facing
 entry points (:func:`repro.skel.api.pipeline_1for1`,
-:func:`repro.skel.api.open_pipeline`) and benchmarks can select a backend
-by string, and downstream code can plug in new ones (``register_backend``)
-without touching this package.
+:func:`repro.skel.api.open_pipeline`) and benchmarks select one by string
+and a process imports only the executor it opens.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
 import uuid
@@ -80,38 +80,20 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Backend",
-    "BackendCapabilityError",
     "BackendResult",
     "Session",
     "SessionClosed",
     "SessionStats",
     "Ticket",
     "available_backends",
-    "capability_error",
     "make_backend",
-    "register_backend",
     "validate_pipeline_shape",
 ]
 _WINDOW_CEILING = 1024  # of a lane's depth
 
 
-class BackendCapabilityError(RuntimeError):
-    """The backend cannot perform the requested operation (by design).
-
-    Raise through :func:`capability_error` so every message names the
-    backend that refused — the traceback alone must identify which adapter
-    a caller picked.
-    """
-
-
 class SessionClosed(RuntimeError):
     """The session was closed; it accepts no further submits or drains."""
-
-
-def capability_error(backend: "Backend | str", operation: str) -> BackendCapabilityError:
-    """A :class:`BackendCapabilityError` naming the refusing backend."""
-    name = backend if isinstance(backend, str) else backend.name
-    return BackendCapabilityError(f"backend {name!r} does not support {operation}")
 
 
 def _popping(run: deque) -> Iterator[Any]:
@@ -206,16 +188,11 @@ class SessionStats:
 
 @dataclass
 class BackendResult:
-    """What one backend run (a bounded stream) produced.
-
-    ``outputs`` is ``None`` when the backend measures but does not compute
-    (a simulator run over stages without callables).  ``elapsed`` is in the
-    backend's own clock: wall seconds for real executors, simulated seconds
-    for the simulator.
-    """
+    """What one backend run (a bounded stream) produced: its ordered
+    ``outputs`` and its wall-clock ``elapsed`` seconds."""
 
     backend: str
-    outputs: list[Any] | None
+    outputs: list[Any]
     items: int
     elapsed: float
     service_means: list[float] = field(default_factory=list)
@@ -229,13 +206,12 @@ class BackendResult:
 class Session:
     """A long-lived submit/stream pipeline on one backend (see module doc).
 
-    Subclasses wire the three executor hooks (``_submit_one``,
-    ``_end_stream``, ``_shutdown``) and call back into
-    ``_complete_run``/``_fail`` from their own threads; this base owns every
-    piece of stream accounting — admission windows, ordered delivery
-    buffering, stream ids, drain barriers, the abort flag and error
-    stickiness — so the five executors cannot drift apart on lifecycle
-    semantics.
+    Subclasses wire the executor hooks (``_submit_one``, ``_shutdown``) and
+    call back into ``_complete_run``/``_fail`` from their own threads; this
+    base owns every piece of stream accounting — admission windows, ordered
+    delivery buffering, stream ids, drain barriers, per-stage metrics, the
+    abort flag and error stickiness — so the executors cannot drift apart on
+    lifecycle semantics.
 
     Streams are strictly sequential: ``drain()`` is the boundary, and the
     executor pipeline is empty of stream *s* before stream *s+1* admits its
@@ -251,15 +227,6 @@ class Session:
     the first item of an empty buffer, whose linger deadline it then waits
     out.
     """
-
-    #: False on measure-only sessions (simulator without stage callables).
-    produces_outputs = True
-
-    #: True on sessions whose executor fabric carries :class:`Batch` units
-    #: end to end (the four real executors).  Sessions that leave this
-    #: False check ``batching=`` and then ignore it (the simulator models
-    #: per-item service, so coalescing would misrepresent what it simulates).
-    supports_batching = False
 
     def __init__(
         self,
@@ -277,8 +244,7 @@ class Session:
             for s in backend.pipeline.stages
             if getattr(s, "work_declared", False)
         )
-        batch_items = normalize_batching(batching, work_hint_s=work_hint)
-        self._batch_items = batch_items if self.supports_batching else None
+        self._batch_items = normalize_batching(batching, work_hint_s=work_hint)
         if max_inflight is not None and not (
             isinstance(max_inflight, int) and max_inflight > 0
         ):
@@ -330,20 +296,19 @@ class Session:
         #: trace id (``<session_id>:<stream>:<seq>``, minted at submit).
         self.session_id = uuid.uuid4().hex[:8]
         self._stream_t0 = 0.0
-        #: Duration of the last drained stream (executor clock; wall for
-        #: real executors, simulated seconds for the simulator shim).
+        #: Wall seconds of the last drained stream.
         self.last_stream_elapsed: float | None = None
         self.last_stream_items = 0
-        #: Set by ``_instrument()`` on the real executors: per-stage metrics
-        #: and the lock that guards each stage's.
-        self.instrumentation = None
-        self._stage_locks = None
         #: Structured event bus (schema in :data:`repro.obs.events.SCHEMA`).
         #: Created here — before any subclass executor machinery starts — and
         #: adopted by the backend, so emit sites anywhere in the executor
         #: (including distributed warm-up) publish to this session's bus.
         self.events = EventBus(clock=self.now)
         backend._events_bus = self.events
+        n = backend.pipeline.n_stages
+        #: Per-stage metrics, and the lock that guards each stage's.
+        self.instrumentation = PipelineInstrumentation(n, events=self.events)
+        self._stage_locks = [threading.Lock() for _ in range(n)]
         if telemetry is not None:
             from repro.obs.exporters import as_telemetry
 
@@ -451,6 +416,9 @@ class Session:
                     gseq = self._gseq
                     self._gseq += 1
                     if self._batch_items is not None:
+                        # Announced before it is buffered: from there any
+                        # thread's cut may emit the batch.assemble naming it.
+                        self._announce(stream, seq, gseq, blocked_t0)
                         cut = self._buffer_item_locked(seq, gseq, item)
                     break
                 # Window full: wait, then re-evaluate the stream state from
@@ -472,22 +440,8 @@ class Session:
                         self._lock.acquire()
                     continue
                 self._bell.wait()
-        admit_wait = 0.0 if blocked_t0 is None else time.perf_counter() - blocked_t0
-        # The span (and its trace id) is minted here: (stream, seq) is the
-        # item's Ticket, and gseq is the number every executor's lane
-        # records name it by.  ``wait`` rides along only when bounded
-        # admission actually blocked — the profiler's admit-wait phase,
-        # absent meaning zero.
-        if self.events.wants("item.submit"):
-            self.events.emit(
-                "item.submit",
-                stream=stream,
-                seq=seq,
-                gseq=gseq,
-                trace=f"{self.session_id}:{stream}:{seq}",
-                **({"wait": admit_wait} if admit_wait else {}),
-            )
         if self._batch_items is None:
+            self._announce(stream, seq, gseq, blocked_t0)
             try:
                 self._submit_one(gseq, item)
             except BaseException as err:
@@ -496,6 +450,17 @@ class Session:
         elif cut is not None:
             self._submit_cut(cut)
         return tuple.__new__(Ticket, (stream, seq, self))  # Ticket(), without its frame
+
+    def _announce(self, stream: int, seq: int, gseq: int, blocked_t0: float | None) -> None:
+        """Emit ``item.submit``, minting the item's span: (stream, seq) is its
+        Ticket, gseq the number every lane record names it by; ``wait`` only
+        when bounded admission blocked (the profiler's admit-wait phase)."""
+        if self.events.wants("item.submit"):
+            wait = 0.0 if blocked_t0 is None else time.perf_counter() - blocked_t0
+            self.events.emit(
+                "item.submit", stream=stream, seq=seq, gseq=gseq,
+                trace=f"{self.session_id}:{stream}:{seq}", **({"wait": wait} if wait else {}),
+            )
 
     def results(self) -> Iterator[Any]:
         """Yield the current stream's outputs in order, as they complete.
@@ -566,7 +531,6 @@ class Session:
             cut = self._cut_locked("drain") if self._buf else None
         if cut is not None:
             self._submit_cut(cut)
-        self._end_stream(stream)
         with self._lock:
             while self._delivered < n:
                 if self._error is not None:
@@ -583,9 +547,8 @@ class Session:
             self._last_drained_stream = stream
             self._streams_completed += 1
             self.last_stream_items = n
-            wall = time.perf_counter() - self._stream_t0
+            self.last_stream_elapsed = time.perf_counter() - self._stream_t0
             self._bell.ring()
-        self.last_stream_elapsed = self._finalize_stream(wall)
         self.events.emit(
             "stream.drain",
             stream=stream,
@@ -642,25 +605,15 @@ class Session:
 
     # ---------------------------------------------------------- observation
     def snapshots(self) -> list[StageSnapshot]:
-        if self.instrumentation is None:
-            return []
         return self.instrumentation.snapshots(self._stage_locks)
 
     def service_means(self) -> list[float]:
-        if self.instrumentation is None:
-            return []
         return [
             s.total.mean if s.total.n else math.nan
             for s in self.instrumentation.stages
         ]
 
     # ------------------------------------------------- executor-side callbacks
-    def _instrument(self) -> None:
-        """Per-stage metrics and their locks (the real executors call this)."""
-        n = self.backend.pipeline.n_stages
-        self.instrumentation = PipelineInstrumentation(n, events=self.events)
-        self._stage_locks = [threading.Lock() for _ in range(n)]
-
     def _record_trails(self, burst: list, speed=None) -> None:
         """Record a burst's ``(seq, value, trail)``s: each stage's hops — ``(stage,
         worker, service_s, nbytes_out, queued, at, speed, phases)``, or the
@@ -679,8 +632,9 @@ class Session:
 
     def _complete_run(self, values: list) -> None:
         """The one way out: count a run of in-order outputs with one completion
-        record and deliver it in one lock round with at most one ring — a
-        burst's batches, under batching, as the one run of their items.
+        record, deliver it in one lock round with at most one ring — a burst's
+        batches, under batching, as the one run of their items — then emit
+        their ``item.complete``s.
 
         Called by the executor's single egress thread, so the completion
         record needs no lock.
@@ -690,7 +644,21 @@ class Session:
             bseqs = [batch.bseq for batch in values]
             values = [x for batch in values for x in batch.items]
         self.instrumentation.record_completion(self.now(), items=len(values))
-        self._deliver_items(values, bseqs)
+        with self._lock:
+            stream, seq = self._stream, self._delivered
+            self._out.extend(values)
+            self._delivered += len(values)
+            self._items_total += len(values)
+            for bseq in bseqs:
+                self._batch_map.pop(bseq, None)
+            if self._bell.parked:
+                self._bell.ring()
+        # Emit outside _lock: a journal write under the session lock would
+        # serialise submitters behind the exporter's I/O.  Delivery is in
+        # input order, so the pre-increment count *is* the first item's seq.
+        if self.events.wants("item.complete"):
+            for k in range(seq, seq + len(values)):
+                self.events.emit("item.complete", stream=stream, seq=k)
 
     def _fail(self, stage: int, err: BaseException) -> None:
         """The one way to fail: poison the session with a :class:`StageError`.
@@ -709,32 +677,6 @@ class Session:
         if self._error is not None:
             return self._error
         return SessionClosed("session closed while submitting")
-
-    def _deliver_items(self, items: list, bseqs: Iterable[int] = ()) -> None:
-        """The delivery half of ``_complete_run`` (all the simulator shim needs):
-        queue in-order ``items`` (batches ``bseqs``' members), then emit their
-        ``item.complete``s."""
-        stream, seq = self._deliver_run(items, bseqs)
-        # Emit outside _lock: a journal write under the session lock would
-        # serialise submitters behind the exporter's I/O.  Delivery is in
-        # input order, so the pre-increment count *is* the first item's seq.
-        if self.events.wants("item.complete"):
-            for k in range(seq, seq + len(items)):
-                self.events.emit("item.complete", stream=stream, seq=k)
-
-    def _deliver_run(self, items: list, bseqs: Iterable[int]) -> "tuple[int, int]":
-        """Queue in-order ``items`` (batches ``bseqs``' members) in one lock
-        round with at most one ring; ``(stream, seq of the first)``."""
-        with self._lock:
-            stream, seq = self._stream, self._delivered
-            self._out.extend(items)
-            self._delivered += len(items)
-            self._items_total += len(items)
-            for bseq in bseqs:
-                self._batch_map.pop(bseq, None)
-            if self._bell.parked:
-                self._bell.ring()
-        return stream, seq
 
     def _deliver_error(self, err: BaseException) -> None:
         """Poison the session with the executor's (first) error."""
@@ -868,13 +810,6 @@ class Session:
         """
         raise NotImplementedError
 
-    def _end_stream(self, stream: int) -> None:
-        """End-of-stream declared: every admission was handed over (flush hook)."""
-
-    def _finalize_stream(self, wall_elapsed: float) -> float:
-        """Map the drained stream's wall time onto the executor's clock."""
-        return wall_elapsed
-
     def _wake_lane(self) -> None:
         """Wake whatever waits on executor capacity (``_abort`` was just set)."""
 
@@ -885,14 +820,11 @@ class Session:
 class Backend:
     """Port through which pipelines execute (see module docstring).
 
-    An adapter names its ``session_class`` and, when it can reshape live,
-    implements ``_resize``; the replica shape itself lives here.
+    An adapter names its ``session_class`` and implements ``_resize``; the
+    replica shape itself lives here.
     """
 
     name: str = "abstract"
-    supports_live_reconfigure: bool = False
-    #: False on a backend that measures without computing (``fn`` optional).
-    executes_callables: bool = True
     #: The executor's native :class:`Session`; ``open()`` builds one per call.
     session_class: "type[Session]"
 
@@ -912,9 +844,7 @@ class Backend:
         check_positive(max_replicas, "max_replicas")
         #: Requested replicas per stage: what a cold executor warms up to
         #: and what ``reconfigure`` records before the live one follows.
-        self._target = validate_pipeline_shape(
-            pipeline, replicas, f"{self.name} backend" if self.executes_callables else None
-        )
+        self._target = validate_pipeline_shape(pipeline, replicas, f"{self.name} backend")
         #: Warm-pool size of a replicable stage; covers the starting shape.
         self.max_replicas = max(max_replicas, *self._target)
         self._closed = False
@@ -1009,7 +939,7 @@ class Backend:
             self._run_lock.release()
         return BackendResult(
             backend=self.name,
-            outputs=outputs if session.produces_outputs else None,
+            outputs=outputs,
             items=n,
             elapsed=session.last_stream_elapsed if n else 0.0,
             service_means=session.service_means(),
@@ -1036,13 +966,13 @@ class Backend:
         return self._session.snapshots()
 
     def items_completed(self) -> int:
-        if self._session is None or self._session.instrumentation is None:
+        if self._session is None:
             return 0
         return self._session.instrumentation.items_completed
 
     def recent_throughput(self, horizon: float) -> float:
         """Sink completions/s over the trailing ``horizon`` (NaN = no data)."""
-        if self._session is None or self._session.instrumentation is None:
+        if self._session is None:
             return math.nan
         return self._session.instrumentation.recent_throughput(
             self._session.now(), horizon
@@ -1068,14 +998,12 @@ class Backend:
         return self.max_replicas if self.pipeline.stage(stage).replicable else 1
 
     def reconfigure(self, stage: int, n_replicas: int) -> None:
-        """Set ``stage``'s degree of parallelism (live when supported).
+        """Set ``stage``'s degree of parallelism, live.
 
         Counts clamp to ``[1, replica_limit(stage)]`` — a stateful stage
         clamps to 1 — and are recorded as the target shape, which a cold
         executor warms up to and the next session inherits.
         """
-        if not self.supports_live_reconfigure:
-            raise capability_error(self, "reconfigure()")
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
         n_replicas = min(n_replicas, self.replica_limit(stage))
@@ -1087,14 +1015,13 @@ class Backend:
 
 
 def validate_pipeline_shape(
-    pipeline: PipelineSpec, replicas: "list[int] | None", runtime_name: "str | None"
+    pipeline: PipelineSpec, replicas: "list[int] | None", runtime_name: str
 ) -> list[int]:
     """Validate a replica shape against the pipeline; returns the counts.
 
     One set of rejection messages for every executor: length mismatch,
-    sub-1 counts, replicated stateful stages and — unless ``runtime_name``
-    is None (nothing executes the callables) — stages without one all raise
-    ``ValueError`` here.
+    sub-1 counts, replicated stateful stages and stages without a callable
+    all raise ``ValueError`` here.
     """
     n = pipeline.n_stages
     if replicas is None:
@@ -1109,7 +1036,7 @@ def validate_pipeline_shape(
             raise ValueError(
                 f"stage {i} ({spec.name!r}) is stateful and cannot be replicated"
             )
-        if spec.fn is None and runtime_name is not None:
+        if spec.fn is None:
             raise ValueError(
                 f"stage {i} ({spec.name!r}) has no fn; the {runtime_name} "
                 "executes real callables"
@@ -1117,34 +1044,19 @@ def validate_pipeline_shape(
     return list(replicas)
 
 
-# --------------------------------------------------------------------- registry
-_REGISTRY: dict[str, Callable[..., Backend]] = {}
-# The built-in adapters by name -> module.  Each registers itself at its
-# foot, so importing the module is what fills the registry: a process pays
-# for the executor it opens, not for all five.
-_BUILTIN = {
-    "asyncio": "repro.backend.thread_backend",
-    "distributed": "repro.backend.distributed.coordinator",
-    "processes": "repro.backend.process_backend",
-    "sim": "repro.backend.sim_backend",
-    "threads": "repro.backend.thread_backend",
+# ------------------------------------------------------------------ executors
+#: Every executor by name: the module that defines it and its class.  A
+#: process imports the one it opens, not all three.
+_EXECUTORS = {
+    "asyncio": ("repro.backend.thread_backend", "ThreadBackend"),
+    "distributed": ("repro.backend.distributed.coordinator", "DistributedBackend"),
+    "processes": ("repro.backend.process_backend", "ProcessPoolBackend"),
+    "threads": ("repro.backend.thread_backend", "ThreadBackend"),
 }
 
 
-def register_backend(
-    name: str, factory: Callable[..., Backend], *, overwrite: bool = False
-) -> None:
-    """Register ``factory(pipeline, **kwargs) -> Backend`` under ``name``."""
-    builtin = _BUILTIN.get(name)
-    if builtin is not None and getattr(factory, "__module__", None) != builtin:
-        __import__(builtin)  # a foreign factory meets the built-in first
-    if not overwrite and name in _REGISTRY:
-        raise ValueError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = factory
-
-
 def available_backends() -> list[str]:
-    return sorted(_REGISTRY.keys() | _BUILTIN.keys())
+    return sorted(_EXECUTORS)
 
 
 def make_backend(
@@ -1171,10 +1083,8 @@ def make_backend(
                 f"{backend.pipeline!s}, which does not run the given stages"
             )
         return backend
-    if backend not in _REGISTRY and backend in _BUILTIN:
-        __import__(_BUILTIN[backend])  # registers itself at its foot
     try:
-        factory = _REGISTRY[backend]
+        module, cls = _EXECUTORS[backend]
     except KeyError:
         raise ValueError(
             f"unknown backend {backend!r}; "
@@ -1182,4 +1092,5 @@ def make_backend(
         ) from None
     if pipeline is None:
         raise ValueError("a PipelineSpec is required to build a backend by name")
-    return factory(pipeline, **kwargs)
+    __import__(module)  # not import_module: -X importtime only times this entry
+    return getattr(sys.modules[module], cls)(pipeline, **kwargs)

@@ -73,7 +73,7 @@ from multiprocessing import shared_memory
 from typing import Any
 
 from repro import transport as _transport
-from repro.backend.base import _WINDOW_CEILING, Backend, register_backend
+from repro.backend.base import _WINDOW_CEILING, Backend
 from repro.backend.distributed.protocol import PREAMBLE
 from repro.backend.distributed.worker import WorkerAgent
 from repro.backend.routed import RoutedSession, boundaries
@@ -383,7 +383,6 @@ class DistributedBackend(Backend):
     """
 
     name = "distributed"
-    supports_live_reconfigure = True
     session_class = _DistributedSession
 
     def __init__(
@@ -1151,5 +1150,3 @@ class DistributedBackend(Backend):
         by_score = sorted(active, key=lambda r: self._worker_score(r.worker, hosted))
         for r in by_score[n_replicas:]:
             self._retire_replica(stage, r)
-
-register_backend("distributed", DistributedBackend)

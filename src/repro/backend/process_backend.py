@@ -57,7 +57,7 @@ import select
 import threading
 
 from repro import transport as _transport
-from repro.backend.base import Backend, register_backend
+from repro.backend.base import Backend
 from repro.backend.routed import RoutedSession, boundaries
 from repro.core.pipeline import PipelineSpec
 from repro.runtime.threads import StageError, load_error, run_stage
@@ -398,7 +398,6 @@ class ProcessPoolBackend(Backend):
     """
 
     name = "processes"
-    supports_live_reconfigure = True
     session_class = _ProcessSession
 
     def __init__(
@@ -538,6 +537,3 @@ class ProcessPoolBackend(Backend):
             while pool.active > n_replicas and pool.seg.feed.send(stage, abort):
                 pool.active -= 1
                 self.events.emit("replica.remove", stage=stage, n=pool.active)
-
-
-register_backend("processes", ProcessPoolBackend)

@@ -91,11 +91,8 @@ def boundaries(stages: "Sequence") -> list[int]:
 class RoutedSession(Session):
     """Caller-side ingress + boundary routers over an executor's lane (see module doc)."""
 
-    supports_batching = True
-
     def __init__(self, backend: Backend, **config) -> None:
         super().__init__(backend, **config)
-        self._instrument()
         self._stopping = threading.Event()
         # _reorder[i] sits in front of stage i (0 = ingress), _reorder[n] is
         # egress; None where the stage it feeds takes items as they come.

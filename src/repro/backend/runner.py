@@ -90,7 +90,7 @@ class RuntimeRunResult:
     """Outcome of one adaptively-controlled stream on a real backend."""
 
     backend: str
-    outputs: list[Any] | None
+    outputs: list[Any]
     items: int
     elapsed: float
     adaptation_events: list[AdaptationEvent] = field(default_factory=list)
@@ -111,8 +111,8 @@ class RuntimeAdaptiveRunner:
     pipeline:
         What to run.
     backend:
-        A :class:`Backend` instance, or a registered name (``"threads"``,
-        ``"processes"``); it must support live reconfiguration.
+        A :class:`Backend` instance, or an executor name (``"threads"``,
+        ``"processes"``, ...).
     config:
         Loop tunables; default :func:`local_config`.
     policy:
@@ -139,11 +139,6 @@ class RuntimeAdaptiveRunner:
         # reused; close() (or the context manager) reaps it, whether the
         # backend was built here from a name or passed in pre-configured.
         self.backend = make_backend(backend, pipeline, **backend_kwargs)
-        if not self.backend.supports_live_reconfigure:
-            raise ValueError(
-                f"backend {self.backend.name!r} cannot reconfigure live; "
-                "use it through skel.api / Backend.run instead"
-            )
         n = pipeline.n_stages
         budget = max(self.backend.replica_limit(i) for i in range(n))
         if policy is None:
@@ -262,7 +257,7 @@ class RuntimeAdaptiveRunner:
         ]
         return RuntimeRunResult(
             backend=self.backend.name,
-            outputs=outputs if session.produces_outputs else None,
+            outputs=outputs,
             items=session.last_stream_items,
             elapsed=elapsed if elapsed is not None else time.perf_counter() - t0,
             adaptation_events=run_events,
@@ -295,9 +290,9 @@ class RuntimeAdaptiveRunner:
 
     def _controller_main(self, session: Session, wake: threading.Event) -> None:
         watch = ServiceWatch(
-            getattr(session.instrumentation, "stages", ()),
+            session.instrumentation.stages,
             wake.set,
-            locks=session._stage_locks or (),
+            locks=session._stage_locks,
             min_samples=self.config.min_samples,
             ratio=self.config.min_improvement,
         )

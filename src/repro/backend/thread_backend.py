@@ -41,7 +41,7 @@ import inspect
 import threading
 from typing import Any
 
-from repro.backend.base import Backend, Session, register_backend
+from repro.backend.base import Backend, Session
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView, fn_view
 from repro.monitor.resource_monitor import HostLoadSampler
@@ -54,12 +54,9 @@ __all__ = ["AsyncioBackend", "ThreadBackend"]
 class _ThreadSession(Session):
     """Session-owned thread fabric (see module docstring)."""
 
-    supports_batching = True
-
     def __init__(self, backend: "ThreadBackend", **config) -> None:
         super().__init__(backend, **config)
         self.replicas = list(backend._target)
-        self._instrument()
         self._mutate_lock = threading.Lock()
         self._threads: list[threading.Thread] = []
 
@@ -186,7 +183,6 @@ class ThreadBackend(Backend):
     """
 
     name = "threads"
-    supports_live_reconfigure = True
     session_class = _ThreadSession
 
     def __init__(
@@ -253,5 +249,3 @@ class ThreadBackend(Backend):
 
 #: ``"asyncio"`` is the same fabric: coroutine stages are a stage kind, not an executor.
 AsyncioBackend = ThreadBackend
-register_backend("threads", ThreadBackend)
-register_backend("asyncio", ThreadBackend)

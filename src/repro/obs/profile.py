@@ -176,15 +176,11 @@ class ProfileReport:
 
     @property
     def mean_coverage(self) -> float:
-        if not self.items:
-            return math.nan
-        return sum(i.coverage for i in self.items) / len(self.items)
+        return sum(i.coverage for i in self.items) / len(self.items) if self.items else math.nan
 
     @property
     def min_coverage(self) -> float:
-        if not self.items:
-            return math.nan
-        return min(i.coverage for i in self.items)
+        return min((i.coverage for i in self.items), default=math.nan)
 
     # --------------------------------------------------------------- verdict
     @property
@@ -286,20 +282,24 @@ def join_records(
     other record's ``seq`` names it by (``stage.service``, ``frame.*``,
     ``worker.redispatch``, ``batch.assemble``); a record with ``items=N``
     joins the N items from its ``seq``, and one whose ``seq`` no submit
-    carried joins nothing.  The session's metadata (``session.open``,
-    ``adapt.act``, ``clock.sync``) goes into ``report`` on the same pass.
+    carried joins nothing.  Each ``session.open`` starts new ticket and
+    ``gseq`` spaces (a reused journal path appends), its streams numbered on
+    after the last one seen; its metadata (``session.open``, ``adapt.act``,
+    ``clock.sync``) goes into ``report`` on the same pass.
     """
     items: dict[tuple[int, int], list[Event]] = {}
     by_gseq: dict[int, list[Event]] = {}
+    base = 0  # the open session's stream 0, in the journal's numbering
     for ev in events:
         kind, f = ev.kind, ev.fields
         if kind in ("item.submit", "item.complete"):
             if "stream" in f and "seq" in f:
-                records = items.setdefault((int(f["stream"]), int(f["seq"])), [])
+                records = items.setdefault((base + int(f["stream"]), int(f["seq"])), [])
                 if "gseq" in f:
                     by_gseq[int(f["gseq"])] = records
                 records.append(ev)
         elif kind == "session.open":
+            base, by_gseq = 1 + max((stream for stream, _ in items), default=-1), {}
             report.backend = f.get("backend", report.backend)
             report.stage_names = list(f.get("stages", []))
         elif kind == "adapt.act":

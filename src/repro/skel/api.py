@@ -32,8 +32,7 @@ def _backend_for(
 ) -> tuple[Backend, bool]:
     """Resolve ``backend`` for ``pipe``: ``(backend, whether it was built here)``."""
     if isinstance(backend, str):
-        # capacity=None lets every adapter keep its own documented default
-        # (8 for the real executors, the simulator's 4 for "sim").
+        # capacity=None lets every adapter keep its own documented default.
         replicas = list(replicas) if replicas is not None else None
         kwargs = dict(replicas=replicas, capacity=capacity, **backend_kwargs)
         return make_backend(backend, pipe, **kwargs), True
@@ -58,34 +57,14 @@ def _run_on_backend(
     **backend_kwargs,
 ) -> list[Any]:
     """Execute ``pipe`` on the chosen backend, optionally under adaptation."""
-    # The simulator's adaptation loop runs inside simulated time — hand the
-    # flag to its in-sim controller, not the wall-clock runner (which has
-    # no purchase on a simulated backend).
-    in_sim = bool(adaptive) and backend == "sim"
-    if in_sim:
-        backend_kwargs["adaptive"] = adaptive
     b, owns = _backend_for(pipe, backend, replicas, capacity, **backend_kwargs)
-    use_runner = bool(adaptive) and b.supports_live_reconfigure
-    if adaptive and not use_runner and not in_sim:
-        if owns:
-            b.close()  # don't leak warm resources on a refused request
-        raise ValueError(
-            f"backend {b.name!r} cannot adapt live; for the simulator, "
-            "configure adaptation on the SimBackend instance (adaptive=)"
-        )
     try:
-        if use_runner:
-            outputs = _live_controller(b, adaptive).run(inputs).outputs
-        else:
-            outputs = b.run(inputs).outputs
+        if adaptive:
+            return _live_controller(b, adaptive).run(inputs).outputs
+        return b.run(inputs).outputs
     finally:
         if owns:
             b.close()
-    if outputs is None:
-        raise ValueError(
-            f"backend {b.name!r} produced no outputs (stages without fn?)"
-        )
-    return outputs
 
 
 def _live_controller(b: Backend, adaptive: bool | AdaptationConfig):
@@ -141,14 +120,13 @@ def pipeline_1for1(
     (TCP-socket workers on this or other hosts — stage fns must be
     picklable module-level functions; pass ``spawn_workers=`` for local
     workers or start remote ones with ``python -m
-    repro.backend.distributed.worker``), ``"sim"`` (the grid
-    simulator; timing is simulated), or any
+    repro.backend.distributed.worker``), or any
     :class:`~repro.backend.base.Backend` instance (which must already be
     configured — ``replicas``/``capacity`` then may not be given).
     ``adaptive=True`` (or an :class:`AdaptationConfig`) runs the
-    observe→decide→act loop: live on backends with
-    ``supports_live_reconfigure``, via the in-sim controller on
-    ``backend="sim"``.  Backend-specific knobs pass through — e.g.
+    observe→decide→act loop live, on wall-clock measurements; to study the
+    pattern in simulated time, use :func:`simulate_pipeline`.
+    Backend-specific knobs pass through — e.g.
     ``transport="shm"`` selects the payload codec on the process and
     distributed backends (see ``docs/transport.md``).
 
@@ -186,9 +164,7 @@ def open_pipeline(
     ``adaptive=True`` (or an :class:`AdaptationConfig`) attaches a
     :class:`~repro.backend.RuntimeAdaptiveRunner` control loop to the live
     session: it keeps observing and reconfiguring across stream boundaries
-    for as long as the session lives.  The simulator backend cannot adapt a
-    live session (its controller runs inside simulated time), so
-    ``backend="sim"`` with ``adaptive`` is rejected here.
+    for as long as the session lives.
 
     ``telemetry=`` opts the session into the observability layer
     (:mod:`repro.obs`): pass a :class:`~repro.obs.Telemetry` for a JSONL
@@ -197,14 +173,13 @@ def open_pipeline(
     closes the telemetry (flushing the journal and writing any snapshot)
     when it closes.
 
-    ``batching=`` turns on transparent micro-batching on the real
-    executors: the session coalesces admitted items into batch frames on
-    the hot path and delivers them as per-item results on egress —
-    ``submit``/``results``/``Ticket`` semantics and per-item ordering are
-    unchanged.  Pass ``True`` or ``"auto"`` (64 items, fewer when the
-    stages declare millisecond ``work``) or a positive int (items per
-    batch); a batch is also cut at 1 MiB of payload and 2 ms after its
-    first item.  The simulator ignores it.
+    ``batching=`` turns on transparent micro-batching: the session
+    coalesces admitted items into batch frames on the hot path and
+    delivers them as per-item results on egress — ``submit``/``results``/
+    ``Ticket`` semantics and per-item ordering are unchanged.  Pass
+    ``True`` or ``"auto"`` (64 items, fewer when the stages declare
+    millisecond ``work``) or a positive int (items per batch); a batch is
+    also cut at 1 MiB of payload and 2 ms after its first item.
 
     Closing the session also detaches the controller and closes the
     backend when it was built here from a name; a :class:`Backend`
@@ -218,13 +193,6 @@ def open_pipeline(
     >>> session.close()
     """
     b, owns = _backend_for(_as_pipeline(stages), backend, replicas, capacity, **backend_kwargs)
-    if adaptive and not b.supports_live_reconfigure:
-        if owns:
-            b.close()
-        raise ValueError(
-            f"backend {b.name!r} cannot adapt a live session; open it "
-            "without adaptive=, or use pipeline_1for1 for in-sim adaptation"
-        )
     try:
         session = b.open(
             max_inflight=max_inflight, telemetry=telemetry, batching=batching

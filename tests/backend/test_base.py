@@ -1,4 +1,4 @@
-"""Tests for the backend port and registry."""
+"""Tests for the backend port and its table of executors."""
 
 import threading
 
@@ -6,17 +6,12 @@ import pytest
 
 from repro.backend import (
     AsyncioBackend,
-    BackendCapabilityError,
     BackendResult,
     ProcessPoolBackend,
-    SimBackend,
     ThreadBackend,
     available_backends,
-    capability_error,
     make_backend,
-    register_backend,
 )
-from repro.backend.base import _REGISTRY
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 
@@ -25,11 +20,30 @@ def pipe():
     return PipelineSpec((StageSpec(name="inc", work=0.01, fn=lambda x: x + 1),))
 
 
+def _inc(x):
+    return x + 1
+
+
+#: Every live executor name.  Distributed ships its stage functions over
+#: sockets, so its pipeline runs the picklable builtin ``abs``.
+LIVE = ["threads", "asyncio", "processes", "distributed"]
+
+
+def _live(name, stages=1, **kwargs):
+    """``(backend, fn)``: executor ``name`` over ``stages`` copies of ``fn``;
+    with two or more, the last copy is a stateful stage."""
+    fn = abs if name == "distributed" else _inc
+    if name == "distributed":
+        kwargs.setdefault("spawn_workers", 1)
+    specs = [StageSpec(name=f"s{i}", work=0.01, fn=fn) for i in range(stages)]
+    if stages > 1:
+        specs[-1] = StageSpec(name="tail", work=0.01, fn=fn, replicable=False)
+    return make_backend(name, PipelineSpec(tuple(specs)), **kwargs), fn
+
+
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"sim", "threads", "processes", "asyncio", "distributed"} <= set(
-            available_backends()
-        )
+        assert available_backends() == ["asyncio", "distributed", "processes", "threads"]
 
     def test_make_backend_by_name(self):
         b = make_backend("threads", pipe())
@@ -70,85 +84,70 @@ class TestRegistry:
         listed = message.split("available: ", 1)[1].split(", ")
         assert listed == sorted(listed)
 
-    def test_double_registration_leaves_original_intact(self):
-        class Impostor(ThreadBackend):
-            name = "impostor-test"
-
-        register_backend("impostor-test", Impostor)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("impostor-test", ThreadBackend)
-            # The failed re-registration must not have clobbered the entry.
-            assert isinstance(make_backend("impostor-test", pipe()), Impostor)
-        finally:
-            _REGISTRY.pop("impostor-test", None)
-
     def test_name_requires_pipeline(self):
         with pytest.raises(ValueError, match="PipelineSpec"):
             make_backend("threads")
-
-    def test_register_custom_and_duplicate(self):
-        class Custom(ThreadBackend):
-            name = "custom-test"
-
-        register_backend("custom-test", Custom)
-        try:
-            assert "custom-test" in available_backends()
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("custom-test", Custom)
-            register_backend("custom-test", Custom, overwrite=True)
-            assert isinstance(make_backend("custom-test", pipe()), Custom)
-        finally:
-            _REGISTRY.pop("custom-test", None)
 
 
 class TestPortContract:
     def test_factories_accept_common_kwargs(self):
         # Every adapter must tolerate the skel-level kwargs (replicas,
         # capacity) so callers can switch backends without special cases.
-        for name in ("sim", "threads", "processes", "asyncio"):
-            b = make_backend(name, pipe(), replicas=[1], capacity=4)
+        for name in LIVE:
+            b, _ = _live(name, replicas=[1], capacity=4)
             b.close()
-        # The distributed adapter too — but it ships fns over sockets, so
-        # the stage must be picklable (abs, not this file's lambda).
-        dist_pipe = PipelineSpec((StageSpec(name="abs", work=0.01, fn=abs),))
-        b = make_backend("distributed", dist_pipe, replicas=[1], capacity=4)
-        b.close()
 
-    def test_sim_emits_on_the_session_bus_in_simulated_time(self):
-        b = SimBackend(pipe())
-        with b.open() as session:
-            seen = []
-            session.events.subscribe(seen.append, kinds=("item.complete",))
-            for i in range(5):
-                session.submit(i)
-            assert session.drain() == [1, 2, 3, 4, 5]
-        simulated = [e for e in seen if "stream" not in e.fields]  # the engine's own
-        assert [e.fields["seq"] for e in simulated] == list(range(5))
-        assert [e.time for e in simulated] == b.last_run.completion_times
-        b.close()
+    @pytest.mark.parametrize("name", LIVE)
+    def test_run_returns_the_outputs_list(self, name):
+        b, fn = _live(name, stages=2)
+        with b:
+            res = b.run(range(-3, 5))
+        assert res.outputs == [fn(fn(x)) for x in range(-3, 5)]
+        assert res.items == 8 and res.elapsed > 0
 
-    @pytest.mark.parametrize("name", ["sim", "threads"])
+    @pytest.mark.parametrize("name", LIVE)
+    def test_reconfigure_is_honoured_and_clamps_a_stateful_stage(self, name):
+        b, fn = _live(name, stages=2, max_replicas=2)
+        with b:
+            b.reconfigure(1, 3)  # stateful: clamps to 1
+            assert b.replica_counts() == [1, 1]
+            assert b.run(range(6)).outputs == [fn(fn(x)) for x in range(6)]
+            b.reconfigure(0, 2)  # live, on the warm executor
+            assert b.run(range(6)).outputs == [fn(fn(x)) for x in range(6)]
+            assert b.replica_counts() == [2, 1]
+            with pytest.raises(ValueError, match=">= 1"):
+                b.reconfigure(0, 0)
+
+    @pytest.mark.parametrize("name", LIVE)
+    def test_snapshots_after_a_stream(self, name):
+        b, _ = _live(name, stages=2)
+        with b:
+            assert b.snapshots() == []  # no session yet
+            b.run(range(6))
+            snaps = b.snapshots()
+            assert [s.stage_index for s in snaps] == [0, 1]
+            assert b.items_completed() == 6
+
+    @pytest.mark.parametrize("name", LIVE)
     def test_stream_id_opens_lazily_and_counts_streams(self, name):
-        b = make_backend(name, pipe())
-        with b.open() as session:
+        b, fn = _live(name)
+        with b, b.open() as session:
             assert session.stream == -1  # nothing submitted yet
             for i in range(3):
                 session.submit(i)
             assert session.stream == 0
-            assert session.drain() == [1, 2, 3]
+            assert session.drain() == [fn(i) for i in range(3)]
             assert session.stream == 0  # a drain ends the stream, it opens none
             session.submit(9)
             assert session.stream == 1
-            assert session.drain() == [10]
-        b.close()
+            assert session.drain() == [fn(9)]
 
-    @pytest.mark.parametrize("name", ["sim", "threads"])
+    @pytest.mark.parametrize("name", LIVE)
     def test_stream_begin_precedes_every_submit_of_concurrent_openers(self, name):
         # Four submitters race to open each stream: whichever opens it, the
         # journal has one stream.begin, ahead of every item.submit of it.
-        b = make_backend(name, pipe())
-        with b.open() as session:
+        b, _ = _live(name)
+        with b, b.open() as session:
             journal = []
             session.events.subscribe(journal.append, kinds=("stream.begin", "item.submit"))
             for stream in range(2):
@@ -165,37 +164,17 @@ class TestPortContract:
                 for t in threads:
                     t.join()
                 assert len(session.drain()) == 100
-                # (the simulator's engine emits its own, with no stream)
                 kinds = [e.kind for e in journal if e.fields.get("stream") == stream]
                 assert kinds == ["stream.begin"] + ["item.submit"] * 100
-        b.close()
-
-    def test_sim_rejects_live_reconfigure(self):
-        b = SimBackend(pipe())
-        assert not b.supports_live_reconfigure
-        # The refusal must name the backend: a traceback from deep inside
-        # the adaptation loop has no other clue which adapter was selected.
-        with pytest.raises(BackendCapabilityError, match="'sim'"):
-            b.reconfigure(0, 2)
-
-    def test_capability_error_names_backend(self):
-        err = capability_error(SimBackend(pipe()), "reconfigure()")
-        assert "'sim'" in str(err) and "reconfigure()" in str(err)
-        assert "'frob'" in str(capability_error("frob", "live migration"))
 
     def test_default_resource_view_is_none(self):
-        assert SimBackend(pipe()).resource_view(4) is None
-
-    def test_live_backends_advertise_reconfigure(self):
-        assert ThreadBackend(pipe()).supports_live_reconfigure
-        for b in (ProcessPoolBackend(pipe()), AsyncioBackend(pipe())):
-            assert b.supports_live_reconfigure
-            b.close()
+        with ProcessPoolBackend(pipe()) as b:
+            assert b.resource_view(4) is None
 
     def test_result_throughput(self):
         r = BackendResult(backend="x", outputs=[1], items=10, elapsed=2.0)
         assert r.throughput == 5.0
-        assert BackendResult(backend="x", outputs=None, items=0, elapsed=0.0).throughput == 0.0
+        assert BackendResult(backend="x", outputs=[], items=0, elapsed=0.0).throughput == 0.0
 
     def test_run_drives_the_stream_on_the_callers_thread(self):
         # run() is open -> submit* -> drain right here: no `*-batch` driver

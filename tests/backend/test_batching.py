@@ -75,10 +75,9 @@ class TestBatchUnit:
             with pytest.raises(ValueError, match=r"None or False .* 'auto' .* positive int"):
                 normalize_batching(bad)
 
-    @pytest.mark.parametrize("backend", ["threads", "sim"])
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_open_rejects_what_is_not_a_batch_size(self, backend):
-        # Also where batching is ignored: a bad value fails before any
-        # executor machinery starts.
+        # A bad value fails before any executor machinery starts.
         for bad in ({"max_items": 4}, 0, -1):
             with pytest.raises(ValueError, match="positive int"):
                 open_pipeline([_inc], backend=backend, batching=bad)
@@ -234,15 +233,6 @@ class TestBatchedStreams:
                     session.submit(x)
                 assert session.drain() == want, f"batching={batching!r}"
 
-    def test_sim_session_ignores_batching(self):
-        session = open_pipeline([_inc], backend="sim", batching=8)
-        try:
-            for i in range(10):
-                session.submit(i)
-            assert session.drain() == [x + 1 for x in range(10)]
-        finally:
-            session.close()
-
 
 # -------------------------------------------------------------- ticket layer
 class TestTicketCompletion:
@@ -357,17 +347,17 @@ class TestBatchedDelivery:
         with ThreadBackend(spec([held]), replicas=[2], max_replicas=2) as b:
             session = b.open(batching=4)
             runs, completed = [], []
-            deliver, record = session._deliver_run, session._record_trails
+            complete, record = session._complete_run, session._record_trails
 
-            def deliver_spy(items, bseqs):
-                runs.append(len(items))
-                return deliver(items, bseqs)
+            def complete_spy(batches):
+                runs.append(sum(len(batch.items) for batch in batches))
+                complete(batches)
 
             def record_spy(burst, speed=None):
                 record(burst, speed)
                 recorded.set()
 
-            session._deliver_run, session._record_trails = deliver_spy, record_spy
+            session._complete_run, session._record_trails = complete_spy, record_spy
             session.events.subscribe(lambda ev: completed.append(ev.fields["seq"]),
                                      kinds=("item.complete",))
             for i in range(8):

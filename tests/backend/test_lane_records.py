@@ -144,3 +144,29 @@ def test_a_distributed_hop_is_decomposed_only_when_heard(heard, monkeypatch):
             assert min(phases.values()) >= 0.0, hop
         else:
             assert phases is None, hop
+
+
+def test_an_item_is_announced_before_a_linger_cut_names_it():
+    # A listener slower than the linger deadline holds each item.submit
+    # emit open while the flusher's deadline passes: the batch.assemble of
+    # that cut must still come after the item.submit of every item it names.
+    import time
+
+    from repro.util.batching import LINGER_S
+
+    seen = []
+    session = open_pipeline([_inc], backend="threads", batching=16)
+    with session:
+        session.events.subscribe(lambda ev: time.sleep(3 * LINGER_S), kinds=["item.submit"])
+        session.events.subscribe(seen.append, kinds=["item.submit", "batch.assemble"])
+        for x in range(8):
+            session.submit(x)
+        assert session.drain() == [x + 1 for x in range(8)]
+    announced = set()
+    for ev in seen:
+        f = ev.fields
+        if ev.kind == "item.submit":
+            announced.add(f["gseq"])
+        else:
+            assert set(range(f["seq"], f["seq"] + f.get("items", 1))) <= announced, f
+    assert len(announced) == 8

@@ -52,10 +52,6 @@ class TestLocalConfig:
 
 
 class TestRuntimeAdaptiveRunner:
-    def test_rejects_sim_backend(self):
-        with pytest.raises(ValueError, match="cannot reconfigure live"):
-            RuntimeAdaptiveRunner(spec([_fast]), "sim")
-
     def test_virtual_grid_must_cover_stages(self):
         # More stages than host cores: the policy's virtual grid still holds
         # one processor per stage plus the warm pool's extra replica.

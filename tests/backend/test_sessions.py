@@ -21,7 +21,6 @@ from repro.backend import (
     DistributedBackend,
     ProcessPoolBackend,
     SessionClosed,
-    SimBackend,
     ThreadBackend,
     Ticket,
 )
@@ -68,7 +67,6 @@ class TestSessionLifecycle:
         backends = [
             ThreadBackend(spec([_inc])),
             AsyncioBackend(spec([_inc])),
-            SimBackend(spec([_inc])),
         ]
         for b in backends:
             session = b.open()
@@ -383,10 +381,6 @@ class TestOpenPipelineApi:
             assert session.drain() == [x * 2 for x in range(60)]
         finally:
             session.close()
-
-    def test_sim_adaptive_session_rejected(self):
-        with pytest.raises(ValueError, match="cannot adapt a live session"):
-            open_pipeline([_inc], backend="sim", adaptive=True)
 
     def test_instance_with_shape_kwargs_rejected(self):
         b = ThreadBackend(spec([_inc]))

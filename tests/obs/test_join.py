@@ -108,6 +108,22 @@ class TestTicketAndGseq:
         assert items[1, 3][0].fields["trace"] == "ab12:1:3"
         assert "trace" not in items[1, 4][0].fields
 
+    def test_each_session_open_starts_a_new_ticket_and_gseq_space(self):
+        # Two sessions appended to one journal both number from stream 0,
+        # seq 0 and gseq 0: the second's streams follow the first's last,
+        # and its records join its own items only.
+        session = [
+            ("session.open", {"backend": "threads", "stages": ["a"]}),
+            ("item.submit", {"stream": 0, "seq": 0, "gseq": 0}),
+            ("stage.service", {"stage": 0, "seconds": 0.1, "speed": 1.0, "seq": 0}),
+            ("item.complete", {"stream": 0, "seq": 0}),
+        ]
+        items = _join(*session, *session)
+        assert sorted(items) == [(0, 0), (1, 0)]
+        assert [_kinds(items[k]) for k in sorted(items)] == [
+            ["item.submit", "stage.service", "item.complete"]
+        ] * 2
+
 
 class TestRedispatch:
     def test_a_worker_death_joins_the_items_it_held(self):

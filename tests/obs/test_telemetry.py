@@ -84,7 +84,7 @@ class TestOneSessionPerTelemetry:
 
 
 class TestJournalEndToEnd:
-    @pytest.mark.parametrize("backend", ["threads", "asyncio", "sim"])
+    @pytest.mark.parametrize("backend", ["threads", "asyncio"])
     def test_lifecycle_events_journalled(self, tmp_path, backend):
         path = tmp_path / "j.jsonl"
         session = open_pipeline(
@@ -141,6 +141,19 @@ class TestMetricsAndPrometheus:
         assert [(i.stream, i.seq) for i in items] == [(0, 0), (0, 1), (0, 2)]
         assert all(i.latency >= 0 for i in items)
         assert all(i.phases["service"] > 0 for i in items)
+
+    def test_two_sessions_on_one_journal_profile_as_two(self, tmp_path):
+        # The journal appends, so a reused path holds both sessions; each
+        # session.open starts a new ticket space, so no item joins another's.
+        path = tmp_path / "j.jsonl"
+        for _ in range(2):
+            session = open_pipeline([lambda x: x + 1, abs], backend="threads", telemetry=path)
+            assert _run(session, 10) == list(range(1, 11))
+        assert len(profile_journal(path).items) == 20
+        joined = join_records((to_event(r) for r in read_journal(path)), ProfileReport())
+        assert sorted(joined) == [(s, i) for s in (0, 1) for i in range(10)]
+        for records in joined.values():
+            assert sorted(e.fields["stage"] for e in records if e.kind == "stage.service") == [0, 1]
 
     def test_the_journal_joins_what_the_live_bus_carried(self, tmp_path):
         # The journal is the one per-item store: what the profiler joins

@@ -55,18 +55,6 @@ class TestBackendSelection:
         out = pipeline_1for1([_inc, _slow_double], inputs, backend="processes")
         assert out == expected == [(x + 1) * 2 for x in inputs]
 
-    def test_sim_backend_computes_outputs(self):
-        out = pipeline_1for1([_inc], [1, 2, 3], backend="sim")
-        assert out == [2, 3, 4]
-
-    def test_sim_backend_with_adaptive_uses_in_sim_controller(self):
-        out = pipeline_1for1([_inc], [1, 2, 3], backend="sim", adaptive=True)
-        assert out == [2, 3, 4]
-
-    def test_farm_on_sim_rejects_workers(self):
-        with pytest.raises(ValueError, match="mapping"):
-            farm(_inc, range(5), workers=4, backend="sim")
-
     def test_typoed_backend_kwarg_raises(self):
         with pytest.raises(TypeError):
             pipeline_1for1([_inc], [1], backend="processes", max_replcas=16)

@@ -3,14 +3,14 @@
 Three rules, each checked where it can break:
 
 * a process that opens one executor loads that executor's modules — not the
-  other four, the grid simulator, the planner or the stdlib they drag in
+  other two, the grid simulator, the planner or the stdlib they drag in
   (fresh interpreters: ``sys.modules`` is process-wide state);
 * nothing is first-imported on the per-item path or inside a worker: after
   the first result a full stream adds no ``repro.*`` module, and a forked
   worker holds no ``repro.*`` module its parent did not hold at ``open()``;
 * laziness hides no typo: every name a package exports resolves, and each
-  name of the by-name executor registry names a module that exists and
-  registers that name (``"asyncio"`` and ``"threads"`` name one module).
+  name of the by-name executor table loads the one module that defines its
+  executor (``"asyncio"`` and ``"threads"`` name one module).
 """
 
 import importlib
@@ -32,14 +32,12 @@ PACKAGES = ["repro"] + sorted(
 EXECUTOR_MODULES = {
     "repro.backend.distributed.coordinator",
     "repro.backend.process_backend",
-    "repro.backend.sim_backend",
     "repro.backend.thread_backend",
 }
 BUILTIN_MODULES = {
     "asyncio": "repro.backend.thread_backend",
     "distributed": "repro.backend.distributed.coordinator",
     "processes": "repro.backend.process_backend",
-    "sim": "repro.backend.sim_backend",
     "threads": "repro.backend.thread_backend",
 }
 BUILTIN_BACKENDS = sorted(BUILTIN_MODULES)
@@ -147,24 +145,35 @@ def test_nothing_is_imported_on_the_item_path_or_inside_a_worker(backend, kwargs
     assert in_worker <= at_open  # a worker imports nothing its parent had not
 
 
-def test_the_registry_knows_the_five_executors_before_and_after_loading_them():
-    before, loaded_at_start, after, registered, homes = fresh(
-        """
-        import importlib, json, sys
+def test_each_executor_name_loads_the_one_module_that_defines_it():
+    names, loaded_at_start, loads, homes = fresh(
+        f"""
+        import json, sys
         from repro.backend import base
-        before = base.available_backends()
-        loaded = sorted(m for m in base._BUILTIN.values() if m in sys.modules)
-        homes = {}
-        for name, module in base._BUILTIN.items():
-            importlib.import_module(module)
-            homes[name] = base._REGISTRY[name].__module__
-        print(json.dumps([before, loaded, base.available_backends(),
-                          sorted(base._REGISTRY), homes]))
+        from repro.core.pipeline import PipelineSpec
+        from repro.core.stage import StageSpec
+
+        def executors():
+            return {{m for m in {sorted(EXECUTOR_MODULES)!r} if m in sys.modules}}
+
+        names, loaded, loads, homes = base.available_backends(), sorted(executors()), {{}}, {{}}
+        pipeline = PipelineSpec((StageSpec(name="abs", fn=abs),))
+        for name in names:
+            before = executors()
+            backend = base.make_backend(name, pipeline)
+            loads[name] = sorted(executors() - before)
+            homes[name] = type(backend).__module__
+            backend.close()
+        print(json.dumps([names, loaded, loads, homes]))
         """
     )
-    assert before == after == registered == BUILTIN_BACKENDS
+    assert names == BUILTIN_BACKENDS
     assert loaded_at_start == []  # knowing a name costs no import
-    assert homes == BUILTIN_MODULES  # each name's module registers that name
+    assert homes == BUILTIN_MODULES  # each name builds its own module's executor
+    # Each loads its module and no other; "threads" finds "asyncio"'s loaded.
+    assert loads == {
+        name: [module] if name != "threads" else [] for name, module in BUILTIN_MODULES.items()
+    }
 
 
 def test_the_package_walk_reaches_nested_packages():
