@@ -63,7 +63,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView
@@ -74,9 +74,6 @@ from repro.util import batching as _batching
 from repro.util.batching import Batch, approx_nbytes, normalize_batching
 from repro.util.handoff import Bell
 from repro.util.validation import check_positive
-
-if TYPE_CHECKING:
-    from repro.transport import PoolFootprint
 
 __all__ = [
     "Backend",
@@ -179,7 +176,6 @@ class SessionStats:
     items_total: int
     stream_submitted: int
     stream_delivered: int
-    pool: PoolFootprint | None = None  # shm footprint (processes, distributed)
 
     @property
     def backlog(self) -> int:
@@ -298,7 +294,6 @@ class Session:
         self._stream_t0 = 0.0
         #: Wall seconds of the last drained stream.
         self.last_stream_elapsed: float | None = None
-        self.last_stream_items = 0
         #: Structured event bus (schema in :data:`repro.obs.events.SCHEMA`).
         #: Created here — before any subclass executor machinery starts — and
         #: adopted by the backend, so emit sites anywhere in the executor
@@ -546,7 +541,6 @@ class Session:
             self._eos = False
             self._last_drained_stream = stream
             self._streams_completed += 1
-            self.last_stream_items = n
             self.last_stream_elapsed = time.perf_counter() - self._stream_t0
             self._bell.ring()
         self.events.emit(

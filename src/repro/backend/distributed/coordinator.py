@@ -83,7 +83,6 @@ from repro.model.throughput import ResourceView, fn_view
 from repro.monitor.resource_monitor import load_to_speed
 from repro.obs.clock import ClockSync
 from repro.transport import (
-    Codec,
     LinkModel,
     SizeStratifiedLinkEstimator,
     Wire,
@@ -98,9 +97,6 @@ __all__ = ["DistributedBackend"]
 
 #: Modelled cost of the in-process hop between two replicas on one worker.
 _LOCAL_LINK = (1e-7, 1e9)
-#: Prior socket bandwidth (bytes/s) for a link before its size-stratified
-#: samples pin down a fitted value.
-_WIRE_BANDWIDTH = 1e8
 #: Default one-way link estimate before any measurement exists.
 _DEFAULT_LINK_S = 1e-4
 #: How long warm-up waits for the spawned workers to register.
@@ -142,9 +138,7 @@ class _WorkerConn:
         self.last_seen = time.monotonic()
         self.load = 0.0
         self.speed = 1.0  # EWMA of load_to_speed(load, cores)
-        self.link_est = SizeStratifiedLinkEstimator(
-            default_bandwidth=_WIRE_BANDWIDTH, round_trips=2
-        )
+        self.link_est = SizeStratifiedLinkEstimator()
         self.link_s = _DEFAULT_LINK_S  # one-way wire time EWMA: dispatch's cached link term
         # Per-worker clock fit (offset + drift, rtt/2-bounded), fed by pongs:
         # maps the worker's hop stamps onto the coordinator clock so the
@@ -169,8 +163,8 @@ class _WorkerConn:
     def link_fit(self) -> LinkModel:
         """Fitted one-way (latency, bandwidth) for this worker's link."""
         model = self.link_est.fit()
-        if model.n_samples == 0:
-            return LinkModel(_DEFAULT_LINK_S, _WIRE_BANDWIDTH, 0, fitted=False)
+        if model.n_samples == 0:  # the estimator's prior bandwidth, our prior latency
+            return LinkModel(_DEFAULT_LINK_S, model.bandwidth_Bps)
         return model
 
 
@@ -370,11 +364,11 @@ class DistributedBackend(Backend):
         limit; experiment knob: a bandwidth-starved link whose cost grows
         with payload size); padded with 0.0.
     transport:
-        Payload codec (``"auto"``/``"pickle"``/``"shm"`` or a configured
-        :class:`~repro.transport.Codec`).  ``"auto"`` (default) ships
-        large payloads as shared-memory descriptors to workers that share
-        this host, negotiated per worker at registration, from
-        :data:`~repro.transport.AUTO_THRESHOLD` bytes up.
+        Payload codec by name (``"auto"``/``"pickle"``/``"shm"``).
+        ``"auto"`` (default) ships large payloads as shared-memory
+        descriptors to workers that share this host, negotiated per worker
+        at registration, from :data:`~repro.transport.AUTO_THRESHOLD`
+        bytes up.
     host, port:
         Bind address of the coordinator socket (port 0 = ephemeral).
     heartbeat_interval:
@@ -395,7 +389,7 @@ class DistributedBackend(Backend):
         spawn_workers: int = 3,
         worker_link_delays: list[float] | None = None,
         worker_link_bandwidths: list[float] | None = None,
-        transport: str | Codec = "auto",
+        transport: str = "auto",
         host: str = "127.0.0.1",
         port: int = 0,
         heartbeat_interval: float = 0.5,

@@ -61,7 +61,7 @@ from repro.backend.base import Backend
 from repro.backend.routed import RoutedSession, boundaries
 from repro.core.pipeline import PipelineSpec
 from repro.runtime.threads import StageError, load_error, run_stage
-from repro.transport import Codec, Wire, wire_nbytes
+from repro.transport import Wire, wire_nbytes
 from repro.transport.lane import FrameReader, encode_frame, pipe_outbox
 from repro.util.batching import LINGER_S, MAX_BYTES
 
@@ -391,10 +391,10 @@ class ProcessPoolBackend(Backend):
     start_method:
         ``multiprocessing`` start method; default ``fork`` when available.
     transport:
-        Payload codec moving items between processes: a registered name
-        (``"auto"``/``"pickle"``/``"shm"``, see :mod:`repro.transport`) or
-        a :class:`~repro.transport.Codec`.  ``"auto"`` sends payloads of
-        :data:`~repro.transport.AUTO_THRESHOLD` bytes up through shared memory.
+        Payload codec moving items between processes, by name:
+        ``"auto"``/``"pickle"``/``"shm"`` (see :mod:`repro.transport`).
+        ``"auto"`` sends payloads of :data:`~repro.transport.AUTO_THRESHOLD`
+        bytes up through shared memory.
     """
 
     name = "processes"
@@ -408,7 +408,7 @@ class ProcessPoolBackend(Backend):
         max_replicas: int = 4,
         capacity: int | None = None,
         start_method: str | None = None,
-        transport: str | Codec = "auto",
+        transport: str = "auto",
     ) -> None:
         super().__init__(
             pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas

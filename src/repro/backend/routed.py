@@ -73,11 +73,10 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from typing import Any, Sequence
 
-from repro.backend.base import Backend, Session, SessionStats
-from repro.transport import Codec, Wire, pool_footprint, wire_nbytes
+from repro.backend.base import Backend, Session
+from repro.transport import Codec, Wire, wire_nbytes
 from repro.util.ordering import SequenceReorderer
 
 __all__ = ["RoutedSession", "boundaries"]
@@ -135,10 +134,6 @@ class RoutedSession(Session):
         raise NotImplementedError
 
     # ----------------------------------------------------------- port hooks
-    def stats(self) -> SessionStats:
-        """Progress counters plus the footprint of every party's slot pool."""
-        return replace(super().stats(), pool=pool_footprint(self._codec.session))
-
     def _submit_one(self, seq: int, item: Any) -> None:
         # Concurrent submitters (and the linger flusher) may arrive out of
         # order; an ordered stage 0 must still start in order.
@@ -175,7 +170,7 @@ class RoutedSession(Session):
         if timed:  # a codec builds a Frame only around a segment
             self._emit_items(
                 "frame.encode", seq, stage=0, inline=type(wire) is bytes, nbytes=nbytes,
-                seconds=time.perf_counter() - t0, recycled=getattr(wire, "recycled", None),
+                seconds=time.perf_counter() - t0,
             )
         return wire
 

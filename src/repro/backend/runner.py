@@ -231,7 +231,6 @@ class RuntimeAdaptiveRunner:
             session = self.attach()
         events_mark = len(self.events)
         run_start_counts = tuple(self.backend.replica_counts())
-        t0 = time.perf_counter()
         started = session.now()  # events are stamped on the session clock
         try:
             for item in items:
@@ -249,7 +248,6 @@ class RuntimeAdaptiveRunner:
             err = self._controller_error
             self.close()
             raise err
-        elapsed = session.last_stream_elapsed
         run_events = self.events[events_mark:]
         history = [(0.0, run_start_counts)]
         history += [
@@ -258,8 +256,8 @@ class RuntimeAdaptiveRunner:
         return RuntimeRunResult(
             backend=self.backend.name,
             outputs=outputs,
-            items=session.last_stream_items,
-            elapsed=elapsed if elapsed is not None else time.perf_counter() - t0,
+            items=len(items),
+            elapsed=session.last_stream_elapsed if items else 0.0,
             adaptation_events=run_events,
             replica_history=history,
             final_replicas=list(self.backend.replica_counts()),

@@ -72,11 +72,7 @@ SCHEMA: dict[str, str] = {
     "or stage, exitcode (processes)",
     "worker.redispatch": "lost in-flight item re-sent: stage, seq",
     # -- payload frames (transport boundary) ------------------------------
-    "frame.encode": (
-        "payload encoded for the wire: stage, seq, nbytes, inline, seconds, "
-        "recycled (share of its shm segments served from a free pool slot; "
-        "None when none was placed)[, items]"
-    ),
+    "frame.encode": "payload encoded for the wire: stage, seq, nbytes, inline, seconds[, items]",
     "frame.release": "payload frame decoded and released: stage, seq, nbytes[, items]",
     # -- cross-host clock mapping (coordinator-side fit per worker) --------
     "clock.sync": "per-worker clock fit updated: worker, offset, drift, err, n",

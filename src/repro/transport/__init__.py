@@ -1,11 +1,11 @@
-"""Pluggable payload transport: codecs, shared-memory frames, link models.
+"""Payload transport: codecs, shared-memory frames, the byte lane, link models.
 
 The transport subsystem decouples *what* crosses an execution boundary (an
 item) from *how its bytes travel* (inline pickle vs shared-memory
 descriptors).  Both heavy backends route items through a
-:class:`~repro.transport.frames.Codec` selected by name, whose wire form
-is a self-contained pickle stream (``bytes``) or a
-:class:`~repro.transport.frames.Frame` carrying buffers or descriptors:
+:class:`~repro.transport.frames.Codec` that :func:`get` builds from one of
+three names, whose wire form is a self-contained pickle stream (``bytes``)
+or a :class:`~repro.transport.frames.Frame` carrying buffers or descriptors:
 
 * ``"pickle"`` — everything inline (the portable baseline);
 * ``"shm"`` — every eligible buffer in a recycled shared-memory slot,
@@ -24,13 +24,14 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "codecs": "AUTO_THRESHOLD PickleCodec SharedMemoryCodec calibrated_auto_threshold",
+        "codecs": (
+            "AUTO_THRESHOLD PickleCodec SharedMemoryCodec calibrated_auto_threshold "
+            "from_spec get spec_of"
+        ),
         "frames": (
-            "SHM_PREFIX Codec Frame PoolFootprint SegmentRef TransportError "
-            "busy_segments decode_frame materialize new_session "
-            "pool_footprint session_segments sweep_session untrack Wire wire_nbytes"
+            "SHM_PREFIX Codec Frame SegmentRef TransportError busy_segments "
+            "decode_frame materialize session_segments untrack Wire wire_nbytes"
         ),
         "linkfit": "LinkModel SizeStratifiedLinkEstimator",
-        "registry": "available_codecs from_spec get register_codec spec_of",
     },
 )

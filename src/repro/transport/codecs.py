@@ -1,4 +1,4 @@
-"""The shipped codecs: ``pickle``, ``shm`` and ``auto``.
+"""The codecs, a closed table of three: ``pickle``, ``shm`` and ``auto``.
 
 All three produce protocol-5 pickle streams; they differ only in *buffer
 placement*.  A stream that keeps nothing out of band is its own wire form
@@ -24,6 +24,10 @@ resulting stream itself reaches ``threshold`` (big ``bytes`` payloads,
 deeply nested objects), the stream moves to a slot too.  Slots are
 recycled, never created per frame: see :class:`~repro.transport.frames.
 SlotPool` and the lifecycle contract in :mod:`repro.transport.frames`.
+
+Both routed executors select their codec by name through :func:`get`, and
+hand the other party (a forked worker, a socket worker) a :func:`spec_of`
+description to rebuild it from.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ __all__ = [
     "PickleCodec",
     "SharedMemoryCodec",
     "calibrated_auto_threshold",
+    "from_spec",
+    "get",
+    "spec_of",
 ]
 
 #: ``auto``'s placement threshold: below this, inline pickling (one extra
@@ -194,3 +201,42 @@ class SharedMemoryCodec(Codec):
                 raise
             raise TransportError(f"unencodable payload: {err!r}") from err
         return Frame(codec=self.name, stream=head, buffers=tuple(refs), nbytes=nbytes)
+
+
+def _auto(**kwargs) -> SharedMemoryCodec:
+    kwargs.setdefault("threshold", AUTO_THRESHOLD)
+    codec = SharedMemoryCodec(**kwargs)
+    codec.name = "auto"  # placement policy label in frames and reports
+    return codec
+
+
+_CODECS = {"pickle": PickleCodec, "shm": SharedMemoryCodec, "auto": _auto}
+
+
+def get(name: str, **kwargs) -> Codec:
+    """A new codec by name: ``"pickle"``, ``"shm"`` or ``"auto"``."""
+    try:
+        factory = _CODECS[name]
+    except KeyError:
+        raise ValueError(f"unknown codec {name!r}; available: {', '.join(_CODECS)}") from None
+    return factory(**kwargs)
+
+
+def spec_of(codec: Codec) -> dict:
+    """A picklable description another process can rebuild the codec from.
+
+    Carries the codec's name, the shared session token (one sweep must
+    cover every party's segments) and the placement threshold where the
+    codec has one — exactly what the process backend hands its forked
+    workers and the distributed coordinator sends in ``welcome``.
+    """
+    spec = {"name": codec.name, "session": codec.session}
+    threshold = getattr(codec, "threshold", None)
+    if threshold is not None:
+        spec["threshold"] = threshold
+    return spec
+
+
+def from_spec(spec: dict) -> Codec:
+    """Rebuild a codec from :func:`spec_of` output (in another process)."""
+    return get(**spec)

@@ -28,7 +28,7 @@ wire, wherever it was encoded.  The lifecycle contract (for frames: a
   frame's release (the worker for process-pool task frames, the
   coordinator for everything distributed); duplicate or late releases are
   no-ops, even once the slot was re-issued;
-* :func:`sweep_session` unlinks: every slot of a session, free or not
+* :meth:`Codec.sweep` unlinks: every slot of a session, free or not
   (``close()``, abort paths, crashed workers).  Nothing else does, except
   that a codec which is never closed gives its slots up when it is
   collected or the interpreter exits: free ones are unlinked then, busy
@@ -55,9 +55,8 @@ import pickle
 import threading
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import NamedTuple
 
 try:  # the module multiprocessing.shared_memory itself opens segments with
     import _posixshmem
@@ -67,7 +66,6 @@ except ImportError:  # no POSIX shared memory: every segment call raises OSError
 __all__ = [
     "Codec",
     "Frame",
-    "PoolFootprint",
     "SegmentRef",
     "SHM_PREFIX",
     "SlotPool",
@@ -75,10 +73,7 @@ __all__ = [
     "busy_segments",
     "decode_frame",
     "materialize",
-    "new_session",
-    "pool_footprint",
     "session_segments",
-    "sweep_session",
     "untrack",
     "Wire",
     "wire_nbytes",
@@ -87,8 +82,8 @@ __all__ = [
 #: Common prefix of every shared-memory segment this package creates.
 SHM_PREFIX = "repro-shm-"
 
-#: Where POSIX shared memory is visible as files (Linux); sweeps, leak
-#: checks and footprint reports glob here.  On platforms without it, sweeps
+#: Where POSIX shared memory is visible as files (Linux); sweeps and leak
+#: checks list it (:func:`session_segments`).  On platforms without it, sweeps
 #: fall back to the names a codec created or adopted.
 _SHM_DIR = "/dev/shm"
 
@@ -106,11 +101,6 @@ class TransportError(RuntimeError):
     """A frame could not be encoded, decoded or released."""
 
 
-def new_session() -> str:
-    """A fresh session token (the shared namespace of one backend's frames)."""
-    return uuid.uuid4().hex[:12]
-
-
 @dataclass(frozen=True)
 class SegmentRef:
     """Descriptor of the bytes one frame wrote into a shared-memory slot.
@@ -118,15 +108,12 @@ class SegmentRef:
     ``size`` is the payload length (the slot is its power-of-two size
     class, or larger); ``gen`` is the generation the slot's header carried
     when the bytes were written — a reader that finds another value there
-    is holding a released or recycled reference.  ``recycled`` says the
-    slot was served from the pool rather than newly created (reporting
-    only).
+    is holding a released or recycled reference.
     """
 
     name: str
     size: int
     gen: int = 0
-    recycled: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -150,18 +137,6 @@ class Frame:
     def segment_refs(self) -> list[SegmentRef]:
         parts: list[bytes | SegmentRef] = [self.stream, *self.buffers]
         return [p for p in parts if isinstance(p, SegmentRef)]
-
-    @property
-    def inline(self) -> bool:
-        """True when the frame is self-contained (no shared-memory refs)."""
-        return not self.segment_refs()
-
-    @property
-    def recycled(self) -> float | None:
-        """Share of the frame's segments served from a free pool slot
-        instead of a newly created one; ``None`` for an inline frame."""
-        refs = self.segment_refs()
-        return sum(ref.recycled for ref in refs) / len(refs) if refs else None
 
 
 #: One payload on a lane: a self-contained pickle stream, or a :class:`Frame`.
@@ -311,7 +286,7 @@ class SlotPool:
         view = memoryview(data)  # bytes, or the flat view PickleBuffer.raw() gives
         size = view.nbytes
         gen = next(self._gen)
-        name, fd, recycled = self._claim(
+        name, fd = self._claim(
             1 << (max(size, _MIN_SLOT) - 1).bit_length(), gen.to_bytes(_GEN, "little")
         )
         try:
@@ -323,11 +298,11 @@ class SlotPool:
             raise
         finally:
             os.close(fd)
-        return SegmentRef(name=name, size=size, gen=gen, recycled=recycled)
+        return SegmentRef(name=name, size=size, gen=gen)
 
-    def _claim(self, klass: int, stamp: bytes) -> tuple[str, int, bool]:
+    def _claim(self, klass: int, stamp: bytes) -> tuple[str, int]:
         """Stamp a free slot of ``klass`` (growing the pool if none is): its
-        name, an open descriptor the caller closes, and whether it was reused."""
+        name and an open descriptor the caller closes."""
         with self._lock:
             if self._owner != os.getpid():  # forked copy: the parent's slots are not ours
                 self._owner, self._slots = os.getpid(), {}
@@ -340,7 +315,7 @@ class SlotPool:
                     continue
                 if os.pread(fd, _GEN, 0) == _FREE:
                     os.pwrite(fd, stamp, 0)
-                    return name, fd, True
+                    return name, fd
                 os.close(fd)
             while True:
                 name = f"{self._prefix}{os.getpid()}-{next(_serial)}"
@@ -356,7 +331,7 @@ class SlotPool:
             except BaseException:  # /dev/shm is full
                 os.close(fd)
                 raise
-            return name, fd, False
+            return name, fd
 
     def forget(self) -> list[str]:
         """Empty the pool (its names were, or are about to be, swept)."""
@@ -385,6 +360,15 @@ class SlotPool:
                 pass
 
 
+def _copied(frame: Frame) -> tuple[bytes, list]:
+    """A frame's stream and buffers, segments copied out (buffers stay
+    bytearray: pickle rebuilds numpy arrays as writable views of them)."""
+    stream = frame.stream
+    if isinstance(stream, SegmentRef):
+        stream = bytes(_read_segment(stream))
+    return stream, [_read_segment(b) if isinstance(b, SegmentRef) else b for b in frame.buffers]
+
+
 def decode_frame(wire: Wire) -> object:
     """Reconstruct the object from either wire form (does **not** release it)."""
     if type(wire) is bytes:  # one loads: no buffers, no segments
@@ -392,10 +376,7 @@ def decode_frame(wire: Wire) -> object:
             return pickle.loads(wire)
         except Exception as err:
             raise TransportError(f"undecodable stream: {err!r}") from err
-    stream = wire.stream
-    if isinstance(stream, SegmentRef):
-        stream = bytes(_read_segment(stream))
-    buffers = [_read_segment(b) if isinstance(b, SegmentRef) else b for b in wire.buffers]
+    stream, buffers = _copied(wire)
     try:
         return pickle.loads(stream, buffers=buffers)
     except TransportError:
@@ -404,53 +385,33 @@ def decode_frame(wire: Wire) -> object:
         raise TransportError(f"undecodable frame ({wire.codec}): {err!r}") from err
 
 
-def materialize(wire: Wire, *, release: bool = True) -> Wire:
+def materialize(wire: Wire) -> Wire:
     """An equivalent self-contained wire (segments copied inline; the bare
-    stream when no buffer is left, and a ``bytes`` wire as it is).
+    stream when no buffer is left, and a wire with no segment as it is).
 
     Used when a frame must cross a boundary shared memory cannot (a remote
-    worker).  ``release`` (default) hands the source slots back.
+    worker); the source slots are handed back.
     """
-    if type(wire) is bytes or wire.inline:
+    refs = [] if type(wire) is bytes else wire.segment_refs()
+    if not refs:
         return wire
-    stream = wire.stream
-    if isinstance(stream, SegmentRef):
-        stream = bytes(_read_segment(stream))
-    # Buffers stay bytearray: pickle rebuilds numpy arrays as views of the
-    # provided buffers, and a bytes buffer would make them read-only on
-    # the materialized path only (breaking in-place stages remotely).
-    buffers = tuple(
-        _read_segment(b) if isinstance(b, SegmentRef) else b for b in wire.buffers
-    )
-    if release:
-        for ref in wire.segment_refs():
-            _release_segment(ref)
+    stream, buffers = _copied(wire)
+    for ref in refs:
+        _release_segment(ref)
     if not buffers:
         return stream
-    return Frame(codec=wire.codec, stream=stream, buffers=buffers, nbytes=wire.nbytes)
+    return Frame(codec=wire.codec, stream=stream, buffers=tuple(buffers), nbytes=wire.nbytes)
 
 
-def session_segments(session: str) -> list[str]:
-    """Names of the session's segments still alive (Linux: globs /dev/shm)."""
-    prefix = f"{SHM_PREFIX}{session}-"
+def session_segments(session: str | None = None) -> list[str]:
+    """Names of the session's segments still alive (Linux: lists /dev/shm);
+    with no session, every segment this package named."""
+    prefix = SHM_PREFIX if session is None else f"{SHM_PREFIX}{session}-"
     try:
         entries = os.listdir(_SHM_DIR)
     except OSError:
         return []
     return sorted(e for e in entries if e.startswith(prefix))
-
-
-def _scan(session: str) -> list[tuple[str, int, bool]]:
-    """(name, allocated bytes, holds a live frame) per segment of ``session``."""
-    found = []
-    for name in session_segments(session):
-        try:
-            with _opened(name, os.O_RDONLY) as fd:
-                busy = os.pread(fd, _GEN, 0) != _FREE
-                found.append((name, os.fstat(fd).st_blocks * 512, busy))
-        except OSError:
-            pass  # swept between the listing and the open
-    return found
 
 
 def busy_segments(session: str) -> list[str]:
@@ -460,71 +421,43 @@ def busy_segments(session: str) -> list[str]:
     be recycled; a non-slot segment (the distributed negotiation probe)
     always reads as busy.
     """
-    return [name for name, _, busy in _scan(session) if busy]
-
-
-class PoolFootprint(NamedTuple):
-    """What a session's slot pools hold right now, summed over every party."""
-
-    slots: int  # segments in the session namespace
-    nbytes: int  # shared memory actually allocated to them
-    busy: int  # of which hold a live frame
-
-
-def pool_footprint(session: str) -> PoolFootprint:
-    scanned = _scan(session)
-    return PoolFootprint(
-        slots=len(scanned),
-        nbytes=sum(nbytes for _, nbytes, _ in scanned),
-        busy=sum(busy for _, _, busy in scanned),
-    )
-
-
-def sweep_session(session: str, *, extra_names: set[str] | None = None) -> list[str]:
-    """Unlink every surviving segment of ``session``; returns removed names.
-
-    The one place names are unlinked — ``close()`` and the abort/crash
-    safety net alike: callers run it once the session's producers and
-    consumers are all stopped (a straggler's decode then raises, its
-    release is a no-op).
-    ``extra_names`` is the portable fallback (names a codec created or
-    adopted) for platforms without a /dev/shm to glob.
-    """
-    names = set(session_segments(session))
-    if extra_names:
-        names |= extra_names
-    return [name for name in sorted(names) if _shm_unlink(name)]
+    busy = []
+    for name in session_segments(session):
+        try:
+            with _opened(name, os.O_RDONLY) as fd:
+                if os.pread(fd, _GEN, 0) != _FREE:
+                    busy.append(name)
+        except OSError:
+            pass  # swept between the listing and the open
+    return busy
 
 
 class Codec:
     """Placement policy port: object -> wire form and back.
 
+    A codec's ``encode(obj)`` returns the pickle stream as ``bytes`` when
+    that is self-contained, else a :class:`Frame` carrying its buffers.
     Instances are cheap and process-local; what must be *shared* between
     the parties of one pipeline run is only the session token (so sweeps
     cover every process's segments) and the placement parameters (so both
     sides agree on what travels by descriptor).
     """
 
-    name: str = "abstract"
+    name: str
 
     def __init__(self, *, session: str | None = None) -> None:
-        self.session = session if session is not None else new_session()
+        self.session = session if session is not None else uuid.uuid4().hex[:12]
         self._adopted: set[str] = set()
 
     def track(self, name: str) -> None:
         """Adopt a session segment this codec did not place.
 
         The distributed probe: :meth:`sweep` then reclaims it even on a
-        platform without a /dev/shm to glob.
+        platform without a /dev/shm to list.
         """
         self._adopted.add(name)
 
     # ------------------------------------------------------------------ port
-    def encode(self, obj: object) -> Wire:
-        """The wire form of ``obj``: its pickle stream as ``bytes`` when that
-        is self-contained, else a :class:`Frame` carrying its buffers."""
-        raise NotImplementedError
-
     #: Reconstruct the object (wire forms are self-describing; no release).
     decode = staticmethod(decode_frame)
 
@@ -536,10 +469,18 @@ class Codec:
                 _release_segment(ref)
 
     def sweep(self) -> list[str]:
-        """Unlink every surviving segment of this codec's session."""
-        removed = sweep_session(self.session, extra_names=self._adopted)
+        """Unlink every surviving segment of this codec's session; returns
+        the removed names.
+
+        The one place names are unlinked — ``close()`` and the abort/crash
+        safety net alike: callers run it once the session's producers and
+        consumers are all stopped (a straggler's decode then raises, its
+        release is a no-op).  The names this codec adopted are the portable
+        fallback for platforms without a /dev/shm to list.
+        """
+        names = set(session_segments(self.session)) | self._adopted
         self._adopted.clear()
-        return removed
+        return [name for name in sorted(names) if _shm_unlink(name)]
 
     def close(self) -> None:
         """Sweep the session (idempotent)."""

@@ -10,7 +10,8 @@ unbounded, as a ``Connection`` is.
 
 * :class:`Outbox`: senders frame on their own thread (or, given a
   ``pack``, the writer frames); one writer thread writes everything queued
-  with one write-all call.
+  with one write-all call.  A socket's outbox frames each message, bounded
+  by :data:`MAX_FRAME`; a pipe's packs.
 * :func:`read_frame`: one frame through a blocking ``read``.
 * :class:`FrameReader`: a non-blocking descriptor, every whole frame a
   ``read`` completes; a partial frame waits for the next read.
@@ -150,11 +151,11 @@ class Outbox:
     behind it and writes them with one ``write_all``.  Given ``pack``,
     senders queue their messages as they are and the writer writes
     ``pack(messages)``: a packer sees every message queued per write, so it
-    can frame a run of them as one.  A failed write calls
-    ``on_error`` once; after that, or after :meth:`close`, :meth:`send`
-    returns False.  The writer owns the lane's end: it calls ``on_stop``
-    (close the pipe, shut the socket down) when it stops.  ``bounded``
-    frames refuse to exceed :data:`MAX_FRAME`.
+    can frame a run of them as one; without one, a frame refuses to exceed
+    :data:`MAX_FRAME`.  A failed write calls ``on_error`` once; after that,
+    or after :meth:`close`, :meth:`send` returns False.  The writer owns the
+    lane's end: it calls ``on_stop`` (close the pipe, shut the socket down)
+    when it stops.
     """
 
     def __init__(
@@ -163,11 +164,9 @@ class Outbox:
         name: str,
         on_error: Callable[[], Any],
         on_stop: Callable[[], Any],
-        bounded: bool = True,
         pack: "Callable[[list], bytes] | None" = None,
     ) -> None:
-        self.open, self._write_all, self._bounded = True, write_all, bounded
-        self._pack = pack
+        self.open, self._write_all, self._pack = True, write_all, pack
         self._on_error, self._on_stop = on_error, on_stop
         self._queue: SimpleQueue = SimpleQueue()
         self.thread = Thread(target=self._write, name=name, daemon=True)
@@ -178,7 +177,7 @@ class Outbox:
         it (or raise ProtocolError)."""
         if not self.open:
             return False
-        self._queue.put(message if self._pack else encode_frame(message, self._bounded))
+        self._queue.put(message if self._pack else encode_frame(message))
         return True
 
     def close(self) -> None:
@@ -220,11 +219,11 @@ def socket_outbox(sock: socket.socket, name: str, on_error: Callable[[], Any]) -
 
 
 def pipe_outbox(
-    end, name: str, on_error: Callable[[], Any], pack: "Callable[[list], bytes] | None" = None
+    end, name: str, on_error: Callable[[], Any], pack: Callable[[list], bytes]
 ) -> Outbox:
-    """An unbounded outbox over a pipe's blocking write ``end`` (anything with
-    ``fileno()`` and ``close()``), its writer packing with ``pack`` if given;
-    the writer closes ``end`` when it stops."""
+    """An outbox over a pipe's blocking write ``end`` (anything with
+    ``fileno()`` and ``close()``), its writer framing with ``pack``; the
+    writer closes ``end`` when it stops."""
     fd = end.fileno()
 
     def write_all(data: bytes) -> None:
@@ -232,4 +231,4 @@ def pipe_outbox(
         while view:
             view = view[os.write(fd, view):]
 
-    return Outbox(write_all, name, on_error, end.close, bounded=False, pack=pack)
+    return Outbox(write_all, name, on_error, end.close, pack)

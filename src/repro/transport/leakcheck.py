@@ -12,18 +12,14 @@ from __future__ import annotations
 import os
 import sys
 
-from repro.transport import SHM_PREFIX
-
-_SHM_DIR = "/dev/shm"
+from repro.transport.frames import _SHM_DIR, session_segments
 
 
 def main() -> int:
-    try:
-        entries = os.listdir(_SHM_DIR)
-    except OSError:
+    if not os.path.isdir(_SHM_DIR):
         print(f"{_SHM_DIR} not available; nothing to check")
         return 0
-    leaked = sorted(e for e in entries if e.startswith(SHM_PREFIX))
+    leaked = session_segments()
     if leaked:
         print(f"leaked shared-memory segments: {leaked}", file=sys.stderr)
         return 1

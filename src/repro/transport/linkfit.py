@@ -21,10 +21,10 @@ the regression runs over bucket means, weighted by bucket occupancy, so a
 handful of large-payload observations is enough to bend the fitted slope.
 
 Fallbacks keep the estimator honest before it has evidence: with fewer
-than two occupied buckets (no size spread at all), bandwidth stays at the
-caller's default and latency is the mean overhead divided by the round
-trips per sample — exactly the EWMA behaviour the coordinator had before
-this model existed.
+than two occupied buckets (no size spread at all), bandwidth stays at
+a prior of 100 MB/s and latency is the mean overhead divided by the
+round trips per sample — exactly the EWMA behaviour the coordinator had
+before this model existed.
 """
 
 from __future__ import annotations
@@ -32,9 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.util.validation import check_positive
-
 __all__ = ["LinkModel", "SizeStratifiedLinkEstimator"]
+
+#: Bandwidth (bytes/s) reported until the samples show real size spread.
+_DEFAULT_BANDWIDTH = 1e8
+#: One-way latencies one observed sample spans (the coordinator's task and
+#: result legs); fitted intercepts are divided by it, so
+#: ``LinkModel.latency_s`` is always one-way.
+_ROUND_TRIPS = 2
+#: EWMA weight of a new sample within its size bucket.
+_ALPHA = 0.3
 
 #: Fitted bandwidth is clamped into this range: below, a pathological fit
 #: would price every transfer as infinite; above, the slope is noise and
@@ -61,34 +68,9 @@ class LinkModel:
 
 
 class SizeStratifiedLinkEstimator:
-    """Online (size, seconds) samples -> :class:`LinkModel`.
+    """Online (size, seconds) samples -> :class:`LinkModel`."""
 
-    Parameters
-    ----------
-    default_bandwidth:
-        Bandwidth reported until the samples show real size spread.
-    round_trips:
-        How many one-way latencies one observed sample spans (2 for the
-        coordinator's task+result round trip); fitted intercepts are
-        divided by it so ``LinkModel.latency_s`` is always one-way.
-    alpha:
-        EWMA weight of new samples within a size bucket.
-    """
-
-    def __init__(
-        self,
-        *,
-        default_bandwidth: float = 1e8,
-        round_trips: int = 2,
-        alpha: float = 0.3,
-    ) -> None:
-        check_positive(default_bandwidth, "default_bandwidth")
-        check_positive(round_trips, "round_trips")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.default_bandwidth = float(default_bandwidth)
-        self.round_trips = int(round_trips)
-        self.alpha = float(alpha)
+    def __init__(self) -> None:
         # bucket (log2 of size) -> [ewma_seconds, ewma_size, count]
         self._buckets: dict[int, list[float]] = {}
         self._n = 0
@@ -103,26 +85,21 @@ class SizeStratifiedLinkEstimator:
         if entry is None:
             self._buckets[bucket] = [float(seconds), float(nbytes), 1]
         else:
-            entry[0] += self.alpha * (seconds - entry[0])
-            entry[1] += self.alpha * (nbytes - entry[1])
+            entry[0] += _ALPHA * (seconds - entry[0])
+            entry[1] += _ALPHA * (nbytes - entry[1])
             entry[2] += 1
 
     def fit(self) -> LinkModel:
         """Current best (latency, bandwidth); falls back without size spread."""
         if not self._buckets:
-            return LinkModel(0.0, self.default_bandwidth, 0, fitted=False)
+            return LinkModel(0.0, _DEFAULT_BANDWIDTH)
         times = [e[0] for e in self._buckets.values()]
         sizes = [e[1] for e in self._buckets.values()]
         weights = [float(e[2]) for e in self._buckets.values()]
         wsum = sum(weights)
         mean_t = sum(w * t for w, t in zip(weights, times)) / wsum
         mean_s = sum(w * s for w, s in zip(weights, sizes)) / wsum
-        fallback = LinkModel(
-            max(0.0, mean_t / self.round_trips),
-            self.default_bandwidth,
-            self._n,
-            fitted=False,
-        )
+        fallback = LinkModel(max(0.0, mean_t / _ROUND_TRIPS), _DEFAULT_BANDWIDTH, self._n)
         if len(self._buckets) < 2:
             return fallback
         # Weighted least squares over bucket means: t = a + S * b.
@@ -141,9 +118,9 @@ class SizeStratifiedLinkEstimator:
             # No measurable size dependence: a latency-dominated link (or a
             # descriptor-only shm path) — bandwidth is effectively unbounded.
             return LinkModel(
-                max(0.0, mean_t / self.round_trips), _MAX_BANDWIDTH, self._n, fitted=True
+                max(0.0, mean_t / _ROUND_TRIPS), _MAX_BANDWIDTH, self._n, fitted=True
             )
         bandwidth = min(_MAX_BANDWIDTH, max(_MIN_BANDWIDTH, 1.0 / slope))
         intercept = mean_t - slope * mean_s
-        latency = max(0.0, intercept / self.round_trips)
+        latency = max(0.0, intercept / _ROUND_TRIPS)
         return LinkModel(latency, bandwidth, self._n, fitted=True)

@@ -129,6 +129,15 @@ class TestRuntimeAdaptiveRunner:
         with pytest.raises(RuntimeError, match="closed"):
             runner.backend.run([1])
 
+    def test_empty_run_reports_itself_not_the_previous_stream(self):
+        # drain() opens no stream for an empty input, so the session still
+        # holds the previous stream's figures: the runner must not read them.
+        with RuntimeAdaptiveRunner(spec([_fast]), "threads") as runner:
+            first = runner.run(range(5))
+            assert (first.items, first.outputs) == (5, [x + 1 for x in range(5)])
+            empty = runner.run([])
+        assert (empty.items, empty.elapsed, empty.outputs) == (0, 0.0, [])
+
     def test_quiet_pipeline_takes_no_action(self):
         # A balanced, fast pipeline: the decision is taken as soon as both
         # stages have their samples, and says no (not amortised).

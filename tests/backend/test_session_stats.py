@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.skel.api import open_pipeline
+from repro.transport import busy_segments, session_segments
 
 REAL_BACKENDS = ["threads", "asyncio", "processes"]
 
@@ -137,9 +138,7 @@ class TestFrameEventParity:
         procs = self._field_names("processes", batching)
         dist = self._field_names("distributed", batching, spawn_workers=1)
         assert procs == dist
-        assert procs["frame.encode"] >= {
-            "stage", "seq", "nbytes", "inline", "seconds", "recycled"
-        }
+        assert procs["frame.encode"] >= {"stage", "seq", "nbytes", "inline", "seconds"}
         assert procs["frame.release"] >= {"stage", "seq", "nbytes"}
         # A batch's frame is one record naming its first item and its count.
         assert ("items" in procs["frame.encode"]) == ("items" in procs["frame.release"]) == bool(
@@ -149,44 +148,27 @@ class TestFrameEventParity:
     @pytest.mark.parametrize(
         "backend, kwargs", [("processes", {}), ("distributed", {"spawn_workers": 1})]
     )
-    def test_recycled_and_pool_footprint_show_slot_reuse(self, backend, kwargs):
-        # Segment-sized payloads through a window of 1: the first encode
-        # creates its slots (recycled 0.0), every later one is served from
-        # the slots the previous item handed back (1.0), and stats() reads
-        # the session's footprint — bounded by the window, idle after drain.
-        # The window is 1 because a frame's two segments are claimed and
-        # released one at a time: under a wider window an encode can overlap
-        # the previous frame's release and find one slot free and the other
-        # not yet, a legitimately half-recycled frame (0.5).  One item in
-        # flight orders every release before the next encode.
+    def test_slot_reuse_keeps_the_session_segments_bounded(self, backend, kwargs):
+        # Segment-sized payloads through a window of 1: the first encode on
+        # each side creates its slots and every later one is served from the
+        # slots the previous item handed back, so twelve items leave the
+        # session's namespace at one frame's slots per side, none of them
+        # busy after drain.  One item in flight orders every release before
+        # the next encode (a frame's two segments are claimed and released
+        # one at a time).
         session = open_pipeline(
             [_double], backend=backend, transport="shm", max_inflight=1, **kwargs
-        )
-        shares = []
-        session.events.subscribe(
-            lambda ev: shares.append(ev.fields["recycled"]), kinds=("frame.encode",)
         )
         try:
             for i in range(12):
                 session.submit(np.full(40_000, float(i)))
             out = session.drain()
             assert [a[0] for a in out] == [2.0 * i for i in range(12)]
-            pool = session.stats().pool
+            namespace = session._codec.session
+            slots, busy = session_segments(namespace), busy_segments(namespace)
         finally:
             session.close()
-        assert shares[0] == 0.0 and shares[-1] == 1.0
-        assert set(shares) <= {0.0, 1.0} and shares.count(0.0) <= 3
-        assert shares == [0.0] + [1.0] * 11
         probe = backend == "distributed"  # its negotiation segment stays held
-        assert pool.busy == probe
+        assert len(busy) == probe
         # parent + one worker, 2 segments per frame, one frame live per side
-        assert pool.slots - probe == 4
-        assert pool.nbytes >= 2 * 320_000  # a payload slot on each side, at least
-
-
-def test_in_process_sessions_report_no_pool():
-    session = open_pipeline([_double], backend="threads")
-    try:
-        assert session.stats().pool is None
-    finally:
-        session.close()
+        assert len(slots) - probe == 4

@@ -1,6 +1,10 @@
-"""Codec/frame unit tests: roundtrips, placement policy, registry."""
+"""Codec/frame unit tests: roundtrips, placement policy, the codec table."""
 
+import os
 import pickle
+import subprocess
+import sys
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -8,8 +12,8 @@ import pytest
 from repro import transport
 from repro.transport import (
     AUTO_THRESHOLD,
+    SHM_PREFIX,
     Frame,
-    PickleCodec,
     SegmentRef,
     SharedMemoryCodec,
     TransportError,
@@ -17,6 +21,7 @@ from repro.transport import (
     decode_frame,
     materialize,
     session_segments,
+    untrack,
     wire_nbytes,
 )
 
@@ -65,7 +70,7 @@ def test_auto_threshold_places_per_item():
         inline = codec.encode(np.zeros(16))  # far below AUTO_THRESHOLD
         assert type(inline) is bytes  # self-contained: the stream is the wire
         large = codec.encode(np.zeros(AUTO_THRESHOLD))  # 8x the threshold
-        assert isinstance(large, Frame) and not large.inline
+        assert isinstance(large, Frame) and large.segment_refs()
         codec.release(inline)
         codec.release(large)
     finally:
@@ -76,7 +81,7 @@ def test_shm_codec_forces_segments_and_decode_is_repeatable():
     codec = SharedMemoryCodec()
     try:
         frame = codec.encode({"a": 1})
-        assert not frame.inline  # even tiny payloads: the stream moves out
+        assert frame.segment_refs()  # even tiny payloads: the stream moves out
         # Decode takes no ownership: it can run any number of times.
         assert codec.decode(frame) == {"a": 1}
         assert codec.decode(frame) == {"a": 1}
@@ -100,7 +105,7 @@ def test_duplicate_release_is_noop_and_decode_after_release_raises():
     codec = SharedMemoryCodec()
     try:
         frame = codec.encode(np.zeros(50_000))
-        assert not frame.inline
+        assert frame.segment_refs()
         codec.release(frame)
         codec.release(frame)  # second release: silently nothing to do
         with pytest.raises(TransportError):
@@ -127,7 +132,7 @@ def test_materialize_yields_equivalent_inline_frame():
         payload = [np.arange(40_000), "tail"]
         frame = codec.encode(payload)
         inline = materialize(frame)
-        assert inline.inline and inline.nbytes == frame.nbytes
+        assert not inline.segment_refs() and inline.nbytes == frame.nbytes
         np.testing.assert_equal(decode_frame(inline), payload)
         # materialize released the source slots: they stay, free, to be
         # recycled; close() is what unlinks them.
@@ -208,9 +213,6 @@ def test_concurrent_encode_on_shared_codec_is_safe():
 
 
 def test_leakcheck_cli_reports_clean():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "repro.transport.leakcheck"],
         capture_output=True,
@@ -220,29 +222,49 @@ def test_leakcheck_cli_reports_clean():
     assert "shared-memory" in proc.stdout + proc.stderr
 
 
-def test_registry_and_specs():
-    assert set(transport.available_codecs()) >= {"pickle", "shm", "auto"}
-    with pytest.raises(ValueError, match="unknown codec"):
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to list")
+def test_leakcheck_cli_finds_a_leak():
+    codec = SharedMemoryCodec()  # a fresh session: nobody else names its segments
+    name = f"{SHM_PREFIX}{codec.session}-x"
+    seg = shared_memory.SharedMemory(name=name, create=True, size=16)
+    untrack(seg)  # this test, not the resource tracker, owns the segment
+    seg.close()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.transport.leakcheck"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert name in proc.stderr
+    finally:
+        codec.track(name)
+        codec.sweep()
+    assert name not in session_segments()
+
+
+@pytest.mark.parametrize(
+    "name, threshold", [("pickle", None), ("shm", 1), ("auto", AUTO_THRESHOLD)]
+)
+def test_codec_table_and_specs(name, threshold):
+    codec = transport.get(name)
+    assert codec.name == name and getattr(codec, "threshold", None) == threshold
+    rebuilt = transport.from_spec(transport.spec_of(codec))
+    assert type(rebuilt) is type(codec) and rebuilt.name == name
+    assert rebuilt.session == codec.session
+    assert getattr(rebuilt, "threshold", None) == threshold
+    if threshold is not None:  # a placement threshold travels with the spec
+        moved = transport.get(name, threshold=123)
+        assert transport.from_spec(transport.spec_of(moved)).threshold == 123
+    with pytest.raises(ValueError, match="unknown codec 'carrier-pigeon'; available: pickle, shm, auto"):
         transport.get("carrier-pigeon")
-    auto = transport.get("auto", threshold=123)
-    assert auto.name == "auto" and auto.threshold == 123
-    rebuilt = transport.from_spec(transport.spec_of(auto))
-    assert rebuilt.name == "auto"
-    assert rebuilt.threshold == 123 and rebuilt.session == auto.session
-    pickle_codec = transport.from_spec(transport.spec_of(PickleCodec()))
-    assert isinstance(pickle_codec, PickleCodec)
-    # Instances pass through get() unchanged; kwargs are then rejected.
-    assert transport.get(auto) is auto
-    with pytest.raises(ValueError, match="unexpected kwargs"):
-        transport.get(auto, threshold=5)
 
 
-def test_frame_segment_refs_and_inline_flag():
+def test_frame_segment_refs():
     ref = SegmentRef(name="x", size=3)
     frame = Frame(codec="shm", stream=b"s", buffers=(b"a", ref), nbytes=5)
     assert frame.segment_refs() == [ref]
-    assert not frame.inline
-    assert Frame(codec="pickle", stream=b"s", nbytes=1).inline
+    assert Frame(codec="pickle", stream=b"s", nbytes=1).segment_refs() == []
 
 
 def test_calibrated_auto_threshold_probe():

@@ -80,10 +80,15 @@ class _Gated:
         self.end.close()
 
 
+def _each(msgs) -> bytes:
+    """A pipe outbox's packer that frames every message on its own."""
+    return b"".join(encode_frame(m, bounded=False) for m in msgs)
+
+
 def _outbox(end, on_error) -> Outbox:
     if isinstance(end, socket.socket):
         return socket_outbox(end, "test-send", on_error)
-    return pipe_outbox(end, "test-send", on_error)
+    return pipe_outbox(end, "test-send", on_error, _each)
 
 
 def _raw_read(end, most=None):
@@ -213,7 +218,7 @@ def test_frames_cross_to_and_from_multiprocessing_connections(monkeypatch):
         from_conn.send_bytes(pickle.dumps(("result", 1)))
         reader = FrameReader(to_reader.fileno())
         assert reader.fill() == 1 and reader.frames.popleft() == ("result", 1)
-        outbox = pipe_outbox(from_outbox, "test-send", on_error=lambda: None)
+        outbox = pipe_outbox(from_outbox, "test-send", lambda: None, _each)
         assert outbox.send(("task", 2)) and outbox.send(big) and outbox.send(("task", 3))
         got = [pickle.loads(to_conn.recv_bytes()) for _ in range(3)]
         assert got == [("task", 2), big, ("task", 3)]
@@ -236,7 +241,7 @@ def test_only_a_socket_outbox_refuses_a_frame_past_max_frame(monkeypatch):
     try:
         with pytest.raises(ProtocolError, match="exceeds MAX_FRAME"):
             socket_outbox(a, "test-send", lambda: None).send(big)
-        assert pipe_outbox(pipe_end, "test-send", lambda: None).send(big)
+        assert pipe_outbox(pipe_end, "test-send", lambda: None, _each).send(big)
         assert os.read(r, 4096) == encode_frame(big, bounded=False)  # one atomic write
     finally:
         for end in (a, b, pipe_end):
@@ -251,7 +256,7 @@ class TestOutbox:
         if isinstance(write_end, socket.socket):
             outbox = socket_outbox(end, "test-send", on_error=lambda: None)
         else:  # pipe_outbox writes with os.write: gate the write-all instead
-            outbox = Outbox(end.sendall, "test-send", lambda: None, end.close, bounded=False)
+            outbox = Outbox(end.sendall, "test-send", lambda: None, end.close, _each)
         outbox.send(("lone",))
         assert end.entered.wait(timeout=5.0)  # the writer took it alone, at once
         burst = [("task", k) for k in range(20)]

@@ -16,6 +16,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import uuid
 
 import numpy as np
 import pytest
@@ -28,9 +29,7 @@ from repro.transport import (
     TransportError,
     busy_segments,
     decode_frame,
-    new_session,
     session_segments,
-    sweep_session,
 )
 
 _HEADER = 16  # slot file size = header + power-of-two size class
@@ -155,7 +154,7 @@ def test_any_interleaving_keeps_frames_apart(consumer, ops):
                 kind, nbytes = args
                 value = _payload(kind, nbytes, k)
                 frame = codec.encode(value)
-                assert not frame.inline
+                assert frame.segment_refs()
                 live.append((frame, _digest(value)))
                 in_use: dict[int, int] = {}
                 for held, _ in live:
@@ -210,7 +209,7 @@ def test_stale_references_to_a_reissued_slot_are_harmless():
         codec.release(first)
         second = codec.encode(np.full(20_000, 2.0))
         # Lowest-index-first: the new frame took over the old one's slots.
-        assert second.recycled == 1.0 and len(second.segment_refs()) == 2
+        assert len(second.segment_refs()) == 2
         assert [r.name for r in second.segment_refs()] == [
             r.name for r in first.segment_refs()
         ]
@@ -219,8 +218,10 @@ def test_stale_references_to_a_reissued_slot_are_harmless():
             codec.decode(first)  # never the new frame's bytes
         codec.release(first)  # late duplicate: must not free the re-issued slot
         assert codec.decode(second)[0] == 2.0
+        assert len(session_segments(codec.session)) == 2
         third = codec.encode(np.full(20_000, 3.0))
-        assert third.recycled == 0.0  # ...so the next frame had to grow the pool
+        # ...so the next frame had to grow the pool.
+        assert len(session_segments(codec.session)) == 4
         assert codec.decode(second)[0] == 2.0 and codec.decode(third)[0] == 3.0
     finally:
         codec.close()
@@ -264,7 +265,8 @@ def test_live_frames_hold_no_descriptors():
         for frame in held[::2]:
             codec.release(frame)
         again = [codec.encode(np.full(2_000, -1.0)) for _ in range(50)]
-        assert all(f.recycled == 1.0 for f in again)
+        assert len(session_segments(codec.session)) == 200  # all of them recycled
+        assert [codec.decode(f)[0] for f in again] == [-1.0] * 50
         assert [codec.decode(f)[0] for f in held[1::2]] == [float(i) for i in range(1, 100, 2)]
         assert len(os.listdir("/proc/self/fd")) == fds
     finally:
@@ -340,7 +342,7 @@ def test_codec_that_is_never_closed_unlinks_its_free_slots_at_exit():
     # release() hands slots back without unlinking them, so a script that
     # never calls close() relies on the codec's finalizer for a clean
     # /dev/shm — which must touch only the slots its own process created.
-    bystander = SharedMemoryCodec(session=new_session())
+    bystander = SharedMemoryCodec()
     session = bystander.session
     try:
         theirs = bystander.encode(np.arange(10_000))
@@ -359,7 +361,7 @@ def test_frame_that_outlives_its_codec_is_unlinked_by_its_release():
     # that exits, or drops its codec, after handing the frame on): the
     # finalizer leaves it readable, and its release — with no pool left to
     # recycle the slots — unlinks them.
-    session = new_session()
+    session = uuid.uuid4().hex[:12]
     try:
         seen, frame = _run_script(session, kept="codec.encode(np.arange(20_000))")
         assert seen == 3  # the kept frame's stream recycled the released one's slot
@@ -376,4 +378,4 @@ def test_frame_that_outlives_its_codec_is_unlinked_by_its_release():
         Codec().release(frame)
         Codec().release(frame)  # duplicate: the names are gone, still a no-op
     finally:
-        assert sweep_session(session) == []
+        assert Codec(session=session).sweep() == []

@@ -62,7 +62,7 @@ def test_wire_round_trip_loses_nothing(payload, name, threshold):
             assert wire_nbytes(wire) == len(wire)
         else:
             # A codec builds a frame only around what it placed in a segment.
-            assert isinstance(wire, Frame) and not wire.inline and wire.codec == codec.name
+            assert isinstance(wire, Frame) and wire.segment_refs() and wire.codec == codec.name
             parts = (wire.stream, *wire.buffers)
             assert wire_nbytes(wire) == wire.nbytes == sum(_part_size(p) for p in parts)
         back = pickle.loads(pickle.dumps(wire, protocol=5))
@@ -92,7 +92,7 @@ def test_materialized_bufferless_frame_flattens_and_keeps_its_size():
     codec = transport.get("shm")  # threshold 1: even the stream earns a slot
     try:
         frame = codec.encode(b"payload")
-        assert isinstance(frame, Frame) and not frame.inline
+        assert isinstance(frame, Frame) and frame.segment_refs()
         wire = materialize(frame)
         assert type(wire) is bytes and wire_nbytes(wire) == frame.nbytes
         assert codec.decode(wire) == b"payload"
