@@ -12,7 +12,7 @@ outputs, same replica counts, one event-loop thread.
 
 import json
 
-from repro.backend import AsyncioBackend, ThreadBackend
+from repro.backend import ThreadBackend
 from repro.reporting.quick import quick_mode, scaled
 from repro.reporting.render import experiment_header
 from repro.util.tables import render_table
@@ -35,12 +35,10 @@ def run_experiment():
     for fanout in FANOUTS:
         inputs = make_requests(ITEMS_PER_REPLICA * fanout)
         results = {}
-        for name, backend_cls, asynchronous in (
-            ("threads", ThreadBackend, False),
-            ("asyncio", AsyncioBackend, True),
-        ):
+        # One fabric under both names: only the stage kind differs.
+        for name, asynchronous in (("threads", False), ("asyncio", True)):
             pipe = fetch_pipeline(latency=LATENCY, asynchronous=asynchronous)
-            with backend_cls(
+            with ThreadBackend(
                 pipe,
                 replicas=_replicas(fanout),
                 max_replicas=fanout,

@@ -66,7 +66,6 @@ def run_experiment():
         worker_link_delays=[0.0, 0.0, LINK_DELAY_S],
     )
     runner = RuntimeAdaptiveRunner(
-        backend.pipeline,
         backend,
         config=local_config(interval=0.1, cooldown=0.2, min_improvement=1.05),
         rollback=False,
@@ -86,12 +85,7 @@ def run_experiment():
     outputs["adaptive-expected"] = expected
     rows.append(
         {
-            "backend": "distributed-adaptive",
-            "items": ares.items,
-            "elapsed_s": ares.elapsed,
-            "throughput_items_s": ares.throughput,
-            "replicas": list(ares.final_replicas),
-            "max_link_ms": 1e3 * max(links),
+            **_row("distributed-adaptive", ares, link_ms=1e3 * max(links)),
             "events": len(ares.adaptation_events),
             # Widest cross-worker spread any stage's replica set reached —
             # >= 2 means a reconfiguration crossed host boundaries.

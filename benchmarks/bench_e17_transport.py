@@ -141,7 +141,6 @@ def run_experiment():
         worker_link_bandwidths=[0.0, 0.0, STARVED_BW],
     )
     runner = RuntimeAdaptiveRunner(
-        pipeline,
         backend,
         config=local_config(interval=0.1, cooldown=0.2, min_improvement=1.05),
         rollback=False,
@@ -177,7 +176,7 @@ def run_experiment():
         "elapsed_s": ares.elapsed,
         "throughput_items_s": ares.throughput,
         "events": len(ares.adaptation_events),
-        "replicas": list(ares.final_replicas),
+        "replicas": list(ares.replica_counts),
         "links": links,
         # The planner's own view of one cross-worker link pair per worker:
         # fitted values, not the old _WIRE_BANDWIDTH constant.

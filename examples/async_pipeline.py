@@ -16,7 +16,7 @@ in-flight request.
 Run:  python examples/async_pipeline.py
 """
 
-from repro.backend import AsyncioBackend, RuntimeAdaptiveRunner, local_config
+from repro.backend import RuntimeAdaptiveRunner, ThreadBackend, local_config
 from repro.util.tables import render_table
 from repro.workloads.apps import fetch_pipeline, make_requests
 
@@ -30,7 +30,7 @@ def main() -> None:
 
     rows = []
     for replicas in ([1, 1, 1], [4, 1, 2], [16, 1, 8]):
-        with AsyncioBackend(pipeline, replicas=replicas, max_replicas=16) as b:
+        with ThreadBackend(pipeline, replicas=replicas, max_replicas=16) as b:
             res = b.run(make_requests(48))
         assert res.outputs is not None and len(res.outputs) == 48
         rows.append(
@@ -50,9 +50,8 @@ def main() -> None:
     )
 
     print("\nlive adaptation (policy spawns worker coroutines mid-run):")
-    backend = AsyncioBackend(pipeline, max_replicas=8)
+    backend = ThreadBackend(pipeline, max_replicas=8)
     runner = RuntimeAdaptiveRunner(
-        backend.pipeline,
         backend,
         config=local_config(interval=0.1, cooldown=0.2, min_improvement=1.05),
         rollback=False,
@@ -66,7 +65,7 @@ def main() -> None:
     for event in result.adaptation_events:
         print(f"  event: {event}")
     print(f"  replica history: {result.replica_history}")
-    print(f"  final concurrency limits per stage: {result.final_replicas}")
+    print(f"  final concurrency limits per stage: {result.replica_counts}")
     print("\nnote: every fetch/store 'replica' here is a worker coroutine, not a")
     print("thread — both run on one event-loop thread; the plain-callable parse")
     print("stage has a thread worker of its own on the same stage queues.")

@@ -60,7 +60,6 @@ def main() -> None:
         worker_link_delays=[0.0, 0.0, 0.005],
     )
     runner = RuntimeAdaptiveRunner(
-        backend.pipeline,
         backend,
         config=local_config(interval=0.1, cooldown=0.2, min_improvement=1.05),
         rollback=False,
@@ -84,7 +83,7 @@ def main() -> None:
         print(f"  items: {result.items}  elapsed: {result.elapsed:.2f}s  (ordered: yes)")
         for event in result.adaptation_events:
             print(f"  event: {event.kind} @ {event.time:.2f}s  {event.reason}")
-        print(f"  final replicas per stage: {result.final_replicas}")
+        print(f"  final replicas per stage: {result.replica_counts}")
         placement = backend.replica_placement()
         print(f"  placement (stage -> worker id -> replicas): {placement}")
         links = {w["name"]: f"{w['link_s'] * 1e3:.2f} ms" for w in backend.alive_workers()}

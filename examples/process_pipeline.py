@@ -47,7 +47,6 @@ def main() -> None:
     print("\nlive adaptation (policy activates warm workers mid-run):")
     backend = ProcessPoolBackend(pipeline, max_replicas=3)
     runner = RuntimeAdaptiveRunner(
-        backend.pipeline,
         backend,
         # Real stage costs sit closer together than the simulated weights,
         # so accept modest predicted gains and decide at a fast cadence.
@@ -63,7 +62,7 @@ def main() -> None:
     for event in result.adaptation_events:
         print(f"  event: {event}")
     print(f"  replica history: {result.replica_history}")
-    print(f"  final replicas per stage: {result.final_replicas}")
+    print(f"  final replicas per stage: {result.replica_counts}")
     print("\nnote: results depend on core count; the *shape* (the heavy stage")
     print("gets the warm workers) is the point, not absolute speedups.")
 

@@ -13,8 +13,8 @@ bounded-stream convenience on top.  Three executors ship, under four names:
 * ``"threads"`` — :class:`ThreadBackend`, the local thread fabric
   (GIL-releasing kernels, I/O-bound stages and portable correctness runs;
   workers stay warm across streams).  A stage declared ``async def`` runs
-  as worker coroutines on one warm event-loop thread, so ``"asyncio"`` —
-  :class:`AsyncioBackend` — names the same fabric;
+  as worker coroutines on one warm event-loop thread, so ``"asyncio"``
+  names the same fabric;
 * ``"processes"`` — :class:`ProcessPoolBackend`, warm pre-forked process
   pools per stage (true multi-core for CPU-bound Python stages; pools
   survive across streams, items travel through a :mod:`repro.transport`
@@ -52,6 +52,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "distributed": "DistributedBackend WorkerAgent",
         "process_backend": "ProcessPoolBackend",
         "runner": "RuntimeAdaptiveRunner RuntimeRunResult local_config",
-        "thread_backend": "AsyncioBackend ThreadBackend",
+        "thread_backend": "ThreadBackend",
     },
 )

@@ -859,31 +859,18 @@ class Backend:
         """The live session's event bus (an inert null bus before one)."""
         return self._events_bus
 
-    def open(self, **config) -> Session:
-        """Open a long-lived streaming session on this backend's executor.
-
-        One session at a time: the executors share warm state (pools,
-        sockets, the event loop), so a second concurrent session would
-        interleave streams.  Close (or drain and reuse) the current one.
-        """
-        if self.closed:
-            raise RuntimeError("backend is closed")
-        if self._session is not None and not self._session.closed:
-            raise RuntimeError(
-                "a session is already open on this backend; close it first"
-            )
-        session = self._open_session(**config)
-        self._session = session
-        return session
-
-    def _open_session(
+    def open(
         self,
         *,
         max_inflight: "int | None" = None,
         telemetry=None,
         batching=None,
     ) -> Session:
-        """Build this executor's native :class:`Session`.
+        """Open a long-lived streaming session on this backend's executor.
+
+        One session at a time: the executors share warm state (pools,
+        sockets, the event loop), so a second concurrent session would
+        interleave streams.  Close (or drain and reuse) the current one.
 
         ``telemetry`` (a :class:`repro.obs.Telemetry` or a journal path) is
         forwarded to ``Session.__init__``, which attaches it before any
@@ -892,9 +879,16 @@ class Backend:
         form) turns on transparent micro-batching on sessions that support
         it.
         """
-        return self.session_class(
+        if self.closed:
+            raise RuntimeError("backend is closed")
+        if self._session is not None and not self._session.closed:
+            raise RuntimeError(
+                "a session is already open on this backend; close it first"
+            )
+        self._session = self.session_class(
             self, max_inflight=max_inflight, telemetry=telemetry, batching=batching
         )
+        return self._session
 
     def _current_session(self) -> Session:
         """The open session, replacing a closed or poisoned one."""

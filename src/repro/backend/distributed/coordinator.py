@@ -69,7 +69,6 @@ import threading
 import time
 from collections import Counter
 from itertools import count
-from multiprocessing import shared_memory
 from typing import Any
 
 from repro import transport as _transport
@@ -85,9 +84,9 @@ from repro.obs.clock import ClockSync
 from repro.transport import (
     LinkModel,
     SizeStratifiedLinkEstimator,
+    TransportError,
     Wire,
     materialize,
-    untrack,
     wire_nbytes,
 )
 from repro.transport.lane import Outbox, ProtocolError, read_frame, socket_outbox
@@ -424,8 +423,9 @@ class DistributedBackend(Backend):
             if self._codec.name == "pickle"
             else _transport.get("pickle", session=self._codec.session)
         )
-        self._probe_name: str | None = None
-        self._probe_token = b""
+        #: The shm probe as ``(frame, token, codec)``: the token encoded
+        #: into a slot of the session (None: pickle, or no shared memory).
+        self._probe: tuple[Wire, bytes, _transport.Codec] | None = None
         # Mean payload size seen recently (EWMA): the reference point at
         # which placement scores price a worker's link.
         self._ref_bytes = 0.0
@@ -569,33 +569,25 @@ class DistributedBackend(Backend):
                     r.placed for replicas in self._replicas for r in replicas))
 
     def _create_probe(self) -> None:
-        """Create the session's shm probe workers verify at registration.
+        """Place the session's shm probe workers verify at registration.
 
-        A worker that can attach this segment and read back the token
-        shares the coordinator's shared-memory namespace, so frames may
-        carry descriptors instead of payload bytes.  A ``"pickle"``
-        transport never probes — every frame is self-contained anyway.
+        A worker that decodes this frame back to its token shares the
+        coordinator's shared-memory namespace, so frames may carry
+        descriptors instead of payload bytes.  A ``"pickle"`` transport
+        never probes — every frame is self-contained anyway.
         """
-        if self._probe_name is not None or self._codec.name == "pickle":
+        if self._probe is not None or self._codec.name == "pickle":
             return
-        self._probe_token = os.urandom(16)
-        name = f"{_transport.SHM_PREFIX}{self._codec.session}-probe{os.getpid()}"
+        token = os.urandom(16)
+        codec = _transport.get("shm", session=self._codec.session)  # threshold 1: a slot
         try:
-            seg = shared_memory.SharedMemory(
-                name=name, create=True, size=len(self._probe_token)
-            )
-        except OSError:
-            return  # no shared memory here: every worker negotiates pickle
-        untrack(seg)
-        seg.buf[: len(self._probe_token)] = self._probe_token
-        seg.close()
-        self._codec.track(name)  # close()'s sweep reclaims the probe too
-        self._probe_name = name
+            self._probe = (codec.encode(token), token, codec)
+        except TransportError:
+            codec.close()  # no shared memory here: every worker negotiates pickle
 
     def _transport_spec(self) -> dict:
         spec = _transport.spec_of(self._codec)
-        spec["probe"] = self._probe_name
-        spec["token"] = self._probe_token
+        spec["probe"], spec["token"] = self._probe[:2] if self._probe else (None, b"")
         return spec
 
     def wait_for_workers(self, n: int, timeout: float = 30.0) -> None:
@@ -1079,7 +1071,9 @@ class DistributedBackend(Backend):
         # Every producer and consumer of the session is stopped (external
         # workers lost their socket above): unlink the probe and every
         # party's pool slots, frames stranded by aborts or kills included.
-        self._probe_name = None
+        if self._probe is not None:
+            self._probe[2].close()  # names its slot where /dev/shm cannot be listed
+            self._probe = None
         self._codec.sweep()
 
     # ----------------------------------------------------------- observation

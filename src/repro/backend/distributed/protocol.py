@@ -9,13 +9,14 @@ first element is the kind (see the table in ``docs/distributed.md``):
 kind                      direction  fields after the kind
 ========================  =========  ====================================
 ``hello``                 w → c      name, cores, load1, peer address
-``welcome``               c → w      worker_id, inbox, transport_spec,
+``welcome``               c → w      worker_id, inbox, transport_spec
+                                     (its ``probe`` a frame or None),
                                      token, peers (``(id, address)``)
 ``peer``                  w → w      worker_id, shm_ok (after the token)
 ``peer_ok``               w → w      worker_id, shm_ok
-``shm_ok``                w → c      bool (the spec's shm probe checks
-                                     out); once every peer link is up,
-                                     it completes registration
+``shm_ok``                w → c      bool (the spec's probe frame decodes
+                                     to its token); once every peer link
+                                     is up, it completes registration
 ``link_failed``           w → c      worker_id, error_repr
 ``place``                 c → w      stage, slot, fn_payload, stage_name
 ``placed``                w → c      stage, slot, error_repr (None: the
@@ -51,12 +52,13 @@ pickle stream itself, as ``bytes``, when it is self-contained; otherwise a
 each inline or a shared-memory segment descriptor under the **negotiated
 frame format** (a failed ``result`` carries its pickled error instead):
 ``welcome`` carries the transport spec (codec name, session, placement
-threshold) plus a shared-memory probe, and ``shm_ok`` fixes whether
-descriptors may cross this connection (same host) or every frame must be
-materialized inline (remote); between peers, ``peer``/``peer_ok`` say the
-same.  The coordinator forwards a boundary's output frame to the next
-segment untouched: no decode/encode round trip, and with descriptors no
-bulk bytes on any socket.
+threshold) plus a shared-memory probe — a frame holding a random token
+in one slot — and ``shm_ok`` fixes whether descriptors may cross this
+connection (same host) or every frame must be materialized inline
+(remote); between peers, ``peer``/``peer_ok`` say the same.  The
+coordinator forwards a boundary's output frame to the next segment
+untouched: no decode/encode round trip, and with descriptors no bulk
+bytes on any socket.
 
 Order: a ``place`` is written before any ``task`` for its slot, and a
 route passes a replica only once its worker answered ``placed``, so a
@@ -87,9 +89,9 @@ from repro.transport.lane import encode_frame, read_frame
 
 __all__ = ["PREAMBLE", "recv_frame", "send_frame"]
 
-#: What a worker writes before its first frame: magic, then the version (5:
-#: the boundary's hop rides in the ``result``'s trail).
-PREAMBLE = b"RPRO" + struct.pack(">H", 5)
+#: What a worker writes before its first frame: magic, then the version (6:
+#: ``welcome``'s shm probe is a frame, not a segment name).
+PREAMBLE = b"RPRO" + struct.pack(">H", 6)
 
 
 def send_frame(sock: socket.socket, message: Any) -> None:

@@ -25,11 +25,11 @@ forward that cannot be delivered is reported (``peer_lost``): the
 coordinator takes it as that peer's death.
 
 **Transport negotiation.**  ``welcome`` carries the coordinator's transport
-spec plus a shared-memory *probe* segment: a worker that can attach it and
-read the right token shares the coordinator's namespace (same host) and
-encodes with the negotiated codec — large payloads then cross a socket as
-segment descriptors — for the coordinator and for every peer that shares
-it; otherwise (a remote host) it falls back to inline pickle.  The
+spec plus a shared-memory *probe*, a random token encoded into a slot: a
+worker that decodes it back shares the coordinator's namespace (same
+host) and encodes with the negotiated codec — large payloads then cross
+a socket as segment descriptors — for the coordinator and for every peer
+that shares it; otherwise (a remote host) it falls back to inline pickle.  The
 coordinator owns a route's input frame (it may re-dispatch the segment
 after a death) and its sweep unlinks; the worker that consumes an
 intermediate frame releases it, as the process pools do.
@@ -58,14 +58,13 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Any, Callable
 
 from repro import transport as _transport
 from repro.backend.distributed.protocol import PREAMBLE
 from repro.monitor.resource_monitor import read_load1
 from repro.runtime.threads import run_stage
-from repro.transport import Codec, Wire, untrack, wire_nbytes
+from repro.transport import Codec, TransportError, Wire, decode_frame, wire_nbytes
 from repro.transport.lane import Outbox, ProtocolError, encode_frame, read_frame, socket_outbox
 from repro.util.handoff import Handoff
 
@@ -181,20 +180,12 @@ class WorkerAgent:
         self._stop = threading.Event()
 
     def _negotiate_transport(self, spec: dict) -> None:
-        """Adopt the coordinator's codec iff its shm probe checks out here."""
+        """Adopt the coordinator's codec iff its shm probe decodes here."""
         probe = spec.get("probe")
-        token = spec.get("token")
-        ok = False
-        if probe is not None:
-            try:
-                seg = shared_memory.SharedMemory(name=probe)
-                untrack(seg)  # the coordinator owns the probe's lifecycle
-                try:
-                    ok = bytes(seg.buf[: len(token)]) == token
-                finally:
-                    seg.close()
-            except (OSError, ValueError):
-                ok = False
+        try:  # the probe's slot is read, never released: the coordinator owns it
+            ok = probe is not None and decode_frame(probe) == spec.get("token")
+        except (OSError, TransportError):
+            ok = False  # another host's namespace, or none at all
         self.shm_ok = ok
         codec_spec = {k: v for k, v in spec.items() if k in ("name", "session", "threshold")}
         # Frames must stay self-contained across host boundaries.

@@ -32,9 +32,10 @@ is what the wall clock needs:
   deadline of the same wait (evidence still heard); its verdict and
   rollback are the simulator's.
 
-``run(inputs)`` is the bounded-stream convenience: attach (once, lazily),
-submit under backpressure, drain, report that stream's events; repeated
-calls stream back-to-back over the same warm session.
+``run(inputs)`` is the backend's own :meth:`~repro.backend.base.Backend.run`
+on the attached session (attaching once, lazily), plus that stream's events
+and replica timeline; repeated calls stream back-to-back over the same warm
+session.
 """
 
 from __future__ import annotations
@@ -47,10 +48,9 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Iterable, Sequence
 
-from repro.backend.base import Backend, Session, make_backend
+from repro.backend.base import Backend, BackendResult, Session
 from repro.core.events import AdaptationEvent
-from repro.core.pipeline import PipelineSpec
-from repro.core.policy import AdaptationConfig, Controller, resolve_policy
+from repro.core.policy import AdaptationConfig, AdaptationPolicy, Controller
 from repro.model.cost import MigrationCostModel
 from repro.model.mapping import Mapping
 from repro.model.throughput import ResourceView, snapshot_view
@@ -86,67 +86,45 @@ def local_config(**overrides) -> AdaptationConfig:
 
 
 @dataclass
-class RuntimeRunResult:
-    """Outcome of one adaptively-controlled stream on a real backend."""
+class RuntimeRunResult(BackendResult):
+    """One adaptively-controlled stream: the backend's result, plus what
+    the controller did while it ran."""
 
-    backend: str
-    outputs: list[Any]
-    items: int
-    elapsed: float
     adaptation_events: list[AdaptationEvent] = field(default_factory=list)
     replica_history: list[tuple[float, tuple[int, ...]]] = field(default_factory=list)
-    final_replicas: list[int] = field(default_factory=list)
-    service_means: list[float] = field(default_factory=list)
-
-    @property
-    def throughput(self) -> float:
-        return self.items / self.elapsed if self.elapsed > 0 else 0.0
 
 
 class RuntimeAdaptiveRunner:
-    """Drives live adaptation of a pipeline on a real execution backend.
+    """Drives live adaptation of a backend's pipeline.
 
     Parameters
     ----------
-    pipeline:
-        What to run.
     backend:
-        A :class:`Backend` instance, or an executor name (``"threads"``,
-        ``"processes"``, ...).
+        The :class:`Backend` to adapt, already configured; the runner
+        builds none.  ``close()`` (or the context manager) closes it.
     config:
         Loop tunables; default :func:`local_config`.
-    policy:
-        Custom decide step (``AdaptationPolicy`` signature, carrying a
-        ``config`` attribute); overrides ``config``.
     rollback:
         Enable the post-action throughput validation (default True).
-    backend_kwargs:
-        Forwarded to the backend factory when ``backend`` is a name.
     """
 
     def __init__(
         self,
-        pipeline: PipelineSpec,
-        backend: str | Backend = "threads",
+        backend: Backend,
         *,
         config: AdaptationConfig | None = None,
-        policy=None,
         rollback: bool = True,
-        **backend_kwargs,
     ) -> None:
-        self.pipeline = pipeline
-        # run() keeps the backend's session warm so the runner can be
-        # reused; close() (or the context manager) reaps it, whether the
-        # backend was built here from a name or passed in pre-configured.
-        self.backend = make_backend(backend, pipeline, **backend_kwargs)
-        n = pipeline.n_stages
-        budget = max(self.backend.replica_limit(i) for i in range(n))
-        if policy is None:
-            # One cap: the planner may use every replica the executor keeps
-            # warm, and a smaller cap the caller configured still wins.
-            config = config if config is not None else local_config()
-            config = replace(config, max_replicas=min(config.max_replicas or budget, budget))
-        self.policy, self.config = resolve_policy(pipeline, config, policy)
+        self.backend = backend
+        n = backend.pipeline.n_stages
+        budget = max(backend.replica_limit(i) for i in range(n))
+        # One cap: the planner may use every replica the executor keeps
+        # warm, and a smaller cap the caller configured still wins.
+        config = config if config is not None else local_config()
+        self.config = replace(config, max_replicas=min(config.max_replicas or budget, budget))
+        #: The decide step: any object with ``AdaptationPolicy.decide``'s
+        #: signature may replace it before the controller attaches.
+        self.policy = AdaptationPolicy(backend.pipeline, self.config)
         self.rollback = rollback
         # The virtual local grid the policy plans over: one processor per
         # stage plus the largest warm pool, and at least the host's cores.
@@ -220,10 +198,10 @@ class RuntimeAdaptiveRunner:
 
         Attaches on first use and stays attached, so repeated ``run`` calls
         stream back-to-back over one warm session with the controller
-        adapting continuously across the boundaries.  The result carries
-        the events and replica timeline of *this* stream.
+        adapting continuously across the boundaries.  The stream itself is
+        :meth:`Backend.run`'s; the result adds the events and replica
+        timeline of *this* stream.
         """
-        items = list(inputs)
         session = self._attached
         if session is None or session.closed or session.broken:
             if self._controller is not None:
@@ -233,20 +211,18 @@ class RuntimeAdaptiveRunner:
         run_start_counts = tuple(self.backend.replica_counts())
         started = session.now()  # events are stamped on the session clock
         try:
-            for item in items:
-                session.submit(item)
-            outputs = session.drain()
+            result = self.backend.run(inputs)
         except BaseException:
-            # The stream failed (or was interrupted): the controller has
-            # nothing live left to adapt — detach so state is not smeared
-            # into a future session.
+            # The stream failed (or was interrupted) and took its session
+            # with it: detach so state is not smeared into a future session.
             self.detach()
             raise
         if self._controller_error is not None:
-            # A crashing decide step must not be silently swallowed: reap
-            # the backend (mirroring the one-shot runner) and re-raise.
+            # A crashing decide step must not be silently swallowed.  Like a
+            # failed stream it costs the session, not the caller's backend.
             err = self._controller_error
-            self.close()
+            self.detach()
+            session.close()
             raise err
         run_events = self.events[events_mark:]
         history = [(0.0, run_start_counts)]
@@ -254,14 +230,7 @@ class RuntimeAdaptiveRunner:
             (e.time - started, tuple(map(len, e.mapping_after.stages))) for e in run_events
         ]
         return RuntimeRunResult(
-            backend=self.backend.name,
-            outputs=outputs,
-            items=len(items),
-            elapsed=session.last_stream_elapsed if items else 0.0,
-            adaptation_events=run_events,
-            replica_history=history,
-            final_replicas=list(self.backend.replica_counts()),
-            service_means=session.service_means(),
+            **vars(result), adaptation_events=run_events, replica_history=history
         )
 
     # ------------------------------------------------------------ controller

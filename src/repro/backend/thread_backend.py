@@ -48,7 +48,7 @@ from repro.monitor.resource_monitor import HostLoadSampler
 from repro.runtime.threads import _RETIRE, _SENTINEL, _CountedQueue, _Worker
 from repro.util.ordering import SequenceReorderer
 
-__all__ = ["AsyncioBackend", "ThreadBackend"]
+__all__ = ["ThreadBackend"]
 
 
 class _ThreadSession(Session):
@@ -245,7 +245,3 @@ class ThreadBackend(Backend):
     def _resize(self, stage: int, n_replicas: int) -> None:
         if self._session is not None:
             self._session.resize(stage, n_replicas)  # a closed one declines
-
-
-#: ``"asyncio"`` is the same fabric: coroutine stages are a stage kind, not an executor.
-AsyncioBackend = ThreadBackend

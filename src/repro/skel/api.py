@@ -58,11 +58,13 @@ def _run_on_backend(
 ) -> list[Any]:
     """Execute ``pipe`` on the chosen backend, optionally under adaptation."""
     b, owns = _backend_for(pipe, backend, replicas, capacity, **backend_kwargs)
+    runner = None
     try:
-        if adaptive:
-            return _live_controller(b, adaptive).run(inputs).outputs
-        return b.run(inputs).outputs
+        runner = _live_controller(b, adaptive) if adaptive else None
+        return (runner or b).run(inputs).outputs
     finally:
+        if runner is not None:
+            runner.detach()  # a caller's backend keeps no controller of this call's
         if owns:
             b.close()
 
@@ -73,11 +75,11 @@ def _live_controller(b: Backend, adaptive: bool | AdaptationConfig):
     Imported here, not at the top: the planner, the model's optimisers and
     the grid it plans against are a controller's cost, not a pipeline's.
     """
-    from repro.backend.runner import RuntimeAdaptiveRunner, local_config
+    from repro.backend.runner import RuntimeAdaptiveRunner
     from repro.core.policy import AdaptationConfig
 
-    config = adaptive if isinstance(adaptive, AdaptationConfig) else local_config()
-    return RuntimeAdaptiveRunner(b.pipeline, b, config=config)
+    config = adaptive if isinstance(adaptive, AdaptationConfig) else None
+    return RuntimeAdaptiveRunner(b, config=config)
 
 
 def _as_pipeline(stages: Sequence[Callable[[Any], Any] | StageSpec]) -> PipelineSpec:
@@ -124,8 +126,8 @@ def pipeline_1for1(
     :class:`~repro.backend.base.Backend` instance (which must already be
     configured — ``replicas``/``capacity`` then may not be given).
     ``adaptive=True`` (or an :class:`AdaptationConfig`) runs the
-    observe→decide→act loop live, on wall-clock measurements; to study the
-    pattern in simulated time, use :func:`simulate_pipeline`.
+    observe→decide→act loop live, for this call, on wall-clock measurements;
+    to study the pattern in simulated time, use :func:`simulate_pipeline`.
     Backend-specific knobs pass through — e.g.
     ``transport="shm"`` selects the payload codec on the process and
     distributed backends (see ``docs/transport.md``).

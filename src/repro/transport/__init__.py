@@ -30,7 +30,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "frames": (
             "SHM_PREFIX Codec Frame SegmentRef TransportError busy_segments "
-            "decode_frame materialize session_segments untrack Wire wire_nbytes"
+            "decode_frame materialize session_segments Wire wire_nbytes"
         ),
         "linkfit": "LinkModel SizeStratifiedLinkEstimator",
     },

@@ -162,10 +162,6 @@ class SharedMemoryCodec(Codec):
         self._pool = SlotPool(self.session)
         weakref.finalize(self, self._pool.drop)
 
-    def sweep(self) -> list[str]:
-        self._adopted.update(self._pool.forget())
-        return super().sweep()
-
     def _place(self, refs: list, pb: pickle.PickleBuffer) -> bool:
         # False -> out-of-band (carried in a slot, its ref in ``refs``);
         # True -> in-band (it then lands in the stream and is counted there).

@@ -36,11 +36,10 @@ wire, wherever it was encoded.  The lifecycle contract (for frames: a
 
 Slots are reached through their descriptor (opened by name, ``pread``/
 ``pwrite``, closed — per operation; no process keeps a handle), never
-mapped: pool pages stay out of every process's resident set and
-``multiprocessing.resource_tracker`` never hears of them.  That needs
-POSIX shared memory whose descriptors support ``read``/``write`` (Linux,
-the BSDs) — the platforms the ``fork`` default and the ``/dev/shm`` sweep
-already assume.
+mapped: pool pages stay out of every process's resident set and no
+resource tracker ever hears of them.  That needs POSIX shared memory
+whose descriptors support ``read``/``write`` (Linux, the BSDs) — the
+platforms the ``fork`` default and the ``/dev/shm`` sweep already assume.
 
 Slot names share a per-session prefix (``repro-shm-<session>-``) so a
 sweep can find orphans by name alone, and so leak checks (tests, CI) can
@@ -56,9 +55,8 @@ import threading
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
-try:  # the module multiprocessing.shared_memory itself opens segments with
+try:  # CPython's own POSIX shared-memory calls (shm_open, shm_unlink)
     import _posixshmem
 except ImportError:  # no POSIX shared memory: every segment call raises OSError
     _posixshmem = None
@@ -74,7 +72,6 @@ __all__ = [
     "decode_frame",
     "materialize",
     "session_segments",
-    "untrack",
     "Wire",
     "wire_nbytes",
 ]
@@ -149,26 +146,6 @@ def wire_nbytes(wire: Wire) -> int:
 
 
 # ------------------------------------------------------------------ segments
-def untrack(seg: shared_memory.SharedMemory) -> None:
-    """Opt one open segment out of ``multiprocessing.resource_tracker``.
-
-    On Python 3.8–3.12 the tracker registers segments on *attach* as well
-    as create (cpython#82300), and lazily-started per-process trackers
-    then warn about "leaked" segments another process legitimately
-    unlinked.  Frame slots never meet the tracker (they are opened by
-    descriptor, not through ``SharedMemory``); this is for the one segment
-    that is — the distributed negotiation probe, which the session sweep
-    unlinks by name.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        # The tracker stores the slash-prefixed OS name (``seg._name``).
-        resource_tracker.unregister(getattr(seg, "_name", seg.name), "shared_memory")
-    except Exception:  # noqa: BLE001 - tracking is best-effort everywhere
-        pass
-
-
 def _shm_open(name: str, flags: int) -> int:
     if _posixshmem is None:
         raise OSError("POSIX shared memory is not available on this platform")
@@ -418,8 +395,8 @@ def busy_segments(session: str) -> list[str]:
     """Names of the session's slots that hold a live (unreleased) frame.
 
     Empty between streams on a healthy warm backend — free slots stay, to
-    be recycled; a non-slot segment (the distributed negotiation probe)
-    always reads as busy.
+    be recycled — but for a warm distributed coordinator's negotiation
+    probe, a frame it holds until ``close()``.
     """
     busy = []
     for name in session_segments(session):
@@ -445,17 +422,11 @@ class Codec:
 
     name: str
 
+    #: The slots this codec places into (None: it places nothing).
+    _pool: SlotPool | None = None
+
     def __init__(self, *, session: str | None = None) -> None:
         self.session = session if session is not None else uuid.uuid4().hex[:12]
-        self._adopted: set[str] = set()
-
-    def track(self, name: str) -> None:
-        """Adopt a session segment this codec did not place.
-
-        The distributed probe: :meth:`sweep` then reclaims it even on a
-        platform without a /dev/shm to list.
-        """
-        self._adopted.add(name)
 
     # ------------------------------------------------------------------ port
     #: Reconstruct the object (wire forms are self-describing; no release).
@@ -475,11 +446,12 @@ class Codec:
         The one place names are unlinked — ``close()`` and the abort/crash
         safety net alike: callers run it once the session's producers and
         consumers are all stopped (a straggler's decode then raises, its
-        release is a no-op).  The names this codec adopted are the portable
-        fallback for platforms without a /dev/shm to list.
+        release is a no-op).  The names this codec's pool created are the
+        portable fallback for platforms without a /dev/shm to list.
         """
-        names = set(session_segments(self.session)) | self._adopted
-        self._adopted.clear()
+        names = set(session_segments(self.session))
+        if self._pool is not None:
+            names.update(self._pool.forget())
         return [name for name in sorted(names) if _shm_unlink(name)]
 
     def close(self) -> None:

@@ -8,7 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.backend import (
-    AsyncioBackend,
     RuntimeAdaptiveRunner,
     SessionClosed,
     ThreadBackend,
@@ -40,7 +39,7 @@ async def _adouble_slow(x):
 
 class TestAsyncioBackend:
     def test_run_ordered_sync_stages(self):
-        with AsyncioBackend(spec([lambda x: x + 1, lambda x: x * 2])) as b:
+        with ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2])) as b:
             res = b.run(range(20))
         assert res.outputs == [(x + 1) * 2 for x in range(20)]
         assert res.backend == "threads"  # "asyncio" names the thread fabric
@@ -48,20 +47,20 @@ class TestAsyncioBackend:
         assert res.items == 20
 
     def test_run_ordered_async_stages(self):
-        with AsyncioBackend(spec([_ainc, _adouble_slow]), replicas=[1, 4]) as b:
+        with ThreadBackend(spec([_ainc, _adouble_slow]), replicas=[1, 4]) as b:
             res = b.run(range(30))
         assert res.outputs == [(x + 1) * 2 for x in range(30)]
         assert res.replica_counts == [1, 4]
 
     def test_mixed_sync_and_async_stages(self):
-        with AsyncioBackend(spec([_ainc, lambda x: x * 3, _adouble_slow])) as b:
+        with ThreadBackend(spec([_ainc, lambda x: x * 3, _adouble_slow])) as b:
             res = b.run(range(15))
         assert res.outputs == [(x + 1) * 3 * 2 for x in range(15)]
 
     def test_output_parity_with_threads(self):
         # The shared contract: same workload, same ordered outputs.
         n = 40
-        with AsyncioBackend(
+        with ThreadBackend(
             fetch_pipeline(latency=0.002, asynchronous=True), replicas=[4, 1, 4]
         ) as b:
             async_res = b.run(make_requests(n))
@@ -73,7 +72,7 @@ class TestAsyncioBackend:
         assert [o["id"] for o in async_res.outputs] == list(range(n))
 
     def test_replicas_carry_over_between_runs(self):
-        with AsyncioBackend(spec([_ainc]), max_replicas=4) as b:
+        with ThreadBackend(spec([_ainc]), max_replicas=4) as b:
             b.run(range(5))
             b.reconfigure(0, 3)
             res = b.run(range(5))
@@ -81,7 +80,7 @@ class TestAsyncioBackend:
         assert res.outputs == [x + 1 for x in range(5)]
 
     def test_live_grow_preserves_order(self):
-        backend = AsyncioBackend(spec([_adouble_slow]), max_replicas=4)
+        backend = ThreadBackend(spec([_adouble_slow]), max_replicas=4)
         with backend as b, ThreadPoolExecutor(1) as producer:
             run = producer.submit(b.run, range(40))
             while b.items_completed() < 5:
@@ -92,7 +91,7 @@ class TestAsyncioBackend:
         assert res.replica_counts == [4]
 
     def test_live_shrink_is_lazy_and_safe(self):
-        backend = AsyncioBackend(spec([_adouble_slow]), replicas=[4], max_replicas=4)
+        backend = ThreadBackend(spec([_adouble_slow]), replicas=[4], max_replicas=4)
         with backend as b, ThreadPoolExecutor(1) as producer:
             run = producer.submit(b.run, range(40))
             while b.items_completed() < 5:
@@ -103,20 +102,20 @@ class TestAsyncioBackend:
         assert res.replica_counts == [1]
 
     def test_reconfigure_clamped_to_max(self):
-        with AsyncioBackend(spec([_ainc]), max_replicas=2) as b:
+        with ThreadBackend(spec([_ainc]), max_replicas=2) as b:
             b.reconfigure(0, 50)
             assert b.replica_counts() == [2]
             with pytest.raises(ValueError, match=">= 1"):
                 b.reconfigure(0, 0)
 
     def test_stateful_stage_clamps_to_one(self):
-        with AsyncioBackend(spec([_ainc], replicable=False)) as b:
+        with ThreadBackend(spec([_ainc], replicable=False)) as b:
             assert b.replica_limit(0) == 1
             b.reconfigure(0, 5)
             assert b.replica_counts() == [1]
 
     def test_observation_surfaces(self, monkeypatch):
-        with AsyncioBackend(spec([_adouble_slow])) as b:
+        with ThreadBackend(spec([_adouble_slow])) as b:
             # Hops are recorded at the host's sampled speed: pin it to 1.0.
             monkeypatch.setattr(b._load, "effective_speed", lambda: 1.0)
             b.run(range(12))
@@ -134,7 +133,7 @@ class TestAsyncioBackend:
                 raise RuntimeError("kaput")
             return x
 
-        with AsyncioBackend(spec([_ainc, boom])) as b:
+        with ThreadBackend(spec([_ainc, boom])) as b:
             with pytest.raises(StageError, match="s1"):
                 b.run(range(20))
             # The backend must be reusable after a failed run.
@@ -145,12 +144,12 @@ class TestAsyncioBackend:
         def boom(x):
             raise ValueError("no")
 
-        with AsyncioBackend(spec([boom])) as b:
+        with ThreadBackend(spec([boom])) as b:
             with pytest.raises(StageError, match="s0"):
                 b.run(range(4))
 
     def test_close_mid_run_does_not_hang(self):
-        b = AsyncioBackend(spec([_adouble_slow]), replicas=[2], max_replicas=2)
+        b = ThreadBackend(spec([_adouble_slow]), replicas=[2], max_replicas=2)
         with ThreadPoolExecutor(1) as producer:
             run = producer.submit(b.run, range(500))
             while b.items_completed() < 3:
@@ -165,7 +164,7 @@ class TestAsyncioBackend:
             b.run([1])
 
     def test_run_while_running_raises(self):
-        backend = AsyncioBackend(spec([_adouble_slow]))
+        backend = ThreadBackend(spec([_adouble_slow]))
         with backend as b, ThreadPoolExecutor(1) as producer:
             run = producer.submit(b.run, range(20))
             while b.items_completed() < 1:
@@ -176,13 +175,13 @@ class TestAsyncioBackend:
 
     def test_validation_mirrors_thread_backend(self):
         with pytest.raises(ValueError, match="replica count"):
-            AsyncioBackend(spec([_ainc]), replicas=[0])
+            ThreadBackend(spec([_ainc]), replicas=[0])
         with pytest.raises(ValueError, match="stateful"):
-            AsyncioBackend(spec([_ainc], replicable=False), replicas=[2])
+            ThreadBackend(spec([_ainc], replicable=False), replicas=[2])
         with pytest.raises(ValueError, match="no fn"):
-            AsyncioBackend(PipelineSpec((StageSpec(name="bare", work=0.1),)))
+            ThreadBackend(PipelineSpec((StageSpec(name="bare", work=0.1),)))
         with pytest.raises(ValueError, match="must list"):
-            AsyncioBackend(spec([_ainc]), replicas=[1, 1])
+            ThreadBackend(spec([_ainc]), replicas=[1, 1])
 
 
 class TestAsyncioAdaptation:
@@ -199,11 +198,9 @@ class TestAsyncioAdaptation:
 
         pipe = spec([cheap, slow_fetch, cheap])
         runner = RuntimeAdaptiveRunner(
-            pipe,
-            "asyncio",
+            ThreadBackend(pipe, max_replicas=3),
             config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
             rollback=False,
-            max_replicas=3,
         )
         with runner:
             res = runner.run(range(80))
@@ -211,7 +208,7 @@ class TestAsyncioAdaptation:
         assert res.items == 80
         grows = [e for e in res.adaptation_events if e.kind != "rollback"]
         assert len(grows) >= 1
-        assert res.final_replicas[1] > 1
+        assert res.replica_counts[1] > 1
         assert res.replica_history[0][1] == (1, 1, 1)
 
     def test_skel_api_runs_asyncio_adaptive(self):
@@ -247,7 +244,7 @@ class TestWorkerPoolConcurrency:
                 in_flight -= 1
             return x
 
-        with AsyncioBackend(spec([tracked]), replicas=[2], max_replicas=8) as b:
+        with ThreadBackend(spec([tracked]), replicas=[2], max_replicas=8) as b:
             b.run(range(30))
             assert peak <= 2
             peak = 0
@@ -274,7 +271,7 @@ class TestShutdownLeavesNoTask:
     """
 
     def test_graceful_close(self):
-        with AsyncioBackend(spec([_ainc, lambda x: x * 2]), replicas=[3, 2]) as b:
+        with ThreadBackend(spec([_ainc, lambda x: x * 2]), replicas=[3, 2]) as b:
             session = b.open()
             for x in range(20):
                 session.submit(x)
@@ -284,7 +281,7 @@ class TestShutdownLeavesNoTask:
             assert _tasks_on_loop(b) == set()
 
     def test_mid_stream_close(self):
-        backend = AsyncioBackend(spec([_adouble_slow]), replicas=[2])
+        backend = ThreadBackend(spec([_adouble_slow]), replicas=[2])
         with backend as b, ThreadPoolExecutor(1) as producer:
             session = b.open()
             run = producer.submit(lambda: [session.submit(x) for x in range(500)])
@@ -296,7 +293,7 @@ class TestShutdownLeavesNoTask:
             assert _tasks_on_loop(b) == set()
 
     def test_live_grow_and_shrink(self):
-        with AsyncioBackend(spec([_adouble_slow]), max_replicas=4) as b:
+        with ThreadBackend(spec([_adouble_slow]), max_replicas=4) as b:
             session = b.open()
             for x in range(60):
                 session.submit(x)
@@ -313,7 +310,7 @@ class TestOneLane:
     """Plain stages keep thread workers; coroutine stages ride the same queues."""
 
     def test_plain_stages_start_no_event_loop(self):
-        with AsyncioBackend(spec([lambda x: x + 1, lambda x: x * 2]), replicas=[1, 2]) as b:
+        with ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2]), replicas=[1, 2]) as b:
             assert b.run(range(50)).outputs == [(x + 1) * 2 for x in range(50)]
             assert b._loop is None
             assert not [t.name for t in threading.enumerate() if t.name.startswith("asyncio-")]
@@ -334,7 +331,7 @@ class TestOneLane:
             StageSpec(name="jitter", work=0.01, fn=jitter),
             StageSpec(name="record", work=0.01, fn=record, replicable=False),
         ))
-        with AsyncioBackend(pipe, replicas=[4, 1]) as b:
+        with ThreadBackend(pipe, replicas=[4, 1]) as b:
             session = b.open(batching=batching)
             for x in range(60):
                 session.submit(x)
@@ -349,7 +346,7 @@ class TestOneLane:
             return x * 2
 
         admitted = []
-        with AsyncioBackend(spec([_ainc, stalled]), replicas=[4, 1], capacity=1) as b:
+        with ThreadBackend(spec([_ainc, stalled]), replicas=[4, 1], capacity=1) as b:
             session = b.open()
             producer = threading.Thread(
                 target=lambda: [admitted.append(session.submit(x)) for x in range(n)],

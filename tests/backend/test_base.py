@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro.backend import (
-    AsyncioBackend,
     BackendResult,
     ProcessPoolBackend,
     ThreadBackend,
@@ -49,7 +48,7 @@ class TestRegistry:
         b = make_backend("threads", pipe())
         assert isinstance(b, ThreadBackend)
         b2 = make_backend("asyncio", pipe())
-        assert isinstance(b2, AsyncioBackend)
+        assert isinstance(b2, ThreadBackend)
         b2.close()
 
     def test_make_backend_passthrough_instance(self):

@@ -520,7 +520,7 @@ class TestRoutes:
                 # Stage 0's outputs went worker to worker as descriptors: the
                 # reader released each, so nothing but the probe stays busy.
                 busy = busy_segments(b._codec.session)
-                assert [seg for seg in busy if "probe" not in seg] == [], stream
+                assert busy == [b._probe[0].stream.name], stream
 
 
 class TestReconfigure:

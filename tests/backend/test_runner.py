@@ -2,12 +2,13 @@
 
 import math
 import os
+import threading
 import time
 
 import pytest
 
 from repro import open_pipeline
-from repro.backend import RuntimeAdaptiveRunner, ThreadBackend, local_config
+from repro.backend import ProcessPoolBackend, RuntimeAdaptiveRunner, ThreadBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.policy import AdaptationPolicy
 from repro.core.stage import StageSpec
@@ -56,21 +57,19 @@ class TestRuntimeAdaptiveRunner:
         # More stages than host cores: the policy's virtual grid still holds
         # one processor per stage plus the warm pool's extra replica.
         n = (os.cpu_count() or 2) + 3
-        with RuntimeAdaptiveRunner(spec([_fast] * n), "threads", max_replicas=2) as runner:
+        with RuntimeAdaptiveRunner(ThreadBackend(spec([_fast] * n), max_replicas=2)) as runner:
             assert runner.n_virtual_procs == n + 1
 
     def test_virtual_grid_spans_the_host_cores(self):
-        with RuntimeAdaptiveRunner(spec([_fast]), "threads", max_replicas=1) as runner:
+        with RuntimeAdaptiveRunner(ThreadBackend(spec([_fast]), max_replicas=1)) as runner:
             assert runner.n_virtual_procs == max(os.cpu_count() or 2, 2)
 
     def test_grows_bottleneck_on_thread_backend(self):
         pipe = spec([_fast, _bottleneck, _fast])
         runner = RuntimeAdaptiveRunner(
-            pipe,
-            "threads",
+            ThreadBackend(pipe, max_replicas=3),
             config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
             rollback=False,
-            max_replicas=3,
         )
         with runner:
             res = runner.run(range(80))
@@ -79,26 +78,24 @@ class TestRuntimeAdaptiveRunner:
         grows = [e for e in res.adaptation_events if e.kind != "rollback"]
         assert len(grows) >= 1
         # The bottleneck stage (1) must have been replicated.
-        assert res.final_replicas[1] > 1
+        assert res.replica_counts[1] > 1
         assert res.replica_history[0][1] == (1, 1, 1)
-        assert res.replica_history[-1][1][1] == res.final_replicas[1]
+        assert res.replica_history[-1][1][1] == res.replica_counts[1]
 
     def test_grows_forwarded_bottleneck_on_process_backend(self):
         # Stage 0's workers put straight onto stage 1's queue: no router in
         # the parent watches it, and the controller sees its service times
         # only through the trail replayed at the egress boundary.
         runner = RuntimeAdaptiveRunner(
-            spec([_bottleneck, _fast]),
-            "processes",
+            ProcessPoolBackend(spec([_bottleneck, _fast]), max_replicas=3),
             config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
             rollback=False,
-            max_replicas=3,
         )
         with runner:
             res = runner.run(range(80))
         assert res.outputs == [x * 2 + 1 for x in range(80)]
-        assert res.final_replicas[0] > 1
-        assert res.final_replicas[1] == 1
+        assert res.replica_counts[0] > 1
+        assert res.replica_counts[1] == 1
 
     def test_clamped_noop_proposal_records_no_event(self):
         # Warm pool caps the bottleneck at 2 replicas; once the backend sits
@@ -106,11 +103,9 @@ class TestRuntimeAdaptiveRunner:
         # fabricate adaptation events (or phantom rollbacks).
         pipe = spec([_fast, _bottleneck, _fast])
         runner = RuntimeAdaptiveRunner(
-            pipe,
-            "threads",
+            ThreadBackend(pipe, max_replicas=2),
             config=local_config(interval=0.1, cooldown=0.1, settle_time=0.1),
             rollback=False,
-            max_replicas=2,
         )
         with runner:
             res = runner.run(range(120))
@@ -119,10 +114,10 @@ class TestRuntimeAdaptiveRunner:
         assert len(res.adaptation_events) == len(res.replica_history) - 1
         # Every recorded event corresponds to a distinct physical shape.
         assert len(real_changes) == len(res.replica_history)
-        assert res.final_replicas[1] <= 2
+        assert res.replica_counts[1] <= 2
 
     def test_context_manager_closes_owned_backend(self):
-        with RuntimeAdaptiveRunner(spec([_fast]), "processes") as runner:
+        with RuntimeAdaptiveRunner(ProcessPoolBackend(spec([_fast]))) as runner:
             res = runner.run(range(5))
             assert res.outputs == [x + 1 for x in range(5)]
         # The warm pools must be reaped: a closed backend refuses work.
@@ -132,21 +127,45 @@ class TestRuntimeAdaptiveRunner:
     def test_empty_run_reports_itself_not_the_previous_stream(self):
         # drain() opens no stream for an empty input, so the session still
         # holds the previous stream's figures: the runner must not read them.
-        with RuntimeAdaptiveRunner(spec([_fast]), "threads") as runner:
+        with RuntimeAdaptiveRunner(ThreadBackend(spec([_fast]))) as runner:
             first = runner.run(range(5))
             assert (first.items, first.outputs) == (5, [x + 1 for x in range(5)])
             empty = runner.run([])
         assert (empty.items, empty.elapsed, empty.outputs) == (0, 0.0, [])
 
+    def test_crashing_decide_step_leaves_the_backend_open(self, monkeypatch):
+        # run() re-raises the controller's error; like a failed stream it
+        # costs the session, never the backend the caller handed in.
+        decided = threading.Event()
+
+        def crash(**_):
+            decided.set()
+            raise RuntimeError("decide crashed")
+
+        def held(x):
+            decided.wait(5.0)  # the stream outlasts the first decision
+            return x
+
+        backend = ThreadBackend(spec([held]))
+        runner = RuntimeAdaptiveRunner(backend, config=local_config(interval=0.05))
+        monkeypatch.setattr(runner.policy, "decide", crash)
+        try:
+            with pytest.raises(RuntimeError, match="decide crashed"):
+                runner.run(range(10))
+            assert backend.closed is False
+            assert backend.run(range(3)).outputs == [0, 1, 2]
+        finally:
+            backend.close()
+
     def test_quiet_pipeline_takes_no_action(self):
         # A balanced, fast pipeline: the decision is taken as soon as both
         # stages have their samples, and says no (not amortised).
         pipe = spec([_fast, _fast])
-        with RuntimeAdaptiveRunner(pipe, ThreadBackend(pipe)) as runner:
+        with RuntimeAdaptiveRunner(ThreadBackend(pipe)) as runner:
             res = runner.run(range(30))
         assert res.outputs == [x + 2 for x in range(30)]
         assert res.adaptation_events == []
-        assert res.final_replicas == [1, 1]
+        assert res.replica_counts == [1, 1]
 
 
 def _sleeper(seconds):
@@ -198,7 +217,6 @@ class TestEventDrivenController:
 
             pipe = spec([a, b], replicable=[False, True])
             runner = RuntimeAdaptiveRunner(
-                pipe,
                 ThreadBackend(pipe, max_replicas=8),
                 config=local_config(interval=30.0, cooldown=0.1),
                 rollback=False,
@@ -210,7 +228,7 @@ class TestEventDrivenController:
                 res = runner.run(range(260))
                 step = session.perf_to_session(slow_at[0] + 0.010)
             assert res.outputs == [x + 1 for x in range(260)]
-            assert res.final_replicas[0] == 1
+            assert res.replica_counts[0] == 1
             first = decided[0].fields
             assert first["trigger"] == "evidence" and not first["acts"]
             assert {e.fields["trigger"] for e in decided} <= {"evidence", "shift"}
@@ -244,13 +262,13 @@ class TestEventDrivenController:
     def test_steady_stream_does_not_thrash(self):
         pipe = spec([_fast, _sleeper(0.004), _fast])
         config = local_config(cooldown=0.2, settle_time=0.1)
-        runner = RuntimeAdaptiveRunner(pipe, ThreadBackend(pipe, max_replicas=4), config=config)
+        runner = RuntimeAdaptiveRunner(ThreadBackend(pipe, max_replicas=4), config=config)
         decided = []
         with runner:
             session = runner.attach()
             session.events.subscribe(decided.append, kinds=("adapt.decide",))
             first = runner.run(range(100))
-            assert first.final_replicas == [1, 4, 1]
+            assert first.replica_counts == [1, 4, 1]
             del decided[:]
             steady = runner.run(range(600))
         assert steady.outputs == [x + 2 for x in range(600)]
@@ -263,9 +281,7 @@ class TestEventDrivenController:
 
     def test_detach_does_not_wait_out_the_interval(self):
         pipe = spec([_fast])
-        runner = RuntimeAdaptiveRunner(
-            pipe, ThreadBackend(pipe), config=local_config(interval=5.0)
-        )
+        runner = RuntimeAdaptiveRunner(ThreadBackend(pipe), config=local_config(interval=5.0))
         with runner:
             runner.attach()
             time.sleep(0.05)  # the controller is inside its wait
@@ -275,8 +291,8 @@ class TestEventDrivenController:
 
     def test_idle_session_takes_no_decisions(self):
         pipe = spec([_fast, _fast])
-        policy = CountingPolicy(pipe, local_config())
-        runner = RuntimeAdaptiveRunner(pipe, ThreadBackend(pipe), policy=policy)
+        runner = RuntimeAdaptiveRunner(ThreadBackend(pipe))
+        runner.policy = policy = CountingPolicy(pipe, runner.config)
         with runner:
             runner.run(range(20))
             after_stream = policy.calls
@@ -290,7 +306,7 @@ class TestEventDrivenController:
         # completions divided by the whole horizon.
         pipe = spec([_sleeper(0.005)])
         runner = RuntimeAdaptiveRunner(
-            pipe, ThreadBackend(pipe), config=local_config(min_samples=4, interval=30.0)
+            ThreadBackend(pipe), config=local_config(min_samples=4, interval=30.0)
         )
 
         def feed(session, items):
@@ -315,7 +331,7 @@ def fast_runner(pipe, **backend_kwargs):
     """A thread-backend runner on the default policy, fast cadence, no rollback."""
     config = local_config(interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05)
     return RuntimeAdaptiveRunner(
-        pipe, ThreadBackend(pipe, **backend_kwargs), config=config, rollback=False
+        ThreadBackend(pipe, **backend_kwargs), config=config, rollback=False
     )
 
 
@@ -395,7 +411,6 @@ class TestMeasuredResourceView:
                 return super().resource_view(n_procs)
 
         runner = RuntimeAdaptiveRunner(
-            spec([_fast, _bottleneck]),
             Spying(spec([_fast, _bottleneck])),
             config=local_config(interval=0.05, cooldown=0.1, settle_time=0.05),
             rollback=False,

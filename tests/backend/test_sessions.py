@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.backend import (
-    AsyncioBackend,
     DistributedBackend,
     ProcessPoolBackend,
     SessionClosed,
@@ -66,7 +65,7 @@ class TestSessionLifecycle:
     def test_submit_after_close_raises_everywhere(self):
         backends = [
             ThreadBackend(spec([_inc])),
-            AsyncioBackend(spec([_inc])),
+            ThreadBackend(spec([_inc])),
         ]
         for b in backends:
             session = b.open()
@@ -236,7 +235,7 @@ class TestSessionLifecycle:
     "make",
     [
         lambda pipe: ThreadBackend(pipe, replicas=[2], max_replicas=2),
-        lambda pipe: AsyncioBackend(pipe, replicas=[2], max_replicas=2),
+        lambda pipe: ThreadBackend(pipe, replicas=[2], max_replicas=2),
         lambda pipe: ProcessPoolBackend(pipe, replicas=[2], max_replicas=2),
         lambda pipe: DistributedBackend(pipe, spawn_workers=2, replicas=[2], max_replicas=2),
     ],
@@ -278,7 +277,7 @@ class TestMidStreamReconfigure:
             assert session.drain() == [x * x for x in range(10)]
 
     def test_asyncio_session_reconfigure_mid_stream(self):
-        with AsyncioBackend(spec([_slow_double]), max_replicas=4) as b:
+        with ThreadBackend(spec([_slow_double]), max_replicas=4) as b:
             session = b.open()
             for i in range(10):
                 session.submit(i)
@@ -291,7 +290,7 @@ class TestMidStreamReconfigure:
         "make, fns",
         [
             (ThreadBackend, [_inc]),
-            (AsyncioBackend, [_ainc, _inc, _ainc]),  # coroutine -> plain -> coroutine
+            (ThreadBackend, [_ainc, _inc, _ainc]),  # coroutine -> plain -> coroutine
             (ProcessPoolBackend, [_inc]),
         ],
         ids=["threads", "asyncio", "processes"],

@@ -79,7 +79,7 @@ def live():
         StageSpec(name="b", work=0.01, fn=b),
     ))
     runner = RuntimeAdaptiveRunner(
-        pipe, ThreadBackend(pipe, max_replicas=8),
+        ThreadBackend(pipe, max_replicas=8),
         config=local_config(interval=30.0, cooldown=0.1),
     )
     records = []

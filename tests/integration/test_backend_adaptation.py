@@ -50,7 +50,6 @@ def test_runtime_adaptation_on_process_backend():
     pipe = _pipe()
     backend = ProcessPoolBackend(pipe, max_replicas=3)
     runner = RuntimeAdaptiveRunner(
-        backend.pipeline,
         backend,
         config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
         rollback=False,
@@ -64,7 +63,7 @@ def test_runtime_adaptation_on_process_backend():
     assert len(actions) >= 1, "expected at least one adaptation event"
     # The observe->decide->act loop must have replicated the injected
     # bottleneck stage onto warm workers.
-    assert res.final_replicas[1] > 1
+    assert res.replica_counts[1] > 1
     assert all(
         len(e.mapping_after.replicas(1)) >= len(e.mapping_before.replicas(1))
         for e in actions

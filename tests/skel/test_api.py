@@ -103,6 +103,24 @@ class TestBackendSelection:
         )
         assert out == [(x + 1) * 2 for x in range(25)]
 
+    def test_adaptive_run_leaves_no_controller_on_a_callers_backend(self):
+        import threading
+
+        from repro.backend import ThreadBackend
+        from repro.core.pipeline import PipelineSpec as PS
+
+        def controllers():
+            return sum(t.name == "adaptive-controller" for t in threading.enumerate())
+
+        b = ThreadBackend(PS((StageSpec(name="inc", work=0.01, fn=_inc),)))
+        before = controllers()
+        try:
+            for _ in range(2):  # a second call attaches no second controller
+                assert pipeline_1for1([_inc], range(5), backend=b, adaptive=True) == [1, 2, 3, 4, 5]
+                assert controllers() == before
+        finally:
+            b.close()
+
     def test_farm_on_processes(self):
         out = farm(_slow_double, range(12), workers=3, backend="processes")
         assert out == [x * 2 for x in range(12)]

@@ -4,7 +4,6 @@ import os
 import pickle
 import subprocess
 import sys
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from repro.transport import (
     decode_frame,
     materialize,
     session_segments,
-    untrack,
     wire_nbytes,
 )
 
@@ -224,11 +222,11 @@ def test_leakcheck_cli_reports_clean():
 
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to list")
 def test_leakcheck_cli_finds_a_leak():
+    from repro.transport.frames import _shm_open
+
     codec = SharedMemoryCodec()  # a fresh session: nobody else names its segments
     name = f"{SHM_PREFIX}{codec.session}-x"
-    seg = shared_memory.SharedMemory(name=name, create=True, size=16)
-    untrack(seg)  # this test, not the resource tracker, owns the segment
-    seg.close()
+    os.close(_shm_open(name, os.O_CREAT | os.O_EXCL | os.O_RDWR))  # no pool knows it
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "repro.transport.leakcheck"],
@@ -238,7 +236,6 @@ def test_leakcheck_cli_finds_a_leak():
         assert proc.returncode == 1
         assert name in proc.stderr
     finally:
-        codec.track(name)
         codec.sweep()
     assert name not in session_segments()
 

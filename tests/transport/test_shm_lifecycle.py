@@ -9,6 +9,7 @@ stream (ISSUE 15); what must be empty between streams is the set of slots
 still holding a live frame.
 """
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -77,11 +78,31 @@ def test_distributed_normal_completion_leaves_no_segments():
         assert res.items == 8
         assert all(w["shm_ok"] for w in backend.alive_workers())
         # Only the negotiation probe is held while the backend is warm.
-        left = busy_segments(session)
-        assert all("probe" in name for name in left), left
+        assert busy_segments(session) == [backend._probe[0].stream.name]
     finally:
         backend.close()
     assert session_segments(session) == []
+
+
+def test_no_session_segment_reaches_the_resource_tracker(tmp_path, monkeypatch):
+    # Every segment of a session is a slot opened by descriptor: none is
+    # registered with the standard library's resource tracker, whose one
+    # entry per name several workers attaching at once would corrupt
+    # (a KeyError traceback on stderr).  Forked workers inherit the patch.
+    from multiprocessing import resource_tracker
+
+    log = tmp_path / "registered"
+
+    def register(name, rtype):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {name}\n")
+
+    monkeypatch.setattr(resource_tracker, "register", register)
+    with DistributedBackend(array_pipeline(mbytes=0.5), spawn_workers=2, transport="shm") as b:
+        assert b.run(make_arrays(4, mbytes=0.5, seed=6)).items == 4
+        assert all(w["shm_ok"] for w in b.alive_workers())
+    lines = log.read_text().splitlines() if log.exists() else []
+    assert not [line for line in lines if "repro-shm" in line], lines
 
 
 def test_distributed_killed_worker_leaves_no_segments_after_close():
