@@ -268,20 +268,15 @@ class Session:
         self._submitted = 0
         self._delivered = 0
         self._gseq = 0
-        self._items_total = 0
-        self._streams_completed = 0
         self._error: BaseException | None = None
         self._closed = False
         #: Raised by ``_fail`` and by a mid-stream ``close``: the executor
         #: drops what is in flight and every put parked on a full queue gives up.
         self._abort = threading.Event()
         self._on_close: list[Callable[[], None]] = []
-        self._last_drained_stream = -1
         # --- micro-batch assembly state (all mutated under _lock) --------
         self._buf: list[Any] = []  # admitted items awaiting a batch cut
         self._buf_bytes = 0
-        self._buf_base_seq = 0  # stream seq of the buffer's first item
-        self._buf_gbase = 0  # ... and its gseq
         self._buf_deadline = 0.0  # perf_counter deadline for a linger flush
         self._bseq = 0  # session-wide batch number: the executors' seq under batching
         #: bseq -> (first item's gseq, item count) of every undelivered
@@ -347,12 +342,9 @@ class Session:
 
     def stats(self) -> SessionStats:
         with self._lock:
-            return SessionStats(
-                streams_completed=self._streams_completed,
-                items_total=self._items_total,
-                stream_submitted=self._submitted,
-                stream_delivered=self._delivered,
-            )
+            # An earlier stream delivered all it admitted, or the session closed with it.
+            sub, done, drained = self._submitted, self._delivered, not self._streaming
+            return SessionStats(self._stream + drained, self._gseq - sub + done, sub, done)
 
     def now(self) -> float:
         """Seconds since the session opened (the instrumentation clock)."""
@@ -390,14 +382,11 @@ class Session:
                     )
                 if not self._streaming:
                     self._stream += 1
-                    self._streaming = True
-                    self._eos = False
+                    self._streaming = True  # drain() left _eos down and no batch buffer
                     self._submitted = 0
                     self._delivered = 0
                     self._out.clear()
                     self._stream_t0 = time.perf_counter()
-                    self._buf = []
-                    self._buf_bytes = 0
                     # Under the lock, so it precedes every admission of the
                     # stream (no subscriber takes this lock).
                     self.events.emit("stream.begin", stream=self._stream)
@@ -414,7 +403,7 @@ class Session:
                         # Announced before it is buffered: from there any
                         # thread's cut may emit the batch.assemble naming it.
                         self._announce(stream, seq, gseq, blocked_t0)
-                        cut = self._buffer_item_locked(seq, gseq, item)
+                        cut = self._buffer_item_locked(item)
                     break
                 # Window full: wait, then re-evaluate the stream state from
                 # scratch — drain() may have ended (or finished) the stream
@@ -539,8 +528,6 @@ class Session:
             self._out.clear()
             self._streaming = False
             self._eos = False
-            self._last_drained_stream = stream
-            self._streams_completed += 1
             self.last_stream_elapsed = time.perf_counter() - self._stream_t0
             self._bell.ring()
         self.events.emit(
@@ -562,17 +549,18 @@ class Session:
                 if self._closed:
                     return
                 self._closed = True
-                streams, items = self._streams_completed, self._items_total
                 unfinished = self._submitted > self._delivered
                 self._bell.ring()
                 self._flush_bell.ring()
+            stats = self.stats()  # what was delivered before the abort below
             if unfinished or self.broken:
                 self._abort.set()  # drop in-flight items instead of finishing them
                 self._wake_lane()
             # Before _shutdown, so executor teardown events (replica
             # removals, worker shutdowns) follow it in the journal and the
             # telemetry close callback has not yet run.
-            self.events.emit("session.close", streams=streams, items_total=items)
+            self.events.emit("session.close", streams=stats.streams_completed,
+                             items_total=stats.items_total)
             first_err: BaseException | None = None
             try:
                 self._shutdown()
@@ -642,7 +630,6 @@ class Session:
             stream, seq = self._stream, self._delivered
             self._out.extend(values)
             self._delivered += len(values)
-            self._items_total += len(values)
             for bseq in bseqs:
                 self._batch_map.pop(bseq, None)
             if self._bell.parked:
@@ -692,7 +679,7 @@ class Session:
 
     def _ticket_done_locked(self, stream: int, seq: int) -> bool:
         """Whether item ``seq`` of ``stream`` has been delivered (under _lock)."""
-        if stream <= self._last_drained_stream:
+        if stream < self._stream + (not self._streaming):  # drained
             return True
         # Streams are sequential: an undrained ticket stream is either the
         # live one (delivery is in order, so the delivered count decides)
@@ -715,7 +702,7 @@ class Session:
             self.events.emit(kind, seq=first, **fields)
 
     # --------------------------------------------------- micro-batch assembly
-    def _buffer_item_locked(self, seq: int, gseq: int, item: Any) -> tuple | None:
+    def _buffer_item_locked(self, item: Any) -> tuple | None:
         """Admit one item into the assembly buffer; cut when a bound trips.
 
         Called under ``_lock`` right after admission, so buffer order is
@@ -724,8 +711,6 @@ class Session:
         lock) when the size or byte bound tripped, else None.
         """
         if not self._buf:
-            self._buf_base_seq = seq
-            self._buf_gbase = gseq
             self._buf_deadline = time.perf_counter() + _batching.LINGER_S
             if self._flush_bell.parked:
                 self._flush_bell.ring()  # its linger deadline starts now
@@ -738,10 +723,10 @@ class Session:
         return None
 
     def _cut_locked(self, reason: str) -> tuple:
-        """Seal the assembly buffer into one Batch (under ``_lock``)."""
-        bseq = self._bseq
+        """Seal the assembly buffer (the latest n admissions) into one Batch, under ``_lock``."""
+        bseq, n = self._bseq, len(self._buf)
         self._bseq += 1
-        batch = Batch(self._buf, self._buf_base_seq, self._buf_gbase, bseq)
+        batch = Batch(self._buf, self._submitted - n, self._gseq - n, bseq)
         self._batch_map[bseq] = (batch.gbase, len(batch.items))
         self._buf = []
         self._buf_bytes = 0

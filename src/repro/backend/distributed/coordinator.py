@@ -17,7 +17,7 @@ Topology (routes — a segment's items pass worker to worker)::
   dispatches on the caller's thread; this module supplies the lane.  Each
   session gets its own **epoch**: tasks and results carry it beside the
   item's session-wide ``gseq`` (a batch's ``bseq``), so a late result of
-  an earlier session is dropped on arrival.
+  an earlier (or a closed) session is dropped, and its payload released.
 * **Routes, not routers**: as on the process lane, only a *boundary* (the
   last stage, or one feeding an ordered stage: :func:`~repro.backend.
   routed.boundaries`) reports here.  Placement stays central: dispatch into
@@ -68,6 +68,7 @@ import socket
 import threading
 import time
 from collections import Counter
+from contextlib import suppress
 from itertools import count
 from typing import Any
 
@@ -209,6 +210,7 @@ class _DistributedSession(RoutedSession):
         backend.warm()
         backend._ensure_placements()
         self._resq = {b: thread_queue.SimpleQueue() for b in backend._bounds}
+        self._stopped = False  # the routers have stopped reading _resq
         self._depth = self._lane_depth()  # each replica's in-flight allowance
         # gseq restarts with each session: the epoch keeps their results apart.
         backend._epoch += 1
@@ -221,7 +223,18 @@ class _DistributedSession(RoutedSession):
 
     def _shutdown(self) -> None:
         super()._shutdown()
+        self._stopped = True  # no router reads on: a late result is released
+        self._release_queued()
         self.backend._reclaim()
+
+    def _release_queued(self) -> None:
+        """Release each result still queued, once: whoever takes it off first."""
+        for q in self._resq.values():
+            with suppress(thread_queue.Empty):
+                while True:
+                    msg = q.get_nowait()  # a wake's None, or a result
+                    if msg is not None and msg[2][5]:
+                        self._codec.release(msg[2][6])
 
     # ------------------------------------------------------------ lane hooks
     def _ingress(self, seq: int, value: Any) -> bool:
@@ -255,15 +268,15 @@ class _DistributedSession(RoutedSession):
                     slots[at] = {(r.worker, r.slot): r for r in backend._replicas[at]}
                 replica = slots[at].get((w, slot))
                 route = None if replica is None else replica.tasks.get(seq)
-                if route is not None and route.t_sent == t_sent:
+                if failed is None and route is not None and route.t_sent == t_sent:
                     if not ok:  # a failure's payload is its pickled error
                         err = load_error(payload, err_repr)
                         failed = StageError(backend.pipeline.stage(at).name, err)
-                        break
+                        continue
                     backend._settle(seq, route)
                     queued -= 1
                     done.append((recv_t, seq, route, payload, t_sent, trail, queued))
-                elif ok:  # stale: its payload is released below
+                elif ok:  # stale, or behind a failure: its payload is released below
                     done.append((recv_t, seq, None, payload, t_sent, trail, queued))
             backend._cond.notify_all()
         bus, got, clock = self.events, [], self.perf_to_session
@@ -438,7 +451,7 @@ class DistributedBackend(Backend):
         self._registry = threading.Lock()
         self._registry_changed = threading.Condition(self._registry)
         self._workers: dict[int, _WorkerConn] = {}
-        self._next_worker_id = 0
+        self._new_worker_id = count().__next__
         self._spawned: dict[str, mp.process.BaseProcess] = {}
         # Placement failures are configuration errors (e.g. a stage fn that
         # does not resolve on a worker): they outlive per-stream error state.
@@ -646,8 +659,7 @@ class DistributedBackend(Backend):
             self._pending.discard(sock)
             if self._closing.is_set():
                 return None
-            wid = self._next_worker_id
-            self._next_worker_id += 1
+            wid = self._new_worker_id()
             outbox = socket_outbox(sock, f"dist-send[{wid}]", lambda: self._on_worker_death(worker))
             worker = _WorkerConn(wid, outbox, wname, cores, sock, address)
             # Every earlier worker, registered or still linking: it dials each.
@@ -687,10 +699,13 @@ class DistributedBackend(Backend):
                 w.last_seen = time.monotonic()
                 kind = frame[0]
                 if kind == "result":  # to the router of the segment's boundary
-                    if frame[1] == self._epoch:  # else an earlier session's: stale
-                        self._session._resq[self._end[frame[2]]].put(
-                            (w, time.perf_counter(), frame)
-                        )
+                    if frame[1] == self._epoch:
+                        session = self._session
+                        session._resq[self._end[frame[2]]].put((w, time.perf_counter(), frame))
+                        if session._stopped:  # nothing reads the queue any more
+                            session._release_queued()
+                    elif frame[5]:  # an earlier session's: its payload goes back
+                        self._codec.release(frame[6])
                 elif kind == "pong":
                     _, t0, t1, t2, load = frame
                     t3 = time.perf_counter()

@@ -154,14 +154,13 @@ def two_site_grid(
     wan_latency: float = 30e-3,
     wan_bandwidth: float = 5e6,
     seed: int = 0,
-    local_load: LoadFactory = _dedicated,
-    remote_load: LoadFactory = _dedicated,
 ) -> GridSystem:
-    """A local cluster plus a remote cluster behind a WAN link."""
+    """A local cluster plus a remote cluster behind a WAN link (dedicated
+    processors)."""
     spec = GridSpec(
         sites=[
-            SiteSpec(name="local", speeds=list(local_speeds), load_factory=local_load),
-            SiteSpec(name="remote", speeds=list(remote_speeds), load_factory=remote_load),
+            SiteSpec(name="local", speeds=list(local_speeds)),
+            SiteSpec(name="remote", speeds=list(remote_speeds)),
         ],
         inter_latency=wan_latency,
         inter_bandwidth=wan_bandwidth,

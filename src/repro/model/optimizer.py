@@ -34,6 +34,9 @@ __all__ = [
     "propose_replication",
 ]
 
+#: The most improvement rounds local_search takes: its termination guard.
+_MAX_ITERS = 200
+
 
 def exhaustive_best_mapping(
     ctx: ModelContext, pids: Sequence[int] | None = None, max_mappings: int = 2_000_000
@@ -99,26 +102,21 @@ def _block_time(ctx: ModelContext, lo: int, hi: int, pid: int, prev_pid: int) ->
     return svc + xfer
 
 
-def dp_contiguous_mapping(
-    ctx: ModelContext, orders: Sequence[Sequence[int]] | None = None
-) -> PipelinePrediction:
+def dp_contiguous_mapping(ctx: ModelContext) -> PipelinePrediction:
     """Optimal contiguous partition of stages onto an ordered processor list.
 
     For each candidate processor order, a DP computes the partition of the
     stage sequence into at most ``len(order)`` contiguous blocks (block *j*
     hosted on the *j*-th processor of the order) minimising the bottleneck
-    block time.  By default two orders are tried: processors by descending
-    effective speed, and ascending pid (stable/cheap).  Returns the best
-    mapping found across orders, evaluated with the full model.
+    block time.  Two orders are tried: processors by descending effective
+    speed, and ascending pid (stable/cheap).  Returns the best mapping found
+    across orders, evaluated with the full model.
     """
     pids = ctx.view.pids()
-    if orders is None:
-        by_speed = sorted(pids, key=ctx.view.eff_speed, reverse=True)
-        orders = [by_speed, sorted(pids)]
     n = ctx.n_stages
     best: PipelinePrediction | None = None
-    for order in orders:
-        order = list(order)[: max(1, min(len(order), n))]
+    for order in (sorted(pids, key=ctx.view.eff_speed, reverse=True), sorted(pids)):
+        order = order[: max(1, min(len(order), n))]
         k = len(order)
         INF = float("inf")
         # dp[i][j] = best bottleneck for stages[:i] on the first j processors,
@@ -173,7 +171,6 @@ def local_search(
     start: Mapping,
     ctx: ModelContext,
     *,
-    max_iters: int = 200,
     pids: Sequence[int] | None = None,
 ) -> PipelinePrediction:
     """Lexicographic hill-climb: move one stage's whole replica set per step.
@@ -201,7 +198,7 @@ def local_search(
             return cand.load_imbalance < cur.load_imbalance * (1.0 - 1e-9)
         return False
 
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         improved = False
         for stage in range(ctx.n_stages):
             reps = current.mapping.replicas(stage)

@@ -63,7 +63,6 @@ class StageMetrics:
         self._work_win = SlidingWindow(window)
         self._bytes_in_win = SlidingWindow(window)
         self._bytes_out_win = SlidingWindow(window)
-        self.items_processed = 0
         #: This stage's end of an installed :class:`ServiceWatch` (None = unwatched).
         self._watch: _StageWatch | None = None
 
@@ -96,7 +95,6 @@ class StageMetrics:
         service ended, for records that reach the recorder late (default: now).
         """
         per_item = seconds / items if items > 1 else seconds
-        self.items_processed += items
         if nbytes is not None:
             self._bytes_out_win.push(nbytes)
         for _ in range(items):
@@ -143,17 +141,15 @@ class StageMetrics:
                     nbytes=nbytes, phases=phases,
                 )
             return
-        count, per, extra, work, sizes = 0, [], [], [], []
+        per, extra, work, sizes = [], [], [], []
         for _, k, _, _, s, nbytes, _, _, speed, _ in hops:
             if k > 1:  # a batch: its per-item mean counts once per item
                 s /= k
                 extra += [s] * (k - 1)
-            count += k
             per.append(s)
             work.append(s * speed)
             if nbytes is not None:
                 sizes.append(nbytes)
-        self.items_processed += count
         self.total.extend(per + extra)
         self._service_win.extend(per)
         self._work_win.extend(work)
@@ -167,7 +163,7 @@ class StageMetrics:
         bytes_in, bytes_out = self._bytes_in_win.mean, self._bytes_out_win.mean
         return StageSnapshot(
             stage_index=self.stage_index,
-            items_processed=self.items_processed,
+            items_processed=self.total.n,
             service_time=self._service_win.mean,
             work_estimate=self._work_win.mean,
             bytes_in=0.0 if math.isnan(bytes_in) else bytes_in,
@@ -215,7 +211,7 @@ class _StageWatch:
         owner, metrics = self.owner, self.metrics
         centre = self.centre
         if centre is None:
-            if metrics.items_processed >= owner.min_samples:
+            if metrics.total.n >= owner.min_samples:
                 self.ready = True
                 self.band = _OPEN
                 if all(s.ready for s in owner.stages):

@@ -123,7 +123,7 @@ class Telemetry:
 
         Called by ``Session.__init__`` when the session was opened with
         ``telemetry=``.  Registers :meth:`close` as a close callback, so the
-        journal flushes before the backend goes away.  That close ends the
+        journal's writer finishes before the backend goes away.  That close ends the
         bundle: a ``Telemetry`` serves one session, and attaching a closed
         one raises instead of dropping the new session's records.
         """

@@ -10,11 +10,10 @@ the :class:`Event` it was written from; every journal reader (the profiler,
 
 The journal is a plain bus subscriber, and it is safe to attach one
 journal to several buses (the coordinator's backend bus and the session
-bus share one file).  The emitting thread only stamps the event and
-enqueues it — a background writer thread does the JSON serialisation,
-rotation and file I/O, so routers and submitters never pay for disk inside
-the streaming hot path.  :meth:`JsonlJournal.flush` waits until what was
-enqueued is on disk.
+bus share one file).  Emitters stamp and queue; the writer of a lane
+:class:`~repro.transport.lane.Outbox` serialises, rotates and writes, so
+routers and submitters never pay for disk.  A failed write stops the
+writer: the journal warns once, turns ``closed`` and drops later records.
 """
 
 from __future__ import annotations
@@ -22,12 +21,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
+import warnings
 from pathlib import Path
-from threading import Condition, Lock, Thread
 from typing import Any, Iterator
 
 from repro.obs.events import Event
+from repro.transport.lane import Outbox
 
 __all__ = ["JsonlJournal", "read_journal", "to_event"]
 
@@ -52,33 +51,17 @@ class JsonlJournal:
         self.path = Path(path)
         self.rotate_bytes = rotate_bytes
         self.max_files = max_files
-        # Two locks: the queue condition is all emitters ever touch; the
-        # io lock covers the file handle and rotation, held only by the
-        # writer thread (or by lifecycle calls), so file I/O never blocks
-        # an emitting router or submitter.
-        self._io = Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
         self._nbytes = self._fh.tell()
-        self._closed = False
-        self._writing = False
-        self._queue: deque[tuple[float, Event]] = deque()
-        self._cv = Condition(Lock())
-        self._writer = Thread(target=self._drain_loop, name="jsonl-journal", daemon=True)
-        self._writer.start()
+        self._failed = False
+        self._outbox = Outbox(self._write, "jsonl-journal", self._on_error, self._stop, self._pack)
 
     # ------------------------------------------------------------------ write
     def __call__(self, ev: Event) -> None:
-        # Hot path: hand the event to the writer thread.  Emitters in
-        # routers/submitters pay one lock, an append, and a wall-clock
-        # stamp; the record build, JSON dump, rotation check and file write
-        # all happen off-thread.  Events are immutable once emitted, so
-        # serialising them later is safe.
-        with self._cv:
-            if not self._closed:
-                self._queue.append((time.time(), ev))
-                if len(self._queue) == 1:
-                    self._cv.notify()  # writer only waits on empty
+        # Hot path: a stamp and one queue put (refused once closed).  Events
+        # are immutable once emitted, so the writer serialises them later.
+        self._outbox.send((time.time(), ev))
 
     @staticmethod
     def _record(wall: float, ev: Event) -> dict[str, Any]:
@@ -89,45 +72,29 @@ class JsonlJournal:
             record[f"f_{k}" if k in _RESERVED else k] = v
         return record
 
-    def _write_line(self, line: str) -> None:
-        """Append one serialised line (caller holds ``self._io``)."""
-        if self._nbytes + len(line) > self.rotate_bytes and self._nbytes > 0:
-            self._rotate()
-        self._fh.write(line)
-        self._nbytes += len(line)
-
     #: Lines serialised per GIL yield in the writer thread.  A deep queue
     #: must not turn into one long CPU burst: the interpreter's switch
     #: interval (5ms) would let the burst convoy the latency-critical
     #: router/submit threads that are trying to enqueue.
     _CHUNK = 32
 
-    def _drain_loop(self) -> None:
-        while True:
-            with self._cv:
-                while not self._queue and not self._closed:
-                    self._cv.wait()
-                batch = list(self._queue)
-                self._queue.clear()
-                if not batch:  # closed and drained: the final flush is done
-                    self._writing = False
-                    self._cv.notify_all()
-                    return
-                self._writing = True
-            for start in range(0, len(batch), self._CHUNK):
-                lines = [
-                    json.dumps(self._record(wall, ev), default=repr,
-                               separators=(",", ":")) + "\n"
-                    for wall, ev in batch[start:start + self._CHUNK]
-                ]
-                with self._io:
-                    for line in lines:
-                        self._write_line(line)
-                time.sleep(0)  # yield: emitters outrank the historian
-            with self._cv:
-                self._writing = False
-                if not self._queue:
-                    self._cv.notify_all()  # wake any flush() waiters
+    def _pack(self, batch: list) -> list[str]:
+        """Every queued ``(wall, event)`` as its line, a chunk per yield."""
+        lines: list[str] = []
+        for start in range(0, len(batch), self._CHUNK):
+            lines += [
+                json.dumps(self._record(wall, ev), default=repr, separators=(",", ":")) + "\n"
+                for wall, ev in batch[start:start + self._CHUNK]
+            ]
+            time.sleep(0)  # yield: emitters outrank the historian
+        return lines
+
+    def _write(self, lines: list[str]) -> None:
+        for line in lines:
+            if self._nbytes + len(line) > self.rotate_bytes and self._nbytes > 0:
+                self._rotate()
+            self._fh.write(line)
+            self._nbytes += len(line)
 
     def _rotate(self) -> None:
         self._fh.close()
@@ -144,33 +111,30 @@ class JsonlJournal:
         self._fh = open(self.path, "a", encoding="utf-8")
         self._nbytes = 0
 
+    def _on_error(self) -> None:
+        self._failed = True
+        warnings.warn(
+            f"journal {str(self.path)!r}: a write failed; its writer stopped and "
+            "later records are dropped",
+            RuntimeWarning,
+        )
+
+    def _stop(self) -> None:
+        try:
+            self._fh.close()  # flushes what the file still buffers
+        except OSError:
+            if not self._failed:  # quiet after the failure it warned of
+                self._on_error()
+
     # -------------------------------------------------------------- lifecycle
-    def flush(self) -> None:
-        """Block until every enqueued record is on disk (then flush the file).
-
-        The wait is untimed: the writer notifies whenever it leaves the queue
-        empty, and :meth:`close` notifies too.
-        """
-        with self._cv:
-            while (self._queue or self._writing) and not self._closed:
-                self._cv.wait()
-        with self._io:
-            if not self._closed:
-                self._fh.flush()
-
     def close(self) -> None:
-        with self._cv:
-            if self._closed:
-                return
-            self._closed = True
-            self._cv.notify_all()
-        self._writer.join(timeout=10.0)
-        with self._io:
-            self._fh.close()
+        """Refuse later records; wait (bounded) for the writer to finish."""
+        self._outbox.close()
+        self._outbox.thread.join(timeout=10.0)
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return not self._outbox.open
 
 
 def to_event(rec: dict[str, Any]) -> Event:

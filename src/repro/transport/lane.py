@@ -11,7 +11,7 @@ unbounded, as a ``Connection`` is.
 * :class:`Outbox`: senders frame on their own thread (or, given a
   ``pack``, the writer frames); one writer thread writes everything queued
   with one write-all call.  A socket's outbox frames each message, bounded
-  by :data:`MAX_FRAME`; a pipe's packs.
+  by :data:`MAX_FRAME`; a pipe's packs; the event journal's packs lines.
 * :func:`read_frame`: one frame through a blocking ``read``.
 * :class:`FrameReader`: a non-blocking descriptor, every whole frame a
   ``read`` completes; a partial frame waits for the next read.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import socket
 import struct
 from collections import deque
 from queue import SimpleQueue
@@ -160,11 +159,11 @@ class Outbox:
 
     def __init__(
         self,
-        write_all: Callable[[bytes], Any],
+        write_all: Callable[[Any], Any],
         name: str,
         on_error: Callable[[], Any],
         on_stop: Callable[[], Any],
-        pack: "Callable[[list], bytes] | None" = None,
+        pack: "Callable[[list], Any] | None" = None,
     ) -> None:
         self.open, self._write_all, self._pack = True, write_all, pack
         self._on_error, self._on_stop = on_error, on_stop
@@ -204,9 +203,10 @@ class Outbox:
         self._on_stop()
 
 
-def socket_outbox(sock: socket.socket, name: str, on_error: Callable[[], Any]) -> Outbox:
+def socket_outbox(sock, name: str, on_error: Callable[[], Any]) -> Outbox:
     """An outbox over a connected socket; its writer shuts the socket down
     (waking a blocked read) and closes it when it stops."""
+    import socket  # here, not at the top: the journal's outbox needs no socket
 
     def stop() -> None:
         try:

@@ -85,32 +85,29 @@ def _summarise(img: np.ndarray) -> dict:
     }
 
 
-def image_pipeline(*, sim_scale: float = 1.0) -> PipelineSpec:
+def image_pipeline() -> PipelineSpec:
     """Denoise → edge-detect → threshold → summarise.
 
-    ``sim_scale`` scales the simulated work units (1.0 ≈ tens of
-    milliseconds per stage on the reference processor, matching the relative
-    stage weights measured locally: edges ≈ 2x denoise, threshold ≈ 0.5x,
-    summarise ≈ 0.1x).
+    The simulated work units are tens of milliseconds per stage on the
+    reference processor, matching the relative stage weights measured
+    locally: edges ≈ 2x denoise, threshold ≈ 0.5x, summarise ≈ 0.1x.
     """
-    check_positive(sim_scale, "sim_scale")
-    s = sim_scale
     return PipelineSpec(
         (
             StageSpec(
-                name="denoise", work=LogNormalWork(0.04 * s, 0.2), out_bytes=73_728,
+                name="denoise", work=LogNormalWork(0.04, 0.2), out_bytes=73_728,
                 fn=_denoise,
             ),
             StageSpec(
-                name="edges", work=LogNormalWork(0.08 * s, 0.2), out_bytes=73_728,
+                name="edges", work=LogNormalWork(0.08, 0.2), out_bytes=73_728,
                 fn=_edges,
             ),
             StageSpec(
-                name="threshold", work=LogNormalWork(0.02 * s, 0.2), out_bytes=73_728,
+                name="threshold", work=LogNormalWork(0.02, 0.2), out_bytes=73_728,
                 fn=_threshold,
             ),
             StageSpec(
-                name="summarise", work=LogNormalWork(0.004 * s, 0.2), out_bytes=64,
+                name="summarise", work=LogNormalWork(0.004, 0.2), out_bytes=64,
                 fn=_summarise,
             ),
         ),
@@ -162,7 +159,6 @@ def fetch_pipeline(
     latency: float = 0.02,
     jitter: float = 0.25,
     asynchronous: bool = False,
-    sim_scale: float = 1.0,
 ) -> PipelineSpec:
     """Fetch → parse → store: a simulated-latency I/O service pipeline.
 
@@ -176,7 +172,6 @@ def fetch_pipeline(
     plain callable in both variants.
     """
     check_positive(latency, "latency")
-    check_positive(sim_scale, "sim_scale")
     if not 0.0 <= jitter < 1.0:
         raise ValueError(f"jitter must be in [0, 1), got {jitter}")
     if asynchronous:
@@ -206,19 +201,18 @@ def fetch_pipeline(
         await asyncio.sleep(_simulated_latency(rid + 1_000_003, 0.5 * latency, jitter))
         return {"id": rid, "digits": digits, "stored": True}
 
-    s = sim_scale
     return PipelineSpec(
         (
             StageSpec(
-                name="fetch", work=latency * s, out_bytes=16_384,
+                name="fetch", work=latency, out_bytes=16_384,
                 fn=fetch_async if asynchronous else fetch_sync,
             ),
             StageSpec(
-                name="parse", work=0.02 * latency * s, out_bytes=64,
+                name="parse", work=0.02 * latency, out_bytes=64,
                 fn=parse,
             ),
             StageSpec(
-                name="store", work=0.5 * latency * s, out_bytes=64,
+                name="store", work=0.5 * latency, out_bytes=64,
                 fn=store_async if asynchronous else store_sync,
             ),
         ),
@@ -227,17 +221,15 @@ def fetch_pipeline(
     )
 
 
-def kmer_pipeline(*, sim_scale: float = 1.0) -> PipelineSpec:
+def kmer_pipeline() -> PipelineSpec:
     """GC-content → k-mer counting → report (k-mer stage dominates)."""
-    check_positive(sim_scale, "sim_scale")
-    s = sim_scale
     return PipelineSpec(
         (
-            StageSpec(name="gc", work=LogNormalWork(0.01 * s, 0.2),
+            StageSpec(name="gc", work=LogNormalWork(0.01, 0.2),
                       out_bytes=20_000, fn=_gc_content),
-            StageSpec(name="kmers", work=LogNormalWork(0.12 * s, 0.3),
+            StageSpec(name="kmers", work=LogNormalWork(0.12, 0.3),
                       out_bytes=600, fn=_kmer_count),
-            StageSpec(name="report", work=LogNormalWork(0.002 * s, 0.2),
+            StageSpec(name="report", work=LogNormalWork(0.002, 0.2),
                       out_bytes=120, fn=_report),
         ),
         input_bytes=20_000,

@@ -73,7 +73,7 @@ def checksum_array(a: np.ndarray) -> dict:
     }
 
 
-def array_pipeline(*, mbytes: float = 1.0, sim_scale: float = 1.0) -> PipelineSpec:
+def array_pipeline(*, mbytes: float = 1.0) -> PipelineSpec:
     """Scale → smooth → checksum over ~``mbytes``-MB float64 arrays.
 
     The first two stages forward the full array downstream, so every hop
@@ -83,21 +83,19 @@ def array_pipeline(*, mbytes: float = 1.0, sim_scale: float = 1.0) -> PipelineSp
     real runs measure actual payload sizes through the monitor.
     """
     check_positive(mbytes, "mbytes")
-    check_positive(sim_scale, "sim_scale")
     nbytes = float(mbytes) * 1e6
-    s = sim_scale
     return PipelineSpec(
         (
             StageSpec(
-                name="scale", work=LogNormalWork(0.004 * mbytes * s, 0.2),
+                name="scale", work=LogNormalWork(0.004 * mbytes, 0.2),
                 out_bytes=nbytes, fn=scale_array,
             ),
             StageSpec(
-                name="smooth", work=LogNormalWork(0.006 * mbytes * s, 0.2),
+                name="smooth", work=LogNormalWork(0.006 * mbytes, 0.2),
                 out_bytes=nbytes, fn=smooth_array,
             ),
             StageSpec(
-                name="checksum", work=LogNormalWork(0.003 * mbytes * s, 0.2),
+                name="checksum", work=LogNormalWork(0.003 * mbytes, 0.2),
                 out_bytes=128, fn=checksum_array,
             ),
         ),

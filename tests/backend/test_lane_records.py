@@ -72,6 +72,8 @@ def test_every_lane_record_names_its_items_by_gseq(executor, batching, tmp_path)
                 f"stream {stream}: {ev.kind} {f} names {named}"
             )
             records.append((ev, set(named)))
+            if ev.kind == "batch.assemble":  # base: its first item's seq in the stream
+                assert f["base"] == named[0][1], f
     assert len(owner) == 2 * N
     kinds = {ev.kind for ev, _ in records}
     assert {"stage.service"} <= kinds

@@ -48,7 +48,7 @@ def per_hop(m, burst):
 
 def state(m):
     return (
-        m.snapshot(), m.items_processed, m.total.n, m._service_win.values(),
+        m.snapshot(), m.total.n, m._service_win.values(),
         m._work_win.values(), m._bytes_out_win.values(),
     )
 
@@ -107,7 +107,7 @@ def _watched_run(bs, bulk):
     wakes = []
 
     def wake():
-        wakes.append((m.items_processed, watch.take()))
+        wakes.append((m.total.n, watch.take()))
         watch.arm([m.snapshot().service_time])
 
     watch = ServiceWatch([m], wake, locks=[threading.Lock()], min_samples=3, ratio=1.2)

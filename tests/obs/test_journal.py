@@ -1,33 +1,15 @@
 """Tests for the JSONL journal and its reader."""
 
 import json
+import os
 import threading
 import time
+import warnings
+
+import pytest
 
 from repro.obs.events import Event, EventBus
 from repro.obs.journal import JsonlJournal, read_journal, to_event
-
-
-class _SpyCondition:
-    """A ``Condition`` that records the arguments of every ``wait`` made by
-    a thread other than the journal's writer."""
-
-    def __init__(self, inner):
-        self.inner, self.waits = inner, []
-
-    def __enter__(self):
-        return self.inner.__enter__()
-
-    def __exit__(self, *exc):
-        return self.inner.__exit__(*exc)
-
-    def wait(self, *args, **kwargs):
-        if threading.current_thread().name != "jsonl-journal":
-            self.waits.append((args, kwargs))
-        return self.inner.wait(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
 
 
 class TestJsonlJournal:
@@ -142,36 +124,27 @@ class TestJsonlJournal:
         j(Event(0.0, "stream.begin"))  # silently dropped
         assert path.read_text() == ""
 
-    def test_flush_puts_every_record_on_disk_while_open(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        j = JsonlJournal(path)
-        for i in range(50):
-            j(Event(float(i), "item.submit", fields={"seq": i}))
-        j.flush()
-        assert not j.closed
-        assert [r["seq"] for r in read_journal(path)] == list(range(50))
-        j.close()
-        assert j.closed
-        j.flush()  # nothing left to wait for: returns at once
-
-    def test_a_parked_flush_wakes_on_the_writer_and_never_polls(self, tmp_path):
-        j = JsonlJournal(tmp_path / "j.jsonl")
-        j._cv = spy = _SpyCondition(j._cv)
-        flushed = threading.Event()
-        with j._io:  # the writer takes the batch, then stalls on the file
-            j(Event(0.0, "item.submit", fields={"seq": 0}))
-            flusher = threading.Thread(target=lambda: (j.flush(), flushed.set()), daemon=True)
-            flusher.start()
-            deadline = time.perf_counter() + 2.0
-            while not spy.waits and time.perf_counter() < deadline:
-                time.sleep(0.005)
-            assert spy.waits, "flush never parked"
-            time.sleep(0.3)  # no clock wakes a parked flush
-            assert not flushed.is_set() and spy.waits == [((), {})]
-        assert flushed.wait(2.0), "the writer's drain never woke the flush"
-        assert [r["seq"] for r in read_journal(j.path)] == [0]
-        assert not [call for call in spy.waits if call != ((), {})]  # untimed, every one
-        j.close()
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_failed_write_stops_the_writer_warns_once_and_refuses_records(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            j = JsonlJournal("/dev/full")
+            for i in range(20_000):
+                j(Event(float(i), "item.submit", fields={"seq": i}))
+            deadline = time.monotonic() + 5.0
+            while not j.closed and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert j.closed, "the writer never noticed the failed write"
+            queued = j._outbox._queue.qsize()
+            for i in range(1_000):
+                j(Event(float(i), "item.submit", fields={"seq": i}))
+            assert j._outbox._queue.qsize() == queued  # refused, not queued
+            t0 = time.monotonic()
+            j.close()
+            assert time.monotonic() - t0 < 1.0
+            assert not j._outbox.thread.is_alive()
+        warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(warned) == 1 and "/dev/full" in str(warned[0].message)
 
     def test_as_bus_subscriber(self, tmp_path):
         path = tmp_path / "j.jsonl"

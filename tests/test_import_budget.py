@@ -74,6 +74,25 @@ def test_a_thread_pipeline_loads_the_thread_executor_and_nothing_else():
     assert "repro.backend.thread_backend" in loaded
 
 
+def test_a_journaled_thread_pipeline_loads_the_lane_but_no_socket(tmp_path):
+    # The journal writes through the lane's Outbox; only a socket's outbox
+    # needs the socket module.
+    loaded = set(fresh(
+        f"""
+        import json, sys
+        from repro import open_pipeline
+        session = open_pipeline([lambda x: x + 1], backend="threads",
+                                telemetry={str(tmp_path / "j.jsonl")!r})
+        session.submit(1)
+        assert session.drain() == [2]
+        session.close()
+        print(json.dumps(sorted(sys.modules)))
+        """
+    ))
+    assert "repro.transport.lane" in loaded
+    assert not loaded & {"asyncio", "multiprocessing", "socket"}
+
+
 def test_plain_stages_opened_as_asyncio_load_no_event_loop():
     # "asyncio" is the thread fabric: without a coroutine stage, no loop.
     loaded = set(fresh(

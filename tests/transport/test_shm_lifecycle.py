@@ -132,3 +132,39 @@ def test_distributed_killed_worker_leaves_no_segments_after_close():
     # ...and close reclaimed every segment, including whatever the killed
     # worker created but never delivered.
     assert session_segments(session) == []
+
+
+def _slow(a: np.ndarray) -> np.ndarray:
+    time.sleep(0.1)
+    return a
+
+
+def test_distributed_results_that_outlive_their_session_release_their_frames():
+    # Each session closes mid-stream: the workers finish what they hold, and
+    # those results reach a session that has closed (or, once the next one
+    # opened, carry an earlier epoch).  Either way their frames go back.
+    pipe = PipelineSpec((StageSpec(name="slow", fn=_slow), StageSpec(name="double", fn=_double)))
+    backend = DistributedBackend(pipe, spawn_workers=2, transport="auto", replicas=[2, 1])
+    session = backend._codec.session
+    try:
+        for cycle in range(3):
+            stream = backend.open()
+
+            def feed(stream=stream, cycle=cycle):
+                for a in make_arrays(8, mbytes=1.0, seed=cycle):
+                    stream.submit(a)
+
+            with ThreadPoolExecutor(1) as producer:
+                fed = producer.submit(feed)
+                time.sleep(0.15)
+                stream.close()
+                fed.exception(timeout=10)  # done, or refused by the close
+            time.sleep(1.2)
+        probe = [backend._probe[0].stream.name]
+        deadline = time.monotonic() + 5.0
+        while busy_segments(session) != probe and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert busy_segments(session) == probe
+    finally:
+        backend.close()
+    assert session_segments(session) == []

@@ -13,9 +13,10 @@
 #
 # The run set is CI's: the examples, E1-E21 in quick mode, perfbench's
 # workloads (plain and traced), and the obs-smoke telemetry commands (the
-# streaming example with REPRO_OBS_JOURNAL, a two-stream processes journal,
-# the Prometheus stage families under batching with that session journaled
-# too, a two-worker distributed journal, and obs.top and obs.profile
+# streaming example with REPRO_OBS_JOURNAL, on a file and on /dev/full, a
+# two-stream processes journal, the Prometheus stage families under
+# batching with that session journaled too, a two-worker distributed
+# journal, and obs.top and obs.profile
 # (--slowest and --json) over each journal) and the shm leak check.  Two
 # things to expect from it:
 # - Quick mode skips E1-E13's shape assertions, so reporting/shapes.py shows
@@ -35,6 +36,8 @@ for example in examples/*.py; do
 done
 REPRO_OBS_JOURNAL="$tmp/stream.jsonl" python examples/streaming_pipeline.py > /dev/null \
     || echo "audit: journaled streaming example failed" >&2
+REPRO_OBS_JOURNAL=/dev/full python examples/streaming_pipeline.py > /dev/null 2>&1 \
+    || echo "audit: streaming example on a full journal disk failed" >&2
 python - "$tmp" <<'EOF' || echo "audit: telemetry sessions failed" >&2
 import sys
 from repro.obs import Telemetry
