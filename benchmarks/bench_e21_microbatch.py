@@ -3,7 +3,7 @@
 Claim: for sub-millisecond stages the pipeline's cost is dominated by the
 fixed per-item framework tax — queue hops, reorderer transactions, pickle
 framing, wire round trips — and coalescing admitted items into batch
-frames (``batching="auto"``) amortizes that tax across the batch without
+frames (``batching=64``) amortizes that tax across the batch without
 changing any per-item semantics.  The acceptance bar from the issue:
 ``batched_tp / unbatched_tp >= 5`` on the thread and process executors;
 asyncio and distributed ride along as supporting evidence.
@@ -115,7 +115,7 @@ def run_experiment():
             session.close()
 
             # Batched session on the SAME warm backend.
-            session = b.open(batching="auto")
+            session = b.open(batching=64)
             batch_items = session._batch_items
             _measure_first_result(session, n_first)
             batch_tp = _measure_throughput(session, N_ITEMS)

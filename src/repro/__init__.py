@@ -42,7 +42,7 @@ __getattr__, __dir__, _exports = lazy_exports(
             "uniform_grid"
         ),
         "model": "Mapping ModelContext StageCost predict",
-        "skel": "farm open_pipeline pipeline_1for1 simulate_farm simulate_pipeline",
+        "skel": "open_pipeline pipeline_1for1 simulate_pipeline",
         "workloads": (
             "balanced_pipeline heterogeneity_ladder imbalanced_pipeline load_step "
             "stochastic_pipeline"

@@ -47,10 +47,11 @@ The port also keeps the three hooks the adaptation loop needs:
 * **lifecycle** — ``close`` releases warm resources (worker pools,
   sockets, event loops).
 
-One table names every executor (``make_backend``), so user-facing
-entry points (:func:`repro.skel.api.pipeline_1for1`,
-:func:`repro.skel.api.open_pipeline`) and benchmarks select one by string
-and a process imports only the executor it opens.
+One table names every executor (``make_backend``), so the user-facing
+entry point (:func:`repro.skel.api.open_pipeline`, with
+:func:`~repro.skel.api.pipeline_1for1` one bounded stream on it) and
+benchmarks select one by string and a process imports only the executor it
+opens.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from repro.monitor.instrument import PipelineInstrumentation, StageSnapshot
 from repro.obs.events import NULL_BUS, EventBus
 from repro.runtime.threads import StageError
 from repro.util import batching as _batching
-from repro.util.batching import Batch, approx_nbytes, normalize_batching
+from repro.util.batching import Batch, approx_nbytes
 from repro.util.handoff import Bell
 from repro.util.validation import check_positive
 
@@ -232,21 +233,11 @@ class Session:
         telemetry=None,
         batching=None,
     ) -> None:
-        #: Items per micro-batch, or None when batching is off.  Auto sizing
-        #: sees the pipeline's declared per-item service time, so slow stages
-        #: get small batches (latency) and sub-ms stages get 64 (throughput).
-        work_hint = sum(
-            s.work.mean
-            for s in backend.pipeline.stages
-            if getattr(s, "work_declared", False)
-        )
-        self._batch_items = normalize_batching(batching, work_hint_s=work_hint)
-        if max_inflight is not None and not (
-            isinstance(max_inflight, int) and max_inflight > 0
-        ):
-            raise ValueError(
-                f"max_inflight must be None or a positive int, got {max_inflight!r}"
-            )
+        for name, value in (("max_inflight", max_inflight), ("batching", batching)):
+            if value is not None and not (type(value) is int and value > 0):
+                raise ValueError(f"{name} must be None or a positive int, got {value!r}")
+        #: Items per micro-batch, or None when batching is off.
+        self._batch_items = batching
         self.backend = backend
         # The admission window: items admitted but not yet completed, and
         # the one in-flight bound — every executor's lanes take their depth
@@ -860,9 +851,9 @@ class Backend:
         ``telemetry`` (a :class:`repro.obs.Telemetry` or a journal path) is
         forwarded to ``Session.__init__``, which attaches it before any
         executor machinery starts — so warm-up events are captured too.
-        ``batching`` (any :func:`repro.util.batching.normalize_batching`
-        form) turns on transparent micro-batching on sessions that support
-        it.
+        ``batching`` (None, or a positive int: items per batch) turns on
+        transparent micro-batching.  A bad ``max_inflight`` or ``batching``
+        raises ``ValueError`` before any executor machinery starts.
         """
         if self.closed:
             raise RuntimeError("backend is closed")
@@ -1037,8 +1028,8 @@ def make_backend(
 ) -> Backend:
     """Resolve ``backend`` (a name or an instance) to a :class:`Backend`.
 
-    Passing an instance returns it unchanged (kwargs must then be omitted —
-    the instance is already configured).  When both an instance *and* a
+    Passing an instance returns it unchanged; it is already configured, so
+    any kwargs raise ``ValueError``.  When both an instance *and* a
     ``pipeline`` are given, the instance must run the same stage callables:
     silently executing a different pipeline than the caller reasons about
     is the one mistake this seam must not allow.
@@ -1046,7 +1037,7 @@ def make_backend(
     if isinstance(backend, Backend):
         if kwargs:
             raise ValueError(
-                f"backend instance given; unexpected kwargs: {sorted(kwargs)}"
+                f"a backend instance is already configured; unexpected kwargs: {sorted(kwargs)}"
             )
         if pipeline is not None and [s.fn for s in backend.pipeline.stages] != [
             s.fn for s in pipeline.stages

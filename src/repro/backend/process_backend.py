@@ -43,9 +43,9 @@ ordered stage — does it report to the parent, where a router restores order::
   is deeper.  A parent's put waits for space untimed; an abort wakes it by
   releasing that space (the pools then go cold).
 
-The default start method is ``fork`` where available (warm semantics, and
-closures/lambdas need no pickling); pass ``start_method="spawn"`` with
-importable module-level stage functions on platforms without fork.
+The pools start with ``fork`` where the platform has it (warm semantics,
+and closures/lambdas need no pickling), else with its first start method
+(``spawn``), which needs importable module-level stage functions.
 """
 
 from __future__ import annotations
@@ -388,8 +388,6 @@ class ProcessPoolBackend(Backend):
         boundary's result queue) holds ``capacity x pool size`` items, or
         the session's lane depth when that is deeper and this is not given;
         a train holds one worker's share.
-    start_method:
-        ``multiprocessing`` start method; default ``fork`` when available.
     transport:
         Payload codec moving items between processes, by name:
         ``"auto"``/``"pickle"``/``"shm"`` (see :mod:`repro.transport`).
@@ -407,16 +405,13 @@ class ProcessPoolBackend(Backend):
         replicas: list[int] | None = None,
         max_replicas: int = 4,
         capacity: int | None = None,
-        start_method: str | None = None,
         transport: str = "auto",
     ) -> None:
         super().__init__(
             pipeline, replicas=replicas, capacity=capacity, max_replicas=max_replicas
         )
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._ctx = mp.get_context(start_method)
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else methods[0])
         self._codec = _transport.get(transport)
         self._pools: list[_StagePool] | None = None  # None = cold
 

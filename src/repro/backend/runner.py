@@ -101,7 +101,7 @@ class RuntimeAdaptiveRunner:
     ----------
     backend:
         The :class:`Backend` to adapt, already configured; the runner
-        builds none.  ``close()`` (or the context manager) closes it.
+        builds none and closes none: its owner closes it.
     config:
         Loop tunables; default :func:`local_config`.
     rollback:
@@ -180,17 +180,6 @@ class RuntimeAdaptiveRunner:
             self._controller.join(timeout=5.0)
             self._controller = None
         self._attached = None
-
-    def close(self) -> None:
-        """Detach and release the backend's warm resources."""
-        self.detach()
-        self.backend.close()
-
-    def __enter__(self) -> "RuntimeAdaptiveRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ run
     def run(self, inputs: Iterable[Any]) -> RuntimeRunResult:

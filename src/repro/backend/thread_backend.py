@@ -141,13 +141,10 @@ class _ThreadSession(Session):
 
     def _shutdown(self) -> None:
         self._queues[0].producer_done()
-        while True:
-            with self._mutate_lock:
-                alive = [t for t in self._threads if t.is_alive()]
-            if not alive:
-                break
-            for t in alive:
-                t.join(timeout=0.5)
+        with self._mutate_lock:  # resize() starts no thread once closed
+            threads = list(self._threads)
+        for t in threads:
+            t.join()
         self._collector.join(timeout=5.0)
 
     # -------------------------------------------------------------- reshaping

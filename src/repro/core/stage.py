@@ -54,12 +54,6 @@ class FixedWork(WorkModel):
         return f"FixedWork({self._work})"
 
 
-#: Shared default work prior (0.1 s) — a sentinel instance, so consumers
-#: can tell "the caller declared this stage's cost" from "the sim prior
-#: was silently assumed" (auto batch sizing must ignore the latter).
-_DEFAULT_WORK = FixedWork(0.1)
-
-
 @dataclass(frozen=True)
 class StageSpec:
     """One pipeline stage.
@@ -84,7 +78,7 @@ class StageSpec:
     """
 
     name: str
-    work: WorkModel = _DEFAULT_WORK
+    work: WorkModel = FixedWork(0.1)
     out_bytes: float = 0.0
     state_bytes: float = 0.0
     replicable: bool = True
@@ -97,11 +91,6 @@ class StageSpec:
             raise TypeError(f"work must be a WorkModel or float, got {type(self.work)!r}")
         check_non_negative(self.out_bytes, "out_bytes")
         check_non_negative(self.state_bytes, "state_bytes")
-
-    @property
-    def work_declared(self) -> bool:
-        """True when ``work`` was given explicitly, not the 0.1 s sim prior."""
-        return self.work is not _DEFAULT_WORK
 
     @property
     def ordered(self) -> bool:

@@ -12,8 +12,8 @@ The journal is a plain bus subscriber, and it is safe to attach one
 journal to several buses (the coordinator's backend bus and the session
 bus share one file).  Emitters stamp and queue; the writer of a lane
 :class:`~repro.transport.lane.Outbox` serialises, rotates and writes, so
-routers and submitters never pay for disk.  A failed write stops the
-writer: the journal warns once, turns ``closed`` and drops later records.
+routers and submitters never pay for disk.  A failed write (serialising
+included) stops it: the journal warns once, turns ``closed``, drops the rest.
 """
 
 from __future__ import annotations
@@ -111,20 +111,20 @@ class JsonlJournal:
         self._fh = open(self.path, "a", encoding="utf-8")
         self._nbytes = 0
 
-    def _on_error(self) -> None:
+    def _on_error(self, err: "BaseException | None" = None) -> None:
         self._failed = True
         warnings.warn(
-            f"journal {str(self.path)!r}: a write failed; its writer stopped and "
-            "later records are dropped",
+            f"journal {str(self.path)!r}: writing a record failed "
+            f"({err or self._outbox.error!r}); its writer stopped and later records are dropped",
             RuntimeWarning,
         )
 
     def _stop(self) -> None:
         try:
             self._fh.close()  # flushes what the file still buffers
-        except OSError:
+        except OSError as err:
             if not self._failed:  # quiet after the failure it warned of
-                self._on_error()
+                self._on_error(err)
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:

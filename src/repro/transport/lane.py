@@ -151,10 +151,10 @@ class Outbox:
     senders queue their messages as they are and the writer writes
     ``pack(messages)``: a packer sees every message queued per write, so it
     can frame a run of them as one; without one, a frame refuses to exceed
-    :data:`MAX_FRAME`.  A failed write calls ``on_error`` once; after that,
-    or after :meth:`close`, :meth:`send` returns False.  The writer owns the
-    lane's end: it calls ``on_stop`` (close the pipe, shut the socket down)
-    when it stops.
+    :data:`MAX_FRAME`.  A pack or write that raises sets ``error`` and calls
+    ``on_error`` once; after that, or after :meth:`close`, :meth:`send`
+    returns False.  The writer owns the lane's end: it calls ``on_stop``
+    (close the pipe, shut the socket down) when it stops.
     """
 
     def __init__(
@@ -165,7 +165,7 @@ class Outbox:
         on_stop: Callable[[], Any],
         pack: "Callable[[list], Any] | None" = None,
     ) -> None:
-        self.open, self._write_all, self._pack = True, write_all, pack
+        self.open, self.error, self._write_all, self._pack = True, None, write_all, pack
         self._on_error, self._on_stop = on_error, on_stop
         self._queue: SimpleQueue = SimpleQueue()
         self.thread = Thread(target=self._write, name=name, daemon=True)
@@ -196,8 +196,8 @@ class Outbox:
             try:
                 if queued:
                     self._write_all(self._pack(queued) if self._pack else b"".join(queued))
-            except OSError:
-                self.open = False
+            except Exception as err:  # noqa: BLE001 - a failed pack stops the writer too
+                self.open, self.error = False, err
                 self._on_error()
                 break
         self._on_stop()

@@ -13,10 +13,10 @@ touches it: the session assembles and splits batches, the thread runtime's
 workers and the process/distributed worker *processes* map over them — and
 pickled batches must resolve against one importable module on any host.
 
-A session's batch size is one number, decided at open
-(:func:`normalize_batching`).  The assembly buffer is cut when it holds
-that many items, when it holds :data:`MAX_BYTES` of payload, or when its
-first item has waited :data:`LINGER_S` (under trickle load).
+A session's batch size is one number, the positive int its ``batching=``
+names at open.  The assembly buffer is cut when it holds that many items,
+when it holds :data:`MAX_BYTES` of payload, or when its first item has
+waited :data:`LINGER_S` (under trickle load).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "LINGER_S",
     "MAX_BYTES",
     "map_batch",
-    "normalize_batching",
 ]
 
 #: Flush deadline for a partial batch: the first-result latency batching
@@ -39,11 +38,6 @@ LINGER_S = 0.002
 #: Byte bound per batch, so a batch of large payloads never balloons one
 #: frame past what the transport moves well.
 MAX_BYTES = 1 << 20
-
-#: ``"auto"``'s batch size when no stage declares its work, and its cap
-#: otherwise: it bounds head-of-line blocking and redispatch cost (a worker
-#: death re-sends whole batches).
-_AUTO_ITEMS = 64
 
 
 class Batch:
@@ -81,31 +75,6 @@ class Batch:
 def map_batch(fn: Callable[[Any], Any], batch: Batch) -> Batch:
     """Apply a per-item stage function element-wise; metadata rides along."""
     return Batch([fn(v) for v in batch.items], batch.base_seq, batch.gbase, batch.bseq)
-
-
-def normalize_batching(spec: Any, *, work_hint_s: float = 0.0) -> int | None:
-    """Resolve the user-facing ``batching=`` spec to items per batch (or ``None``).
-
-    Accepted forms: ``None``/``False`` (off), ``True``/``"auto"``, or a
-    positive ``int`` (items per batch).  ``"auto"`` is 64, capped so a
-    batch's declared service fits one linger: ``work_hint_s`` is the
-    pipeline's declared per-item service time (sum of stage ``work``
-    hints), and a whole batch is serviced before its first result
-    egresses, so millisecond stages get batches of 1 while sub-ms stages
-    amortize the per-item hop over 64.
-    """
-    if spec is None or spec is False:
-        return None
-    if spec is True or spec == "auto":
-        if work_hint_s > 0:
-            return min(_AUTO_ITEMS, max(1, int(LINGER_S / work_hint_s)))
-        return _AUTO_ITEMS
-    if isinstance(spec, int) and spec > 0:
-        return spec
-    raise ValueError(
-        "batching must be None or False (off), True or 'auto' (sized from the "
-        f"stages' declared work), or a positive int (items per batch); got {spec!r}"
-    )
 
 
 def approx_nbytes(item: Any) -> int:

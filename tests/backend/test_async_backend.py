@@ -202,7 +202,7 @@ class TestAsyncioAdaptation:
             config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
             rollback=False,
         )
-        with runner:
+        with runner.backend:
             res = runner.run(range(80))
         assert res.outputs == [x * 2 for x in range(80)]
         assert res.items == 80

@@ -25,12 +25,7 @@ from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.skel.api import open_pipeline
 from repro.util import batching
-from repro.util.batching import (
-    Batch,
-    approx_nbytes,
-    map_batch,
-    normalize_batching,
-)
+from repro.util.batching import Batch, approx_nbytes, map_batch
 from repro.util.ordering import SequenceReorderer
 
 
@@ -66,19 +61,10 @@ class TestBatchUnit:
         assert (out.base_seq, out.gbase, out.bseq) == (7, 42, 3)
         assert len(out) == 3
 
-    def test_normalize_batching_forms(self):
-        assert normalize_batching(None) is None
-        assert normalize_batching(False) is None
-        assert normalize_batching(16) == 16
-        assert normalize_batching(True) == normalize_batching("auto") == 64
-        for bad in ({"max_items": 4}, 0, -3, 3.5, "fast"):
-            with pytest.raises(ValueError, match=r"None or False .* 'auto' .* positive int"):
-                normalize_batching(bad)
-
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_open_rejects_what_is_not_a_batch_size(self, backend):
         # A bad value fails before any executor machinery starts.
-        for bad in ({"max_items": 4}, 0, -1):
+        for bad in (True, False, "auto", {"max_items": 4}, 0, -1):
             with pytest.raises(ValueError, match="positive int"):
                 open_pipeline([_inc], backend=backend, batching=bad)
 
@@ -86,30 +72,6 @@ class TestBatchUnit:
         assert approx_nbytes(b"x" * 100) == 100
         assert approx_nbytes(bytearray(50)) == 50
         assert approx_nbytes(object()) > 0
-
-    def test_auto_sizing_respects_stage_work_hints(self):
-        # No declared work, or sub-microsecond stages: the full 64.
-        # Millisecond stages: a batch's service would hold the first result
-        # past the linger — auto degenerates to per-item.  In between: as
-        # many items as one linger's worth of declared service.
-        sizes = {w: normalize_batching("auto", work_hint_s=w) for w in (0, 1e-6, 5e-4, 2e-3)}
-        assert sizes == {0: 64, 1e-6: 64, 5e-4: 4, 2e-3: 1}
-
-    def test_auto_session_sees_declared_work(self):
-        pipe = PipelineSpec(
-            (
-                StageSpec(name="a", work=0.001, fn=_inc),
-                StageSpec(name="b", work=0.002, fn=_inc),
-            )
-        )
-        with ThreadBackend(pipe) as b:
-            session = b.open(batching="auto")
-            try:
-                # 3ms of declared per-item service: batching can only add
-                # latency, so the calibrated count bound collapses to 1.
-                assert session._batch_items == 1
-            finally:
-                session.close()
 
     def test_push_range_in_order_releases_run(self):
         r = SequenceReorderer()
@@ -226,7 +188,7 @@ class TestBatchedStreams:
     def test_batched_matches_unbatched_outputs(self):
         inputs = list(range(40))
         want = [x * x for x in inputs]
-        for batching in (None, 8, "auto"):
+        for batching in (None, 8, 64):
             with ThreadBackend(spec([_jitter_square])) as b:
                 session = b.open(batching=batching)
                 for x in inputs:

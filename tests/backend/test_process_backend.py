@@ -336,9 +336,12 @@ class TestForwardedSegment:
                     session.submit(x)
                 assert session.drain() == [x * x + 1 for x in range(150)]
 
-    def test_spawn_start_method_shares_the_queues(self):
+    def test_spawn_start_method_shares_the_queues(self, monkeypatch):
+        # A platform without fork: the pools start with its first method.
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn"])
         pipe = spec([_inc, _double, _inc])
-        with ProcessPoolBackend(pipe, replicas=[1, 2, 1], start_method="spawn") as b:
+        with ProcessPoolBackend(pipe, replicas=[1, 2, 1]) as b:
+            assert b._ctx.get_start_method() == "spawn"
             assert b.run(range(12)).outputs == [(x + 1) * 2 + 1 for x in range(12)]
             b.reconfigure(1, 1)
             assert b.run(range(12)).outputs == [(x + 1) * 2 + 1 for x in range(12)]

@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -57,12 +58,12 @@ class TestRuntimeAdaptiveRunner:
         # More stages than host cores: the policy's virtual grid still holds
         # one processor per stage plus the warm pool's extra replica.
         n = (os.cpu_count() or 2) + 3
-        with RuntimeAdaptiveRunner(ThreadBackend(spec([_fast] * n), max_replicas=2)) as runner:
-            assert runner.n_virtual_procs == n + 1
+        with ThreadBackend(spec([_fast] * n), max_replicas=2) as b:
+            assert RuntimeAdaptiveRunner(b).n_virtual_procs == n + 1
 
     def test_virtual_grid_spans_the_host_cores(self):
-        with RuntimeAdaptiveRunner(ThreadBackend(spec([_fast]), max_replicas=1)) as runner:
-            assert runner.n_virtual_procs == max(os.cpu_count() or 2, 2)
+        with ThreadBackend(spec([_fast]), max_replicas=1) as b:
+            assert RuntimeAdaptiveRunner(b).n_virtual_procs == max(os.cpu_count() or 2, 2)
 
     def test_grows_bottleneck_on_thread_backend(self):
         pipe = spec([_fast, _bottleneck, _fast])
@@ -71,7 +72,7 @@ class TestRuntimeAdaptiveRunner:
             config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
             rollback=False,
         )
-        with runner:
+        with runner.backend:
             res = runner.run(range(80))
         assert res.outputs == [(x + 1) * 2 + 1 for x in range(80)]
         assert res.items == 80
@@ -91,7 +92,7 @@ class TestRuntimeAdaptiveRunner:
             config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
             rollback=False,
         )
-        with runner:
+        with runner.backend:
             res = runner.run(range(80))
         assert res.outputs == [x * 2 + 1 for x in range(80)]
         assert res.replica_counts[0] > 1
@@ -107,7 +108,7 @@ class TestRuntimeAdaptiveRunner:
             config=local_config(interval=0.1, cooldown=0.1, settle_time=0.1),
             rollback=False,
         )
-        with runner:
+        with runner.backend:
             res = runner.run(range(120))
         assert res.items == 120
         real_changes = {tuple(c) for _, c in res.replica_history}
@@ -116,10 +117,13 @@ class TestRuntimeAdaptiveRunner:
         assert len(real_changes) == len(res.replica_history)
         assert res.replica_counts[1] <= 2
 
-    def test_context_manager_closes_owned_backend(self):
-        with RuntimeAdaptiveRunner(ProcessPoolBackend(spec([_fast]))) as runner:
+    def test_the_backends_owner_closes_it(self):
+        with ProcessPoolBackend(spec([_fast])) as b:
+            runner = RuntimeAdaptiveRunner(b)
             res = runner.run(range(5))
             assert res.outputs == [x + 1 for x in range(5)]
+            runner.detach()  # the runner closes nothing of the backend's
+            assert b.run(range(3)).outputs == [1, 2, 3]
         # The warm pools must be reaped: a closed backend refuses work.
         with pytest.raises(RuntimeError, match="closed"):
             runner.backend.run([1])
@@ -127,7 +131,8 @@ class TestRuntimeAdaptiveRunner:
     def test_empty_run_reports_itself_not_the_previous_stream(self):
         # drain() opens no stream for an empty input, so the session still
         # holds the previous stream's figures: the runner must not read them.
-        with RuntimeAdaptiveRunner(ThreadBackend(spec([_fast]))) as runner:
+        with ThreadBackend(spec([_fast])) as b:
+            runner = RuntimeAdaptiveRunner(b)
             first = runner.run(range(5))
             assert (first.items, first.outputs) == (5, [x + 1 for x in range(5)])
             empty = runner.run([])
@@ -161,8 +166,8 @@ class TestRuntimeAdaptiveRunner:
         # A balanced, fast pipeline: the decision is taken as soon as both
         # stages have their samples, and says no (not amortised).
         pipe = spec([_fast, _fast])
-        with RuntimeAdaptiveRunner(ThreadBackend(pipe)) as runner:
-            res = runner.run(range(30))
+        with ThreadBackend(pipe) as b:
+            res = RuntimeAdaptiveRunner(b).run(range(30))
         assert res.outputs == [x + 2 for x in range(30)]
         assert res.adaptation_events == []
         assert res.replica_counts == [1, 1]
@@ -222,7 +227,7 @@ class TestEventDrivenController:
                 rollback=False,
             )
             decided = []
-            with runner:
+            with runner.backend:
                 session = runner.attach()
                 session.events.subscribe(decided.append, kinds=("adapt.decide",))
                 res = runner.run(range(260))
@@ -264,7 +269,7 @@ class TestEventDrivenController:
         config = local_config(cooldown=0.2, settle_time=0.1)
         runner = RuntimeAdaptiveRunner(ThreadBackend(pipe, max_replicas=4), config=config)
         decided = []
-        with runner:
+        with runner.backend:
             session = runner.attach()
             session.events.subscribe(decided.append, kinds=("adapt.decide",))
             first = runner.run(range(100))
@@ -282,7 +287,7 @@ class TestEventDrivenController:
     def test_detach_does_not_wait_out_the_interval(self):
         pipe = spec([_fast])
         runner = RuntimeAdaptiveRunner(ThreadBackend(pipe), config=local_config(interval=5.0))
-        with runner:
+        with runner.backend:
             runner.attach()
             time.sleep(0.05)  # the controller is inside its wait
             t0 = time.perf_counter()
@@ -293,7 +298,7 @@ class TestEventDrivenController:
         pipe = spec([_fast, _fast])
         runner = RuntimeAdaptiveRunner(ThreadBackend(pipe))
         runner.policy = policy = CountingPolicy(pipe, runner.config)
-        with runner:
+        with runner.backend:
             runner.run(range(20))
             after_stream = policy.calls
             time.sleep(1.0)  # attached, backlog 0
@@ -315,7 +320,7 @@ class TestEventDrivenController:
             while session.backlog:
                 time.sleep(0.001)
 
-        with runner:
+        with runner.backend:
             session = runner.attach()
             t0 = time.perf_counter()
             feed(session, range(3))
@@ -327,12 +332,12 @@ class TestEventDrivenController:
             assert session.drain() == list(range(12))
 
 
+@contextmanager
 def fast_runner(pipe, **backend_kwargs):
     """A thread-backend runner on the default policy, fast cadence, no rollback."""
     config = local_config(interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05)
-    return RuntimeAdaptiveRunner(
-        ThreadBackend(pipe, **backend_kwargs), config=config, rollback=False
-    )
+    with ThreadBackend(pipe, **backend_kwargs) as b:
+        yield RuntimeAdaptiveRunner(b, config=config, rollback=False)
 
 
 class TestAdaptationAcrossRuns:
@@ -415,7 +420,7 @@ class TestMeasuredResourceView:
             config=local_config(interval=0.05, cooldown=0.1, settle_time=0.05),
             rollback=False,
         )
-        with runner:
+        with runner.backend:
             res = runner.run(range(40))
         assert res.outputs == [(x + 1) * 2 for x in range(40)]
         assert calls, "runner never asked the backend for its measured view"

@@ -83,10 +83,11 @@ def live():
         config=local_config(interval=30.0, cooldown=0.1),
     )
     records = []
-    with runner:
+    with runner.backend:
         runner.attach().events.subscribe(records.append, kinds=ADAPT)
         assert runner.run(range(260)).outputs == [x + 1 for x in range(260)]
-    return runner.events, records  # closed: the controller has stopped
+        runner.detach()
+    return runner.events, records  # detached: the controller has stopped
 
 
 @pytest.mark.parametrize(

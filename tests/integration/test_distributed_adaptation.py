@@ -79,16 +79,10 @@ def test_worker_loss_during_adaptive_run():
     backend = DistributedBackend(
         _pipe(), spawn_workers=3, max_replicas=3, heartbeat_interval=0.2
     )
-    runner = RuntimeAdaptiveRunner(
-        backend,
-        config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
-        rollback=False,
-    )
     try:
         n = 120
-        # The runner's own run() attaches its control loop first; here the
-        # loss happens before adaptation, which is the harsher case:
-        # replicas re-home while the policy is observing.
+        # No controller attached: the loss happens before adaptation, which
+        # is the harsher case: replicas re-home while nothing re-plans them.
         with ThreadPoolExecutor(1) as producer:
             run = producer.submit(backend.run, range(n))
             time.sleep(0.5)
@@ -99,4 +93,3 @@ def test_worker_loss_during_adaptive_run():
         assert len(backend.alive_workers()) == 2
     finally:
         backend.close()
-        runner.close()

@@ -146,6 +146,34 @@ class TestJsonlJournal:
         warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert len(warned) == 1 and "/dev/full" in str(warned[0].message)
 
+    def test_a_record_that_fails_to_serialise_stops_the_writer_like_a_failed_write(
+        self, tmp_path
+    ):
+        class Unprintable:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        path = tmp_path / "j.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            j = JsonlJournal(path)
+            j(Event(0.0, "item.submit", fields={"payload": Unprintable()}))
+            deadline = time.monotonic() + 5.0
+            while not j.closed and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert j.closed, "the writer died without closing the journal"
+            queued = j._outbox._queue.qsize()
+            for i in range(1_000):
+                j(Event(float(i), "item.submit", fields={"seq": i}))
+            assert j._outbox._queue.qsize() == queued  # refused, not queued
+            t0 = time.monotonic()
+            j.close()
+            assert time.monotonic() - t0 < 1.0
+            assert not j._outbox.thread.is_alive()
+        warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(warned) == 1 and str(path) in str(warned[0].message)
+        assert "no repr" in str(warned[0].message)
+
     def test_as_bus_subscriber(self, tmp_path):
         path = tmp_path / "j.jsonl"
         bus = EventBus(clock=lambda: 1.0)

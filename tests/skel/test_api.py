@@ -6,7 +6,7 @@ from repro.core.policy import AdaptationConfig
 from repro.core.stage import StageSpec
 from repro.gridsim.spec import uniform_grid
 from repro.model.mapping import Mapping
-from repro.skel.api import farm, pipeline_1for1, simulate_farm, simulate_pipeline
+from repro.skel.api import pipeline_1for1, simulate_pipeline
 from repro.workloads.synthetic import balanced_pipeline
 
 
@@ -89,14 +89,6 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="already configured"):
             pipeline_1for1([_inc], [5], backend=b, capacity=32)
 
-    def test_farm_requires_backend_name(self):
-        from repro.backend import ThreadBackend
-        from repro.core.pipeline import PipelineSpec as PS
-
-        b = ThreadBackend(PS((StageSpec(name="inc", work=0.01, fn=_inc),)))
-        with pytest.raises(ValueError, match="backend name"):
-            farm(_inc, [1], backend=b)
-
     def test_adaptive_run_returns_ordered_outputs(self):
         out = pipeline_1for1(
             [_inc, _slow_double], range(25), backend="threads", adaptive=True
@@ -121,18 +113,27 @@ class TestBackendSelection:
         finally:
             b.close()
 
-    def test_farm_on_processes(self):
-        out = farm(_slow_double, range(12), workers=3, backend="processes")
-        assert out == [x * 2 for x in range(12)]
+    def test_adaptive_runs_close_their_session_on_a_callers_backend(self):
+        import threading
 
+        from repro.backend import ThreadBackend
+        from repro.core.pipeline import PipelineSpec as PS
 
-class TestFarm:
-    def test_results_in_order(self):
-        out = farm(lambda x: x * 3, range(20), workers=4)
-        assert out == [x * 3 for x in range(20)]
+        b = ThreadBackend(PS((StageSpec(name="inc", work=0.01, fn=_inc),)))
+        try:
+            for _ in range(2):
+                assert pipeline_1for1([_inc], range(5), backend=b, adaptive=True) == [1, 2, 3, 4, 5]
+            assert not any(t.name == "adaptive-controller" for t in threading.enumerate())
+            assert b._session.closed
+            assert b.run(range(3)).outputs == [1, 2, 3]
+        finally:
+            b.close()
 
-    def test_single_worker(self):
-        assert farm(lambda x: -x, [1, 2], workers=1) == [-1, -2]
+    @pytest.mark.parametrize("backend", ["threads", "asyncio", "processes", "distributed"])
+    def test_same_ordered_outputs_on_every_executor(self, backend):
+        extra = {"spawn_workers": 2} if backend == "distributed" else {}
+        out = pipeline_1for1([_inc, _slow_double], range(12), backend=backend, **extra)
+        assert out == [(x + 1) * 2 for x in range(12)]
 
 
 class TestSimulatePipeline:
@@ -165,22 +166,13 @@ class TestSimulatePipeline:
         )
         assert res.completed_all
 
+    def test_a_farm_is_one_stage_mapped_over_its_processors(self):
+        from repro.core.pipeline import PipelineSpec
 
-class TestSimulateFarm:
-    def test_uses_all_processors_by_default(self):
-        res = simulate_farm(0.4, uniform_grid(4), 200)
-        assert res.completed_all
+        grid = uniform_grid(4)
+        res = simulate_pipeline(
+            PipelineSpec((StageSpec(name="worker", work=0.4),)), grid, 100,
+            adaptive=False, mapping=Mapping((tuple(grid.pids),)),
+        )
+        assert res.completed_all and res.in_order()
         assert res.final_mapping.replicas(0) == (0, 1, 2, 3)
-
-    def test_worker_cap(self):
-        res = simulate_farm(0.4, uniform_grid(4), 100, workers=2)
-        assert res.final_mapping.replicas(0) == (0, 1)
-
-    def test_farm_scales(self):
-        one = simulate_farm(0.4, uniform_grid(4), 200, workers=1)
-        four = simulate_farm(0.4, uniform_grid(4), 200, workers=4)
-        assert four.makespan < one.makespan / 2.5
-
-    def test_outputs_ordered(self):
-        res = simulate_farm(0.4, uniform_grid(4), 100)
-        assert res.in_order()
