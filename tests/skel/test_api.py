@@ -135,6 +135,20 @@ class TestBackendSelection:
         out = pipeline_1for1([_inc, _slow_double], range(12), backend=backend, **extra)
         assert out == [(x + 1) * 2 for x in range(12)]
 
+    def test_farm_on_processes(self):
+        out = pipeline_1for1([_slow_double], range(12), replicas=[3], backend="processes")
+        assert out == [x * 2 for x in range(12)]
+
+
+class TestFarm:
+    # A task farm is a one-stage pipeline with a replicated stage.
+    def test_results_in_order(self):
+        out = pipeline_1for1([lambda x: x * 3], range(20), replicas=[4])
+        assert out == [x * 3 for x in range(20)]
+
+    def test_single_worker(self):
+        assert pipeline_1for1([lambda x: -x], [1, 2], replicas=[1]) == [-1, -2]
+
 
 class TestSimulatePipeline:
     def test_static(self):
@@ -176,3 +190,25 @@ class TestSimulatePipeline:
         )
         assert res.completed_all and res.in_order()
         assert res.final_mapping.replicas(0) == (0, 1, 2, 3)
+
+
+def _simulate_farm(grid, n_items, workers):
+    """A task farm on the simulator: one stage mapped over ``workers`` processors."""
+    from repro.core.pipeline import PipelineSpec
+
+    return simulate_pipeline(
+        PipelineSpec((StageSpec(name="worker", work=0.4),)), grid, n_items,
+        adaptive=False, mapping=Mapping((tuple(grid.pids[:workers]),)),
+    )
+
+
+class TestSimulateFarm:
+    def test_worker_cap(self):
+        res = _simulate_farm(uniform_grid(4), 100, workers=2)
+        assert res.completed_all
+        assert res.final_mapping.replicas(0) == (0, 1)
+
+    def test_farm_scales(self):
+        one = _simulate_farm(uniform_grid(4), 200, workers=1)
+        four = _simulate_farm(uniform_grid(4), 200, workers=4)
+        assert four.makespan < one.makespan / 2.5
