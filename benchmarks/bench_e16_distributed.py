@@ -5,7 +5,7 @@ the process backend behind the identical ``Backend`` port, sharded over 3
 localhost socket workers — one of them behind an injected 3 ms link delay,
 standing in for a grid's slow site.  The coordinator *measures* per-link
 transfer times instead of simulating them, and the adaptive scenario shows
-:class:`RuntimeAdaptiveRunner` replicating the bottleneck stage across
+an adaptive session's controller replicating the bottleneck stage across
 workers (a cross-worker reconfiguration) with placement steered by the
 measured link costs.
 
@@ -16,7 +16,8 @@ parity and measured (not modelled) link costs, not a speedup on one box.
 
 import json
 
-from repro.backend import DistributedBackend, RuntimeAdaptiveRunner, local_config, make_backend
+from repro import open_pipeline
+from repro.backend import DistributedBackend, local_config, make_backend
 from repro.reporting.render import experiment_header
 from repro.reporting.quick import quick_mode, scaled
 from repro.util.tables import render_table
@@ -65,13 +66,16 @@ def run_experiment():
         max_replicas=3,
         worker_link_delays=[0.0, 0.0, LINK_DELAY_S],
     )
-    runner = RuntimeAdaptiveRunner(
-        backend,
-        config=local_config(interval=0.1, cooldown=0.2, min_improvement=1.05),
-        rollback=False,
-    )
+    acts = []
     try:
-        ares = runner.run(adapt_inputs)
+        session = open_pipeline(
+            pipeline.stages, backend=backend,
+            adaptive=local_config(
+                interval=0.1, cooldown=0.2, min_improvement=1.05, rollback_tolerance=0.0
+            ),
+        )
+        session.events.subscribe(acts.append, kinds=("adapt.act",))
+        ares = backend.run(adapt_inputs)
         placement = backend.replica_placement()
         links = [w["link_s"] for w in backend.alive_workers()]
     finally:
@@ -86,7 +90,7 @@ def run_experiment():
     rows.append(
         {
             **_row("distributed-adaptive", ares, link_ms=1e3 * max(links)),
-            "events": len(ares.adaptation_events),
+            "events": len(acts),
             # Widest cross-worker spread any stage's replica set reached —
             # >= 2 means a reconfiguration crossed host boundaries.
             "max_stage_spread": max(len(p) for p in placement),

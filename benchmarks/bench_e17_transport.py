@@ -31,7 +31,8 @@ import pickle
 import time
 
 from repro import transport
-from repro.backend import DistributedBackend, RuntimeAdaptiveRunner, local_config, make_backend
+from repro import open_pipeline
+from repro.backend import DistributedBackend, local_config, make_backend
 from repro.reporting.render import experiment_header
 from repro.reporting.quick import quick_mode, scaled
 from repro.util.tables import render_table
@@ -140,13 +141,16 @@ def run_experiment():
         capacity=3,
         worker_link_bandwidths=[0.0, 0.0, STARVED_BW],
     )
-    runner = RuntimeAdaptiveRunner(
-        backend,
-        config=local_config(interval=0.1, cooldown=0.2, min_improvement=1.05),
-        rollback=False,
-    )
+    acts = []
     try:
-        ares = runner.run(adapt_inputs)
+        session = open_pipeline(
+            pipeline.stages, backend=backend,
+            adaptive=local_config(
+                interval=0.1, cooldown=0.2, min_improvement=1.05, rollback_tolerance=0.0
+            ),
+        )
+        session.events.subscribe(acts.append, kinds=("adapt.act",))
+        ares = backend.run(adapt_inputs)
         workers = backend.alive_workers()
         placement = backend.replica_placement()
         view = backend.resource_view(3)
@@ -175,7 +179,7 @@ def run_experiment():
         "items": ares.items,
         "elapsed_s": ares.elapsed,
         "throughput_items_s": ares.throughput,
-        "events": len(ares.adaptation_events),
+        "events": len(acts),
         "replicas": list(ares.replica_counts),
         "links": links,
         # The planner's own view of one cross-worker link pair per worker:

@@ -7,7 +7,7 @@ stage a plain callable.  On the thread fabric (``"asyncio"`` is its I/O
 name) the two ``async def`` stages run as worker coroutines on one
 event-loop thread and ``parse`` gets a thread worker of its own, so it
 cannot stall the loop.  An injected slow fetch (high simulated latency)
-bottlenecks the pipeline; :class:`RuntimeAdaptiveRunner` observes the
+bottlenecks the pipeline; an adaptive session's controller observes the
 wall-clock service times, asks the model-driven policy where the bottleneck
 is, and widens that stage's coroutine pool live — ``reconfigure`` just
 spawns worker coroutines (or retires them), so adaptation touches no
@@ -16,7 +16,8 @@ in-flight request.
 Run:  python examples/async_pipeline.py
 """
 
-from repro.backend import RuntimeAdaptiveRunner, ThreadBackend, local_config
+from repro import open_pipeline
+from repro.backend import ThreadBackend, local_config
 from repro.util.tables import render_table
 from repro.workloads.apps import fetch_pipeline, make_requests
 
@@ -51,20 +52,25 @@ def main() -> None:
 
     print("\nlive adaptation (policy spawns worker coroutines mid-run):")
     backend = ThreadBackend(pipeline, max_replicas=8)
-    runner = RuntimeAdaptiveRunner(
-        backend,
-        config=local_config(interval=0.1, cooldown=0.2, min_improvement=1.05),
-        rollback=False,
-    )
+    acts = []
     try:
-        result = runner.run(make_requests(160))
+        session = open_pipeline(
+            pipeline.stages,
+            backend=backend,
+            adaptive=local_config(
+                interval=0.1, cooldown=0.2, min_improvement=1.05, rollback_tolerance=0.0
+            ),
+        )
+        session.events.subscribe(acts.append, kinds=("adapt.act",))
+        result = backend.run(make_requests(160))
     finally:
         backend.close()
     assert result.outputs is not None and len(result.outputs) == 160
     print(f"  items: {result.items}  elapsed: {result.elapsed:.2f}s")
-    for event in result.adaptation_events:
-        print(f"  event: {event}")
-    print(f"  replica history: {result.replica_history}")
+    for act in acts:
+        print(f"  event @ {act.time:.2f}s: {act.fields['action']} {act.fields['reason']}")
+    history = [a.fields["replicas_before"] for a in acts[:1]]
+    print(f"  replica history: {history + [a.fields['replicas_after'] for a in acts]}")
     print(f"  final concurrency limits per stage: {result.replica_counts}")
     print("\nnote: every fetch/store 'replica' here is a worker coroutine, not a")
     print("thread — both run on one event-loop thread; the plain-callable parse")

@@ -20,7 +20,8 @@ Run:  python examples/distributed_pipeline.py
 import threading
 import time
 
-from repro.backend import DistributedBackend, RuntimeAdaptiveRunner, local_config
+from repro import open_pipeline
+from repro.backend import DistributedBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.util.tables import render_table
@@ -59,11 +60,6 @@ def main() -> None:
         max_replicas=3,
         worker_link_delays=[0.0, 0.0, 0.005],
     )
-    runner = RuntimeAdaptiveRunner(
-        backend,
-        config=local_config(interval=0.1, cooldown=0.2, min_improvement=1.05),
-        rollback=False,
-    )
     try:
         backend.warm()
         print(
@@ -78,11 +74,20 @@ def main() -> None:
         )
 
         print("\nadaptive run over socket workers:")
-        result = runner.run(range(n_items))
+        session = open_pipeline(
+            PIPELINE.stages,
+            backend=backend,
+            adaptive=local_config(
+                interval=0.1, cooldown=0.2, min_improvement=1.05, rollback_tolerance=0.0
+            ),
+        )
+        acts = []
+        session.events.subscribe(acts.append, kinds=("adapt.act",))
+        result = backend.run(range(n_items))
         assert result.outputs == [(x + 1) * 2 - 3 for x in range(n_items)]
         print(f"  items: {result.items}  elapsed: {result.elapsed:.2f}s  (ordered: yes)")
-        for event in result.adaptation_events:
-            print(f"  event: {event.kind} @ {event.time:.2f}s  {event.reason}")
+        for act in acts:
+            print(f"  event: {act.fields['action']} @ {act.time:.2f}s  {act.fields['reason']}")
         print(f"  final replicas per stage: {result.replica_counts}")
         placement = backend.replica_placement()
         print(f"  placement (stage -> worker id -> replicas): {placement}")

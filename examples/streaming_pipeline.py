@@ -6,9 +6,9 @@ never has one.  ``skel.api.open_pipeline`` instead returns a long-lived
 :class:`~repro.backend.base.Session`: a **producer thread** submits items
 as they "arrive" (backpressure via the bounded admission window) while the
 main thread consumes ordered results *as items complete* — the first
-result lands long before the stream is bounded.  A
-:class:`~repro.backend.RuntimeAdaptiveRunner` control loop is attached to
-the same live session and widens the bottleneck stage's worker pool while
+result lands long before the stream is bounded.  The
+session's own :class:`~repro.backend.RuntimeAdaptiveRunner` control loop
+(``adaptive=``) widens the bottleneck stage's worker pool while
 items flow, then keeps its measurement window across the stream boundary
 into a second, back-to-back stream on the same warm workers.
 

@@ -30,8 +30,7 @@ __getattr__, __dir__, _exports = lazy_exports(
     {
         "backend": (
             "Backend BackendResult ProcessPoolBackend RuntimeAdaptiveRunner "
-            "RuntimeRunResult ThreadBackend available_backends local_config "
-            "make_backend"
+            "ThreadBackend available_backends local_config make_backend"
         ),
         "core": (
             "AdaptationConfig AdaptationEvent AdaptationPolicy AdaptivePipeline "

@@ -30,11 +30,10 @@ discrete-event grid simulator directly (:func:`repro.skel.api.simulate_pipeline`
 :class:`~repro.core.adaptive.AdaptivePipeline`).
 
 :class:`RuntimeAdaptiveRunner` runs the paper's observe→decide→act loop
-against any live backend using wall-clock measurements — attached to a
-session, so adaptation continues across stream boundaries — with the
-policies the simulator's controller runs
-(:class:`~repro.core.policy.AdaptationPolicy` by default, or
-:class:`~repro.core.policies_alt.ReactivePolicy`).
+against any live backend using wall-clock measurements — the one
+controller a session owns (``open_pipeline(adaptive=...)``), so adaptation
+continues across stream boundaries — with the simulator's controller and
+its :class:`~repro.core.policy.AdaptationPolicy`.
 
 See ``docs/backends.md`` for the contract and selection guidance, and
 ``docs/streaming.md`` for the session lifecycle.
@@ -51,7 +50,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "distributed": "DistributedBackend WorkerAgent",
         "process_backend": "ProcessPoolBackend",
-        "runner": "RuntimeAdaptiveRunner RuntimeRunResult local_config",
+        "runner": "RuntimeAdaptiveRunner local_config",
         "thread_backend": "ThreadBackend",
     },
 )

@@ -632,13 +632,14 @@ class Session:
             for k in range(seq, seq + len(values)):
                 self.events.emit("item.complete", stream=stream, seq=k)
 
-    def _fail(self, stage: int, err: BaseException) -> None:
-        """The one way to fail: poison the session with a :class:`StageError`.
+    def _fail(self, stage: int | None, err: BaseException) -> None:
+        """The one way to fail: poison the session with a :class:`StageError`,
+        or, with no ``stage``, with ``err`` itself (the controller's error).
 
         The error is delivered before ``_abort`` rises, so whoever finds the
         flag up (a put that gave up, a parked submit) finds the error too.
         """
-        if not isinstance(err, StageError):
+        if stage is not None and not isinstance(err, StageError):
             err = StageError(self.backend.pipeline.stage(stage).name, err)
         self._deliver_error(err)
         self._abort.set()

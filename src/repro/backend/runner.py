@@ -2,11 +2,12 @@
 
 :class:`RuntimeAdaptiveRunner` drives the adaptation loop the simulator
 drives in simulated time (:mod:`repro.core.adaptive`) — one
-:class:`~repro.core.policy.Controller` — against a live **session**:
-:meth:`~RuntimeAdaptiveRunner.attach` binds one controller thread to a
-:class:`~repro.backend.base.Session`, and its measurement window, cooldown
-and mapping carry across every stream the session serves.  What lives here
-is what the wall clock needs:
+:class:`~repro.core.policy.Controller` — against a live **session**: it is
+the one controller thread a :class:`~repro.backend.base.Session` owns
+(``open_pipeline(adaptive=...)`` builds it), started when it is built and
+stopped when the session closes, and its measurement window, cooldown and
+mapping carry across every stream the session serves.  What lives here is
+what the wall clock needs:
 
 * **observe** — per-stage :class:`StageSnapshot` samples collected through
   :mod:`repro.monitor.instrument`.  The controller sleeps in one bounded
@@ -15,27 +16,25 @@ is what the wall clock needs:
   when a stage's windowed service mean leaves the ``min_improvement`` band
   around the value the last decision saw.  ``interval`` is only the
   fallback timeout, ``cooldown`` the least time between two decisions
-  after the first; detach and close end the same wait at once;
-* **decide** — any policy with the ``decide(...)`` signature of
-  :class:`~repro.core.policy.AdaptationPolicy` (the model-driven default)
-  or :class:`~repro.core.policies_alt.ReactivePolicy`, over a **virtual
-  local grid** of one processor per warm-worker slot.
+  after the first; closing the session ends the same wait at once;
+* **decide** — :class:`~repro.core.policy.AdaptationPolicy` over a
+  **virtual local grid** of one processor per warm-worker slot.
   ``backend.resource_view`` grounds it in measured speeds and link costs
   where the backend has them; uniform unit-speed processors
-  (``work_estimate`` = measured service time) are the fallback.  The
-  default policy's replica cap is the smaller of the config's (if it names
-  one) and ``backend.replica_limit``;
+  (``work_estimate`` = measured service time) are the fallback.  Its
+  replica cap is the smaller of the config's (if it names one) and
+  ``backend.replica_limit``;
 * **act** — the controller's port: the proposal clamped to the warm pools,
   its deltas as ``backend.reconfigure(stage, n)`` calls, the replica
   counts the backend realised as the result;
 * **validate** — the controller's ``2 x settle_time`` deadline is one more
   deadline of the same wait (evidence still heard); its verdict and
-  rollback are the simulator's.
+  rollback are the simulator's, and ``rollback_tolerance=0`` takes none.
 
-``run(inputs)`` is the backend's own :meth:`~repro.backend.base.Backend.run`
-on the attached session (attaching once, lazily), plus that stream's events
-and replica timeline; repeated calls stream back-to-back over the same warm
-session.
+Every decision, action and rollback is an ``adapt.*`` record on the
+session's bus.  A loop that raises poisons the session with its own error,
+as a failing stage does with a ``StageError``: the next ``submit``,
+``results`` or ``drain`` raises it, and ``session.error`` journals it.
 """
 
 from __future__ import annotations
@@ -44,19 +43,18 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import islice
-from typing import Any, Iterable, Sequence
+from typing import Sequence
 
-from repro.backend.base import Backend, BackendResult, Session
-from repro.core.events import AdaptationEvent
+from repro.backend.base import Session
 from repro.core.policy import AdaptationConfig, AdaptationPolicy, Controller
 from repro.model.cost import MigrationCostModel
 from repro.model.mapping import Mapping
 from repro.model.throughput import ResourceView, snapshot_view
 from repro.monitor.instrument import ServiceWatch
 
-__all__ = ["RuntimeAdaptiveRunner", "RuntimeRunResult", "local_config"]
+__all__ = ["RuntimeAdaptiveRunner", "local_config"]
 
 
 def local_config(**overrides) -> AdaptationConfig:
@@ -85,47 +83,27 @@ def local_config(**overrides) -> AdaptationConfig:
     return AdaptationConfig(**defaults)
 
 
-@dataclass
-class RuntimeRunResult(BackendResult):
-    """One adaptively-controlled stream: the backend's result, plus what
-    the controller did while it ran."""
-
-    adaptation_events: list[AdaptationEvent] = field(default_factory=list)
-    replica_history: list[tuple[float, tuple[int, ...]]] = field(default_factory=list)
-
-
 class RuntimeAdaptiveRunner:
-    """Drives live adaptation of a backend's pipeline.
+    """The live controller of one session (see the module docstring).
 
     Parameters
     ----------
-    backend:
-        The :class:`Backend` to adapt, already configured; the runner
-        builds none and closes none: its owner closes it.
+    session:
+        The open :class:`Session` to adapt.  The controller thread starts
+        here and stops when the session closes; the backend is its owner's.
     config:
         Loop tunables; default :func:`local_config`.
-    rollback:
-        Enable the post-action throughput validation (default True).
     """
 
-    def __init__(
-        self,
-        backend: Backend,
-        *,
-        config: AdaptationConfig | None = None,
-        rollback: bool = True,
-    ) -> None:
-        self.backend = backend
+    def __init__(self, session: Session, *, config: AdaptationConfig | None = None) -> None:
+        self.session = session
+        self.backend = backend = session.backend
         n = backend.pipeline.n_stages
         budget = max(backend.replica_limit(i) for i in range(n))
         # One cap: the planner may use every replica the executor keeps
         # warm, and a smaller cap the caller configured still wins.
         config = config if config is not None else local_config()
         self.config = replace(config, max_replicas=min(config.max_replicas or budget, budget))
-        #: The decide step: any object with ``AdaptationPolicy.decide``'s
-        #: signature may replace it before the controller attaches.
-        self.policy = AdaptationPolicy(backend.pipeline, self.config)
-        self.rollback = rollback
         # The virtual local grid the policy plans over: one processor per
         # stage plus the largest warm pool, and at least the host's cores.
         self.n_virtual_procs = max(n + budget - 1, os.cpu_count() or 2, 2)
@@ -134,93 +112,17 @@ class RuntimeAdaptiveRunner:
         self._view: ResourceView = snapshot_view(
             uniform_grid(self.n_virtual_procs).snapshot(0.0)
         )
-        # Controller state (persists across streams).
-        self._controller: threading.Thread | None = None
-        #: The attached controller's wake-up; replaced (None) to stop it.
-        self._wake: threading.Event | None = None
-        self._attached: Session | None = None
-        self._controller_error: BaseException | None = None
-        self.events: list[AdaptationEvent] = []
-
-    # ------------------------------------------------------------- lifecycle
-    def attach(self, session: Session | None = None) -> Session:
-        """Bind the control loop to ``session`` (opening one if needed).
-
-        The controller thread observes, decides and acts for as long as the
-        session lives — across every stream it serves — keeping cooldowns
-        and the measurement window continuous over stream boundaries.
-        Returns the attached session.
-        """
-        if self._controller is not None and self._controller.is_alive():
-            raise RuntimeError("controller already attached; detach() it first")
-        if session is None:
-            # Reuse the backend's live session (replacing a broken one)
-            # rather than demanding a fresh open: attaching to whatever is
-            # already streaming is the common case.
-            session = self.backend._current_session()
-        self._attached = session
-        self._wake = wake = threading.Event()
-        session.add_close_callback(wake.set)
-        self._controller_error = None
-        self._controller = threading.Thread(
-            target=self._controller_main,
-            args=(session, wake),
-            name="adaptive-controller",
-            daemon=True,
+        self._wake = threading.Event()
+        self._thread = threading.Thread(
+            target=self._controller_main, name="adaptive-controller", daemon=True
         )
-        self._controller.start()
-        return session
+        session.add_close_callback(self._stop)
+        self._thread.start()
 
-    def detach(self) -> None:
-        """Stop the control loop (the session keeps streaming unadapted)."""
-        wake, self._wake = self._wake, None
-        if wake is not None:
-            wake.set()
-        if self._controller is not None:
-            self._controller.join(timeout=5.0)
-            self._controller = None
-        self._attached = None
-
-    # ------------------------------------------------------------------ run
-    def run(self, inputs: Iterable[Any]) -> RuntimeRunResult:
-        """Process ``inputs`` as one adaptively-controlled bounded stream.
-
-        Attaches on first use and stays attached, so repeated ``run`` calls
-        stream back-to-back over one warm session with the controller
-        adapting continuously across the boundaries.  The stream itself is
-        :meth:`Backend.run`'s; the result adds the events and replica
-        timeline of *this* stream.
-        """
-        session = self._attached
-        if session is None or session.closed or session.broken:
-            if self._controller is not None:
-                self.detach()
-            session = self.attach()
-        events_mark = len(self.events)
-        run_start_counts = tuple(self.backend.replica_counts())
-        started = session.now()  # events are stamped on the session clock
-        try:
-            result = self.backend.run(inputs)
-        except BaseException:
-            # The stream failed (or was interrupted) and took its session
-            # with it: detach so state is not smeared into a future session.
-            self.detach()
-            raise
-        if self._controller_error is not None:
-            # A crashing decide step must not be silently swallowed.  Like a
-            # failed stream it costs the session, not the caller's backend.
-            err = self._controller_error
-            self.detach()
-            session.close()
-            raise err
-        run_events = self.events[events_mark:]
-        history = [(0.0, run_start_counts)]
-        history += [
-            (e.time - started, tuple(map(len, e.mapping_after.stages))) for e in run_events
-        ]
-        return RuntimeRunResult(
-            **vars(result), adaptation_events=run_events, replica_history=history
-        )
+    def _stop(self) -> None:
+        """Close callback: end the controller's wait and join it."""
+        self._wake.set()
+        self._thread.join(timeout=5.0)
 
     # ------------------------------------------------------------ controller
     def _initial_mapping(self) -> Mapping:
@@ -233,42 +135,46 @@ class RuntimeAdaptiveRunner:
             )
         )
 
-    def _throughput(self, session: Session, horizon: float) -> float:
+    def _throughput(self, horizon: float) -> float:
         """Sink completions/s over the trailing ``horizon`` of this stream.
 
         The window never reaches back past the stream's start, and fewer
         than ``min_samples`` completions are no measurement: NaN, which the
         rollback check reads as "no verdict".
         """
-        span = min(horizon, time.perf_counter() - session._stream_t0)
+        span = min(horizon, time.perf_counter() - self.session._stream_t0)
         rate = self.backend.recent_throughput(span)
         return rate if rate * span >= self.config.min_samples - 0.5 else math.nan
 
-    def _controller_main(self, session: Session, wake: threading.Event) -> None:
+    def _controller_main(self) -> None:
+        session = self.session
         watch = ServiceWatch(
             session.instrumentation.stages,
-            wake.set,
+            self._wake.set,
             locks=session._stage_locks,
             min_samples=self.config.min_samples,
             ratio=self.config.min_improvement,
         )
         try:
-            self._control_loop(session, wake, watch)
-        except BaseException as err:  # noqa: BLE001 - re-raised from run()
-            self._controller_error = err
+            self._control_loop(watch)
+        except BaseException as err:  # noqa: BLE001 - the session raises it
+            # A crashing decide step must not be silently swallowed: it
+            # poisons the session, as a failing stage does.
+            session._fail(None, err)
         finally:
             watch.close()
 
-    def _wait(self, session, wake, watch, quiet_until, calm_until, validate_at):
+    def _wait(self, watch, quiet_until, calm_until, validate_at):
         """The controller's one wait: why it woke, or None once it is over.
 
-        Wakes for detach/close; for the watch's evidence, which a step or
+        Wakes for close; for the watch's evidence, which a step or
         the first look may bring once ``quiet_until`` has passed and a
         drifted mean only after ``calm_until``; at the validation deadline
         of the last action; and after ``interval`` if none of those came.
         """
+        session, wake = self.session, self._wake
         tick_at = max(session.now() + self.config.interval, calm_until)
-        while self._wake is wake and not (session.closed or session.broken):
+        while not (session.closed or session.broken):
             now = session.now()
             if now >= validate_at:
                 return ("validate",)
@@ -284,16 +190,15 @@ class RuntimeAdaptiveRunner:
             wake.clear()
         return None
 
-    def _control_loop(self, session: Session, wake, watch: ServiceWatch) -> None:
-        cfg = self.config
+    def _control_loop(self, watch: ServiceWatch) -> None:
+        session, cfg = self.session, self.config
         ctl = Controller(
-            self.policy, self._initial_mapping(), self._act, clock=session.now,
-            throughput=lambda horizon: self._throughput(session, horizon),
-            horizon=cfg.settle_time, events=session.events, log=self.events,
-            rollback=self.rollback,
+            AdaptationPolicy(self.backend.pipeline, cfg), self._initial_mapping(),
+            self._act, clock=session.now, throughput=self._throughput,
+            horizon=cfg.settle_time, events=session.events,
         )
         quiet_until = calm_until = 0.0  # session times: no decision / only for a step
-        while trigger := self._wait(session, wake, watch, quiet_until, calm_until, ctl.due):
+        while trigger := self._wait(watch, quiet_until, calm_until, ctl.due):
             backlog = session.backlog
             if backlog <= 0:
                 # Idle between streams: nothing to measure, move or judge.

@@ -54,7 +54,7 @@ class AdaptationConfig:
     max_replicas: int | None = 4  # replica cap per stage (None: the view's processors)
     enable_remap: bool = True
     enable_replication: bool = True
-    rollback_tolerance: float = 0.85  # post-action throughput floor (x before)
+    rollback_tolerance: float = 0.85  # post-action throughput floor (x before); 0: no verdict
     settle_time: float = 5.0  # seconds before judging an action
     migration: MigrationCostModel = field(default_factory=MigrationCostModel)
 
@@ -66,9 +66,9 @@ class AdaptationConfig:
             raise ValueError(
                 f"min_improvement is a ratio >= 1.0, got {self.min_improvement}"
             )
-        if not 0.0 < self.rollback_tolerance <= 1.0:
+        if not 0.0 <= self.rollback_tolerance <= 1.0:
             raise ValueError(
-                f"rollback_tolerance must be in (0, 1], got {self.rollback_tolerance}"
+                f"rollback_tolerance must be in [0, 1], got {self.rollback_tolerance}"
             )
         if self.min_samples < 1:
             raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
@@ -226,7 +226,7 @@ class Controller:
     running afterwards, or None when nothing changed.  ``clock()`` stamps
     its records; ``throughput(horizon)`` is the sink rate over a trailing
     horizon (NaN: too little to measure), read over ``horizon`` before an
-    action and over ``settle_time`` to judge it.
+    action and over ``settle_time`` to judge it, unless ``rollback_tolerance`` is 0.
 
     Every action and rollback is logged once, as an
     :class:`~repro.core.events.AdaptationEvent` appended to ``log`` and an
@@ -235,7 +235,7 @@ class Controller:
 
     def __init__(
         self, policy, mapping: Mapping, act, *, clock, throughput, horizon: float,
-        events=NULL_BUS, log: list[AdaptationEvent] | None = None, rollback: bool = True,
+        events=NULL_BUS, log: list[AdaptationEvent] | None = None,
     ) -> None:
         self.policy, self.config = policy, policy.config
         self.mapping = mapping  # the mapping it believes is running
@@ -245,7 +245,7 @@ class Controller:
         self.pending: tuple | None = None
         self.log = [] if log is None else log
         self._act, self._clock, self._throughput = act, clock, throughput
-        self._horizon, self._events, self._rollback = horizon, events, rollback
+        self._horizon, self._events = horizon, events
 
     @property
     def due(self) -> float:
@@ -278,7 +278,7 @@ class Controller:
         )
         if event is not None:
             self.last_action = event.time
-            if self._rollback:
+            if self.config.rollback_tolerance > 0:
                 # Judged after two settle windows: in-flight items started on
                 # the old replicas drain for one, the second is measured.
                 due = event.time + 2 * self.config.settle_time

@@ -46,6 +46,12 @@ __all__ = [
 #: Effective speed is never reported below this: a saturated host still
 #: makes progress, and a zero speed would divide the throughput model by 0.
 SPEED_FLOOR = 0.05
+#: The host sampler's cores, its EWMA weight of a new sample, and the least
+#: seconds between two ``os.getloadavg`` calls (the kernel's 1-minute
+#: average moves far slower than the decide loop may ask).
+HOST_CORES = os.cpu_count() or 1
+LOAD_ALPHA = 0.5
+LOAD_MIN_INTERVAL = 0.25
 
 
 def read_load1() -> float:
@@ -62,44 +68,30 @@ def read_load1() -> float:
         return 0.0
 
 
-def load_to_speed(load: float, cores: int, *, floor: float = SPEED_FLOOR) -> float:
+def load_to_speed(load: float, cores: int) -> float:
     """Effective per-core speed of a host with ``cores`` at load avg ``load``.
 
     The NWS-style availability heuristic: each unit of load average is one
     runnable task contending for a core, so a newly placed worker sees
     roughly the free fraction ``1 - load/cores`` of one core, clamped to
-    ``[floor, 1]``.
+    ``[SPEED_FLOOR, 1]``.
     """
     if cores < 1:
         raise ValueError(f"cores must be >= 1, got {cores}")
-    return max(floor, min(1.0, 1.0 - max(0.0, load) / cores))
+    return max(SPEED_FLOOR, min(1.0, 1.0 - max(0.0, load) / cores))
 
 
 class HostLoadSampler:
-    """Samples the host's load average into an effective-speed estimate.
+    """Samples this host's load average into an effective-speed estimate.
 
     Samples are rate-limited (at most one ``os.getloadavg`` call per
-    ``min_interval`` seconds) and EWMA-smoothed, because the decide loop may
-    query at sub-second cadence while the kernel updates the 1-minute load
-    average far more slowly.  On platforms without ``os.getloadavg`` the
-    sampler reports a dedicated host (speed 1.0, load 0.0).
+    :data:`LOAD_MIN_INTERVAL` seconds) and EWMA-smoothed (weight
+    :data:`LOAD_ALPHA`) over the host's :data:`HOST_CORES`.  On
+    platforms without ``os.getloadavg`` the sampler reports a dedicated
+    host (speed 1.0, load 0.0).
     """
 
-    def __init__(
-        self,
-        *,
-        cores: int | None = None,
-        alpha: float = 0.5,
-        min_interval: float = 0.25,
-        floor: float = SPEED_FLOOR,
-    ) -> None:
-        check_non_negative(min_interval, "min_interval")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.cores = cores if cores is not None else (os.cpu_count() or 1)
-        self.alpha = float(alpha)
-        self.min_interval = float(min_interval)
-        self.floor = float(floor)
+    def __init__(self) -> None:
         self._speed: float | None = None
         self._load = 0.0
         self._last_sample = -math.inf
@@ -107,18 +99,18 @@ class HostLoadSampler:
     def sample(self) -> float:
         """Take (or reuse) a load sample; returns the raw 1-min load avg."""
         now = time.monotonic()
-        if now - self._last_sample >= self.min_interval:
+        if now - self._last_sample >= LOAD_MIN_INTERVAL:
             self._last_sample = now
             self._load = read_load1()
-            raw = load_to_speed(self._load, self.cores, floor=self.floor)
+            raw = load_to_speed(self._load, HOST_CORES)
             if self._speed is None:
                 self._speed = raw
             else:
-                self._speed += self.alpha * (raw - self._speed)
+                self._speed += LOAD_ALPHA * (raw - self._speed)
         return self._load
 
     def effective_speed(self) -> float:
-        """Smoothed effective per-core speed in ``[floor, 1]``."""
+        """Smoothed effective per-core speed in ``[SPEED_FLOOR, 1]``."""
         self.sample()
         assert self._speed is not None
         return self._speed

@@ -93,11 +93,12 @@ def open_pipeline(
     selects the payload codec on the process and distributed backends (see
     ``docs/transport.md``).
 
-    ``adaptive=True`` (or an :class:`AdaptationConfig`) attaches a
-    :class:`~repro.backend.RuntimeAdaptiveRunner` control loop to the live
-    session: it observes and reconfigures on wall-clock measurements,
-    across stream boundaries, for as long as the session lives.  To study
-    the pattern in simulated time, use :func:`simulate_pipeline`.
+    ``adaptive=True`` (or an :class:`AdaptationConfig`) gives the session
+    its :class:`~repro.backend.RuntimeAdaptiveRunner` controller: it
+    observes and reconfigures on wall-clock measurements, across stream
+    boundaries, for as long as the session lives (``adapt.*`` records on
+    ``session.events``).  One that raises poisons the session with its own
+    error.  Simulated time is :func:`simulate_pipeline`'s.
 
     ``telemetry=`` opts the session into the observability layer
     (:mod:`repro.obs`): pass a :class:`~repro.obs.Telemetry` for a JSONL
@@ -114,7 +115,7 @@ def open_pipeline(
     2 ms after its first item; 64 amortises the per-item hop of sub-ms
     stages.
 
-    Closing the session also detaches the controller and closes the
+    Closing the session also stops the controller and closes the
     backend when it was built here from a name; a :class:`Backend`
     instance passed in stays open for further sessions.
 
@@ -145,9 +146,7 @@ def open_pipeline(
         from repro.core.policy import AdaptationConfig
 
         config = adaptive if isinstance(adaptive, AdaptationConfig) else None  # local_config()
-        runner = RuntimeAdaptiveRunner(b, config=config)
-        runner.attach(session)
-        session.add_close_callback(runner.detach)
+        RuntimeAdaptiveRunner(session, config=config)
     if owns:
         session.add_close_callback(b.close)
     return session

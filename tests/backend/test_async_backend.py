@@ -7,12 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.backend import (
-    RuntimeAdaptiveRunner,
-    SessionClosed,
-    ThreadBackend,
-    local_config,
-)
+from repro.backend import SessionClosed, ThreadBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
 from repro.runtime.threads import StageError
@@ -196,20 +191,24 @@ class TestAsyncioAdaptation:
             await asyncio.sleep(0.02)
             return x * 2
 
+        from repro.skel.api import open_pipeline
+
         pipe = spec([cheap, slow_fetch, cheap])
-        runner = RuntimeAdaptiveRunner(
-            ThreadBackend(pipe, max_replicas=3),
-            config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
-            rollback=False,
-        )
-        with runner.backend:
-            res = runner.run(range(80))
+        grows = []
+        with ThreadBackend(pipe, max_replicas=3) as b:
+            session = open_pipeline(
+                pipe.stages, backend=b,
+                adaptive=local_config(
+                    interval=0.1, cooldown=0.2, settle_time=0.1, rollback_tolerance=0.0
+                ),
+            )
+            session.events.subscribe(grows.append, kinds=("adapt.act",))
+            res = b.run(range(80))
         assert res.outputs == [x * 2 for x in range(80)]
         assert res.items == 80
-        grows = [e for e in res.adaptation_events if e.kind != "rollback"]
         assert len(grows) >= 1
         assert res.replica_counts[1] > 1
-        assert res.replica_history[0][1] == (1, 1, 1)
+        assert grows[0].fields["replicas_before"] == [1, 1, 1]
 
     def test_skel_api_runs_asyncio_adaptive(self):
         from repro.skel.api import pipeline_1for1

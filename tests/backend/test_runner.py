@@ -53,47 +53,57 @@ class TestLocalConfig:
             local_config(min_improvement=0.5)
 
 
+def adapt(backend, config=True):
+    """Open ``backend``'s adaptive session; returns it and the list its
+    ``adapt.act`` and ``adapt.rollback`` records (its changes) land in."""
+    session = open_pipeline(backend.pipeline.stages, backend=backend, adaptive=config)
+    acts = []
+    session.events.subscribe(acts.append, kinds=("adapt.act", "adapt.rollback"))
+    return session, acts
+
+
+def shapes(acts):
+    """The replica counts the changes went through, the starting shape first."""
+    return [tuple(a.fields["replicas_before"]) for a in acts[:1]] + [
+        tuple(a.fields["replicas_after"]) for a in acts
+    ]
+
+
+FAST = dict(interval=0.1, cooldown=0.2, settle_time=0.1, rollback_tolerance=0.0)
+
+
 class TestRuntimeAdaptiveRunner:
     def test_virtual_grid_must_cover_stages(self):
         # More stages than host cores: the policy's virtual grid still holds
         # one processor per stage plus the warm pool's extra replica.
         n = (os.cpu_count() or 2) + 3
         with ThreadBackend(spec([_fast] * n), max_replicas=2) as b:
-            assert RuntimeAdaptiveRunner(b).n_virtual_procs == n + 1
+            assert RuntimeAdaptiveRunner(b.open()).n_virtual_procs == n + 1
 
     def test_virtual_grid_spans_the_host_cores(self):
         with ThreadBackend(spec([_fast]), max_replicas=1) as b:
-            assert RuntimeAdaptiveRunner(b).n_virtual_procs == max(os.cpu_count() or 2, 2)
+            assert RuntimeAdaptiveRunner(b.open()).n_virtual_procs == max(os.cpu_count() or 2, 2)
 
     def test_grows_bottleneck_on_thread_backend(self):
         pipe = spec([_fast, _bottleneck, _fast])
-        runner = RuntimeAdaptiveRunner(
-            ThreadBackend(pipe, max_replicas=3),
-            config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
-            rollback=False,
-        )
-        with runner.backend:
-            res = runner.run(range(80))
+        with ThreadBackend(pipe, max_replicas=3) as b:
+            _, acts = adapt(b, local_config(**FAST))
+            res = b.run(range(80))
         assert res.outputs == [(x + 1) * 2 + 1 for x in range(80)]
         assert res.items == 80
-        grows = [e for e in res.adaptation_events if e.kind != "rollback"]
-        assert len(grows) >= 1
+        assert len(acts) >= 1
         # The bottleneck stage (1) must have been replicated.
         assert res.replica_counts[1] > 1
-        assert res.replica_history[0][1] == (1, 1, 1)
-        assert res.replica_history[-1][1][1] == res.replica_counts[1]
+        assert shapes(acts)[0] == (1, 1, 1)
+        assert shapes(acts)[-1][1] == res.replica_counts[1]
 
     def test_grows_forwarded_bottleneck_on_process_backend(self):
         # Stage 0's workers put straight onto stage 1's queue: no router in
         # the parent watches it, and the controller sees its service times
         # only through the trail replayed at the egress boundary.
-        runner = RuntimeAdaptiveRunner(
-            ProcessPoolBackend(spec([_bottleneck, _fast]), max_replicas=3),
-            config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
-            rollback=False,
-        )
-        with runner.backend:
-            res = runner.run(range(80))
+        with ProcessPoolBackend(spec([_bottleneck, _fast]), max_replicas=3) as b:
+            adapt(b, local_config(**FAST))
+            res = b.run(range(80))
         assert res.outputs == [x * 2 + 1 for x in range(80)]
         assert res.replica_counts[0] > 1
         assert res.replica_counts[1] == 1
@@ -103,47 +113,53 @@ class TestRuntimeAdaptiveRunner:
         # at the cap a clamped proposal changes nothing physical and must not
         # fabricate adaptation events (or phantom rollbacks).
         pipe = spec([_fast, _bottleneck, _fast])
-        runner = RuntimeAdaptiveRunner(
-            ThreadBackend(pipe, max_replicas=2),
-            config=local_config(interval=0.1, cooldown=0.1, settle_time=0.1),
-            rollback=False,
-        )
-        with runner.backend:
-            res = runner.run(range(120))
+        with ThreadBackend(pipe, max_replicas=2) as b:
+            _, acts = adapt(b, local_config(**{**FAST, "cooldown": 0.1}))
+            res = b.run(range(120))
         assert res.items == 120
-        real_changes = {tuple(c) for _, c in res.replica_history}
-        assert len(res.adaptation_events) == len(res.replica_history) - 1
         # Every recorded event corresponds to a distinct physical shape.
-        assert len(real_changes) == len(res.replica_history)
+        assert len(set(shapes(acts))) == len(shapes(acts))
         assert res.replica_counts[1] <= 2
 
     def test_the_backends_owner_closes_it(self):
         with ProcessPoolBackend(spec([_fast])) as b:
-            runner = RuntimeAdaptiveRunner(b)
-            res = runner.run(range(5))
-            assert res.outputs == [x + 1 for x in range(5)]
-            runner.detach()  # the runner closes nothing of the backend's
+            session, _ = adapt(b)
+            assert b.run(range(5)).outputs == [x + 1 for x in range(5)]
+            session.close()  # stops the controller, closes nothing of the backend's
             assert b.run(range(3)).outputs == [1, 2, 3]
         # The warm pools must be reaped: a closed backend refuses work.
         with pytest.raises(RuntimeError, match="closed"):
-            runner.backend.run([1])
+            b.run([1])
 
-    def test_empty_run_reports_itself_not_the_previous_stream(self):
-        # drain() opens no stream for an empty input, so the session still
-        # holds the previous stream's figures: the runner must not read them.
-        with ThreadBackend(spec([_fast])) as b:
-            runner = RuntimeAdaptiveRunner(b)
-            first = runner.run(range(5))
-            assert (first.items, first.outputs) == (5, [x + 1 for x in range(5)])
-            empty = runner.run([])
-        assert (empty.items, empty.elapsed, empty.outputs) == (0, 0.0, [])
+    @pytest.mark.parametrize("make", [ThreadBackend, ProcessPoolBackend])
+    def test_a_crashing_decide_step_poisons_the_session(self, make, monkeypatch):
+        # The controller's own error, not a StageError, and journaled: a
+        # decide step that raises must not be silently swallowed.
+        def crash(self, **_):
+            raise ZeroDivisionError("decide crashed")
+
+        monkeypatch.setattr(AdaptationPolicy, "decide", crash)
+        with make(spec([_bottleneck]), capacity=64) as b:
+            session = open_pipeline(
+                b.pipeline.stages, backend=b, adaptive=local_config(interval=0.05)
+            )
+            errors = []
+            session.events.subscribe(errors.append, kinds=("session.error",))
+            for x in range(40):  # 0.8 s of work: the first decision comes first
+                session.submit(x)
+            with pytest.raises(ZeroDivisionError, match="decide crashed"):
+                session.drain()
+            assert session.broken and len(errors) == 1
+            session.close()
+            assert "adaptive-controller" not in {t.name for t in threading.enumerate()}
+            assert b.run(range(3)).outputs == [0, 2, 4]
 
     def test_crashing_decide_step_leaves_the_backend_open(self, monkeypatch):
-        # run() re-raises the controller's error; like a failed stream it
-        # costs the session, never the backend the caller handed in.
+        # Like a failed stream, a crashed controller costs the session,
+        # never the backend the caller handed in.
         decided = threading.Event()
 
-        def crash(**_):
+        def crash(self, **_):
             decided.set()
             raise RuntimeError("decide crashed")
 
@@ -151,12 +167,12 @@ class TestRuntimeAdaptiveRunner:
             decided.wait(5.0)  # the stream outlasts the first decision
             return x
 
+        monkeypatch.setattr(AdaptationPolicy, "decide", crash)
         backend = ThreadBackend(spec([held]))
-        runner = RuntimeAdaptiveRunner(backend, config=local_config(interval=0.05))
-        monkeypatch.setattr(runner.policy, "decide", crash)
         try:
+            adapt(backend, local_config(interval=0.05))
             with pytest.raises(RuntimeError, match="decide crashed"):
-                runner.run(range(10))
+                backend.run(range(10))
             assert backend.closed is False
             assert backend.run(range(3)).outputs == [0, 1, 2]
         finally:
@@ -167,9 +183,10 @@ class TestRuntimeAdaptiveRunner:
         # stages have their samples, and says no (not amortised).
         pipe = spec([_fast, _fast])
         with ThreadBackend(pipe) as b:
-            res = RuntimeAdaptiveRunner(b).run(range(30))
+            _, acts = adapt(b)
+            res = b.run(range(30))
         assert res.outputs == [x + 2 for x in range(30)]
-        assert res.adaptation_events == []
+        assert acts == []
         assert res.replica_counts == [1, 1]
 
 
@@ -179,18 +196,6 @@ def _sleeper(seconds):
         return x
 
     return heavy
-
-
-class CountingPolicy(AdaptationPolicy):
-    """The default policy, counting the decisions it is asked for."""
-
-    def __init__(self, pipeline, config):
-        super().__init__(pipeline, config)
-        self.calls = 0
-
-    def decide(self, **kwargs):
-        self.calls += 1
-        return super().decide(**kwargs)
 
 
 class TestEventDrivenController:
@@ -221,27 +226,20 @@ class TestEventDrivenController:
                 return x + 1
 
             pipe = spec([a, b], replicable=[False, True])
-            runner = RuntimeAdaptiveRunner(
-                ThreadBackend(pipe, max_replicas=8),
-                config=local_config(interval=30.0, cooldown=0.1),
-                rollback=False,
-            )
             decided = []
-            with runner.backend:
-                session = runner.attach()
+            with ThreadBackend(pipe, max_replicas=8) as backend:
+                session, acts = adapt(
+                    backend, local_config(interval=30.0, cooldown=0.1, rollback_tolerance=0.0)
+                )
                 session.events.subscribe(decided.append, kinds=("adapt.decide",))
-                res = runner.run(range(260))
+                res = backend.run(range(260))
                 step = session.perf_to_session(slow_at[0] + 0.010)
             assert res.outputs == [x + 1 for x in range(260)]
             assert res.replica_counts[0] == 1
             first = decided[0].fields
             assert first["trigger"] == "evidence" and not first["acts"]
             assert {e.fields["trigger"] for e in decided} <= {"evidence", "shift"}
-            wide = [
-                e.time
-                for e in res.adaptation_events
-                if len(e.mapping_after.replicas(1)) >= 4
-            ]
+            wide = [e.time for e in acts if e.fields["replicas_after"][1] >= 4]
             if wide and wide[0] - step < 0.5:
                 return
         pytest.fail(f"B was not at 4 replicas within 0.5 s of the step: {wide}, step {step}")
@@ -267,42 +265,40 @@ class TestEventDrivenController:
     def test_steady_stream_does_not_thrash(self):
         pipe = spec([_fast, _sleeper(0.004), _fast])
         config = local_config(cooldown=0.2, settle_time=0.1)
-        runner = RuntimeAdaptiveRunner(ThreadBackend(pipe, max_replicas=4), config=config)
         decided = []
-        with runner.backend:
-            session = runner.attach()
+        with ThreadBackend(pipe, max_replicas=4) as b:
+            session, acts = adapt(b, config)
             session.events.subscribe(decided.append, kinds=("adapt.decide",))
-            first = runner.run(range(100))
+            first = b.run(range(100))
             assert first.replica_counts == [1, 4, 1]
-            del decided[:]
-            steady = runner.run(range(600))
+            del decided[:], acts[:]
+            steady = b.run(range(600))
         assert steady.outputs == [x + 2 for x in range(600)]
-        assert steady.adaptation_events == []
+        assert acts == []
         # Ticks and drifting means are looked at once per cooldown, plus the
         # first action's validation.  (A stalled host shows up as steps,
         # which are evidence and only bounded in cost.)
         unhurried = [e for e in decided if not e.fields.get("step")]
         assert len(unhurried) <= steady.elapsed / config.cooldown + 2
 
-    def test_detach_does_not_wait_out_the_interval(self):
-        pipe = spec([_fast])
-        runner = RuntimeAdaptiveRunner(ThreadBackend(pipe), config=local_config(interval=5.0))
-        with runner.backend:
-            runner.attach()
+    def test_closing_the_session_does_not_wait_out_the_interval(self):
+        with ThreadBackend(spec([_fast])) as b:
+            session, _ = adapt(b, local_config(interval=5.0))
             time.sleep(0.05)  # the controller is inside its wait
             t0 = time.perf_counter()
-            runner.detach()
+            session.close()
             assert time.perf_counter() - t0 < 0.05
+            assert "adaptive-controller" not in {t.name for t in threading.enumerate()}
 
     def test_idle_session_takes_no_decisions(self):
-        pipe = spec([_fast, _fast])
-        runner = RuntimeAdaptiveRunner(ThreadBackend(pipe))
-        runner.policy = policy = CountingPolicy(pipe, runner.config)
-        with runner.backend:
-            runner.run(range(20))
-            after_stream = policy.calls
-            time.sleep(1.0)  # attached, backlog 0
-            assert policy.calls == after_stream
+        decided = []
+        with ThreadBackend(spec([_fast, _fast])) as b:
+            session, _ = adapt(b)
+            session.events.subscribe(decided.append, kinds=("adapt.decide",))
+            b.run(range(20))
+            after_stream = len(decided)
+            time.sleep(1.0)  # the controller runs on, backlog 0
+            assert len(decided) == after_stream
 
     def test_throughput_before_is_clipped_to_the_stream(self):
         # An action a few items into a stream has no full horizon of history:
@@ -310,9 +306,6 @@ class TestEventDrivenController:
         # verdict") below min_samples completions — never a handful of
         # completions divided by the whole horizon.
         pipe = spec([_sleeper(0.005)])
-        runner = RuntimeAdaptiveRunner(
-            ThreadBackend(pipe), config=local_config(min_samples=4, interval=30.0)
-        )
 
         def feed(session, items):
             for x in items:
@@ -320,24 +313,31 @@ class TestEventDrivenController:
             while session.backlog:
                 time.sleep(0.001)
 
-        with runner.backend:
-            session = runner.attach()
+        with ThreadBackend(pipe) as b:
+            session = b.open()
+            runner = RuntimeAdaptiveRunner(
+                session, config=local_config(min_samples=4, interval=30.0)
+            )
             t0 = time.perf_counter()
             feed(session, range(3))
-            assert math.isnan(runner._throughput(session, 5.0))
+            assert math.isnan(runner._throughput(5.0))
             feed(session, range(3, 12))
-            rate = runner._throughput(session, 5.0)
+            rate = runner._throughput(5.0)
             age = time.perf_counter() - t0
             assert rate == pytest.approx(12 / age, rel=0.25)  # not 12 / 5.0
             assert session.drain() == list(range(12))
 
 
 @contextmanager
-def fast_runner(pipe, **backend_kwargs):
-    """A thread-backend runner on the default policy, fast cadence, no rollback."""
-    config = local_config(interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05)
+def fast_session(pipe, **backend_kwargs):
+    """A thread backend with an adaptive session open on it (the default
+    policy, fast cadence, no verdicts); yields the backend and the
+    session's changes (see :func:`adapt`)."""
+    config = local_config(
+        interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05, rollback_tolerance=0.0
+    )
     with ThreadBackend(pipe, **backend_kwargs) as b:
-        yield RuntimeAdaptiveRunner(b, config=config, rollback=False)
+        yield b, adapt(b, config)[1]
 
 
 class TestAdaptationAcrossRuns:
@@ -345,37 +345,36 @@ class TestAdaptationAcrossRuns:
 
     def test_grows_bottleneck_stage(self):
         pipe = spec([lambda x: x, _sleeper(0.004), lambda x: x])
-        grown_stages = []
-        with fast_runner(pipe, max_replicas=3) as runner:
-            session = runner.attach()
+        with fast_session(pipe, max_replicas=3) as (b, acts):
+            session = b._session
             for _ in range(3):
-                res = runner.run(range(30))
-                assert res.outputs == list(range(30))
-                assert runner._attached is session  # one warm session throughout
-                for event in res.adaptation_events:
-                    grown_stages += [
-                        i
-                        for i in range(pipe.n_stages)
-                        if len(event.mapping_after.replicas(i))
-                        != len(event.mapping_before.replicas(i))
-                    ]
+                assert b.run(range(30)).outputs == list(range(30))
+                assert b._session is session  # one warm session throughout
             # The heavy middle stage must have gained workers.
-            assert runner.backend.replica_counts()[1] > 1
+            assert b.replica_counts()[1] > 1
+        grown_stages = [
+            i
+            for a in acts
+            for i, (old, new) in enumerate(
+                zip(a.fields["replicas_before"], a.fields["replicas_after"])
+            )
+            if old != new
+        ]
         assert all(stage == 1 for stage in grown_stages)
 
     def test_respects_the_warm_pool(self):
         pipe = spec([_sleeper(0.002)])
-        with fast_runner(pipe, max_replicas=2) as runner:
+        with fast_session(pipe, max_replicas=2) as (b, _):
             for _ in range(5):
-                runner.run(range(10))
-            assert runner.backend.replica_counts()[0] <= 2
+                b.run(range(10))
+            assert b.replica_counts()[0] <= 2
 
     def test_never_replicates_stateful_stage(self):
         pipe = spec([_sleeper(0.002), lambda x: x], replicable=[False, True])
-        with fast_runner(pipe, max_replicas=4) as runner:
+        with fast_session(pipe, max_replicas=4) as (b, _):
             for _ in range(3):
-                runner.run(range(10))
-            assert runner.backend.replica_counts()[0] == 1
+                b.run(range(10))
+            assert b.replica_counts()[0] == 1
 
     def test_adaptive_batches_surface_replicated_stage_error(self):
         calls = []
@@ -388,10 +387,10 @@ class TestAdaptationAcrossRuns:
             return x
 
         pipe = spec([boom])
-        with fast_runner(pipe, replicas=[2], max_replicas=3) as runner:
+        with fast_session(pipe, replicas=[2], max_replicas=3) as (b, _):
             with pytest.raises(StageError, match="s0"):
                 for _ in range(3):
-                    runner.run(range(10))
+                    b.run(range(10))
 
 
 class TestMeasuredResourceView:
@@ -415,13 +414,14 @@ class TestMeasuredResourceView:
                 calls.append(n_procs)
                 return super().resource_view(n_procs)
 
-        runner = RuntimeAdaptiveRunner(
-            Spying(spec([_fast, _bottleneck])),
-            config=local_config(interval=0.05, cooldown=0.1, settle_time=0.05),
-            rollback=False,
-        )
-        with runner.backend:
-            res = runner.run(range(40))
+        with Spying(spec([_fast, _bottleneck])) as b:
+            runner = RuntimeAdaptiveRunner(
+                b.open(),
+                config=local_config(
+                    interval=0.05, cooldown=0.1, settle_time=0.05, rollback_tolerance=0.0
+                ),
+            )
+            res = b.run(range(40))
         assert res.outputs == [(x + 1) * 2 for x in range(40)]
         assert calls, "runner never asked the backend for its measured view"
         assert all(n == runner.n_virtual_procs for n in calls)

@@ -6,6 +6,7 @@ it judges an action and how it rolls one back is checked here directly.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.obs.events import EventBus
 
 HOME, AWAY = Mapping.single([0, 1]), Mapping(((0,), (1, 2)))
 CONFIG = AdaptationConfig(cooldown=4.0, settle_time=1.5, rollback_tolerance=0.85)
+NO_VERDICT = replace(CONFIG, rollback_tolerance=0.0)
 
 
 class Toggler:
@@ -36,7 +38,7 @@ class Toggler:
 class Rig:
     """A controller on a fake clock, a settable throughput and a recording port."""
 
-    def __init__(self, *, port_realises=True, rollback=True):
+    def __init__(self, *, port_realises=True, config=CONFIG):
         self.t = 0.0
         self.tp = 10.0
         self.acts = []
@@ -49,8 +51,8 @@ class Rig:
             return mapping if port_realises else None
 
         self.ctl = Controller(
-            Toggler(), HOME, act, clock=lambda: self.t, throughput=lambda _h: self.tp,
-            horizon=2.0, events=bus, rollback=rollback,
+            Toggler(config), HOME, act, clock=lambda: self.t, throughput=lambda _h: self.tp,
+            horizon=2.0, events=bus,
         )
 
     def step(self, at):
@@ -62,7 +64,7 @@ class Rig:
 
 
 def test_a_decision_inside_the_cooldown_is_refused():
-    rig = Rig(rollback=False)
+    rig = Rig(config=NO_VERDICT)
     assert rig.step(1.0).kind == "replicate"
     assert rig.step(1.0 + CONFIG.cooldown - 0.01) is None
     assert rig.records[-1].fields["reason"] == "cooldown"
@@ -120,10 +122,15 @@ def test_a_nan_throughput_gives_no_verdict(before, after):
     assert len(rig.acts) == 1
 
 
-def test_without_rollback_nothing_is_left_pending():
-    rig = Rig(rollback=False)
-    assert rig.step(1.0) is not None
+def test_a_zero_tolerance_takes_no_verdict():
+    # rollback_tolerance=0 acts as usual but schedules no judgement of it.
+    rig = Rig(config=NO_VERDICT)
+    assert rig.step(1.0).kind == "replicate"
     assert rig.ctl.pending is None and rig.ctl.due == math.inf
+    rig.tp = 0.0
+    assert rig.step(1.0 + CONFIG.cooldown).mapping_after == HOME
+    assert rig.ctl.pending is None
+    assert rig.kinds().count("adapt.act") == 2 and "adapt.rollback" not in rig.kinds()
 
 
 def test_an_act_the_port_refuses_records_nothing():

@@ -38,8 +38,10 @@ class TestConfigValidation:
             AdaptationConfig(min_improvement=0.9)
 
     def test_bad_rollback(self):
-        with pytest.raises(ValueError):
-            AdaptationConfig(rollback_tolerance=0.0)
+        # [0, 1]: 0 takes no verdict, so only a value outside raises.
+        for tolerance in (-0.1, 1.1):
+            with pytest.raises(ValueError):
+                AdaptationConfig(rollback_tolerance=tolerance)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):

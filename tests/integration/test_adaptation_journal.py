@@ -11,10 +11,10 @@ import time
 
 import pytest
 
-from repro.backend import RuntimeAdaptiveRunner, ThreadBackend, local_config
+from repro import open_pipeline
+from repro.backend import local_config
 from repro.core.adaptive import AdaptivePipeline
 from repro.core.events import Decision
-from repro.core.pipeline import PipelineSpec
 from repro.core.policy import AdaptationConfig
 from repro.core.stage import StageSpec
 from repro.gridsim.spec import uniform_grid
@@ -74,20 +74,19 @@ def live():
         time.sleep(0.010 if x >= 60 else 0.002)
         return x + 1
 
-    pipe = PipelineSpec((
+    stages = [
         StageSpec(name="a", work=0.01, fn=a, replicable=False),
         StageSpec(name="b", work=0.01, fn=b),
-    ))
-    runner = RuntimeAdaptiveRunner(
-        ThreadBackend(pipe, max_replicas=8),
-        config=local_config(interval=30.0, cooldown=0.1),
-    )
+    ]
     records = []
-    with runner.backend:
-        runner.attach().events.subscribe(records.append, kinds=ADAPT)
-        assert runner.run(range(260)).outputs == [x + 1 for x in range(260)]
-        runner.detach()
-    return runner.events, records  # detached: the controller has stopped
+    with open_pipeline(
+        stages, adaptive=local_config(interval=30.0, cooldown=0.1), max_replicas=8
+    ) as session:
+        session.events.subscribe(records.append, kinds=ADAPT)
+        for x in range(260):
+            session.submit(x)
+        assert session.drain() == [x + 1 for x in range(260)]
+    return None, records  # closed: the controller has stopped; its bus is the record
 
 
 @pytest.mark.parametrize(
@@ -99,12 +98,19 @@ def test_one_record_per_action_with_the_schema_fields(drive):
     events, records = drive()
     acts = [r for r in records if r.kind == "adapt.act"]
     rollbacks = [r for r in records if r.kind == "adapt.rollback"]
-    assert len(acts) == sum(e.kind != "rollback" for e in events) >= 1
-    assert len(rollbacks) == sum(e.kind == "rollback" for e in events)
+    assert len(acts) >= 1
     for r in records:
         missing = required(r.kind) - r.fields.keys()
         assert not missing, f"{r.kind} lacks {missing}: {r.fields}"
-    for r, e in zip(sorted(acts + rollbacks, key=lambda r: r.time), events):
+    changes = sorted(acts + rollbacks, key=lambda r: r.time)
+    # One record per change: each starts from the shape the last one left.
+    for prev, r in zip(changes, changes[1:]):
+        assert r.fields["replicas_before"] == prev.fields["replicas_after"]
+    if events is None:  # live: the journal is the only log
+        return
+    assert len(acts) == sum(e.kind != "rollback" for e in events)
+    assert len(rollbacks) == sum(e.kind == "rollback" for e in events)
+    for r, e in zip(changes, events):
         assert (r.time, r.fields["action"], r.fields["reason"]) == (e.time, e.kind, e.reason)
         assert r.fields["replicas_after"] == [len(s) for s in e.mapping_after.stages]
 

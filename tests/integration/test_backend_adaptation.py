@@ -2,16 +2,16 @@
 
 * ``pipeline_1for1(..., backend="processes")`` returns input-ordered
   results identical to the threads backend on the same inputs.
-* A :class:`RuntimeAdaptiveRunner` run on the process backend records at
+* An adaptive session on the process backend records at
   least one adaptation event on a workload with an injected bottleneck.
 """
 
 import time
 
-from repro.backend import ProcessPoolBackend, RuntimeAdaptiveRunner, local_config
+from repro.backend import ProcessPoolBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.skel.api import pipeline_1for1
+from repro.skel.api import open_pipeline, pipeline_1for1
 
 
 def _prepare(x):
@@ -49,22 +49,23 @@ def test_processes_match_threads_through_skel_api():
 def test_runtime_adaptation_on_process_backend():
     pipe = _pipe()
     backend = ProcessPoolBackend(pipe, max_replicas=3)
-    runner = RuntimeAdaptiveRunner(
-        backend,
-        config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
-        rollback=False,
-    )
+    actions = []
     try:
-        res = runner.run(range(80))
+        session = open_pipeline(
+            pipe.stages, backend=backend,
+            adaptive=local_config(
+                interval=0.1, cooldown=0.2, settle_time=0.1, rollback_tolerance=0.0
+            ),
+        )
+        session.events.subscribe(actions.append, kinds=("adapt.act",))
+        res = backend.run(range(80))
     finally:
         backend.close()
     assert res.outputs == [(x + 1) * 2 - 3 for x in range(80)]
-    actions = [e for e in res.adaptation_events if e.kind != "rollback"]
     assert len(actions) >= 1, "expected at least one adaptation event"
     # The observe->decide->act loop must have replicated the injected
     # bottleneck stage onto warm workers.
     assert res.replica_counts[1] > 1
     assert all(
-        len(e.mapping_after.replicas(1)) >= len(e.mapping_before.replicas(1))
-        for e in actions
+        e.fields["replicas_after"][1] >= e.fields["replicas_before"][1] for e in actions
     )

@@ -2,7 +2,7 @@
 
 * A ``skel.api`` pipeline on ``backend="distributed"`` runs end to end on
   three auto-spawned localhost workers and matches the threads backend.
-* ``RuntimeAdaptiveRunner`` on the distributed backend replicates an
+* An adaptive session on the distributed backend replicates an
   injected bottleneck *across workers* (a cross-worker reconfiguration).
 * Killing a worker mid-adaptive-run loses no items and keeps order.
 """
@@ -10,10 +10,10 @@
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.backend import DistributedBackend, RuntimeAdaptiveRunner, local_config
+from repro.backend import DistributedBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
-from repro.skel.api import pipeline_1for1
+from repro.skel.api import open_pipeline, pipeline_1for1
 
 
 def _prepare(x):
@@ -56,18 +56,20 @@ def test_distributed_matches_threads_through_skel_api():
 
 def test_runtime_adaptation_replicates_across_workers():
     backend = DistributedBackend(_pipe(), spawn_workers=3, max_replicas=3)
-    runner = RuntimeAdaptiveRunner(
-        backend,
-        config=local_config(interval=0.1, cooldown=0.2, settle_time=0.1),
-        rollback=False,
-    )
+    actions = []
     try:
-        res = runner.run(range(100))
+        session = open_pipeline(
+            backend.pipeline.stages, backend=backend,
+            adaptive=local_config(
+                interval=0.1, cooldown=0.2, settle_time=0.1, rollback_tolerance=0.0
+            ),
+        )
+        session.events.subscribe(actions.append, kinds=("adapt.act",))
+        res = backend.run(range(100))
         placement = backend.replica_placement()
     finally:
         backend.close()
     assert res.outputs == [(x + 1) * 2 - 3 for x in range(100)]
-    actions = [e for e in res.adaptation_events if e.kind != "rollback"]
     assert len(actions) >= 1, "expected at least one adaptation event"
     # The bottleneck stage grew, and its replicas span more than one
     # worker: the reconfiguration crossed host boundaries.

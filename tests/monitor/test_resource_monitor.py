@@ -5,6 +5,9 @@ import pytest
 from repro.gridsim.engine import Simulator
 from repro.gridsim.spec import heterogeneous_grid, uniform_grid
 from repro.monitor.resource_monitor import (
+    HOST_CORES,
+    LOAD_ALPHA,
+    LOAD_MIN_INTERVAL,
     SPEED_FLOOR,
     HostLoadSampler,
     ResourceMonitor,
@@ -106,37 +109,40 @@ class TestHostLoadSampler:
         with pytest.raises(ValueError):
             load_to_speed(1.0, 0)
 
-    def test_sampler_tracks_injected_load(self, monkeypatch):
-        readings = iter([(0.0, 0, 0), (4.0, 0, 0), (4.0, 0, 0), (4.0, 0, 0)])
-        monkeypatch.setattr("os.getloadavg", lambda: next(readings))
-        sampler = HostLoadSampler(cores=4, alpha=1.0, min_interval=0.0)
-        assert sampler.effective_speed() == pytest.approx(1.0)
-        # alpha=1.0 means no smoothing: the next sample lands directly,
-        # floored at SPEED_FLOOR (a saturated host still makes progress).
-        assert sampler.effective_speed() == pytest.approx(SPEED_FLOOR)
+    @staticmethod
+    def clocked(monkeypatch, loads, step):
+        """A sampler reading the list ``loads`` in turn, whose clock moves
+        ``step`` seconds per look."""
+        now = [0.0]
+
+        def tick():
+            now[0] += step
+            return now[0]
+
+        monkeypatch.setattr("os.getloadavg", lambda: (loads.pop(0), 0, 0))
+        monkeypatch.setattr("time.monotonic", tick)
+        return HostLoadSampler()
 
     def test_sampler_smooths_with_ewma(self, monkeypatch):
-        values = iter([0.0, 4.0, 4.0, 4.0, 4.0])
-        monkeypatch.setattr("os.getloadavg", lambda: (next(values), 0, 0))
-        sampler = HostLoadSampler(cores=4, alpha=0.5, min_interval=0.0)
-        first = sampler.effective_speed()
-        second = sampler.effective_speed()
-        assert first == pytest.approx(1.0)
+        saturated = 100.0 * HOST_CORES
+        sampler = self.clocked(
+            monkeypatch, [0.0, saturated, saturated], step=LOAD_MIN_INTERVAL
+        )
+        assert sampler.effective_speed() == pytest.approx(1.0)
         # One EWMA step toward the floor, not all the way.
-        assert SPEED_FLOOR < second < first
+        first_step = 1.0 + LOAD_ALPHA * (SPEED_FLOOR - 1.0)
+        assert sampler.effective_speed() == pytest.approx(first_step)
+        assert SPEED_FLOOR < sampler.effective_speed() < first_step
 
     def test_sampler_rate_limits_getloadavg(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            "os.getloadavg", lambda: calls.append(1) or (0.5, 0, 0)
-        )
-        sampler = HostLoadSampler(cores=2, min_interval=60.0)
-        for _ in range(10):
+        loads = [0.5] * 8
+        sampler = self.clocked(monkeypatch, loads, step=LOAD_MIN_INTERVAL / 4)
+        for _ in range(8):  # two intervals of the sampler's clock
             sampler.effective_speed()
-        assert len(calls) == 1
+        assert len(loads) == 6  # two reads
 
     def test_sampler_without_getloadavg_is_dedicated(self, monkeypatch):
         monkeypatch.delattr("os.getloadavg")
-        sampler = HostLoadSampler(cores=2, min_interval=0.0)
+        sampler = HostLoadSampler()
         assert sampler.effective_speed() == 1.0
         assert sampler.sample() == 0.0
