@@ -58,18 +58,20 @@ def run_experiment():
     ]
     outputs = {"reference": reference(pipeline, inputs)}
     for name in BACKENDS:
-        with make_backend(name, pipeline, replicas=list(REPLICAS)) as b:
-            res = b.run(inputs)
-        outputs[name] = res.outputs
-        rows.append(
-            {
-                "backend": name,
-                "items": res.items,
-                "elapsed_s": res.elapsed,
-                "throughput_items_s": res.throughput,
-                "replicas": list(res.replica_counts),
-            }
-        )
+        with make_backend(name, pipeline, replicas=list(REPLICAS)) as b, b.open() as s:
+            for item in inputs:
+                s.submit(item)
+            outputs[name] = s.drain()
+            elapsed = s.last_stream_elapsed
+            rows.append(
+                {
+                    "backend": name,
+                    "items": len(outputs[name]),
+                    "elapsed_s": elapsed,
+                    "throughput_items_s": len(outputs[name]) / elapsed,
+                    "replicas": b.replica_counts(),
+                }
+            )
     return rows, outputs
 
 

@@ -41,9 +41,8 @@ def run_experiment():
     outputs = {}
 
     with make_backend("processes", pipeline, replicas=list(REPLICAS)) as b:
-        res = b.run(inputs)
-    outputs["processes"] = res.outputs
-    rows.append(_row("processes", res, link_ms=0.0))
+        outputs["processes"], cols = _stream(b.open(), inputs)
+    rows.append(_row("processes", cols, link_ms=0.0))
 
     with DistributedBackend(
         pipeline,
@@ -52,10 +51,9 @@ def run_experiment():
         max_replicas=3,
         worker_link_delays=[0.0, 0.0, LINK_DELAY_S],
     ) as b:
-        res = b.run(inputs)
+        outputs["distributed"], cols = _stream(b.open(), inputs)
         links = [w["link_s"] for w in b.alive_workers()]
-    outputs["distributed"] = res.outputs
-    rows.append(_row("distributed", res, link_ms=1e3 * max(links)))
+    rows.append(_row("distributed", cols, link_ms=1e3 * max(links)))
 
     # Adaptive scenario: start the bottleneck at 1 replica and let the
     # runner grow it across workers using measured speeds and links.
@@ -75,12 +73,11 @@ def run_experiment():
             ),
         )
         session.events.subscribe(acts.append, kinds=("adapt.act",))
-        ares = backend.run(adapt_inputs)
+        outputs["distributed-adaptive"], cols = _stream(session, adapt_inputs)
         placement = backend.replica_placement()
         links = [w["link_s"] for w in backend.alive_workers()]
     finally:
         backend.close()
-    outputs["distributed-adaptive"] = ares.outputs
     expected = []
     for item in adapt_inputs:
         for spec in pipeline.stages:
@@ -89,7 +86,7 @@ def run_experiment():
     outputs["adaptive-expected"] = expected
     rows.append(
         {
-            **_row("distributed-adaptive", ares, link_ms=1e3 * max(links)),
+            **_row("distributed-adaptive", cols, link_ms=1e3 * max(links)),
             "events": len(acts),
             # Widest cross-worker spread any stage's replica set reached —
             # >= 2 means a reconfiguration crossed host boundaries.
@@ -99,13 +96,25 @@ def run_experiment():
     return rows, outputs
 
 
-def _row(name, res, link_ms):
+def _stream(session, inputs):
+    """One bounded stream on ``session``: its outputs, and its row's items,
+    elapsed, items/s and replica columns."""
+    for item in inputs:
+        session.submit(item)
+    outputs = session.drain()
+    elapsed = session.last_stream_elapsed
+    return outputs, {
+        "items": len(outputs),
+        "elapsed_s": elapsed,
+        "throughput_items_s": len(outputs) / elapsed,
+        "replicas": session.backend.replica_counts(),
+    }
+
+
+def _row(name, cols, link_ms):
     return {
         "backend": name,
-        "items": res.items,
-        "elapsed_s": res.elapsed,
-        "throughput_items_s": res.throughput,
-        "replicas": list(res.replica_counts),
+        **cols,
         "max_link_ms": link_ms,
         "events": 0,
         "max_stage_spread": 0,

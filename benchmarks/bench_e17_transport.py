@@ -97,18 +97,8 @@ def run_experiment():
             with make_backend(
                 "processes", pipeline, replicas=[1, 1, 1], transport=codec
             ) as b:
-                res = b.run(inputs)
-            outputs[("processes", mb, codec)] = res.outputs
-            rows.append(
-                {
-                    "backend": "processes",
-                    "payload_mb": mb,
-                    "codec": codec,
-                    "items": res.items,
-                    "elapsed_s": res.elapsed,
-                    "throughput_items_s": res.throughput,
-                }
-            )
+                outputs[("processes", mb, codec)], cols = _stream(b.open(), inputs)
+            rows.append({"backend": "processes", "payload_mb": mb, "codec": codec, **cols})
 
     # -- part 2: distributed backend head-to-head --------------------------
     mb = SIZES_MB[-1]
@@ -118,18 +108,8 @@ def run_experiment():
         with DistributedBackend(
             pipeline, replicas=[1, 1, 1], spawn_workers=2, transport=codec
         ) as b:
-            res = b.run(inputs)
-        outputs[("distributed", mb, codec)] = res.outputs
-        rows.append(
-            {
-                "backend": "distributed",
-                "payload_mb": mb,
-                "codec": codec,
-                "items": res.items,
-                "elapsed_s": res.elapsed,
-                "throughput_items_s": res.throughput,
-            }
-        )
+            outputs[("distributed", mb, codec)], cols = _stream(b.open(), inputs)
+        rows.append({"backend": "distributed", "payload_mb": mb, "codec": codec, **cols})
 
     # -- part 3: adaptation around a bandwidth-starved link ----------------
     pipeline = array_pipeline(mbytes=max(ADAPT_MIX))
@@ -150,13 +130,13 @@ def run_experiment():
             ),
         )
         session.events.subscribe(acts.append, kinds=("adapt.act",))
-        ares = backend.run(adapt_inputs)
+        outputs[("adaptive", "outputs")], cols = _stream(session, adapt_inputs)
+        replicas = backend.replica_counts()
         workers = backend.alive_workers()
         placement = backend.replica_placement()
         view = backend.resource_view(3)
     finally:
         backend.close()
-    outputs[("adaptive", "outputs")] = ares.outputs
     outputs[("adaptive", "expected")] = [
         pipeline.stages[-1].fn(
             pipeline.stages[1].fn(pipeline.stages[0].fn(item))
@@ -176,17 +156,27 @@ def run_experiment():
         for w in workers
     ]
     adaptive = {
-        "items": ares.items,
-        "elapsed_s": ares.elapsed,
-        "throughput_items_s": ares.throughput,
+        **cols,
         "events": len(acts),
-        "replicas": list(ares.replica_counts),
+        "replicas": replicas,
         "links": links,
         # The planner's own view of one cross-worker link pair per worker:
         # fitted values, not the old _WIRE_BANDWIDTH constant.
         "view_links": [list(view.link(a, b)) for a, b in ((0, 1), (0, 2), (1, 2))],
     }
     return rows, outputs, adaptive, _audit_rows(SIZES_MB[-1])
+
+
+def _stream(session, inputs):
+    """One bounded stream on ``session``: its outputs, and its row's items,
+    elapsed and items/s columns."""
+    for item in inputs:
+        session.submit(item)
+    outputs = session.drain()
+    elapsed = session.last_stream_elapsed
+    return outputs, {
+        "items": len(outputs), "elapsed_s": elapsed, "throughput_items_s": len(outputs) / elapsed
+    }
 
 
 def _tp(rows, backend, mb, codec):

@@ -1,7 +1,8 @@
 """E18 (table): streaming sessions vs one-shot batches on warm executors.
 
 Claim: the session refactor turns a "batch" into a bounded stream over a
-resident executor, which buys two things a one-shot ``run()`` cannot give:
+resident executor, which buys two things a batch consumer (submit every
+item, then wait out ``drain()``) cannot have:
 
 * **first-result latency far below batch-drain time** — ``results()``
   yields the first output as soon as it completes, while a batch consumer
@@ -10,8 +11,8 @@ resident executor, which buys two things a one-shot ``run()`` cannot give:
   (or beat, by skipping per-run teardown) the classic batch path that E14
   and E16 measured, on both the thread and the process backends.
 
-Per backend the harness runs the classic ``run()`` batch as the baseline,
-then three back-to-back streams on one warm session with a live consumer
+Per backend the harness runs that classic batch as the baseline, then
+three back-to-back streams on the same warm session with a live consumer
 thread timing the first result.  ``stream_tp/batch_tp`` near (or above)
 1.0 is the no-regression acceptance; ``first_ms`` against ``drain_ms``
 quantifies the latency win.
@@ -58,6 +59,13 @@ def _expected(n):
     return [(x + 1) * 2 for x in range(n)]
 
 
+def _batch(session, n):
+    """The classic batch: submit every item, then wait out the drain."""
+    for i in range(n):
+        session.submit(i)
+    return session.drain()
+
+
 def _measure_stream(session, n):
     """One bounded stream with a live consumer; returns timing + outputs."""
     got = []
@@ -85,15 +93,15 @@ def run_experiment():
     for name in BACKENDS:
         pipe = _pipeline()
         with make_backend(name, pipe, replicas=[1, 2], max_replicas=2) as b:
-            # Warm up pools/threads, then the classic one-shot batch baseline.
-            b.run(range(N_ITEMS))
+            session = b.open()
+            # Warm up pools/threads, then the classic batch baseline.
+            _batch(session, N_ITEMS)
             t0 = time.perf_counter()
-            res = b.run(range(N_ITEMS))
+            outputs = _batch(session, N_ITEMS)
             batch_s = time.perf_counter() - t0
-            assert res.outputs == _expected(N_ITEMS)
+            assert outputs == _expected(N_ITEMS)
 
-            # Back-to-back bounded streams on ONE warm session.
-            session = b._session  # the very session run() streamed through
+            # Back-to-back bounded streams on the same warm session.
             first_latencies, stream_times = [], []
             for _ in range(N_STREAMS):
                 outputs, first_s, elapsed = _measure_stream(session, N_ITEMS)

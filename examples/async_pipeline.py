@@ -31,17 +31,19 @@ def main() -> None:
 
     rows = []
     for replicas in ([1, 1, 1], [4, 1, 2], [16, 1, 8]):
-        with ThreadBackend(pipeline, replicas=replicas, max_replicas=16) as b:
-            res = b.run(make_requests(48))
-        assert res.outputs is not None and len(res.outputs) == 48
-        rows.append(
-            [
-                str(replicas),
-                f"{res.elapsed:.2f}",
-                f"{res.throughput:.1f}",
-                " ".join(f"{m:.3f}" for m in res.service_means),
-            ]
-        )
+        with ThreadBackend(pipeline, replicas=replicas, max_replicas=16) as b, b.open() as s:
+            for request in make_requests(48):
+                s.submit(request)
+            assert len(s.drain()) == 48
+            elapsed = s.last_stream_elapsed
+            rows.append(
+                [
+                    str(replicas),
+                    f"{elapsed:.2f}",
+                    f"{48 / elapsed:.1f}",
+                    " ".join(f"{m:.3f}" for m in s.service_means()),
+                ]
+            )
     print(
         render_table(
             ["concurrency limits", "elapsed(s)", "req/s", "stage service means (s)"],
@@ -62,16 +64,19 @@ def main() -> None:
             ),
         )
         session.events.subscribe(acts.append, kinds=("adapt.act",))
-        result = backend.run(make_requests(160))
+        for request in make_requests(160):
+            session.submit(request)
+        outputs = session.drain()
+        elapsed, final = session.last_stream_elapsed, backend.replica_counts()
     finally:
         backend.close()
-    assert result.outputs is not None and len(result.outputs) == 160
-    print(f"  items: {result.items}  elapsed: {result.elapsed:.2f}s")
+    assert len(outputs) == 160
+    print(f"  items: {len(outputs)}  elapsed: {elapsed:.2f}s")
     for act in acts:
         print(f"  event @ {act.time:.2f}s: {act.fields['action']} {act.fields['reason']}")
     history = [a.fields["replicas_before"] for a in acts[:1]]
     print(f"  replica history: {history + [a.fields['replicas_after'] for a in acts]}")
-    print(f"  final concurrency limits per stage: {result.replica_counts}")
+    print(f"  final concurrency limits per stage: {final}")
     print("\nnote: every fetch/store 'replica' here is a worker coroutine, not a")
     print("thread — both run on one event-loop thread; the plain-callable parse")
     print("stage has a thread worker of its own on the same stage queues.")

@@ -83,25 +83,29 @@ def main() -> None:
         )
         acts = []
         session.events.subscribe(acts.append, kinds=("adapt.act",))
-        result = backend.run(range(n_items))
-        assert result.outputs == [(x + 1) * 2 - 3 for x in range(n_items)]
-        print(f"  items: {result.items}  elapsed: {result.elapsed:.2f}s  (ordered: yes)")
+        for x in range(n_items):
+            session.submit(x)
+        assert session.drain() == [(x + 1) * 2 - 3 for x in range(n_items)]
+        elapsed = session.last_stream_elapsed
+        print(f"  items: {n_items}  elapsed: {elapsed:.2f}s  (ordered: yes)")
         for act in acts:
             print(f"  event: {act.fields['action']} @ {act.time:.2f}s  {act.fields['reason']}")
-        print(f"  final replicas per stage: {result.replica_counts}")
+        print(f"  final replicas per stage: {backend.replica_counts()}")
         placement = backend.replica_placement()
         print(f"  placement (stage -> worker id -> replicas): {placement}")
         links = {w["name"]: f"{w['link_s'] * 1e3:.2f} ms" for w in backend.alive_workers()}
         print(f"  measured one-way link estimates: {links}")
 
         print("\nkilling one worker mid-run (fault-tolerance demo):")
-        # run() streams on this thread, so the fault comes from a timer.
+        # The stream is fed on this thread, so the fault comes from a timer.
         killer = threading.Timer(0.4, backend.worker_processes[0].kill)
         killer.start()
-        res = backend.run(range(n_items))
+        for x in range(n_items):
+            session.submit(x)
+        outputs = session.drain()
         killer.join()
-        assert res.outputs == [(x + 1) * 2 - 3 for x in range(n_items)]
-        print(f"  survived: {res.items}/{n_items} items, still ordered")
+        assert outputs == [(x + 1) * 2 - 3 for x in range(n_items)]
+        print(f"  survived: {len(outputs)}/{n_items} items, still ordered")
         print(f"  live workers after the loss: {len(backend.alive_workers())}")
     finally:
         backend.close()

@@ -29,7 +29,7 @@ __getattr__, __dir__, _exports = lazy_exports(
     __name__,
     {
         "backend": (
-            "Backend BackendResult ProcessPoolBackend RuntimeAdaptiveRunner "
+            "Backend ProcessPoolBackend RuntimeAdaptiveRunner "
             "ThreadBackend available_backends local_config make_backend"
         ),
         "core": (

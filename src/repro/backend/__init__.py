@@ -7,8 +7,8 @@ between pipeline structure and scheduling substrate.  Since the streaming
 refactor the port is **session-oriented**: ``backend.open()`` returns a
 long-lived :class:`~repro.backend.base.Session` with ``submit`` /
 ``results`` / ``drain`` / ``close`` — pipelines stay warm, accept work as
-it arrives, and emit results as an ordered stream; ``run()`` is the
-bounded-stream convenience on top.  Three executors ship, under four names:
+it arrives, and emit results as an ordered stream; a bounded stream is
+open → submit\\* → drain.  Three executors ship, under four names:
 
 * ``"threads"`` — :class:`ThreadBackend`, the local thread fabric
   (GIL-releasing kernels, I/O-bound stages and portable correctness runs;
@@ -45,7 +45,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "base": (
-            "Backend BackendResult Session SessionClosed SessionStats "
+            "Backend Session SessionClosed SessionStats "
             "Ticket available_backends make_backend"
         ),
         "distributed": "DistributedBackend WorkerAgent",

@@ -21,9 +21,10 @@ just a bounded stream:
   next ``submit`` then starts a fresh stream on the same warm executor;
 * ``session.close()`` releases the session's executor resources.
 
-``Backend.run(inputs)`` is that path for a finite input — open → submit\\*
-→ drain on the caller's thread; a caller that wants to act mid-flight
-submits from a producer thread or holds the session itself.
+The session is the one way to run a stream: open → submit\\* → drain (a
+finite input is that loop on the caller's thread; to act mid-flight, submit
+from a producer thread).  An executor error poisons the session; close it
+(a ``with`` block does) and open a fresh one on the same warm backend.
 
 The port owns everything that is not the stage loop, so the executors
 cannot drift apart on it: one way **in** (``submit`` hands each admitted
@@ -38,8 +39,7 @@ validated once, ``reconfigure`` clamping onto a per-executor ``_resize``).
 
 The port also keeps the three hooks the adaptation loop needs:
 
-* **observe** — ``snapshots()``/``items_completed()``/
-  ``recent_throughput()`` delegate to the live session's instrumentation
+* **observe** — the session's ``snapshots()`` and ``instrumentation``
   (:class:`~repro.monitor.instrument.StageSnapshot` currency, counters
   cumulative across streams);
 * **act** — ``reconfigure(stage, n_replicas)`` changes a replicable
@@ -62,9 +62,9 @@ import threading
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.core.pipeline import PipelineSpec
 from repro.model.throughput import ResourceView
@@ -78,7 +78,6 @@ from repro.util.validation import check_positive
 
 __all__ = [
     "Backend",
-    "BackendResult",
     "Session",
     "SessionClosed",
     "SessionStats",
@@ -183,23 +182,6 @@ class SessionStats:
         return self.stream_submitted - self.stream_delivered
 
 
-@dataclass
-class BackendResult:
-    """What one backend run (a bounded stream) produced: its ordered
-    ``outputs`` and its wall-clock ``elapsed`` seconds."""
-
-    backend: str
-    outputs: list[Any]
-    items: int
-    elapsed: float
-    service_means: list[float] = field(default_factory=list)
-    replica_counts: list[int] = field(default_factory=list)
-
-    @property
-    def throughput(self) -> float:
-        return self.items / self.elapsed if self.elapsed > 0 else 0.0
-
-
 class Session:
     """A long-lived submit/stream pipeline on one backend (see module doc).
 
@@ -213,8 +195,8 @@ class Session:
     Streams are strictly sequential: ``drain()`` is the boundary, and the
     executor pipeline is empty of stream *s* before stream *s+1* admits its
     first item.  An executor error poisons the session (``broken``); every
-    subsequent ``submit``/``results``/``drain`` re-raises it, and the
-    owning backend opens a fresh session on the next run.
+    subsequent ``submit``/``results``/``drain`` re-raises it.  Close it (a
+    ``with`` block does) and open a fresh session on the same warm backend.
 
     ``_lock`` (a plain lock) guards all of that state and the assembly
     buffer.  No wait polls a clock: a parked ``submit``, ``results()``,
@@ -533,7 +515,7 @@ class Session:
         """Release the session's executor resources (idempotent).
 
         A mid-stream close aborts: admitted-but-incomplete items are
-        dropped, exactly as a one-shot run's abort dropped them.
+        dropped, as a failed stream's abort drops them.
         """
         with self._close_lock:
             with self._lock:
@@ -820,7 +802,6 @@ class Backend:
         self.max_replicas = max(max_replicas, *self._target)
         self._closed = False
         self._session: Session | None = None
-        self._run_lock = threading.Lock()  # one run() at a time
         # Replaced by each session's bus the moment it is constructed, so
         # backend-owned machinery (pools, the distributed coordinator) can
         # emit unconditionally from the day the backend is built.
@@ -847,7 +828,8 @@ class Backend:
 
         One session at a time: the executors share warm state (pools,
         sockets, the event loop), so a second concurrent session would
-        interleave streams.  Close (or drain and reuse) the current one.
+        interleave streams.  Close the current one first (a poisoned one
+        too), or drain it and reuse it.
 
         ``telemetry`` (a :class:`repro.obs.Telemetry` or a journal path) is
         forwarded to ``Session.__init__``, which attaches it before any
@@ -867,50 +849,7 @@ class Backend:
         )
         return self._session
 
-    def _current_session(self) -> Session:
-        """The open session, replacing a closed or poisoned one."""
-        session = self._session
-        if session is not None and session.broken and not session.closed:
-            session.close()
-        if session is None or session.closed or session.broken:
-            session = self.open()
-        return session
-
     # ------------------------------------------------------------- lifecycle
-    def run(self, inputs: Iterable[Any]) -> BackendResult:
-        """One bounded stream on the caller's thread: open → submit\\* → drain.
-
-        ``submit`` blocks on the executor's queues (and the admission
-        window), so to observe or reconfigure mid-flight call this from a
-        producer thread — or hold the session yourself.
-        """
-        if not self._run_lock.acquire(blocking=False):
-            raise RuntimeError("backend already running; wait for that run() to return")
-        session = None
-        try:
-            session = self._current_session()
-            n = 0
-            for item in inputs:
-                session.submit(item)
-                n += 1
-            outputs = session.drain()
-        except BaseException:
-            # A poisoned session's executor state is unknown: reap it now so
-            # the next run opens a clean one on the warm backend.
-            if session is not None:
-                session.close()
-            raise
-        finally:
-            self._run_lock.release()
-        return BackendResult(
-            backend=self.name,
-            outputs=outputs,
-            items=n,
-            elapsed=session.last_stream_elapsed if n else 0.0,
-            service_means=session.service_means(),
-            replica_counts=self.replica_counts(),
-        )
-
     def close(self) -> None:
         """Release warm resources; the backend may not be reused after."""
         self._closed = True
@@ -924,25 +863,6 @@ class Backend:
         self.close()
 
     # ----------------------------------------------------------- observation
-    def snapshots(self) -> list[StageSnapshot]:
-        """Windowed per-stage service, work and payload-size measurements."""
-        if self._session is None:
-            return []
-        return self._session.snapshots()
-
-    def items_completed(self) -> int:
-        if self._session is None:
-            return 0
-        return self._session.instrumentation.items_completed
-
-    def recent_throughput(self, horizon: float) -> float:
-        """Sink completions/s over the trailing ``horizon`` (NaN = no data)."""
-        if self._session is None:
-            return math.nan
-        return self._session.instrumentation.recent_throughput(
-            self._session.now(), horizon
-        )
-
     def resource_view(self, n_procs: int) -> ResourceView | None:
         """Measured view of the substrate as a virtual grid of ``n_procs``.
 

@@ -142,8 +142,9 @@ class RuntimeAdaptiveRunner:
         than ``min_samples`` completions are no measurement: NaN, which the
         rollback check reads as "no verdict".
         """
-        span = min(horizon, time.perf_counter() - self.session._stream_t0)
-        rate = self.backend.recent_throughput(span)
+        session = self.session
+        span = min(horizon, time.perf_counter() - session._stream_t0)
+        rate = session.instrumentation.recent_throughput(session.now(), span)
         return rate if rate * span >= self.config.min_samples - 0.5 else math.nan
 
     def _controller_main(self) -> None:
@@ -211,7 +212,7 @@ class RuntimeAdaptiveRunner:
                 continue
             # The backend's measured view of the virtual grid, where it has one.
             measured_view = self.backend.resource_view(self.n_virtual_procs)
-            snapshots = self.backend.snapshots()
+            snapshots = session.snapshots()
             now = session.now()
             acted = ctl.step(
                 snapshots=snapshots,

@@ -6,6 +6,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from conftest import stream
 
 from repro.backend import SessionClosed, ThreadBackend, local_config
 from repro.core.pipeline import PipelineSpec
@@ -34,23 +35,19 @@ async def _adouble_slow(x):
 
 class TestAsyncioBackend:
     def test_run_ordered_sync_stages(self):
-        with ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2])) as b:
-            res = b.run(range(20))
-        assert res.outputs == [(x + 1) * 2 for x in range(20)]
-        assert res.backend == "threads"  # "asyncio" names the thread fabric
-        assert res.replica_counts == [1, 1]
-        assert res.items == 20
+        with ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2])) as b, b.open() as s:
+            assert stream(s, range(20)) == [(x + 1) * 2 for x in range(20)]
+            assert b.name == "threads"  # "asyncio" names the thread fabric
+            assert b.replica_counts() == [1, 1]
 
     def test_run_ordered_async_stages(self):
-        with ThreadBackend(spec([_ainc, _adouble_slow]), replicas=[1, 4]) as b:
-            res = b.run(range(30))
-        assert res.outputs == [(x + 1) * 2 for x in range(30)]
-        assert res.replica_counts == [1, 4]
+        with ThreadBackend(spec([_ainc, _adouble_slow]), replicas=[1, 4]) as b, b.open() as s:
+            assert stream(s, range(30)) == [(x + 1) * 2 for x in range(30)]
+            assert b.replica_counts() == [1, 4]
 
     def test_mixed_sync_and_async_stages(self):
-        with ThreadBackend(spec([_ainc, lambda x: x * 3, _adouble_slow])) as b:
-            res = b.run(range(15))
-        assert res.outputs == [(x + 1) * 3 * 2 for x in range(15)]
+        with ThreadBackend(spec([_ainc, lambda x: x * 3, _adouble_slow])) as b, b.open() as s:
+            assert stream(s, range(15)) == [(x + 1) * 3 * 2 for x in range(15)]
 
     def test_output_parity_with_threads(self):
         # The shared contract: same workload, same ordered outputs.
@@ -58,43 +55,40 @@ class TestAsyncioBackend:
         with ThreadBackend(
             fetch_pipeline(latency=0.002, asynchronous=True), replicas=[4, 1, 4]
         ) as b:
-            async_res = b.run(make_requests(n))
+            async_out = stream(b.open(), make_requests(n))
         with ThreadBackend(
             fetch_pipeline(latency=0.002), replicas=[4, 1, 4], max_replicas=4
         ) as b:
-            thread_res = b.run(make_requests(n))
-        assert async_res.outputs == thread_res.outputs
-        assert [o["id"] for o in async_res.outputs] == list(range(n))
+            thread_out = stream(b.open(), make_requests(n))
+        assert async_out == thread_out
+        assert [o["id"] for o in async_out] == list(range(n))
 
     def test_replicas_carry_over_between_runs(self):
-        with ThreadBackend(spec([_ainc]), max_replicas=4) as b:
-            b.run(range(5))
+        with ThreadBackend(spec([_ainc]), max_replicas=4) as b, b.open() as s:
+            stream(s, range(5))
             b.reconfigure(0, 3)
-            res = b.run(range(5))
-        assert res.replica_counts == [3]
-        assert res.outputs == [x + 1 for x in range(5)]
+            assert stream(s, range(5)) == [x + 1 for x in range(5)]
+            assert b.replica_counts() == [3]
 
     def test_live_grow_preserves_order(self):
         backend = ThreadBackend(spec([_adouble_slow]), max_replicas=4)
-        with backend as b, ThreadPoolExecutor(1) as producer:
-            run = producer.submit(b.run, range(40))
-            while b.items_completed() < 5:
+        with backend as b, b.open() as s, ThreadPoolExecutor(1) as producer:
+            run = producer.submit(stream, s, range(40))
+            while s.instrumentation.items_completed < 5:
                 time.sleep(0.002)
             b.reconfigure(0, 4)
-            res = run.result(timeout=30)
-        assert res.outputs == [x * 2 for x in range(40)]
-        assert res.replica_counts == [4]
+            assert run.result(timeout=30) == [x * 2 for x in range(40)]
+            assert b.replica_counts() == [4]
 
     def test_live_shrink_is_lazy_and_safe(self):
         backend = ThreadBackend(spec([_adouble_slow]), replicas=[4], max_replicas=4)
-        with backend as b, ThreadPoolExecutor(1) as producer:
-            run = producer.submit(b.run, range(40))
-            while b.items_completed() < 5:
+        with backend as b, b.open() as s, ThreadPoolExecutor(1) as producer:
+            run = producer.submit(stream, s, range(40))
+            while s.instrumentation.items_completed < 5:
                 time.sleep(0.002)
             b.reconfigure(0, 1)
-            res = run.result(timeout=30)
-        assert res.outputs == [x * 2 for x in range(40)]
-        assert res.replica_counts == [1]
+            assert run.result(timeout=30) == [x * 2 for x in range(40)]
+            assert b.replica_counts() == [1]
 
     def test_reconfigure_clamped_to_max(self):
         with ThreadBackend(spec([_ainc]), max_replicas=2) as b:
@@ -110,17 +104,17 @@ class TestAsyncioBackend:
             assert b.replica_counts() == [1]
 
     def test_observation_surfaces(self, monkeypatch):
-        with ThreadBackend(spec([_adouble_slow])) as b:
+        with ThreadBackend(spec([_adouble_slow])) as b, b.open() as s:
             # Hops are recorded at the host's sampled speed: pin it to 1.0.
             monkeypatch.setattr(b._load, "effective_speed", lambda: 1.0)
-            b.run(range(12))
-            snaps = b.snapshots()
+            stream(s, range(12))
+            snaps = s.snapshots()
             assert len(snaps) == 1
             assert snaps[0].items_processed == 12
             assert snaps[0].service_time >= 0.002
             assert snaps[0].work_estimate >= 0.002  # eff speed 1.0
-            assert b.items_completed() == 12
-            assert b.recent_throughput(horizon=60.0) > 0
+            assert s.instrumentation.items_completed == 12
+            assert s.instrumentation.recent_throughput(s.now(), horizon=60.0) > 0
 
     def test_stage_error_aborts_and_names_stage(self):
         async def boom(x):
@@ -129,25 +123,26 @@ class TestAsyncioBackend:
             return x
 
         with ThreadBackend(spec([_ainc, boom])) as b:
-            with pytest.raises(StageError, match="s1"):
-                b.run(range(20))
-            # The backend must be reusable after a failed run.
-            res = b.run([100])
-            assert res.outputs == [101]
+            with pytest.raises(StageError, match="s1"), b.open() as s:
+                stream(s, range(20))
+            # The warm backend opens a fresh session after a failed one closed.
+            with b.open() as s:
+                assert stream(s, [100]) == [101]
 
     def test_sync_stage_error_aborts(self):
         def boom(x):
             raise ValueError("no")
 
-        with ThreadBackend(spec([boom])) as b:
+        with ThreadBackend(spec([boom])) as b, b.open() as s:
             with pytest.raises(StageError, match="s0"):
-                b.run(range(4))
+                stream(s, range(4))
 
     def test_close_mid_run_does_not_hang(self):
         b = ThreadBackend(spec([_adouble_slow]), replicas=[2], max_replicas=2)
+        s = b.open()
         with ThreadPoolExecutor(1) as producer:
-            run = producer.submit(b.run, range(500))
-            while b.items_completed() < 3:
+            run = producer.submit(stream, s, range(500))
+            while s.instrumentation.items_completed < 3:
                 time.sleep(0.002)
             t0 = time.perf_counter()
             b.close()
@@ -156,17 +151,7 @@ class TestAsyncioBackend:
             with pytest.raises(SessionClosed):
                 run.result(timeout=5)
         with pytest.raises(RuntimeError, match="closed"):
-            b.run([1])
-
-    def test_run_while_running_raises(self):
-        backend = ThreadBackend(spec([_adouble_slow]))
-        with backend as b, ThreadPoolExecutor(1) as producer:
-            run = producer.submit(b.run, range(20))
-            while b.items_completed() < 1:
-                time.sleep(0.002)
-            with pytest.raises(RuntimeError, match="already running"):
-                b.run(range(5))
-            assert run.result(timeout=30).outputs == [x * 2 for x in range(20)]
+            b.open()
 
     def test_validation_mirrors_thread_backend(self):
         with pytest.raises(ValueError, match="replica count"):
@@ -203,11 +188,9 @@ class TestAsyncioAdaptation:
                 ),
             )
             session.events.subscribe(grows.append, kinds=("adapt.act",))
-            res = b.run(range(80))
-        assert res.outputs == [x * 2 for x in range(80)]
-        assert res.items == 80
+            assert stream(session, range(80)) == [x * 2 for x in range(80)]
+            assert b.replica_counts()[1] > 1
         assert len(grows) >= 1
-        assert res.replica_counts[1] > 1
         assert grows[0].fields["replicas_before"] == [1, 1, 1]
 
     def test_skel_api_runs_asyncio_adaptive(self):
@@ -243,12 +226,12 @@ class TestWorkerPoolConcurrency:
                 in_flight -= 1
             return x
 
-        with ThreadBackend(spec([tracked]), replicas=[2], max_replicas=8) as b:
-            b.run(range(30))
+        with ThreadBackend(spec([tracked]), replicas=[2], max_replicas=8) as b, b.open() as s:
+            stream(s, range(30))
             assert peak <= 2
             peak = 0
             b.reconfigure(0, 6)
-            b.run(range(60))
+            stream(s, range(60))
         assert peak > 2  # the wider limit was actually used
         assert peak <= 6
 
@@ -284,7 +267,7 @@ class TestShutdownLeavesNoTask:
         with backend as b, ThreadPoolExecutor(1) as producer:
             session = b.open()
             run = producer.submit(lambda: [session.submit(x) for x in range(500)])
-            while b.items_completed() < 3:
+            while session.instrumentation.items_completed < 3:
                 time.sleep(0.002)
             session.close()
             with pytest.raises(SessionClosed):
@@ -310,7 +293,7 @@ class TestOneLane:
 
     def test_plain_stages_start_no_event_loop(self):
         with ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2]), replicas=[1, 2]) as b:
-            assert b.run(range(50)).outputs == [(x + 1) * 2 for x in range(50)]
+            assert stream(b.open(), range(50)) == [(x + 1) * 2 for x in range(50)]
             assert b._loop is None
             assert not [t.name for t in threading.enumerate() if t.name.startswith("asyncio-")]
 

@@ -3,9 +3,9 @@
 import threading
 
 import pytest
+from conftest import stream
 
 from repro.backend import (
-    BackendResult,
     ProcessPoolBackend,
     ThreadBackend,
     available_backends,
@@ -97,22 +97,33 @@ class TestPortContract:
             b.close()
 
     @pytest.mark.parametrize("name", LIVE)
-    def test_run_returns_the_outputs_list(self, name):
+    def test_a_stream_returns_the_outputs_list(self, name):
         b, fn = _live(name, stages=2)
+        with b, b.open() as session:
+            assert stream(session, range(-3, 5)) == [fn(fn(x)) for x in range(-3, 5)]
+            assert session.last_stream_elapsed > 0
+
+    @pytest.mark.parametrize("name", LIVE)
+    def test_open_refuses_a_second_session_until_the_first_closes(self, name):
+        b, fn = _live(name)
         with b:
-            res = b.run(range(-3, 5))
-        assert res.outputs == [fn(fn(x)) for x in range(-3, 5)]
-        assert res.items == 8 and res.elapsed > 0
+            first = b.open()
+            with pytest.raises(RuntimeError, match="a session is already open"):
+                b.open()
+            assert stream(first, [1]) == [fn(1)]  # the refusal left the first one usable
+            first.close()
+            with b.open() as second:
+                assert stream(second, [2]) == [fn(2)]
 
     @pytest.mark.parametrize("name", LIVE)
     def test_reconfigure_is_honoured_and_clamps_a_stateful_stage(self, name):
         b, fn = _live(name, stages=2, max_replicas=2)
-        with b:
+        with b, b.open() as session:
             b.reconfigure(1, 3)  # stateful: clamps to 1
             assert b.replica_counts() == [1, 1]
-            assert b.run(range(6)).outputs == [fn(fn(x)) for x in range(6)]
+            assert stream(session, range(6)) == [fn(fn(x)) for x in range(6)]
             b.reconfigure(0, 2)  # live, on the warm executor
-            assert b.run(range(6)).outputs == [fn(fn(x)) for x in range(6)]
+            assert stream(session, range(6)) == [fn(fn(x)) for x in range(6)]
             assert b.replica_counts() == [2, 1]
             with pytest.raises(ValueError, match=">= 1"):
                 b.reconfigure(0, 0)
@@ -120,12 +131,11 @@ class TestPortContract:
     @pytest.mark.parametrize("name", LIVE)
     def test_snapshots_after_a_stream(self, name):
         b, _ = _live(name, stages=2)
-        with b:
-            assert b.snapshots() == []  # no session yet
-            b.run(range(6))
-            snaps = b.snapshots()
+        with b, b.open() as session:
+            stream(session, range(6))
+            snaps = session.snapshots()
             assert [s.stage_index for s in snaps] == [0, 1]
-            assert b.items_completed() == 6
+            assert session.instrumentation.items_completed == 6
 
     @pytest.mark.parametrize("name", LIVE)
     def test_stream_id_opens_lazily_and_counts_streams(self, name):
@@ -170,18 +180,12 @@ class TestPortContract:
         with ProcessPoolBackend(pipe()) as b:
             assert b.resource_view(4) is None
 
-    def test_result_throughput(self):
-        r = BackendResult(backend="x", outputs=[1], items=10, elapsed=2.0)
-        assert r.throughput == 5.0
-        assert BackendResult(backend="x", outputs=[], items=0, elapsed=0.0).throughput == 0.0
-
-    def test_run_drives_the_stream_on_the_callers_thread(self):
-        # run() is open -> submit* -> drain right here: no `*-batch` driver
-        # thread, and the stage's own thread is the only one it needs.
+    def test_a_stream_is_driven_on_the_callers_thread(self):
+        # open -> submit* -> drain right here: no `*-batch` driver thread,
+        # and the stage's own thread is the only one it needs.
         before = set(threading.enumerate())
-        with ThreadBackend(pipe()) as backend:
-            assert backend.run(range(5)).outputs == [1, 2, 3, 4, 5]
+        with ThreadBackend(pipe()) as backend, backend.open() as session:
+            assert stream(session, range(5)) == [1, 2, 3, 4, 5]
             started = {t.name for t in set(threading.enumerate()) - before}
             assert started == {"session-stage[0].0", "session-collector"}
-            empty = backend.run([])
-            assert (empty.outputs, empty.items, empty.elapsed) == ([], 0, 0.0)
+            assert stream(session, []) == []

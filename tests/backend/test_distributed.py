@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
+from conftest import stream
 
 from repro.backend import DistributedBackend, available_backends, make_backend
 from repro.backend.distributed.coordinator import (
@@ -97,7 +98,7 @@ def backend():
 
 @pytest.fixture
 def producer():
-    """A thread to call ``backend.run`` from while the test acts mid-flight."""
+    """A thread to stream from while the test acts mid-flight."""
     with ThreadPoolExecutor(1) as pool:
         yield pool
 
@@ -201,8 +202,7 @@ class TestRegistration:
             ]
             try:
                 b.wait_for_workers(2, timeout=30.0)
-                res = b.run(range(-20, 0))
-                assert res.outputs == [float(abs(x)) for x in range(-20, 0)]
+                assert stream(b.open(), range(-20, 0)) == [float(abs(x)) for x in range(-20, 0)]
                 names = {w["name"] for w in b.alive_workers()}
                 assert names == {"cli-0", "cli-1"}
             finally:
@@ -215,9 +215,7 @@ class TestRegistration:
 
 class TestEndToEnd:
     def test_ordered_outputs_on_three_workers(self, backend):
-        res = backend.run(range(50))
-        assert res.outputs == _expected(range(50))
-        assert res.items == 50
+        assert stream(backend.open(), range(50)) == _expected(range(50))
         assert len(backend.alive_workers()) == 3
 
     def test_through_skel_api(self):
@@ -228,10 +226,9 @@ class TestEndToEnd:
         assert out == _expected(inputs)
 
     def test_reusable_across_runs(self, backend):
-        first = backend.run(range(15))
-        second = backend.run(range(30))
-        assert first.outputs == _expected(range(15))
-        assert second.outputs == _expected(range(30))
+        session = backend.open()
+        assert stream(session, range(15)) == _expected(range(15))
+        assert stream(session, range(30)) == _expected(range(30))
 
     def test_close_hands_back_the_worker_handles_descriptors(self):
         # Each spawned worker's handle holds two sentinel pipes.  close()
@@ -245,7 +242,7 @@ class TestEndToEnd:
             first.warm()  # the interpreter's one-time helpers (resource tracker) are up
         before = open_fds()
         b = DistributedBackend(_pipe(), spawn_workers=3)
-        assert b.run(range(6)).outputs == _expected(range(6))
+        assert stream(b.open(), range(6)) == _expected(range(6))
         b.close()
         assert open_fds() == before  # with ``b`` and its session still referenced
 
@@ -254,18 +251,19 @@ class TestEndToEnd:
         b = DistributedBackend(pipe, spawn_workers=1)
         try:
             with pytest.raises(RuntimeError, match="boom"):
-                b.run(range(5))
+                stream(b.open(), range(5))
         finally:
             b.close()
 
     def test_service_and_transfer_measured(self, backend):
-        backend.run(range(40))
-        snaps = backend.snapshots()
+        session = backend.open()
+        stream(session, range(40))
+        snaps = session.snapshots()
         # The sleeping stage's measured service must reflect the sleep, and
         # every worker must have a measured (non-default) link estimate.
         assert snaps[1].service_time >= 0.009
         assert snaps[1].work_estimate > 0
-        assert backend.items_completed() == 40
+        assert session.instrumentation.items_completed == 40
 
 
 class TestFailureHandling:
@@ -274,14 +272,12 @@ class TestFailureHandling:
         b = DistributedBackend(pipe, spawn_workers=3, replicas=[3], max_replicas=3)
         try:
             n = 90
-            run = producer.submit(b.run, range(n))
+            run = producer.submit(stream, b.open(), range(n))
             time.sleep(0.3)  # let items spread over all three workers
             assert not run.done()
             b.worker_processes[0].kill()
-            res = run.result(timeout=30)
             # No lost items, no reordering, and the local view shrank.
-            assert res.items == n
-            assert res.outputs == [x * 3 for x in range(n)]
+            assert run.result(timeout=30) == [x * 3 for x in range(n)]
             assert len(b.alive_workers()) == 2
             assert all(
                 wid in {w["id"] for w in b.alive_workers()}
@@ -295,7 +291,7 @@ class TestFailureHandling:
         pipe = PipelineSpec((StageSpec(name="triple", work=0.02, fn=_slow_triple),))
         b = DistributedBackend(pipe, spawn_workers=2, replicas=[1])
         try:
-            run = producer.submit(b.run, range(60))
+            run = producer.submit(stream, b.open(), range(60))
             time.sleep(0.2)
             # Kill the worker hosting the only replica of the only stage.
             (hosting_wid,) = b.replica_placement()[0]
@@ -304,8 +300,7 @@ class TestFailureHandling:
             )
             assert victim.proc is not None
             victim.proc.kill()
-            res = run.result(timeout=30)
-            assert res.outputs == [x * 3 for x in range(60)]
+            assert run.result(timeout=30) == [x * 3 for x in range(60)]
             assert b.replica_placement()[0]  # re-homed on the survivor
         finally:
             b.close()
@@ -327,7 +322,7 @@ class TestFailureHandling:
         b = DistributedBackend(pipe, spawn_workers=1, transport="shm")
         shm_session = b._codec.session
         try:
-            run = producer.submit(b.run, make_arrays(20, mbytes=0.3, seed=3))
+            run = producer.submit(lambda: stream(b.open(), make_arrays(20, mbytes=0.3, seed=3)))
             with pytest.raises(StageError, match=r"could not host stage 1 \('unloadable'\)"):
                 run.result(timeout=20)
             assert b.replica_placement()[1] == {}  # the failed replica left its set
@@ -421,12 +416,7 @@ class TestRoutes:
                 events.append, kinds=("worker.death", "worker.redispatch")
             )
 
-            def stream():
-                for x in range(n):
-                    session.submit(x)
-                return session.drain()
-
-            run = producer.submit(stream)
+            run = producer.submit(stream, session, range(n))
             time.sleep(0.3)  # routes in flight on both workers
             assert not run.done()
             (wid,) = b.replica_placement()[victim]
@@ -474,12 +464,7 @@ class TestRoutes:
                 events.append, kinds=("worker.death", "worker.redispatch")
             )
 
-            def stream():
-                for x in range(n):
-                    session.submit(x)
-                return session.drain()
-
-            run = producer.submit(stream)
+            run = producer.submit(stream, session, range(n))
             time.sleep(0.3)  # routes in flight on both agents
             assert not run.done()
             (first,) = [a for a in agents.values() if a.worker_id == head]
@@ -530,18 +515,16 @@ class TestReconfigure:
         placement = backend.replica_placement()[1]
         assert sum(placement.values()) == 3
         assert len(placement) >= 2  # replicas on at least two workers
-        res = backend.run(range(40))
-        assert res.outputs == _expected(range(40))
+        assert stream(backend.open(), range(40)) == _expected(range(40))
         assert backend.replica_counts()[1] == 3
 
     def test_shrink_without_drain_mid_run(self, backend, producer):
         backend.warm()
         backend.reconfigure(1, 3)
-        run = producer.submit(backend.run, range(60))
+        run = producer.submit(stream, backend.open(), range(60))
         time.sleep(0.15)
         backend.reconfigure(1, 1)
-        res = run.result(timeout=30)
-        assert res.outputs == _expected(range(60))
+        assert run.result(timeout=30) == _expected(range(60))
         assert backend.replica_counts()[1] == 1
 
     @pytest.mark.parametrize("routed", [False, True], ids=["one-stage", "route"])
@@ -556,7 +539,7 @@ class TestReconfigure:
         with DistributedBackend(
             PipelineSpec(tuple(stages)), spawn_workers=2, replicas=replicas, max_replicas=2
         ) as b:
-            b.open()
+            session = b.open()
             log, lock = [], threading.Lock()
             for w in b._workers.values():
                 def send(msg, w=w, send=w.outbox.send):
@@ -573,10 +556,10 @@ class TestReconfigure:
                 settle(seq, route)
 
             b._settle = spy
-            run = producer.submit(b.run, range(60))
+            run = producer.submit(stream, session, range(60))
             time.sleep(0.15)  # both replicas hold a full allowance
             b.reconfigure(0, 1)
-            res = run.result(timeout=30)
+            out = run.result(timeout=30)
             retires = [(i, e[1:]) for i, e in enumerate(log) if e[0] == "retire"]
             assert len(retires) == 1
             (at, slot), = retires
@@ -585,7 +568,7 @@ class TestReconfigure:
             before = [e[0] for e in log[:at] if e[1:] == slot]
             assert "accepted" in before and after == []
             assert before.count("task") == before.count("accepted")
-            assert res.outputs == [x * 3 + routed for x in range(60)]
+            assert out == [x * 3 + routed for x in range(60)]
             assert b.replica_counts() == [1] * len(stages)
 
     def test_a_retired_replica_whose_worker_dies_is_redispatched_once(self, producer):
@@ -601,7 +584,7 @@ class TestReconfigure:
                 w.outbox.send = lambda msg, w=w, send=w.outbox.send: (
                     sent.append((w.id, msg[0])) or send(msg)
                 )
-            run = producer.submit(b.run, range(40))
+            run = producer.submit(stream, session, range(40))
             time.sleep(0.2)  # both replicas hold a full allowance
             b.reconfigure(0, 1)
             (retired,) = [r for r in b._replicas[0] if not r.active]
@@ -610,8 +593,7 @@ class TestReconfigure:
             assert retired.tasks, "the retired replica drained before its worker died"
             mark = len(sent)
             victim.proc.kill()
-            res = run.result(timeout=30)
-            assert res.outputs == [x * 2 for x in range(40)]
+            assert run.result(timeout=30) == [x * 2 for x in range(40)]
             assert [kind for wid, kind in sent[mark:] if wid == victim.id] == []
             (death,) = [e for e in events if e.kind == "worker.death"]
             seqs = [e.fields["seq"] for e in events if e.kind == "worker.redispatch"]
@@ -638,7 +620,7 @@ class TestResourceView:
     def test_links_cheap_within_worker_costly_across(self):
         b = DistributedBackend(_pipe(), spawn_workers=2)
         try:
-            b.run(range(20))  # populate link measurements
+            stream(b.open(), range(20))  # populate link measurements
             view = b.resource_view(4)
             # pids 0,2 share worker 0; pids 1,3 share worker 1 (round-robin).
             same_lat, _ = view.link(0, 2)
@@ -926,7 +908,7 @@ def test_a_silent_stranger_holds_up_no_registration():
         agent.start()
         b.wait_for_workers(1, timeout=5.0)
         assert time.perf_counter() - t0 < 1.0
-        assert b.run(range(5)).outputs == _expected(range(5))
+        assert stream(b.open(), range(5)) == _expected(range(5))
     agent.join(timeout=5.0)
     assert not agent.is_alive() and _closed_by_peer(stranger)  # close() woke its handshake
     stranger.close()
@@ -938,7 +920,8 @@ def test_a_newcomer_that_cannot_reach_a_peer_leaves_the_running_pool_alone():
     # registered: it is dropped, wait_for_workers raises an error naming
     # both ends, and the pool's next stream runs as before.
     with DistributedBackend(_pipe(), spawn_workers=2) as b:
-        assert b.run(range(10)).outputs == _expected(range(10))
+        session = b.open()
+        assert stream(session, range(10)) == _expected(range(10))
         with socket.create_connection(b.listen_address, timeout=10.0) as sock:
             sock.sendall(PREAMBLE)
             send_frame(sock, ("hello", "stranded", 1, 0.0, ("127.0.0.1", 1)))
@@ -948,7 +931,7 @@ def test_a_newcomer_that_cannot_reach_a_peer_leaves_the_running_pool_alone():
             assert _closed_by_peer(sock)
         with pytest.raises(RuntimeError, match=r"'stranded' cannot reach worker 'local-\d'"):
             b.wait_for_workers(3, timeout=10.0)
-        assert b.run(range(20)).outputs == _expected(range(20))
+        assert stream(session, range(20)) == _expected(range(20))
         assert len(b.alive_workers()) == 2
 
 
@@ -1011,7 +994,7 @@ def test_a_placed_ack_that_outruns_its_placer_is_not_lost(monkeypatch):
         warm.join(timeout=10.0)
         assert not warm.is_alive(), "warm-up waits for an ack it lost"
         assert all(r.placed for replicas in b._replicas for r in replicas)
-        assert b.run(range(5)).outputs == _expected(range(5))
+        assert stream(b.open(), range(5)) == _expected(range(5))
     finally:
         b.close()
 
@@ -1037,7 +1020,7 @@ def test_close_lets_spawned_workers_exit_by_themselves():
     # close() flushes ``shutdown`` before any socket goes: every worker leaves
     # its serve loop and exits 0 on its own, and no writer thread is left.
     b = DistributedBackend(_pipe(), spawn_workers=2)
-    assert b.run(range(20)).outputs == _expected(range(20))
+    assert stream(b.open(), range(20)) == _expected(range(20))
     terminated, codes = [], []
     for proc in b.worker_processes:
         proc.terminate = lambda proc=proc: terminated.append(proc.name)
@@ -1070,7 +1053,7 @@ def test_close_of_a_warm_idle_backend_waits_on_no_poll():
     # sleep), the listener is shut down under the blocked accept() and the
     # routers are woken: close() is prompt and every dist-* thread is gone.
     b = DistributedBackend(_pipe(), spawn_workers=2)
-    assert b.run(range(10)).outputs == _expected(range(10))
+    assert stream(b.open(), range(10)) == _expected(range(10))
     time.sleep(0.1)  # idle: every thread is parked in its wait
     t0 = time.perf_counter()
     b.close()
@@ -1345,7 +1328,7 @@ class TestNegotiatedTransport:
             with DistributedBackend(
                 pipe, spawn_workers=2, transport=transport
             ) as b:
-                results[transport] = b.run(range(8)).outputs
+                results[transport] = stream(b.open(), range(8))
                 workers = b.alive_workers()
             if transport == "shm":
                 # Forked local workers share /dev/shm with the coordinator.
@@ -1391,7 +1374,7 @@ class TestNegotiatedTransport:
         # keep the honest latency-only fallback).
         items = make_arrays(24, mix=[0.02, 1.0], seed=9)
         with DistributedBackend(pipe, spawn_workers=2, transport="auto") as b:
-            b.run(items)
+            stream(b.open(), items)
             fits = b.alive_workers()
             view = b.resource_view(2)
         assert len(fits) == 2 and any(f["link_fitted"] for f in fits)
@@ -1418,7 +1401,7 @@ class TestNegotiatedTransport:
             # Mixed sizes: the estimator only commits to a bandwidth once
             # its buckets show size spread (uniform streams keep the
             # latency-only fallback by design).
-            b.run(make_arrays(24, mix=[0.02, 1.0], seed=11))
+            stream(b.open(), make_arrays(24, mix=[0.02, 1.0], seed=11))
             rows = {w["name"]: w for w in b.alive_workers()}
         healthy, starved = rows["local-0"], rows["local-1"]
 

@@ -10,11 +10,13 @@ raising ``ValueError`` on item ``K``:
 
 (a) ``drain()`` raises a ``StageError`` naming the stage, its ``.original``
     a ``ValueError`` — the worker's own exception, not a stand-in;
-(b) the session is ``broken`` and the next ``submit`` re-raises that error;
+(b) the session is ``broken``, the next ``submit`` re-raises that error and,
+    until it is closed, ``open()`` refuses a second session;
 (c) ``close()`` returns within 2 s and leaves no session thread, no busy
     ``repro-shm-*`` slot, (where the session owns them) no child alive and
     (where stages are coroutines) no task on the event loop;
-(d) ``backend.run([x])`` afterwards works, on a fresh session.
+(d) ``backend.open()`` afterwards opens a fresh session on the warm
+    backend, and a stream on it works.
 
 On the two executors whose workers encode results, a result the codec
 cannot encode is the same failure: the stage's ``StageError``, its
@@ -30,6 +32,7 @@ import threading
 import time
 
 import pytest
+from conftest import stream
 
 from repro.backend import make_backend
 from repro.core.pipeline import PipelineSpec
@@ -140,6 +143,8 @@ def _check_contract(executor, batching, stages, original, **options):
         with pytest.raises(StageError) as again:
             session.submit(0)
         assert again.value is error
+        with pytest.raises(RuntimeError, match="already open"):
+            backend.open()  # nothing replaces a poisoned session but its close
         # (c) close is prompt and leaves nothing of the session behind.
         t0 = time.perf_counter()
         session.close()
@@ -158,6 +163,7 @@ def _check_contract(executor, batching, stages, original, **options):
         if executor == "processes":  # its broken session takes the pools cold
             assert set(mp.active_children()) == children_before
         # (d) the warm backend recovers on a fresh session.
-        assert backend.run([1]).outputs == [4]
+        with backend.open() as fresh:
+            assert stream(fresh, [1]) == [4]
         assert backend._session is not session
     assert set(mp.active_children()) == children_before

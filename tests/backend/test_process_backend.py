@@ -10,6 +10,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from conftest import stream
 
 from repro import transport
 from repro.backend import ProcessPoolBackend, SessionClosed, ThreadBackend
@@ -64,33 +65,31 @@ def _kill_self_on_3(x):
 
 class TestProcessPoolBackend:
     def test_results_equal_sequential_composition(self):
-        with ProcessPoolBackend(spec([_inc, _double])) as b:
-            res = b.run(range(20))
-        assert res.outputs == [(x + 1) * 2 for x in range(20)]
-        assert res.items == 20
-        assert res.elapsed > 0
+        with ProcessPoolBackend(spec([_inc, _double])) as b, b.open() as s:
+            assert stream(s, range(20)) == [(x + 1) * 2 for x in range(20)]
+            assert s.last_stream_elapsed > 0
 
     def test_matches_thread_backend(self):
         pipe = spec([_inc, _jitter_square, _double])
         with ThreadBackend(pipe) as threads:
-            expected = threads.run(range(25)).outputs
+            expected = stream(threads.open(), range(25))
         with ProcessPoolBackend(pipe) as b:
-            assert b.run(range(25)).outputs == expected
+            assert stream(b.open(), range(25)) == expected
 
     def test_order_preserved_with_replicas(self):
         with ProcessPoolBackend(spec([_jitter_square]), replicas=[3]) as b:
-            res = b.run(range(30))
-        assert res.outputs == [x * x for x in range(30)]
+            assert stream(b.open(), range(30)) == [x * x for x in range(30)]
 
     def test_empty_input(self):
         with ProcessPoolBackend(spec([_inc])) as b:
-            assert b.run([]).outputs == []
+            assert stream(b.open(), []) == []
 
     def test_warm_workers_reused_across_runs(self):
         with ProcessPoolBackend(spec([_tag_pid]), replicas=[2], max_replicas=2) as b:
-            pids1 = {pid for _, pid in b.run(range(10)).outputs}
+            s = b.open()
+            pids1 = {pid for _, pid in stream(s, range(10))}
             warm = {proc.pid for proc in b._pools[0].procs}
-            pids2 = {pid for _, pid in b.run(range(10)).outputs}
+            pids2 = {pid for _, pid in stream(s, range(10))}
         # Replicas share one queue, so either may take any item: the contract
         # is that no new process (and never the parent) served the second run.
         assert pids1 <= warm and pids2 <= warm
@@ -100,22 +99,21 @@ class TestProcessPoolBackend:
         b = ProcessPoolBackend(spec([_inc, _boom]))
         try:
             with pytest.raises(StageError, match="s1") as excinfo:
-                b.run(range(20))
+                stream(b.open(), range(20))
             assert isinstance(excinfo.value.original, ValueError)
         finally:
             b.close()
 
     def test_reconfigure_mid_run_preserves_order(self):
         pipe = spec([_jitter_square])
-        with ProcessPoolBackend(pipe, max_replicas=3) as b, ThreadPoolExecutor(1) as producer:
-            run = producer.submit(b.run, range(60))
-            while b.items_completed() < 3:
-                time.sleep(0.002)
-            b.reconfigure(0, 3)
-            res = run.result(timeout=30)
-        assert res.items == 60
-        assert res.outputs == [x * x for x in range(60)]
-        assert res.replica_counts == [3]
+        with ProcessPoolBackend(pipe, max_replicas=3) as b, b.open() as s:
+            with ThreadPoolExecutor(1) as producer:
+                run = producer.submit(stream, s, range(60))
+                while s.instrumentation.items_completed < 3:
+                    time.sleep(0.002)
+                b.reconfigure(0, 3)
+                assert run.result(timeout=30) == [x * x for x in range(60)]
+            assert b.replica_counts() == [3]
 
     def test_reconfigure_clamps_to_warm_pool(self):
         with ProcessPoolBackend(spec([_inc]), max_replicas=2) as b:
@@ -128,7 +126,7 @@ class TestProcessPoolBackend:
     def test_initial_replicas_expand_pool(self):
         with ProcessPoolBackend(spec([_inc]), replicas=[6], max_replicas=2) as b:
             assert b.replica_limit(0) == 6
-            assert b.run(range(8)).outputs == [x + 1 for x in range(8)]
+            assert stream(b.open(), range(8)) == [x + 1 for x in range(8)]
 
     def test_stateful_stage_cannot_be_replicated(self):
         pipe = spec([_inc], replicable=[False])
@@ -146,20 +144,20 @@ class TestProcessPoolBackend:
             ProcessPoolBackend(pipe)
 
     def test_snapshots_and_progress(self):
-        with ProcessPoolBackend(spec([_inc, _double])) as b:
-            res = b.run(range(15))
-            snaps = b.snapshots()
-        assert b.items_completed() == 15
+        with ProcessPoolBackend(spec([_inc, _double])) as b, b.open() as session:
+            stream(session, range(15))
+            snaps = session.snapshots()
+            assert session.instrumentation.items_completed == 15
+            assert session.service_means()[0] >= 0
         assert len(snaps) == 2
         assert all(s.items_processed == 15 for s in snaps)
         assert all(s.service_time >= 0 for s in snaps)
-        assert res.service_means[0] >= 0
 
     def test_dead_worker_aborts_instead_of_hanging(self):
         b = ProcessPoolBackend(spec([_kill_self_on_3]))
         try:
             with pytest.raises(StageError, match="died mid-run"):
-                b.run(range(10))
+                stream(b.open(), range(10))
         finally:
             b.close()
 
@@ -167,17 +165,17 @@ class TestProcessPoolBackend:
         b = ProcessPoolBackend(spec([_inc]))
         try:
             with pytest.raises(StageError, match="s0"):
-                b.run([1, threading.Lock(), 3])  # locks cannot be pickled
+                stream(b.open(), [1, threading.Lock(), 3])  # locks cannot be pickled
         finally:
             b.close()
 
     def test_close_idempotent_and_cold_restart_rejected(self):
         b = ProcessPoolBackend(spec([_inc]))
-        b.run([1, 2])
+        stream(b.open(), [1, 2])
         b.close()
         b.close()
         with pytest.raises(RuntimeError, match="closed"):
-            b.run([1])
+            b.open()
 
 
 def _big_array(x):
@@ -220,14 +218,13 @@ class TestProcessTransports:
     def test_identical_outputs_across_transports(self, transport):
         pipe = spec([_big_array, _array_total])
         with ProcessPoolBackend(pipe, transport=transport) as b:
-            res = b.run(range(6))
-        assert res.outputs == [200_000.0 * x for x in range(6)]
+            assert stream(b.open(), range(6)) == [200_000.0 * x for x in range(6)]
 
     def test_payload_bytes_recorded_per_stage(self):
         pipe = spec([_big_array, _array_total])
-        with ProcessPoolBackend(pipe, transport="auto") as b:
-            b.run(range(6))
-            snaps = b.snapshots()
+        with ProcessPoolBackend(pipe, transport="auto") as b, b.open() as session:
+            stream(session, range(6))
+            snaps = session.snapshots()
         # Stage 0 takes tiny ints in and emits ~1.6 MB arrays; stage 1 the
         # reverse — the measured sizes feed link pricing and reports.  Only
         # the pipeline's input is measured going in: stage 1's input is
@@ -296,8 +293,8 @@ class TestForwardedSegment:
 
     def test_all_replicable_pipeline_runs_one_router(self):
         with ProcessPoolBackend(spec([_inc, _double, _inc])) as b:
-            assert b.run(range(4)).outputs == [(x + 1) * 2 + 1 for x in range(4)]
-            # Routers only: submit() dispatched on this thread, run() drove it.
+            assert stream(b.open(), range(4)) == [(x + 1) * 2 + 1 for x in range(4)]
+            # Routers only: submit() dispatched on this thread, drain() waited here.
             assert _session_threads() == ["processes-router[2]"]
         assert _session_threads() == []
 
@@ -305,7 +302,7 @@ class TestForwardedSegment:
         b = ProcessPoolBackend(spec([_inc, _boom, _double]))
         try:
             with pytest.raises(StageError, match="s1") as excinfo:
-                b.run(range(20))
+                stream(b.open(), range(20))
             assert isinstance(excinfo.value.original, ValueError)
         finally:
             b.close()
@@ -342,9 +339,10 @@ class TestForwardedSegment:
         pipe = spec([_inc, _double, _inc])
         with ProcessPoolBackend(pipe, replicas=[1, 2, 1]) as b:
             assert b._ctx.get_start_method() == "spawn"
-            assert b.run(range(12)).outputs == [(x + 1) * 2 + 1 for x in range(12)]
+            session = b.open()
+            assert stream(session, range(12)) == [(x + 1) * 2 + 1 for x in range(12)]
             b.reconfigure(1, 1)
-            assert b.run(range(12)).outputs == [(x + 1) * 2 + 1 for x in range(12)]
+            assert stream(session, range(12)) == [(x + 1) * 2 + 1 for x in range(12)]
 
     def test_full_queue_cannot_wedge_reconfigure(self):
         pipe = spec([_nap])
@@ -435,7 +433,7 @@ class TestForwardedSegment:
 
     def test_close_releases_parked_workers_before_stopping_them(self):
         b = ProcessPoolBackend(spec([_inc]), max_replicas=4)
-        b.run(range(4))
+        stream(b.open(), range(4))
         procs = list(b._pools[0].procs)
         b.close()
         # Three were parked at the gate: each still took its own stop pill
@@ -595,21 +593,21 @@ class TestWorkerWrittenPipes:
 
     def test_frames_larger_than_the_pipe_buffer_complete_in_order(self):
         with ProcessPoolBackend(spec(self.PIPE), replicas=[1, 2, 1], transport="pickle") as b:
-            assert b.run(range(24)).outputs == [(x % 251, _MIB) for x in range(24)]
+            assert stream(b.open(), range(24)) == [(x % 251, _MIB) for x in range(24)]
 
     def test_killing_every_reader_leaves_reconfigure_and_close_bounded(self):
         b = ProcessPoolBackend(spec(self.PIPE), replicas=[1, 2, 1], transport="pickle")
         try:
             session = b.open()
             with ThreadPoolExecutor(1) as producer:
-                stream = producer.submit(b.run, range(200))
-                while b.items_completed() < 2:
+                run = producer.submit(stream, session, range(200))
+                while session.instrumentation.items_completed < 2:
                     time.sleep(0.002)
                 workers = [proc for pool in b._pools for proc in pool.procs]
                 for proc in b._pools[1].procs:  # stage 0 is now blocked in write()
                     os.kill(proc.pid, signal.SIGKILL)
                 with pytest.raises(StageError, match="'s1'.*died mid-run"):
-                    stream.result(timeout=5.0)
+                    run.result(timeout=5.0)
             assert session.broken
             t0 = time.perf_counter()
             b.reconfigure(1, 1)  # nobody is left to take a park token
@@ -652,7 +650,7 @@ class TestOneEventDrivenWait:
         b = ProcessPoolBackend(spec([_inc, _double]), replicas=[2, 1], max_replicas=2)
         try:
             session = b.open()
-            assert b.run(range(4)).outputs == [(x + 1) * 2 for x in range(4)]
+            assert stream(session, range(4)) == [(x + 1) * 2 for x in range(4)]
             os.kill(b._pools[0].procs[1].pid, signal.SIGKILL)
             deadline = time.perf_counter() + 2.0
             while not session.broken and time.perf_counter() < deadline:
@@ -660,8 +658,9 @@ class TestOneEventDrivenWait:
             assert session.broken  # unasked: nobody submitted, drained or polled
             with pytest.raises(StageError, match="'s0'.*died mid-run"):
                 session.submit(1)
-            # run() replaces the broken session: cold pools, re-forked.
-            assert b.run(range(4)).outputs == [(x + 1) * 2 for x in range(4)]
+            # Closed, it gives way to a fresh session: cold pools, re-forked.
+            session.close()
+            assert stream(b.open(), range(4)) == [(x + 1) * 2 for x in range(4)]
         finally:
             b.close()
 
@@ -689,7 +688,7 @@ class TestOneEventDrivenWait:
             for _ in range(200):
                 b.open().close()
             assert _open_fds() == before
-            assert [x for x, _ in b.run(range(6)).outputs] == list(range(2, 8))
+            assert [x for x, _ in stream(b.open(), range(6))] == list(range(2, 8))
 
 
 def _half_a_frame_then_die(x):
@@ -750,8 +749,7 @@ class TestFramedLane:
         # any length a Connection can.
         monkeypatch.setattr(lane, "MAX_FRAME", 256)
         with ProcessPoolBackend(spec([_double, _double]), transport="pickle") as b:
-            res = b.run([b"x" * 400, b"y" * 300])
-        assert res.outputs == [b"x" * 1600, b"y" * 1200]
+            assert stream(b.open(), [b"x" * 400, b"y" * 300]) == [b"x" * 1600, b"y" * 1200]
 
     def test_a_parent_fed_queue_pickles_for_spawn_without_its_writer(self):
         from repro.backend.process_backend import _PipeQueue

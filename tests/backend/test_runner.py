@@ -7,6 +7,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from conftest import stream
 
 from repro import open_pipeline
 from repro.backend import ProcessPoolBackend, RuntimeAdaptiveRunner, ThreadBackend, local_config
@@ -87,26 +88,25 @@ class TestRuntimeAdaptiveRunner:
     def test_grows_bottleneck_on_thread_backend(self):
         pipe = spec([_fast, _bottleneck, _fast])
         with ThreadBackend(pipe, max_replicas=3) as b:
-            _, acts = adapt(b, local_config(**FAST))
-            res = b.run(range(80))
-        assert res.outputs == [(x + 1) * 2 + 1 for x in range(80)]
-        assert res.items == 80
+            session, acts = adapt(b, local_config(**FAST))
+            assert stream(session, range(80)) == [(x + 1) * 2 + 1 for x in range(80)]
+            replicas = b.replica_counts()
         assert len(acts) >= 1
         # The bottleneck stage (1) must have been replicated.
-        assert res.replica_counts[1] > 1
+        assert replicas[1] > 1
         assert shapes(acts)[0] == (1, 1, 1)
-        assert shapes(acts)[-1][1] == res.replica_counts[1]
+        assert shapes(acts)[-1][1] == replicas[1]
 
     def test_grows_forwarded_bottleneck_on_process_backend(self):
         # Stage 0's workers put straight onto stage 1's queue: no router in
         # the parent watches it, and the controller sees its service times
         # only through the trail replayed at the egress boundary.
         with ProcessPoolBackend(spec([_bottleneck, _fast]), max_replicas=3) as b:
-            adapt(b, local_config(**FAST))
-            res = b.run(range(80))
-        assert res.outputs == [x * 2 + 1 for x in range(80)]
-        assert res.replica_counts[0] > 1
-        assert res.replica_counts[1] == 1
+            session, _ = adapt(b, local_config(**FAST))
+            assert stream(session, range(80)) == [x * 2 + 1 for x in range(80)]
+            replicas = b.replica_counts()
+        assert replicas[0] > 1
+        assert replicas[1] == 1
 
     def test_clamped_noop_proposal_records_no_event(self):
         # Warm pool caps the bottleneck at 2 replicas; once the backend sits
@@ -114,22 +114,21 @@ class TestRuntimeAdaptiveRunner:
         # fabricate adaptation events (or phantom rollbacks).
         pipe = spec([_fast, _bottleneck, _fast])
         with ThreadBackend(pipe, max_replicas=2) as b:
-            _, acts = adapt(b, local_config(**{**FAST, "cooldown": 0.1}))
-            res = b.run(range(120))
-        assert res.items == 120
+            session, acts = adapt(b, local_config(**{**FAST, "cooldown": 0.1}))
+            assert len(stream(session, range(120))) == 120
+            assert b.replica_counts()[1] <= 2
         # Every recorded event corresponds to a distinct physical shape.
         assert len(set(shapes(acts))) == len(shapes(acts))
-        assert res.replica_counts[1] <= 2
 
     def test_the_backends_owner_closes_it(self):
         with ProcessPoolBackend(spec([_fast])) as b:
             session, _ = adapt(b)
-            assert b.run(range(5)).outputs == [x + 1 for x in range(5)]
+            assert stream(session, range(5)) == [x + 1 for x in range(5)]
             session.close()  # stops the controller, closes nothing of the backend's
-            assert b.run(range(3)).outputs == [1, 2, 3]
+            assert stream(b.open(), range(3)) == [1, 2, 3]
         # The warm pools must be reaped: a closed backend refuses work.
         with pytest.raises(RuntimeError, match="closed"):
-            b.run([1])
+            b.open()
 
     @pytest.mark.parametrize("make", [ThreadBackend, ProcessPoolBackend])
     def test_a_crashing_decide_step_poisons_the_session(self, make, monkeypatch):
@@ -152,7 +151,7 @@ class TestRuntimeAdaptiveRunner:
             assert session.broken and len(errors) == 1
             session.close()
             assert "adaptive-controller" not in {t.name for t in threading.enumerate()}
-            assert b.run(range(3)).outputs == [0, 2, 4]
+            assert stream(b.open(), range(3)) == [0, 2, 4]
 
     def test_crashing_decide_step_leaves_the_backend_open(self, monkeypatch):
         # Like a failed stream, a crashed controller costs the session,
@@ -170,11 +169,11 @@ class TestRuntimeAdaptiveRunner:
         monkeypatch.setattr(AdaptationPolicy, "decide", crash)
         backend = ThreadBackend(spec([held]))
         try:
-            adapt(backend, local_config(interval=0.05))
             with pytest.raises(RuntimeError, match="decide crashed"):
-                backend.run(range(10))
+                with adapt(backend, local_config(interval=0.05))[0] as session:
+                    stream(session, range(10))
             assert backend.closed is False
-            assert backend.run(range(3)).outputs == [0, 1, 2]
+            assert stream(backend.open(), range(3)) == [0, 1, 2]
         finally:
             backend.close()
 
@@ -183,11 +182,10 @@ class TestRuntimeAdaptiveRunner:
         # stages have their samples, and says no (not amortised).
         pipe = spec([_fast, _fast])
         with ThreadBackend(pipe) as b:
-            _, acts = adapt(b)
-            res = b.run(range(30))
-        assert res.outputs == [x + 2 for x in range(30)]
+            session, acts = adapt(b)
+            assert stream(session, range(30)) == [x + 2 for x in range(30)]
+            assert b.replica_counts() == [1, 1]
         assert acts == []
-        assert res.replica_counts == [1, 1]
 
 
 def _sleeper(seconds):
@@ -232,10 +230,9 @@ class TestEventDrivenController:
                     backend, local_config(interval=30.0, cooldown=0.1, rollback_tolerance=0.0)
                 )
                 session.events.subscribe(decided.append, kinds=("adapt.decide",))
-                res = backend.run(range(260))
+                assert stream(session, range(260)) == [x + 1 for x in range(260)]
+                assert backend.replica_counts()[0] == 1
                 step = session.perf_to_session(slow_at[0] + 0.010)
-            assert res.outputs == [x + 1 for x in range(260)]
-            assert res.replica_counts[0] == 1
             first = decided[0].fields
             assert first["trigger"] == "evidence" and not first["acts"]
             assert {e.fields["trigger"] for e in decided} <= {"evidence", "shift"}
@@ -269,17 +266,16 @@ class TestEventDrivenController:
         with ThreadBackend(pipe, max_replicas=4) as b:
             session, acts = adapt(b, config)
             session.events.subscribe(decided.append, kinds=("adapt.decide",))
-            first = b.run(range(100))
-            assert first.replica_counts == [1, 4, 1]
+            stream(session, range(100))
+            assert b.replica_counts() == [1, 4, 1]
             del decided[:], acts[:]
-            steady = b.run(range(600))
-        assert steady.outputs == [x + 2 for x in range(600)]
+            assert stream(session, range(600)) == [x + 2 for x in range(600)]
         assert acts == []
         # Ticks and drifting means are looked at once per cooldown, plus the
         # first action's validation.  (A stalled host shows up as steps,
         # which are evidence and only bounded in cost.)
         unhurried = [e for e in decided if not e.fields.get("step")]
-        assert len(unhurried) <= steady.elapsed / config.cooldown + 2
+        assert len(unhurried) <= session.last_stream_elapsed / config.cooldown + 2
 
     def test_closing_the_session_does_not_wait_out_the_interval(self):
         with ThreadBackend(spec([_fast])) as b:
@@ -295,7 +291,7 @@ class TestEventDrivenController:
         with ThreadBackend(spec([_fast, _fast])) as b:
             session, _ = adapt(b)
             session.events.subscribe(decided.append, kinds=("adapt.decide",))
-            b.run(range(20))
+            stream(session, range(20))
             after_stream = len(decided)
             time.sleep(1.0)  # the controller runs on, backlog 0
             assert len(decided) == after_stream
@@ -331,24 +327,23 @@ class TestEventDrivenController:
 @contextmanager
 def fast_session(pipe, **backend_kwargs):
     """A thread backend with an adaptive session open on it (the default
-    policy, fast cadence, no verdicts); yields the backend and the
-    session's changes (see :func:`adapt`)."""
+    policy, fast cadence, no verdicts); yields the backend, the session
+    and the session's changes (see :func:`adapt`)."""
     config = local_config(
         interval=0.05, cooldown=0.05, min_samples=2, settle_time=0.05, rollback_tolerance=0.0
     )
     with ThreadBackend(pipe, **backend_kwargs) as b:
-        yield b, adapt(b, config)[1]
+        yield b, *adapt(b, config)
 
 
 class TestAdaptationAcrossRuns:
-    """Back-to-back ``run()`` calls over one warm session, adapting live."""
+    """Back-to-back streams over one warm session, adapting live."""
 
     def test_grows_bottleneck_stage(self):
         pipe = spec([lambda x: x, _sleeper(0.004), lambda x: x])
-        with fast_session(pipe, max_replicas=3) as (b, acts):
-            session = b._session
+        with fast_session(pipe, max_replicas=3) as (b, session, acts):
             for _ in range(3):
-                assert b.run(range(30)).outputs == list(range(30))
+                assert stream(session, range(30)) == list(range(30))
                 assert b._session is session  # one warm session throughout
             # The heavy middle stage must have gained workers.
             assert b.replica_counts()[1] > 1
@@ -364,16 +359,16 @@ class TestAdaptationAcrossRuns:
 
     def test_respects_the_warm_pool(self):
         pipe = spec([_sleeper(0.002)])
-        with fast_session(pipe, max_replicas=2) as (b, _):
+        with fast_session(pipe, max_replicas=2) as (b, session, _):
             for _ in range(5):
-                b.run(range(10))
+                stream(session, range(10))
             assert b.replica_counts()[0] <= 2
 
     def test_never_replicates_stateful_stage(self):
         pipe = spec([_sleeper(0.002), lambda x: x], replicable=[False, True])
-        with fast_session(pipe, max_replicas=4) as (b, _):
+        with fast_session(pipe, max_replicas=4) as (b, session, _):
             for _ in range(3):
-                b.run(range(10))
+                stream(session, range(10))
             assert b.replica_counts()[0] == 1
 
     def test_adaptive_batches_surface_replicated_stage_error(self):
@@ -387,10 +382,10 @@ class TestAdaptationAcrossRuns:
             return x
 
         pipe = spec([boom])
-        with fast_session(pipe, replicas=[2], max_replicas=3) as (b, _):
+        with fast_session(pipe, replicas=[2], max_replicas=3) as (b, session, _):
             with pytest.raises(StageError, match="s0"):
                 for _ in range(3):
-                    b.run(range(10))
+                    stream(session, range(10))
 
 
 class TestMeasuredResourceView:
@@ -414,14 +409,13 @@ class TestMeasuredResourceView:
                 calls.append(n_procs)
                 return super().resource_view(n_procs)
 
-        with Spying(spec([_fast, _bottleneck])) as b:
+        with Spying(spec([_fast, _bottleneck])) as b, b.open() as session:
             runner = RuntimeAdaptiveRunner(
-                b.open(),
+                session,
                 config=local_config(
                     interval=0.05, cooldown=0.1, settle_time=0.05, rollback_tolerance=0.0
                 ),
             )
-            res = b.run(range(40))
-        assert res.outputs == [(x + 1) * 2 for x in range(40)]
+            assert stream(session, range(40)) == [(x + 1) * 2 for x in range(40)]
         assert calls, "runner never asked the backend for its measured view"
         assert all(n == runner.n_virtual_procs for n in calls)

@@ -1,11 +1,14 @@
-"""A Hypothesis state machine over the session port, on ``threads``.
+"""A Hypothesis state machine over the session port, on every executor.
 
 Random interleavings of submit, take-k-from-``results()``, drain and close
 run against a model of what the port promises: ``stats()`` is one
 consistent snapshot of the counts, a minted ``Ticket`` is done exactly
 when its item was delivered, and what ``results()`` yields plus what
 ``drain()`` returns is the stream's outputs, in order, exactly once.
-Batching is off.
+Each executor runs with batching off and at four items a batch; every
+example opens a fresh session on one warm backend (``asyncio`` with
+coroutine stages), and distributed workers resolve the module-level stage
+functions by reference.
 """
 
 import time
@@ -13,10 +16,17 @@ import time
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
-from repro.backend import SessionClosed
-from repro.skel.api import open_pipeline
+from repro.backend import SessionClosed, make_backend
+from repro.core.pipeline import PipelineSpec
+from repro.core.stage import StageSpec
 
 #: Bound on any wait for the executor to deliver what was submitted.
 DEADLINE_S = 10.0
@@ -30,15 +40,31 @@ def _stage1(x: int) -> int:
     return x + 1
 
 
+async def _astage0(x: int) -> int:
+    return _stage0(x)
+
+
+async def _astage1(x: int) -> int:
+    return _stage1(x)
+
+
 def _output(x: int) -> int:
     return _stage1(_stage0(x))
 
 
+#: Per executor: its stages, its extra options and examples per batching.
+EXECUTORS = {
+    "threads": ((_stage0, _stage1), {}, 40),
+    "asyncio": ((_astage0, _astage1), {}, 15),
+    "processes": ((_stage0, _stage1), {}, 15),
+    "distributed": ((_stage0, _stage1), {"spawn_workers": 2}, 15),
+}
+
+
 class SessionMachine(RuleBasedStateMachine):
-    def __init__(self) -> None:
+    def __init__(self, backend, batching) -> None:
         super().__init__()
-        # Two replicas on stage 0: items finish out of order there.
-        self.session = open_pipeline([_stage0, _stage1], backend="threads", replicas=[2, 1])
+        self.session = backend.open(batching=batching)
         self.closed = False
         self.stream, self.streaming = -1, False  # the current (or last) stream
         self.drained = 0  # streams
@@ -138,7 +164,14 @@ class SessionMachine(RuleBasedStateMachine):
                 assert ticket.done() == (seq < delivered), ticket
 
 
-SessionMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None
-)
-test_session_machine = SessionMachine.TestCase
+@pytest.mark.parametrize("batching", [None, 4], ids=["items", "batch4"])
+@pytest.mark.parametrize("executor", sorted(EXECUTORS))
+def test_session_machine(executor, batching):
+    fns, options, examples = EXECUTORS[executor]
+    stages = tuple(StageSpec(name=f"s{i}", work=0.01, fn=fn) for i, fn in enumerate(fns))
+    # Two replicas on stage 0: items finish out of order there.
+    with make_backend(executor, PipelineSpec(stages), replicas=[2, 1], **options) as backend:
+        run_state_machine_as_test(
+            lambda: SessionMachine(backend, batching),
+            settings=settings(max_examples=examples, stateful_step_count=30, deadline=None),
+        )

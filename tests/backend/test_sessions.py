@@ -15,6 +15,7 @@ import threading
 import time
 
 import pytest
+from conftest import stream
 
 from repro.backend import (
     DistributedBackend,
@@ -200,17 +201,6 @@ class TestSessionLifecycle:
             t.join(timeout=5.0)
             assert state["out"] == [x * 2 for x in range(10)]
 
-    def test_run_is_a_session_wrapper(self):
-        # run() must go through the session path: the session opened by the
-        # first run is the one reused (warm) by the second.
-        with ThreadBackend(spec([_inc])) as b:
-            b.run(range(5))
-            first = b._session
-            assert first is not None and not first.closed
-            b.run(range(5))
-            assert b._session is first
-            assert first.stats().streams_completed == 2
-
     def test_error_poisons_session_and_backend_reopens(self):
         def boom(x):
             if x == 3:
@@ -226,8 +216,10 @@ class TestSessionLifecycle:
             assert session.broken
             with pytest.raises(StageError):
                 session.submit(0)
-            # The backend recovers by opening a fresh session.
-            assert b.run([100]).outputs == [100]
+            # The warm backend recovers on a fresh session once this one closed.
+            session.close()
+            with b.open() as fresh:
+                assert stream(fresh, [100]) == [100]
             assert b._session is not session
 
 

@@ -5,6 +5,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from conftest import stream
 
 from repro.backend import SessionClosed, ThreadBackend, make_backend
 from repro.core.pipeline import PipelineSpec
@@ -19,51 +20,49 @@ def spec(fns):
 
 class TestThreadBackend:
     def test_run_ordered(self):
-        with ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2])) as b:
-            res = b.run(range(20))
-        assert res.outputs == [(x + 1) * 2 for x in range(20)]
-        assert res.backend == "threads"
-        assert res.replica_counts == [1, 1]
+        with ThreadBackend(spec([lambda x: x + 1, lambda x: x * 2])) as b, b.open() as s:
+            assert stream(s, range(20)) == [(x + 1) * 2 for x in range(20)]
+            assert b.name == "threads"
+            assert b.replica_counts() == [1, 1]
 
     def test_replicas_carry_over_between_runs(self):
-        with ThreadBackend(spec([lambda x: x]), max_replicas=4) as b:
-            b.run(range(5))
+        with ThreadBackend(spec([lambda x: x]), max_replicas=4) as b, b.open() as s:
+            stream(s, range(5))
             b.reconfigure(0, 3)
-            res = b.run(range(5))
-        assert res.replica_counts == [3]
-        assert res.outputs == list(range(5))
+            assert stream(s, range(5)) == list(range(5))
+            assert b.replica_counts() == [3]
 
     def test_live_grow_preserves_order(self):
         def slowish(x):
             time.sleep(0.003)
             return x * x
 
-        with ThreadBackend(spec([slowish]), max_replicas=4) as b, ThreadPoolExecutor(1) as producer:
-            run = producer.submit(b.run, range(40))
-            while b.items_completed() < 5:
-                time.sleep(0.002)
-            b.reconfigure(0, 3)
-            res = run.result(timeout=30)
-        assert res.outputs == [x * x for x in range(40)]
-        assert res.replica_counts == [3]
+        with ThreadBackend(spec([slowish]), max_replicas=4) as b, b.open() as s:
+            with ThreadPoolExecutor(1) as producer:
+                run = producer.submit(stream, s, range(40))
+                while s.instrumentation.items_completed < 5:
+                    time.sleep(0.002)
+                b.reconfigure(0, 3)
+                assert run.result(timeout=30) == [x * x for x in range(40)]
+            assert b.replica_counts() == [3]
 
     def test_observation_surfaces(self):
         def work(x):
             time.sleep(0.002)
             return x
 
-        with ThreadBackend(spec([work])) as b:
-            b.run(range(12))
-            snaps = b.snapshots()
+        with ThreadBackend(spec([work])) as b, b.open() as s:
+            stream(s, range(12))
+            snaps = s.snapshots()
             assert len(snaps) == 1
             assert snaps[0].items_processed == 12
             assert snaps[0].service_time >= 0.002
             # Work is service x the load-derived effective speed (<= 1.0), so
             # the estimate is positive and never exceeds the measured service.
             assert 0 < snaps[0].work_estimate <= snaps[0].service_time
-            assert b.items_completed() == 12
+            assert s.instrumentation.items_completed == 12
             # Completions just happened, so a generous window must see them.
-            assert b.recent_throughput(horizon=60.0) > 0
+            assert s.instrumentation.recent_throughput(s.now(), horizon=60.0) > 0
 
     def test_reconfigure_clamped_to_max(self):
         b = ThreadBackend(spec([lambda x: x]), max_replicas=2)

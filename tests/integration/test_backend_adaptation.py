@@ -8,6 +8,8 @@
 
 import time
 
+from conftest import stream
+
 from repro.backend import ProcessPoolBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
@@ -58,14 +60,15 @@ def test_runtime_adaptation_on_process_backend():
             ),
         )
         session.events.subscribe(actions.append, kinds=("adapt.act",))
-        res = backend.run(range(80))
+        outputs = stream(session, range(80))
+        replicas = backend.replica_counts()
     finally:
         backend.close()
-    assert res.outputs == [(x + 1) * 2 - 3 for x in range(80)]
+    assert outputs == [(x + 1) * 2 - 3 for x in range(80)]
     assert len(actions) >= 1, "expected at least one adaptation event"
     # The observe->decide->act loop must have replicated the injected
     # bottleneck stage onto warm workers.
-    assert res.replica_counts[1] > 1
+    assert replicas[1] > 1
     assert all(
         e.fields["replicas_after"][1] >= e.fields["replicas_before"][1] for e in actions
     )

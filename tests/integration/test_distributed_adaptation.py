@@ -10,6 +10,8 @@
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from conftest import stream
+
 from repro.backend import DistributedBackend, local_config
 from repro.core.pipeline import PipelineSpec
 from repro.core.stage import StageSpec
@@ -65,15 +67,15 @@ def test_runtime_adaptation_replicates_across_workers():
             ),
         )
         session.events.subscribe(actions.append, kinds=("adapt.act",))
-        res = backend.run(range(100))
-        placement = backend.replica_placement()
+        outputs = stream(session, range(100))
+        replicas, placement = backend.replica_counts(), backend.replica_placement()
     finally:
         backend.close()
-    assert res.outputs == [(x + 1) * 2 - 3 for x in range(100)]
+    assert outputs == [(x + 1) * 2 - 3 for x in range(100)]
     assert len(actions) >= 1, "expected at least one adaptation event"
     # The bottleneck stage grew, and its replicas span more than one
     # worker: the reconfiguration crossed host boundaries.
-    assert res.replica_counts[1] > 1
+    assert replicas[1] > 1
     assert len(placement[1]) >= 2, f"expected cross-worker spread, got {placement}"
 
 
@@ -86,12 +88,10 @@ def test_worker_loss_during_adaptive_run():
         # No controller attached: the loss happens before adaptation, which
         # is the harsher case: replicas re-home while nothing re-plans them.
         with ThreadPoolExecutor(1) as producer:
-            run = producer.submit(backend.run, range(n))
+            run = producer.submit(stream, backend.open(), range(n))
             time.sleep(0.5)
             backend.worker_processes[-1].kill()
-            res = run.result(timeout=60)
-        assert res.items == n
-        assert res.outputs == [(x + 1) * 2 - 3 for x in range(n)]
+            assert run.result(timeout=60) == [(x + 1) * 2 - 3 for x in range(n)]
         assert len(backend.alive_workers()) == 2
     finally:
         backend.close()

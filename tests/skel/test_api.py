@@ -1,6 +1,7 @@
 """Tests for the skeleton API layer."""
 
 import pytest
+from conftest import stream
 
 from repro.core.policy import AdaptationConfig
 from repro.core.stage import StageSpec
@@ -125,7 +126,7 @@ class TestBackendSelection:
                 assert pipeline_1for1([_inc], range(5), backend=b, adaptive=True) == [1, 2, 3, 4, 5]
             assert not any(t.name == "adaptive-controller" for t in threading.enumerate())
             assert b._session.closed
-            assert b.run(range(3)).outputs == [1, 2, 3]
+            assert stream(b.open(), range(3)) == [1, 2, 3]
         finally:
             b.close()
 

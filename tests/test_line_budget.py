@@ -229,7 +229,11 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 # policy seam and rollback= (runner.py 349 -> 254); a loop that raises
 # poisons the session through Session._fail, which may now name no stage.
 # Nothing moved.
-CEILING = 4496
+# Lowered to the count, rounded up (4,496 -> 4,420): the session is the one
+# stream port, so Backend.run, BackendResult, _run_lock, _current_session
+# and the backend's snapshots/items_completed/recent_throughput forwards
+# went; the live controller reads its own session.  Nothing moved.
+CEILING = 4420
 
 #: Every other package (``"."``: the top-level modules), set at its count
 #: after the reachability audit, rounded up to the next 10, and lowered the

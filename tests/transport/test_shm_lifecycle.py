@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import stream
 
 from repro.backend import DistributedBackend, ProcessPoolBackend
 from repro.core.pipeline import PipelineSpec
@@ -43,9 +44,8 @@ def test_process_backend_normal_completion_leaves_no_segments(transport):
     pipe = array_pipeline(mbytes=0.5)
     backend = ProcessPoolBackend(pipe, replicas=[1, 2, 1], transport=transport)
     with backend:
-        res = backend.run(make_arrays(8, mbytes=0.5, seed=1))
+        assert len(stream(backend.open(), make_arrays(8, mbytes=0.5, seed=1))) == 8
         session = backend._codec.session
-        assert res.items == 8
         # A healthy warm backend holds no live frame *between* runs either:
         # every frame was consumed and released along the way.
         assert busy_segments(session) == []
@@ -64,7 +64,7 @@ def test_process_backend_abort_mid_run_sweeps_segments():
     session = backend._codec.session
     items = make_arrays(6, mbytes=0.1, seed=2) + make_arrays(6, mbytes=1.0, seed=3)
     with pytest.raises(Exception, match="boom"):
-        backend.run(items)
+        stream(backend.open(), items)
     backend.close()
     assert session_segments(session) == []
 
@@ -73,9 +73,8 @@ def test_distributed_normal_completion_leaves_no_segments():
     pipe = array_pipeline(mbytes=0.5)
     backend = DistributedBackend(pipe, spawn_workers=2, transport="shm")
     try:
-        res = backend.run(make_arrays(8, mbytes=0.5, seed=4))
+        assert len(stream(backend.open(), make_arrays(8, mbytes=0.5, seed=4))) == 8
         session = backend._codec.session
-        assert res.items == 8
         assert all(w["shm_ok"] for w in backend.alive_workers())
         # Only the negotiation probe is held while the backend is warm.
         assert busy_segments(session) == [backend._probe[0].stream.name]
@@ -99,7 +98,7 @@ def test_no_session_segment_reaches_the_resource_tracker(tmp_path, monkeypatch):
 
     monkeypatch.setattr(resource_tracker, "register", register)
     with DistributedBackend(array_pipeline(mbytes=0.5), spawn_workers=2, transport="shm") as b:
-        assert b.run(make_arrays(4, mbytes=0.5, seed=6)).items == 4
+        assert len(stream(b.open(), make_arrays(4, mbytes=0.5, seed=6))) == 4
         assert all(w["shm_ok"] for w in b.alive_workers())
     lines = log.read_text().splitlines() if log.exists() else []
     assert not [line for line in lines if "repro-shm" in line], lines
@@ -119,13 +118,12 @@ def test_distributed_killed_worker_leaves_no_segments_after_close():
     try:
         n = 30
         with ThreadPoolExecutor(1) as producer:
-            run = producer.submit(backend.run, make_arrays(n, mbytes=0.3, seed=5))
+            run = producer.submit(stream, backend.open(), make_arrays(n, mbytes=0.3, seed=5))
             time.sleep(0.3)  # let frames spread across workers
             assert not run.done()
             backend.worker_processes[0].kill()
-            res = run.result(timeout=60)
-        # The run survived the crash (re-dispatch) with nothing lost...
-        assert res.items == n
+            # The stream survived the crash (re-dispatch) with nothing lost...
+            assert len(run.result(timeout=60)) == n
         assert len(backend.alive_workers()) == 2
     finally:
         backend.close()

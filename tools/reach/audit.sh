@@ -16,7 +16,8 @@
 # streaming example with REPRO_OBS_JOURNAL, on a file and on /dev/full, a
 # two-stream processes journal, the Prometheus stage families under
 # batching with that session journaled too, a two-worker distributed
-# journal, and obs.top and obs.profile
+# journal, a threads and a processes session that shrink and grow a stage
+# between streams, and obs.top and obs.profile
 # (--slowest and --json) over each journal) and the shm leak check.  Two
 # things to expect from it:
 # - Quick mode skips E1-E13's shape assertions, so reporting/shapes.py shows
@@ -56,6 +57,15 @@ with open_pipeline([abs, abs], backend="threads", batching=16,
     for x in range(640):
         s.submit(x)
     assert s.drain() == list(range(640))
+# A live controller shrinks a stage only when timing says so: grow and
+# shrink a replicated stage by hand between streams, so each audit reaches both.
+for backend in ("threads", "processes"):
+    with open_pipeline([abs, abs], backend=backend, replicas=[1, 2]) as s:
+        for replicas in (2, 1, 2):
+            s.backend.reconfigure(1, replicas)
+            for x in range(50):
+                s.submit(-x)
+            assert s.drain() == list(range(50))
 EOF
 for journal in "$tmp"/*.jsonl; do
     python -m repro.obs.top "$journal" --once > /dev/null || echo "audit: top $journal failed" >&2
